@@ -28,13 +28,12 @@ def test_fig6_tpcc_cleaner_activates_at_lambda_crossing(benchmark):
     print()
     print(format_series("Figure 6(a) analog — TPC-C 2K, LC tpmC over time",
                         series[:30], "t(s)", "tpmC"))
-    manager = result.system.ssd_manager
-    limit = manager.config.dirty_limit_frames
-    cross = result.sampler.dirty_cross_time(limit)
+    cleaner_pages = result.ssd_stats.cleaner_pages
+    cross = result.sampler.dirty_cross_time(result.ssd_dirty_limit_frames)
     assert cross < float("inf"), "dirty fraction never crossed lambda"
     # The cleaner is the mechanism behind the paper's drop: it must be
     # inactive before the crossing and busy after it.
-    assert manager.stats.cleaner_pages > 0
+    assert cleaner_pages > 0
     # After the crossing the system pays the cleaner tax: throughput
     # plateaus — the tail must not exceed the peak.
     rates = [rate for _, rate in series]
@@ -42,7 +41,7 @@ def test_fig6_tpcc_cleaner_activates_at_lambda_crossing(benchmark):
     tail = sum(rates[-5:]) / 5
     print(f"\nlambda crossed at t={cross - result.start_time:.0f}s, "
           f"peak {peak:,.0f}, tail {tail:,.0f}, "
-          f"cleaner wrote {manager.stats.cleaner_pages:,} pages")
+          f"cleaner wrote {cleaner_pages:,} pages")
     assert tail <= peak * 1.02
 
 
@@ -51,9 +50,8 @@ def test_fig6_tpcc_larger_db_crosses_no_earlier(benchmark):
         out = {}
         for scale in (2_000, 4_000):
             result = oltp_run("tpcc", scale, "LC")
-            limit = result.system.ssd_manager.config.dirty_limit_frames
-            out[scale] = (result.sampler.dirty_cross_time(limit)
-                          - result.start_time)
+            out[scale] = (result.sampler.dirty_cross_time(
+                result.ssd_dirty_limit_frames) - result.start_time)
         return out
 
     crossings = once(benchmark, run)

@@ -35,12 +35,11 @@ def test_fig9_checkpoint_interval(benchmark):
     results = once(benchmark, run_grid)
     rows = []
     for (design, label), result in results.items():
-        ck = result.system.checkpointer
         rows.append([
             design, label,
             f"{result.steady_state_throughput():,.1f}",
-            f"{ck.checkpoints_taken}/{ck.checkpoints_started}",
-            f"{max(ck.durations, default=0.0):.2f}s",
+            f"{result.checkpoints_taken}/{result.checkpoints_started}",
+            f"{max(result.checkpoint_durations, default=0.0):.2f}s",
         ])
     print()
     print(format_table("Figure 9 analog — checkpoint interval, TPC-E 20K",
@@ -56,27 +55,28 @@ def test_fig9_checkpoint_interval(benchmark):
     # (single, late) checkpoint takes far longer than the short
     # interval's checkpoints — possibly so long it is still draining
     # when the run ends (the paper's 1.5-hour dip).
-    lc_long = results[("LC", "5h")].system.checkpointer
-    lc_short = results[("LC", "40min")].system.checkpointer
+    lc_long = results[("LC", "5h")]
+    lc_short = results[("LC", "40min")]
     assert lc_long.checkpoints_started >= 1
     assert lc_short.checkpoints_taken >= 2
-    if lc_long.durations:
-        assert max(lc_long.durations) > max(lc_short.durations)
+    if lc_long.checkpoint_durations:
+        assert (max(lc_long.checkpoint_durations)
+                > max(lc_short.checkpoint_durations))
     else:
         # Never finished within the run: strictly longer than any of the
         # short-interval checkpoints by construction.
         assert lc_long.checkpoints_taken == 0
 
     # Checkpoints cost LC more than DW (it must drain the SSD too).
-    dw_short_ck = results[("DW", "40min")].system.checkpointer
-    assert max(lc_short.durations) >= max(dw_short_ck.durations)
+    dw_short = results[("DW", "40min")]
+    assert (max(lc_short.checkpoint_durations)
+            >= max(dw_short.checkpoint_durations))
 
 
 def test_fig9_checkpoint_dip_visible_in_series(benchmark):
     result = once(benchmark, lambda: run_grid()[("LC", "40min")])
     series = result.throughput_series()
-    ck = result.system.checkpointer
-    assert ck.checkpoints_started >= 1
+    assert result.checkpoints_started >= 1
     rates = [rate for _, rate in series]
     peak = max(rates)
     trough = min(rates[len(rates) // 3:])  # after warm-up

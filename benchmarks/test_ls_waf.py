@@ -35,9 +35,9 @@ def test_ls_write_amplification_vs_lc(benchmark):
         return {design: ftl_run(design) for design in ("LC", "LS")}
 
     results = once(benchmark, run)
-    waf = {d: r.system.ssd_device.ftl.waf for d, r in results.items()}
+    waf = {d: r.waf for d, r in results.items()}
     tput = {d: r.steady_state_throughput() for d, r in results.items()}
-    nand = {d: r.system.ssd_device.ftl.stats.nand_writes
+    nand = {d: r.ftl_stats.nand_writes
             for d, r in results.items()}
     print()
     print("Flash write amplification — TPC-C 1.2K warehouses (--ftl)")

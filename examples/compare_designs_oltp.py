@@ -49,14 +49,13 @@ def main():
     rows = []
     for design in DESIGNS:
         result = results[design]
-        manager = result.system.ssd_manager
         rows.append([
             design,
             f"{throughputs[design]:,.1f}",
             f"{speedups[design]:.2f}x",
-            f"{result.system.bp.stats.ssd_hit_rate:.1%}",
-            f"{manager.used_frames:,}",
-            f"{manager.table.invalid_count:,}",
+            f"{result.bp_stats.ssd_hit_rate:.1%}",
+            f"{result.ssd_used_frames:,}",
+            f"{result.ssd_invalid_frames:,}",
         ])
     print()
     print(format_table(

@@ -25,13 +25,12 @@ def main():
 
     rows = []
     for lam, result in results.items():
-        manager = result.system.ssd_manager
         rows.append([
             f"{lam:.0%}",
             f"{result.steady_state_throughput():,.0f}",
-            f"{manager.dirty_frames:,}",
-            f"{manager.stats.cleaner_pages:,}",
-            f"{manager.stats.cleaner_ios:,}",
+            f"{result.ssd_dirty_frames:,}",
+            f"{result.ssd_stats.cleaner_pages:,}",
+            f"{result.ssd_stats.cleaner_ios:,}",
         ])
     print()
     print(format_table(

@@ -27,19 +27,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from dataclasses import fields
+from typing import Any, Dict, List, Optional, get_args, get_type_hints
 
 from repro.core import DESIGNS
 from repro.faults import FaultPlan
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    run_oltp_experiment,
-    run_tpch_experiment,
-    run_traffic_experiment,
-    speedup_over_nossd,
-)
+from repro.harness.experiments import RunSpec, run, speedup_over_nossd
 from repro.harness.report import format_metrics, format_table
-from repro.sim import KERNELS
 from repro.telemetry import Telemetry
 
 DESIGN_SUMMARIES = {
@@ -55,12 +49,80 @@ DESIGN_SUMMARIES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile", choices=sorted(SCALE_PROFILES),
-                        default="small",
-                        help="scale profile (default: small)")
-    parser.add_argument("--designs", default="noSSD,DW,LC,TAC",
+def _add_spec_flags(parser: argparse.ArgumentParser,
+                    options: Optional[Dict[str, str]] = None,
+                    **defaults: Any) -> None:
+    """Add the :class:`RunSpec` knobs named in ``defaults`` as flags.
+
+    Option string, type, choices and help come from the field's
+    declaration; a subcommand chooses only which knobs it exposes and
+    their defaults (``options`` renames one: sweep's ``--workers`` is
+    its process pool, so the knob becomes ``--workers-per-run``).  Every
+    flag parses into ``dest=<field name>``, which is what lets
+    :func:`_spec` build the spec without a per-command key list.
+    """
+    hints = get_type_hints(RunSpec)
+    for spec_field in fields(RunSpec):
+        name = spec_field.name
+        if name not in defaults:
+            continue
+        meta = dict(spec_field.metadata)
+        option = (options or {}).get(
+            name, meta.pop("flag", "--" + name.replace("_", "-")))
+        if hints[name] is bool:
+            meta["action"] = "store_true"
+        else:
+            # Optional[X] parses as X; its None default means "unset".
+            meta["type"] = (get_args(hints[name]) or (hints[name],))[0]
+            if "choices" not in meta:
+                meta["metavar"] = option[2:].replace("-", "_").upper()
+            if defaults[name] is not None:
+                meta["help"] += " (default: %(default)s)"
+        parser.add_argument(option, dest=name, default=defaults[name],
+                            **meta)
+
+
+def _spec(args: argparse.Namespace, kind: str, design: str,
+          **fixed: Any) -> RunSpec:
+    """The run a subcommand's parsed flags describe (``ValueError`` when
+    they describe none: bad tenants, a benchmark the kind cannot drive)."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunSpec)
+              if hasattr(args, f.name)}
+    return RunSpec(**{**values, "kind": kind, "design": design, **fixed})
+
+
+def _specs(args: argparse.Namespace, kind: str, designs: List[str],
+           **fixed: Any) -> Optional[List[RunSpec]]:
+    """One spec per design, or None (reason on stderr) — built before
+    the first run so a bad flag fails in milliseconds."""
+    try:
+        return [_spec(args, kind, design, **fixed) for design in designs]
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+
+
+def _add_designs(parser: argparse.ArgumentParser,
+                 default: str = "noSSD,DW,LC,TAC") -> None:
+    parser.add_argument("--designs", default=default,
                         help="comma-separated designs (see `designs`)")
+
+
+def _designs(args: argparse.Namespace) -> Optional[List[str]]:
+    """The ``--designs`` list, or None (reason on stderr) when it names
+    a design the registry does not have."""
+    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
+    unknown = [d for d in designs if d not in DESIGNS]
+    if unknown:
+        print(f"unknown designs: {unknown}; try `python -m repro designs`",
+              file=sys.stderr)
+        return None
+    return designs
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_spec_flags(parser, profile="small")
+    _add_designs(parser)
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a trace file (Chrome trace_event JSON, "
                              "or JSONL when FILE ends in .jsonl); with "
@@ -153,11 +215,8 @@ def cmd_designs(args) -> int:
 
 def cmd_oltp(args) -> int:
     """Run an OLTP experiment across designs and print the table."""
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _designs(args)
+    if designs is None:
         return 2
     error = _validate_trace(args)
     if error:
@@ -170,41 +229,34 @@ def cmd_oltp(args) -> int:
         except ValueError as exc:
             print(f"--faults: {exc}", file=sys.stderr)
             return 2
-    profile = SCALE_PROFILES[args.profile]
+    specs = _specs(args, "oltp", designs)
+    if specs is None:
+        return 2
     store = _open_recording_store(args)
     results = {}
-    for design in designs:
+    for spec in specs:
+        design = spec.design
         telemetry = _make_telemetry(args)
         # Each design gets its own plan instance: injectors bind to one
         # system's devices.
         faults = FaultPlan.parse(args.faults) if args.faults else None
-        results[design] = run_oltp_experiment(
-            args.benchmark, args.scale, design, duration=args.duration,
-            profile=profile, nworkers=args.workers,
-            dirty_threshold=args.dirty_threshold,
-            checkpoint_interval=args.checkpoint_interval,
-            ftl=args.ftl, partitions=args.partitions,
-            latch_us=args.latch_us, kernel=args.kernel,
-            telemetry=telemetry, faults=faults,
-            store=store)
+        result = results[design] = run(spec, telemetry=telemetry,
+                                       faults=faults, store=store)
         print(f"ran {design}", file=sys.stderr)
-        system = results[design].system
-        ftl = getattr(system.ssd_device, "ftl", None)
-        if ftl is not None:
-            stats = ftl.stats
+        stats = result.ftl_stats
+        if stats is not None:
             print(f"ftl[{design}]: host_writes={stats.host_writes} "
                   f"nand_writes={stats.nand_writes} erases={stats.erases} "
-                  f"waf={ftl.waf:.3f} wear_spread={ftl.wear_spread}",
+                  f"waf={result.waf:.3f} wear_spread={result.wear_spread}",
                   file=sys.stderr)
         if faults:
             injected = {
                 role: dict(inj.stats)
                 for role, inj in sorted(faults.injectors.items()) if inj.stats}
-            detached = system.ssd_manager.detached
             print(f"faults[{design}]: injected={injected} "
-                  f"ssd_detached={detached} "
-                  f"retries={system.ssd_manager.stats.io_retries} "
-                  f"degrade_redo={system.ssd_manager.stats.detach_redo_pages}",
+                  f"ssd_detached={result.ssd_detached} "
+                  f"retries={result.ssd_stats.io_retries} "
+                  f"degrade_redo={result.ssd_stats.detach_redo_pages}",
                   file=sys.stderr)
         _emit_telemetry(args, design, telemetry, len(designs) > 1)
     throughputs = {d: r.steady_state_throughput()
@@ -214,14 +266,13 @@ def cmd_oltp(args) -> int:
     rows = []
     for design in designs:
         result = results[design]
-        manager = result.system.ssd_manager
         rows.append([
             design,
             f"{throughputs[design]:,.1f}",
             (f"{speedups[design]:.2f}x" if "noSSD" in throughputs else "-"),
-            f"{result.system.bp.stats.ssd_hit_rate:.1%}",
-            f"{manager.used_frames:,}",
-            f"{manager.dirty_frames:,}",
+            f"{result.bp_stats.ssd_hit_rate:.1%}",
+            f"{result.ssd_used_frames:,}",
+            f"{result.ssd_dirty_frames:,}",
         ])
     print(format_table(
         f"{args.benchmark.upper()} scale={args.scale} "
@@ -235,40 +286,23 @@ def cmd_oltp(args) -> int:
 
 def cmd_traffic(args) -> int:
     """Run an open-loop multi-tenant experiment across designs."""
-    from repro.workloads.traffic import parse_tenants
-
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _designs(args)
+    if designs is None:
         return 2
     error = _validate_trace(args)
     if error:
         print(error, file=sys.stderr)
         return 2
-    try:
-        tenants = parse_tenants(args.tenants)
-    except ValueError as exc:
-        print(f"--tenants: {exc}", file=sys.stderr)
+    specs = _specs(args, "traffic", designs)
+    if specs is None:
         return 2
-    profile = SCALE_PROFILES[args.profile]
     store = _open_recording_store(args)
     results = {}
-    for design in designs:
+    for spec in specs:
         telemetry = _make_telemetry(args)
-        results[design] = run_traffic_experiment(
-            args.benchmark, args.scale, design, tenants,
-            duration=args.duration, profile=profile,
-            nworkers=args.workers, queue_limit=args.queue_limit,
-            dirty_threshold=args.dirty_threshold,
-            checkpoint_interval=args.checkpoint_interval,
-            partitions=args.partitions, latch_us=args.latch_us,
-            ftl=args.ftl,
-            kernel=args.kernel, seed=args.seed,
-            telemetry=telemetry, store=store)
-        print(f"ran {design}", file=sys.stderr)
-        _emit_telemetry(args, design, telemetry, len(designs) > 1)
+        results[spec.design] = run(spec, telemetry=telemetry, store=store)
+        print(f"ran {spec.design}", file=sys.stderr)
+        _emit_telemetry(args, spec.design, telemetry, len(designs) > 1)
     first = next(iter(results.values()))
     users = first.logical_users
     rows = []
@@ -285,7 +319,7 @@ def cmd_traffic(args) -> int:
     print(format_table(
         f"open-loop {args.benchmark.upper()} scale={args.scale} "
         f"({users:,.0f} logical users, {args.duration:.0f} virtual s, "
-        f"workers={args.workers}, kernel={args.kernel})",
+        f"workers={args.nworkers}, kernel={args.kernel})",
         ["design", first.metric_name, "offered", "shed",
          "qwait p99 (ms)", "p99 (ms)"], rows))
     tenant_rows = []
@@ -318,11 +352,8 @@ def cmd_chaos(args) -> int:
         format_sweep_table,
     )
 
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _designs(args)
+    if designs is None:
         return 2
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     bad = [p for p in policies if p not in ("sharp", "fuzzy")]
@@ -359,18 +390,10 @@ def cmd_sweep(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.harness.sweep import (
-        RunSpec,
-        progress_printer,
-        run_sweep,
-        summarize,
-    )
+    from repro.harness.sweep import progress_printer, run_sweep, summarize
 
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _designs(args)
+    if designs is None:
         return 2
     try:
         scales = [int(s) for s in args.scales.split(",") if s.strip()]
@@ -384,15 +407,8 @@ def cmd_sweep(args) -> int:
         return 2
 
     kind = "tpch" if args.benchmark == "tpch" else "oltp"
-    specs = [
-        RunSpec(kind=kind, benchmark=args.benchmark, scale=scale,
-                design=design, profile=args.profile,
-                duration=args.duration, nworkers=args.workers_per_run,
-                dirty_threshold=args.dirty_threshold,
-                checkpoint_interval=args.checkpoint_interval,
-                ftl=args.ftl, seed=args.seed)
-        for scale in scales for design in designs
-    ]
+    specs = [_spec(args, kind, design, scale=scale)
+             for scale in scales for design in designs]
     directory = Path(args.cache_dir) if args.cache_dir else None
     store = _open_recording_store(args)
     report = run_sweep(specs, workers=args.workers, directory=directory,
@@ -425,22 +441,25 @@ def cmd_sweep(args) -> int:
 
 def cmd_tpch(args) -> int:
     """Run the TPC-H power + throughput tests across designs."""
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
+    designs = _designs(args)
+    if designs is None:
+        return 2
     error = _validate_trace(args)
     if error:
         print(error, file=sys.stderr)
         return 2
-    profile = SCALE_PROFILES[args.profile]
+    specs = _specs(args, "tpch", designs, benchmark="tpch", scale=args.sf)
+    if specs is None:
+        return 2
     store = _open_recording_store(args)
     rows = []
-    for design in designs:
+    for spec in specs:
         telemetry = _make_telemetry(args)
-        result = run_tpch_experiment(args.sf, design, profile=profile,
-                                     telemetry=telemetry, store=store)
-        rows.append([design, f"{result.power:,.0f}",
+        result = run(spec, telemetry=telemetry, store=store)
+        rows.append([spec.design, f"{result.power:,.0f}",
                      f"{result.throughput:,.0f}", f"{result.qphh:,.0f}"])
-        print(f"ran {design}", file=sys.stderr)
-        _emit_telemetry(args, design, telemetry, len(designs) > 1)
+        print(f"ran {spec.design}", file=sys.stderr)
+        _emit_telemetry(args, spec.design, telemetry, len(designs) > 1)
     print(format_table(f"TPC-H @{args.sf} SF (profile={args.profile})",
                        ["design", "QppH", "QthH", "QphH"], rows))
     if store is not None:
@@ -563,75 +582,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_designs.set_defaults(func=cmd_designs)
 
     p_oltp = sub.add_parser("oltp", help="run a TPC-C/E-like experiment")
-    p_oltp.add_argument("--benchmark", choices=("tpcc", "tpce"),
-                        default="tpcc")
-    p_oltp.add_argument("--scale", type=int, default=1_000,
-                        help="warehouses (tpcc) or customers/1000 (tpce)")
-    p_oltp.add_argument("--duration", type=float, default=30.0,
-                        help="virtual seconds")
-    p_oltp.add_argument("--workers", type=int, default=16)
-    p_oltp.add_argument("--dirty-threshold", type=float, default=None,
-                        help="LC lambda (default: the paper's per-benchmark value)")
-    p_oltp.add_argument("--checkpoint-interval", type=float, default=None,
-                        help="virtual seconds between checkpoints")
+    _add_spec_flags(p_oltp, benchmark="tpcc", scale=1_000, duration=30.0,
+                    nworkers=16, dirty_threshold=None,
+                    checkpoint_interval=None, ftl=False, kernel="heap",
+                    partitions=None, latch_us=0.0)
     p_oltp.add_argument("--faults", default=None, metavar="PLAN",
                         help="fault plan, e.g. "
                              "'ssd_die@t=30,transient:p=0.001' "
                              "(see repro.faults.plan for the grammar)")
-    p_oltp.add_argument("--ftl", action="store_true",
-                        help="model the SSD's internals (erase blocks, GC, "
-                             "write amplification; DESIGN.md §10)")
-    p_oltp.add_argument("--kernel", choices=KERNELS, default="heap",
-                        help="event-queue implementation (default: heap)")
-    p_oltp.add_argument("--partitions", type=int, default=None,
-                        help="partition count N for the SSD buffer table "
-                             "and the main-memory buffer pool (§3.3.4)")
-    p_oltp.add_argument("--latch-us", type=float, default=0.0,
-                        help="modeled buffer-pool partition-latch service "
-                             "time in microseconds (default 0: free "
-                             "latches, partition-count-independent runs)")
     _add_common(p_oltp)
     _add_db_flags(p_oltp)
     p_oltp.set_defaults(func=cmd_oltp)
 
     p_traffic = sub.add_parser(
         "traffic", help="open-loop multi-tenant run (arrival-rate driven)")
-    p_traffic.add_argument("--benchmark", choices=("tpcc", "tpce"),
-                           default="tpcc")
-    p_traffic.add_argument("--scale", type=int, default=1_000,
-                           help="warehouses (tpcc) or customers/1000 (tpce)")
-    p_traffic.add_argument("--duration", type=float, default=30.0,
-                           help="virtual seconds")
-    p_traffic.add_argument(
-        "--tenants",
-        default="all=poisson:users=1000000:think=100",
-        help="';'-separated tenant specs: name=kind:rate=R|users=U:think=T"
-             "[:theta=Z] with kind in poisson|bursty|diurnal "
-             "(default: one tenant of 1M logical users)")
-    p_traffic.add_argument("--workers", type=int, default=64,
-                           help="simulated worker pool draining the queue")
-    p_traffic.add_argument("--queue-limit", type=int, default=10_000,
-                           help="admission queue bound; arrivals beyond it "
-                                "are shed (default 10000)")
-    p_traffic.add_argument("--partitions", type=int, default=None,
-                           help="partition count N (§3.3.4) for the SSD "
-                                "buffer table and the main-memory buffer "
-                                "pool — the tenant-isolation knob")
-    p_traffic.add_argument("--latch-us", type=float, default=20.0,
-                           help="modeled buffer-pool partition-latch "
-                                "service time in microseconds (default "
-                                "20: contention visible, so --partitions "
-                                "moves per-tenant p99; 0 disables)")
-    p_traffic.add_argument("--dirty-threshold", type=float, default=None,
-                           help="LC lambda (default: per-benchmark value)")
-    p_traffic.add_argument("--checkpoint-interval", type=float, default=None,
-                           help="virtual seconds between checkpoints")
-    p_traffic.add_argument("--ftl", action="store_true",
-                           help="model the SSD's internals")
-    p_traffic.add_argument("--kernel", choices=KERNELS, default="wheel",
-                           help="event-queue implementation (default: wheel "
-                                "— built for open-loop timer volume)")
-    p_traffic.add_argument("--seed", type=int, default=20110612)
+    # latch_us=20 keeps contention visible, so --partitions moves
+    # per-tenant p99; one tenant of 1M logical users by default.
+    _add_spec_flags(p_traffic, benchmark="tpcc", scale=1_000, duration=30.0,
+                    tenants="all=poisson:users=1000000:think=100",
+                    nworkers=64, queue_limit=10_000, partitions=None,
+                    latch_us=20.0, dirty_threshold=None,
+                    checkpoint_interval=None, ftl=False, kernel="wheel",
+                    seed=20110612)
     _add_common(p_traffic)
     _add_db_flags(p_traffic)
     p_traffic.set_defaults(func=cmd_traffic)
@@ -640,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="crash-point sweep: crash, recover, verify")
     p_chaos.add_argument("--points", type=int, default=5,
                          help="crash points per design x policy (default 5)")
-    p_chaos.add_argument("--designs", default="CW,DW,LC,TAC,LS")
+    _add_designs(p_chaos, default="CW,DW,LC,TAC,LS")
     p_chaos.add_argument("--policies", default="sharp,fuzzy",
                          help="comma-separated checkpoint policies")
     p_chaos.add_argument("--seed", type=int, default=20110612)
@@ -652,27 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep", help="run a design x scale grid in parallel, cached")
-    p_sweep.add_argument("--benchmark", choices=("tpcc", "tpce", "tpch"),
-                         default="tpcc")
+    _add_spec_flags(p_sweep, {"nworkers": "--workers-per-run"},
+                    benchmark="tpcc", profile="small", duration=30.0,
+                    nworkers=16, dirty_threshold=None,
+                    checkpoint_interval=None, ftl=False, seed=20110612)
     p_sweep.add_argument("--scales", default="1000",
                          help="comma-separated scales (warehouses, "
                               "customers/1000, or SF)")
-    p_sweep.add_argument("--designs", default="noSSD,DW,LC,TAC",
-                         help="comma-separated designs (see `designs`)")
-    p_sweep.add_argument("--profile", choices=sorted(SCALE_PROFILES),
-                         default="small")
-    p_sweep.add_argument("--duration", type=float, default=30.0,
-                         help="virtual seconds per OLTP run")
+    _add_designs(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="worker processes (runs in-process when 1)")
-    p_sweep.add_argument("--workers-per-run", type=int, default=16,
-                         help="closed-loop clients inside each run")
-    p_sweep.add_argument("--dirty-threshold", type=float, default=None)
-    p_sweep.add_argument("--checkpoint-interval", type=float, default=None)
-    p_sweep.add_argument("--ftl", action="store_true",
-                         help="model the SSD's internals in every run "
-                              "(erase blocks, GC, write amplification)")
-    p_sweep.add_argument("--seed", type=int, default=20110612)
     p_sweep.add_argument("--cache-dir", default=None,
                          help="run-cache directory (default .repro-cache, "
                               "or $REPRO_CACHE_DIR)")

@@ -1,7 +1,10 @@
-"""The experiment registry: one entry point per paper table/figure.
+"""The experiment registry: one run description, one way to run it.
 
-Every experiment below corresponds to a row of the experiment index in
-DESIGN.md.  The scaled sizing preserves the paper's ratios:
+Every figure of the paper's evaluation is a grid over one small run
+description — :class:`RunSpec` — and :func:`run` executes any of them;
+the ``run_*_experiment`` functions are keyword-argument adapters over
+it, one per row family of the experiment index in DESIGN.md.  The
+scaled sizing preserves the paper's ratios:
 
 =====================  ===============  ====================
 Paper                  Scaled (default)  Ratio preserved
@@ -17,12 +20,13 @@ Paper                  Scaled (default)  Ratio preserved
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Optional, Type, Union
 
-from repro.core import SsdDesignConfig
+from repro.core import DESIGNS, SsdDesignConfig
 from repro.harness.runner import OpenLoopRunner, RunResult, WorkloadRunner
 from repro.harness.system import System, SystemConfig
+from repro.sim import KERNELS
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.tpce import TpceWorkload
 from repro.workloads.tpch import TpchResult, TpchWorkload
@@ -65,40 +69,12 @@ PAPER_LAMBDA = {"tpcc": 0.50, "tpce": 0.01, "tpch": 0.01}
 
 
 def profile_name(profile: ScaleProfile) -> str:
-    """The registry name of a profile (``"custom"`` if unregistered)."""
+    """The registry name of a profile (a :class:`RunSpec` names its
+    profile, so an unregistered one cannot be run through it)."""
     for name, known in SCALE_PROFILES.items():
         if known == profile:
             return name
-    return "custom"
-
-
-def _run_meta_args(design: str, benchmark: str, scale: int,
-                   duration: Optional[float],
-                   seed: Optional[int] = None) -> Dict[str, Any]:
-    """The ``run_meta`` instant payload: run identity + provenance.
-
-    Provenance (git commit/branch/dirty, sweep source hash) rides on
-    the trace so a JSONL file answers "which code produced this?"
-    exactly like a run-store row does.
-    """
-    from repro.runstore.provenance import provenance_args
-
-    meta: Dict[str, Any] = {"design": design, "benchmark": benchmark,
-                            "scale": scale, "duration": duration}
-    if seed is not None:
-        meta["seed"] = seed
-    meta.update(provenance_args())
-    return meta
-
-
-def _record(store: Any, spec: Dict[str, Any], result: Any) -> None:
-    """Best-effort run-store recording for one experiment."""
-    from repro.runstore.store import StoreError
-
-    try:
-        store.record_result(spec, result)
-    except StoreError as exc:
-        print(f"runstore: {exc}; run not recorded", file=sys.stderr)
+    raise ValueError(f"{profile} is not registered in SCALE_PROFILES")
 
 
 def make_workload(benchmark: str, scale: int, profile: ScaleProfile,
@@ -170,6 +146,178 @@ def make_system(benchmark: str, workload, design: str,
     return System(config, telemetry=telemetry, faults=faults)
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One deterministic run, fully described by plain values.
+
+    The single description of a run: :func:`run` executes it, the CLI
+    flags are generated from its fields, and its :meth:`to_dict` is the
+    sweep cache key and the run store's ``spec_json``.  ``kind`` is
+    ``"oltp"`` (closed loop, the Figures 5–9 building block),
+    ``"traffic"`` (open loop, needs ``tenants``) or ``"tpch"`` (power +
+    throughput tests; only ``scale``/``design``/``profile``/
+    ``checkpoint_interval`` apply).  ``scale`` is warehouses /
+    customer-thousands / SF depending on the benchmark.
+
+    Field metadata declares a knob's CLI flag once (``help``, optional
+    ``choices``; the option is ``--<field-name>`` unless ``flag`` says
+    otherwise and its type is the field's); each subcommand picks only
+    its flag set and defaults (``repro.cli._add_spec_flags``).
+    """
+
+    kind: str
+    benchmark: str = field(metadata=dict(
+        help="workload", choices=tuple(PAPER_LAMBDA)))
+    scale: int = field(metadata=dict(
+        help="warehouses (tpcc) or customers/1000 (tpce)"))
+    design: str
+    profile: str = field(default="default", metadata=dict(
+        help="scale profile", choices=sorted(SCALE_PROFILES)))
+    duration: float = field(default=60.0, metadata=dict(
+        help="virtual seconds"))
+    nworkers: int = field(default=32, metadata=dict(
+        flag="--workers",
+        help="simulated workers inside each run (closed-loop clients, or "
+             "the pool draining the open-loop queue)"))
+    bucket_seconds: float = 2.0
+    seed: int = field(default=20110612, metadata=dict(
+        help="seed of the run's random streams"))
+    dirty_threshold: Optional[float] = field(default=None, metadata=dict(
+        help="LC lambda (default: the paper's per-benchmark value)"))
+    checkpoint_interval: Optional[float] = field(default=None, metadata=dict(
+        help="virtual seconds between checkpoints"))
+    expand_reads: bool = False
+    ftl: bool = field(default=False, metadata=dict(
+        help="model the SSD's internals (erase blocks, GC, write "
+             "amplification; DESIGN.md §10)"))
+    partitions: Optional[int] = field(default=None, metadata=dict(
+        help="partition count N (§3.3.4) for the SSD buffer table and the "
+             "main-memory buffer pool — the tenant-isolation knob"))
+    latch_us: float = field(default=0.0, metadata=dict(
+        help="modeled buffer-pool partition-latch service time in "
+             "microseconds (0: free latches, partition-count-independent "
+             "runs; nonzero makes --partitions move per-tenant p99)"))
+    kernel: str = field(default="heap", metadata=dict(
+        choices=KERNELS,
+        help="event-queue implementation (wheel is built for open-loop "
+             "timer volume)"))
+    tenants: Optional[str] = field(default=None, metadata=dict(
+        help="';'-separated tenant specs: name=kind:rate=R|users=U:think=T"
+             "[:theta=Z] with kind in poisson|bursty|diurnal"))
+    queue_limit: int = field(default=10_000, metadata=dict(
+        help="admission queue bound; arrivals beyond it are shed"))
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("oltp", "traffic", "tpch"):
+            raise ValueError(f"unknown run kind {self.kind!r}")
+        if self.benchmark not in PAPER_LAMBDA:
+            raise ValueError(f"unknown benchmark {self.benchmark!r}; "
+                             f"choose from {sorted(PAPER_LAMBDA)}")
+        if (self.kind == "tpch") != (self.benchmark == "tpch"):
+            raise ValueError(f"a {self.kind!r} run cannot drive benchmark "
+                             f"{self.benchmark!r}")
+        if self.design not in DESIGNS:
+            raise ValueError(f"unknown design {self.design!r}; "
+                             f"choose from {sorted(DESIGNS)}")
+        if self.profile not in SCALE_PROFILES:
+            raise ValueError(f"unknown scale profile {self.profile!r}")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}; "
+                             f"choose from {KERNELS}")
+        if self.kind == "traffic":
+            try:
+                parse_tenants(self.tenants or "")
+            except ValueError as exc:
+                raise ValueError(f"tenants: {exc}") from exc
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Canonical plain-dict form (the hashed representation)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @staticmethod
+    def from_dict(data: Dict[str, Any]) -> "RunSpec":
+        """Inverse of :meth:`to_dict` (used to ship specs to workers)."""
+        return RunSpec(**data)
+
+    @property
+    def label(self) -> str:
+        """Short human-readable tag for progress lines."""
+        return f"{self.benchmark}/{self.scale}/{self.design}"
+
+    @property
+    def result_type(self) -> Type[Union[RunResult, TpchResult]]:
+        """The record class a run of this spec produces."""
+        return TpchResult if self.kind == "tpch" else RunResult
+
+
+def run(spec: RunSpec, telemetry=None, faults=None,
+        store=None) -> Union[RunResult, TpchResult]:
+    """Build, drive and record the run ``spec`` describes.
+
+    ``telemetry`` (a sink), ``faults`` (a :class:`FaultPlan` or its
+    grammar string) and ``store`` (a :class:`repro.runstore.RunStore`)
+    are the run's live collaborators, not part of its description.
+    Recording failures warn and never fail the run.
+    """
+    profile = SCALE_PROFILES[spec.profile]
+    tenants = parse_tenants(spec.tenants) if spec.kind == "traffic" else None
+    workload = make_workload(spec.benchmark, spec.scale, profile)
+    system = make_system(
+        spec.benchmark, workload, spec.design, profile,
+        dirty_threshold=spec.dirty_threshold,
+        checkpoint_interval=spec.checkpoint_interval,
+        expand_reads=spec.expand_reads, ftl=spec.ftl,
+        partitions=spec.partitions, latch_us=spec.latch_us,
+        kernel=spec.kernel, telemetry=telemetry, faults=faults)
+    tracer = system.telemetry.tracer
+    if tracer.enabled:
+        # Run identity + provenance ride on the trace, so a JSONL file
+        # answers "which code produced this?" like a run-store row does.
+        from repro.runstore.provenance import provenance_args
+
+        timed = spec.kind != "tpch"
+        meta: Dict[str, Any] = {
+            "design": spec.design, "benchmark": spec.benchmark,
+            "scale": spec.scale,
+            "duration": spec.duration if timed else None}
+        if timed:
+            meta["seed"] = spec.seed
+        meta.update(provenance_args())
+        if tenants:
+            meta["tenants"] = [tenant.name for tenant in tenants]
+        tracer.instant("run_meta", "meta", "meta", meta)
+    if spec.kind == "tpch":
+        workload.setup(system)
+        system.start_services()
+        result = system.env.run(system.env.process(workload.full_run(system)))
+    else:
+        sizing = dict(nworkers=spec.nworkers,
+                      bucket_seconds=spec.bucket_seconds, seed=spec.seed)
+        runner = (OpenLoopRunner(system, workload, tenants,
+                                 queue_limit=spec.queue_limit, **sizing)
+                  if tenants else WorkloadRunner(system, workload, **sizing))
+        result = runner.run(spec.duration)
+    if store is not None:
+        from repro.runstore.store import StoreError
+
+        try:
+            store.record_result(spec, result, faulted=faults is not None)
+        except StoreError as exc:
+            print(f"runstore: {exc}; run not recorded", file=sys.stderr)
+    return result
+
+
+def _run_adapter(kind: str, params: Dict[str, Any]) -> Any:
+    """Shared body of the ``run_*_experiment`` signature adapters:
+    ``params`` is the adapter's ``locals()``, split here into the
+    :class:`RunSpec` and the live collaborators."""
+    live = {name: params.pop(name, None)
+            for name in ("telemetry", "faults", "store")}
+    params["profile"] = profile_name(
+        params["profile"] or SCALE_PROFILES["default"])
+    return run(RunSpec(kind=kind, **params), **live)
+
+
 def run_oltp_experiment(benchmark: str, scale: int, design: str,
                         duration: float = 60.0,
                         profile: Optional[ScaleProfile] = None,
@@ -185,51 +333,17 @@ def run_oltp_experiment(benchmark: str, scale: int, design: str,
                         seed: int = 20110612,
                         telemetry=None, faults=None,
                         store=None) -> RunResult:
-    """One OLTP run: the building block of Figures 5–9.
+    """One closed-loop OLTP run: the building block of Figures 5–9.
 
     The paper runs TPC-C with checkpointing effectively off and λ=50%,
     TPC-E with 40-minute checkpoints and λ=1% — callers pass the analog
     (a ``checkpoint_interval`` scaled to the run duration).
-
-    ``store`` (a :class:`repro.runstore.RunStore`) records the finished
-    run with full provenance; recording failures warn and never fail
-    the experiment.
     """
-    profile = profile or SCALE_PROFILES["default"]
-    workload = make_workload(benchmark, scale, profile)
-    system = make_system(benchmark, workload, design, profile,
-                         dirty_threshold=dirty_threshold,
-                         checkpoint_interval=checkpoint_interval,
-                         expand_reads=expand_reads, ftl=ftl,
-                         partitions=partitions, latch_us=latch_us,
-                         kernel=kernel,
-                         telemetry=telemetry, faults=faults)
-    tracer = system.telemetry.tracer
-    if tracer.enabled:
-        tracer.instant("run_meta", "meta", "meta",
-                       _run_meta_args(design, benchmark, scale, duration,
-                                      seed=seed))
-    runner = WorkloadRunner(system, workload, nworkers=nworkers,
-                            bucket_seconds=bucket_seconds, seed=seed)
-    result = runner.run(duration)
-    if store is not None:
-        _record(store, {
-            "kind": "oltp", "benchmark": benchmark, "scale": scale,
-            "design": design, "profile": profile_name(profile),
-            "duration": duration, "nworkers": nworkers,
-            "bucket_seconds": bucket_seconds, "seed": seed,
-            "dirty_threshold": dirty_threshold,
-            "checkpoint_interval": checkpoint_interval,
-            "expand_reads": expand_reads, "ftl": ftl,
-            "partitions": partitions, "latch_us": latch_us,
-            "kernel": kernel,
-            "faulted": faults is not None,
-        }, result)
-    return result
+    return _run_adapter("oltp", locals())
 
 
 def run_traffic_experiment(benchmark: str, scale: int, design: str,
-                           tenants, duration: float = 60.0,
+                           tenants: str, duration: float = 60.0,
                            profile: Optional[ScaleProfile] = None,
                            nworkers: int = 64,
                            queue_limit: int = 10_000,
@@ -243,54 +357,18 @@ def run_traffic_experiment(benchmark: str, scale: int, design: str,
                            seed: int = 20110612,
                            telemetry=None, faults=None,
                            store=None) -> RunResult:
-    """One open-loop multi-tenant run (ROADMAP item 1).
+    """One open-loop multi-tenant run.
 
-    ``tenants`` is either a parsed list of
-    :class:`~repro.workloads.traffic.TenantSpec` or the CLI grammar
-    string (``name=poisson:rate=...:theta=...;...``).  Offered load is
-    set by the tenants' arrival rates — a run representing a million
-    logical users still uses ``nworkers`` simulated workers and at most
+    ``tenants`` is the grammar string of :mod:`repro.workloads.traffic`
+    (``name=poisson:rate=...:theta=...;...``).  Offered load is set by
+    the tenants' arrival rates — a run representing a million logical
+    users still uses ``nworkers`` simulated workers and at most
     ``queue_limit`` queued arrivals.  ``partitions`` sweeps the
     partition knob N (SSD buffer table and main-memory buffer pool
-    together) the isolation experiments measure against; ``latch_us``
-    models the buffer-pool partition-latch service time, which is what
-    makes the sweep move per-tenant tail latency.
+    together); ``latch_us`` models the partition-latch service time,
+    which is what makes that sweep move per-tenant tail latency.
     """
-    profile = profile or SCALE_PROFILES["default"]
-    if isinstance(tenants, str):
-        tenants = parse_tenants(tenants)
-    workload = make_workload(benchmark, scale, profile)
-    system = make_system(benchmark, workload, design, profile,
-                         dirty_threshold=dirty_threshold,
-                         checkpoint_interval=checkpoint_interval,
-                         ftl=ftl, partitions=partitions,
-                         latch_us=latch_us, kernel=kernel,
-                         telemetry=telemetry, faults=faults)
-    tracer = system.telemetry.tracer
-    if tracer.enabled:
-        meta = _run_meta_args(design, benchmark, scale, duration, seed=seed)
-        meta["tenants"] = [spec.name for spec in tenants]
-        tracer.instant("run_meta", "meta", "meta", meta)
-    runner = OpenLoopRunner(system, workload, tenants,
-                            nworkers=nworkers, queue_limit=queue_limit,
-                            bucket_seconds=bucket_seconds, seed=seed)
-    result = runner.run(duration)
-    if store is not None:
-        _record(store, {
-            "kind": "traffic", "benchmark": benchmark, "scale": scale,
-            "design": design, "profile": profile_name(profile),
-            "duration": duration, "nworkers": nworkers,
-            "queue_limit": queue_limit,
-            "bucket_seconds": bucket_seconds, "seed": seed,
-            "dirty_threshold": dirty_threshold,
-            "checkpoint_interval": checkpoint_interval,
-            "partitions": partitions, "latch_us": latch_us,
-            "ftl": ftl, "kernel": kernel,
-            "tenants": ";".join(spec.name for spec in tenants),
-            "logical_users": result.logical_users,
-            "faulted": faults is not None,
-        }, result)
-    return result
+    return _run_adapter("traffic", locals())
 
 
 def run_tpch_experiment(sf: int, design: str,
@@ -298,26 +376,9 @@ def run_tpch_experiment(sf: int, design: str,
                         checkpoint_interval: Optional[float] = None,
                         telemetry=None, store=None) -> TpchResult:
     """One full TPC-H run (power + throughput): Figure 5(g–h), Table 3."""
-    profile = profile or SCALE_PROFILES["default"]
-    workload = make_workload("tpch", sf, profile)
-    system = make_system("tpch", workload, design, profile,
-                         checkpoint_interval=checkpoint_interval,
-                         telemetry=telemetry)
-    tracer = system.telemetry.tracer
-    if tracer.enabled:
-        tracer.instant("run_meta", "meta", "meta",
-                       _run_meta_args(design, "tpch", sf, None))
-    workload.setup(system)
-    system.start_services()
-    done = system.env.process(workload.full_run(system))
-    result = system.env.run(done)
-    if store is not None:
-        _record(store, {
-            "kind": "tpch", "benchmark": "tpch", "scale": sf,
-            "design": design, "profile": profile_name(profile),
-            "checkpoint_interval": checkpoint_interval,
-        }, result)
-    return result
+    params = locals()
+    params.update(benchmark="tpch", scale=params.pop("sf"))
+    return _run_adapter("tpch", params)
 
 
 def speedup_over_nossd(results: Dict[str, float]) -> Dict[str, float]:

@@ -12,8 +12,8 @@ so the occupancy/queue-depth series show up in a trace viewer), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry import NULL_TELEMETRY, percentile_of
 
@@ -197,6 +197,21 @@ class TenantStats:
         """Completed transactions per second over ``duration``."""
         return self.completed / duration if duration > 0 else 0.0
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-data form (the run record's per-tenant entry)."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["latencies"] = self.latencies.to_dict()
+        data["queue_waits"] = self.queue_waits.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "TenantStats":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{
+            **data,
+            "latencies": LatencyTracker.from_dict(data["latencies"]),
+            "queue_waits": LatencyTracker.from_dict(data["queue_waits"])})
+
 
 class LatencyTracker:
     """Per-transaction-type latency distributions (virtual seconds).
@@ -215,6 +230,17 @@ class LatencyTracker:
         self._samples: Dict[str, List[float]] = {}
         #: Sorted-sample cache, keyed by txn_type (None = merged view).
         self._sorted: Dict[Optional[str], List[float]] = {}
+
+    def to_dict(self) -> Dict[str, List[float]]:
+        """Every sample by transaction type (the run record's form)."""
+        return {txn: list(values) for txn, values in self._samples.items()}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, List[float]]) -> "LatencyTracker":
+        """Inverse of :meth:`to_dict`."""
+        tracker = cls()
+        tracker._samples = {txn: list(values) for txn, values in data.items()}
+        return tracker
 
     def record(self, txn_type: str, latency: float) -> None:
         """Record one completed transaction's latency."""

@@ -11,19 +11,34 @@ TPC-C benchmark".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.metrics import LatencyTracker, Sampler, TenantStats
+from repro.core.ssd_manager import SsdStats
+from repro.engine.buffer_pool import BufferPoolStats
+from repro.harness.metrics import (LatencyTracker, Sample, Sampler,
+                                   TenantStats)
 from repro.harness.system import System
 from repro.sim import Store
+from repro.storage.ftl import FtlStats
 from repro.telemetry import NULL_TELEMETRY, percentile_of
+
+#: RunResult fields that are objects rather than plain JSON values;
+#: :meth:`RunResult.to_dict` / ``from_dict`` convert exactly these.
+_OBJECT_FIELDS = ("sampler", "latencies", "system", "tenants",
+                  "bp_stats", "ssd_stats", "ftl_stats")
 
 
 @dataclass
 class RunResult:
-    """Everything measured during one workload run."""
+    """Everything measured during one workload run, as plain data.
+
+    The runners fill the end-of-run fields through :meth:`capture`, so
+    every consumer (CLI tables, ``benchmarks/``, the sweep cache, the
+    run store) reads the same fields whether the run was live or came
+    back through :meth:`to_dict` / :meth:`from_dict`.
+    """
 
     design: str
     metric_name: str
@@ -37,12 +52,139 @@ class RunResult:
     txn_counts: Dict[str, int] = field(default_factory=dict)
     sampler: Optional[Sampler] = None
     latencies: Optional[LatencyTracker] = None
+    #: The live system, for same-process inspection only: it is not part
+    #: of the record and is ``None`` after :meth:`from_dict`.
     system: Optional[System] = None
     #: Per-tenant accounting, filled by :class:`OpenLoopRunner` (empty
     #: for closed-loop runs).
     tenants: Dict[str, TenantStats] = field(default_factory=dict)
     #: Logical users the run's arrival rates represent (0 = closed-loop).
     logical_users: float = 0.0
+    # End-of-run state (see :meth:`capture`).
+    bp_stats: Optional[BufferPoolStats] = None
+    ssd_stats: Optional[SsdStats] = None
+    #: ``None`` when the SSD ran the black-box timing model.
+    ftl_stats: Optional[FtlStats] = None
+    ssd_used_frames: int = 0
+    ssd_dirty_frames: int = 0
+    #: Occupied frames holding logically invalidated pages (TAC waste).
+    ssd_invalid_frames: int = 0
+    #: Dirty-frame count at which the LC cleaner wakes (λ · S).
+    ssd_dirty_limit_frames: int = 0
+    #: The SSD died mid-run and the design fell back to disk-only.
+    ssd_detached: bool = False
+    #: FTL max-minus-min per-block erase count (0 without the FTL).
+    wear_spread: int = 0
+    checkpoints_started: int = 0
+    checkpoints_taken: int = 0
+    checkpoint_durations: List[float] = field(default_factory=list)
+
+    def capture(self, system: System) -> None:
+        """Read the end-of-run state off ``system``.
+
+        O(number of counters): the stats objects are held, not copied,
+        and every scalar is an O(1) property (``wear_spread`` scans the
+        FTL's erase blocks once).
+        """
+        manager = system.ssd_manager
+        self.bp_stats = system.bp.stats
+        self.ssd_stats = manager.stats
+        self.ssd_used_frames = manager.used_frames
+        self.ssd_dirty_frames = manager.dirty_frames
+        self.ssd_invalid_frames = manager.table.invalid_count
+        self.ssd_dirty_limit_frames = manager.config.dirty_limit_frames
+        self.ssd_detached = manager.detached
+        ftl = system.ssd_device.ftl
+        if ftl is not None:
+            self.ftl_stats = ftl.stats
+            self.wear_spread = ftl.wear_spread
+        checkpointer = system.checkpointer
+        self.checkpoints_started = checkpointer.checkpoints_started
+        self.checkpoints_taken = checkpointer.checkpoints_taken
+        self.checkpoint_durations = checkpointer.durations
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The whole record as JSON-ready plain data."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in _OBJECT_FIELDS}
+        ftl = self.ftl_stats
+        data.update(
+            samples=[vars(sample).copy() for sample in self.sampler.samples],
+            latencies=self.latencies.to_dict(),
+            tenants={name: tenant.to_dict()
+                     for name, tenant in self.tenants.items()},
+            bp_stats=self.bp_stats.as_dict(),
+            ssd_stats=self.ssd_stats.as_dict(),
+            ftl_stats=vars(ftl).copy() if ftl is not None else None)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
+        """Inverse of :meth:`to_dict`; the result has no live system."""
+        data = dict(data)
+        sampler = Sampler(None)
+        sampler.samples = [Sample(**row) for row in data.pop("samples")]
+        ftl = data.pop("ftl_stats")
+        return cls(
+            sampler=sampler,
+            latencies=LatencyTracker.from_dict(data.pop("latencies")),
+            tenants={name: TenantStats.from_dict(tenant)
+                     for name, tenant in data.pop("tenants").items()},
+            bp_stats=BufferPoolStats.from_dict(data.pop("bp_stats")),
+            ssd_stats=SsdStats(**data.pop("ssd_stats")),
+            ftl_stats=FtlStats(**ftl) if ftl is not None else None,
+            **data)
+
+    def metrics(self) -> Dict[str, float]:
+        """The scalar rows the run store records for this run."""
+        metrics: Dict[str, float] = {
+            "value": self.steady_state_throughput(),
+            "total_txns": float(self.total_metric_txns),
+        }
+        if self.latencies is not None and self.latencies.count():
+            for name, value in self.latencies.summary().items():
+                metrics[f"latency_{name}"] = value
+        if self.tenants:
+            # Per-tenant rows need no schema: ``tenant_<name>_<stat>``.
+            metrics["offered"] = float(self.offered)
+            metrics["shed"] = float(self.shed)
+            metrics["shed_fraction"] = self.shed_fraction
+            metrics["queue_wait_p99"] = self.queue_wait_percentile(99)
+            metrics["logical_users"] = float(self.logical_users)
+            for name, stats in sorted(self.tenants.items()):
+                prefix = f"tenant_{name}_"
+                metrics[prefix + "offered"] = float(stats.offered)
+                metrics[prefix + "shed"] = float(stats.shed)
+                metrics[prefix + "completed"] = float(stats.completed)
+                metrics[prefix + "throughput"] = stats.throughput(
+                    self.duration)
+                if stats.latencies.count():
+                    metrics[prefix + "p50"] = stats.latencies.percentile(50)
+                    metrics[prefix + "p99"] = stats.latencies.percentile(99)
+                    metrics[prefix + "queue_wait_p99"] = (
+                        stats.queue_waits.percentile(99))
+        if self.bp_stats is not None:
+            metrics["bp_hit_rate"] = self.bp_stats.hit_rate
+            metrics["ssd_hit_rate"] = self.bp_stats.ssd_hit_rate
+            metrics["ssd_used_frames"] = float(self.ssd_used_frames)
+            metrics["ssd_dirty_frames"] = float(self.ssd_dirty_frames)
+            metrics["ssd_detached"] = float(self.ssd_detached)
+            metrics["io_retries"] = float(self.ssd_stats.io_retries)
+            metrics["detach_redo_pages"] = float(
+                self.ssd_stats.detach_redo_pages)
+            metrics["checkpoints_taken"] = float(self.checkpoints_taken)
+        if self.ftl_stats is not None:
+            metrics["waf"] = self.ftl_stats.waf
+            metrics["wear_spread"] = float(self.wear_spread)
+            metrics["host_writes"] = float(self.ftl_stats.host_writes)
+            metrics["nand_writes"] = float(self.ftl_stats.nand_writes)
+            metrics["erases"] = float(self.ftl_stats.erases)
+        return metrics
+
+    @property
+    def waf(self) -> Optional[float]:
+        """Device write amplification (``None`` without the FTL model)."""
+        return self.ftl_stats.waf if self.ftl_stats is not None else None
 
     @property
     def offered(self) -> int:
@@ -175,6 +317,7 @@ class WorkloadRunner:
         # The run's measurement window is over: stop the sampler so later
         # phases (crash simulation, restarts) don't grow it unboundedly.
         result.sampler.stop()
+        result.capture(system)
         return result
 
     def _client(self, rng: random.Random, result: RunResult):
@@ -294,6 +437,7 @@ class OpenLoopRunner:
             system.env.process(self._worker(rng, views, stats, queue, result))
         system.run(until=end)
         result.sampler.stop()
+        result.capture(system)
         return result
 
     def _arrivals(self, spec, stats: TenantStats, index: int,

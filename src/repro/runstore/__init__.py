@@ -21,8 +21,7 @@ failed run.
 from repro.runstore.provenance import Provenance, capture, provenance_args
 from repro.runstore.schema import SCHEMA_VERSION, apply_migrations
 from repro.runstore.store import (DEFAULT_DB, RegressionFinding, RunStore,
-                                  StoreError, db_path, metrics_from_result,
-                                  open_store)
+                                  StoreError, db_path, open_store)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,7 +33,6 @@ __all__ = [
     "apply_migrations",
     "capture",
     "db_path",
-    "metrics_from_result",
     "open_store",
     "provenance_args",
 ]

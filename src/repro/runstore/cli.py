@@ -6,13 +6,10 @@
 * ``show``    — one run: spec, provenance, every metric;
 * ``compare`` — newest run per design side by side (tpmC, tail
   latency, WAF — the BENCH_oltp.json numbers, served from the store);
-* ``regress`` — p99 + WAF + throughput regression check against each
-  grid cell's last-N baseline (CI's gate; exit 1 on findings);
-* ``bench``   — the latest stored BENCH_<workload> document;
-* ``record-bench`` — ingest measured microbench documents
-  (``BENCH_sim.measured.json`` / ``BENCH_engine.measured.json``) as run
-  rows, so ``regress`` gates kernel and engine throughput alongside the
-  experiment grid.
+* ``regress`` — p99 + WAF + throughput regression check of each
+  recorded spec against its own last-N baseline (CI's gate; exit 1 on
+  findings);
+* ``bench``   — the latest stored BENCH_<workload> document.
 
 ``repro serve`` starts the HTML dashboard + JSON API
 (:mod:`repro.runstore.dashboard`).
@@ -200,88 +197,6 @@ def cmd_runs_regress(args: argparse.Namespace) -> int:
     return 1
 
 
-def _ingest_sim_bench(store: RunStore, doc: Dict[str, Any]) -> int:
-    """Record one ``repro-sim-bench/1`` document; returns rows written.
-
-    Each kernel rate becomes its own grid cell (``kind='bench'``,
-    ``benchmark='simbench'``, ``design=<kernel>_<load>``) whose ``value``
-    is events/sec, and the fig5 cell becomes a ``value`` of transactions
-    per wall second — all metrics ``repro runs regress`` already gates.
-    """
-    profile = "fast" if doc.get("fast") else "full"
-    rows = 0
-    for name, rate in sorted(doc.get("kernel", {}).items()):
-        load = name[:-len("_events_per_sec")]
-        design = load if load.startswith("wheel_") else f"heap_{load}"
-        store.record_run(
-            {"kind": "bench", "benchmark": "simbench", "scale": 0,
-             "design": design, "profile": profile},
-            {"value": float(rate)},
-            kind="bench", metric_name="events_per_sec")
-        rows += 1
-    cell = doc.get("fig5_cell")
-    if cell:
-        spec = dict(cell["spec"])
-        wall = float(cell["wall_seconds"])
-        txns = float(cell["metric_txns"])
-        spec["kind"] = "bench"
-        store.record_run(
-            spec,
-            {"value": txns / wall if wall > 0 else 0.0,
-             "wall_seconds": wall, "metric_txns": txns},
-            kind="bench", metric_name="txns_per_wall_sec")
-        rows += 1
-    return rows
-
-
-def _ingest_engine_bench(store: RunStore, doc: Dict[str, Any]) -> int:
-    """Record one ``repro-engine-bench/1`` document; returns rows written."""
-    spec = dict(doc["spec"])
-    spec["kind"] = "bench"
-    store.record_run(
-        spec,
-        {"value": float(doc["txns_per_wall_sec"]),
-         "wall_seconds": float(doc["wall_seconds"]),
-         "metric_txns": float(doc["metric_txns"])},
-        kind="bench", metric_name="txns_per_wall_sec")
-    return 1
-
-
-#: Dispatch on the document's ``schema`` field.
-BENCH_INGESTERS = {
-    "repro-sim-bench/1": _ingest_sim_bench,
-    "repro-engine-bench/1": _ingest_engine_bench,
-}
-
-
-def cmd_runs_record_bench(args: argparse.Namespace) -> int:
-    try:
-        store = RunStore(db_path(args.db))
-    except StoreError as exc:
-        print(f"runs record-bench: {exc}", file=sys.stderr)
-        return 2
-    total = 0
-    with store:
-        for path in args.documents:
-            try:
-                with open(path) as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"runs record-bench: {path}: {exc}", file=sys.stderr)
-                return 2
-            ingest = BENCH_INGESTERS.get(doc.get("schema"))
-            if ingest is None:
-                print(f"runs record-bench: {path}: unknown schema "
-                      f"{doc.get('schema')!r} (expected one of "
-                      f"{sorted(BENCH_INGESTERS)})", file=sys.stderr)
-                return 2
-            rows = ingest(store, doc)
-            print(f"recorded {rows} run row(s) from {path}")
-            total += rows
-    print(f"record-bench: {total} row(s) into {db_path(args.db)}")
-    return 0
-
-
 def cmd_runs_bench(args: argparse.Namespace) -> int:
     with open_for_query(args) as store:
         doc = store.latest_bench(args.workload)
@@ -350,14 +265,6 @@ def add_runs_arguments(parser: argparse.ArgumentParser) -> None:
         "bench", help="emit the latest stored BENCH_<workload> document")
     p_bench.add_argument("--workload", default="oltp")
     p_bench.set_defaults(runs_func=cmd_runs_bench)
-
-    p_record = sub.add_parser(
-        "record-bench",
-        help="ingest measured BENCH_sim/BENCH_engine documents as run "
-             "rows so `runs regress` gates them")
-    p_record.add_argument("documents", nargs="+", metavar="FILE",
-                          help="measured bench JSON (schema-dispatched)")
-    p_record.set_defaults(runs_func=cmd_runs_record_bench)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

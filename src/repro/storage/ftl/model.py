@@ -72,6 +72,13 @@ class FtlStats:
     gc_migrated_pages: int = 0  # valid pages GC relocated
     trims: int = 0            # logical pages invalidated by TRIM
 
+    @property
+    def waf(self) -> float:
+        """Write amplification: NAND writes per host write."""
+        if self.host_writes == 0:
+            return 0.0
+        return self.nand_writes / self.host_writes
+
 
 @dataclass
 class FtlWork:
@@ -120,9 +127,7 @@ class FlashTranslationLayer:
     @property
     def waf(self) -> float:
         """Write amplification: NAND writes per host write."""
-        if self.stats.host_writes == 0:
-            return 0.0
-        return self.stats.nand_writes / self.stats.host_writes
+        return self.stats.waf
 
     @property
     def free_block_count(self) -> int:

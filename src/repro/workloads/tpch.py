@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.workloads.base import Transaction
 from repro.workloads.distributions import scramble
@@ -91,6 +91,27 @@ class TpchResult:
     power_elapsed: float = 0.0
     throughput_elapsed: float = 0.0
     streams: int = 0
+
+    metric_name = "QphH"
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready plain data (query numbers become string keys)."""
+        data = asdict(self)
+        data["query_times"] = {str(number): elapsed for number, elapsed
+                               in self.query_times.items()}
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "TpchResult":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{**data, "query_times": {
+            int(number): elapsed
+            for number, elapsed in data["query_times"].items()}})
+
+    def metrics(self) -> Dict[str, float]:
+        """The scalar rows the run store records for this run."""
+        return {"value": self.qphh, "power": self.power,
+                "throughput": self.throughput}
 
     @property
     def power(self) -> float:

@@ -1,11 +1,139 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import DESIGN_SUMMARIES, build_parser, main
 from repro.core import DESIGNS
+from repro.harness.experiments import RunSpec
+
+#: Every subcommand's option strings and defaults, captured at the
+#: parent of the RunSpec-derived flags (minus the deleted ``runs
+#: record-bench``): generating the flags from the dataclass must add,
+#: drop and re-default nothing.
+OPTIONS = {'': {},
+ 'analyze': {'--bench': None,
+             '--db': None,
+             '--html': None,
+             '--no-db': False,
+             '--tail': '50,95,99',
+             '--txn-type': None,
+             '--workload': 'oltp'},
+ 'chaos': {'--checkpoint-interval': 1.0,
+           '--db': None,
+           '--designs': 'CW,DW,LC,TAC,LS',
+           '--duration': 8.0,
+           '--no-db': False,
+           '--points': 5,
+           '--policies': 'sharp,fuzzy',
+           '--seed': 20110612},
+ 'designs': {},
+ 'iometer': {'--duration': 5.0},
+ 'lint': {'--format': 'text',
+          '--ignore': None,
+          '--list-rules': False,
+          '--select': None},
+ 'oltp': {'--benchmark': 'tpcc',
+          '--checkpoint-interval': None,
+          '--db': None,
+          '--designs': 'noSSD,DW,LC,TAC',
+          '--dirty-threshold': None,
+          '--duration': 30.0,
+          '--faults': None,
+          '--ftl': False,
+          '--kernel': 'heap',
+          '--latch-us': 0.0,
+          '--metrics': False,
+          '--no-db': False,
+          '--partitions': None,
+          '--profile': 'small',
+          '--scale': 1000,
+          '--trace': None,
+          '--workers': 16},
+ 'runs': {'--db': None},
+ 'runs bench': {'--workload': 'oltp'},
+ 'runs compare': {'--benchmark': None,
+                  '--commit': None,
+                  '--design': None,
+                  '--designs': None,
+                  '--profile': None,
+                  '--scale': None},
+ 'runs list': {'--benchmark': None,
+               '--commit': None,
+               '--design': None,
+               '--limit': 30,
+               '--profile': None,
+               '--scale': None},
+ 'runs regress': {'--baseline': 5,
+                  '--benchmark': None,
+                  '--commit': None,
+                  '--design': None,
+                  '--profile': None,
+                  '--scale': None,
+                  '--tolerance': 0.25},
+ 'runs show': {},
+ 'serve': {'--db': None,
+           '--host': '127.0.0.1',
+           '--port': 8642,
+           '--quiet': False},
+ 'sweep': {'--benchmark': 'tpcc',
+           '--cache-dir': None,
+           '--checkpoint-interval': None,
+           '--db': None,
+           '--designs': 'noSSD,DW,LC,TAC',
+           '--dirty-threshold': None,
+           '--duration': 30.0,
+           '--ftl': False,
+           '--no-cache': False,
+           '--no-db': False,
+           '--output': None,
+           '--profile': 'small',
+           '--scales': '1000',
+           '--seed': 20110612,
+           '--workers': 1,
+           '--workers-per-run': 16},
+ 'tpch': {'--db': None,
+          '--designs': 'noSSD,DW,LC,TAC',
+          '--metrics': False,
+          '--no-db': False,
+          '--profile': 'small',
+          '--sf': 30,
+          '--trace': None},
+ 'traffic': {'--benchmark': 'tpcc',
+             '--checkpoint-interval': None,
+             '--db': None,
+             '--designs': 'noSSD,DW,LC,TAC',
+             '--dirty-threshold': None,
+             '--duration': 30.0,
+             '--ftl': False,
+             '--kernel': 'wheel',
+             '--latch-us': 20.0,
+             '--metrics': False,
+             '--no-db': False,
+             '--partitions': None,
+             '--profile': 'small',
+             '--queue-limit': 10000,
+             '--scale': 1000,
+             '--seed': 20110612,
+             '--tenants': 'all=poisson:users=1000000:think=100',
+             '--trace': None,
+             '--workers': 64}}
+
+
+def subcommand_actions(parser=None, prefix=()):
+    """{"sub command": [argparse actions]} over the whole parser tree."""
+    parser = parser or build_parser()
+    found = {" ".join(prefix): [
+        a for a in parser._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)]}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(subcommand_actions(sub, prefix + (name,)))
+    return found
 
 
 class TestParser:
@@ -21,6 +149,22 @@ class TestParser:
     def test_tpch_sf_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tpch", "--sf", "300"])
+
+    def test_option_strings_and_defaults_are_unchanged(self):
+        assert {
+            command: {" ".join(a.option_strings): a.default for a in actions}
+            for command, actions in subcommand_actions().items()
+        } == OPTIONS
+
+    def test_every_spec_field_is_a_flag_somewhere(self):
+        """A RunSpec knob nobody can set from the CLI is either a grid
+        axis (``--designs``/``--scales`` fan one spec per value), chosen
+        by the subcommand itself (``kind``), or deliberately API-only."""
+        dests = {a.dest for actions in subcommand_actions().values()
+                 for a in actions}
+        unflagged = {f.name for f in dataclasses.fields(RunSpec)
+                     if f.name not in dests and f.name + "s" not in dests}
+        assert unflagged == {"kind", "bucket_seconds", "expand_reads"}
 
 
 class TestCommands:
@@ -48,8 +192,21 @@ class TestCommands:
         assert "tpmC" in out
         assert "DW" in out
 
+    @pytest.mark.parametrize("command", [
+        "oltp", "traffic", "tpch", "chaos", "sweep"])
+    def test_unknown_design_exits_2(self, command, capsys):
+        assert main([command, "--designs", "LC,WARP", "--no-db"]) == 2
+        assert "unknown designs: ['WARP']" in capsys.readouterr().err
+
     def test_oltp_rejects_unknown_design(self, capsys):
         assert main(["oltp", "--designs", "WARP"]) == 2
+
+    def test_spec_errors_exit_2_before_running(self, capsys):
+        assert main(["oltp", "--benchmark", "tpch", "--no-db"]) == 2
+        assert "cannot drive" in capsys.readouterr().err
+        assert main(["traffic", "--tenants", "x=teleport:rate=1",
+                     "--no-db"]) == 2
+        assert "tenants" in capsys.readouterr().err
 
     def test_tpch_runs(self, capsys):
         code = main(["tpch", "--sf", "30", "--profile", "tiny",

@@ -1,18 +1,19 @@
 """The parallel sweep runner's on-disk cache: keys, hits, corruption."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.harness.runner import RunResult
 from repro.harness.sweep import (
+    SNAPSHOT_VERSION,
     RunSpec,
     cache_load,
     cache_store,
     execute,
-    restore,
     run_cached,
     run_sweep,
-    snapshot,
     spec_key,
     summarize,
 )
@@ -27,26 +28,31 @@ def live_result():
     return execute(SPEC)
 
 
+#: A valid value different from SPEC's, for every RunSpec field.  The
+#: parametrization below walks ``dataclasses.fields(RunSpec)``, so a new
+#: field without an entry here fails collection instead of going
+#: unchecked (``ftl`` was missing from the old hand list for four PRs).
+OTHER_VALUE = {
+    "kind": "traffic", "benchmark": "tpce", "scale": 21, "design": "DW",
+    "profile": "small", "duration": 4.5, "nworkers": 5,
+    "bucket_seconds": 1.0, "seed": 1, "dirty_threshold": 0.25,
+    "checkpoint_interval": 2.0, "expand_reads": True, "ftl": True,
+    "partitions": 4, "latch_us": 20.0, "kernel": "wheel",
+    "tenants": "all=poisson:rate=50", "queue_limit": 99,
+}
+
+
 class TestSpecKeys:
     def test_key_is_stable(self):
         assert spec_key(SPEC) == spec_key(RunSpec.from_dict(SPEC.to_dict()))
 
     @pytest.mark.parametrize("field,value", [
-        ("design", "DW"),
-        ("scale", 21),
-        ("duration", 4.5),
-        ("nworkers", 5),
-        ("seed", 1),
-        ("dirty_threshold", 0.25),
-        ("checkpoint_interval", 2.0),
-        ("expand_reads", True),
-        ("profile", "small"),
-        ("bucket_seconds", 1.0),
-        ("benchmark", "tpce"),
-    ])
+        (f.name, OTHER_VALUE[f.name]) for f in dataclasses.fields(RunSpec)])
     def test_any_config_field_change_moves_the_key(self, field, value):
         data = SPEC.to_dict()
         data[field] = value
+        if field == "kind":  # an open-loop run needs its tenants
+            data["tenants"] = OTHER_VALUE["tenants"]
         assert spec_key(RunSpec.from_dict(data)) != spec_key(SPEC)
 
     def test_unknown_kind_rejected(self):
@@ -61,34 +67,41 @@ class TestSpecKeys:
 
 class TestRoundTrip:
     def test_hit_returns_bit_identical_metrics(self, live_result, tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
+        cache_store(SPEC, live_result.to_dict(), tmp_path)
+        restored = cache_load(SPEC, tmp_path)
         assert restored.buckets == live_result.buckets
         assert restored.txn_counts == live_result.txn_counts
         assert (restored.steady_state_throughput()
                 == live_result.steady_state_throughput())
         assert restored.throughput_series() == live_result.throughput_series()
-        # Snapshotting the restored result reproduces the stored bytes.
-        assert (json.dumps(snapshot(restored), sort_keys=True)
-                == json.dumps(snapshot(live_result), sort_keys=True))
+        assert restored.metrics() == live_result.metrics()
+        # The record of the restored result reproduces the stored bytes.
+        assert (json.dumps(restored.to_dict(), sort_keys=True)
+                == json.dumps(live_result.to_dict(), sort_keys=True))
 
     def test_restored_system_counters_match(self, live_result, tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
+        cache_store(SPEC, live_result.to_dict(), tmp_path)
+        got = cache_load(SPEC, tmp_path)
+        assert got.system is None
         live_sys = live_result.system
-        got = restored.system
-        assert got.bp.stats.as_dict() == live_sys.bp.stats.as_dict()
-        assert got.ssd_manager.stats == live_sys.ssd_manager.stats
-        assert got.ssd_manager.dirty_frames == live_sys.ssd_manager.dirty_frames
-        assert (got.ssd_manager.config.dirty_limit_frames
+        assert got.bp_stats.as_dict() == live_sys.bp.stats.as_dict()
+        assert got.ssd_stats == live_sys.ssd_manager.stats
+        assert got.ssd_dirty_frames == live_sys.ssd_manager.dirty_frames
+        assert got.ssd_used_frames == live_sys.ssd_manager.used_frames
+        assert (got.ssd_invalid_frames
+                == live_sys.ssd_manager.table.invalid_count)
+        assert (got.ssd_dirty_limit_frames
                 == live_sys.ssd_manager.config.dirty_limit_frames)
-        assert (got.checkpointer.checkpoints_taken
+        assert (got.checkpoints_taken
                 == live_sys.checkpointer.checkpoints_taken)
+        assert (got.checkpoints_started
+                == live_sys.checkpointer.checkpoints_started)
+        assert got.checkpoint_durations == live_sys.checkpointer.durations
 
     def test_restored_sampler_and_latencies_work(self, live_result,
                                                  tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
+        cache_store(SPEC, live_result.to_dict(), tmp_path)
+        restored = cache_load(SPEC, tmp_path)
         assert (restored.sampler.fill_time(1)
                 == live_result.sampler.fill_time(1))
         assert (restored.sampler.dirty_cross_time(0)
@@ -98,7 +111,7 @@ class TestRoundTrip:
         assert restored.latencies.summary() == live_result.latencies.summary()
 
     def test_config_change_is_a_miss(self, live_result, tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
+        cache_store(SPEC, live_result.to_dict(), tmp_path)
         other = RunSpec.from_dict({**SPEC.to_dict(), "seed": 999})
         assert cache_load(other, tmp_path) is None
 
@@ -109,22 +122,26 @@ class TestCorruption:
 
     def test_truncated_file_recomputes_not_crashes(self, live_result,
                                                    tmp_path):
-        path = cache_store(SPEC, snapshot(live_result), tmp_path)
+        path = cache_store(SPEC, live_result.to_dict(), tmp_path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         assert cache_load(SPEC, tmp_path) is None
 
     def test_garbage_file_recomputes_not_crashes(self, live_result,
                                                  tmp_path):
-        path = cache_store(SPEC, snapshot(live_result), tmp_path)
+        path = cache_store(SPEC, live_result.to_dict(), tmp_path)
         path.write_text("not json at all {{{")
         assert cache_load(SPEC, tmp_path) is None
 
     def test_wrong_structure_recomputes_not_crashes(self, live_result,
                                                     tmp_path):
-        path = cache_store(SPEC, snapshot(live_result), tmp_path)
-        path.write_text(json.dumps({"snapshot": {"kind": "martian"}}))
+        path = cache_store(SPEC, live_result.to_dict(), tmp_path)
+        path.write_text(json.dumps({"record": {"kind": "martian"}}))
         assert cache_load(SPEC, tmp_path) is None
         path.write_text(json.dumps({"unexpected": 1}))
+        assert cache_load(SPEC, tmp_path) is None
+        record = live_result.to_dict()
+        del record["bp_stats"]
+        path.write_text(json.dumps({"record": record}))
         assert cache_load(SPEC, tmp_path) is None
 
     def test_run_cached_recovers_from_corruption(self, tmp_path):
@@ -178,25 +195,27 @@ class TestSweep:
 class TestSnapshotFaultFields:
     def test_detached_defaults_false_and_round_trips(self, live_result,
                                                      tmp_path):
-        snap = snapshot(live_result)
-        assert snap["ssd"]["detached"] is False
-        cache_store(SPEC, snap, tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
-        assert restored.system.ssd_manager.detached is False
+        assert live_result.to_dict()["ssd_detached"] is False
+        cache_store(SPEC, live_result.to_dict(), tmp_path)
+        assert cache_load(SPEC, tmp_path).ssd_detached is False
 
-    def test_detached_true_survives_restore(self, live_result, tmp_path):
-        snap = snapshot(live_result)
-        snap["ssd"]["detached"] = True
-        restored = restore(snap)
-        assert restored.system.ssd_manager.detached is True
+    def test_detached_true_survives_restore(self, live_result):
+        record = live_result.to_dict()
+        record["ssd_detached"] = True
+        restored = RunResult.from_dict(record)
+        assert restored.ssd_detached is True
+        assert restored.metrics()["ssd_detached"] == 1.0
 
-    def test_old_snapshot_without_field_restores(self, live_result):
-        """Pre-v2 snapshots (no ``detached`` key) must still restore —
-        the version bump invalidates caches, but restore stays lenient."""
-        snap = snapshot(live_result)
-        del snap["ssd"]["detached"]
-        restored = restore(snap)
-        assert restored.system.ssd_manager.detached is False
+    def test_old_snapshot_format_is_a_miss(self, live_result, tmp_path):
+        """Cache files from before the record format (v2 ``snapshot``
+        documents) must miss, not mis-restore: the version is part of
+        the key, and a v2 body under a v3 name does not parse."""
+        assert SNAPSHOT_VERSION >= 3
+        path = cache_store(SPEC, live_result.to_dict(), tmp_path)
+        path.write_text(json.dumps({
+            "spec": SPEC.to_dict(),
+            "snapshot": {"kind": "oltp", "design": "LC", "buckets": [1]}}))
+        assert cache_load(SPEC, tmp_path) is None
 
 
 class TestSweepRecording:

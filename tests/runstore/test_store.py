@@ -1,12 +1,17 @@
 """RunStore recording/query round-trips and the regression check."""
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
 import pytest
 
+from repro.harness.experiments import RunSpec
+from repro.harness.metrics import LatencyTracker
+from repro.harness.runner import RunResult
 from repro.runstore.provenance import Provenance
-from repro.runstore.store import RunStore, metrics_from_result
+from repro.runstore.store import RunStore
+from repro.workloads.tpch import TpchResult
 
 PROV = Provenance(git_commit="deadbeef00", git_branch="main",
                   git_dirty=False, source_hash="cafe", host="test",
@@ -20,7 +25,8 @@ def store(tmp_path):
 
 
 def record(store, design="LC", value=100.0, p99=0.01, waf=None,
-           commit="deadbeef00", status="ok", scale=100, created_at=None):
+           commit="deadbeef00", status="ok", scale=100, created_at=None,
+           nworkers=16):
     metrics = {"value": value, "latency_p99": p99}
     if waf is not None:
         metrics["waf"] = waf
@@ -29,7 +35,7 @@ def record(store, design="LC", value=100.0, p99=0.01, waf=None,
     return store.record_run(
         {"kind": "oltp", "benchmark": "tpcc", "scale": scale,
          "design": design, "profile": "small", "seed": 7,
-         "duration": 30.0},
+         "duration": 30.0, "nworkers": nworkers},
         metrics, provenance=prov, status=status, metric_name="tpmC",
         created_at=created_at)
 
@@ -191,49 +197,62 @@ class TestRegress:
         assert groups == 2
         assert {f.design for f in findings} == {"LC"}
 
+    def test_same_cell_different_spec_is_not_a_regression(self, store):
+        """`repro oltp ... --workers 16` then the same cell with
+        `--workers 2` are two runs of two specs: the second is slower by
+        construction, not a regression of the first."""
+        record(store, nworkers=16, value=100.0)
+        record(store, nworkers=2, value=13.0)
+        findings, groups = store.regress()
+        assert findings == []
+        assert groups == 2
+        # ... while a real drop within one spec is still caught, under
+        # the unchanged cell label.
+        record(store, nworkers=2, value=5.0)
+        findings, _ = store.regress()
+        assert [(f.group_label, f.metric) for f in findings] == \
+            [("tpcc/100/LC", "value")]
 
-class FakeLatencies:
-    def count(self):
-        return 4
 
-    def summary(self):
-        return {"mean": 0.02, "p50": 0.01, "p95": 0.03, "p99": 0.05}
+SPEC = RunSpec(kind="oltp", benchmark="tpcc", scale=10, design="LC",
+               profile="tiny")
 
 
-class FakeOltpResult:
-    metric_name = "tpmC"
-    total_metric_txns = 500
-    latencies = FakeLatencies()
-
-    def steady_state_throughput(self):
-        return 1234.0
-
-
-class FakeTpchResult:
-    qphh = 900.0
-    power = 1000.0
-    throughput = 810.0
+def bare_oltp_result():
+    """A RunResult filled by hand: no system state was ever captured."""
+    latencies = LatencyTracker()
+    for value in (0.01, 0.01, 0.03, 0.05):
+        latencies.record("new_order", value)
+    return RunResult(design="LC", metric_name="tpmC", duration=4.0,
+                     bucket_seconds=2.0, metric_window=60.0,
+                     buckets=[200, 300], latencies=latencies)
 
 
 class TestMetricsFromResult:
-    def test_oltp_duck_typing(self):
-        name, metrics = metrics_from_result(FakeOltpResult())
-        assert name == "tpmC"
-        assert metrics["value"] == 1234.0
-        assert metrics["latency_p99"] == 0.05
-        assert "waf" not in metrics  # no system attached
+    def test_oltp_metrics_without_system_state(self):
+        result = bare_oltp_result()
+        metrics = result.metrics()
+        assert metrics["value"] == result.steady_state_throughput() > 0
+        assert metrics["total_txns"] == 500.0
+        assert metrics["latency_p99"] == result.latencies.percentile(99)
+        assert "waf" not in metrics and "bp_hit_rate" not in metrics
 
-    def test_tpch_duck_typing(self):
-        name, metrics = metrics_from_result(FakeTpchResult())
-        assert name == "QphH"
-        assert metrics == {"value": 900.0, "power": 1000.0,
-                           "throughput": 810.0}
+    def test_tpch_metrics(self):
+        result = TpchResult(sf=30, query_times={1: 2.0}, rf_times=[1.0],
+                            power_elapsed=3.0, throughput_elapsed=50.0,
+                            streams=4)
+        assert result.metric_name == "QphH"
+        assert result.metrics() == {"value": result.qphh,
+                                    "power": result.power,
+                                    "throughput": result.throughput}
 
     def test_record_result_uses_extraction(self, store):
-        run_id = store.record_result(
-            {"kind": "oltp", "benchmark": "tpcc", "scale": 10,
-             "design": "LC", "profile": "tiny"},
-            FakeOltpResult(), provenance=PROV)
+        result = bare_oltp_result()
+        run_id = store.record_result(SPEC, result, provenance=PROV)
         run, metrics = store.get_run(run_id)
         assert run["metric_name"] == "tpmC"
-        assert metrics["value"] == 1234.0
+        assert (run["kind"], run["design"], run["profile"]) == \
+            ("oltp", "LC", "tiny")
+        assert metrics == result.metrics()
+        assert json.loads(run["spec_json"]) == {**SPEC.to_dict(),
+                                                "faulted": False}
