@@ -114,7 +114,7 @@ class LazyCleaningManager(SsdManagerBase):
         if not self._cleaner_started:
             self._cleaner_started = True
             self._cleaner_wakeup = self.env.event()
-            self.env.process(self._cleaner_loop())
+            self.env.spawn(self._cleaner_loop())
 
     def _maybe_wake_cleaner(self) -> None:
         self._note_lambda()

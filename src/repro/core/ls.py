@@ -230,7 +230,7 @@ class LogStructuredManager(SsdManagerBase):
             batch = _LogBatch(self.env)
             self._batch = batch
             self._pending_batches.add(batch)
-            self.env.process(self._flush_batch(batch))
+            self.env.spawn(self._flush_batch(batch))
         batch.entries.append((page_id, version, dirty, rec_lsn))
         if len(batch.entries) >= min(self.config.ls_batch_pages,
                                      self.config.ssd_frames):
@@ -431,8 +431,8 @@ class LogStructuredManager(SsdManagerBase):
             self._cleaner_started = True
             self._cleaner_wakeup = self.env.event()
             self._dirty_wakeup = self.env.event()
-            self.env.process(self._cleaner_loop())
-            self.env.process(self._dirty_cleaner_loop())
+            self.env.spawn(self._cleaner_loop())
+            self.env.spawn(self._dirty_cleaner_loop())
 
     def _maybe_wake_cleaner(self) -> None:
         if (self._cleaner_wakeup is not None

@@ -335,7 +335,7 @@ class SsdManagerBase:
     def _note_device_dead(self) -> None:
         """The SSD reported permanent death: start degradation once."""
         if not self._detach_started:
-            self.env.process(self.detach())
+            self.env.spawn(self.detach())
 
     def _await_detach(self):
         """Process step: wait until an in-progress detach has finished."""

@@ -120,7 +120,7 @@ class TemperatureAwareManager(SsdManagerBase):
             self._bump(frame.page_id, sequential=True)
         if self.config.ssd_frames == 0 or self.detached:
             return
-        self.env.process(self._write_after_read(frame))
+        self.env.spawn(self._write_after_read(frame))
 
     def _write_after_read(self, frame: Frame):
         if frame.dirty or frame.io_busy is not None:

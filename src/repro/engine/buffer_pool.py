@@ -40,7 +40,7 @@ pin without paying a generator round-trip.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim import Environment, Event
@@ -238,7 +238,7 @@ class BufferPool:
         self._lazywriter_wake: Optional[Event] = None
         self._frame_freed = self.env.event()
         self._evicting = 0  # eviction write-outs in flight
-        self.env.process(self._lazywriter())
+        self.env.spawn(self._lazywriter())
 
     @property
     def _warmed(self) -> bool:
@@ -653,59 +653,59 @@ class BufferPool:
     def _pick_victims(self, want: int) -> List[Frame]:
         """Pop up to ``want`` LRU-2 victims across all partitions.
 
-        Each shard heap is first cleaned to a *current* top — garbage
-        entries (evicted or superseded frames) are dropped, entries of
-        since-touched frames are re-keyed in place — then the global
-        minimum of the shard tops by ``(prev_access, stamp, page_id)``
-        is taken, which reproduces the single-heap victim order for any
-        partition count.  Pinned or latched minima are set aside and
-        re-enheaped after the batch, exactly as the eager heap deferred
-        them.
+        A k-way merge of the shard heaps: each is cleaned to a *current*
+        top once (:meth:`_clean_top`), the tops are merged by
+        ``(prev_access, stamp, page_id)``, and only the shard a minimum
+        was popped from is cleaned again — which reproduces the
+        single-heap victim order for any partition count.  Pinned or
+        latched minima are set aside and re-enheaped after the batch,
+        exactly as the eager heap deferred them.
         """
         frames = self.frames
-        parts = self._parts
+        tops = [(part.heap[0], part.heap) for part in self._parts
+                if self._clean_top(part.heap)]
+        heapify(tops)
         victims: List[Frame] = []
         deferred: List[Tuple[List[Tuple[float, int, PageId]],
                              Tuple[float, int, PageId]]] = []
-        while len(victims) < want:
-            best = None
-            best_heap = None
-            for part in parts:
-                heap = part.heap
-                while heap:
-                    entry = heap[0]
-                    frame = frames.get(entry[2])
-                    if frame is None or frame.heap_stamp != entry[1]:
-                        heappop(heap)  # garbage: frame gone or superseded
-                        continue
-                    if frame.lru_stamp != entry[1]:
-                        # Touched since enheaped: re-key lazily.  The new
-                        # key/stamp are strictly larger, so the entry
-                        # sinks (or stays a *current* top) and the loop
-                        # makes progress.
-                        heappop(heap)
-                        stamp = frame.lru_stamp
-                        frame.heap_stamp = stamp
-                        heappush(heap,
-                                 (frame.prev_access, stamp, entry[2]))
-                        continue
-                    break
-                if heap:
-                    entry = heap[0]
-                    if best is None or entry < best:
-                        best = entry
-                        best_heap = heap
-            if best is None:
-                break
-            heappop(best_heap)
-            frame = frames[best[2]]
+        while tops and len(victims) < want:
+            entry, heap = tops[0]
+            heappop(heap)
+            frame = frames[entry[2]]
             if frame.pin_count > 0 or frame.io_busy is not None:
-                deferred.append((best_heap, best))
-                continue
-            victims.append(frame)
+                deferred.append((heap, entry))
+            else:
+                victims.append(frame)
+            if self._clean_top(heap):
+                heapreplace(tops, (heap[0], heap))
+            else:
+                heappop(tops)
         for heap, entry in deferred:
             heappush(heap, entry)
         return victims
+
+    def _clean_top(self, heap: List[Tuple[float, int, PageId]]) -> bool:
+        """Make ``heap[0]`` a current entry; False if the shard is empty.
+
+        Garbage entries (evicted or superseded frames) are dropped and
+        entries of since-touched frames are re-keyed in place.
+        """
+        frames = self.frames
+        while heap:
+            entry = heap[0]
+            frame = frames.get(entry[2])
+            if frame is None or frame.heap_stamp != entry[1]:
+                heappop(heap)  # garbage: frame gone or superseded
+            elif frame.lru_stamp != entry[1]:
+                # Touched since enheaped: re-key lazily.  The new
+                # key/stamp are strictly larger, so the entry sinks (or
+                # stays a *current* top) and the loop makes progress.
+                stamp = frame.lru_stamp
+                frame.heap_stamp = stamp
+                heapreplace(heap, (frame.prev_access, stamp, entry[2]))
+            else:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Lazy writer (background eviction)
@@ -738,7 +738,7 @@ class BufferPool:
                     victim.io_busy = self.env.event()  # reserve first
                     victim.busy_reason = "eviction"
                     self._evicting += 1
-                    self.env.process(self._evict(victim))
+                    self.env.spawn(self._evict(victim))
                 if len(victims) < deficit:
                     stuck = self.free_frames + self._evicting <= 0
             if stuck:
@@ -878,4 +878,4 @@ class BufferPool:
         self._evicting = 0
         self._lazywriter_wake = None
         self._frame_freed = self.env.event()
-        self.env.process(self._lazywriter())
+        self.env.spawn(self._lazywriter())

@@ -57,7 +57,7 @@ class Checkpointer:
         """Start the periodic checkpoint process (if an interval is set)."""
         if self.interval is not None and not self._running:
             self._running = True
-            self.env.process(self._periodic())
+            self.env.spawn(self._periodic())
 
     def crash_reset(self) -> None:
         """Hard-crash restart: the periodic process died with the event

@@ -116,7 +116,7 @@ class WriteAheadLog:
         self._waiters.append((lsn, done))
         if not self._flusher_running:
             self._flusher_running = True
-            self.env.process(self._flush_loop())
+            self.env.spawn(self._flush_loop())
         started = self.env.now
         yield done
         if self._tracer.enabled:

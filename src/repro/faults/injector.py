@@ -65,7 +65,7 @@ class FaultInjector:
                                  dict(args, device=self.device.name))
 
     # ------------------------------------------------------------------
-    # Lifecycle hooks (called by Device.submit/_serve)
+    # Lifecycle hooks (called by Device.submit/_start/_finish)
     # ------------------------------------------------------------------
 
     def on_submit(self, request: "IORequest") -> Optional[Exception]:

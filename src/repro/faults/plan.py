@@ -174,13 +174,13 @@ class FaultPlan:
                     inj.latency_factor = spec.factor
             elif spec.kind == "ssd_die":
                 assert spec.at is not None  # enforced by _parse_clause
-                env.process(self._die_at(system, injector("ssd"), spec.at))
+                env.spawn(self._die_at(system, injector("ssd"), spec.at))
             elif spec.kind == "gc_stall":
-                env.process(self._gc_stall_at(system, injector("ssd"), spec))
+                env.spawn(self._gc_stall_at(system, injector("ssd"), spec))
             elif spec.kind == "ssd_chan_die":
-                env.process(self._chan_die_at(system, injector("ssd"), spec))
+                env.spawn(self._chan_die_at(system, injector("ssd"), spec))
             else:  # *_stall
-                env.process(self._stall_at(injector(spec.device), spec))
+                env.spawn(self._stall_at(injector(spec.device), spec))
         return self.injectors
 
     @staticmethod
@@ -192,7 +192,7 @@ class FaultPlan:
         injector.kill()
         # Degradation is the SSD manager's job: detach and continue (or,
         # for LC, redo the dirty SSD pages from the log first).
-        env.process(system.ssd_manager.detach())
+        env.spawn(system.ssd_manager.detach())
 
     @staticmethod
     def _stall_at(injector: FaultInjector,
@@ -233,4 +233,4 @@ class FaultPlan:
         alive = system.ssd_device.fail_channels(spec.count)
         if alive == 0:
             injector.kill()
-            env.process(system.ssd_manager.detach())
+            env.spawn(system.ssd_manager.detach())

@@ -131,7 +131,7 @@ def run_crash_point(design: str, policy: str, crash_at: float,
     for worker in range(cfg.nworkers):
         # String seeds hash deterministically (SHA-512), unlike hash().
         rng = random.Random(f"{seed}:client:{worker}")
-        env.process(_update_client(env, system, rng, committed,
+        env.spawn(_update_client(env, system, rng, committed,
                                    cfg.db_pages))
     try:
         env.run(until=crash_at)

@@ -94,7 +94,7 @@ class Sampler:
         """Start the periodic sampling process (idempotent)."""
         if not self._started:
             self._started = True
-            self.system.env.process(self._loop())
+            self.system.env.spawn(self._loop())
 
     def stop(self) -> None:
         """Stop sampling; takes effect at the next tick."""

@@ -312,7 +312,7 @@ class WorkloadRunner:
         result.sampler.start()
         for worker in range(self.nworkers):
             rng = random.Random(self.seed + worker * 1009)
-            system.env.process(self._client(rng, result))
+            system.env.spawn(self._client(rng, result))
         system.run(until=system.env.now + duration)
         # The run's measurement window is over: stop the sampler so later
         # phases (crash simulation, restarts) don't grow it unboundedly.
@@ -430,11 +430,11 @@ class OpenLoopRunner:
             # A distinct prime stride per tenant keeps arrival streams
             # independent of the worker rngs (seed + 1009*worker).
             rng = random.Random(self.seed + 7919 * (index + 1))
-            system.env.process(
+            system.env.spawn(
                 self._arrivals(spec, stats[index], index, rng, queue, end))
         for worker in range(self.nworkers):
             rng = random.Random(self.seed + worker * 1009)
-            system.env.process(self._worker(rng, views, stats, queue, result))
+            system.env.spawn(self._worker(rng, views, stats, queue, result))
         system.run(until=end)
         result.sampler.stop()
         result.capture(system)

@@ -9,7 +9,7 @@ from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.process import DetachedProcess, Process
 
 
 class EmptySchedule(SimulationError):
@@ -76,6 +76,15 @@ class Environment:
     def process(self, generator: Generator[Any, Any, Any]) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator)
+
+    def spawn(self, generator: Generator[Any, Any, Any]) -> None:
+        """Start a process nobody will wait on (fire and forget).
+
+        Returns no handle, which is what lets the process skip its
+        completion event; an uncaught exception still surfaces through
+        :meth:`run`.  Use :meth:`process` when the handle is wanted.
+        """
+        DetachedProcess(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""

@@ -188,10 +188,12 @@ class _Condition(Event):
         raise NotImplementedError
 
     def _collect(self) -> Dict[Event, Any]:
+        # Processed, not merely triggered: a Timeout is born triggered,
+        # so an unfired one would report its value as if it had happened.
         return {
-            event: event.value
+            event: event._value
             for event in self.events
-            if event.triggered and event.ok
+            if event.callbacks is None and event._ok
         }
 
 

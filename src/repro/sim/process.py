@@ -143,3 +143,19 @@ class Process(Event):
             self._ok = False
             self._value = exc
             self.env._crashed(self, exc)
+
+
+class DetachedProcess(Process):
+    """A process started through :meth:`Environment.spawn`.
+
+    No handle to it exists, so nothing can subscribe to its completion
+    and it retires off-queue (the :meth:`Event.settle` argument).  A
+    process whose handle was handed out cannot, even with no waiter when
+    it finishes: a holder that yields the handle later must still see it
+    processed by the queue, not before.
+    """
+
+    __slots__ = ()
+
+    def succeed(self, value: Any = None) -> Event:
+        return self.settle(value)

@@ -9,6 +9,7 @@ Every rule encodes an invariant another PR established at runtime:
 * RPL004 fault-safety      — device I/O reaches retry/degradation (PR 4)
 * RPL005 no-swallow        — no silently swallowed exceptions (PR 4)
 * RPL006 telemetry-labels  — statically known metric cardinality (PR 2)
+* RPL007 spawn-discarded   — a dropped process handle means ``spawn`` (PR 13)
 """
 
 from __future__ import annotations
@@ -135,9 +136,11 @@ class SlotsHotpathRule(Rule):
     #: The engine/core entries cover the partitioned buffer pool and the
     #: SSD managers: one frame/record per page and one manager vtable hit
     #: per fetch put their attribute storage on the same budget as the
-    #: kernel's events.
+    #: kernel's events.  ``storage/device.py``: a callback-completed I/O
+    #: costs little besides ``Device`` attribute loads.
     hotpath_roots: Sequence[str] = (
         "repro/sim/", "repro/storage/request.py",
+        "repro/storage/device.py",
         "repro/engine/buffer_pool.py", "repro/engine/page.py",
         "repro/core/ssd_manager.py", "repro/core/ssd_buffer_table.py")
     #: Findings are only emitted for first-party sources, not test files.
@@ -582,3 +585,36 @@ class TelemetryLabelsRule(Rule):
             return False
         return all(isinstance(el, ast.Constant) and isinstance(el.value, str)
                    for el in expr.elts)
+
+
+@rule
+class SpawnDiscardedRule(Rule):
+    """RPL007: a process whose handle is dropped is started with ``spawn``.
+
+    ``env.process(gen())`` as a bare statement schedules a completion
+    event nobody can wait on; ``env.spawn(gen())`` starts the same
+    process without it.  One way to do each: handle wanted →
+    ``process``, handle dropped → ``spawn``.
+    """
+
+    code = "RPL007"
+    name = "spawn-discarded"
+    description = ("a bare `<env>.process(<call>)` statement discards the "
+                   "handle and must be `<env>.spawn(<call>)`")
+    paths = ("repro/",)
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Call)):
+                continue
+            call = node.value
+            if (isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "process"
+                    and len(call.args) == 1
+                    and isinstance(call.args[0], ast.Call)):
+                yield self.finding(
+                    module, call,
+                    "process(...) handle is discarded; start "
+                    "fire-and-forget processes with spawn(...) (no "
+                    "completion event is scheduled)")

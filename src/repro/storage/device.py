@@ -10,27 +10,32 @@ event that triggers when the transfer finishes; the elapsed virtual time is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Event, Timeout
 from repro.storage.request import IoKind, IORequest, PAGE_SIZE_BYTES
 from repro.telemetry import NULL_TELEMETRY
+
+#: A submitted request and its completion event.
+_Job = Tuple[IORequest, Event]
 
 #: Label values used for ``io_*_total{kind=...}`` metrics and trace names.
 KIND_LABELS = {kind: kind.name.lower() for kind in IoKind}
 
 
-@dataclass
 class DeviceStats:
     """Cumulative per-device counters."""
 
-    completed: int = 0
-    pages_read: int = 0
-    pages_written: int = 0
-    busy_time: float = 0.0
-    by_kind: Dict[IoKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in IoKind})
+    __slots__ = ("completed", "pages_read", "pages_written", "busy_time",
+                 "by_kind")
+
+    def __init__(self) -> None:
+        self.completed = 0
+        self.pages_read = 0
+        self.pages_written = 0
+        self.busy_time = 0.0
+        self.by_kind: Dict[IoKind, int] = {kind: 0 for kind in IoKind}
 
     def record(self, request: IORequest, service: float) -> None:
         """Account one completed request."""
@@ -59,6 +64,8 @@ class TrafficRecorder:
     Buckets are ``bucket_seconds`` wide; each completed request adds its
     page count to the read or write series of the bucket it completed in.
     """
+
+    __slots__ = ("bucket_seconds", "_reads", "_writes")
 
     def __init__(self, bucket_seconds: float):
         if bucket_seconds <= 0:
@@ -94,6 +101,19 @@ class TrafficRecorder:
         ]
 
 
+class ChannelPool:
+    """A device's servers, and the FIFO of requests waiting for one."""
+
+    __slots__ = ("capacity", "busy", "waiting")
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.busy = 0
+        self.waiting: Deque[_Job] = deque()
+
+
 class Device:
     """A queueing-server model of a storage device.
 
@@ -101,12 +121,20 @@ class Device:
     :meth:`service_time`.  The in-flight I/O count (queued + in service)
     is exposed because the SSD throttle-control optimization (paper §3.3.2)
     monitors the SSD queue length.
+
+    An I/O costs two scheduled events and no process (DESIGN.md §13):
+    the service timer, whose callback does the completion bookkeeping,
+    and the ``done`` event that callback then triggers.
     """
+
+    __slots__ = ("env", "name", "channels", "stats", "traffic",
+                 "_outstanding", "faults", "telemetry", "_tracer",
+                 "_trace_track", "_tm_pages", "_tm_requests")
 
     def __init__(self, env: Environment, name: str, channels: int):
         self.env = env
         self.name = name
-        self.channels = Resource(env, capacity=channels)
+        self.channels = ChannelPool(channels)
         self.stats = DeviceStats()
         self.traffic: Optional[TrafficRecorder] = None
         self._outstanding = 0
@@ -121,11 +149,11 @@ class Device:
     def reset(self) -> None:
         """Forget in-flight work (simulated power failure).
 
-        The event queue holding the serving processes is wiped separately
+        The event queue holding the service timers is wiped separately
         by :meth:`~repro.sim.environment.Environment.wipe`; this clears
-        the device-side bookkeeping those processes would have unwound.
+        the device-side bookkeeping their callbacks would have unwound.
         """
-        self.channels = Resource(self.env, capacity=self.channels.capacity)
+        self.channels = ChannelPool(self.channels.capacity)
         self._outstanding = 0
 
     def attach_telemetry(self, telemetry) -> None:
@@ -170,57 +198,107 @@ class Device:
         """Submit a request; the returned event triggers on completion
         (or *fails* with an :class:`~repro.faults.errors.IoFault` when a
         fault injector rejects or aborts the I/O)."""
-        request.submitted_at = self.env.now
-        done = self.env.event()
+        env = self.env
+        request.submitted_at = env._now
+        done = Event(env)
         if self.faults is not None:
             error = self.faults.on_submit(request)
             if error is not None:
                 done.fail(error)
                 return done
         self._outstanding += 1
-        self.env.process(self._serve(request, done))
+        self._hop(self._arrive, (request, done))
         return done
 
-    def _serve(self, request: IORequest, done: Event):
-        failure = None
-        env = self.env
+    def _hop(self, step: Callable[[_Job], None], job: _Job) -> None:
+        """Run ``step(job)``: at once, or — with a fault injector
+        attached, whose hooks share an RNG and record trace instants, so
+        their place among the events of one instant is observable — one
+        queue hop later, where a process per I/O ran it (DESIGN.md §13).
+        """
+        if self.faults is None:
+            step(job)
+        else:
+            Timeout(self.env, 0.0).callbacks.append(lambda _hop: step(job))
+
+    def _arrive(self, job: _Job) -> None:
+        """Claim a free channel for ``job``, or queue it (FIFO)."""
         channels = self.channels
-        slot = channels.request()
+        if channels.busy < channels.capacity:
+            channels.busy += 1
+            self._hop(self._start, job)
+        else:
+            channels.waiting.append(job)
+
+    def _start(self, job: _Job) -> None:
+        """Begin serving ``job`` on the channel claimed for it."""
         try:
-            yield slot
+            request, done = job
             service = self.service_time(request)
             faults = self.faults
-            if faults is not None:
-                extra = faults.pre_service_delay(request, service)
-                if extra > 0:
-                    yield env.timeout(extra)
-            yield env.timeout(service)
-            if faults is not None:
-                failure = faults.on_complete(request)
+            extra = (faults.pre_service_delay(request, service)
+                     if faults is not None else 0.0)
+            timed = (request, done, service)
+            if extra > 0:
+                # Its own timer: ``(now + extra) + service`` and
+                # ``now + (extra + service)`` round differently.
+                Timeout(self.env, extra, timed).callbacks.append(
+                    self._delayed)
+            else:
+                Timeout(self.env, service, timed).callbacks.append(
+                    self._finish)
+        except BaseException:
+            self._release()
+            raise
+
+    def _delayed(self, stall: Event) -> None:
+        """The injected delay has passed; start the service timer."""
+        timed = stall._value
+        Timeout(self.env, timed[2], timed).callbacks.append(self._finish)
+
+    def _finish(self, timer: Event) -> None:
+        """Service-timer callback: account the I/O, pass the channel on,
+        then trigger ``done`` — not earlier: I/Os finishing in one
+        instant must all be accounted before the first waiter resumes
+        and reads :attr:`pending`."""
+        request, done, service = timer._value
+        try:
+            failure = (self.faults.on_complete(request)
+                       if self.faults is not None else None)
             if failure is None:
-                request.completed_at = env._now
+                now = self.env._now
+                request.completed_at = now
                 self.stats.record(request, service)
                 self._tm_requests[request.kind].inc()
                 self._tm_pages[request.kind].inc(request.npages)
                 if self._tracer.enabled:
                     self._tracer.complete(KIND_LABELS[request.kind],
-                                          request.submitted_at,
-                                          env._now, "io",
-                                          self._trace_track,
-                                          ctx=request.ctx)
+                                          request.submitted_at, now, "io",
+                                          self._trace_track, ctx=request.ctx)
                 if self.traffic is not None:
-                    self.traffic.record(env._now, request)
+                    self.traffic.record(now, request)
+        except BaseException:
+            self._release()
+            raise
+        try:
+            self._release()
         finally:
-            # Release + decrement must survive any exit path: a leaked
-            # channel would starve the queue, and a leaked outstanding
-            # count would permanently inflate ``pending`` and wedge the
-            # §3.3.2 throttle shut.
-            channels.release(slot)
-            self._outstanding -= 1
-        if failure is not None:
-            done.fail(failure)
+            # Even if starting the *next* request raised.
+            if failure is None:
+                done.succeed(request)
+            else:
+                done.fail(failure)
+
+    def _release(self) -> None:
+        """One I/O left the device, on whatever path: a leaked channel
+        would starve the queue, a leaked count wedge the §3.3.2 throttle
+        shut.  The channel goes to the next queued request, if any."""
+        self._outstanding -= 1
+        channels = self.channels
+        if channels.waiting:
+            self._hop(self._start, channels.waiting.popleft())
         else:
-            done.succeed(request)
+            channels.busy -= 1
 
     def read(self, address: int, npages: int = 1, random: bool = True,
              tag=None, ctx=None) -> Event:

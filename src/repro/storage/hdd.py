@@ -50,6 +50,8 @@ class HddArray(Device):
     #: exactly contiguous.
     NEAR_PAGES = 16
 
+    __slots__ = ("ndisks", "stripe_pages", "_disks", "_head")
+
     def __init__(self, env: Environment, ndisks: int = 8,
                  stripe_pages: int = DEFAULT_STRIPE_PAGES,
                  name: str = "hdd-array"):
@@ -111,7 +113,7 @@ class HddArray(Device):
                 return done
         self._outstanding += 1
         fragments = self._split(request)
-        self.env.process(self._serve_fragments(request, fragments, done))
+        self.env.spawn(self._serve_fragments(request, fragments, done))
         return done
 
     def reset(self) -> None:
@@ -159,7 +161,7 @@ class HddArray(Device):
                                           "io", self._trace_track,
                                           ctx=request.ctx)
         finally:
-            # Same rule as Device._serve: never leak the outstanding
+            # Same rule as Device._release: never leak the outstanding
             # count, or ``pending`` inflates and wedges the throttle.
             self._outstanding -= 1
         if failure is not None:

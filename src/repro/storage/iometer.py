@@ -76,7 +76,7 @@ def measure_iops(make_device, kind: IoKind, duration: float = 20.0,
     nworkers = nchannels * workers_per_channel
     for worker in range(nworkers):
         addresses = _address_stream(device, kind, span_pages, worker, nworkers)
-        env.process(_worker(env, device, kind, addresses, counter))
+        env.spawn(_worker(env, device, kind, addresses, counter))
     env.run(until=duration)
     return counter["completed"] / duration
 

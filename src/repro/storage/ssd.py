@@ -52,6 +52,11 @@ _BLOCK_ERASE = 0.002
 class Ssd(Device):
     """A multi-channel flash SSD, optionally with modelled internals."""
 
+    __slots__ = ("_per_page_read", "_per_page_program",
+                 "_random_read_overhead", "_random_write_overhead",
+                 "_block_erase", "_channels_total", "_channels_dead",
+                 "_degrade", "ftl")
+
     def __init__(self, env: Environment, channels: int = DEFAULT_CHANNELS,
                  name: str = "ssd", ftl: Optional[FtlConfig] = None,
                  logical_pages: int = 0,
@@ -148,8 +153,9 @@ class Ssd(Device):
     def service_time(self, request: IORequest) -> float:
         """Per-channel service time for ``request``.
 
-        Called exactly once per request (by ``Device._serve`` after the
-        channel grant), so the FTL accounting below runs once per I/O.
+        Called exactly once per request (by ``Device._start`` when the
+        request gets its channel), so the FTL accounting below runs once
+        per I/O.
         """
         if self.ftl is None:
             if request.kind.is_read:

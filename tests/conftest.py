@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -48,6 +50,15 @@ def drive(env, generator):
     process = env.process(generator)
     env.run(process)
     return process.value
+
+
+def meta_free_trace_md5(telemetry):
+    """md5 of a run's trace without its ``run_meta`` events (they embed
+    the source hash, which changes with any edit by design)."""
+    events = (event.to_dict() for event in telemetry.tracer.events)
+    payload = "\n".join(json.dumps(event, sort_keys=True)
+                        for event in events if event.get("cat") != "meta")
+    return hashlib.md5(payload.encode()).hexdigest()
 
 
 def settle(env, seconds=5.0):

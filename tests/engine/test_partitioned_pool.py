@@ -13,14 +13,18 @@ virtual time, so per-tenant tail latency must fall monotonically as
 ``--partitions`` grows.
 """
 
-import hashlib
-import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import BufferPool
+from repro.engine.page import Frame
 from repro.harness.experiments import (SCALE_PROFILES, run_oltp_experiment,
                                        run_traffic_experiment)
 from repro.telemetry import Telemetry
+from tests.conftest import MiniSystem, meta_free_trace_md5
 
 TINY = SCALE_PROFILES["tiny"]
 
@@ -39,11 +43,7 @@ def _oltp_trace_md5(benchmark, design, checkpoint_interval=None, **kwargs):
     run_oltp_experiment(benchmark, 20, design, duration=4.0, profile=TINY,
                         nworkers=4, checkpoint_interval=checkpoint_interval,
                         telemetry=telemetry, **kwargs)
-    payload = "\n".join(
-        json.dumps(event.to_dict(), sort_keys=True)
-        for event in telemetry.tracer.events
-        if event.to_dict().get("cat") != "meta")
-    return hashlib.md5(payload.encode()).hexdigest()
+    return meta_free_trace_md5(telemetry)
 
 
 @pytest.mark.parametrize("bench,design,ckpt", sorted(
@@ -68,6 +68,62 @@ def test_partitioned_run_is_deterministic_under_fixed_seed():
     first = _oltp_trace_md5("tpcc", "LC", partitions=8)
     second = _oltp_trace_md5("tpcc", "LC", partitions=8)
     assert first == second
+
+
+def _reference_victims(pool, want):
+    """Brute force: live, unpinned, unlatched frames by LRU-2 order."""
+    ranked = sorted(pool.frames.values(),
+                    key=lambda f: (f.prev_access, f.lru_stamp, f.page_id))
+    return [f for f in ranked
+            if f.pin_count == 0 and f.io_busy is None][:want]
+
+
+@pytest.mark.parametrize("nparts", [1, 4, 16])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_victim_merge_matches_brute_force_sort(nparts, seed):
+    """The k-way merge over partition heaps pops exactly the frames a
+    full sort would, under random touches, pins, latched frames, garbage
+    entries and re-installed pages — including the minima it defers."""
+    rng = random.Random(seed)
+    sys_ = MiniSystem(design="noSSD", db_pages=500)
+    env = sys_.env
+    # Roomy enough that the lazy writer never picks victims of its own.
+    pool = BufferPool(env, 400, sys_.disk, sys_.wal, sys_.ssd_manager,
+                      partitions=nparts)
+    for _ in range(300):
+        op = rng.random()
+        resident = sorted(pool.frames)
+        if op < 0.35 or not resident:
+            pid = rng.randrange(120)
+            if pid not in pool.frames:  # (re-)install: old entry is garbage
+                pool.frames[pid] = frame = Frame(pid)
+                pool._touch(frame)
+        elif op < 0.60:
+            pool._touch(pool.frames[rng.choice(resident)])
+        elif op < 0.70:
+            env.run(until=env.now + rng.choice([0.0, 0.001, 0.5]))
+        elif op < 0.78:
+            frame = pool.frames[rng.choice(resident)]
+            frame.pin_count = 0 if frame.pin_count else 1
+        elif op < 0.84:
+            frame = pool.frames[rng.choice(resident)]
+            frame.io_busy = None if frame.io_busy else env.event()
+        elif op < 0.88:
+            del pool.frames[rng.choice(resident)]  # dropped without a pop
+        else:
+            want = rng.randrange(1, 12)
+            expected = _reference_victims(pool, want)
+            victims = pool._pick_victims(want)
+            assert ([f.page_id for f in victims]
+                    == [f.page_id for f in expected])
+            for frame in victims:  # evicted, as _evict would
+                del pool.frames[frame.page_id]
+    # Deferred minima were re-enheaped: once released they all come out.
+    for frame in pool.frames.values():
+        frame.pin_count, frame.io_busy = 0, None
+    expected = _reference_victims(pool, len(pool.frames))
+    assert pool._pick_victims(len(pool.frames) + 1) == expected
 
 
 def test_latched_run_records_partition_latch_waits():

@@ -10,14 +10,12 @@ source untouched; any shift in same-instant event order moves them.
 ``run_meta`` events are excluded because they embed the source hash.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from repro.harness.experiments import (SCALE_PROFILES, run_oltp_experiment,
                                        run_tpch_experiment)
 from repro.telemetry import Telemetry
+from tests.conftest import meta_free_trace_md5
 
 TINY = SCALE_PROFILES["tiny"]
 
@@ -51,15 +49,13 @@ def test_trace_matches_generator_device(name):
     runner, pinned, faulted = GOLDEN[name]
     telemetry = Telemetry()
     runner(telemetry)
-    events = [event.to_dict() for event in telemetry.tracer.events]
     assert telemetry.tracer.dropped == 0
     # A fault plan that never fires would pin nothing about the hooks.
-    fault_names = {e["name"] for e in events if e.get("cat") == "fault"}
+    fault_names = {event.name for event in telemetry.tracer.events
+                   if event.cat == "fault"}
     if faulted:
         assert {"fault_transient", "fault_latency",
                 "fault_stall"} <= fault_names
     else:
         assert not fault_names
-    payload = "\n".join(json.dumps(event, sort_keys=True)
-                        for event in events if event.get("cat") != "meta")
-    assert hashlib.md5(payload.encode()).hexdigest() == pinned
+    assert meta_free_trace_md5(telemetry) == pinned

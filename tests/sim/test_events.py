@@ -129,3 +129,15 @@ class TestAnyOf:
 
     def test_empty_is_immediate(self, env):
         assert env.any_of([]).triggered
+
+    def test_unfired_timeout_is_not_collected(self, env):
+        """Regression: a Timeout is born *triggered*, so collecting
+        triggered children reported the guard timer of
+        ``any_of([event, timeout])`` as if it had already fired."""
+        trigger = env.event()
+        guard = env.timeout(9, value="too late")
+        combined = env.any_of([trigger, guard])
+        trigger.succeed("now")
+        values = env.run(combined)
+        assert env.now == 0
+        assert values == {trigger: "now"}

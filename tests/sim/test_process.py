@@ -139,3 +139,58 @@ class TestInterrupt:
 
         env.process(interrupter())
         assert env.run(process) == 3
+
+
+class TestSpawn:
+    def test_returns_no_handle_and_runs_the_generator(self, env):
+        seen = []
+
+        def worker():
+            yield env.timeout(2)
+            seen.append(env.now)
+
+        assert env.spawn(worker()) is None
+        env.run()
+        assert seen == [2]
+
+    def test_schedules_no_completion_event(self, env):
+        def worker():
+            yield env.timeout(1)
+
+        def schedules(start):
+            before = env._seq
+            start(worker())
+            env.run()
+            return env._seq - before
+
+        # bootstrap + timeout; process() adds the completion event.
+        assert schedules(env.spawn) == 2
+        assert schedules(env.process) == 3
+
+    def test_uncaught_exception_surfaces_through_run(self, env):
+        def worker():
+            yield env.timeout(1)
+            raise RuntimeError("boom")
+
+        env.spawn(worker())
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert env.now == 1
+
+    def test_requires_generator(self, env):
+        with pytest.raises(TypeError):
+            env.spawn(lambda: None)
+
+    def test_works_on_the_wheel_kernel(self):
+        from repro.sim import make_environment
+
+        env = make_environment("wheel")
+        seen = []
+
+        def worker():
+            yield env.timeout(0.5)
+            seen.append(env.now)
+
+        env.spawn(worker())
+        env.run()
+        assert seen == [0.5]

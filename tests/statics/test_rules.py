@@ -330,6 +330,64 @@ class TestTelemetryLabels:
         assert result.suppressed == 1
 
 
+class TestSpawnDiscarded:
+    PATH = "src/repro/engine/thing.py"
+
+    def test_discarded_handle_flagged(self):
+        result = lint("""
+            def start(self):
+                self.env.process(self._loop())
+            """, self.PATH)
+        assert codes(result) == ["RPL007"]
+
+    def test_bare_env_name_flagged(self):
+        result = lint("""
+            def start(env, worker):
+                env.process(worker(env))
+            """, self.PATH)
+        assert codes(result) == ["RPL007"]
+
+    def test_spawn_clean(self):
+        result = lint("""
+            def start(self):
+                self.env.spawn(self._loop())
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_kept_handle_clean(self):
+        result = lint("""
+            def start(self, ios):
+                proc = self.env.process(self._loop())
+                ios.append(self.env.process(self._io()))
+                return self.env.run(self.env.process(self._main()))
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_non_generator_call_argument_clean(self):
+        # ``process(x)`` on something that is not starting a generator
+        # (no call argument) is none of this rule's business.
+        result = lint("""
+            def handle(pipeline, record):
+                pipeline.process(record)
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_out_of_scope_path_clean(self):
+        result = lint("""
+            def start(env, worker):
+                env.process(worker(env))
+            """, "tests/sim/test_process.py")
+        assert codes(result) == []
+
+    def test_suppressed(self):
+        result = lint("""
+            def start(self):
+                self.env.process(self._loop())  # repro: noqa[RPL007]
+            """, self.PATH)
+        assert codes(result) == []
+        assert result.suppressed == 1
+
+
 class TestSuppressionForms:
     PATH = "src/repro/engine/x.py"
 

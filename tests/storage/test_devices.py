@@ -116,6 +116,89 @@ class TestSsdTiming:
         assert ssd.pending == 0
 
 
+class TestCallbackCompletion:
+    """The two-event I/O life cycle (DESIGN.md §13): service timer,
+    then ``done`` — no process, no channel-grant event."""
+
+    def test_uncontended_io_schedules_exactly_two_events(self, env):
+        ssd = Ssd(env)
+        before = env._seq
+        done = ssd.read(0)
+        env.run(done)
+        assert done.value.completed_at == env.now
+        assert env._seq - before == 2
+
+    def test_queued_ios_are_served_fifo_and_pending_counts_down(self, env):
+        ssd = Ssd(env, channels=2)
+        finished, pending_seen = [], []
+
+        def waiter(index, done):
+            yield done
+            finished.append(index)
+            pending_seen.append(ssd.pending)
+
+        for index in range(5):  # channels + 3 at one instant
+            env.spawn(waiter(index, ssd.submit(
+                IORequest(IoKind.RANDOM_READ, index))))
+        assert ssd.channels.busy == 2 and len(ssd.channels.waiting) == 3
+        env.run()
+        assert finished == [0, 1, 2, 3, 4]
+        # I/Os finishing in one instant are all accounted before the
+        # first waiter resumes (what the §3.3.2 throttle reads).
+        assert pending_seen == [3, 3, 1, 1, 0]
+        assert ssd.channels.busy == 0 and not ssd.channels.waiting
+        service = ssd.service_time(IORequest(IoKind.RANDOM_READ, 0))
+        assert env.now == pytest.approx(3 * service)
+
+    def test_service_time_error_releases_channel_and_serves_the_next(
+            self, env):
+        class Flaky(Ssd):
+            def service_time(self, request):
+                if request.address == 13:
+                    raise RuntimeError("bad request")
+                return super().service_time(request)
+
+        ssd = Flaky(env, channels=1)
+        first = ssd.read(0)
+        ssd.read(13)            # queued; blows up when it gets the channel
+        last = ssd.read(2)      # queued behind it
+        with pytest.raises(RuntimeError, match="bad request"):
+            env.run()
+        # The failed start passed the channel on instead of leaking it.
+        assert ssd.pending == 1 and ssd.channels.busy == 1
+        env.run()
+        assert first.ok and last.ok
+        assert ssd.pending == 0 and ssd.channels.busy == 0
+        assert ssd.stats.completed == 2
+
+    def test_service_time_error_on_a_free_channel_raises_in_submit(
+            self, env):
+        class Broken(Ssd):
+            def service_time(self, request):
+                raise RuntimeError("bad request")
+
+        ssd = Broken(env)
+        with pytest.raises(RuntimeError, match="bad request"):
+            ssd.read(0)
+        assert ssd.pending == 0 and ssd.channels.busy == 0
+
+    def test_reset_after_wipe_forgets_inflight_work(self, env):
+        ssd = Ssd(env, channels=2)
+        for index in range(5):
+            ssd.read(index)
+        env.run(until=ssd.service_time(IORequest(IoKind.RANDOM_READ, 0)) / 2)
+        env.wipe()
+        ssd.reset()
+        assert ssd.pending == 0
+        assert ssd.channels.busy == 0 and not ssd.channels.waiting
+        assert ssd.channels.capacity == 2
+        env.run()  # nothing left to fire
+        assert ssd.stats.completed == 0
+        done = ssd.read(9)
+        env.run(done)
+        assert done.ok and ssd.pending == 0
+
+
 class TestStats:
     def test_read_write_page_counts(self, env):
         ssd = Ssd(env)

@@ -55,6 +55,64 @@ class TestTransientFaults:
         assert ok
         assert ssd.pending == 0
 
+    def test_failed_completion_hands_the_channel_to_the_next_request(
+            self, env):
+        ssd = Ssd(env, channels=1)
+        injector = FaultInjector(env, ssd, random.Random("t"))
+        injector.transient_p = 1.0
+        outcomes = []
+
+        def waiter(done):
+            try:
+                yield done
+            except TransientIoError:
+                outcomes.append("failed")
+                injector.transient_p = 0.0  # the fault clears
+            else:
+                outcomes.append("ok")
+
+        for address in range(3):  # one in service, two queued
+            env.spawn(waiter(ssd.read(address)))
+        env.run()
+        assert outcomes == ["failed", "ok", "ok"]
+        assert ssd.pending == 0
+        assert ssd.channels.busy == 0 and not ssd.channels.waiting
+
+    def test_on_complete_raising_still_releases_the_channel(self, env):
+        ssd = Ssd(env, channels=1)
+        injector = FaultInjector(env, ssd, random.Random("t"))
+        calls = []
+
+        def on_complete(request):
+            calls.append(request.address)
+            if len(calls) == 1:
+                raise RuntimeError("injector bug")
+            return None
+
+        injector.on_complete = on_complete
+        ssd.read(0)
+        second = ssd.read(1)
+        with pytest.raises(RuntimeError, match="injector bug"):
+            env.run()
+        assert ssd.pending == 1  # only the queued request remains
+        env.run()
+        assert second.ok and calls == [0, 1]
+        assert ssd.pending == 0 and ssd.channels.busy == 0
+
+    def test_faulted_io_keeps_the_arrival_and_grant_hops(self, env):
+        """With an injector attached the hooks stay at the queue
+        positions a process per I/O ran them at: two hops, the service
+        timer and ``done`` — and a delay is a timer of its own."""
+        ssd = Ssd(env)
+        injector = FaultInjector(env, ssd, random.Random("t"))
+        before = env._seq
+        env.run(ssd.read(0))
+        assert env._seq - before == 4
+        injector.latency_p = 1.0
+        before = env._seq
+        env.run(ssd.read(1))
+        assert env._seq - before == 5
+
     def test_transient_does_not_count_as_completed(self, env):
         ssd = Ssd(env)
         injector = FaultInjector(env, ssd, random.Random("t"))
