@@ -28,26 +28,22 @@ class DualWriteManager(SsdManagerBase):
     def on_evict_dirty(self, frame: Frame):
         """Write to disk and SSD in parallel; the frame is reusable when
         both complete (the paper's "synchronize dirty page writes")."""
-        disk_write = self.env.process(
-            self.disk.write(frame.page_id, frame.version, sequential=False,
-                            ctx=EVICTION_CTX))
+        disk_write = self.disk.write(frame.page_id, frame.version,
+                                     sequential=False, ctx=EVICTION_CTX)
         if self.admission.qualifies(frame, self.admission_fill_level):
-            ssd_write = self.env.process(
-                self._cache_page(frame.page_id, frame.version, dirty=False,
-                                 ctx=EVICTION_CTX))
-            yield self.env.all_of([disk_write, ssd_write])
+            yield self.env.gather([disk_write, self._cache_page(
+                frame.page_id, frame.version, dirty=False,
+                ctx=EVICTION_CTX)])
         else:
-            yield disk_write
+            yield self.env.process(disk_write)
 
     def checkpoint_write(self, frame: Frame):
         """§3.2: checkpointed dirty random pages also prime the SSD."""
-        disk_write = self.env.process(
-            self.disk.write(frame.page_id, frame.version, sequential=False,
-                            ctx=CHECKPOINT_CTX))
+        disk_write = self.disk.write(frame.page_id, frame.version,
+                                     sequential=False, ctx=CHECKPOINT_CTX)
         if not frame.sequential:
-            ssd_write = self.env.process(
-                self._cache_page(frame.page_id, frame.version, dirty=False,
-                                 ctx=CHECKPOINT_CTX))
-            yield self.env.all_of([disk_write, ssd_write])
+            yield self.env.gather([disk_write, self._cache_page(
+                frame.page_id, frame.version, dirty=False,
+                ctx=CHECKPOINT_CTX)])
         else:
-            yield disk_write
+            yield self.env.process(disk_write)

@@ -142,11 +142,11 @@ class LazyCleaningManager(SsdManagerBase):
                 for _ in range(self.config.cleaner_concurrency):
                     if self.table.dirty_count - len(batches) <= target:
                         break
-                    batches.append(self.env.process(self._clean_batch()))
+                    batches.append(self._clean_batch())
                 if not batches:
                     break
-                results = yield self.env.all_of(batches)
-                if any(results.values()):
+                results = yield self.env.gather(batches)
+                if any(results):
                     empty_rounds = 0
                 else:
                     # Nothing cleanable right now; yield and retry.
@@ -179,12 +179,9 @@ class LazyCleaningManager(SsdManagerBase):
             # SSD -> memory: one read per page (they are scattered on the
             # SSD).  These are transfer reads, not page accesses: the
             # LRU-2 history of the records must not be touched.
-            reads = [
-                self.env.process(self._raw_ssd_read(record.frame_no))
-                for record in group
-            ]
-            results = yield self.env.all_of(reads)
-            if not all(results.values()):
+            results = yield self.env.gather(
+                self._raw_ssd_read(record.frame_no) for record in group)
+            if not all(results):
                 # A read failed past the retry budget, or the device
                 # died: nothing was transferred.  Requeue for a later
                 # attempt (or for the detach redo) and report no
@@ -331,12 +328,10 @@ class LazyCleaningManager(SsdManagerBase):
                 # needs.  Wait for it rather than racing it.
                 yield from self._await_detach()
                 break
-            batches = [
-                self.env.process(self._clean_batch())
-                for _ in range(self.config.cleaner_concurrency)
-            ]
-            results = yield self.env.all_of(batches)
-            cleaned = sum(results.values())
+            results = yield self.env.gather(
+                self._clean_batch()
+                for _ in range(self.config.cleaner_concurrency))
+            cleaned = sum(results)
             self.stats.checkpoint_ssd_flushes += cleaned
             if cleaned == 0:
                 empty_rounds += 1

@@ -361,12 +361,11 @@ class LogStructuredManager(SsdManagerBase):
                 runs.append([frame_no, 1])
         pieces = [piece for address, count in runs
                   for piece in self._stripe(address, count)]
-        pending = [self.env.process(self._ssd_io(
+        results = yield self.env.gather(self._ssd_io(
             lambda address=address, count=count: self.device.write(
-                address, count, random=False, ctx=EVICTION_CTX)))
-            for address, count in pieces]
-        results = yield self.env.all_of(pending)
-        return all(results.values())
+                address, count, random=False, ctx=EVICTION_CTX))
+            for address, count in pieces)
+        return all(results)
 
     # ------------------------------------------------------------------
     # Eviction hook (same fallback contract as LC)
@@ -479,9 +478,8 @@ class LogStructuredManager(SsdManagerBase):
                         break
                     yield self.env.timeout(0.001)
                     continue
-                pending = [self.env.process(self._flush_entry(r, pid, ver))
-                           for r, pid, ver in wave]
-                results = yield self.env.all_of(pending)
+                results = yield self.env.gather(
+                    self._flush_entry(r, pid, ver) for r, pid, ver in wave)
                 # Entries that stayed dirty (fault, or superseded and
                 # re-dirtied mid-flight) go back in the heap so the
                 # cleaners and checkpoints can still find them.
@@ -489,7 +487,7 @@ class LogStructuredManager(SsdManagerBase):
                     if (record.occupied and record.valid and record.dirty
                             and record.page_id == pid):
                         self.dirty_heap.push(record)
-                if any(results.values()):
+                if any(results):
                     empty_rounds = 0
                 else:
                     empty_rounds += 1
@@ -639,10 +637,9 @@ class LogStructuredManager(SsdManagerBase):
                                 self.config.cleaner_concurrency):
             wave = targets[wave_start:wave_start
                            + self.config.cleaner_concurrency]
-            pending = [self.env.process(self._flush_entry(r, pid, ver))
-                       for r, pid, ver in wave]
-            results = yield self.env.all_of(pending)
-            if not all(results.values()):
+            results = yield self.env.gather(
+                self._flush_entry(r, pid, ver) for r, pid, ver in wave)
+            if not all(results):
                 # Fault or device death mid-flush: abandon this round
                 # with the segment intact; the caller retries (or the
                 # detach redo takes over).
@@ -741,12 +738,11 @@ class LogStructuredManager(SsdManagerBase):
                 runs.append([frame_no, 1])
         pieces = [piece for address, count in runs
                   for piece in self._stripe(address, count)]
-        pending = [self.env.process(self._ssd_io(
+        results = yield self.env.gather(self._ssd_io(
             lambda address=address, count=count: self.device.read(
                 address, count, random=False, ctx=CLEANER_CTX),
-            must=True)) for address, count in pieces]
-        results = yield self.env.all_of(pending)
-        return all(results.values())
+            must=True) for address, count in pieces)
+        return all(results)
 
     def _flush_entry(self, record: SsdRecord, page_id: int, version: int,
                      ctx: Any = CLEANER_CTX) -> Generator[object, Any, bool]:
@@ -818,12 +814,10 @@ class LogStructuredManager(SsdManagerBase):
                     self.clean_heap.push(record)
                     progressed += 1
             if flush_wave:
-                pending_ios = [
-                    self.env.process(
-                        self._flush_entry(r, pid, ver, ctx=CHECKPOINT_CTX))
-                    for r, pid, ver in flush_wave]
-                results = yield self.env.all_of(pending_ios)
-                landed = sum(1 for ok in results.values() if ok)
+                results = yield self.env.gather(
+                    self._flush_entry(r, pid, ver, ctx=CHECKPOINT_CTX)
+                    for r, pid, ver in flush_wave)
+                landed = sum(1 for ok in results if ok)
                 progressed += landed
                 self.stats.checkpoint_ssd_flushes += landed
             if progressed == 0:

@@ -678,13 +678,10 @@ class SsdManagerBase:
         started = self.env.now
         for wave_start in range(0, len(targets), DEGRADE_BATCH):
             wave = targets[wave_start:wave_start + DEGRADE_BATCH]
-            pending = [
-                self.env.process(self.disk.write(pid, version,
-                                                 sequential=False,
-                                                 ctx=RECOVERY_CTX))
-                for pid, version in wave
-            ]
-            yield self.env.all_of(pending)
+            yield self.env.gather(
+                self.disk.write(pid, version, sequential=False,
+                                ctx=RECOVERY_CTX)
+                for pid, version in wave)
             self.stats.detach_redo_pages += len(wave)
         if self._tracer.enabled:
             self._tracer.complete("degrade_redo", started, self.env.now,

@@ -210,16 +210,14 @@ class TemperatureAwareManager(SsdManagerBase):
     def on_evict_dirty(self, frame: Frame):
         """Step (iv): write to disk; if an *invalidated* version of the
         page sits in the SSD, also write the new version there."""
-        disk_write = self.env.process(
-            self.disk.write(frame.page_id, frame.version, sequential=False,
-                            ctx=EVICTION_CTX))
+        disk_write = self.disk.write(frame.page_id, frame.version,
+                                     sequential=False, ctx=EVICTION_CTX)
         record = self.table.lookup(frame.page_id)
         if record is not None and not record.valid:
-            ssd_write = self.env.process(
-                self._revalidate_write(record, frame.page_id, frame.version))
-            yield self.env.all_of([disk_write, ssd_write])
+            yield self.env.gather([disk_write, self._revalidate_write(
+                record, frame.page_id, frame.version)])
         else:
-            yield disk_write
+            yield self.env.process(disk_write)
 
     def _revalidate_write(self, record, page_id: int, version: int):
         if self.detached:

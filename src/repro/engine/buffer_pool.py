@@ -501,16 +501,16 @@ class BufferPool:
             plan = self.ssd.trim_plan(wanted)
             ios = []
             if plan.disk_count > 0:
-                ios.append(self.env.process(self._disk_run(
-                    plan.disk_start, plan.disk_count, plan.skip_in_run)))
+                ios.append(self._disk_run(
+                    plan.disk_start, plan.disk_count, plan.skip_in_run))
             for pid in plan.ssd_pages:
-                ios.append(self.env.process(self._ssd_single(pid)))
+                ios.append(self._ssd_single(pid))
             if ios:
                 # One outer span covers the parallel I/O fan-out; the
                 # inner reads run ctx-less so overlapping device time is
                 # not double-attributed to the transaction.
                 started = self.env.now
-                yield self.env.all_of(ios)
+                yield self.env.gather(ios)
                 if self._tracer.enabled:
                     self._tracer.complete("prefetch_wait", started,
                                           self.env.now, "bp", "buffer_pool",
@@ -737,8 +737,8 @@ class BufferPool:
                 for victim in victims:
                     victim.io_busy = self.env.event()  # reserve first
                     victim.busy_reason = "eviction"
-                    self._evicting += 1
-                    self.env.spawn(self._evict(victim))
+                self._evicting += len(victims)
+                self.env.spawn_all(self._evict(victim) for victim in victims)
                 if len(victims) < deficit:
                     stuck = self.free_frames + self._evicting <= 0
             if stuck:

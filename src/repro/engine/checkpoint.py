@@ -85,12 +85,8 @@ class Checkpointer:
                 yield from self.wal.force(newest, ctx=CHECKPOINT_CTX)
             for wave_start in range(0, len(dirty), FLUSH_BATCH):
                 wave = dirty[wave_start:wave_start + FLUSH_BATCH]
-                pending = [
-                    self.env.process(self._flush_one(frame))
-                    for frame in wave
-                ]
-                if pending:
-                    yield self.env.all_of(pending)
+                yield self.env.gather(
+                    self._flush_one(frame) for frame in wave)
             # Design-specific phase: LC flushes dirty SSD pages here.
             yield from self.bp.ssd.on_checkpoint()
         finally:

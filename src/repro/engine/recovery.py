@@ -71,11 +71,9 @@ class RecoveryManager:
                   if self.disk.disk_version(page_id) < version]
         for wave_start in range(0, len(needed), REDO_BATCH):
             wave = needed[wave_start:wave_start + REDO_BATCH]
-            pending = [
-                self.env.process(self._redo_one(page_id, version))
-                for page_id, version in wave
-            ]
-            yield self.env.all_of(pending)
+            yield self.env.gather(
+                self._redo_one(page_id, version)
+                for page_id, version in wave)
         return self.pages_redone
 
     def _redo_one(self, page_id: int, version: int):

@@ -128,11 +128,11 @@ def run_crash_point(design: str, policy: str, crash_at: float,
     env = system.env
     system.start_services()
     committed: Dict[int, int] = {}
-    for worker in range(cfg.nworkers):
-        # String seeds hash deterministically (SHA-512), unlike hash().
-        rng = random.Random(f"{seed}:client:{worker}")
-        env.spawn(_update_client(env, system, rng, committed,
-                                   cfg.db_pages))
+    # String seeds hash deterministically (SHA-512), unlike hash().
+    env.spawn_all(
+        _update_client(env, system, random.Random(f"{seed}:client:{worker}"),
+                       committed, cfg.db_pages)
+        for worker in range(cfg.nworkers))
     try:
         env.run(until=crash_at)
         outcome.committed_pages = len(committed)
@@ -143,13 +143,11 @@ def run_crash_point(design: str, policy: str, crash_at: float,
         system.ssd_manager.check_invariants()
         # Progress check: the restarted system must still serve updates.
         churn: Dict[int, int] = {}
-        clients = [
-            env.process(_update_client(
+        env.run(env.gather(
+            _update_client(
                 env, system, random.Random(f"{seed}:churn:{worker}"),
-                churn, cfg.db_pages, ops=cfg.post_ops))
-            for worker in range(4)
-        ]
-        env.run(env.all_of(clients))
+                churn, cfg.db_pages, ops=cfg.post_ops)
+            for worker in range(4)))
         if not churn:
             raise RuntimeError("no post-recovery progress")
         # Quiesce before re-checking: the Figure 3 relationships are

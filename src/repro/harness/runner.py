@@ -310,9 +310,9 @@ class WorkloadRunner:
             system=system,
         )
         result.sampler.start()
-        for worker in range(self.nworkers):
-            rng = random.Random(self.seed + worker * 1009)
-            system.env.spawn(self._client(rng, result))
+        system.env.spawn_all(
+            self._client(random.Random(self.seed + worker * 1009), result)
+            for worker in range(self.nworkers))
         system.run(until=system.env.now + duration)
         # The run's measurement window is over: stop the sampler so later
         # phases (crash simulation, restarts) don't grow it unboundedly.
@@ -426,15 +426,17 @@ class OpenLoopRunner:
         result.sampler.start()
         queue: Store = Store(system.env)
         end = system.env.now + duration
-        for index, spec in enumerate(self.tenants):
-            # A distinct prime stride per tenant keeps arrival streams
-            # independent of the worker rngs (seed + 1009*worker).
-            rng = random.Random(self.seed + 7919 * (index + 1))
-            system.env.spawn(
-                self._arrivals(spec, stats[index], index, rng, queue, end))
-        for worker in range(self.nworkers):
-            rng = random.Random(self.seed + worker * 1009)
-            system.env.spawn(self._worker(rng, views, stats, queue, result))
+        # A distinct prime stride per tenant keeps arrival streams
+        # independent of the worker rngs (seed + 1009*worker).
+        system.env.spawn_all(
+            self._arrivals(spec, stats[index], index,
+                           random.Random(self.seed + 7919 * (index + 1)),
+                           queue, end)
+            for index, spec in enumerate(self.tenants))
+        system.env.spawn_all(
+            self._worker(random.Random(self.seed + worker * 1009), views,
+                         stats, queue, result)
+            for worker in range(self.nworkers))
         system.run(until=end)
         result.sampler.stop()
         result.capture(system)

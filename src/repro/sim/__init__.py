@@ -19,7 +19,7 @@ Public API::
 
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Gather, Process
 from repro.sim.resources import Resource, Store
 from repro.sim.wheel import (KERNELS, TimerWheel, WheelEnvironment,
                              make_environment)
@@ -29,6 +29,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Gather",
     "Interrupt",
     "KERNELS",
     "Process",

@@ -9,7 +9,7 @@ from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
-from repro.sim.process import DetachedProcess, Process
+from repro.sim.process import DetachedProcess, Gather, Process
 
 
 class EmptySchedule(SimulationError):
@@ -39,8 +39,7 @@ class Environment:
     without a branch on the hot path.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_crash",
-                 "_push")
+    __slots__ = ("_now", "_queue", "_seq", "_crash", "_push")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -48,18 +47,12 @@ class Environment:
         self._seq = 0  # same-instant tie-break, incremented per schedule
         self._push: Callable[[Tuple[float, int, Event]], None] = (
             partial(heappush, self._queue))
-        self._active_process: Optional[Process] = None
         self._crash: Optional[BaseException] = None
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event factories
@@ -84,7 +77,29 @@ class Environment:
         completion event; an uncaught exception still surfaces through
         :meth:`run`.  Use :meth:`process` when the handle is wanted.
         """
-        DetachedProcess(self, generator)
+        self.spawn_all((generator,))
+
+    def spawn_all(self,
+                  generators: Iterable[Generator[Any, Any, Any]]) -> None:
+        """:meth:`spawn` several processes together: one queue entry.
+
+        The entry runs each generator's first step in order — the
+        schedule one ``spawn`` per member gives, since consecutive
+        bootstraps admit nothing between them — and only a generator
+        that yields becomes a process at all.
+        """
+        DetachedProcess.start_all(self, generators)
+
+    def gather(self,
+               generators: Iterable[Generator[Any, Any, Any]]) -> Gather:
+        """Start ``generators`` together and join them.
+
+        The returned event triggers with the list of their return
+        values, in input order, and fails with the first failure.  It
+        replaces ``all_of([process(g) for g in ...])``; :meth:`all_of`
+        remains for joins over events that are not process starts.
+        """
+        return Gather(self, generators)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
@@ -239,5 +254,5 @@ class Environment:
     # Crash handling (uncaught exceptions in un-awaited processes)
     # ------------------------------------------------------------------
 
-    def _crashed(self, process: Process, exc: BaseException) -> None:
+    def _crashed(self, exc: BaseException) -> None:
         self._crash = exc

@@ -10,6 +10,8 @@ Every rule encodes an invariant another PR established at runtime:
 * RPL005 no-swallow        — no silently swallowed exceptions (PR 4)
 * RPL006 telemetry-labels  — statically known metric cardinality (PR 2)
 * RPL007 spawn-discarded   — a dropped process handle means ``spawn`` (PR 13)
+* RPL008 start-together    — a fan-out starts through ``gather``/``spawn_all``
+  (PR 15)
 """
 
 from __future__ import annotations
@@ -587,6 +589,15 @@ class TelemetryLabelsRule(Rule):
                    for el in expr.elts)
 
 
+def _starts_process(expr: ast.AST) -> bool:
+    """Whether ``expr`` is ``<env>.process(<call>)``."""
+    return (isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "process"
+            and len(expr.args) == 1
+            and isinstance(expr.args[0], ast.Call))
+
+
 @rule
 class SpawnDiscardedRule(Rule):
     """RPL007: a process whose handle is dropped is started with ``spawn``.
@@ -605,16 +616,106 @@ class SpawnDiscardedRule(Rule):
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)):
-                continue
-            call = node.value
-            if (isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "process"
-                    and len(call.args) == 1
-                    and isinstance(call.args[0], ast.Call)):
+            if isinstance(node, ast.Expr) and _starts_process(node.value):
                 yield self.finding(
-                    module, call,
+                    module, node.value,
                     "process(...) handle is discarded; start "
                     "fire-and-forget processes with spawn(...) (no "
                     "completion event is scheduled)")
+
+
+@rule
+class StartTogetherRule(Rule):
+    """RPL008: processes started back-to-back share one queue entry.
+
+    ``env.all_of([env.process(g) for g in ...])`` pays a bootstrap, a
+    completion event and a subscription per child, and a ``for`` loop of
+    ``env.spawn(g)`` a bootstrap per member; ``env.gather(...)`` and
+    ``env.spawn_all(...)`` run the same schedule from one entry
+    (DESIGN.md §13, "Starting together").  ``all_of`` stays for joins
+    over events that are not process starts.
+
+    The ``all_of`` argument is followed through the enclosing function:
+    a list, tuple, comprehension or ``+`` of them, a name assigned one,
+    a name ``.append``-ed a fresh process, and element names assigned
+    ``<env>.process(<call>)``.
+    """
+
+    code = "RPL008"
+    name = "start-together"
+    description = ("`all_of` over freshly started processes must be "
+                   "`gather(...)`; a `for` body that only assigns and "
+                   "`spawn`s must be `spawn_all(...)`")
+    paths = ("repro/",)
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.For):
+                if self._is_spawn_loop(node):
+                    yield self.finding(
+                        module, node,
+                        "loop only starts fire-and-forget processes; "
+                        "start them together with spawn_all(...) (one "
+                        "queue entry, same schedule)")
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "all_of"
+                    and len(node.args) == 1):
+                scope = module.enclosing_function(node) or module.tree
+                if self._fresh(node.args[0], scope, follow=True):
+                    yield self.finding(
+                        module, node,
+                        "all_of(...) over freshly started processes; pass "
+                        "the generators to gather(...) (one start entry, "
+                        "one completion event, same schedule)")
+
+    @staticmethod
+    def _is_spawn_loop(loop: ast.For) -> bool:
+        spawns = 0
+        for stmt in loop.body:
+            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                continue
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Call)
+                    and isinstance(stmt.value.func, ast.Attribute)
+                    and stmt.value.func.attr == "spawn"
+                    and len(stmt.value.args) == 1
+                    and isinstance(stmt.value.args[0], ast.Call)):
+                return False
+            spawns += 1
+        # A yield in the body (``x = yield ...``) lets time pass between
+        # the starts: those are not started together.
+        return spawns > 0 and not any(
+            isinstance(inner, (ast.Yield, ast.YieldFrom, ast.Await))
+            for stmt in loop.body for inner in ast.walk(stmt))
+
+    def _fresh(self, expr: ast.AST, scope: ast.AST, follow: bool) -> bool:
+        """Whether ``expr`` holds processes started where it was built."""
+        if isinstance(expr, (ast.List, ast.Tuple)):
+            return any(self._fresh(el, scope, follow) for el in expr.elts)
+        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
+            return _starts_process(expr.elt)
+        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
+            return (self._fresh(expr.left, scope, follow)
+                    or self._fresh(expr.right, scope, follow))
+        if isinstance(expr, ast.Name) and follow:
+            return self._bound_fresh(expr.id, scope)
+        return _starts_process(expr)
+
+    def _bound_fresh(self, name: str, scope: ast.AST) -> bool:
+        """Whether ``name`` is assigned or appended fresh processes."""
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign):
+                if any(isinstance(t, ast.Name) and t.id == name
+                       for t in node.targets) \
+                        and self._fresh(node.value, scope, follow=False):
+                    return True
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == name
+                    and len(node.args) == 1
+                    and _starts_process(node.args[0])):
+                return True
+        return False

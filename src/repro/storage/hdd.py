@@ -145,11 +145,8 @@ class HddArray(Device):
                     request, self.service_time(request))
                 if extra > 0:
                     yield self.env.timeout(extra)
-            pending = [
-                self.env.process(self._serve_one(fragment))
-                for fragment in fragments
-            ]
-            yield self.env.all_of(pending)
+            yield self.env.gather(
+                self._serve_one(fragment) for fragment in fragments)
             if self.faults is not None:
                 failure = self.faults.on_complete(request)
             if failure is None:

@@ -74,9 +74,11 @@ def measure_iops(make_device, kind: IoKind, duration: float = 20.0,
     nchannels = getattr(device, "ndisks", None) or device.channels.capacity
     counter = {"completed": 0}
     nworkers = nchannels * workers_per_channel
-    for worker in range(nworkers):
-        addresses = _address_stream(device, kind, span_pages, worker, nworkers)
-        env.spawn(_worker(env, device, kind, addresses, counter))
+    env.spawn_all(
+        _worker(env, device, kind,
+                _address_stream(device, kind, span_pages, worker, nworkers),
+                counter)
+        for worker in range(nworkers))
     env.run(until=duration)
     return counter["completed"] / duration
 

@@ -20,30 +20,20 @@ class IoKind(enum.Enum):
     def __init__(self, direction: str, random: bool):
         self.direction = direction
         self.random = random
-
-    @property
-    def is_read(self) -> bool:
-        """Whether this is a read class."""
-        return self.direction == "read"
-
-    @property
-    def is_write(self) -> bool:
-        """Whether this is a write class."""
-        return self.direction == "write"
+        #: Whether this is a read class / a write class.
+        self.is_read = direction == "read"
+        self.is_write = direction == "write"
 
     @staticmethod
     def of(direction: str, random: bool) -> "IoKind":
         """Build the kind from a direction string and a randomness flag."""
-        table = {
-            ("read", True): IoKind.RANDOM_READ,
-            ("read", False): IoKind.SEQUENTIAL_READ,
-            ("write", True): IoKind.RANDOM_WRITE,
-            ("write", False): IoKind.SEQUENTIAL_WRITE,
-        }
         try:
-            return table[(direction, random)]
+            return _KIND_OF[(direction, random)]
         except KeyError:
             raise ValueError(f"unknown I/O direction {direction!r}") from None
+
+
+_KIND_OF = {kind.value: kind for kind in IoKind}
 
 
 class IORequest:

@@ -198,11 +198,9 @@ class TpchWorkload:
         nlookups = int(profile.li_lookup_fraction * self._li_pages)
         keys = [rng.randrange(self._li_pages) for _ in range(nlookups)]
         for start in range(0, nlookups, self.lookup_parallelism):
-            wave = [
-                system.env.process(self._one_lookup(system, txn, key))
-                for key in keys[start:start + self.lookup_parallelism]
-            ]
-            yield system.env.all_of(wave)
+            yield system.env.gather(
+                self._one_lookup(system, txn, key)
+                for key in keys[start:start + self.lookup_parallelism])
         yield from txn.commit()
 
     def _one_lookup(self, system, txn: Transaction, key: int):
@@ -263,9 +261,8 @@ class TpchWorkload:
             for _ in range(self.streams):
                 yield from self.refresh(system, rng)
 
-        procs = [env.process(stream(i)) for i in range(self.streams)]
-        procs.append(env.process(refresher()))
-        yield env.all_of(procs)
+        yield env.gather(
+            [stream(i) for i in range(self.streams)] + [refresher()])
         result.throughput_elapsed = env.now - started
 
     def full_run(self, system):

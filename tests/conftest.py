@@ -5,12 +5,18 @@ import json
 import random
 
 import pytest
+from hypothesis import settings as hypothesis_settings
 
 from repro.sim import Environment
 from repro.storage import HddArray, Ssd
 from repro.core import DESIGNS, SsdDesignConfig
 from repro.engine import BufferPool, Checkpointer, Database, DiskManager, WriteAheadLog
 from repro.harness.system import System, SystemConfig
+
+# ``--hypothesis-profile=thorough`` for the long CI pass over a property
+# test that leaves ``max_examples`` to the profile.
+hypothesis_settings.register_profile("thorough", max_examples=1000,
+                                     deadline=None)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -193,6 +193,24 @@ class TestPrefetch:
         # One fetch brought in the whole aligned 8-page run.
         assert len(sys_.bp.frames) == 8
 
+    @pytest.mark.parametrize("trimmed", [1, 4])
+    def test_fully_trimmed_prefetch_event_budget(self, trimmed):
+        """A read-ahead served by k single-page SSD reads schedules
+        ``2k + 3`` events: one start entry, two per device I/O, the last
+        child's completion and the join (``4k + 1`` when every child had
+        its own bootstrap and completion).  Pinned so it cannot quietly
+        re-inflate."""
+        sys_ = MiniSystem(design="DW", db_pages=500, bp_pages=64,
+                          ssd_frames=32)
+        for page in range(10, 10 + trimmed):
+            drive(sys_.env, sys_.ssd_manager._cache_page(page, 0, False))
+        settle(sys_.env)
+        before = sys_.env._seq
+        drive(sys_.env, sys_.bp.prefetch(10, trimmed))
+        assert sys_.ssd_manager.stats.reads == trimmed
+        # drive() adds the prefetch process's own bootstrap and completion.
+        assert sys_.env._seq - before - 2 == 2 * trimmed + 3
+
 
 class TestNewPage:
     def test_new_page_starts_dirty(self, sys_):

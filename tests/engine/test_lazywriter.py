@@ -1,5 +1,6 @@
 """Tests for the buffer pool's background lazy writer."""
 
+import repro.sim.process as process_module
 from tests.conftest import MiniSystem, drive, settle
 
 
@@ -28,6 +29,36 @@ class TestCushion:
         settle(sys_.env)
         assert sys_.bp.stats.evictions_clean == 0
         assert sys_.bp.stats.evictions_dirty == 0
+
+    def test_clean_batch_costs_one_event_and_no_process(self, monkeypatch):
+        """A batch of victims needing no write-out starts in one queue
+        entry (it was one bootstrap per victim) and, every ``_evict``
+        returning in its first step, allocates no process."""
+        sys_ = MiniSystem(design="noSSD", db_pages=2_000, bp_pages=64)
+        bp = sys_.bp
+
+        def fill():
+            # Down to the low-water mark, not below: no eviction yet.
+            for pid in range(bp.capacity - bp._low_water):
+                frame = yield from bp.fetch(pid)
+                bp.unpin(frame)
+
+        drive(sys_.env, fill())
+        settle(sys_.env)
+        assert bp.stats.evictions_clean == 0
+        victims = bp._high_water - bp.free_frames
+        assert victims > 1
+        built = []
+        monkeypatch.setattr(process_module.DetachedProcess, "_bind",
+                            lambda self, env, generator: built.append(self))
+        before = sys_.env._seq
+        bp._kick_lazywriter()
+        settle(sys_.env)
+        assert bp.stats.evictions_clean == victims
+        assert built == []
+        # The kick's wake-up, the batch entry, and the wake-up the first
+        # eviction's own kick schedules.
+        assert sys_.env._seq - before == 3
 
 
 class TestOverlap:

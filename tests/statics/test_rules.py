@@ -388,6 +388,142 @@ class TestSpawnDiscarded:
         assert result.suppressed == 1
 
 
+class TestStartTogether:
+    PATH = "src/repro/engine/thing.py"
+
+    def test_all_of_over_comprehension_of_starts_flagged(self):
+        result = lint("""
+            def wave(self, frames):
+                yield self.env.all_of(
+                    [self.env.process(self._flush(f)) for f in frames])
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_all_of_over_named_list_of_starts_flagged(self):
+        result = lint("""
+            def wave(self, frames):
+                pending = [
+                    self.env.process(self._flush(f)) for f in frames
+                ]
+                results = yield self.env.all_of(pending)
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_all_of_over_appended_starts_flagged(self):
+        result = lint("""
+            def prefetch(self, plan):
+                ios = []
+                if plan.disk_count:
+                    ios.append(self.env.process(self._disk_run(plan)))
+                for pid in plan.ssd_pages:
+                    ios.append(self.env.process(self._ssd_single(pid)))
+                yield self.env.all_of(ios)
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_all_of_over_named_starts_flagged(self):
+        result = lint("""
+            def dual_write(self, frame):
+                disk_write = self.env.process(self.disk.write(frame))
+                ssd_write = self.env.process(self._cache_page(frame))
+                yield self.env.all_of([disk_write, ssd_write])
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_all_of_over_concatenated_starts_flagged(self):
+        result = lint("""
+            def run(env, streams, refresher):
+                procs = [env.process(s()) for s in streams]
+                yield env.all_of(procs + [env.process(refresher())])
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_gather_clean(self):
+        result = lint("""
+            def wave(self, frames):
+                results = yield self.env.gather(
+                    self._flush(f) for f in frames)
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_all_of_over_plain_events_clean(self):
+        # Joins over events that are not process starts keep all_of.
+        result = lint("""
+            def wait(self, requests, handles):
+                done = [self.device.submit(r) for r in requests]
+                yield self.env.all_of(done)
+                yield self.env.all_of(handles)
+                yield self.env.all_of([self.env.timeout(1), self._wake])
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_spawn_loop_flagged(self):
+        result = lint("""
+            def lazywriter(self, victims):
+                for victim in victims:
+                    victim.io_busy = self.env.event()
+                    self._evicting += 1
+                    self.env.spawn(self._evict(victim))
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_bare_spawn_loop_flagged(self):
+        result = lint("""
+            def start(env, workers):
+                for worker in workers:
+                    env.spawn(worker(env))
+            """, self.PATH)
+        assert codes(result) == ["RPL008"]
+
+    def test_spawn_all_clean(self):
+        result = lint("""
+            def start(env, workers):
+                env.spawn_all(worker(env) for worker in workers)
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_spawn_loop_that_yields_clean(self):
+        # Time passes between the starts: not started together.
+        result = lint("""
+            def trickle(self, jobs):
+                for job in jobs:
+                    slot = yield self.slots.get()
+                    self.env.spawn(self._run(job, slot))
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_spawn_among_other_effects_clean(self):
+        result = lint("""
+            def arm(self, specs):
+                for spec in specs:
+                    if spec.kind == "die":
+                        self.env.spawn(self._die_at(spec))
+                    else:
+                        self.env.spawn(self._stall_at(spec))
+                for spec in specs:
+                    self.register(spec)
+                    self.env.spawn(self._watch(spec))
+            """, self.PATH)
+        assert codes(result) == []
+
+    def test_out_of_scope_path_clean(self):
+        result = lint("""
+            def churn(env, worker):
+                procs = [env.process(worker()) for _ in range(8)]
+                env.run(env.all_of(procs))
+            """, "tests/conftest.py")
+        assert codes(result) == []
+
+    def test_suppressed(self):
+        result = lint("""
+            def reference(env, gens):
+                yield env.all_of(  # repro: noqa[RPL008]
+                    [env.process(g()) for g in gens])
+            """, self.PATH)
+        assert codes(result) == []
+        assert result.suppressed == 1
+
+
 class TestSuppressionForms:
     PATH = "src/repro/engine/x.py"
 

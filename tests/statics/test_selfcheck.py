@@ -40,7 +40,7 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-                     "RPL006", "RPL007"):
+                     "RPL006", "RPL007", "RPL008"):
             assert code in out
 
     def test_unknown_code_is_usage_error(self, capsys):
