@@ -36,6 +36,13 @@ class _Node:
     def is_leaf(self) -> bool:
         return self.children is None
 
+    def value_of(self, key: int) -> Optional[int]:
+        """The value stored under ``key`` in this leaf, or None."""
+        keys = self.keys
+        index = bisect.bisect_left(keys, key)
+        found = index < len(keys) and keys[index] == key
+        return self.values[index] if found else None
+
 
 class BPlusTree:
     """A B+-tree over integer keys with page-granular I/O accounting."""
@@ -116,18 +123,11 @@ class BPlusTree:
     # Traversal
     # ------------------------------------------------------------------
 
-    def _descend(self, node: _Node, key: int) -> int:
-        index = bisect.bisect_right(node.keys, key)
-        return node.children[index]
-
     def lookup(self, bp: BufferPool, key: int, ctx=None):
         """Process step: point lookup; returns the value or None."""
         frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
         frame.pin_count -= 1
-        keys = leaf.keys
-        index = bisect.bisect_left(keys, key)
-        found = index < len(keys) and keys[index] == key
-        return leaf.values[index] if found else None
+        return leaf.value_of(key)
 
     def update(self, bp: BufferPool, key: int, txn_id: Optional[int] = None,
                ctx=None):
@@ -165,27 +165,19 @@ class BPlusTree:
         # inner-node pins are pure hits after warm-up, so the pin-hit
         # fast path (the body of ``BufferPool.pin_hit``) is inlined per
         # level and the ``fetch`` generator taken only on a miss or a
-        # busy frame.  The inline unpin releases a pin this loop itself
-        # took a few lines up (validation would be tautological).
+        # busy frame.  A modeled partition latch is one timer per level,
+        # yielded here.  The inline unpin releases a pin this loop
+        # itself took a few lines up (validation would be tautological).
         pid = self.root_page
         nodes = self.nodes
         bisect_right = bisect.bisect_right
-        if bp._latch_s:
-            # Latch service time is modeled: every pin must queue in
-            # virtual time, so each level takes the fetch generator.
-            while True:
-                frame = yield from bp.fetch(pid, ctx=ctx)
-                node = nodes[pid]
-                if node.is_leaf:
-                    return frame, node
-                next_pid = node.children[bisect_right(node.keys, key)]
-                frame.pin_count -= 1
-                pid = next_pid
+        latched = bp._latch_s > 0.0
         env = bp.env
         frames = bp.frames
         stats = bp.stats
-        hit_inc = bp._tm_hit_inc
         while True:
+            if latched:
+                yield bp.latch(pid, ctx)
             frame = frames.get(pid)
             if frame is not None and frame.io_busy is None:
                 frame.pin_count += 1
@@ -194,15 +186,14 @@ class BPlusTree:
                 bp._stamp = stamp = bp._stamp + 1
                 frame.lru_stamp = stamp
                 stats.hits += 1
-                hit_inc()
             else:
-                frame = yield from bp.fetch(pid, ctx=ctx)
+                frame = yield from bp.fetch(pid, ctx=ctx, latched=True)
             node = nodes[pid]
-            if node.is_leaf:
+            children = node.children
+            if children is None:
                 return frame, node
-            next_pid = node.children[bisect_right(node.keys, key)]
             frame.pin_count -= 1
-            pid = next_pid
+            pid = children[bisect_right(node.keys, key)]
 
     # ------------------------------------------------------------------
     # Splits

@@ -43,7 +43,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 from repro.engine.disk_manager import DiskManager
 from repro.engine.page import Frame, PageId
 from repro.engine.readahead import ReadAhead
@@ -146,9 +146,9 @@ class BufferPool:
     """
 
     __slots__ = (
-        "env", "telemetry", "_tracer", "_tm_hit", "_tm_hit_inc",
-        "_tm_ssd_hit", "_tm_disk_read", "_tm_evict_clean",
-        "_tm_evict_dirty", "_tm_latch_waits", "_tm_latch_wait_seconds",
+        "env", "telemetry", "_tracer", "_tm_ssd_hit", "_tm_disk_read",
+        "_tm_evict_clean", "_tm_evict_dirty", "_tm_latch_waits",
+        "_tm_latch_wait_seconds",
         "_tm_prefetched", "_tm_partition_latch", "capacity", "disk",
         "wal", "ssd", "readahead", "expand_reads", "stats", "frames",
         "_inflight", "_reserved", "_stamp", "_dirty", "partitions",
@@ -175,8 +175,8 @@ class BufferPool:
         requests = registry.counter(
             "bp_requests_total", "Page requests by how they were served",
             labelnames=("result",))
-        self._tm_hit = requests.labels(result="hit")
-        self._tm_hit_inc = self._tm_hit.inc  # pre-bound: hottest counter
+        # The hottest count is a view: read off ``stats`` when scraped.
+        requests.labels(result="hit").set_function(lambda: self.stats.hits)
         self._tm_ssd_hit = requests.labels(result="ssd_hit")
         self._tm_disk_read = requests.labels(result="disk_read")
         evictions = registry.counter(
@@ -276,14 +276,12 @@ class BufferPool:
     def pin_hit(self, page_id: PageId) -> Optional[Frame]:
         """Pin and return ``page_id``'s frame iff this needs no waiting.
 
-        The no-I/O, no-latch hit path of :meth:`fetch` as a plain call:
-        hot callers try this first and fall back to the ``fetch``
-        generator only on a miss, a latched frame, or when a partition
-        latch service time is modeled (which must queue in virtual
-        time).  Returns None when the caller must take ``fetch``.
+        The no-I/O hit path of :meth:`fetch` as a plain call: hot
+        callers try this first (after yielding :meth:`latch`, when a
+        latch service time is modeled) and take ``fetch(...,
+        latched=True)`` only when it returns None: a miss or a latched
+        frame.
         """
-        if self._latch_s:
-            return None
         frame = self.frames.get(page_id)
         if frame is None or frame.io_busy is not None:
             return None
@@ -295,19 +293,19 @@ class BufferPool:
         self._stamp = stamp = self._stamp + 1
         frame.lru_stamp = stamp
         self.stats.hits += 1
-        self._tm_hit_inc()
         return frame
 
-    def fetch(self, page_id: PageId, ctx=None):
+    def fetch(self, page_id: PageId, ctx=None, latched: bool = False):
         """Process step: pin and return the frame for ``page_id``.
 
         The caller must :meth:`unpin` the frame when done with it.
         ``ctx`` (a :class:`~repro.telemetry.TraceContext`) attributes
         every wait and I/O along the way to the causing transaction.
+        ``latched`` says the caller already waited on :meth:`latch` for
+        this access (it tried the hit path in between).
         """
-        if self._latch_s:
-            yield from self._latch(self._parts[page_id % self._nparts],
-                                   ctx=ctx)
+        if self._latch_s and not latched:
+            yield self.latch(page_id, ctx)
         env = self.env
         frames = self.frames
         stats = self.stats
@@ -339,7 +337,6 @@ class BufferPool:
                 self._stamp = stamp = self._stamp + 1
                 frame.lru_stamp = stamp
                 stats.hits += 1
-                self._tm_hit_inc()
                 return frame
 
             pending = self._inflight.get(page_id)
@@ -375,13 +372,16 @@ class BufferPool:
             self._touch(frame)
             return frame
 
-    def _latch(self, part: PoolPartition, ctx=None):
-        """Process step: one page-table access under the partition latch.
+    def latch(self, page_id: PageId, ctx=None) -> Timeout:
+        """One page-table access under ``page_id``'s partition latch.
 
         FIFO single-server queue in virtual time: the request starts
         when the previous one completes and holds the latch for the
-        modeled service time.  Only reached when ``latch_seconds > 0``.
+        modeled service time.  Returns the timer the caller yields, so
+        a latched hit costs one event and no generator.  Only called
+        when ``latch_seconds > 0``.
         """
+        part = self._parts[page_id % self._nparts]
         env = self.env
         now = env._now
         start = part.busy_until
@@ -403,7 +403,7 @@ class BufferPool:
                 self._tracer.complete("partition_latch", now, start, "bp",
                                       "buffer_pool",
                                       {"partition": part.index}, ctx=ctx)
-        yield env.timeout(wait + service)
+        return Timeout(env, wait + service)
 
     def _read_in(self, page_id: PageId, ctx=None):
         """Process step: bring a missing page in (SSD first, else disk).
@@ -644,11 +644,6 @@ class BufferPool:
             part = self._parts[frame.page_id % self._nparts]
             part.resident += 1
             heappush(part.heap, (frame.prev_access, stamp, frame.page_id))
-
-    def _pick_victim(self) -> Optional[Frame]:
-        """Pop the LRU-2 victim: oldest penultimate access, unpinned."""
-        victims = self._pick_victims(1)
-        return victims[0] if victims else None
 
     def _pick_victims(self, want: int) -> List[Frame]:
         """Pop up to ``want`` LRU-2 victims across all partitions.

@@ -51,41 +51,36 @@ class HeapFile:
 
         ra = bp.readahead
         pin_hit = bp.pin_hit
-        trigger = min(ra.trigger_pages, count)
-        scanned = 0
-        # Leading pages: read individually before read-ahead engages.
-        for pid in range(first, first + trigger):
-            frame = pin_hit(pid)
-            if frame is None:
-                frame = yield from bp.fetch(pid, ctx=ctx)
-            if accuracy is not None:
-                accuracy.score(frame.sequential, True)
-            frame.pin_count -= 1
-            scanned += 1
-        # Remaining pages: pipelined read-ahead — keep ``ra.depth``
-        # prefetch batches in flight ahead of the consume position so the
+        latched = bp._latch_s > 0.0
+        # The leading span is read page by page before read-ahead
+        # engages; the rest in pipelined batches — keep ``ra.depth``
+        # prefetches in flight ahead of the consume position so the
         # striped array streams from all drives at once.
-        position = first + trigger
+        position = first + min(ra.trigger_pages, count)
         end = first + count
-        batches = []
+        spans = [(first, position - first)]
         while position < end:
             batch = min(ra.batch_pages, end - position)
-            batches.append((position, batch))
+            spans.append((position, batch))
             position += batch
         env = bp.env
         inflight = {}
-        launched = 0
-        for index, (start_page, batch) in enumerate(batches):
-            while launched < len(batches) and launched < index + ra.depth:
-                b_start, b_count = batches[launched]
-                inflight[launched] = env.process(
-                    bp.prefetch(b_start, b_count, ctx=ctx))
-                launched += 1
-            yield inflight.pop(index)
+        launched = 1  # spans[0] is not prefetched
+        scanned = 0
+        for index, (start_page, batch) in enumerate(spans):
+            if index:
+                while launched < len(spans) and launched < index + ra.depth:
+                    b_start, b_count = spans[launched]
+                    inflight[launched] = env.process(
+                        bp.prefetch(b_start, b_count, ctx=ctx))
+                    launched += 1
+                yield inflight.pop(index)
             for pid in range(start_page, start_page + batch):
+                if latched:
+                    yield bp.latch(pid, ctx)
                 frame = pin_hit(pid)
                 if frame is None:
-                    frame = yield from bp.fetch(pid, ctx=ctx)
+                    frame = yield from bp.fetch(pid, ctx=ctx, latched=True)
                 if accuracy is not None:
                     accuracy.score(frame.sequential, True)
                 frame.pin_count -= 1

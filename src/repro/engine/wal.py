@@ -58,16 +58,15 @@ class WriteAheadLog:
         self._next_lsn = 0
         self._truncated = 0  # records dropped by checkpoint truncation
         self._write_head = 0  # log-device page cursor
-        self._flusher_running = False
-        self._waiters: List[tuple] = []  # (lsn, Event)
+        self.crash_reset()  # the volatile group-commit state starts empty
         self.telemetry = telemetry or NULL_TELEMETRY
         if self.telemetry.enabled:
             self.device.attach_telemetry(self.telemetry)
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._tm_records = registry.counter(
-            "wal_records_total", "Redo records appended to the log tail")
-        self._tm_records_inc = self._tm_records.inc  # pre-bound: hot path
+        registry.counter(
+            "wal_records_total", "Redo records appended to the log tail"
+        ).set_function(lambda: self._next_lsn)
         self._tm_flushes = registry.counter(
             "wal_flushes_total", "Group-commit flushes of the log tail")
         self._tm_pages_flushed = registry.counter(
@@ -88,7 +87,6 @@ class WriteAheadLog:
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         self.records.append(LogRecord(lsn, page_id, version, txn_id))
-        self._tm_records_inc()
         return lsn
 
     def records_since(self, lsn: int) -> List[LogRecord]:
@@ -105,18 +103,23 @@ class WriteAheadLog:
         """Process step: return once records up to ``lsn`` are durable.
 
         Concurrent forcers are batched: whoever arrives while a flush is in
-        flight simply waits for a later flush that covers their LSN.  The
-        waiter's time is recorded as a ``wal_wait`` span under ``ctx`` —
-        the group-commit flush I/O itself belongs to the flusher, not to
-        any one waiter.
+        flight wakes with it if it covers their LSN and with the next one
+        otherwise, in arrival order either way.  The waiter's time is
+        recorded as a ``wal_wait`` span under ``ctx`` — the group-commit
+        flush I/O itself belongs to the flusher, not to any one waiter.
         """
         if lsn <= self.flushed_lsn:
             return
-        done = Event(self.env)
-        self._waiters.append((lsn, done))
-        if not self._flusher_running:
-            self._flusher_running = True
-            self.env.spawn(self._flush_loop())
+        if lsn >= self._next_lsn:  # never appended: no flush makes it durable
+            raise ValueError(f"forcing LSN {lsn} past the log tail "
+                             f"{self.tail_lsn}")
+        if lsn <= self._flushing_lsn:
+            done = self._flushing
+        else:
+            done = self._next
+            if not self._flusher_running:
+                self._flusher_running = True
+                self.env.spawn(self._flush_loop())
         started = self.env.now
         yield done
         if self._tracer.enabled:
@@ -124,8 +127,10 @@ class WriteAheadLog:
                                   "wal", "wal", ctx=ctx)
 
     def _flush_loop(self):
-        while self._waiters:
-            target = self.tail_lsn  # flush everything appended so far
+        while self._next.callbacks:
+            self._flushing, self._next = self._next, Event(self.env)
+            # Flush everything appended so far.
+            self._flushing_lsn = target = self.tail_lsn
             pending = target - self.flushed_lsn
             npages = max(1, -(-pending // RECORDS_PER_LOG_PAGE))
             request = IORequest(IoKind.SEQUENTIAL_WRITE, self._write_head,
@@ -140,13 +145,7 @@ class WriteAheadLog:
                                       "wal", "wal",
                                       {"pages": npages, "records": pending})
             self.flushed_lsn = target
-            still_waiting = []
-            for lsn, event in self._waiters:
-                if lsn <= self.flushed_lsn:
-                    event.succeed()
-                else:
-                    still_waiting.append((lsn, event))
-            self._waiters = still_waiting
+            self._flushing.succeed()
         self._flusher_running = False
 
     def _flush_with_retry(self, request: IORequest):
@@ -182,9 +181,16 @@ class WriteAheadLog:
         """Volatile flush state is lost in a hard crash.
 
         Durable state — ``records``/``flushed_lsn``/the write head —
-        survives; the waiter list and the flusher flag belong to wiped
-        processes and must be cleared so post-recovery forces start a
-        fresh flusher.
+        survives; both forcer groups and the flusher flag belong to wiped
+        processes and must be dropped so post-recovery forces start a
+        fresh flusher and never join the flush the crash cut short.
+
+        Group commit is two shared events: forcers the flush in flight
+        covers (LSN <= ``_flushing_lsn``, its target) wait on
+        ``_flushing``, everyone else on ``_next``, which the following
+        flush takes over.
         """
-        self._waiters = []
+        self._flushing: Optional[Event] = None
+        self._flushing_lsn = self.flushed_lsn
+        self._next = Event(self.env)
         self._flusher_running = False

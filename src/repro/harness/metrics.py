@@ -244,9 +244,13 @@ class LatencyTracker:
 
     def record(self, txn_type: str, latency: float) -> None:
         """Record one completed transaction's latency."""
-        self._samples.setdefault(txn_type, []).append(latency)
-        self._sorted.pop(txn_type, None)
-        self._sorted.pop(None, None)
+        samples = self._samples.get(txn_type)
+        if samples is None:
+            samples = self._samples[txn_type] = []
+        samples.append(latency)
+        if self._sorted:  # stays empty while a run records
+            self._sorted.pop(txn_type, None)
+            self._sorted.pop(None, None)
 
     def count(self, txn_type: str = None) -> int:
         """Number of recorded transactions (optionally one type)."""

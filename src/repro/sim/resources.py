@@ -104,18 +104,6 @@ class Resource:
             nxt.succeed()
 
 
-class StoreGet(Event):
-    """Pending retrieval of one item from a :class:`Store`."""
-
-    __slots__ = ()
-
-
-class StorePut(Event):
-    """Completed insertion of one item into a :class:`Store`."""
-
-    __slots__ = ()
-
-
 class Store:
     """An unbounded FIFO queue of items with blocking ``get``.
 
@@ -128,21 +116,22 @@ class Store:
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
+        self._getters: Deque[Event] = deque()
 
-    def put(self, item: Any) -> StorePut:
-        """Add ``item``; wakes the oldest blocked getter, if any."""
-        event = StorePut(self.env)
-        event.succeed()
+    def put(self, item: Any) -> None:
+        """Add ``item``; wakes the oldest blocked getter, if any.
+
+        The store is unbounded, so a put never waits and schedules
+        nothing of its own.
+        """
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
             self.items.append(item)
-        return event
 
-    def get(self) -> StoreGet:
+    def get(self) -> Event:
         """Event that triggers with the next item (FIFO order)."""
-        event = StoreGet(self.env)
+        event = Event(self.env)
         if self.items:
             event.succeed(self.items.popleft())
         else:

@@ -24,6 +24,10 @@ class IoKind(enum.Enum):
         self.is_read = direction == "read"
         self.is_write = direction == "write"
 
+    # Identity, like Enum's ``__eq__``: ``Enum.__hash__`` is a Python-level
+    # ``hash(self._name_)``, paid by four keyed lookups per device I/O.
+    __hash__ = object.__hash__
+
     @staticmethod
     def of(direction: str, random: bool) -> "IoKind":
         """Build the kind from a direction string and a randomness flag."""

@@ -38,15 +38,16 @@ def percentile_of(sorted_values: Sequence[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count, stored or read from a callback."""
 
     kind = "counter"
-    __slots__ = ("name", "labels", "_value")
+    __slots__ = ("name", "labels", "_value", "_fn")
 
     def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.labels = labels or {}
         self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
@@ -54,10 +55,14 @@ class Counter:
             raise ValueError(f"counters only go up, got {amount}")
         self._value += amount
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Read ``fn()`` when scraped: a view of a count the owner keeps."""
+        self._fn = fn
+
     @property
     def value(self) -> float:
-        """Current count."""
-        return self._value
+        """Current count (calls the callback if one is set)."""
+        return float(self._fn()) if self._fn is not None else self._value
 
 
 class Gauge:
@@ -276,6 +281,9 @@ class NullCounter:
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def set_function(self, fn) -> None:
         pass
 
     def labels(self, **labelvalues):

@@ -64,18 +64,22 @@ class Transaction:
     def read(self, page_id: int):
         """Process step: read one page (fetch + unpin)."""
         bp = self.system.bp
+        if bp._latch_s:
+            yield bp.latch(page_id, self.ctx)
         frame = bp.pin_hit(page_id)
         if frame is None:
-            frame = yield from bp.fetch(page_id, ctx=self.ctx)
+            frame = yield from bp.fetch(page_id, ctx=self.ctx, latched=True)
         frame.pin_count -= 1
         return frame
 
     def update(self, page_id: int):
         """Process step: read-modify-write one page."""
         bp = self.system.bp
+        if bp._latch_s:
+            yield bp.latch(page_id, self.ctx)
         frame = bp.pin_hit(page_id)
         if frame is None:
-            frame = yield from bp.fetch(page_id, ctx=self.ctx)
+            frame = yield from bp.fetch(page_id, ctx=self.ctx, latched=True)
         self.last_lsn = bp.mark_dirty(frame, txn_id=self.txn_id)
         self.writes.append((frame.page_id, frame.version))
         frame.pin_count -= 1
@@ -83,7 +87,10 @@ class Transaction:
 
     def index_lookup(self, tree, key: int):
         """Process step: B+-tree point lookup."""
-        return (yield from tree.lookup(self.system.bp, key, ctx=self.ctx))
+        frame, leaf = yield from tree._fetch_leaf_frame(
+            self.system.bp, key, ctx=self.ctx)
+        frame.pin_count -= 1
+        return leaf.value_of(key)
 
     def index_update(self, tree, key: int):
         """Process step: B+-tree in-place update (dirties the leaf)."""

@@ -58,6 +58,13 @@ def drive(env, generator):
     return process.value
 
 
+def scheduled(env, body):
+    """Events scheduled while ``body`` runs as a process, less its own two."""
+    before = env._seq
+    env.run(env.process(body))
+    return env._seq - before - 2
+
+
 def meta_free_trace_md5(telemetry):
     """md5 of a run's trace without its ``run_meta`` events (they embed
     the source hash, which changes with any edit by design)."""
@@ -76,7 +83,8 @@ class MiniSystem:
     """A hand-wired small system for engine/core tests (no catalog)."""
 
     def __init__(self, design="noSSD", db_pages=2_000, bp_pages=100,
-                 ssd_frames=500, env=None, **ssd_kwargs):
+                 ssd_frames=500, env=None, bp_partitions=1, latch_seconds=0.0,
+                 **ssd_kwargs):
         self.env = env or Environment()
         self.data_device = HddArray(self.env)
         self.ssd_device = Ssd(self.env)
@@ -87,7 +95,8 @@ class MiniSystem:
         self.ssd_manager = DESIGNS[design](
             self.env, self.ssd_device, self.disk, self.wal, config)
         self.bp = BufferPool(self.env, bp_pages, self.disk, self.wal,
-                             self.ssd_manager)
+                             self.ssd_manager, partitions=bp_partitions,
+                             latch_seconds=latch_seconds)
         self.ssd_manager.bp = self.bp
         self.ssd_manager.start_cleaner()
         self.checkpointer = Checkpointer(self.env, self.bp, self.wal)

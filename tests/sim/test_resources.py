@@ -121,6 +121,21 @@ class TestStore:
         env.run()
         assert received == [(3, "late")]
 
+    def test_unwatched_put_schedules_nothing(self, env):
+        store = Store(env)
+        before = env._seq
+        assert store.put("a") is None
+        assert env._seq == before
+        assert env.peek() == float("inf")
+
+    def test_put_to_a_blocked_getter_schedules_its_wakeup_only(self, env):
+        store = Store(env)
+        getter = store.get()
+        before = env._seq
+        store.put("a")
+        assert env._seq == before + 1
+        assert env.run(getter) == "a"
+
     def test_len_reflects_buffered_items(self, env):
         store = Store(env)
         store.put(1)

@@ -1,5 +1,7 @@
 """Unit tests for I/O request descriptors."""
 
+import pickle
+
 import pytest
 
 from repro.storage.request import IoKind, IORequest, PAGE_SIZE_BYTES
@@ -23,6 +25,14 @@ class TestIoKind:
         assert IoKind.of("read", False) is IoKind.SEQUENTIAL_READ
         assert IoKind.of("write", True) is IoKind.RANDOM_WRITE
         assert IoKind.of("write", False) is IoKind.SEQUENTIAL_WRITE
+
+    def test_keys_dicts_by_identity_and_survives_pickling(self):
+        """The hash is the C-level identity one (hot per-kind lookups);
+        members are singletons, so a round trip finds the same key."""
+        assert IoKind.__hash__ is object.__hash__
+        table = {kind: kind.name for kind in IoKind}
+        for kind in IoKind:
+            assert table[pickle.loads(pickle.dumps(kind))] == kind.name
 
     def test_of_rejects_unknown_direction(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,13 @@ class TestMetricsAgreeWithStats:
         assert evictions.labels(kind="clean").value == stats.evictions_clean
         assert evictions.labels(kind="dirty").value == stats.evictions_dirty
 
+    def test_wal_record_counter_reads_the_lsn_counter(self, traced_run):
+        telemetry, result = traced_run
+        wal = result.system.wal
+        assert wal.tail_lsn >= 0
+        assert (telemetry.registry.get("wal_records_total").value
+                == wal.tail_lsn + 1)
+
     def test_ssd_manager_counters(self, traced_run):
         telemetry, result = traced_run
         registry = telemetry.registry

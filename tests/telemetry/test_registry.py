@@ -35,6 +35,14 @@ class TestGauge:
         gauge.dec(5)
         assert gauge.value == 7
 
+    def test_counter_can_be_a_view_of_its_owners_count(self):
+        state = {"n": 0}
+        counter = MetricRegistry().counter("c")
+        counter.set_function(lambda: state["n"])
+        state["n"] = 7
+        assert counter.value == 7.0
+        assert isinstance(counter.value, float)
+
     def test_callback_tracks_source(self):
         state = {"n": 0}
         gauge = MetricRegistry().gauge("g")
@@ -156,6 +164,7 @@ class TestNullRegistry:
         NULL_COUNTER.inc(100)
         NULL_GAUGE.set(5)
         NULL_GAUGE.set_function(lambda: 9)
+        NULL_COUNTER.set_function(lambda: 9)
         NULL_HISTOGRAM.observe(3.0)
         assert NULL_COUNTER.value == 0.0
         assert NULL_GAUGE.value == 0.0
