@@ -14,13 +14,23 @@ trace does: an open loop of two tenants on the wheel kernel, a closed
 LC loop, and TAC under the fault plan.  They were captured at commit
 13699ab, before the latch stopped being a generator and the group
 commit stopped waking its forcers one event each.
+
+``SERVICE_ORDER`` pins what a trace does not show: which drive served
+which fragment when, on the data array and the log disk, read through
+the public ``device.traffic`` hook.  Captured at commit 254aabe, on the
+generator-per-I/O ``HddArray`` (a ``Resource`` per drive, a ``gather``
+per request), before it became callbacks.
 """
+
+import hashlib
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.experiments import (SCALE_PROFILES, run_oltp_experiment,
                                        run_tpch_experiment,
                                        run_traffic_experiment)
+from repro.storage.device import TrafficRecorder
 from repro.telemetry import Telemetry
 from tests.conftest import meta_free_trace_md5
 
@@ -85,3 +95,73 @@ def test_trace_matches_generator_device(name):
     assert hooks <= fault_names
     assert hooks or not fault_names
     assert meta_free_trace_md5(telemetry) == pinned
+
+
+class _ServiceLog(TrafficRecorder):
+    """Logs every fragment completion a striped device reports."""
+
+    def __init__(self, device, log):
+        super().__init__(bucket_seconds=1.0)
+        self.device = device
+        self.log = log
+
+    def record(self, when, request):
+        self.log.append((when, self.device.name,
+                         self.device.disk_of(request.address),
+                         request.address, request.npages))
+
+
+def _busy_tpcc(design, **kwargs):
+    # Scale 100: the data array queues (6k reads under noSSD), which the
+    # scale-20 rows above, written for the SSD path, never make it do.
+    def run(telemetry):
+        run_oltp_experiment("tpcc", 100, design, duration=4.0, profile=TINY,
+                            nworkers=8, telemetry=telemetry, **kwargs)
+    return run
+
+
+def _busy_tpch_dw(faults=None):
+    def run(telemetry):
+        experiments.run(
+            experiments.RunSpec(kind="tpch", benchmark="tpch", scale=100,
+                                design="DW", profile="tiny"),
+            telemetry=telemetry, faults=faults)
+    return run
+
+
+#: name -> (runner, md5 of the per-fragment service log plus each
+#: device's ``stats.busy_time``).  The tpch-DW rows are where striped
+#: multi-fragment reads of concurrent streams interleave on a drive; the
+#: faulted rows attach injectors to the data array and the log disk.
+SERVICE_ORDER = {
+    "tpcc-LC": (_busy_tpcc("LC"), "08b9eb6436fbfc24d91d3b0bdd2cbbac"),
+    "tpcc-noSSD": (_busy_tpcc("noSSD"), "c93a3aa2d3438057dfa22a39052f0d6e"),
+    "tpch-DW": (_busy_tpch_dw(), "6ca0461d6097d66a60cca37500bb6c77"),
+    "tpcc-LC-faults": (_busy_tpcc("LC", faults=FAULTS),
+                       "9fead95f8475f4c7c48eec31be111af1"),
+    "tpch-DW-faults": (_busy_tpch_dw(FAULTS),
+                       "019c91ea30b6bd95200a36f0454ded90"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVICE_ORDER))
+def test_per_drive_service_order_matches_generator_hdd(name, monkeypatch):
+    runner, pinned = SERVICE_ORDER[name]
+    make_system = experiments.make_system
+    log, devices = [], []
+
+    def recording_system(*args, **kwargs):
+        system = make_system(*args, **kwargs)
+        for device in (system.data_device, system.wal.device):
+            device.traffic = _ServiceLog(device, log)
+            devices.append(device)
+        return system
+
+    # run() builds its system through this public factory.
+    monkeypatch.setattr(experiments, "make_system", recording_system)
+    runner(None)
+    assert {entry[1] for entry in log} == {"hdd-array", "log-disk"}
+    lines = [repr(entry) for entry in log]
+    lines += [repr((device.name, device.stats.busy_time))
+              for device in devices]
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == pinned
