@@ -13,6 +13,8 @@ and asserts:
   :class:`~repro.engine.recovery.RecoveryError` otherwise);
 * the Figure 3 page-copy invariants hold after recovery
   (:meth:`~repro.core.ssd_manager.SsdManagerBase.check_invariants`);
+* every device's queue bookkeeping adds up after the crash reset
+  (:meth:`~repro.storage.device.Device.check_invariants`);
 * the system still makes progress (a short post-recovery churn phase).
 
 Because the crash time is drawn uniformly over a window that spans
@@ -137,6 +139,9 @@ def run_crash_point(design: str, policy: str, crash_at: float,
         env.run(until=crash_at)
         outcome.committed_pages = len(committed)
         system.crash()
+        for device in (system.data_device, system.ssd_device,
+                       system.wal.device):
+            device.check_invariants()
         done = env.process(
             simulate_crash_and_recover(env, system, committed=committed))
         outcome.pages_redone = env.run(done)

@@ -20,7 +20,7 @@ Public API::
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Gather, Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 from repro.sim.wheel import (KERNELS, TimerWheel, WheelEnvironment,
                              make_environment)
 
@@ -33,7 +33,6 @@ __all__ = [
     "Interrupt",
     "KERNELS",
     "Process",
-    "Resource",
     "Store",
     "TimerWheel",
     "Timeout",

@@ -138,11 +138,11 @@ class SlotsHotpathRule(Rule):
     #: The engine/core entries cover the partitioned buffer pool and the
     #: SSD managers: one frame/record per page and one manager vtable hit
     #: per fetch put their attribute storage on the same budget as the
-    #: kernel's events.  ``storage/device.py``: a callback-completed I/O
-    #: costs little besides ``Device`` attribute loads.
+    #: kernel's events.  ``storage/device.py``, ``storage/hdd.py``: a
+    #: callback-completed I/O costs little besides attribute loads.
     hotpath_roots: Sequence[str] = (
         "repro/sim/", "repro/storage/request.py",
-        "repro/storage/device.py",
+        "repro/storage/device.py", "repro/storage/hdd.py",
         "repro/engine/buffer_pool.py", "repro/engine/page.py",
         "repro/core/ssd_manager.py", "repro/core/ssd_buffer_table.py")
     #: Findings are only emitted for first-party sources, not test files.

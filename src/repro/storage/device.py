@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import Environment, Event, Timeout
 from repro.storage.request import IoKind, IORequest, PAGE_SIZE_BYTES
@@ -111,7 +111,15 @@ class ChannelPool:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.busy = 0
-        self.waiting: Deque[_Job] = deque()
+        self.waiting: Deque[Any] = deque()
+
+    def check(self) -> int:
+        """Assert the pool adds up; returns how many requests it holds."""
+        assert 0 <= self.busy <= self.capacity and (
+            not self.waiting or self.busy == self.capacity), (
+            f"{self.busy} of {self.capacity} channels busy, "
+            f"{len(self.waiting)} requests waiting")
+        return self.busy + len(self.waiting)
 
 
 class Device:
@@ -156,6 +164,14 @@ class Device:
         self.channels = ChannelPool(self.channels.capacity)
         self._outstanding = 0
 
+    def check_invariants(self) -> None:
+        """Assert that :attr:`pending` is what the channels hold (plus,
+        with an injector attached, requests on a hop towards them)."""
+        held = self.channels.check()
+        assert held <= self.pending and (
+            self.faults is not None or held == self.pending), (
+            f"{self.name}: pending {self.pending}, channels hold {held}")
+
     def attach_telemetry(self, telemetry) -> None:
         """Bind a telemetry sink and resolve this device's instruments."""
         self.telemetry = telemetry
@@ -177,7 +193,7 @@ class Device:
         registry.gauge(
             "device_pending_ios", "I/Os submitted but not yet completed",
             labelnames=("device",)).labels(device=self.name).set_function(
-                lambda: self._outstanding)
+                lambda: self.pending)
 
     @property
     def pending(self) -> int:
@@ -210,7 +226,7 @@ class Device:
         self._hop(self._arrive, (request, done))
         return done
 
-    def _hop(self, step: Callable[[_Job], None], job: _Job) -> None:
+    def _hop(self, step: Callable[[Any], None], job: Any) -> None:
         """Run ``step(job)``: at once, or — with a fault injector
         attached, whose hooks share an RNG and record trace instants, so
         their place among the events of one instant is observable — one

@@ -13,11 +13,11 @@ aggregate matches the paper's Table 1 within a couple of percent:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set, Tuple
 
-from repro.sim import Environment, Event, Resource
-from repro.storage.device import Device, KIND_LABELS
-from repro.storage.request import IORequest
+from repro.sim import Environment, Event, Timeout
+from repro.storage.device import ChannelPool, Device, KIND_LABELS
+from repro.storage.request import IoKind, IORequest
 
 #: Pages per stripe unit.  The paper stripes file groups across the disks;
 #: SQL Server allocates in 8-page (64 KB) extents, so we stripe by extent.
@@ -32,6 +32,21 @@ _SEQ_READ_PER_PAGE = 1.0 / (26_370.0 / 8)
 _SEQ_WRITE_PER_PAGE = 1.0 / (9_463.0 / 8)
 _READ_SEEK = 8 / 1_015.0 - _SEQ_READ_PER_PAGE
 _WRITE_SEEK = 8 / 895.0 - _SEQ_WRITE_PER_PAGE
+#: kind -> (seconds per page, seconds per seek)
+_RATES = {kind: ((_SEQ_READ_PER_PAGE, _READ_SEEK) if kind.is_read
+                 else (_SEQ_WRITE_PER_PAGE, _WRITE_SEEK)) for kind in IoKind}
+
+
+class _Striped(Event):
+    """A request's completion event; while the request is inside the
+    array it also counts its fragments on the drives, unserved."""
+
+    __slots__ = ("request", "left")
+
+    def __init__(self, env: Environment, request: IORequest) -> None:
+        super().__init__(env)
+        self.request = request
+        self.left = 0
 
 
 class HddArray(Device):
@@ -42,6 +57,9 @@ class HddArray(Device):
     parallel, and the request completes when the slowest fragment does
     (this is what makes striped disks so strong at sequential reads, the
     effect the paper's admission policy is built around).
+
+    A request of *f* fragments costs ``f + 4`` scheduled events and no
+    process; why not :class:`Device`'s two is DESIGN.md §13.
     """
 
     #: Per-drive LBA gap (pages) a drive can bridge without a full seek
@@ -50,17 +68,18 @@ class HddArray(Device):
     #: exactly contiguous.
     NEAR_PAGES = 16
 
-    __slots__ = ("ndisks", "stripe_pages", "_disks", "_head")
+    __slots__ = ("ndisks", "stripe_pages", "_drives", "_head", "_inflight")
 
     def __init__(self, env: Environment, ndisks: int = 8,
                  stripe_pages: int = DEFAULT_STRIPE_PAGES,
                  name: str = "hdd-array"):
         if ndisks < 1:
             raise ValueError(f"ndisks must be >= 1, got {ndisks}")
+        # The base's array-wide ``channels`` stay idle: a drive queues alone.
         super().__init__(env, name, channels=ndisks)
         self.ndisks = ndisks
         self.stripe_pages = stripe_pages
-        self._disks: List[Resource] = [Resource(env, 1) for _ in range(ndisks)]
+        self._drives = [ChannelPool(1) for _ in range(ndisks)]
         # Per-drive head position: the page address just past the last
         # fragment each drive served.  Seek cost is *positional*: a
         # request pays the seek iff it is not near the head, whatever its
@@ -69,6 +88,12 @@ class HddArray(Device):
         # an effect the paper's TPC-H throughput test depends on.
         # Heads start parked far away so a drive's first I/O pays a seek.
         self._head: List[int] = [-(1 << 30)] * ndisks
+        #: Every request between ``submit`` and its completion.
+        self._inflight: Set[_Striped] = set()
+
+    @property
+    def pending(self) -> int:
+        return len(self._inflight)
 
     def disk_of(self, address: int) -> int:
         """Which drive holds page ``address``."""
@@ -83,43 +108,38 @@ class HddArray(Device):
         """Service time of a single-drive fragment of ``request``.
 
         Uses the request's tag (kind) for the seek decision; the actual
-        serving path (:meth:`_serve_one`) uses head position instead.
+        serving path (:meth:`_start`) uses head position instead.
         """
-        if request.kind.is_read:
-            per_page, seek = _SEQ_READ_PER_PAGE, _READ_SEEK
-        else:
-            per_page, seek = _SEQ_WRITE_PER_PAGE, _WRITE_SEEK
+        per_page, seek = _RATES[request.kind]
         return (seek if request.kind.random else 0.0) + per_page * request.npages
 
-    def _positional_service_time(self, fragment: IORequest,
-                                 disk_index: int) -> float:
-        """Seek iff the fragment is not near the drive's head position."""
-        if fragment.kind.is_read:
-            per_page, seek = _SEQ_READ_PER_PAGE, _READ_SEEK
-        else:
-            per_page, seek = _SEQ_WRITE_PER_PAGE, _WRITE_SEEK
-        gap = abs(self.lba_of(fragment.address) - self._head[disk_index])
-        seeking = gap > self.NEAR_PAGES
-        return (seek if seeking else 0.0) + per_page * fragment.npages
-
     def submit(self, request: IORequest) -> Event:
-        """Submit a request, splitting it into per-drive fragments."""
-        request.submitted_at = self.env.now
-        done = self.env.event()
+        """Submit a request; it splits into per-drive fragments."""
+        env = self.env
+        request.submitted_at = env._now
+        done = _Striped(env, request)
         if self.faults is not None:
             error = self.faults.on_submit(request)
             if error is not None:
-                done.fail(error)
-                return done
-        self._outstanding += 1
-        fragments = self._split(request)
-        self.env.spawn(self._serve_fragments(request, fragments, done))
+                return done.fail(error)
+        self._inflight.add(done)
+        # The hop every request keeps: its fragments start one queue entry
+        # later, behind those that drives freed in this instant go on to.
+        Timeout(env, 0.0, done).callbacks.append(self._admit)
         return done
 
     def reset(self) -> None:
         super().reset()
-        self._disks = [Resource(self.env, 1) for _ in range(self.ndisks)]
+        self._drives = [ChannelPool(1) for _ in range(self.ndisks)]
         self._head = [-(1 << 30)] * self.ndisks
+        self._inflight = set()
+
+    def check_invariants(self) -> None:
+        """Assert the drives hold the pending requests' unserved fragments."""
+        held = sum(drive.check() for drive in self._drives)
+        unserved = sum(job.left for job in self._inflight)
+        assert held == unserved, (
+            f"{self.name}: drives hold {held} of {unserved} unserved fragments")
 
     def _split(self, request: IORequest) -> List[IORequest]:
         """Split a request into contiguous per-drive fragments."""
@@ -135,47 +155,100 @@ class HddArray(Device):
             remaining -= take
         return fragments
 
-    def _serve_fragments(self, request: IORequest, fragments, done: Event):
-        failure = None
-        try:
-            if self.faults is not None:
-                # Faults act on the whole request, not per fragment: one
-                # straggling drive delays the stripe anyway.
-                extra = self.faults.pre_service_delay(
-                    request, self.service_time(request))
-                if extra > 0:
-                    yield self.env.timeout(extra)
-            yield self.env.gather(
-                self._serve_one(fragment) for fragment in fragments)
-            if self.faults is not None:
-                failure = self.faults.on_complete(request)
-            if failure is None:
-                request.completed_at = self.env.now
-                self._tm_requests[request.kind].inc()
-                if self._tracer.enabled:
-                    self._tracer.complete(KIND_LABELS[request.kind],
-                                          request.submitted_at, self.env.now,
-                                          "io", self._trace_track,
-                                          ctx=request.ctx)
-        finally:
-            # Same rule as Device._release: never leak the outstanding
-            # count, or ``pending`` inflates and wedges the throttle.
-            self._outstanding -= 1
-        if failure is not None:
-            done.fail(failure)
+    def _admit(self, hop: Event) -> None:
+        """One hop after ``submit``: past the injector's stall, if any."""
+        job = hop._value
+        # Faults act on the whole request, not per fragment: one
+        # straggling drive delays the stripe anyway.
+        extra = (self.faults.pre_service_delay(
+            job.request, self.service_time(job.request))
+            if self.faults is not None else 0.0)
+        if extra > 0:
+            Timeout(self.env, extra).callbacks.append(
+                lambda stall: self._hop(self._arrive, job))
         else:
-            done.succeed(request)
+            self._hop(self._arrive, job)
 
-    def _serve_one(self, fragment: IORequest):
-        disk_index = self.disk_of(fragment.address)
-        disk = self._disks[disk_index]
-        with disk.request() as slot:
-            yield slot
-            service = self._positional_service_time(fragment, disk_index)
-            self._head[disk_index] = (self.lba_of(fragment.address)
-                                      + fragment.npages)
-            yield self.env.timeout(service)
+    def _arrive(self, job: _Striped) -> None:
+        """Hand each fragment to its drive, or to the drive's queue."""
+        fragments = self._split(job.request)
+        job.left = len(fragments)
+        for fragment in fragments:
+            index = self.disk_of(fragment.address)
+            drive = self._drives[index]
+            if drive.busy:
+                drive.waiting.append((fragment, job, index))
+            else:
+                drive.busy = 1
+                self._hop(self._start, (fragment, job, index))
+
+    def _start(self, work: Tuple[IORequest, _Striped, int]) -> None:
+        """Seek the drive to ``work``'s fragment and start its timer."""
+        fragment, job, index = work
+        try:
+            per_page, seek = _RATES[fragment.kind]
+            lba = self.lba_of(fragment.address)
+            seeking = abs(lba - self._head[index]) > self.NEAR_PAGES
+            service = (seek if seeking else 0.0) + per_page * fragment.npages
+            self._head[index] = lba + fragment.npages
+            Timeout(self.env, service, work + (service,)).callbacks.append(
+                self._served)
+        except BaseException:
+            self._inflight.discard(job)
+            self._release(index)
+            raise
+
+    def _served(self, timer: Event) -> None:
+        """Service-timer callback: account the fragment, pass the drive
+        on, and if it was the request's last, head for completion."""
+        fragment, job, index, service = timer._value
+        try:
             self.stats.record(fragment, service)
             self._tm_pages[fragment.kind].inc(fragment.npages)
             if self.traffic is not None:
-                self.traffic.record(self.env.now, fragment)
+                self.traffic.record(self.env._now, fragment)
+        finally:
+            # The fragment is served even if its accounting raised, and
+            # the request moves on even if starting the drive's next does.
+            try:
+                self._release(index)
+            finally:
+                job.left -= 1
+                if not job.left:
+                    Timeout(self.env, 0.0, job).callbacks.append(self._joined)
+
+    def _release(self, index: int) -> None:
+        """Pass the drive on to its next queued fragment, or idle it."""
+        drive = self._drives[index]
+        if drive.waiting:
+            self._hop(self._start, drive.waiting.popleft())
+        else:
+            drive.busy = 0
+
+    def _joined(self, hop: Event) -> None:
+        """First hop after the last fragment's timer."""
+        Timeout(self.env, 0.0, hop._value).callbacks.append(self._complete)
+
+    def _complete(self, hop: Event) -> None:
+        """Second hop: the request leaves the array and triggers."""
+        job = hop._value
+        request = job.request
+        try:
+            failure = (self.faults.on_complete(request)
+                       if self.faults is not None else None)
+            if failure is None:
+                now = self.env._now
+                request.completed_at = now
+                self._tm_requests[request.kind].inc()
+                if self._tracer.enabled:
+                    self._tracer.complete(KIND_LABELS[request.kind],
+                                          request.submitted_at, now, "io",
+                                          self._trace_track, ctx=request.ctx)
+        finally:
+            # Same rule as Device._release: never leak the count, or
+            # ``pending`` inflates and wedges whoever throttles on it.
+            self._inflight.discard(job)
+        if failure is None:
+            job.succeed(request)
+        else:
+            job.fail(failure)

@@ -242,7 +242,11 @@ class TestGroupCommit:
 
         env.process(late())
         env.run(until=2e-4)  # mid-flush: one group in flight, one queued
+        # System.crash()'s order: the queue, the log disk, then the log.
+        # Without the device reset the cut-short flush holds the drive
+        # for good and the force below never returns.
         env.wipe()
+        wal.device.reset()
         wal.crash_reset()
         assert wal.flushed_lsn == -1 and not log
         # ``second`` was covered by the flush the crash cut short; a

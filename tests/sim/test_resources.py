@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Resource, Store
+from repro.sim import Store
+from tests.storage.reference_hdd import Resource
 
 
 class TestResource:

@@ -5,7 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment
+from tests.storage.reference_hdd import Resource
 
 
 class TestSchedulingProperties:

@@ -91,6 +91,16 @@ class TestSlotsHotpath:
             """, self.PATH)
         assert codes(result) == []
 
+    def test_hdd_helper_classes_are_on_the_hot_path(self):
+        # One per request and one per drive: not subclasses of anything
+        # in device.py, so only the root itself brings them in scope.
+        result = lint("""
+            class _Striped:
+                def __init__(self, request, done):
+                    self.request, self.done, self.left = request, done, 0
+            """, "src/repro/storage/hdd.py")
+        assert codes(result) == ["RPL002"]
+
     def test_unslotted_subclass_of_hotpath_base_flagged(self):
         # The subclass lives outside the hot-path roots but inherits
         # from a class inside them: an un-slotted subclass regains

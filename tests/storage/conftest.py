@@ -1,0 +1,22 @@
+"""Every storage test ends with its devices' books balanced."""
+
+import pytest
+
+from repro.storage.device import Device
+
+
+@pytest.fixture(autouse=True)
+def _device_invariants(monkeypatch):
+    """Run ``check_invariants()`` on each device the test built, as it
+    left them: mid-run, drained, crashed or reset (ROADMAP item 4)."""
+    built = []
+    init = Device.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Device, "__init__", recording_init)
+    yield
+    for device in built:
+        device.check_invariants()

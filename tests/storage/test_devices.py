@@ -1,7 +1,11 @@
 """Unit tests for the HDD array and SSD device models."""
 
+import random
+
 import pytest
 
+import repro.sim.process as process_module
+from repro.faults import DeviceDeadError, FaultInjector
 from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
@@ -197,6 +201,180 @@ class TestCallbackCompletion:
         done = ssd.read(9)
         env.run(done)
         assert done.ok and ssd.pending == 0
+
+
+class _Completions(TrafficRecorder):
+    """Logs ``(when, address)`` per fragment; ``poison`` raises instead."""
+
+    def __init__(self, poison=None):
+        super().__init__(1.0)
+        self.poison = poison
+        self.log = []
+
+    def record(self, when, request):
+        if request.address == self.poison:
+            raise RuntimeError("bad record")
+        self.log.append((when, request.address))
+
+
+class TestHddCallbackLifeCycle:
+    """``HddArray`` without processes (DESIGN.md §13): one hop after
+    ``submit``, a timer per fragment, two hops after the last, ``done``."""
+
+    READ = IORequest(IoKind.RANDOM_READ, 0)
+
+    @pytest.fixture
+    def processes(self, monkeypatch):
+        """Every process object of any kind built during the test."""
+        built = []
+        bind = process_module.Process._bind
+
+        def counting_bind(self, env, generator):
+            built.append(generator)
+            bind(self, env, generator)
+
+        monkeypatch.setattr(process_module.Process, "_bind", counting_bind)
+        return built
+
+    @pytest.mark.parametrize("npages, fragments", [(1, 1), (8, 1), (20, 3)])
+    def test_request_of_f_fragments_costs_f_plus_4_entries(
+            self, env, processes, npages, fragments):
+        hdd = HddArray(env, ndisks=4, stripe_pages=8)
+        before = env._seq
+        done = hdd.read(0, npages, random=False)
+        env.run(done)
+        assert done.value.completed_at == env.now
+        assert hdd.stats.completed == fragments
+        assert env._seq - before == fragments + 4
+        assert not processes
+
+    @pytest.mark.parametrize("npages, fragments", [(1, 1), (20, 3)])
+    def test_with_an_injector_all_the_generator_models_hops_stay(
+            self, env, processes, npages, fragments):
+        hdd = HddArray(env, ndisks=4, stripe_pages=8)
+        FaultInjector(env, hdd, random.Random("quiet"))
+        before = env._seq
+        env.run(hdd.read(0, npages, random=False))
+        assert env._seq - before == 2 * fragments + 5
+        assert not processes
+
+    @pytest.mark.parametrize("faulted, entries", [(False, 5), (True, 7)])
+    def test_a_queued_fragment_costs_what_an_unqueued_one_does(
+            self, env, faulted, entries):
+        hdd = HddArray(env, ndisks=1)
+        if faulted:
+            FaultInjector(env, hdd, random.Random("quiet"))
+        before = env._seq
+        last = [hdd.read(address) for address in (0, 64, 128)][-1]
+        drives = hdd._drives
+        env.run(until=0.0)   # the submit-side hops only
+        assert drives[0].busy == 1 and len(drives[0].waiting) == 2
+        env.run(last)
+        assert env._seq - before == 3 * entries
+
+    def test_each_drive_serves_fifo_and_seeks_by_head_position(self, env):
+        hdd = HddArray(env, ndisks=2, stripe_pages=8)
+        seen = hdd.traffic = _Completions()
+        seek = hdd.service_time(self.READ)
+        near = hdd.service_time(IORequest(IoKind.SEQUENTIAL_READ, 0))
+        # Drive 0: page 0, then 64 (LBA 32: a seek away), then 1 — which
+        # sat next to the head until 64 moved it.  Drive 1: page 8, 9.
+        for address in (0, 64, 8, 1, 9):
+            hdd.read(address)
+        env.run()
+        assert seen.log == [(seek, 0), (seek, 8), (seek + near, 9),
+                            (2 * seek, 64), (3 * seek, 1)]
+        assert hdd.stats.busy_time == pytest.approx(4 * seek + near)
+
+    def test_pending_falls_two_hops_after_the_last_timer_before_done(
+            self, env):
+        hdd = HddArray(env, ndisks=4, stripe_pages=8)
+        done = hdd.read(0, 20, random=False)     # fragments of 8, 8, 4
+        env.step()                               # the hop after submit
+        assert [d.busy for d in hdd._drives] == [1, 1, 1, 0]
+        env.step(), env.step()                   # the 4-page, one 8-page
+        assert hdd.stats.completed == 2 and hdd.pending == 1
+        env.step()                               # the last timer
+        assert hdd.stats.completed == 3 and hdd.pending == 1
+        env.step()
+        assert hdd.pending == 1 and not done.triggered
+        env.step()
+        assert hdd.pending == 0 and done.triggered and not done.processed
+        env.step()
+        assert done.processed and env.peek() == float("inf")
+
+    def test_raising_traffic_record_frees_drive_and_count(self, env):
+        hdd = HddArray(env, ndisks=1)
+        hdd.traffic = _Completions(poison=13)
+        bad, queued = hdd.read(13), hdd.read(64)
+        with pytest.raises(RuntimeError, match="bad record"):
+            env.run()
+        # The queued fragment got the drive, and the fragment whose
+        # accounting raised was served all the same.
+        assert hdd._drives[0].busy == 1 and not hdd._drives[0].waiting
+        env.run()
+        assert bad.ok and queued.ok
+        assert hdd.pending == 0 and hdd._drives[0].busy == 0
+
+    def test_raising_service_computation_passes_the_drive_on(self, env):
+        class Flaky(HddArray):
+            __slots__ = ()
+
+            def lba_of(self, address):
+                if address == 13:
+                    raise RuntimeError("bad address")
+                return super().lba_of(address)
+
+        hdd = Flaky(env, ndisks=1)
+        first, bad, last = hdd.read(0), hdd.read(13), hdd.read(64)
+        with pytest.raises(RuntimeError, match="bad address"):
+            env.run()
+        # Raised as ``first`` handed the drive over: ``first`` still
+        # completes, ``last`` has the drive.
+        assert hdd.pending == 2 and hdd._drives[0].busy == 1
+        env.run()
+        assert first.ok and last.ok and not bad.triggered
+        assert hdd.pending == 0 and hdd.stats.completed == 2
+
+    def test_rejected_submit_schedules_only_the_failed_event(self, env):
+        hdd = HddArray(env)
+        FaultInjector(env, hdd, random.Random("dead")).kill()
+        before = env._seq
+        done = hdd.read(0)
+        assert env._seq - before == 1 and hdd.pending == 0
+        with pytest.raises(DeviceDeadError):
+            env.run(done)
+
+    def test_reset_after_wipe_forgets_inflight_work(self, env):
+        hdd = HddArray(env, ndisks=2, stripe_pages=8)
+        for address in (0, 64, 8, 0):
+            hdd.read(address, 12, random=False)  # two fragments each
+        env.run(until=hdd.service_time(self.READ) / 2)
+        assert hdd.pending == 4
+        env.wipe()
+        hdd.reset()
+        hdd.check_invariants()
+        assert hdd.pending == 0
+        assert all(d.busy == 0 and not d.waiting for d in hdd._drives)
+        env.run()  # nothing left to fire
+        assert hdd.stats.completed == 0
+        # Heads are parked again: page 1 pays the seek page 0 paid.
+        done = hdd.submit(IORequest(IoKind.RANDOM_READ, 1))
+        env.run(done)
+        assert done.value.latency == hdd.service_time(self.READ)
+        assert hdd.pending == 0
+
+    def test_invariant_check_sees_a_leaked_drive_and_a_leaked_count(
+            self, env):
+        hdd, ssd = HddArray(env), Ssd(env)
+        hdd._drives[3].busy = 1
+        with pytest.raises(AssertionError, match="drives hold 1"):
+            hdd.check_invariants()
+        hdd._drives[3].busy = 0
+        ssd._outstanding = 1
+        with pytest.raises(AssertionError, match="pending 1"):
+            ssd.check_invariants()
+        ssd._outstanding = 0
 
 
 class TestStats:
