@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="crash-point sweep: crash, recover, verify")
     p_chaos.add_argument("--points", type=int, default=5,
                          help="crash points per design x policy (default 5)")
-    _add_designs(p_chaos, default="CW,DW,LC,TAC,LS")
+    _add_designs(p_chaos, default="CW,DW,LC,TAC,LS,ROT,EXCL")
     p_chaos.add_argument("--policies", default="sharp,fuzzy",
                          help="comma-separated checkpoint policies")
     p_chaos.add_argument("--seed", type=int, default=20110612)

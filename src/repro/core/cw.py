@@ -27,5 +27,5 @@ class CleanWriteManager(SsdManagerBase):
 
         (The dirtying itself already invalidated any SSD copy.)
         """
-        yield from self.disk.write(frame.page_id, frame.version,
-                                   sequential=False, ctx=EVICTION_CTX)
+        yield from self._disk_write(frame.page_id, frame.version,
+                                    EVICTION_CTX)

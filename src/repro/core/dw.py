@@ -28,8 +28,8 @@ class DualWriteManager(SsdManagerBase):
     def on_evict_dirty(self, frame: Frame):
         """Write to disk and SSD in parallel; the frame is reusable when
         both complete (the paper's "synchronize dirty page writes")."""
-        disk_write = self.disk.write(frame.page_id, frame.version,
-                                     sequential=False, ctx=EVICTION_CTX)
+        disk_write = self._disk_write(frame.page_id, frame.version,
+                                      EVICTION_CTX)
         if self.admission.qualifies(frame, self.admission_fill_level):
             yield self.env.gather([disk_write, self._cache_page(
                 frame.page_id, frame.version, dirty=False,
@@ -39,8 +39,8 @@ class DualWriteManager(SsdManagerBase):
 
     def checkpoint_write(self, frame: Frame):
         """§3.2: checkpointed dirty random pages also prime the SSD."""
-        disk_write = self.disk.write(frame.page_id, frame.version,
-                                     sequential=False, ctx=CHECKPOINT_CTX)
+        disk_write = self._disk_write(frame.page_id, frame.version,
+                                      CHECKPOINT_CTX)
         if not frame.sequential:
             yield self.env.gather([disk_write, self._cache_page(
                 frame.page_id, frame.version, dirty=False,

@@ -6,8 +6,8 @@ A page never exists in both the memory buffer pool and the SSD:
 * when a page is read from the SSD into memory, the SSD copy is removed
   (its frame freed);
 * when a page is evicted from the memory pool, it is written to the SSD
-  (clean or dirty — the SSD may hold the newest copy, so it shares LC's
-  checkpoint obligation).
+  (clean or dirty — the SSD may hold the newest copy, so it shares every
+  write-back obligation the base manager keeps).
 
 Exclusivity maximises the *combined* cache capacity (no duplication) but
 pays an SSD write on every re-admission: a page bouncing between the
@@ -19,8 +19,6 @@ benchmark measures that trade.
 from __future__ import annotations
 
 from repro.core.ssd_manager import SsdManagerBase
-from repro.engine.page import Frame
-from repro.telemetry import CHECKPOINT_CTX, EVICTION_CTX
 
 
 class ExclusiveSsdManager(SsdManagerBase):
@@ -34,71 +32,27 @@ class ExclusiveSsdManager(SsdManagerBase):
         """Serve the read, then *remove* the SSD copy (exclusivity).
 
         If the SSD held the newest copy, the caller's memory frame now
-        holds it; the WAL still protects it, and eviction will rewrite
-        it to the SSD or disk.
+        holds it: the buffer pool marks that frame dirty, the WAL still
+        protects it, and eviction will rewrite it to the SSD or disk.
         """
-        version = record.version
         page_id = record.page_id
-        self.stats.reads += 1
-        must = version > self.disk.disk_version(page_id)
-        ok = yield from self._ssd_read_frame(record.frame_no, must=must,
-                                             ctx=ctx)
-        if not ok:
-            if must:
-                # The device died holding the only newest copy; the
-                # record is still in the table, so degradation redo
-                # restores it to disk before the detach completes.
-                yield from self._await_detach()
-            return None
+        version = yield from super()._read_record(record, ctx=ctx)
         # Drop only after the read, and only if the record still maps
         # this page: a concurrent replacement may have reused the frame
         # while the read (and any retries) ran.
-        if (record.valid and record.page_id == page_id
-                and record.version == version):
+        if version is None or not record.holds(page_id, version):
+            return version
+        # The hand-over exception: a newest copy read *while a checkpoint
+        # runs* stays in the SSD.  The checkpoint took its snapshot of
+        # dirty memory frames before this read, so a copy handed to
+        # memory now would be flushed by nobody before the log is cut;
+        # left here it is still dirty in the table, which is what
+        # on_checkpoint drains.
+        if not (self._checkpointing()
+                and version > self.disk.disk_version(page_id)):
             self._drop_record(record)
         return version
 
-    def on_evict_clean(self, frame: Frame):
-        if not self.admission.qualifies(frame, self.admission_fill_level):
-            if frame.version > self.disk.disk_version(frame.page_id):
-                yield from self.disk.write(frame.page_id, frame.version,
-                                           sequential=False,
-                                           ctx=EVICTION_CTX)
-            return
-        dirty = frame.version > self.disk.disk_version(frame.page_id)
-        cached = yield from self._cache_page(frame.page_id, frame.version,
-                                             dirty=dirty, ctx=EVICTION_CTX)
-        if dirty and not cached:
-            yield from self.disk.write(frame.page_id, frame.version,
-                                       sequential=False, ctx=EVICTION_CTX)
-
-    def on_evict_dirty(self, frame: Frame):
-        if self.admission.qualifies(frame, self.admission_fill_level):
-            cached = yield from self._cache_page(frame.page_id,
-                                                 frame.version, dirty=True,
-                                                 ctx=EVICTION_CTX)
-            if cached:
-                return
-        yield from self.disk.write(frame.page_id, frame.version,
-                                   sequential=False, ctx=EVICTION_CTX)
-
-    def on_checkpoint(self):
-        """Dirty SSD pages hold the newest copies: flush them, as LC does."""
-        for record in list(self.table.occupied_records()):
-            if not (record.valid and record.dirty):
-                continue
-            if record.version > self.disk.disk_version(record.page_id):
-                ok = yield from self._ssd_read_frame(record.frame_no,
-                                                     must=True,
-                                                     ctx=CHECKPOINT_CTX)
-                if not ok:
-                    # SSD death mid-checkpoint: the in-flight detach
-                    # redoes every remaining dirty page from the log.
-                    yield from self._await_detach()
-                    return
-                yield from self.disk.write(record.page_id, record.version,
-                                           sequential=False,
-                                           ctx=CHECKPOINT_CTX)
-            self.table.set_dirty(record, False)
-            self.clean_heap.push(record)
-            self.stats.checkpoint_ssd_flushes += 1
+    #: The decision (§2.3): write-back, every page leaving memory goes
+    #: to the SSD.
+    on_evict_dirty = SsdManagerBase._evict_write_back

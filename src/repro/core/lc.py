@@ -26,7 +26,7 @@ from repro.core.ssd_buffer_table import SsdRecord
 from repro.core.ssd_manager import SsdManagerBase
 from repro.engine.page import Frame
 from repro.faults.errors import IoFault
-from repro.telemetry import CLEANER_CTX, EVICTION_CTX
+from repro.telemetry import CLEANER_CTX
 
 
 class LazyCleaningManager(SsdManagerBase):
@@ -38,10 +38,8 @@ class LazyCleaningManager(SsdManagerBase):
 
     name = "LC"
 
-    #: Empty drain rounds between dirty-heap reseed attempts, and the
-    #: consecutive-empty-round budget before declaring the drain stalled.
+    #: Empty drain rounds between dirty-heap reseed attempts.
     _RESEED_AFTER = 3
-    _STALL_LIMIT = 64
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -81,26 +79,10 @@ class LazyCleaningManager(SsdManagerBase):
     # ------------------------------------------------------------------
 
     def on_evict_dirty(self, frame: Frame):
-        """Cache the dirty page in the SSD; fall back to disk if we can't.
-
-        Falls back when: admission rejects the page, a checkpoint is in
-        progress (§3.2: LC stops caching new dirty pages then), the SSD
-        is throttled, or no frame can be reclaimed (every frame dirty).
-        """
-        checkpointing = self.bp is not None and self.bp.checkpoint_active
-        if not checkpointing and self.admission.qualifies(
-                frame, self.admission_fill_level):
-            cached = yield from self._cache_page(frame.page_id, frame.version,
-                                                 dirty=True,
-                                                 rec_lsn=max(0, frame.rec_lsn),
-                                                 ctx=EVICTION_CTX)
-            if cached:
-                self._maybe_wake_cleaner()
-                return
-        self.stats.fallback_disk_writes += 1
-        self._tm_fallback.inc()
-        yield from self.disk.write(frame.page_id, frame.version,
-                                   sequential=False, ctx=EVICTION_CTX)
+        """Write-back: the SSD alone, and a new dirty page may push the
+        dirty fraction over λ."""
+        if (yield from self._evict_write_back(frame)):
+            self._maybe_wake_cleaner()
 
     # ------------------------------------------------------------------
     # The lazy-cleaning thread
@@ -180,7 +162,8 @@ class LazyCleaningManager(SsdManagerBase):
             # SSD).  These are transfer reads, not page accesses: the
             # LRU-2 history of the records must not be touched.
             results = yield self.env.gather(
-                self._raw_ssd_read(record.frame_no) for record in group)
+                self._ssd_read_frame(record.frame_no, ctx=CLEANER_CTX)
+                for record in group)
             if not all(results):
                 # A read failed past the retry budget, or the device
                 # died: nothing was transferred.  Requeue for a later
@@ -203,9 +186,7 @@ class LazyCleaningManager(SsdManagerBase):
             # page/version we wrote out — it may have been invalidated
             # (re-dirtied in the pool) or reused for another page while
             # the clean-back I/O was in flight.
-            if (record.valid and record.dirty
-                    and record.page_id == page_id
-                    and record.version == version):
+            if record.dirty and record.holds(page_id, version):
                 self.table.set_dirty(record, False)
                 self.clean_heap.push(record)
         self._tm_cleaner_rounds.inc()
@@ -220,9 +201,7 @@ class LazyCleaningManager(SsdManagerBase):
     def _requeue(self, captured) -> None:
         """Put an unfinished batch's records back in the dirty heap."""
         for record, page_id, version in captured:
-            if (record.valid and record.dirty
-                    and record.page_id == page_id
-                    and record.version == version):
+            if record.dirty and record.holds(page_id, version):
                 self.dirty_heap.push(record)
 
     def _gather_group(self) -> List[SsdRecord]:
@@ -255,12 +234,6 @@ class LazyCleaningManager(SsdManagerBase):
     def _dirty_record(self, page_id: int) -> Optional[SsdRecord]:
         record = self.table.lookup_valid(page_id)
         return record if record is not None and record.dirty else None
-
-    def _raw_ssd_read(self, frame_no: int):
-        """Transfer read for cleaning: no LRU-2 or hit accounting.
-
-        Returns True on success so a batch can detect failed transfers."""
-        return (yield from self._ssd_read_frame(frame_no, ctx=CLEANER_CTX))
 
     # ------------------------------------------------------------------
     # Drain liveness (dirty-heap/table desync recovery)
@@ -319,7 +292,9 @@ class LazyCleaningManager(SsdManagerBase):
     # ------------------------------------------------------------------
 
     def on_checkpoint(self):
-        """Flush *all* dirty SSD pages to disk (sharp checkpoint rule)."""
+        """The base drain, α pages to a disk write: LC's dirty pages sit
+        in a heap, so the checkpoint reuses the cleaner's group batches
+        (§3.3.5) instead of copying back page by page."""
         empty_rounds = 0
         while self.table.dirty_count > 0:
             if self._detach_started:

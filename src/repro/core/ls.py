@@ -47,10 +47,8 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.ssd_manager import SsdManagerBase
 from repro.core.ssd_buffer_table import SsdRecord
-from repro.engine.page import Frame
-from repro.faults.errors import IoFault
 from repro.sim import Event
-from repro.telemetry import CHECKPOINT_CTX, CLEANER_CTX, EVICTION_CTX
+from repro.telemetry import CLEANER_CTX, EVICTION_CTX
 
 #: One staged admission: (page_id, version, dirty, rec_lsn).
 _Entry = Tuple[int, int, bool, int]
@@ -87,9 +85,6 @@ class LogStructuredManager(SsdManagerBase):
                  "_tm_reclaim_flushes", "_tm_relocations", "_tm_replays")
 
     name = "LS"
-
-    #: Consecutive no-progress reclaim/drain rounds before failing loudly.
-    _STALL_LIMIT = 64
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -202,21 +197,10 @@ class LogStructuredManager(SsdManagerBase):
         place), but the write is staged into the current group-commit
         batch and the caller waits for the batch flush.
         """
-        existing = self.table.lookup_valid(page_id)
-        if existing is not None and (existing.version == version
-                                     and existing.dirty == dirty):
-            existing.record_access(self.env.now)
-            self._reheap(existing)
-            return True
-        if self.detached:
-            return False
-        if self._throttled():
-            self.stats.declined_throttle += 1
-            self._tm_declined.inc()
-            if existing is not None:
-                self.stats.throttle_preserved += 1
-                self._tm_throttle_preserved.inc()
-            return False
+        settled = self._cache_guard(self.table.lookup_valid(page_id),
+                                    version, dirty)
+        if settled is not None:
+            return settled
         return (yield from self._append(page_id, version, dirty,
                                         rec_lsn))
 
@@ -296,9 +280,7 @@ class LogStructuredManager(SsdManagerBase):
             if old is not None and old.occupied:
                 # Supersede in place: the old entry dies where it lies
                 # and frees only when its segment gets cleaned.
-                self.clean_heap.remove(old)
-                self.dirty_heap.remove(old)
-                self.table.invalidate_logical(old)
+                self._invalidate_record(old)
             record = self.table.take_frame(frame_no)
             self.table.install(record, page_id, version, dirty, now,
                                rec_lsn=rec_lsn)
@@ -326,9 +308,7 @@ class LogStructuredManager(SsdManagerBase):
         for frame_no in frames:
             record = self.table.records[frame_no]
             if record.occupied and record.valid:
-                self.clean_heap.remove(record)
-                self.dirty_heap.remove(record)
-                self.table.invalidate_logical(record)
+                self._invalidate_record(record)
             self._journal.pop(frame_no, None)
 
     def _stripe(self, address: int, count: int) -> List[Tuple[int, int]]:
@@ -368,38 +348,20 @@ class LogStructuredManager(SsdManagerBase):
         return all(results)
 
     # ------------------------------------------------------------------
-    # Eviction hook (same fallback contract as LC)
+    # Eviction and invalidation
     # ------------------------------------------------------------------
 
-    def on_evict_dirty(self, frame: Frame) -> Generator[object, Any, None]:
-        """Append the dirty page to the log; fall back to disk if not.
+    #: The decision (§2.3) is write-back and nothing more: the batch
+    #: flush wakes the dirty cleaner once the entries are in the table,
+    #: so nothing is woken here as LC must.
+    on_evict_dirty = SsdManagerBase._evict_write_back
 
-        Falls back when: admission rejects the page, a checkpoint is in
-        progress (§3.2: no new dirty pages while one runs), the SSD is
-        throttled or detached, or the batch flush failed.
-        """
-        checkpointing = self.bp is not None and self.bp.checkpoint_active
-        if not checkpointing and self.admission.qualifies(
-                frame, self.admission_fill_level):
-            cached = yield from self._cache_page(
-                frame.page_id, frame.version, dirty=True,
-                rec_lsn=max(0, frame.rec_lsn), ctx=EVICTION_CTX)
-            if cached:
-                return
-        self.stats.fallback_disk_writes += 1
-        self._tm_fallback.inc()
-        yield from self.disk.write(frame.page_id, frame.version,
-                                   sequential=False, ctx=EVICTION_CTX)
-
-    def invalidate(self, page_id: int) -> None:
-        """A buffered page was dirtied: the log entry dies in place."""
-        record = self.table.lookup(page_id)
-        if record is not None and record.occupied and record.valid:
-            self.stats.invalidations += 1
-            self._tm_invalidations.inc()
-            self.clean_heap.remove(record)
-            self.dirty_heap.remove(record)
-            self.table.invalidate_logical(record)
+    def _invalidate_record(self, record: SsdRecord) -> None:
+        """The log entry dies in place; its frame frees only when its
+        segment gets cleaned."""
+        self.clean_heap.remove(record)
+        self.dirty_heap.remove(record)
+        self.table.invalidate_logical(record)
 
     # ------------------------------------------------------------------
     # Greedy segment cleaning (GC-aware eviction)
@@ -479,7 +441,7 @@ class LogStructuredManager(SsdManagerBase):
                     yield self.env.timeout(0.001)
                     continue
                 results = yield self.env.gather(
-                    self._flush_entry(r, pid, ver) for r, pid, ver in wave)
+                    self._copy_back(r, pid, ver) for r, pid, ver in wave)
                 # Entries that stayed dirty (fault, or superseded and
                 # re-dirtied mid-flight) go back in the heap so the
                 # cleaners and checkpoints can still find them.
@@ -638,7 +600,7 @@ class LogStructuredManager(SsdManagerBase):
             wave = targets[wave_start:wave_start
                            + self.config.cleaner_concurrency]
             results = yield self.env.gather(
-                self._flush_entry(r, pid, ver) for r, pid, ver in wave)
+                self._copy_back(r, pid, ver) for r, pid, ver in wave)
             if not all(results):
                 # Fault or device death mid-flush: abandon this round
                 # with the segment intact; the caller retries (or the
@@ -674,9 +636,7 @@ class LogStructuredManager(SsdManagerBase):
                     self.stats.evictions += 1
                     self._tm_evictions.inc()
                     dropped += 1
-                self.clean_heap.remove(record)
-                self.dirty_heap.remove(record)
-                self.table.release(record)
+                self._drop_record(record)
             self._journal.pop(frame_no, None)
         self._free_slots += size
         self.device.trim(start, size)
@@ -690,9 +650,7 @@ class LogStructuredManager(SsdManagerBase):
                 frame_no = self._claim_frame(cold=True)
                 old = self.table.lookup(page_id)
                 if old is not None and old.occupied:
-                    self.clean_heap.remove(old)
-                    self.dirty_heap.remove(old)
-                    self.table.invalidate_logical(old)
+                    self._invalidate_record(old)
                 record = self.table.take_frame(frame_no)
                 self.table.install(record, page_id, version, dirty, now,
                                    rec_lsn=rec_lsn)
@@ -744,31 +702,6 @@ class LogStructuredManager(SsdManagerBase):
             must=True) for address, count in pieces)
         return all(results)
 
-    def _flush_entry(self, record: SsdRecord, page_id: int, version: int,
-                     ctx: Any = CLEANER_CTX) -> Generator[object, Any, bool]:
-        """Process step: copy one newest-copy log entry back to disk.
-
-        SSD -> memory -> disk, like the LC cleaner.  The read is a
-        *must* read: this is the only non-log copy of the version.
-        Returns True when the disk write landed.
-        """
-        ok = yield from self._ssd_read_frame(record.frame_no, must=True,
-                                             ctx=ctx)
-        if not ok:
-            return False
-        try:
-            yield from self.disk.write(page_id, version, sequential=False,
-                                       ctx=ctx)
-        except IoFault:
-            return False
-        # Mark clean only if the record still describes what we wrote —
-        # it may have been superseded or invalidated mid-flight.
-        if (record.valid and record.dirty and record.page_id == page_id
-                and record.version == version):
-            self.table.set_dirty(record, False)
-            self.clean_heap.push(record)
-        return True
-
     # ------------------------------------------------------------------
     # Checkpoint integration (§3.2, same rule as LC)
     # ------------------------------------------------------------------
@@ -783,52 +716,15 @@ class LogStructuredManager(SsdManagerBase):
         return min(lsns) if lsns else None
 
     def on_checkpoint(self) -> Generator[object, Any, None]:
-        """Land staged batches, then flush every dirty log entry."""
+        """Land staged batches — their dirty entries are in no table
+        yet — then drain the table as every write-back design does."""
         batch = self._batch
         if batch is not None and batch.entries:
             self._close_batch(batch)
         for pending in list(self._pending_batches):
             if not pending.done.triggered:
                 yield pending.done
-        empty_rounds = 0
-        while self.table.dirty_count > 0:
-            if self._detach_started:
-                # The detach redo makes the dirty pages durable, which
-                # is all this phase needs; wait rather than race it.
-                yield from self._await_detach()
-                break
-            targets = []
-            for record in self.table.occupied_records():
-                if record.valid and record.dirty:
-                    targets.append((record, record.page_id, record.version))
-                    if len(targets) >= self.config.cleaner_concurrency:
-                        break
-            progressed = 0
-            flush_wave = []
-            for record, page_id, version in targets:
-                if version > self.disk.disk_version(page_id):
-                    flush_wave.append((record, page_id, version))
-                else:
-                    # Disk already has this version: clean by fiat.
-                    self.table.set_dirty(record, False)
-                    self.clean_heap.push(record)
-                    progressed += 1
-            if flush_wave:
-                results = yield self.env.gather(
-                    self._flush_entry(r, pid, ver, ctx=CHECKPOINT_CTX)
-                    for r, pid, ver in flush_wave)
-                landed = sum(1 for ok in results if ok)
-                progressed += landed
-                self.stats.checkpoint_ssd_flushes += landed
-            if progressed == 0:
-                empty_rounds += 1
-                if empty_rounds >= self._STALL_LIMIT:
-                    raise RuntimeError(
-                        f"LS checkpoint drain stalled: "
-                        f"dirty_count={self.table.dirty_count}")
-                yield self.env.timeout(0.001)
-            else:
-                empty_rounds = 0
+        yield from super().on_checkpoint()
 
     # ------------------------------------------------------------------
     # Detach / crash / restart
@@ -898,9 +794,7 @@ class LogStructuredManager(SsdManagerBase):
                 self.table.set_dirty(record, False)
                 self.clean_heap.push(record)
             else:
-                self.clean_heap.remove(record)
-                self.dirty_heap.remove(record)
-                self.table.invalidate_logical(record)
+                self._invalidate_record(record)
 
     def crash_reset(self) -> None:
         """Hard-crash restart: staged batches, the reclaim latch, and

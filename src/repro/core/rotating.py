@@ -4,8 +4,9 @@ The SSD buffer pool is organised as a circular queue with a logical
 ``next_frame`` pointer.  Every page evicted from the memory buffer pool —
 clean or dirty — is written to the frame under the pointer, which then
 advances; whatever page occupied that frame is evicted, *even if it is
-hot*.  If the displaced page's copy is newer than disk and the page is
-not in memory, it must first be copied back to disk.
+hot*.  If the displaced page's copy is newer than disk it is first
+copied back to disk.  Only the layout is ROT's own: what a dirty SSD
+page obliges (checkpoints, copy-back, SSD death) is the base manager's.
 
 The design trades replacement quality for strictly sequential SSD write
 behaviour (it was motivated by the poor random-write speed of early
@@ -18,8 +19,6 @@ buying meaningful write speed.
 from __future__ import annotations
 
 from repro.core.ssd_manager import SsdManagerBase
-from repro.engine.page import Frame
-from repro.telemetry import CHECKPOINT_CTX, EVICTION_CTX
 
 
 class RotatingSsdManager(SsdManagerBase):
@@ -33,105 +32,55 @@ class RotatingSsdManager(SsdManagerBase):
         super().__init__(*args, **kwargs)
         self._next_frame = 0
 
-    def on_evict_clean(self, frame: Frame):
-        if self.detached:
-            if frame.version > self.disk.disk_version(frame.page_id):
-                yield from self.disk.write(frame.page_id, frame.version,
-                                           sequential=False,
-                                           ctx=EVICTION_CTX)
-            return
-        existing = self.table.lookup_valid(frame.page_id)
-        if existing is not None:
-            existing.record_access(self.env.now)
-            return
-        yield from self._rotate_in(frame.page_id, frame.version,
-                                   dirty=frame.version
-                                   > self.disk.disk_version(frame.page_id))
+    #: The decision (§2.3): write-back, every page leaving memory goes
+    #: to the SSD.
+    on_evict_dirty = SsdManagerBase._evict_write_back
 
-    def on_evict_dirty(self, frame: Frame):
-        if self.detached:
-            yield from self.disk.write(frame.page_id, frame.version,
-                                       sequential=False, ctx=EVICTION_CTX)
-            return
-        existing = self.table.lookup_valid(frame.page_id)
-        if existing is not None:
-            self._drop_record(existing)
-        if self._throttled():
-            self.stats.declined_throttle += 1
-            yield from self.disk.write(frame.page_id, frame.version,
-                                       sequential=False, ctx=EVICTION_CTX)
-            return
-        yield from self._rotate_in(frame.page_id, frame.version, dirty=True)
+    def _cache_page(self, page_id: int, version: int, dirty: bool,
+                    rec_lsn: int = 0, ctx=None):
+        """Process step: claim the frame under the pointer.
 
-    def _rotate_in(self, page_id: int, version: int, dirty: bool):
-        """Claim the frame under the pointer, displacing its occupant."""
-        if self.config.ssd_frames == 0:
-            if dirty:
-                yield from self.disk.write(page_id, version,
-                                           sequential=False, ctx=EVICTION_CTX)
-            return
+        Same contract as the base implementation, but the frame is not
+        chosen by LRU-2: whatever sits under the pointer is displaced.
+        """
+        settled = self._cache_guard(self.table.lookup_valid(page_id),
+                                    version, dirty)
+        if settled is not None:
+            return settled
         record = self.table.records[self._next_frame]
         self._next_frame = (self._next_frame + 1) % self.config.ssd_frames
-        # Displace the current occupant regardless of its heat, capturing
-        # what must be copied back *before* any I/O yields (a concurrent
-        # rotation or invalidation may otherwise race for the frame).
-        displaced = None
+        if (record.valid and record.dirty
+                and record.version > self.disk.disk_version(record.page_id)):
+            # The occupant's newest copy lives here: it goes to disk via
+            # memory *before* it leaves the table, so a checkpoint or an
+            # SSD death in the meantime still finds it dirty.
+            copied = yield from self._copy_back(record, record.page_id,
+                                                record.version, ctx=ctx)
+            if not copied or self.detached:
+                return False
+        # Only now displace, regardless of heat.  Both records are looked
+        # at afresh: either may have been invalidated during the yield.
         if record.occupied:
-            if (record.valid and record.dirty
-                    and record.version > self.disk.disk_version(record.page_id)):
-                displaced = (record.page_id, record.version)
             self.stats.evictions += 1
+            self._tm_evictions.inc()
             self._drop_record(record)
+        existing = self.table.lookup_valid(page_id)
+        if existing is not None:
+            self._drop_record(existing)
         self.table.take_frame(record.frame_no)
-        self.table.install(record, page_id, version, dirty, self.env.now)
-        if dirty:
-            self.dirty_heap.push(record)
-        if displaced is not None:
-            # The displaced page's newest copy lived here: it goes to
-            # disk via memory (read the old frame content, write it out).
-            # The read is a must (sole newest copy), but the disk write
-            # proceeds even if the SSD died mid-read: the displaced
-            # record was already dropped from the table, so degradation
-            # redo no longer covers it — the durable WAL does (rotating
-            # installs with rec_lsn=0, which blocks log truncation).
-            yield from self._ssd_read_frame(record.frame_no, must=True,
-                                            ctx=EVICTION_CTX)
-            yield from self.disk.write(displaced[0], displaced[1],
-                                       sequential=False, ctx=EVICTION_CTX)
+        self.table.install(record, page_id, version, dirty, self.env.now,
+                           rec_lsn=rec_lsn)
+        self._reheap(record)
         self.stats.writes += 1
+        self._tm_writes.inc()
         # The whole point of the design: the SSD write is sequential.
         ok = yield from self._ssd_io(
             lambda: self.device.write(record.frame_no, 1, random=False,
-                                      ctx=EVICTION_CTX))
+                                      ctx=ctx))
         if not ok:
             # The image never reached the SSD: the record must not claim
-            # it did.  Guard against the record having been invalidated
-            # or reused while the failed write (and retries) ran.
-            if (record.valid and record.page_id == page_id
-                    and record.version == version):
+            # it did, unless it was invalidated or reused meanwhile.
+            if record.holds(page_id, version):
                 self._drop_record(record)
-            if dirty:
-                # The newest copy must not be dropped with it.
-                yield from self.disk.write(page_id, version,
-                                           sequential=False,
-                                           ctx=EVICTION_CTX)
-
-    def on_checkpoint(self):
-        """Flush every dirty SSD page (same obligation as LC)."""
-        for record in list(self.table.occupied_records()):
-            if not (record.valid and record.dirty):
-                continue
-            if record.version > self.disk.disk_version(record.page_id):
-                ok = yield from self._ssd_read_frame(record.frame_no,
-                                                     must=True,
-                                                     ctx=CHECKPOINT_CTX)
-                if not ok:
-                    # SSD death mid-checkpoint: the in-flight detach
-                    # redoes every remaining dirty page from the log.
-                    yield from self._await_detach()
-                    return
-                yield from self.disk.write(record.page_id, record.version,
-                                           sequential=False,
-                                           ctx=CHECKPOINT_CTX)
-            self.table.set_dirty(record, False)
-            self.stats.checkpoint_ssd_flushes += 1
+            return False
+        return True

@@ -48,6 +48,16 @@ class SsdRecord:
         """Whether the frame holds any page image (valid or invalidated)."""
         return self.page_id is not None
 
+    def holds(self, page_id: int, version: int) -> bool:
+        """Whether the record still caches exactly this page version.
+
+        The question every step asks after an I/O it yielded on: the
+        record may have been invalidated, or reused for another page,
+        while the transfer was in flight.
+        """
+        return (self.valid and self.page_id == page_id
+                and self.version == version)
+
     def lru2_key(self) -> float:
         """Replacement priority: penultimate access time (LRU-2)."""
         return self.prev_access

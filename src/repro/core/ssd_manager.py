@@ -13,6 +13,15 @@ The buffer pool calls the SSD manager at five points:
 The checkpointer adds :meth:`checkpoint_write` and :meth:`on_checkpoint`;
 crash/restart simulation adds :meth:`on_crash` / :meth:`on_restart`.
 
+What a *write-back* design owes is kept here once, keyed on what the
+buffer table holds (``table.dirty_count``) and never on which design
+runs: :meth:`_evict_write_back` (no new dirty page while a checkpoint
+runs, §3.2), :meth:`_copy_back` (SSD → memory → disk, §3.3.5),
+:meth:`on_checkpoint` (every dirty SSD page reaches disk before the log
+is cut) and :meth:`_pre_detach` (SSD death is survived by redo, §2.4).
+A design is its :meth:`on_evict_dirty` decision plus, for LS and ROT, a
+layout (:meth:`_cache_page`).
+
 Methods documented as *process steps* are generators to be driven with
 ``yield from``.
 """
@@ -40,6 +49,7 @@ from repro.engine.wal import WriteAheadLog
 from repro.storage.ssd import Ssd
 from repro.telemetry import (
     CHECKPOINT_CTX,
+    CLEANER_CTX,
     EVICTION_CTX,
     NULL_TELEMETRY,
     RECOVERY_CTX,
@@ -108,31 +118,12 @@ class SsdStats:
         "heap_reseeds",       # LC dirty-heap reseeds (desync recovery)
     )
 
-    def __init__(self, reads: int = 0, writes: int = 0,
-                 declined_throttle: int = 0, invalidations: int = 0,
-                 evictions: int = 0, fallback_disk_writes: int = 0,
-                 cleaner_pages: int = 0, cleaner_ios: int = 0,
-                 checkpoint_ssd_flushes: int = 0,
-                 missed_dirty_writes: int = 0, lambda_crossings: int = 0,
-                 io_retries: int = 0, io_failures: int = 0,
-                 throttle_preserved: int = 0, detach_redo_pages: int = 0,
-                 heap_reseeds: int = 0):
-        self.reads = reads
-        self.writes = writes
-        self.declined_throttle = declined_throttle
-        self.invalidations = invalidations
-        self.evictions = evictions
-        self.fallback_disk_writes = fallback_disk_writes
-        self.cleaner_pages = cleaner_pages
-        self.cleaner_ios = cleaner_ios
-        self.checkpoint_ssd_flushes = checkpoint_ssd_flushes
-        self.missed_dirty_writes = missed_dirty_writes
-        self.lambda_crossings = lambda_crossings
-        self.io_retries = io_retries
-        self.io_failures = io_failures
-        self.throttle_preserved = throttle_preserved
-        self.detach_redo_pages = detach_redo_pages
-        self.heap_reseeds = heap_reseeds
+    def __init__(self, **counters: int):
+        for name in self.__slots__:
+            setattr(self, name, counters.pop(name, 0))
+        if counters:
+            raise TypeError(
+                f"SsdStats has no counter named {sorted(counters)}")
 
     def as_dict(self) -> Dict[str, int]:
         """Counter name → value, in slot order (snapshot format)."""
@@ -165,6 +156,9 @@ class SsdManagerBase:
 
     #: Name used in figures and reports; subclasses override.
     name = "base"
+
+    #: Consecutive no-progress drain rounds before failing loudly.
+    _STALL_LIMIT = 64
 
     def __init__(self, env: Environment, device: Ssd, disk: DiskManager,
                  wal: WriteAheadLog, config: Optional[SsdDesignConfig] = None,
@@ -279,6 +273,17 @@ class SsdManagerBase:
     def _throttled(self) -> bool:
         """True while optional SSD I/Os should be skipped (§3.3.2)."""
         return self.device.pending > self.config.throttle_limit
+
+    def _checkpointing(self) -> bool:
+        """True while a sharp checkpoint is flushing (§3.2)."""
+        return self.bp is not None and self.bp.checkpoint_active
+
+    def _disk_write(self, page_id: int, version: int, ctx):
+        """Process step: one random page write to the database.
+
+        Returns the disk manager's own generator, so a ``yield from``
+        here costs no frame of its own."""
+        return self.disk.write(page_id, version, sequential=False, ctx=ctx)
 
     # ------------------------------------------------------------------
     # Fault-hardened device access
@@ -403,17 +408,14 @@ class SsdManagerBase:
     # Caching (shared by the eviction hooks)
     # ------------------------------------------------------------------
 
-    def _cache_page(self, page_id: int, version: int, dirty: bool,
-                    rec_lsn: int = 0, ctx=None):
-        """Process step: write one page image into the SSD buffer pool.
+    def _cache_guard(self, existing: Optional[SsdRecord], version: int,
+                     dirty: bool) -> Optional[bool]:
+        """What every layout checks before it places a page image.
 
-        Returns True if cached.  Handles the already-cached case, the
-        throttle, frame allocation, and replacement.  ``rec_lsn`` is the
-        recovery LSN carried by a dirty page (fuzzy checkpoints truncate
-        the log against the oldest one; the conservative default of 0
-        blocks truncation entirely until the page is cleaned).
+        ``existing`` is the page's valid record, if any.  Returns True
+        (the identical copy is already cached), False (declined), or
+        None: go on and place the page.
         """
-        existing = self.table.lookup_valid(page_id)
         if existing is not None and (existing.version == version
                                      and existing.dirty == dirty):
             existing.record_access(self.env.now)
@@ -431,6 +433,22 @@ class SsdManagerBase:
                 self.stats.throttle_preserved += 1
                 self._tm_throttle_preserved.inc()
             return False
+        return None
+
+    def _cache_page(self, page_id: int, version: int, dirty: bool,
+                    rec_lsn: int = 0, ctx=None):
+        """Process step: write one page image into the SSD buffer pool.
+
+        Returns True if cached.  Handles the already-cached case, the
+        throttle, frame allocation, and replacement.  ``rec_lsn`` is the
+        recovery LSN carried by a dirty page (fuzzy checkpoints truncate
+        the log against the oldest one; the conservative default of 0
+        blocks truncation entirely until the page is cleaned).
+        """
+        existing = self.table.lookup_valid(page_id)
+        settled = self._cache_guard(existing, version, dirty)
+        if settled is not None:
+            return settled
         if existing is not None:
             self._drop_record(existing)
         record = self.table.take_free()
@@ -451,8 +469,7 @@ class SsdManagerBase:
             # The image never reached the SSD: the record must not claim
             # it did.  Guard against the record having been invalidated
             # or reused while the failed write (and retries) ran.
-            if (record.valid and record.page_id == page_id
-                    and record.version == version):
+            if record.holds(page_id, version):
                 self._drop_record(record)
             return False
         return True
@@ -470,10 +487,17 @@ class SsdManagerBase:
         return taken
 
     def _drop_record(self, record: SsdRecord) -> None:
-        """Physically free a record (our designs' invalidation)."""
+        """Physically free a record and its frame."""
         self.clean_heap.remove(record)
         self.dirty_heap.remove(record)
         self.table.release(record)
+
+    def _invalidate_record(self, record: SsdRecord) -> None:
+        """The cached copy went stale: free the frame.
+
+        The paper's designs invalidate physically; TAC and LS override
+        this to mark the record and keep the frame."""
+        self._drop_record(record)
 
     # ------------------------------------------------------------------
     # Buffer-pool hooks (overridden per design)
@@ -495,9 +519,8 @@ class SsdManagerBase:
             # flushing, or already flushed); a redundant disk write is
             # monotone-safe and keeps this path self-contained.
             if frame.version > self.disk.disk_version(frame.page_id):
-                yield from self.disk.write(frame.page_id, frame.version,
-                                           sequential=False,
-                                           ctx=EVICTION_CTX)
+                yield from self._disk_write(frame.page_id, frame.version,
+                                            EVICTION_CTX)
             return
         existing = self.table.lookup_valid(frame.page_id)
         if existing is not None:
@@ -523,18 +546,66 @@ class SsdManagerBase:
             if dirty and not cached:
                 # Couldn't re-cache (throttle/full): the newest copy must
                 # not be dropped — write it to disk instead.
-                yield from self.disk.write(frame.page_id, frame.version,
-                                           sequential=False,
-                                           ctx=EVICTION_CTX)
+                yield from self._disk_write(frame.page_id, frame.version,
+                                            EVICTION_CTX)
             if dirty and cached:
                 self._after_dirty_cached()
         elif frame.version > self.disk.disk_version(frame.page_id):
-            yield from self.disk.write(frame.page_id, frame.version,
-                                       sequential=False, ctx=EVICTION_CTX)
+            yield from self._disk_write(frame.page_id, frame.version,
+                                        EVICTION_CTX)
 
     def on_evict_dirty(self, frame: Frame):
-        """Process step: a dirty page leaves the pool (design-specific)."""
+        """Process step: a dirty page leaves the pool — the one decision
+        the designs differ in (§2.3)."""
         raise NotImplementedError
+
+    def _evict_write_back(self, frame: Frame):
+        """Process step: the write-back answer to a dirty eviction.
+
+        Cache the page in the SSD alone; returns True if that happened.
+        Otherwise the page goes to disk, counted as a fallback: when
+        admission rejects it, while a checkpoint is in progress (§3.2:
+        no new dirty page is cached then, or the checkpoint's flush of
+        the SSD would chase a moving target), when the SSD is throttled
+        or detached, or when no frame can be reclaimed.
+        """
+        if not self._checkpointing() and self.admission.qualifies(
+                frame, self.admission_fill_level):
+            cached = yield from self._cache_page(
+                frame.page_id, frame.version, dirty=True,
+                rec_lsn=max(0, frame.rec_lsn), ctx=EVICTION_CTX)
+            if cached:
+                return True
+        self.stats.fallback_disk_writes += 1
+        self._tm_fallback.inc()
+        yield from self._disk_write(frame.page_id, frame.version,
+                                    EVICTION_CTX)
+        return False
+
+    def _copy_back(self, record: SsdRecord, page_id: int, version: int,
+                   ctx=CLEANER_CTX):
+        """Process step: copy one newest-copy SSD page back to disk.
+
+        SSD -> memory -> disk (§3.3.5: pages cannot move directly).  The
+        read is a *must* read: this is the only non-log copy of the
+        version.  ``page_id`` and ``version`` are what the caller
+        captured before yielding.  Returns True when the disk write
+        landed.
+        """
+        ok = yield from self._ssd_read_frame(record.frame_no, must=True,
+                                             ctx=ctx)
+        if not ok:
+            return False
+        try:
+            yield from self._disk_write(page_id, version, ctx)
+        except IoFault:
+            return False
+        # Mark clean only if the record still describes what we wrote —
+        # it may have been superseded, invalidated or reused mid-flight.
+        if record.dirty and record.holds(page_id, version):
+            self.table.set_dirty(record, False)
+            self._reheap(record)
+        return True
 
     def _after_dirty_cached(self) -> None:
         """Hook: a dirty page entered the SSD (LC wakes its cleaner)."""
@@ -555,12 +626,12 @@ class SsdManagerBase:
         """
 
     def invalidate(self, page_id: int) -> None:
-        """A buffered page was dirtied: drop the SSD copy (physical)."""
+        """A buffered page was dirtied: its SSD copy is stale (§2.2)."""
         record = self.table.lookup(page_id)
-        if record is not None and record.occupied:
+        if record is not None and record.valid:
             self.stats.invalidations += 1
             self._tm_invalidations.inc()
-            self._drop_record(record)
+            self._invalidate_record(record)
 
     # ------------------------------------------------------------------
     # Multi-page trimming (§3.3.3)
@@ -600,13 +671,54 @@ class SsdManagerBase:
         Default (noSSD/CW/LC/TAC): write to disk only.  DW overrides to
         also prime the SSD (§3.2).
         """
-        yield from self.disk.write(frame.page_id, frame.version,
-                                   sequential=False, ctx=CHECKPOINT_CTX)
+        yield from self._disk_write(frame.page_id, frame.version,
+                                    CHECKPOINT_CTX)
 
     def on_checkpoint(self):
-        """Process step: design-specific checkpoint work (LC overrides)."""
-        return
-        yield  # pragma: no cover - makes this a generator
+        """Process step: flush every dirty SSD page to disk (§3.2).
+
+        The log is truncated when this returns, so it drains until the
+        table holds no dirty record — pages that turned dirty while it
+        ran included — in waves of ``cleaner_concurrency`` copy-backs.
+        Designs that never cache a dirty page fall straight through.
+        """
+        empty_rounds = 0
+        while self.table.dirty_count > 0:
+            if self._detach_started:
+                # The SSD died mid-checkpoint; the detach redo makes the
+                # dirty pages durable on disk, which is all this phase
+                # needs.  Wait for it rather than racing it.
+                yield from self._await_detach()
+                break
+            progressed = 0
+            wave = []
+            for record in self.table.occupied_records():
+                if not (record.valid and record.dirty):
+                    continue
+                if record.version > self.disk.disk_version(record.page_id):
+                    wave.append(self._copy_back(record, record.page_id,
+                                                record.version,
+                                                ctx=CHECKPOINT_CTX))
+                else:
+                    # Disk already has this version: clean by fiat.
+                    self.table.set_dirty(record, False)
+                    self._reheap(record)
+                    progressed += 1
+                if progressed + len(wave) >= self.config.cleaner_concurrency:
+                    break
+            if wave:
+                landed = sum((yield self.env.gather(wave)))
+                progressed += landed
+                self.stats.checkpoint_ssd_flushes += landed
+            if progressed:
+                empty_rounds = 0
+                continue
+            empty_rounds += 1
+            if empty_rounds >= self._STALL_LIMIT:
+                raise RuntimeError(
+                    f"checkpoint drain stalled: "
+                    f"dirty_count={self.table.dirty_count}")
+            yield self.env.timeout(0.001)
 
     # ------------------------------------------------------------------
     # Graceful degradation on SSD death (§2.4)
@@ -679,8 +791,7 @@ class SsdManagerBase:
         for wave_start in range(0, len(targets), DEGRADE_BATCH):
             wave = targets[wave_start:wave_start + DEGRADE_BATCH]
             yield self.env.gather(
-                self.disk.write(pid, version, sequential=False,
-                                ctx=RECOVERY_CTX)
+                self._disk_write(pid, version, RECOVERY_CTX)
                 for pid, version in wave)
             self.stats.detach_redo_pages += len(wave)
         if self._tracer.enabled:
@@ -783,8 +894,8 @@ class NoSsdManager(SsdManagerBase):
         yield  # pragma: no cover - makes this a generator
 
     def on_evict_dirty(self, frame: Frame):
-        yield from self.disk.write(frame.page_id, frame.version,
-                                   sequential=False, ctx=EVICTION_CTX)
+        yield from self._disk_write(frame.page_id, frame.version,
+                                    EVICTION_CTX)
 
     def invalidate(self, page_id: int) -> None:
         pass

@@ -196,8 +196,7 @@ class TemperatureAwareManager(SsdManagerBase):
         if not ok:
             # The image never reached the SSD; drop the claim unless the
             # record was already invalidated or reused meanwhile.
-            if (record.valid and record.page_id == page_id
-                    and record.version == version):
+            if record.holds(page_id, version):
                 self._drop_record(record)
             return False
         return True
@@ -210,8 +209,8 @@ class TemperatureAwareManager(SsdManagerBase):
     def on_evict_dirty(self, frame: Frame):
         """Step (iv): write to disk; if an *invalidated* version of the
         page sits in the SSD, also write the new version there."""
-        disk_write = self.disk.write(frame.page_id, frame.version,
-                                     sequential=False, ctx=EVICTION_CTX)
+        disk_write = self._disk_write(frame.page_id, frame.version,
+                                      EVICTION_CTX)
         record = self.table.lookup(frame.page_id)
         if record is not None and not record.valid:
             yield self.env.gather([disk_write, self._revalidate_write(
@@ -239,24 +238,19 @@ class TemperatureAwareManager(SsdManagerBase):
                                               ctx=EVICTION_CTX)
         if not ok:
             # Write never landed: the record must not claim the version.
-            if (record.occupied and record.valid
-                    and record.page_id == page_id
-                    and record.version == version):
+            if record.holds(page_id, version):
                 self.table.invalidate_logical(record)
 
     # ------------------------------------------------------------------
     # Logical invalidation (§2.5: the frame is *not* reclaimed)
     # ------------------------------------------------------------------
 
-    def invalidate(self, page_id: int) -> None:
-        """Logical invalidation: mark invalid but keep the frame."""
-        record = self.table.lookup(page_id)
-        if record is not None and record.valid:
-            self.stats.invalidations += 1
-            self._tm_invalidations.inc()
-            self.table.invalidate_logical(record)
-            # The record stays in the temperature heap: TAC may replace a
-            # valid page while invalid ones linger — the §4.2 waste.
+    def _invalidate_record(self, record) -> None:
+        """Logical invalidation: mark invalid but keep the frame.
+
+        The record stays in the temperature heap: TAC may replace a
+        valid page while invalid ones linger — the §4.2 waste."""
+        self.table.invalidate_logical(record)
 
     def _drop_record(self, record) -> None:
         self.temp_heap.remove(record)

@@ -39,7 +39,7 @@ from repro.harness.system import System, SystemConfig
 class CrashSweepConfig:
     """Shape of one crash-point sweep."""
 
-    designs: Sequence[str] = ("CW", "DW", "LC", "TAC", "LS")
+    designs: Sequence[str] = ("CW", "DW", "LC", "TAC", "LS", "ROT", "EXCL")
     policies: Sequence[str] = ("sharp", "fuzzy")
     #: Crash points per design × policy combination.
     points: int = 5

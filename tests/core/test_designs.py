@@ -149,7 +149,7 @@ class TestLazyCleaning:
         evict_dirty(sys_, 7)  # SSD v1, disk v0
         sys_.ssd_manager.config.throttle_limit = 1
         for i in range(8):
-            sys_.env.process(sys_.ssd_manager._raw_ssd_read(i % 4))
+            sys_.env.process(sys_.ssd_manager._ssd_read_frame(i % 4))
 
         def proc():
             return (yield from sys_.ssd_manager.try_read(7))

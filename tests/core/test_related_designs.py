@@ -1,10 +1,13 @@
 """Tests for the related-work designs (paper §5): rotating SSD and the
 exclusive approach."""
 
+import pytest
+
 from repro.engine.page import Frame
 from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness.system import System, SystemConfig
 from repro.core import SsdDesignConfig
+from repro.storage.request import IoKind
 from tests.conftest import MiniSystem, drive, settle
 
 
@@ -13,10 +16,15 @@ def evict_clean(sys_, page_id, version=0):
     drive(sys_.env, sys_.ssd_manager.on_evict_clean(frame))
 
 
-def evict_dirty(sys_, page_id, version=1):
+def dirty_frame(page_id, version):
     frame = Frame(page_id, version=version)
     frame.dirty = True
-    drive(sys_.env, sys_.ssd_manager.on_evict_dirty(frame))
+    return frame
+
+
+def evict_dirty(sys_, page_id, version=1):
+    drive(sys_.env, sys_.ssd_manager.on_evict_dirty(
+        dirty_frame(page_id, version)))
 
 
 class TestRotating:
@@ -47,7 +55,6 @@ class TestRotating:
         sys_ = self.make(frames=8)
         for page in range(8):
             evict_clean(sys_, page)
-        from repro.storage.request import IoKind
         stats = sys_.ssd_device.stats
         assert stats.by_kind[IoKind.SEQUENTIAL_WRITE] == 8
         assert stats.by_kind[IoKind.RANDOM_WRITE] == 0
@@ -141,3 +148,96 @@ class TestExclusive:
         sys_ = self.make()
         sys_.churn(accesses=2_000, write_fraction=0.4, span=300, seed=29)
         sys_.ssd_manager.check_invariants()
+
+
+#: The write-back designs whose frames are reused in place.  (LS reuses a
+#: frame only after cleaning its whole segment, and its drain is the same
+#: base method ROT and EXCL run.)
+WRITE_BACK = ["LC", "ROT", "EXCL"]
+
+
+@pytest.mark.parametrize("design", WRITE_BACK)
+class TestCheckpointFlushUnderConcurrency:
+    """The checkpoint's flush of dirty SSD pages yields on I/O; what the
+    rest of the system does meanwhile must not lose or mislabel a page.
+    ROT and EXCL used to hand-roll this flush and got each case wrong."""
+
+    def make(self, design, frames):
+        return MiniSystem(design=design, db_pages=500, bp_pages=32,
+                          ssd_frames=frames)
+
+    def flush_until_mid_read(self, sys_):
+        """Start the SSD flush and stop inside its first SSD read."""
+        flush = sys_.env.process(sys_.ssd_manager.on_checkpoint())
+        sys_.env.run(until=sys_.env.now + 1e-4)
+        assert sys_.ssd_device.pending == 1 and not flush.triggered
+        return flush
+
+    def test_record_invalidated_during_the_ssd_read(self, design):
+        sys_ = self.make(design, frames=4)
+        evict_dirty(sys_, 7, version=3)
+        flush = self.flush_until_mid_read(sys_)
+        sys_.ssd_manager.invalidate(7)  # page 7 re-dirtied in the pool
+        sys_.env.run(flush)
+        assert sys_.ssd_manager.dirty_frames == 0
+        assert not sys_.ssd_manager.contains_valid(7)
+
+    def test_record_reused_during_the_ssd_read(self, design):
+        """A page is copied back SSD -> memory -> disk: the flush may
+        not write (and mark clean) a page image it never read."""
+        sys_ = self.make(design, frames=1)
+        evict_dirty(sys_, 7, version=3)
+        flush = self.flush_until_mid_read(sys_)
+        sys_.ssd_manager.invalidate(7)
+        sys_.env.process(sys_.ssd_manager.on_evict_dirty(dirty_frame(9, 5)))
+        sys_.env.run(flush)
+        settle(sys_.env)
+        reads = sys_.ssd_device.stats.by_kind[IoKind.RANDOM_READ]
+        assert reads == 2  # page 7's image, then page 9's own
+        assert sys_.disk.disk_version(9) == 5
+        assert sys_.ssd_manager.dirty_frames == 0
+        sys_.ssd_manager.check_invariants()
+
+    def test_dirty_eviction_landing_mid_checkpoint(self, design):
+        """§3.2: no new dirty page is cached while a checkpoint runs, or
+        it is flushed by nobody before the log is cut."""
+        sys_ = self.make(design, frames=16)
+        for page in range(6):
+            evict_dirty(sys_, page, version=2)
+        checkpoint = sys_.env.process(sys_.checkpointer.checkpoint())
+        sys_.env.run(until=sys_.env.now + 5e-3)
+        assert sys_.bp.checkpoint_active
+        sys_.env.process(sys_.ssd_manager.on_evict_dirty(dirty_frame(40, 2)))
+        sys_.env.run(checkpoint)
+        assert sys_.ssd_manager.dirty_frames == 0
+        assert sys_.ssd_manager.stats.fallback_disk_writes == 1
+        settle(sys_.env)
+        committed = {page: 2 for page in (0, 1, 2, 3, 4, 5, 40)}
+        drive(sys_.env, simulate_crash_and_recover(sys_.env, sys_,
+                                                   committed=committed))
+
+
+def test_excl_keeps_a_newest_copy_read_during_a_checkpoint():
+    """The hand-over race: the checkpoint snapshots dirty memory frames
+    first and flushes dirty SSD pages last.  A newest copy handed from
+    the SSD to memory in between is in neither set — so EXCL leaves it
+    in the SSD until the checkpoint is over."""
+    sys_ = MiniSystem(design="EXCL", db_pages=500, bp_pages=32,
+                      ssd_frames=16)
+    for page in range(6):
+        evict_dirty(sys_, page, version=2)
+    checkpoint = sys_.env.process(sys_.checkpointer.checkpoint())
+    sys_.env.run(until=sys_.env.now + 1e-3)
+    assert sys_.bp.checkpoint_active
+
+    def read_last():
+        frame = yield from sys_.bp.fetch(5)
+        sys_.bp.unpin(frame)
+        return frame
+
+    frame = drive(sys_.env, read_last())
+    assert sys_.bp.checkpoint_active  # the read landed mid-checkpoint
+    assert frame.version == 2
+    sys_.env.run(checkpoint)
+    drive(sys_.env, simulate_crash_and_recover(
+        sys_.env, sys_, committed={page: 2 for page in range(6)}))

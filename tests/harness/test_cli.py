@@ -24,7 +24,7 @@ OPTIONS = {'': {},
              '--workload': 'oltp'},
  'chaos': {'--checkpoint-interval': 1.0,
            '--db': None,
-           '--designs': 'CW,DW,LC,TAC,LS',
+           '--designs': 'CW,DW,LC,TAC,LS,ROT,EXCL',
            '--duration': 8.0,
            '--no-db': False,
            '--points': 5,

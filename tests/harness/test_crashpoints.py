@@ -36,6 +36,15 @@ class TestCrashPointSweep:
         assert fingerprint(crash_point_sweep(cfg)) == \
             fingerprint(crash_point_sweep(cfg))
 
+    def test_related_work_designs_survive_a_sharp_point(self):
+        """One sharp point each for ROT and EXCL, at a seed where both
+        used to fail inside ``on_checkpoint`` (``TypeError`` on a record
+        invalidated during the flush's SSD read)."""
+        result = crash_point_sweep(small_config(designs=("ROT", "EXCL"),
+                                                seed=12))
+        assert len(result.outcomes) == 2
+        assert result.ok, format_sweep_table(result)
+
     def test_fuzzy_policy_runs(self):
         result = crash_point_sweep(small_config(designs=("TAC",),
                                                 policies=("fuzzy",)))
