@@ -33,8 +33,7 @@ class LazyCleaningManager(SsdManagerBase):
     """LC: write-back caching of dirty evictions with a cleaner thread."""
 
     __slots__ = ("_cleaner_started", "_cleaner_wakeup", "_above_lambda",
-                 "_cleaning_frames", "_tm_cleaner_rounds",
-                 "_tm_cleaner_pages", "_tm_lambda_crossings")
+                 "_cleaning_frames")
 
     name = "LC"
 
@@ -51,13 +50,16 @@ class LazyCleaningManager(SsdManagerBase):
         #: not be re-seeded into it.
         self._cleaning_frames: Set[int] = set()
         registry = self.telemetry.registry
-        self._tm_cleaner_rounds = registry.counter(
-            "lc_cleaner_rounds_total", "Group-clean batches the LC cleaner ran")
-        self._tm_cleaner_pages = registry.counter(
-            "lc_cleaner_pages_total", "Dirty SSD pages the LC cleaner wrote back")
-        self._tm_lambda_crossings = registry.counter(
+        registry.counter(
+            "lc_cleaner_rounds_total", "Group-clean batches the LC cleaner ran",
+            lambda: self.stats.cleaner_ios)
+        registry.counter(
+            "lc_cleaner_pages_total", "Dirty SSD pages the LC cleaner wrote back",
+            lambda: self.stats.cleaner_pages)
+        registry.counter(
             "lc_lambda_crossings_total",
-            "Upward crossings of the dirty-fraction threshold (lambda)")
+            "Upward crossings of the dirty-fraction threshold (lambda)",
+            lambda: self.stats.lambda_crossings)
 
     def _note_lambda(self) -> None:
         """Record crossings of λ (in either direction) as trace instants."""
@@ -67,7 +69,6 @@ class LazyCleaningManager(SsdManagerBase):
         self._above_lambda = above
         if above:
             self.stats.lambda_crossings += 1
-            self._tm_lambda_crossings.inc()
         if self._tracer.enabled:
             self._tracer.instant(
                 "lambda_crossed" if above else "lambda_recovered",
@@ -189,8 +190,6 @@ class LazyCleaningManager(SsdManagerBase):
             if record.dirty and record.holds(page_id, version):
                 self.table.set_dirty(record, False)
                 self.clean_heap.push(record)
-        self._tm_cleaner_rounds.inc()
-        self._tm_cleaner_pages.inc(len(group))
         if self._tracer.enabled:
             self._tracer.complete("clean_batch", round_started, self.env.now,
                                   "cleaner", "cleaner",

@@ -81,8 +81,7 @@ class LogStructuredManager(SsdManagerBase):
                  "_seg_seq", "_next_seq", "_next_epoch", "_free_slots",
                  "_journal", "_batch", "_pending_batches", "_reclaim_busy",
                  "_cleaner_started", "_cleaner_wakeup", "_dirty_wakeup",
-                 "_tm_batches", "_tm_batch_pages", "_tm_reclaims",
-                 "_tm_reclaim_flushes", "_tm_relocations", "_tm_replays")
+                 "batches", "batch_pages", "relocations", "replays")
 
     name = "LS"
 
@@ -118,23 +117,34 @@ class LogStructuredManager(SsdManagerBase):
         self._cleaner_started = False
         self._cleaner_wakeup: Optional[Event] = None
         self._dirty_wakeup: Optional[Event] = None
+        #: Always-on tallies; the help texts below say what each counts.
+        self.batches = 0
+        self.batch_pages = 0
+        self.relocations = 0
+        self.replays = 0
         registry = self.telemetry.registry
-        self._tm_batches = registry.counter(
-            "ls_batches_total", "Group-commit admission batches flushed")
-        self._tm_batch_pages = registry.counter(
-            "ls_batch_pages_total", "Pages admitted through LS batches")
-        self._tm_reclaims = registry.counter(
+        registry.counter(
+            "ls_batches_total", "Group-commit admission batches flushed",
+            lambda: self.batches)
+        registry.counter(
+            "ls_batch_pages_total", "Pages admitted through LS batches",
+            lambda: self.batch_pages)
+        registry.counter(
             "ls_reclaimed_segments_total",
-            "Log segments reclaimed (greedy victim selection)")
-        self._tm_reclaim_flushes = registry.counter(
+            "Log segments reclaimed (greedy victim selection)",
+            lambda: self.stats.cleaner_ios)
+        registry.counter(
             "ls_reclaim_dirty_flushes_total",
-            "Newest-copy pages flushed to disk during segment cleaning")
-        self._tm_relocations = registry.counter(
+            "Newest-copy pages flushed to disk during segment cleaning",
+            lambda: self.stats.cleaner_pages)
+        registry.counter(
             "ls_relocated_entries_total",
-            "Live entries re-appended to the log during segment cleaning")
-        self._tm_replays = registry.counter(
+            "Live entries re-appended to the log during segment cleaning",
+            lambda: self.relocations)
+        registry.counter(
             "ls_replayed_entries_total",
-            "Log entries replayed into the mapping after a crash")
+            "Log entries replayed into the mapping after a crash",
+            lambda: self.replays)
 
     @property
     def admission_fill_level(self) -> int:
@@ -254,8 +264,8 @@ class LogStructuredManager(SsdManagerBase):
             ok = yield from self._write_frame_runs(frames)
             if ok:
                 batch.ok = True
-                self._tm_batches.inc()
-                self._tm_batch_pages.inc(npages)
+                self.batches += 1
+                self.batch_pages += npages
                 if any(entry[2] for entry in batch.entries):
                     self._after_dirty_cached()
             else:
@@ -290,7 +300,6 @@ class LogStructuredManager(SsdManagerBase):
             self._next_epoch += 1
             frames.append(frame_no)
             self.stats.writes += 1
-            self._tm_writes.inc()
             if self._tracer.enabled:
                 self._tracer.instant("admit", "ssd", "ssd_manager",
                                      {"page": page_id, "dirty": dirty})
@@ -634,7 +643,6 @@ class LogStructuredManager(SsdManagerBase):
             if record.occupied:
                 if record.valid and frame_no not in relocating:
                     self.stats.evictions += 1
-                    self._tm_evictions.inc()
                     dropped += 1
                 self._drop_record(record)
             self._journal.pop(frame_no, None)
@@ -665,14 +673,11 @@ class LogStructuredManager(SsdManagerBase):
             ok = yield from self._write_frame_runs(new_frames)
             if ok:
                 relocated = len(survivors)
-                self._tm_relocations.inc(relocated)
+                self.relocations += relocated
             else:
                 self._roll_back(new_frames)
         self.stats.cleaner_pages += flushed
         self.stats.cleaner_ios += 1
-        self._tm_reclaims.inc()
-        if flushed:
-            self._tm_reclaim_flushes.inc(flushed)
         if self._tracer.enabled:
             self._tracer.complete(
                 "log_reclaim", started, self.env.now, "cleaner", "cleaner",
@@ -772,7 +777,7 @@ class LogStructuredManager(SsdManagerBase):
                                rec_lsn=rec_lsn)
             replayed += 1
         if replayed:
-            self._tm_replays.inc(replayed)
+            self.replays += replayed
             if self._tracer.enabled:
                 self._tracer.instant("ls_log_replay", "ssd", "ssd_manager",
                                      {"entries": replayed})

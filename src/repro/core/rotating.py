@@ -62,7 +62,6 @@ class RotatingSsdManager(SsdManagerBase):
         # at afresh: either may have been invalidated during the yield.
         if record.occupied:
             self.stats.evictions += 1
-            self._tm_evictions.inc()
             self._drop_record(record)
         existing = self.table.lookup_valid(page_id)
         if existing is not None:
@@ -72,7 +71,6 @@ class RotatingSsdManager(SsdManagerBase):
                            rec_lsn=rec_lsn)
         self._reheap(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         # The whole point of the design: the SSD write is sequential.
         ok = yield from self._ssd_io(
             lambda: self.device.write(record.frame_no, 1, random=False,

@@ -149,9 +149,6 @@ class SsdManagerBase:
         "env", "device", "disk", "wal", "config", "admission", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
         "_detach_started", "_detach_complete", "telemetry", "_tracer",
-        "_tm_reads", "_tm_writes", "_tm_invalidations", "_tm_declined",
-        "_tm_evictions", "_tm_fallback", "_tm_retries",
-        "_tm_throttle_preserved",
     )
 
     #: Name used in figures and reports; subclasses override.
@@ -189,33 +186,41 @@ class SsdManagerBase:
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._tm_reads = registry.counter(
-            "ssd_mgr_reads_total", "Pages served from the SSD buffer pool")
-        self._tm_writes = registry.counter(
-            "ssd_mgr_writes_total", "Pages admitted (written) to the SSD")
-        self._tm_invalidations = registry.counter(
-            "ssd_mgr_invalidations_total", "SSD copies invalidated on dirty")
-        self._tm_declined = registry.counter(
+        registry.counter(
+            "ssd_mgr_reads_total", "Pages served from the SSD buffer pool",
+            lambda: self.stats.reads)
+        registry.counter(
+            "ssd_mgr_writes_total", "Pages admitted (written) to the SSD",
+            lambda: self.stats.writes)
+        registry.counter(
+            "ssd_mgr_invalidations_total", "SSD copies invalidated on dirty",
+            lambda: self.stats.invalidations)
+        registry.counter(
             "ssd_mgr_declined_throttle_total",
-            "Optional SSD I/Os skipped by throttle control (mu)")
-        self._tm_evictions = registry.counter(
-            "ssd_mgr_evictions_total", "SSD frames reclaimed by replacement")
-        self._tm_fallback = registry.counter(
+            "Optional SSD I/Os skipped by throttle control (mu)",
+            lambda: self.stats.declined_throttle)
+        registry.counter(
+            "ssd_mgr_evictions_total", "SSD frames reclaimed by replacement",
+            lambda: self.stats.evictions)
+        registry.counter(
             "ssd_mgr_fallback_disk_writes_total",
-            "Dirty evictions sent to disk instead of the SSD")
-        self._tm_retries = registry.counter(
+            "Dirty evictions sent to disk instead of the SSD",
+            lambda: self.stats.fallback_disk_writes)
+        registry.counter(
             "ssd_mgr_retries_total",
-            "SSD I/Os retried after transient failures")
-        self._tm_throttle_preserved = registry.counter(
+            "SSD I/Os retried after transient failures",
+            lambda: self.stats.io_retries)
+        registry.counter(
             "ssd_mgr_throttle_preserved_total",
-            "Existing SSD copies preserved through a declined admission")
-        registry.gauge("ssd_used_frames", "Occupied SSD frames"
-                       ).set_function(lambda: self.used_frames)
-        registry.gauge("ssd_dirty_frames", "Dirty (newer-than-disk) SSD frames"
-                       ).set_function(lambda: self.dirty_frames)
+            "Existing SSD copies preserved through a declined admission",
+            lambda: self.stats.throttle_preserved)
+        registry.gauge("ssd_used_frames", "Occupied SSD frames",
+                       lambda: self.used_frames)
+        registry.gauge("ssd_dirty_frames", "Dirty (newer-than-disk) SSD frames",
+                       lambda: self.dirty_frames)
         registry.gauge("ssd_dirty_fraction",
-                       "Dirty frames / SSD capacity (LC's lambda gauge)"
-                       ).set_function(lambda: self.dirty_fraction)
+                       "Dirty frames / SSD capacity (LC's lambda gauge)",
+                       lambda: self.dirty_fraction)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -311,7 +316,6 @@ class SsdManagerBase:
                 return False
             except IoFault:
                 self.stats.io_retries += 1
-                self._tm_retries.inc()
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "io_retry", "fault", "faults",
@@ -370,7 +374,6 @@ class SsdManagerBase:
         newer = record.version > self.disk.disk_version(page_id)
         if self._throttled() and not newer:
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             return None
         return (yield from self._read_record(record, ctx=ctx))
 
@@ -384,7 +387,6 @@ class SsdManagerBase:
     def _read_record(self, record: SsdRecord, ctx=None):
         version = record.version
         self.stats.reads += 1
-        self._tm_reads.inc()
         record.record_access(self.env.now)
         self._reheap(record)
         must = version > self.disk.disk_version(record.page_id)
@@ -428,10 +430,8 @@ class SsdManagerBase:
             # valid copy and then refusing to replace it would destroy
             # data the throttle was only meant to defer.
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             if existing is not None:
                 self.stats.throttle_preserved += 1
-                self._tm_throttle_preserved.inc()
             return False
         return None
 
@@ -460,7 +460,6 @@ class SsdManagerBase:
                            rec_lsn=rec_lsn)
         self._reheap(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": dirty})
@@ -480,7 +479,6 @@ class SsdManagerBase:
         if victim is None:
             return None
         self.stats.evictions += 1
-        self._tm_evictions.inc()
         self.table.release(victim)
         taken = self.table.take_free()
         assert taken is not None
@@ -577,7 +575,6 @@ class SsdManagerBase:
             if cached:
                 return True
         self.stats.fallback_disk_writes += 1
-        self._tm_fallback.inc()
         yield from self._disk_write(frame.page_id, frame.version,
                                     EVICTION_CTX)
         return False
@@ -630,7 +627,6 @@ class SsdManagerBase:
         record = self.table.lookup(page_id)
         if record is not None and record.valid:
             self.stats.invalidations += 1
-            self._tm_invalidations.inc()
             self._invalidate_record(record)
 
     # ------------------------------------------------------------------

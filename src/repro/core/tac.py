@@ -39,8 +39,7 @@ class TemperatureAwareManager(SsdManagerBase):
     """TAC: temperature-aware second-level write-through cache."""
 
     __slots__ = ("temperatures", "temp_heap", "_saving_ms",
-                 "_saving_seq_ms", "_tm_admission_writes",
-                 "_tm_missed_dirty")
+                 "_saving_seq_ms", "admission_writes")
 
     name = "TAC"
 
@@ -60,13 +59,16 @@ class TemperatureAwareManager(SsdManagerBase):
         saving_seq = (self.disk.device.service_time(probe_seq)
                       - self.device.service_time(probe_seq))
         self._saving_seq_ms = max(0.0, saving_seq * 1000.0)
+        self.admission_writes = 0
         registry = self.telemetry.registry
-        self._tm_admission_writes = registry.counter(
+        registry.counter(
             "tac_admission_writes_total",
-            "Pages written to the SSD right after a disk read")
-        self._tm_missed_dirty = registry.counter(
+            "Pages written to the SSD right after a disk read",
+            lambda: self.admission_writes)
+        registry.counter(
             "tac_missed_dirty_writes_total",
-            "Admission writes abandoned because the page was dirtied first")
+            "Admission writes abandoned because the page was dirtied first",
+            lambda: self.stats.missed_dirty_writes)
 
     # ------------------------------------------------------------------
     # Temperature bookkeeping
@@ -125,7 +127,6 @@ class TemperatureAwareManager(SsdManagerBase):
     def _write_after_read(self, frame: Frame):
         if frame.dirty or frame.io_busy is not None:
             self.stats.missed_dirty_writes += 1
-            self._tm_missed_dirty.inc()
             return
         if not self._admit(frame.page_id):
             return
@@ -138,7 +139,7 @@ class TemperatureAwareManager(SsdManagerBase):
         try:
             cached = yield from self._cache_tac(frame.page_id, frame.version)
             if cached:
-                self._tm_admission_writes.inc()
+                self.admission_writes += 1
         finally:
             frame.io_busy = None
             frame.busy_reason = None
@@ -166,7 +167,6 @@ class TemperatureAwareManager(SsdManagerBase):
             return False
         if self._throttled():
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             return False
         existing = self.table.lookup(page_id)
         if existing is not None:
@@ -180,14 +180,12 @@ class TemperatureAwareManager(SsdManagerBase):
             if victim is None:
                 return False
             self.stats.evictions += 1
-            self._tm_evictions.inc()
             self.table.release(victim)
             record = self.table.take_free()
         self.table.install(record, page_id, version, dirty=False,
                            now=self.env.now)
         self.temp_heap.push(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": False})
@@ -223,7 +221,6 @@ class TemperatureAwareManager(SsdManagerBase):
             return
         if self._throttled():
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             return
         if (not record.occupied or record.page_id != page_id
                 or record.valid):
@@ -233,7 +230,6 @@ class TemperatureAwareManager(SsdManagerBase):
         self.table.revalidate(record, version, self.env.now)
         self.temp_heap.push(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         ok = yield from self._ssd_write_frame(record.frame_no,
                                               ctx=EVICTION_CTX)
         if not ok:

@@ -146,11 +146,9 @@ class BufferPool:
     """
 
     __slots__ = (
-        "env", "telemetry", "_tracer", "_tm_ssd_hit", "_tm_disk_read",
-        "_tm_evict_clean", "_tm_evict_dirty", "_tm_latch_waits",
-        "_tm_latch_wait_seconds",
-        "_tm_prefetched", "_tm_partition_latch", "capacity", "disk",
-        "wal", "ssd", "readahead", "expand_reads", "stats", "frames",
+        "env", "telemetry", "_tracer", "capacity", "disk",
+        "wal", "ssd", "readahead", "expand_reads", "stats",
+        "latch_wait_counts", "latch_wait_lengths", "frames",
         "_inflight", "_reserved", "_stamp", "_dirty", "partitions",
         "_nparts", "_parts", "_latch_s", "checkpoint_active",
         "_high_water", "_low_water", "_lazywriter_wake", "_frame_freed",
@@ -172,29 +170,32 @@ class BufferPool:
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        requests = registry.counter(
+        registry.counter(
             "bp_requests_total", "Page requests by how they were served",
+            lambda: {("hit",): self.stats.hits,
+                     ("ssd_hit",): self.stats.ssd_hits,
+                     ("disk_read",): self.stats.disk_reads},
             labelnames=("result",))
-        # The hottest count is a view: read off ``stats`` when scraped.
-        requests.labels(result="hit").set_function(lambda: self.stats.hits)
-        self._tm_ssd_hit = requests.labels(result="ssd_hit")
-        self._tm_disk_read = requests.labels(result="disk_read")
-        evictions = registry.counter(
+        registry.counter(
             "bp_evictions_total", "Frames evicted by the lazy writer",
+            lambda: {("clean",): self.stats.evictions_clean,
+                     ("dirty",): self.stats.evictions_dirty},
             labelnames=("kind",))
-        self._tm_evict_clean = evictions.labels(kind="clean")
-        self._tm_evict_dirty = evictions.labels(kind="dirty")
-        self._tm_latch_waits = registry.counter(
+        registry.counter(
             "bp_latch_waits_total", "Fetches that waited on a frame latch",
+            lambda: {(reason,): count for reason, count
+                     in self.latch_wait_counts.items()},
             labelnames=("reason",))
-        self._tm_latch_wait_seconds = registry.histogram(
-            "bp_latch_wait_seconds", "Time spent waiting on frame latches")
-        self._tm_prefetched = registry.counter(
-            "bp_prefetched_pages_total", "Pages brought in by read-ahead")
-        registry.gauge("bp_dirty_frames", "Dirty frames in the buffer pool"
-                       ).set_function(lambda: self.dirty_count)
-        registry.gauge("bp_used_frames", "Occupied + reserved frame slots"
-                       ).set_function(lambda: self.used)
+        registry.histogram(
+            "bp_latch_wait_seconds", "Time spent waiting on frame latches",
+            lambda: self.latch_wait_lengths)
+        registry.counter(
+            "bp_prefetched_pages_total", "Pages brought in by read-ahead",
+            lambda: self.stats.prefetched_pages)
+        registry.gauge("bp_dirty_frames", "Dirty frames in the buffer pool",
+                       lambda: self.dirty_count)
+        registry.gauge("bp_used_frames", "Occupied + reserved frame slots",
+                       lambda: self.used)
         self.capacity = capacity
         self.disk = disk
         self.wal = wal
@@ -204,6 +205,11 @@ class BufferPool:
         #: read until the pool is filled (§4.3.2, Figure 8's initial burst).
         self.expand_reads = expand_reads
         self.stats = BufferPoolStats()
+        #: Frame-latch waits begun, by what held the latch, and the
+        #: length of each wait that ended (``stats`` holds their totals;
+        #: a few dozen per run, so the list stays small).
+        self.latch_wait_counts: Dict[str, int] = {}
+        self.latch_wait_lengths: List[float] = []
         self.frames: Dict[PageId, Frame] = {}
         self._inflight: Dict[PageId, Event] = {}
         self._reserved = 0  # frame slots claimed by in-flight misses
@@ -216,14 +222,12 @@ class BufferPool:
         self._parts = [PoolPartition(i) for i in range(partitions)]
         self._latch_s = latch_seconds
         if latch_seconds > 0.0:
-            family = registry.counter(
+            registry.counter(
                 "bp_partition_latch_waits_total",
                 "Fetches that queued on a partition latch",
+                lambda: {(str(part.index),): part.latch_waits
+                         for part in self._parts},
                 labelnames=("partition",))
-            self._tm_partition_latch = [
-                family.labels(partition=str(i)) for i in range(partitions)]
-        else:
-            self._tm_partition_latch = None
         #: Set by the checkpointer while a sharp checkpoint is running.
         self.checkpoint_active = False
         # Lazy-writer machinery: evictions run in a background process
@@ -318,13 +322,14 @@ class BufferPool:
                     started = env._now
                     reason = frame.busy_reason or "unknown"
                     stats.latch_waits += 1
-                    self._tm_latch_waits.labels(reason=reason).inc()
+                    begun = self.latch_wait_counts
+                    begun[reason] = begun.get(reason, 0) + 1
                     yield frame.io_busy
                     waited = env._now - started
                     stats.latch_wait_time += waited
                     by_reason = stats.latch_wait_by_reason
                     by_reason[reason] = by_reason.get(reason, 0.0) + waited
-                    self._tm_latch_wait_seconds.observe(waited)
+                    self.latch_wait_lengths.append(waited)
                     if self._tracer.enabled:
                         self._tracer.complete("latch_wait", started,
                                               env._now, "bp",
@@ -396,9 +401,6 @@ class BufferPool:
             stats = self.stats
             stats.partition_latch_waits += 1
             stats.partition_latch_wait_time += wait
-            counters = self._tm_partition_latch
-            if counters is not None:
-                counters[part.index].inc()
             if self._tracer.enabled:
                 self._tracer.complete("partition_latch", now, start, "bp",
                                       "buffer_pool",
@@ -416,7 +418,6 @@ class BufferPool:
         version = yield from self.ssd.try_read(page_id, ctx=ctx)
         if version is not None:
             self.stats.ssd_hits += 1
-            self._tm_ssd_hit.inc()
             if self._tracer.enabled:
                 self._tracer.complete("bp_miss", miss_started, self.env.now,
                                       "bp", "buffer_pool",
@@ -437,7 +438,6 @@ class BufferPool:
             return frame
 
         self.stats.disk_reads += 1
-        self._tm_disk_read.inc()
         if self.expand_reads and not self._warmed:
             frame = yield from self._expanded_read(page_id, ctx=ctx)
         else:
@@ -542,7 +542,6 @@ class BufferPool:
             self.frames[pid] = frame
             self._touch(frame)
             self.stats.prefetched_pages += 1
-            self._tm_prefetched.inc()
             self.ssd.on_read_from_disk(frame)
 
     def _ssd_single(self, page_id: PageId):
@@ -561,10 +560,8 @@ class BufferPool:
         self.frames[page_id] = frame
         self._touch(frame)
         self.stats.prefetched_pages += 1
-        self._tm_prefetched.inc()
         if from_ssd:
             self.stats.ssd_hits += 1
-            self._tm_ssd_hit.inc()
 
     # ------------------------------------------------------------------
     # Update path
@@ -800,7 +797,6 @@ class BufferPool:
         try:
             if victim.dirty:
                 self.stats.evictions_dirty += 1
-                self._tm_evict_dirty.inc()
                 # WAL rule: log records for the page must be durable before
                 # the page goes to the SSD or disk (§2.4).  Skip the
                 # generator when a group commit already covered the LSN
@@ -815,7 +811,6 @@ class BufferPool:
                                     {"page": victim.page_id})
             else:
                 self.stats.evictions_clean += 1
-                self._tm_evict_clean.inc()
                 yield from self.ssd.on_evict_clean(victim)
                 if tracer.enabled:
                     tracer.complete("evict_clean", started, self.env.now,

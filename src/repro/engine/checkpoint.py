@@ -48,10 +48,11 @@ class Checkpointer:
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._tm_checkpoints = registry.counter(
-            "checkpoints_total", "Checkpoints completed")
-        self._tm_duration = registry.histogram(
-            "checkpoint_duration_seconds", "Wall (virtual) checkpoint time")
+        registry.counter("checkpoints_total", "Checkpoints completed",
+                         lambda: self.checkpoints_taken)
+        registry.histogram(
+            "checkpoint_duration_seconds", "Wall (virtual) checkpoint time",
+            lambda: self.durations)
 
     def start(self) -> None:
         """Start the periodic checkpoint process (if an interval is set)."""
@@ -95,8 +96,6 @@ class Checkpointer:
         self.wal.truncate(begin_lsn)
         self.checkpoints_taken += 1
         self.durations.append(self.env.now - started)
-        self._tm_checkpoints.inc()
-        self._tm_duration.observe(self.env.now - started)
         if self._tracer.enabled:
             self._tracer.complete("checkpoint", started, self.env.now,
                                   "checkpoint", "checkpoint",
@@ -143,8 +142,6 @@ class FuzzyCheckpointer(Checkpointer):
         self.wal.truncate(redo_from - 1)
         self.checkpoints_taken += 1
         self.durations.append(self.env.now - started)
-        self._tm_checkpoints.inc()
-        self._tm_duration.observe(self.env.now - started)
         if self._tracer.enabled:
             self._tracer.complete("fuzzy_checkpoint", started, self.env.now,
                                   "checkpoint", "checkpoint",

@@ -37,9 +37,10 @@ class DiskManager:
         self.retries = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         self._tracer = self.telemetry.tracer
-        self._tm_retries = self.telemetry.registry.counter(
+        self.telemetry.registry.counter(
             "disk_retries_total",
-            "Disk I/Os retried after transient failures")
+            "Disk I/Os retried after transient failures",
+            lambda: self.retries)
 
     # ------------------------------------------------------------------
     # Persistent image (versions)
@@ -77,7 +78,6 @@ class DiskManager:
                 raise
             except IoFault:
                 self.retries += 1
-                self._tm_retries.inc()
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "io_retry", "fault", "faults",

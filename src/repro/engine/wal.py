@@ -58,6 +58,12 @@ class WriteAheadLog:
         self._next_lsn = 0
         self._truncated = 0  # records dropped by checkpoint truncation
         self._write_head = 0  # log-device page cursor
+        #: Group-commit flushes that became durable, and their log pages.
+        #: Not the log device's counters: those also see a failed attempt
+        #: (then retried) and split a flush that crosses a stripe boundary.
+        self.flushes = 0
+        self.pages_flushed = 0
+        self.flush_retries = 0
         self.crash_reset()  # the volatile group-commit state starts empty
         self.telemetry = telemetry or NULL_TELEMETRY
         if self.telemetry.enabled:
@@ -65,16 +71,18 @@ class WriteAheadLog:
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
         registry.counter(
-            "wal_records_total", "Redo records appended to the log tail"
-        ).set_function(lambda: self._next_lsn)
-        self._tm_flushes = registry.counter(
-            "wal_flushes_total", "Group-commit flushes of the log tail")
-        self._tm_pages_flushed = registry.counter(
-            "wal_pages_flushed_total", "Log pages written to the log device")
-        self._tm_retries = registry.counter(
+            "wal_records_total", "Redo records appended to the log tail",
+            lambda: self._next_lsn)
+        registry.counter(
+            "wal_flushes_total", "Group-commit flushes of the log tail",
+            lambda: self.flushes)
+        registry.counter(
+            "wal_pages_flushed_total", "Log pages written to the log device",
+            lambda: self.pages_flushed)
+        registry.counter(
             "wal_retries_total",
-            "Log flushes retried after transient failures")
-        self.flush_retries = 0
+            "Log flushes retried after transient failures",
+            lambda: self.flush_retries)
 
     @property
     def tail_lsn(self) -> int:
@@ -138,8 +146,8 @@ class WriteAheadLog:
             self._write_head += npages
             flush_started = self.env.now
             yield from self._flush_with_retry(request)
-            self._tm_flushes.inc()
-            self._tm_pages_flushed.inc(npages)
+            self.flushes += 1
+            self.pages_flushed += npages
             if self._tracer.enabled:
                 self._tracer.complete("flush", flush_started, self.env.now,
                                       "wal", "wal",
@@ -166,7 +174,6 @@ class WriteAheadLog:
                 raise
             except IoFault:
                 self.flush_retries += 1
-                self._tm_retries.inc()
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "io_retry", "fault", "faults",

@@ -52,14 +52,15 @@ class FaultInjector:
         self.stats: Dict[str, int] = {}
         telemetry = telemetry or NULL_TELEMETRY
         self._tracer = telemetry.tracer
-        self._tm_faults = telemetry.registry.counter(
+        telemetry.registry.counter(
             "faults_injected_total", "Faults injected, by device and kind",
+            lambda: {(self.device.name, kind): count
+                     for kind, count in self.stats.items()},
             labelnames=("device", "kind"))
         device.attach_faults(self)
 
     def _record(self, kind: str, **args: Any) -> None:
         self.stats[kind] = self.stats.get(kind, 0) + 1
-        self._tm_faults.labels(device=self.device.name, kind=kind).inc()
         if self._tracer.enabled:
             self._tracer.instant(f"fault_{kind}", "fault", "faults",
                                  dict(args, device=self.device.name))

@@ -224,6 +224,14 @@ class RunSpec:
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; "
                              f"choose from {KERNELS}")
+        # A zero interval spins the checkpointer at one virtual instant
+        # forever; a negative bucket width reports a negative throughput.
+        if self.duration < 0:
+            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        for knob in ("bucket_seconds", "checkpoint_interval"):
+            value = getattr(self, knob)
+            if value is not None and value <= 0:
+                raise ValueError(f"{knob} must be positive, got {value}")
         if self.kind == "traffic":
             try:
                 parse_tenants(self.tenants or "")

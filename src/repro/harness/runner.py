@@ -261,6 +261,18 @@ class RunResult:
         return sum(tail) / sum(widths) * self.metric_window
 
 
+def _publish_latencies(runner) -> None:
+    """``txn_latency_seconds{type}`` reads the tracker of ``runner``'s
+    newest run — registered once per runner, so running it again swaps
+    the samples read and adds no second row per type."""
+    registry = getattr(runner.system, "telemetry", NULL_TELEMETRY).registry
+    registry.histogram(
+        "txn_latency_seconds", "Transaction latency by type",
+        lambda: {(txn,): samples for txn, samples
+                 in runner.latencies._samples.items()},
+        labelnames=("type",))
+
+
 class WorkloadRunner:
     """Runs an OLTP workload against a system with N closed-loop clients."""
 
@@ -276,6 +288,8 @@ class WorkloadRunner:
         self.seed = seed
         self.sample_interval = sample_interval
         self._stopped = False
+        self.latencies = LatencyTracker()
+        _publish_latencies(self)
 
     def stop(self) -> None:
         """Ask the clients to finish their current transaction and exit.
@@ -295,6 +309,7 @@ class WorkloadRunner:
         if setup:
             workload.setup(system)
             system.start_services()
+        self.latencies = LatencyTracker()
         result = RunResult(
             design=system.design,
             metric_name=workload.metric_name,
@@ -306,7 +321,7 @@ class WorkloadRunner:
             # (normalized by its true width in bucket_widths()).
             buckets=[0] * max(1, ceil(duration / self.bucket_seconds - 1e-9)),
             sampler=Sampler(system, self.sample_interval),
-            latencies=LatencyTracker(),
+            latencies=self.latencies,
             system=system,
         )
         result.sampler.start()
@@ -324,11 +339,6 @@ class WorkloadRunner:
         system, workload = self.system, self.workload
         metric_txn = workload.metric_transaction
         nbuckets = len(result.buckets)
-        telemetry = getattr(system, "telemetry", NULL_TELEMETRY)
-        latency_family = telemetry.registry.histogram(
-            "txn_latency_seconds", "Transaction latency by type",
-            labelnames=("type",))
-        histograms = {}
         env = system.env
         transaction = workload.transaction
         txn_counts = result.txn_counts
@@ -344,10 +354,6 @@ class WorkloadRunner:
             txn_counts[name] = txn_counts.get(name, 0) + 1
             latency = now - started
             record_latency(name, latency)
-            histogram = histograms.get(name)
-            if histogram is None:
-                histogram = histograms[name] = latency_family.labels(type=name)
-            histogram.observe(latency)
             if name == metric_txn:
                 bucket = int((now - start_time) / bucket_seconds)
                 if 0 <= bucket < nbuckets:
@@ -389,6 +395,8 @@ class OpenLoopRunner:
         self.seed = seed
         self.sample_interval = sample_interval
         self._stopped = False
+        self.latencies = LatencyTracker()
+        _publish_latencies(self)
 
     def stop(self) -> None:
         """Ask the workers to finish their current transaction and exit."""
@@ -409,6 +417,7 @@ class OpenLoopRunner:
             else:
                 views.append(workload)
             stats.append(TenantStats(name=spec.name))
+        self.latencies = LatencyTracker()
         result = RunResult(
             design=system.design,
             metric_name=workload.metric_name,
@@ -418,7 +427,7 @@ class OpenLoopRunner:
             start_time=system.env.now,
             buckets=[0] * max(1, ceil(duration / self.bucket_seconds - 1e-9)),
             sampler=Sampler(system, self.sample_interval),
-            latencies=LatencyTracker(),
+            latencies=self.latencies,
             system=system,
             tenants={spec.name: st for spec, st in zip(self.tenants, stats)},
             logical_users=sum(spec.logical_users for spec in self.tenants),
@@ -463,11 +472,6 @@ class OpenLoopRunner:
         system = self.system
         metric_txn = self.workload.metric_transaction
         nbuckets = len(result.buckets)
-        telemetry = getattr(system, "telemetry", NULL_TELEMETRY)
-        latency_family = telemetry.registry.histogram(
-            "txn_latency_seconds", "Transaction latency by type",
-            labelnames=("type",))
-        histograms = {}
         while not self._stopped:
             index, enqueued = yield queue.get()
             tenant = stats[index]
@@ -480,10 +484,6 @@ class OpenLoopRunner:
             tenant.latencies.record(name, sojourn)
             result.txn_counts[name] = result.txn_counts.get(name, 0) + 1
             result.latencies.record(name, sojourn)
-            histogram = histograms.get(name)
-            if histogram is None:
-                histogram = histograms[name] = latency_family.labels(type=name)
-            histogram.observe(sojourn)
             if name == metric_txn:
                 bucket = int((system.env.now - result.start_time)
                              / self.bucket_seconds)

@@ -27,35 +27,39 @@ KIND_LABELS = {kind: kind.name.lower() for kind in IoKind}
 class DeviceStats:
     """Cumulative per-device counters."""
 
-    __slots__ = ("completed", "pages_read", "pages_written", "busy_time",
-                 "by_kind")
+    __slots__ = ("busy_time", "by_kind", "pages_by_kind")
 
     def __init__(self) -> None:
-        self.completed = 0
-        self.pages_read = 0
-        self.pages_written = 0
         self.busy_time = 0.0
         self.by_kind: Dict[IoKind, int] = {kind: 0 for kind in IoKind}
+        self.pages_by_kind: Dict[IoKind, int] = {kind: 0 for kind in IoKind}
 
     def record(self, request: IORequest, service: float) -> None:
-        """Account one completed request."""
-        self.completed += 1
-        self.by_kind[request.kind] += 1
-        if request.kind.is_read:
-            self.pages_read += request.npages
-        else:
-            self.pages_written += request.npages
+        """Account one completed transfer: a request on a plain
+        :class:`Device`, one per-drive *fragment* of a request on a
+        striped array (which counts whole requests itself, in
+        :attr:`Device.requests_by_kind`)."""
+        kind = request.kind
+        self.by_kind[kind] += 1
+        self.pages_by_kind[kind] += request.npages
         self.busy_time += service
 
     @property
-    def bytes_read(self) -> int:
-        """Total bytes read from the device."""
-        return self.pages_read * PAGE_SIZE_BYTES
+    def completed(self) -> int:
+        """Transfers recorded, of every kind."""
+        return sum(self.by_kind.values())
 
     @property
-    def bytes_written(self) -> int:
-        """Total bytes written to the device."""
-        return self.pages_written * PAGE_SIZE_BYTES
+    def pages_read(self) -> int:
+        """Pages transferred by reads."""
+        return sum(pages for kind, pages in self.pages_by_kind.items()
+                   if kind.is_read)
+
+    @property
+    def pages_written(self) -> int:
+        """Pages transferred by writes."""
+        return sum(pages for kind, pages in self.pages_by_kind.items()
+                   if kind.is_write)
 
 
 class TrafficRecorder:
@@ -137,13 +141,17 @@ class Device:
 
     __slots__ = ("env", "name", "channels", "stats", "traffic",
                  "_outstanding", "faults", "telemetry", "_tracer",
-                 "_trace_track", "_tm_pages", "_tm_requests")
+                 "_trace_track", "requests_by_kind")
 
     def __init__(self, env: Environment, name: str, channels: int):
         self.env = env
         self.name = name
         self.channels = ChannelPool(channels)
         self.stats = DeviceStats()
+        #: Whole requests completed, by kind: here exactly what ``stats``
+        #: records; a striped array, whose ``stats`` see fragments, keeps
+        #: its own.  ``io_requests_total`` reads this.
+        self.requests_by_kind = self.stats.by_kind
         self.traffic: Optional[TrafficRecorder] = None
         self._outstanding = 0
         #: Optional :class:`~repro.faults.injector.FaultInjector`.
@@ -173,27 +181,28 @@ class Device:
             f"{self.name}: pending {self.pending}, channels hold {held}")
 
     def attach_telemetry(self, telemetry) -> None:
-        """Bind a telemetry sink and resolve this device's instruments."""
+        """Bind a telemetry sink and publish this device's counts."""
         self.telemetry = telemetry
         self._tracer = telemetry.tracer
         self._trace_track = f"device:{self.name}"
         registry = telemetry.registry
-        pages = registry.counter(
+        registry.counter(
             "io_pages_total", "Pages transferred per device and I/O kind",
+            lambda: self._by_label(self.stats.pages_by_kind),
             labelnames=("device", "kind"))
-        requests = registry.counter(
+        registry.counter(
             "io_requests_total", "Completed I/Os per device and I/O kind",
+            lambda: self._by_label(self.requests_by_kind),
             labelnames=("device", "kind"))
-        self._tm_pages = {
-            kind: pages.labels(device=self.name, kind=label)
-            for kind, label in KIND_LABELS.items()}
-        self._tm_requests = {
-            kind: requests.labels(device=self.name, kind=label)
-            for kind, label in KIND_LABELS.items()}
         registry.gauge(
             "device_pending_ios", "I/Os submitted but not yet completed",
-            labelnames=("device",)).labels(device=self.name).set_function(
-                lambda: self.pending)
+            lambda: {(self.name,): self.pending}, labelnames=("device",))
+
+    def _by_label(
+            self, counts: Dict[IoKind, int]) -> Dict[Tuple[str, str], int]:
+        """``counts`` keyed the way this device's labeled metrics are."""
+        return {(self.name, KIND_LABELS[kind]): count
+                for kind, count in counts.items()}
 
     @property
     def pending(self) -> int:
@@ -285,8 +294,6 @@ class Device:
                 now = self.env._now
                 request.completed_at = now
                 self.stats.record(request, service)
-                self._tm_requests[request.kind].inc()
-                self._tm_pages[request.kind].inc(request.npages)
                 if self._tracer.enabled:
                     self._tracer.complete(KIND_LABELS[request.kind],
                                           request.submitted_at, now, "io",

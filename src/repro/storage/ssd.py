@@ -88,23 +88,23 @@ class Ssd(Device):
         super().attach_telemetry(telemetry)
         registry = telemetry.registry
         registry.gauge(
-            "ssd_channels_alive", "Flash channels still in service"
-        ).set_function(lambda: self._channels_total - self._channels_dead)
+            "ssd_channels_alive", "Flash channels still in service",
+            lambda: self._channels_total - self._channels_dead)
         ftl = self.ftl
         if ftl is None:
             return
         registry.gauge(
-            "ftl_waf", "Device write amplification (NAND/host writes)"
-        ).set_function(lambda: ftl.waf)
+            "ftl_waf", "Device write amplification (NAND/host writes)",
+            lambda: ftl.waf)
         registry.gauge(
-            "ftl_erases_total", "Erase-block erasures performed by GC"
-        ).set_function(lambda: ftl.stats.erases)
+            "ftl_erases_total", "Erase-block erasures performed by GC",
+            lambda: ftl.stats.erases)
         registry.gauge(
-            "ftl_free_blocks", "Erase blocks in the FTL free pool"
-        ).set_function(lambda: ftl.free_block_count)
+            "ftl_free_blocks", "Erase blocks in the FTL free pool",
+            lambda: ftl.free_block_count)
         registry.gauge(
-            "ftl_wear_spread", "Max minus min per-block erase count"
-        ).set_function(lambda: ftl.wear_spread)
+            "ftl_wear_spread", "Max minus min per-block erase count",
+            lambda: ftl.wear_spread)
 
     # ------------------------------------------------------------------
     # Channel failures (fault plan ``ssd_chan_die``)

@@ -1,10 +1,10 @@
 """Unified telemetry: a metrics registry plus a structured event tracer.
 
 Every instrumented component takes an optional :class:`Telemetry` and
-defaults to :data:`NULL_TELEMETRY`, whose registry and tracer are shared
-no-op singletons — instrumentation then costs one no-op method call per
-event and performs no allocation, so the hot paths run at seed speed
-when observability is off.
+defaults to :data:`NULL_TELEMETRY`.  Off costs nothing: a component
+counts in its own plain fields either way and the registry only *reads*
+them when scraped, so the null registry is never called once a run is
+built; trace call sites are skipped behind ``tracer.enabled``.
 
 Typical wiring (the harness does this for you)::
 
@@ -28,9 +28,6 @@ from repro.telemetry.registry import (
     Histogram,
     MetricFamily,
     MetricRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     NULL_REGISTRY,
     NullRegistry,
     percentile_of,
@@ -93,9 +90,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "NULL_REGISTRY",
     "NULL_TELEMETRY",
     "NULL_TRACER",

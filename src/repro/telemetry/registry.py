@@ -1,21 +1,29 @@
-"""The metrics registry: Counter / Gauge / Histogram with labeled children.
+"""The metrics registry: a catalogue of readers.  It stores nothing.
 
-Prometheus-shaped but simulation-native: instruments are plain Python
-objects registered by name, optionally fanned out into *labeled children*
-(``io_pages_total{device="ssd",kind="random_read"}``).  Values are read
-directly (no scrape cycle) and a :meth:`MetricRegistry.snapshot` renders
-everything for reports.
+A fact is tallied once, in a plain always-on field of the component that
+makes it (``SsdStats.writes``, ``WriteAheadLog.flushes``, ...), and
+registering a metric hands over ``read``, a zero-argument callable that
+fetches the value whenever someone scrapes: ``registry.get(name).value``,
+or :meth:`MetricRegistry.snapshot` for ``--metrics``.  No instrument has
+``inc``, ``set`` or ``observe``, so a second tally of a fact cannot be
+written (DESIGN.md §5.2).
 
-The null twins at the bottom (:data:`NULL_REGISTRY` and friends) are the
-disabled mode: every factory returns a shared singleton whose mutators do
-nothing, so instrumented hot paths cost one no-op method call and zero
-allocation when telemetry is off.
+``read()`` returns a number for a counter or gauge and the sample
+sequence its owner keeps for a histogram.  With ``labelnames`` it
+returns a mapping from label-value tuples to those (``("ssd",
+"random_read")`` is ``io_pages_total{device="ssd",kind="random_read"}``)
+and registering the name again *adds* a reader: three devices feed
+``io_pages_total``.
+
+:data:`NULL_REGISTRY`, the disabled mode, registers nothing and hands
+nothing back: a dark run never calls this module once it is built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 
 def percentile_of(sorted_values: Sequence[float], q: float) -> float:
@@ -38,214 +46,175 @@ def percentile_of(sorted_values: Sequence[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonically increasing count, stored or read from a callback."""
+    """A monotonically increasing count, read off its owner."""
 
     kind = "counter"
-    __slots__ = ("name", "labels", "_value", "_fn")
+    __slots__ = ("name", "labels", "_read")
 
-    def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str, read: Callable[[], float],
+                 labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.labels = labels or {}
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        self._value += amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Read ``fn()`` when scraped: a view of a count the owner keeps."""
-        self._fn = fn
+        self._read = read
 
     @property
     def value(self) -> float:
-        """Current count (calls the callback if one is set)."""
-        return float(self._fn()) if self._fn is not None else self._value
+        """The owner's count, now."""
+        return float(self._read())
 
 
 class Gauge:
-    """A value that can go up and down, or track a callback."""
+    """A value that can go up and down, read off its owner."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "_value", "_fn")
+    __slots__ = ("name", "labels", "_read")
 
-    def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str, read: Callable[[], float],
+                 labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.labels = labels or {}
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` to the gauge."""
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self._value -= amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Make the gauge track ``fn()`` instead of a stored value."""
-        self._fn = fn
+        self._read = read
 
     @property
     def value(self) -> float:
-        """Current value (calls the callback if one is set)."""
-        return float(self._fn()) if self._fn is not None else self._value
+        """The owner's value, now."""
+        return float(self._read())
 
 
 class Histogram:
-    """A distribution of observed values with percentile queries.
-
-    Samples are kept raw; the sorted view is cached and invalidated on
-    :meth:`observe`, so repeated percentile queries sort at most once.
-    """
+    """The distribution of the samples its owner keeps."""
 
     kind = "histogram"
-    __slots__ = ("name", "labels", "_samples", "_sorted", "_sum")
+    __slots__ = ("name", "labels", "_read")
 
-    def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str, read: Callable[[], Sequence[float]],
+                 labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.labels = labels or {}
-        self._samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
-        self._sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._samples.append(value)
-        self._sum += value
-        self._sorted = None
+        self._read = read
 
     @property
     def count(self) -> int:
         """Number of observations."""
-        return len(self._samples)
+        return len(self._read())
 
     @property
     def sum(self) -> float:
         """Sum of all observations."""
-        return self._sum
-
-    def _sorted_samples(self) -> List[float]:
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return self._sorted
+        return sum(self._read())
 
     def percentile(self, q: float) -> float:
         """The q-th percentile (q in [0, 100]; NaN when empty)."""
-        return percentile_of(self._sorted_samples(), q)
+        return percentile_of(sorted(self._read()), q)
 
     def mean(self) -> float:
-        """Mean observation (NaN when empty)."""
-        return self._sum / len(self._samples) if self._samples else float("nan")
+        """Mean observation (NaN when empty), summed in observation
+        order: what a running sum over the owner's appends would hold,
+        to the last digit (summing the sorted samples differs there)."""
+        samples = self._read()
+        return sum(samples) / len(samples) if samples else float("nan")
 
     def summary(self) -> Dict[str, float]:
-        """count / mean / p50 / p95 / p99 in one dict."""
+        """count / mean / p50 / p95 / p99 in one dict (one sort)."""
+        ordered = sorted(self._read())
         return {
-            "count": float(self.count),
+            "count": float(len(ordered)),
             "mean": self.mean(),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": percentile_of(ordered, 50),
+            "p95": percentile_of(ordered, 95),
+            "p99": percentile_of(ordered, 99),
         }
 
 
 class MetricFamily:
-    """A named metric with declared label names and per-value children."""
+    """A named metric with declared label names.  Its children are the
+    label values its readers report when asked, no more and no fewer."""
 
-    __slots__ = ("name", "help", "labelnames", "_cls", "_children")
+    __slots__ = ("name", "kind", "labelnames", "_cls", "_readers")
 
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Tuple[str, ...], cls: type):
+    def __init__(self, name: str, labelnames: Tuple[str, ...], cls: type):
         self.name = name
-        self.help = help_text
+        #: The instrument kind this family fans out ("counter", ...).
+        self.kind: str = cls.kind
         self.labelnames = labelnames
         self._cls = cls
-        self._children: Dict[Tuple[str, ...], object] = {}
+        self._readers: List[Callable[[], Any]] = []
 
-    @property
-    def kind(self) -> str:
-        """The instrument kind this family fans out ("counter", ...)."""
-        return self._cls.kind
+    def children(self) -> Iterator[Any]:
+        """A live instrument per label-value tuple reported right now,
+        sorted by label values.  Tuples are unique: where two readers
+        report the same one, the later-registered reader owns it."""
+        owner = {key: read for read in self._readers for key in read()}
+        for key in sorted(owner):
+            yield self._cls(self.name,
+                            lambda read=owner[key], key=key: read()[key],
+                            dict(zip(self.labelnames, key)))
 
-    def labels(self, **labelvalues: str):
+    def labels(self, **labelvalues: str) -> Any:
         """The child instrument for exactly these label values."""
         if set(labelvalues) != set(self.labelnames):
             raise ValueError(
                 f"{self.name} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}")
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            child = self._cls(self.name, dict(zip(self.labelnames, key)))
-            self._children[key] = child
-        return child
-
-    def children(self) -> Iterator[object]:
-        """All children created so far, in creation order."""
-        return iter(self._children.values())
+        wanted = {name: str(value) for name, value in labelvalues.items()}
+        for child in self.children():
+            if child.labels == wanted:
+                return child
+        raise KeyError(f"no reader of {self.name} reports {wanted}")
 
 
 class MetricRegistry:
-    """Registry of all instruments, keyed by metric name.
+    """Every metric's reader(s), keyed by metric name.
 
-    Factories are idempotent: asking for an existing name returns the
-    existing instrument, provided kind and label names agree (a mismatch
-    is a programming error and raises).
+    Registering a bare name again replaces its reader; a labeled name
+    again adds one.  Kind and label names must agree with what the name
+    already is (a mismatch is a programming error and raises).  The help
+    text documents the registration where it stands; nothing reads it.
     """
 
     enabled = True
 
-    def __init__(self):
-        self._metrics: Dict[str, object] = {}
-        self._help: Dict[str, str] = {}
+    def __init__(self) -> None:
+        self._metrics: Dict[str, Any] = {}
 
-    def _make(self, cls: type, name: str, help_text: str,
-              labelnames: Sequence[str]):
+    def _register(self, cls: type, name: str, help_text: str,
+                  read: Callable[[], Any], labelnames: Sequence[str]) -> None:
         labelnames = tuple(labelnames)
-        existing = self._metrics.get(name)
-        if existing is not None:
-            want_family = bool(labelnames)
-            is_family = isinstance(existing, MetricFamily)
-            if (existing.kind != cls.kind or want_family != is_family
-                    or (is_family and existing.labelnames != labelnames)):
-                raise ValueError(
-                    f"metric {name!r} already registered with a "
-                    f"different kind or labels")
-            return existing
-        metric = (MetricFamily(name, help_text, labelnames, cls)
-                  if labelnames else cls(name))
-        self._metrics[name] = metric
-        self._help[name] = help_text
-        return metric
+        metric = self._metrics.get(name)
+        if metric is not None and (
+                metric.kind != cls.kind
+                or getattr(metric, "labelnames", ()) != labelnames):
+            raise ValueError(f"metric {name!r} already registered with a "
+                             f"different kind or labels")
+        if not labelnames:
+            self._metrics[name] = cls(name, read)
+            return
+        if metric is None:
+            metric = self._metrics[name] = MetricFamily(name, labelnames, cls)
+        metric._readers.append(read)
 
-    def counter(self, name: str, help_text: str = "",
-                labelnames: Sequence[str] = ()):
-        """Register (or fetch) a counter; labeled names return a family."""
-        return self._make(Counter, name, help_text, labelnames)
+    def counter(self, name: str, help_text: str, read: Callable[[], Any],
+                labelnames: Sequence[str] = ()) -> None:
+        """Register a counter that reads ``read()`` when scraped."""
+        self._register(Counter, name, help_text, read, labelnames)
 
-    def gauge(self, name: str, help_text: str = "",
-              labelnames: Sequence[str] = ()):
-        """Register (or fetch) a gauge; labeled names return a family."""
-        return self._make(Gauge, name, help_text, labelnames)
+    def gauge(self, name: str, help_text: str, read: Callable[[], Any],
+              labelnames: Sequence[str] = ()) -> None:
+        """Register a gauge that reads ``read()`` when scraped."""
+        self._register(Gauge, name, help_text, read, labelnames)
 
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: Sequence[str] = ()):
-        """Register (or fetch) a histogram; labeled names return a family."""
-        return self._make(Histogram, name, help_text, labelnames)
+    def histogram(self, name: str, help_text: str, read: Callable[[], Any],
+                  labelnames: Sequence[str] = ()) -> None:
+        """Register a histogram over the samples ``read()`` returns."""
+        self._register(Histogram, name, help_text, read, labelnames)
 
-    def get(self, name: str):
+    def get(self, name: str) -> Any:
         """The registered metric (family or bare instrument), or None."""
         return self._metrics.get(name)
 
     def snapshot(self) -> List[dict]:
-        """Flatten every instrument into report rows.
+        """Read every instrument into report rows, sorted by name and,
+        within a family, by label values.
 
         Each row is ``{"name", "kind", "labels", "value"}`` where
         histograms carry their :meth:`Histogram.summary` dict as value.
@@ -268,103 +237,20 @@ class MetricRegistry:
         return rows
 
 
-# ----------------------------------------------------------------------
-# Disabled mode: shared no-op singletons
-# ----------------------------------------------------------------------
-
-class NullCounter:
-    """No-op counter; ``labels()`` returns itself."""
-
-    kind = "counter"
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set_function(self, fn) -> None:
-        pass
-
-    def labels(self, **labelvalues):
-        return self
-
-
-class NullGauge:
-    """No-op gauge; ``labels()`` returns itself."""
-
-    kind = "gauge"
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set_function(self, fn) -> None:
-        pass
-
-    def labels(self, **labelvalues):
-        return self
-
-
-class NullHistogram:
-    """No-op histogram; queries return the empty-distribution answers."""
-
-    kind = "histogram"
-    __slots__ = ()
-    name = "null"
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return float("nan")
-
-    def mean(self) -> float:
-        return float("nan")
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0.0, "mean": float("nan"), "p50": float("nan"),
-                "p95": float("nan"), "p99": float("nan")}
-
-    def labels(self, **labelvalues):
-        return self
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-
-
 class NullRegistry:
-    """Registry twin for disabled telemetry: factories hand out the
-    shared no-op singletons and nothing is ever recorded."""
+    """Registry twin for disabled telemetry: nothing is registered, so
+    nothing is ever read."""
 
     enabled = False
     __slots__ = ()
 
-    def counter(self, name: str, help_text: str = "",
-                labelnames: Sequence[str] = ()):
-        return NULL_COUNTER
+    def counter(self, name: str, help_text: str, read: Callable[[], Any],
+                labelnames: Sequence[str] = ()) -> None:
+        pass
 
-    def gauge(self, name: str, help_text: str = "",
-              labelnames: Sequence[str] = ()):
-        return NULL_GAUGE
+    gauge = histogram = counter
 
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: Sequence[str] = ()):
-        return NULL_HISTOGRAM
-
-    def get(self, name: str):
+    def get(self, name: str) -> None:
         return None
 
     def snapshot(self) -> List[dict]:

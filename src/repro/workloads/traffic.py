@@ -245,6 +245,8 @@ def parse_arrivals(spec: str):
     users = fields.pop("users", None)
     think = fields.pop("think", None)
     rate = fields.pop("rate", None)
+    if think is not None and think <= 0:
+        raise ValueError(f"think must be positive in {spec!r}, got {think:g}")
     if rate is None:
         if users is None:
             raise ValueError(

@@ -6,6 +6,7 @@ from repro.core.lc import LazyCleaningManager
 from repro.harness.experiments import (
     PAPER_LAMBDA,
     SCALE_PROFILES,
+    RunSpec,
     make_system,
     make_workload,
     run_oltp_experiment,
@@ -102,6 +103,31 @@ class TestRunner:
         workload = make_workload("tpcc", 100, SCALE_PROFILES["tiny"])
         with pytest.raises(ValueError):
             WorkloadRunner(small_system, workload, nworkers=0)
+
+
+@pytest.mark.parametrize("knob,value,names", [
+    # Never returned: the checkpointer yielded timeout(0) forever.
+    ("checkpoint_interval", 0.0, "checkpoint_interval"),
+    # Died inside the kernel ("negative delay").
+    ("checkpoint_interval", -1.0, "checkpoint_interval"),
+    # ZeroDivisionError while sizing the buckets.
+    ("bucket_seconds", 0.0, "bucket_seconds"),
+    # Ran, and reported a throughput of -31,860 tpmC.
+    ("bucket_seconds", -1.0, "bucket_seconds"),
+    # Refused only by Environment.run, after the system was built.
+    ("duration", -1.0, "duration"),
+    # ZeroDivisionError in the tenant grammar.
+    ("tenants", "web=poisson:users=10:think=0", "think"),
+])
+def test_run_knobs_that_hung_or_lied_are_refused_by_name(knob, value, names):
+    """Hostile run knobs are a ``ValueError`` when the spec is built,
+    never a hang or a silently wrong number (ROADMAP item 4)."""
+    knobs = dict(kind="traffic" if knob == "tenants" else "oltp",
+                 benchmark="tpcc", scale=20, design="LC", profile="tiny",
+                 duration=1.0, nworkers=2)
+    knobs[knob] = value
+    with pytest.raises(ValueError, match=names):
+        RunSpec(**knobs)
 
 
 class TestSampler:

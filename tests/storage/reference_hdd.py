@@ -1,7 +1,8 @@
 """The generator-per-I/O ``HddArray`` of commit 254aabe, kept as a reference.
 
 ``repro.storage.hdd.HddArray`` serves a request with callbacks on timers;
-this is the model it replaced, verbatim but for its name: a process per
+this is the model it replaced, verbatim but for its name (and for two
+registry increments, gone since instruments have no ``inc``): a process per
 request (``_serve_fragments``), a process per fragment (``_serve_one``)
 joined by ``env.gather``, and a :class:`Resource` per drive — seven
 queue entries per single-stripe I/O where the port spends five.
@@ -237,7 +238,6 @@ class GeneratorHddArray(Device):
                 failure = self.faults.on_complete(request)
             if failure is None:
                 request.completed_at = self.env.now
-                self._tm_requests[request.kind].inc()
                 if self._tracer.enabled:
                     self._tracer.complete(KIND_LABELS[request.kind],
                                           request.submitted_at, self.env.now,
@@ -262,6 +262,5 @@ class GeneratorHddArray(Device):
                                       + fragment.npages)
             yield self.env.timeout(service)
             self.stats.record(fragment, service)
-            self._tm_pages[fragment.kind].inc(fragment.npages)
             if self.traffic is not None:
                 self.traffic.record(self.env.now, fragment)

@@ -9,6 +9,7 @@ from repro.faults import DeviceDeadError, FaultInjector
 from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
+from repro.telemetry import Telemetry
 from tests.conftest import drive
 
 
@@ -402,6 +403,32 @@ class TestStats:
         assert ssd.stats.by_kind[IoKind.RANDOM_READ] == 1
         assert ssd.stats.by_kind[IoKind.SEQUENTIAL_READ] == 1
         assert ssd.stats.by_kind[IoKind.RANDOM_WRITE] == 1
+
+    def test_an_array_counts_fragments_in_stats_and_requests_beside(
+            self, env):
+        """``stats`` record what each drive served, so on a striped
+        array they count *fragments*; ``io_requests_total`` reads the
+        array's own whole-request count, ``io_pages_total`` the stats."""
+        telemetry = Telemetry()
+        hdd = HddArray(env, ndisks=4, stripe_pages=8)
+        hdd.attach_telemetry(telemetry)
+        env.run(hdd.read(0, 20, random=False))  # three drives: 8 + 8 + 4
+        env.run(hdd.read(40, 1))
+        assert hdd.stats.completed == 4
+        assert hdd.stats.by_kind[IoKind.SEQUENTIAL_READ] == 3
+        assert hdd.requests_by_kind[IoKind.SEQUENTIAL_READ] == 1
+        assert hdd.stats.pages_read == 21
+        requests = telemetry.registry.get("io_requests_total")
+        pages = telemetry.registry.get("io_pages_total")
+        sequential = dict(device="hdd-array", kind="sequential_read")
+        assert requests.labels(**sequential).value == 1
+        assert pages.labels(**sequential).value == 20
+        assert sum(child.value for child in requests.children()) == 2
+        # A plain device has no fragments: one count serves both.
+        ssd = Ssd(env)
+        env.run(ssd.read(0, 20, random=False))
+        assert ssd.requests_by_kind is ssd.stats.by_kind
+        assert ssd.stats.completed == 1
 
 
 class TestTrafficRecorder:

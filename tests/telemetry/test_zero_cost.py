@@ -5,10 +5,15 @@ Every tracer call site in the engine is guarded by
 nor builds the per-event ``args`` dicts.  The counting double below
 fails the test on *any* call reaching a disabled tracer — a regression
 here silently taxes every untraced simulation.
+
+The registry gets the same treatment: components count in their own
+fields and hand the registry a reader when they are built, so a dark
+run's only registry calls are those registrations, all made before the
+first simulated event.  (Commit 2a98990 made 30,165 and 149,002 later
+ones in the two runs below: a no-op ``inc()`` beside every count.)
 """
 
 from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
-from repro.telemetry import NULL_REGISTRY
 
 
 class CountingNullTracer:
@@ -40,17 +45,65 @@ class CountingNullTracer:
         self.calls.append(("counter", name))
 
 
-class CountingNullTelemetry:
-    """Telemetry double: disabled, but the tracer tattles on callers."""
+class CountingNullRegistry:
+    """Duck-typed disabled registry: records, with the virtual time it
+    happened at, every call it *and anything it hands out* receives."""
 
     enabled = False
-    registry = NULL_REGISTRY
+
+    def __init__(self):
+        self.calls = []
+        self.clock = lambda: 0.0
+
+    def _note(self, what, name):
+        self.calls.append((what, name, self.clock()))
+
+    def _register(self, name, *args, **kwargs):
+        self._note("register", name)
+        return _HandedOut(self, name)
+
+    counter = gauge = histogram = _register
+
+    def get(self, name):
+        self._note("get", name)
+
+    def snapshot(self):
+        self._note("snapshot", None)
+        return []
+
+
+class _HandedOut:
+    """Whatever a caller does with a registered metric is a call."""
+
+    def __init__(self, registry, name):
+        self._registry, self._name = registry, name
+
+    def __getattr__(self, method):
+        def call(*args, **kwargs):
+            self._registry._note(method, self._name)
+            return self
+        return call
+
+
+class CountingNullTelemetry:
+    """Telemetry double: disabled, but both halves tattle on callers."""
+
+    enabled = False
 
     def __init__(self):
         self.tracer = CountingNullTracer()
+        self.registry = CountingNullRegistry()
 
     def set_clock(self, clock):
-        pass
+        self.registry.clock = clock
+
+
+def assert_registry_only_registered(registry):
+    """Every call was a registration made before the clock first moved."""
+    assert len(registry.calls) >= 20  # the double really was wired in
+    late = [call for call in registry.calls
+            if call[0] != "register" or call[2] > 0.0]
+    assert late == [], f"{len(late)} registry calls in a dark run"
 
 
 def test_untraced_run_never_calls_the_tracer():
@@ -64,6 +117,7 @@ def test_untraced_run_never_calls_the_tracer():
     # ...without a single tracer call: every call site honoured
     # `tracer.enabled` and skipped both the call and its args dict.
     assert telemetry.tracer.calls == []
+    assert_registry_only_registered(telemetry.registry)
 
 
 def test_untraced_tac_and_faultless_paths_silent():
@@ -72,3 +126,4 @@ def test_untraced_tac_and_faultless_paths_silent():
         "tpce", 2, "TAC", duration=4.0, profile=SCALE_PROFILES["tiny"],
         nworkers=8, telemetry=telemetry)
     assert telemetry.tracer.calls == []
+    assert_registry_only_registered(telemetry.registry)
