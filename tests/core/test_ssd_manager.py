@@ -2,7 +2,12 @@
 
 import pytest
 
-from tests.conftest import MiniSystem, drive
+from repro.core.ssd_manager import SsdManagerBase
+from repro.faults.errors import (RETRY_BASE_DELAY, RETRY_LIMIT,
+                                 RETRY_MAX_DELAY, DeviceDeadError,
+                                 TransientIoError)
+from repro.storage import IoKind, IORequest
+from tests.conftest import MiniSystem, drive, settle
 
 
 def cached(sys_, page_id, version=0, dirty=False):
@@ -151,6 +156,155 @@ class TestCrashRestart:
         sys_.ssd_manager.on_crash()
         sys_.ssd_manager.on_restart(last_checkpoint_lsn=0)
         assert not sys_.ssd_manager.contains_valid(1)
+
+
+class ScriptedFaults:
+    """An injector that fails the next ``failures`` completions with a
+    transient error, or — ``dead`` — refuses every submission."""
+
+    def __init__(self, device, failures=0, dead=False):
+        self.failures = failures
+        self.dead = dead
+        device.attach_faults(self)
+
+    def on_submit(self, request):
+        return DeviceDeadError("scripted") if self.dead else None
+
+    def pre_service_delay(self, request, service):
+        return 0.0
+
+    def on_complete(self, request):
+        if self.failures > 0:
+            self.failures -= 1
+            return TransientIoError("scripted")
+        return None
+
+
+class InstantLog:
+    """An enabled tracer that keeps ``(now, name, args)`` per instant."""
+
+    enabled = True
+
+    def __init__(self, env):
+        self.env = env
+        self.instants = []
+
+    def instant(self, name, cat="event", track="main", args=None, ctx=None):
+        self.instants.append((self.env.now, name, args))
+
+    def complete(self, *args, **kwargs):
+        pass
+
+    def named(self, name):
+        return [(now, args) for now, what, args in self.instants
+                if what == name]
+
+
+class TestRetryPath:
+    """One SSD I/O whose first k attempts fail: how often it is retried,
+    when, and what gives up (``_ssd_io``'s contract, attempt for
+    attempt)."""
+
+    @staticmethod
+    def system():
+        sys_ = MiniSystem(design="LC", db_pages=500, bp_pages=32,
+                          ssd_frames=16)
+        log = sys_.ssd_manager._tracer = InstantLog(sys_.env)
+        return sys_, sys_.ssd_manager, log
+
+    @staticmethod
+    def failure_instants(start, service, failures):
+        """When attempts 1..failures fail: each a service time after it
+        was submitted, the next submitted a backoff delay later (base
+        delay, doubled per retry, capped)."""
+        instants, now, delay = [], start, RETRY_BASE_DELAY
+        for _ in range(failures):
+            now = now + service
+            instants.append(now)
+            now = now + delay
+            delay = min(delay * 2, RETRY_MAX_DELAY)
+        return instants
+
+    # (failures, must, succeeds): an optional I/O gives up on the
+    # failure after its RETRY_LIMIT-th retry; a must I/O never does, and
+    # from its sixth retry on waits the capped delay.
+    CASES = [(1, False, True), (RETRY_LIMIT, False, True),
+             (RETRY_LIMIT + 1, False, False),
+             (1, True, True), (RETRY_LIMIT + 1, True, True),
+             (RETRY_LIMIT + 3, True, True)]
+
+    @pytest.mark.parametrize("failures, must, succeeds", CASES)
+    def test_read_retries(self, failures, must, succeeds):
+        sys_, manager, log = self.system()
+        cached(sys_, 1)
+        frame_no = manager.table.lookup_valid(1).frame_no
+        ScriptedFaults(sys_.ssd_device, failures=failures)
+        start = sys_.env.now
+        service = sys_.ssd_device.service_time(
+            IORequest(IoKind.RANDOM_READ, frame_no, 1))
+        ok = drive(sys_.env, manager._ssd_read_frame(frame_no, must=must))
+        assert ok is succeeds
+        assert manager.stats.io_retries == failures
+        assert manager.stats.io_failures == (0 if succeeds else 1)
+        retries = log.named("io_retry")
+        assert [args["attempt"] for _, args in retries] == list(
+            range(1, failures + 1))
+        assert [now for now, _ in retries] == self.failure_instants(
+            start, service, failures)
+        assert sys_.ssd_device.stats.pages_read == (1 if succeeds else 0)
+        assert not manager.detached
+
+    @pytest.mark.parametrize(
+        "failures, succeeds",
+        [(failures, succeeds) for failures, must, succeeds in CASES
+         if not must])      # an SSD write is always optional
+    def test_write_retries(self, failures, succeeds):
+        sys_, manager, log = self.system()
+        ScriptedFaults(sys_.ssd_device, failures=failures)
+        service = sys_.ssd_device.service_time(
+            IORequest(IoKind.RANDOM_WRITE, 0, 1))
+        assert cached(sys_, 1) is succeeds
+        # A write that was given up leaves no record claiming the page.
+        assert manager.contains_valid(1) is succeeds
+        assert manager.stats.writes == 1
+        assert manager.stats.io_retries == failures
+        assert manager.stats.io_failures == (0 if succeeds else 1)
+        retries = log.named("io_retry")
+        assert [args["attempt"] for _, args in retries] == list(
+            range(1, failures + 1))
+        assert [now for now, _ in retries] == self.failure_instants(
+            0.0, service, failures)
+
+    def test_a_retried_read_still_serves_the_page(self):
+        sys_, manager, _ = self.system()
+        cached(sys_, 1, version=3, dirty=True)    # newer than disk: must
+        ScriptedFaults(sys_.ssd_device, failures=RETRY_LIMIT + 1)
+        assert drive(sys_.env, manager.try_read(1)) == 3
+        assert manager.stats.reads == 1
+        assert manager.stats.io_retries == RETRY_LIMIT + 1
+        assert manager.stats.io_failures == 0
+
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    def test_a_dead_device_detaches_once(self, direction, monkeypatch):
+        sys_, manager, log = self.system()
+        cached(sys_, 1)
+        detaches = []
+        detach = SsdManagerBase.detach
+        monkeypatch.setattr(
+            SsdManagerBase, "detach",
+            lambda self, *args: detaches.append(self) or detach(self, *args))
+        ScriptedFaults(sys_.ssd_device, dead=True)
+        if direction == "read":
+            assert drive(sys_.env, manager.try_read(1)) is None
+        else:
+            assert cached(sys_, 2) is False
+        settle(sys_.env)
+        assert detaches == [manager]
+        assert len(log.named("ssd_detached")) == 1
+        assert manager.detached and manager.used_frames == 0
+        # Death is not a retry: nothing was counted, nothing waited for.
+        assert manager.stats.io_retries == manager.stats.io_failures == 0
+        assert log.named("io_retry") == []
 
 
 class TestEndToEndInvariants:
