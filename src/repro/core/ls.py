@@ -89,8 +89,7 @@ class LogStructuredManager(SsdManagerBase):
         super().__init__(*args, **kwargs)
         nframes = self.config.ssd_frames
         #: Frames per segment (the last segment may be shorter).
-        self._seg_pages = max(1, min(self.config.ls_segment_pages,
-                                     nframes or 1))
+        self._seg_pages = self.table.segment_pages
         self._nseg = (nframes + self._seg_pages - 1) // self._seg_pages
         #: Hot append stream (fresh admissions): [segment, position].
         #: Hot entries die fast, so hot segments turn fully dead and
@@ -537,21 +536,9 @@ class LogStructuredManager(SsdManagerBase):
         """
         open_segs = {self._open[0], self._cold[0]}
         closed = [seg for seg in self._seg_seq if seg not in open_segs]
-        candidates = closed or [seg for seg in self._seg_seq]
-        best: Optional[int] = None
-        best_key: Optional[Tuple[int, int]] = None
-        for seg in candidates:
-            seq = self._seg_seq[seg]
-            start = self._seg_start(seg)
-            live = 0
-            for frame_no in range(start, start + self._seg_size(seg)):
-                record = self.table.records[frame_no]
-                if record.occupied and record.valid:
-                    live += 1
-            key = (live, seq)
-            if best_key is None or key < best_key:
-                best, best_key = seg, key
-        return best
+        live = self.table.segment_valid
+        return min(closed or self._seg_seq, default=None,
+                   key=lambda seg: (live[seg], self._seg_seq[seg]))
 
     def _do_reclaim(self) -> Generator[object, Any, None]:
         """Process step: clean one whole segment (greedy victim).

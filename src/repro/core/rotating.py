@@ -72,9 +72,8 @@ class RotatingSsdManager(SsdManagerBase):
         self._reheap(record)
         self.stats.writes += 1
         # The whole point of the design: the SSD write is sequential.
-        ok = yield from self._ssd_io(
-            lambda: self.device.write(record.frame_no, 1, random=False,
-                                      ctx=ctx))
+        ok = yield from self._ssd_write_frame(record.frame_no, ctx,
+                                              random=False)
         if not ok:
             # The image never reached the SSD: the record must not claim
             # it did, unless it was invalidated or reused meanwhile.

@@ -90,19 +90,27 @@ class SsdBufferTable:
     """Buffer table + hash table + free list over S SSD frames."""
 
     __slots__ = ("nframes", "partitions", "records", "_free", "_hash",
-                 "partition_ops", "_valid", "_dirty")
+                 "partition_ops", "_valid", "_dirty", "segment_pages",
+                 "segment_valid")
 
-    def __init__(self, nframes: int, partitions: int = 1):
+    def __init__(self, nframes: int, partitions: int = 1,
+                 segment_pages: int = 0):
         if nframes < 0:
             raise ValueError(f"nframes must be >= 0, got {nframes}")
         self.nframes = nframes
         self.partitions = max(1, partitions)
+        #: Frames per log segment (0: the table is one segment) and the
+        #: valid copies in each, tallied where ``_valid`` is: LS reclaims
+        #: the closed segment with the fewest without scanning any.
+        self.segment_pages = max(1, min(segment_pages or nframes,
+                                        nframes or 1))
+        self.segment_valid = [0] * -(-nframes // self.segment_pages)
         self.records: List[SsdRecord] = [SsdRecord(i) for i in range(nframes)]
         self._free: Deque[int] = deque(range(nframes))
         self._hash: Dict[int, SsdRecord] = {}
         self.partition_ops = [0] * self.partitions
-        # Incremental counters (kept exact by install/release/set_dirty/
-        # invalidate_logical) so occupancy queries are O(1).
+        # Incremental counters (kept exact by install/revalidate/release/
+        # set_dirty/invalidate_logical) so occupancy queries are O(1).
         self._valid = 0
         self._dirty = 0
 
@@ -120,8 +128,11 @@ class SsdBufferTable:
 
     def lookup_valid(self, page_id: int) -> Optional[SsdRecord]:
         """The record caching a *valid* copy of ``page_id``, if any."""
-        record = self.lookup(page_id)
-        return record if record is not None and record.valid else None
+        record = self._hash.get(page_id)
+        if record is None:
+            return None
+        self.partition_ops[record.frame_no % self.partitions] += 1
+        return record if record.valid else None
 
     def partition_of(self, record: SsdRecord) -> int:
         """The §3.3.4 partition this record's frame belongs to."""
@@ -175,7 +186,12 @@ class SsdBufferTable:
         record = self.records[frame_no]
         if record.occupied:
             raise ValueError(f"{record!r} is not free")
-        self._free.remove(frame_no)
+        if self._free and self._free[-1] == frame_no:
+            # ROT claims the frame it released a line earlier: the right
+            # end, where a left-to-right remove() walks the whole list.
+            self._free.pop()
+        else:
+            self._free.remove(frame_no)
         return record
 
     def install(self, record: SsdRecord, page_id: int, version: int,
@@ -192,6 +208,7 @@ class SsdBufferTable:
         record.prev_access = float("-inf")
         self._hash[page_id] = record
         self._valid += 1
+        self.segment_valid[record.frame_no // self.segment_pages] += 1
         if dirty:
             self._dirty += 1
         self.partition_ops[self.partition_of(record)] += 1
@@ -209,6 +226,7 @@ class SsdBufferTable:
         record.dirty = False
         record.record_access(now)
         self._valid += 1
+        self.segment_valid[record.frame_no // self.segment_pages] += 1
 
     def set_dirty(self, record: SsdRecord, dirty: bool) -> None:
         """Flip a valid record's dirty bit, keeping counters exact."""
@@ -225,6 +243,7 @@ class SsdBufferTable:
             raise ValueError(f"releasing free {record!r}")
         if record.valid:
             self._valid -= 1
+            self.segment_valid[record.frame_no // self.segment_pages] -= 1
             if record.dirty:
                 self._dirty -= 1
         # The hash may already point at a *newer* record for the same
@@ -240,6 +259,7 @@ class SsdBufferTable:
         """Mark invalid without freeing the frame (TAC's invalidation)."""
         if record.valid:
             self._valid -= 1
+            self.segment_valid[record.frame_no // self.segment_pages] -= 1
             if record.dirty:
                 self._dirty -= 1
         record.valid = False
@@ -253,3 +273,13 @@ class SsdBufferTable:
         self._hash.clear()
         self._valid = 0
         self._dirty = 0
+        self.segment_valid = [0] * len(self.segment_valid)
+
+    def check_invariants(self) -> None:
+        """Assert the incremental tallies equal a scan of the records."""
+        scan = [sum(record.valid for record in
+                    self.records[start:start + self.segment_pages])
+                for start in range(0, self.nframes, self.segment_pages)]
+        assert self.segment_valid == scan and sum(scan) == self._valid, (
+            f"{self._valid} valid copies tallied, {self.segment_valid} by "
+            f"segment; the segments hold {scan}")

@@ -167,16 +167,17 @@ class SsdManagerBase:
         self.wal = wal
         self.config = config or SsdDesignConfig()
         self.admission = admission or AdmissionPolicy(self.config)
-        self.table = SsdBufferTable(self.config.ssd_frames,
-                                    self.config.partitions)
+        self.table = SsdBufferTable(
+            self.config.ssd_frames, self.config.partitions,
+            self.config.ls_segment_pages)
         self.stats = SsdStats()
         #: Set by the system wiring; lets designs see checkpoint state.
         self.bp = None
         self.clean_heap = LazyMinHeap(
-            key=lambda r: r.lru2_key(),
+            key=SsdRecord.lru2_key,
             member=lambda r: r.valid and not r.dirty)
         self.dirty_heap = LazyMinHeap(
-            key=lambda r: r.lru2_key(),
+            key=SsdRecord.lru2_key,
             member=lambda r: r.valid and r.dirty)
         #: True once the SSD has been dropped from service (device death,
         #: §2.4 degradation): the design continues as noSSD.
@@ -214,6 +215,22 @@ class SsdManagerBase:
             "ssd_mgr_throttle_preserved_total",
             "Existing SSD copies preserved through a declined admission",
             lambda: self.stats.throttle_preserved)
+
+        def per_heap(vital):
+            return lambda: {(name,): vital(heap)
+                            for name, heap in self._heaps().items()}
+        registry.gauge(
+            "ssd_mgr_heap_entries", "Binary-heap entries, garbage included",
+            per_heap(len), labelnames=("heap",))
+        registry.gauge(
+            "ssd_mgr_heap_live", "Records filed in the heap",
+            per_heap(lambda heap: heap.live_count), labelnames=("heap",))
+        registry.counter(
+            "ssd_mgr_heap_rekeys_total", "Entries re-keyed as they surfaced",
+            per_heap(lambda heap: heap.rekeys), labelnames=("heap",))
+        registry.counter(
+            "ssd_mgr_heap_compactions_total", "Rebuilds that shed garbage",
+            per_heap(lambda heap: heap.compactions), labelnames=("heap",))
         registry.gauge("ssd_used_frames", "Occupied SSD frames",
                        lambda: self.used_frames)
         registry.gauge("ssd_dirty_frames", "Dirty (newer-than-disk) SSD frames",
@@ -225,6 +242,10 @@ class SsdManagerBase:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    def _heaps(self) -> Dict[str, LazyMinHeap]:
+        """The design's victim heaps, by their ``heap`` metric label."""
+        return {"clean": self.clean_heap, "dirty": self.dirty_heap}
 
     @property
     def used_frames(self) -> int:
@@ -294,52 +315,70 @@ class SsdManagerBase:
     # Fault-hardened device access
     # ------------------------------------------------------------------
 
-    def _ssd_io(self, submit, must: bool = False):
+    def _ssd_io(self, submit, must: bool = False,
+                fault: Optional[IoFault] = None):
         """Process step: one SSD I/O with bounded retry + backoff.
 
         ``submit`` is a zero-argument callable returning a fresh device
-        event.  Returns True on success; False when the device died, or —
-        for optional I/Os (``must=False``) — when the retry budget ran
-        out.  A *must* I/O guards the only newest copy of a page: it
-        retries transients without bound (capped backoff) because falling
-        back to disk would surface stale data; only device death stops
-        it, and then degradation redo restores the page from the log.
+        event; ``fault`` is what a first attempt the caller already made
+        failed with.  Returns True on success; False when the device
+        died, or — for optional I/Os (``must=False``) — when the retry
+        budget ran out.  A *must* I/O guards the only newest copy of a
+        page: it retries transients without bound (capped backoff)
+        because falling back to disk would surface stale data; only
+        device death stops it, and then degradation redo restores the
+        page from the log.
         """
         delay = RETRY_BASE_DELAY
         attempt = 0
         while True:
-            try:
-                yield submit()
-                return True
-            except DeviceDeadError:
+            if fault is None:
+                try:
+                    yield submit()
+                    return True
+                except IoFault as failure:
+                    fault = failure
+            if isinstance(fault, DeviceDeadError):
                 self._note_device_dead()
                 return False
-            except IoFault:
-                self.stats.io_retries += 1
-                if self._tracer.enabled:
-                    self._tracer.instant(
-                        "io_retry", "fault", "faults",
-                        {"device": self.device.name, "attempt": attempt + 1})
-                if not must and attempt >= RETRY_LIMIT:
-                    self.stats.io_failures += 1
-                    return False
-                attempt += 1
-                yield self.env.timeout(delay)
-                delay = min(delay * 2, RETRY_MAX_DELAY)
+            fault = None
+            self.stats.io_retries += 1
+            if self._tracer.enabled:
+                self._tracer.instant(
+                    "io_retry", "fault", "faults",
+                    {"device": self.device.name, "attempt": attempt + 1})
+            if not must and attempt >= RETRY_LIMIT:
+                self.stats.io_failures += 1
+                return False
+            attempt += 1
+            yield self.env.timeout(delay)
+            delay = min(delay * 2, RETRY_MAX_DELAY)
 
     def _ssd_read_frame(self, frame_no: int, must: bool = False, ctx=None):
-        """Process step: read one SSD frame; True on success."""
-        return (yield from self._ssd_io(
-            lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
-            must=must))
+        """Process step: read one SSD frame; True on success.
 
-    def _ssd_write_frame(self, frame_no: int, ctx=None):
+        The device event is yielded as it is: a read that does not fail
+        — all of them, without an injector — builds no retry loop."""
+        try:
+            yield self.device.read(frame_no, 1, random=True, ctx=ctx)
+            return True
+        except IoFault as fault:
+            return (yield from self._ssd_io(
+                lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
+                must, fault))
+
+    def _ssd_write_frame(self, frame_no: int, ctx=None, random=True):
         """Process step: write one SSD frame; True on success.
 
         SSD writes are always optional — the caller keeps (or falls back
         to) the disk copy when the write is abandoned."""
-        return (yield from self._ssd_io(
-            lambda: self.device.write(frame_no, 1, random=True, ctx=ctx)))
+        try:
+            yield self.device.write(frame_no, 1, random=random, ctx=ctx)
+            return True
+        except IoFault as fault:
+            return (yield from self._ssd_io(
+                lambda: self.device.write(frame_no, 1, random=random,
+                                          ctx=ctx), fault=fault))
 
     def _note_device_dead(self) -> None:
         """The SSD reported permanent death: start degradation once."""
@@ -371,8 +410,8 @@ class SsdManagerBase:
         record = self.table.lookup_valid(page_id)
         if record is None:
             return None
-        newer = record.version > self.disk.disk_version(page_id)
-        if self._throttled() and not newer:
+        if self._throttled() and (
+                record.version <= self.disk.disk_version(page_id)):
             self.stats.declined_throttle += 1
             return None
         return (yield from self._read_record(record, ctx=ctx))
@@ -798,8 +837,8 @@ class SsdManagerBase:
     def _clear_ssd_state(self) -> None:
         """Forget the mapping (detach / cold restart)."""
         self.table.clear()
-        self.clean_heap.clear()
-        self.dirty_heap.clear()
+        for heap in self._heaps().values():
+            heap.clear()
 
     # ------------------------------------------------------------------
     # Crash / restart hooks
@@ -845,7 +884,11 @@ class SsdManagerBase:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the Figure 3 page-copy relationships hold right now."""
+        """Assert the Figure 3 page-copy relationships hold right now,
+        and that the table's tallies and the heaps' filing are exact."""
+        self.table.check_invariants()
+        for heap in self._heaps().values():
+            heap.check_invariants()
         for record in self.table.occupied_records():
             if not record.valid:
                 continue

@@ -257,12 +257,12 @@ class TemperatureAwareManager(SsdManagerBase):
         """Occupied-but-invalid SSD frames (the paper's 7–10 GB waste)."""
         return self.table.invalid_count
 
-    def _clear_ssd_state(self) -> None:
-        """Detach/cold restart also empties the temperature heap (extent
-        temperatures themselves are statistics, not mapping state, and
-        survive — as they would in a server that logs them)."""
-        super()._clear_ssd_state()
-        self.temp_heap.clear()
+    def _heaps(self):
+        """Plus the temperature heap: detach and cold restart empty it
+        with the others (extent temperatures themselves are statistics,
+        not mapping state, and survive — as they would in a server that
+        logs them)."""
+        return dict(super()._heaps(), temp=self.temp_heap)
 
     def checkpoint_write(self, frame: Frame):
         """Checkpoint flush: disk write, plus the SSD if an invalidated

@@ -1,5 +1,6 @@
 """Unit and property tests for the lazy victim-selection heaps."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,3 +206,110 @@ class TestCompaction:
         assert heap.live_count == 2
         assert len(heap) <= 2 + slack(2)
         assert [heap.pop(), heap.pop(), heap.pop()] == records + [None]
+
+
+class TestAnAccessIsAStamp:
+    """A frame is filed once; later pushes only record where it belongs
+    and the entry is re-keyed when it surfaces (DESIGN.md §13)."""
+
+    def test_pushing_a_filed_record_files_nothing(self):
+        heap = clean_heap()
+        records = make_records(3)
+        for record in records:
+            heap.push(record)
+        for now in (1.0, 2.0, 3.0):
+            for record in records:
+                record.record_access(now)
+                heap.push(record)
+        assert (len(heap), heap.live_count, heap.heappushes) == (3, 3, 3)
+        assert heap.rekeys == 0
+        # Equal keys (2.0 each) come out in the order of the last push,
+        # after one re-key each.
+        assert [heap.pop() for _ in range(4)] == records + [None]
+        assert heap.rekeys == 3 and heap.compactions == 0
+        heap.check_invariants()
+
+    def test_only_entries_that_surface_are_rekeyed(self):
+        heap = clean_heap()
+        records = make_records(50)
+        for record in records:
+            record.prev_access = float(record.frame_no)
+            heap.push(record)
+        for record in records[1:11]:    # ten cold pages are read again
+            record.prev_access += 100.0
+            heap.push(record)
+        assert heap.pop() is records[0]
+        assert heap.rekeys == 0
+        assert heap.pop() is records[11]
+        assert heap.rekeys == 10        # the ten in the way, nobody else
+        assert [heap.pop().frame_no for _ in range(48)] == (
+            list(range(12, 50)) + list(range(1, 11)))
+        assert heap.rekeys == 10 and heap.heappushes == 50
+
+    def test_a_lowered_key_is_filed_again(self):
+        """A frame released and re-installed without a ``remove`` starts
+        again at −inf: the entry filed under the old page's key would
+        surface too late."""
+        heap = clean_heap()
+        records = make_records(3)
+        for record, access in zip(records, (5.0, 6.0, 7.0)):
+            record.prev_access = access
+            heap.push(record)
+        records[2].prev_access = float("-inf")
+        heap.push(records[2])
+        assert (len(heap), heap.live_count, heap.heappushes) == (4, 3, 4)
+        heap.check_invariants()
+        assert [heap.pop() for _ in range(4)] == [
+            records[2], records[0], records[1], None]
+
+    def test_removes_alone_cannot_pile_up_garbage(self):
+        heap = clean_heap()
+        records = make_records(300)
+        for record in records:
+            heap.push(record)
+        for record in records[:-1]:
+            heap.remove(record)
+            assert len(heap) <= heap.live_count + slack(heap.live_count)
+        assert heap.compactions > 0
+        assert heap.pop() is records[-1]
+
+
+class TestInvariants:
+    def heap(self):
+        heap = clean_heap()
+        for record in make_records(4):
+            record.prev_access = float(record.frame_no)
+            heap.push(record)
+        heap.check_invariants()
+        return heap
+
+    def test_a_live_frame_without_its_entry_is_caught(self):
+        heap = self.heap()
+        heap._heap.pop()
+        with pytest.raises(AssertionError, match="4 live frames tallied"):
+            heap.check_invariants()
+
+    def test_a_frame_filed_twice_is_caught(self):
+        heap = self.heap()
+        heap._heap.append(heap._heap[-1])
+        with pytest.raises(AssertionError, match="4 live frames tallied"):
+            heap.check_invariants()
+
+    def test_a_miscounted_live_tally_is_caught(self):
+        heap = self.heap()
+        heap._live += 1
+        with pytest.raises(AssertionError, match="5 live frames tallied"):
+            heap.check_invariants()
+
+    def test_an_entry_filed_after_its_push_is_caught(self):
+        heap = self.heap()
+        heap._keys[2] = 1.5     # as if the key had fallen with no new entry
+        with pytest.raises(AssertionError, match=r"filed in time \[0, 1, 3\]"):
+            heap.check_invariants()
+
+    def test_unshed_garbage_is_caught(self):
+        heap = self.heap()
+        garbage = (0.0, 0, heap._heap[0][2])
+        heap._heap.extend([garbage] * (slack(4) + 1))
+        with pytest.raises(AssertionError, match="4 live frames"):
+            heap.check_invariants()

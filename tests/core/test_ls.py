@@ -132,6 +132,44 @@ class TestTailReclaim:
         # And the engine still serves reads afterwards.
         system.churn(accesses=500, write_fraction=0.0, seed=14)
 
+    def test_victim_is_picked_from_the_tally_not_from_a_scan(self,
+                                                             monkeypatch):
+        """The pick reads one number per segment — the table's tally of
+        valid copies — and no record; the tally is what a scan of the
+        segment's frames counts, at every pick of a churning run."""
+        system = ls_system(db_pages=2_000, bp_pages=50, ssd_frames=200,
+                           ls_segment_pages=16)
+        manager = system.ssd_manager
+        picks = []
+        pick = LogStructuredManager._pick_victim
+
+        def checked_pick(self):
+            table = self.table
+            table.check_invariants()
+            records, table.records = table.records, None
+            try:
+                victim = pick(self)     # touches no record
+            finally:
+                table.records = records
+            picks.append(victim)
+            closed = [seg for seg in self._seg_seq
+                      if seg not in (self._open[0], self._cold[0])]
+            scanned = {
+                seg: sum(r.valid for r in records[seg * 16:(seg + 1) * 16])
+                for seg in closed or self._seg_seq}
+            assert victim == min(
+                scanned, key=lambda seg: (scanned[seg], self._seg_seq[seg]),
+                default=None)
+            return victim
+
+        monkeypatch.setattr(LogStructuredManager, "_pick_victim",
+                            checked_pick)
+        system.churn(accesses=6_000, write_fraction=0.4, seed=11)
+        assert len(picks) > 20 and None not in picks
+        assert manager.table.segment_pages == 16
+        assert len(manager.table.segment_valid) == 13   # 12 x 16 + 8
+        manager.check_invariants()
+
     def test_reclaim_trims_the_segment(self):
         from repro.storage.ftl import FtlConfig
         from repro.storage import Ssd

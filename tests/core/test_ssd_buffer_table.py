@@ -28,6 +28,38 @@ class TestFreeList:
         assert table.lookup(5) is None
 
 
+class TestTakeFrame:
+    """``take_frame`` claims one named frame wherever it sits in the
+    free list, and leaves the others in their order."""
+
+    @pytest.mark.parametrize("frame_no, left", [
+        (7, [0, 1, 2, 3, 4, 5, 6]),     # right end: where ROT's frame is
+        (0, [1, 2, 3, 4, 5, 6, 7]),     # left end: where LS's frames are
+        (3, [0, 1, 2, 4, 5, 6, 7]),     # the middle
+    ])
+    def test_takes_the_frame_from_either_end_or_the_middle(
+            self, table, frame_no, left):
+        assert table.take_frame(frame_no) is table.records[frame_no]
+        assert [table.take_free().frame_no for _ in range(7)] == left
+        assert table.take_free() is None
+
+    def test_released_frame_is_claimed_back_from_the_right_end(self, table):
+        for page in range(8):
+            table.install(table.take_free(), page, 1, False, 0.0)
+        table.release(table.records[2])
+        table.release(table.records[5])
+        assert table.take_frame(5).frame_no == 5
+        assert table.take_free().frame_no == 2
+
+    def test_occupied_or_already_taken_frame_is_refused(self, table):
+        record = table.take_frame(4)
+        with pytest.raises(ValueError):
+            table.take_frame(4)         # no longer on the free list
+        table.install(record, 9, 1, False, 0.0)
+        with pytest.raises(ValueError):
+            table.take_frame(4)         # occupied
+
+
 class TestInstallLookup:
     def test_lookup_finds_installed(self, table):
         record = table.take_free()
@@ -43,6 +75,17 @@ class TestInstallLookup:
         table.invalidate_logical(record)
         assert table.lookup(7) is record
         assert table.lookup_valid(7) is None
+
+    def test_lookup_valid_counts_the_partition_like_lookup(self, table):
+        record = table.records[6]
+        table.install(table.take_frame(6), 7, 1, False, 0.0)
+        before = list(table.partition_ops)
+        assert table.lookup_valid(7) is record
+        table.invalidate_logical(record)
+        assert table.lookup_valid(7) is None    # found, invalid: counted
+        assert table.lookup_valid(8) is None    # absent: not counted
+        before[6 % 4] += 2
+        assert table.partition_ops == before
 
     def test_install_over_occupied_rejected(self, table):
         record = table.take_free()
@@ -98,6 +141,49 @@ class TestCounters:
         expected_dirty = sum(1 for r in table.records if r.valid and r.dirty)
         assert table.valid_count == expected_valid
         assert table.dirty_count == expected_dirty
+
+
+class TestSegmentTally:
+    """Valid copies per segment, kept where ``valid_count`` is kept."""
+
+    def test_one_segment_unless_asked(self, table):
+        assert table.segment_pages == 8
+        assert table.segment_valid == [0]
+        assert SsdBufferTable(0).segment_valid == []
+
+    def test_tally_follows_every_validity_change(self):
+        table = SsdBufferTable(nframes=10, segment_pages=4)
+        assert table.segment_valid == [0, 0, 0]     # 4 + 4 + 2 frames
+        for page in range(10):
+            table.install(table.take_free(), page, 1, page % 2 == 0, 0.0)
+        assert table.segment_valid == [4, 4, 2]
+        table.invalidate_logical(table.records[1])
+        table.invalidate_logical(table.records[1])  # already invalid
+        table.release(table.records[5])
+        table.release(table.records[1])             # invalid: no change
+        assert table.segment_valid == [3, 3, 2]
+        table.invalidate_logical(table.records[9])
+        table.revalidate(table.records[9], 2, 1.0)
+        assert table.segment_valid == [3, 3, 2]
+        assert sum(table.segment_valid) == table.valid_count == 8
+        table.check_invariants()
+        table.clear()
+        assert table.segment_valid == [0, 0, 0]
+        table.check_invariants()
+
+    def test_check_invariants_catches_a_wrong_tally(self):
+        table = SsdBufferTable(nframes=10, segment_pages=4)
+        table.install(table.take_free(), 1, 1, False, 0.0)
+        table.segment_valid[0] -= 1
+        table.segment_valid[2] += 1     # the sum still agrees
+        with pytest.raises(AssertionError, match="segments hold"):
+            table.check_invariants()
+        table.segment_valid[0] += 1
+        table.segment_valid[2] -= 1
+        table.check_invariants()
+        table._valid += 1               # the segments agree, the sum is off
+        with pytest.raises(AssertionError, match="2 valid copies tallied"):
+            table.check_invariants()
 
 
 class TestRevalidate:
