@@ -12,6 +12,8 @@ import random
 import pytest
 
 from repro.core import DESIGNS, SsdDesignConfig
+from repro.engine.page import Frame
+from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness.crashpoints import _update_client
 from repro.harness.system import System, SystemConfig
 from repro.telemetry import Telemetry
@@ -150,3 +152,32 @@ def test_registry_counters_equal_ssd_stats(design):
     if design != "noSSD":
         assert stats.reads and stats.writes and stats.evictions
         assert stats.declined_throttle and stats.io_retries
+
+
+def test_background_cleaning_resumes_after_a_crash(design):
+    """A design that cleans in the background (LC and LS: above λ, down
+    to the target) does so again after ``crash_reset()``: the cleaner
+    died with the event queue and its wake-up must be armed anew.  ROT
+    and EXCL write back without a cleaner and keep what they are given;
+    the write-through designs never hold a dirty frame."""
+    system = build(design)
+    env, manager = system.env, system.ssd_manager
+    limit = manager.config.dirty_limit_frames
+
+    def drains(first_page, version):
+        """Push the dirty count past λ; is it back under it a second on?"""
+        frames = [Frame(first_page + offset, version=version)
+                  for offset in range(limit + 1)]
+        for frame in frames:
+            frame.dirty = True
+        env.run(env.gather(manager.on_evict_dirty(frame)
+                           for frame in frames))
+        settle(env, 1.0)
+        manager.check_invariants()
+        return manager.dirty_frames <= manager.config.clean_target_frames
+
+    cleans = design not in ("ROT", "EXCL")
+    assert drains(0, version=1) is cleans
+    system.crash()
+    drive(env, simulate_crash_and_recover(env, system))
+    assert drains(200, version=2) is cleans

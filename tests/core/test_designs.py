@@ -274,13 +274,17 @@ class TestTac:
         # Fill 4 frames via the TAC cache path with rising temperatures.
         for page in (0, 32, 64, 96):
             manager.temperatures[manager.extent_of(page)] = 10.0 + page
-            drive(sys_.env, manager._cache_tac(page, 0))
+            manager.on_read_from_disk(Frame(page, version=0))
+            settle(sys_.env, 0.1)
+        assert manager.admission_writes == 4
         # Invalidate the hottest page: frame stays occupied.
         manager.invalidate(96)
         assert manager.wasted_frames == 1
         # A new hot page must evict the *coldest* (page 0, valid), not
         # the invalid frame.
         manager.temperatures[manager.extent_of(200)] = 500.0
-        drive(sys_.env, manager._cache_tac(200, 0))
+        manager.on_read_from_disk(Frame(200, version=0))
+        settle(sys_.env, 0.1)
+        assert manager.contains_valid(200)
         assert not manager.contains_valid(0)
         assert manager.wasted_frames == 1  # invalid frame still wasted

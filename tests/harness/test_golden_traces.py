@@ -346,6 +346,24 @@ WRITE_BACK = {
         ("7c3cca0ea9911d96d4e70b7e7d3fcc96",
          "07d0c3036b4ce0c20aa4621da163bfe9"),
         ("declined_throttle", "fallback_disk_writes")),
+    # TAC under replacement *and* faults, and the two layouts with their
+    # own admit tails under the throttle: captured at commit 001cc3f,
+    # before placement was written once.
+    "throttled-TAC": (
+        _throttled("TAC"),
+        ("cd0e51866837a15fac41068005f0f8f0",
+         "c022f4c46491edc126cbeaeef0572827"),
+        ("declined_throttle", "missed_dirty_writes", "evictions")),
+    "die-TAC": (
+        _tpce("TAC", DEATH),
+        ("c0dba39c60cb4f29f08da6b6c9fb88d6",
+         "84febe644765ac19f4432a58a66aa241"),
+        ("io_retries", "evictions")),
+    "throttled-ROT": (
+        _throttled("ROT"),
+        ("e4cb8de92ba57c305f75d6e30dc904bf",
+         "0db5961a9e3456d8642eec6adca02118"),
+        ("declined_throttle", "fallback_disk_writes")),
 }
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.lc import LazyCleaningManager
+from repro.engine.page import Frame
 from repro.harness.experiments import (
     PAPER_LAMBDA,
     SCALE_PROFILES,
@@ -24,10 +25,25 @@ class TestSystemAssembly:
             SystemConfig(design="magic")
 
     def test_lc_cleaner_started(self):
+        """A dirty admission past λ on a freshly made system is cleaned."""
         workload = make_workload("tpcc", 100, SCALE_PROFILES["tiny"])
-        system = make_system("tpcc", workload, "LC", SCALE_PROFILES["tiny"])
-        assert isinstance(system.ssd_manager, LazyCleaningManager)
-        assert system.ssd_manager._cleaner_started
+        system = make_system("tpcc", workload, "LC", SCALE_PROFILES["tiny"],
+                             dirty_threshold=0.01)
+        manager = system.ssd_manager
+        assert isinstance(manager, LazyCleaningManager)
+        limit = manager.config.dirty_limit_frames
+
+        def evict_dirty(page_id):
+            frame = Frame(page_id, version=1)
+            frame.dirty = True
+            return manager.on_evict_dirty(frame)
+
+        system.env.run(system.env.gather(
+            evict_dirty(page) for page in range(limit + 1)))
+        assert manager.dirty_frames == limit + 1
+        system.run(until=system.env.now + 1.0)
+        assert manager.dirty_frames <= manager.config.clean_target_frames
+        assert manager.stats.cleaner_pages > 0
 
     def test_nossd_gets_zero_frames(self):
         workload = make_workload("tpcc", 100, SCALE_PROFILES["tiny"])

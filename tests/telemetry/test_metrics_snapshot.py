@@ -1,4 +1,4 @@
-"""Every ``--metrics`` row of nine telemetry-on runs, pinned.
+"""Every ``--metrics`` row of ten telemetry-on runs, pinned.
 
 ``registry.snapshot()`` is what ``--metrics`` prints and nothing else
 asserted on it: CI printed the table and moved on.  The nine runs below
@@ -8,6 +8,9 @@ and partition-latch waits, checkpoints, both runners' latency
 histograms — and ``metrics_snapshot.txt`` holds each run's rows as
 ``name{labels} value`` lines, captured at commit 2a98990 (589 rows;
 the 76 ``ssd_mgr_heap_*`` rows came with the heaps' vitals, PR 20).
+A tenth run, TAC behind a throttled 150-frame SSD, was added at commit
+001cc3f: TAC's guard counts a throttle decline in an order the trace
+does not show and ``ssd_mgr_declined_throttle_total`` does.
 
 Rows are compared as a *set* per run: the order of a family's children
 is not pinned.  A histogram is pinned by ``count / p50 / p95 / p99``,
@@ -15,7 +18,7 @@ not by its mean — ``sum()`` is compensated from Python 3.12 on, so the
 last digit of a mean depends on the interpreter.
 
 Regenerate (after a deliberate change) with
-``PYTHONPATH=src python tests/telemetry/test_metrics_snapshot.py``.
+``PYTHONPATH=src:. python tests/telemetry/test_metrics_snapshot.py``.
 """
 
 from pathlib import Path
@@ -24,6 +27,7 @@ import pytest
 
 from repro.harness.experiments import RunSpec, run
 from repro.telemetry import Telemetry
+from tests.harness.test_golden_traces import _throttled
 
 PINNED = Path(__file__).with_name("metrics_snapshot.txt")
 
@@ -33,7 +37,8 @@ SSD_DIES = "transient:p=0.005,ssd_die@t=2.5"
 TENANTS = ("gold=poisson:rate=400:theta=0.6;"
            "noisy=bursty:rate=300:burst=10:theta=0.99")
 
-#: name -> (spec, fault plan, rows expected — the quick cross-check)
+#: name -> (spec, or a runner taking the telemetry; fault plan; rows
+#: expected — the quick cross-check)
 RUNS = {
     "tpcc-LC": (RunSpec(kind="oltp", benchmark="tpcc", scale=100,
                         design="LC", profile="tiny", duration=5.0,
@@ -54,6 +59,7 @@ RUNS = {
                 tenants=TENANTS), None, 75),
     "tpch-DW": (RunSpec(kind="tpch", benchmark="tpch", scale=30,
                         design="DW", profile="tiny"), None, 64),
+    "throttled-TAC": (_throttled("TAC"), None, 71),
 }
 
 
@@ -61,7 +67,10 @@ def snapshot_lines(name):
     """One ``name{label="v",...} value`` line per snapshot row."""
     spec, faults, _ = RUNS[name]
     telemetry = Telemetry()
-    run(spec, telemetry=telemetry, faults=faults)
+    if callable(spec):
+        spec(telemetry)
+    else:
+        run(spec, telemetry=telemetry, faults=faults)
     lines = []
     for row in telemetry.registry.snapshot():
         labels = ",".join(f'{key}="{value}"'
@@ -94,11 +103,11 @@ def test_metrics_rows_are_what_they_were(name):
 
 
 def test_the_pin_covers_every_registered_name():
-    """The nine runs together reach all 51 metric names."""
+    """The ten runs together reach all 51 metric names."""
     names = {line.split("{")[0]
              for lines in pinned_lines().values() for line in lines}
     assert len(names) == 51
-    assert sum(len(lines) for lines in pinned_lines().values()) == 665
+    assert sum(len(lines) for lines in pinned_lines().values()) == 736
 
 
 if __name__ == "__main__":
