@@ -1,21 +1,16 @@
 """The Lazy-Cleaning (LC) design (§2.3.3, §3.3.5).
 
 Dirty pages evicted from the buffer pool are written *only* to the SSD
-(write-back).  A background lazy-cleaning thread copies dirty SSD pages
-back to disk:
-
-* it wakes when the dirty fraction of the SSD exceeds λ and drains until
-  slightly below it (``clean_slack``);
-* each pass gathers up to α dirty pages with consecutive disk addresses
-  and writes them to disk with a single I/O (*group cleaning*);
-* pages cannot move SSD→disk directly — they are read into memory first,
-  so cleaning consumes both SSD read and disk write bandwidth (this is
-  the throughput drop visible in Figure 6 when the λ threshold is first
-  crossed).
-
-Because the SSD can hold the newest copy of a page, LC changes the sharp
-checkpoint: all dirty SSD pages are flushed to disk during a checkpoint,
-and no new dirty pages are cached while one is in progress (§3.2).
+(write-back), so the SSD can hold a page's newest copy.  What that
+obliges (the changed sharp checkpoint of §3.2, copy-back, SSD death) and
+the background thread's λ policy are ``SsdManagerBase``'s, shared with
+every write-back design (DESIGN.md §5.1).  LC's own is the *round* its
+cleaner and its checkpoint run, group cleaning: each batch gathers up to
+α dirty pages with consecutive disk addresses and writes them to disk
+with a single I/O.  Pages cannot move SSD→disk directly — they are read
+into memory first, so cleaning consumes both SSD read and disk write
+bandwidth (the throughput drop visible in Figure 6 when the λ threshold
+is first crossed).
 """
 
 from __future__ import annotations
@@ -32,8 +27,7 @@ from repro.telemetry import CLEANER_CTX
 class LazyCleaningManager(SsdManagerBase):
     """LC: write-back caching of dirty evictions with a cleaner thread."""
 
-    __slots__ = ("_cleaner_started", "_cleaner_wakeup", "_above_lambda",
-                 "_cleaning_frames")
+    __slots__ = ("_above_lambda", "_cleaning_frames")
 
     name = "LC"
 
@@ -42,8 +36,6 @@ class LazyCleaningManager(SsdManagerBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._cleaner_started = False
-        self._cleaner_wakeup = None
         self._above_lambda = False
         #: SSD frame slots with a clean-back transfer in flight; their
         #: records are legitimately absent from the dirty heap and must
@@ -76,66 +68,39 @@ class LazyCleaningManager(SsdManagerBase):
                 {"dirty_fraction": self.dirty_fraction})
 
     # ------------------------------------------------------------------
-    # Eviction hook
+    # The decision, and the lazy-cleaning thread
     # ------------------------------------------------------------------
 
     def on_evict_dirty(self, frame: Frame):
-        """Write-back: the SSD alone, and a new dirty page may push the
-        dirty fraction over λ."""
+        """The decision (§2.3): write-back — the SSD alone, and a new
+        dirty page may push the dirty fraction over λ."""
         if (yield from self._evict_write_back(frame)):
-            self._maybe_wake_cleaner()
-
-    # ------------------------------------------------------------------
-    # The lazy-cleaning thread
-    # ------------------------------------------------------------------
+            self._after_dirty_cached()
 
     def _after_dirty_cached(self) -> None:
-        self._maybe_wake_cleaner()
+        self._note_lambda()
+        super()._after_dirty_cached()
 
     def start_cleaner(self) -> None:
         """Launch the background cleaner process (idempotent)."""
-        if not self._cleaner_started:
-            self._cleaner_started = True
-            self._cleaner_wakeup = self.env.event()
-            self.env.spawn(self._cleaner_loop())
+        if self._cleaner is None:
+            self._start_lambda_cleaner(self._clean_round,
+                                       self._note_drain_stall)
 
-    def _maybe_wake_cleaner(self) -> None:
-        self._note_lambda()
-        if (self._cleaner_wakeup is not None
-                and not self._cleaner_wakeup.triggered
-                and self.table.dirty_count > self.config.dirty_limit_frames):
-            self._cleaner_wakeup.succeed()
+    def _clean_round(self):
+        """Process step: the cleaner's round.  Several group batches in
+        flight — a serial cleaner is capped at one page per disk-write
+        latency and silently turns λ into "never" under load — but none
+        that would take the count below the target."""
+        spare = self.table.dirty_count - self.config.clean_target_frames
+        return self._clean_batches(
+            min(self.config.cleaner_concurrency, spare))
 
-    def _cleaner_loop(self):
-        while True:
-            if self._detach_started:
-                return  # the SSD died; detach empties the table
-            if self.table.dirty_count <= self.config.dirty_limit_frames:
-                self._cleaner_wakeup = self.env.event()
-                yield self._cleaner_wakeup
-            target = self.config.clean_target_frames
-            empty_rounds = 0
-            while self.table.dirty_count > target:
-                if self._detach_started:
-                    return
-                # Keep several group-clean batches in flight: a serial
-                # cleaner is capped at one page per disk-write latency and
-                # silently turns λ into "never" under load.
-                batches = []
-                for _ in range(self.config.cleaner_concurrency):
-                    if self.table.dirty_count - len(batches) <= target:
-                        break
-                    batches.append(self._clean_batch())
-                if not batches:
-                    break
-                results = yield self.env.gather(batches)
-                if any(results):
-                    empty_rounds = 0
-                else:
-                    # Nothing cleanable right now; yield and retry.
-                    empty_rounds += 1
-                    self._note_drain_stall(empty_rounds)
-                    yield self.env.timeout(0.001)
+    def _clean_batches(self, count: int):
+        """Process step: ``count`` group batches together; returns the
+        pages they cleaned."""
+        return sum((yield self.env.gather(
+            self._clean_batch() for _ in range(count))))
 
     def _clean_batch(self):
         """Process step: clean one group of dirty SSD pages (§3.3.5).
@@ -162,46 +127,41 @@ class LazyCleaningManager(SsdManagerBase):
             # SSD -> memory: one read per page (they are scattered on the
             # SSD).  These are transfer reads, not page accesses: the
             # LRU-2 history of the records must not be touched.
-            results = yield self.env.gather(
+            landed = all((yield self.env.gather(
                 self._ssd_read_frame(record.frame_no, ctx=CLEANER_CTX)
-                for record in group)
-            if not all(results):
-                # A read failed past the retry budget, or the device
-                # died: nothing was transferred.  Requeue for a later
-                # attempt (or for the detach redo) and report no
-                # progress.
-                self._requeue(captured)
-                return 0
-            try:
-                yield from self.disk.write_run(first, versions,
-                                               ctx=CLEANER_CTX)
-            except IoFault:
-                self._requeue(captured)
-                return 0
+                for record in group)))
+            if landed:
+                try:
+                    yield from self.disk.write_run(first, versions,
+                                                   ctx=CLEANER_CTX)
+                except IoFault:
+                    landed = False
         finally:
             self._cleaning_frames.difference_update(frames)
+        for record, page_id, version in captured:
+            # Only if the record still describes the exact page/version
+            # captured — it may have been invalidated (re-dirtied in the
+            # pool) or reused for another page while the I/O was in
+            # flight.
+            if record.dirty and record.holds(page_id, version):
+                if landed:
+                    self._mark_clean(record)
+                else:
+                    # A read failed past the retry budget, the device
+                    # died or the disk write was abandoned: nothing was
+                    # transferred.  Requeue for a later attempt (or for
+                    # the detach redo) and report no progress.
+                    self.dirty_heap.push(record)
+        if not landed:
+            return 0
         self.stats.cleaner_pages += len(group)
         self.stats.cleaner_ios += 1
-        for record, page_id, version in captured:
-            # Mark clean only if the record still describes the exact
-            # page/version we wrote out — it may have been invalidated
-            # (re-dirtied in the pool) or reused for another page while
-            # the clean-back I/O was in flight.
-            if record.dirty and record.holds(page_id, version):
-                self.table.set_dirty(record, False)
-                self.clean_heap.push(record)
         if self._tracer.enabled:
             self._tracer.complete("clean_batch", round_started, self.env.now,
                                   "cleaner", "cleaner",
                                   {"pages": len(group), "first_page": first})
         self._note_lambda()
         return len(group)
-
-    def _requeue(self, captured) -> None:
-        """Put an unfinished batch's records back in the dirty heap."""
-        for record, page_id, version in captured:
-            if record.dirty and record.holds(page_id, version):
-                self.dirty_heap.push(record)
 
     def _gather_group(self) -> List[SsdRecord]:
         """Oldest dirty page plus dirty neighbours at consecutive disk
@@ -212,22 +172,15 @@ class LazyCleaningManager(SsdManagerBase):
         group = [seed]
         limit = self.config.group_clean_pages
         # Extend left, then right, while neighbours are dirty in the SSD.
-        low = seed.page_id - 1
-        while len(group) < limit:
-            record = self._dirty_record(low)
-            if record is None:
-                break
-            self.dirty_heap.remove(record)
-            group.insert(0, record)
-            low -= 1
-        high = seed.page_id + 1
-        while len(group) < limit:
-            record = self._dirty_record(high)
-            if record is None:
-                break
-            self.dirty_heap.remove(record)
-            group.append(record)
-            high += 1
+        for step in (-1, 1):
+            page_id = seed.page_id + step
+            while len(group) < limit:
+                record = self._dirty_record(page_id)
+                if record is None:
+                    break
+                self.dirty_heap.remove(record)
+                group.insert(0 if step < 0 else len(group), record)
+                page_id += step
         return group
 
     def _dirty_record(self, page_id: int) -> Optional[SsdRecord]:
@@ -260,11 +213,8 @@ class LazyCleaningManager(SsdManagerBase):
                 f"LC drain stalled: dirty_count={self.table.dirty_count} "
                 f"but no dirty records exist in the table and none are in "
                 f"flight — table/counter desync")
-        if empty_rounds >= self._STALL_LIMIT:
-            raise RuntimeError(
-                f"LC drain stalled: {empty_rounds} consecutive empty "
-                f"rounds with {len(self._cleaning_frames)} transfers "
-                f"still in flight")
+        self._give_up(empty_rounds, "LC drain",
+                      f"{len(self._cleaning_frames)} transfers in flight")
 
     def _reseed_dirty_heap(self) -> int:
         """Re-push every table-dirty record absent from in-flight batches.
@@ -294,38 +244,23 @@ class LazyCleaningManager(SsdManagerBase):
         """The base drain, α pages to a disk write: LC's dirty pages sit
         in a heap, so the checkpoint reuses the cleaner's group batches
         (§3.3.5) instead of copying back page by page."""
-        empty_rounds = 0
-        while self.table.dirty_count > 0:
-            if self._detach_started:
-                # The SSD died mid-checkpoint; the detach redo makes the
-                # dirty pages durable on disk, which is all this phase
-                # needs.  Wait for it rather than racing it.
-                yield from self._await_detach()
-                break
-            results = yield self.env.gather(
-                self._clean_batch()
-                for _ in range(self.config.cleaner_concurrency))
-            cleaned = sum(results)
-            self.stats.checkpoint_ssd_flushes += cleaned
-            if cleaned == 0:
-                empty_rounds += 1
-                self._note_drain_stall(empty_rounds)
-                yield self.env.timeout(0.001)
-            else:
-                empty_rounds = 0
+        return self._drain(lambda: self.table.dirty_count > 0,
+                           self._checkpoint_round, self._note_drain_stall,
+                           wait_detach=True)
+
+    def _checkpoint_round(self):
+        cleaned = yield from self._clean_batches(
+            self.config.cleaner_concurrency)
+        self.stats.checkpoint_ssd_flushes += cleaned
+        return cleaned
 
     # ------------------------------------------------------------------
     # Crash / restart
     # ------------------------------------------------------------------
 
     def crash_reset(self) -> None:
-        """Hard-crash restart: the cleaner process died with the event
-        queue; clear its in-flight bookkeeping and relaunch it (unless
-        the SSD is gone, in which case there is nothing to clean)."""
-        super().crash_reset()
+        """Hard-crash restart: the in-flight transfers died with the
+        event queue."""
         self._cleaning_frames.clear()
-        self._cleaner_started = False
-        self._cleaner_wakeup = None
         self._above_lambda = False
-        if not self.detached:
-            self.start_cleaner()
+        super().crash_reset()

@@ -36,14 +36,15 @@ pool out as a pool of append-only *segments* (LFS style):
   version matches the redone disk become warm clean hits (the recovery
   benefit "Flash-Based Extended Cache", PVLDB 2012, measures).
 
-Dirty handling follows LC's write-back contract: the SSD may hold the
-only newest copy of a page, checkpoints drain every dirty entry, and SSD
-death degrades through the shared WAL-redo detach path.
+The decision is write-back, and what that obliges is the base
+manager's (DESIGN.md §5.1), as are the λ policy of the dirty cleaner and
+the loop under both background threads; LS supplies their rounds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Set, Tuple)
 
 from repro.core.ssd_manager import SsdManagerBase
 from repro.core.ssd_buffer_table import SsdRecord
@@ -80,8 +81,8 @@ class LogStructuredManager(SsdManagerBase):
     __slots__ = ("_seg_pages", "_nseg", "_open", "_cold", "_free_segs",
                  "_seg_seq", "_next_seq", "_next_epoch", "_free_slots",
                  "_journal", "_batch", "_pending_batches", "_reclaim_busy",
-                 "_cleaner_started", "_cleaner_wakeup", "_dirty_wakeup",
-                 "batches", "batch_pages", "relocations", "replays")
+                 "_reclaimer", "batches", "batch_pages", "relocations",
+                 "replays")
 
     name = "LS"
 
@@ -109,13 +110,15 @@ class LogStructuredManager(SsdManagerBase):
         #: Durable per-frame log metadata (what a restart can replay).
         self._journal: Dict[int, _JournalEntry] = {}
         self._batch: Optional[_LogBatch] = None
-        #: Batches staged or flushing (for checkpoint/LSN accounting).
-        self._pending_batches: Set[_LogBatch] = set()
+        #: Batches staged or flushing (for checkpoint/LSN accounting),
+        #: in staging order: a checkpoint waits on them one by one, and
+        #: which it is parked on must not depend on where they sit in
+        #: memory.
+        self._pending_batches: Dict[_LogBatch, None] = {}
         #: Single-flight latch for segment cleaning.
         self._reclaim_busy: Optional[Event] = None
-        self._cleaner_started = False
-        self._cleaner_wakeup: Optional[Event] = None
-        self._dirty_wakeup: Optional[Event] = None
+        #: Wakes the tail reclaimer, once :meth:`start_cleaner` ran.
+        self._reclaimer: Optional[Callable[[], None]] = None
         #: Always-on tallies; the help texts below say what each counts.
         self.batches = 0
         self.batch_pages = 0
@@ -200,29 +203,20 @@ class LogStructuredManager(SsdManagerBase):
     def _cache_page(self, page_id: int, version: int, dirty: bool,
                     rec_lsn: int = 0,
                     ctx: Any = None) -> Generator[object, Any, bool]:
-        """Process step: admit one page by appending a log entry.
-
-        Same contract as the base implementation (which writes in
-        place), but the write is staged into the current group-commit
-        batch and the caller waits for the batch flush.
-        """
+        """Process step: admit one page by appending a log entry — the
+        base contract, but the entry is staged into the current
+        group-commit batch and the caller waits for the batch flush."""
         settled = self._cache_guard(self.table.lookup_valid(page_id),
                                     version, dirty)
         if settled is not None:
             return settled
-        return (yield from self._append(page_id, version, dirty,
-                                        rec_lsn))
-
-    def _append(self, page_id: int, version: int, dirty: bool,
-                rec_lsn: int) -> Generator[object, Any, bool]:
-        """Process step: stage an entry and wait for its batch flush."""
         if self.config.ssd_frames == 0:
             return False
         batch = self._batch
         if batch is None or batch.closed:
             batch = _LogBatch(self.env)
             self._batch = batch
-            self._pending_batches.add(batch)
+            self._pending_batches[batch] = None
             self.env.spawn(self._flush_batch(batch))
         batch.entries.append((page_id, version, dirty, rec_lsn))
         if len(batch.entries) >= min(self.config.ls_batch_pages,
@@ -271,39 +265,43 @@ class LogStructuredManager(SsdManagerBase):
                 self._roll_back(frames)
         finally:
             # Waiters must never hang, whatever path got us here.
-            self._pending_batches.discard(batch)
+            self._pending_batches.pop(batch, None)
             if not batch.done.triggered:
                 batch.done.succeed()
 
     def _install_entries(self, batch: _LogBatch) -> List[int]:
-        """Claim append slots and bind the batch's entries.
-
-        Runs without yielding: space was ensured synchronously before
-        the call, so the claimed frames are guaranteed free.
-        """
-        now = self.env.now
+        """Claim append slots and bind the batch's entries, without
+        yielding: space was ensured synchronously before the call, so
+        the claimed frames are guaranteed free."""
         frames: List[int] = []
         for page_id, version, dirty, rec_lsn in batch.entries:
-            frame_no = self._claim_frame()
-            old = self.table.lookup(page_id)
-            if old is not None and old.occupied:
-                # Supersede in place: the old entry dies where it lies
-                # and frees only when its segment gets cleaned.
-                self._invalidate_record(old)
-            record = self.table.take_frame(frame_no)
-            self.table.install(record, page_id, version, dirty, now,
-                               rec_lsn=rec_lsn)
-            self._reheap(record)
-            self._journal[frame_no] = (page_id, version, dirty, rec_lsn,
-                                       self._next_epoch)
-            self._next_epoch += 1
-            frames.append(frame_no)
+            frames.append(self._bind(self._claim_frame(), page_id, version,
+                                     dirty, rec_lsn).frame_no)
             self.stats.writes += 1
             if self._tracer.enabled:
                 self._tracer.instant("admit", "ssd", "ssd_manager",
                                      {"page": page_id, "dirty": dirty})
-        self._maybe_wake_cleaner()
+        if self._reclaimer is not None:
+            self._reclaimer()
         return frames
+
+    def _bind(self, frame_no: int, page_id: int, version: int, dirty: bool,
+              rec_lsn: int) -> SsdRecord:
+        """Bind the claimed slot ``frame_no`` to a page image: the one
+        place a log entry comes to be (crash replay apart)."""
+        old = self.table.lookup(page_id)
+        if old is not None and old.occupied:
+            # Supersede in place: the old entry dies where it lies and
+            # frees only when its segment gets cleaned.
+            self._invalidate_record(old)
+        record = self.table.take_frame(frame_no)
+        self.table.install(record, page_id, version, dirty, self.env.now,
+                           rec_lsn=rec_lsn)
+        self._reheap(record)
+        self._journal[frame_no] = (page_id, version, dirty, rec_lsn,
+                                   self._next_epoch)
+        self._next_epoch += 1
+        return record
 
     def _roll_back(self, frames: List[int]) -> None:
         """The device write failed: the frames hold nothing after all.
@@ -319,8 +317,9 @@ class LogStructuredManager(SsdManagerBase):
                 self._invalidate_record(record)
             self._journal.pop(frame_no, None)
 
-    def _stripe(self, address: int, count: int) -> List[Tuple[int, int]]:
-        """Split one contiguous run across the device's channels.
+    def _striped_runs(self, frames: Iterable[int]) -> List[Tuple[int, int]]:
+        """Coalesce ascending ``frames`` into contiguous runs and split
+        each across the device's channels: ``(address, count)`` pieces.
 
         A monolithic N-page request occupies a single flash channel for
         N page-times; issuing the run as parallel sequential chunks
@@ -328,31 +327,30 @@ class LogStructuredManager(SsdManagerBase):
         paper's multi-channel card actually has (and that the in-place
         designs get for free from independent 1-page writes).
         """
-        channels = max(1, self.device.channels.capacity)
-        chunk = -(-count // channels)
-        return [(address + offset, min(chunk, count - offset))
-                for offset in range(0, count, chunk)]
-
-    def _write_frame_runs(self,
-                          frames: List[int]) -> Generator[object, Any, bool]:
-        """Process step: sequential device writes over claimed frames.
-
-        Claims are contiguous within a segment; a batch that crossed
-        into a fresh segment writes (at most) two runs.  Each run is
-        striped over the channels and issued concurrently.
-        """
         runs: List[List[int]] = []
         for frame_no in frames:
             if runs and runs[-1][0] + runs[-1][1] == frame_no:
                 runs[-1][1] += 1
             else:
                 runs.append([frame_no, 1])
-        pieces = [piece for address, count in runs
-                  for piece in self._stripe(address, count)]
+        channels = max(1, self.device.channels.capacity)
+        pieces = []
+        for address, count in runs:
+            chunk = -(-count // channels)
+            pieces += [(address + offset, min(chunk, count - offset))
+                       for offset in range(0, count, chunk)]
+        return pieces
+
+    def _write_frame_runs(self,
+                          frames: List[int]) -> Generator[object, Any, bool]:
+        """Process step: sequential device writes over claimed frames.
+        Claims are contiguous within a segment; a batch that crossed
+        into a fresh segment writes (at most) two runs, each striped
+        over the channels and issued concurrently."""
         results = yield self.env.gather(self._ssd_io(
             lambda address=address, count=count: self.device.write(
                 address, count, random=False, ctx=EVICTION_CTX))
-            for address, count in pieces)
+            for address, count in self._striped_runs(frames))
         return all(results)
 
     # ------------------------------------------------------------------
@@ -360,7 +358,7 @@ class LogStructuredManager(SsdManagerBase):
     # ------------------------------------------------------------------
 
     #: The decision (§2.3) is write-back and nothing more: the batch
-    #: flush wakes the dirty cleaner once the entries are in the table,
+    #: flush nudges the dirty cleaner once the entries are on the SSD,
     #: so nothing is woken here as LC must.
     on_evict_dirty = SsdManagerBase._evict_write_back
 
@@ -388,152 +386,89 @@ class LogStructuredManager(SsdManagerBase):
         Segment cleaning is expensive — a sequential segment read plus a
         relocation write — so doing it on demand inside the admission
         path serialises every eviction behind it.  The reclaimer keeps
-        free space above a low-water mark instead;
-        :meth:`_ensure_log_space` remains the synchronous backstop for
-        bursts that outrun it.  The dirty cleaner mirrors LC's λ policy:
-        it drains the dirty heap *in place* (SSD read + disk write, no
-        log movement, so no WAF impact), which keeps dirty entries from
-        piling up in cold segments where flushing them would put 8 ms
-        random disk writes inside the space-reclaim pipeline.
+        free space above a low-water mark instead, and cleans far enough
+        past it that the free pool holds whole segments: admission
+        batches then never wait in :meth:`_ensure_log_space` (the
+        backstop for bursts that outrun it) and the cold stream gets
+        real segments instead of falling back to the hot one.  The dirty
+        cleaner drains the dirty heap *in place* (SSD read + disk write,
+        no log movement, so no WAF impact), which keeps dirty entries
+        from piling up in cold segments where flushing them would put
+        8 ms random disk writes inside the space-reclaim pipeline.
         """
-        if not self._cleaner_started:
-            self._cleaner_started = True
-            self._cleaner_wakeup = self.env.event()
-            self._dirty_wakeup = self.env.event()
-            self.env.spawn(self._cleaner_loop())
-            self.env.spawn(self._dirty_cleaner_loop())
+        if self._cleaner is None:
+            high = self._reclaim_low_water + 3 * self.config.ls_segment_pages
+            self._reclaimer = self._start_background(
+                lambda: self._free_slots < self._reclaim_low_water,
+                lambda: (self._free_slots < high
+                         and self.table.used_count > 0),
+                self._reclaim_round)
+            self._start_lambda_cleaner(self._dirty_round)
 
-    def _maybe_wake_cleaner(self) -> None:
-        if (self._cleaner_wakeup is not None
-                and not self._cleaner_wakeup.triggered
-                and self._free_slots < self._reclaim_low_water):
-            self._cleaner_wakeup.succeed()
-
-    def _after_dirty_cached(self) -> None:
-        if (self._dirty_wakeup is not None
-                and not self._dirty_wakeup.triggered
-                and self.table.dirty_count > self.config.dirty_limit_frames):
-            self._dirty_wakeup.succeed()
-
-    def _dirty_cleaner_loop(self) -> Generator[object, Any, None]:
-        while True:
-            if self._detach_started:
-                return
-            if self.table.dirty_count <= self.config.dirty_limit_frames:
-                self._dirty_wakeup = self.env.event()
-                yield self._dirty_wakeup
+    def _dirty_round(self) -> Generator[object, Any, bool]:
+        """Process step: the dirty cleaner's round — a wave of up to
+        ``cleaner_concurrency`` in-place copy-backs off the dirty heap.
+        Returns whether any landed."""
+        wave = []
+        while len(wave) < self.config.cleaner_concurrency:
+            record = self.dirty_heap.pop()
+            if record is None:
+                break
+            if not (record.occupied and record.valid and record.dirty):
                 continue
-            target = self.config.clean_target_frames
-            empty_rounds = 0
-            while (self.table.dirty_count > target
-                   and not self._detach_started):
-                wave = []
-                while len(wave) < self.config.cleaner_concurrency:
-                    record = self.dirty_heap.pop()
-                    if record is None:
-                        break
-                    if not (record.occupied and record.valid
-                            and record.dirty):
-                        continue
-                    if (record.version
-                            <= self.disk.disk_version(record.page_id)):
-                        # Disk already has this version: clean by fiat.
-                        self.table.set_dirty(record, False)
-                        self.clean_heap.push(record)
-                        continue
-                    wave.append((record, record.page_id, record.version))
-                if not wave:
-                    empty_rounds += 1
-                    if empty_rounds >= self._STALL_LIMIT:
-                        break
-                    yield self.env.timeout(0.001)
-                    continue
-                results = yield self.env.gather(
-                    self._copy_back(r, pid, ver) for r, pid, ver in wave)
-                # Entries that stayed dirty (fault, or superseded and
-                # re-dirtied mid-flight) go back in the heap so the
-                # cleaners and checkpoints can still find them.
-                for record, pid, ver in wave:
-                    if (record.occupied and record.valid and record.dirty
-                            and record.page_id == pid):
-                        self.dirty_heap.push(record)
-                if any(results):
-                    empty_rounds = 0
-                else:
-                    empty_rounds += 1
-                    if empty_rounds >= self._STALL_LIMIT:
-                        break
-                    yield self.env.timeout(0.001)
-
-    def _cleaner_loop(self) -> Generator[object, Any, None]:
-        # Clean far enough past the low-water mark that the free pool
-        # holds whole segments: admission batches then never wait in
-        # _ensure_log_space, and the cold relocation stream gets real
-        # segments instead of falling back to the hot one.
-        high = self._reclaim_low_water + 3 * self.config.ls_segment_pages
-        while True:
-            if self._detach_started:
-                return
-            if self._free_slots >= self._reclaim_low_water:
-                self._cleaner_wakeup = self.env.event()
-                yield self._cleaner_wakeup
+            if record.version <= self.disk.disk_version(record.page_id):
+                # Disk already has this version: clean by fiat.
+                self._mark_clean(record)
                 continue
-            stalled = 0
-            while (self._free_slots < high and not self._detach_started
-                   and self.table.used_count > 0):
-                before = self._free_slots
-                yield from self._reclaim_segment()
-                if self._free_slots > before:
-                    stalled = 0
-                    continue
-                stalled += 1
-                if stalled >= self._STALL_LIMIT:
-                    break
-                yield self.env.timeout(0.001)
+            wave.append((record, record.page_id, record.version))
+        if not wave:
+            return False
+        results = yield self.env.gather(
+            self._copy_back(r, pid, ver) for r, pid, ver in wave)
+        # Entries that stayed dirty (fault, or superseded and re-dirtied
+        # mid-flight) go back in the heap so the cleaners and
+        # checkpoints can still find them.
+        for record, pid, ver in wave:
+            if (record.occupied and record.valid and record.dirty
+                    and record.page_id == pid):
+                self.dirty_heap.push(record)
+        return any(results)
+
+    def _reclaim_round(self) -> Generator[object, Any, bool]:
+        """Process step: clean one segment, single-flight; did it free a
+        slot?"""
+        before = self._free_slots
+        if self._reclaim_busy is not None:
+            # Another flush is already reclaiming; piggyback on it.
+            yield self._reclaim_busy
+        else:
+            self._reclaim_busy = self.env.event()
+            try:
+                yield from self._do_reclaim()
+            finally:
+                busy, self._reclaim_busy = self._reclaim_busy, None
+                if busy is not None and not busy.triggered:
+                    busy.succeed()
+        return self._free_slots > before
 
     def _ensure_log_space(self,
                           needed: int) -> Generator[object, Any, None]:
         """Process step: clean segments until ``needed`` slots fit."""
-        stalled = 0
-        while (self._free_slots < needed and not self._detach_started
-               and self.table.used_count > 0):
-            before = self._free_slots
-            yield from self._reclaim_segment()
-            if self._free_slots > before:
-                stalled = 0
-                continue
-            stalled += 1
-            if stalled >= self._STALL_LIMIT:
-                raise RuntimeError(
-                    f"LS reclaim stalled: {stalled} rounds without "
-                    f"progress, free={self._free_slots}, need={needed}")
-            yield self.env.timeout(0.001)
-
-    def _reclaim_segment(self) -> Generator[object, Any, None]:
-        """Process step: single-flight wrapper around segment cleaning."""
-        if self._reclaim_busy is not None:
-            # Another flush is already reclaiming; piggyback on it.
-            yield self._reclaim_busy
-            return
-        self._reclaim_busy = self.env.event()
-        try:
-            yield from self._do_reclaim()
-        finally:
-            busy, self._reclaim_busy = self._reclaim_busy, None
-            if busy is not None and not busy.triggered:
-                busy.succeed()
+        return self._drain(
+            lambda: (self._free_slots < needed
+                     and self.table.used_count > 0),
+            self._reclaim_round,
+            lambda rounds: self._give_up(
+                rounds, "LS reclaim",
+                f"free={self._free_slots}, need={needed}"))
 
     def _pick_victim(self) -> Optional[int]:
-        """Greedy victim selection: the deadest closed segment.
-
-        Dead entries (superseded / invalidated) are pure reclaimable
-        space; cleaning the segment with the fewest live entries frees
-        the most slots per unit of relocation work and keeps the live
-        fraction of the log — the actual cache capacity — high.  Ties
-        break toward the oldest segment (lowest sequence number).  Open
-        segments are exempt unless nothing else is allocated
-        (degenerate tiny logs).
-        """
+        """Greedy victim selection: the closed segment with the fewest
+        live entries — it frees the most slots per unit of relocation
+        work and keeps the live fraction of the log, the actual cache
+        capacity, high.  Ties break toward the oldest segment (lowest
+        sequence number); open segments are exempt unless nothing else
+        is allocated (degenerate tiny logs)."""
         open_segs = {self._open[0], self._cold[0]}
         closed = [seg for seg in self._seg_seq if seg not in open_segs]
         live = self.table.segment_valid
@@ -541,22 +476,18 @@ class LogStructuredManager(SsdManagerBase):
                    key=lambda seg: (live[seg], self._seg_seq[seg]))
 
     def _do_reclaim(self) -> Generator[object, Any, None]:
-        """Process step: clean one whole segment (greedy victim).
+        """Process step: clean one whole segment (the module docstring's
+        third bullet).
 
-        LFS-style compaction with capacity-driven eviction.  Superseded
-        and invalidated entries are dead and simply dropped — reclaiming
-        them is what keeps the log from wasting capacity on corpses, and
-        greedy victim selection means most reclaims find segments that
-        are mostly corpses.  Live entries *relocate* to the open segment
-        (one sequential segment read plus one sequential append, so
-        device-level WAF stays at 1), except that survivors are capped
-        so every round nets real space: when even the deadest segment is
-        mostly live (true capacity pressure), its least-recently-accessed
-        entries are evicted instead.  Relocation preserves each entry's
-        true ``last_access``, so the drop decision approximates LRU
-        rather than FIFO.  Entries holding the sole newest copy of
-        their page are flushed to disk before being dropped.  The freed
-        segment is TRIMmed so the FTL's own GC finds it empty.
+        Dead entries are simply dropped.  Live ones relocate (one
+        sequential segment read plus one sequential append, so
+        device-level WAF stays at 1), capped at half the segment so
+        every round nets real space: when even the deadest segment is
+        mostly live, its least-recently-accessed entries are evicted
+        instead — relocation preserves ``last_access``, so the drop
+        decision approximates LRU rather than FIFO — after those holding
+        the sole newest copy of their page were flushed to disk.  The
+        freed segment is TRIMmed so the FTL's own GC finds it empty.
         """
         victim = self._pick_victim()
         if victim is None:
@@ -570,12 +501,10 @@ class LogStructuredManager(SsdManagerBase):
                 # it (keeps ``_free_slots`` honest across the yields).
                 self._free_slots -= size - stream[1]
                 stream[0] = None
-        frames = list(range(start, start + size))
+        records = self.table.records[start:start + size]
         started = self.env.now
-        live = [self.table.records[f] for f in frames
-                if (self.table.records[f].occupied
-                    and self.table.records[f].valid)]
-        live.sort(key=lambda r: r.last_access, reverse=True)
+        live = sorted((r for r in records if r.valid),
+                      key=lambda r: r.last_access, reverse=True)
         keep: Set[int] = {r.frame_no for r in live[:size // 2]}
         # Relocating entries move with their dirty flag intact — the
         # background dirty cleaner flushes them on its own λ schedule.
@@ -613,50 +542,30 @@ class LogStructuredManager(SsdManagerBase):
         # been superseded, invalidated, or cleaned while the flush and
         # read I/Os were in flight.  From here to the relocation write
         # everything runs without yielding.
-        survivors: List[Tuple[int, int, bool, int, float]] = []
-        relocating: Set[int] = set()
-        for frame_no in frames:
-            if frame_no not in keep:
-                continue
-            record = self.table.records[frame_no]
-            if record.occupied and record.valid:
-                survivors.append((record.page_id, record.version,
-                                  record.dirty, record.rec_lsn,
-                                  record.last_access))
-                relocating.add(frame_no)
+        survivors = [(r.page_id, r.version, r.dirty, r.rec_lsn, r.last_access)
+                     for r in records if r.valid and r.frame_no in keep]
         dropped = 0
-        for frame_no in frames:
-            record = self.table.records[frame_no]
+        for record in records:
             if record.occupied:
-                if record.valid and frame_no not in relocating:
+                if record.valid and record.frame_no not in keep:
                     self.stats.evictions += 1
                     dropped += 1
                 self._drop_record(record)
-            self._journal.pop(frame_no, None)
+            self._journal.pop(record.frame_no, None)
         self._free_slots += size
         self.device.trim(start, size)
         self._seg_seq.pop(victim, None)
         self._free_segs.append(victim)
         relocated = 0
         if survivors and not self._detach_started:
-            now = self.env.now
             new_frames: List[int] = []
             for page_id, version, dirty, rec_lsn, last_access in survivors:
-                frame_no = self._claim_frame(cold=True)
-                old = self.table.lookup(page_id)
-                if old is not None and old.occupied:
-                    self._invalidate_record(old)
-                record = self.table.take_frame(frame_no)
-                self.table.install(record, page_id, version, dirty, now,
-                                   rec_lsn=rec_lsn)
+                record = self._bind(self._claim_frame(cold=True), page_id,
+                                    version, dirty, rec_lsn)
                 # Relocation is not an access: keep the entry's true
                 # recency so the next cleaning pass ranks it honestly.
                 record.last_access = last_access
-                self._reheap(record)
-                self._journal[frame_no] = (page_id, version, dirty,
-                                           rec_lsn, self._next_epoch)
-                self._next_epoch += 1
-                new_frames.append(frame_no)
+                new_frames.append(record.frame_no)
             ok = yield from self._write_frame_runs(new_frames)
             if ok:
                 relocated = len(survivors)
@@ -675,23 +584,13 @@ class LogStructuredManager(SsdManagerBase):
     def _read_live_runs(self,
                         keep: Set[int]) -> Generator[object, Any, bool]:
         """Process step: sequentially read a victim's surviving frames.
-
         These are *must* reads: a survivor may hold the only newest
         copy of its page, and giving up would strand it.  Only device
-        death fails the read, and then the detach redo takes over.
-        """
-        runs: List[List[int]] = []
-        for frame_no in sorted(keep):
-            if runs and runs[-1][0] + runs[-1][1] == frame_no:
-                runs[-1][1] += 1
-            else:
-                runs.append([frame_no, 1])
-        pieces = [piece for address, count in runs
-                  for piece in self._stripe(address, count)]
+        death fails the read, and then the detach redo takes over."""
         results = yield self.env.gather(self._ssd_io(
             lambda address=address, count=count: self.device.read(
                 address, count, random=False, ctx=CLEANER_CTX),
-            must=True) for address, count in pieces)
+            must=True) for address, count in self._striped_runs(sorted(keep)))
         return all(results)
 
     # ------------------------------------------------------------------
@@ -746,9 +645,7 @@ class LogStructuredManager(SsdManagerBase):
         Idempotent — the crash harness may call it more than once per
         crash.
         """
-        self.table.clear()
-        self.clean_heap.clear()
-        self.dirty_heap.clear()
+        SsdManagerBase._clear_ssd_state(self)   # the journal stays
         if (self.detached or self._detach_started
                 or self.config.ssd_frames == 0):
             return
@@ -783,22 +680,17 @@ class LogStructuredManager(SsdManagerBase):
             if not record.valid:
                 continue
             if record.version == self.disk.disk_version(record.page_id):
-                self.table.set_dirty(record, False)
-                self.clean_heap.push(record)
+                self._mark_clean(record)
             else:
                 self._invalidate_record(record)
 
     def crash_reset(self) -> None:
-        """Hard-crash restart: staged batches, the reclaim latch, and
-        the reclaimer process died with the event queue; the journal and
+        """Hard-crash restart: staged batches, the reclaim latch and
+        the background loops died with the event queue; the journal and
         segment layout (device-durable) survive and are replayed by
-        ``on_crash`` via the base implementation."""
+        ``on_crash`` via the base implementation, which also starts the
+        loops again."""
         self._batch = None
         self._pending_batches.clear()
         self._reclaim_busy = None
-        self._cleaner_started = False
-        self._cleaner_wakeup = None
-        self._dirty_wakeup = None
         super().crash_reset()
-        if not self.detached:
-            self.start_cleaner()

@@ -5,8 +5,9 @@ The SSD buffer pool is organised as a circular queue with a logical
 clean or dirty — is written to the frame under the pointer, which then
 advances; whatever page occupied that frame is evicted, *even if it is
 hot*.  If the displaced page's copy is newer than disk it is first
-copied back to disk.  Only the layout is ROT's own: what a dirty SSD
-page obliges (checkpoints, copy-back, SSD death) is the base manager's.
+copied back to disk.  Only the frame is ROT's own (the one under the
+pointer): the decision is write-back, and what a dirty SSD page obliges
+and how a page is placed in a frame are the base manager's.
 
 The design trades replacement quality for strictly sequential SSD write
 behaviour (it was motivated by the poor random-write speed of early
@@ -67,17 +68,6 @@ class RotatingSsdManager(SsdManagerBase):
         if existing is not None:
             self._drop_record(existing)
         self.table.take_frame(record.frame_no)
-        self.table.install(record, page_id, version, dirty, self.env.now,
-                           rec_lsn=rec_lsn)
-        self._reheap(record)
-        self.stats.writes += 1
         # The whole point of the design: the SSD write is sequential.
-        ok = yield from self._ssd_write_frame(record.frame_no, ctx,
-                                              random=False)
-        if not ok:
-            # The image never reached the SSD: the record must not claim
-            # it did, unless it was invalidated or reused meanwhile.
-            if record.holds(page_id, version):
-                self._drop_record(record)
-            return False
-        return True
+        return (yield from self._place(record, page_id, version, dirty,
+                                       rec_lsn, ctx, random=False))

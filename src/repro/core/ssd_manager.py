@@ -19,8 +19,14 @@ runs: :meth:`_evict_write_back` (no new dirty page while a checkpoint
 runs, §3.2), :meth:`_copy_back` (SSD → memory → disk, §3.3.5),
 :meth:`on_checkpoint` (every dirty SSD page reaches disk before the log
 is cut) and :meth:`_pre_detach` (SSD death is survived by redo, §2.4).
-A design is its :meth:`on_evict_dirty` decision plus, for LS and ROT, a
-layout (:meth:`_cache_page`).
+So is each mechanism of placement and background work: :meth:`_place`
+(bind a frame, file, count, trace, write, un-claim on failure),
+:meth:`_drain` (rounds while work is pending, back-off after an empty
+one), :meth:`_start_background` (a loop asleep until there is work) and
+:meth:`_start_lambda_cleaner` (§3.3.5: wake above λ, drain to just
+below).  A design says its *decision* (:meth:`on_evict_dirty`, §2.3),
+the *frame* a new page takes (:meth:`_take_frame`, or a layout's
+:meth:`_cache_page`) and the *round* its cleaner or checkpoint runs.
 
 Methods documented as *process steps* are generators to be driven with
 ``yield from``.
@@ -28,7 +34,8 @@ Methods documented as *process steps* are generators to be driven with
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
+                    Optional, Sequence)
 
 from repro.faults.errors import (
     RETRY_BASE_DELAY,
@@ -139,6 +146,12 @@ class SsdStats:
         return f"SsdStats({nonzero!r})"
 
 
+#: A maintenance round: a process step returning how much it got done;
+#: ``Stalled`` is told how many rounds in a row did nothing.
+Round = Callable[[], Generator[Any, Any, Any]]
+Stalled = Optional[Callable[[int], None]]
+
+
 class SsdManagerBase:
     """Common implementation: table, heaps, admission, throttle, trimming."""
 
@@ -149,6 +162,7 @@ class SsdManagerBase:
         "env", "device", "disk", "wal", "config", "admission", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
         "_detach_started", "_detach_complete", "telemetry", "_tracer",
+        "_cleaner",
     )
 
     #: Name used in figures and reports; subclasses override.
@@ -184,6 +198,8 @@ class SsdManagerBase:
         self.detached = False
         self._detach_started = False
         self._detach_complete = env.event()
+        #: Wakes the λ cleaner, once :meth:`start_cleaner` ran (LC, LS).
+        self._cleaner: Optional[Callable[[], None]] = None
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
@@ -321,13 +337,13 @@ class SsdManagerBase:
 
         ``submit`` is a zero-argument callable returning a fresh device
         event; ``fault`` is what a first attempt the caller already made
-        failed with.  Returns True on success; False when the device
-        died, or — for optional I/Os (``must=False``) — when the retry
-        budget ran out.  A *must* I/O guards the only newest copy of a
-        page: it retries transients without bound (capped backoff)
-        because falling back to disk would surface stale data; only
-        device death stops it, and then degradation redo restores the
-        page from the log.
+        failed with.  Returns True on success, and says why it gave up:
+        None when the device died, False when an optional I/O
+        (``must=False``) ran out of retries.  A *must* I/O guards the
+        only newest copy of a page: it retries transients without bound
+        (capped backoff) because falling back to disk would surface
+        stale data; only device death stops it, and then degradation
+        redo restores the page from the log.
         """
         delay = RETRY_BASE_DELAY
         attempt = 0
@@ -340,7 +356,7 @@ class SsdManagerBase:
                     fault = failure
             if isinstance(fault, DeviceDeadError):
                 self._note_device_dead()
-                return False
+                return None
             fault = None
             self.stats.io_retries += 1
             if self._tracer.enabled:
@@ -355,7 +371,8 @@ class SsdManagerBase:
             delay = min(delay * 2, RETRY_MAX_DELAY)
 
     def _ssd_read_frame(self, frame_no: int, must: bool = False, ctx=None):
-        """Process step: read one SSD frame; True on success.
+        """Process step: read one SSD frame; True on success, else as
+        :meth:`_ssd_io` gave up.
 
         The device event is yielded as it is: a read that does not fail
         — all of them, without an injector — builds no retry loop."""
@@ -431,14 +448,16 @@ class SsdManagerBase:
         must = version > self.disk.disk_version(record.page_id)
         ok = yield from self._ssd_read_frame(record.frame_no, must=must,
                                              ctx=ctx)
-        if not ok:
-            # The device died (a must-read never gives up otherwise).
-            # Degradation redo writes any newer-than-disk copy back to
-            # disk before completing, so after the detach the caller's
-            # disk fallback reads fresh data.
+        if ok:
+            return version
+        if ok is None:
+            # The device died.  Degradation redo writes any newer-than-
+            # disk copy back to disk before completing, so after the
+            # detach the caller's disk fallback reads fresh data.
             yield from self._await_detach()
-            return None
-        return version
+        # Else an optional read ran out of retries: the disk copy is as
+        # new, and no detach is coming to wait for.
+        return None
 
     def _reheap(self, record: SsdRecord) -> None:
         if not record.valid:
@@ -484,44 +503,60 @@ class SsdManagerBase:
         the log against the oldest one; the conservative default of 0
         blocks truncation entirely until the page is cleaned).
         """
-        existing = self.table.lookup_valid(page_id)
-        settled = self._cache_guard(existing, version, dirty)
+        existing = self.table.lookup(page_id)
+        settled = self._cache_guard(
+            existing if existing is not None and existing.valid else None,
+            version, dirty)
         if settled is not None:
             return settled
         if existing is not None:
+            # Valid or (logically invalidated, TAC) not: it gives way.
             self._drop_record(existing)
+        record = self._take_frame()
+        if record is None:
+            return False
+        return (yield from self._place(record, page_id, version, dirty,
+                                       rec_lsn, ctx))
+
+    def _take_frame(self, victims: Optional[LazyMinHeap] = None
+                    ) -> Optional[SsdRecord]:
+        """The frame a new page takes: a free one, else the replacement
+        victim's — LRU-2 over the clean pages unless the design names
+        another heap.  None when nothing can be replaced."""
         record = self.table.take_free()
         if record is None:
-            record = self._evict_for_space()
-            if record is None:
-                return False
+            victim = (self.clean_heap if victims is None else victims).pop()
+            if victim is None:
+                return None
+            self.stats.evictions += 1
+            self.table.release(victim)
+            record = self.table.take_free()
+        return record
+
+    def _place(self, record: SsdRecord, page_id: int, version: int,
+               dirty: bool, rec_lsn: int = 0, ctx=None, random: bool = True):
+        """Process step: bind the free frame ``record`` to a page image
+        and write it — the tail every layout's placement ends in.
+        Returns True if the image reached the SSD."""
         self.table.install(record, page_id, version, dirty, self.env.now,
                            rec_lsn=rec_lsn)
-        self._reheap(record)
+        self._file(record)
         self.stats.writes += 1
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": dirty})
-        ok = yield from self._ssd_write_frame(record.frame_no, ctx=ctx)
-        if not ok:
-            # The image never reached the SSD: the record must not claim
-            # it did.  Guard against the record having been invalidated
-            # or reused while the failed write (and retries) ran.
-            if record.holds(page_id, version):
-                self._drop_record(record)
-            return False
-        return True
+        if (yield from self._ssd_write_frame(record.frame_no, ctx, random)):
+            return True
+        # The image never reached the SSD: the record must not claim it
+        # did — unless it was invalidated or reused while the failed
+        # write (and retries) ran.
+        if record.holds(page_id, version):
+            self._drop_record(record)
+        return False
 
-    def _evict_for_space(self) -> Optional[SsdRecord]:
-        """Reclaim one frame via the replacement policy (clean heap)."""
-        victim = self.clean_heap.pop()
-        if victim is None:
-            return None
-        self.stats.evictions += 1
-        self.table.release(victim)
-        taken = self.table.take_free()
-        assert taken is not None
-        return taken
+    def _file(self, record: SsdRecord) -> None:
+        """File a freshly bound record with the replacement policy."""
+        self._reheap(record)
 
     def _drop_record(self, record: SsdRecord) -> None:
         """Physically free a record and its frame."""
@@ -639,19 +674,107 @@ class SsdManagerBase:
         # Mark clean only if the record still describes what we wrote —
         # it may have been superseded, invalidated or reused mid-flight.
         if record.dirty and record.holds(page_id, version):
-            self.table.set_dirty(record, False)
-            self._reheap(record)
+            self._mark_clean(record)
         return True
 
+    def _mark_clean(self, record: SsdRecord) -> None:
+        """The record's version is on disk: it is a replacement victim
+        like any clean page."""
+        self.table.set_dirty(record, False)
+        self.clean_heap.push(record)
+
     def _after_dirty_cached(self) -> None:
-        """Hook: a dirty page entered the SSD (LC wakes its cleaner)."""
+        """A dirty page entered the SSD: it may have crossed λ."""
+        if self._cleaner is not None:
+            self._cleaner()
 
     def start_cleaner(self) -> None:
         """Hook: launch background maintenance, if the design has any.
 
-        LC runs a lazy-cleaning thread, LS a tail reclaimer; the other
-        designs have nothing to start.  Idempotent everywhere.
+        LC runs a lazy-cleaning thread, LS that and a tail reclaimer;
+        the other designs have nothing to start.  Idempotent everywhere.
         """
+
+    # ------------------------------------------------------------------
+    # Maintenance loops (cleaners, reclaimers, checkpoint drains)
+    # ------------------------------------------------------------------
+
+    def _drain(self, pending: Callable[[], bool], round_: Round,
+               stalled: Stalled = None,
+               wait_detach: bool = False) -> Generator[Any, Any, None]:
+        """Process step: run ``round_`` while work is ``pending()``.
+
+        After a round without progress the count of consecutive ones is
+        handed to ``stalled`` and the drain backs off 1 ms.  Foreground
+        drains raise, background loops never give up: the default is
+        :meth:`_give_up` — someone waits for this drain (a checkpoint
+        about to cut the log, an admission batch) and a hang would be
+        silent — while :meth:`_start_background` passes
+        :meth:`_keep_trying`.  SSD death ends the drain, after the
+        detach if ``wait_detach``: its redo makes the dirty pages
+        durable, which is all a checkpoint needs, so wait, don't race.
+        """
+        empty_rounds = 0
+        while pending():
+            if self._detach_started:
+                if wait_detach:
+                    yield from self._await_detach()
+                return
+            if (yield from round_()):
+                empty_rounds = 0
+                continue
+            empty_rounds += 1
+            (stalled or self._give_up)(empty_rounds)
+            yield self.env.timeout(0.001)
+
+    def _give_up(self, empty_rounds: int, what: str = "checkpoint drain",
+                 state: str = "") -> None:
+        """The default ``stalled``: fail loudly at ``_STALL_LIMIT``."""
+        if empty_rounds >= self._STALL_LIMIT:
+            raise RuntimeError(
+                f"{what} stalled: {empty_rounds} rounds without progress, "
+                f"{state or f'dirty_count={self.table.dirty_count}'}")
+
+    @staticmethod
+    def _keep_trying(empty_rounds: int) -> None:
+        """The ``stalled`` of a loop nobody waits for: back off, retry."""
+
+    def _start_background(self, over: Callable[[], bool],
+                          pending: Callable[[], bool], round_: Round,
+                          stalled: Stalled = None) -> Callable[[], None]:
+        """Spawn a maintenance loop: asleep until ``over()``, then
+        draining while ``pending()``, until the SSD dies.  Returns its
+        wake-up call: the loop arms a fresh event each time it goes to
+        sleep, the call triggers the armed event at most once, and only
+        while there is work."""
+        wakeup = self.env.event()
+
+        def loop() -> Generator[Any, Any, None]:
+            nonlocal wakeup
+            while not self._detach_started:
+                if not over():
+                    wakeup = self.env.event()
+                    yield wakeup
+                yield from self._drain(pending, round_,
+                                       stalled or self._keep_trying)
+
+        def wake() -> None:
+            if not wakeup.triggered and over():
+                wakeup.succeed()
+
+        self.env.spawn(loop())
+        return wake
+
+    def _start_lambda_cleaner(self, round_: Round,
+                              stalled: Stalled = None) -> None:
+        """§3.3.5's policy with the design's own ``round_``: wake when
+        the dirty frames exceed λ·S, drain until slightly below it
+        (``clean_slack``)."""
+        table, config = self.table, self.config
+        self._cleaner = self._start_background(
+            lambda: table.dirty_count > config.dirty_limit_frames,
+            lambda: table.dirty_count > config.clean_target_frames,
+            round_, stalled)
 
     def admission_flush_hint(self) -> None:
         """Hook: the buffer pool's eviction pressure has drained.
@@ -714,46 +837,35 @@ class SsdManagerBase:
 
         The log is truncated when this returns, so it drains until the
         table holds no dirty record — pages that turned dirty while it
-        ran included — in waves of ``cleaner_concurrency`` copy-backs.
-        Designs that never cache a dirty page fall straight through.
+        ran included.  Designs that never cache a dirty page fall
+        straight through.
         """
-        empty_rounds = 0
-        while self.table.dirty_count > 0:
-            if self._detach_started:
-                # The SSD died mid-checkpoint; the detach redo makes the
-                # dirty pages durable on disk, which is all this phase
-                # needs.  Wait for it rather than racing it.
-                yield from self._await_detach()
-                break
-            progressed = 0
-            wave = []
-            for record in self.table.occupied_records():
-                if not (record.valid and record.dirty):
-                    continue
-                if record.version > self.disk.disk_version(record.page_id):
-                    wave.append(self._copy_back(record, record.page_id,
-                                                record.version,
-                                                ctx=CHECKPOINT_CTX))
-                else:
-                    # Disk already has this version: clean by fiat.
-                    self.table.set_dirty(record, False)
-                    self._reheap(record)
-                    progressed += 1
-                if progressed + len(wave) >= self.config.cleaner_concurrency:
-                    break
-            if wave:
-                landed = sum((yield self.env.gather(wave)))
-                progressed += landed
-                self.stats.checkpoint_ssd_flushes += landed
-            if progressed:
-                empty_rounds = 0
+        return self._drain(lambda: self.table.dirty_count > 0,
+                           self._checkpoint_round, wait_detach=True)
+
+    def _checkpoint_round(self):
+        """Process step: one wave of up to ``cleaner_concurrency``
+        copy-backs off a table scan; returns the pages made clean."""
+        progressed = 0
+        wave = []
+        for record in self.table.occupied_records():
+            if not (record.valid and record.dirty):
                 continue
-            empty_rounds += 1
-            if empty_rounds >= self._STALL_LIMIT:
-                raise RuntimeError(
-                    f"checkpoint drain stalled: "
-                    f"dirty_count={self.table.dirty_count}")
-            yield self.env.timeout(0.001)
+            if record.version > self.disk.disk_version(record.page_id):
+                wave.append(self._copy_back(record, record.page_id,
+                                            record.version,
+                                            ctx=CHECKPOINT_CTX))
+            else:
+                # Disk already has this version: clean by fiat.
+                self._mark_clean(record)
+                progressed += 1
+            if progressed + len(wave) >= self.config.cleaner_concurrency:
+                break
+        if wave:
+            landed = sum((yield self.env.gather(wave)))
+            progressed += landed
+            self.stats.checkpoint_ssd_flushes += landed
+        return progressed
 
     # ------------------------------------------------------------------
     # Graceful degradation on SSD death (§2.4)
@@ -860,16 +972,20 @@ class SsdManagerBase:
 
         The event wipe killed any in-flight detach with the rest of the
         world; the detach-completion event belongs to those dead waiters
-        and must be rebuilt.  A detached SSD stays detached across the
-        crash — the device is still dead.
+        and must be rebuilt, and so must the background loops (unless
+        the SSD is gone: then there is nothing to clean).  A detached
+        SSD stays detached across the crash — the device is still dead.
         """
         self.on_crash()
         if self._detach_started and not self.detached:
             self.detached = True
         self._detach_started = self.detached
         self._detach_complete = self.env.event()
+        self._cleaner = None
         if self.detached:
             self._detach_complete.succeed()
+        else:
+            self.start_cleaner()
 
     def on_restart(self, last_checkpoint_lsn: int) -> None:
         """After redo: drop kept SSD frames that redo made stale."""

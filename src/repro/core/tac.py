@@ -137,7 +137,8 @@ class TemperatureAwareManager(SsdManagerBase):
         frame.busy_reason = "admission-write"
         started = self.env.now
         try:
-            cached = yield from self._cache_tac(frame.page_id, frame.version)
+            cached = yield from self._cache_page(
+                frame.page_id, frame.version, dirty=False, ctx=ADMISSION_CTX)
             if cached:
                 self.admission_writes += 1
         finally:
@@ -161,43 +162,12 @@ class TemperatureAwareManager(SsdManagerBase):
             return True
         return self.temperature_of(page_id) > self._record_temperature(coldest)
 
-    def _cache_tac(self, page_id: int, version: int):
-        """Process step: write one page into the SSD, TAC-style."""
-        if self.detached:
-            return False
-        if self._throttled():
-            self.stats.declined_throttle += 1
-            return False
-        existing = self.table.lookup(page_id)
-        if existing is not None:
-            if existing.valid and existing.version == version:
-                existing.record_access(self.env.now)
-                return True
-            self._drop_record(existing)
-        record = self.table.take_free()
-        if record is None:
-            victim = self.temp_heap.pop()
-            if victim is None:
-                return False
-            self.stats.evictions += 1
-            self.table.release(victim)
-            record = self.table.take_free()
-        self.table.install(record, page_id, version, dirty=False,
-                           now=self.env.now)
+    def _take_frame(self):
+        """The frame: a free one, else the coldest — valid or not."""
+        return super()._take_frame(self.temp_heap)
+
+    def _file(self, record) -> None:
         self.temp_heap.push(record)
-        self.stats.writes += 1
-        if self._tracer.enabled:
-            self._tracer.instant("admit", "ssd", "ssd_manager",
-                                 {"page": page_id, "dirty": False})
-        ok = yield from self._ssd_write_frame(record.frame_no,
-                                              ctx=ADMISSION_CTX)
-        if not ok:
-            # The image never reached the SSD; drop the claim unless the
-            # record was already invalidated or reused meanwhile.
-            if record.holds(page_id, version):
-                self._drop_record(record)
-            return False
-        return True
 
     def on_evict_clean(self, frame: Frame):
         """TAC caches on read, not on eviction: nothing to do."""
@@ -228,7 +198,7 @@ class TemperatureAwareManager(SsdManagerBase):
             # (another write re-validated or replaced it): stand down.
             return
         self.table.revalidate(record, version, self.env.now)
-        self.temp_heap.push(record)
+        self._file(record)
         self.stats.writes += 1
         ok = yield from self._ssd_write_frame(record.frame_no,
                                               ctx=EVICTION_CTX)
@@ -264,7 +234,6 @@ class TemperatureAwareManager(SsdManagerBase):
         logs them)."""
         return dict(super()._heaps(), temp=self.temp_heap)
 
-    def checkpoint_write(self, frame: Frame):
-        """Checkpoint flush: disk write, plus the SSD if an invalidated
-        copy can be refreshed (mirrors the eviction flow)."""
-        yield from self.on_evict_dirty(frame)
+    #: Checkpoint flush: the eviction flow — disk write, plus the SSD if
+    #: an invalidated copy can be refreshed.
+    checkpoint_write = on_evict_dirty

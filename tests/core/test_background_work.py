@@ -122,3 +122,74 @@ class TestLsLogSpace:
         assert str(manager._STALL_LIMIT) in str(info.value)
         assert sys_.env.now - started == pytest.approx(
             (manager._STALL_LIMIT - 1) * 0.001)
+
+
+class TestDrain:
+    """``SsdManagerBase._drain`` itself, with scripted rounds."""
+
+    @staticmethod
+    def scripted(manager, progress):
+        """pending / round_ over a script of per-round progress values;
+        the work is done when the script runs out."""
+        script = list(progress)
+        rounds = []
+
+        def round_():
+            rounds.append(manager.env.now)
+            yield manager.env.timeout(0.0005)
+            return script.pop(0)
+
+        return (lambda: bool(script)), round_, rounds
+
+    def test_progress_resets_the_stall_count(self):
+        manager = MiniSystem(design="CW").ssd_manager
+        almost = [0] * (manager._STALL_LIMIT - 1)
+        pending, round_, rounds = self.scripted(manager, almost + [3] + almost)
+        counts = []
+        drive(manager.env, manager._drain(
+            pending, round_,
+            lambda count: counts.append(count) or manager._give_up(count)))
+        assert counts == 2 * list(range(1, manager._STALL_LIMIT))
+        # Every empty round backed off 1 ms; the one that progressed did
+        # not.
+        assert len(rounds) == 2 * manager._STALL_LIMIT - 1
+        assert manager.env.now == pytest.approx(
+            len(rounds) * 0.0005 + len(counts) * 0.001)
+
+    def test_the_limit_raises_with_the_tally(self):
+        manager = MiniSystem(design="CW").ssd_manager
+        pending, round_, rounds = self.scripted(manager, [0] * 100)
+        with pytest.raises(RuntimeError, match=(
+                f"stalled: {manager._STALL_LIMIT} rounds without progress")):
+            drive(manager.env, manager._drain(pending, round_))
+        assert len(rounds) == manager._STALL_LIMIT
+
+    def test_a_background_loop_never_gives_up(self):
+        manager = MiniSystem(design="CW").ssd_manager
+        pending, round_, rounds = self.scripted(manager, [0] * 100 + [1])
+        drive(manager.env, manager._drain(pending, round_,
+                                          manager._keep_trying))
+        assert len(rounds) == 101
+
+    @pytest.mark.parametrize("wait_detach", [False, True])
+    def test_ssd_death_ends_it(self, wait_detach):
+        sys_ = MiniSystem(design="LC", db_pages=600, bp_pages=48,
+                          ssd_frames=100, dirty_threshold=0.9)
+        manager, env = sys_.ssd_manager, sys_.env
+        for page in range(5):       # something for the detach to redo
+            lsn = sys_.wal.append(page, 1)
+            frame = Frame(page, version=1)
+            frame.dirty, frame.rec_lsn = True, lsn
+            drive(env, manager.on_evict_dirty(frame))
+        env.process(manager.detach())
+        env.run(until=env.now + 1e-9)       # the detach has begun
+        assert manager.detached and manager.used_frames == 5
+        started = env.now
+        pending, round_, rounds = self.scripted(manager, [1] * 10)
+        drive(env, manager._drain(pending, round_, wait_detach=wait_detach))
+        assert rounds == []
+        if wait_detach:
+            assert env.now > started and manager.used_frames == 0
+            assert manager.stats.detach_redo_pages == 5
+        else:
+            assert env.now == started and manager.used_frames == 5

@@ -6,8 +6,11 @@ import random
 
 import pytest
 
+from repro.core import SsdDesignConfig
 from repro.engine.recovery import RecoveryError
 from repro.faults import FaultInjector
+from repro.harness.crashpoints import _update_client
+from repro.harness.system import System, SystemConfig
 from tests.conftest import MiniSystem, drive, settle
 
 
@@ -200,3 +203,28 @@ class TestLcDrainLiveness:
         sys_.churn(accesses=2_000, write_fraction=0.5, seed=61)
         drive(sys_.env, sys_.ssd_manager.on_checkpoint())
         assert sys_.ssd_manager.stats.heap_reseeds == 0
+
+
+class TestAbandonedOptionalIo:
+    """SSD I/O that keeps failing without the device dying: every worker
+    still finishes.  At p = 1 every SSD write is abandoned, so nothing
+    is ever cached; at p = 0.5 most writes land and some *reads* run out
+    of retries — the case where a worker used to wait for a detach that
+    never came (the run ended with its clients still pending)."""
+
+    @pytest.mark.parametrize("p", [1, 0.5])
+    def test_every_worker_finishes(self, p):
+        system = System(
+            SystemConfig(design="CW", db_pages=1_200, bp_pages=64,
+                         slack_pages=64, ssd=SsdDesignConfig(ssd_frames=150)),
+            faults=f"transient:p={p}:device=ssd")
+        system.start_services()
+        env = system.env
+        env.run(env.gather(
+            _update_client(env, system, random.Random(f"abandoned:{worker}"),
+                           {}, 1_200, ops=150)
+            for worker in range(8)))
+        stats = system.ssd_manager.stats
+        assert stats.io_failures > 0 and not system.ssd_manager.detached
+        assert bool(stats.reads) == (p < 1)
+        system.ssd_manager.check_invariants()

@@ -198,6 +198,35 @@ class TestCheckpoint:
         system.env.run(until=1e-6)  # staged but not yet flushed
         assert manager.oldest_dirty_rec_lsn() == 5
 
+    def test_checkpoint_waits_on_staged_batches_in_staging_order(self):
+        """Three batches in flight: which ``done`` event the checkpoint
+        parks on first must not depend on where the allocator put the
+        batch objects (they hash by identity)."""
+        system = ls_system(ls_batch_pages=4)
+        manager, env = system.ssd_manager, system.env
+        for pid in range(10):       # two full batches flushing, one open
+            env.process(manager._cache_page(pid, 1, True, rec_lsn=pid))
+        env.run(until=1e-6)
+        staged = sorted(manager._pending_batches,
+                        key=lambda batch: batch.entries[0][0])
+        assert [len(batch.entries) for batch in staged] == [4, 4, 2]
+        assert not any(batch.done.triggered for batch in staged)
+        # Drive the checkpoint by hand to see each event it waits on.
+        checkpoint = manager.on_checkpoint()
+        waited, event = [], next(checkpoint)
+        while True:
+            waited.append(event)
+            env.run(event)
+            try:
+                event = checkpoint.send(event.value)
+            except StopIteration:
+                break
+        assert waited[0] is staged[0].done
+        done_events = [batch.done for batch in staged]
+        assert [event for event in waited if event in done_events] == [
+            event for event in done_events if event in waited]
+        assert manager.dirty_frames == 0
+
     def test_checkpoint_drains_all_dirty_entries(self):
         system = ls_system(db_pages=1_000, bp_pages=40, ssd_frames=300)
         system.churn(accesses=3_000, write_fraction=0.5, seed=19)

@@ -1,13 +1,17 @@
 """Tests for the related-work designs (paper §5): rotating SSD and the
 exclusive approach."""
 
+import random
+
 import pytest
 
 from repro.engine.page import Frame
 from repro.engine.recovery import simulate_crash_and_recover
+from repro.harness.crashpoints import _update_client
 from repro.harness.system import System, SystemConfig
 from repro.core import SsdDesignConfig
 from repro.storage.request import IoKind
+from repro.telemetry import Telemetry
 from tests.conftest import MiniSystem, drive, settle
 
 
@@ -58,6 +62,23 @@ class TestRotating:
         stats = sys_.ssd_device.stats
         assert stats.by_kind[IoKind.SEQUENTIAL_WRITE] == 8
         assert stats.by_kind[IoKind.RANDOM_WRITE] == 0
+
+    def test_every_admission_shows_in_the_trace(self):
+        """ROT installed and counted its writes but never emitted the
+        ``admit`` instant every other layout emits."""
+        telemetry = Telemetry()
+        system = System(
+            SystemConfig(design="ROT", db_pages=1_200, bp_pages=64,
+                         slack_pages=64, ssd=SsdDesignConfig(ssd_frames=150)),
+            telemetry=telemetry)
+        env = system.env
+        env.run(env.gather(
+            _update_client(env, system, random.Random(f"rot:{worker}"), {},
+                           1_200, ops=100)
+            for worker in range(4)))
+        admits = [event for event in telemetry.tracer.events
+                  if event.name == "admit"]
+        assert len(admits) == system.ssd_manager.stats.writes > 150
 
     def test_displaced_newer_page_copied_to_disk(self):
         sys_ = self.make(frames=1)

@@ -284,11 +284,9 @@ class TestRetryPath:
         assert manager.stats.io_retries == RETRY_LIMIT + 1
         assert manager.stats.io_failures == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "_read_record takes every failed read for a device death and "
-        "waits for a detach; after an exhausted retry budget none comes "
-        "(ROADMAP item 4, hostile inputs)"))
     def test_an_abandoned_optional_read_falls_back_to_disk(self):
+        """It used to take every failed read for a device death and wait
+        for a detach that, after an exhausted budget, never came."""
         sys_, manager, _ = self.system()
         cached(sys_, 1)         # as new as the disk copy: optional
         ScriptedFaults(sys_.ssd_device, failures=RETRY_LIMIT + 1)

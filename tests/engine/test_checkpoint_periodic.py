@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.harness.metrics import Sampler
 from repro.harness.system import System, SystemConfig
 from repro.core import SsdDesignConfig
@@ -45,6 +47,13 @@ class TestPeriodicCheckpoints:
         system.start_services()
         churn(system, seconds=5.0)
         assert system.checkpointer.checkpoints_taken == 0
+
+    @pytest.mark.parametrize("interval", [0, 0.0, -1.0])
+    def test_an_interval_that_would_spin_is_refused_by_name(self, interval):
+        """Built past ``RunSpec``: ``_periodic`` on ``timeout(0)`` loops
+        at one virtual instant forever."""
+        with pytest.raises(ValueError, match="interval"):
+            make_system(interval=interval)
 
     def test_start_is_idempotent(self):
         system = make_system(interval=2.0)
