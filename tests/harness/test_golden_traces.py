@@ -32,7 +32,9 @@ EXCL moved into ``SsdManagerBase``.  Each row names the ``SsdStats``
 counters that must have moved, the way ``GOLDEN`` names fault events.
 The ROT and EXCL rows were re-pinned once, by the change that moved
 them onto the shared steps, because their own copies were wrong; the
-defect is named beside each new digest.
+defect is named beside each new digest.  The trace half of the four ROT
+rows moved once more when placement was written once and ROT's
+admissions became visible; their table digests and counters did not.
 """
 
 import hashlib
@@ -275,9 +277,12 @@ WRITE_BACK = {
     # Re-pinned (was 50ac23f5… / 143 flushes): ROT cached dirty pages
     # while a checkpoint ran and flushed one snapshot of the table, so
     # pages admitted after it stayed dirty past the truncate.
+    # Trace re-pinned again (was ef766685…): ROT installed and counted
+    # its writes but never emitted the ``admit`` instant every other
+    # layout emits; less those 1,881 instants the trace is the old one.
     "ckpt-ROT": (
         _tpce("ROT"),
-        ("ef76668501829768e04a69b36b9e142a",
+        ("6f4043129d2733b25e55791cfb8b40c1",
          "f61306d067e6e2f6dcf73db4434e43da"),
         ("evictions", "checkpoint_ssd_flushes", "fallback_disk_writes")),
     # Re-pinned (was 5b3d60cf… / 193 flushes): the same two defects,
@@ -298,9 +303,10 @@ WRITE_BACK = {
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "detach_redo_pages")),
     # Re-pinned (was b9f87776…, 115 pages redone where 18 are owed).
+    # Trace again (was 86a9bae4…): the missing ``admit`` instants.
     "die-ROT": (
         _tpce("ROT", DEATH),
-        ("86a9bae47bd99b2d8d504ecbed0f2e24",
+        ("a9e1558af67aef3fdf04c50ef7633668",
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "detach_redo_pages")),
     # Was pinned as ``RecoveryError: SSD died holding the only copy of 2
@@ -326,9 +332,10 @@ WRITE_BACK = {
          "3fe93f045e53625fcd1c277251baa982"),
         ("evictions",)),
     # Re-pinned with their checkpointed rows (eeeb7b6d…, f63c5b8c…).
+    # ROT's trace again (was 2e21432c…): the missing ``admit`` instants.
     "crash-ROT": (
         _tpce_crash("ROT"),
-        ("2e21432c453187b8557560bfd514abfc",
+        ("e56cdf73f8056dbfb9e996e1b0845761",
          "84febe644765ac19f4432a58a66aa241"),
         ("evictions",)),
     "crash-EXCL": (
@@ -359,9 +366,10 @@ WRITE_BACK = {
         ("c0dba39c60cb4f29f08da6b6c9fb88d6",
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "evictions")),
+    # Trace re-pinned (was e4cb8de9…): the missing ``admit`` instants.
     "throttled-ROT": (
         _throttled("ROT"),
-        ("e4cb8de92ba57c305f75d6e30dc904bf",
+        ("ca395f387a154ba6bb07e3ec85ef58bc",
          "0db5961a9e3456d8642eec6adca02118"),
         ("declined_throttle", "fallback_disk_writes")),
 }
