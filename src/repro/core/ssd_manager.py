@@ -384,18 +384,27 @@ class SsdManagerBase:
                 lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
                 must, fault))
 
-    def _ssd_write_frame(self, frame_no: int, ctx=None, random=True):
-        """Process step: write one SSD frame; True on success.
+    def _ssd_write_frame(self, record: SsdRecord, page_id: int, version: int,
+                         ctx=None, random=True, unclaim=None):
+        """Process step: write ``record``'s frame; True if it landed.
 
         SSD writes are always optional — the caller keeps (or falls back
-        to) the disk copy when the write is abandoned."""
+        to) the disk copy when the write is abandoned — but then the
+        record must not claim an image that never reached the SSD: it is
+        dropped (or ``unclaim``ed), unless it was invalidated or reused
+        while the failed write and its retries ran."""
+        frame_no = record.frame_no
         try:
             yield self.device.write(frame_no, 1, random=random, ctx=ctx)
             return True
         except IoFault as fault:
-            return (yield from self._ssd_io(
-                lambda: self.device.write(frame_no, 1, random=random,
-                                          ctx=ctx), fault=fault))
+            if (yield from self._ssd_io(
+                    lambda: self.device.write(frame_no, 1, random=random,
+                                              ctx=ctx), fault=fault)):
+                return True
+        if record.holds(page_id, version):
+            (unclaim or self._drop_record)(record)
+        return False
 
     def _note_device_dead(self) -> None:
         """The SSD reported permanent death: start degradation once."""
@@ -535,9 +544,9 @@ class SsdManagerBase:
 
     def _place(self, record: SsdRecord, page_id: int, version: int,
                dirty: bool, rec_lsn: int = 0, ctx=None, random: bool = True):
-        """Process step: bind the free frame ``record`` to a page image
-        and write it — the tail every layout's placement ends in.
-        Returns True if the image reached the SSD."""
+        """Bind the free frame ``record`` to a page image — the tail
+        every layout's placement ends in.  Returns the process step that
+        writes it (no frame of its own): True if the image landed."""
         self.table.install(record, page_id, version, dirty, self.env.now,
                            rec_lsn=rec_lsn)
         self._file(record)
@@ -545,14 +554,7 @@ class SsdManagerBase:
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": dirty})
-        if (yield from self._ssd_write_frame(record.frame_no, ctx, random)):
-            return True
-        # The image never reached the SSD: the record must not claim it
-        # did — unless it was invalidated or reused while the failed
-        # write (and retries) ran.
-        if record.holds(page_id, version):
-            self._drop_record(record)
-        return False
+        return self._ssd_write_frame(record, page_id, version, ctx, random)
 
     def _file(self, record: SsdRecord) -> None:
         """File a freshly bound record with the replacement policy."""

@@ -198,14 +198,12 @@ class TemperatureAwareManager(SsdManagerBase):
             # (another write re-validated or replaced it): stand down.
             return
         self.table.revalidate(record, version, self.env.now)
-        self._file(record)
+        self.temp_heap.push(record)
         self.stats.writes += 1
-        ok = yield from self._ssd_write_frame(record.frame_no,
-                                              ctx=EVICTION_CTX)
-        if not ok:
-            # Write never landed: the record must not claim the version.
-            if record.holds(page_id, version):
-                self.table.invalidate_logical(record)
+        # An abandoned write un-claims as TAC invalidates: logically.
+        yield from self._ssd_write_frame(
+            record, page_id, version, EVICTION_CTX,
+            unclaim=self.table.invalidate_logical)
 
     # ------------------------------------------------------------------
     # Logical invalidation (§2.5: the frame is *not* reclaimed)
@@ -234,6 +232,6 @@ class TemperatureAwareManager(SsdManagerBase):
         logs them)."""
         return dict(super()._heaps(), temp=self.temp_heap)
 
-    #: Checkpoint flush: the eviction flow — disk write, plus the SSD if
-    #: an invalidated copy can be refreshed.
+    #: Checkpoint flush: the eviction flow (disk write, plus the SSD if an
+    #: invalidated copy can be refreshed).
     checkpoint_write = on_evict_dirty
