@@ -25,7 +25,7 @@ So is each mechanism of placement and background work: :meth:`_place`
 one), :meth:`_start_background` (a loop asleep until there is work) and
 :meth:`_start_lambda_cleaner` (§3.3.5: wake above λ, drain to just
 below).  A design says its *decision* (:meth:`on_evict_dirty`, §2.3),
-the *frame* a new page takes (:meth:`_take_frame`, or a layout's
+the *frame* a new page takes (:meth:`_evict_for_space`, or a layout's
 :meth:`_cache_page`) and the *round* its cleaner or checkpoint runs.
 
 Methods documented as *process steps* are generators to be driven with
@@ -521,26 +521,23 @@ class SsdManagerBase:
         if existing is not None:
             # Valid or (logically invalidated, TAC) not: it gives way.
             self._drop_record(existing)
-        record = self._take_frame()
+        record = self.table.take_free() or self._evict_for_space()
         if record is None:
             return False
         return (yield from self._place(record, page_id, version, dirty,
                                        rec_lsn, ctx))
 
-    def _take_frame(self, victims: Optional[LazyMinHeap] = None
-                    ) -> Optional[SsdRecord]:
-        """The frame a new page takes: a free one, else the replacement
+    def _evict_for_space(self, victims: Optional[LazyMinHeap] = None
+                         ) -> Optional[SsdRecord]:
+        """The frame a new page takes when none is free: the replacement
         victim's — LRU-2 over the clean pages unless the design names
         another heap.  None when nothing can be replaced."""
-        record = self.table.take_free()
-        if record is None:
-            victim = (self.clean_heap if victims is None else victims).pop()
-            if victim is None:
-                return None
-            self.stats.evictions += 1
-            self.table.release(victim)
-            record = self.table.take_free()
-        return record
+        victim = (self.clean_heap if victims is None else victims).pop()
+        if victim is None:
+            return None
+        self.stats.evictions += 1
+        self.table.release(victim)
+        return self.table.take_free()
 
     def _place(self, record: SsdRecord, page_id: int, version: int,
                dirty: bool, rec_lsn: int = 0, ctx=None, random: bool = True):

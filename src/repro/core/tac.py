@@ -162,9 +162,9 @@ class TemperatureAwareManager(SsdManagerBase):
             return True
         return self.temperature_of(page_id) > self._record_temperature(coldest)
 
-    def _take_frame(self):
-        """The frame: a free one, else the coldest — valid or not."""
-        return super()._take_frame(self.temp_heap)
+    def _evict_for_space(self):
+        """The frame, when none is free: the coldest — valid or not."""
+        return super()._evict_for_space(self.temp_heap)
 
     def _file(self, record) -> None:
         self.temp_heap.push(record)
