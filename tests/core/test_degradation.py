@@ -228,3 +228,65 @@ class TestAbandonedOptionalIo:
         assert stats.io_failures > 0 and not system.ssd_manager.detached
         assert bool(stats.reads) == (p < 1)
         system.ssd_manager.check_invariants()
+
+
+class TestTimedSsdFaultKinds:
+    """``gc_stall`` and ``ssd_chan_die`` as a plan installs them (the
+    device-level effects have their own tests; these are the timers)."""
+
+    @staticmethod
+    def system(faults, **ssd):
+        return System(
+            SystemConfig(design="LS", db_pages=1_200, bp_pages=64,
+                         slack_pages=64,
+                         ssd=SsdDesignConfig(ssd_frames=150, **ssd)),
+            faults=faults)
+
+    @staticmethod
+    def churn(system, until):
+        env = system.env
+        env.spawn_all(
+            _update_client(env, system, random.Random(f"timed:{worker}"),
+                           {}, 1_200)
+            for worker in range(8))
+        env.run(until=until)
+
+    def test_gc_stall_forces_gc_and_freezes_the_ssd(self):
+        system = self.system("gc_stall@t=1:dur=0.25", ftl_enabled=True)
+        ftl = system.ssd_device.ftl
+        self.churn(system, until=0.999)
+        gc_runs, erases = ftl.stats.gc_runs, ftl.stats.erases
+        assert system.faults.injectors["ssd"].stall_until == 0.0
+        system.run(until=1.0001)
+        assert system.faults.injectors["ssd"].stall_until == 1.25
+        assert ftl.stats.gc_runs > gc_runs and ftl.stats.erases > erases
+        system.run(until=2.0)
+        # I/Os that reached a channel inside the window waited it out.
+        assert system.faults.injectors["ssd"].stats["stall"] > 0
+        assert not system.ssd_manager.detached
+        system.ssd_manager.check_invariants()
+
+    def test_gc_stall_without_an_ftl_is_a_plain_stall(self):
+        system = self.system("gc_stall@t=0.5:dur=0.1")
+        assert system.ssd_device.ftl is None
+        self.churn(system, until=1.0)
+        assert system.faults.injectors["ssd"].stall_until == 0.6
+
+    def test_losing_some_channels_slows_the_survivors(self):
+        system = self.system("ssd_chan_die@t=0.5:n=6")
+        self.churn(system, until=0.499)
+        assert system.ssd_device.channels_alive == 8
+        system.run(until=1.0)
+        assert system.ssd_device.channels_alive == 2
+        assert not system.ssd_manager.detached
+        assert "device_dead" not in system.faults.injectors["ssd"].stats
+
+    def test_losing_every_channel_is_an_ssd_death(self):
+        system = self.system("ssd_chan_die@t=0.5:n=8")
+        self.churn(system, until=1.5)
+        assert system.ssd_device.channels_alive == 0
+        assert system.faults.injectors["ssd"].dead
+        manager = system.ssd_manager
+        assert manager.detached and manager._detach_complete.triggered
+        assert manager.used_frames == 0
+        manager.check_invariants()

@@ -288,3 +288,28 @@ class TestTac:
         assert manager.contains_valid(200)
         assert not manager.contains_valid(0)
         assert manager.wasted_frames == 1  # invalid frame still wasted
+
+    def test_an_invalidated_copy_gives_way_to_a_re_read_page(self):
+        """A page whose SSD copy was invalidated and never refreshed (its
+        dirty eviction found the SSD throttled) comes back from disk:
+        the admission write frees the dead copy's frame and heap entry
+        instead of caching the page twice."""
+        sys_ = self.make(ssd_frames=4)
+        manager = sys_.ssd_manager
+        manager.on_read_from_disk(Frame(5, version=0))
+        settle(sys_.env, 0.1)
+        stale = manager.table.lookup_valid(5)
+        manager.invalidate(5)
+        assert manager.wasted_frames == 1 and not manager.contains_valid(5)
+        sys_.disk._persist(5, 1)
+        manager.on_read_from_disk(Frame(5, version=1))
+        settle(sys_.env, 0.1)
+        fresh = manager.table.lookup_valid(5)
+        assert fresh is not None and fresh.version == 1
+        assert manager.wasted_frames == 0 and manager.used_frames == 1
+        assert manager.temp_heap.live_count == 1
+        # The dead copy's frame went back to the free list and the new
+        # image took the next free one.
+        assert not stale.occupied and fresh is not stale
+        manager.check_invariants()
+

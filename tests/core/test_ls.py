@@ -14,7 +14,10 @@ import pytest
 from repro.core import DESIGNS
 from repro.core.ls import LogStructuredManager
 from repro.storage import IoKind
+from repro.engine.page import Frame
+from repro.faults.errors import RETRY_LIMIT
 from tests.conftest import MiniSystem, drive, settle
+from tests.core.test_ssd_manager import ScriptedFaults
 
 
 def ls_system(db_pages=2_000, bp_pages=100, ssd_frames=500, **kwargs):
@@ -264,6 +267,43 @@ class TestDetach:
         system = ls_system()
         drive(system.env, system.ssd_manager.detach())
         assert admit(system, 1) is False
+
+
+class TestFailedBatchWrite:
+    def test_a_batch_whose_write_is_abandoned_is_rolled_back(self):
+        """The device fails a batch's write past the retry budget: its
+        frames are disowned (consumed, but mapping nothing), their
+        journal entries are gone, and the waiters — here two dirty
+        evictions — fall back to disk."""
+        system = ls_system()
+        manager = system.ssd_manager
+        assert admit(system, 1, version=0) is True
+        # Two pages stripe into two one-page writes; each gives up after
+        # its first attempt and RETRY_LIMIT retries have all failed.
+        faults = ScriptedFaults(system.ssd_device,
+                                failures=2 * (RETRY_LIMIT + 1))
+        frames = []
+        for page_id in (7, 8):
+            frame = Frame(page_id, version=3)
+            frame.dirty = True
+            frames.append(system.env.process(manager.on_evict_dirty(frame)))
+        system.env.run(system.env.all_of(frames))
+        assert faults.failures == 0
+        assert manager.stats.io_failures == 2
+        assert manager.stats.fallback_disk_writes == 2
+        assert [system.disk.disk_version(pid) for pid in (7, 8)] == [3, 3]
+        assert not manager.contains_valid(7) and not manager.contains_valid(8)
+        # Log discipline: the two slots stay consumed until their
+        # segment is cleaned, but nothing can replay them.
+        assert manager.used_frames == 3 and manager.table.valid_count == 1
+        assert manager._free_slots == manager.config.ssd_frames - 3
+        assert sorted(manager._journal) == [
+            manager.table.lookup_valid(1).frame_no]
+        assert manager.batches == 1 and not manager._pending_batches
+        manager.check_invariants()
+        # The next batch lands as if nothing had happened.
+        assert admit(system, 9, version=0) is True
+        manager.check_invariants()
 
 
 def crash(system):

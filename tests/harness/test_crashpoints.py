@@ -1,6 +1,12 @@
 """The crash-point sweep harness and its CLI surface."""
 
+import random
+
+import pytest
+
 from repro.cli import main
+from repro.core import SsdDesignConfig
+from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness import (
     CrashPointOutcome,
     CrashSweepConfig,
@@ -8,6 +14,8 @@ from repro.harness import (
     crash_point_sweep,
     format_sweep_table,
 )
+from repro.harness.crashpoints import _update_client
+from repro.harness.system import System, SystemConfig
 
 
 def small_config(**kwargs):
@@ -49,6 +57,32 @@ class TestCrashPointSweep:
         result = crash_point_sweep(small_config(designs=("TAC",),
                                                 policies=("fuzzy",)))
         assert result.ok, format_sweep_table(result)
+
+
+class TestCrashUnderLoad:
+    @pytest.mark.xfail(strict=True, reason=(
+        "simulate_crash_and_recover drops the pool and the mapping but "
+        "leaves the clients running: they commit into the recovering "
+        "system and the oracle reports their pages as lost"))
+    def test_crash_and_recover_while_clients_run_loses_nothing(self):
+        """No ``stop()`` first, no ``System.crash()`` first: the crash is
+        whatever ``simulate_crash_and_recover`` does, issued while eight
+        update clients are mid-transaction."""
+        system = System(SystemConfig(
+            design="LS", db_pages=400, bp_pages=80, slack_pages=64,
+            ssd=SsdDesignConfig(ssd_frames=560)))
+        env = system.env
+        committed = {}
+        env.spawn_all(
+            _update_client(env, system, random.Random(f"live:{worker}"),
+                           committed, 400)
+            for worker in range(8))
+        env.run(until=1.537)
+        assert committed
+        redone = env.run(env.process(
+            simulate_crash_and_recover(env, system, committed)))
+        assert redone > 0
+        system.ssd_manager.check_invariants()
 
 
 class TestSweepTable:

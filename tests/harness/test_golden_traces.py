@@ -35,6 +35,14 @@ them onto the shared steps, because their own copies were wrong; the
 defect is named beside each new digest.  The trace half of the four ROT
 rows moved once more when placement was written once and ROT's
 admissions became visible; their table digests and counters did not.
+
+``crash-TAC-warm``, ``crash-DW-warm`` and ``crash-LS-staged`` (a power
+cut with an LS admission batch staged), the ``RESTART`` table — what
+restart recovery redoes and leaves in the SSD buffer table of a
+*quiesced* warm-restart system — and ``RESTARTED_RUN`` — which frames
+the restarted system goes on to replace — were captured at commit
+b6f14f6, while ``simulate_crash_and_recover`` still dropped the pool and
+the mapping by hand (the soft crash) beside ``System.crash()``.
 """
 
 import hashlib
@@ -200,13 +208,20 @@ def _tpce(design, faults=None):
     return run
 
 
-def _tpce_crash(design, warm_restart=False):
-    """Power cut at the end of the run, then restart recovery."""
+def _tpce_crash(design, warm_restart=False, staged=False):
+    """Power cut at the end of the run, then restart recovery.
+
+    ``staged`` runs on until an LS admission batch is staged or
+    flushing, so the cut lands on entries no table holds yet."""
     def run(telemetry):
         system = _tpce(design)(telemetry)
         system.ssd_manager.config.warm_restart = warm_restart
-        system.crash()
         env = system.env
+        if staged:
+            while not system.ssd_manager._pending_batches:
+                env.run(until=env.now + 0.0005)
+            assert len(system.ssd_manager._pending_batches) > 0
+        system.crash()
         redone = env.run(env.process(simulate_crash_and_recover(env, system)))
         assert redone > 0
         system.ssd_manager.check_invariants()
@@ -343,6 +358,18 @@ WRITE_BACK = {
         ("c69e623ba3dd85f201a457e0b60e56c1",
          "84febe644765ac19f4432a58a66aa241"),
         ("evictions",)),
+    "crash-TAC-warm": (
+        _tpce_crash("TAC", warm_restart=True),
+        ("0be97b49ab5cf36c8a1a7cd8eb7371bf", "a115df7a9696a5d6f8d3049253e03260"),
+        ("evictions", "invalidations")),
+    "crash-DW-warm": (
+        _tpce_crash("DW", warm_restart=True),
+        ("ad095679990abe6d7f1631ee1afbfc4a", "d04e28f76cc6eae42cfc8f7d522d412a"),
+        ("evictions", "invalidations")),
+    "crash-LS-staged": (
+        _tpce_crash("LS", staged=True),
+        ("85e34d7427406b15be8126d083d106ec", "c0721eb8d93e83549aa5dacbef47bc55"),
+        ("evictions", "cleaner_ios")),
     "throttled-LC": (
         _throttled("LC"),
         ("bf1ec3afe0394d29adf9cb8df0fd7a81",
@@ -385,3 +412,81 @@ def test_write_back_paths_match_per_design_copies(name):
     assert [counter for counter in fired if not stats[counter]] == []
     assert (meta_free_trace_md5(telemetry), _table_md5(system)) == pinned
 
+
+
+def _quiesced(design):
+    """A warm-restart system nothing is running on: two bounded update
+    phases around a sharp checkpoint, one virtual second to settle,
+    every device idle."""
+    system = System(SystemConfig(
+        design=design, db_pages=1_200, bp_pages=64, slack_pages=64,
+        ssd=SsdDesignConfig(ssd_frames=150, dirty_threshold=0.2,
+                            ls_segment_pages=16, warm_restart=True)))
+    committed = {}
+    _update_phase(system, committed, 1)
+    system.env.run(system.env.process(system.checkpointer.checkpoint()))
+    _update_phase(system, committed, 2)
+    assert [device.pending for device in (
+        system.data_device, system.ssd_device, system.wal.device)] == [0] * 3
+    return system, committed
+
+
+def _update_phase(system, committed, phase):
+    env = system.env
+    env.run(env.gather(
+        _update_client(env, system,
+                       random.Random(f"quiesced:{phase}:{worker}"),
+                       committed, 1_200, ops=250)
+        for worker in range(8)))
+    env.run(until=env.now + 1.0)
+
+
+#: design -> (pages redone, md5 of the SSD buffer table after restart),
+#: ``warm_restart=True`` throughout.  With nothing in flight a crash has
+#: only the pool and the mapping to lose, so however it is spelled the
+#: same pages are redone and the same frames survive.
+RESTART = {
+    "LC": (70, "6566c68a43c74c3053b9ddc40bd2fa81"),
+    "LS": (61, "e2b1be709899dd79c38533cb2b87353f"),
+    "TAC": (41, "ba9df6d3cb2e178f0a2840a177e4df06"),
+    "ROT": (130, "196a8a0c5dc014ba447d564a17f6f820"),
+    "DW": (41, "ba1adcc9536e8dee5c818b0b61f9786d"),
+}
+
+
+@pytest.mark.parametrize("design", sorted(RESTART))
+def test_quiesced_restart_redoes_and_keeps_the_same(design):
+    system, committed = _quiesced(design)
+    env = system.env
+    redone = env.run(env.process(
+        simulate_crash_and_recover(env, system, committed)))
+    system.ssd_manager.check_invariants()
+    assert (redone, _table_md5(system)) == RESTART[design]
+
+
+#: design -> (md5 of the buffer table, ``SsdStats.evictions``) after a
+#: power cut on the quiesced system, restart recovery and a third update
+#: phase on the restarted system: which frames the survivors lose next.
+#: Equal LRU-2 keys leave a heap in push order, so this moves if restart
+#: re-files a surviving record it could have left alone.
+RESTARTED_RUN = {
+    "LC": ("1bc7c74092447cc5aca40662cbcf7ddc", 4726),
+    "LS": ("2b1eb857866f0f0ba60d3be15e8bf2ec", 5024),
+    "TAC": ("e067448777bfd4911f97a6766175cb29", 531),
+    "ROT": ("eac1ef2a6b97e488a329c78aa1a26386", 4740),
+    "DW": ("417a53712d968f6244eef31d83e3e4ca", 4811),
+}
+
+
+@pytest.mark.parametrize("design", sorted(RESTARTED_RUN))
+def test_a_restarted_system_replaces_the_same_frames(design):
+    system, committed = _quiesced(design)
+    env = system.env
+    system.crash()
+    env.run(env.process(simulate_crash_and_recover(env, system, committed)))
+    kept = system.ssd_manager.used_frames
+    assert kept > 0
+    _update_phase(system, committed, 3)
+    system.ssd_manager.check_invariants()
+    stats = system.ssd_manager.stats
+    assert (_table_md5(system), stats.evictions) == RESTARTED_RUN[design]

@@ -184,3 +184,28 @@ def test_stop_then_run_drives_a_fresh_run():
     second = runner.run(duration=4.0, setup=False)
     # Pre-fix: _stopped stayed latched and the second run did ~nothing.
     assert second.total_metric_txns > 0
+
+
+def test_open_loop_stop_ends_offers_and_lets_workers_finish():
+    workload = make_workload("tpcc", 20, TINY)
+    system = make_system("tpcc", workload, "LC", TINY)
+    runner = OpenLoopRunner(system, workload, parse_tenants(TWO_TENANTS),
+                            nworkers=8, queue_limit=200, bucket_seconds=2.0)
+    env = system.env
+
+    def stop_at(when):
+        yield env.timeout(when)
+        runner.stop()
+
+    env.process(stop_at(3.0))
+    first = runner.run(duration=8.0)
+    # Arrivals stopped being offered: what two tenants at 70/s offer in
+    # 3 s, not in 8; every admitted arrival was served or is still
+    # queued behind workers that exited after their transaction.
+    assert 0 < first.offered < 70 * 3.0 * 1.5
+    completed = sum(t.completed for t in first.tenants.values())
+    assert 0 < completed <= first.offered - first.shed
+    assert first.buckets[0] > 0 and first.buckets[2:] == [0, 0]
+    # Like the closed loop's: a stop does not leak into the next run.
+    second = runner.run(duration=4.0, setup=False)
+    assert second.offered > 0 and second.total_metric_txns > 0

@@ -11,7 +11,9 @@ from repro.telemetry.analysis import (
     analyze_traces,
     bench_snapshot,
     format_attribution_table,
+    format_ftl_table,
     format_interference_table,
+    format_tenant_table,
     load_events,
     validate_bench,
 )
@@ -221,6 +223,43 @@ class TestTables:
     def test_interference_table_renders(self, analysis):
         text = format_interference_table([analysis])
         assert "cleaner" in text and "eviction" in text
+
+    def test_tenant_table_has_a_row_per_tenant(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        tracer.instant("run_meta", "meta", "meta", {"design": "DW"})
+        spans = (("gold", 0.002), ("gold", 0.004), ("noisy", 0.030))
+        for txn_id, (tenant, latency) in enumerate(spans, start=1):
+            tracer.complete(
+                "payment", 0.0, latency, "txn", "txn",
+                ctx=TraceContext.for_txn(txn_id, "payment", tenant=tenant))
+        path = tmp_path / "tenants.jsonl"
+        tracer.write_jsonl(str(path))
+        lines = format_tenant_table([analyze_trace(str(path))]).splitlines()
+        assert lines[0] == "Per-tenant latency (ms)"     # CI greps this
+        rows = [line.split() for line in lines[4:]]
+        assert [row[:3] for row in rows] == [["DW", "gold", "2"],
+                                             ["DW", "noisy", "1"]]
+        assert float(rows[0][3]) == pytest.approx(3.0)      # mean, in ms
+        assert float(rows[1][5]) == pytest.approx(30.0)     # p99
+
+    def test_ftl_table_reads_the_last_sample_and_counts_gc(self, tmp_path,
+                                                           analysis):
+        tracer = Tracer(clock=FakeClock())
+        tracer.instant("run_meta", "meta", "meta", {"design": "LS"})
+        for host, nand, erases in ((100, 104, 1), (400, 424, 6)):
+            tracer.counter("ftl", {"host_writes": host, "nand_writes": nand,
+                                   "erases": erases}, track="sampler")
+        for _ in range(3):
+            tracer.instant("ftl_gc", "io", "device:ssd", {"erases": 2})
+        path = tmp_path / "ftl.jsonl"
+        tracer.write_jsonl(str(path))
+        # ``analysis`` (the LC fixture) ran the black-box SSD: dashes.
+        lines = format_ftl_table(
+            [analyze_trace(str(path)), analysis]).splitlines()
+        assert lines[0] == "Flash internals (write amplification)"
+        rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
+        assert rows["LS"] == ["400", "424", "6", "1.060", "3"]
+        assert rows["LC"] == ["-"] * 5
 
 
 class TestBenchSnapshot:
