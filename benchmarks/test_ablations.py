@@ -121,8 +121,6 @@ def test_ablation_warm_restart_removes_ramp_up(benchmark):
                                  warm_restart=warm)
             runner = WorkloadRunner(system, workload, nworkers=16)
             runner.run(20.0)
-            runner.stop()  # quiesce the clients before the crash
-            system.run(until=system.env.now + 2.0)
             before = system.ssd_manager.used_frames
             drive(system.env, simulate_crash_and_recover(system.env, system))
             out[warm] = (before, system.ssd_manager.used_frames)

@@ -23,11 +23,10 @@ def run_one(warm: bool):
 
     # Phase 1: warm the SSD.
     runner.run(15.0)
-    runner.stop()
-    system.run(until=system.env.now + 2.0)
     before = system.ssd_manager.used_frames
 
-    # Crash and recover.
+    # Power cut under load (the clients die with everything else), then
+    # restart recovery.
     crash = system.env.process(
         simulate_crash_and_recover(system.env, system))
     system.env.run(crash)

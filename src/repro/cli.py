@@ -91,17 +91,6 @@ def _spec(args: argparse.Namespace, kind: str, design: str,
     return RunSpec(**{**values, "kind": kind, "design": design, **fixed})
 
 
-def _specs(args: argparse.Namespace, kind: str, designs: List[str],
-           **fixed: Any) -> Optional[List[RunSpec]]:
-    """One spec per design, or None (reason on stderr) — built before
-    the first run so a bad flag fails in milliseconds."""
-    try:
-        return [_spec(args, kind, design, **fixed) for design in designs]
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return None
-
-
 def _add_designs(parser: argparse.ArgumentParser,
                  default: str = "noSSD,DW,LC,TAC") -> None:
     parser.add_argument("--designs", default=default,
@@ -132,11 +121,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="print the full metrics registry after each run")
 
 
-def _make_telemetry(args) -> Optional[Telemetry]:
-    """A fresh telemetry sink when --trace/--metrics asked for one."""
-    return Telemetry() if (args.trace or args.metrics) else None
-
-
 def _add_db_flags(parser: argparse.ArgumentParser) -> None:
     """Recording flags shared by every experiment-running command."""
     from repro.runstore.cli import add_db_argument
@@ -154,32 +138,16 @@ def _open_recording_store(args):
     return open_store(getattr(args, "db", None))
 
 
-def _validate_trace(args) -> Optional[str]:
-    """An error message when the --trace target can't be written —
-    checked before the run so a typo fails in milliseconds, not after
-    the whole simulation."""
-    if args.trace:
-        directory = os.path.dirname(args.trace) or "."
-        if not os.path.isdir(directory):
-            return f"--trace: directory does not exist: {directory}"
-    return None
-
-
-def _trace_path(template: str, design: str, multiple: bool) -> str:
-    """The per-design trace path (suffix the design when several run)."""
-    if not multiple:
-        return template
-    stem, ext = os.path.splitext(template)
-    return f"{stem}-{design}{ext or '.json'}"
-
-
 def _emit_telemetry(args, design: str, telemetry: Optional[Telemetry],
                     multiple: bool) -> None:
     """Write the trace file and/or print the metrics table for one run."""
     if telemetry is None:
         return
     if args.trace:
-        path = _trace_path(args.trace, design, multiple)
+        path = args.trace
+        if multiple:  # one file per design: suffix its name
+            stem, ext = os.path.splitext(path)
+            path = f"{stem}-{design}{ext or '.json'}"
         if path.endswith(".jsonl"):
             telemetry.tracer.write_jsonl(path)
         else:
@@ -213,42 +181,70 @@ def cmd_designs(args) -> int:
     return 0
 
 
-def cmd_oltp(args) -> int:
-    """Run an OLTP experiment across designs and print the table."""
+def _runs(args, kind: str, **fixed: Any):
+    """The runs a subcommand's flags describe, one per ``--designs``
+    entry, as an iterator of ``(spec, result)`` — or None (reason on
+    stderr) when a flag is bad, checked before the first run so a typo
+    fails in milliseconds, not after a whole simulation.  The iterator
+    owns the run store, and emits each run's telemetry when the caller
+    comes back for the next one."""
     designs = _designs(args)
     if designs is None:
-        return 2
-    error = _validate_trace(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if args.faults:
-        # Validate the plan grammar before burning a whole run on a typo.
+        return None
+    directory = os.path.dirname(args.trace or "") or "."
+    if not os.path.isdir(directory):
+        print(f"--trace: directory does not exist: {directory}",
+              file=sys.stderr)
+        return None
+    plan = getattr(args, "faults", None)
+    if plan:
         try:
-            FaultPlan.parse(args.faults)
+            FaultPlan.parse(plan)
         except ValueError as exc:
             print(f"--faults: {exc}", file=sys.stderr)
-            return 2
-    specs = _specs(args, "oltp", designs)
-    if specs is None:
+            return None
+    try:
+        specs = [_spec(args, kind, design, **fixed) for design in designs]
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+
+    def runs():
+        store = _open_recording_store(args)
+        try:
+            for spec in specs:
+                telemetry = (Telemetry() if args.trace or args.metrics
+                             else None)
+                # Each design gets its own plan instance: injectors bind
+                # to one system's devices.
+                result = run(spec, telemetry=telemetry, store=store,
+                             faults=FaultPlan.parse(plan) if plan else None)
+                print(f"ran {spec.design}", file=sys.stderr)
+                yield spec, result
+                _emit_telemetry(args, spec.design, telemetry,
+                                len(designs) > 1)
+        finally:
+            if store is not None:
+                store.close()
+    return runs()
+
+
+def cmd_oltp(args) -> int:
+    """Run an OLTP experiment across designs and print the table."""
+    runs = _runs(args, "oltp")
+    if runs is None:
         return 2
-    store = _open_recording_store(args)
     results = {}
-    for spec in specs:
+    for spec, result in runs:
         design = spec.design
-        telemetry = _make_telemetry(args)
-        # Each design gets its own plan instance: injectors bind to one
-        # system's devices.
-        faults = FaultPlan.parse(args.faults) if args.faults else None
-        result = results[design] = run(spec, telemetry=telemetry,
-                                       faults=faults, store=store)
-        print(f"ran {design}", file=sys.stderr)
+        results[design] = result
         stats = result.ftl_stats
         if stats is not None:
             print(f"ftl[{design}]: host_writes={stats.host_writes} "
                   f"nand_writes={stats.nand_writes} erases={stats.erases} "
                   f"waf={result.waf:.3f} wear_spread={result.wear_spread}",
                   file=sys.stderr)
+        faults = result.system.faults
         if faults:
             injected = {
                 role: dict(inj.stats)
@@ -258,13 +254,12 @@ def cmd_oltp(args) -> int:
                   f"retries={result.ssd_stats.io_retries} "
                   f"degrade_redo={result.ssd_stats.detach_redo_pages}",
                   file=sys.stderr)
-        _emit_telemetry(args, design, telemetry, len(designs) > 1)
     throughputs = {d: r.steady_state_throughput()
                    for d, r in results.items()}
     speedups = speedup_over_nossd(throughputs)
     metric = next(iter(results.values())).metric_name
     rows = []
-    for design in designs:
+    for design in _designs(args):
         result = results[design]
         rows.append([
             design,
@@ -279,30 +274,16 @@ def cmd_oltp(args) -> int:
         f"({args.duration:.0f} virtual s, profile={args.profile})",
         ["design", metric, "speedup", "SSD hit", "SSD used", "SSD dirty"],
         rows))
-    if store is not None:
-        store.close()
     return 0
 
 
 def cmd_traffic(args) -> int:
     """Run an open-loop multi-tenant experiment across designs."""
+    runs = _runs(args, "traffic")
+    if runs is None:
+        return 2
+    results = {spec.design: result for spec, result in runs}
     designs = _designs(args)
-    if designs is None:
-        return 2
-    error = _validate_trace(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    specs = _specs(args, "traffic", designs)
-    if specs is None:
-        return 2
-    store = _open_recording_store(args)
-    results = {}
-    for spec in specs:
-        telemetry = _make_telemetry(args)
-        results[spec.design] = run(spec, telemetry=telemetry, store=store)
-        print(f"ran {spec.design}", file=sys.stderr)
-        _emit_telemetry(args, spec.design, telemetry, len(designs) > 1)
     first = next(iter(results.values()))
     users = first.logical_users
     rows = []
@@ -339,8 +320,6 @@ def cmd_traffic(args) -> int:
         "per-tenant isolation",
         ["design", "tenant", "offered", "shed", "txn/s",
          "qwait p99 (ms)", "p99 (ms)"], tenant_rows))
-    if store is not None:
-        store.close()
     return 0
 
 
@@ -441,29 +420,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_tpch(args) -> int:
     """Run the TPC-H power + throughput tests across designs."""
-    designs = _designs(args)
-    if designs is None:
+    runs = _runs(args, "tpch", benchmark="tpch", scale=args.sf)
+    if runs is None:
         return 2
-    error = _validate_trace(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    specs = _specs(args, "tpch", designs, benchmark="tpch", scale=args.sf)
-    if specs is None:
-        return 2
-    store = _open_recording_store(args)
-    rows = []
-    for spec in specs:
-        telemetry = _make_telemetry(args)
-        result = run(spec, telemetry=telemetry, store=store)
-        rows.append([spec.design, f"{result.power:,.0f}",
-                     f"{result.throughput:,.0f}", f"{result.qphh:,.0f}"])
-        print(f"ran {spec.design}", file=sys.stderr)
-        _emit_telemetry(args, spec.design, telemetry, len(designs) > 1)
+    rows = [[spec.design, f"{result.power:,.0f}",
+             f"{result.throughput:,.0f}", f"{result.qphh:,.0f}"]
+            for spec, result in runs]
     print(format_table(f"TPC-H @{args.sf} SF (profile={args.profile})",
                        ["design", "QppH", "QthH", "QphH"], rows))
-    if store is not None:
-        store.close()
     return 0
 
 

@@ -26,24 +26,15 @@ class DualWriteManager(SsdManagerBase):
     name = "DW"
 
     def on_evict_dirty(self, frame: Frame):
-        """Write to disk and SSD in parallel; the frame is reusable when
-        both complete (the paper's "synchronize dirty page writes")."""
-        disk_write = self._disk_write(frame.page_id, frame.version,
-                                      EVICTION_CTX)
-        if self.admission.qualifies(frame, self.admission_fill_level):
-            yield self.env.gather([disk_write, self._cache_page(
-                frame.page_id, frame.version, dirty=False,
-                ctx=EVICTION_CTX)])
-        else:
-            yield self.env.process(disk_write)
+        """The decision (§2.3): to disk, and in parallel to the SSD if
+        the page qualifies for admission."""
+        yield self._dual_write(frame, EVICTION_CTX, self.admission.qualifies(
+            frame, self.admission_fill_level))
 
     def checkpoint_write(self, frame: Frame):
         """§3.2: checkpointed dirty random pages also prime the SSD."""
-        disk_write = self._disk_write(frame.page_id, frame.version,
-                                      CHECKPOINT_CTX)
-        if not frame.sequential:
-            yield self.env.gather([disk_write, self._cache_page(
-                frame.page_id, frame.version, dirty=False,
-                ctx=CHECKPOINT_CTX)])
-        else:
-            yield self.env.process(disk_write)
+        yield self._dual_write(frame, CHECKPOINT_CTX, not frame.sequential)
+
+    def _dual_write(self, frame: Frame, ctx, cache: bool):
+        return self._write_through(frame, ctx, cache and self._cache_page(
+            frame.page_id, frame.version, dirty=False, ctx=ctx))

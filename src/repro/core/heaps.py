@@ -40,19 +40,11 @@ class LazyMinHeap:
                  member: Callable[[SsdRecord], bool]) -> None:
         self._key = key
         self._member = member
-        self._heap: List[Tuple[float, int, SsdRecord]] = []
-        # By frame number: key and stamp of the frame's last push (stamp
-        # 0: not in this heap) and the stamp of the one entry of ``_heap``
-        # that stands for it.  That entry never sorts after the recorded
-        # pair; any other entry of the frame is garbage.
-        self._keys: List[float] = []
-        self._stamps: List[int] = []
-        self._filed: List[int] = []
-        self._live = 0
         self._next_stamp = 0
         #: Always-on vitals: real ``heappush``es, entries re-keyed as
         #: they surfaced, whole-heap rebuilds.
         self.heappushes = self.rekeys = self.compactions = 0
+        self.clear()
 
     def __len__(self) -> int:
         """Entries in the binary heap: the live ones plus garbage."""
@@ -154,11 +146,15 @@ class LazyMinHeap:
         return record
 
     def clear(self) -> None:
-        """Drop every entry (cold restart)."""
-        self._heap.clear()
-        self._keys.clear()
-        self._stamps.clear()
-        self._filed.clear()
+        """No entry: a new heap, or one after a cold restart."""
+        self._heap: List[Tuple[float, int, SsdRecord]] = []
+        # By frame number: key and stamp of the frame's last push (stamp
+        # 0: not in this heap) and the stamp of the one entry of ``_heap``
+        # that stands for it.  That entry never sorts after the recorded
+        # pair; any other entry of the frame is garbage.
+        self._keys: List[float] = []
+        self._stamps: List[int] = []
+        self._filed: List[int] = []
         self._live = 0
 
     def check_invariants(self) -> None:

@@ -36,11 +36,6 @@ class LazyCleaningManager(SsdManagerBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._above_lambda = False
-        #: SSD frame slots with a clean-back transfer in flight; their
-        #: records are legitimately absent from the dirty heap and must
-        #: not be re-seeded into it.
-        self._cleaning_frames: Set[int] = set()
         registry = self.telemetry.registry
         registry.counter(
             "lc_cleaner_rounds_total", "Group-clean batches the LC cleaner ran",
@@ -52,6 +47,14 @@ class LazyCleaningManager(SsdManagerBase):
             "lc_lambda_crossings_total",
             "Upward crossings of the dirty-fraction threshold (lambda)",
             lambda: self.stats.lambda_crossings)
+
+    def _reset_transients(self) -> None:
+        super()._reset_transients()
+        self._above_lambda = False
+        #: SSD frame slots with a clean-back transfer in flight; their
+        #: records are legitimately absent from the dirty heap and must
+        #: not be re-seeded into it.
+        self._cleaning_frames: Set[int] = set()
 
     def _note_lambda(self) -> None:
         """Record crossings of λ (in either direction) as trace instants."""
@@ -253,14 +256,3 @@ class LazyCleaningManager(SsdManagerBase):
             self.config.cleaner_concurrency)
         self.stats.checkpoint_ssd_flushes += cleaned
         return cleaned
-
-    # ------------------------------------------------------------------
-    # Crash / restart
-    # ------------------------------------------------------------------
-
-    def crash_reset(self) -> None:
-        """Hard-crash restart: the in-flight transfers died with the
-        event queue."""
-        self._cleaning_frames.clear()
-        self._above_lambda = False
-        super().crash_reset()

@@ -92,33 +92,7 @@ class LogStructuredManager(SsdManagerBase):
         #: Frames per segment (the last segment may be shorter).
         self._seg_pages = self.table.segment_pages
         self._nseg = (nframes + self._seg_pages - 1) // self._seg_pages
-        #: Hot append stream (fresh admissions): [segment, position].
-        #: Hot entries die fast, so hot segments turn fully dead and
-        #: clean for free.
-        self._open: List[Any] = [None, 0]
-        #: Cold append stream (cleaner relocations): proven-live entries
-        #: stay packed together instead of polluting hot segments.
-        self._cold: List[Any] = [None, 0]
-        #: Free segments, reused FIFO (each was TRIMmed when freed).
-        self._free_segs: List[int] = list(range(self._nseg))
-        #: Allocation epoch per allocated segment (victim age proxy).
-        self._seg_seq: Dict[int, int] = {}
-        self._next_seq = 0
-        #: Global append epoch: total order over journal entries.
-        self._next_epoch = 0
-        self._free_slots = nframes
-        #: Durable per-frame log metadata (what a restart can replay).
-        self._journal: Dict[int, _JournalEntry] = {}
-        self._batch: Optional[_LogBatch] = None
-        #: Batches staged or flushing (for checkpoint/LSN accounting),
-        #: in staging order: a checkpoint waits on them one by one, and
-        #: which it is parked on must not depend on where they sit in
-        #: memory.
-        self._pending_batches: Dict[_LogBatch, None] = {}
-        #: Single-flight latch for segment cleaning.
-        self._reclaim_busy: Optional[Event] = None
-        #: Wakes the tail reclaimer, once :meth:`start_cleaner` ran.
-        self._reclaimer: Optional[Callable[[], None]] = None
+        self._reset_layout()
         #: Always-on tallies; the help texts below say what each counts.
         self.batches = 0
         self.batch_pages = 0
@@ -247,11 +221,11 @@ class LogStructuredManager(SsdManagerBase):
                     batch.trigger,
                     self.env.timeout(self.config.ls_batch_timeout)])
             self._close_batch(batch)
-            if self._detach_started or not batch.entries:
+            if self.detached or not batch.entries:
                 return
             npages = len(batch.entries)
             yield from self._ensure_log_space(npages)
-            if self._detach_started or self._free_slots < npages:
+            if self.detached or self._free_slots < npages:
                 return
             frames = self._install_entries(batch)
             ok = yield from self._write_frame_runs(frames)
@@ -288,19 +262,27 @@ class LogStructuredManager(SsdManagerBase):
     def _bind(self, frame_no: int, page_id: int, version: int, dirty: bool,
               rec_lsn: int) -> SsdRecord:
         """Bind the claimed slot ``frame_no`` to a page image: the one
-        place a log entry comes to be (crash replay apart)."""
+        place a log entry comes to be."""
+        record = self._map(frame_no, page_id, version, dirty, rec_lsn,
+                           self.env.now)
+        self._reheap(record)
+        self._journal[frame_no] = (page_id, version, dirty, rec_lsn,
+                                   self._next_epoch)
+        self._next_epoch += 1
+        return record
+
+    def _map(self, frame_no: int, page_id: int, version: int, dirty: bool,
+             rec_lsn: int, now: float) -> SsdRecord:
+        """Point the mapping at the log entry in ``frame_no``, as it is
+        written and again as a crash replays it."""
         old = self.table.lookup(page_id)
         if old is not None and old.occupied:
             # Supersede in place: the old entry dies where it lies and
             # frees only when its segment gets cleaned.
             self._invalidate_record(old)
         record = self.table.take_frame(frame_no)
-        self.table.install(record, page_id, version, dirty, self.env.now,
+        self.table.install(record, page_id, version, dirty, now,
                            rec_lsn=rec_lsn)
-        self._reheap(record)
-        self._journal[frame_no] = (page_id, version, dirty, rec_lsn,
-                                   self._next_epoch)
-        self._next_epoch += 1
         return record
 
     def _roll_back(self, frames: List[int]) -> None:
@@ -532,11 +514,11 @@ class LogStructuredManager(SsdManagerBase):
                 # detach redo takes over).
                 return
             flushed += len(wave)
-        if self._detach_started:
+        if self.detached:
             return
         if keep:
             ok = yield from self._read_live_runs(keep)
-            if not ok or self._detach_started:
+            if not ok or self.detached:
                 return
         # Capture survivors *after* the last yield: an entry may have
         # been superseded, invalidated, or cleaned while the flush and
@@ -557,7 +539,7 @@ class LogStructuredManager(SsdManagerBase):
         self._seg_seq.pop(victim, None)
         self._free_segs.append(victim)
         relocated = 0
-        if survivors and not self._detach_started:
+        if survivors and not self.detached:
             new_frames: List[int] = []
             for page_id, version, dirty, rec_lsn, last_access in survivors:
                 record = self._bind(self._claim_frame(cold=True), page_id,
@@ -623,17 +605,46 @@ class LogStructuredManager(SsdManagerBase):
 
     def _clear_ssd_state(self) -> None:
         super()._clear_ssd_state()
-        self._open = [None, 0]
-        self._cold = [None, 0]
-        self._free_segs = list(range(self._nseg))
-        self._seg_seq.clear()
+        self._reset_layout()
+
+    def _reset_layout(self) -> None:
+        """An empty log: no segment open or allocated, no journal."""
+        #: Hot append stream (fresh admissions): [segment, position].
+        #: Hot entries die fast, so hot segments turn fully dead and
+        #: clean for free.
+        self._open: List[Any] = [None, 0]
+        #: Cold append stream (cleaner relocations): proven-live entries
+        #: stay packed together instead of polluting hot segments.
+        self._cold: List[Any] = [None, 0]
+        #: Free segments, reused FIFO (each was TRIMmed when freed).
+        self._free_segs: List[int] = list(range(self._nseg))
+        #: Allocation epoch per allocated segment (victim age proxy).
+        self._seg_seq: Dict[int, int] = {}
         self._next_seq = 0
+        #: Global append epoch: total order over journal entries.
         self._next_epoch = 0
         self._free_slots = self.config.ssd_frames
-        self._journal.clear()
+        #: Durable per-frame log metadata (what a restart can replay).
+        self._journal: Dict[int, _JournalEntry] = {}
 
-    def on_crash(self) -> None:
-        """Rebuild the mapping by replaying the on-flash log.
+    def _reset_transients(self) -> None:
+        """Plus the staged batches, the reclaim latch and the
+        reclaimer's wake-up call: all died with the event queue."""
+        super()._reset_transients()
+        self._batch: Optional[_LogBatch] = None
+        #: Batches staged or flushing (for checkpoint/LSN accounting),
+        #: in staging order: a checkpoint waits on them one by one, and
+        #: which it is parked on must not depend on where they sit in
+        #: memory.
+        self._pending_batches: Dict[_LogBatch, None] = {}
+        #: Single-flight latch for segment cleaning.
+        self._reclaim_busy: Optional[Event] = None
+        #: Wakes the tail reclaimer, once :meth:`start_cleaner` ran.
+        self._reclaimer: Optional[Callable[[], None]] = None
+
+    def _survive_crash(self) -> None:
+        """The journal and the segment layout (device-durable) survive,
+        and the mapping is rebuilt by replaying the on-flash log.
 
         The in-DRAM hash dies with the crash, but the log records are on
         the device (modelled by ``_journal``), each carrying its append
@@ -641,56 +652,23 @@ class LogStructuredManager(SsdManagerBase):
         give once relocations append to a second stream.  Replaying in
         epoch order makes later entries supersede earlier ones exactly
         as the live path did.  Stale/uncommitted entries are weeded out
-        by :meth:`on_restart` once redo has settled what disk truth is.
-        Idempotent — the crash harness may call it more than once per
-        crash.
+        by :meth:`on_restart` once redo has settled what disk truth is:
+        an entry whose version equals the recovered disk's is a correct
+        clean cache hit — LS's free warm restart.
         """
         SsdManagerBase._clear_ssd_state(self)   # the journal stays
-        if (self.detached or self._detach_started
-                or self.config.ssd_frames == 0):
+        if self.detached or self.config.ssd_frames == 0:
             return
-        replayed = 0
         for frame_no, entry in sorted(self._journal.items(),
                                       key=lambda item: item[1][4]):
-            page_id, version, dirty, rec_lsn, _epoch = entry
-            prev = self.table.lookup(page_id)
-            if prev is not None and prev.occupied:
-                self.table.invalidate_logical(prev)
-            record = self.table.take_frame(frame_no)
-            self.table.install(record, page_id, version, dirty, 0.0,
-                               rec_lsn=rec_lsn)
-            replayed += 1
-        if replayed:
-            self.replays += replayed
+            record = self._map(frame_no, *entry[:4], now=0.0)
+            if not record.dirty:
+                # A dirty entry waits for restart to settle it: filed
+                # now, the restarted cleaner would copy it back to a
+                # disk redo is still writing.
+                self.clean_heap.push(record)
+        if self._journal:
+            self.replays += len(self._journal)
             if self._tracer.enabled:
                 self._tracer.instant("ls_log_replay", "ssd", "ssd_manager",
-                                     {"entries": replayed})
-
-    def on_restart(self, last_checkpoint_lsn: int) -> None:
-        """After redo: keep replayed entries that match disk, as clean.
-
-        This is LS's free warm restart: a log entry whose version equals
-        the recovered disk version is a correct clean cache hit.  Torn
-        batch tails (written to the journal but never made durable) and
-        uncommitted versions necessarily differ from the redone disk and
-        die here, which is what makes replaying them in
-        :meth:`on_crash` safe.
-        """
-        for record in list(self.table.occupied_records()):
-            if not record.valid:
-                continue
-            if record.version == self.disk.disk_version(record.page_id):
-                self._mark_clean(record)
-            else:
-                self._invalidate_record(record)
-
-    def crash_reset(self) -> None:
-        """Hard-crash restart: staged batches, the reclaim latch and
-        the background loops died with the event queue; the journal and
-        segment layout (device-durable) survive and are replayed by
-        ``on_crash`` via the base implementation, which also starts the
-        loops again."""
-        self._batch = None
-        self._pending_batches.clear()
-        self._reclaim_busy = None
-        super().crash_reset()
+                                     {"entries": len(self._journal)})

@@ -25,23 +25,11 @@ class SsdRecord:
     """One SSD buffer-table record, corresponding to one SSD frame."""
 
     __slots__ = ("frame_no", "page_id", "valid", "dirty", "version",
-                 "rec_lsn", "last_access", "prev_access", "temperature")
+                 "rec_lsn", "last_access", "prev_access")
 
     def __init__(self, frame_no: int):
         self.frame_no = frame_no
-        self.page_id: Optional[int] = None
-        self.valid = False
-        #: Set when the SSD copy may be newer than the disk copy (LC).
-        self.dirty = False
-        #: recLSN of the dirty content (for fuzzy-checkpoint truncation).
-        self.rec_lsn = -1
-        #: Version of the page content stored in this SSD frame.
-        self.version = -1
-        # LRU-2 history of accesses to the cached page *on the SSD*.
-        self.last_access = 0.0
-        self.prev_access = float("-inf")
-        #: TAC keeps the owning extent's temperature snapshot here.
-        self.temperature = 0.0
+        self.reset()
 
     @property
     def occupied(self) -> bool:
@@ -68,15 +56,18 @@ class SsdRecord:
         self.last_access = now
 
     def reset(self) -> None:
-        """Return the record to its free state."""
-        self.page_id = None
+        """The record's free state: as built, and as released."""
+        self.page_id: Optional[int] = None
         self.valid = False
+        #: Set when the SSD copy may be newer than the disk copy (LC).
         self.dirty = False
+        #: recLSN of the dirty content (for fuzzy-checkpoint truncation).
         self.rec_lsn = -1
+        #: Version of the page content stored in this SSD frame.
         self.version = -1
+        # LRU-2 history of accesses to the cached page *on the SSD*.
         self.last_access = 0.0
         self.prev_access = float("-inf")
-        self.temperature = 0.0
 
     def __repr__(self) -> str:
         state = ("free" if not self.occupied else

@@ -11,7 +11,7 @@ The buffer pool calls the SSD manager at five points:
 * when planning a multi-page read (:meth:`trim_plan`, §3.3.3).
 
 The checkpointer adds :meth:`checkpoint_write` and :meth:`on_checkpoint`;
-crash/restart simulation adds :meth:`on_crash` / :meth:`on_restart`.
+crash/restart simulation adds :meth:`crash_reset` / :meth:`on_restart`.
 
 What a *write-back* design owes is kept here once, keyed on what the
 buffer table holds (``table.dirty_count``) and never on which design
@@ -161,8 +161,7 @@ class SsdManagerBase:
     __slots__ = (
         "env", "device", "disk", "wal", "config", "admission", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
-        "_detach_started", "_detach_complete", "telemetry", "_tracer",
-        "_cleaner",
+        "_detach_complete", "telemetry", "_tracer", "_cleaner",
     )
 
     #: Name used in figures and reports; subclasses override.
@@ -196,10 +195,7 @@ class SsdManagerBase:
         #: True once the SSD has been dropped from service (device death,
         #: §2.4 degradation): the design continues as noSSD.
         self.detached = False
-        self._detach_started = False
-        self._detach_complete = env.event()
-        #: Wakes the λ cleaner, once :meth:`start_cleaner` ran (LC, LS).
-        self._cleaner: Optional[Callable[[], None]] = None
+        self._reset_transients()
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
@@ -408,7 +404,7 @@ class SsdManagerBase:
 
     def _note_device_dead(self) -> None:
         """The SSD reported permanent death: start degradation once."""
-        if not self._detach_started:
+        if not self.detached:
             self.env.spawn(self.detach())
 
     def _await_detach(self):
@@ -652,6 +648,16 @@ class SsdManagerBase:
                                     EVICTION_CTX)
         return False
 
+    def _write_through(self, frame: Frame, ctx, ssd_write=None):
+        """The write-through answer: ``frame`` goes to disk and, beside
+        it, through ``ssd_write`` (the design's SSD half, a process
+        step) if there is one.  Returns the event to wait for: both
+        complete (the paper's "synchronize dirty page writes")."""
+        disk_write = self._disk_write(frame.page_id, frame.version, ctx)
+        if not ssd_write:
+            return self.env.process(disk_write)
+        return self.env.gather([disk_write, ssd_write])
+
     def _copy_back(self, record: SsdRecord, page_id: int, version: int,
                    ctx=CLEANER_CTX):
         """Process step: copy one newest-copy SSD page back to disk.
@@ -715,7 +721,7 @@ class SsdManagerBase:
         """
         empty_rounds = 0
         while pending():
-            if self._detach_started:
+            if self.detached:
                 if wait_detach:
                     yield from self._await_detach()
                 return
@@ -750,7 +756,7 @@ class SsdManagerBase:
 
         def loop() -> Generator[Any, Any, None]:
             nonlocal wakeup
-            while not self._detach_started:
+            while not self.detached:
                 if not over():
                     wakeup = self.env.event()
                     yield wakeup
@@ -885,10 +891,9 @@ class SsdManagerBase:
         Concurrent callers (every I/O that observes the death) coalesce
         onto one detach; later callers wait for its completion.
         """
-        if self._detach_started:
+        if self.detached:
             yield from self._await_detach()
             return
-        self._detach_started = True
         self.detached = True
         started = self.env.now
         dropped = self.used_frames
@@ -955,10 +960,26 @@ class SsdManagerBase:
     # Crash / restart hooks
     # ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        """Volatile state is lost.  The SSD's *content* survives, but the
-        paper's designs keep the mapping only in RAM, so a cold restart
-        discards it; the warm-restart extension retains clean frames."""
+    def crash_reset(self) -> None:
+        """A power failure.  The SSD's *content* survives; what of the
+        mapping does is the design's :meth:`_survive_crash`.  The event
+        wipe killed any in-flight detach and the background loops with
+        the rest of the world, so what they owned is rebuilt and the
+        loops start again — unless the SSD is gone: a detached SSD stays
+        detached across the crash (the device is still dead) and there
+        is nothing to clean."""
+        self._survive_crash()
+        self._reset_transients()
+        if self.detached:
+            self._detach_complete.succeed()
+        else:
+            self.start_cleaner()
+
+    def _survive_crash(self) -> None:
+        """What of the mapping a crash leaves.  The paper's designs keep
+        it only in RAM, so a cold restart finds nothing (§6); the
+        warm-restart extension keeps the clean valid frames, filed as
+        they were."""
         if not self.config.warm_restart:
             self._clear_ssd_state()
             return
@@ -966,33 +987,28 @@ class SsdManagerBase:
             if not record.valid or record.dirty:
                 self._drop_record(record)
 
-    def crash_reset(self) -> None:
-        """Hard-crash restart (the crash-point harness).
-
-        The event wipe killed any in-flight detach with the rest of the
-        world; the detach-completion event belongs to those dead waiters
-        and must be rebuilt, and so must the background loops (unless
-        the SSD is gone: then there is nothing to clean).  A detached
-        SSD stays detached across the crash — the device is still dead.
-        """
-        self.on_crash()
-        if self._detach_started and not self.detached:
-            self.detached = True
-        self._detach_started = self.detached
+    def _reset_transients(self) -> None:
+        """What only running processes give meaning to, built for the
+        constructor and rebuilt by :meth:`crash_reset`: the event an
+        in-flight detach's waiters sit on, and the λ cleaner's wake-up
+        call, set once :meth:`start_cleaner` ran (LC, LS)."""
         self._detach_complete = self.env.event()
-        self._cleaner = None
-        if self.detached:
-            self._detach_complete.succeed()
-        else:
-            self.start_cleaner()
+        self._cleaner: Optional[Callable[[], None]] = None
 
-    def on_restart(self, last_checkpoint_lsn: int) -> None:
-        """After redo: drop kept SSD frames that redo made stale."""
-        if not self.config.warm_restart:
-            return
+    def on_restart(self) -> None:
+        """After redo, the one restart rule: a surviving entry whose
+        version equals the disk's is a clean hit (if it says dirty — a
+        replayed log entry may — it is cleaned); any other goes the way
+        the design invalidates.  Torn writes and uncommitted versions
+        differ from the redone disk and die here, which is what makes
+        keeping them across the crash safe."""
         for record in list(self.table.occupied_records()):
+            if not record.valid:
+                continue
             if record.version != self.disk.disk_version(record.page_id):
-                self._drop_record(record)
+                self._invalidate_record(record)
+            elif record.dirty:
+                self._mark_clean(record)
 
     # ------------------------------------------------------------------
     # Invariant checking (Figure 3), used by the property tests

@@ -177,14 +177,10 @@ class TemperatureAwareManager(SsdManagerBase):
     def on_evict_dirty(self, frame: Frame):
         """Step (iv): write to disk; if an *invalidated* version of the
         page sits in the SSD, also write the new version there."""
-        disk_write = self._disk_write(frame.page_id, frame.version,
-                                      EVICTION_CTX)
         record = self.table.lookup(frame.page_id)
-        if record is not None and not record.valid:
-            yield self.env.gather([disk_write, self._revalidate_write(
-                record, frame.page_id, frame.version)])
-        else:
-            yield self.env.process(disk_write)
+        stale = record is not None and not record.valid
+        yield self._write_through(frame, EVICTION_CTX, stale and (
+            self._revalidate_write(record, frame.page_id, frame.version)))
 
     def _revalidate_write(self, record, page_id: int, version: int):
         if self.detached:

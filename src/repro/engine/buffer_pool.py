@@ -118,12 +118,16 @@ class PoolPartition:
 
     def __init__(self, index: int):
         self.index = index
+        self.latch_waits = 0
+        self.latch_wait_time = 0.0
+        self.reset()
+
+    def reset(self) -> None:
+        """An empty shard behind a free latch (new, or after a crash)."""
         #: Replacement heap slice: ``(prev_access, stamp, page_id)``
         #: entries, one live entry per resident frame of this shard.
         self.heap: List[Tuple[float, int, PageId]] = []
         self.busy_until = 0.0
-        self.latch_waits = 0
-        self.latch_wait_time = 0.0
         #: Frames of this shard currently resident (its share of the
         #: global free list).
         self.resident = 0
@@ -210,13 +214,9 @@ class BufferPool:
         #: a few dozen per run, so the list stays small).
         self.latch_wait_counts: Dict[str, int] = {}
         self.latch_wait_lengths: List[float] = []
-        self.frames: Dict[PageId, Frame] = {}
-        self._inflight: Dict[PageId, Event] = {}
-        self._reserved = 0  # frame slots claimed by in-flight misses
         #: Global LRU-2 ordering stamp, shared by every partition so the
         #: victim order is identical for any partition count.
         self._stamp = 0
-        self._dirty = 0  # dirty frames, maintained incrementally
         self.partitions = partitions
         self._nparts = partitions
         self._parts = [PoolPartition(i) for i in range(partitions)]
@@ -228,8 +228,6 @@ class BufferPool:
                 lambda: {(str(part.index),): part.latch_waits
                          for part in self._parts},
                 labelnames=("partition",))
-        #: Set by the checkpointer while a sharp checkpoint is running.
-        self.checkpoint_active = False
         # Lazy-writer machinery: evictions run in a background process
         # (as SQL Server's lazywriter does) that keeps a cushion of free
         # frames, so a fetching client almost never waits for a dirty
@@ -239,10 +237,7 @@ class BufferPool:
             max(2, capacity // 4),
             max(16, capacity // 32, self.readahead.batch_pages * 2))
         self._low_water = self._high_water // 2
-        self._lazywriter_wake: Optional[Event] = None
-        self._frame_freed = self.env.event()
-        self._evicting = 0  # eviction write-outs in flight
-        self.env.spawn(self._lazywriter())
+        self.crash_reset()  # an empty pool and its lazy writer
 
     @property
     def _warmed(self) -> bool:
@@ -362,8 +357,9 @@ class BufferPool:
             try:
                 frame = yield from self._read_in(page_id, ctx=ctx)
             finally:
-                # pop/max guards: drop_all() (crash simulation) may have
-                # reset this bookkeeping while the read was in flight.
+                # pop/max guards: a crash may have reset this bookkeeping
+                # while the read was in flight (a dead process's
+                # ``finally`` still runs, when its generator is closed).
                 self._reserved = max(0, self._reserved - 1)
                 self._inflight.pop(page_id, None)
                 if done.callbacks:
@@ -844,28 +840,23 @@ class BufferPool:
         """Snapshot of currently dirty frames (for sharp checkpoints)."""
         return [f for f in self.frames.values() if f.dirty]
 
-    def drop_all(self) -> None:
-        """Discard every frame without writing (crash simulation)."""
-        self.frames.clear()
-        self._inflight.clear()
-        self._reserved = 0
-        self._dirty = 0
-        for part in self._parts:
-            part.heap.clear()
-            part.resident = 0
-            part.busy_until = 0.0
-
     def crash_reset(self) -> None:
-        """Hard-crash restart: drop volatile state and restart services.
-
-        Used after :meth:`~repro.sim.environment.Environment.wipe` killed
-        every in-flight process — including the lazy writer and any
-        eviction write-outs — so the counters and wakeup events they
-        owned must be rebuilt and a fresh lazy writer started.
+        """Build the pool's volatile state: no frame, no miss or eviction
+        in flight, a fresh lazy writer.  The constructor ends here, and
+        so does a crash, after
+        :meth:`~repro.sim.environment.Environment.wipe` killed every
+        in-flight process — the lazy writer and any eviction write-outs
+        included — with the counters and wake-up events they owned.
         """
-        self.drop_all()
+        self.frames: Dict[PageId, Frame] = {}
+        self._inflight: Dict[PageId, Event] = {}
+        self._reserved = 0  # frame slots claimed by in-flight misses
+        self._dirty = 0  # dirty frames, maintained incrementally
+        for part in self._parts:
+            part.reset()
+        #: Set by the checkpointer while a sharp checkpoint is running.
         self.checkpoint_active = False
-        self._evicting = 0
-        self._lazywriter_wake = None
+        self._evicting = 0  # eviction write-outs in flight
+        self._lazywriter_wake: Optional[Event] = None
         self._frame_freed = self.env.event()
         self.env.spawn(self._lazywriter())

@@ -48,7 +48,7 @@ class Checkpointer:
         self.checkpoints_started = 0
         self.checkpoints_taken = 0
         self.durations: List[float] = []
-        self._running = False
+        self.crash_reset()  # no periodic process yet
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
@@ -65,8 +65,9 @@ class Checkpointer:
             self.env.spawn(self._periodic())
 
     def crash_reset(self) -> None:
-        """Hard-crash restart: the periodic process died with the event
-        queue; allow :meth:`start` to launch a fresh one.  The durable
+        """No periodic process runs: none was started yet, or it died
+        with the event queue and :meth:`start` may launch a fresh one
+        (``System.recover`` does, after redo).  The durable
         ``last_checkpoint_lsn`` survives — recovery replays from it."""
         self._running = False
 

@@ -68,15 +68,6 @@ class Frame:
         """Whether any caller currently holds a pin."""
         return self.pin_count > 0
 
-    def record_access(self, now: float) -> None:
-        """Push the LRU-2 history: the old last access becomes penultimate."""
-        self.prev_access = self.last_access
-        self.last_access = now
-
-    def lru2_key(self) -> float:
-        """Replacement priority: oldest penultimate access is evicted first."""
-        return self.prev_access
-
     def __repr__(self) -> str:
         flags = "".join((
             "D" if self.dirty else "-",

@@ -5,7 +5,7 @@ record newer than the last completed checkpoint is replayed against the
 disk image.  Because page content is modelled as a monotone version
 number, redo is a simple idempotent max.
 
-Two restart modes are provided:
+Two restart modes are provided (the SSD manager's ``_survive_crash``):
 
 * **cold** (the paper's behaviour): the SSD's contents are ignored at
   restart — "No design to-date leverages the data in the SSD during
@@ -89,28 +89,11 @@ def simulate_crash_and_recover(env: Environment, system,
                                committed: Optional[Dict[int, int]] = None):
     """Process step: crash the system, restart, recover, verify.
 
-    ``system`` is a :class:`repro.harness.system.System`.  The crash
-    discards all volatile state (the buffer pool and, unless the warm
-    restart extension persisted it, the SSD manager's mapping).  Recovery
-    replays the durable log since the last checkpoint.  If ``committed``
-    maps page ids to the versions committed before the crash, the result
-    is verified and :class:`RecoveryError` raised on any loss.
-
-    Returns the number of pages redone.
+    ``system`` is a :class:`repro.harness.system.System`: its ``crash()``
+    is the only crash there is — every process but the one running this
+    step dies with the event queue, clients included — and its
+    ``recover()`` raises :class:`RecoveryError` if a version in
+    ``committed`` was lost.  Returns the number of pages redone.
     """
-    system.bp.drop_all()
-    system.ssd_manager.on_crash()
-    recovery = RecoveryManager(env, system.disk, system.wal)
-    redone = yield from recovery.redo(system.checkpointer.last_checkpoint_lsn)
-    system.ssd_manager.on_restart(system.checkpointer.last_checkpoint_lsn)
-    if committed:
-        lost = {
-            page_id: (version, system.disk.disk_version(page_id))
-            for page_id, version in committed.items()
-            if system.disk.disk_version(page_id) < version
-        }
-        if lost:
-            sample = dict(list(lost.items())[:5])
-            raise RecoveryError(
-                f"{len(lost)} committed page versions lost, e.g. {sample}")
-    return redone
+    system.crash()
+    return (yield from system.recover(committed))

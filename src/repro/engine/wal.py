@@ -185,7 +185,7 @@ class WriteAheadLog:
                 delay *= 2
 
     def crash_reset(self) -> None:
-        """Volatile flush state is lost in a hard crash.
+        """Volatile flush state is lost in a crash.
 
         Durable state — ``records``/``flushed_lsn``/the write head —
         survives; both forcer groups and the flusher flag belong to wiped

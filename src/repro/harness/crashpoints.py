@@ -1,15 +1,14 @@
-"""Crash-point sweep: hard-crash the system at random instants, recover,
+"""Crash-point sweep: crash the system at random instants, recover,
 and machine-check the paper's durability arguments.
 
 Each sweep point builds a fresh small :class:`System` (one design × one
 checkpoint policy), drives it with closed-loop update clients that track
 a *committed oracle* — for every page, the newest version whose log
 record was durably forced before the crash — then cuts power at a
-seeded-random virtual time (:meth:`System.crash`), runs restart recovery,
-and asserts:
+seeded-random virtual time (:meth:`System.crash`), runs restart recovery
+(:meth:`System.recover`), and asserts:
 
-* no committed page version was lost
-  (:func:`~repro.engine.recovery.simulate_crash_and_recover` raises
+* no committed page version was lost (``recover`` raises
   :class:`~repro.engine.recovery.RecoveryError` otherwise);
 * the Figure 3 page-copy invariants hold after recovery
   (:meth:`~repro.core.ssd_manager.SsdManagerBase.check_invariants`);
@@ -31,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import SsdDesignConfig
-from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness.system import System, SystemConfig
 
 
@@ -142,9 +140,8 @@ def run_crash_point(design: str, policy: str, crash_at: float,
         for device in (system.data_device, system.ssd_device,
                        system.wal.device):
             device.check_invariants()
-        done = env.process(
-            simulate_crash_and_recover(env, system, committed=committed))
-        outcome.pages_redone = env.run(done)
+        outcome.pages_redone = env.run(env.process(
+            system.recover(committed)))
         system.ssd_manager.check_invariants()
         # Progress check: the restarted system must still serve updates.
         churn: Dict[int, int] = {}

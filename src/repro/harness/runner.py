@@ -273,8 +273,9 @@ def _publish_latencies(runner) -> None:
         labelnames=("type",))
 
 
-class WorkloadRunner:
-    """Runs an OLTP workload against a system with N closed-loop clients."""
+class _Runner:
+    """What a closed and an open loop share: where a run begins and
+    where it ends.  A subclass spawns its processes in between."""
 
     def __init__(self, system: System, workload, nworkers: int = 32,
                  bucket_seconds: float = 2.0, seed: int = 20110612,
@@ -292,15 +293,14 @@ class WorkloadRunner:
         _publish_latencies(self)
 
     def stop(self) -> None:
-        """Ask the clients to finish their current transaction and exit.
-
-        Needed before crash simulation or post-run phases that advance
-        virtual time: otherwise the closed-loop clients keep running.
-        """
+        """Ask the clients (workers) to finish their current transaction
+        and exit; an open loop's arrivals stop being offered.  For
+        post-run phases that advance virtual time with the load gone (a
+        crash needs no ``stop()`` first: it kills them)."""
         self._stopped = True
 
-    def run(self, duration: float, setup: bool = True) -> RunResult:
-        """Drive the workload for ``duration`` virtual seconds."""
+    def _begin(self, duration: float, setup: bool, **tenancy: Any) -> RunResult:
+        """Start services and the sampler; returns the run's record."""
         system, workload = self.system, self.workload
         # A stop() from a previous run must not leak into this one, or the
         # fresh clients would exit on their first loop check and the run
@@ -323,17 +323,32 @@ class WorkloadRunner:
             sampler=Sampler(system, self.sample_interval),
             latencies=self.latencies,
             system=system,
+            **tenancy,
         )
         result.sampler.start()
-        system.env.spawn_all(
-            self._client(random.Random(self.seed + worker * 1009), result)
-            for worker in range(self.nworkers))
-        system.run(until=system.env.now + duration)
+        return result
+
+    def _finish(self, result: RunResult) -> RunResult:
+        """Drive the run to its end and read the final state."""
+        system = self.system
+        system.run(until=result.start_time + result.duration)
         # The run's measurement window is over: stop the sampler so later
         # phases (crash simulation, restarts) don't grow it unboundedly.
         result.sampler.stop()
         result.capture(system)
         return result
+
+
+class WorkloadRunner(_Runner):
+    """Runs an OLTP workload against a system with N closed-loop clients."""
+
+    def run(self, duration: float, setup: bool = True) -> RunResult:
+        """Drive the workload for ``duration`` virtual seconds."""
+        result = self._begin(duration, setup)
+        self.system.env.spawn_all(
+            self._client(random.Random(self.seed + worker * 1009), result)
+            for worker in range(self.nworkers))
+        return self._finish(result)
 
     def _client(self, rng: random.Random, result: RunResult):
         system, workload = self.system, self.workload
@@ -360,7 +375,7 @@ class WorkloadRunner:
                     buckets[bucket] += 1
 
 
-class OpenLoopRunner:
+class OpenLoopRunner(_Runner):
     """Drives open-loop, multi-tenant traffic against one system.
 
     Per-tenant arrival processes (:mod:`repro.workloads.traffic`) drop
@@ -380,76 +395,41 @@ class OpenLoopRunner:
                  nworkers: int = 64, queue_limit: int = 10_000,
                  bucket_seconds: float = 2.0, seed: int = 20110612,
                  sample_interval: float = 1.0):
-        if nworkers < 1:
-            raise ValueError(f"nworkers must be >= 1, got {nworkers}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         if not tenants:
             raise ValueError("need at least one tenant")
-        self.system = system
-        self.workload = workload
+        super().__init__(system, workload, nworkers, bucket_seconds, seed,
+                         sample_interval)
         self.tenants = list(tenants)
-        self.nworkers = nworkers
         self.queue_limit = queue_limit
-        self.bucket_seconds = bucket_seconds
-        self.seed = seed
-        self.sample_interval = sample_interval
-        self._stopped = False
-        self.latencies = LatencyTracker()
-        _publish_latencies(self)
-
-    def stop(self) -> None:
-        """Ask the workers to finish their current transaction and exit."""
-        self._stopped = True
 
     def run(self, duration: float, setup: bool = True) -> RunResult:
         """Offer traffic for ``duration`` virtual seconds."""
-        system, workload = self.system, self.workload
-        self._stopped = False
-        if setup:
-            workload.setup(system)
-            system.start_services()
-        views = []
-        stats: List[TenantStats] = []
-        for spec in self.tenants:
-            if hasattr(workload, "tenant_view"):
-                views.append(workload.tenant_view(spec.name, spec.theta))
-            else:
-                views.append(workload)
-            stats.append(TenantStats(name=spec.name))
-        self.latencies = LatencyTracker()
-        result = RunResult(
-            design=system.design,
-            metric_name=workload.metric_name,
-            duration=duration,
-            bucket_seconds=self.bucket_seconds,
-            metric_window=workload.metric_window,
-            start_time=system.env.now,
-            buckets=[0] * max(1, ceil(duration / self.bucket_seconds - 1e-9)),
-            sampler=Sampler(system, self.sample_interval),
-            latencies=self.latencies,
-            system=system,
+        workload = self.workload
+        stats = [TenantStats(name=spec.name) for spec in self.tenants]
+        result = self._begin(
+            duration, setup,
             tenants={spec.name: st for spec, st in zip(self.tenants, stats)},
-            logical_users=sum(spec.logical_users for spec in self.tenants),
-        )
-        result.sampler.start()
-        queue: Store = Store(system.env)
-        end = system.env.now + duration
+            logical_users=sum(spec.logical_users for spec in self.tenants))
+        views = [workload.tenant_view(spec.name, spec.theta)
+                 if hasattr(workload, "tenant_view") else workload
+                 for spec in self.tenants]
+        env = self.system.env
+        queue: Store = Store(env)
+        end = result.start_time + duration
         # A distinct prime stride per tenant keeps arrival streams
         # independent of the worker rngs (seed + 1009*worker).
-        system.env.spawn_all(
+        env.spawn_all(
             self._arrivals(spec, stats[index], index,
                            random.Random(self.seed + 7919 * (index + 1)),
                            queue, end)
             for index, spec in enumerate(self.tenants))
-        system.env.spawn_all(
+        env.spawn_all(
             self._worker(random.Random(self.seed + worker * 1009), views,
                          stats, queue, result)
             for worker in range(self.nworkers))
-        system.run(until=end)
-        result.sampler.stop()
-        result.capture(system)
-        return result
+        return self._finish(result)
 
     def _arrivals(self, spec, stats: TenantStats, index: int,
                   rng: random.Random, queue: Store, end: float):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.sim import KERNELS, Environment, make_environment
 from repro.storage import HddArray, Ssd
@@ -18,6 +18,7 @@ from repro.engine import (
     WriteAheadLog,
 )
 from repro.engine.checkpoint import FuzzyCheckpointer
+from repro.engine.recovery import RecoveryError, RecoveryManager
 from repro.faults import FaultPlan
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -85,6 +86,8 @@ class System:
         self.telemetry = telemetry or NULL_TELEMETRY
         #: Per-system transaction-id sequence (see :meth:`next_txn_id`).
         self._txn_seq = 0
+        #: Whether :meth:`start_services` ran: :meth:`recover` repeats it.
+        self._services_started = False
         self.telemetry.set_clock(lambda: self.env.now)
         total_pages = config.db_pages + config.slack_pages
         self.data_device = HddArray(self.env, ndisks=config.data_disks)
@@ -154,6 +157,7 @@ class System:
 
     def start_services(self) -> None:
         """Start background services (periodic checkpoints)."""
+        self._services_started = True
         self.checkpointer.start()
 
     def run(self, until: float) -> None:
@@ -161,20 +165,44 @@ class System:
         self.env.run(until=until)
 
     def crash(self) -> None:
-        """Simulated power failure at the current instant.
+        """Simulated power failure at the current instant — the only way
+        volatile state is lost.
 
         Every in-flight process and scheduled event dies with the event
-        queue; each component then resets its volatile state so the same
-        :class:`System` can restart on the same :class:`Environment`
-        (disk/SSD/log *contents* are durable and survive).  Follow with
-        :func:`repro.engine.recovery.simulate_crash_and_recover` to
-        replay the log.
+        queue (a process calling this goes on: its generator is running,
+        not queued); each component then resets its volatile state so
+        the same :class:`System` can restart on the same environment
+        (disk/SSD/log *contents* survive).  Follow with :meth:`recover`.
         """
         self.env.wipe()
-        self.data_device.reset()
-        self.ssd_device.reset()
-        self.wal.device.reset()
-        self.wal.crash_reset()
-        self.bp.crash_reset()
-        self.ssd_manager.crash_reset()
-        self.checkpointer.crash_reset()
+        for device in (self.data_device, self.ssd_device, self.wal.device):
+            device.reset()
+        for component in (self.wal, self.bp, self.ssd_manager,
+                          self.checkpointer):
+            component.crash_reset()
+
+    def recover(self, committed: Optional[Dict[int, int]] = None):
+        """Process step: restart recovery after :meth:`crash`; returns
+        the number of pages redone.
+
+        Redo since the last checkpoint, then the SSD manager's restart
+        rule; if ``committed`` maps page ids to the versions committed
+        before the crash, any loss raises ``RecoveryError``.  Only then
+        do the services :meth:`start_services` had started come back: a
+        checkpoint during redo would truncate the log it is reading.
+        """
+        redone = yield from RecoveryManager(self.env, self.disk, self.wal).redo(
+            self.checkpointer.last_checkpoint_lsn)
+        self.ssd_manager.on_restart()
+        lost = {
+            page_id: (version, self.disk.disk_version(page_id))
+            for page_id, version in (committed or {}).items()
+            if self.disk.disk_version(page_id) < version
+        }
+        if lost:
+            sample = dict(list(lost.items())[:5])
+            raise RecoveryError(
+                f"{len(lost)} committed page versions lost, e.g. {sample}")
+        if self._services_started:
+            self.start_services()
+        return redone

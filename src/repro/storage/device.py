@@ -153,17 +153,18 @@ class Device:
         #: its own.  ``io_requests_total`` reads this.
         self.requests_by_kind = self.stats.by_kind
         self.traffic: Optional[TrafficRecorder] = None
-        self._outstanding = 0
         #: Optional :class:`~repro.faults.injector.FaultInjector`.
         self.faults = None
         self.attach_telemetry(NULL_TELEMETRY)
+        self.reset()  # nothing is in flight
 
     def attach_faults(self, injector) -> None:
         """Bind a fault injector; subsequent I/Os may fail or straggle."""
         self.faults = injector
 
     def reset(self) -> None:
-        """Forget in-flight work (simulated power failure).
+        """Forget in-flight work: the state of a new device, and of one
+        after a simulated power failure.
 
         The event queue holding the service timers is wiped separately
         by :meth:`~repro.sim.environment.Environment.wipe`; this clears

@@ -81,21 +81,11 @@ class HddArray(Device):
                  name: str = "hdd-array"):
         if ndisks < 1:
             raise ValueError(f"ndisks must be >= 1, got {ndisks}")
-        # The base's array-wide ``channels`` stay idle: a drive queues alone.
-        super().__init__(env, name, channels=ndisks)
         self.ndisks = ndisks
         self.stripe_pages = stripe_pages
-        self._drives = [ChannelPool(1) for _ in range(ndisks)]
-        # Per-drive head position: the page address just past the last
-        # fragment each drive served.  Seek cost is *positional*: a
-        # request pays the seek iff it is not near the head, whatever its
-        # random/sequential tag says.  This is what makes concurrent
-        # streams interleaving on one drive lose sequential bandwidth —
-        # an effect the paper's TPC-H throughput test depends on.
-        # Heads start parked far away so a drive's first I/O pays a seek.
-        self._head: List[int] = [-(1 << 30)] * ndisks
-        #: Every request between ``submit`` and its completion.
-        self._inflight: Set[_Striped] = set()
+        # The base's array-wide ``channels`` stay idle: a drive queues
+        # alone.  (The base constructor ends in :meth:`reset`.)
+        super().__init__(env, name, channels=ndisks)
         self.requests_by_kind = {kind: 0 for kind in IoKind}
 
     @property
@@ -138,8 +128,16 @@ class HddArray(Device):
     def reset(self) -> None:
         super().reset()
         self._drives = [ChannelPool(1) for _ in range(self.ndisks)]
-        self._head = [-(1 << 30)] * self.ndisks
-        self._inflight = set()
+        # Per-drive head position: the page address just past the last
+        # fragment each drive served.  Seek cost is *positional*: a
+        # request pays the seek iff it is not near the head, whatever its
+        # random/sequential tag says.  This is what makes concurrent
+        # streams interleaving on one drive lose sequential bandwidth —
+        # an effect the paper's TPC-H throughput test depends on.
+        # Heads start parked far away so a drive's first I/O pays a seek.
+        self._head: List[int] = [-(1 << 30)] * self.ndisks
+        #: Every request between ``submit`` and its completion.
+        self._inflight: Set[_Striped] = set()
 
     def check_invariants(self) -> None:
         """Assert the drives hold the pending requests' unserved fragments."""

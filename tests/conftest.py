@@ -102,6 +102,12 @@ class MiniSystem:
         self.checkpointer = Checkpointer(self.env, self.bp, self.wal)
         self.db = Database(db_pages)
 
+    # The one crash and the one recovery: it has every attribute they
+    # touch (no services to start again).
+    _services_started = False
+    crash = System.crash
+    recover = System.recover
+
     def churn(self, accesses=2_000, write_fraction=0.33, span=None, seed=7,
               workers=8):
         """Run a uniform random read/write mix to exercise the stack."""

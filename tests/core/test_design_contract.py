@@ -178,6 +178,5 @@ def test_background_cleaning_resumes_after_a_crash(design):
 
     cleans = design not in ("ROT", "EXCL")
     assert drains(0, version=1) is cleans
-    system.crash()
     drive(env, simulate_crash_and_recover(env, system))
     assert drains(200, version=2) is cleans

@@ -8,6 +8,7 @@ the on-flash journal replays into a warm mapping after a crash.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core import DESIGNS
 from repro.core.ls import LogStructuredManager
 from repro.storage import IoKind
 from repro.engine.page import Frame
+from repro.engine.recovery import simulate_crash_and_recover
 from repro.faults.errors import RETRY_LIMIT
 from tests.conftest import MiniSystem, drive, settle
 from tests.core.test_ssd_manager import ScriptedFaults
@@ -324,7 +326,7 @@ class TestCrashReplay:
         manager = system.ssd_manager
         before = {r.page_id: (r.version, r.dirty)
                   for r in manager.table.occupied_records() if r.valid}
-        crash(system)  # on_crash replays the journal
+        crash(system)  # replays the journal
         after = {r.page_id: (r.version, r.dirty)
                  for r in manager.table.occupied_records() if r.valid}
         # Every live entry comes back; entries that were only *logically*
@@ -332,13 +334,27 @@ class TestCrashReplay:
         # on_restart weeds those out against the redone disk.
         assert before.items() <= after.items()
 
+    def test_one_crash_replays_the_journal_once(self):
+        system = self._crashed_system()
+        manager = system.ssd_manager
+        instants = []
+        manager._tracer = SimpleNamespace(
+            enabled=True,
+            instant=lambda name, *rest: instants.append((name, rest[-1])))
+        entries = len(manager._journal)
+        assert entries > 0
+        drive(system.env, simulate_crash_and_recover(system.env, system))
+        assert manager.replays == entries == len(manager._journal)
+        assert instants == [("ls_log_replay", {"entries": entries})]
+
     def test_on_crash_is_idempotent(self):
+        """A second crash replays the same mapping."""
         system = self._crashed_system()
         manager = system.ssd_manager
         crash(system)
         once = {r.page_id: r.version
                 for r in manager.table.occupied_records() if r.valid}
-        manager.on_crash()
+        crash(system)
         twice = {r.page_id: r.version
                  for r in manager.table.occupied_records() if r.valid}
         assert twice == once
@@ -347,7 +363,7 @@ class TestCrashReplay:
         system = self._crashed_system()
         manager = system.ssd_manager
         crash(system)
-        manager.on_restart(0)
+        manager.on_restart()
         assert manager.dirty_frames == 0
         for record in manager.table.occupied_records():
             if record.valid:

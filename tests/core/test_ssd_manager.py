@@ -135,7 +135,7 @@ class TestTrimPlan:
 class TestCrashRestart:
     def test_cold_crash_clears_table(self, dw):
         cached(dw, 1)
-        dw.ssd_manager.on_crash()
+        dw.ssd_manager.crash_reset()
         assert dw.ssd_manager.used_frames == 0
 
     def test_warm_crash_keeps_clean_drops_dirty(self):
@@ -143,7 +143,7 @@ class TestCrashRestart:
                           ssd_frames=16, warm_restart=True)
         cached(sys_, 1, version=0, dirty=False)
         cached(sys_, 2, version=4, dirty=True)
-        sys_.ssd_manager.on_crash()
+        sys_.ssd_manager.crash_reset()
         assert sys_.ssd_manager.contains_valid(1)
         assert not sys_.ssd_manager.contains_valid(2)
 
@@ -153,8 +153,8 @@ class TestCrashRestart:
         cached(sys_, 1, version=0)
         # Redo advanced the disk past the SSD copy.
         sys_.disk._persist(1, 7)
-        sys_.ssd_manager.on_crash()
-        sys_.ssd_manager.on_restart(last_checkpoint_lsn=0)
+        sys_.ssd_manager.crash_reset()
+        sys_.ssd_manager.on_restart()
         assert not sys_.ssd_manager.contains_valid(1)
 
 

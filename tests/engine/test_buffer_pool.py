@@ -236,6 +236,6 @@ class TestNewPage:
 class TestDropAll:
     def test_drop_all_clears_state(self, sys_):
         sys_.churn(accesses=200, span=500)
-        sys_.bp.drop_all()
+        sys_.bp.crash_reset()
         assert not sys_.bp.frames
         assert sys_.bp.used == 0

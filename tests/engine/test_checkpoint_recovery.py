@@ -139,7 +139,7 @@ class TestRecovery:
             # No force: the update is not durable.
 
         drive(system.env, worker())
-        system.bp.drop_all()
+        system.bp.crash_reset()
         recovery = RecoveryManager(system.env, system.disk, system.wal)
         drive(system.env, recovery.redo(-1))
         assert system.disk.disk_version(1) == 0

@@ -60,14 +60,12 @@ class TestCrashPointSweep:
 
 
 class TestCrashUnderLoad:
-    @pytest.mark.xfail(strict=True, reason=(
-        "simulate_crash_and_recover drops the pool and the mapping but "
-        "leaves the clients running: they commit into the recovering "
-        "system and the oracle reports their pages as lost"))
     def test_crash_and_recover_while_clients_run_loses_nothing(self):
         """No ``stop()`` first, no ``System.crash()`` first: the crash is
         whatever ``simulate_crash_and_recover`` does, issued while eight
-        update clients are mid-transaction."""
+        update clients are mid-transaction.  (While that left the
+        clients running they committed into the recovering system, and
+        the oracle reported their pages as lost.)"""
         system = System(SystemConfig(
             design="LS", db_pages=400, bp_pages=80, slack_pages=64,
             ssd=SsdDesignConfig(ssd_frames=560)))
@@ -83,6 +81,46 @@ class TestCrashUnderLoad:
             simulate_crash_and_recover(env, system, committed)))
         assert redone > 0
         system.ssd_manager.check_invariants()
+
+    def test_periodic_checkpoints_resume_after_recovery(self):
+        """The checkpointer dies with the event queue like everything
+        else; ``recover()`` starts again what ``start_services()`` had
+        started, once redo is done with the log."""
+        system = System(SystemConfig(
+            design="LC", db_pages=400, bp_pages=80, slack_pages=64,
+            ssd=SsdDesignConfig(ssd_frames=560), checkpoint_interval=0.5))
+        env = system.env
+        system.start_services()
+        committed = {}
+
+        def clients(tag):
+            env.spawn_all(
+                _update_client(env, system, random.Random(f"{tag}:{worker}"),
+                               committed, 400)
+                for worker in range(4))
+
+        clients("before")
+        env.run(until=1.2)
+        taken = system.checkpointer.checkpoints_taken
+        started = system.checkpointer.checkpoints_started
+        assert taken >= 1
+        system.crash()
+        redo = env.process(system.recover(committed))
+        env.run(redo)
+        # Not during redo: the log it reads must not be cut under it.
+        assert system.checkpointer.checkpoints_started == started
+        clients("after")
+        env.run(until=env.now + 2.0)
+        assert system.checkpointer.checkpoints_taken >= taken + 2
+
+    def test_services_never_started_stay_off_after_recovery(self):
+        system = System(SystemConfig(
+            design="DW", db_pages=400, bp_pages=80, slack_pages=64,
+            ssd=SsdDesignConfig(ssd_frames=560), checkpoint_interval=0.5))
+        env = system.env
+        env.run(env.process(simulate_crash_and_recover(env, system)))
+        env.run(until=env.now + 2.0)
+        assert system.checkpointer.checkpoints_started == 0
 
 
 class TestSweepTable:

@@ -222,7 +222,7 @@ def _tpce_crash(design, warm_restart=False, staged=False):
                 env.run(until=env.now + 0.0005)
             assert len(system.ssd_manager._pending_batches) > 0
         system.crash()
-        redone = env.run(env.process(simulate_crash_and_recover(env, system)))
+        redone = env.run(env.process(system.recover()))
         assert redone > 0
         system.ssd_manager.check_invariants()
         return system
@@ -483,7 +483,7 @@ def test_a_restarted_system_replaces_the_same_frames(design):
     system, committed = _quiesced(design)
     env = system.env
     system.crash()
-    env.run(env.process(simulate_crash_and_recover(env, system, committed)))
+    env.run(env.process(system.recover(committed)))
     kept = system.ssd_manager.used_frames
     assert kept > 0
     _update_phase(system, committed, 3)

@@ -144,9 +144,10 @@ class GeneratorHddArray(Device):
                  name: str = "hdd-array"):
         if ndisks < 1:
             raise ValueError(f"ndisks must be >= 1, got {ndisks}")
-        super().__init__(env, name, channels=ndisks)
+        # Before the base constructor: it ends in ``reset()``.
         self.ndisks = ndisks
         self.stripe_pages = stripe_pages
+        super().__init__(env, name, channels=ndisks)
         self._disks: List[Resource] = [Resource(env, 1) for _ in range(ndisks)]
         # Per-drive head position: the page address just past the last
         # fragment each drive served.  Seek cost is *positional*: a
