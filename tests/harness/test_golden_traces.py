@@ -341,9 +341,13 @@ WRITE_BACK = {
         ("4ac7332d0ee19e1fec0b933e4156e94f",
          "84185955c17c875fca45953ff3c17543"),
         ("evictions",)),
+    # Trace re-pinned (was 50cdcc50…): LS replayed its journal twice per
+    # crash — once from ``crash_reset``, once more from the recovery
+    # step — and emitted two ``ls_log_replay`` instants (467 entries
+    # each, ``replays`` 934); less the second one the trace is the old.
     "crash-LS": (
         _tpce_crash("LS"),
-        ("50cdcc5018766a53b02a17c898747bf8",
+        ("82ee90be05bbecd7346b54c3e5cb1077",
          "3fe93f045e53625fcd1c277251baa982"),
         ("evictions",)),
     # Re-pinned with their checkpointed rows (eeeb7b6d…, f63c5b8c…).
@@ -366,9 +370,11 @@ WRITE_BACK = {
         _tpce_crash("DW", warm_restart=True),
         ("ad095679990abe6d7f1631ee1afbfc4a", "d04e28f76cc6eae42cfc8f7d522d412a"),
         ("evictions", "invalidations")),
+    # Trace re-pinned with crash-LS (was 85e34d74…): the same second
+    # ``ls_log_replay`` instant (473 entries), and nothing else.
     "crash-LS-staged": (
         _tpce_crash("LS", staged=True),
-        ("85e34d7427406b15be8126d083d106ec", "c0721eb8d93e83549aa5dacbef47bc55"),
+        ("1cb5591362adfda5209f3f3be1f15814", "c0721eb8d93e83549aa5dacbef47bc55"),
         ("evictions", "cleaner_ios")),
     "throttled-LC": (
         _throttled("LC"),
