@@ -657,7 +657,7 @@ class LogStructuredManager(SsdManagerBase):
         clean cache hit — LS's free warm restart.
         """
         SsdManagerBase._clear_ssd_state(self)   # the journal stays
-        if self.detached or self.config.ssd_frames == 0:
+        if self.detached:  # even mid-detach: a dead SSD replays nothing
             return
         for frame_no, entry in sorted(self._journal.items(),
                                       key=lambda item: item[1][4]):
