@@ -228,7 +228,8 @@ class LogStructuredManager(SsdManagerBase):
             if self.detached or self._free_slots < npages:
                 return
             frames = self._install_entries(batch)
-            ok = yield from self._write_frame_runs(frames)
+            ok = yield from self._run_io(frames, self.device.write,
+                                         EVICTION_CTX)
             if ok:
                 batch.ok = True
                 self.batches += 1
@@ -323,15 +324,16 @@ class LogStructuredManager(SsdManagerBase):
                        for offset in range(0, count, chunk)]
         return pieces
 
-    def _write_frame_runs(self,
-                          frames: List[int]) -> Generator[object, Any, bool]:
-        """Process step: sequential device writes over claimed frames.
-        Claims are contiguous within a segment; a batch that crossed
-        into a fresh segment writes (at most) two runs, each striped
-        over the channels and issued concurrently."""
+    def _run_io(self, frames: Iterable[int], submit: Callable[..., Any],
+                ctx: Any, must: bool = False) -> Generator[object, Any, bool]:
+        """Process step: one sequential device I/O (``submit`` is the
+        device's ``read`` or ``write``) per striped run of ascending
+        ``frames``, issued concurrently; True if every one landed.
+        Claims are contiguous within a segment, so a batch that crossed
+        into a fresh segment is (at most) two runs."""
         results = yield self.env.gather(self._ssd_io(
-            lambda address=address, count=count: self.device.write(
-                address, count, random=False, ctx=EVICTION_CTX))
+            lambda address=address, count=count: submit(
+                address, count, random=False, ctx=ctx), must)
             for address, count in self._striped_runs(frames))
         return all(results)
 
@@ -517,7 +519,11 @@ class LogStructuredManager(SsdManagerBase):
         if self.detached:
             return
         if keep:
-            ok = yield from self._read_live_runs(keep)
+            # *Must* reads: a survivor may hold the only newest copy of
+            # its page, and giving up would strand it.  Only device death
+            # fails the read, and then the detach redo takes over.
+            ok = yield from self._run_io(sorted(keep), self.device.read,
+                                         CLEANER_CTX, must=True)
             if not ok or self.detached:
                 return
         # Capture survivors *after* the last yield: an entry may have
@@ -548,7 +554,8 @@ class LogStructuredManager(SsdManagerBase):
                 # recency so the next cleaning pass ranks it honestly.
                 record.last_access = last_access
                 new_frames.append(record.frame_no)
-            ok = yield from self._write_frame_runs(new_frames)
+            ok = yield from self._run_io(new_frames, self.device.write,
+                                         EVICTION_CTX)
             if ok:
                 relocated = len(survivors)
                 self.relocations += relocated
@@ -562,18 +569,6 @@ class LogStructuredManager(SsdManagerBase):
                 {"segment": victim, "segment_start": start, "pages": size,
                  "dirty_flushed": flushed, "valid_dropped": dropped,
                  "relocated": relocated})
-
-    def _read_live_runs(self,
-                        keep: Set[int]) -> Generator[object, Any, bool]:
-        """Process step: sequentially read a victim's surviving frames.
-        These are *must* reads: a survivor may hold the only newest
-        copy of its page, and giving up would strand it.  Only device
-        death fails the read, and then the detach redo takes over."""
-        results = yield self.env.gather(self._ssd_io(
-            lambda address=address, count=count: self.device.read(
-                address, count, random=False, ctx=CLEANER_CTX),
-            must=True) for address, count in self._striped_runs(sorted(keep)))
-        return all(results)
 
     # ------------------------------------------------------------------
     # Checkpoint integration (§3.2, same rule as LC)

@@ -37,13 +37,7 @@ from __future__ import annotations
 from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
                     Optional, Sequence)
 
-from repro.faults.errors import (
-    RETRY_BASE_DELAY,
-    RETRY_LIMIT,
-    RETRY_MAX_DELAY,
-    DeviceDeadError,
-    IoFault,
-)
+from repro.faults.errors import DeviceDeadError, IoFault, retry_io
 from repro.sim import Environment
 from repro.core.admission import AdmissionPolicy
 from repro.core.config import SsdDesignConfig
@@ -329,42 +323,41 @@ class SsdManagerBase:
 
     def _ssd_io(self, submit, must: bool = False,
                 fault: Optional[IoFault] = None):
-        """Process step: one SSD I/O with bounded retry + backoff.
+        """Process step: one SSD I/O, retried as :func:`~repro.faults
+        .errors.retry_io` says.
 
         ``submit`` is a zero-argument callable returning a fresh device
         event; ``fault`` is what a first attempt the caller already made
         failed with.  Returns True on success, and says why it gave up:
         None when the device died, False when an optional I/O
         (``must=False``) ran out of retries.  A *must* I/O guards the
-        only newest copy of a page: it retries transients without bound
-        (capped backoff) because falling back to disk would surface
-        stale data; only device death stops it, and then degradation
-        redo restores the page from the log.
+        only newest copy of a page: it never gives up on transients,
+        because falling back to disk would surface stale data; only
+        device death stops it, and then degradation redo restores the
+        page from the log.
         """
-        delay = RETRY_BASE_DELAY
-        attempt = 0
-        while True:
-            if fault is None:
-                try:
-                    yield submit()
-                    return True
-                except IoFault as failure:
-                    fault = failure
-            if isinstance(fault, DeviceDeadError):
-                self._note_device_dead()
-                return None
-            fault = None
-            self.stats.io_retries += 1
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    "io_retry", "fault", "faults",
-                    {"device": self.device.name, "attempt": attempt + 1})
-            if not must and attempt >= RETRY_LIMIT:
-                self.stats.io_failures += 1
-                return False
-            attempt += 1
-            yield self.env.timeout(delay)
-            delay = min(delay * 2, RETRY_MAX_DELAY)
+        if fault is None:
+            try:
+                yield submit()
+                return True
+            except IoFault as failure:
+                fault = failure
+        fault = yield from retry_io(self.env, fault, submit, must,
+                                    self._note_retry)
+        if fault is None:
+            return True
+        if isinstance(fault, DeviceDeadError):
+            self._note_device_dead()
+            return None
+        self.stats.io_failures += 1
+        return False
+
+    def _note_retry(self, attempt: int) -> None:
+        self.stats.io_retries += 1
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "io_retry", "fault", "faults",
+                {"device": self.device.name, "attempt": attempt})
 
     def _ssd_read_frame(self, frame_no: int, must: bool = False, ctx=None):
         """Process step: read one SSD frame; True on success, else as

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.faults.errors import (
-    RETRY_BASE_DELAY,
-    RETRY_LIMIT,
-    DeviceDeadError,
-    IoFault,
-)
+from repro.faults.errors import IoFault, retry_io
 from repro.sim import Environment
 from repro.storage.hdd import HddArray
 from repro.storage.request import IoKind, IORequest
@@ -61,33 +56,25 @@ class DiskManager:
     # I/O
     # ------------------------------------------------------------------
 
-    def _submit(self, request: IORequest):
-        """Process step: submit with bounded retry + exponential backoff.
+    def _retry(self, request: IORequest, fault: IoFault):
+        """Process step: ``request`` failed with ``fault``; submit it
+        again as :func:`~repro.faults.errors.retry_io` says.
 
-        Transient faults are retried up to ``RETRY_LIMIT`` times; a dead
-        device (or an exhausted budget) re-raises to the caller — the
+        A dead device (or a spent budget) re-raises to the caller — the
         data volume has no fallback, so that is a hard error.
         """
-        delay = RETRY_BASE_DELAY
-        attempt = 0
-        while True:
-            try:
-                yield self.device.submit(request)
-                return
-            except DeviceDeadError:
-                raise
-            except IoFault:
-                self.retries += 1
-                if self._tracer.enabled:
-                    self._tracer.instant(
-                        "io_retry", "fault", "faults",
-                        {"device": self.device.name, "attempt": attempt + 1,
-                         "address": request.address})
-                if attempt >= RETRY_LIMIT:
-                    raise
-                attempt += 1
-                yield self.env.timeout(delay)
-                delay *= 2
+        def note(attempt: int) -> None:
+            self.retries += 1
+            if self._tracer.enabled:
+                self._tracer.instant(
+                    "io_retry", "fault", "faults",
+                    {"device": self.device.name, "attempt": attempt,
+                     "address": request.address})
+
+        fault = yield from retry_io(
+            self.env, fault, lambda: self.device.submit(request), False, note)
+        if fault is not None:
+            raise fault
 
     def read(self, page_id: int, npages: int = 1, sequential: bool = False,
              ctx=None):
@@ -98,7 +85,11 @@ class DiskManager:
         self._check_range(page_id, npages)
         kind = IoKind.SEQUENTIAL_READ if sequential else IoKind.RANDOM_READ
         self.reads_issued += 1
-        yield from self._submit(IORequest(kind, page_id, npages, ctx=ctx))
+        request = IORequest(kind, page_id, npages, ctx=ctx)
+        try:
+            yield self.device.submit(request)
+        except IoFault as fault:
+            yield from self._retry(request, fault)
         return [self.disk_version(page_id + i) for i in range(npages)]
 
     def write(self, page_id: int, version: int, sequential: bool = False,
@@ -107,7 +98,11 @@ class DiskManager:
         self._check_range(page_id, 1)
         kind = IoKind.SEQUENTIAL_WRITE if sequential else IoKind.RANDOM_WRITE
         self.writes_issued += 1
-        yield from self._submit(IORequest(kind, page_id, 1, ctx=ctx))
+        request = IORequest(kind, page_id, 1, ctx=ctx)
+        try:
+            yield self.device.submit(request)
+        except IoFault as fault:
+            yield from self._retry(request, fault)
         self._persist(page_id, version)
 
     def write_run(self, page_id: int, versions: List[int], ctx=None):
@@ -120,8 +115,11 @@ class DiskManager:
         self.writes_issued += 1
         kind = (IoKind.SEQUENTIAL_WRITE if len(versions) > 1
                 else IoKind.RANDOM_WRITE)
-        yield from self._submit(IORequest(kind, page_id, len(versions),
-                                          ctx=ctx))
+        request = IORequest(kind, page_id, len(versions), ctx=ctx)
+        try:
+            yield self.device.submit(request)
+        except IoFault as fault:
+            yield from self._retry(request, fault)
         for offset, version in enumerate(versions):
             self._persist(page_id + offset, version)
 

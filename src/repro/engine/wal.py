@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.faults.errors import (
-    RETRY_BASE_DELAY,
-    RETRY_LIMIT,
-    DeviceDeadError,
-    IoFault,
-)
+from repro.faults.errors import IoFault, retry_io
 from repro.sim import Environment, Event
 from repro.storage.hdd import HddArray
 from repro.storage.request import IoKind, IORequest
@@ -145,7 +140,10 @@ class WriteAheadLog:
                                 npages)
             self._write_head += npages
             flush_started = self.env.now
-            yield from self._flush_with_retry(request)
+            try:
+                yield self.device.submit(request)
+            except IoFault as fault:
+                yield from self._retry_flush(request, fault)
             self.flushes += 1
             self.pages_flushed += npages
             if self._tracer.enabled:
@@ -156,33 +154,30 @@ class WriteAheadLog:
             self._flushing.succeed()
         self._flusher_running = False
 
-    def _flush_with_retry(self, request: IORequest):
-        """Process step: one log write with bounded retry + backoff.
+    def _retry_flush(self, request: IORequest, fault: IoFault):
+        """Process step: the log write failed with ``fault``; submit it
+        again as :func:`~repro.faults.errors.retry_io` says.
 
-        A dead log device (or an exhausted retry budget) re-raises: with
-        the log gone no transaction can commit durably, so the flusher —
-        and every forcer waiting on it — must fail loudly rather than
-        pretend records became durable.
+        A dead log device (or a spent budget) re-raises: with the log
+        gone no transaction can commit durably, so the flusher — and
+        every forcer this flush covered — must fail loudly rather than
+        pretend records became durable.  The records stay in the tail:
+        a later force starts a fresh flusher for them.
         """
-        delay = RETRY_BASE_DELAY
-        attempt = 0
-        while True:
-            try:
-                yield self.device.submit(request)
-                return
-            except DeviceDeadError:
-                raise
-            except IoFault:
-                self.flush_retries += 1
-                if self._tracer.enabled:
-                    self._tracer.instant(
-                        "io_retry", "fault", "faults",
-                        {"device": self.device.name, "attempt": attempt + 1})
-                if attempt >= RETRY_LIMIT:
-                    raise
-                attempt += 1
-                yield self.env.timeout(delay)
-                delay *= 2
+        def note(attempt: int) -> None:
+            self.flush_retries += 1
+            if self._tracer.enabled:
+                self._tracer.instant(
+                    "io_retry", "fault", "faults",
+                    {"device": self.device.name, "attempt": attempt})
+
+        fault = yield from retry_io(
+            self.env, fault, lambda: self.device.submit(request), False, note)
+        if fault is not None:
+            self._flushing.fail(fault)
+            self._flushing_lsn = self.flushed_lsn
+            self._flusher_running = False
+            raise fault
 
     def crash_reset(self) -> None:
         """Volatile flush state is lost in a crash.

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Set,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
+                    Set, Tuple)
 
 from repro.faults.injector import FaultInjector
 
 if TYPE_CHECKING:
     from repro.harness.system import System
+    from repro.sim import Environment
 
 #: Known fault kinds and the parameters each accepts.
 _KINDS: Dict[str, Set[str]] = {
@@ -172,65 +173,47 @@ class FaultPlan:
                     inj = injector(role)
                     inj.latency_p = max(inj.latency_p, spec.p)
                     inj.latency_factor = spec.factor
-            elif spec.kind == "ssd_die":
+            else:  # the timed kinds
                 assert spec.at is not None  # enforced by _parse_clause
-                env.spawn(self._die_at(system, injector("ssd"), spec.at))
-            elif spec.kind == "gc_stall":
-                env.spawn(self._gc_stall_at(system, injector("ssd"), spec))
-            elif spec.kind == "ssd_chan_die":
-                env.spawn(self._chan_die_at(system, injector("ssd"), spec))
-            else:  # *_stall
-                env.spawn(self._stall_at(injector(spec.device), spec))
+                env.spawn(self._at(env, spec.at, self._act(
+                    system, spec, injector(spec.device))))
         return self.injectors
 
     @staticmethod
-    def _die_at(system: "System", injector: FaultInjector,
-                at: float) -> Generator[object, object, None]:
-        env = injector.env
+    def _at(env: "Environment", at: float,
+            act: Callable[[], None]) -> Generator[object, object, None]:
+        """Process step: at ``at`` — now, if that is past — ``act()``."""
         if at > env.now:
             yield env.timeout(at - env.now)
-        injector.kill()
-        # Degradation is the SSD manager's job: detach and continue (or,
-        # for LC, redo the dirty SSD pages from the log first).
-        env.spawn(system.ssd_manager.detach())
+        act()
 
     @staticmethod
-    def _stall_at(injector: FaultInjector,
-                  spec: FaultSpec) -> Generator[object, object, None]:
-        env = injector.env
-        at = spec.at
-        assert at is not None  # enforced by _parse_clause
-        if at > env.now:
-            yield env.timeout(at - env.now)
-        injector.stall(spec.duration)
+    def _act(system: "System", spec: FaultSpec,
+             injector: FaultInjector) -> Callable[[], None]:
+        """What the timed clause ``spec`` does when its time comes."""
 
-    @staticmethod
-    def _gc_stall_at(system: "System", injector: FaultInjector,
-                     spec: FaultSpec) -> Generator[object, object, None]:
-        """A garbage-collection storm: the device freezes while the FTL
-        erases a burst of blocks (forced GC when the model is attached;
-        a plain stall otherwise)."""
-        env = injector.env
-        at = spec.at
-        assert at is not None  # enforced by _parse_clause
-        if at > env.now:
-            yield env.timeout(at - env.now)
-        ftl = getattr(system.ssd_device, "ftl", None)
-        if ftl is not None:
-            ftl.force_gc()
-        injector.stall(spec.duration)
-
-    @staticmethod
-    def _chan_die_at(system: "System", injector: FaultInjector,
-                     spec: FaultSpec) -> Generator[object, object, None]:
-        """Partial-failure mode: ``n`` of the SSD's channels die, slowing
-        the survivors; losing every channel degenerates to ``ssd_die``."""
-        env = injector.env
-        at = spec.at
-        assert at is not None  # enforced by _parse_clause
-        if at > env.now:
-            yield env.timeout(at - env.now)
-        alive = system.ssd_device.fail_channels(spec.count)
-        if alive == 0:
+        def die() -> None:
             injector.kill()
-            env.spawn(system.ssd_manager.detach())
+            # Degradation is the SSD manager's job: detach and continue
+            # (or, for LC, redo the dirty SSD pages from the log first).
+            system.env.spawn(system.ssd_manager.detach())
+
+        def stall() -> None:
+            injector.stall(spec.duration)
+
+        def gc_stall() -> None:
+            # A garbage-collection storm: the device freezes while the
+            # FTL erases a burst of blocks (forced GC when the model is
+            # attached; a plain stall otherwise).
+            if system.ssd_device.ftl is not None:
+                system.ssd_device.ftl.force_gc()
+            stall()
+
+        def chan_die() -> None:
+            # Partial failure: ``n`` channels die, slowing the
+            # survivors; losing every channel *is* ``ssd_die``.
+            if system.ssd_device.fail_channels(spec.count) == 0:
+                die()
+
+        return {"ssd_die": die, "gc_stall": gc_stall,
+                "ssd_chan_die": chan_die}.get(spec.kind, stall)

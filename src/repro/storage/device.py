@@ -1,10 +1,10 @@
-"""Base class for simulated storage devices.
+"""Base classes for simulated storage devices.
 
-A device is a set of independent *channels* (servers) fed from a FIFO
-queue.  Submitting an :class:`~repro.storage.request.IORequest` returns an
-event that triggers when the transfer finishes; the elapsed virtual time is
+Submitting an :class:`~repro.storage.request.IORequest` returns an event
+that triggers when the transfer finishes; the elapsed virtual time is
 ``queueing + service``, with the service time given by each device's
-:meth:`Device.service_time` model.
+``service_time`` model.  :class:`Device` is a set of independent
+*channels* (servers) fed from a FIFO queue.
 """
 
 from __future__ import annotations
@@ -126,27 +126,19 @@ class ChannelPool:
         return self.busy + len(self.waiting)
 
 
-class Device:
-    """A queueing-server model of a storage device.
+class DeviceBase:
+    """What a device is apart from its queues: a name, its counters,
+    and the three places an I/O meets the fault injector (:meth:`submit`,
+    :meth:`_stall`, :meth:`_outcome`; DESIGN.md §8).  A subclass says how
+    a request waits and is served, and ends its constructor in its
+    ``reset()``."""
 
-    Subclasses define the channel count and override
-    :meth:`service_time`.  The in-flight I/O count (queued + in service)
-    is exposed because the SSD throttle-control optimization (paper §3.3.2)
-    monitors the SSD queue length.
+    __slots__ = ("env", "name", "stats", "traffic", "faults", "telemetry",
+                 "_tracer", "_trace_track", "requests_by_kind")
 
-    An I/O costs two scheduled events and no process (DESIGN.md §13):
-    the service timer, whose callback does the completion bookkeeping,
-    and the ``done`` event that callback then triggers.
-    """
-
-    __slots__ = ("env", "name", "channels", "stats", "traffic",
-                 "_outstanding", "faults", "telemetry", "_tracer",
-                 "_trace_track", "requests_by_kind")
-
-    def __init__(self, env: Environment, name: str, channels: int):
+    def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self.channels = ChannelPool(channels)
         self.stats = DeviceStats()
         #: Whole requests completed, by kind: here exactly what ``stats``
         #: records; a striped array, whose ``stats`` see fragments, keeps
@@ -156,30 +148,10 @@ class Device:
         #: Optional :class:`~repro.faults.injector.FaultInjector`.
         self.faults = None
         self.attach_telemetry(NULL_TELEMETRY)
-        self.reset()  # nothing is in flight
 
     def attach_faults(self, injector) -> None:
         """Bind a fault injector; subsequent I/Os may fail or straggle."""
         self.faults = injector
-
-    def reset(self) -> None:
-        """Forget in-flight work: the state of a new device, and of one
-        after a simulated power failure.
-
-        The event queue holding the service timers is wiped separately
-        by :meth:`~repro.sim.environment.Environment.wipe`; this clears
-        the device-side bookkeeping their callbacks would have unwound.
-        """
-        self.channels = ChannelPool(self.channels.capacity)
-        self._outstanding = 0
-
-    def check_invariants(self) -> None:
-        """Assert that :attr:`pending` is what the channels hold (plus,
-        with an injector attached, requests on a hop towards them)."""
-        held = self.channels.check()
-        assert held <= self.pending and (
-            self.faults is not None or held == self.pending), (
-            f"{self.name}: pending {self.pending}, channels hold {held}")
 
     def attach_telemetry(self, telemetry) -> None:
         """Bind a telemetry sink and publish this device's counts."""
@@ -209,7 +181,7 @@ class Device:
     def pending(self) -> int:
         """I/Os submitted but not yet completed (the queue length the
         SSD throttle-control optimization monitors, §3.3.2)."""
-        return self._outstanding
+        raise NotImplementedError
 
     def attach_traffic_recorder(self, bucket_seconds: float) -> TrafficRecorder:
         """Start recording time-bucketed traffic; returns the recorder."""
@@ -224,17 +196,36 @@ class Device:
         """Submit a request; the returned event triggers on completion
         (or *fails* with an :class:`~repro.faults.errors.IoFault` when a
         fault injector rejects or aborts the I/O)."""
-        env = self.env
-        request.submitted_at = env._now
-        done = Event(env)
+        request.submitted_at = self.env._now
         if self.faults is not None:
             error = self.faults.on_submit(request)
-            if error is not None:
-                done.fail(error)
-                return done
-        self._outstanding += 1
-        self._hop(self._arrive, (request, done))
-        return done
+            if error is not None:  # refused: nothing enters the device
+                return Event(self.env).fail(error)
+        return self._enter(request)
+
+    def _enter(self, request: IORequest) -> Event:
+        """Take an accepted request in; returns its completion event."""
+        raise NotImplementedError
+
+    def _stall(self, request: IORequest, service: float) -> float:
+        """As service starts: the virtual seconds the injector holds
+        ``request`` back (stall windows, latency spikes)."""
+        if self.faults is None:
+            return 0.0
+        return self.faults.pre_service_delay(request, service)
+
+    def _outcome(self, request: IORequest) -> Optional[Exception]:
+        """As the transfer ends: the fault to report instead of success,
+        else None — and the request is stamped, its I/O span emitted."""
+        failure = (self.faults.on_complete(request)
+                   if self.faults is not None else None)
+        if failure is None:
+            request.completed_at = now = self.env._now
+            if self._tracer.enabled:
+                self._tracer.complete(KIND_LABELS[request.kind],
+                                      request.submitted_at, now, "io",
+                                      self._trace_track, ctx=request.ctx)
+        return failure
 
     def _hop(self, step: Callable[[Any], None], job: Any) -> None:
         """Run ``step(job)``: at once, or — with a fault injector
@@ -246,6 +237,65 @@ class Device:
             step(job)
         else:
             Timeout(self.env, 0.0).callbacks.append(lambda _hop: step(job))
+
+    def read(self, address: int, npages: int = 1, random: bool = True,
+             ctx=None) -> Event:
+        """Convenience wrapper building and submitting a read request."""
+        kind = IoKind.of("read", random)
+        return self.submit(IORequest(kind, address, npages, ctx=ctx))
+
+    def write(self, address: int, npages: int = 1, random: bool = True,
+              ctx=None) -> Event:
+        """Convenience wrapper building and submitting a write request."""
+        kind = IoKind.of("write", random)
+        return self.submit(IORequest(kind, address, npages, ctx=ctx))
+
+
+class Device(DeviceBase):
+    """A queueing-server model of a storage device: a set of channels
+    fed from one FIFO.  Subclasses define the channel count and override
+    :meth:`service_time`.
+
+    An I/O costs two scheduled events and no process (DESIGN.md §13):
+    the service timer, whose callback does the completion bookkeeping,
+    and the ``done`` event that callback then triggers.
+    """
+
+    __slots__ = ("channels", "_outstanding")
+
+    def __init__(self, env: Environment, name: str, channels: int):
+        super().__init__(env, name)
+        self.channels = ChannelPool(channels)
+        self.reset()  # nothing is in flight
+
+    def reset(self) -> None:
+        """Forget in-flight work: the state of a new device, and of one
+        after a simulated power failure.
+
+        The event queue holding the service timers is wiped separately
+        by :meth:`~repro.sim.environment.Environment.wipe`; this clears
+        the device-side bookkeeping their callbacks would have unwound.
+        """
+        self.channels = ChannelPool(self.channels.capacity)
+        self._outstanding = 0
+
+    def check_invariants(self) -> None:
+        """Assert that :attr:`pending` is what the channels hold (plus,
+        with an injector attached, requests on a hop towards them)."""
+        held = self.channels.check()
+        assert held <= self.pending and (
+            self.faults is not None or held == self.pending), (
+            f"{self.name}: pending {self.pending}, channels hold {held}")
+
+    @property
+    def pending(self) -> int:
+        return self._outstanding
+
+    def _enter(self, request: IORequest) -> Event:
+        done = Event(self.env)
+        self._outstanding += 1
+        self._hop(self._arrive, (request, done))
+        return done
 
     def _arrive(self, job: _Job) -> None:
         """Claim a free channel for ``job``, or queue it (FIFO)."""
@@ -261,9 +311,7 @@ class Device:
         try:
             request, done = job
             service = self.service_time(request)
-            faults = self.faults
-            extra = (faults.pre_service_delay(request, service)
-                     if faults is not None else 0.0)
+            extra = self._stall(request, service)
             timed = (request, done, service)
             if extra > 0:
                 # Its own timer: ``(now + extra) + service`` and
@@ -289,18 +337,11 @@ class Device:
         and reads :attr:`pending`."""
         request, done, service = timer._value
         try:
-            failure = (self.faults.on_complete(request)
-                       if self.faults is not None else None)
+            failure = self._outcome(request)
             if failure is None:
-                now = self.env._now
-                request.completed_at = now
                 self.stats.record(request, service)
-                if self._tracer.enabled:
-                    self._tracer.complete(KIND_LABELS[request.kind],
-                                          request.submitted_at, now, "io",
-                                          self._trace_track, ctx=request.ctx)
                 if self.traffic is not None:
-                    self.traffic.record(now, request)
+                    self.traffic.record(self.env._now, request)
         except BaseException:
             self._release()
             raise
@@ -323,15 +364,3 @@ class Device:
             self._hop(self._start, channels.waiting.popleft())
         else:
             channels.busy -= 1
-
-    def read(self, address: int, npages: int = 1, random: bool = True,
-             tag=None, ctx=None) -> Event:
-        """Convenience wrapper building and submitting a read request."""
-        kind = IoKind.of("read", random)
-        return self.submit(IORequest(kind, address, npages, tag=tag, ctx=ctx))
-
-    def write(self, address: int, npages: int = 1, random: bool = True,
-              tag=None, ctx=None) -> Event:
-        """Convenience wrapper building and submitting a write request."""
-        kind = IoKind.of("write", random)
-        return self.submit(IORequest(kind, address, npages, tag=tag, ctx=ctx))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.sim import Environment, Event, Timeout
-from repro.storage.device import ChannelPool, Device, KIND_LABELS
+from repro.storage.device import ChannelPool, DeviceBase
 from repro.storage.request import IoKind, IORequest
 
 #: Pages per stripe unit.  The paper stripes file groups across the disks;
@@ -49,7 +49,7 @@ class _Striped(Event):
         self.left = 0
 
 
-class HddArray(Device):
+class HddArray(DeviceBase):
     """A stripe set of identical hard drives.
 
     Page addresses are striped across the drives in ``stripe_pages`` units;
@@ -83,10 +83,9 @@ class HddArray(Device):
             raise ValueError(f"ndisks must be >= 1, got {ndisks}")
         self.ndisks = ndisks
         self.stripe_pages = stripe_pages
-        # The base's array-wide ``channels`` stay idle: a drive queues
-        # alone.  (The base constructor ends in :meth:`reset`.)
-        super().__init__(env, name, channels=ndisks)
+        super().__init__(env, name)
         self.requests_by_kind = {kind: 0 for kind in IoKind}
+        self.reset()
 
     @property
     def pending(self) -> int:
@@ -104,29 +103,22 @@ class HddArray(Device):
     def service_time(self, request: IORequest) -> float:
         """Service time of a single-drive fragment of ``request``.
 
-        Uses the request's tag (kind) for the seek decision; the actual
+        Uses the request's kind for the seek decision; the actual
         serving path (:meth:`_start`) uses head position instead.
         """
         per_page, seek = _RATES[request.kind]
         return (seek if request.kind.random else 0.0) + per_page * request.npages
 
-    def submit(self, request: IORequest) -> Event:
-        """Submit a request; it splits into per-drive fragments."""
-        env = self.env
-        request.submitted_at = env._now
-        done = _Striped(env, request)
-        if self.faults is not None:
-            error = self.faults.on_submit(request)
-            if error is not None:
-                return done.fail(error)
+    def _enter(self, request: IORequest) -> Event:
+        """The request will split into per-drive fragments."""
+        done = _Striped(self.env, request)
         self._inflight.add(done)
         # The hop every request keeps: its fragments start one queue entry
         # later, behind those that drives freed in this instant go on to.
-        Timeout(env, 0.0, done).callbacks.append(self._admit)
+        Timeout(self.env, 0.0, done).callbacks.append(self._admit)
         return done
 
     def reset(self) -> None:
-        super().reset()
         self._drives = [ChannelPool(1) for _ in range(self.ndisks)]
         # Per-drive head position: the page address just past the last
         # fragment each drive served.  Seek cost is *positional*: a
@@ -165,9 +157,7 @@ class HddArray(Device):
         job = hop._value
         # Faults act on the whole request, not per fragment: one
         # straggling drive delays the stripe anyway.
-        extra = (self.faults.pre_service_delay(
-            job.request, self.service_time(job.request))
-            if self.faults is not None else 0.0)
+        extra = self._stall(job.request, self.service_time(job.request))
         if extra > 0:
             Timeout(self.env, extra).callbacks.append(
                 lambda stall: self._hop(self._arrive, job))
@@ -238,16 +228,9 @@ class HddArray(Device):
         job = hop._value
         request = job.request
         try:
-            failure = (self.faults.on_complete(request)
-                       if self.faults is not None else None)
+            failure = self._outcome(request)
             if failure is None:
-                now = self.env._now
-                request.completed_at = now
                 self.requests_by_kind[request.kind] += 1
-                if self._tracer.enabled:
-                    self._tracer.complete(KIND_LABELS[request.kind],
-                                          request.submitted_at, now, "io",
-                                          self._trace_track, ctx=request.ctx)
         finally:
             # Same rule as Device._release: never leak the count, or
             # ``pending`` inflates and wedges whoever throttles on it.

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.sim import Environment
-from repro.storage.device import Device
+from repro.storage.device import DeviceBase
 from repro.storage.hdd import HddArray
 from repro.storage.request import IoKind, IORequest
 from repro.storage.ssd import Ssd
 
 
-def _worker(env: Environment, device: Device, kind: IoKind, addresses,
+def _worker(env: Environment, device: DeviceBase, kind: IoKind, addresses,
             counter: Dict[str, int]):
     while True:
         request = IORequest(kind, next(addresses))
@@ -28,7 +28,7 @@ def _worker(env: Environment, device: Device, kind: IoKind, addresses,
         counter["completed"] += 1
 
 
-def _address_stream(device: Device, kind: IoKind, span_pages: int,
+def _address_stream(device: DeviceBase, kind: IoKind, span_pages: int,
                     worker: int, nworkers: int):
     """Page addresses matching the access pattern being measured.
 
@@ -62,18 +62,17 @@ def _address_stream(device: Device, kind: IoKind, span_pages: int,
 
 
 def measure_iops(make_device, kind: IoKind, duration: float = 20.0,
-                 workers_per_channel: int = 1,
                  span_pages: int = 1 << 20) -> float:
     """Measure sustained IOPS of one I/O class on a fresh device.
 
-    ``make_device`` is a callable ``Environment -> Device`` so each
+    ``make_device`` is a callable ``Environment -> DeviceBase`` so each
     measurement starts from an idle device and a clean virtual clock.
     """
     env = Environment()
     device = make_device(env)
-    nchannels = getattr(device, "ndisks", None) or device.channels.capacity
+    # One outstanding I/O per drive (or channel), as the paper measured.
+    nworkers = getattr(device, "ndisks", None) or device.channels.capacity
     counter = {"completed": 0}
-    nworkers = nchannels * workers_per_channel
     env.spawn_all(
         _worker(env, device, kind,
                 _address_stream(device, kind, span_pages, worker, nworkers),

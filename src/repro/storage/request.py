@@ -54,14 +54,12 @@ class IORequest:
     I/O, which makes construction part of the simulator's hot path.
     """
 
-    __slots__ = ("kind", "address", "npages", "tag", "ctx",
-                 "submitted_at", "completed_at", "extra")
+    __slots__ = ("kind", "address", "npages", "ctx",
+                 "submitted_at", "completed_at")
 
     def __init__(self, kind: IoKind, address: int, npages: int = 1,
-                 tag: Any = None, ctx: Any = None,
-                 submitted_at: Optional[float] = None,
-                 completed_at: Optional[float] = None,
-                 extra: Optional[dict] = None):
+                 ctx: Any = None, submitted_at: Optional[float] = None,
+                 completed_at: Optional[float] = None):
         if npages < 1:
             raise ValueError(f"npages must be >= 1, got {npages}")
         if address < 0:
@@ -69,15 +67,12 @@ class IORequest:
         self.kind = kind
         self.address = address
         self.npages = npages
-        self.tag = tag
         #: Trace context of the transaction (or background activity) that
         #: caused this I/O; carried onto the device's trace events.
         self.ctx = ctx
         #: Filled in by the device at completion time (virtual seconds).
         self.submitted_at = submitted_at
         self.completed_at = completed_at
-        #: Scratch space for device models; allocated lazily by callers.
-        self.extra = extra
 
     def __repr__(self) -> str:
         return (f"IORequest(kind={self.kind!r}, address={self.address}, "

@@ -59,8 +59,7 @@ class Ssd(Device):
 
     def __init__(self, env: Environment, channels: int = DEFAULT_CHANNELS,
                  name: str = "ssd", ftl: Optional[FtlConfig] = None,
-                 logical_pages: int = 0,
-                 erase_time: Optional[float] = None):
+                 logical_pages: int = 0):
         # Service times scale with the channel count so that the aggregate
         # IOPS stays calibrated to Table 1 whatever parallelism is chosen.
         scale = channels / DEFAULT_CHANNELS
@@ -68,8 +67,7 @@ class Ssd(Device):
         self._per_page_program = _PER_PAGE_SEQ_WRITE * scale
         self._random_read_overhead = _RANDOM_READ_OVERHEAD * scale
         self._random_write_overhead = _RANDOM_WRITE_OVERHEAD * scale
-        self._block_erase = (_BLOCK_ERASE if erase_time is None
-                             else erase_time) * scale
+        self._block_erase = _BLOCK_ERASE * scale
         self._channels_total = channels
         self._channels_dead = 0
         self._degrade = 1.0

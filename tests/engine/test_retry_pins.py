@@ -7,6 +7,9 @@ again, at which virtual instants, what each ``io_retry`` instant says,
 and which exception ends it.
 """
 
+import inspect
+import sys
+
 import pytest
 
 from repro.engine.disk_manager import DiskManager
@@ -220,10 +223,6 @@ class TestLogRetry:
             range(1, retried + 1))
         assert wal.flushed_lsn == -1
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the flusher dies holding its forcers: they never hear of the "
-        "fault, and the flag it leaves set keeps a later force from "
-        "starting another"))
     def test_a_failed_flush_fails_its_forcers_and_the_next_starts_afresh(
             self, env):
         wal, _, faults = self.system(env, ["transient"] * (RETRY_LIMIT + 1))
@@ -248,3 +247,47 @@ class TestLogRetry:
         assert wal.flushed_lsn == second
         assert wal.flushes == 1
         drive(env, wal.force(first))    # covered: returns at once
+
+
+class TestCleanPath:
+    """An I/O that does not fail yields the device's event as it is: the
+    only generator built is the step the caller drives (``retry_io`` and
+    the component's retry wrapper are for failures)."""
+
+    @staticmethod
+    def generators_built(env, step):
+        """Names of the generators in ``repro`` entered while ``step``
+        runs as a process, one per generator object."""
+        frames = {}
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_flags & inspect.CO_GENERATOR
+                    and "repro" in code.co_filename):
+                frames.setdefault(id(frame), code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            drive(env, step)
+        finally:
+            sys.setprofile(None)
+        return sorted(frames.values())
+
+    @pytest.mark.parametrize("op", sorted(DISK_OPS))
+    def test_a_disk_io_builds_only_the_callers_generator(self, env, op):
+        disk = DiskManager(env, HddArray(env), npages=100)
+        assert self.generators_built(env, DISK_OPS[op][0](disk)) == [op]
+        assert disk.retries == 0
+
+    def test_a_log_flush_builds_only_the_flusher(self, env):
+        wal = WriteAheadLog(env)
+        lsn = wal.append(7, 1)
+        assert self.generators_built(env, wal.force(lsn)) == [
+            "_flush_loop", "force"]
+        assert wal.flushed_lsn == lsn and wal.flush_retries == 0
+
+    def test_a_failed_io_enters_the_one_retry_step(self, env):
+        disk = DiskManager(env, HddArray(env), npages=100)
+        Outcomes(disk.device, ["transient"])
+        assert self.generators_built(env, disk.write(40, version=3)) == [
+            "_retry", "retry_io", "write"]

@@ -116,7 +116,7 @@ class PerWaiterLog(WriteAheadLog):
             request = IORequest(IoKind.SEQUENTIAL_WRITE, self._write_head,
                                 npages)
             self._write_head += npages
-            yield from self._flush_with_retry(request)
+            yield self.device.submit(request)
             self.flushed_lsn = target
             still_waiting = []
             for lsn, event in self._waiters:

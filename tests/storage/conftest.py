@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.device import Device
+from repro.storage.device import DeviceBase
 
 
 @pytest.fixture(autouse=True)
@@ -10,13 +10,13 @@ def _device_invariants(monkeypatch):
     """Run ``check_invariants()`` on each device the test built, as it
     left them: mid-run, drained, crashed or reset (ROADMAP item 4)."""
     built = []
-    init = Device.__init__
+    init = DeviceBase.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(Device, "__init__", recording_init)
+    monkeypatch.setattr(DeviceBase, "__init__", recording_init)
     yield
     for device in built:
         device.check_invariants()

@@ -6,8 +6,11 @@ instant of installation.  A request the injector refuses at ``submit``
 never entered the device: its books read as before.
 """
 
+import pathlib
+
 import pytest
 
+import repro.storage
 from repro.core import SsdDesignConfig
 from repro.core.ssd_manager import SsdManagerBase
 from repro.faults import DeviceDeadError, FaultInjector
@@ -161,3 +164,19 @@ class TestRejectedAtSubmit:
         assert hdd.pending == 0 and not hdd._inflight
         assert sum(hdd.requests_by_kind.values()) == 2
         hdd.check_invariants()
+
+
+class TestSaidOnce:
+    def test_each_injector_hook_has_one_call_site_in_storage(self):
+        source = "".join(
+            path.read_text()
+            for path in pathlib.Path(repro.storage.__file__).parent.glob(
+                "*.py"))
+        for hook in ("on_submit", "pre_service_delay", "on_complete"):
+            assert source.count(f"faults.{hook}(") == 1, hook
+
+    def test_the_array_queues_on_its_drives_alone(self, env):
+        hdd = HddArray(env)
+        assert not hasattr(hdd, "channels")
+        assert [drive.capacity for drive in hdd._drives] == [1] * 8
+        assert Ssd(env).channels.capacity == 8
