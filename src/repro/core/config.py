@@ -23,7 +23,9 @@ class SsdDesignConfig:
     #: μ — throttle-control threshold (§3.3.2): optional SSD I/Os are
     #: skipped while more than this many I/Os are pending on the SSD.
     throttle_limit: int = 100
-    #: N — number of SSD partitions (§3.3.4).
+    #: N — number of partitions (§3.3.4).  The SSD table's per-partition
+    #: contention is not modelled; N is the shard count of the
+    #: main-memory buffer pool, whose latches are.
     partitions: int = 16
     #: α — max dirty SSD pages gathered into one LC write request (§3.3.5).
     group_clean_pages: int = 32
@@ -45,17 +47,12 @@ class SsdDesignConfig:
     #: behaviour, where the SSD restarts cold).
     warm_restart: bool = False
     #: Model the SSD's internals (FTL, erase blocks, GC, write-amp
-    #: accounting; DESIGN.md §10).  Off = the paper-era black-box timing.
+    #: accounting; DESIGN.md §10) with the geometry that is
+    #: :class:`repro.storage.ftl.FtlConfig`'s default.  Off = the
+    #: paper-era black-box timing.
     ftl_enabled: bool = False
-    #: FTL geometry/policy when ``ftl_enabled`` (see
-    #: :class:`repro.storage.ftl.FtlConfig` for semantics).
-    ftl_pages_per_block: int = 32
-    ftl_op_ratio: float = 0.28
-    ftl_gc_low_water: int = 2
     #: LS design: pages per group-commit admission batch.
     ls_batch_pages: int = 16
-    #: LS design: seconds a partial batch waits before flushing anyway.
-    ls_batch_timeout: float = 0.002
     #: LS design: pages reclaimed from the log tail per GC segment.
     ls_segment_pages: int = 64
 
@@ -74,16 +71,8 @@ class SsdDesignConfig:
             raise ValueError("group_clean_pages must be >= 1")
         if self.extent_pages < 1:
             raise ValueError("extent_pages must be >= 1")
-        if self.ftl_pages_per_block < 2:
-            raise ValueError("ftl_pages_per_block must be >= 2")
-        if self.ftl_op_ratio <= 0.0:
-            raise ValueError("ftl_op_ratio must be > 0")
-        if self.ftl_gc_low_water < 1:
-            raise ValueError("ftl_gc_low_water must be >= 1")
         if self.ls_batch_pages < 1:
             raise ValueError("ls_batch_pages must be >= 1")
-        if self.ls_batch_timeout <= 0.0:
-            raise ValueError("ls_batch_timeout must be > 0")
         if self.ls_segment_pages < 1:
             raise ValueError("ls_segment_pages must be >= 1")
 

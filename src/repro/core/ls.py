@@ -51,6 +51,14 @@ from repro.core.ssd_buffer_table import SsdRecord
 from repro.sim import Event
 from repro.telemetry import CLEANER_CTX, EVICTION_CTX
 
+#: Seconds a partial admission batch waits before flushing anyway.  A
+#: backstop, not a tunable: the buffer pool's lazy writer flushes partial
+#: batches as eviction pressure drains (:meth:`LogStructuredManager
+#: .admission_flush_hint`), so it almost never binds.  2 ms is about three
+#: SSD page writes: long enough to gather a burst of evictions, far short
+#: of the disk write an eviction would otherwise cost.
+_BATCH_TIMEOUT = 0.002
+
 #: One staged admission: (page_id, version, dirty, rec_lsn).
 _Entry = Tuple[int, int, bool, int]
 
@@ -218,8 +226,7 @@ class LogStructuredManager(SsdManagerBase):
         try:
             if not batch.trigger.triggered:
                 yield self.env.any_of([
-                    batch.trigger,
-                    self.env.timeout(self.config.ls_batch_timeout)])
+                    batch.trigger, self.env.timeout(_BATCH_TIMEOUT)])
             self._close_batch(batch)
             if self.detached or not batch.entries:
                 return

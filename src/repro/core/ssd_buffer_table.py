@@ -10,9 +10,9 @@
 
 Partitioning (§3.3.4) assigns each frame to one of N partitions; the hash
 table is shared while the buffer table segments and heaps are per
-partition in the paper.  The reproduction keeps the partition id on each
-record and counts per-partition operations (the contention the partitions
-remove is not otherwise modelled — a documented simplification).
+partition in the paper.  The contention the partitions remove is not
+modelled here (a documented simplification); N also shards the
+main-memory buffer pool, where it is (``SystemConfig.bp_latch_us``).
 """
 
 from __future__ import annotations
@@ -80,16 +80,13 @@ class SsdRecord:
 class SsdBufferTable:
     """Buffer table + hash table + free list over S SSD frames."""
 
-    __slots__ = ("nframes", "partitions", "records", "_free", "_hash",
-                 "partition_ops", "_valid", "_dirty", "segment_pages",
-                 "segment_valid")
+    __slots__ = ("nframes", "records", "_free", "_hash", "_valid", "_dirty",
+                 "segment_pages", "segment_valid")
 
-    def __init__(self, nframes: int, partitions: int = 1,
-                 segment_pages: int = 0):
+    def __init__(self, nframes: int, segment_pages: int = 0):
         if nframes < 0:
             raise ValueError(f"nframes must be >= 0, got {nframes}")
         self.nframes = nframes
-        self.partitions = max(1, partitions)
         #: Frames per log segment (0: the table is one segment) and the
         #: valid copies in each, tallied where ``_valid`` is: LS reclaims
         #: the closed segment with the fewest without scanning any.
@@ -99,7 +96,6 @@ class SsdBufferTable:
         self.records: List[SsdRecord] = [SsdRecord(i) for i in range(nframes)]
         self._free: Deque[int] = deque(range(nframes))
         self._hash: Dict[int, SsdRecord] = {}
-        self.partition_ops = [0] * self.partitions
         # Incremental counters (kept exact by install/revalidate/release/
         # set_dirty/invalidate_logical) so occupancy queries are O(1).
         self._valid = 0
@@ -111,23 +107,12 @@ class SsdBufferTable:
 
     def lookup(self, page_id: int) -> Optional[SsdRecord]:
         """The record caching ``page_id`` (valid or invalidated), if any."""
-        record = self._hash.get(page_id)
-        if record is not None:
-            # Inlined partition_of: one lookup per page access.
-            self.partition_ops[record.frame_no % self.partitions] += 1
-        return record
+        return self._hash.get(page_id)
 
     def lookup_valid(self, page_id: int) -> Optional[SsdRecord]:
         """The record caching a *valid* copy of ``page_id``, if any."""
         record = self._hash.get(page_id)
-        if record is None:
-            return None
-        self.partition_ops[record.frame_no % self.partitions] += 1
-        return record if record.valid else None
-
-    def partition_of(self, record: SsdRecord) -> int:
-        """The §3.3.4 partition this record's frame belongs to."""
-        return record.frame_no % self.partitions
+        return record if record is not None and record.valid else None
 
     # ------------------------------------------------------------------
     # Occupancy
@@ -202,7 +187,6 @@ class SsdBufferTable:
         self.segment_valid[record.frame_no // self.segment_pages] += 1
         if dirty:
             self._dirty += 1
-        self.partition_ops[self.partition_of(record)] += 1
 
     def revalidate(self, record: SsdRecord, version: int, now: float) -> None:
         """Make an invalidated record valid again with fresh content.

@@ -174,9 +174,8 @@ class SsdManagerBase:
         self.wal = wal
         self.config = config or SsdDesignConfig()
         self.admission = admission or AdmissionPolicy(self.config)
-        self.table = SsdBufferTable(
-            self.config.ssd_frames, self.config.partitions,
-            self.config.ls_segment_pages)
+        self.table = SsdBufferTable(self.config.ssd_frames,
+                                    self.config.ls_segment_pages)
         self.stats = SsdStats()
         #: Set by the system wiring; lets designs see checkpoint state.
         self.bp = None
@@ -429,13 +428,6 @@ class SsdManagerBase:
                 record.version <= self.disk.disk_version(page_id)):
             self.stats.declined_throttle += 1
             return None
-        return (yield from self._read_record(record, ctx=ctx))
-
-    def read_for_correctness(self, page_id: int, ctx=None):
-        """Process step: read a page that *must* come from the SSD."""
-        record = self.table.lookup_valid(page_id)
-        if record is None:
-            raise LookupError(f"page {page_id} not valid in SSD")
         return (yield from self._read_record(record, ctx=ctx))
 
     def _read_record(self, record: SsdRecord, ctx=None):

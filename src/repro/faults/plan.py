@@ -22,6 +22,7 @@ that trigger the scheduled faults.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
@@ -105,16 +106,28 @@ class FaultPlan:
                 raise ValueError(
                     f"fault {kind!r} does not take {key!r} "
                     f"(accepts {sorted(_KINDS[kind])})")
+            if key in params:
+                raise ValueError(f"{key} is given twice in {clause!r}")
             params[key] = value
 
-        def _float(key: str, default: Optional[float]) -> Optional[float]:
+        def number(key: str, default: float, low: float,
+                   high: Optional[float] = None, whole: bool = False) -> float:
+            """``key``'s value: finite, >= ``low`` (and <= ``high``)."""
             if key not in params:
                 return default
             try:
-                return float(params[key])
+                value = float(params[key])
             except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and value >= low
+                    and (high is None or value <= high)
+                    and not (whole and value % 1)):
+                span = (f">= {low:g}" if high is None
+                        else f"in [{low:g}, {high:g}]")
                 raise ValueError(
-                    f"{key}={params[key]!r} in {clause!r} is not a number")
+                    f"{key}={params[key]} in {clause!r} must be a "
+                    f"{'whole' if whole else 'finite'} number {span}")
+            return value
 
         device = params.get("device", "all")
         if device not in _DEVICES + ("all",):
@@ -125,25 +138,16 @@ class FaultPlan:
             device = _STALL_DEVICE[kind]
         elif kind in ("ssd_die", "gc_stall", "ssd_chan_die"):
             device = "ssd"
-        p = _float("p", 0.0)
-        assert p is not None  # default is non-None
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p={p} in {clause!r} must be in [0, 1]")
-        at = _float("t", None)
-        timed = ("ssd_die", "gc_stall", "ssd_chan_die") + tuple(_STALL_DEVICE)
-        if kind in timed and at is None:
+        if "t" in _KINDS[kind] and "t" not in params:
             raise ValueError(f"fault {kind!r} requires @t=<seconds>")
-        factor = _float("x", 10.0)
-        duration = _float("dur", 1.0)
-        assert factor is not None and duration is not None
-        count_f = _float("n", 1.0)
-        assert count_f is not None
-        count = int(count_f)
-        if count < 1:
-            raise ValueError(f"n={count} in {clause!r} must be >= 1")
-        return FaultSpec(kind=kind, device=device, p=p,
-                         factor=factor, at=at, duration=duration,
-                         count=count)
+        return FaultSpec(
+            kind=kind, device=device, p=number("p", 0.0, 0.0, 1.0),
+            # Below 1 a straggler factor would make the injected delay
+            # negative, and shorten a stall it is added to.
+            factor=number("x", 10.0, 1.0),
+            at=number("t", 0.0, 0.0) if "t" in params else None,
+            duration=number("dur", 1.0, 0.0),
+            count=int(number("n", 1, 1, whole=True)))
 
     # ------------------------------------------------------------------
     # Installation

@@ -14,7 +14,6 @@ from repro.engine import (
     Checkpointer,
     Database,
     DiskManager,
-    ReadAhead,
     WriteAheadLog,
 )
 from repro.engine.checkpoint import FuzzyCheckpointer
@@ -28,21 +27,18 @@ class SystemConfig:
     """Everything needed to assemble one configuration of the system.
 
     Mirrors the paper's experimental setup: a data volume striped over
-    ``data_disks`` drives, a dedicated log disk, a main-memory buffer
-    pool, and an SSD buffer pool run by one of the designs.
+    eight drives, a dedicated log disk, a main-memory buffer pool, and
+    an SSD buffer pool run by one of the designs.
     """
 
     design: str = "noSSD"
     db_pages: int = 10_000
     bp_pages: int = 2_000
     ssd: SsdDesignConfig = field(default_factory=SsdDesignConfig)
-    data_disks: int = 8
     checkpoint_interval: Optional[float] = None
     #: "sharp" (SQL Server 2008 R2's policy, the paper's default) or
     #: "fuzzy" (record-only checkpoints; fast checkpoint, slow restart).
     checkpoint_policy: str = "sharp"
-    readahead_pages: int = 8
-    readahead_trigger: int = 2
     #: SQL Server's expand-single-reads-until-pool-full behaviour (§4.3.2).
     expand_reads: bool = False
     #: Extra page headroom for run-time allocations (B+-tree splits etc.).
@@ -90,17 +86,12 @@ class System:
         self._services_started = False
         self.telemetry.set_clock(lambda: self.env.now)
         total_pages = config.db_pages + config.slack_pages
-        self.data_device = HddArray(self.env, ndisks=config.data_disks)
+        self.data_device = HddArray(self.env)
         if config.ssd.ftl_enabled and config.ssd.ssd_frames > 0:
             # Model the SSD's internals: the logical space the FTL maps
             # is exactly the design's S frames.
-            self.ssd_device = Ssd(
-                self.env,
-                ftl=FtlConfig(
-                    pages_per_block=config.ssd.ftl_pages_per_block,
-                    op_ratio=config.ssd.ftl_op_ratio,
-                    gc_low_water_blocks=config.ssd.ftl_gc_low_water),
-                logical_pages=config.ssd.ssd_frames)
+            self.ssd_device = Ssd(self.env, ftl=FtlConfig(),
+                                  logical_pages=config.ssd.ssd_frames)
         else:
             self.ssd_device = Ssd(self.env)
         if self.telemetry.enabled:
@@ -115,8 +106,6 @@ class System:
                                       telemetry=self.telemetry)
         self.bp = BufferPool(
             self.env, config.bp_pages, self.disk, self.wal, self.ssd_manager,
-            readahead=ReadAhead(config.readahead_pages,
-                                config.readahead_trigger),
             expand_reads=config.expand_reads,
             telemetry=self.telemetry,
             partitions=config.ssd.partitions,

@@ -5,7 +5,7 @@ carries).  Each generator reproduces the *access-pattern* properties the
 paper's evaluation depends on:
 
 * **TPC-C** (:mod:`~repro.workloads.tpcc`): update-intensive OLTP — about
-  one write per two reads — with NURand skew concentrating ~75% of
+  one write per two reads — with Zipf skew concentrating ~75% of
   accesses on ~20% of the pages; the metric is tpmC (New-Order
   transactions per minute).
 * **TPC-E** (:mod:`~repro.workloads.tpce`): read-intensive OLTP (~10:1

@@ -5,7 +5,7 @@ Reproduces the properties the paper's TPC-C analysis rests on (§4.2):
 * **update-intensive** — "every two read accesses are accompanied by a
   write access";
 * **highly skewed** — "75% of the accesses are to about 20% of the pages"
-  (Leutenegger & Dias), produced here by NURand/Zipf page selection;
+  (Leutenegger & Dias), produced here by Zipf page selection;
 * hot pages are **re-dirtied** — the reason the write-back LC design wins
   so decisively on this benchmark.
 

@@ -218,12 +218,16 @@ def _parse_fields(parts: List[str], spec: str) -> Dict[str, float]:
                 f"bad arrival field {part!r} in {spec!r} (want key=value)")
         key, _, value = part.partition("=")
         key = _KEY_ALIASES.get(key.strip(), key.strip())
+        if key in fields:
+            raise ValueError(f"{key!r} is given twice in {spec!r}")
         try:
             fields[key] = float(value)
         except ValueError:
+            fields[key] = math.nan
+        if not math.isfinite(fields[key]):
             raise ValueError(
-                f"non-numeric value for {key!r} in {spec!r}: {value!r}"
-            ) from None
+                f"{key!r} in {spec!r} must be a finite number, "
+                f"got {value!r}")
     return fields
 
 
@@ -305,16 +309,17 @@ def parse_tenants(spec: str) -> List[TenantSpec]:
         if name in seen:
             raise ValueError(f"duplicate tenant name {name!r}")
         seen.add(name)
-        theta: Optional[float] = None
-        parts = []
-        for part in rest.split(":"):
-            if part.startswith("theta="):
-                theta = float(part[len("theta="):])
-            else:
-                parts.append(part)
-        tenants.append(TenantSpec(name=name,
-                                  arrivals=parse_arrivals(":".join(parts)),
-                                  theta=theta))
+        parts = rest.split(":")
+        skew = [part for part in parts if part.startswith("theta=")]
+        try:
+            theta = _parse_fields(skew, rest).get("theta")
+            if theta is not None and theta <= 0:
+                raise ValueError(f"'theta' in {rest!r} must be > 0")
+            arrivals = parse_arrivals(
+                ":".join(part for part in parts if part not in skew))
+        except ValueError as error:
+            raise ValueError(f"tenant {name!r}: {error}") from None
+        tenants.append(TenantSpec(name=name, arrivals=arrivals, theta=theta))
     if not tenants:
         raise ValueError(f"no tenants in spec {spec!r}")
     return tenants

@@ -9,24 +9,6 @@ class TestPartitioning:
     def test_default_is_sixteen_partitions(self):
         assert SsdDesignConfig().partitions == 16
 
-    def test_partition_ops_are_counted(self):
-        sys_ = MiniSystem(design="DW", db_pages=500, bp_pages=32,
-                          ssd_frames=64, partitions=4)
-        for page in range(32):
-            drive(sys_.env, sys_.ssd_manager._cache_page(page, 0, False))
-        ops = sys_.ssd_manager.table.partition_ops
-        assert len(ops) == 4
-        assert sum(ops) >= 32
-
-    def test_ops_spread_across_partitions(self):
-        """Frames rotate through partitions, so no partition is idle
-        under uniform load — the point of §3.3.4."""
-        sys_ = MiniSystem(design="DW", db_pages=500, bp_pages=32,
-                          ssd_frames=64, partitions=4)
-        for page in range(64):
-            drive(sys_.env, sys_.ssd_manager._cache_page(page, 0, False))
-        assert all(ops > 0 for ops in sys_.ssd_manager.table.partition_ops)
-
 
 class TestWalSizing:
     def test_long_tail_needs_multiple_log_pages(self, env):

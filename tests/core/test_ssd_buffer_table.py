@@ -7,7 +7,7 @@ from repro.core.ssd_buffer_table import SsdBufferTable, SsdRecord
 
 @pytest.fixture
 def table():
-    return SsdBufferTable(nframes=8, partitions=4)
+    return SsdBufferTable(nframes=8)
 
 
 class TestFreeList:
@@ -76,26 +76,11 @@ class TestInstallLookup:
         assert table.lookup(7) is record
         assert table.lookup_valid(7) is None
 
-    def test_lookup_valid_counts_the_partition_like_lookup(self, table):
-        record = table.records[6]
-        table.install(table.take_frame(6), 7, 1, False, 0.0)
-        before = list(table.partition_ops)
-        assert table.lookup_valid(7) is record
-        table.invalidate_logical(record)
-        assert table.lookup_valid(7) is None    # found, invalid: counted
-        assert table.lookup_valid(8) is None    # absent: not counted
-        before[6 % 4] += 2
-        assert table.partition_ops == before
-
     def test_install_over_occupied_rejected(self, table):
         record = table.take_free()
         table.install(record, 1, 1, False, 0.0)
         with pytest.raises(ValueError):
             table.install(record, 2, 1, False, 0.0)
-
-    def test_partition_assignment_is_stable(self, table):
-        record = table.records[5]
-        assert table.partition_of(record) == 5 % 4
 
 
 class TestCounters:

@@ -37,13 +37,6 @@ class TestTryRead:
         assert drive(dw.env, proc()) == 0
         assert dw.ssd_manager.stats.reads == 1
 
-    def test_read_for_correctness_requires_presence(self, dw):
-        def proc():
-            yield from dw.ssd_manager.read_for_correctness(99)
-
-        with pytest.raises(LookupError):
-            drive(dw.env, proc())
-
 
 class TestCaching:
     def test_cache_installs_and_writes(self, dw):
