@@ -4,7 +4,7 @@ Layered over :mod:`repro.storage` devices: a :class:`FaultPlan` parsed
 from the CLI (``--faults ssd_die@t=30,transient:p=0.001``) attaches
 :class:`FaultInjector` instances to a system's devices and schedules
 transient I/O errors, latency spikes, stall windows, and whole-SSD
-death.  The exceptions and retry policy live in :mod:`repro.faults
+death.  The exceptions and the retry step live in :mod:`repro.faults
 .errors` so that upstream error handling can import them cheaply.
 """
 
@@ -15,6 +15,7 @@ from repro.faults.errors import (
     DeviceDeadError,
     IoFault,
     TransientIoError,
+    retry_io,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -29,4 +30,5 @@ __all__ = [
     "RETRY_BASE_DELAY",
     "RETRY_LIMIT",
     "RETRY_MAX_DELAY",
+    "retry_io",
 ]

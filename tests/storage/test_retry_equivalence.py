@@ -120,9 +120,10 @@ def test_ssd_manager_matches_its_old_loop(script, must, entry):
 
 @pytest.mark.parametrize("must", [False, True])
 def test_the_scripts_reach_every_ending(must):
-    """The differential is not vacuous: landed, spent, dead, capped."""
+    """The differential is not vacuous: a must read outlasts nine
+    transients, an optional one spends its budget, death detaches."""
     spent = ssd_run("frame", ["transient"] * 9, must, old=False)
-    assert spent[0] == ("returned", True if must else False)
+    assert spent[0] == ("returned", must)
     assert spent[1] == (9 if must else 5)
     dead = ssd_run("thunk", ["transient", "dead"], must, old=False)
     assert dead[0] == ("returned", None) and dead[-1] is True
