@@ -1,27 +1,21 @@
 """Shared infrastructure for the benchmark harness.
 
 Every module in ``benchmarks/`` regenerates one table or figure of the
-paper (see DESIGN.md's experiment index).  Runs are cached here so that
-benches sharing an underlying experiment (e.g. Figure 5(g–h) and Table 3)
-execute it once.
+paper (see DESIGN.md's experiment index).  Runs go through the on-disk
+run cache of :mod:`repro.harness.sweep`, so benches sharing an
+underlying experiment (e.g. Figure 5(g–h) and Table 3) execute it once,
+and a later session reuses it: the cache key covers the full config
+*and* the simulator sources, so a code change is an automatic miss.
 
 Scaling: the default profile preserves the paper's sizing ratios at
 100 pages/GB and compresses the 10-hour timeline into 60 virtual seconds
 (see EXPERIMENTS.md).  Set ``REPRO_BENCH_FAST=1`` to use the smaller
 profile for a quick smoke pass.
-
-Caching is two-level: an in-process dict (benches within one session
-share live results) backed by the on-disk run cache of
-:mod:`repro.harness.sweep` (results survive across sessions; the cache
-key covers the full config *and* the simulator sources, so a code change
-is an automatic miss).  ``REPRO_BENCH_NO_DISK_CACHE=1`` disables the
-disk layer.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict
 
 from repro.harness.experiments import SCALE_PROFILES
 from repro.harness.sweep import RunSpec, run_cached
@@ -29,7 +23,6 @@ from repro.harness.sweep import RunSpec, run_cached
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 PROFILE_NAME = "small" if FAST else "default"
 PROFILE = SCALE_PROFILES[PROFILE_NAME]
-DISK_CACHE = not os.environ.get("REPRO_BENCH_NO_DISK_CACHE")
 
 #: Virtual seconds standing in for the paper's 10-hour runs.
 OLTP_DURATION = 30.0 if FAST else 60.0
@@ -47,23 +40,14 @@ CHECKPOINT_5H = OLTP_DURATION / 2.0
 #: multi-user runs did.
 TPCC_WORKERS = 16 if FAST else 96
 
-_oltp_cache: Dict[tuple, object] = {}
-_tpch_cache: Dict[tuple, object] = {}
-
-
-def oltp_run(benchmark: str, scale: int, design: str, **kwargs):
-    """Cached OLTP run with the bench-wide defaults."""
-    key = (benchmark, scale, design, tuple(sorted(kwargs.items())))
-    if key not in _oltp_cache:
-        if benchmark == "tpcc":
-            kwargs.setdefault("nworkers", TPCC_WORKERS)
-        spec = RunSpec(
-            kind="oltp", benchmark=benchmark, scale=scale, design=design,
-            profile=PROFILE_NAME, bucket_seconds=BUCKET,
-            duration=kwargs.pop("duration", OLTP_DURATION),
-            nworkers=kwargs.pop("nworkers", 32), **kwargs)
-        _oltp_cache[key] = run_cached(spec, use_cache=DISK_CACHE)
-    return _oltp_cache[key]
+def oltp_run(benchmark: str, scale: int, design: str, **knobs):
+    """Cached OLTP run with the bench-wide defaults; ``knobs`` are
+    :class:`RunSpec` fields that override them."""
+    defaults = dict(profile=PROFILE_NAME, bucket_seconds=BUCKET,
+                    duration=OLTP_DURATION,
+                    nworkers=TPCC_WORKERS if benchmark == "tpcc" else 32)
+    return run_cached(RunSpec(kind="oltp", benchmark=benchmark, scale=scale,
+                              design=design, **{**defaults, **knobs}))
 
 
 def ramp_fraction(result, level: float = 0.8) -> float:
@@ -84,13 +68,9 @@ def ramp_fraction(result, level: float = 0.8) -> float:
 
 def tpch_run(sf: int, design: str):
     """Cached full TPC-H run (power + throughput)."""
-    key = (sf, design)
-    if key not in _tpch_cache:
-        spec = RunSpec(kind="tpch", benchmark="tpch", scale=sf,
-                       design=design, profile=PROFILE_NAME,
-                       checkpoint_interval=CHECKPOINT_40MIN)
-        _tpch_cache[key] = run_cached(spec, use_cache=DISK_CACHE)
-    return _tpch_cache[key]
+    return run_cached(RunSpec(kind="tpch", benchmark="tpch", scale=sf,
+                              design=design, profile=PROFILE_NAME,
+                              checkpoint_interval=CHECKPOINT_40MIN))
 
 
 def once(benchmark, fn):

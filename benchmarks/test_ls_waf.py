@@ -14,20 +14,14 @@ throughput — the group-commit batches are striped across the device's
 channels, so sequentiality costs no parallelism.
 """
 
-import os
+from benchmarks.common import FAST, oltp_run, once
 
-from benchmarks.common import DISK_CACHE, once
-from repro.harness.sweep import RunSpec, run_cached
-
-FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 DURATION = 12.0 if FAST else 30.0
 
 
 def ftl_run(design: str):
-    spec = RunSpec(kind="oltp", benchmark="tpcc", scale=1_200,
-                   design=design, profile="small", duration=DURATION,
-                   nworkers=16, ftl=True)
-    return run_cached(spec, use_cache=DISK_CACHE)
+    return oltp_run("tpcc", 1_200, design, profile="small",
+                    duration=DURATION, nworkers=16, ftl=True)
 
 
 def test_ls_write_amplification_vs_lc(benchmark):

@@ -10,16 +10,16 @@ Commands:
 * ``sweep``   — fan a grid of runs (designs x scales) across worker
   processes through the on-disk run cache.
 * ``analyze`` — reconstruct per-transaction latency attribution from
-  ``--trace`` output and emit terminal/HTML/JSON reports.
+  ``--trace`` output and emit terminal and HTML reports.
 * ``runs``    — query the run database every experiment records into
-  (list/show/compare/regress/bench; see ``repro.runstore``).
+  (list/show/compare/regress; see ``repro.runstore``).
 * ``serve``   — HTML dashboard + JSON API over the run database.
 * ``lint``    — run the repo-specific AST invariant checker
   (``repro.statics``) over the sources.
 
-``oltp``/``tpch``/``sweep``/``chaos``/``analyze --bench`` record into
-the run store by default (``--db`` to point elsewhere, ``--no-db`` to
-skip); recording is best-effort and never fails the run.
+``oltp``/``traffic``/``tpch``/``sweep``/``chaos`` record into the run
+store by default (``--db`` to point elsewhere, ``--no-db`` to skip);
+recording is best-effort and never fails the run.
 """
 
 from __future__ import annotations
@@ -386,8 +386,12 @@ def cmd_sweep(args) -> int:
         return 2
 
     kind = "tpch" if args.benchmark == "tpch" else "oltp"
-    specs = [_spec(args, kind, design, scale=scale)
-             for scale in scales for design in designs]
+    try:
+        specs = [_spec(args, kind, design, scale=scale)
+                 for scale in scales for design in designs]
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     directory = Path(args.cache_dir) if args.cache_dir else None
     store = _open_recording_store(args)
     report = run_sweep(specs, workers=args.workers, directory=directory,
@@ -433,17 +437,13 @@ def cmd_tpch(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Attribute tail latency from one or more trace files."""
-    import json
-
     from repro.telemetry.analysis import (
         analyze_traces,
-        bench_snapshot,
         format_attribution_table,
         format_faults_table,
         format_ftl_table,
         format_interference_table,
         format_tenant_table,
-        validate_bench,
     )
 
     missing = [path for path in args.traces if not os.path.exists(path)]
@@ -496,32 +496,6 @@ def cmd_analyze(args) -> int:
         write_report(args.html, analyses, args.workload,
                      quantiles=quantiles)
         print(f"wrote HTML report to {args.html}", file=sys.stderr)
-    if args.bench:
-        snapshot = bench_snapshot(analyses, args.workload,
-                                  quantiles=quantiles)
-        errors = validate_bench(snapshot)
-        if errors:
-            print("analyze: generated BENCH document failed validation:",
-                  file=sys.stderr)
-            for error in errors:
-                print(f"  {error}", file=sys.stderr)
-            return 1
-        with open(args.bench, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote benchmark snapshot to {args.bench}", file=sys.stderr)
-        store = _open_recording_store(args)
-        if store is not None:
-            from repro.runstore.store import StoreError
-            try:
-                store.record_bench(snapshot)
-                print(f"recorded benchmark snapshot into {store.path}",
-                      file=sys.stderr)
-            except StoreError as exc:
-                print(f"runstore: {exc}; snapshot not recorded",
-                      file=sys.stderr)
-            finally:
-                store.close()
     return 0
 
 
@@ -628,13 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "type (e.g. new_order)")
     p_analyze.add_argument("--html", metavar="FILE", default=None,
                            help="write a self-contained HTML report")
-    p_analyze.add_argument("--bench", metavar="FILE", default=None,
-                           help="write a machine-readable BENCH_*.json "
-                                "snapshot")
     p_analyze.add_argument("--workload", default="oltp",
                            help="workload label for the reports "
                                 "(default: oltp)")
-    _add_db_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
     from repro.runstore.cli import (add_runs_arguments, add_serve_arguments,

@@ -14,8 +14,8 @@ disk manager — in four flavours plus the baseline:
 * :class:`~repro.core.tac.TemperatureAwareManager` (**TAC**) — the Canim
   et al. (VLDB 2010) baseline: extent temperatures, write-through on read,
   logical invalidation.
-* :class:`~repro.core.ssd_manager.NoSsdManager` (**noSSD**) — the
-  unmodified engine.
+* :class:`~repro.core.cw.NoSsdManager` (**noSSD**) — the unmodified
+  engine: CW over an SSD of no frames.
 * :class:`~repro.core.ls.LogStructuredManager` (**LS**) — this
   reproduction's extension beyond the paper: the SSD laid out as an
   append-only log with group-commit admission and GC-aware tail
@@ -33,8 +33,8 @@ from repro.core.config import SsdDesignConfig
 from repro.core.ssd_buffer_table import SsdBufferTable, SsdRecord
 from repro.core.heaps import LazyMinHeap
 from repro.core.admission import AdmissionPolicy
-from repro.core.ssd_manager import NoSsdManager, SsdManagerBase, TrimPlan
-from repro.core.cw import CleanWriteManager
+from repro.core.ssd_manager import SsdManagerBase, TrimPlan
+from repro.core.cw import CleanWriteManager, NoSsdManager
 from repro.core.dw import DualWriteManager
 from repro.core.lc import LazyCleaningManager
 from repro.core.ls import LogStructuredManager

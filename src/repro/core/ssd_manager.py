@@ -1023,40 +1023,3 @@ class SsdManagerBase:
                     assert frame.version == record.version, (
                         f"memory v{frame.version} != SSD v{record.version} "
                         f"for page {record.page_id}")
-
-
-class NoSsdManager(SsdManagerBase):
-    """The unmodified engine: no SSD, dirty evictions go to disk."""
-
-    __slots__ = ()
-
-    name = "noSSD"
-
-    def __init__(self, env: Environment, device: Ssd, disk: DiskManager,
-                 wal: WriteAheadLog, config: Optional[SsdDesignConfig] = None,
-                 admission: Optional[AdmissionPolicy] = None,
-                 telemetry=None):
-        config = config or SsdDesignConfig(ssd_frames=0)
-        super().__init__(env, device, disk, wal, config, admission,
-                         telemetry=telemetry)
-
-    def try_read(self, page_id: int, ctx=None):
-        return None
-        yield  # pragma: no cover - makes this a generator
-
-    def on_evict_clean(self, frame: Frame):
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def on_evict_dirty(self, frame: Frame):
-        yield from self._disk_write(frame.page_id, frame.version,
-                                    EVICTION_CTX)
-
-    def invalidate(self, page_id: int) -> None:
-        pass
-
-    def trim_plan(self, wanted: Sequence[int]) -> TrimPlan:
-        if not wanted:
-            return TrimPlan()
-        return TrimPlan(disk_start=wanted[0],
-                        disk_count=wanted[-1] - wanted[0] + 1)

@@ -138,7 +138,7 @@ class BufferPool:
 
     ``ssd_manager`` is any object implementing the design protocol (see
     :class:`repro.core.ssd_manager.SsdManagerBase`); the ``noSSD``
-    configuration passes a :class:`repro.core.ssd_manager.NoSsdManager`.
+    configuration passes a :class:`repro.core.cw.NoSsdManager`.
 
     ``partitions`` shards the replacement and latch structures by
     ``page_id % partitions``; ``latch_seconds`` is the modeled service

@@ -34,15 +34,12 @@ class Checkpointer:
 
     def __init__(self, env: Environment, bp: BufferPool, wal: WriteAheadLog,
                  interval: Optional[float] = None, telemetry=None):
-        if interval is not None and not interval > 0:
-            # _periodic would loop on timeout(0) at one instant forever.
-            raise ValueError(
-                f"interval must be None or > 0, got {interval!r}")
         self.env = env
         self.bp = bp
         self.wal = wal
         #: Virtual seconds between checkpoints (None = never automatic,
-        #: the paper's "effectively turned off" TPC-C setting).
+        #: the paper's "effectively turned off" TPC-C setting); the
+        #: range is :class:`~repro.harness.system.SystemConfig`'s.
         self.interval = interval
         self.last_checkpoint_lsn = -1
         self.checkpoints_started = 0

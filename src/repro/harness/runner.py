@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from math import ceil
+from math import ceil, inf
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.ssd_manager import SsdStats
@@ -273,6 +273,20 @@ def _publish_latencies(runner) -> None:
         labelnames=("type",))
 
 
+def check_loop(nworkers: int = 1, bucket_seconds: float = 1.0,
+               queue_limit: int = 1) -> None:
+    """The sizes a closed or an open loop can run with, else a
+    ``ValueError`` naming the knob: the runners ask when they are built,
+    a ``RunSpec`` before anything is (an infinite bucket width ran and
+    reported a throughput of 0)."""
+    for knob, count in (("nworkers", nworkers), ("queue_limit", queue_limit)):
+        if count < 1:
+            raise ValueError(f"{knob} must be >= 1, got {count}")
+    if not 0 < bucket_seconds < inf:
+        raise ValueError(f"bucket_seconds must be finite and > 0, "
+                         f"got {bucket_seconds}")
+
+
 class _Runner:
     """What a closed and an open loop share: where a run begins and
     where it ends.  A subclass spawns its processes in between."""
@@ -280,8 +294,7 @@ class _Runner:
     def __init__(self, system: System, workload, nworkers: int = 32,
                  bucket_seconds: float = 2.0, seed: int = 20110612,
                  sample_interval: float = 1.0):
-        if nworkers < 1:
-            raise ValueError(f"nworkers must be >= 1, got {nworkers}")
+        check_loop(nworkers=nworkers, bucket_seconds=bucket_seconds)
         self.system = system
         self.workload = workload
         self.nworkers = nworkers
@@ -395,8 +408,7 @@ class OpenLoopRunner(_Runner):
                  nworkers: int = 64, queue_limit: int = 10_000,
                  bucket_seconds: float = 2.0, seed: int = 20110612,
                  sample_interval: float = 1.0):
-        if queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
+        check_loop(queue_limit=queue_limit)
         if not tenants:
             raise ValueError("need at least one tenant")
         super().__init__(system, workload, nworkers, bucket_seconds, seed,

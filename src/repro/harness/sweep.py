@@ -139,14 +139,9 @@ def cache_store(spec: RunSpec, record: Dict[str, Any],
 # Executing specs
 # ----------------------------------------------------------------------
 
-def execute(spec: RunSpec) -> Any:
-    """Run one spec live (no cache) and return the live result object."""
-    return run(spec)
-
-
 def _compute(spec: RunSpec, directory: Optional[Path]) -> Any:
     """Run ``spec`` live, storing its record when ``directory`` is set."""
-    result = execute(spec)
+    result = run(spec)
     if directory is not None:
         cache_store(spec, result.to_dict(), directory)
     return result
@@ -161,7 +156,7 @@ def run_cached(spec: RunSpec, directory: Optional[Path] = None,
     the full simulator state on first computation).
     """
     if not use_cache:
-        return execute(spec)
+        return run(spec)
     directory = directory or cache_dir()
     hit = cache_load(spec, directory)
     return hit if hit is not None else _compute(spec, directory)
@@ -176,7 +171,7 @@ def _worker(payload: Tuple[Dict[str, Any], Optional[str]]) -> Tuple[
     """
     spec_dict, directory = payload
     spec = RunSpec.from_dict(spec_dict)
-    record: Dict[str, Any] = execute(spec).to_dict()
+    record: Dict[str, Any] = run(spec).to_dict()
     if directory is not None:
         cache_store(spec, record, Path(directory))
     return spec_dict, record

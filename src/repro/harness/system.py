@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.sim import KERNELS, Environment, make_environment
@@ -56,9 +57,16 @@ class SystemConfig:
     bp_latch_us: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bp_latch_us < 0:
-            raise ValueError(
-                f"bp_latch_us must be >= 0, got {self.bp_latch_us}")
+        # A nan or infinite latch time ran and reported tpmC 0.0.
+        if not 0 <= self.bp_latch_us < math.inf:
+            raise ValueError(f"bp_latch_us must be finite and >= 0, "
+                             f"got {self.bp_latch_us}")
+        interval = self.checkpoint_interval
+        if interval is not None and not interval > 0:
+            # The periodic checkpointer would loop on timeout(0) at one
+            # virtual instant forever.
+            raise ValueError(f"checkpoint_interval must be None or > 0, "
+                             f"got {interval!r}")
         if self.design not in DESIGNS:
             raise ValueError(
                 f"unknown design {self.design!r}; choose from {sorted(DESIGNS)}")
@@ -87,11 +95,17 @@ class System:
         self.telemetry.set_clock(lambda: self.env.now)
         total_pages = config.db_pages + config.slack_pages
         self.data_device = HddArray(self.env)
-        if config.ssd.ftl_enabled and config.ssd.ssd_frames > 0:
+        ssd = config.ssd
+        if config.design == "noSSD":
+            # The unmodified engine is CW's decision over an SSD of no
+            # frames: it finds nothing, admits nothing, and has no flash
+            # for an FTL to model.
+            ssd = replace(ssd, ssd_frames=0)
+        if ssd.ftl_enabled and ssd.ssd_frames > 0:
             # Model the SSD's internals: the logical space the FTL maps
             # is exactly the design's S frames.
             self.ssd_device = Ssd(self.env, ftl=FtlConfig(),
-                                  logical_pages=config.ssd.ssd_frames)
+                                  logical_pages=ssd.ssd_frames)
         else:
             self.ssd_device = Ssd(self.env)
         if self.telemetry.enabled:
@@ -102,13 +116,12 @@ class System:
         self.wal = WriteAheadLog(self.env, telemetry=self.telemetry)
         design_cls = DESIGNS[config.design]
         self.ssd_manager = design_cls(self.env, self.ssd_device, self.disk,
-                                      self.wal, config.ssd,
-                                      telemetry=self.telemetry)
+                                      self.wal, ssd, telemetry=self.telemetry)
         self.bp = BufferPool(
             self.env, config.bp_pages, self.disk, self.wal, self.ssd_manager,
             expand_reads=config.expand_reads,
             telemetry=self.telemetry,
-            partitions=config.ssd.partitions,
+            partitions=ssd.partitions,
             latch_seconds=config.bp_latch_us * 1e-6)
         self.ssd_manager.bp = self.bp
         self.ssd_manager.start_cleaner()

@@ -12,10 +12,9 @@ This package turns every harness run into a durable, queryable row:
   JSON API over the store;
 * :mod:`repro.runstore.cli`        — ``repro runs`` subcommands.
 
-Recording is wired into ``repro sweep`` / ``oltp`` / ``tpch`` /
-``chaos`` / ``analyze --bench`` by default and is always best-effort: a
-corrupted or locked database degrades to JSON-only output, never a
-failed run.
+Recording is wired into ``repro sweep`` / ``oltp`` / ``traffic`` /
+``tpch`` / ``chaos`` by default and is always best-effort: a corrupted
+or locked database degrades to JSON-only output, never a failed run.
 """
 
 from repro.runstore.provenance import Provenance, capture, provenance_args

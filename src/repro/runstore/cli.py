@@ -5,11 +5,10 @@
 * ``list``    — recent runs (design/benchmark/scale/commit filters);
 * ``show``    — one run: spec, provenance, every metric;
 * ``compare`` — newest run per design side by side (tpmC, tail
-  latency, WAF — the BENCH_oltp.json numbers, served from the store);
+  latency, SSD hit rate, WAF, wear);
 * ``regress`` — p99 + WAF + throughput regression check of each
   recorded spec against its own last-N baseline (CI's gate; exit 1 on
-  findings);
-* ``bench``   — the latest stored BENCH_<workload> document.
+  findings).
 
 ``repro serve`` starts the HTML dashboard + JSON API
 (:mod:`repro.runstore.dashboard`).
@@ -197,19 +196,6 @@ def cmd_runs_regress(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_runs_bench(args: argparse.Namespace) -> int:
-    with open_for_query(args) as store:
-        doc = store.latest_bench(args.workload)
-    if doc is None:
-        print(f"runs bench: no stored BENCH snapshot for workload "
-              f"{args.workload!r} (run `repro analyze --bench` first)",
-              file=sys.stderr)
-        return 2
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
-
-
 def cmd_runs(args: argparse.Namespace) -> int:
     try:
         return int(args.runs_func(args))
@@ -260,11 +246,6 @@ def add_runs_arguments(parser: argparse.ArgumentParser) -> None:
                            help="fractional tolerance before a change "
                                 "is a regression (default 0.25)")
     p_regress.set_defaults(runs_func=cmd_runs_regress)
-
-    p_bench = sub.add_parser(
-        "bench", help="emit the latest stored BENCH_<workload> document")
-    p_bench.add_argument("--workload", default="oltp")
-    p_bench.set_defaults(runs_func=cmd_runs_bench)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

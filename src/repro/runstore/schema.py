@@ -21,6 +21,10 @@ Version history:
     ``bench_snapshots`` (whole BENCH_* documents as store views), plus
     ``runs.duration`` / ``runs.metric_name`` so summary tables need no
     spec-JSON parsing.
+
+``v3``
+    Drops ``bench_snapshots``: a run's numbers are its ``runs`` and
+    ``metrics`` rows, and nothing writes or reads a second document.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import sqlite3
 from typing import Dict, List
 
 #: The schema version this checkout reads and writes.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: target version -> statements upgrading from (target - 1).
 MIGRATIONS: Dict[int, List[str]] = {
@@ -95,6 +99,9 @@ MIGRATIONS: Dict[int, List[str]] = {
         )
         """,
         "CREATE INDEX idx_bench_workload ON bench_snapshots(workload)",
+    ],
+    3: [
+        "DROP TABLE bench_snapshots",
     ],
 }
 

@@ -3,10 +3,8 @@
 One ``runs`` row per experiment (spec + provenance + status), one
 ``metrics`` row per scalar the harness measured (throughput, latency
 percentiles, WAF, wear, fault outcomes), plus crash-sweep verdicts
-(``chaos_outcomes``) and whole BENCH_* documents (``bench_snapshots``).
-The committed ``BENCH_*.json`` files become *views* over this store:
-``repro runs compare`` and ``repro runs bench`` reproduce them from
-recorded rows alone.
+(``chaos_outcomes``): the history ``repro runs compare`` / ``regress``
+and the dashboard read.
 
 Concurrency: SQLite serializes writers, and the store leans into that —
 every write happens inside ``BEGIN IMMEDIATE`` (the single-writer
@@ -255,25 +253,6 @@ class RunStore:
             run_ids.append(run_id)
         return run_ids
 
-    def record_bench(self, doc: Dict[str, Any],
-                     provenance: Optional[Provenance] = None) -> int:
-        """Store one BENCH_* document (``repro analyze --bench``)."""
-        prov = provenance if provenance is not None else capture()
-        with self._write() as conn:
-            cursor = conn.execute(
-                """
-                INSERT INTO bench_snapshots
-                    (created_at, workload, git_commit, git_branch,
-                     git_dirty, source_hash, doc_json)
-                VALUES (?, ?, ?, ?, ?, ?, ?)
-                """,
-                (time.time(), str(doc.get("workload", "?")),
-                 prov.git_commit, prov.git_branch,
-                 None if prov.git_dirty is None else int(prov.git_dirty),
-                 prov.source_hash,
-                 json.dumps(doc, sort_keys=True, separators=(",", ":"))))
-            return int(cursor.lastrowid)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -390,17 +369,6 @@ class RunStore:
             """, params)
         return [row["git_commit"] for row in rows
                 if row["git_commit"] is not None]
-
-    def latest_bench(self, workload: str) -> Optional[Dict[str, Any]]:
-        """The newest stored BENCH document for a workload, or None."""
-        rows = self._rows(
-            """
-            SELECT doc_json FROM bench_snapshots
-            WHERE workload = ? ORDER BY id DESC LIMIT 1
-            """, [workload])
-        if not rows:
-            return None
-        return json.loads(rows[0]["doc_json"])
 
     # ------------------------------------------------------------------
     # Regression check

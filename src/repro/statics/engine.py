@@ -140,7 +140,7 @@ class Rule:
     """Base class: one invariant, one stable code.
 
     Subclasses set :attr:`code`, :attr:`name`, :attr:`description`, and
-    the default :attr:`paths` scope (empty = every linted file), then
+    the :attr:`paths` scope (empty = every linted file), then
     implement :meth:`check`.  Rules needing cross-module context (e.g.
     subclass closures) also implement :meth:`collect`, which the engine
     calls for *every* module before any :meth:`check` call.
@@ -151,12 +151,6 @@ class Rule:
     description: str = ""
     #: Path prefixes this rule applies to (see :meth:`ModuleInfo.in_scope`).
     paths: Sequence[str] = ()
-
-    def __init__(self, options: Optional[Dict[str, object]] = None):
-        options = dict(options or {})
-        if "paths" in options:
-            self.paths = tuple(str(p) for p in options.pop("paths"))
-        self.options = options
 
     def applies_to(self, module: ModuleInfo) -> bool:
         """Whether :meth:`check` should run on ``module``."""
@@ -209,16 +203,13 @@ class LintConfig:
 
     ``select`` limits the run to the listed codes (None = all
     registered); ``ignore`` then removes codes; ``exclude`` drops files
-    whose path contains any of the given fragments.  ``rule_options``
-    maps a code to its ``[tool.repro.lint.<code>]`` table (e.g. a
-    ``paths`` override or a rule-specific allowlist).
+    whose path contains any of the given fragments.  A rule's scope and
+    settings are its own class attributes.
     """
 
     select: Optional[Tuple[str, ...]] = None
     ignore: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ("/.git/", "/.repro-cache/", "/build/")
-    rule_options: Dict[str, Dict[str, object]] = dataclasses.field(
-        default_factory=dict)
 
     def enabled_codes(self) -> List[str]:
         """The codes this configuration runs, in code order."""
@@ -235,18 +226,17 @@ class LintConfig:
         return any(fragment in padded for fragment in self.exclude)
 
     def build_rules(self) -> List[Rule]:
-        """Instantiate the enabled rules with their options."""
+        """Instantiate the enabled rules."""
         registry = all_rules()
-        return [registry[code](self.rule_options.get(code))
-                for code in self.enabled_codes()]
+        return [registry[code]() for code in self.enabled_codes()]
 
 
 def load_config(root: Optional[Path] = None) -> LintConfig:
     """Read ``[tool.repro.lint]`` from ``pyproject.toml`` if possible.
 
     Falls back to the built-in defaults when the file (or ``tomllib``,
-    absent before Python 3.11) is unavailable — the defaults match the
-    committed pyproject block, so older interpreters lint identically.
+    absent before Python 3.11) is unavailable — the committed pyproject
+    block sets nothing, so older interpreters lint identically.
     """
     config = LintConfig()
     if root is None:
@@ -272,9 +262,6 @@ def load_config(root: Optional[Path] = None) -> LintConfig:
         config.ignore = tuple(str(c) for c in table["ignore"])
     if "exclude" in table:
         config.exclude = tuple(str(c) for c in table["exclude"])
-    for key, value in table.items():
-        if _CODE_RE.match(key) and isinstance(value, dict):
-            config.rule_options[key] = dict(value)
     return config
 
 

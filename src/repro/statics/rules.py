@@ -126,8 +126,7 @@ class SlotsHotpathRule(Rule):
     PR 5 speedups.  The rule collects classes defined under the hot-path
     roots, closes over their in-repo subclasses (by base name, across
     files), and flags any that lack a ``__slots__`` declaration.
-    Enums, exception types, and names listed in the rule's ``exempt``
-    option are excluded.
+    Enums and exception types are excluded.
     """
 
     code = "RPL002"
@@ -153,15 +152,10 @@ class SlotsHotpathRule(Rule):
          "TypeError", "RuntimeError", "KeyError", "LookupError", "OSError"})
     _ENUM_BASES = frozenset({"Enum", "IntEnum", "Flag", "IntFlag"})
 
-    def __init__(self, options=None):
-        super().__init__(options)
-        if "hotpath_roots" in self.options:
-            self.hotpath_roots = tuple(
-                str(p) for p in self.options["hotpath_roots"])
-        self.exempt: Set[str] = {
-            str(name) for name in self.options.get("exempt", ())}
-        #: class name -> (module path, base names, has slots, node line/col)
+    def __init__(self) -> None:
+        #: class name -> the module and node of its (last) definition
         self._classes: Dict[str, Tuple[ModuleInfo, ast.ClassDef]] = {}
+        #: class name -> the last segment of each of its base names
         self._bases: Dict[str, Tuple[str, ...]] = {}
 
     def collect(self, module: ModuleInfo) -> None:
@@ -183,7 +177,7 @@ class SlotsHotpathRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            if node.name not in hotpath or node.name in self.exempt:
+            if node.name not in hotpath:
                 continue
             recorded = self._classes.get(node.name)
             if recorded is None or recorded[1] is not node:
@@ -387,14 +381,7 @@ class FaultSafetyRule(Rule):
 
     #: Functions whose body *is* the fault handling (callers may await
     #: raw device events inside them, or pass lambdas into them).
-    retry_helpers = ("_ssd_io", "_ssd_read_frame", "_ssd_write_frame",
-                     "_flush_with_retry", "_io_with_retry")
-
-    def __init__(self, options=None):
-        super().__init__(options)
-        if "retry_helpers" in self.options:
-            self.retry_helpers = tuple(
-                str(h) for h in self.options["retry_helpers"])
+    retry_helpers = ("_ssd_io", "_ssd_read_frame", "_ssd_write_frame")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

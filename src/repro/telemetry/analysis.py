@@ -606,142 +606,3 @@ def format_faults_table(analyses: Sequence[DesignAnalysis]) -> str:
                     + [str(analysis.faults.get(name, 0)) or "-"
                        for name in names])
     return format_table("Fault events", ["design"] + names, rows)
-
-
-# ----------------------------------------------------------------------
-# Machine-readable benchmark snapshot
-# ----------------------------------------------------------------------
-
-#: Version of the BENCH_<workload>.json layout.
-BENCH_SCHEMA_VERSION = 1
-
-
-def bench_snapshot(analyses: Sequence[DesignAnalysis],
-                   workload: str,
-                   quantiles: Sequence[float] = (50, 95, 99)) -> dict:
-    """The ``BENCH_<workload>.json`` document for a set of analyses."""
-    designs = {}
-    for analysis in analyses:
-        summary = analysis.latency_summary()
-        attributions = {}
-        for q in quantiles:
-            att = analysis.attribution(q)
-            attributions[f"p{q:g}"] = {
-                "threshold_s": att.threshold,
-                "mean_latency_s": att.mean_latency,
-                "count": att.count,
-                "coverage": att.coverage,
-                "dominant": att.dominant,
-                "components_s": att.components,
-            }
-        entry = {
-            "benchmark": analysis.benchmark,
-            "scale": analysis.scale,
-            "duration_s": analysis.duration,
-            "txns": int(summary["count"]),
-            "throughput_tps": (summary["count"] / analysis.duration
-                               if analysis.duration else None),
-            "latency_s": {key: summary[key]
-                          for key in ("mean", "p50", "p95", "p99")},
-            "attribution": attributions,
-            "background_io": {
-                origin: {"busy_s": stats["busy"], "ios": int(stats["ios"])}
-                for origin, stats in sorted(analysis.background_io.items())
-            },
-            "truncated_events": analysis.dropped,
-        }
-        if analysis.ftl:
-            entry["ftl"] = {
-                "host_writes": int(analysis.ftl.get("host_writes", 0)),
-                "nand_writes": int(analysis.ftl.get("nand_writes", 0)),
-                "erases": int(analysis.ftl.get("erases", 0)),
-                "waf": analysis.ftl.get("waf", 0.0),
-                "gc_bursts": int(analysis.ftl.get("gc_events", 0)),
-            }
-        designs[analysis.design] = entry
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "workload": workload,
-        "generated_by": "repro analyze",
-        "designs": designs,
-    }
-
-
-def validate_bench(doc: object) -> List[str]:
-    """Validate a BENCH document; returns error strings (empty = valid).
-
-    Hand-rolled (the toolchain has no jsonschema), but strict about the
-    fields CI and downstream comparisons rely on.
-    """
-    errors: List[str] = []
-
-    def _number(value: object) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema_version") != BENCH_SCHEMA_VERSION:
-        errors.append(f"schema_version must be {BENCH_SCHEMA_VERSION}")
-    if not isinstance(doc.get("workload"), str) or not doc.get("workload"):
-        errors.append("workload must be a non-empty string")
-    designs = doc.get("designs")
-    if not isinstance(designs, dict) or not designs:
-        errors.append("designs must be a non-empty object")
-        return errors
-    for design, entry in designs.items():
-        where = f"designs.{design}"
-        if not isinstance(entry, dict):
-            errors.append(f"{where} is not an object")
-            continue
-        if not isinstance(entry.get("txns"), int) or entry["txns"] < 0:
-            errors.append(f"{where}.txns must be a non-negative integer")
-        latency = entry.get("latency_s")
-        if not isinstance(latency, dict):
-            errors.append(f"{where}.latency_s is not an object")
-        else:
-            for key in ("mean", "p50", "p95", "p99"):
-                if key not in latency or not _number(latency[key]):
-                    errors.append(f"{where}.latency_s.{key} must be a number")
-        attribution = entry.get("attribution")
-        if not isinstance(attribution, dict) or not attribution:
-            errors.append(f"{where}.attribution must be a non-empty object")
-        else:
-            for tail, att in attribution.items():
-                at_where = f"{where}.attribution.{tail}"
-                if not isinstance(att, dict):
-                    errors.append(f"{at_where} is not an object")
-                    continue
-                for key in ("coverage", "mean_latency_s"):
-                    if key in att and not _number(att[key]):
-                        errors.append(f"{at_where}.{key} must be a number")
-                components = att.get("components_s")
-                if not isinstance(components, dict):
-                    errors.append(f"{at_where}.components_s is not an object")
-                else:
-                    for name, value in components.items():
-                        if not _number(value) or value < 0:
-                            errors.append(
-                                f"{at_where}.components_s.{name} must be a "
-                                f"non-negative number")
-                if not isinstance(att.get("dominant", "-"), str):
-                    errors.append(f"{at_where}.dominant must be a string")
-        truncated = entry.get("truncated_events", 0)
-        if not isinstance(truncated, int) or truncated < 0:
-            errors.append(
-                f"{where}.truncated_events must be a non-negative integer")
-        ftl = entry.get("ftl")
-        if ftl is not None:
-            if not isinstance(ftl, dict):
-                errors.append(f"{where}.ftl is not an object")
-            else:
-                for key in ("host_writes", "nand_writes", "erases"):
-                    value = ftl.get(key)
-                    if not isinstance(value, int) or value < 0:
-                        errors.append(
-                            f"{where}.ftl.{key} must be a non-negative "
-                            f"integer")
-                if "waf" not in ftl or not _number(ftl["waf"]) \
-                        or ftl["waf"] < 0:
-                    errors.append(
-                        f"{where}.ftl.waf must be a non-negative number")
-    return errors

@@ -15,10 +15,7 @@ from repro.harness.experiments import RunSpec
 #: record-bench``): generating the flags from the dataclass must add,
 #: drop and re-default nothing.
 OPTIONS = {'': {},
- 'analyze': {'--bench': None,
-             '--db': None,
-             '--html': None,
-             '--no-db': False,
+ 'analyze': {'--html': None,
              '--tail': '50,95,99',
              '--txn-type': None,
              '--workload': 'oltp'},
@@ -54,7 +51,6 @@ OPTIONS = {'': {},
           '--trace': None,
           '--workers': 16},
  'runs': {'--db': None},
- 'runs bench': {'--workload': 'oltp'},
  'runs compare': {'--benchmark': None,
                   '--commit': None,
                   '--design': None,
@@ -208,6 +204,18 @@ class TestCommands:
                      "--no-db"]) == 2
         assert "tenants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, knob", [
+        (["oltp", "--scale", "20", "--latch-us", "nan"], "latch_us"),
+        (["sweep", "--scales", "20", "--workers-per-run", "0",
+          "--no-cache"], "nworkers"),
+    ])
+    def test_bad_knob_exits_2_before_the_first_run(self, argv, knob,
+                                                   capsys):
+        assert main([*argv, "--profile", "tiny", "--duration", "1",
+                     "--designs", "LC", "--no-db"]) == 2
+        err = capsys.readouterr().err
+        assert knob in err and "ran LC" not in err
+
     def test_tpch_runs(self, capsys):
         code = main(["tpch", "--sf", "30", "--profile", "tiny",
                      "--designs", "noSSD"])
@@ -299,16 +307,6 @@ class TestAnalyzeCommand:
         text = report.read_text()
         assert text.startswith("<!doctype html>")
         assert text.count("<svg") >= 3
-
-    def test_writes_valid_bench_snapshot(self, traced_pair, capsys,
-                                         tmp_path):
-        from repro.telemetry.analysis import validate_bench
-        bench = tmp_path / "BENCH_oltp.json"
-        assert main(["analyze", *traced_pair, "--bench", str(bench),
-                     "--workload", "oltp"]) == 0
-        doc = json.loads(bench.read_text())
-        assert validate_bench(doc) == []
-        assert set(doc["designs"]) == {"CW", "LC"}
 
     def test_txn_type_filter(self, traced_pair, capsys):
         assert main(["analyze", traced_pair[0],

@@ -121,6 +121,22 @@ def test_golden_cell_metrics_and_summary_row():
     ({"kernel": "calendar"}, "kernel"),
     ({"kind": "traffic"}, "tenants"),
     ({"kind": "traffic", "tenants": "gold=teleport:rate=1"}, "tenants"),
+    ({"latch_us": float("nan")}, "latch_us"),
+    ({"latch_us": float("inf")}, "latch_us"),
+    ({"latch_us": -1.0}, "latch_us"),
+    ({"bucket_seconds": float("inf")}, "bucket_seconds"),
+    ({"scale": 0}, "scale"),
+    ({"scale": 20.5}, "scale"),
+    ({"kind": "tpch", "benchmark": "tpch", "scale": -30}, "scale"),
+    ({"nworkers": 0}, "nworkers"),
+    ({"nworkers": 2.5}, "nworkers"),
+    ({"partitions": 0}, "partitions"),
+    ({"partitions": 2.5}, "partitions"),
+    ({"queue_limit": 0}, "queue_limit"),
+    ({"dirty_threshold": 1.5}, "dirty_threshold"),
+    ({"dirty_threshold": float("nan")}, "dirty_threshold"),
+    ({"duration": float("nan")}, "duration"),
+    ({"checkpoint_interval": float("nan")}, "checkpoint_interval"),
 ])
 def test_spec_fails_at_construction(change, match):
     """A bad spec raises in the parent, before any system is built or

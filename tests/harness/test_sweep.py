@@ -5,13 +5,13 @@ import json
 
 import pytest
 
+from repro.harness.experiments import run
 from repro.harness.runner import RunResult
 from repro.harness.sweep import (
     SNAPSHOT_VERSION,
     RunSpec,
     cache_load,
     cache_store,
-    execute,
     run_cached,
     run_sweep,
     spec_key,
@@ -25,7 +25,7 @@ SPEC = RunSpec(kind="oltp", benchmark="tpcc", scale=20, design="LC",
 @pytest.fixture(scope="module")
 def live_result():
     """One shared live run (the slow part happens once per module)."""
-    return execute(SPEC)
+    return run(SPEC)
 
 
 #: A valid value different from SPEC's, for every RunSpec field.  The

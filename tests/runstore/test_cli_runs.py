@@ -1,7 +1,5 @@
 """The ``repro runs`` / ``repro serve`` CLI surface, end to end."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,10 +34,9 @@ class TestParser:
         assert args.host == "127.0.0.1"
 
     def test_recording_flags_everywhere(self):
-        for command in ("oltp", "tpch", "sweep", "chaos", "analyze"):
-            extra = ["trace.jsonl"] if command == "analyze" else []
+        for command in ("oltp", "tpch", "sweep", "chaos"):
             args = build_parser().parse_args(
-                [command, *extra, "--no-db", "--db", "x.db"])
+                [command, "--no-db", "--db", "x.db"])
             assert args.no_db is True
             assert args.db == "x.db"
 
@@ -115,19 +112,6 @@ class TestQueries:
     def test_regress_no_matches_exits_2(self, capsys):
         populate()
         assert main(["runs", "regress", "--design", "LS"]) == 2
-
-    def test_bench_missing_exits_2(self, capsys):
-        populate()
-        assert main(["runs", "bench"]) == 2
-
-    def test_bench_round_trip(self, capsys):
-        populate()
-        with RunStore(db_path()) as store:
-            store.record_bench({"workload": "oltp", "designs": {}},
-                               provenance=Provenance())
-        assert main(["runs", "bench", "--workload", "oltp"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"] == "oltp"
 
 
 class TestRecordingCommands:

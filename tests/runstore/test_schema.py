@@ -32,8 +32,7 @@ class TestFreshDatabase:
     def test_all_tables_exist(self):
         conn = sqlite3.connect(":memory:")
         apply_migrations(conn)
-        assert {"runs", "metrics", "chaos_outcomes",
-                "bench_snapshots"} <= tables(conn)
+        assert {"runs", "metrics", "chaos_outcomes"} <= tables(conn)
 
     def test_apply_twice_is_a_noop(self):
         conn = sqlite3.connect(":memory:")
@@ -80,7 +79,8 @@ class TestUpgrade:
         apply_migrations(conn)
         assert "duration" in columns(conn, "runs")
         assert "metric_name" in columns(conn, "runs")
-        assert {"chaos_outcomes", "bench_snapshots"} <= tables(conn)
+        assert "chaos_outcomes" in tables(conn)
+        assert "bench_snapshots" not in tables(conn)
 
     def test_upgraded_db_accepts_v2_writes(self):
         conn = sqlite3.connect(":memory:")

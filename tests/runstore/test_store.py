@@ -132,15 +132,6 @@ class TestChaosAndBench:
         findings, groups = store.regress()
         assert groups == 0
 
-    def test_bench_round_trip(self, store):
-        assert store.latest_bench("oltp") is None
-        store.record_bench({"workload": "oltp", "version": 1},
-                           provenance=PROV)
-        store.record_bench({"workload": "oltp", "version": 2},
-                           provenance=PROV)
-        assert store.latest_bench("oltp")["version"] == 2
-        assert store.latest_bench("sim") is None
-
 
 class TestRegress:
     def test_fresh_group_trivially_passes(self, store):

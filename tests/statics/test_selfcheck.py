@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.statics import check_paths, load_config
+from repro.statics import LintConfig, check_paths, load_config
 from repro.statics.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -25,6 +25,11 @@ class TestRepositoryIsClean:
         assert result.errors == []
         assert result.findings == [], f"lint findings:\n{report}"
         assert result.files > 50  # the walk actually found the tree
+
+    def test_pyproject_keeps_the_built_in_defaults(self):
+        """The committed block sets nothing, so an interpreter that reads
+        it (``tomllib``, 3.11+) skips the same files as one that cannot."""
+        assert load_config(REPO_ROOT) == LintConfig()
 
     def test_cli_exits_zero_on_src(self):
         proc = subprocess.run(

@@ -1,6 +1,4 @@
-"""Trace analysis: loading, attribution, bench snapshots, validation."""
-
-import json
+"""Trace analysis: loading, attribution, tables."""
 
 import pytest
 
@@ -9,13 +7,11 @@ from repro.telemetry.analysis import (
     Attribution,
     analyze_trace,
     analyze_traces,
-    bench_snapshot,
     format_attribution_table,
     format_ftl_table,
     format_interference_table,
     format_tenant_table,
     load_events,
-    validate_bench,
 )
 
 
@@ -260,35 +256,6 @@ class TestTables:
         rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
         assert rows["LS"] == ["400", "424", "6", "1.060", "3"]
         assert rows["LC"] == ["-"] * 5
-
-
-class TestBenchSnapshot:
-    def test_snapshot_validates(self, analysis):
-        doc = bench_snapshot([analysis], "oltp")
-        assert validate_bench(doc) == []
-        assert doc["workload"] == "oltp"
-        entry = doc["designs"]["LC"]
-        assert entry["txns"] == 2
-        assert entry["attribution"]["p99"]["dominant"] == "wal_flush"
-        assert entry["attribution"]["p99"]["coverage"] == pytest.approx(1.0)
-
-    def test_snapshot_is_json_serializable(self, analysis):
-        json.dumps(bench_snapshot([analysis], "oltp"))
-
-    def test_validator_rejects_broken_documents(self, analysis):
-        assert validate_bench([]) == ["document is not an object"]
-        assert any("designs" in e for e in validate_bench(
-            {"schema_version": 1, "workload": "oltp", "designs": {}}))
-        doc = bench_snapshot([analysis], "oltp")
-        doc["designs"]["LC"]["latency_s"].pop("p99")
-        assert any("p99" in e for e in validate_bench(doc))
-        doc2 = bench_snapshot([analysis], "oltp")
-        doc2["designs"]["LC"]["attribution"]["p99"]["components_s"][
-            "wal_flush"] = -1
-        assert any("non-negative" in e for e in validate_bench(doc2))
-        doc3 = bench_snapshot([analysis], "oltp")
-        doc3["schema_version"] = 99
-        assert any("schema_version" in e for e in validate_bench(doc3))
 
 
 class TestAnalyzeTraces:
