@@ -501,8 +501,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_lint(args) -> int:
     """Run the static invariant checker (see repro.statics)."""
-    from repro.statics.cli import run_lint
-    return run_lint(args)
+    from repro.statics import RULES, check_paths, format_findings_text
+
+    if args.list_rules:
+        for rule in RULES:
+            print(f"{rule.code} [{rule.name}] {rule.description}")
+        return 0
+    result = check_paths(args.paths)
+    print(format_findings_text(result))
+    return result.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,8 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the repo-specific AST invariant checker")
-    from repro.statics.cli import add_lint_arguments
-    add_lint_arguments(p_lint)
+    p_lint.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
+                        help="files or directories to lint (default: src)")
+    p_lint.add_argument("--list-rules", action="store_true",
+                        help="list the rules and exit")
     p_lint.set_defaults(func=cmd_lint)
 
     return parser

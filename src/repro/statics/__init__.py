@@ -2,13 +2,13 @@
 
 PRs 2–5 established invariants that runtime tests can only catch *after*
 a violation ships: tracer call sites must be guarded by
-``tracer.enabled`` (zero-cost telemetry off-path), hot-path classes must
-declare ``__slots__``, the simulator must stay deterministic (no wall
-clocks, no global RNG, no set-order-dependent scheduling), raw device
-I/O must reach the fault-retry machinery, and metric cardinality must be
-statically known.  This package machine-checks those invariants at lint
-time, over the AST, so a refactor that silently reverts one fails CI
-instead of a benchmark session.
+``tracer.enabled`` (zero-cost telemetry off-path), the simulator must
+stay deterministic (no wall clocks, no global RNG, no
+set-order-dependent scheduling), raw device I/O must reach the
+fault-retry machinery, and metric cardinality must be statically known.
+This package machine-checks those invariants at lint time, over the AST,
+so a refactor that silently reverts one fails CI instead of a benchmark
+session.
 
 Each rule has a stable ``RPL0xx`` code; a finding can be suppressed on
 its line with ``# repro: noqa[RPL0xx]``.  See DESIGN.md §9 for the
@@ -17,26 +17,20 @@ rule-to-PR map and CONTRIBUTING.md for how to add a rule.
 
 from repro.statics.engine import (
     Finding,
-    LintConfig,
     ModuleInfo,
     Rule,
-    all_rules,
     check_paths,
     check_source,
-    format_findings_json,
     format_findings_text,
-    load_config,
 )
+from repro.statics.rules import RULES
 
 __all__ = [
     "Finding",
-    "LintConfig",
     "ModuleInfo",
+    "RULES",
     "Rule",
-    "all_rules",
     "check_paths",
     "check_source",
-    "format_findings_json",
     "format_findings_text",
-    "load_config",
 ]

@@ -1,10 +1,8 @@
-"""The built-in ``RPL0xx`` rules (DESIGN.md §9 maps each to its PR).
+"""The ``RPL0xx`` rules (DESIGN.md §9 maps each to its PR).
 
 Every rule encodes an invariant another PR established at runtime:
 
 * RPL001 tracer-guard      — zero-cost telemetry off-path (PR 5)
-* RPL002 slots-hotpath     — ``__slots__`` on the event kernel (PR 5;
-  PR 10 extended the roots to the buffer pool and the SSD managers)
 * RPL003 determinism       — seeded, replayable simulation (PRs 1–5)
 * RPL004 fault-safety      — device I/O reaches retry/degradation (PR 4)
 * RPL005 no-swallow        — no silently swallowed exceptions (PR 4)
@@ -12,20 +10,18 @@ Every rule encodes an invariant another PR established at runtime:
 * RPL007 spawn-discarded   — a dropped process handle means ``spawn`` (PR 13)
 * RPL008 start-together    — a fan-out starts through ``gather``/``spawn_all``
   (PR 15)
+
+RPL002 (``__slots__`` on the hot path) is checked on the imported
+classes by ``tests/statics/test_rules.py::TestSlotsHotpath``.  Codes are
+never reused.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.statics.engine import (
-    Finding,
-    ModuleInfo,
-    Rule,
-    dotted_name,
-    rule,
-)
+from repro.statics.engine import Finding, ModuleInfo, Rule, dotted_name
 
 #: Recording methods of ``repro.telemetry.tracer.Tracer``.
 TRACER_METHODS = frozenset(
@@ -55,7 +51,6 @@ def _mentions_tracer_enabled(test: ast.AST) -> bool:
     return False
 
 
-@rule
 class TracerGuardRule(Rule):
     """RPL001: tracer calls must be dominated by a ``tracer.enabled`` check.
 
@@ -116,138 +111,6 @@ class TracerGuardRule(Rule):
         return False
 
 
-@rule
-class SlotsHotpathRule(Rule):
-    """RPL002: hot-path classes (and their subclasses) need ``__slots__``.
-
-    One instance per event/process/request makes attribute storage part
-    of the kernel's allocation budget; a single un-slotted subclass
-    gives every instance a ``__dict__`` again and silently reverts the
-    PR 5 speedups.  The rule collects classes defined under the hot-path
-    roots, closes over their in-repo subclasses (by base name, across
-    files), and flags any that lack a ``__slots__`` declaration.
-    Enums and exception types are excluded.
-    """
-
-    code = "RPL002"
-    name = "slots-hotpath"
-    description = ("classes on the simulator hot path (and their "
-                   "subclasses) must declare __slots__")
-    #: Where hot-path classes are *defined* (subclasses are found anywhere).
-    #: The engine/core entries cover the partitioned buffer pool and the
-    #: SSD managers: one frame/record per page and one manager vtable hit
-    #: per fetch put their attribute storage on the same budget as the
-    #: kernel's events.  ``storage/device.py``, ``storage/hdd.py``: a
-    #: callback-completed I/O costs little besides attribute loads.
-    hotpath_roots: Sequence[str] = (
-        "repro/sim/", "repro/storage/request.py",
-        "repro/storage/device.py", "repro/storage/hdd.py",
-        "repro/engine/buffer_pool.py", "repro/engine/page.py",
-        "repro/core/ssd_manager.py", "repro/core/ssd_buffer_table.py")
-    #: Findings are only emitted for first-party sources, not test files.
-    paths = ("repro/",)
-
-    _EXCEPTION_BASES = frozenset(
-        {"Exception", "BaseException", "ArithmeticError", "ValueError",
-         "TypeError", "RuntimeError", "KeyError", "LookupError", "OSError"})
-    _ENUM_BASES = frozenset({"Enum", "IntEnum", "Flag", "IntFlag"})
-
-    def __init__(self) -> None:
-        #: class name -> the module and node of its (last) definition
-        self._classes: Dict[str, Tuple[ModuleInfo, ast.ClassDef]] = {}
-        #: class name -> the last segment of each of its base names
-        self._bases: Dict[str, Tuple[str, ...]] = {}
-
-    def collect(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            # Last definition wins; same-named helpers in different test
-            # fixtures are out of scope anyway (findings are per-class).
-            self._classes[node.name] = (module, node)
-            bases = []
-            for base in node.bases:
-                dotted = dotted_name(base)
-                if dotted is not None:
-                    bases.append(dotted.rsplit(".", 1)[-1])
-            self._bases[node.name] = tuple(bases)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        hotpath = self._hotpath_closure()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name not in hotpath:
-                continue
-            recorded = self._classes.get(node.name)
-            if recorded is None or recorded[1] is not node:
-                continue
-            if self._has_slots(node) or self._is_exempt_kind(node.name):
-                continue
-            yield self.finding(
-                module, node,
-                f"hot-path class {node.name} does not declare __slots__ "
-                f"(instances would regain a __dict__)")
-
-    def _hotpath_closure(self) -> Set[str]:
-        """Hot-path classes plus everything that subclasses them."""
-        roots = {
-            name for name, (module, _node) in self._classes.items()
-            if module.in_scope(self.hotpath_roots)
-            and not self._is_exempt_kind(name)
-        }
-        closed = set(roots)
-        changed = True
-        while changed:
-            changed = False
-            for name, bases in self._bases.items():
-                if name in closed or self._is_exempt_kind(name):
-                    continue
-                if any(base in closed for base in bases):
-                    closed.add(name)
-                    changed = True
-        return closed
-
-    def _is_exempt_kind(self, name: str) -> bool:
-        """Enums and exceptions: slots are wrong or pointless there."""
-        seen: Set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for base in self._bases.get(current, ()):
-                if base in self._ENUM_BASES:
-                    return True
-                if base in self._EXCEPTION_BASES or base.endswith("Error"):
-                    return True
-                frontier.append(base)
-        return False
-
-    @staticmethod
-    def _has_slots(node: ast.ClassDef) -> bool:
-        for stmt in node.body:
-            targets: List[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign):
-                targets = [stmt.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "__slots__":
-                    return True
-        # @dataclass(slots=True) also removes the __dict__.
-        for decorator in node.decorator_list:
-            if (isinstance(decorator, ast.Call)
-                    and any(kw.arg == "slots"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is True
-                            for kw in decorator.keywords)):
-                return True
-        return False
-
-
-@rule
 class DeterminismRule(Rule):
     """RPL003: the simulator must not consult wall clocks or global RNG.
 
@@ -362,7 +225,6 @@ class DeterminismRule(Rule):
                 and expr.func.id in ("set", "frozenset"))
 
 
-@rule
 class FaultSafetyRule(Rule):
     """RPL004: raw device I/O must reach the fault machinery.
 
@@ -446,7 +308,6 @@ class FaultSafetyRule(Rule):
         return False
 
 
-@rule
 class NoSwallowRule(Rule):
     """RPL005: no silently swallowed exceptions.
 
@@ -495,7 +356,6 @@ class NoSwallowRule(Rule):
         return True
 
 
-@rule
 class TelemetryLabelsRule(Rule):
     """RPL006: metric names and label sets must be string literals.
 
@@ -585,7 +445,6 @@ def _starts_process(expr: ast.AST) -> bool:
             and isinstance(expr.args[0], ast.Call))
 
 
-@rule
 class SpawnDiscardedRule(Rule):
     """RPL007: a process whose handle is dropped is started with ``spawn``.
 
@@ -611,7 +470,6 @@ class SpawnDiscardedRule(Rule):
                     "completion event is scheduled)")
 
 
-@rule
 class StartTogetherRule(Rule):
     """RPL008: processes started back-to-back share one queue entry.
 
@@ -706,3 +564,9 @@ class StartTogetherRule(Rule):
                     and _starts_process(node.args[0])):
                 return True
         return False
+
+
+#: Every rule ``repro lint`` runs, in code order.
+RULES: Tuple[Rule, ...] = (
+    TracerGuardRule(), DeterminismRule(), FaultSafetyRule(), NoSwallowRule(),
+    TelemetryLabelsRule(), SpawnDiscardedRule(), StartTogetherRule())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.harness.report import downsample_series
 from repro.telemetry.analysis import DesignAnalysis
 
 #: Fixed categorical hue order (light-mode steps); series are assigned
@@ -74,14 +75,6 @@ td:first-child, th:first-child { text-align: left; }
 """
 
 
-def _downsample(series: List[Tuple[float, float]],
-                max_points: int) -> List[Tuple[float, float]]:
-    if len(series) <= max_points:
-        return series
-    from repro.harness.report import downsample_series
-    return downsample_series(series, max_rows=max_points)
-
-
 def svg_chart(per_design: Dict[str, List[Tuple[float, float]]],
               value_fmt: str, x_fmt: str = "{:.0f}s") -> str:
     """One SVG line chart: x (time by default), one polyline per series.
@@ -94,7 +87,7 @@ def svg_chart(per_design: Dict[str, List[Tuple[float, float]]],
     left, right, top, bottom = 56, 12, 10, 26
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    points = {design: _downsample(series, MAX_POINTS)
+    points = {design: downsample_series(series, max_rows=MAX_POINTS)
               for design, series in per_design.items() if series}
     xs = [t for series in points.values() for t, _ in series]
     ys = [v for series in points.values() for _, v in series]

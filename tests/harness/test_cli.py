@@ -29,10 +29,7 @@ OPTIONS = {'': {},
            '--seed': 20110612},
  'designs': {},
  'iometer': {'--duration': 5.0},
- 'lint': {'--format': 'text',
-          '--ignore': None,
-          '--list-rules': False,
-          '--select': None},
+ 'lint': {'--list-rules': False},
  'oltp': {'--benchmark': 'tpcc',
           '--checkpoint-interval': None,
           '--db': None,

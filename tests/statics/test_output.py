@@ -1,10 +1,9 @@
-"""Output formats: the text report and the versioned JSON schema."""
+"""The text report: one line per finding or error, then a summary."""
 
-import json
+import re
 import textwrap
 
-from repro.statics import check_source, format_findings_json, format_findings_text
-from repro.statics.engine import JSON_SCHEMA_VERSION
+from repro.statics import Finding, check_source, format_findings_text
 
 DIRTY = textwrap.dedent("""
     def f(tracer):
@@ -29,35 +28,55 @@ class TestTextFormat:
             "0 findings in 1 files (0 suppressed)")
 
 
+#: ``path:line:col: CODE [name] message``, as :meth:`Finding.format` writes.
+FINDING_LINE = re.compile(
+    r"^(?P<path>.+):(?P<line>\d+):(?P<col>\d+): "
+    r"(?P<code>RPL\d{3}) \[(?P<name>[^\]]+)\] (?P<message>.+)$")
+SUMMARY_LINE = re.compile(
+    r"^(?P<findings>\d+) findings? in (?P<files>\d+) files "
+    r"\((?P<suppressed>\d+) suppressed\)$")
+
+
+def parse_finding(line):
+    match = FINDING_LINE.match(line)
+    assert match, line
+    fields = match.groupdict()
+    return Finding(**{**fields, "line": int(fields["line"]),
+                      "col": int(fields["col"])})
+
+
 class TestJsonFormat:
+    """What the removed JSON report carried, read off the text report."""
+
     def test_schema(self):
         result = check_source(DIRTY, path=PATH)
-        doc = json.loads(format_findings_json(result))
-        assert set(doc) == {"version", "findings", "errors", "summary"}
-        assert doc["version"] == JSON_SCHEMA_VERSION
-        assert doc["errors"] == []
-        assert set(doc["summary"]) == {"files", "findings", "suppressed",
-                                       "by_code"}
-        assert doc["summary"]["files"] == 1
-        assert doc["summary"]["findings"] == 1
-        assert doc["summary"]["by_code"] == {"RPL001": 1}
-        (finding,) = doc["findings"]
-        assert set(finding) == {"code", "name", "message", "path", "line",
-                                "col"}
-        assert finding["code"] == "RPL001"
-        assert finding["path"] == PATH
-        assert isinstance(finding["line"], int)
-        assert isinstance(finding["col"], int)
+        *finding_lines, summary = format_findings_text(result).splitlines()
+        (line,) = finding_lines
+        fields = FINDING_LINE.match(line).groupdict()
+        assert set(fields) == {"code", "name", "message", "path", "line",
+                               "col"}
+        assert fields["code"] == "RPL001"
+        assert fields["path"] == PATH
+        assert int(fields["line"]) == 3
+        assert int(fields["col"]) >= 1
+        counts = SUMMARY_LINE.match(summary).groupdict()
+        assert counts == {"findings": "1", "files": "1", "suppressed": "0"}
 
     def test_round_trips_through_json(self):
-        result = check_source(DIRTY, path=PATH)
-        doc = json.loads(format_findings_json(result))
-        assert json.loads(json.dumps(doc)) == doc
+        # Every field of every finding survives the text form.
+        source = DIRTY + textwrap.dedent("""
+            def g(tracer):
+                tracer.instant("y")
+            """)
+        result = check_source(source, path=PATH)
+        assert len(result.findings) == 2
+        lines = format_findings_text(result).splitlines()[:-1]
+        assert [parse_finding(line) for line in lines] == result.findings
 
     def test_parse_error_reported(self):
         result = check_source("def f(:\n", path=PATH)
         assert result.exit_code == 2
-        doc = json.loads(format_findings_json(result))
-        assert doc["findings"] == []
-        assert len(doc["errors"]) == 1
-        assert "syntax error" in doc["errors"][0]
+        assert result.findings == []
+        error, summary = format_findings_text(result).splitlines()
+        assert error.startswith(f"error: {PATH}: syntax error:")
+        assert summary == "0 findings in 0 files (0 suppressed)"

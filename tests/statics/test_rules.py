@@ -5,12 +5,20 @@ The snippets are linted in memory with :func:`check_source` under a
 path inside the rule's scope, so the path-gating logic is exercised
 too.  The snippets intentionally violate the invariants — they are the
 test fixtures, not repo code (tests/statics is excluded in the ruff
-per-file-ignores for the same reason).
+per-file-ignores for the same reason).  RPL002 has no AST rule: its
+invariant is checked on the imported classes (:class:`TestSlotsHotpath`).
 """
 
+import enum
+import gc
+import importlib
+import pkgutil
 import textwrap
+from pathlib import Path
 
+import repro
 from repro.statics import check_source
+from repro.statics.engine import noqa_codes
 
 
 def lint(source, path):
@@ -64,75 +72,110 @@ class TestTracerGuard:
         assert result.suppressed == 1
 
 
+#: Modules whose classes are on the hot path: one instance per event,
+#: process, request, frame or SSD record, or one manager vtable hit per
+#: fetch, puts attribute storage on the kernel's allocation budget.
+HOT_PATH_ROOTS = (
+    "repro.sim", "repro.storage.request", "repro.storage.device",
+    "repro.storage.hdd", "repro.engine.buffer_pool", "repro.engine.page",
+    "repro.core.ssd_manager", "repro.core.ssd_buffer_table")
+
+
+def _in_package(module_name, package):
+    return module_name == package or module_name.startswith(package + ".")
+
+
+def _exempt(cls):
+    """Enums and exceptions: slots are wrong or pointless there."""
+    return issubclass(cls, (BaseException, enum.Enum))
+
+
+def hot_path_classes():
+    """The classes defined in the roots plus their ``repro`` subclasses."""
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(repro.__path__, "repro.")
+               if not info.name.endswith("__main__")]
+    found = {cls for module in modules
+             if any(_in_package(module.__name__, root)
+                    for root in HOT_PATH_ROOTS)
+             for cls in vars(module).values()
+             if isinstance(cls, type) and cls.__module__ == module.__name__
+             and not _exempt(cls)}
+    frontier = list(found)
+    while frontier:
+        for sub in frontier.pop().__subclasses__():
+            if (sub not in found and _in_package(sub.__module__, "repro")
+                    and not _exempt(sub)):
+                found.add(sub)
+                frontier.append(sub)
+    return found
+
+
+def unslotted(classes):
+    """The classes whose instances carry a ``__dict__``."""
+    return sorted((cls for cls in classes if cls.__dictoffset__ != 0),
+                  key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
 class TestSlotsHotpath:
-    PATH = "src/repro/sim/things.py"
+    """RPL002, checked on the imported classes: the whole MRO of every
+    hot-path class and of each ``repro`` subclass declares ``__slots__``,
+    so no instance regains a ``__dict__``."""
+
+    def test_hot_path_classes_are_slotted(self):
+        classes = hot_path_classes()
+        assert len(classes) >= 39
+        assert unslotted(classes) == []
 
     def test_unslotted_class_flagged(self):
-        result = lint("""
-            class Widget:
-                def __init__(self):
-                    self.x = 1
-            """, self.PATH)
-        assert codes(result) == ["RPL002"]
+        class Widget:
+            def __init__(self):
+                self.x = 1
+        assert unslotted([Widget]) == [Widget]
 
     def test_slotted_class_clean(self):
-        result = lint("""
-            class Widget:
-                __slots__ = ("x",)
-                def __init__(self):
-                    self.x = 1
-            """, self.PATH)
-        assert codes(result) == []
+        class Base:
+            __slots__ = ()
+
+        class Widget(Base):
+            __slots__ = ("x",)
+        assert unslotted([Base, Widget]) == []
 
     def test_exception_class_exempt(self):
-        result = lint("""
-            class WidgetError(Exception):
-                pass
-            """, self.PATH)
-        assert codes(result) == []
+        from repro.sim.environment import EmptySchedule
+        from repro.sim.events import Interrupt
+        from repro.storage.request import IoKind
+        classes = hot_path_classes()
+        assert not classes & {EmptySchedule, Interrupt, IoKind}
 
     def test_hdd_helper_classes_are_on_the_hot_path(self):
-        # One per request and one per drive: not subclasses of anything
-        # in device.py, so only the root itself brings them in scope.
-        result = lint("""
-            class _Striped:
-                def __init__(self, request, done):
-                    self.request, self.done, self.left = request, done, 0
-            """, "src/repro/storage/hdd.py")
-        assert codes(result) == ["RPL002"]
+        # HddArray's per-request record is defined in a root, not found
+        # as a subclass of another root's class.
+        from repro.storage.hdd import HddArray, _Striped
+        assert {HddArray, _Striped} <= hot_path_classes()
 
     def test_unslotted_subclass_of_hotpath_base_flagged(self):
-        # The subclass lives outside the hot-path roots but inherits
-        # from a class inside them: an un-slotted subclass regains
-        # __dict__, silently undoing the base's optimisation.
-        hot = lint("""
-            class Base:
-                __slots__ = ()
-            """, "src/repro/sim/base.py")
-        assert codes(hot) == []
-        # Cross-module closure needs both modules in one run.
-        from repro.statics.engine import LintConfig, LintResult, ModuleInfo
-        from repro.statics.engine import _run_rules
-        modules = [
-            ModuleInfo("src/repro/sim/base.py",
-                       "class Base:\n    __slots__ = ()\n"),
-            ModuleInfo("src/repro/core/sub.py",
-                       "from repro.sim.base import Base\n"
-                       "class Sub(Base):\n    pass\n"),
-        ]
-        result = LintResult()
-        _run_rules(modules, LintConfig(select=("RPL002",)), result)
-        assert [f.code for f in result.findings] == ["RPL002"]
-        assert result.findings[0].path == "src/repro/core/sub.py"
+        # An unslotted subclass anywhere in the package regains __dict__
+        # and silently undoes the base's layout.
+        from repro.sim.events import Event
+
+        class Sub(Event):
+            __module__ = "repro.core.fixture"
+        try:
+            assert unslotted(hot_path_classes()) == [Sub]
+        finally:
+            del Sub
+            gc.collect()  # drop it from Event.__subclasses__()
 
     def test_suppressed(self):
-        result = lint("""
-            class Widget:  # repro: noqa[RPL002]
-                def __init__(self):
-                    self.x = 1
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+        # The runtime check reads no comments, so a ``noqa[RPL002]`` in
+        # the package would suppress nothing and only mislead a reader.
+        stale = [f"{path}:{number}"
+                 for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+                 for number, named in noqa_codes(
+                     path.read_text(encoding="utf-8").splitlines()).items()
+                 if named and "RPL002" in named]
+        assert stale == []
 
 
 class TestDeterminism:
@@ -532,6 +575,21 @@ class TestStartTogether:
             """, self.PATH)
         assert codes(result) == []
         assert result.suppressed == 1
+
+
+class TestPathScope:
+    SOURCE = """
+        def start(env, worker):
+            env.process(worker(env))
+        """
+
+    def test_scope_is_the_path_inside_the_package(self):
+        # A checkout named ``repro`` does not put its tests in the
+        # package; the package inside it is in scope wherever it lives.
+        assert codes(lint(self.SOURCE, "src/repro/x.py")) == ["RPL007"]
+        assert codes(lint(self.SOURCE, "/home/u/repro/tests/x.py")) == []
+        assert codes(lint(self.SOURCE,
+                          "/home/u/repro/src/repro/engine/x.py")) == ["RPL007"]
 
 
 class TestSuppressionForms:
