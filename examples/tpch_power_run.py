@@ -10,14 +10,14 @@ disks' sequential access pattern into a random one.
 Run:  python examples/tpch_power_run.py
 """
 
-from repro.harness.experiments import SCALE_PROFILES, run_tpch_experiment
+from repro.harness.experiments import RunSpec, run
 from repro.harness.report import format_table
 
 
 def main():
-    profile = SCALE_PROFILES["small"]
     results = {
-        design: run_tpch_experiment(30, design, profile=profile)
+        design: run(RunSpec(kind="tpch", benchmark="tpch", scale=30,
+                            design=design, profile="small"))
         for design in ("noSSD", "DW")
     }
 

@@ -17,8 +17,7 @@ Subpackages:
 The most convenient entry points::
 
     from repro.harness.system import System, SystemConfig
-    from repro.harness.experiments import (
-        run_oltp_experiment, run_tpch_experiment)
+    from repro.harness.experiments import RunSpec, run
 """
 
 __version__ = "1.0.0"

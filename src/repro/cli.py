@@ -454,8 +454,11 @@ def cmd_analyze(args) -> int:
     try:
         quantiles = [float(q) for q in args.tail.split(",") if q.strip()]
     except ValueError:
-        print(f"analyze: --tail must be comma-separated percentiles, "
-              f"got {args.tail!r}", file=sys.stderr)
+        quantiles = []
+    # Checked before any trace is read: nan fails both comparisons.
+    if not quantiles or not all(0 <= q <= 100 for q in quantiles):
+        print(f"analyze: --tail must be comma-separated percentiles in "
+              f"[0, 100], got {args.tail!r}", file=sys.stderr)
         return 2
     try:
         analyses = analyze_traces(args.traces)

@@ -139,13 +139,6 @@ class LogStructuredManager(SsdManagerBase):
     # Segment geometry
     # ------------------------------------------------------------------
 
-    @property
-    def _head(self) -> int:
-        """Next hot append position (diagnostics); -1 between segments."""
-        if self._open[0] is None:
-            return -1
-        return self._seg_start(self._open[0]) + self._open[1]
-
     def _seg_start(self, seg: int) -> int:
         return seg * self._seg_pages
 

@@ -216,11 +216,6 @@ class TemperatureAwareManager(SsdManagerBase):
         self.temp_heap.remove(record)
         self.table.release(record)
 
-    @property
-    def wasted_frames(self) -> int:
-        """Occupied-but-invalid SSD frames (the paper's 7–10 GB waste)."""
-        return self.table.invalid_count
-
     def _heaps(self):
         """Plus the temperature heap: detach and cold restart empty it
         with the others (extent temperatures themselves are statistics,

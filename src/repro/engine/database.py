@@ -25,11 +25,6 @@ class Database:
         self.indexes: Dict[str, BPlusTree] = {}
 
     @property
-    def allocated_pages(self) -> int:
-        """Pages handed out so far."""
-        return self._next_page
-
-    @property
     def free_pages(self) -> int:
         """Pages still available for allocation."""
         return self.npages - self._next_page

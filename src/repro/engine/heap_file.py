@@ -29,10 +29,6 @@ class HeapFile:
         """One past the table's last page."""
         return self.first_page + self.npages
 
-    def page_of(self, slot: int) -> int:
-        """Page holding logical record slot ``slot`` (uniform layout)."""
-        return self.first_page + slot % self.npages
-
     def scan(self, bp: BufferPool, start: Optional[int] = None,
              npages: Optional[int] = None,
              accuracy: Optional[ReadAheadAccuracy] = None, ctx=None):

@@ -63,15 +63,10 @@ class Frame:
         #: lets latch-wait time be attributed per cause.
         self.busy_reason: Optional[str] = None
 
-    @property
-    def pinned(self) -> bool:
-        """Whether any caller currently holds a pin."""
-        return self.pin_count > 0
-
     def __repr__(self) -> str:
         flags = "".join((
             "D" if self.dirty else "-",
-            "P" if self.pinned else "-",
+            "P" if self.pin_count > 0 else "-",
             "S" if self.sequential else "R",
         ))
         return f"<Frame page={self.page_id} v{self.version} {flags}>"

@@ -17,8 +17,6 @@ from repro.harness.experiments import (
     SCALE_PROFILES,
     ScaleProfile,
     run_oltp_experiment,
-    run_tpch_experiment,
-    run_traffic_experiment,
 )
 from repro.harness.report import format_series, format_table
 
@@ -40,6 +38,4 @@ __all__ = [
     "format_series",
     "format_table",
     "run_oltp_experiment",
-    "run_tpch_experiment",
-    "run_traffic_experiment",
 ]

@@ -2,9 +2,9 @@
 
 Every figure of the paper's evaluation is a grid over one small run
 description — :class:`RunSpec` — and :func:`run` executes any of them;
-the ``run_*_experiment`` functions are keyword-argument adapters over
-it, one per row family of the experiment index in DESIGN.md.  The
-scaled sizing preserves the paper's ratios:
+:func:`run_oltp_experiment` is a keyword-argument adapter over it for
+the closed-loop rows of the experiment index in DESIGN.md.  The scaled
+sizing preserves the paper's ratios:
 
 =====================  ===============  ====================
 Paper                  Scaled (default)  Ratio preserved
@@ -333,17 +333,6 @@ def run(spec: RunSpec, telemetry=None, faults=None,
     return result
 
 
-def _run_adapter(kind: str, params: Dict[str, Any]) -> Any:
-    """Shared body of the ``run_*_experiment`` signature adapters:
-    ``params`` is the adapter's ``locals()``, split here into the
-    :class:`RunSpec` and the live collaborators."""
-    live = {name: params.pop(name, None)
-            for name in ("telemetry", "faults", "store")}
-    params["profile"] = profile_name(
-        params["profile"] or SCALE_PROFILES["default"])
-    return run(RunSpec(kind=kind, **params), **live)
-
-
 def run_oltp_experiment(benchmark: str, scale: int, design: str,
                         duration: float = 60.0,
                         profile: Optional[ScaleProfile] = None,
@@ -363,48 +352,15 @@ def run_oltp_experiment(benchmark: str, scale: int, design: str,
 
     The paper runs TPC-C with checkpointing effectively off and λ=50%,
     TPC-E with 40-minute checkpoints and λ=1% — callers pass the analog
-    (a ``checkpoint_interval`` scaled to the run duration).
+    (a ``checkpoint_interval`` scaled to the run duration).  A
+    keyword-argument adapter over :func:`run`: the knobs become the
+    :class:`RunSpec`, the live collaborators are passed through.
     """
-    return _run_adapter("oltp", locals())
-
-
-def run_traffic_experiment(benchmark: str, scale: int, design: str,
-                           tenants: str, duration: float = 60.0,
-                           profile: Optional[ScaleProfile] = None,
-                           nworkers: int = 64,
-                           queue_limit: int = 10_000,
-                           bucket_seconds: float = 2.0,
-                           dirty_threshold: Optional[float] = None,
-                           checkpoint_interval: Optional[float] = None,
-                           partitions: Optional[int] = None,
-                           latch_us: float = 0.0,
-                           ftl: bool = False,
-                           kernel: str = "heap",
-                           seed: int = 20110612,
-                           telemetry=None, faults=None,
-                           store=None) -> RunResult:
-    """One open-loop multi-tenant run.
-
-    ``tenants`` is the grammar string of :mod:`repro.workloads.traffic`
-    (``name=poisson:rate=...:theta=...;...``).  Offered load is set by
-    the tenants' arrival rates — a run representing a million logical
-    users still uses ``nworkers`` simulated workers and at most
-    ``queue_limit`` queued arrivals.  ``partitions`` sweeps the
-    partition knob N (SSD buffer table and main-memory buffer pool
-    together); ``latch_us`` models the partition-latch service time,
-    which is what makes that sweep move per-tenant tail latency.
-    """
-    return _run_adapter("traffic", locals())
-
-
-def run_tpch_experiment(sf: int, design: str,
-                        profile: Optional[ScaleProfile] = None,
-                        checkpoint_interval: Optional[float] = None,
-                        telemetry=None, store=None) -> TpchResult:
-    """One full TPC-H run (power + throughput): Figure 5(g–h), Table 3."""
-    params = locals()
-    params.update(benchmark="tpch", scale=params.pop("sf"))
-    return _run_adapter("tpch", params)
+    params = dict(locals())
+    live = {name: params.pop(name)
+            for name in ("telemetry", "faults", "store")}
+    params["profile"] = profile_name(profile or SCALE_PROFILES["default"])
+    return run(RunSpec(kind="oltp", **params), **live)
 
 
 def speedup_over_nossd(results: Dict[str, float]) -> Dict[str, float]:

@@ -175,10 +175,15 @@ class System:
         not queued); each component then resets its volatile state so
         the same :class:`System` can restart on the same environment
         (disk/SSD/log *contents* survive).  Follow with :meth:`recover`.
+
+        The devices reset first: a drive's queue holds the only
+        reference to the processes waiting on its requests, and they
+        must die inside the wipe, whose clear-and-collect loop discards
+        what their ``finally`` blocks schedule.
         """
-        self.env.wipe()
         for device in (self.data_device, self.ssd_device, self.wal.device):
             device.reset()
+        self.env.wipe()
         for component in (self.wal, self.bp, self.ssd_manager,
                           self.checkpointer):
             component.crash_reset()

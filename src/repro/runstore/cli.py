@@ -172,11 +172,22 @@ def cmd_runs_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``RunStore.regress``'s knobs, by the flag that sets each.
+REGRESS_FLAGS = {"baseline_n": "--baseline", "tolerance": "--tolerance"}
+
+
 def cmd_runs_regress(args: argparse.Namespace) -> int:
     with open_for_query(args) as store:
-        findings, groups = store.regress(
-            baseline_n=args.baseline, tolerance=args.tolerance,
-            **_common_filters(args))
+        try:
+            findings, groups = store.regress(
+                baseline_n=args.baseline, tolerance=args.tolerance,
+                **_common_filters(args))
+        except ValueError as exc:
+            # The store's message starts with the knob it refused.
+            knob, _, why = str(exc).partition(" ")
+            print(f"runs regress: {REGRESS_FLAGS[knob]} {why}",
+                  file=sys.stderr)
+            return 2
     if not groups:
         print("runs regress: no recorded runs match the filters",
               file=sys.stderr)

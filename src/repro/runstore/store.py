@@ -21,6 +21,7 @@ completed simulation its results.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 import statistics
@@ -388,10 +389,17 @@ class RunStore:
         preceding runs; a metric that worsens by more than
         ``tolerance`` (fractional) is a finding.  A group with no
         history is compared against itself — trivially passing, so a
-        fresh database never fails the check.
+        fresh database never fails the check.  A window below one or a
+        negative or non-finite tolerance is a ``ValueError``: either
+        would pass every group.
 
         Returns ``(findings, groups_checked)``.
         """
+        if baseline_n < 1:
+            raise ValueError(f"baseline_n must be >= 1, got {baseline_n}")
+        if not 0 <= tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, "
+                             f"got {tolerance}")
         filters.setdefault("status", "ok")
         where, params = self._filters(**filters)
         extra = "kind != 'chaos'"

@@ -18,7 +18,7 @@ Public API::
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Gather, Process
 from repro.sim.resources import Store
 from repro.sim.wheel import (KERNELS, TimerWheel, WheelEnvironment,
@@ -30,7 +30,6 @@ __all__ = [
     "Environment",
     "Event",
     "Gather",
-    "Interrupt",
     "KERNELS",
     "Process",
     "Store",

@@ -113,11 +113,6 @@ class Environment:
     # Scheduling / execution
     # ------------------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue a triggered event for processing at ``now + delay``."""
-        self._seq = seq = self._seq + 1
-        self._push((self._now + delay, seq, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")

@@ -29,17 +29,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that processes can wait for.
 
@@ -150,10 +139,6 @@ class Timeout(Event):
         self.delay = delay
         env._seq = seq = env._seq + 1
         env._push((env._now + delay, seq, self))
-
-    @property
-    def triggered(self) -> bool:
-        return True
 
 
 class _Condition(Event):

@@ -26,9 +26,9 @@ from __future__ import annotations
 from functools import partial
 from types import GeneratorType
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable, List,
-                    Optional, Sequence)
+                    Sequence)
 
-from repro.sim.events import _PENDING, Event, Interrupt, SimulationError
+from repro.sim.events import _PENDING, Event, SimulationError
 
 if TYPE_CHECKING:
     from repro.sim.environment import Environment
@@ -73,7 +73,7 @@ def _yielded_non_event(env: "Environment", target: Any) -> Event:
 class Process(Event):
     """A running simulation process (and the event of its completion)."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment",
                  generator: Generator[Any, Any, Any]) -> None:
@@ -89,31 +89,6 @@ class Process(Event):
         self._value = _PENDING
         self._ok = None
         self._generator = generator
-        self._target: Optional[Event] = None
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        interrupt_event = Event(self.env)
-        assert interrupt_event.callbacks is not None
-        interrupt_event.callbacks.append(self._resume)
-        interrupt_event.fail(Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         generator = self._generator
@@ -125,11 +100,9 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
-                self._target = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self._target = None
                 self._fail_or_crash(exc)
                 return
 
@@ -139,7 +112,6 @@ class Process(Event):
             try:
                 target_callbacks = target.callbacks
             except AttributeError:
-                self._target = None
                 event = _yielded_non_event(self.env, target)
                 continue
 
@@ -147,7 +119,6 @@ class Process(Event):
                 # Already processed: loop immediately with its value.
                 event = target
                 continue
-            self._target = target
             target_callbacks.append(self._resume)
             return
 
@@ -165,7 +136,6 @@ class Process(Event):
         if callbacks is None:
             self._resume(target)
         else:
-            self._target = target
             callbacks.append(self._resume)
 
     def _fail_or_crash(self, exc: BaseException) -> None:

@@ -326,13 +326,6 @@ class DesignAnalysis:
         own = self.background_io.get(origin, {}).get("busy", 0.0)
         return own / busy if busy > 0 else 0.0
 
-    def waterfall(self, txn_id: int) -> List[dict]:
-        """The event waterfall of one transaction (empty if unknown)."""
-        for txn in self.txns:
-            if txn.txn_id == txn_id:
-                return txn.waterfall()
-        return []
-
     def slowest(self, n: int = 5,
                 txn_type: Optional[str] = None) -> List[TxnRecord]:
         """The ``n`` slowest transactions — waterfall candidates."""

@@ -291,9 +291,6 @@ class NullTracer:
     dropped = 0
     now = 0.0
 
-    def set_clock(self, clock) -> None:
-        pass
-
     def instant(self, name, cat="event", track="main", args=None,
                 ctx=None) -> None:
         pass

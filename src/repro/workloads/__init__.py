@@ -24,8 +24,7 @@ from repro.workloads.tpce import TpceWorkload
 from repro.workloads.tpch import TpchWorkload
 from repro.workloads.traffic import (BurstyArrivals, DiurnalArrivals,
                                      PoissonArrivals, TenantSpec,
-                                     parse_arrivals, parse_tenants,
-                                     single_tenant)
+                                     parse_arrivals, parse_tenants)
 
 __all__ = [
     "BurstyArrivals",
@@ -39,5 +38,4 @@ __all__ = [
     "ZipfGenerator",
     "parse_arrivals",
     "parse_tenants",
-    "single_tenant",
 ]

@@ -325,13 +325,6 @@ def parse_tenants(spec: str) -> List[TenantSpec]:
     return tenants
 
 
-def single_tenant(arrivals_spec: str,
-                  theta: Optional[float] = None) -> List[TenantSpec]:
-    """Convenience: one anonymous tenant from a bare arrival spec."""
-    return [TenantSpec(name="all", arrivals=parse_arrivals(arrivals_spec),
-                       theta=theta)]
-
-
 __all__ = [
     "DEFAULT_THINK_SECONDS",
     "BurstyArrivals",
@@ -340,5 +333,4 @@ __all__ = [
     "TenantSpec",
     "parse_arrivals",
     "parse_tenants",
-    "single_tenant",
 ]

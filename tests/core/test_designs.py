@@ -216,7 +216,7 @@ class TestTac:
             sys_.bp.unpin(frame)
 
         drive(sys_.env, proc())
-        assert sys_.ssd_manager.wasted_frames == 1
+        assert sys_.ssd_manager.table.invalid_count == 1
         assert sys_.ssd_manager.table.free_count < 64
 
     def test_dirty_eviction_revalidates_invalid_frame(self):
@@ -279,7 +279,7 @@ class TestTac:
         assert manager.admission_writes == 4
         # Invalidate the hottest page: frame stays occupied.
         manager.invalidate(96)
-        assert manager.wasted_frames == 1
+        assert manager.table.invalid_count == 1
         # A new hot page must evict the *coldest* (page 0, valid), not
         # the invalid frame.
         manager.temperatures[manager.extent_of(200)] = 500.0
@@ -287,7 +287,7 @@ class TestTac:
         settle(sys_.env, 0.1)
         assert manager.contains_valid(200)
         assert not manager.contains_valid(0)
-        assert manager.wasted_frames == 1  # invalid frame still wasted
+        assert manager.table.invalid_count == 1  # invalid frame still wasted
 
     def test_an_invalidated_copy_gives_way_to_a_re_read_page(self):
         """A page whose SSD copy was invalidated and never refreshed (its
@@ -300,13 +300,13 @@ class TestTac:
         settle(sys_.env, 0.1)
         stale = manager.table.lookup_valid(5)
         manager.invalidate(5)
-        assert manager.wasted_frames == 1 and not manager.contains_valid(5)
+        assert manager.table.invalid_count == 1 and not manager.contains_valid(5)
         sys_.disk._persist(5, 1)
         manager.on_read_from_disk(Frame(5, version=1))
         settle(sys_.env, 0.1)
         fresh = manager.table.lookup_valid(5)
         assert fresh is not None and fresh.version == 1
-        assert manager.wasted_frames == 0 and manager.used_frames == 1
+        assert manager.table.invalid_count == 0 and manager.used_frames == 1
         assert manager.temp_heap.live_count == 1
         # The dead copy's frame went back to the free list and the new
         # image took the next free one.

@@ -382,7 +382,7 @@ class TestDeterminism:
             system = ls_system(db_pages=1_000, bp_pages=40, ssd_frames=200)
             system.churn(accesses=4_000, write_fraction=0.4, seed=37)
             manager = system.ssd_manager
-            return (manager._head, manager._free_slots,
+            return (list(manager._open), manager._free_slots,
                     manager.stats.writes, manager.stats.cleaner_pages,
                     sorted(manager._journal.items()),
                     system.env.now)

@@ -30,7 +30,7 @@ class TestFetch:
             return frame
 
         frame = drive(sys_.env, proc())
-        assert frame.pinned
+        assert frame.pin_count > 0
 
     def test_unpin_requires_pin(self, sys_):
         def proc():
@@ -179,7 +179,7 @@ class TestPrefetch:
 
     def test_prefetched_pages_arrive_unpinned(self, sys_):
         drive(sys_.env, sys_.bp.prefetch(100, 4))
-        assert all(not sys_.bp.frames[p].pinned for p in range(100, 104))
+        assert all(sys_.bp.frames[p].pin_count == 0 for p in range(100, 104))
 
     def test_expand_reads_fills_pool_faster(self):
         sys_ = MiniSystem(design="noSSD", db_pages=500, bp_pages=64)

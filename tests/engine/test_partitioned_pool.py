@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro.engine import BufferPool
 from repro.engine.page import Frame
-from repro.harness.experiments import (SCALE_PROFILES, run_oltp_experiment,
-                                       run_traffic_experiment)
+from repro.harness.experiments import (SCALE_PROFILES, RunSpec, run,
+                                       run_oltp_experiment)
 from repro.telemetry import Telemetry
 from tests.conftest import MiniSystem, meta_free_trace_md5
 
@@ -160,9 +160,10 @@ def test_traffic_per_tenant_p99_strictly_decreases_with_partitions():
     decreasing across --partitions 1/4/16 when latch time is modeled."""
     p99 = {}
     for nparts in (1, 4, 16):
-        result = run_traffic_experiment(
-            "tpcc", 20, "LC", TWO_TENANTS_HOT, duration=8.0, profile=TINY,
-            nworkers=8, queue_limit=200, partitions=nparts, latch_us=200.0)
+        result = run(RunSpec(
+            kind="traffic", benchmark="tpcc", scale=20, design="LC",
+            tenants=TWO_TENANTS_HOT, duration=8.0, profile="tiny",
+            nworkers=8, queue_limit=200, partitions=nparts, latch_us=200.0))
         p99[nparts] = {name: stats.latencies.percentile(99)
                        for name, stats in result.tenants.items()}
     for tenant in ("gold", "noisy"):

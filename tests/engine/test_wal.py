@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.wal import RECORDS_PER_LOG_PAGE, WriteAheadLog
-from repro.sim import Environment, Event, Interrupt
+from repro.sim import Environment, Event
 from repro.storage.request import IoKind, IORequest
 from tests.conftest import drive
 
@@ -212,23 +212,6 @@ class TestGroupCommit:
         assert [who for _, who in log] == [0, 1, 2, 3, 4]
         assert len({when for when, _ in log}) == 1
 
-    def test_interrupted_forcer_leaves_the_group_intact(self, env):
-        wal = WriteAheadLog(env)
-        lsns = [wal.append(p, 1) for p in range(3)]
-        log = []
-        procs = self.forcers(env, wal, log, lsns)
-
-        def canceller():
-            yield env.timeout(1e-4)
-            procs[1].interrupt("gone")
-
-        env.process(canceller())
-        with pytest.raises(Interrupt):
-            env.run(procs[1])
-        env.run(env.all_of([procs[0], procs[2]]))
-        assert [who for _, who in log] == [0, 2]
-        assert wal.flushed_lsn == lsns[-1]
-
     def test_crash_reset_drops_both_groups(self, env):
         wal = WriteAheadLog(env)
         first, second = wal.append(1, 1), wal.append(2, 1)
@@ -242,11 +225,11 @@ class TestGroupCommit:
 
         env.process(late())
         env.run(until=2e-4)  # mid-flush: one group in flight, one queued
-        # System.crash()'s order: the queue, the log disk, then the log.
+        # System.crash()'s order: the log disk, the queue, then the log.
         # Without the device reset the cut-short flush holds the drive
         # for good and the force below never returns.
-        env.wipe()
         wal.device.reset()
+        env.wipe()
         wal.crash_reset()
         assert wal.flushed_lsn == -1 and not log
         # ``second`` was covered by the flush the crash cut short; a

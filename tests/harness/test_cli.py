@@ -318,6 +318,20 @@ class TestAnalyzeCommand:
         assert main(["analyze", traced_pair[0], "--tail", "p99"]) == 2
         assert "--tail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail", ["150", "-1", "nan", "", "50,101"])
+    def test_tail_outside_0_100_refused_before_reading(
+            self, traced_pair, capsys, monkeypatch, tail):
+        # These used to read every trace, then die in percentile_of
+        # (or, for "", print a table with no rows).
+        from repro.telemetry import analysis
+
+        def unread(paths):
+            raise AssertionError(f"read {paths} before checking --tail")
+
+        monkeypatch.setattr(analysis, "analyze_traces", unread)
+        assert main(["analyze", traced_pair[0], "--tail", tail]) == 2
+        assert "--tail must be" in capsys.readouterr().err
+
     def test_garbage_trace_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not a trace\n")

@@ -1,5 +1,6 @@
 """The crash-point sweep harness and its CLI surface."""
 
+import gc
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.harness import (
 )
 from repro.harness.crashpoints import _update_client
 from repro.harness.system import System, SystemConfig
+from repro.storage.request import IoKind, IORequest
 
 
 def small_config(**kwargs):
@@ -112,6 +114,36 @@ class TestCrashUnderLoad:
         clients("after")
         env.run(until=env.now + 2.0)
         assert system.checkpointer.checkpoints_taken >= taken + 2
+
+    def test_processes_queued_on_a_drive_die_inside_the_crash(self):
+        """A drive's queue holds the only reference to the processes
+        waiting on its requests.  Reset after the wipe, it let them go
+        once the wipe was over, and whatever their ``finally`` blocks
+        scheduled ran in the recovering system."""
+        system = System(SystemConfig(
+            design="CW", db_pages=400, bp_pages=80, slack_pages=64,
+            ssd=SsdDesignConfig(ssd_frames=560)))
+        env = system.env
+        revived = []
+
+        def revive():
+            yield env.timeout(0)
+            revived.append(env.now)
+
+        def reader(page):
+            try:
+                yield system.data_device.submit(
+                    IORequest(IoKind.RANDOM_READ, page))
+            finally:
+                env.spawn(revive())
+
+        env.spawn_all(reader(page) for page in range(6))  # one drive
+        env.run(until=1e-4)
+        assert system.data_device.pending == 6
+        system.crash()
+        gc.collect()
+        env.run(until=env.now + 1.0)
+        assert revived == []
 
     def test_services_never_started_stay_off_after_recovery(self):
         system = System(SystemConfig(

@@ -54,9 +54,8 @@ from repro.core import SsdDesignConfig
 from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness import experiments
 from repro.harness.crashpoints import _update_client
-from repro.harness.experiments import (SCALE_PROFILES, run_oltp_experiment,
-                                       run_tpch_experiment,
-                                       run_traffic_experiment)
+from repro.harness.experiments import (SCALE_PROFILES, RunSpec, run,
+                                       run_oltp_experiment)
 from repro.harness.system import System, SystemConfig
 from repro.storage.device import TrafficRecorder
 from repro.telemetry import Telemetry
@@ -75,7 +74,8 @@ def _tpcc(design, **kwargs):
 
 
 def _tpch_dw(telemetry):
-    run_tpch_experiment(30, "DW", profile=TINY, telemetry=telemetry)
+    run(RunSpec(kind="tpch", benchmark="tpch", scale=30, design="DW",
+                profile="tiny"), telemetry=telemetry)
 
 
 TENANTS = ("gold=poisson:rate=400:theta=0.6;"
@@ -83,10 +83,10 @@ TENANTS = ("gold=poisson:rate=400:theta=0.6;"
 
 
 def _latched_open(telemetry):
-    run_traffic_experiment("tpcc", 20, "LC", TENANTS, duration=4.0,
-                           profile=TINY, nworkers=8, queue_limit=200,
-                           partitions=16, latch_us=20.0, kernel="wheel",
-                           telemetry=telemetry)
+    run(RunSpec(kind="traffic", benchmark="tpcc", scale=20, design="LC",
+                tenants=TENANTS, duration=4.0, profile="tiny", nworkers=8,
+                queue_limit=200, partitions=16, latch_us=20.0,
+                kernel="wheel"), telemetry=telemetry)
 
 
 ALL_HOOKS = {"fault_transient", "fault_latency", "fault_stall"}

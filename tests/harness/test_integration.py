@@ -5,8 +5,9 @@ import pytest
 
 from repro.harness.experiments import (
     SCALE_PROFILES,
+    RunSpec,
+    run,
     run_oltp_experiment,
-    run_tpch_experiment,
     speedup_over_nossd,
 )
 
@@ -60,7 +61,8 @@ class TestTpceShape:
 class TestTpchShape:
     def test_ssd_helps_and_designs_tie(self):
         results = {
-            design: run_tpch_experiment(30, design, profile=PROFILE)
+            design: run(RunSpec(kind="tpch", benchmark="tpch", scale=30,
+                                design=design, profile="tiny"))
             for design in ("noSSD", "DW", "LC")
         }
         assert results["DW"].qphh > results["noSSD"].qphh

@@ -11,9 +11,9 @@ import json
 import pytest
 
 from repro.harness import (OpenLoopRunner, RunResult, WorkloadRunner,
-                           run_oltp_experiment, run_traffic_experiment)
-from repro.harness.experiments import (SCALE_PROFILES, make_system,
-                                       make_workload)
+                           run_oltp_experiment)
+from repro.harness.experiments import (SCALE_PROFILES, RunSpec, make_system,
+                                       make_workload, run)
 from repro.runstore.store import RunStore
 from repro.telemetry import Telemetry
 from repro.workloads.traffic import parse_tenants
@@ -25,11 +25,12 @@ TWO_TENANTS = ("gold=poisson:rate=40:theta=0.6;"
 
 
 def _traffic(design="LC", kernel="heap", duration=8.0, queue_limit=200,
-             nworkers=8, tenants=TWO_TENANTS, **kwargs):
-    return run_traffic_experiment(
-        "tpcc", 20, design, tenants, duration=duration, profile=TINY,
+             nworkers=8, tenants=TWO_TENANTS, store=None, **kwargs):
+    return run(RunSpec(
+        kind="traffic", benchmark="tpcc", scale=20, design=design,
+        tenants=tenants, duration=duration, profile="tiny",
         nworkers=nworkers, queue_limit=queue_limit, bucket_seconds=2.0,
-        kernel=kernel, **kwargs)
+        kernel=kernel, **kwargs), store=store)
 
 
 def test_open_loop_run_reports_per_tenant_stats():

@@ -109,6 +109,17 @@ class TestQueries:
         assert "REGRESSIONS" in out
         assert "latency_p99" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--baseline", "-1"), ("--baseline", "0"),
+        ("--tolerance", "nan"), ("--tolerance", "-0.5")])
+    def test_regress_refuses_a_gate_that_cannot_fail(self, capsys, flag,
+                                                      value):
+        populate()
+        assert main(["runs", "regress", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"runs regress: {flag} must be" in captured.err
+        assert "regress OK" not in captured.out
+
     def test_regress_no_matches_exits_2(self, capsys):
         populate()
         assert main(["runs", "regress", "--design", "LS"]) == 2

@@ -170,6 +170,19 @@ class TestRegress:
         assert findings == []
         assert groups == 1
 
+    @pytest.mark.parametrize("knob, value", [
+        ("baseline_n", 0), ("baseline_n", -1), ("tolerance", -0.1),
+        ("tolerance", float("nan")), ("tolerance", float("inf"))])
+    def test_window_and_tolerance_that_pass_everything_refused(
+            self, store, knob, value):
+        # A window of 0 compared each latest run with itself, and a nan
+        # or infinite tolerance never counted a finding.
+        for throughput in (100.0, 100.0, 10.0):
+            record(store, value=throughput)
+        with pytest.raises(ValueError, match=knob):
+            store.regress(**{knob: value})
+        assert store.regress()[0]
+
     def test_failed_runs_excluded_from_baseline(self, store):
         record(store, value=100.0)
         record(store, value=1.0, status="crashed")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim import Interrupt
 from repro.sim.events import SimulationError
 
 
@@ -13,15 +12,6 @@ class TestLifecycle:
             return 99
 
         assert env.run(env.process(proc())) == 99
-
-    def test_is_alive_until_finished(self, env):
-        def proc():
-            yield env.timeout(5)
-
-        process = env.process(proc())
-        assert process.is_alive
-        env.run()
-        assert not process.is_alive
 
     def test_requires_generator(self, env):
         with pytest.raises(TypeError):
@@ -94,51 +84,6 @@ class TestExceptions:
                 return "rejected"
 
         assert env.run(env.process(proc())) == "rejected"
-
-
-class TestInterrupt:
-    def test_interrupt_raises_with_cause(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                return interrupt.cause
-
-        process = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1)
-            process.interrupt("wake up")
-
-        env.process(interrupter())
-        assert env.run(process) == "wake up"
-        assert env.now == 1
-
-    def test_interrupting_finished_process_rejected(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        process = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_interrupted_process_can_rewait(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                yield env.timeout(2)
-                return env.now
-
-        process = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1)
-            process.interrupt()
-
-        env.process(interrupter())
-        assert env.run(process) == 3
 
 
 class TestSpawn:

@@ -24,7 +24,7 @@ def run_tool(*argv):
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
 def test_ruff_clean():
-    proc = run_tool("ruff", "check", "src", "tests")
+    proc = run_tool("ruff", "check", "src", "tests", "tools")
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

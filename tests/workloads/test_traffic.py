@@ -12,8 +12,7 @@ import pytest
 
 from repro.workloads.traffic import (DEFAULT_THINK_SECONDS, BurstyArrivals,
                                      DiurnalArrivals, PoissonArrivals,
-                                     TenantSpec, parse_arrivals,
-                                     parse_tenants, single_tenant)
+                                     parse_arrivals, parse_tenants)
 
 
 def _arrivals_before(gen, seed, horizon):
@@ -141,10 +140,3 @@ def test_parse_tenants_rejects_duplicates_and_garbage():
         parse_tenants("just-a-name")
     with pytest.raises(ValueError):
         parse_tenants(";;")
-
-
-def test_single_tenant_helper():
-    (tenant,) = single_tenant("poisson:rate=7", theta=0.7)
-    assert isinstance(tenant, TenantSpec)
-    assert tenant.name == "all" and tenant.theta == 0.7
-    assert tenant.mean_rate == 7.0
