@@ -470,6 +470,14 @@ def cmd_analyze(args) -> int:
             print(f"analyze: {analysis.path}: no transaction spans — was "
                   f"the run traced with this version?", file=sys.stderr)
             return 2
+    if args.txn_type is not None:
+        types = list(dict.fromkeys(name for analysis in analyses
+                                   for name in analysis.txn_types()))
+        if args.txn_type not in types:
+            print(f"analyze: --txn-type {args.txn_type!r} is in none of the "
+                  f"traces; they hold {', '.join(types)}", file=sys.stderr)
+            return 2
+    for analysis in analyses:
         if analysis.truncated:
             print(f"warning: {analysis.path}: trace truncated, "
                   f"{analysis.dropped} events dropped past the cap — "

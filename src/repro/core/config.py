@@ -59,22 +59,16 @@ class SsdDesignConfig:
     def __post_init__(self) -> None:
         if self.ssd_frames < 0:
             raise ValueError(f"ssd_frames must be >= 0, got {self.ssd_frames}")
-        if not 0.0 <= self.fill_threshold <= 1.0:
-            raise ValueError(f"fill_threshold must be in [0, 1]")
-        if not 0.0 <= self.dirty_threshold <= 1.0:
-            raise ValueError(f"dirty_threshold must be in [0, 1]")
-        if self.throttle_limit < 1:
-            raise ValueError("throttle_limit must be >= 1")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
-        if self.group_clean_pages < 1:
-            raise ValueError("group_clean_pages must be >= 1")
-        if self.extent_pages < 1:
-            raise ValueError("extent_pages must be >= 1")
-        if self.ls_batch_pages < 1:
-            raise ValueError("ls_batch_pages must be >= 1")
-        if self.ls_segment_pages < 1:
-            raise ValueError("ls_segment_pages must be >= 1")
+        for name in ("fill_threshold", "dirty_threshold", "clean_slack"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # nan fails too
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name in ("throttle_limit", "partitions", "group_clean_pages",
+                     "extent_pages", "cleaner_concurrency", "ls_batch_pages",
+                     "ls_segment_pages"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @property
     def fill_target_frames(self) -> int:

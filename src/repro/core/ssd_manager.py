@@ -130,11 +130,6 @@ class SsdStats:
         """Counter name → value, in slot order (snapshot format)."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SsdStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
     def __repr__(self) -> str:
         nonzero = {k: v for k, v in self.as_dict().items() if v}
         return f"SsdStats({nonzero!r})"

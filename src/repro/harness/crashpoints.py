@@ -76,10 +76,6 @@ class CrashSweepResult:
     def failures(self) -> List[CrashPointOutcome]:
         return [o for o in self.outcomes if not o.ok]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _update_client(env, system: System, rng: random.Random,
                    committed: Dict[int, int], npages: int,

@@ -184,11 +184,6 @@ class TenantStats:
         default_factory=lambda: LatencyTracker())
 
     @property
-    def admitted(self) -> int:
-        """Arrivals that made it into the queue."""
-        return self.offered - self.shed
-
-    @property
     def shed_fraction(self) -> float:
         """Fraction of offered arrivals that were shed (0 when idle)."""
         return self.shed / self.offered if self.offered else 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 
@@ -30,10 +30,6 @@ class Provenance:
     source_hash: Optional[str] = None
     host: Optional[str] = None
     python: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (trace args, DB columns)."""
-        return asdict(self)
 
 
 def _git(args: list, cwd: Optional[str] = None) -> Optional[str]:

@@ -16,6 +16,12 @@ class EmptySchedule(SimulationError):
     """Raised by :meth:`Environment.step` when no events remain."""
 
 
+def _exhausted() -> bool:
+    """The heap kernel's ``_advance``: its ``_current`` is the whole
+    queue, so once that is empty nothing is left to refill it."""
+    return False
+
+
 class Environment:
     """Execution environment for a deterministic discrete-event simulation.
 
@@ -28,18 +34,27 @@ class Environment:
     the tie-break sequence is a plain int (not an ``itertools.count``),
     event factories push onto the heap directly, and :meth:`run` inlines
     the :meth:`step` loop with the queue and heap functions hoisted into
-    locals.  ``self._queue`` is mutated in place and never rebound —
-    :meth:`wipe` relies on that, and so do the hoisted aliases in
-    :meth:`run`.
+    locals.
 
-    ``_push`` is the one indirection the event factories go through: a
-    C-level ``partial(heappush, queue)`` here, the wheel's bound
-    ``push`` on :class:`~repro.sim.wheel.WheelEnvironment` — which is
-    how an alternative scheduler slots in behind the heap interface
-    without a branch on the hot path.
+    The queue is seen through three slots, which is how the timer wheel
+    (:class:`~repro.sim.wheel.WheelEnvironment`) slots in behind the one
+    loop without a branch on the hot path:
+
+    * ``_push`` — where the event factories schedule: a C-level
+      ``partial(heappush, queue)`` here, the wheel's bound ``push``;
+    * ``_current`` — the heap :meth:`run`, :meth:`step` and :meth:`peek`
+      pop from: ``_queue`` itself here, the wheel's slot being drained;
+    * ``_advance`` — refills ``_current`` when it runs dry, False when
+      nothing is left: :func:`_exhausted` here, the wheel's cascade.
+
+    ``_current`` is mutated in place and never rebound (the wheel
+    refills it with ``current[:] = ...``, :meth:`wipe` clears it), so
+    the aliases :meth:`run` hoists stay valid across callbacks that
+    advance, crash or wipe the environment.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_crash", "_push")
+    __slots__ = ("_now", "_queue", "_seq", "_crash", "_push", "_current",
+                 "_advance")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -47,6 +62,8 @@ class Environment:
         self._seq = 0  # same-instant tie-break, incremented per schedule
         self._push: Callable[[Tuple[float, int, Event]], None] = (
             partial(heappush, self._queue))
+        self._current = self._queue
+        self._advance: Callable[[], bool] = _exhausted
         self._crash: Optional[BaseException] = None
 
     @property
@@ -115,14 +132,17 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        current = self._current
+        if current or self._advance():
+            return current[0][0]
+        return float("inf")
 
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
-        try:
-            when, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events remain") from None
+        current = self._current
+        if not current and not self._advance():
+            raise EmptySchedule("no scheduled events remain")
+        when, _, event = heappop(current)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -153,9 +173,9 @@ class Environment:
                 raise ValueError(
                     f"until ({stop_at}) must not be before now ({self._now})")
 
-        # The inlined step loop.  ``queue`` aliases self._queue (mutated in
-        # place everywhere, including wipe()), so the alias stays valid
-        # across callbacks that crash or wipe the environment.
+        # The inlined step loop over the hoisted ``_current`` and
+        # ``_advance`` (see the class docstring for why the aliases stay
+        # valid); ``advance`` is entered only when ``current`` runs dry.
         #
         # The cyclic collector is paused for the duration of the loop: a
         # run churns through millions of short-lived generators, events,
@@ -170,17 +190,18 @@ class Environment:
         if gc_was_enabled:
             gc.disable()
         try:
-            queue = self._queue
+            current = self._current
+            advance = self._advance
             pop = heappop
             if stop_event is None:
                 # Run-until-time is the workload-driver case and covers
                 # the overwhelming majority of events, so it gets its
                 # own loop without the per-event stop-event probe.
-                while queue:
-                    if queue[0][0] > stop_at:
+                while current or advance():
+                    if current[0][0] > stop_at:
                         self._now = stop_at
                         return None
-                    when, _, event = pop(queue)
+                    when, _, event = pop(current)
                     self._now = when
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:
@@ -189,13 +210,13 @@ class Environment:
                             crash, self._crash = self._crash, None
                             raise crash
             else:
-                while queue:
+                while current or advance():
                     if stop_event.callbacks is None:
                         break
-                    if queue[0][0] > stop_at:
+                    if current[0][0] > stop_at:
                         self._now = stop_at
                         return None
-                    when, _, event = pop(queue)
+                    when, _, event = pop(current)
                     self._now = when
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:

@@ -6,9 +6,12 @@ traffic layer (:mod:`repro.workloads.traffic`) keeps *hundreds of
 thousands* of homogeneous timer events pending — arrival ticks, client
 think times — where a timer wheel's ``O(1)`` bucket insert wins.
 
-:class:`TimerWheel` implements the same contract the environment's heap
-provides — push ``(when, seq, event)`` entries, pop them in exactly
-``(when, seq)`` order — as a three-tier hierarchy:
+:class:`TimerWheel` is a queue, not a second kernel: it takes
+``(when, seq, event)`` entries and hands them back in exactly
+``(when, seq)`` order, and :class:`WheelEnvironment` only points the
+environment's ``_push``, ``_current`` and ``_advance`` at it, so the one
+loop of :class:`~repro.sim.environment.Environment` drains it.  It is a
+three-tier hierarchy:
 
 * **current** — a real heap holding entries of the slot being drained
   (and any entry scheduled at or before it, e.g. zero-delay wake-ups);
@@ -32,12 +35,11 @@ zero); the environment enforces this at construction.
 
 from __future__ import annotations
 
-import gc
 from heapq import heapify, heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple, Union, cast
+from typing import Dict, List, Tuple
 
-from repro.sim.environment import EmptySchedule, Environment
-from repro.sim.events import Event, SimulationError
+from repro.sim.environment import Environment
+from repro.sim.events import Event
 
 #: One scheduled entry, exactly as the heap scheduler stores it.
 Entry = Tuple[float, int, Event]
@@ -46,9 +48,10 @@ Entry = Tuple[float, int, Event]
 class TimerWheel:
     """Pending-event queue with O(1) inserts for near-future timers.
 
-    Drop-in replacement for the environment's heap list: supports
-    :meth:`push`, :meth:`pop`, :meth:`peek_when`, ``len()`` and
-    :meth:`clear`, and yields entries in identical ``(when, seq)``
+    The environment schedules through :meth:`push`, pops ``_current``
+    and calls ``_advance`` when that runs dry, and wipes with
+    :meth:`clear`; :meth:`pop`, :meth:`peek_when` and ``len()`` read the
+    queue on its own.  Entries come out in the heap's ``(when, seq)``
     order.
     """
 
@@ -70,9 +73,8 @@ class TimerWheel:
         #: strictly greater slot, every *current* entry an equal-or-
         #: smaller one.
         self._cursor = int(origin / tick)
-        #: Mutated in place and never rebound (``current[:] = ...`` on
-        #: refill) — the same aliasing contract ``Environment._queue``
-        #: keeps, so the inlined run loop can hold a direct reference.
+        #: The environment's ``_current``, under the aliasing contract
+        #: :class:`~repro.sim.environment.Environment` states.
         self._current: List[Entry] = []
         self._near: Dict[int, List[Entry]] = {}
         self._near_slots: List[int] = []
@@ -183,9 +185,7 @@ class TimerWheel:
             slot = heappop(near_slots)
             entries = self._near.pop(slot)
             heapify(entries)
-            # In-place refill (never rebind): outstanding aliases of
-            # _current — the environment's inlined run loop — stay valid.
-            self._current[:] = entries
+            self._current[:] = entries  # in place: never rebind
             self._cursor = slot
             return True
 
@@ -215,8 +215,10 @@ class WheelEnvironment(Environment):
     """An :class:`~repro.sim.environment.Environment` scheduled by a
     :class:`TimerWheel` instead of a binary heap.
 
-    Seeded runs are event-for-event identical to the heap kernel; only
-    the scheduling cost model differs.  Select it per run with
+    Only the queue differs: ``run``, ``step`` and ``peek`` are the base
+    class's, so seeded runs are event-for-event identical to the heap
+    kernel and only the scheduling cost model differs.  Select it per
+    run with
     ``SystemConfig(kernel="wheel")`` or ``repro oltp/traffic --kernel
     wheel``.
     """
@@ -234,109 +236,8 @@ class WheelEnvironment(Environment):
                            mid_buckets=mid_buckets, origin=initial_time)
         self._queue = wheel  # type: ignore[assignment]
         self._push = wheel.push
-
-    # The base class inlines heap access in step/run/peek; mirror the
-    # same logic over the wheel's methods.
-
-    @property
-    def _wheel(self) -> TimerWheel:
-        return cast(TimerWheel, self._queue)
-
-    def peek(self) -> float:
-        return self._wheel.peek_when()
-
-    def step(self) -> None:
-        try:
-            when, _, event = self._wheel.pop()
-        except IndexError:
-            raise EmptySchedule("no scheduled events remain") from None
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-            if self._crash is not None:
-                crash, self._crash = self._crash, None
-                raise crash
-
-    def run(self, until: Union[None, float, Event] = None) -> Any:
-        if until is None:
-            stop_at: float = float("inf")
-            stop_event: Optional[Event] = None
-        elif isinstance(until, Event):
-            stop_at, stop_event = float("inf"), until
-            if until.processed:
-                if not until.ok:
-                    raise until.value
-                return until.value
-        else:
-            stop_at, stop_event = float(until), None
-            if stop_at < self._now:
-                raise ValueError(
-                    f"until ({stop_at}) must not be before now ({self._now})")
-
-        # Collector paused for the loop, exactly as in Environment.run:
-        # the event churn is allocation-heavy but almost never cyclic.
-        #
-        # The loop drains ``wheel._current`` directly — the wheel keeps
-        # that list in place (refills assign ``current[:] = ...``), so
-        # the alias survives cascades and crash wipes, and the common
-        # case costs one heappop instead of two method calls
-        # (peek_when + pop).  ``advance`` is only entered on slot
-        # boundaries; per-event cost matches the heap kernel's loop.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            wheel = self._wheel
-            current = wheel._current
-            advance = wheel._advance
-            pop = heappop
-            if stop_event is None:
-                while current or advance():
-                    if current[0][0] > stop_at:
-                        self._now = stop_at
-                        return None
-                    when, _, event = pop(current)
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    assert callbacks is not None
-                    for callback in callbacks:
-                        callback(event)
-                        if self._crash is not None:
-                            crash, self._crash = self._crash, None
-                            raise crash
-            else:
-                while current or advance():
-                    if stop_event.callbacks is None:
-                        break
-                    if current[0][0] > stop_at:
-                        self._now = stop_at
-                        return None
-                    when, _, event = pop(current)
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    assert callbacks is not None
-                    for callback in callbacks:
-                        callback(event)
-                        if self._crash is not None:
-                            crash, self._crash = self._crash, None
-                            raise crash
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        if stop_event is not None:
-            if not stop_event.processed:
-                raise SimulationError(
-                    "run() finished with the target event still pending")
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-
-        if stop_at != float("inf"):
-            self._now = stop_at
-        return None
+        self._current = wheel._current
+        self._advance = wheel._advance
 
 
 #: Registry of selectable kernels, shared by SystemConfig and the CLI.

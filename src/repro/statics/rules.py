@@ -24,8 +24,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.statics.engine import Finding, ModuleInfo, Rule, dotted_name
 
 #: Recording methods of ``repro.telemetry.tracer.Tracer``.
-TRACER_METHODS = frozenset(
-    {"record", "span", "instant", "complete", "counter"})
+TRACER_METHODS = frozenset({"record", "instant", "complete", "counter"})
 
 #: Exception names that satisfy the RPL004 fault-handling requirement.
 FAULT_EXCEPTIONS = frozenset(
@@ -64,7 +63,7 @@ class TracerGuardRule(Rule):
 
     code = "RPL001"
     name = "tracer-guard"
-    description = ("tracer.record/span/instant/complete/counter calls must "
+    description = ("tracer.record/instant/complete/counter calls must "
                    "be guarded by a tracer.enabled check")
     paths = ("repro/engine/", "repro/storage/", "repro/core/",
              "repro/workloads/", "repro/harness/", "repro/faults/")

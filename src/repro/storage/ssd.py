@@ -87,7 +87,7 @@ class Ssd(Device):
         registry = telemetry.registry
         registry.gauge(
             "ssd_channels_alive", "Flash channels still in service",
-            lambda: self._channels_total - self._channels_dead)
+            lambda: self.channels_alive)
         ftl = self.ftl
         if ftl is None:
             return

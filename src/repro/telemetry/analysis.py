@@ -1,4 +1,4 @@
-"""Post-hoc trace analysis: per-transaction waterfalls and tail-latency
+"""Post-hoc trace analysis: per-transaction records and tail-latency
 attribution (the engine behind ``repro analyze``).
 
 The tracer (:mod:`repro.telemetry.tracer`) records every wait a traced
@@ -47,7 +47,7 @@ COMPONENT_ORDER = (
     "log_write", "wal_flush", "latch", "inflight", "free_frame", "prefetch",
 )
 
-#: Span names recorded for waterfalls but excluded from the component sum
+#: Span names in the trace but excluded from the component sum
 #: (they *enclose* leaf waits and would double-count them).
 ENVELOPE_SPANS = frozenset({"bp_miss"})
 
@@ -155,19 +155,6 @@ class TxnRecord:
     tenant: Optional[str] = None
     #: Component name → attributed seconds.
     components: Dict[str, float] = field(default_factory=dict)
-    #: The transaction's attributed events, for waterfall rendering.
-    events: List[dict] = field(default_factory=list)
-
-    @property
-    def attributed(self) -> float:
-        """Seconds accounted for by the component waits."""
-        return sum(self.components.values())
-
-    def waterfall(self) -> List[dict]:
-        """The transaction's events ordered by start time — a textual
-        flame chart of where its latency went."""
-        return sorted(self.events, key=lambda e: (e.get("ts", 0.0),
-                                                  -(e.get("dur") or 0.0)))
 
 
 @dataclass
@@ -328,7 +315,7 @@ class DesignAnalysis:
 
     def slowest(self, n: int = 5,
                 txn_type: Optional[str] = None) -> List[TxnRecord]:
-        """The ``n`` slowest transactions — waterfall candidates."""
+        """The ``n`` slowest transactions."""
         pool = [t for t in self.txns
                 if txn_type is None or t.txn_type == txn_type]
         return sorted(pool, key=lambda t: -t.latency)[:n]
@@ -453,7 +440,6 @@ def analyze_trace(path: str) -> DesignAnalysis:
 
 
 def _attribute(record: TxnRecord, event: dict) -> None:
-    record.events.append(event)
     component = _component_of(event)
     if component is None or event.get("name") in ENVELOPE_SPANS:
         return

@@ -5,9 +5,8 @@ transaction, or a background activity like the LC cleaner — down
 through the buffer pool, the SSD managers, the WAL, and the device
 queues.  Every trace event recorded along the way carries the context's
 fields in its ``args``, so the analysis layer
-(:mod:`repro.telemetry.analysis`) can reconstruct a per-transaction
-waterfall and attribute tail latency to the component waits that
-produced it.
+(:mod:`repro.telemetry.analysis`) can group events by transaction and
+attribute tail latency to the component waits that produced it.
 
 Two flavours share the class:
 
@@ -50,11 +49,6 @@ class TraceContext:
     def background(cls, origin: str) -> "TraceContext":
         """Context for background machinery (cleaner, eviction, ...)."""
         return cls(None, origin)
-
-    @property
-    def is_background(self) -> bool:
-        """True for background-origin contexts (no transaction id)."""
-        return self.txn_id is None
 
     def to_args(self) -> dict:
         """The key/value pairs merged into a trace event's ``args``.

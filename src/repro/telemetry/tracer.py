@@ -1,9 +1,9 @@
 """Structured event tracing against the simulation clock.
 
-Records typed events — *spans* (operations with a duration: an eviction
-write-out, a cleaner round, a checkpoint, one device I/O) and *instants*
-(points in time: a λ-crossing, an SSD admission) — on named tracks, and
-exports two formats:
+Records typed events — *complete* events (operations with a duration: an
+eviction write-out, a cleaner round, a checkpoint, one device I/O) and
+*instants* (points in time: a λ-crossing, an SSD admission) — on named
+tracks, and exports two formats:
 
 * JSONL: one event object per line, for ad-hoc analysis;
 * Chrome ``trace_event`` JSON, loadable in ``chrome://tracing`` and
@@ -13,9 +13,10 @@ exports two formats:
 Counter events (``ph: "C"``) carry the sampled time series (SSD
 occupancy, queue depths) that back the paper's Figures 6–8.
 
-:class:`NullTracer` is the disabled mode: every recording method is a
-no-op and :meth:`NullTracer.span` returns one shared context manager, so
-instrumented paths allocate nothing when tracing is off.
+:class:`NullTracer` is the disabled mode.  Every product call site is
+guarded by ``tracer.enabled`` (RPL001 checks this statically,
+``tests/telemetry/test_zero_cost.py`` at runtime), so it has no
+recording methods at all.
 """
 
 from __future__ import annotations
@@ -68,45 +69,6 @@ class TraceEvent:
         if self.args is not None:
             out["args"] = self.args
         return out
-
-
-class _Span:
-    """Context manager recording one complete ("X") event on exit.
-
-    An exceptional exit is still recorded (the time was spent), but the
-    event is tagged with the exception type (``args["error"]``) so
-    failed operations are distinguishable in traces and in
-    ``repro analyze``.
-    """
-
-    __slots__ = ("_tracer", "name", "cat", "track", "args", "ctx", "start")
-
-    def __init__(self, tracer: "Tracer", name: str, cat: str, track: str,
-                 args: Optional[dict], ctx: Optional[TraceContext] = None):
-        self._tracer = tracer
-        self.name = name
-        self.cat = cat
-        self.track = track
-        self.args = args
-        self.ctx = ctx
-        self.start = 0.0
-
-    def set(self, **more) -> None:
-        """Attach result arguments discovered while the span runs."""
-        if self.args is None:
-            self.args = {}
-        self.args.update(more)
-
-    def __enter__(self) -> "_Span":
-        self.start = self._tracer._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self.set(error=exc_type.__name__)
-        self._tracer.complete(self.name, self.start, self._tracer._clock(),
-                              self.cat, self.track, self.args, ctx=self.ctx)
-        return False
 
 
 class Tracer:
@@ -163,12 +125,6 @@ class Tracer:
         """Record a finished operation spanning ``[start, end]``."""
         self._record(TraceEvent(name, cat, "X", start, dur=end - start,
                                 track=track, args=_merge_ctx(args, ctx)))
-
-    def span(self, name: str, cat: str = "span", track: str = "main",
-             args: Optional[dict] = None,
-             ctx: Optional[TraceContext] = None) -> _Span:
-        """Context manager measuring a block as one complete event."""
-        return _Span(self, name, cat, track, args, ctx)
 
     def counter(self, name: str, values: Dict[str, float],
                 track: str = "counters") -> None:
@@ -263,48 +219,15 @@ class Tracer:
 # Disabled mode
 # ----------------------------------------------------------------------
 
-class _NullSpan:
-    """Shared do-nothing span."""
-
-    __slots__ = ()
-
-    def set(self, **more) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
-    """Tracer twin for disabled telemetry: records nothing, allocates
-    nothing (``span`` hands back one shared context manager)."""
+    """Tracer twin for disabled telemetry: what a guarded call site and
+    the exporters read, and nothing to record with."""
 
     enabled = False
     __slots__ = ()
     events: tuple = ()
     dropped = 0
     now = 0.0
-
-    def instant(self, name, cat="event", track="main", args=None,
-                ctx=None) -> None:
-        pass
-
-    def complete(self, name, start, end, cat="span", track="main",
-                 args=None, ctx=None) -> None:
-        pass
-
-    def span(self, name, cat="span", track="main", args=None,
-             ctx=None) -> _NullSpan:
-        return _NULL_SPAN
-
-    def counter(self, name, values, track="counters") -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

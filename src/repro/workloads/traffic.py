@@ -281,10 +281,6 @@ class TenantSpec:
     theta: Optional[float] = None
 
     @property
-    def mean_rate(self) -> float:
-        return self.arrivals.mean_rate
-
-    @property
     def logical_users(self) -> float:
         """Logical users this tenant represents (rate × think time)."""
         users = getattr(self.arrivals, "users", None)

@@ -36,9 +36,18 @@ class TestConfig:
         {"partitions": 0},
         {"group_clean_pages": 0},
         {"extent_pages": 0},
+        # A cleaner with no batches in flight never cleans a page.
+        {"cleaner_concurrency": 0},
+        {"cleaner_concurrency": -2},
+        # nan reached the cleaner as int(nan) in clean_target_frames.
+        {"clean_slack": float("nan")},
+        {"clean_slack": -0.1},
+        {"clean_slack": 1.5},
+        {"fill_threshold": float("nan")},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=rf"^{name} .*got {value}$"):
             SsdDesignConfig(**kwargs)
 
 

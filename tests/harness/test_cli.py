@@ -310,6 +310,14 @@ class TestAnalyzeCommand:
                      "--txn-type", "new_order"]) == 0
         assert "new_order" in capsys.readouterr().out
 
+    def test_unknown_txn_type_refused(self, traced_pair, capsys):
+        # This used to exit 0 with a table of "-" rows.
+        assert main(["analyze", *traced_pair, "--txn-type", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--txn-type 'nope'" in captured.err
+        assert "new_order" in captured.err and "payment" in captured.err
+
     def test_missing_trace_fails_fast(self, capsys):
         assert main(["analyze", "/no/such/trace.jsonl"]) == 2
         assert "no such trace" in capsys.readouterr().err

@@ -32,7 +32,7 @@ class TestCrashPointSweep:
     def test_small_sweep_loses_nothing(self):
         result = crash_point_sweep(small_config())
         assert len(result.outcomes) == 2
-        assert result.ok, format_sweep_table(result)
+        assert not result.failures, format_sweep_table(result)
         for outcome in result.outcomes:
             assert outcome.committed_pages > 0
             assert 0.2 * 3.0 <= outcome.crash_at <= 3.0
@@ -53,12 +53,12 @@ class TestCrashPointSweep:
         result = crash_point_sweep(small_config(designs=("ROT", "EXCL"),
                                                 seed=12))
         assert len(result.outcomes) == 2
-        assert result.ok, format_sweep_table(result)
+        assert not result.failures, format_sweep_table(result)
 
     def test_fuzzy_policy_runs(self):
         result = crash_point_sweep(small_config(designs=("TAC",),
                                                 policies=("fuzzy",)))
-        assert result.ok, format_sweep_table(result)
+        assert not result.failures, format_sweep_table(result)
 
 
 class TestCrashUnderLoad:
@@ -173,7 +173,7 @@ class TestSweepTable:
             CrashPointOutcome("DW", "sharp", 2.5, ok=False,
                               error="RecoveryError: boom"),
         ])
-        assert not result.ok
+        assert result.failures
         table = format_sweep_table(result)
         assert "FAIL DW/sharp @t=2.500: RecoveryError: boom" in table
 

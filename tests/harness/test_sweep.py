@@ -85,7 +85,8 @@ class TestRoundTrip:
         assert got.system is None
         live_sys = live_result.system
         assert got.bp_stats.as_dict() == live_sys.bp.stats.as_dict()
-        assert got.ssd_stats == live_sys.ssd_manager.stats
+        assert (got.ssd_stats.as_dict()
+                == live_sys.ssd_manager.stats.as_dict())
         assert got.ssd_dirty_frames == live_sys.ssd_manager.dirty_frames
         assert got.ssd_used_frames == live_sys.ssd_manager.used_frames
         assert (got.ssd_invalid_frames

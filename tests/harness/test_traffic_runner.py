@@ -80,7 +80,7 @@ def test_overload_sheds_instead_of_queueing_unboundedly():
     assert result.shed_fraction == pytest.approx(stats.shed / stats.offered)
     # Conservation: everything admitted either completed or is still in
     # the (bounded) queue / in service when the run ends.
-    backlog = stats.admitted - stats.completed
+    backlog = stats.offered - stats.shed - stats.completed
     assert 0 <= backlog <= 10 + 2
 
 

@@ -1,7 +1,7 @@
 """Provenance capture: git identity, source hash, host."""
 
 from repro.runstore import provenance as prov_mod
-from repro.runstore.provenance import Provenance, capture, provenance_args
+from repro.runstore.provenance import capture, provenance_args
 
 
 class TestCapture:
@@ -27,14 +27,6 @@ class TestCapture:
         monkeypatch.setattr(prov_mod, "_cached", None)
         first = capture()
         assert capture() is first
-
-    def test_to_dict_round_trip(self):
-        prov = Provenance(git_commit="abc", git_dirty=True)
-        doc = prov.to_dict()
-        assert doc["git_commit"] == "abc"
-        assert doc["git_dirty"] is True
-        assert doc["host"] is None
-
 
 class TestProvenanceArgs:
     def test_queryable_subset_only(self):

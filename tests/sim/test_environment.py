@@ -5,6 +5,7 @@ import pytest
 from repro.sim import Environment
 from repro.sim.environment import EmptySchedule
 from repro.sim.events import SimulationError
+from repro.sim.wheel import WheelEnvironment
 
 
 class TestClock:
@@ -76,6 +77,23 @@ class TestStep:
             event.callbacks.append(lambda e: order.append(e.value))
         env.run()
         assert order == ["a", "b", "c"]
+
+
+class TestRunModesOnTheWheel(TestRunModes):
+    """The same run modes on the wheel kernel, through the one loop."""
+
+    @pytest.fixture
+    def env(self):
+        return WheelEnvironment()
+
+
+class TestStepOnTheWheel(TestStep):
+    """The same steps on the wheel kernel: its ``EmptySchedule`` and
+    ``inf`` come from the base ``step`` and ``peek``."""
+
+    @pytest.fixture
+    def env(self):
+        return WheelEnvironment()
 
 
 class TestDeterminism:

@@ -145,6 +145,12 @@ def test_wheel_run_event_for_event_identical_to_heap(seed):
     assert _churn(WheelEnvironment, seed) == _churn(Environment, seed)
 
 
+def test_wheel_kernel_drains_through_the_one_loop():
+    # The wheel is only a queue: no second copy of the loop to keep in step.
+    for name in ("run", "step", "peek"):
+        assert getattr(WheelEnvironment, name) is getattr(Environment, name)
+
+
 def test_wheel_environment_step_until_and_until_event():
     env = WheelEnvironment()
     hits = []

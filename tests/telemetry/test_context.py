@@ -35,12 +35,10 @@ class TestTraceContext:
     def test_txn_context_args(self):
         ctx = TraceContext.for_txn(42, "new_order")
         assert ctx.to_args() == {"txn": 42, "txn_type": "new_order"}
-        assert not ctx.is_background
 
     def test_background_context_args(self):
         ctx = TraceContext.background("cleaner")
         assert ctx.to_args() == {"origin": "cleaner"}
-        assert ctx.is_background
 
     def test_singletons_cover_the_background_machinery(self):
         origins = {ctx.to_args()["origin"] for ctx in
@@ -62,14 +60,6 @@ class TestContextMerging:
         tracer.instant("admit", args={"page": 3}, ctx=ADMISSION_CTX)
         (event,) = tracer.events
         assert event.args == {"page": 3, "origin": "admission"}
-
-    def test_span_carries_context(self, tracer, clock):
-        ctx = TraceContext.for_txn(1, "q6")
-        with tracer.span("bp_miss", cat="bp", ctx=ctx):
-            clock.t = 2.0
-        (event,) = tracer.events
-        assert event.args["txn"] == 1
-        assert event.dur == 2.0
 
     def test_none_context_leaves_args_untouched(self, tracer):
         tracer.complete("io", 0.0, 1.0, args={"k": 1}, ctx=None)

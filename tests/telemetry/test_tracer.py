@@ -70,56 +70,6 @@ class TestRecording:
             Tracer(max_events=0)
 
 
-class TestSpans:
-    def test_span_measures_block(self, tracer, clock):
-        clock.t = 1.0
-        with tracer.span("work", cat="bp", track="buffer_pool"):
-            clock.t = 4.0
-        (event,) = tracer.events
-        assert event.name == "work"
-        assert (event.ts, event.dur) == (1.0, 3.0)
-
-    def test_span_set_attaches_result_args(self, tracer, clock):
-        with tracer.span("clean", args={"reason": "lambda"}) as span:
-            clock.t = 2.0
-            span.set(pages=8)
-        (event,) = tracer.events
-        assert event.args == {"reason": "lambda", "pages": 8}
-
-    def test_nested_spans_contained(self, tracer, clock):
-        """An inner span must lie fully within its enclosing span."""
-        clock.t = 0.0
-        with tracer.span("outer"):
-            clock.t = 1.0
-            with tracer.span("inner"):
-                clock.t = 2.0
-            clock.t = 3.0
-        inner, outer = tracer.events  # inner exits (and records) first
-        assert inner.name == "inner" and outer.name == "outer"
-        assert outer.ts <= inner.ts
-        assert inner.ts + inner.dur <= outer.ts + outer.dur
-
-    def test_span_records_even_on_exception(self, tracer, clock):
-        with pytest.raises(RuntimeError):
-            with tracer.span("doomed"):
-                clock.t = 1.0
-                raise RuntimeError("boom")
-        assert len(tracer.events) == 1
-
-    def test_exceptional_exit_tags_error_type(self, tracer, clock):
-        with pytest.raises(KeyError):
-            with tracer.span("doomed", args={"page": 5}):
-                raise KeyError("missing")
-        (event,) = tracer.events
-        assert event.args == {"page": 5, "error": "KeyError"}
-
-    def test_clean_exit_carries_no_error_tag(self, tracer):
-        with tracer.span("fine", args={"page": 5}):
-            pass
-        (event,) = tracer.events
-        assert "error" not in event.args
-
-
 class TestChromeExport:
     def _trace(self, tracer, clock):
         clock.t = 0.25

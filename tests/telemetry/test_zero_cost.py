@@ -37,10 +37,6 @@ class CountingNullTracer:
                  args=None, ctx=None):
         self.calls.append(("complete", name))
 
-    def span(self, name, cat="span", track="main", args=None, ctx=None):
-        self.calls.append(("span", name))
-        raise AssertionError("span() called on a disabled tracer")
-
     def counter(self, name, values, track="counters"):
         self.calls.append(("counter", name))
 

@@ -127,7 +127,7 @@ def test_parse_tenants_full_grammar():
     gold, noisy = tenants
     assert gold.theta == 0.6 and noisy.theta == 0.99
     assert gold.logical_users == 800_000.0
-    assert gold.mean_rate == pytest.approx(8000.0)
+    assert gold.arrivals.mean_rate == pytest.approx(8000.0)
     assert isinstance(noisy.arrivals, BurstyArrivals)
     # theta= was stripped before arrival parsing.
     assert noisy.arrivals.burst == 10.0

@@ -97,9 +97,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.core.ssd_manager:SsdManagerBase._give_up": (
         J, "stall path: a drain's empty rounds (the LC run above)"),
     "repro.core.ssd_manager:SsdManagerBase.on_evict_dirty": (J, _STUB),
-    "repro.core.ssd_manager:SsdStats.__eq__": (
-        S, "tests/harness/test_sweep.py::TestRoundTrip::"
-           "test_restored_system_counters_match"),
     "repro.core.ssd_manager:SsdStats.__repr__": (J, _REPR),
     "repro.core.ssd_manager:SsdStats.as_dict": (J, _RECORD),
     "repro.core.ssd_manager:TrimPlan.__repr__": (J, _REPR),
@@ -134,9 +131,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.engine.readahead:WindowClassifier.classify": (
         J, "benchmarks/test_ablations.py"),
     # harness
-    "repro.harness.crashpoints:CrashSweepResult.ok": (
-        S, "tests/harness/test_crashpoints.py x4 (repro chaos reads "
-           "failures)"),
     "repro.harness.metrics:LatencyTracker.to_dict": (J, _RECORD),
     "repro.harness.metrics:Sampler.dirty_cross_time": (
         J, "benchmarks/test_fig6_timeseries.py"),
@@ -144,9 +138,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         J, "benchmarks/test_fig6_timeseries.py"),
     "repro.harness.metrics:Sampler.running": (
         S, "tests/harness/test_harness.py::TestSampler x3"),
-    "repro.harness.metrics:TenantStats.admitted": (
-        S, "tests/harness/test_traffic_runner.py::"
-           "test_overload_sheds_instead_of_queueing_unboundedly"),
     "repro.harness.metrics:TenantStats.from_dict": (
         S, "tests/harness/test_run_record.py::TestRoundTrip::"
            "test_record_is_a_fixed_point[traffic] (no product path "
@@ -169,20 +160,18 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     # runstore
     "repro.runstore.cli:cmd_serve": (
         J, "repro serve (blocks; the inputs serve through make_server)"),
-    "repro.runstore.provenance:Provenance.to_dict": (
-        S, "tests/runstore/test_provenance.py::TestCapture::"
-           "test_to_dict_round_trip"),
     "repro.runstore.store:RegressionFinding.group_label": (
         J, "repro runs regress when it finds a regression"),
     "repro.runstore.store:RunStore.chaos_for": (
         J, "repro runs show of a chaos run"),
     # sim
     "repro.sim.environment:Environment.peek": (
-        S, "tests/sim/test_environment.py x2, test_gather.py, "
-           "test_resources.py, tests/storage/test_devices.py"),
+        S, "tests/sim/test_environment.py x4 (both kernels), "
+           "test_gather.py, test_resources.py, "
+           "tests/storage/test_devices.py"),
     "repro.sim.environment:Environment.step": (
-        S, "tests/sim/test_environment.py::TestStep::"
-           "test_step_on_empty_schedule_raises, "
+        S, "tests/sim/test_environment.py::TestStep[OnTheWheel]::"
+           "test_step_on_empty_schedule_raises, test_wheel.py x1, "
            "tests/storage/test_devices.py x1"),
     "repro.sim.events:Event.__repr__": (J, _REPR),
     "repro.sim.events:_Condition._satisfied": (J, _STUB),
@@ -199,14 +188,11 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         S, _WHEEL + "tests/sim/test_wheel.py x2, test_gather.py x1 (a "
            "crash on the wheel kernel)"),
     "repro.sim.wheel:TimerWheel.peek_when": (
-        S, _WHEEL + "tests/sim/test_wheel.py x2, test_gather.py x1"),
+        S, _WHEEL + "tests/sim/test_wheel.py x2 (Environment.peek reads "
+           "_current)"),
     "repro.sim.wheel:TimerWheel.pop": (
-        S, _WHEEL + "tests/sim/test_wheel.py x7"),
-    "repro.sim.wheel:WheelEnvironment.peek": (
-        S, _WHEEL + "tests/sim/test_gather.py x1"),
-    "repro.sim.wheel:WheelEnvironment.step": (
-        S, _WHEEL + "tests/sim/test_wheel.py::"
-           "test_wheel_environment_step_until_and_until_event"),
+        S, _WHEEL + "tests/sim/test_wheel.py x6 (Environment.step pops "
+           "_current)"),
     # statics
     "repro.statics.engine:Finding.format": (J, _LINT),
     "repro.statics.engine:Rule.check": (J, _STUB),
@@ -242,26 +228,11 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         S, "tests/storage/test_devices.py x5, test_request.py x2"),
     "repro.storage.request:IORequest.nbytes": (
         S, "tests/storage/test_request.py::TestIORequest::test_byte_size"),
-    "repro.storage.ssd:Ssd.channels_alive": (
-        S, "tests/storage/test_fault_pins.py x16, test_ftl.py x2, "
-           "tests/core/test_degradation.py x2 (the gauge reads the "
-           "counts itself)"),
     # telemetry
     "repro.telemetry.analysis:DesignAnalysis.slowest": (
         S, "tests/telemetry/test_analysis.py::TestAttribution::"
            "test_slowest"),
-    "repro.telemetry.analysis:DesignAnalysis.txn_types": (
-        S, "tests/telemetry/test_integration.py::TestAttributionCoverage"
-           "::test_transactions_reconstructed"),
-    "repro.telemetry.analysis:TxnRecord.attributed": (
-        S, "tests/telemetry/test_analysis.py::TestAnalyzeTrace::"
-           "test_components_partition_latency"),
-    "repro.telemetry.analysis:TxnRecord.waterfall": (
-        S, "tests/telemetry/test_analysis.py::TestAnalyzeTrace::"
-           "test_envelope_span_not_double_counted"),
     "repro.telemetry.context:TraceContext.__repr__": (J, _REPR),
-    "repro.telemetry.context:TraceContext.is_background": (
-        S, "tests/telemetry/test_context.py::TestTraceContext x2"),
     "repro.telemetry.registry:Histogram.count": (
         S, "tests/telemetry/test_registry.py x1, test_integration.py x1"),
     "repro.telemetry.registry:Histogram.percentile": (
@@ -279,32 +250,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         S, "tests/telemetry/test_registry.py::TestNullRegistry x1"),
     "repro.telemetry.registry:NullRegistry.snapshot": (
         S, "tests/telemetry/test_registry.py x1, test_integration.py x1"),
-    "repro.telemetry.tracer:NullTracer.complete": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x1 (every "
-           "product call is guarded by tracer.enabled, RPL001)"),
-    "repro.telemetry.tracer:NullTracer.counter": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x1"),
-    "repro.telemetry.tracer:NullTracer.instant": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x1"),
-    "repro.telemetry.tracer:NullTracer.span": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x2"),
-    "repro.telemetry.tracer:Tracer.span": (
-        S, "tests/telemetry/test_tracer.py::TestSpans x6, "
-           "tests/telemetry/test_context.py::TestContextMerging x1"),
-    "repro.telemetry.tracer:_NullSpan.__enter__": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x1"),
-    "repro.telemetry.tracer:_NullSpan.__exit__": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x1"),
-    "repro.telemetry.tracer:_NullSpan.set": (
-        S, "tests/telemetry/test_noop.py::TestNullTracer x1"),
-    "repro.telemetry.tracer:_Span.__enter__": (
-        S, "with Tracer.span: tests/telemetry/test_tracer.py::TestSpans"),
-    "repro.telemetry.tracer:_Span.__exit__": (
-        S, "with Tracer.span: tests/telemetry/test_tracer.py::TestSpans"),
-    "repro.telemetry.tracer:_Span.__init__": (
-        S, "with Tracer.span: tests/telemetry/test_tracer.py::TestSpans"),
-    "repro.telemetry.tracer:_Span.set": (
-        S, "with Tracer.span: tests/telemetry/test_tracer.py::TestSpans"),
     # workloads
     "repro.workloads.distributions:NURand.__init__": (
         S, "tests/workloads/test_distributions.py::TestNURand x5 (TPC-C "
@@ -325,9 +270,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.workloads.traffic:PoissonArrivals.__repr__": (J, _REPR),
     "repro.workloads.traffic:PoissonArrivals.mean_rate": (
         S, "tests/workloads/test_traffic.py x2"),
-    "repro.workloads.traffic:TenantSpec.mean_rate": (
-        S, "tests/workloads/test_traffic.py::"
-           "test_parse_tenants_full_grammar"),
 }
 
 
@@ -461,7 +403,8 @@ CI_LINES = (
     # analyze-smoke
     "oltp --benchmark tpcc --scale 100 --profile tiny --duration 8 "
     "--workers 8 --designs CW,LC --dirty-threshold 0.01 --trace run.jsonl",
-    "analyze run-CW.jsonl run-LC.jsonl --html report.html",
+    "analyze run-CW.jsonl run-LC.jsonl --txn-type new_order "
+    "--html report.html",
     # chaos-smoke
     "chaos --points 2 --designs CW,DW,LC,TAC,LS,ROT,EXCL "
     "--policies sharp,fuzzy --duration 5",
