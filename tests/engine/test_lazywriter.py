@@ -1,5 +1,7 @@
 """Tests for the buffer pool's background lazy writer."""
 
+import pytest
+
 import repro.sim.process as process_module
 from tests.conftest import MiniSystem, drive, settle
 
@@ -92,3 +94,102 @@ class TestOverlap:
         latency = sys_.env.now - start
         # One random read is ~8 ms; allow generous queueing headroom.
         assert latency < 0.15
+
+
+class TestReservedVictim:
+    @pytest.mark.parametrize("design,dirty", [
+        ("noSSD", False), ("DW", False), ("LC", False), ("TAC", False),
+        ("LC", True)])
+    def test_fetch_between_reservation_and_eviction_waits_then_misses(
+            self, design, dirty):
+        """A fetch that arrives after the lazy writer reserved its victim
+        but before the batch entry runs its eviction waits on the frame
+        latch, then misses: its ``(now, step)`` log is pinned."""
+        sys_ = MiniSystem(design=design, db_pages=2_000, bp_pages=64)
+        env, bp = sys_.env, sys_.bp
+
+        def fill():
+            for pid in range(bp.capacity - bp._low_water):
+                frame = yield from bp.fetch(pid)
+                if dirty:
+                    bp.mark_dirty(frame)
+                bp.unpin(frame)
+
+        drive(env, fill())
+        settle(env)
+        log = []
+
+        def note(step, *details):
+            stats = bp.stats
+            log.append((round(env.now, 9), step, *details, stats.hits,
+                        stats.misses, stats.ssd_hits, stats.disk_reads,
+                        stats.latch_waits, stats.evictions_clean,
+                        stats.evictions_dirty, bp.free_frames,
+                        env._seq))
+
+        def racer():
+            bp._kick_lazywriter()
+            note("kicked")
+            # The lazy writer's wake-up was queued first: it reserves
+            # its victims and queues their eviction entry behind us.
+            yield env.timeout(0)
+            reserved = sorted(page for page, frame in bp.frames.items()
+                              if frame.busy_reason == "eviction")
+            note("reserved", tuple(reserved))
+            page = reserved[len(reserved) // 2]
+            victim = bp.frames[page]
+            frame = yield from bp.fetch(page)
+            note("fetched", page, frame is victim, frame.version,
+                 {reason: round(waited, 9) for reason, waited
+                  in bp.stats.latch_wait_by_reason.items()})
+            bp.unpin(frame)
+
+        drive(env, racer())
+        settle(env)
+        note("settled")
+        assert log == PINNED_RACE[design, dirty], log
+
+
+#: The logs above, pinned while every eviction still built its busy event.
+PINNED_RACE = {
+    ("noSSD", False): [
+        (5.070037791, "kicked", 0, 56, 0, 56, 0, 0, 0, 8, 285),
+        (5.070037791, "reserved", (0, 1, 2, 3, 4, 5, 6, 7), 0, 56, 0, 56, 0,
+         0, 0, 8, 287),
+        (5.070341166, "fetched", 4, False, 0, {"eviction": 0.0}, 0, 57, 0,
+         57, 1, 8, 0, 15, 294),
+        (10.070341166, "settled", 0, 57, 0, 57, 1, 8, 0, 15, 295),
+    ],
+    ("DW", False): [
+        (5.070037791, "kicked", 0, 56, 0, 56, 0, 0, 0, 8, 285),
+        (5.070037791, "reserved", (0, 1, 2, 3, 4, 5, 6, 7), 0, 56, 0, 56, 0,
+         0, 0, 8, 287),
+        (5.071341015, "fetched", 4, False, 0, {"eviction": 0.000646517}, 0,
+         57, 1, 56, 1, 8, 0, 15, 307),
+        (10.071341015, "settled", 0, 57, 1, 56, 1, 8, 0, 15, 308),
+    ],
+    ("LC", False): [
+        (5.070037791, "kicked", 0, 56, 0, 56, 0, 0, 0, 8, 286),
+        (5.070037791, "reserved", (0, 1, 2, 3, 4, 5, 6, 7), 0, 56, 0, 56, 0,
+         0, 0, 8, 288),
+        (5.071341015, "fetched", 4, False, 0, {"eviction": 0.000646517}, 0,
+         57, 1, 56, 1, 8, 0, 15, 308),
+        (10.071341015, "settled", 0, 57, 1, 56, 1, 8, 0, 15, 309),
+    ],
+    ("TAC", False): [
+        (5.070037791, "kicked", 0, 56, 0, 56, 0, 0, 0, 8, 509),
+        (5.070037791, "reserved", (0, 1, 2, 3, 4, 5, 6, 7), 0, 56, 0, 56, 0,
+         0, 0, 8, 511),
+        (5.070694498, "fetched", 4, False, 0, {"eviction": 0.0}, 0, 57, 1,
+         56, 1, 8, 0, 15, 515),
+        (10.070694498, "settled", 0, 57, 1, 56, 1, 8, 0, 15, 516),
+    ],
+    ("LC", True): [
+        (5.070037791, "kicked", 0, 56, 0, 56, 0, 0, 0, 8, 286),
+        (5.070037791, "reserved", (0, 1, 2, 3, 4, 5, 6, 7), 0, 56, 0, 56, 0,
+         0, 0, 8, 288),
+        (5.080279562, "fetched", 4, False, 1, {"eviction": 0.009585064}, 0,
+         57, 1, 56, 1, 0, 8, 15, 315),
+        (10.080279562, "settled", 0, 57, 1, 56, 1, 0, 8, 15, 316),
+    ],
+}
