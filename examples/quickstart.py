@@ -54,7 +54,7 @@ def main():
     print(f"page accesses     : {stats.hits + stats.misses:8,}")
     print(f"buffer hit rate   : {stats.hit_rate:8.1%}")
     print(f"SSD hit rate      : {stats.ssd_hit_rate:8.1%}  "
-          f"(share of misses served by the SSD)")
+          f"(pages read from the SSD per miss)")
     print(f"SSD frames used   : {manager.used_frames:8,} / "
           f"{config.ssd.ssd_frames:,}")
     print(f"SSD dirty frames  : {manager.dirty_frames:8,}  "

@@ -29,7 +29,13 @@ the *frame* a new page takes (:meth:`_evict_for_space`, or a layout's
 :meth:`_cache_page`) and the *round* its cleaner or checkpoint runs.
 
 Methods documented as *process steps* are generators to be driven with
-``yield from``.
+``yield from``.  The hooks the buffer pool calls return a *step*
+(DESIGN.md §13): a generator when the caller must wait, ``()`` when the
+work finished at the call — :meth:`try_read` on a page the SSD does not
+hold, :meth:`on_evict_clean` on a page already cached or not admitted.
+``yield from`` accepts either, so a caller may always delegate; the hot
+ones test the step first.  :meth:`on_evict_dirty` and
+:meth:`checkpoint_write` always wait, so they are generators.
 """
 
 from __future__ import annotations
@@ -404,35 +410,47 @@ class SsdManagerBase:
     # ------------------------------------------------------------------
 
     def try_read(self, page_id: int, ctx=None):
-        """Process step: serve a buffer-pool miss from the SSD if possible.
+        """Step: serve a buffer-pool miss from the SSD if possible.
 
-        Returns the page version read, or None to fall back to disk
-        (page absent, SSD throttled and the disk copy is just as new, or
-        the SSD has been detached after a device failure).
+        ``()`` when the SSD cannot serve it at the call: the page is
+        absent, or the SSD is throttled and the disk copy is just as new.
+        Otherwise the step that reads and returns the page version read,
+        or None to fall back to disk (the read was abandoned, or the SSD
+        has been detached after a device failure).
         """
         if self.detached:
             # During an in-progress detach the disk may not yet hold the
             # newest version (LC redo in flight): wait it out, then fall
             # back to the now-authoritative disk.
-            yield from self._await_detach()
-            return None
+            return self._await_detach()
         record = self.table.lookup_valid(page_id)
         if record is None:
-            return None
+            return ()
         if self._throttled() and (
                 record.version <= self.disk.disk_version(page_id)):
             self.stats.declined_throttle += 1
-            return None
-        return (yield from self._read_record(record, ctx=ctx))
+            return ()
+        return self._read_record(record, ctx=ctx)
 
     def _read_record(self, record: SsdRecord, ctx=None):
+        """Process step: read ``record``'s frame; the version read, or
+        None to fall back to disk.
+
+        The device event is yielded as it is: a read that does not fail
+        — all of them, without an injector — builds no retry loop."""
         version = record.version
         self.stats.reads += 1
         record.record_access(self.env.now)
         self._reheap(record)
         must = version > self.disk.disk_version(record.page_id)
-        ok = yield from self._ssd_read_frame(record.frame_no, must=must,
-                                             ctx=ctx)
+        frame_no = record.frame_no
+        try:
+            yield self.device.read(frame_no, 1, random=True, ctx=ctx)
+            return version
+        except IoFault as fault:
+            ok = yield from self._ssd_io(
+                lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
+                must, fault)
         if ok:
             return version
         if ok is None:
@@ -554,11 +572,12 @@ class SsdManagerBase:
         """Called after a page is read from disk into the pool (TAC hook)."""
 
     def on_evict_clean(self, frame: Frame):
-        """Process step: a clean page leaves the pool.
+        """Step: a clean page leaves the pool.
 
         All three of the paper's designs cache qualifying clean pages at
-        this point; if the SSD already holds the identical copy nothing
-        is written.
+        this point.  ``()`` when nothing is to be written: the SSD
+        already holds the identical copy, or the page does not qualify
+        and disk holds its version.
         """
         if self.detached:
             # Degraded to noSSD.  A clean frame can still be newer than
@@ -566,9 +585,9 @@ class SsdManagerBase:
             # flushing, or already flushed); a redundant disk write is
             # monotone-safe and keeps this path self-contained.
             if frame.version > self.disk.disk_version(frame.page_id):
-                yield from self._disk_write(frame.page_id, frame.version,
-                                            EVICTION_CTX)
-            return
+                return self._disk_write(frame.page_id, frame.version,
+                                        EVICTION_CTX)
+            return ()
         existing = self.table.lookup_valid(frame.page_id)
         if existing is not None:
             # Figure 3 invariant: a page valid in memory and the SSD has
@@ -578,28 +597,33 @@ class SsdManagerBase:
                 f"for clean page {frame.page_id}")
             existing.record_access(self.env.now)
             self._reheap(existing)
-            return
+            return ()
         if self.admission.qualifies(frame, self.admission_fill_level):
-            # A clean frame can still be *newer than disk*: under LC a
-            # page whose only up-to-date copy lived in the SSD is read
-            # back clean.  Re-caching it as clean would strand the newest
-            # version where neither the cleaner nor a checkpoint flushes
-            # it, losing it once the log truncates — so it re-enters the
-            # SSD dirty.
-            dirty = frame.version > self.disk.disk_version(frame.page_id)
-            cached = yield from self._cache_page(frame.page_id,
-                                                 frame.version, dirty=dirty,
-                                                 ctx=EVICTION_CTX)
-            if dirty and not cached:
-                # Couldn't re-cache (throttle/full): the newest copy must
-                # not be dropped — write it to disk instead.
-                yield from self._disk_write(frame.page_id, frame.version,
-                                            EVICTION_CTX)
-            if dirty and cached:
-                self._after_dirty_cached()
-        elif frame.version > self.disk.disk_version(frame.page_id):
+            return self._cache_evicted(frame)
+        if frame.version > self.disk.disk_version(frame.page_id):
+            return self._disk_write(frame.page_id, frame.version,
+                                    EVICTION_CTX)
+        return ()
+
+    def _cache_evicted(self, frame: Frame):
+        """Process step: cache the qualifying clean page ``frame``.
+
+        A clean frame can still be *newer than disk*: under LC a page
+        whose only up-to-date copy lived in the SSD is read back clean.
+        Re-caching it as clean would strand the newest version where
+        neither the cleaner nor a checkpoint flushes it, losing it once
+        the log truncates — so it re-enters the SSD dirty.
+        """
+        dirty = frame.version > self.disk.disk_version(frame.page_id)
+        cached = yield from self._cache_page(frame.page_id, frame.version,
+                                             dirty=dirty, ctx=EVICTION_CTX)
+        if dirty and not cached:
+            # Couldn't re-cache (throttle/full): the newest copy must
+            # not be dropped — write it to disk instead.
             yield from self._disk_write(frame.page_id, frame.version,
                                         EVICTION_CTX)
+        if dirty and cached:
+            self._after_dirty_cached()
 
     def on_evict_dirty(self, frame: Frame):
         """Process step: a dirty page leaves the pool — the one decision

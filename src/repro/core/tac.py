@@ -97,10 +97,10 @@ class TemperatureAwareManager(SsdManagerBase):
     # ------------------------------------------------------------------
 
     def try_read(self, page_id: int, ctx=None):
-        """Process step: serve a miss from the SSD, bumping the extent
+        """Step: serve a miss from the SSD, bumping the extent
         temperature (every call is a buffer-pool miss)."""
         self._bump(page_id)
-        return (yield from super().try_read(page_id, ctx=ctx))
+        return super().try_read(page_id, ctx=ctx)
 
     def _reheap(self, record) -> None:
         """TAC replacement is temperature-ordered, not LRU-2: reads do
@@ -171,8 +171,7 @@ class TemperatureAwareManager(SsdManagerBase):
 
     def on_evict_clean(self, frame: Frame):
         """TAC caches on read, not on eviction: nothing to do."""
-        return
-        yield  # pragma: no cover - makes this a generator
+        return ()
 
     def on_evict_dirty(self, frame: Frame):
         """Step (iv): write to disk; if an *invalidated* version of the

@@ -35,7 +35,10 @@ All methods named as process steps (``fetch``, ``prefetch``, …) are
 generators meant to be driven with ``yield from`` inside a simulation
 process.  :meth:`BufferPool.pin_hit` is the exception by design: the
 no-I/O hit path completes without a process switch, so hot callers can
-pin without paying a generator round-trip.
+pin without paying a generator round-trip.  The pool's own inner steps
+(``_evict``, ``_ensure_free_frames``) and the SSD manager's hooks it
+calls follow the step convention of DESIGN.md §13: a generator when the
+caller must wait, ``()`` when the work finished at the call.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ from repro.engine.page import Frame, PageId
 from repro.engine.readahead import ReadAhead
 from repro.engine.wal import WriteAheadLog
 from repro.telemetry import EVICTION_CTX, NULL_TELEMETRY
+
+#: ``Frame.io_busy`` of a victim the lazy writer reserved: the frame is
+#: latched, but the event to wait on is built only by the first fetcher
+#: that needs one (:meth:`BufferPool.fetch`).
+RESERVED = object()
 
 
 class BufferPoolStats:
@@ -64,7 +72,7 @@ class BufferPoolStats:
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        self.ssd_hits = 0          # misses served from the SSD
+        self.ssd_hits = 0          # pages read in from the SSD
         self.disk_reads = 0        # misses served from the disk
         self.prefetched_pages = 0  # pages brought in by read-ahead
         self.evictions_clean = 0
@@ -87,7 +95,11 @@ class BufferPoolStats:
 
     @property
     def ssd_hit_rate(self) -> float:
-        """Fraction of buffer-pool misses served by the SSD."""
+        """Pages read in from the SSD per buffer-pool miss.
+
+        Not a fraction: ``ssd_hits`` counts read-ahead pages served from
+        the SSD too, which no miss counts, so a scan-heavy run can read
+        above 1 (2.59 on ``tpch_dw``)."""
         return self.ssd_hits / self.misses if self.misses else 0.0
 
     def as_dict(self) -> Dict[str, object]:
@@ -311,15 +323,18 @@ class BufferPool:
         while True:
             frame = frames.get(page_id)
             if frame is not None:
-                if frame.io_busy is not None:
+                busy = frame.io_busy
+                if busy is not None:
                     # Latch conflict: an I/O owns the frame (e.g. TAC's
                     # write-to-SSD-after-read, §2.5) — wait and retry.
+                    if busy is RESERVED:
+                        frame.io_busy = busy = env.event()
                     started = env._now
                     reason = frame.busy_reason or "unknown"
                     stats.latch_waits += 1
                     begun = self.latch_wait_counts
                     begun[reason] = begun.get(reason, 0) + 1
-                    yield frame.io_busy
+                    yield busy
                     waited = env._now - started
                     stats.latch_wait_time += waited
                     by_reason = stats.latch_wait_by_reason
@@ -410,8 +425,11 @@ class BufferPool:
         analyzer sums only the leaf waits nested inside it).
         """
         miss_started = self.env.now
-        yield from self._ensure_free_frames(ctx=ctx)
-        version = yield from self.ssd.try_read(page_id, ctx=ctx)
+        step = self._ensure_free_frames(ctx)
+        if step:
+            yield from step
+        step = self.ssd.try_read(page_id, ctx=ctx)
+        version = (yield from step) if step else None
         if version is not None:
             self.stats.ssd_hits += 1
             if self._tracer.enabled:
@@ -493,7 +511,7 @@ class BufferPool:
             self._inflight[pid] = done
         self._reserved += len(wanted)
         try:
-            yield from self._ensure_free_frames(ctx=ctx)
+            yield from self._ensure_free_frames(ctx)
             plan = self.ssd.trim_plan(wanted)
             ios = []
             if plan.disk_count > 0:
@@ -541,7 +559,8 @@ class BufferPool:
             self.ssd.on_read_from_disk(frame)
 
     def _ssd_single(self, page_id: PageId):
-        version = yield from self.ssd.try_read(page_id)
+        step = self.ssd.try_read(page_id)
+        version = (yield from step) if step else None
         from_ssd = version is not None
         if not from_ssd:
             # The SSD copy vanished between planning and this read (a
@@ -609,7 +628,7 @@ class BufferPool:
             raise ValueError(f"page {page_id} already resident")
         self._reserved += 1
         try:
-            yield from self._ensure_free_frames(ctx=ctx)
+            yield from self._ensure_free_frames(ctx)
         finally:
             self._reserved -= 1
         frame = Frame(page_id, version=0, sequential=False)
@@ -723,10 +742,12 @@ class BufferPool:
             if deficit > 0:
                 victims = self._pick_victims(deficit)
                 for victim in victims:
-                    victim.io_busy = self.env.event()  # reserve first
+                    victim.io_busy = RESERVED  # reserve first
                     victim.busy_reason = "eviction"
                 self._evicting += len(victims)
-                self.env.spawn_all(self._evict(victim) for victim in victims)
+                if victims:
+                    self.env.spawn_all(self._evict(victim)
+                                       for victim in victims)
                 if len(victims) < deficit:
                     stuck = self.free_frames + self._evicting <= 0
             if stuck:
@@ -749,27 +770,31 @@ class BufferPool:
             self._frame_freed = self.env.event()
             event.succeed()
 
-    def _ensure_free_frames(self, needed: int = 0, ctx=None):
-        """Process step: wait until the caller's (already reserved) claim
-        fits within capacity.
+    def _ensure_free_frames(self, ctx=None):
+        """Step: wait until the caller's (already reserved) claim fits
+        within capacity — ``()`` when it fits at the call.
 
         Callers reserve their slots *before* calling this, so the claim
         is part of :attr:`used` already — counting it again would let a
         handful of concurrent prefetches reserve the whole pool and then
         deadlock waiting for the space their own reservations hold.
-        ``needed`` covers only *additional* un-reserved slots.
 
-        The lazy writer normally keeps a cushion, so this returns without
-        yielding; under pressure it blocks until evictions complete — that
-        blocked time is recorded as a ``free_wait`` span under ``ctx``.
+        The lazy writer normally keeps a cushion, so this returns ``()``;
+        under pressure the returned generator blocks until evictions
+        complete — that blocked time is recorded as a ``free_wait`` span
+        under ``ctx``.
         """
-        if self.free_frames - needed < self._low_water:
+        if self.free_frames < self._low_water:
             self._kick_lazywriter()
-        if self.used + needed <= self.capacity:
-            return
+        if self.used <= self.capacity:
+            return ()
+        return self._wait_free_frames(ctx)
+
+    def _wait_free_frames(self, ctx):
+        """Process step: the blocking half of :meth:`_ensure_free_frames`."""
         started = self.env.now
         try:
-            while self.used + needed > self.capacity:
+            while self.used > self.capacity:
                 if not self.frames and self._evicting == 0:
                     # Nothing exists to evict: reservations alone overcommit
                     # the pool (a cold-start burst).  Proceed — the overshoot
@@ -784,14 +809,41 @@ class BufferPool:
                                       "bp", "buffer_pool", ctx=ctx)
 
     def _evict(self, victim: Frame):
-        """Process step: write out (per design) and drop one frame."""
-        busy = victim.io_busy or self.env.event()
-        victim.io_busy = busy
-        victim.busy_reason = "eviction"
+        """Step: hand one reserved victim to the design and drop it.
+
+        ``()`` when the design finished with a clean page at the call
+        (already cached, not admitted, TAC): the frame is dropped here.
+        Otherwise the generator that waits for the write-out, and drops
+        the frame after it.
+        """
+        if victim.dirty:
+            return self._write_out(victim, None)
+        self.stats.evictions_clean += 1
+        step = self.ssd.on_evict_clean(victim)
+        if step:
+            return self._write_out(victim, step)
+        tracer = self._tracer
+        if tracer.enabled:
+            now = self.env.now
+            tracer.complete("evict_clean", now, now, "bp", "buffer_pool",
+                            {"page": victim.page_id})
+        self._drop_victim(victim)
+        return ()
+
+    def _write_out(self, victim: Frame, clean_step):
+        """Process step: wait for ``victim``'s write-out — ``clean_step``,
+        the design's for a clean page, or else the dirty page's own —
+        then drop it."""
         tracer = self._tracer
         started = self.env.now
         try:
-            if victim.dirty:
+            if clean_step:
+                yield from clean_step
+                if tracer.enabled:
+                    tracer.complete("evict_clean", started, self.env.now,
+                                    "bp", "buffer_pool",
+                                    {"page": victim.page_id})
+            else:
                 self.stats.evictions_dirty += 1
                 # WAL rule: log records for the page must be durable before
                 # the page goes to the SSD or disk (§2.4).  Skip the
@@ -805,32 +857,27 @@ class BufferPool:
                     tracer.complete("evict_dirty", started, self.env.now,
                                     "bp", "buffer_pool",
                                     {"page": victim.page_id})
-            else:
-                self.stats.evictions_clean += 1
-                yield from self.ssd.on_evict_clean(victim)
-                if tracer.enabled:
-                    tracer.complete("evict_clean", started, self.env.now,
-                                    "bp", "buffer_pool",
-                                    {"page": victim.page_id})
         finally:
-            if self.frames.get(victim.page_id) is victim:
-                del self.frames[victim.page_id]
-                part = self._parts[victim.page_id % self._nparts]
-                part.resident -= 1
-                if victim.dirty:
-                    self._dirty -= 1
-            victim.io_busy = None
-            victim.busy_reason = None
-            if busy.callbacks:
-                busy.succeed()
-            else:
-                # No fetcher hit the latch during the write-out; the
-                # frame no longer references the event, so retire it
-                # off-queue.
-                busy.settle()
-            self._evicting = max(0, self._evicting - 1)
-            self._signal_freed()
-            self._kick_lazywriter()
+            self._drop_victim(victim)
+
+    def _drop_victim(self, victim: Frame) -> None:
+        """The end of an eviction: the frame leaves the pool, its latch
+        opens and a fetcher waiting on it resumes."""
+        if self.frames.get(victim.page_id) is victim:
+            del self.frames[victim.page_id]
+            part = self._parts[victim.page_id % self._nparts]
+            part.resident -= 1
+            if victim.dirty:
+                self._dirty -= 1
+        busy = victim.io_busy
+        victim.io_busy = None
+        victim.busy_reason = None
+        if busy is not RESERVED:
+            # A fetcher turned the reservation into an event and waits.
+            busy.succeed()
+        self._evicting = max(0, self._evicting - 1)
+        self._signal_freed()
+        self._kick_lazywriter()
 
     # ------------------------------------------------------------------
     # Checkpoint support

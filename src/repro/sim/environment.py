@@ -9,7 +9,8 @@ from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
-from repro.sim.process import DetachedProcess, Gather, Process
+from repro.sim.process import (DetachedProcess, Gather, Process, Step,
+                               _require_generator)
 
 
 class EmptySchedule(SimulationError):
@@ -58,6 +59,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
+        if self._now != self._now:
+            raise ValueError(f"initial_time must be a number, got "
+                             f"{initial_time}")
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0  # same-instant tie-break, incremented per schedule
         self._push: Callable[[Tuple[float, int, Event]], None] = (
@@ -94,18 +98,22 @@ class Environment:
         completion event; an uncaught exception still surfaces through
         :meth:`run`.  Use :meth:`process` when the handle is wanted.
         """
+        _require_generator(generator)
         self.spawn_all((generator,))
 
-    def spawn_all(self,
-                  generators: Iterable[Generator[Any, Any, Any]]) -> None:
+    def spawn_all(self, steps: Iterable[Step]) -> None:
         """:meth:`spawn` several processes together: one queue entry.
 
-        The entry runs each generator's first step in order — the
-        schedule one ``spawn`` per member gives, since consecutive
-        bootstraps admit nothing between them — and only a generator
-        that yields becomes a process at all.
+        ``steps`` is consumed inside that entry, one member at a time: a
+        member built by a call (``self._evict(v) for v in victims``) is
+        built there, after the member before it ran its first step.  The
+        entry runs each generator's first step in order — the schedule
+        one ``spawn`` per member gives, since consecutive bootstraps
+        admit nothing between them — and only a generator that yields
+        becomes a process at all; a ``()`` member finished at its call.
+        An empty list or tuple queues nothing.
         """
-        DetachedProcess.start_all(self, generators)
+        DetachedProcess.start_all(self, steps)
 
     def gather(self,
                generators: Iterable[Generator[Any, Any, Any]]) -> Gather:
@@ -169,9 +177,10 @@ class Environment:
                 return until.value
         else:
             stop_at, stop_event = float(until), None
-            if stop_at < self._now:
+            if not stop_at >= self._now:  # before now, or nan
                 raise ValueError(
-                    f"until ({stop_at}) must not be before now ({self._now})")
+                    f"until must not be before now ({self._now}), got "
+                    f"{until}")
 
         # The inlined step loop over the hoisted ``_current`` and
         # ``_advance`` (see the class docstring for why the aliases stay

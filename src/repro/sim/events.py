@@ -128,8 +128,8 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float,
                  value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # one comparison refuses nan too
+            raise ValueError(f"delay must be >= 0, got {delay}")
         # Inlined Event.__init__ + schedule: a Timeout is born triggered,
         # so the generic pending-state checks are dead weight here.
         self.env = env

@@ -15,6 +15,11 @@ instant, so nothing could ever be ordered between their bootstraps, and
 one entry that runs their first steps in order is the same schedule
 (DESIGN.md §13, "Starting together").
 
+A :data:`Step` is whatever ``yield from`` accepts: a generator when the
+caller must wait, ``()`` when the work already finished at the call
+(DESIGN.md §13, "Steps").  ``spawn_all`` takes steps, and a ``()``
+member never becomes a process.
+
 :meth:`Process._resume` is the single hottest function in the simulator —
 every event a process waits on funnels through it once — so its common
 path (send a value in, get the next wait target out, subscribe) touches
@@ -25,13 +30,18 @@ from __future__ import annotations
 
 from functools import partial
 from types import GeneratorType
-from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable, List,
-                    Sequence)
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
+                    Iterator, List, Tuple, Union)
 
 from repro.sim.events import _PENDING, Event, SimulationError
 
 if TYPE_CHECKING:
     from repro.sim.environment import Environment
+
+#: What ``yield from`` accepts: a generator when the caller must wait,
+#: ``()`` when the work finished at the call.  Hot callers test it
+#: (``if step:``) and skip the delegation when it is ``()``.
+Step = Union[Generator[Any, Any, Any], Tuple[()]]
 
 
 def _require_generator(generator: Any) -> None:
@@ -176,39 +186,45 @@ class DetachedProcess(Process):
         return self.settle(value)
 
     @staticmethod
-    def start_all(env: "Environment",
-                  generators: Iterable[Generator[Any, Any, Any]]) -> None:
-        """Queue one entry that starts ``generators`` in order."""
-        batch = list(generators)
-        for generator in batch:
-            _require_generator(generator)
-        if batch:
+    def start_all(env: "Environment", steps: Iterable[Step]) -> None:
+        """Queue one entry that starts ``steps`` in order.
+
+        The entry, not this call, consumes ``steps``: an empty list or
+        tuple queues nothing, any other iterable one entry.
+        """
+        if steps:
             _queue_start(env, partial(DetachedProcess._first_steps,
-                                      env, batch))
+                                      env, iter(steps)))
 
     @staticmethod
-    def _first_steps(env: "Environment",
-                     generators: Sequence[Generator[Any, Any, Any]],
+    def _first_steps(env: "Environment", steps: Iterator[Step],
                      _bootstrap: Event) -> None:
-        """The batch's queue entry: run each first step.
+        """The batch's queue entry: take each step and run its first step.
 
-        A generator that returns in its first step never becomes a
-        process.  One that raises crashes the run the way a spawned
-        process does: ``run()`` raises as soon as this callback returns,
-        so the members after it go back on the queue and start on the
-        next ``run()``.
+        A member is taken only once the one before it has run its first
+        step, so a member built by a call sees what its predecessors
+        did.  A ``()`` member finished at that call, and a generator
+        that returns in its first step never becomes a process either.
+        One that raises crashes the run the way a spawned process does:
+        ``run()`` raises as soon as this callback returns, so the members
+        after it go back on the queue and start on the next ``run()``.
+        (A call that raises inside a generator expression ends it: Python
+        closes the expression, so nothing after that member starts.)
         """
-        for index, generator in enumerate(generators):
+        for step in steps:
+            if not step:
+                continue
             try:
-                target = generator.send(None)
+                _require_generator(step)
+                target = step.send(None)
             except StopIteration:
                 continue
             except BaseException as exc:
                 env._crashed(exc)
             else:
-                DetachedProcess(env, generator)._park(target)
+                DetachedProcess(env, step)._park(target)
             if env._crash is not None:
-                DetachedProcess.start_all(env, generators[index + 1:])
+                DetachedProcess.start_all(env, steps)
                 return
 
 

@@ -51,11 +51,27 @@ def env():
     return Environment()
 
 
-def drive(env, generator):
-    """Run a process generator to completion; return its value."""
-    process = env.process(generator)
+def drive(env, *steps):
+    """Run ``steps`` to completion, together; return the value of the one
+    step, or the list of their values in order.
+
+    A step is what ``yield from`` accepts: a generator, or ``()`` from a
+    hook that finished at its call (its value is None, and it schedules
+    nothing).  One generator runs as one process; several start together
+    through ``env.gather``.
+    """
+    if len(steps) != 1:
+        return env.run(env.gather(_waited(step) for step in steps))
+    step, = steps
+    if not step:
+        return None
+    process = env.process(step)
     env.run(process)
     return process.value
+
+
+def _waited(step):
+    return (yield from step)
 
 
 def scheduled(env, body):

@@ -136,11 +136,13 @@ class TestLcDegradationRedo:
     def test_reads_during_detach_wait_then_fall_back(self):
         sys_ = self.lc_with_dirty_ssd(seed=53)
         env, mgr = sys_.env, sys_.ssd_manager
-        detach = env.process(mgr.detach())
-        reader = env.process(mgr.try_read(7))
-        env.run(env.all_of([detach, reader]))
-        assert reader.value is None  # fell back to the now-current disk
-        assert reader.ok
+
+        def miss():
+            # The miss asks once the detach has begun.
+            return (yield from mgr.try_read(7))
+
+        _, version = drive(env, mgr.detach(), miss())
+        assert version is None  # fell back to the now-current disk
 
 
 class TestThrottlePreserve:

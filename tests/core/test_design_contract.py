@@ -8,6 +8,7 @@ write-back designs replace, clean, fall back and flush at checkpoints.
 """
 
 import random
+from types import GeneratorType
 
 import pytest
 
@@ -49,6 +50,56 @@ def churn(system, committed, ops, tag="client"):
     """Run bounded clients to completion, then let evictions land."""
     system.env.run(system.env.gather(clients(system, committed, ops, tag)))
     settle(system.env, 1.0)
+
+
+def test_a_hook_that_need_not_wait_returns_an_empty_step(design):
+    """DESIGN.md §13, "Steps": a hook that finished at its call returns
+    ``()``; one that must wait returns a generator, whose value is what
+    the hook's process gave before the convention (the version read, or
+    None)."""
+    system = build(design)
+    env, manager = system.env, system.ssd_manager
+    holds = manager.config.ssd_frames > 0
+    # TAC caches a page when it is read from disk, not when it leaves.
+    caches_on_eviction = holds and design != "TAC"
+    assert manager.try_read(5) == ()
+    if holds:
+        assert drive(env, manager._cache_page(9, 0, dirty=False))
+    # The identical copy is cached already (or, noSSD, never admitted).
+    assert manager.on_evict_clean(Frame(9, version=0)) == ()
+    limit = manager.config.throttle_limit
+    manager.config.throttle_limit = -1  # every optional I/O declined
+    declined = manager.stats.declined_throttle
+    assert manager.try_read(9) == ()
+    assert manager.stats.declined_throttle == declined + holds
+    manager.config.throttle_limit = limit
+    step = manager.try_read(9)
+    if holds:
+        assert isinstance(step, GeneratorType)
+        assert drive(env, step) == 0
+    else:
+        assert step == ()
+    # A page the empty SSD admits: the write is waited for.
+    step = manager.on_evict_clean(Frame(11, version=0))
+    if caches_on_eviction:
+        assert isinstance(step, GeneratorType)
+        assert drive(env, step) is None
+        assert manager.contains_valid(11)
+    else:
+        assert step == ()
+    # The dirty hooks always wait.
+    for hook in (manager.on_evict_dirty, manager.checkpoint_write):
+        frame = Frame(20, version=1)
+        frame.dirty = True
+        step = hook(frame)
+        assert isinstance(step, GeneratorType)
+        drive(env, step)
+    settle(env)
+    manager.check_invariants()
+    drive(env, manager.detach())
+    step = manager.try_read(11)
+    assert isinstance(step, GeneratorType)  # the detach, waited out
+    assert drive(env, step) is None
 
 
 def test_checkpoint_returns_with_nothing_only_in_the_ssd(design):
@@ -170,8 +221,7 @@ def test_background_cleaning_resumes_after_a_crash(design):
                   for offset in range(limit + 1)]
         for frame in frames:
             frame.dirty = True
-        env.run(env.gather(manager.on_evict_dirty(frame)
-                           for frame in frames))
+        drive(env, *(manager.on_evict_dirty(frame) for frame in frames))
         settle(env, 1.0)
         manager.check_invariants()
         return manager.dirty_frames <= manager.config.clean_target_frames

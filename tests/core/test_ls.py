@@ -288,8 +288,8 @@ class TestFailedBatchWrite:
         for page_id in (7, 8):
             frame = Frame(page_id, version=3)
             frame.dirty = True
-            frames.append(system.env.process(manager.on_evict_dirty(frame)))
-        system.env.run(system.env.all_of(frames))
+            frames.append(frame)
+        drive(system.env, *(manager.on_evict_dirty(frame) for frame in frames))
         assert faults.failures == 0
         assert manager.stats.io_failures == 2
         assert manager.stats.fallback_disk_writes == 2

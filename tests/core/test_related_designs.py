@@ -210,7 +210,8 @@ class TestCheckpointFlushUnderConcurrency:
         evict_dirty(sys_, 7, version=3)
         flush = self.flush_until_mid_read(sys_)
         sys_.ssd_manager.invalidate(7)
-        sys_.env.process(sys_.ssd_manager.on_evict_dirty(dirty_frame(9, 5)))
+        sys_.env.spawn_all(
+            [sys_.ssd_manager.on_evict_dirty(dirty_frame(9, 5))])
         sys_.env.run(flush)
         settle(sys_.env)
         reads = sys_.ssd_device.stats.by_kind[IoKind.RANDOM_READ]
@@ -228,7 +229,8 @@ class TestCheckpointFlushUnderConcurrency:
         checkpoint = sys_.env.process(sys_.checkpointer.checkpoint())
         sys_.env.run(until=sys_.env.now + 5e-3)
         assert sys_.bp.checkpoint_active
-        sys_.env.process(sys_.ssd_manager.on_evict_dirty(dirty_frame(40, 2)))
+        sys_.env.spawn_all(
+            [sys_.ssd_manager.on_evict_dirty(dirty_frame(40, 2))])
         sys_.env.run(checkpoint)
         assert sys_.ssd_manager.dirty_frames == 0
         assert sys_.ssd_manager.stats.fallback_disk_writes == 1

@@ -1,8 +1,13 @@
 """Tests for the buffer pool's background lazy writer."""
 
+import sys
+from inspect import CO_GENERATOR
+
 import pytest
 
 import repro.sim.process as process_module
+from repro.engine.buffer_pool import RESERVED
+from repro.sim import Event
 from tests.conftest import MiniSystem, drive, settle
 
 
@@ -61,6 +66,58 @@ class TestCushion:
         # The kick's wake-up, the batch entry, and the wake-up the first
         # eviction's own kick schedules.
         assert sys_.env._seq - before == 3
+
+
+    def test_clean_victim_the_ssd_holds_builds_nothing(self, monkeypatch):
+        """DESIGN.md §13, "Steps": evicting a clean page the SSD already
+        holds is a call — no process, no generator frame, no event (the
+        reservation is a marker, not an event nobody waits on)."""
+        sys_ = MiniSystem(design="DW", db_pages=2_000, bp_pages=64)
+        env, bp, ssd = sys_.env, sys_.bp, sys_.ssd_manager
+
+        def fill():
+            for pid in range(bp.capacity - bp._low_water):
+                frame = yield from bp.fetch(pid)
+                bp.unpin(frame)
+
+        drive(env, fill())
+        settle(env)
+        for frame in list(bp.frames.values()):
+            drive(env, ssd.on_evict_clean(frame))  # cache the copy
+        assert all(ssd.contains_valid(pid) for pid in bp.frames)
+        built, events, generators = [], [], []
+        monkeypatch.setattr(process_module.DetachedProcess, "_bind",
+                            lambda self, env, generator: built.append(self))
+        init = Event.__init__
+
+        def counting_init(self, env):
+            events.append(self)
+            init(self, env)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_flags & CO_GENERATOR:
+                generators.append(frame.f_code.co_name)
+
+        victim = bp._pick_victims(1)[0]
+        victim.io_busy, victim.busy_reason = RESERVED, "eviction"
+        bp._evicting += 1
+        sys.setprofile(profile)
+        try:
+            step = bp._evict(victim)
+        finally:
+            sys.setprofile(None)
+        assert step == ()
+        assert (built, events, generators) == ([], [], [])
+        assert victim.page_id not in bp.frames
+        assert victim.io_busy is None and bp._evicting == 0
+        assert bp.stats.evictions_clean == 1
+        # The lazy writer's batches start no process either.
+        bp._kick_lazywriter()
+        settle(env)
+        assert bp.stats.evictions_clean > 1
+        assert built == []
 
 
 class TestOverlap:

@@ -17,6 +17,7 @@ from repro.harness.metrics import Sampler
 from repro.harness.report import format_series, format_speedups, format_table
 from repro.harness.runner import RunResult, WorkloadRunner
 from repro.harness.system import SystemConfig
+from tests.conftest import drive
 
 
 class TestSystemAssembly:
@@ -38,8 +39,7 @@ class TestSystemAssembly:
             frame.dirty = True
             return manager.on_evict_dirty(frame)
 
-        system.env.run(system.env.gather(
-            evict_dirty(page) for page in range(limit + 1)))
+        drive(system.env, *(evict_dirty(page) for page in range(limit + 1)))
         assert manager.dirty_frames == limit + 1
         system.run(until=system.env.now + 1.0)
         assert manager.dirty_frames <= manager.config.clean_target_frames

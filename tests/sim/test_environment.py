@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Environment
 from repro.sim.environment import EmptySchedule
 from repro.sim.events import SimulationError
-from repro.sim.wheel import WheelEnvironment
+from repro.sim.wheel import KERNELS, WheelEnvironment, make_environment
 
 
 class TestClock:
@@ -32,6 +32,46 @@ class TestClock:
         assert not fired
         env.run(until=30)
         assert fired
+
+
+class TestNanTime:
+    """A nan time is refused, naming it, on both kernels: it compares
+    false with everything, so the heap kernel filed a nan timeout
+    anywhere and ran the clock backwards, the wheel died converting it
+    to a slot, ``run(until=nan)`` ran every event and left ``now`` at
+    nan, and ``Environment(nan)`` was accepted."""
+
+    @pytest.fixture(params=KERNELS)
+    def kernel(self, request):
+        return request.param
+
+    def test_nan_timeout_is_refused_and_the_clock_stays_monotone(
+            self, kernel):
+        env = make_environment(kernel)
+        resumed = []
+
+        def sleeper(delay):
+            yield env.timeout(delay)
+            resumed.append(env.now)
+
+        for delay in (3, 1, 2, 0.5):
+            env.spawn(sleeper(delay))
+        with pytest.raises(ValueError, match="nan"):
+            env.timeout(float("nan"))
+        env.run()
+        assert resumed == [0.5, 1, 2, 3]
+
+    def test_nan_until_is_refused(self, kernel):
+        env = make_environment(kernel)
+        env.timeout(1)
+        with pytest.raises(ValueError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        assert env.peek() == 1
+
+    def test_nan_initial_time_is_refused(self, kernel):
+        with pytest.raises(ValueError, match="nan"):
+            make_environment(kernel, initial_time=float("nan"))
 
 
 class TestRunModes:

@@ -1,12 +1,15 @@
 """Starting together: ``gather`` / ``spawn_all`` against their references.
 
 ``env.gather(gens)`` must be the schedule of
-``env.all_of([env.process(g) for g in gens])`` and ``env.spawn_all(gens)``
-that of one ``env.spawn(g)`` per member, minus queue entries that carried
-no order (DESIGN.md §13, "Starting together").  The property test runs
-random process trees under both formulations on both kernels and compares
-the full ``(now, process, step)`` log; the unit tests pin the join's
-contract and the crash rule.
+``env.all_of([env.process(g) for g in gens])`` and ``env.spawn_all(steps)``
+that of one ``env.spawn`` per member, each calling the member's maker in
+its own first step, minus queue entries that carried no order (DESIGN.md
+§13, "Starting together").  Under ``spawn_all`` a node that finishes in
+its first step is a call that returns ``()`` (DESIGN.md §13, "Steps").
+The property test runs random process trees under both formulations on
+both kernels and compares the full ``(now, process, step)`` log; the unit
+tests pin the join's contract, the crash rule, and where ``spawn_all``
+takes its members.
 """
 
 import gc
@@ -55,29 +58,42 @@ def run_tree(tree, kernel, batched):
         yield env.all_of(processes)
         return [p.value for p in processes]
 
-    def start(generators):
+    def start(specs):
+        idents = [next(ids) for _ in specs]
         if batched:
-            env.spawn_all(generators)
+            env.spawn_all(as_step(child, ident)
+                          for child, ident in zip(specs, idents))
         else:
-            for generator in generators:
-                env.spawn(generator)
+            for child, ident in zip(specs, idents):
+                env.spawn(stepped(child, ident))
+
+    def stepped(spec, ident):
+        yield from as_step(spec, ident)
+
+    def as_step(spec, ident):
+        """A spawned node as a step: ``()`` if it finishes at the call."""
+        if spec["before"] or spec["after"] or (
+                spec["children"] and spec["how"] == "gather"):
+            return node(spec, ident, False)
+        log.append((env.now, ident, "start"))
+        start(spec["children"])
+        return ()
 
     def node(spec, ident, may_fail):
         log.append((env.now, ident, "start"))
         for step, delay in enumerate(spec["before"]):
             yield env.timeout(delay)
             log.append((env.now, ident, f"before{step}"))
-        joining = spec["how"] == "gather"
-        children = [node(child, next(ids), joining)
-                    for child in spec["children"]]
-        if joining:
+        if spec["how"] == "gather":
+            children = [node(child, next(ids), True)
+                        for child in spec["children"]]
             try:
                 values = yield from join(children)
                 log.append((env.now, ident, ("joined", tuple(values))))
             except RuntimeError as exc:
                 log.append((env.now, ident, ("caught", str(exc))))
         else:
-            start(children)
+            start(spec["children"])
         for step, delay in enumerate(spec["after"]):
             yield env.timeout(delay)
             log.append((env.now, ident, f"after{step}"))
@@ -279,6 +295,41 @@ class TestSpawnAll:
         assert not join.triggered
         assert env.peek() == float("inf")
 
+    def test_takes_each_member_inside_the_entry_after_the_one_before(
+            self, env):
+        """The iterable is consumed by the batch entry, not the call: a
+        member built by a call sees what its predecessors' first steps
+        did, as the lazy writer's ``self._evict(v) for v in victims``
+        needs."""
+        log = []
+
+        def member(ident):
+            log.append(("ran", ident))
+            yield env.timeout(1)
+
+        def make(ident):
+            log.append(("made", ident, env.now))
+            return member(ident) if ident % 2 else ()
+
+        env.spawn_all(make(i) for i in range(4))
+        assert log == []
+        env.run(until=0.5)
+        assert log == [("made", 0, 0), ("made", 1, 0), ("ran", 1),
+                       ("made", 2, 0), ("made", 3, 0), ("ran", 3)]
+
+    def test_finished_members_schedule_nothing(self, env, monkeypatch):
+        built = []
+        monkeypatch.setattr(process_module.DetachedProcess, "_bind",
+                            lambda self, env, generator: built.append(self))
+        before = env._seq
+        env.spawn_all(() for _ in range(5))
+        env.run()
+        assert built == []
+        assert env._seq - before == 1  # the batch entry alone
+
     def test_requires_generators(self, env):
+        """A member that is neither a generator nor ``()`` crashes the
+        run in the entry that takes it: the call does not look."""
+        env.spawn_all([lambda: None])
         with pytest.raises(TypeError):
-            env.spawn_all([lambda: None])
+            env.run()
