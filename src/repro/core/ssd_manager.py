@@ -931,10 +931,7 @@ class SsdManagerBase:
         if not targets:
             return
         yield from self.wal.force(self.wal.tail_lsn, ctx=RECOVERY_CTX)
-        durable: dict = {}
-        for rec in self.wal.records_since(-1):
-            if rec.page_id >= 0 and rec.version > durable.get(rec.page_id, -1):
-                durable[rec.page_id] = rec.version
+        durable = self.wal.redo_set(-1)
         lost = [(pid, v) for pid, v in targets if durable.get(pid, -1) < v]
         if lost:
             raise RecoveryError(

@@ -129,8 +129,7 @@ class BPlusTree:
         frame.pin_count -= 1
         return leaf.value_of(key)
 
-    def update(self, bp: BufferPool, key: int, txn_id: Optional[int] = None,
-               ctx=None):
+    def update(self, bp: BufferPool, key: int, ctx=None):
         """Process step: in-place update of the record for ``key``.
 
         Dirties the leaf page; returns True if the key existed.
@@ -140,12 +139,11 @@ class BPlusTree:
         found = index < len(leaf.keys) and leaf.keys[index] == key
         if found:
             leaf.values[index] += 1
-            bp.mark_dirty(frame, txn_id=txn_id)
+            bp.mark_dirty(frame)
         bp.unpin(frame)
         return found
 
-    def insert(self, bp: BufferPool, key: int, txn_id: Optional[int] = None,
-               ctx=None):
+    def insert(self, bp: BufferPool, key: int, ctx=None):
         """Process step: insert ``key`` (idempotent), splitting if needed."""
         frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
         index = bisect.bisect_left(leaf.keys, key)
@@ -154,10 +152,10 @@ class BPlusTree:
             return False
         leaf.keys.insert(index, key)
         leaf.values.insert(index, key)
-        bp.mark_dirty(frame, txn_id=txn_id)
+        bp.mark_dirty(frame)
         bp.unpin(frame)
         if len(leaf.keys) > self.leaf_capacity:
-            yield from self._split(bp, leaf, txn_id, ctx=ctx)
+            yield from self._split(bp, leaf, ctx=ctx)
         return True
 
     def _fetch_leaf_frame(self, bp: BufferPool, key: int, ctx=None):
@@ -199,8 +197,7 @@ class BPlusTree:
     # Splits
     # ------------------------------------------------------------------
 
-    def _split(self, bp: BufferPool, node: _Node, txn_id: Optional[int],
-               ctx=None):
+    def _split(self, bp: BufferPool, node: _Node, ctx=None):
         """Process step: split an overfull node, recursing up the tree."""
         self.splits += 1
         new_pid = self._allocate(1)
@@ -246,7 +243,7 @@ class BPlusTree:
         index = bisect.bisect_right(parent.keys, separator)
         parent.keys.insert(index, separator)
         parent.children.insert(index + 1, new_pid)
-        bp.mark_dirty(frame, txn_id=txn_id)
+        bp.mark_dirty(frame)
         bp.unpin(frame)
         if len(parent.keys) > self.fanout - 1:
-            yield from self._split(bp, parent, txn_id, ctx=ctx)
+            yield from self._split(bp, parent, ctx=ctx)

@@ -582,7 +582,7 @@ class BufferPool:
     # Update path
     # ------------------------------------------------------------------
 
-    def mark_dirty(self, frame: Frame, txn_id: Optional[int] = None) -> int:
+    def mark_dirty(self, frame: Frame) -> int:
         """Record an update to a pinned frame; returns the redo LSN.
 
         Bumps the page version, appends the redo record, and invalidates
@@ -592,8 +592,7 @@ class BufferPool:
         if frame.pin_count <= 0:
             raise ValueError(f"updating unpinned frame {frame!r}")
         frame.version += 1
-        frame.page_lsn = self.wal.append(frame.page_id, frame.version,
-                                         txn_id=txn_id)
+        frame.page_lsn = self.wal.append(frame.page_id, frame.version)
         if not frame.dirty:
             frame.rec_lsn = frame.page_lsn
             frame.dirty = True

@@ -47,13 +47,7 @@ class RecoveryManager:
 
     def analyze(self, last_checkpoint_lsn: int) -> Dict[int, int]:
         """The redo set: page id -> newest durable version to restore."""
-        redo: Dict[int, int] = {}
-        for record in self.wal.records_since(last_checkpoint_lsn):
-            if record.page_id < 0:
-                continue  # checkpoint marker, not a page update
-            if record.version > redo.get(record.page_id, -1):
-                redo[record.page_id] = record.version
-        return redo
+        return self.wal.redo_set(last_checkpoint_lsn)
 
     def redo(self, last_checkpoint_lsn: int):
         """Process step: replay the log, timing the page I/O it costs.

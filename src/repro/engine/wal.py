@@ -10,11 +10,20 @@ SSD" (§2.4).  This module provides those two operations:
   record up to a given LSN is durable, batching concurrent forcers into a
   single sequential write (group commit) so the log disk is not a
   bottleneck, matching the paper's setup.
+
+A redo record is physiological: page ``page_id`` reached ``version``
+(``page_id`` -1 marks a fuzzy checkpoint).  The log is the one piece of
+state that grows with every update, so it keeps its records as two
+packed ``array('q')`` columns — 16 bytes a record, against ~150 for a
+tuple in a list — and a record's LSN is its index plus
+:attr:`WriteAheadLog.first_lsn`.  :meth:`WriteAheadLog.redo_set` is the
+one reader.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from array import array
+from typing import Dict, Optional
 
 from repro.faults.errors import IoFault, retry_io
 from repro.sim import Environment, Event
@@ -26,21 +35,6 @@ from repro.telemetry import NULL_TELEMETRY
 RECORDS_PER_LOG_PAGE = 90
 
 
-class LogRecord(NamedTuple):
-    """A physiological redo record: page ``page_id`` reached ``version``.
-
-    A NamedTuple rather than a frozen dataclass: construction is a
-    single C call, which matters at one record per page update (the
-    frozen-dataclass ``object.__setattr__`` dance showed up in run
-    profiles).
-    """
-
-    lsn: int
-    page_id: int
-    version: int
-    txn_id: Optional[int] = None
-
-
 class WriteAheadLog:
     """An append-only redo log on a dedicated log device."""
 
@@ -48,10 +42,16 @@ class WriteAheadLog:
                  telemetry=None):
         self.env = env
         self.device = log_device or HddArray(env, ndisks=1, name="log-disk")
-        self.records: List[LogRecord] = []
+        #: The redo records, one column per field: the record with LSN
+        #: ``first_lsn + i`` is ``(_pages[i], _versions[i])``.
+        self._pages = array("q")
+        self._versions = array("q")
+        #: LSN of the oldest record kept: the count checkpoints truncated.
+        self.first_lsn = 0
         self.flushed_lsn = -1
         self._next_lsn = 0
-        self._truncated = 0  # records dropped by checkpoint truncation
+        #: Appended records a crash dropped before they became durable.
+        self.records_lost = 0
         self._write_head = 0  # log-device page cursor
         #: Group-commit flushes that became durable, and their log pages.
         #: Not the log device's counters: those also see a failed attempt
@@ -67,7 +67,7 @@ class WriteAheadLog:
         self._tracer = self.telemetry.tracer
         registry.counter(
             "wal_records_total", "Redo records appended to the log tail",
-            lambda: self._next_lsn)
+            lambda: self._next_lsn + self.records_lost)
         registry.counter(
             "wal_flushes_total", "Group-commit flushes of the log tail",
             lambda: self.flushes)
@@ -84,23 +84,35 @@ class WriteAheadLog:
         """LSN of the most recently appended record (-1 if none)."""
         return self._next_lsn - 1
 
-    def append(self, page_id: int, version: int,
-               txn_id: Optional[int] = None) -> int:
+    def append(self, page_id: int, version: int) -> int:
         """Append a redo record to the in-memory log tail; returns its LSN."""
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
-        self.records.append(LogRecord(lsn, page_id, version, txn_id))
+        self._pages.append(page_id)
+        self._versions.append(version)
         return lsn
 
-    def records_since(self, lsn: int) -> List[LogRecord]:
-        """All durable records with LSN > ``lsn`` (for recovery redo)."""
-        return [r for r in self.records if lsn < r.lsn <= self.flushed_lsn]
+    def redo_set(self, after_lsn: int) -> Dict[int, int]:
+        """Page id -> newest version among the durable records with LSN >
+        ``after_lsn``: what restart recovery and an SSD detach redo.
+        Checkpoint markers are skipped."""
+        start = max(0, after_lsn + 1 - self.first_lsn)
+        stop = max(start, self.flushed_lsn + 1 - self.first_lsn)
+        redo: Dict[int, int] = {}
+        get = redo.get
+        for page_id, version in zip(self._pages[start:stop],
+                                    self._versions[start:stop]):
+            if page_id >= 0 and version > get(page_id, -1):
+                redo[page_id] = version
+        return redo
 
     def truncate(self, lsn: int) -> None:
         """Discard records with LSN <= ``lsn`` (checkpoint completed)."""
-        keep = [r for r in self.records if r.lsn > lsn]
-        self._truncated += len(self.records) - len(keep)
-        self.records = keep
+        drop = min(lsn + 1, self._next_lsn) - self.first_lsn
+        if drop > 0:
+            del self._pages[:drop]
+            del self._versions[:drop]
+            self.first_lsn += drop
 
     def force(self, lsn: int, ctx=None):
         """Process step: return once records up to ``lsn`` are durable.
@@ -180,19 +192,41 @@ class WriteAheadLog:
             raise fault
 
     def crash_reset(self) -> None:
-        """Volatile flush state is lost in a crash.
+        """Volatile log state is lost in a crash.
 
-        Durable state — ``records``/``flushed_lsn``/the write head —
-        survives; both forcer groups and the flusher flag belong to wiped
-        processes and must be dropped so post-recovery forces start a
-        fresh flusher and never join the flush the crash cut short.
+        Durable state — the records through ``flushed_lsn`` and the write
+        head — survives.  The tail past it was never written: it goes,
+        and its LSNs are handed out again, so no force after the restart
+        can make a record durable that no one committed.  Both forcer
+        groups and the flusher flag belong to wiped processes and must be
+        dropped so post-recovery forces start a fresh flusher and never
+        join the flush the crash cut short.
 
         Group commit is two shared events: forcers the flush in flight
         covers (LSN <= ``_flushing_lsn``, its target) wait on
         ``_flushing``, everyone else on ``_next``, which the following
         flush takes over.
         """
+        keep = max(0, self.flushed_lsn + 1 - self.first_lsn)
+        self.records_lost += len(self._pages) - keep
+        del self._pages[keep:]
+        del self._versions[keep:]
+        self._next_lsn = self.first_lsn + keep
         self._flushing: Optional[Event] = None
         self._flushing_lsn = self.flushed_lsn
         self._next = Event(self.env)
         self._flusher_running = False
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the columns, the LSN counters
+        and the group-commit state agree: LSNs are dense from
+        ``first_lsn`` to the tail, ``flushed_lsn`` never runs ahead of
+        the tail, and the flush in flight never targets below
+        ``flushed_lsn``."""
+        retained = self._next_lsn - self.first_lsn
+        assert len(self._pages) == len(self._versions) == retained, (
+            len(self._pages), len(self._versions), retained)
+        assert self.flushed_lsn <= self.tail_lsn, (
+            self.flushed_lsn, self.tail_lsn)
+        assert self._flushing_lsn >= self.flushed_lsn, (
+            self._flushing_lsn, self.flushed_lsn)

@@ -13,7 +13,8 @@ seeded-random virtual time (:meth:`System.crash`), runs restart recovery
 * the Figure 3 page-copy invariants hold after recovery
   (:meth:`~repro.core.ssd_manager.SsdManagerBase.check_invariants`);
 * every device's queue bookkeeping adds up after the crash reset
-  (:meth:`~repro.storage.device.Device.check_invariants`);
+  (:meth:`~repro.storage.device.Device.check_invariants`), and so do the
+  log's LSNs (:meth:`~repro.engine.wal.WriteAheadLog.check_invariants`);
 * the system still makes progress (a short post-recovery churn phase).
 
 Because the crash time is drawn uniformly over a window that spans
@@ -136,6 +137,7 @@ def run_crash_point(design: str, policy: str, crash_at: float,
         for device in (system.data_device, system.ssd_device,
                        system.wal.device):
             device.check_invariants()
+        system.wal.check_invariants()
         outcome.pages_redone = env.run(env.process(
             system.recover(committed)))
         system.ssd_manager.check_invariants()

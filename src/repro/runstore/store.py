@@ -29,8 +29,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Sequence, Tuple, Union)
 
 from repro.runstore.provenance import Provenance, capture
 from repro.runstore.schema import SchemaError, apply_migrations
@@ -105,12 +105,37 @@ class RunStore:
             self._conn.isolation_level = None  # explicit transactions
             self._conn.execute(
                 f"PRAGMA busy_timeout = {int(timeout * 1000)}")
-            self._conn.execute("PRAGMA journal_mode = WAL")
+            # The journal mode is the file's; the two below are this
+            # connection's and take no lock.  Switching a fresh file to
+            # WAL needs it to itself, and SQLite refuses at once rather
+            # than wait on the busy timeout when a racing opener reads
+            # it: only the first opener switches, under the backoff.
+            self._backoff(self._enter_wal_mode, "could not enter WAL mode")
             self._conn.execute("PRAGMA synchronous = NORMAL")
             self._conn.execute("PRAGMA foreign_keys = ON")
             apply_migrations(self._conn)
         except (sqlite3.Error, SchemaError) as exc:
             raise StoreError(f"{self.path}: {exc}") from exc
+
+    def _enter_wal_mode(self) -> None:
+        if self._conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+            self._conn.execute("PRAGMA journal_mode = WAL")
+
+    def _backoff(self, attempt: Callable[[], object], failure: str,
+                 retries: int = 5, backoff: float = 0.05) -> None:
+        """Call ``attempt`` until it raises no lock error, sleeping
+        ``backoff * 2**n`` after the n-th; :class:`StoreError` after
+        ``retries`` of them."""
+        last: Optional[sqlite3.OperationalError] = None
+        for n in range(retries):
+            try:
+                attempt()
+                return
+            except sqlite3.OperationalError as exc:
+                last = exc
+            time.sleep(backoff * (2 ** n))
+        raise StoreError(f"{self.path}: {failure} after {retries} "
+                         f"attempts: {last}") from last
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -139,18 +164,8 @@ class RunStore:
         deadlocking at commit.  The busy timeout absorbs short waits;
         the retry loop absorbs a writer that held the lock longer.
         """
-        last: Optional[sqlite3.OperationalError] = None
-        for attempt in range(retries):
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-                break
-            except sqlite3.OperationalError as exc:
-                last = exc
-                time.sleep(backoff * (2 ** attempt))
-        else:
-            raise StoreError(
-                f"{self.path}: could not take the write lock "
-                f"after {retries} attempts: {last}") from last
+        self._backoff(lambda: self._conn.execute("BEGIN IMMEDIATE"),
+                      "could not take the write lock", retries, backoff)
         try:
             yield self._conn
         except sqlite3.Error as exc:

@@ -80,7 +80,7 @@ class Transaction:
         frame = bp.pin_hit(page_id)
         if frame is None:
             frame = yield from bp.fetch(page_id, ctx=self.ctx, latched=True)
-        self.last_lsn = bp.mark_dirty(frame, txn_id=self.txn_id)
+        self.last_lsn = bp.mark_dirty(frame)
         self.writes.append((frame.page_id, frame.version))
         frame.pin_count -= 1
         return frame
@@ -96,14 +96,13 @@ class Transaction:
         """Process step: B+-tree in-place update (dirties the leaf)."""
         bp = self.system.bp
         frame, leaf = yield from tree._fetch_leaf_frame(bp, key, ctx=self.ctx)
-        self.last_lsn = bp.mark_dirty(frame, txn_id=self.txn_id)
+        self.last_lsn = bp.mark_dirty(frame)
         self.writes.append((frame.page_id, frame.version))
         frame.pin_count -= 1
 
     def index_insert(self, tree, key: int):
         """Process step: B+-tree insert (may split pages)."""
-        inserted = yield from tree.insert(self.system.bp, key,
-                                          txn_id=self.txn_id, ctx=self.ctx)
+        inserted = yield from tree.insert(self.system.bp, key, ctx=self.ctx)
         if inserted:
             self.last_lsn = max(self.last_lsn, self.system.wal.tail_lsn)
         return inserted

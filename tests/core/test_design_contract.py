@@ -116,11 +116,8 @@ def test_checkpoint_returns_with_nothing_only_in_the_ssd(design):
         # Same step as the truncate: nothing else has run since.
         assert system.bp.stats.evictions_dirty > evicted
         assert manager.dirty_frames == 0
-        redoable = {}
-        for rec in system.wal.records_since(
-                system.checkpointer.last_checkpoint_lsn):
-            redoable[rec.page_id] = max(rec.version,
-                                        redoable.get(rec.page_id, -1))
+        redoable = system.wal.redo_set(
+            system.checkpointer.last_checkpoint_lsn)
         for record in manager.table.occupied_records():
             durable = max(system.disk.disk_version(record.page_id),
                           redoable.get(record.page_id, -1))

@@ -2,17 +2,21 @@
 reference.
 
 ``repro.engine.wal.WriteAheadLog`` keeps its records in packed columns;
-this is the log it replaced, verbatim but for its name: one
-``LogRecord`` tuple per append in a Python list, ``truncate`` rebuilding
-the list and ``records_since`` filtering it.  What recovery may redo —
-the durable records past an LSN — is defined by this class;
+this is the log it replaced, verbatim but for its name and two changes
+the packed log made at the same time: ``crash_reset`` drops the records
+the crash left unflushed and hands their LSNs out again (the old one
+kept them, and the next force made them durable), and ``redo_set`` —
+the packed log's one reader — is the loop recovery ran over
+``records_since``.  One ``LogRecord`` tuple per append in a Python list,
+``truncate`` rebuilding the list and ``records_since`` filtering it:
+what recovery may redo is defined by this class;
 ``tests/engine/test_wal_equivalence.py`` runs random scripts against
 both and demands the same answers at every step.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.faults.errors import IoFault, retry_io
 from repro.sim import Environment, Event
@@ -93,6 +97,16 @@ class ListWriteAheadLog:
     def records_since(self, lsn: int) -> List[LogRecord]:
         """All durable records with LSN > ``lsn`` (for recovery redo)."""
         return [r for r in self.records if lsn < r.lsn <= self.flushed_lsn]
+
+    def redo_set(self, after_lsn: int) -> Dict[int, int]:
+        """Page id -> newest durable version past ``after_lsn``."""
+        redo: Dict[int, int] = {}
+        for record in self.records_since(after_lsn):
+            if record.page_id < 0:
+                continue  # checkpoint marker, not a page update
+            if record.version > redo.get(record.page_id, -1):
+                redo[record.page_id] = record.version
+        return redo
 
     def truncate(self, lsn: int) -> None:
         """Discard records with LSN <= ``lsn`` (checkpoint completed)."""
@@ -190,6 +204,9 @@ class ListWriteAheadLog:
         ``_flushing``, everyone else on ``_next``, which the following
         flush takes over.
         """
+        self.records = [r for r in self.records if r.lsn <= self.flushed_lsn]
+        # Truncated LSNs are not handed out again.
+        self._next_lsn = max(self.flushed_lsn + 1, self._truncated)
         self._flushing: Optional[Event] = None
         self._flushing_lsn = self.flushed_lsn
         self._next = Event(self.env)

@@ -117,13 +117,12 @@ class TestEviction:
     def test_wal_rule_log_flushed_before_page_write(self, sys_):
         sys_.churn(accesses=400, write_fraction=1.0, span=500)
         # Every page version on disk must have its redo record durable.
+        durable = sys_.wal.redo_set(-1)
         for page in range(500):
             version = sys_.disk.disk_version(page)
             if version == 0:
                 continue
-            durable = [r for r in sys_.wal.records
-                       if r.page_id == page and r.lsn <= sys_.wal.flushed_lsn]
-            assert any(r.version >= version for r in durable), page
+            assert durable.get(page, -1) >= version, page
 
     def test_lru2_evicts_cold_page_first(self):
         sys_ = MiniSystem(design="noSSD", db_pages=100, bp_pages=8)

@@ -1,5 +1,7 @@
 """Unit tests for the write-ahead log."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +26,22 @@ class TestAppend:
 
     def test_records_carry_payload(self, env):
         wal = WriteAheadLog(env)
-        wal.append(page_id=7, version=3, txn_id=42)
-        record = wal.records[0]
-        assert (record.page_id, record.version, record.txn_id) == (7, 3, 42)
+        drive(env, wal.force(wal.append(page_id=7, version=3)))
+        assert wal.redo_set(-1) == {7: 3}
+
+    def test_a_record_costs_two_machine_words(self, env):
+        """The log grows with every update and nothing frees it unless a
+        checkpoint runs: 100k appends must cost <= 24 B a record."""
+        wal = WriteAheadLog(env)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for page_id in range(100_000):
+                wal.append(page_id, page_id)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / 100_000 <= 24, grown
 
 
 class TestForce:
@@ -68,26 +83,69 @@ class TestForce:
 
 
 class TestTruncateAndRecovery:
-    def test_records_since_excludes_unflushed(self, env):
+    def test_redo_set_excludes_unflushed(self, env):
         wal = WriteAheadLog(env)
         flushed = wal.append(1, 1)
         drive(env, wal.force(flushed))
         wal.append(2, 2)  # never forced
-        records = wal.records_since(-1)
-        assert [r.page_id for r in records] == [1]
+        assert wal.redo_set(-1) == {1: 1}
 
     def test_truncate_drops_old_records(self, env):
         wal = WriteAheadLog(env)
         lsns = [wal.append(p, 1) for p in range(10)]
         drive(env, wal.force(lsns[-1]))
         wal.truncate(lsns[4])
-        assert [r.lsn for r in wal.records] == lsns[5:]
+        assert wal.first_lsn == lsns[5]
+        assert wal.redo_set(-1) == {p: 1 for p in range(5, 10)}
+        wal.truncate(lsns[2])  # already gone: nothing to do
+        assert wal.first_lsn == lsns[5]
 
-    def test_records_since_lower_bound_exclusive(self, env):
+    def test_redo_set_lower_bound_exclusive(self, env):
         wal = WriteAheadLog(env)
         lsns = [wal.append(p, 1) for p in range(3)]
         drive(env, wal.force(lsns[-1]))
-        assert [r.lsn for r in wal.records_since(lsns[0])] == lsns[1:]
+        assert wal.redo_set(lsns[0]) == {1: 1, 2: 1}
+
+    def test_redo_set_keeps_the_newest_version_and_skips_markers(self, env):
+        wal = WriteAheadLog(env)
+        for page_id, version in ((4, 2), (-1, 0), (4, 7), (5, 1), (4, 3)):
+            wal.append(page_id, version)
+        drive(env, wal.force(wal.tail_lsn))
+        assert wal.redo_set(-1) == {4: 7, 5: 1}
+
+    def test_crash_drops_the_unflushed_tail(self, env):
+        """A record appended but never forced is not in the durable log;
+        the first force after the restart must not make it so, or a
+        second crash redoes a version no one committed."""
+        wal = WriteAheadLog(env)
+        drive(env, wal.force(wal.append(1, 1)))
+        wal.append(2, 5)  # never forced
+        wal.device.reset()
+        env.wipe()
+        wal.crash_reset()
+        assert wal.tail_lsn == wal.flushed_lsn == 0
+        drive(env, wal.force(wal.append(3, 1)))
+        assert wal.redo_set(-1) == {1: 1, 3: 1}
+        wal.check_invariants()
+
+    def test_invariants_hold_through_the_life_of_the_log(self, env):
+        wal = WriteAheadLog(env)
+        wal.check_invariants()
+        lsns = [wal.append(p, 1) for p in range(20)]
+        drive(env, wal.force(lsns[9]))
+        wal.check_invariants()
+        wal.truncate(lsns[4])
+        wal.check_invariants()
+        wal.crash_reset()
+        wal.check_invariants()
+        assert wal.tail_lsn == wal.flushed_lsn
+
+    def test_invariants_catch_a_column_out_of_step(self, env):
+        wal = WriteAheadLog(env)
+        wal.append(1, 1)
+        wal._versions.append(2)
+        with pytest.raises(AssertionError):
+            wal.check_invariants()
 
 
 class PerWaiterLog(WriteAheadLog):
@@ -231,9 +289,11 @@ class TestGroupCommit:
         wal.device.reset()
         env.wipe()
         wal.crash_reset()
-        assert wal.flushed_lsn == -1 and not log
-        # ``second`` was covered by the flush the crash cut short; a
-        # forcer that joined that group now would never wake.
+        assert wal.flushed_lsn == wal.tail_lsn == -1 and not log
+        # The crash dropped the unflushed records and hands their LSNs
+        # out again.  ``second`` was covered by the flush the crash cut
+        # short; a forcer that joined that group now would never wake.
+        assert [wal.append(1, 1), wal.append(2, 1)] == [first, second]
         drive(env, wal.force(second))
         assert wal.flushed_lsn == wal.tail_lsn
         assert not log

@@ -63,3 +63,30 @@ class TestConcurrentWriters:
         assert errors == []
         # Counts only ever grow: WAL readers never observe rollbacks.
         assert seen == sorted(seen)
+
+
+class TestConcurrentOpeners:
+    def test_fresh_file_opened_by_eight_threads(self, tmp_path):
+        """Racing openers of a new database serialize (DESIGN.md §11):
+        the switch to WAL mode and the schema migration may meet a lock
+        the other openers hold, and must wait for it, not fail."""
+        errors = []
+
+        def opener(path, barrier):
+            try:
+                barrier.wait()
+                RunStore(path).close()
+            except Exception as exc:  # asserted in the main thread
+                errors.append(exc)
+
+        for round_no in range(50):
+            path = tmp_path / f"runs-{round_no}.db"
+            barrier = threading.Barrier(8, timeout=60)
+            threads = [threading.Thread(target=opener, args=(path, barrier))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert errors == []
