@@ -73,9 +73,18 @@ def _tpcc(design, **kwargs):
     return run
 
 
-def _tpch_dw(telemetry):
-    run(RunSpec(kind="tpch", benchmark="tpch", scale=30, design="DW",
-                profile="tiny"), telemetry=telemetry)
+def _tpch(design, faults=None):
+    def runner(telemetry):
+        run(RunSpec(kind="tpch", benchmark="tpch", scale=30, design=design,
+                    profile="tiny"), telemetry=telemetry, faults=faults)
+    return runner
+
+
+#: The tpch run lasts about 1.04 s: the power test ends at 0.33 s, so the
+#: SSD dies while the throughput test's streams have reads in flight.
+TPCH_DEATH = "transient:p=0.005,ssd_die@t=0.6"
+DEATH_HOOKS = {"fault_transient", "fault_device_dead", "fault_dead_inflight",
+               "ssd_detached"}
 
 
 TENANTS = ("gold=poisson:rate=400:theta=0.6;"
@@ -94,7 +103,22 @@ ALL_HOOKS = {"fault_transient", "fault_latency", "fault_stall"}
 #: name -> (runner, meta-free trace md5, fault event names expected).  No
 #: SSD I/O of the latched TAC run is in flight during the stall window.
 GOLDEN = {
-    "tpch-DW": (_tpch_dw, "1dddedb499bbed8ae718bfc5c80b943a", set()),
+    "tpch-DW": (_tpch("DW"), "1dddedb499bbed8ae718bfc5c80b943a", set()),
+    # The SSD read paths of the pool, each design's read hook included:
+    # the retry of a failed read (the stall lands after the run ends),
+    # reads a dying SSD fails and the disk fallback behind the detach,
+    # EXCL dropping the copy it served, and TAC heating extents on a
+    # read-ahead.  Captured at commit 73eec63, before an SSD read became
+    # a call whose completion installs the page.
+    "tpch-DW-faults": (_tpch("DW", FAULTS),
+                       "6a134e16df65fb7178246178d0799a3f",
+                       ALL_HOOKS - {"fault_stall"}),
+    "tpch-DW-death": (_tpch("DW", TPCH_DEATH),
+                      "68aa6365c5d34a85eba1f5fa718999c2", DEATH_HOOKS),
+    "tpch-EXCL": (_tpch("EXCL"), "3f05429e1e69b623194a2d0dfde8c75e", set()),
+    "tpch-EXCL-faults": (_tpch("EXCL", FAULTS), "98cf58b4b4a7a8edf8ecedf54f6439d1",
+                         ALL_HOOKS - {"fault_stall"}),
+    "tpch-TAC": (_tpch("TAC"), "e1365bdf7b64ee561eb302da42de9ea6", set()),
     "tpcc-LS-ftl": (_tpcc("LS", ftl=True),
                     "439bcd36f1318a2c5ddc6e06e82589e2", set()),
     "tpcc-CW": (_tpcc("CW"), "51be8c5e563c5e025d2b5752b8fe1437", set()),
