@@ -604,11 +604,13 @@ class BufferPool:
         """A flushed frame's memory copy now matches durable storage.
 
         Used by the checkpointer; keeps the incremental dirty count in
-        step and resets the recovery LSN.
+        step and resets the recovery LSN.  A frame evicted while its
+        checkpoint write ran left the count when it left the pool.
         """
         if frame.dirty:
             frame.dirty = False
-            self._dirty -= 1
+            if self.frames.get(frame.page_id) is frame:
+                self._dirty -= 1
         frame.rec_lsn = -1
 
     def unpin(self, frame: Frame) -> None:
@@ -885,6 +887,41 @@ class BufferPool:
     def dirty_frames(self) -> List[Frame]:
         """Snapshot of currently dirty frames (for sharp checkpoints)."""
         return [f for f in self.frames.values() if f.dirty]
+
+    def check_invariants(self) -> None:
+        """Assert the pool's tallies add up right now: the occupancies
+        and the dirty count match the frames, each resident frame not
+        being evicted has exactly one live replacement entry, the claim
+        counters are not negative, and only a frame being evicted is
+        reserved."""
+        frames = self.frames
+        assert sum(self.partition_occupancy()) == len(frames), (
+            f"partitions hold {self.partition_occupancy()} "
+            f"for {len(frames)} frames")
+        dirty = sum(frame.dirty for frame in frames.values())
+        assert self._dirty == dirty, (
+            f"dirty count {self._dirty}, {dirty} dirty frames")
+        filed: Dict[PageId, int] = {}
+        for part in self._parts:
+            for _, stamp, page_id in part.heap:
+                frame = frames.get(page_id)
+                if frame is not None and frame.heap_stamp == stamp:
+                    filed[page_id] = filed.get(page_id, 0) + 1
+        # A victim's entry left the heap when it was picked.
+        misfiled = [pid for pid, frame in frames.items()
+                    if filed.get(pid, 0) != (frame.busy_reason != "eviction")]
+        assert not misfiled, f"misfiled frames: {misfiled[:5]}"
+        assert self._reserved >= 0 and self._evicting >= 0, (
+            self._reserved, self._evicting)
+        evicting = [frame for frame in frames.values()
+                    if frame.busy_reason == "eviction"]
+        assert len(evicting) <= self._evicting, (
+            f"{len(evicting)} frames latched for eviction, "
+            f"{self._evicting} evictions in flight")
+        stray = [frame for frame in frames.values()
+                 if frame.io_busy is RESERVED
+                 and frame.busy_reason != "eviction"]
+        assert not stray, f"reserved outside an eviction: {stray[:5]}"
 
     def crash_reset(self) -> None:
         """Build the pool's volatile state: no frame, no miss or eviction

@@ -10,6 +10,8 @@ seeded-random virtual time (:meth:`System.crash`), runs restart recovery
 
 * no committed page version was lost (``recover`` raises
   :class:`~repro.engine.recovery.RecoveryError` otherwise);
+* the buffer pool's tallies add up at the instant of the crash
+  (:meth:`~repro.engine.buffer_pool.BufferPool.check_invariants`);
 * the Figure 3 page-copy invariants hold after recovery
   (:meth:`~repro.core.ssd_manager.SsdManagerBase.check_invariants`);
 * every device's queue bookkeeping adds up after the crash reset
@@ -133,6 +135,7 @@ def run_crash_point(design: str, policy: str, crash_at: float,
     try:
         env.run(until=crash_at)
         outcome.committed_pages = len(committed)
+        system.bp.check_invariants()
         system.crash()
         for device in (system.data_device, system.ssd_device,
                        system.wal.device):

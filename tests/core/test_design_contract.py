@@ -131,11 +131,13 @@ def test_figure_3_holds_after_churn_and_after_detach(design):
     manager = system.ssd_manager
     churn(system, {}, ops=150)
     manager.check_invariants()
+    system.bp.check_invariants()
     assert manager.used_frames >= manager.config.ssd_frames // 2
     drive(system.env, manager.detach())
     assert manager.detached and manager.used_frames == 0
     churn(system, {}, ops=60, tag="degraded")
     manager.check_invariants()
+    system.bp.check_invariants()
     assert manager.used_frames == 0  # nothing re-enters the dead SSD
 
 
@@ -166,6 +168,7 @@ def test_committed_versions_survive_ssd_death(design):
     churn(system, committed, ops=200)
     assert system.env.now > 1.2 and committed
     assert system.ssd_manager.detached
+    system.bp.check_invariants()
     drive(system.env, system.checkpointer.checkpoint())
     lost = {page: (version, system.disk.disk_version(page))
             for page, version in committed.items()

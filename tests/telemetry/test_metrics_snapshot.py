@@ -12,6 +12,11 @@ A tenth run, TAC behind a throttled 150-frame SSD, was added at commit
 001cc3f: TAC's guard counts a throttle decline in an order the trace
 does not show and ``ssd_mgr_declined_throttle_total`` does.
 
+``bp_dirty_frames`` was re-pinned in four runs (throttled-TAC 0 → 18,
+tpce-DW-latched-faults 52 → 53, tpce-LS-ftl-ssd-dies 25 → 26, tpce-TAC
+41 → 45) when a frame evicted under its checkpoint write stopped leaving
+the pool's dirty count twice; no other row moved.
+
 Rows are compared as a *set* per run: the order of a family's children
 is not pinned.  A histogram is pinned by ``count / p50 / p95 / p99``,
 not by its mean — ``sum()`` is compensated from Python 3.12 on, so the
