@@ -44,7 +44,7 @@ caller must wait, ``()`` when the work finished at the call.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sim import Environment, Event, Timeout
 from repro.engine.disk_manager import DiskManager
@@ -516,7 +516,8 @@ class BufferPool:
             ios = []
             if plan.disk_count > 0:
                 ios.append(self._disk_run(
-                    plan.disk_start, plan.disk_count, plan.skip_in_run))
+                    plan.disk_start, plan.disk_count, plan.skip_in_run,
+                    done))
             for pid in plan.ssd_pages:
                 ios.append(self._ssd_single(pid))
             if ios:
@@ -539,13 +540,20 @@ class BufferPool:
             else:
                 done.settle()
 
-    def _disk_run(self, start: PageId, npages: int, skip=frozenset()):
+    def _disk_run(self, start: PageId, npages: int, skip: FrozenSet[PageId],
+                  done: Event):
+        """Process step: the read-ahead's one disk run; installs each of
+        its pages nobody else brings in (``done`` marks this read-ahead's
+        own pages in flight)."""
         versions = yield from self.disk.read(start, npages, sequential=True)
+        inflight = self._inflight
         for offset, version in enumerate(versions):
             pid = start + offset
-            if pid in self.frames or pid in skip:
-                # Resident already, or a newer SSD copy is being read in
-                # parallel: the stale disk copy is discarded (§3.3.3).
+            if (pid in self.frames or pid in skip
+                    or inflight.get(pid, done) is not done):
+                # Resident already, a newer SSD copy is being read in
+                # parallel (§3.3.3), or another reader's fetch installs
+                # the page when it lands: the disk copy is discarded.
                 continue
             if self.ssd.contains_newer(pid):
                 # The page was dirtied and evicted into the SSD *while*

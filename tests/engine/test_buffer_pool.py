@@ -210,6 +210,45 @@ class TestPrefetch:
         # drive() adds the prefetch process's own bootstrap and completion.
         assert sys_.env._seq - before - 2 == 2 * trimmed + 3
 
+    def test_read_ahead_leaves_a_page_another_reader_has_in_flight(self):
+        """A fetch of page 12 is in flight on a slow SSD when a read-ahead
+        over 8..15 reads the disk run around it.  The run must not
+        install page 12: the fetch installs it when its read lands, and
+        the update made to the read-ahead's copy in between would be
+        lost under the fetch's stale frame."""
+        sys_ = MiniSystem(design="DW")
+        env, bp = sys_.env, sys_.bp
+        drive(env, sys_.ssd_manager._cache_page(12, 0, dirty=False))
+        sys_.ssd_device.attach_faults(_SlowSsd())
+
+        def fetch_12():
+            frame = yield from bp.fetch(12)
+            bp.unpin(frame)
+
+        def read_ahead_then_update():
+            yield from bp.prefetch(8, 8)
+            frame = yield from bp.fetch(12)
+            bp.mark_dirty(frame)
+            bp.unpin(frame)
+
+        drive(env, fetch_12(), read_ahead_then_update())
+        frame = bp.frames[12]
+        assert (frame.version, frame.dirty) == (1, True)
+        bp.check_invariants()
+
+
+class _SlowSsd:
+    """A fault injector that only delays: every I/O waits 0.5 s."""
+
+    def on_submit(self, request):
+        return None
+
+    def pre_service_delay(self, request, service):
+        return 0.5
+
+    def on_complete(self, request):
+        return None
+
 
 class TestNewPage:
     def test_new_page_starts_dirty(self, sys_):
