@@ -28,19 +28,19 @@ class ExclusiveSsdManager(SsdManagerBase):
 
     name = "EXCL"
 
-    def _read_record(self, record, ctx=None):
-        """Serve the read, then *remove* the SSD copy (exclusivity).
+    def read_landed(self, read):
+        """A read landed: *remove* the SSD copy it served (exclusivity).
 
         If the SSD held the newest copy, the caller's memory frame now
         holds it: the buffer pool marks that frame dirty, the WAL still
         protects it, and eviction will rewrite it to the SSD or disk.
         """
-        page_id = record.page_id
-        version = yield from super()._read_record(record, ctx=ctx)
-        # Drop only after the read, and only if the record still maps
-        # this page: a concurrent replacement may have reused the frame
-        # while the read (and any retries) ran.
-        if version is None or not record.holds(page_id, version):
+        version = super().read_landed(read)
+        page_id = read.page_id
+        # Drop only if the record still maps this page: a concurrent
+        # replacement may have reused the frame while the read (and any
+        # retries) ran.
+        if version is None or not read.record.holds(page_id, version):
             return version
         # The hand-over exception: a newest copy read *while a checkpoint
         # runs* stays in the SSD.  The checkpoint took its snapshot of
@@ -50,7 +50,7 @@ class ExclusiveSsdManager(SsdManagerBase):
         # on_checkpoint drains.
         if not (self._checkpointing()
                 and version > self.disk.disk_version(page_id)):
-            self._drop_record(record)
+            self._drop_record(read.record)
         return version
 
     #: The decision (§2.3): write-back, every page leaving memory goes

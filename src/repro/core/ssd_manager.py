@@ -2,7 +2,9 @@
 
 The buffer pool calls the SSD manager at five points:
 
-* on a page miss, to try serving the read from the SSD (:meth:`try_read`);
+* on a page miss, to try serving the read from the SSD
+  (:meth:`start_read`, and :meth:`read_landed` or :meth:`read_failed`
+  when its event is processed);
 * after reading a page from disk (:meth:`on_read_from_disk` — only TAC
   acts here);
 * when evicting a clean or dirty page (:meth:`on_evict_clean` /
@@ -31,11 +33,13 @@ the *frame* a new page takes (:meth:`_evict_for_space`, or a layout's
 Methods documented as *process steps* are generators to be driven with
 ``yield from``.  The hooks the buffer pool calls return a *step*
 (DESIGN.md §13): a generator when the caller must wait, ``()`` when the
-work finished at the call — :meth:`try_read` on a page the SSD does not
-hold, :meth:`on_evict_clean` on a page already cached or not admitted.
-``yield from`` accepts either, so a caller may always delegate; the hot
-ones test the step first.  :meth:`on_evict_dirty` and
-:meth:`checkpoint_write` always wait, so they are generators.
+work finished at the call — :meth:`on_evict_clean` on a page already
+cached or not admitted.  ``yield from`` accepts either, so a caller may
+always delegate; the hot ones test the step first.
+:meth:`on_evict_dirty` and :meth:`checkpoint_write` always wait, so they
+are generators.  A read is a call (DESIGN.md §13, "An SSD read is a
+call"): :meth:`start_read` submits it and hands back an :class:`SsdRead`
+whose event the caller waits on, or subscribes a completion to.
 """
 
 from __future__ import annotations
@@ -96,6 +100,31 @@ class TrimPlan:
                 f"disk_count={self.disk_count}, "
                 f"ssd_pages={list(self.ssd_pages)!r}, "
                 f"skip_in_run={sorted(self.skip_in_run)!r})")
+
+
+class SsdRead:
+    """A read :meth:`SsdManagerBase.start_read` started: the ``event`` to
+    wait on, and what :meth:`~SsdManagerBase.read_landed` or
+    :meth:`~SsdManagerBase.read_failed` needs when it is processed.
+
+    ``record`` is None when ``event`` is a detach in progress: after it
+    the disk holds the newest copy.  Otherwise the read is of
+    ``record``'s frame, which held ``version`` of ``page_id`` at the
+    start; ``must`` says that version was newer than disk (its retries
+    never give up).  Hand-slotted for the same reason as
+    :class:`TrimPlan`.
+    """
+
+    __slots__ = ("event", "record", "page_id", "version", "must", "ctx")
+
+    def __init__(self, event, record: Optional[SsdRecord], page_id: int,
+                 version: int = -1, must: bool = False, ctx=None):
+        self.event = event
+        self.record = record
+        self.page_id = page_id
+        self.version = version
+        self.must = must
+        self.ctx = ctx
 
 
 class SsdStats:
@@ -409,50 +438,53 @@ class SsdManagerBase:
     # Read path
     # ------------------------------------------------------------------
 
-    def try_read(self, page_id: int, ctx=None):
-        """Step: serve a buffer-pool miss from the SSD if possible.
+    def start_read(self, page_id: int, ctx=None) -> Optional[SsdRead]:
+        """Serve a buffer-pool miss from the SSD if possible: a call.
 
-        ``()`` when the SSD cannot serve it at the call: the page is
-        absent, or the SSD is throttled and the disk copy is just as new.
-        Otherwise the step that reads and returns the page version read,
-        or None to fall back to disk (the read was abandoned, or the SSD
-        has been detached after a device failure).
+        None when the SSD cannot serve it: the page is absent, the SSD
+        is throttled and the disk copy is just as new, or the SSD was
+        detached and the detach is over.  A detach in progress is handed
+        back as the :class:`SsdRead` to wait out: the disk may not yet
+        hold the newest version (LC redo in flight).  Otherwise the read
+        is counted, filed as an access and submitted, and its event is
+        the device's.
         """
         if self.detached:
-            # During an in-progress detach the disk may not yet hold the
-            # newest version (LC redo in flight): wait it out, then fall
-            # back to the now-authoritative disk.
-            return self._await_detach()
+            done = self._detach_complete
+            return None if done.triggered else SsdRead(done, None, page_id)
         record = self.table.lookup_valid(page_id)
         if record is None:
-            return ()
-        if self._throttled() and (
-                record.version <= self.disk.disk_version(page_id)):
-            self.stats.declined_throttle += 1
-            return ()
-        return self._read_record(record, ctx=ctx)
-
-    def _read_record(self, record: SsdRecord, ctx=None):
-        """Process step: read ``record``'s frame; the version read, or
-        None to fall back to disk.
-
-        The device event is yielded as it is: a read that does not fail
-        — all of them, without an injector — builds no retry loop."""
+            return None
         version = record.version
-        self.stats.reads += 1
-        record.record_access(self.env.now)
+        must = version > self.disk.disk_version(page_id)
+        stats = self.stats
+        if not must and self.device.pending > self.config.throttle_limit:
+            stats.declined_throttle += 1  # the throttle (§3.3.2)
+            return None
+        stats.reads += 1
+        record.prev_access = record.last_access  # record_access, inlined
+        record.last_access = self.env._now
         self._reheap(record)
-        must = version > self.disk.disk_version(record.page_id)
-        frame_no = record.frame_no
-        try:
-            yield self.device.read(frame_no, 1, random=True, ctx=ctx)
-            return version
-        except IoFault as fault:
-            ok = yield from self._ssd_io(
-                lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
-                must, fault)
+        return SsdRead(self.device.read(record.frame_no, 1, random=True,
+                                        ctx=ctx),
+                       record, page_id, version, must, ctx)
+
+    def read_landed(self, read: SsdRead) -> Optional[int]:
+        """``read``'s event succeeded: the version it brought in, or None
+        to fall back to disk (it was a detach, waited out).  The hook a
+        design acts in when a read lands (EXCL drops the copy)."""
+        return None if read.record is None else read.version
+
+    def read_failed(self, read: SsdRead, fault: IoFault):
+        """Process step: ``read``'s event failed with ``fault``.  Retried
+        as :meth:`_ssd_io` says; the version read, or None to fall back
+        to disk."""
+        frame_no, ctx = read.record.frame_no, read.ctx
+        ok = yield from self._ssd_io(
+            lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
+            read.must, fault)
         if ok:
-            return version
+            return self.read_landed(read)
         if ok is None:
             # The device died.  Degradation redo writes any newer-than-
             # disk copy back to disk before completing, so after the
@@ -461,6 +493,25 @@ class SsdManagerBase:
         # Else an optional read ran out of retries: the disk copy is as
         # new, and no detach is coming to wait for.
         return None
+
+    def try_read(self, page_id: int, ctx=None):
+        """Step: :meth:`start_read` for a caller that waits on the read
+        as a process step — the version read, or None to fall back to
+        disk; ``()`` when the SSD cannot serve it at the call.  Detached,
+        the step waits out the detach, if one is in progress.  The pool
+        waits on the event itself; the layer benchmarks and the tests
+        read through this."""
+        read = self.start_read(page_id, ctx)
+        if read is None:
+            return self._await_detach() if self.detached else ()
+        return self._read_step(read)
+
+    def _read_step(self, read: SsdRead):
+        try:
+            yield read.event
+        except IoFault as fault:
+            return (yield from self.read_failed(read, fault))
+        return self.read_landed(read)
 
     def _reheap(self, record: SsdRecord) -> None:
         if not record.valid:
@@ -595,7 +646,8 @@ class SsdManagerBase:
             assert existing.version == frame.version, (
                 f"SSD copy v{existing.version} != memory v{frame.version} "
                 f"for clean page {frame.page_id}")
-            existing.record_access(self.env.now)
+            existing.prev_access = existing.last_access  # record_access
+            existing.last_access = self.env._now
             self._reheap(existing)
             return ()
         if self.admission.qualifies(frame, self.admission_fill_level):
@@ -809,11 +861,12 @@ class SsdManagerBase:
         if not wanted:
             return TrimPlan()
         ssd_pages: List[int] = []
+        lookup = self.table.lookup_valid
         lo, hi = 0, len(wanted) - 1
-        while lo <= hi and self.contains_valid(wanted[lo]):
+        while lo <= hi and lookup(wanted[lo]) is not None:
             ssd_pages.append(wanted[lo])
             lo += 1
-        while hi >= lo and self.contains_valid(wanted[hi]):
+        while hi >= lo and lookup(wanted[hi]) is not None:
             ssd_pages.append(wanted[hi])
             hi -= 1
         if lo > hi:

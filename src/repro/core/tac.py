@@ -96,11 +96,11 @@ class TemperatureAwareManager(SsdManagerBase):
     # Read path: every call is a buffer-pool miss, so bump temperature
     # ------------------------------------------------------------------
 
-    def try_read(self, page_id: int, ctx=None):
-        """Step: serve a miss from the SSD, bumping the extent
-        temperature (every call is a buffer-pool miss)."""
+    def start_read(self, page_id: int, ctx=None):
+        """Serve a miss from the SSD, bumping the extent temperature
+        first: every attempt is a buffer-pool miss."""
         self._bump(page_id)
-        return super().try_read(page_id, ctx=ctx)
+        return super().start_read(page_id, ctx)
 
     def _reheap(self, record) -> None:
         """TAC replacement is temperature-ordered, not LRU-2: reads do

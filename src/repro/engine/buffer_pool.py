@@ -13,15 +13,15 @@ Implements the storage-module flow of the paper's §2.1/§2.2:
 * multi-page read-ahead with the §3.3.3 trimming optimization.
 
 The pool is *partitioned* (DESIGN.md §13): page ids hash into
-``partitions`` shards, each owning its slice of the replacement heap, a
-FIFO latch domain with a modeled service time, and its occupancy
-accounting.  The backing page-table dict is shared storage (a single
-C-level hash map — per-shard dicts only add constant overhead in the
-host language), so ``frames`` keeps its plain-``dict`` interface.
-Victim selection takes the global minimum across the shard heap tops by
-``(prev_access, stamp, page_id)``, which makes the eviction order — and
-therefore the whole event trace when the latch service time is zero —
-independent of the partition count.
+``partitions`` shards, each owning a FIFO latch domain with a modeled
+service time and its occupancy accounting.  The backing page-table dict
+is shared storage (a single C-level hash map — per-shard dicts only add
+constant overhead in the host language), so ``frames`` keeps its
+plain-``dict`` interface.  So is the replacement heap: victims come off
+one heap by ``(prev_access, stamp, page_id)`` with a pool-global stamp,
+which makes the eviction order — and therefore the whole event trace
+when the latch service time is zero — independent of the partition
+count.
 
 Replacement bookkeeping is O(1) per access: each resident frame keeps
 exactly one live heap entry (identified by ``Frame.heap_stamp``); a
@@ -43,15 +43,23 @@ caller must wait, ``()`` when the work finished at the call.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heapreplace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from collections import Counter
+from functools import partial
+from heapq import heappop, heappush, heapreplace
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.faults.errors import IoFault
 from repro.sim import Environment, Event, Timeout
+from repro.sim.events import _PENDING
+from repro.sim.process import GatherMember
 from repro.engine.disk_manager import DiskManager
 from repro.engine.page import Frame, PageId
 from repro.engine.readahead import ReadAhead
 from repro.engine.wal import WriteAheadLog
 from repro.telemetry import EVICTION_CTX, NULL_TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.core.ssd_manager import SsdRead
 
 #: ``Frame.io_busy`` of a victim the lazy writer reserved: the frame is
 #: latched, but the event to wait on is built only by the first fetcher
@@ -117,7 +125,7 @@ class BufferPoolStats:
 
 
 class PoolPartition:
-    """One buffer-pool shard: replacement heap, latch domain, occupancy.
+    """One buffer-pool shard: latch domain and occupancy.
 
     The latch is a FIFO single-server queue in virtual time:
     ``busy_until`` is when the last queued page-table access completes,
@@ -125,8 +133,8 @@ class PoolPartition:
     whole queue never needs materializing (DESIGN.md §13).
     """
 
-    __slots__ = ("index", "heap", "busy_until", "latch_waits",
-                 "latch_wait_time", "resident")
+    __slots__ = ("index", "busy_until", "latch_waits", "latch_wait_time",
+                 "resident")
 
     def __init__(self, index: int):
         self.index = index
@@ -136,9 +144,6 @@ class PoolPartition:
 
     def reset(self) -> None:
         """An empty shard behind a free latch (new, or after a crash)."""
-        #: Replacement heap slice: ``(prev_access, stamp, page_id)``
-        #: entries, one live entry per resident frame of this shard.
-        self.heap: List[Tuple[float, int, PageId]] = []
         self.busy_until = 0.0
         #: Frames of this shard currently resident (its share of the
         #: global free list).
@@ -152,7 +157,7 @@ class BufferPool:
     :class:`repro.core.ssd_manager.SsdManagerBase`); the ``noSSD``
     configuration passes a :class:`repro.core.cw.NoSsdManager`.
 
-    ``partitions`` shards the replacement and latch structures by
+    ``partitions`` shards the latch and occupancy structures by
     ``page_id % partitions``; ``latch_seconds`` is the modeled service
     time of one page-table access under a partition latch.  The default
     of ``0.0`` keeps the fetch path free of latch events, so traces are
@@ -165,7 +170,8 @@ class BufferPool:
         "env", "telemetry", "_tracer", "capacity", "disk",
         "wal", "ssd", "readahead", "expand_reads", "stats",
         "latch_wait_counts", "latch_wait_lengths", "frames",
-        "_inflight", "_reserved", "_stamp", "_dirty", "partitions",
+        "_inflight", "_reserved", "_stamp", "_heap", "_dirty",
+        "partitions",
         "_nparts", "_parts", "_latch_s", "checkpoint_active",
         "_high_water", "_low_water", "_lazywriter_wake", "_frame_freed",
         "_evicting",
@@ -424,12 +430,20 @@ class BufferPool:
         Records an outer ``bp_miss`` span (for waterfall display; the
         analyzer sums only the leaf waits nested inside it).
         """
-        miss_started = self.env.now
+        miss_started = self.env._now
         step = self._ensure_free_frames(ctx)
         if step:
             yield from step
-        step = self.ssd.try_read(page_id, ctx=ctx)
-        version = (yield from step) if step else None
+        ssd = self.ssd
+        read = ssd.start_read(page_id, ctx)
+        version = None
+        if read is not None:
+            try:
+                yield read.event
+            except IoFault as fault:
+                version = yield from ssd.read_failed(read, fault)
+            else:
+                version = ssd.read_landed(read)
         if version is not None:
             self.stats.ssd_hits += 1
             if self._tracer.enabled:
@@ -439,7 +453,7 @@ class BufferPool:
                                       ctx=ctx)
             frame = Frame(page_id, version, sequential=False)
             if (version > self.disk.disk_version(page_id)
-                    and not self.ssd.contains_valid(page_id)):
+                    and not ssd.contains_valid(page_id)):
                 # An *exclusive* SSD design just handed us its only copy
                 # of a version newer than disk: the memory frame is now
                 # the authoritative copy and must be treated as dirty so
@@ -519,12 +533,12 @@ class BufferPool:
                     plan.disk_start, plan.disk_count, plan.skip_in_run,
                     done))
             for pid in plan.ssd_pages:
-                ios.append(self._ssd_single(pid))
+                ios.append((self._read_ahead_ssd, pid))
             if ios:
                 # One outer span covers the parallel I/O fan-out; the
                 # inner reads run ctx-less so overlapping device time is
                 # not double-attributed to the transaction.
-                started = self.env.now
+                started = self.env._now
                 yield self.env.gather(ios)
                 if self._tracer.enabled:
                     self._tracer.complete("prefetch_wait", started,
@@ -566,17 +580,52 @@ class BufferPool:
             self.stats.prefetched_pages += 1
             self.ssd.on_read_from_disk(frame)
 
-    def _ssd_single(self, page_id: PageId):
-        step = self.ssd.try_read(page_id)
-        version = (yield from step) if step else None
+    def _read_ahead_ssd(self, page_id: PageId,
+                        member: GatherMember) -> None:
+        """A read-ahead's call member for a page planned from the SSD:
+        start the read, and install the page from its completion
+        (:meth:`_read_ahead_landed`).  What must wait instead goes on as
+        a generator member (:meth:`_read_ahead_rest`)."""
+        read = self.ssd.start_read(page_id)
+        if read is None:
+            member.run(self._read_ahead_rest(page_id))
+        else:
+            read.event.callbacks.append(
+                partial(self._read_ahead_landed, read, member))
+
+    def _read_ahead_landed(self, read: SsdRead, member: GatherMember,
+                           event: Event) -> None:
+        if not event._ok:
+            member.run(self._read_ahead_rest(read.page_id, read,
+                                             event._value))
+            return
+        version = self.ssd.read_landed(read)
+        if version is None:  # a detach, waited out
+            member.run(self._read_ahead_rest(read.page_id))
+            return
+        self._install_read_ahead(read.page_id, version, True)
+        member.succeed()
+
+    def _read_ahead_rest(self, page_id: PageId, read: Optional[SsdRead] = None,
+                         fault: Optional[IoFault] = None):
+        """Process step: the part of a planned SSD page's read that waits
+        — the retries of a read that failed with ``fault``, then, unless
+        they served it, the page's disk read.  The SSD copy vanished
+        since planning (a concurrent update invalidated it, or
+        replacement evicted it), the throttle declined an optional read,
+        or the SSD failed: either way the disk holds the newest durable
+        copy."""
+        version = None
+        if fault is not None:
+            version = yield from self.ssd.read_failed(read, fault)
         from_ssd = version is not None
         if not from_ssd:
-            # The SSD copy vanished between planning and this read (a
-            # concurrent update invalidated it, or replacement evicted
-            # it) or the throttle declined an optional read.  Either
-            # way the disk holds the newest durable copy: fall back.
             versions = yield from self.disk.read(page_id, 1)
             version = versions[0]
+        self._install_read_ahead(page_id, version, from_ssd)
+
+    def _install_read_ahead(self, page_id: PageId, version: int,
+                            from_ssd: bool) -> None:
         if page_id in self.frames:
             return
         frame = Frame(page_id, version, sequential=True)
@@ -650,7 +699,7 @@ class BufferPool:
         return frame
 
     # ------------------------------------------------------------------
-    # Replacement (LRU-2, partitioned lazy heap: one entry per frame)
+    # Replacement (LRU-2, one lazy heap: one entry per frame)
     # ------------------------------------------------------------------
 
     def _touch(self, frame: Frame) -> None:
@@ -662,66 +711,43 @@ class BufferPool:
             # First touch after install: enheap the frame's single live
             # entry and charge its shard's occupancy.
             frame.heap_stamp = stamp
-            part = self._parts[frame.page_id % self._nparts]
-            part.resident += 1
-            heappush(part.heap, (frame.prev_access, stamp, frame.page_id))
+            self._parts[frame.page_id % self._nparts].resident += 1
+            heappush(self._heap, (frame.prev_access, stamp, frame.page_id))
 
     def _pick_victims(self, want: int) -> List[Frame]:
-        """Pop up to ``want`` LRU-2 victims across all partitions.
+        """Pop up to ``want`` LRU-2 victims off the replacement heap.
 
-        A k-way merge of the shard heaps: each is cleaned to a *current*
-        top once (:meth:`_clean_top`), the tops are merged by
-        ``(prev_access, stamp, page_id)``, and only the shard a minimum
-        was popped from is cleaned again — which reproduces the
-        single-heap victim order for any partition count.  Pinned or
-        latched minima are set aside and re-enheaped after the batch,
-        exactly as the eager heap deferred them.
+        The top is made current first: garbage entries (evicted or
+        superseded frames) are dropped and entries of since-touched
+        frames re-keyed in place — the new key and stamp are strictly
+        larger, so the entry sinks or stays a current top, and the loop
+        makes progress.  Pinned or latched minima are set aside and
+        re-enheaped after the batch, exactly as the eager heap deferred
+        them.
         """
         frames = self.frames
-        tops = [(part.heap[0], part.heap) for part in self._parts
-                if self._clean_top(part.heap)]
-        heapify(tops)
+        heap = self._heap
         victims: List[Frame] = []
-        deferred: List[Tuple[List[Tuple[float, int, PageId]],
-                             Tuple[float, int, PageId]]] = []
-        while tops and len(victims) < want:
-            entry, heap = tops[0]
-            heappop(heap)
-            frame = frames[entry[2]]
-            if frame.pin_count > 0 or frame.io_busy is not None:
-                deferred.append((heap, entry))
-            else:
-                victims.append(frame)
-            if self._clean_top(heap):
-                heapreplace(tops, (heap[0], heap))
-            else:
-                heappop(tops)
-        for heap, entry in deferred:
-            heappush(heap, entry)
-        return victims
-
-    def _clean_top(self, heap: List[Tuple[float, int, PageId]]) -> bool:
-        """Make ``heap[0]`` a current entry; False if the shard is empty.
-
-        Garbage entries (evicted or superseded frames) are dropped and
-        entries of since-touched frames are re-keyed in place.
-        """
-        frames = self.frames
-        while heap:
+        deferred: List[Tuple[float, int, PageId]] = []
+        while heap and want:
             entry = heap[0]
             frame = frames.get(entry[2])
             if frame is None or frame.heap_stamp != entry[1]:
                 heappop(heap)  # garbage: frame gone or superseded
             elif frame.lru_stamp != entry[1]:
-                # Touched since enheaped: re-key lazily.  The new
-                # key/stamp are strictly larger, so the entry sinks (or
-                # stays a *current* top) and the loop makes progress.
                 stamp = frame.lru_stamp
                 frame.heap_stamp = stamp
                 heapreplace(heap, (frame.prev_access, stamp, entry[2]))
             else:
-                return True
-        return False
+                heappop(heap)
+                if frame.pin_count > 0 or frame.io_busy is not None:
+                    deferred.append(entry)
+                else:
+                    victims.append(frame)
+                    want -= 1
+        for entry in deferred:
+            heappush(heap, entry)
+        return victims
 
     # ------------------------------------------------------------------
     # Lazy writer (background eviction)
@@ -733,9 +759,9 @@ class BufferPool:
         return self.capacity - self.used
 
     def _kick_lazywriter(self) -> None:
-        if (self._lazywriter_wake is not None
-                and not self._lazywriter_wake.triggered):
-            self._lazywriter_wake.succeed()
+        wake = self._lazywriter_wake
+        if wake is not None and wake._value is _PENDING:
+            wake.succeed()
 
     def _lazywriter(self):
         """Keep ``free_frames`` near the high-water mark.
@@ -769,15 +795,6 @@ class BufferPool:
             # just-spawned evictions hostage to the batch timeout.
             self.ssd.admission_flush_hint()
             yield self._lazywriter_wake
-
-    def _signal_freed(self) -> None:
-        # Rotate only when somebody waits: an un-observed free needs no
-        # event (a later waiter subscribes to the same object and the
-        # next signal wakes it, exactly as the eager rotation did).
-        event = self._frame_freed
-        if event.callbacks:
-            self._frame_freed = self.env.event()
-            event.succeed()
 
     def _ensure_free_frames(self, ctx=None):
         """Step: wait until the caller's (already reserved) claim fits
@@ -872,10 +889,11 @@ class BufferPool:
     def _drop_victim(self, victim: Frame) -> None:
         """The end of an eviction: the frame leaves the pool, its latch
         opens and a fetcher waiting on it resumes."""
-        if self.frames.get(victim.page_id) is victim:
-            del self.frames[victim.page_id]
-            part = self._parts[victim.page_id % self._nparts]
-            part.resident -= 1
+        page_id = victim.page_id
+        frames = self.frames
+        if frames.get(page_id) is victim:
+            del frames[page_id]
+            self._parts[page_id % self._nparts].resident -= 1
             if victim.dirty:
                 self._dirty -= 1
         busy = victim.io_busy
@@ -884,8 +902,16 @@ class BufferPool:
         if busy is not RESERVED:
             # A fetcher turned the reservation into an event and waits.
             busy.succeed()
-        self._evicting = max(0, self._evicting - 1)
-        self._signal_freed()
+        if self._evicting:
+            self._evicting -= 1
+        # Rotate the free-frame event only when somebody waits: an
+        # un-observed free needs no event (a later waiter subscribes to
+        # the same object and the next free wakes it, exactly as the
+        # eager rotation did).
+        freed = self._frame_freed
+        if freed.callbacks:
+            self._frame_freed = self.env.event()
+            freed.succeed()
         self._kick_lazywriter()
 
     # ------------------------------------------------------------------
@@ -899,34 +925,25 @@ class BufferPool:
     def check_invariants(self) -> None:
         """Assert the pool's tallies add up right now: the occupancies
         and the dirty count match the frames, each resident frame not
-        being evicted has exactly one live replacement entry, the claim
-        counters are not negative, and only a frame being evicted is
-        reserved."""
+        being evicted has exactly one live replacement entry (a victim's
+        left the heap when it was picked), the claim counters are not
+        negative, and only a frame being evicted is reserved."""
         frames = self.frames
-        assert sum(self.partition_occupancy()) == len(frames), (
-            f"partitions hold {self.partition_occupancy()} "
-            f"for {len(frames)} frames")
+        occupancy = self.partition_occupancy()
+        assert sum(occupancy) == len(frames), (occupancy, len(frames))
         dirty = sum(frame.dirty for frame in frames.values())
-        assert self._dirty == dirty, (
-            f"dirty count {self._dirty}, {dirty} dirty frames")
-        filed: Dict[PageId, int] = {}
-        for part in self._parts:
-            for _, stamp, page_id in part.heap:
-                frame = frames.get(page_id)
-                if frame is not None and frame.heap_stamp == stamp:
-                    filed[page_id] = filed.get(page_id, 0) + 1
-        # A victim's entry left the heap when it was picked.
-        misfiled = [pid for pid, frame in frames.items()
-                    if filed.get(pid, 0) != (frame.busy_reason != "eviction")]
-        assert not misfiled, f"misfiled frames: {misfiled[:5]}"
-        assert self._reserved >= 0 and self._evicting >= 0, (
-            self._reserved, self._evicting)
-        evicting = [frame for frame in frames.values()
+        assert self._dirty == dirty, (self._dirty, dirty)
+        filed = Counter(page_id for _, stamp, page_id in self._heap
+                        if page_id in frames
+                        and frames[page_id].heap_stamp == stamp)
+        evicting = [page_id for page_id, frame in frames.items()
                     if frame.busy_reason == "eviction"]
-        assert len(evicting) <= self._evicting, (
-            f"{len(evicting)} frames latched for eviction, "
-            f"{self._evicting} evictions in flight")
-        stray = [frame for frame in frames.values()
+        misfiled = [page_id for page_id, frame in frames.items()
+                    if filed[page_id] != (frame.busy_reason != "eviction")]
+        assert not misfiled, f"misfiled frames: {misfiled[:5]}"
+        assert self._reserved >= 0, self._reserved
+        assert len(evicting) <= self._evicting, (evicting, self._evicting)
+        stray = [page_id for page_id, frame in frames.items()
                  if frame.io_busy is RESERVED
                  and frame.busy_reason != "eviction"]
         assert not stray, f"reserved outside an eviction: {stray[:5]}"
@@ -943,6 +960,9 @@ class BufferPool:
         self._inflight: Dict[PageId, Event] = {}
         self._reserved = 0  # frame slots claimed by in-flight misses
         self._dirty = 0  # dirty frames, maintained incrementally
+        #: The replacement heap: ``(prev_access, stamp, page_id)``
+        #: entries, one live entry per resident frame.
+        self._heap: List[Tuple[float, int, PageId]] = []
         for part in self._parts:
             part.reset()
         #: Set by the checkpointer while a sharp checkpoint is running.

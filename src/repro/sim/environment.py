@@ -9,8 +9,8 @@ from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
-from repro.sim.process import (DetachedProcess, Gather, Process, Step,
-                               _require_generator)
+from repro.sim.process import (Call, DetachedProcess, Gather, Process,
+                               Step, _require_generator)
 
 
 class EmptySchedule(SimulationError):
@@ -115,16 +115,19 @@ class Environment:
         """
         DetachedProcess.start_all(self, steps)
 
-    def gather(self,
-               generators: Iterable[Generator[Any, Any, Any]]) -> Gather:
-        """Start ``generators`` together and join them.
+    def gather(self, members: Iterable[Union[Generator[Any, Any, Any],
+                                             Call]]) -> Gather:
+        """Start ``members`` together and join them.
 
-        The returned event triggers with the list of their return
-        values, in input order, and fails with the first failure.  It
-        replaces ``all_of([process(g) for g in ...])``; :meth:`all_of`
-        remains for joins over events that are not process starts.
+        A member is a generator, or a :data:`~repro.sim.process.Call`
+        ``(function, argument)`` made in the same entry (DESIGN.md §13, "An
+        SSD read is a call").  The returned event triggers with the list
+        of their return values, in input order, and fails with the first
+        failure.  It replaces ``all_of([process(g) for g in ...])``;
+        :meth:`all_of` remains for joins over events that are not
+        process starts.
         """
-        return Gather(self, generators)
+        return Gather(self, members)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""

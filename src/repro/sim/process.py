@@ -18,7 +18,11 @@ one entry that runs their first steps in order is the same schedule
 A :data:`Step` is whatever ``yield from`` accepts: a generator when the
 caller must wait, ``()`` when the work already finished at the call
 (DESIGN.md §13, "Steps").  ``spawn_all`` takes steps, and a ``()``
-member never becomes a process.
+member never becomes a process.  ``gather`` takes generators and *call
+members* (:data:`Call`): a call starts its work in the gather's entry
+and finishes its member from whatever completion it subscribed, so a
+member that waits on one event needs no generator (DESIGN.md §13, "An
+SSD read is a call").
 
 :meth:`Process._resume` is the single hottest function in the simulator —
 every event a process waits on funnels through it once — so its common
@@ -42,6 +46,13 @@ if TYPE_CHECKING:
 #: ``()`` when the work finished at the call.  Hot callers test it
 #: (``if step:``) and skip the delegation when it is ``()``.
 Step = Union[Generator[Any, Any, Any], Tuple[()]]
+
+#: A call member of a :class:`Gather`: ``(function, argument)``.  The
+#: gather's entry calls ``function(argument, member)`` with the member's
+#: :class:`GatherMember`, which the call (at once, or from a callback it
+#: subscribed) finishes with ``succeed``/``fail`` or hands a generator
+#: to go on with (:meth:`GatherMember.run`).
+Call = Tuple[Callable[[Any, "GatherMember"], None], Any]
 
 
 def _require_generator(generator: Any) -> None:
@@ -69,6 +80,13 @@ def _queue_start(env: "Environment",
     bootstrap._value = None
     env._seq = seq = env._seq + 1
     env._push((env._now, seq, bootstrap))
+
+
+#: What :meth:`Process._resume` is handed to run a generator's first
+#: step outside a bootstrap entry: an ok event of value None.
+_FIRST_STEP = Event.__new__(Event)
+_FIRST_STEP._ok = True
+_FIRST_STEP._value = None
 
 
 def _yielded_non_event(env: "Environment", target: Any) -> Event:
@@ -229,16 +247,52 @@ class DetachedProcess(Process):
 
 
 class GatherMember(Process):
-    """One child of a :class:`Gather`.  No handle to it exists either."""
+    """One child of a :class:`Gather`: a generator, or a :data:`Call`.
+    No handle to it exists either.
 
-    __slots__ = ("_join",)
+    The gather's entry starts it: a generator's first step, or the call.
+    A call's member runs no generator unless the call, or a completion
+    it subscribed, hands one over (:meth:`run`); either way it finishes
+    as a generator member does — ``succeed`` keeps the last-finisher
+    rule, ``fail`` fails the join.  A call that raises in the entry fails
+    the join too; a completion callback that raises crashes the run, as
+    any callback does.
+    """
+
+    __slots__ = ("_join", "_call")
 
     def __init__(self, env: "Environment",
-                 generator: Generator[Any, Any, Any],
+                 member: Union[Generator[Any, Any, Any], Call],
                  join: "Gather") -> None:
-        self._bind(env, generator)
+        call = member if type(member) is tuple else None
+        if call is None:
+            _require_generator(member)
+        self.env = env
         self.callbacks = [join._check]
+        self._value = _PENDING
+        self._ok = None
+        self._generator = None if call else member
         self._join = join
+        self._call = call
+
+    def _begin(self, bootstrap: Event) -> None:
+        """The member's part of the gather's entry."""
+        call = self._call
+        if call is None:
+            self._resume(bootstrap)
+            return
+        self._call = None
+        try:
+            call[0](call[1], self)
+        except BaseException as exc:
+            self._fail_or_crash(exc)
+
+    def run(self, generator: Generator[Any, Any, Any]) -> None:
+        """Go on as a generator member: run ``generator``'s first step
+        now, and wait on what it yields."""
+        _require_generator(generator)
+        self._generator = generator
+        self._resume(_FIRST_STEP)
 
     def succeed(self, value: Any = None) -> Event:
         join = self._join
@@ -264,16 +318,17 @@ class Gather(Event):
     only the last finisher (or a failing member) schedules a completion
     event.  That last member keeps both of its hops — its completion,
     then this join — so the parent resumes at the same place among the
-    events of that instant.
+    events of that instant.  A :data:`Call` member keeps the same rule.
     """
 
     __slots__ = ("_members", "_pending")
 
     def __init__(self, env: "Environment",
-                 generators: Iterable[Generator[Any, Any, Any]]) -> None:
+                 members: Iterable[Union[Generator[Any, Any, Any], Call]]
+                 ) -> None:
         super().__init__(env)
         self._members: List[GatherMember] = [
-            GatherMember(env, generator, self) for generator in generators]
+            GatherMember(env, member, self) for member in members]
         self._pending = len(self._members)
         if self._members:
             _queue_start(env, self._start)
@@ -284,7 +339,7 @@ class Gather(Event):
         # A member that raises fails the join (it has a subscriber), so
         # nothing here can crash the run and cut the loop short.
         for member in self._members:
-            member._resume(bootstrap)
+            member._begin(bootstrap)
 
     def _check(self, member: Event) -> None:
         if self._value is not _PENDING:

@@ -103,15 +103,19 @@ class TestExclusive:
                           ssd_frames=frames)
 
     def test_read_removes_ssd_copy(self):
+        """The copy goes when the read lands, not when it starts."""
         sys_ = self.make()
         evict_clean(sys_, 5)
-        assert sys_.ssd_manager.contains_valid(5)
+        manager = sys_.ssd_manager
+        read = manager.start_read(5)
+        assert manager.contains_valid(5)
 
         def proc():
-            return (yield from sys_.ssd_manager.try_read(5))
+            yield read.event
+            return manager.read_landed(read)
 
         assert drive(sys_.env, proc()) == 0
-        assert not sys_.ssd_manager.contains_valid(5)
+        assert not manager.contains_valid(5)
 
     def test_page_never_in_both_levels(self):
         sys_ = self.make()

@@ -6,8 +6,13 @@ that of one ``env.spawn`` per member, each calling the member's maker in
 its own first step, minus queue entries that carried no order (DESIGN.md
 §13, "Starting together").  Under ``spawn_all`` a node that finishes in
 its first step is a call that returns ``()`` (DESIGN.md §13, "Steps").
-The property test runs random process trees under both formulations on
-both kernels and compares the full ``(now, process, step)`` log; the unit
+A gather's child may also be a *call member* ``(function, argument)``: the
+call starts its work in the gather's entry and finishes the member from
+a completion it subscribed, or hands the member a generator to go on
+with (DESIGN.md §13, "An SSD read is a call").  Its reference is the
+generator that waits on the same event and goes on the same way.  The
+property test runs random process trees under both formulations on both
+kernels and compares the full ``(now, process, step)`` log; the unit
 tests pin the join's contract, the crash rule, and where ``spawn_all``
 takes its members.
 """
@@ -35,10 +40,13 @@ def _nodes(children):
         "children": children,
         "after": st.lists(DELAYS, max_size=2),
         "fails": st.booleans(),
+        # Under a gather: a call member (a leaf) instead of a generator.
+        "call": st.booleans(),
     })
 
 
-#: A leaf with no delays returns in its first step.
+#: A leaf with no delays returns in its first step; a call member with
+#: no ``before`` finishes at the call.
 TREES = st.recursive(
     _nodes(st.just([])),
     lambda nodes: _nodes(st.lists(nodes, max_size=8)),
@@ -85,7 +93,7 @@ def run_tree(tree, kernel, batched):
             yield env.timeout(delay)
             log.append((env.now, ident, f"before{step}"))
         if spec["how"] == "gather":
-            children = [node(child, next(ids), True)
+            children = [member(child, next(ids))
                         for child in spec["children"]]
             try:
                 values = yield from join(children)
@@ -102,6 +110,58 @@ def run_tree(tree, kernel, batched):
         if spec["fails"] and may_fail:
             raise RuntimeError(f"node {ident} failed")
         return ident
+
+    def member(spec, ident):
+        """A gather child: a generator, or a call and its reference."""
+        if not spec["call"]:
+            return node(spec, ident, True)
+        if batched:
+            return (call, (spec, ident))
+        return called(spec, ident)
+
+    def call(spec_and_ident, member):
+        """A call member: wait on one timer (``before[0]``), if any, by a
+        completion callback; then :func:`finish`."""
+        spec, ident = spec_and_ident
+        log.append((env.now, ident, "start"))
+        if not spec["before"]:
+            finish(spec, ident, member, at_call=True)
+            return
+        timer = env.timeout(spec["before"][0])
+        timer.callbacks.append(lambda _timer: landed(spec, ident, member))
+
+    def landed(spec, ident, member):
+        log.append((env.now, ident, "before0"))
+        finish(spec, ident, member, at_call=False)
+
+    def finish(spec, ident, member, at_call):
+        """Go on as a generator (``after`` delays), or fail or succeed
+        right here: a call that fails at the call raises, a completion
+        fails the member."""
+        if spec["after"]:
+            member.run(rest(spec, ident))
+        elif not spec["fails"]:
+            member.succeed(ident)
+        elif at_call:
+            raise RuntimeError(f"node {ident} failed")
+        else:
+            member.fail(RuntimeError(f"node {ident} failed"))
+
+    def rest(spec, ident):
+        for step, delay in enumerate(spec["after"]):
+            yield env.timeout(delay)
+            log.append((env.now, ident, f"after{step}"))
+        if spec["fails"]:
+            raise RuntimeError(f"node {ident} failed")
+        return ident
+
+    def called(spec, ident):
+        """The reference of a call member: one generator, same waits."""
+        log.append((env.now, ident, "start"))
+        if spec["before"]:
+            yield env.timeout(spec["before"][0])
+            log.append((env.now, ident, "before0"))
+        return (yield from rest(spec, ident))
 
     def ticker():
         # An unrelated process sharing the instants the tree runs in.
@@ -229,6 +289,78 @@ class TestGather:
     def test_requires_generators(self, env):
         with pytest.raises(TypeError):
             env.gather([lambda: None])
+
+
+class TestCallMembers:
+    def test_values_come_in_input_order_however_a_call_finishes(self, env):
+        """A call finishes its member at the call, from a completion it
+        subscribed, or by handing over a generator to go on with."""
+        def at_call(value, member):
+            member.succeed(value)
+
+        def on_timer(delay, member):
+            env.timeout(delay).callbacks.append(
+                lambda _timer: member.succeed(delay))
+
+        def then_generator(delay, member):
+            def rest():
+                yield env.timeout(delay)
+                return "ran", env.now
+
+            env.timeout(delay).callbacks.append(
+                lambda _timer: member.run(rest()))
+
+        def child():
+            yield env.timeout(2)
+            return "generator"
+
+        assert env.run(env.gather([
+            (on_timer, 3), child(), (at_call, "now"), (then_generator, 1),
+        ])) == [3, "generator", "now", ("ran", 2)]
+
+    @pytest.mark.parametrize("how", ["raises", "fails", "run raises"])
+    def test_a_failing_call_member_fails_the_join(self, env, how):
+        def member(_argument, member):
+            if how == "raises":
+                raise RuntimeError("boom")
+            if how == "fails":
+                env.timeout(1).callbacks.append(
+                    lambda _timer: member.fail(RuntimeError("boom")))
+                return
+
+            def rest():
+                yield env.timeout(1)
+                raise RuntimeError("boom")
+
+            member.run(rest())
+
+        def sibling():
+            yield env.timeout(3)
+
+        def parent():
+            try:
+                yield env.gather([(member, None), sibling()])
+            except RuntimeError as exc:
+                return str(exc), env.now
+
+        assert env.run(env.process(parent())) == (
+            "boom", 0 if how == "raises" else 1)
+
+    def test_a_call_that_waits_once_costs_what_a_generator_does(self, env):
+        """One start entry, five timers, the last completion, the join —
+        and no generator: each member's completion finished it."""
+        members = []
+
+        def call(_argument, member):
+            members.append(member)
+            env.timeout(1).callbacks.append(
+                lambda _timer: member.succeed())
+
+        def batched():
+            yield env.gather([(call, None)] * 5)
+
+        assert scheduled(env, batched()) == 1 + 5 + 1 + 1
+        assert [member._generator for member in members] == [None] * 5
 
 
 class TestSpawnAll:

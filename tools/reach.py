@@ -72,6 +72,10 @@ _TAC_FULL = ("TAC with a full SSD: repro oltp --designs TAC --scale 1000 "
              "benchmarks/test_cw_gap_tac_waste.py")
 _FIG8 = "benchmarks/test_fig8_io_traffic.py (traffic recorders)"
 _WHEEL = "goes with sim/wheel.py (ROADMAP item 2): "
+_READ_AHEAD_REST = (
+    "fault path: a read-ahead's SSD read that fails, or a planned SSD page "
+    "gone by its read (run(RunSpec(kind='tpch', ...), faults=...); the "
+    "tpch-DW-faults and tpch-DW-death golden traces)")
 
 #: ``"module:qualname"`` → (verdict, reason).  A scheduled reason names
 #: the tests that enter the def; the next removals start here.
@@ -113,9 +117,8 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
     "repro.engine.buffer_pool:BufferPool._warmed": (
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
-    "repro.engine.buffer_pool:BufferPool.partition_occupancy": (
-        S, "tests/engine/test_partitioned_pool.py::"
-           "test_latched_run_records_partition_latch_waits"),
+    "repro.engine.buffer_pool:BufferPool._read_ahead_rest": (
+        J, _READ_AHEAD_REST),
     "repro.engine.buffer_pool:BufferPoolStats.as_dict": (J, _RECORD),
     "repro.engine.page:Frame.__repr__": (J, _REPR),
     "repro.engine.readahead:ReadAheadAccuracy.__init__": (
@@ -175,6 +178,7 @@ LEDGER: Dict[str, Tuple[str, str]] = {
            "tests/storage/test_devices.py x1"),
     "repro.sim.events:Event.__repr__": (J, _REPR),
     "repro.sim.events:_Condition._satisfied": (J, _STUB),
+    "repro.sim.process:GatherMember.run": (J, _READ_AHEAD_REST),
     "repro.sim.process:_yielded_non_event": (
         J, "error path: a process that yields a non-event"),
     "repro.sim.wheel:TimerWheel.__bool__": (
