@@ -14,8 +14,6 @@ Commands:
 * ``runs``    — query the run database every experiment records into
   (list/show/compare/regress; see ``repro.runstore``).
 * ``serve``   — HTML dashboard + JSON API over the run database.
-* ``lint``    — run the repo-specific AST invariant checker
-  (``repro.statics``) over the sources.
 
 ``oltp``/``traffic``/``tpch``/``sweep``/``chaos`` record into the run
 store by default (``--db`` to point elsewhere, ``--no-db`` to skip);
@@ -510,19 +508,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run the static invariant checker (see repro.statics)."""
-    from repro.statics import RULES, check_paths, format_findings_text
-
-    if args.list_rules:
-        for rule in RULES:
-            print(f"{rule.code} [{rule.name}] {rule.description}")
-        return 0
-    result = check_paths(args.paths)
-    print(format_findings_text(result))
-    return result.exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -636,14 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="HTML dashboard + JSON API over the run database")
     add_serve_arguments(p_serve)
     p_serve.set_defaults(func=cmd_serve)
-
-    p_lint = sub.add_parser(
-        "lint", help="run the repo-specific AST invariant checker")
-    p_lint.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
-                        help="files or directories to lint (default: src)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="list the rules and exit")
-    p_lint.set_defaults(func=cmd_lint)
 
     return parser
 

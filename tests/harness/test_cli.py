@@ -29,7 +29,6 @@ OPTIONS = {'': {},
            '--seed': 20110612},
  'designs': {},
  'iometer': {'--duration': 5.0},
- 'lint': {'--list-rules': False},
  'oltp': {'--benchmark': 'tpcc',
           '--checkpoint-interval': None,
           '--db': None,

@@ -1,75 +1,80 @@
-"""Per-rule fixture snippets: each rule has a positive (flagged),
-negative (clean), and suppressed (noqa) case.
+"""Per-check fixture snippets: each check has flagged and clean cases.
 
-The snippets are linted in memory with :func:`check_source` under a
-path inside the rule's scope, so the path-gating logic is exercised
-too.  The snippets intentionally violate the invariants — they are the
-test fixtures, not repo code (tests/statics is excluded in the ruff
-per-file-ignores for the same reason).  RPL002 has no AST rule: its
-invariant is checked on the imported classes (:class:`TestSlotsHotpath`).
+A snippet is checked under a path, so the scoping of :func:`in_scope`
+is exercised too.  The snippets intentionally violate the invariants —
+they are the test fixtures, not repo code (tests/statics is excluded in
+the ruff per-file-ignores for the same reason).  RPL002 has no AST
+check: its invariant is checked on the imported classes
+(:class:`TestSlotsHotpath`).
 """
 
+import ast
 import enum
 import gc
 import importlib
 import pkgutil
 import textwrap
-from pathlib import Path
 
 import repro
-from repro.statics import check_source
-from repro.statics.engine import noqa_codes
+from tests.statics.checks import CHECKS, in_scope
 
 
-def lint(source, path):
-    return check_source(textwrap.dedent(source), path=path)
+def findings(code, source, path):
+    """What check ``code`` reports on ``source`` placed at ``path``."""
+    if not in_scope(code, path):
+        return []
+    check = CHECKS[code][0]
+    return list(check(ast.parse(textwrap.dedent(source))))
 
 
-def codes(result):
-    return [f.code for f in result.findings]
+class CheckCase:
+    """One check's fixtures: ``CODE`` is the check, ``PATH`` a file in
+    its scope."""
+
+    CODE = PATH = ""
+
+    def flagged(self, source, path=None):
+        """How many findings the check reports on ``source``."""
+        return len(findings(self.CODE, source, path or self.PATH))
 
 
-class TestTracerGuard:
+class TestTracerGuard(CheckCase):
+    CODE = "RPL001"
     PATH = "src/repro/engine/buffer_pool.py"
 
     def test_unguarded_call_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f(tracer, page):
                 tracer.record("pin", page)
-            """, self.PATH)
-        assert codes(result) == ["RPL001"]
+            """) == 1
 
     def test_guarded_call_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(tracer, page):
                 if tracer.enabled:
                     tracer.record("pin", page)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_early_exit_guard_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(tracer, page):
                 if not tracer.enabled:
                     return
                 tracer.record("pin", page)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
+
+    def test_sim_path_flagged(self):
+        # The whole package is in scope, the kernel included.
+        assert self.flagged("""
+            def f(self, event):
+                self.tracer.instant("wake", event)
+            """, "src/repro/sim/environment.py") == 1
 
     def test_out_of_scope_path_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(tracer, page):
                 tracer.record("pin", page)
-            """, "src/repro/statics/engine.py")
-        assert codes(result) == []
-
-    def test_suppressed(self):
-        result = lint("""
-            def f(tracer, page):
-                tracer.record("pin", page)  # repro: noqa[RPL001]
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+            """, "tests/engine/test_buffer_pool.py") == 0
 
 
 #: Modules whose classes are on the hot path: one instance per event,
@@ -167,303 +172,244 @@ class TestSlotsHotpath:
             del Sub
             gc.collect()  # drop it from Event.__subclasses__()
 
-    def test_suppressed(self):
-        # The runtime check reads no comments, so a ``noqa[RPL002]`` in
-        # the package would suppress nothing and only mislead a reader.
-        stale = [f"{path}:{number}"
-                 for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
-                 for number, named in noqa_codes(
-                     path.read_text(encoding="utf-8").splitlines()).items()
-                 if named and "RPL002" in named]
-        assert stale == []
 
-
-class TestDeterminism:
+class TestDeterminism(CheckCase):
+    CODE = "RPL003"
     PATH = "src/repro/sim/clocky.py"
 
     def test_wall_clock_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             import time
             def f():
                 return time.time()
-            """, self.PATH)
-        assert codes(result) == ["RPL003"]
+            """) == 1
 
     def test_global_random_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             import random
             def f():
                 return random.random()
-            """, self.PATH)
-        assert codes(result) == ["RPL003"]
+            """) == 1
 
     def test_seeded_rng_clean(self):
-        result = lint("""
+        assert self.flagged("""
             import random
             def f(seed):
                 return random.Random(seed).random()
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_set_iteration_feeding_scheduler_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f(env, waiters):
                 for w in set(waiters):
                     env.schedule(w)
-            """, self.PATH)
-        assert codes(result) == ["RPL003"]
+            """) == 1
 
     def test_list_iteration_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(env, waiters):
                 for w in list(waiters):
                     env.schedule(w)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_out_of_scope_harness_clean(self):
-        result = lint("""
+        assert self.flagged("""
             import time
             def f():
                 return time.monotonic()
-            """, "src/repro/harness/sweep.py")
-        assert codes(result) == []
+            """, "src/repro/harness/sweep.py") == 0
 
-    def test_suppressed(self):
-        result = lint("""
+    def test_out_of_scope_runstore_clean(self):
+        assert self.flagged("""
             import time
             def f():
-                return time.time()  # repro: noqa[RPL003]
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+                return time.time()
+            """, "src/repro/runstore/store.py") == 0
+
+    def test_global_random_in_workloads_flagged(self):
+        # The layers that draw randomness are in scope.
+        assert self.flagged("""
+            import random
+            def next_item(items):
+                return items[int(random.random() * len(items))]
+            """, "src/repro/workloads/tpcc.py") == 1
 
 
-class TestFaultSafety:
+class TestFaultSafety(CheckCase):
+    CODE = "RPL004"
     PATH = "src/repro/core/mymanager.py"
 
     def test_naked_device_await_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f(self):
                 yield self.device.read(0, 1)
-            """, self.PATH)
-        assert codes(result) == ["RPL004"]
+            """) == 1
 
     def test_submit_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f(self):
                 yield self.wal.device.submit(req)
-            """, self.PATH)
-        assert codes(result) == ["RPL004"]
+            """) == 1
 
     def test_try_reaching_fault_error_clean(self):
-        result = lint("""
+        assert self.flagged("""
             from repro.faults import IoFault
             def f(self):
                 try:
                     yield self.device.read(0, 1)
                 except IoFault:
                     pass
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_retry_helper_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def _ssd_io(self, submit):
                 yield self.device.read(0, 1)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_lambda_thunk_clean(self):
         # The canonical call shape: the raw submit is wrapped in a
         # thunk handed to the retry helper.
-        result = lint("""
+        assert self.flagged("""
             def f(self):
                 ok = yield from self._ssd_io(
                     lambda: self.device.write(0, 1))
-            """, self.PATH)
-        assert codes(result) == []
-
-    def test_suppressed(self):
-        result = lint("""
-            def f(self):
-                yield self.device.read(0, 1)  # repro: noqa[RPL004]
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+            """) == 0
 
 
-class TestNoSwallow:
+class TestNoSwallow(CheckCase):
+    CODE = "RPL005"
     PATH = "src/repro/anywhere.py"
 
     def test_bare_except_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f():
                 try:
                     g()
                 except:
                     pass
-            """, self.PATH)
-        assert codes(result) == ["RPL005"]
+            """) == 1
 
     def test_swallowing_broad_except_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f():
                 try:
                     g()
                 except Exception:
                     pass
-            """, self.PATH)
-        assert codes(result) == ["RPL005"]
+            """) == 1
 
     def test_broad_except_with_handling_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(log):
                 try:
                     g()
                 except Exception as exc:
                     log.warning("g failed: %s", exc)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_narrow_except_pass_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(users, req):
                 try:
                     users.remove(req)
                 except ValueError:
                     pass
-            """, self.PATH)
-        assert codes(result) == []
-
-    def test_suppressed(self):
-        result = lint("""
-            def f():
-                try:
-                    g()
-                except Exception:  # repro: noqa[RPL005]
-                    pass
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+            """) == 0
 
 
-class TestTelemetryLabels:
+class TestTelemetryLabels(CheckCase):
+    CODE = "RPL006"
     PATH = "src/repro/telemetry/thing.py"
 
     def test_dynamic_metric_name_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f(registry, name):
                 return registry.counter("prefix_" + name, "help")
-            """, self.PATH)
-        assert codes(result) == ["RPL006"]
+            """) == 1
 
     def test_literal_metric_name_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def f(registry):
                 return registry.counter("faults_total", "help",
                                         labelnames=("device", "kind"))
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_dynamic_labelnames_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def f(registry, names):
                 return registry.counter("faults_total", "help",
                                         labelnames=names)
-            """, self.PATH)
-        assert codes(result) == ["RPL006"]
-
-    def test_suppressed(self):
-        result = lint("""
-            def f(registry, name):
-                return registry.counter("p_" + name, "h")  # repro: noqa[RPL006]
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+            """) == 1
 
 
-class TestSpawnDiscarded:
+class TestSpawnDiscarded(CheckCase):
+    CODE = "RPL007"
     PATH = "src/repro/engine/thing.py"
 
     def test_discarded_handle_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def start(self):
                 self.env.process(self._loop())
-            """, self.PATH)
-        assert codes(result) == ["RPL007"]
+            """) == 1
 
     def test_bare_env_name_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def start(env, worker):
                 env.process(worker(env))
-            """, self.PATH)
-        assert codes(result) == ["RPL007"]
+            """) == 1
 
     def test_spawn_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def start(self):
                 self.env.spawn(self._loop())
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_kept_handle_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def start(self, ios):
                 proc = self.env.process(self._loop())
                 ios.append(self.env.process(self._io()))
                 return self.env.run(self.env.process(self._main()))
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_non_generator_call_argument_clean(self):
         # ``process(x)`` on something that is not starting a generator
         # (no call argument) is none of this rule's business.
-        result = lint("""
+        assert self.flagged("""
             def handle(pipeline, record):
                 pipeline.process(record)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_out_of_scope_path_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def start(env, worker):
                 env.process(worker(env))
-            """, "tests/sim/test_process.py")
-        assert codes(result) == []
-
-    def test_suppressed(self):
-        result = lint("""
-            def start(self):
-                self.env.process(self._loop())  # repro: noqa[RPL007]
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+            """, "tests/sim/test_process.py") == 0
 
 
-class TestStartTogether:
+class TestStartTogether(CheckCase):
+    CODE = "RPL008"
     PATH = "src/repro/engine/thing.py"
 
     def test_all_of_over_comprehension_of_starts_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def wave(self, frames):
                 yield self.env.all_of(
                     [self.env.process(self._flush(f)) for f in frames])
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_all_of_over_named_list_of_starts_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def wave(self, frames):
                 pending = [
                     self.env.process(self._flush(f)) for f in frames
                 ]
                 results = yield self.env.all_of(pending)
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_all_of_over_appended_starts_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def prefetch(self, plan):
                 ios = []
                 if plan.disk_count:
@@ -471,82 +417,73 @@ class TestStartTogether:
                 for pid in plan.ssd_pages:
                     ios.append(self.env.process(self._ssd_single(pid)))
                 yield self.env.all_of(ios)
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_all_of_over_named_starts_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def dual_write(self, frame):
                 disk_write = self.env.process(self.disk.write(frame))
                 ssd_write = self.env.process(self._cache_page(frame))
                 yield self.env.all_of([disk_write, ssd_write])
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_all_of_over_concatenated_starts_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def run(env, streams, refresher):
                 procs = [env.process(s()) for s in streams]
                 yield env.all_of(procs + [env.process(refresher())])
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_gather_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def wave(self, frames):
                 results = yield self.env.gather(
                     self._flush(f) for f in frames)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_all_of_over_plain_events_clean(self):
         # Joins over events that are not process starts keep all_of.
-        result = lint("""
+        assert self.flagged("""
             def wait(self, requests, handles):
                 done = [self.device.submit(r) for r in requests]
                 yield self.env.all_of(done)
                 yield self.env.all_of(handles)
                 yield self.env.all_of([self.env.timeout(1), self._wake])
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_spawn_loop_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def lazywriter(self, victims):
                 for victim in victims:
                     victim.io_busy = self.env.event()
                     self._evicting += 1
                     self.env.spawn(self._evict(victim))
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_bare_spawn_loop_flagged(self):
-        result = lint("""
+        assert self.flagged("""
             def start(env, workers):
                 for worker in workers:
                     env.spawn(worker(env))
-            """, self.PATH)
-        assert codes(result) == ["RPL008"]
+            """) == 1
 
     def test_spawn_all_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def start(env, workers):
                 env.spawn_all(worker(env) for worker in workers)
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_spawn_loop_that_yields_clean(self):
         # Time passes between the starts: not started together.
-        result = lint("""
+        assert self.flagged("""
             def trickle(self, jobs):
                 for job in jobs:
                     slot = yield self.slots.get()
                     self.env.spawn(self._run(job, slot))
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_spawn_among_other_effects_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def arm(self, specs):
                 for spec in specs:
                     if spec.kind == "die":
@@ -556,25 +493,14 @@ class TestStartTogether:
                 for spec in specs:
                     self.register(spec)
                     self.env.spawn(self._watch(spec))
-            """, self.PATH)
-        assert codes(result) == []
+            """) == 0
 
     def test_out_of_scope_path_clean(self):
-        result = lint("""
+        assert self.flagged("""
             def churn(env, worker):
                 procs = [env.process(worker()) for _ in range(8)]
                 env.run(env.all_of(procs))
-            """, "tests/conftest.py")
-        assert codes(result) == []
-
-    def test_suppressed(self):
-        result = lint("""
-            def reference(env, gens):
-                yield env.all_of(  # repro: noqa[RPL008]
-                    [env.process(g()) for g in gens])
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
+            """, "tests/conftest.py") == 0
 
 
 class TestPathScope:
@@ -586,27 +512,8 @@ class TestPathScope:
     def test_scope_is_the_path_inside_the_package(self):
         # A checkout named ``repro`` does not put its tests in the
         # package; the package inside it is in scope wherever it lives.
-        assert codes(lint(self.SOURCE, "src/repro/x.py")) == ["RPL007"]
-        assert codes(lint(self.SOURCE, "/home/u/repro/tests/x.py")) == []
-        assert codes(lint(self.SOURCE,
-                          "/home/u/repro/src/repro/engine/x.py")) == ["RPL007"]
-
-
-class TestSuppressionForms:
-    PATH = "src/repro/engine/x.py"
-
-    def test_blanket_noqa_suppresses_any_code(self):
-        result = lint("""
-            def f(tracer):
-                tracer.record("x")  # repro: noqa
-            """, self.PATH)
-        assert codes(result) == []
-        assert result.suppressed == 1
-
-    def test_mismatched_code_does_not_suppress(self):
-        result = lint("""
-            def f(tracer):
-                tracer.record("x")  # repro: noqa[RPL005]
-            """, self.PATH)
-        assert codes(result) == ["RPL001"]
-        assert result.suppressed == 0
+        assert len(findings("RPL007", self.SOURCE, "src/repro/x.py")) == 1
+        assert findings("RPL007", self.SOURCE,
+                        "/home/u/repro/tests/x.py") == []
+        assert len(findings("RPL007", self.SOURCE,
+                            "/home/u/repro/src/repro/engine/x.py")) == 1

@@ -33,8 +33,8 @@ def test_mypy_strict_wave():
     proc = run_tool(
         sys.executable, "-m", "mypy",
         "src/repro/sim", "src/repro/core/heaps.py", "src/repro/faults",
-        "src/repro/harness/sweep.py", "src/repro/statics",
-        "src/repro/storage/ftl", "src/repro/core/ls.py")
+        "src/repro/harness/sweep.py", "src/repro/storage/ftl",
+        "src/repro/core/ls.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

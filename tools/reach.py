@@ -22,8 +22,7 @@ and one of three verdicts from ``LEDGER``:
 
 * *justified* — the reason names the product caller the inputs do not
   run: a ``benchmarks/`` file, the sweep's spawn-pool child, a fault,
-  stall or recovery path, a lint finding, a base-class stub, a
-  ``__repr__``;
+  stall or recovery path, a base-class stub, a ``__repr__``;
 * *scheduled* — only tests enter it; the reason names the floor tests
   its removal would cost;
 * *unlisted* — not in ``LEDGER``.
@@ -63,7 +62,6 @@ J, S = VERDICTS = ("justified", "scheduled")
 
 _REPR = "a __repr__"
 _STUB = "a base-class stub each subclass overrides"
-_LINT = "repro lint on a file with a finding (src/ and tests/ have none)"
 _RECORD = ("the run record a sweep's spawn-pool child ships back "
            "(harness/sweep.py _worker) and benchmarks/common.py's "
            "run_cached stores")
@@ -197,18 +195,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.sim.wheel:TimerWheel.pop": (
         S, _WHEEL + "tests/sim/test_wheel.py x6 (Environment.step pops "
            "_current)"),
-    # statics
-    "repro.statics.engine:Finding.format": (J, _LINT),
-    "repro.statics.engine:Rule.check": (J, _STUB),
-    "repro.statics.engine:Rule.finding": (J, _LINT),
-    "repro.statics.engine:_suppressed": (J, _LINT),
-    "repro.statics.engine:check_source": (
-        S, "tests/statics/test_rules.py x51, test_output.py x5 (the "
-           "fixture tests' entry point)"),
-    "repro.statics.rules:StartTogetherRule._bound_fresh": (J, _LINT),
-    "repro.statics.rules:StartTogetherRule._fresh": (J, _LINT),
-    "repro.statics.rules:TelemetryLabelsRule._check_labels": (J, _LINT),
-    "repro.statics.rules:TracerGuardRule._early_exit_guard": (J, _LINT),
     # storage
     "repro.storage.device:DeviceBase._enter": (J, _STUB),
     "repro.storage.device:DeviceBase.attach_traffic_recorder": (J, _FIG8),
@@ -445,7 +431,6 @@ MORE_LINES = (
     "designs",
     "iometer --duration 1",
     "tpch --profile tiny --designs noSSD,LC",
-    f"lint {ROOT / 'src'} {ROOT / 'tests'}",
     "analyze trace.json",  # the trace smoke's Chrome JSON
     "traffic --scale 100 --profile tiny --duration 3 --designs LC "
     "--tenants 'day=diurnal:rate=300:period=2:peak=4:theta=0.8;"
