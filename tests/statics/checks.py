@@ -433,3 +433,22 @@ def in_scope(code, path):
     _, paths, skips = CHECKS[code]
     return (bool(package) and inside.startswith(paths)
             and not inside.startswith(skips))
+
+
+def parse_package(package):
+    """Every module under ``package`` (a ``src/repro`` directory),
+    parsed: path from the checkout root → tree.  A module that does not
+    parse raises :class:`SyntaxError` naming its file."""
+    root = package.parents[1]
+    return {path.relative_to(root).as_posix():
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(package.rglob("*.py"))}
+
+
+def report(code, sources):
+    """One ``path:line: CODE message`` line per finding of check
+    ``code`` over the parsed ``sources`` in its scope."""
+    check = CHECKS[code][0]
+    return [f"{path}:{node.lineno}: {code} {message}"
+            for path, tree in sources.items() if in_scope(code, path)
+            for node, message in check(tree)]

@@ -1,82 +1,94 @@
-"""The text report: one line per finding or error, then a summary."""
+"""The report a source check fails with: one ``path:line: CODE message``
+line per finding, so a violation seeded anywhere in ``src/repro`` names
+its file and line."""
 
 import re
 import textwrap
 
-from repro.statics import Finding, check_source, format_findings_text
+import pytest
 
-DIRTY = textwrap.dedent("""
-    def f(tracer):
-        tracer.record("x")
-    """)
-PATH = "src/repro/engine/x.py"
+from tests.statics.checks import CHECKS, parse_package, report
+
+#: code → (file inside the package, the line flagged, one violation
+#: of the check).
+SEEDED = {
+    "RPL001": ("engine/x.py", 3, """
+        def f(tracer, page):
+            tracer.record("pin", page)
+        """),
+    "RPL003": ("workloads/x.py", 4, """
+        import random
+        def f():
+            return random.random()
+        """),
+    "RPL004": ("core/x.py", 3, """
+        def f(self):
+            yield self.device.read(0, 1)
+        """),
+    "RPL005": ("faults/x.py", 5, """
+        def f():
+            try:
+                g()
+            except Exception:
+                pass
+        """),
+    "RPL006": ("telemetry/x.py", 3, """
+        def f(registry, name):
+            return registry.counter("p_" + name, "h")
+        """),
+    "RPL007": ("sim/x.py", 3, """
+        def start(env, worker):
+            env.process(worker(env))
+        """),
+    "RPL008": ("engine/x.py", 3, """
+        def wave(env, gens):
+            yield env.all_of(
+                [env.process(g()) for g in gens])
+        """),
+}
+
+#: ``path:line: CODE message``, as :func:`report` writes.
+FINDING_LINE = re.compile(
+    r"^(?P<path>.+):(?P<line>\d+): (?P<code>RPL\d{3}) (?P<message>.+)$")
+
+
+def seed(tmp_path, code):
+    """A checkout holding ``code``'s seeded violation; its repo path."""
+    inside, _, source = SEEDED[code]
+    path = tmp_path / "src" / "repro" / inside
+    path.parent.mkdir(parents=True)
+    path.write_text(textwrap.dedent(source))
+    return f"src/repro/{inside}"
 
 
 class TestTextFormat:
-    def test_one_line_per_finding_plus_summary(self):
-        result = check_source(DIRTY, path=PATH)
-        text = format_findings_text(result)
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith(f"{PATH}:3:")
-        assert "RPL001" in lines[0]
-        assert lines[1] == "1 finding in 1 files (0 suppressed)"
+    def test_every_check_is_seeded(self):
+        assert sorted(SEEDED) == sorted(CHECKS)
 
-    def test_clean_summary(self):
-        result = check_source("x = 1\n", path=PATH)
-        assert format_findings_text(result) == (
-            "0 findings in 1 files (0 suppressed)")
-
-
-#: ``path:line:col: CODE [name] message``, as :meth:`Finding.format` writes.
-FINDING_LINE = re.compile(
-    r"^(?P<path>.+):(?P<line>\d+):(?P<col>\d+): "
-    r"(?P<code>RPL\d{3}) \[(?P<name>[^\]]+)\] (?P<message>.+)$")
-SUMMARY_LINE = re.compile(
-    r"^(?P<findings>\d+) findings? in (?P<files>\d+) files "
-    r"\((?P<suppressed>\d+) suppressed\)$")
-
-
-def parse_finding(line):
-    match = FINDING_LINE.match(line)
-    assert match, line
-    fields = match.groupdict()
-    return Finding(**{**fields, "line": int(fields["line"]),
-                      "col": int(fields["col"])})
+    @pytest.mark.parametrize("code", sorted(SEEDED))
+    def test_seeded_violation_names_file_and_line(self, tmp_path, code):
+        path = seed(tmp_path, code)
+        (line,) = report(code, parse_package(tmp_path / "src" / "repro"))
+        assert line.startswith(f"{path}:{SEEDED[code][1]}: {code} ")
 
 
 class TestJsonFormat:
-    """What the removed JSON report carried, read off the text report."""
+    """The fields the removed JSON report carried, read off a report
+    line."""
 
-    def test_schema(self):
-        result = check_source(DIRTY, path=PATH)
-        *finding_lines, summary = format_findings_text(result).splitlines()
-        (line,) = finding_lines
+    def test_schema(self, tmp_path):
+        path = seed(tmp_path, "RPL001")
+        (line,) = report("RPL001", parse_package(tmp_path / "src" / "repro"))
         fields = FINDING_LINE.match(line).groupdict()
-        assert set(fields) == {"code", "name", "message", "path", "line",
-                               "col"}
-        assert fields["code"] == "RPL001"
-        assert fields["path"] == PATH
-        assert int(fields["line"]) == 3
-        assert int(fields["col"]) >= 1
-        counts = SUMMARY_LINE.match(summary).groupdict()
-        assert counts == {"findings": "1", "files": "1", "suppressed": "0"}
+        assert set(fields) == {"path", "line", "code", "message"}
+        assert (fields["path"], fields["line"], fields["code"]) == (
+            path, "3", "RPL001")
+        assert "tracer.enabled" in fields["message"]
 
-    def test_round_trips_through_json(self):
-        # Every field of every finding survives the text form.
-        source = DIRTY + textwrap.dedent("""
-            def g(tracer):
-                tracer.instant("y")
-            """)
-        result = check_source(source, path=PATH)
-        assert len(result.findings) == 2
-        lines = format_findings_text(result).splitlines()[:-1]
-        assert [parse_finding(line) for line in lines] == result.findings
-
-    def test_parse_error_reported(self):
-        result = check_source("def f(:\n", path=PATH)
-        assert result.exit_code == 2
-        assert result.findings == []
-        error, summary = format_findings_text(result).splitlines()
-        assert error.startswith(f"error: {PATH}: syntax error:")
-        assert summary == "0 findings in 0 files (0 suppressed)"
+    def test_parse_error_reported(self, tmp_path):
+        broken = tmp_path / "src" / "repro" / "engine" / "x.py"
+        broken.parent.mkdir(parents=True)
+        broken.write_text("def f(:\n")
+        with pytest.raises(SyntaxError) as exc:
+            parse_package(tmp_path / "src" / "repro")
+        assert (exc.value.filename, exc.value.lineno) == (str(broken), 1)

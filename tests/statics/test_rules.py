@@ -1,4 +1,6 @@
-"""Per-check fixture snippets: each check has flagged and clean cases.
+"""Per-check fixture snippets: each check has flagged and clean cases,
+and a suppressed case showing that the removed ``# repro: noqa`` comment
+no longer silences it.
 
 A snippet is checked under a path, so the scoping of :func:`in_scope`
 is exercised too.  The snippets intentionally violate the invariants —
@@ -13,7 +15,9 @@ import enum
 import gc
 import importlib
 import pkgutil
+import re
 import textwrap
+from pathlib import Path
 
 import repro
 from tests.statics.checks import CHECKS, in_scope
@@ -29,18 +33,26 @@ def findings(code, source, path):
 
 class CheckCase:
     """One check's fixtures: ``CODE`` is the check, ``PATH`` a file in
-    its scope."""
+    its scope, ``SUPPRESSED`` one violation carrying a noqa comment."""
 
-    CODE = PATH = ""
+    CODE = PATH = SUPPRESSED = ""
 
     def flagged(self, source, path=None):
         """How many findings the check reports on ``source``."""
         return len(findings(self.CODE, source, path or self.PATH))
 
+    def test_suppressed(self):
+        # The checks read no comments: there is no line suppression.
+        assert self.flagged(self.SUPPRESSED) == 1
+
 
 class TestTracerGuard(CheckCase):
     CODE = "RPL001"
     PATH = "src/repro/engine/buffer_pool.py"
+    SUPPRESSED = """
+        def f(tracer, page):
+            tracer.record("pin", page)  # repro: noqa[RPL001]
+        """
 
     def test_unguarded_call_flagged(self):
         assert self.flagged("""
@@ -122,6 +134,10 @@ def unslotted(classes):
                   key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
+#: The removed line-suppression comment, with or without codes.
+NOQA = re.compile(r"#\s*repro:\s*noqa")
+
+
 class TestSlotsHotpath:
     """RPL002, checked on the imported classes: the whole MRO of every
     hot-path class and of each ``repro`` subclass declares ``__slots__``,
@@ -172,10 +188,25 @@ class TestSlotsHotpath:
             del Sub
             gc.collect()  # drop it from Event.__subclasses__()
 
+    def test_suppressed(self):
+        # Nothing reads ``# repro: noqa`` comments any more, so one left
+        # in the package would suppress nothing and only mislead a reader.
+        stale = [f"{path}:{number}"
+                 for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+                 for number, line in enumerate(
+                     path.read_text(encoding="utf-8").splitlines(), 1)
+                 if NOQA.search(line)]
+        assert stale == []
+
 
 class TestDeterminism(CheckCase):
     CODE = "RPL003"
     PATH = "src/repro/sim/clocky.py"
+    SUPPRESSED = """
+        import time
+        def f():
+            return time.time()  # repro: noqa[RPL003]
+        """
 
     def test_wall_clock_flagged(self):
         assert self.flagged("""
@@ -238,6 +269,10 @@ class TestDeterminism(CheckCase):
 class TestFaultSafety(CheckCase):
     CODE = "RPL004"
     PATH = "src/repro/core/mymanager.py"
+    SUPPRESSED = """
+        def f(self):
+            yield self.device.read(0, 1)  # repro: noqa[RPL004]
+        """
 
     def test_naked_device_await_flagged(self):
         assert self.flagged("""
@@ -280,6 +315,13 @@ class TestFaultSafety(CheckCase):
 class TestNoSwallow(CheckCase):
     CODE = "RPL005"
     PATH = "src/repro/anywhere.py"
+    SUPPRESSED = """
+        def f():
+            try:
+                g()
+            except Exception:  # repro: noqa[RPL005]
+                pass
+        """
 
     def test_bare_except_flagged(self):
         assert self.flagged("""
@@ -321,6 +363,10 @@ class TestNoSwallow(CheckCase):
 class TestTelemetryLabels(CheckCase):
     CODE = "RPL006"
     PATH = "src/repro/telemetry/thing.py"
+    SUPPRESSED = """
+        def f(registry, name):
+            return registry.counter("p_" + name, "h")  # repro: noqa[RPL006]
+        """
 
     def test_dynamic_metric_name_flagged(self):
         assert self.flagged("""
@@ -346,6 +392,10 @@ class TestTelemetryLabels(CheckCase):
 class TestSpawnDiscarded(CheckCase):
     CODE = "RPL007"
     PATH = "src/repro/engine/thing.py"
+    SUPPRESSED = """
+        def start(self):
+            self.env.process(self._loop())  # repro: noqa[RPL007]
+        """
 
     def test_discarded_handle_flagged(self):
         assert self.flagged("""
@@ -391,6 +441,11 @@ class TestSpawnDiscarded(CheckCase):
 class TestStartTogether(CheckCase):
     CODE = "RPL008"
     PATH = "src/repro/engine/thing.py"
+    SUPPRESSED = """
+        def reference(env, gens):
+            yield env.all_of(  # repro: noqa[RPL008]
+                [env.process(g()) for g in gens])
+        """
 
     def test_all_of_over_comprehension_of_starts_flagged(self):
         assert self.flagged("""
@@ -501,6 +556,14 @@ class TestStartTogether(CheckCase):
                 procs = [env.process(worker()) for _ in range(8)]
                 env.run(env.all_of(procs))
             """, "tests/conftest.py") == 0
+
+
+class TestSuppressionForms:
+    def test_mismatched_code_does_not_suppress(self):
+        assert len(findings("RPL001", """
+            def f(tracer):
+                tracer.record("x")  # repro: noqa[RPL005]
+            """, "src/repro/engine/x.py")) == 1
 
 
 class TestPathScope:

@@ -6,12 +6,12 @@ call, a wall clock in the simulator, or a naked device await, this test
 fails with the exact file:line.
 """
 
-import ast
 from pathlib import Path
 
 import pytest
 
-from tests.statics.checks import CHECKS, in_scope
+from repro.cli import main
+from tests.statics.checks import CHECKS, parse_package, report
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -19,18 +19,21 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 @pytest.fixture(scope="module")
 def sources():
     """Every module of ``src/repro``, parsed once: repo path → tree."""
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    return {path.relative_to(REPO_ROOT).as_posix():
-            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for path in files}
+    return parse_package(REPO_ROOT / "src" / "repro")
 
 
 class TestRepositoryIsClean:
     @pytest.mark.parametrize("code", sorted(CHECKS))
     def test_src_has_no_findings(self, code, sources):
         assert len(sources) > 50  # the walk actually found the tree
-        check = CHECKS[code][0]
-        found = [f"{path}:{node.lineno}: {code} {message}"
-                 for path, tree in sources.items() if in_scope(code, path)
-                 for node, message in check(tree)]
+        found = report(code, sources)
         assert found == [], "\n".join(found)
+
+
+class TestCli:
+    def test_unknown_code_is_usage_error(self, capsys):
+        # The checks run only as tests: no subcommand names their codes.
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--select", "RPL999", "src"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
