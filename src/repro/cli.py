@@ -89,6 +89,14 @@ def _spec(args: argparse.Namespace, kind: str, design: str,
     return RunSpec(**{**values, "kind": kind, "design": design, **fixed})
 
 
+def _refused(command: str, exc: ValueError) -> int:
+    """A knob's owner refused its value: say so naming the flag (the
+    message starts with the knob, ``points must be >= 1``), exit 2."""
+    knob, _, rest = str(exc).partition(" ")
+    print(f"{command}: --{knob.replace('_', '-')} {rest}", file=sys.stderr)
+    return 2
+
+
 def _add_designs(parser: argparse.ArgumentParser,
                  default: str = "noSSD,DW,LC,TAC") -> None:
     parser.add_argument("--designs", default=default,
@@ -161,7 +169,10 @@ def _emit_telemetry(args, design: str, telemetry: Optional[Telemetry],
 def cmd_iometer(args) -> int:
     """Regenerate the paper's Table 1 with the device models."""
     from repro.storage.iometer import run_table1
-    table = run_table1(duration=args.duration)
+    try:
+        table = run_table1(duration=args.duration)
+    except ValueError as exc:
+        return _refused("iometer", exc)
     rows = [[name, f"{measured:,.0f}", f"{paper:,}",
              f"{measured / paper:.3f}"]
             for name, measured, paper in table.rows()]
@@ -338,10 +349,13 @@ def cmd_chaos(args) -> int:
         print(f"unknown checkpoint policies: {bad} (sharp|fuzzy)",
               file=sys.stderr)
         return 2
-    cfg = CrashSweepConfig(
-        designs=designs, policies=policies, points=args.points,
-        seed=args.seed, duration=args.duration,
-        checkpoint_interval=args.checkpoint_interval)
+    try:
+        cfg = CrashSweepConfig(
+            designs=designs, policies=policies, points=args.points,
+            seed=args.seed, duration=args.duration,
+            checkpoint_interval=args.checkpoint_interval)
+    except ValueError as exc:
+        return _refused("chaos", exc)
     result = crash_point_sweep(cfg)
     print(format_sweep_table(result))
     total = len(result.outcomes)
@@ -392,13 +406,18 @@ def cmd_sweep(args) -> int:
         return 2
     directory = Path(args.cache_dir) if args.cache_dir else None
     store = _open_recording_store(args)
-    report = run_sweep(specs, workers=args.workers, directory=directory,
-                       use_cache=not args.no_cache,
-                       progress=progress_printer(), store=store)
+    try:
+        report = run_sweep(specs, workers=args.workers, directory=directory,
+                           use_cache=not args.no_cache,
+                           progress=progress_printer(), store=store)
+    except ValueError as exc:
+        return _refused("sweep", exc)
+    finally:
+        if store is not None:
+            store.close()
     if store is not None:
         print(f"recorded {report.recorded}/{len(specs)} runs "
               f"into {store.path}", file=sys.stderr)
-        store.close()
     rows = summarize(report)
     has_waf = any("waf" in row for row in rows)
     table = [[row["spec"]["benchmark"], str(row["spec"]["scale"]),

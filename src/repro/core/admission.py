@@ -30,23 +30,13 @@ class AdmissionPolicy:
         #: Optional window classifier; when present it *overrides* the
         #: read-ahead flag (the ablation's "window" admission mode).
         self.classifier = classifier
-        self.admitted = 0
-        self.rejected = 0
-        self.fill_admitted = 0
 
     def qualifies(self, frame: Frame, ssd_used: int) -> bool:
         """Should this evicted page be cached in the SSD?"""
         if self.config.ssd_frames == 0:
             return False
         if ssd_used < self.config.fill_target_frames:
-            self.fill_admitted += 1
             return True
         if self.classifier is not None:
-            sequential = self.classifier.classify(frame.page_id)
-        else:
-            sequential = frame.sequential
-        if sequential:
-            self.rejected += 1
-            return False
-        self.admitted += 1
-        return True
+            return not self.classifier.classify(frame.page_id)
+        return not frame.sequential

@@ -129,20 +129,6 @@ class BPlusTree:
         frame.pin_count -= 1
         return leaf.value_of(key)
 
-    def update(self, bp: BufferPool, key: int, ctx=None):
-        """Process step: in-place update of the record for ``key``.
-
-        Dirties the leaf page; returns True if the key existed.
-        """
-        frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
-        index = bisect.bisect_left(leaf.keys, key)
-        found = index < len(leaf.keys) and leaf.keys[index] == key
-        if found:
-            leaf.values[index] += 1
-            bp.mark_dirty(frame)
-        bp.unpin(frame)
-        return found
-
     def insert(self, bp: BufferPool, key: int, ctx=None):
         """Process step: insert ``key`` (idempotent), splitting if needed."""
         frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)

@@ -14,14 +14,13 @@ Implements the storage-module flow of the paper's §2.1/§2.2:
 
 The pool is *partitioned* (DESIGN.md §13): page ids hash into
 ``partitions`` shards, each owning a FIFO latch domain with a modeled
-service time and its occupancy accounting.  The backing page-table dict
-is shared storage (a single C-level hash map — per-shard dicts only add
-constant overhead in the host language), so ``frames`` keeps its
-plain-``dict`` interface.  So is the replacement heap: victims come off
-one heap by ``(prev_access, stamp, page_id)`` with a pool-global stamp,
-which makes the eviction order — and therefore the whole event trace
-when the latch service time is zero — independent of the partition
-count.
+service time.  The backing page-table dict is shared storage (a single
+C-level hash map — per-shard dicts only add constant overhead in the
+host language), so ``frames`` keeps its plain-``dict`` interface.  So
+is the replacement heap: victims come off one heap by ``(prev_access,
+stamp, page_id)`` with a pool-global stamp, which makes the eviction
+order — and therefore the whole event trace when the latch service time
+is zero — independent of the partition count.
 
 Replacement bookkeeping is O(1) per access: each resident frame keeps
 exactly one live heap entry (identified by ``Frame.heap_stamp``); a
@@ -125,7 +124,7 @@ class BufferPoolStats:
 
 
 class PoolPartition:
-    """One buffer-pool shard: latch domain and occupancy.
+    """One buffer-pool shard: a latch domain.
 
     The latch is a FIFO single-server queue in virtual time:
     ``busy_until`` is when the last queued page-table access completes,
@@ -133,8 +132,7 @@ class PoolPartition:
     whole queue never needs materializing (DESIGN.md §13).
     """
 
-    __slots__ = ("index", "busy_until", "latch_waits", "latch_wait_time",
-                 "resident")
+    __slots__ = ("index", "busy_until", "latch_waits", "latch_wait_time")
 
     def __init__(self, index: int):
         self.index = index
@@ -143,11 +141,8 @@ class PoolPartition:
         self.reset()
 
     def reset(self) -> None:
-        """An empty shard behind a free latch (new, or after a crash)."""
+        """A free latch (new, or after a crash)."""
         self.busy_until = 0.0
-        #: Frames of this shard currently resident (its share of the
-        #: global free list).
-        self.resident = 0
 
 
 class BufferPool:
@@ -157,13 +152,13 @@ class BufferPool:
     :class:`repro.core.ssd_manager.SsdManagerBase`); the ``noSSD``
     configuration passes a :class:`repro.core.cw.NoSsdManager`.
 
-    ``partitions`` shards the latch and occupancy structures by
-    ``page_id % partitions``; ``latch_seconds`` is the modeled service
-    time of one page-table access under a partition latch.  The default
-    of ``0.0`` keeps the fetch path free of latch events, so traces are
-    byte-identical for every partition count; a non-zero value makes
-    ``--partitions`` timing-relevant (per-tenant tail latency drops as
-    the latch domains multiply).
+    ``partitions`` shards the latch by ``page_id % partitions``;
+    ``latch_seconds`` is the modeled service time of one page-table
+    access under a partition latch.  The default of ``0.0`` keeps the
+    fetch path free of latch events, so traces are byte-identical for
+    every partition count; a non-zero value makes ``--partitions``
+    timing-relevant (per-tenant tail latency drops as the latch domains
+    multiply).
     """
 
     __slots__ = (
@@ -281,10 +276,6 @@ class BufferPool:
     def get_resident(self, page_id: PageId) -> Optional[Frame]:
         """The frame for ``page_id`` if currently resident, else None."""
         return self.frames.get(page_id)
-
-    def partition_occupancy(self) -> List[int]:
-        """Resident frames per partition (the sharded free-list view)."""
-        return [part.resident for part in self._parts]
 
     # ------------------------------------------------------------------
     # Fetch path
@@ -708,10 +699,8 @@ class BufferPool:
         self._stamp = stamp = self._stamp + 1
         frame.lru_stamp = stamp
         if frame.heap_stamp == 0:
-            # First touch after install: enheap the frame's single live
-            # entry and charge its shard's occupancy.
+            # First touch after install: enheap its single live entry.
             frame.heap_stamp = stamp
-            self._parts[frame.page_id % self._nparts].resident += 1
             heappush(self._heap, (frame.prev_access, stamp, frame.page_id))
 
     def _pick_victims(self, want: int) -> List[Frame]:
@@ -893,7 +882,6 @@ class BufferPool:
         frames = self.frames
         if frames.get(page_id) is victim:
             del frames[page_id]
-            self._parts[page_id % self._nparts].resident -= 1
             if victim.dirty:
                 self._dirty -= 1
         busy = victim.io_busy
@@ -923,14 +911,12 @@ class BufferPool:
         return [f for f in self.frames.values() if f.dirty]
 
     def check_invariants(self) -> None:
-        """Assert the pool's tallies add up right now: the occupancies
-        and the dirty count match the frames, each resident frame not
-        being evicted has exactly one live replacement entry (a victim's
-        left the heap when it was picked), the claim counters are not
-        negative, and only a frame being evicted is reserved."""
+        """Assert the pool's tallies add up right now: the dirty count
+        matches the frames, each resident frame not being evicted has
+        exactly one live replacement entry (a victim's left the heap when
+        it was picked), the claim counters are not negative, and only a
+        frame being evicted is reserved."""
         frames = self.frames
-        occupancy = self.partition_occupancy()
-        assert sum(occupancy) == len(frames), (occupancy, len(frames))
         dirty = sum(frame.dirty for frame in frames.values())
         assert self._dirty == dirty, (self._dirty, dirty)
         filed = Counter(page_id for _, stamp, page_id in self._heap

@@ -27,8 +27,6 @@ class DiskManager:
         #: Persistent content: page id -> version currently on disk.
         #: Allocated pages start at version 0 (the loaded database).
         self._image: Dict[int, int] = {}
-        self.reads_issued = 0
-        self.writes_issued = 0
         self.retries = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         self._tracer = self.telemetry.tracer
@@ -84,7 +82,6 @@ class DiskManager:
         """
         self._check_range(page_id, npages)
         kind = IoKind.SEQUENTIAL_READ if sequential else IoKind.RANDOM_READ
-        self.reads_issued += 1
         request = IORequest(kind, page_id, npages, ctx=ctx)
         try:
             yield self.device.submit(request)
@@ -97,7 +94,6 @@ class DiskManager:
         """Process step: write one page; the image updates at completion."""
         self._check_range(page_id, 1)
         kind = IoKind.SEQUENTIAL_WRITE if sequential else IoKind.RANDOM_WRITE
-        self.writes_issued += 1
         request = IORequest(kind, page_id, 1, ctx=ctx)
         try:
             yield self.device.submit(request)
@@ -112,7 +108,6 @@ class DiskManager:
         consecutive disk addresses go to disk in one sequential write.
         """
         self._check_range(page_id, len(versions))
-        self.writes_issued += 1
         kind = (IoKind.SEQUENTIAL_WRITE if len(versions) > 1
                 else IoKind.RANDOM_WRITE)
         request = IORequest(kind, page_id, len(versions), ctx=ctx)

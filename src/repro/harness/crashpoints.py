@@ -28,6 +28,7 @@ carry the proof.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,6 +55,17 @@ class CrashSweepConfig:
     nworkers: int = 8
     #: Post-recovery update operations per churn client (progress check).
     post_ops: int = 40
+
+    def __post_init__(self) -> None:
+        # Zero points would pass the gate having checked nothing, and a
+        # bad time is the sweep's error, not a failure of each point.
+        if self.points < 1:
+            raise ValueError(f"points must be >= 1, got {self.points}")
+        for knob in ("duration", "checkpoint_interval"):
+            value = getattr(self, knob)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{knob} must be finite and > 0, "
+                                 f"got {value}")
 
 
 @dataclass

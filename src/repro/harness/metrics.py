@@ -6,12 +6,14 @@ declared once in :data:`SAMPLE_FIELDS` and published through the
 system's telemetry (registry gauges are registered by the components
 themselves; each sampler tick additionally emits Chrome counter events
 so the occupancy/queue-depth series show up in a trace viewer), and
-:class:`LatencyTracker` shares the percentile math with
-:class:`repro.telemetry.Histogram`.
+:class:`LatencyTracker` shares the percentile math
+(:func:`repro.telemetry.percentile_of`) with the registry's histogram
+rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
@@ -81,6 +83,10 @@ class Sampler:
 
     def __init__(self, system, interval: float = 1.0,
                  max_samples: Optional[int] = None):
+        # A zero interval would tick forever at one instant.
+        if not 0 < interval < math.inf:
+            raise ValueError(f"interval must be finite and > 0, "
+                             f"got {interval}")
         if max_samples is not None and max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         self.system = system
@@ -99,12 +105,6 @@ class Sampler:
     def stop(self) -> None:
         """Stop sampling; takes effect at the next tick."""
         self._stopped = True
-
-    @property
-    def running(self) -> bool:
-        """Whether the sampling process is (still) collecting."""
-        return self._started and not self._stopped and (
-            self.max_samples is None or len(self.samples) < self.max_samples)
 
     def _loop(self):
         system = self.system

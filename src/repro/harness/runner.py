@@ -301,24 +301,14 @@ class _Runner:
         self.bucket_seconds = bucket_seconds
         self.seed = seed
         self.sample_interval = sample_interval
-        self._stopped = False
         self.latencies = LatencyTracker()
         _publish_latencies(self)
-
-    def stop(self) -> None:
-        """Ask the clients (workers) to finish their current transaction
-        and exit; an open loop's arrivals stop being offered.  For
-        post-run phases that advance virtual time with the load gone (a
-        crash needs no ``stop()`` first: it kills them)."""
-        self._stopped = True
 
     def _begin(self, duration: float, setup: bool, **tenancy: Any) -> RunResult:
         """Start services and the sampler; returns the run's record."""
         system, workload = self.system, self.workload
-        # A stop() from a previous run must not leak into this one, or the
-        # fresh clients would exit on their first loop check and the run
-        # silently report ~zero throughput.
-        self._stopped = False
+        # Built first: it refuses a bad interval before anything is set up.
+        sampler = Sampler(system, self.sample_interval)
         if setup:
             workload.setup(system)
             system.start_services()
@@ -333,7 +323,7 @@ class _Runner:
             # ceil, not round: a partial tail window still gets a bucket
             # (normalized by its true width in bucket_widths()).
             buckets=[0] * max(1, ceil(duration / self.bucket_seconds - 1e-9)),
-            sampler=Sampler(system, self.sample_interval),
+            sampler=sampler,
             latencies=self.latencies,
             system=system,
             **tenancy,
@@ -374,7 +364,7 @@ class WorkloadRunner(_Runner):
         buckets = result.buckets
         bucket_seconds = self.bucket_seconds
         start_time = result.start_time
-        while not self._stopped:
+        while True:
             name, body = transaction(rng, system)
             started = env._now
             yield from body
@@ -451,8 +441,6 @@ class OpenLoopRunner(_Runner):
             if when >= end:
                 break
             yield env.timeout(when - env.now)
-            if self._stopped:
-                break
             stats.offered += 1
             if len(queue) >= limit:
                 stats.shed += 1
@@ -464,7 +452,7 @@ class OpenLoopRunner(_Runner):
         system = self.system
         metric_txn = self.workload.metric_transaction
         nbuckets = len(result.buckets)
-        while not self._stopped:
+        while True:
             index, enqueued = yield queue.get()
             tenant = stats[index]
             wait = system.env.now - enqueued

@@ -134,11 +134,6 @@ class FlashTranslationLayer:
         """Blocks in the erased free pool."""
         return len(self._free_blocks)
 
-    @property
-    def mapped_pages(self) -> int:
-        """Logical pages currently holding valid data."""
-        return len(self._mapping)
-
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (the wear histogram)."""
         return list(self._erase_count)
@@ -147,17 +142,6 @@ class FlashTranslationLayer:
     def wear_spread(self) -> int:
         """Max minus min per-block erase count (wear-leveling quality)."""
         return max(self._erase_count) - min(self._erase_count)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Full deterministic state, for byte-identical-replay tests."""
-        return {
-            "mapping": dict(self._mapping),
-            "erase_counts": list(self._erase_count),
-            "free_blocks": sorted(self._free_blocks),
-            "active": (self._active, self._active_slot),
-            "gc_active": (self._gc_active, self._gc_slot),
-            "stats": vars(self.stats).copy(),
-        }
 
     # ------------------------------------------------------------------
     # Host operations

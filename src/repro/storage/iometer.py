@@ -10,6 +10,7 @@ virtual duration, reporting completed I/Os per second.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -68,6 +69,8 @@ def measure_iops(make_device, kind: IoKind, duration: float = 20.0,
     ``make_device`` is a callable ``Environment -> DeviceBase`` so each
     measurement starts from an idle device and a clean virtual clock.
     """
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     env = Environment()
     device = make_device(env)
     # One outstanding I/O per drive (or channel), as the paper measured.

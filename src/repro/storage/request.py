@@ -77,15 +77,3 @@ class IORequest:
     def __repr__(self) -> str:
         return (f"IORequest(kind={self.kind!r}, address={self.address}, "
                 f"npages={self.npages})")
-
-    @property
-    def nbytes(self) -> int:
-        """Transfer size in bytes."""
-        return self.npages * PAGE_SIZE_BYTES
-
-    @property
-    def latency(self) -> float:
-        """Queueing + service time, available after completion."""
-        if self.submitted_at is None or self.completed_at is None:
-            raise ValueError("request has not completed")
-        return self.completed_at - self.submitted_at

@@ -23,10 +23,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
     MetricRegistry,
     NULL_REGISTRY,
     NullRegistry,
@@ -85,10 +81,6 @@ __all__ = [
     "CLEANER_CTX",
     "EVICTION_CTX",
     "RECOVERY_CTX",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
     "MetricRegistry",
     "NULL_REGISTRY",
     "NULL_TELEMETRY",

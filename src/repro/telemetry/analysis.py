@@ -313,13 +313,6 @@ class DesignAnalysis:
         own = self.background_io.get(origin, {}).get("busy", 0.0)
         return own / busy if busy > 0 else 0.0
 
-    def slowest(self, n: int = 5,
-                txn_type: Optional[str] = None) -> List[TxnRecord]:
-        """The ``n`` slowest transactions."""
-        pool = [t for t in self.txns
-                if txn_type is None or t.txn_type == txn_type]
-        return sorted(pool, key=lambda t: -t.latency)[:n]
-
 
 # ----------------------------------------------------------------------
 # Trace → analysis

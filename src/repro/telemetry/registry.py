@@ -1,11 +1,11 @@
-"""The metrics registry: a catalogue of readers.  It stores nothing.
+"""The metrics registry: a table of readers.  It stores nothing.
 
 A fact is tallied once, in a plain always-on field of the component that
 makes it (``SsdStats.writes``, ``WriteAheadLog.flushes``, ...), and
 registering a metric hands over ``read``, a zero-argument callable that
-fetches the value whenever someone scrapes: ``registry.get(name).value``,
-or :meth:`MetricRegistry.snapshot` for ``--metrics``.  No instrument has
-``inc``, ``set`` or ``observe``, so a second tally of a fact cannot be
+fetches the value when :meth:`MetricRegistry.snapshot` scrapes (what
+``--metrics`` prints).  Nothing is handed back, so there is no ``inc``,
+``set`` or ``observe`` to call and a second tally of a fact cannot be
 written (DESIGN.md §5.2).
 
 ``read()`` returns a number for a counter or gauge and the sample
@@ -15,15 +15,17 @@ returns a mapping from label-value tuples to those (``("ssd",
 and registering the name again *adds* a reader: three devices feed
 ``io_pages_total``.
 
-:data:`NULL_REGISTRY`, the disabled mode, registers nothing and hands
-nothing back: a dark run never calls this module once it is built.
+:data:`NULL_REGISTRY`, the disabled mode, registers nothing: a dark run
+never calls this module once it is built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Sequence, Tuple
+
+#: Per name: its kind, its label names and its readers, oldest first.
+_Entry = Tuple[str, Tuple[str, ...], List[Callable[[], Any]]]
 
 
 def percentile_of(sorted_values: Sequence[float], q: float) -> float:
@@ -45,122 +47,18 @@ def percentile_of(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
 
 
-class Counter:
-    """A monotonically increasing count, read off its owner."""
-
-    kind = "counter"
-    __slots__ = ("name", "labels", "_read")
-
-    def __init__(self, name: str, read: Callable[[], float],
-                 labels: Optional[Dict[str, str]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self._read = read
-
-    @property
-    def value(self) -> float:
-        """The owner's count, now."""
-        return float(self._read())
-
-
-class Gauge:
-    """A value that can go up and down, read off its owner."""
-
-    kind = "gauge"
-    __slots__ = ("name", "labels", "_read")
-
-    def __init__(self, name: str, read: Callable[[], float],
-                 labels: Optional[Dict[str, str]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self._read = read
-
-    @property
-    def value(self) -> float:
-        """The owner's value, now."""
-        return float(self._read())
-
-
-class Histogram:
-    """The distribution of the samples its owner keeps."""
-
-    kind = "histogram"
-    __slots__ = ("name", "labels", "_read")
-
-    def __init__(self, name: str, read: Callable[[], Sequence[float]],
-                 labels: Optional[Dict[str, str]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self._read = read
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return len(self._read())
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observations."""
-        return sum(self._read())
-
-    def percentile(self, q: float) -> float:
-        """The q-th percentile (q in [0, 100]; NaN when empty)."""
-        return percentile_of(sorted(self._read()), q)
-
-    def mean(self) -> float:
-        """Mean observation (NaN when empty), summed in observation
-        order: what a running sum over the owner's appends would hold,
-        to the last digit (summing the sorted samples differs there)."""
-        samples = self._read()
-        return sum(samples) / len(samples) if samples else float("nan")
-
-    def summary(self) -> Dict[str, float]:
-        """count / mean / p50 / p95 / p99 in one dict (one sort)."""
-        ordered = sorted(self._read())
-        return {
-            "count": float(len(ordered)),
-            "mean": self.mean(),
-            "p50": percentile_of(ordered, 50),
-            "p95": percentile_of(ordered, 95),
-            "p99": percentile_of(ordered, 99),
-        }
-
-
-class MetricFamily:
-    """A named metric with declared label names.  Its children are the
-    label values its readers report when asked, no more and no fewer."""
-
-    __slots__ = ("name", "kind", "labelnames", "_cls", "_readers")
-
-    def __init__(self, name: str, labelnames: Tuple[str, ...], cls: type):
-        self.name = name
-        #: The instrument kind this family fans out ("counter", ...).
-        self.kind: str = cls.kind
-        self.labelnames = labelnames
-        self._cls = cls
-        self._readers: List[Callable[[], Any]] = []
-
-    def children(self) -> Iterator[Any]:
-        """A live instrument per label-value tuple reported right now,
-        sorted by label values.  Tuples are unique: where two readers
-        report the same one, the later-registered reader owns it."""
-        owner = {key: read for read in self._readers for key in read()}
-        for key in sorted(owner):
-            yield self._cls(self.name,
-                            lambda read=owner[key], key=key: read()[key],
-                            dict(zip(self.labelnames, key)))
-
-    def labels(self, **labelvalues: str) -> Any:
-        """The child instrument for exactly these label values."""
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labelvalues))}")
-        wanted = {name: str(value) for name, value in labelvalues.items()}
-        for child in self.children():
-            if child.labels == wanted:
-                return child
-        raise KeyError(f"no reader of {self.name} reports {wanted}")
+def _summary(samples: Sequence[float]) -> Dict[str, float]:
+    """A histogram's row value: count / mean / p50 / p95 / p99.  The mean
+    is summed in observation order, what a running sum over the owner's
+    appends would hold to the last digit (the sorted samples differ)."""
+    ordered = sorted(samples)
+    return {
+        "count": float(len(ordered)),
+        "mean": sum(samples) / len(samples) if samples else float("nan"),
+        "p50": percentile_of(ordered, 50),
+        "p95": percentile_of(ordered, 95),
+        "p99": percentile_of(ordered, 99),
+    }
 
 
 class MetricRegistry:
@@ -175,64 +73,57 @@ class MetricRegistry:
     enabled = True
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}
+        self._metrics: Dict[str, _Entry] = {}
 
-    def _register(self, cls: type, name: str, help_text: str,
-                  read: Callable[[], Any], labelnames: Sequence[str]) -> None:
-        labelnames = tuple(labelnames)
-        metric = self._metrics.get(name)
-        if metric is not None and (
-                metric.kind != cls.kind
-                or getattr(metric, "labelnames", ()) != labelnames):
+    def _register(self, kind: str, name: str, read: Callable[[], Any],
+                  labelnames: Sequence[str]) -> None:
+        labels = tuple(labelnames)
+        entry = self._metrics.setdefault(name, (kind, labels, []))
+        if entry[:2] != (kind, labels):
             raise ValueError(f"metric {name!r} already registered with a "
                              f"different kind or labels")
-        if not labelnames:
-            self._metrics[name] = cls(name, read)
-            return
-        if metric is None:
-            metric = self._metrics[name] = MetricFamily(name, labelnames, cls)
-        metric._readers.append(read)
+        if not labels:
+            entry[2].clear()
+        entry[2].append(read)
 
     def counter(self, name: str, help_text: str, read: Callable[[], Any],
                 labelnames: Sequence[str] = ()) -> None:
         """Register a counter that reads ``read()`` when scraped."""
-        self._register(Counter, name, help_text, read, labelnames)
+        self._register("counter", name, read, labelnames)
 
     def gauge(self, name: str, help_text: str, read: Callable[[], Any],
               labelnames: Sequence[str] = ()) -> None:
         """Register a gauge that reads ``read()`` when scraped."""
-        self._register(Gauge, name, help_text, read, labelnames)
+        self._register("gauge", name, read, labelnames)
 
     def histogram(self, name: str, help_text: str, read: Callable[[], Any],
                   labelnames: Sequence[str] = ()) -> None:
         """Register a histogram over the samples ``read()`` returns."""
-        self._register(Histogram, name, help_text, read, labelnames)
+        self._register("histogram", name, read, labelnames)
 
-    def get(self, name: str) -> Any:
-        """The registered metric (family or bare instrument), or None."""
-        return self._metrics.get(name)
+    def snapshot(self) -> List[Dict[str, Any]]:
+        """Call every reader once; the report rows, sorted by name and,
+        within a labeled name, by label values.
 
-    def snapshot(self) -> List[dict]:
-        """Read every instrument into report rows, sorted by name and,
-        within a family, by label values.
-
-        Each row is ``{"name", "kind", "labels", "value"}`` where
-        histograms carry their :meth:`Histogram.summary` dict as value.
+        Each row is ``{"name", "kind", "labels", "value"}``: a counter's
+        or gauge's value as a float, a histogram's :func:`_summary`.  A
+        labeled name's rows are the tuples its readers report now; where
+        two report one tuple, the later-registered reader's value wins.
         """
-        rows: List[dict] = []
+        rows: List[Dict[str, Any]] = []
         for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            instruments = (metric.children()
-                           if isinstance(metric, MetricFamily) else (metric,))
-            for instrument in instruments:
-                value = (instrument.summary()
-                         if instrument.kind == "histogram"
-                         else instrument.value)
+            kind, labelnames, readers = self._metrics[name]
+            values: Dict[Tuple[str, ...], Any] = {}
+            for read in readers:
+                values.update(read() if labelnames else {(): read()})
+            for key in sorted(values):
+                value = values[key]
                 rows.append({
                     "name": name,
-                    "kind": instrument.kind,
-                    "labels": dict(instrument.labels),
-                    "value": value,
+                    "kind": kind,
+                    "labels": dict(zip(labelnames, key)),
+                    "value": (_summary(value) if kind == "histogram"
+                              else float(value)),
                 })
         return rows
 
@@ -249,12 +140,6 @@ class NullRegistry:
         pass
 
     gauge = histogram = counter
-
-    def get(self, name: str) -> None:
-        return None
-
-    def snapshot(self) -> List[dict]:
-        return []
 
 
 NULL_REGISTRY = NullRegistry()

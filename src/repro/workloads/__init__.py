@@ -18,7 +18,7 @@ paper's evaluation depends on:
   is QphH.
 """
 
-from repro.workloads.distributions import NURand, ZipfGenerator
+from repro.workloads.distributions import ZipfGenerator
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.tpce import TpceWorkload
 from repro.workloads.tpch import TpchWorkload
@@ -29,7 +29,6 @@ from repro.workloads.traffic import (BurstyArrivals, DiurnalArrivals,
 __all__ = [
     "BurstyArrivals",
     "DiurnalArrivals",
-    "NURand",
     "PoissonArrivals",
     "TenantSpec",
     "TpccWorkload",

@@ -3,44 +3,8 @@
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from typing import List
-
-
-class NURand:
-    """TPC-C's non-uniform random distribution NURand(A, x, y).
-
-    ``NURand(A, x, y) = (((random(0,A) | random(x,y)) + C) % (y-x+1)) + x``
-
-    The OR of a small-range and a full-range uniform value concentrates
-    the mass on a hot subset — the source of TPC-C's "75% of accesses go
-    to 20% of the pages" skew the paper cites (Leutenegger & Dias).
-    """
-
-    def __init__(self, a: int, x: int, y: int, c: int = 7):
-        if y < x:
-            raise ValueError(f"empty range [{x}, {y}]")
-        if a < 1:
-            raise ValueError(f"A must be >= 1, got {a}")
-        self.a = a
-        self.x = x
-        self.y = y
-        self.c = c
-
-    @staticmethod
-    def for_range(n: int, c: int = 7) -> "NURand":
-        """NURand over [0, n) with A chosen like TPC-C scales it (~n/8,
-        rounded to a power-of-two mask)."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        a = max(1, (1 << max(0, int(math.log2(max(2, n))) - 3)) - 1)
-        return NURand(a, 0, n - 1, c)
-
-    def sample(self, rng: random.Random) -> int:
-        spread = self.y - self.x + 1
-        value = (rng.randint(0, self.a) | rng.randint(self.x, self.y))
-        return (value + self.c) % spread + self.x
 
 
 class ZipfGenerator:

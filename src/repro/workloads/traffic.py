@@ -65,11 +65,6 @@ class PoissonArrivals:
         #: Logical users this rate represents (when spec'd via users=).
         self.users = users
 
-    @property
-    def mean_rate(self) -> float:
-        """Long-run arrivals per second."""
-        return self.rate
-
     def times(self, rng: random.Random,
               start: float = 0.0) -> Iterator[float]:
         """Infinite iterator of absolute arrival times."""
@@ -119,10 +114,6 @@ class BurstyArrivals:
         f = on_fraction
         self.rate_off = rate / (f * burst + 1.0 - f)
         self.rate_on = burst * self.rate_off
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
 
     def times(self, rng: random.Random,
               start: float = 0.0) -> Iterator[float]:
@@ -175,10 +166,6 @@ class DiurnalArrivals:
         self.users = users
         self.amplitude = (peak - 1.0) / (peak + 1.0)
         self.max_rate = rate * (1.0 + self.amplitude)
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at absolute time ``t``."""
@@ -286,7 +273,7 @@ class TenantSpec:
         users = getattr(self.arrivals, "users", None)
         if users is not None:
             return users
-        return self.arrivals.mean_rate * DEFAULT_THINK_SECONDS
+        return self.arrivals.rate * DEFAULT_THINK_SECONDS
 
 
 def parse_tenants(spec: str) -> List[TenantSpec]:

@@ -90,6 +90,20 @@ def meta_free_trace_md5(telemetry):
     return hashlib.md5(payload.encode()).hexdigest()
 
 
+def scrape(registry):
+    """``registry.snapshot()`` keyed ``(name, *label values)``: what
+    ``--metrics`` prints, for a test to look one row up."""
+    return {(row["name"], *row["labels"].values()): row["value"]
+            for row in registry.snapshot()}
+
+
+def disk_ios(disk, direction):
+    """Requests the disk manager ``disk`` put on its device, of one
+    ``direction`` (``"read"`` or ``"write"``)."""
+    return sum(count for kind, count in disk.device.requests_by_kind.items()
+               if kind.direction == direction)
+
+
 def settle(env, seconds=5.0):
     """Let in-flight background work (evictions, cleaner) finish."""
     env.run(until=env.now + seconds)

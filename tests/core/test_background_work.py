@@ -12,7 +12,7 @@ import pytest
 
 from repro.engine.page import Frame
 from repro.faults.errors import RETRY_LIMIT
-from tests.conftest import MiniSystem, drive, settle
+from tests.conftest import MiniSystem, disk_ios, drive, settle
 from tests.core.test_ssd_manager import ScriptedFaults
 
 
@@ -44,7 +44,7 @@ class TestLambdaCleaner:
             evict_dirty(sys_, page) for page in range(20)))
         settle(sys_.env, 1.0)
         assert manager.dirty_frames == 20       # at λ, not above: asleep
-        assert sys_.disk.writes_issued == 0
+        assert disk_ios(sys_.disk, "write") == 0
         drive(sys_.env, evict_dirty(sys_, 20))
         settle(sys_.env, 1.0)
         assert manager.dirty_frames <= 15

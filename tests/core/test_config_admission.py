@@ -62,20 +62,17 @@ def sequential_frame(page_id=1):
 class TestAdmission:
     def test_random_pages_admitted_after_fill(self):
         policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100))
-        assert policy.qualifies(random_frame(), ssd_used=100)
-        assert policy.admitted == 1
+        assert policy.qualifies(random_frame(), ssd_used=100) is True
 
     def test_sequential_pages_rejected_after_fill(self):
         policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100))
-        assert not policy.qualifies(sequential_frame(), ssd_used=100)
-        assert policy.rejected == 1
+        assert policy.qualifies(sequential_frame(), ssd_used=100) is False
 
     def test_aggressive_fill_admits_everything(self):
         """§3.3.1: until the SSD reaches τ, all evicted pages qualify."""
         policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100,
                                                  fill_threshold=0.95))
-        assert policy.qualifies(sequential_frame(), ssd_used=50)
-        assert policy.fill_admitted == 1
+        assert policy.qualifies(sequential_frame(), ssd_used=50) is True
 
     def test_fill_phase_ends_at_tau(self):
         policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100,

@@ -18,7 +18,7 @@ from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness.crashpoints import _update_client
 from repro.harness.system import System, SystemConfig
 from repro.telemetry import Telemetry
-from tests.conftest import drive, settle
+from tests.conftest import drive, scrape, settle
 
 DB_PAGES = 1_200
 
@@ -197,7 +197,8 @@ def test_registry_counters_equal_ssd_stats(design):
                    faults="transient:p=0.01", throttle_limit=2)
     churn(system, {}, ops=150)
     stats = system.ssd_manager.stats
-    scraped = {name: telemetry.registry.get(name).value for name in COUNTERS}
+    rows = scrape(telemetry.registry)
+    scraped = {name: rows[name,] for name in COUNTERS}
     assert scraped == {name: getattr(stats, field)
                        for name, field in COUNTERS.items()}
     if design != "noSSD":

@@ -80,30 +80,6 @@ class TestLookup:
         assert touched == tree.height
 
 
-class TestUpdate:
-    def test_update_dirties_leaf(self):
-        sys_ = MiniSystem(db_pages=2000, bp_pages=64)
-        tree = make_tree(sys_, n=20)
-
-        def proc():
-            found = yield from tree.update(sys_.bp, 5)
-            assert found
-            value = yield from tree.lookup(sys_.bp, 5)
-            return value
-
-        assert drive(sys_.env, proc()) == 6  # value incremented
-        assert sys_.bp.dirty_count == 1
-
-    def test_update_missing_key(self):
-        sys_ = MiniSystem(db_pages=2000, bp_pages=64)
-        tree = make_tree(sys_, n=20)
-
-        def proc():
-            return (yield from tree.update(sys_.bp, 777))
-
-        assert drive(sys_.env, proc()) is False
-
-
 class TestInsert:
     def test_monotone_inserts_split_rightmost(self):
         sys_ = MiniSystem(db_pages=2000, bp_pages=256)
@@ -153,7 +129,6 @@ class TestInsert:
         """The §4.2 case: split pages are never read from disk."""
         sys_ = MiniSystem(db_pages=2000, bp_pages=64)
         tree = make_tree(sys_, n=5)
-        reads_before = sys_.disk.reads_issued
 
         def proc():
             yield from tree.insert(sys_.bp, 5)

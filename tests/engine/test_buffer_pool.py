@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import MiniSystem, drive, settle
+from tests.conftest import MiniSystem, disk_ios, drive, settle
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestFetch:
         sys_.env.run(sys_.env.all_of(procs))
         assert len({id(f) for f in frames}) == 1
         assert sys_.bp.stats.misses == 1
-        assert sys_.disk.reads_issued == 1
+        assert disk_ios(sys_.disk, "read") == 1
 
     def test_miss_takes_device_time(self, sys_):
         def proc():

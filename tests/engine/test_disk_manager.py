@@ -4,7 +4,7 @@ import pytest
 
 from repro.storage import HddArray
 from repro.engine.disk_manager import DiskManager
-from tests.conftest import drive
+from tests.conftest import disk_ios, drive
 
 
 @pytest.fixture
@@ -49,5 +49,5 @@ class TestValidation:
     def test_counters_track_issued_ios(self, env, disk):
         drive(env, disk.read(0))
         drive(env, disk.write(0, 1))
-        assert disk.reads_issued == 1
-        assert disk.writes_issued == 1
+        assert disk_ios(disk, "read") == 1
+        assert disk_ios(disk, "write") == 1

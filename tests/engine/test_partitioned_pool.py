@@ -135,9 +135,7 @@ def test_latched_run_records_partition_latch_waits():
     assert stats.partition_latch_wait_time > 0.0
     bp = result.system.bp
     assert bp.partitions == 4
-    assert len(bp.partition_occupancy()) == 4
-    # Every resident frame is accounted to exactly one partition shard.
-    assert sum(bp.partition_occupancy()) == len(bp.frames)
+    bp.check_invariants()
 
 
 def test_latched_throughput_unchanged_by_free_latch():

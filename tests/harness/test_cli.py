@@ -212,6 +212,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert knob in err and "ran LC" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["iometer", "--duration", "0"], "--duration"),
+        (["iometer", "--duration", "-1"], "--duration"),
+        (["iometer", "--duration", "nan"], "--duration"),
+        (["chaos", "--points", "0"], "--points"),
+        (["chaos", "--points", "-2"], "--points"),
+        (["chaos", "--duration", "nan"], "--duration"),
+        (["chaos", "--duration", "-3"], "--duration"),
+        (["chaos", "--checkpoint-interval", "0"], "--checkpoint-interval"),
+        (["chaos", "--checkpoint-interval", "nan"], "--checkpoint-interval"),
+        (["sweep", "--workers", "0", "--scales", "20", "--designs", "LC",
+          "--profile", "tiny", "--duration", "1", "--no-cache"],
+         "--workers"),
+    ])
+    def test_hostile_value_is_a_usage_error(self, argv, flag, capsys):
+        """Each used to raise a traceback, pass a gate having checked
+        nothing (``chaos --points 0`` exited 0) or report a failed crash
+        point (``chaos --duration nan`` exited 1)."""
+        if argv[0] != "iometer":
+            argv = [*argv, "--no-db"]
+        assert main(argv) == 2
+        assert f"{argv[0]}: {flag} must be" in capsys.readouterr().err
+
     def test_tpch_runs(self, capsys):
         code = main(["tpch", "--sf", "30", "--profile", "tiny",
                      "--designs", "noSSD"])

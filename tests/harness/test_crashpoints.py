@@ -28,6 +28,20 @@ def small_config(**kwargs):
     return CrashSweepConfig(**defaults)
 
 
+class TestCrashSweepConfig:
+    @pytest.mark.parametrize("knobs", [
+        dict(points=0), dict(points=-2),
+        dict(duration=0.0), dict(duration=-3.0), dict(duration=float("nan")),
+        dict(duration=float("inf")),
+        dict(checkpoint_interval=0.0),
+        dict(checkpoint_interval=float("nan")),
+    ])
+    def test_refuses_a_sweep_that_checks_nothing(self, knobs):
+        knob, = knobs
+        with pytest.raises(ValueError, match=f"^{knob} must be"):
+            CrashSweepConfig(**knobs)
+
+
 class TestCrashPointSweep:
     def test_small_sweep_loses_nothing(self):
         result = crash_point_sweep(small_config())

@@ -1,5 +1,7 @@
 """Tests for the harness: system assembly, runner, metrics, reporting."""
 
+import math
+
 import pytest
 
 from repro.core.lc import LazyCleaningManager
@@ -156,24 +158,39 @@ class TestSampler:
         sampler.stop()
         small_system.env.run(until=20.0)
         assert len(sampler.samples) == collected
-        assert not sampler.running
 
     def test_max_samples_bounds_memory(self, small_system):
         sampler = Sampler(small_system, interval=1.0, max_samples=3)
         sampler.start()
         small_system.env.run(until=10.0)
         assert len(sampler.samples) == 3
-        assert not sampler.running
 
     def test_max_samples_validation(self, small_system):
         with pytest.raises(ValueError):
             Sampler(small_system, max_samples=0)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+    def test_interval_must_be_finite_and_positive(self, small_system,
+                                                  interval):
+        """Zero ticked forever at one instant (``run(until=0.01)`` never
+        returned); nan and negatives were taken."""
+        with pytest.raises(ValueError, match="interval"):
+            Sampler(small_system, interval=interval)
+
+    def test_runner_refuses_a_bad_sample_interval_before_setup(self):
+        workload = make_workload("tpcc", 20, SCALE_PROFILES["tiny"])
+        system = make_system("tpcc", workload, "noSSD",
+                             SCALE_PROFILES["tiny"])
+        runner = WorkloadRunner(system, workload, nworkers=2,
+                                sample_interval=-1.0)
+        with pytest.raises(ValueError, match="interval"):
+            runner.run(duration=1.0)
+        assert system.env.now == 0.0
+
     def test_runner_stops_sampler_after_run(self):
         result = run_oltp_experiment(
             "tpcc", 100, "noSSD", duration=4.0,
             profile=SCALE_PROFILES["tiny"], nworkers=2)
-        assert not result.sampler.running
         collected = len(result.sampler.samples)
         # Advancing virtual time further must not grow the series.
         result.system.env.run(until=result.system.env.now + 10.0)

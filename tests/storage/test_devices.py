@@ -10,7 +10,12 @@ from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
 from repro.telemetry import Telemetry
-from tests.conftest import drive
+from tests.conftest import drive, scrape
+
+
+def latency(request):
+    """Queueing + service time of a completed request."""
+    return request.completed_at - request.submitted_at
 
 
 class TestHddStriping:
@@ -48,7 +53,7 @@ class TestHddTiming:
         hdd = HddArray(env)
         request = drive(env, self._one(env, hdd,
                                        IORequest(IoKind.RANDOM_READ, 4096)))
-        assert request.latency == pytest.approx(8 / 1015, rel=0.01)
+        assert latency(request) == pytest.approx(8 / 1015, rel=0.01)
 
     def test_second_adjacent_read_avoids_seek(self, env):
         hdd = HddArray(env)
@@ -56,7 +61,7 @@ class TestHddTiming:
         second = IORequest(IoKind.RANDOM_READ, 1)
         drive(env, self._one(env, hdd, first))
         drive(env, self._one(env, hdd, second))
-        assert second.latency < first.latency / 5
+        assert latency(second) < latency(first) / 5
 
     def test_far_jump_on_same_disk_seeks_again(self, env):
         hdd = HddArray(env, ndisks=8, stripe_pages=8)
@@ -64,7 +69,7 @@ class TestHddTiming:
         far = IORequest(IoKind.RANDOM_READ, 64 * 100)  # disk 0, far LBA
         drive(env, self._one(env, hdd, first))
         drive(env, self._one(env, hdd, far))
-        assert far.latency == pytest.approx(first.latency, rel=0.05)
+        assert latency(far) == pytest.approx(latency(first), rel=0.05)
 
     def test_multipage_spans_disks_in_parallel(self, env):
         hdd = HddArray(env, ndisks=8, stripe_pages=8)
@@ -96,7 +101,7 @@ class TestSsdTiming:
             yield ssd.submit(request)
 
         drive(env, proc())
-        assert request.latency == pytest.approx(8 / 12_182, rel=0.01)
+        assert latency(request) == pytest.approx(8 / 12_182, rel=0.01)
 
     def test_sequential_cheaper_than_random(self, env):
         ssd = Ssd(env)
@@ -362,7 +367,7 @@ class TestHddCallbackLifeCycle:
         # Heads are parked again: page 1 pays the seek page 0 paid.
         done = hdd.submit(IORequest(IoKind.RANDOM_READ, 1))
         env.run(done)
-        assert done.value.latency == hdd.service_time(self.READ)
+        assert latency(done.value) == hdd.service_time(self.READ)
         assert hdd.pending == 0
 
     def test_invariant_check_sees_a_leaked_drive_and_a_leaked_count(
@@ -418,12 +423,11 @@ class TestStats:
         assert hdd.stats.by_kind[IoKind.SEQUENTIAL_READ] == 3
         assert hdd.requests_by_kind[IoKind.SEQUENTIAL_READ] == 1
         assert hdd.stats.pages_read == 21
-        requests = telemetry.registry.get("io_requests_total")
-        pages = telemetry.registry.get("io_pages_total")
-        sequential = dict(device="hdd-array", kind="sequential_read")
-        assert requests.labels(**sequential).value == 1
-        assert pages.labels(**sequential).value == 20
-        assert sum(child.value for child in requests.children()) == 2
+        rows = scrape(telemetry.registry)
+        assert rows["io_requests_total", "hdd-array", "sequential_read"] == 1
+        assert rows["io_pages_total", "hdd-array", "sequential_read"] == 20
+        assert sum(value for (name, *_), value in rows.items()
+                   if name == "io_requests_total") == 2
         # A plain device has no fragments: one count serves both.
         ssd = Ssd(env)
         env.run(ssd.read(0, 20, random=False))

@@ -61,7 +61,7 @@ class TestGcInvariants:
             ftl.host_write(lpn)
             written.add(lpn)
         assert ftl.stats.gc_runs > 0, "workload never triggered GC"
-        assert ftl.mapped_pages == len(written)
+        assert len(ftl._mapping) == len(written)
         ftl.check()
 
     def test_mapping_consistent_under_relocation(self):
@@ -140,7 +140,7 @@ class TestTrafficPatterns:
         assert (ftl.stats.nand_writes, ftl.stats.nand_reads,
                 ftl.stats.erases) == nand_before
         assert ftl.stats.trims == 64
-        assert ftl.mapped_pages == 0
+        assert len(ftl._mapping) == 0
         ftl.check()
 
     def test_trim_of_unmapped_page_is_noop(self):
@@ -171,7 +171,8 @@ class TestDeterminism:
                     ftl.trim(lpn)
                 else:
                     ftl.host_write(lpn)
-            return ftl.snapshot()
+            return (dict(ftl._mapping), ftl.erase_counts(),
+                    sorted(ftl._free_blocks), vars(ftl.stats).copy())
 
         assert run() == run()
 

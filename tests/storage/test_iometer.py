@@ -7,6 +7,12 @@ from repro.storage.iometer import Table1, measure_iops, run_table1
 
 
 class TestMeasureIops:
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+    def test_refuses_a_duration_that_is_not_finite_and_positive(
+            self, duration):
+        with pytest.raises(ValueError, match="^duration must be"):
+            measure_iops(Ssd, IoKind.RANDOM_READ, duration=duration)
+
     def test_hdd_random_read_matches_paper(self):
         iops = measure_iops(lambda env: HddArray(env), IoKind.RANDOM_READ,
                             duration=3.0)

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.storage.request import IoKind, IORequest, PAGE_SIZE_BYTES
+from repro.storage.request import IoKind, IORequest
 
 
 class TestIoKind:
@@ -40,10 +40,6 @@ class TestIoKind:
 
 
 class TestIORequest:
-    def test_byte_size(self):
-        request = IORequest(IoKind.RANDOM_READ, 0, npages=3)
-        assert request.nbytes == 3 * PAGE_SIZE_BYTES
-
     def test_rejects_zero_pages(self):
         with pytest.raises(ValueError):
             IORequest(IoKind.RANDOM_READ, 0, npages=0)
@@ -51,14 +47,3 @@ class TestIORequest:
     def test_rejects_negative_address(self):
         with pytest.raises(ValueError):
             IORequest(IoKind.RANDOM_READ, -1)
-
-    def test_latency_requires_completion(self):
-        request = IORequest(IoKind.RANDOM_READ, 0)
-        with pytest.raises(ValueError):
-            request.latency
-
-    def test_latency_after_completion(self):
-        request = IORequest(IoKind.RANDOM_READ, 0)
-        request.submitted_at = 1.0
-        request.completed_at = 1.5
-        assert request.latency == pytest.approx(0.5)

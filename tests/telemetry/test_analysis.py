@@ -202,9 +202,6 @@ class TestAttribution:
         assert summary["count"] == 2
         assert summary["p99"] == pytest.approx(0.010, rel=0.01)
 
-    def test_slowest(self, analysis):
-        assert [t.txn_id for t in analysis.slowest(1)] == [1]
-
 
 class TestTables:
     def test_attribution_table_renders(self, analysis):

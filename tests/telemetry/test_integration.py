@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_REGISTRY, Telemetry
+from tests.conftest import scrape
 
 
 @pytest.fixture(scope="module")
@@ -54,49 +55,46 @@ class TestEventCoverage:
 class TestMetricsAgreeWithStats:
     def test_buffer_pool_counters(self, traced_run):
         telemetry, result = traced_run
-        registry = telemetry.registry
+        rows = scrape(telemetry.registry)
         stats = result.system.bp.stats
-        requests = registry.get("bp_requests_total")
-        assert requests.labels(result="hit").value == stats.hits
-        assert requests.labels(result="ssd_hit").value == stats.ssd_hits
-        evictions = registry.get("bp_evictions_total")
-        assert evictions.labels(kind="clean").value == stats.evictions_clean
-        assert evictions.labels(kind="dirty").value == stats.evictions_dirty
+        assert rows["bp_requests_total", "hit"] == stats.hits
+        assert rows["bp_requests_total", "ssd_hit"] == stats.ssd_hits
+        assert rows["bp_evictions_total", "clean"] == stats.evictions_clean
+        assert rows["bp_evictions_total", "dirty"] == stats.evictions_dirty
 
     def test_wal_record_counter_reads_the_lsn_counter(self, traced_run):
         telemetry, result = traced_run
         wal = result.system.wal
         assert wal.tail_lsn >= 0
-        assert (telemetry.registry.get("wal_records_total").value
+        assert (scrape(telemetry.registry)["wal_records_total",]
                 == wal.tail_lsn + 1)
 
     def test_ssd_manager_counters(self, traced_run):
         telemetry, result = traced_run
-        registry = telemetry.registry
+        rows = scrape(telemetry.registry)
         stats = result.system.ssd_manager.stats
-        assert registry.get("ssd_mgr_writes_total").value == stats.writes
-        assert registry.get("ssd_mgr_reads_total").value == stats.reads
-        assert (registry.get("ssd_mgr_invalidations_total").value
-                == stats.invalidations)
+        assert rows["ssd_mgr_writes_total",] == stats.writes
+        assert rows["ssd_mgr_reads_total",] == stats.reads
+        assert rows["ssd_mgr_invalidations_total",] == stats.invalidations
 
     def test_cleaner_actually_ran(self, traced_run):
         telemetry, _ = traced_run
-        assert telemetry.registry.get("lc_cleaner_rounds_total").value > 0
-        assert telemetry.registry.get("lc_cleaner_pages_total").value > 0
+        rows = scrape(telemetry.registry)
+        assert rows["lc_cleaner_rounds_total",] > 0
+        assert rows["lc_cleaner_pages_total",] > 0
 
     def test_txn_latencies_match_tracker(self, traced_run):
         telemetry, result = traced_run
-        family = telemetry.registry.get("txn_latency_seconds")
-        total = sum(child.count for child in family.children())
+        total = sum(row["value"]["count"]
+                    for row in telemetry.registry.snapshot()
+                    if row["name"] == "txn_latency_seconds")
         assert total == result.latencies.count()
 
     def test_gauges_read_live_state(self, traced_run):
         telemetry, result = traced_run
-        manager = result.system.ssd_manager
-        assert (telemetry.registry.get("ssd_used_frames").value
-                == manager.used_frames)
-        assert (telemetry.registry.get("bp_used_frames").value
-                == result.system.bp.used)
+        rows = scrape(telemetry.registry)
+        assert rows["ssd_used_frames",] == result.system.ssd_manager.used_frames
+        assert rows["bp_used_frames",] == result.system.bp.used
 
 
 class TestAttributionCoverage:
@@ -160,5 +158,5 @@ class TestDisabledRunStaysDark:
             profile=SCALE_PROFILES["tiny"], nworkers=2)
         telemetry = result.system.telemetry
         assert telemetry.enabled is False
-        assert telemetry.registry.snapshot() == []
+        assert telemetry.registry is NULL_REGISTRY
         assert telemetry.tracer.events == ()

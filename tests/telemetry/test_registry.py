@@ -1,5 +1,5 @@
-"""Registry semantics: instruments read their owners, labeled readers
-fan out into children, registering a name again replaces or adds."""
+"""Registry semantics: a scrape reads the owners, labeled readers fan
+out into rows, registering a name again replaces or adds."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.harness.metrics import LatencyTracker
 from repro.telemetry import NULL_REGISTRY, MetricRegistry
+from tests.conftest import scrape
 
 
 class TestCounter:
@@ -14,23 +15,22 @@ class TestCounter:
         owner = {"n": 0}
         registry = MetricRegistry()
         registry.counter("c", "help", lambda: owner["n"])
-        assert registry.get("c").value == 0
+        assert scrape(registry) == {("c",): 0}
         owner["n"] += 1
         owner["n"] += 4
-        assert registry.get("c").value == 5
+        assert scrape(registry) == {("c",): 5}
 
     def test_nothing_handed_back_can_store(self):
-        """A second tally cannot be written: there is no ``inc`` to call."""
+        """A second tally cannot be written: registering hands nothing
+        back, and the registry has no ``inc`` to call."""
         registry = MetricRegistry()
         assert registry.counter("c", "", lambda: 1) is None
-        registry.gauge("g", "", lambda: 1)
-        registry.histogram("h", "", lambda: [1.0])
-        registry.counter("f", "", lambda: {("x",): 1}, labelnames=("a",))
-        handed = [registry.get(name) for name in "cghf"]
-        handed += list(registry.get("f").children())
-        for instrument in handed:
-            for mutator in ("inc", "set", "dec", "observe", "set_function"):
-                assert not hasattr(instrument, mutator), (instrument, mutator)
+        assert registry.gauge("g", "", lambda: 1) is None
+        assert registry.histogram("h", "", lambda: [1.0]) is None
+        assert registry.counter("f", "", lambda: {("x",): 1},
+                                labelnames=("a",)) is None
+        for mutator in ("inc", "set", "dec", "observe", "set_function"):
+            assert not hasattr(registry, mutator), mutator
 
 
 class TestGauge:
@@ -39,16 +39,17 @@ class TestGauge:
         registry = MetricRegistry()
         registry.counter("c", "", lambda: state["n"])
         state["n"] = 7
-        assert registry.get("c").value == 7.0
-        assert isinstance(registry.get("c").value, float)
+        value = scrape(registry)["c",]
+        assert value == 7.0
+        assert isinstance(value, float)
 
     def test_callback_tracks_source(self):
         state = {"n": 0}
         registry = MetricRegistry()
         registry.gauge("g", "", lambda: state["n"])
         state["n"] = 42
-        assert registry.get("g").value == 42
-        assert registry.get("g").kind == "gauge"
+        row, = registry.snapshot()
+        assert (row["kind"], row["value"]) == ("gauge", 42)
 
 
 class TestLabels:
@@ -57,42 +58,31 @@ class TestLabels:
         registry = MetricRegistry()
         registry.counter("io", "", lambda: counts,
                          labelnames=("device", "kind"))
-        family = registry.get("io")
-        a = family.labels(device="ssd", kind="random_read")
-        b = family.labels(device="ssd", kind="random_read")
+        assert scrape(registry) == {("io", "ssd", "random_read"): 0}
         counts[("ssd", "random_read")] += 3
-        assert a.value == b.value == 3  # live, not copies taken at labels()
+        # Live, not a copy taken at registration: one row, read again.
+        assert scrape(registry) == {("io", "ssd", "random_read"): 3}
 
     def test_distinct_labels_distinct_children(self):
         registry = MetricRegistry()
         registry.counter("io", "", lambda: {("ssd",): 1, ("hdd",): 0},
                          labelnames=("device",))
-        assert registry.get("io").labels(device="ssd").value == 1
-        assert registry.get("io").labels(device="hdd").value == 0
+        assert scrape(registry) == {("io", "hdd"): 0, ("io", "ssd"): 1}
 
     def test_children_are_what_the_readers_report_now(self):
         counts = {}
         registry = MetricRegistry()
         registry.counter("io", "", lambda: counts, labelnames=("device",))
-        family = registry.get("io")
-        assert list(family.children()) == []
-        with pytest.raises(KeyError):
-            family.labels(device="ssd")
+        assert registry.snapshot() == []
         counts[("ssd",)] = 2
-        assert [child.value for child in family.children()] == [2]
-
-    def test_wrong_labelnames_rejected(self):
-        registry = MetricRegistry()
-        registry.counter("io", "", lambda: {("ssd",): 1},
-                         labelnames=("device",))
-        with pytest.raises(ValueError):
-            registry.get("io").labels(disk="ssd")
+        assert scrape(registry) == {("io", "ssd"): 2}
 
     def test_child_knows_its_labels(self):
         registry = MetricRegistry()
-        registry.gauge("g", "", lambda: {("ssd",): 1}, labelnames=("device",))
-        child = registry.get("g").labels(device="ssd")
-        assert child.labels == {"device": "ssd"}
+        registry.gauge("g", "", lambda: {("ssd", "read"): 1},
+                       labelnames=("device", "kind"))
+        row, = registry.snapshot()
+        assert row["labels"] == {"device": "ssd", "kind": "read"}
 
     def test_one_child_per_label_tuple_newest_reader_wins(self):
         registry = MetricRegistry()
@@ -109,15 +99,13 @@ class TestRegistration:
         devices feed ``io_pages_total``); a bare name again replaces."""
         registry = MetricRegistry()
         registry.counter("f", "", lambda: {("ssd",): 3}, labelnames=("a",))
-        family = registry.get("f")
         registry.counter("f", "", lambda: {("hdd",): 9}, labelnames=("a",))
-        assert registry.get("f") is family
         # Sorted by label values, not by who registered first.
         assert [(row["labels"]["a"], row["value"])
                 for row in registry.snapshot()] == [("hdd", 9.0), ("ssd", 3.0)]
         registry.counter("c", "", lambda: 1)
         registry.counter("c", "", lambda: 2)
-        assert registry.get("c").value == 2
+        assert scrape(registry)["c",] == 2
         assert len(registry.snapshot()) == 3
 
     def test_kind_mismatch_raises(self):
@@ -134,17 +122,30 @@ class TestRegistration:
         with pytest.raises(ValueError):
             registry.counter("m", "", lambda: 0)
 
-    def test_get_and_snapshot(self):
+    def test_snapshot_rows(self):
         registry = MetricRegistry()
         registry.counter("c", "", lambda: 2)
         registry.histogram("h", "", lambda: [1.0])
         registry.counter("f", "", lambda: {("1",): 1}, labelnames=("x",))
-        by_name = {row["name"]: row for row in registry.snapshot()}
-        assert by_name["c"]["value"] == 2
+        rows = registry.snapshot()
+        assert [row["name"] for row in rows] == ["c", "f", "h"]
+        by_name = {row["name"]: row for row in rows}
+        assert by_name["c"] == {"name": "c", "kind": "counter",
+                                "labels": {}, "value": 2.0}
         assert by_name["h"]["value"]["count"] == 1
         assert by_name["f"]["labels"] == {"x": "1"}
-        assert registry.get("c").value == 2
-        assert registry.get("nope") is None
+
+    def test_each_reader_is_called_once_per_scrape(self):
+        calls = []
+
+        def read():
+            calls.append(1)
+            return {("a",): 1, ("b",): 2}
+
+        registry = MetricRegistry()
+        registry.counter("f", "", read, labelnames=("x",))
+        assert len(registry.snapshot()) == 2
+        assert len(calls) == 1
 
 
 class TestHistogram:
@@ -159,39 +160,49 @@ class TestHistogram:
             "h", "", lambda: {(txn,): samples for txn, samples
                               in tracker.to_dict().items()},
             labelnames=("type",))
-        histogram = registry.get("h").labels(type="t")
-        for q in (0, 10, 50, 90, 95, 99, 100):
-            assert histogram.percentile(q) == tracker.percentile(q)
-        assert histogram.mean() == pytest.approx(tracker.mean())
+        summary = scrape(registry)["h", "t"]
+        for q in (50, 95, 99):
+            assert summary[f"p{q}"] == tracker.percentile(q)
+        assert summary["mean"] == pytest.approx(tracker.mean())
 
     def test_reads_the_owners_samples_each_time(self):
         samples = [1.0]
         registry = MetricRegistry()
         registry.histogram("h", "", lambda: samples)
-        histogram = registry.get("h")
-        assert histogram.percentile(100) == 1.0
+        assert scrape(registry)["h",]["p99"] == 1.0
         samples.append(9.0)
-        assert histogram.percentile(100) == 9.0
-        assert histogram.count == 2
-        assert histogram.sum == 10.0
+        summary = scrape(registry)["h",]
+        assert summary["p99"] == pytest.approx(8.92)
+        assert (summary["count"], summary["mean"]) == (2, 5.0)
 
     def test_empty_is_nan(self):
         registry = MetricRegistry()
         registry.histogram("h", "", list)
-        assert math.isnan(registry.get("h").percentile(50))
-        assert math.isnan(registry.get("h").mean())
+        summary = scrape(registry)["h",]
+        assert summary["count"] == 0
+        assert math.isnan(summary["p50"])
+        assert math.isnan(summary["mean"])
 
     def test_summary_keys(self):
         registry = MetricRegistry()
         registry.histogram("h", "", lambda: [2.0])
-        assert set(registry.get("h").summary()) == {"count", "mean", "p50",
-                                                    "p95", "p99"}
+        assert set(scrape(registry)["h",]) == {"count", "mean", "p50",
+                                               "p95", "p99"}
+
+    def test_mean_is_summed_in_observation_order(self):
+        """The mean is what a running sum over the owner's appends
+        holds; summing the sorted samples differs in the last digit."""
+        samples = [0.1, 1e16, -1e16, 0.2]
+        registry = MetricRegistry()
+        registry.histogram("h", "", lambda: samples)
+        assert scrape(registry)["h",]["mean"] == sum(samples) / 4
+        assert sum(samples) != sum(sorted(samples))
 
 
 class TestNullRegistry:
     def test_mutators_record_nothing(self):
-        """Registering is the only mutator left, and on the disabled
-        registry it keeps nothing: no reader is ever called."""
+        """Registering is the only call, and on the disabled registry it
+        keeps nothing: no reader is ever called, no scrape offered."""
         def never():
             raise AssertionError("a disabled registry read a metric")
 
@@ -199,5 +210,4 @@ class TestNullRegistry:
         assert NULL_REGISTRY.gauge("g", "", never) is None
         assert NULL_REGISTRY.histogram(
             "h", "", never, labelnames=("x",)) is None
-        assert NULL_REGISTRY.get("a") is None
-        assert NULL_REGISTRY.snapshot() == []
+        assert not hasattr(NULL_REGISTRY, "snapshot")

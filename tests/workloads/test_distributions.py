@@ -7,45 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.distributions import NURand, ZipfGenerator, scramble
-
-
-class TestNURand:
-    def test_samples_stay_in_range(self):
-        nurand = NURand(a=255, x=0, y=999)
-        rng = random.Random(1)
-        for _ in range(2_000):
-            assert 0 <= nurand.sample(rng) <= 999
-
-    def test_for_range_builder(self):
-        nurand = NURand.for_range(10_000)
-        rng = random.Random(2)
-        assert all(0 <= nurand.sample(rng) < 10_000 for _ in range(500))
-
-    def test_skew_concentrates_mass(self):
-        nurand = NURand.for_range(10_000)
-        rng = random.Random(3)
-        counts = Counter(nurand.sample(rng) for _ in range(20_000))
-        top_fifth = sum(count for __, count in counts.most_common(
-            max(1, len(counts) // 5)))
-        assert top_fifth / 20_000 > 0.5  # heavily skewed
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NURand(a=0, x=0, y=10)
-        with pytest.raises(ValueError):
-            NURand(a=10, x=10, y=5)
-        with pytest.raises(ValueError):
-            NURand.for_range(0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=100_000),
-           seed=st.integers(min_value=0, max_value=1_000))
-    def test_bounds_property(self, n, seed):
-        nurand = NURand.for_range(n)
-        rng = random.Random(seed)
-        for _ in range(20):
-            assert 0 <= nurand.sample(rng) < n
+from repro.workloads.distributions import ZipfGenerator, scramble
 
 
 class TestZipf:

@@ -37,7 +37,7 @@ def test_long_run_mean_rate_is_preserved(gen):
     horizon = 400.0
     counts = [len(_arrivals_before(gen, seed=seed, horizon=horizon))
               for seed in range(25)]
-    expected = gen.mean_rate * horizon
+    expected = gen.rate * horizon
     mean = sum(counts) / len(counts)
     assert abs(mean - expected) < 0.05 * expected
 
@@ -127,7 +127,7 @@ def test_parse_tenants_full_grammar():
     gold, noisy = tenants
     assert gold.theta == 0.6 and noisy.theta == 0.99
     assert gold.logical_users == 800_000.0
-    assert gold.arrivals.mean_rate == pytest.approx(8000.0)
+    assert gold.arrivals.rate == pytest.approx(8000.0)
     assert isinstance(noisy.arrivals, BurstyArrivals)
     # theta= was stripped before arrival parsing.
     assert noisy.arrivals.burst == 10.0

@@ -9,6 +9,8 @@ The product paths run in this one process, under ``sys.setprofile`` and
   as ``noSSD``, and ``perf/layers.py``'s iso rows at ``--smoke``;
 * every ``repro`` command line CI runs (``CI_LINES``), then a few it
   does not (``MORE_LINES``);
+* a 1 s open-loop spec through ``run_sweep``, computed and then served
+  from a cache of its own;
 * the dashboard's four routes, served by ``make_server(port=0)`` on a
   thread;
 * ``examples/*.py``, each run as ``__main__``.
@@ -70,6 +72,7 @@ _TAC_FULL = ("TAC with a full SSD: repro oltp --designs TAC --scale 1000 "
              "benchmarks/test_cw_gap_tac_waste.py")
 _FIG8 = "benchmarks/test_fig8_io_traffic.py (traffic recorders)"
 _WHEEL = "goes with sim/wheel.py (ROADMAP item 2): "
+_ITEM2 = "goes or stays with the one kernel (ROADMAP item 2): "
 _READ_AHEAD_REST = (
     "fault path: a read-ahead's SSD read that fails, or a planned SSD page "
     "gone by its read (run(RunSpec(kind='tpch', ...), faults=...); the "
@@ -78,6 +81,10 @@ _READ_AHEAD_REST = (
 #: ``"module:qualname"`` → (verdict, reason).  A scheduled reason names
 #: the tests that enter the def; the next removals start here.
 LEDGER: Dict[str, Tuple[str, str]] = {
+    # cli
+    "repro.cli:_refused": (
+        J, "usage-error path: a value its owner refuses (repro chaos "
+           "--points 0, iometer --duration 0, sweep --workers 0)"),
     # core
     "repro.core.heaps:LazyMinHeap.peek": (J, _TAC_FULL),
     "repro.core.lc:LazyCleaningManager._note_drain_stall": (
@@ -100,7 +107,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         J, "stall path: a drain's empty rounds (the LC run above)"),
     "repro.core.ssd_manager:SsdManagerBase.on_evict_dirty": (J, _STUB),
     "repro.core.ssd_manager:SsdStats.__repr__": (J, _REPR),
-    "repro.core.ssd_manager:SsdStats.as_dict": (J, _RECORD),
     "repro.core.ssd_manager:TrimPlan.__repr__": (J, _REPR),
     "repro.core.tac:TemperatureAwareManager._drop_record": (
         J, "recovery path: a warm restart drops TAC's invalid frames; a "
@@ -108,16 +114,12 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.core.tac:TemperatureAwareManager._evict_for_space": (
         J, _TAC_FULL),
     # engine
-    "repro.engine.btree:BPlusTree.update": (
-        S, "tests/engine/test_btree.py::TestUpdate x2 (the workloads "
-           "update through index_update)"),
     "repro.engine.buffer_pool:BufferPool._expanded_read": (
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
     "repro.engine.buffer_pool:BufferPool._warmed": (
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
     "repro.engine.buffer_pool:BufferPool._read_ahead_rest": (
         J, _READ_AHEAD_REST),
-    "repro.engine.buffer_pool:BufferPoolStats.as_dict": (J, _RECORD),
     "repro.engine.page:Frame.__repr__": (J, _REPR),
     "repro.engine.readahead:ReadAheadAccuracy.__init__": (
         J, "benchmarks/test_ablations.py"),
@@ -132,31 +134,14 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.engine.readahead:WindowClassifier.classify": (
         J, "benchmarks/test_ablations.py"),
     # harness
-    "repro.harness.metrics:LatencyTracker.to_dict": (J, _RECORD),
     "repro.harness.metrics:Sampler.dirty_cross_time": (
         J, "benchmarks/test_fig6_timeseries.py"),
     "repro.harness.metrics:Sampler.fill_time": (
         J, "benchmarks/test_fig6_timeseries.py"),
-    "repro.harness.metrics:Sampler.running": (
-        S, "tests/harness/test_harness.py::TestSampler x3"),
-    "repro.harness.metrics:TenantStats.from_dict": (
-        S, "tests/harness/test_run_record.py::TestRoundTrip::"
-           "test_record_is_a_fixed_point[traffic] (no product path "
-           "caches an open-loop run)"),
-    "repro.harness.metrics:TenantStats.to_dict": (
-        S, "tests/harness/test_run_record.py::TestRoundTrip::"
-           "test_record_is_a_fixed_point[traffic]"),
     "repro.harness.report:format_speedups": (
         J, "benchmarks/test_fig5_tpcc.py, test_fig5_tpce.py, "
            "test_extended_designs.py"),
-    "repro.harness.runner:RunResult.to_dict": (J, _RECORD),
-    "repro.harness.runner:_Runner.stop": (
-        S, "tests/harness/test_traffic_runner.py x2"),
-    "repro.harness.sweep:_compute": (
-        J, "repro sweep --workers 1 (CI runs 2); benchmarks/common.py"),
     "repro.harness.sweep:_worker": (J, "the sweep's spawn-pool child"),
-    "repro.harness.sweep:cache_store": (
-        J, "the sweep's spawn-pool child; benchmarks/common.py"),
     "repro.harness.sweep:run_cached": (J, "benchmarks/common.py"),
     # runstore
     "repro.runstore.cli:cmd_serve": (
@@ -167,11 +152,11 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         J, "repro runs show of a chaos run"),
     # sim
     "repro.sim.environment:Environment.peek": (
-        S, "tests/sim/test_environment.py x4 (both kernels), "
+        S, _ITEM2 + "tests/sim/test_environment.py x4 (both kernels), "
            "test_gather.py, test_resources.py, "
            "tests/storage/test_devices.py"),
     "repro.sim.environment:Environment.step": (
-        S, "tests/sim/test_environment.py::TestStep[OnTheWheel]::"
+        S, _ITEM2 + "tests/sim/test_environment.py::TestStep[OnTheWheel]::"
            "test_step_on_empty_schedule_raises, test_wheel.py x1, "
            "tests/storage/test_devices.py x1"),
     "repro.sim.events:Event.__repr__": (J, _REPR),
@@ -204,62 +189,21 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.storage.device:TrafficRecorder.record": (J, _FIG8),
     "repro.storage.device:TrafficRecorder.series": (J, _FIG8),
     "repro.storage.ftl.model:FlashTranslationLayer.erase_counts": (
-        S, "tests/storage/test_ftl.py::TestGcInvariants::"
-           "test_wear_stays_level"),
+        S, "ROADMAP item 8's greedy differential compares per-block erase "
+           "counts: tests/storage/test_ftl.py::TestGcInvariants::"
+           "test_wear_stays_level, TestDeterminism"),
     "repro.storage.ftl.model:FlashTranslationLayer.free_block_count": (
         J, "the ftl_free_blocks gauge: repro oltp --ftl --metrics"),
-    "repro.storage.ftl.model:FlashTranslationLayer.mapped_pages": (
-        S, "tests/storage/test_ftl.py x2"),
-    "repro.storage.ftl.model:FlashTranslationLayer.snapshot": (
-        S, "tests/storage/test_ftl.py::TestDeterminism::"
-           "test_identical_runs_produce_identical_snapshots"),
     "repro.storage.request:IORequest.__repr__": (J, _REPR),
-    "repro.storage.request:IORequest.latency": (
-        S, "tests/storage/test_devices.py x5, test_request.py x2"),
-    "repro.storage.request:IORequest.nbytes": (
-        S, "tests/storage/test_request.py::TestIORequest::test_byte_size"),
     # telemetry
-    "repro.telemetry.analysis:DesignAnalysis.slowest": (
-        S, "tests/telemetry/test_analysis.py::TestAttribution::"
-           "test_slowest"),
     "repro.telemetry.context:TraceContext.__repr__": (J, _REPR),
-    "repro.telemetry.registry:Histogram.count": (
-        S, "tests/telemetry/test_registry.py x1, test_integration.py x1"),
-    "repro.telemetry.registry:Histogram.percentile": (
-        S, "tests/telemetry/test_registry.py::TestHistogram x3"),
-    "repro.telemetry.registry:Histogram.sum": (
-        S, "tests/telemetry/test_registry.py::TestHistogram x1"),
-    "repro.telemetry.registry:MetricFamily.labels": (
-        S, "tests/telemetry/test_registry.py x6, test_integration.py x1, "
-           "tests/storage/test_devices.py x1"),
-    "repro.telemetry.registry:MetricRegistry.get": (
-        S, "tests/telemetry/test_registry.py x15, test_integration.py "
-           "x6, tests/core/test_design_contract.py x8, "
-           "tests/storage/test_devices.py x1"),
-    "repro.telemetry.registry:NullRegistry.get": (
-        S, "tests/telemetry/test_registry.py::TestNullRegistry x1"),
-    "repro.telemetry.registry:NullRegistry.snapshot": (
-        S, "tests/telemetry/test_registry.py x1, test_integration.py x1"),
     # workloads
-    "repro.workloads.distributions:NURand.__init__": (
-        S, "tests/workloads/test_distributions.py::TestNURand x5 (TPC-C "
-           "draws Zipf)"),
-    "repro.workloads.distributions:NURand.for_range": (
-        S, "tests/workloads/test_distributions.py::TestNURand"),
-    "repro.workloads.distributions:NURand.sample": (
-        S, "tests/workloads/test_distributions.py::TestNURand"),
     "repro.workloads.tpch:TpchResult.from_dict": (
         J, "repro sweep --benchmark tpch's cache; benchmarks/common.py"),
     "repro.workloads.tpch:TpchResult.to_dict": (J, _RECORD),
     "repro.workloads.traffic:BurstyArrivals.__repr__": (J, _REPR),
-    "repro.workloads.traffic:BurstyArrivals.mean_rate": (
-        S, "tests/workloads/test_traffic.py x1"),
     "repro.workloads.traffic:DiurnalArrivals.__repr__": (J, _REPR),
-    "repro.workloads.traffic:DiurnalArrivals.mean_rate": (
-        S, "tests/workloads/test_traffic.py x1"),
     "repro.workloads.traffic:PoissonArrivals.__repr__": (J, _REPR),
-    "repro.workloads.traffic:PoissonArrivals.mean_rate": (
-        S, "tests/workloads/test_traffic.py x2"),
 }
 
 
@@ -483,6 +427,22 @@ def _iso_rows() -> None:
     layers.iso_rows(smoke=True)
 
 
+def _traffic_sweep() -> None:
+    """An open-loop run's record, stored and then restored: no CI line
+    caches one in this process (its sweeps compute in the pool)."""
+    from repro.harness.experiments import RunSpec
+    from repro.harness.sweep import run_sweep
+
+    spec = RunSpec(kind="traffic", benchmark="tpcc", scale=20, design="LC",
+                   profile="tiny", duration=1.0, nworkers=8,
+                   tenants="web=poisson:rate=200")
+    with tempfile.TemporaryDirectory(prefix="cache-") as directory:
+        for cached in (0, 1):
+            report = run_sweep([spec], directory=Path(directory))
+            if report.cached != cached:
+                raise RuntimeError(f"{report.cached} cached, not {cached}")
+
+
 def _dashboard() -> None:
     from repro.runstore.dashboard import make_server
 
@@ -522,6 +482,8 @@ def product_inputs() -> List[Input]:
     return ([("perf/cells.py --smoke (4 cells + noSSD twin)", _cells),
              ("perf/layers.py --smoke", _iso_rows)]
             + [_repro(line) for line in CI_LINES + MORE_LINES]
+            + [("run_sweep: a 1 s traffic spec, live then cached",
+                _traffic_sweep)]
             + [("repro serve: /, /healthz, /api/runs, /api/trajectory",
                 _dashboard)]
             + [_example(path)
