@@ -23,6 +23,7 @@ recording is best-effort and never fails the run.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -89,12 +90,21 @@ def _spec(args: argparse.Namespace, kind: str, design: str,
     return RunSpec(**{**values, "kind": kind, "design": design, **fixed})
 
 
-def _refused(command: str, exc: ValueError) -> int:
-    """A knob's owner refused its value: say so naming the flag (the
-    message starts with the knob, ``points must be >= 1``), exit 2."""
-    knob, _, rest = str(exc).partition(" ")
-    print(f"{command}: --{knob.replace('_', '-')} {rest}", file=sys.stderr)
-    return 2
+def _count(text: str) -> int:
+    """An argparse ``type``: an int >= 1 (argparse names the flag)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """An argparse ``type``: a float that is finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {value}")
+    return value
 
 
 def _add_designs(parser: argparse.ArgumentParser,
@@ -169,10 +179,7 @@ def _emit_telemetry(args, design: str, telemetry: Optional[Telemetry],
 def cmd_iometer(args) -> int:
     """Regenerate the paper's Table 1 with the device models."""
     from repro.storage.iometer import run_table1
-    try:
-        table = run_table1(duration=args.duration)
-    except ValueError as exc:
-        return _refused("iometer", exc)
+    table = run_table1(duration=args.duration)
     rows = [[name, f"{measured:,.0f}", f"{paper:,}",
              f"{measured / paper:.3f}"]
             for name, measured, paper in table.rows()]
@@ -349,13 +356,10 @@ def cmd_chaos(args) -> int:
         print(f"unknown checkpoint policies: {bad} (sharp|fuzzy)",
               file=sys.stderr)
         return 2
-    try:
-        cfg = CrashSweepConfig(
-            designs=designs, policies=policies, points=args.points,
-            seed=args.seed, duration=args.duration,
-            checkpoint_interval=args.checkpoint_interval)
-    except ValueError as exc:
-        return _refused("chaos", exc)
+    cfg = CrashSweepConfig(
+        designs=designs, policies=policies, points=args.points,
+        seed=args.seed, duration=args.duration,
+        checkpoint_interval=args.checkpoint_interval)
     result = crash_point_sweep(cfg)
     print(format_sweep_table(result))
     total = len(result.outcomes)
@@ -406,18 +410,13 @@ def cmd_sweep(args) -> int:
         return 2
     directory = Path(args.cache_dir) if args.cache_dir else None
     store = _open_recording_store(args)
-    try:
-        report = run_sweep(specs, workers=args.workers, directory=directory,
-                           use_cache=not args.no_cache,
-                           progress=progress_printer(), store=store)
-    except ValueError as exc:
-        return _refused("sweep", exc)
-    finally:
-        if store is not None:
-            store.close()
+    report = run_sweep(specs, workers=args.workers, directory=directory,
+                       use_cache=not args.no_cache,
+                       progress=progress_printer(), store=store)
     if store is not None:
         print(f"recorded {report.recorded}/{len(specs)} runs "
               f"into {store.path}", file=sys.stderr)
+        store.close()
     rows = summarize(report)
     has_waf = any("waf" in row for row in rows)
     table = [[row["spec"]["benchmark"], str(row["spec"]["scale"]),
@@ -535,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_iometer = sub.add_parser("iometer", help="regenerate Table 1")
-    p_iometer.add_argument("--duration", type=float, default=5.0)
+    p_iometer.add_argument("--duration", type=_seconds, default=5.0)
     p_iometer.set_defaults(func=cmd_iometer)
 
     p_designs = sub.add_parser("designs", help="list available designs")
@@ -570,15 +569,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos", help="crash-point sweep: crash, recover, verify")
-    p_chaos.add_argument("--points", type=int, default=5,
+    p_chaos.add_argument("--points", type=_count, default=5,
                          help="crash points per design x policy (default 5)")
     _add_designs(p_chaos, default="CW,DW,LC,TAC,LS,ROT,EXCL")
     p_chaos.add_argument("--policies", default="sharp,fuzzy",
                          help="comma-separated checkpoint policies")
     p_chaos.add_argument("--seed", type=int, default=20110612)
-    p_chaos.add_argument("--duration", type=float, default=8.0,
+    p_chaos.add_argument("--duration", type=_seconds, default=8.0,
                          help="crash-window length in virtual seconds")
-    p_chaos.add_argument("--checkpoint-interval", type=float, default=1.0)
+    p_chaos.add_argument("--checkpoint-interval", type=_seconds,
+                         default=1.0)
     _add_db_flags(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
 
@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated scales (warehouses, "
                               "customers/1000, or SF)")
     _add_designs(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1,
+    p_sweep.add_argument("--workers", type=_count, default=1,
                          help="worker processes (runs in-process when 1)")
     p_sweep.add_argument("--cache-dir", default=None,
                          help="run-cache directory (default .repro-cache, "

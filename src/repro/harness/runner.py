@@ -292,23 +292,19 @@ class _Runner:
     where it ends.  A subclass spawns its processes in between."""
 
     def __init__(self, system: System, workload, nworkers: int = 32,
-                 bucket_seconds: float = 2.0, seed: int = 20110612,
-                 sample_interval: float = 1.0):
+                 bucket_seconds: float = 2.0, seed: int = 20110612):
         check_loop(nworkers=nworkers, bucket_seconds=bucket_seconds)
         self.system = system
         self.workload = workload
         self.nworkers = nworkers
         self.bucket_seconds = bucket_seconds
         self.seed = seed
-        self.sample_interval = sample_interval
         self.latencies = LatencyTracker()
         _publish_latencies(self)
 
     def _begin(self, duration: float, setup: bool, **tenancy: Any) -> RunResult:
         """Start services and the sampler; returns the run's record."""
         system, workload = self.system, self.workload
-        # Built first: it refuses a bad interval before anything is set up.
-        sampler = Sampler(system, self.sample_interval)
         if setup:
             workload.setup(system)
             system.start_services()
@@ -323,7 +319,7 @@ class _Runner:
             # ceil, not round: a partial tail window still gets a bucket
             # (normalized by its true width in bucket_widths()).
             buckets=[0] * max(1, ceil(duration / self.bucket_seconds - 1e-9)),
-            sampler=sampler,
+            sampler=Sampler(system),
             latencies=self.latencies,
             system=system,
             **tenancy,
@@ -396,13 +392,11 @@ class OpenLoopRunner(_Runner):
 
     def __init__(self, system: System, workload, tenants: Sequence,
                  nworkers: int = 64, queue_limit: int = 10_000,
-                 bucket_seconds: float = 2.0, seed: int = 20110612,
-                 sample_interval: float = 1.0):
+                 bucket_seconds: float = 2.0, seed: int = 20110612):
         check_loop(queue_limit=queue_limit)
         if not tenants:
             raise ValueError("need at least one tenant")
-        super().__init__(system, workload, nworkers, bucket_seconds, seed,
-                         sample_interval)
+        super().__init__(system, workload, nworkers, bucket_seconds, seed)
         self.tenants = list(tenants)
         self.queue_limit = queue_limit
 

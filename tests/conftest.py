@@ -98,8 +98,9 @@ def scrape(registry):
 
 
 def disk_ios(disk, direction):
-    """Requests the disk manager ``disk`` put on its device, of one
-    ``direction`` (``"read"`` or ``"write"``)."""
+    """Requests of one ``direction`` (``"read"`` or ``"write"``) that
+    the disk manager ``disk``'s device has completed; one still in
+    flight shows in ``disk.device.pending`` instead."""
     return sum(count for kind, count in disk.device.requests_by_kind.items()
                if kind.direction == direction)
 

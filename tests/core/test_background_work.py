@@ -45,6 +45,7 @@ class TestLambdaCleaner:
         settle(sys_.env, 1.0)
         assert manager.dirty_frames == 20       # at λ, not above: asleep
         assert disk_ios(sys_.disk, "write") == 0
+        assert sys_.disk.device.pending == 0
         drive(sys_.env, evict_dirty(sys_, 20))
         settle(sys_.env, 1.0)
         assert manager.dirty_frames <= 15

@@ -55,6 +55,7 @@ class TestFetch:
         assert len({id(f) for f in frames}) == 1
         assert sys_.bp.stats.misses == 1
         assert disk_ios(sys_.disk, "read") == 1
+        assert sys_.disk.device.pending == 0
 
     def test_miss_takes_device_time(self, sys_):
         def proc():

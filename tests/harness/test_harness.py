@@ -177,16 +177,6 @@ class TestSampler:
         with pytest.raises(ValueError, match="interval"):
             Sampler(small_system, interval=interval)
 
-    def test_runner_refuses_a_bad_sample_interval_before_setup(self):
-        workload = make_workload("tpcc", 20, SCALE_PROFILES["tiny"])
-        system = make_system("tpcc", workload, "noSSD",
-                             SCALE_PROFILES["tiny"])
-        runner = WorkloadRunner(system, workload, nworkers=2,
-                                sample_interval=-1.0)
-        with pytest.raises(ValueError, match="interval"):
-            runner.run(duration=1.0)
-        assert system.env.now == 0.0
-
     def test_runner_stops_sampler_after_run(self):
         result = run_oltp_experiment(
             "tpcc", 100, "noSSD", duration=4.0,

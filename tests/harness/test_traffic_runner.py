@@ -174,13 +174,18 @@ def test_runner_allocates_ceil_buckets_for_non_multiple_duration():
     assert result.buckets[-1] > 0
 
 
-def test_a_second_run_drives_a_fresh_run():
+def test_a_reused_runner_adds_its_clients_to_the_first_runs():
+    """Clients outlive ``run()``: a second ``run(setup=False)`` adds
+    its clients to the first run's, which keep counting into the first
+    result."""
     workload = make_workload("tpcc", 20, TINY)
     system = make_system("tpcc", workload, "noSSD", TINY)
     runner = WorkloadRunner(system, workload, nworkers=4)
     first = runner.run(duration=4.0)
     assert first.total_metric_txns > 0
+    counted = sum(first.txn_counts.values())
     second = runner.run(duration=4.0, setup=False)
     assert second.start_time == 4.0
     assert second.total_metric_txns > 0
+    assert sum(first.txn_counts.values()) > counted
     assert second.latencies is runner.latencies is not first.latencies

@@ -172,7 +172,9 @@ class TestDeterminism:
                 else:
                     ftl.host_write(lpn)
             return (dict(ftl._mapping), ftl.erase_counts(),
-                    sorted(ftl._free_blocks), vars(ftl.stats).copy())
+                    sorted(ftl._free_blocks),
+                    (ftl._active, ftl._active_slot),
+                    (ftl._gc_active, ftl._gc_slot), vars(ftl.stats).copy())
 
         assert run() == run()
 

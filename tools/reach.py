@@ -81,10 +81,6 @@ _READ_AHEAD_REST = (
 #: ``"module:qualname"`` → (verdict, reason).  A scheduled reason names
 #: the tests that enter the def; the next removals start here.
 LEDGER: Dict[str, Tuple[str, str]] = {
-    # cli
-    "repro.cli:_refused": (
-        J, "usage-error path: a value its owner refuses (repro chaos "
-           "--points 0, iometer --duration 0, sweep --workers 0)"),
     # core
     "repro.core.heaps:LazyMinHeap.peek": (J, _TAC_FULL),
     "repro.core.lc:LazyCleaningManager._note_drain_stall": (
