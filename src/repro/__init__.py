@@ -9,10 +9,15 @@ Subpackages:
 * :mod:`repro.engine` — the mini-DBMS storage module the designs plug
   into (buffer pool, WAL, checkpoints, recovery, heap files, B+-trees).
 * :mod:`repro.core` — the paper's contribution: the SSD manager and the
-  CW / DW / LC / TAC designs.
-* :mod:`repro.workloads` — TPC-C-, TPC-E- and TPC-H-like generators.
+  design table (CW / DW / LC, the TAC baseline, noSSD, LS, and the
+  related-work ROT / EXCL).
+* :mod:`repro.workloads` — TPC-C-, TPC-E- and TPC-H-like generators and
+  open-loop multi-tenant traffic.
+* :mod:`repro.faults` — seeded fault injection over the devices.
+* :mod:`repro.telemetry` — metrics registry and event tracer.
 * :mod:`repro.harness` — system assembly, workload runner, and the
   per-table/figure experiment registry.
+* :mod:`repro.runstore` — the run database and its dashboard.
 
 The most convenient entry points::
 

@@ -30,22 +30,9 @@ from dataclasses import fields
 from typing import Any, Dict, List, Optional, get_args, get_type_hints
 
 from repro.core import DESIGNS
-from repro.faults import FaultPlan
 from repro.harness.experiments import RunSpec, run, speedup_over_nossd
 from repro.harness.report import format_metrics, format_table
 from repro.telemetry import Telemetry
-
-DESIGN_SUMMARIES = {
-    "noSSD": "unmodified engine (baseline)",
-    "CW": "clean-write: dirty evictions never cached (§2.3.1)",
-    "DW": "dual-write: write-through dirty evictions (§2.3.2)",
-    "LC": "lazy-cleaning: write-back with a cleaner thread (§2.3.3)",
-    "LS": "log-structured: append-only SSD log, group-commit admission, "
-          "GC-aware reclaim (DESIGN.md §10)",
-    "TAC": "temperature-aware caching (Canim et al., the paper's baseline)",
-    "ROT": "rotating circular SSD queue (Holloway, related work §5)",
-    "EXCL": "exclusive two-level cache (Koltsidas & Viglas, related work §5)",
-}
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser,
@@ -191,7 +178,7 @@ def cmd_iometer(args) -> int:
 
 def cmd_designs(args) -> int:
     """List the available SSD designs."""
-    rows = [[name, DESIGN_SUMMARIES.get(name, "")] for name in DESIGNS]
+    rows = [[name, design.summary] for name, design in DESIGNS.items()]
     print(format_table("SSD buffer-pool extension designs",
                        ["name", "summary"], rows))
     return 0
@@ -214,6 +201,7 @@ def _runs(args, kind: str, **fixed: Any):
         return None
     plan = getattr(args, "faults", None)
     if plan:
+        from repro.faults.plan import FaultPlan
         try:
             FaultPlan.parse(plan)
         except ValueError as exc:
@@ -231,10 +219,10 @@ def _runs(args, kind: str, **fixed: Any):
             for spec in specs:
                 telemetry = (Telemetry() if args.trace or args.metrics
                              else None)
-                # Each design gets its own plan instance: injectors bind
-                # to one system's devices.
+                # The grammar string, not a plan: each system parses its
+                # own, since injectors bind to one system's devices.
                 result = run(spec, telemetry=telemetry, store=store,
-                             faults=FaultPlan.parse(plan) if plan else None)
+                             faults=plan or None)
                 print(f"ran {spec.design}", file=sys.stderr)
                 yield spec, result
                 _emit_telemetry(args, spec.design, telemetry,

@@ -6,28 +6,15 @@ from repro.harness.system import System, SystemConfig
 from repro.harness.runner import (OpenLoopRunner, RunResult,
                                  WorkloadRunner)
 from repro.harness.metrics import Sampler, TenantStats
-from repro.harness.crashpoints import (
-    CrashPointOutcome,
-    CrashSweepConfig,
-    CrashSweepResult,
-    crash_point_sweep,
-    format_sweep_table,
-)
 from repro.harness.experiments import (
     SCALE_PROFILES,
     ScaleProfile,
     run_oltp_experiment,
 )
-from repro.harness.report import format_series, format_table
 
 __all__ = [
-    "CrashPointOutcome",
-    "CrashSweepConfig",
-    "CrashSweepResult",
     "OpenLoopRunner",
     "RunResult",
-    "crash_point_sweep",
-    "format_sweep_table",
     "SCALE_PROFILES",
     "Sampler",
     "ScaleProfile",
@@ -35,7 +22,5 @@ __all__ = [
     "TenantStats",
     "SystemConfig",
     "WorkloadRunner",
-    "format_series",
-    "format_table",
     "run_oltp_experiment",
 ]

@@ -22,17 +22,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Type, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Type, Union
 
 from repro.core import SsdDesignConfig
 from repro.harness.runner import (OpenLoopRunner, RunResult, WorkloadRunner,
                                   check_loop)
 from repro.harness.system import System, SystemConfig
 from repro.sim import KERNELS
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.tpce import TpceWorkload
-from repro.workloads.tpch import TpchResult, TpchWorkload
-from repro.workloads.traffic import parse_tenants
+
+if TYPE_CHECKING:
+    from repro.workloads.tpch import TpchResult
 
 
 @dataclass(frozen=True)
@@ -82,18 +81,22 @@ def profile_name(profile: ScaleProfile) -> str:
 def make_workload(benchmark: str, scale: int, profile: ScaleProfile,
                   oracle: Optional[Dict[int, int]] = None):
     """Build a workload: ``scale`` is warehouses (TPC-C, e.g. 1000),
-    thousands of customers (TPC-E, e.g. 20), or SF (TPC-H, 30/100)."""
+    thousands of customers (TPC-E, e.g. 20), or SF (TPC-H, 30/100).
+    Only the chosen benchmark's module is imported."""
     if benchmark == "tpcc":
+        from repro.workloads.tpcc import TpccWorkload
         # One warehouse is 0.1 GB in the paper's sizing.
         return TpccWorkload(
             scale, pages_per_warehouse=max(1, profile.pages_per_gb // 10),
             item_pages=max(4, profile.pages(1.0)), oracle=oracle)
     if benchmark == "tpce":
+        from repro.workloads.tpce import TpceWorkload
         # 10K customers = 115 GB  =>  11.5 GB per 1K customers.
         return TpceWorkload(
             scale, pages_per_customer_k=11.5 * profile.pages_per_gb,
             oracle=oracle)
     if benchmark == "tpch":
+        from repro.workloads.tpch import TpchWorkload
         gb = {30: 45.0, 100: 160.0}.get(scale, 1.5 * scale)
         return TpchWorkload(scale, db_gb=gb,
                             pages_per_gb=profile.pages_per_gb, oracle=oracle)
@@ -245,6 +248,7 @@ class RunSpec:
                      ssd=SsdDesignConfig(**ssd))
         check_loop(self.nworkers, self.bucket_seconds, self.queue_limit)
         if self.kind == "traffic":
+            from repro.workloads.traffic import parse_tenants
             try:
                 parse_tenants(self.tenants or "")
             except ValueError as exc:
@@ -267,7 +271,10 @@ class RunSpec:
     @property
     def result_type(self) -> Type[Union[RunResult, TpchResult]]:
         """The record class a run of this spec produces."""
-        return TpchResult if self.kind == "tpch" else RunResult
+        if self.kind == "tpch":
+            from repro.workloads.tpch import TpchResult
+            return TpchResult
+        return RunResult
 
 
 #: The knobs a :class:`RunSpec` declares as counts (annotations are
@@ -286,7 +293,10 @@ def run(spec: RunSpec, telemetry=None, faults=None,
     Recording failures warn and never fail the run.
     """
     profile = SCALE_PROFILES[spec.profile]
-    tenants = parse_tenants(spec.tenants) if spec.kind == "traffic" else None
+    tenants = None
+    if spec.kind == "traffic":
+        from repro.workloads.traffic import parse_tenants
+        tenants = parse_tenants(spec.tenants)
     workload = make_workload(spec.benchmark, spec.scale, profile)
     system = make_system(
         spec.benchmark, workload, spec.design, profile,

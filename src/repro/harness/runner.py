@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from math import ceil, inf
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.ssd_manager import SsdStats
 from repro.engine.buffer_pool import BufferPoolStats
@@ -21,8 +21,10 @@ from repro.harness.metrics import (LatencyTracker, Sample, Sampler,
                                    TenantStats)
 from repro.harness.system import System
 from repro.sim import Store
-from repro.storage.ftl import FtlStats
 from repro.telemetry import NULL_TELEMETRY, percentile_of
+
+if TYPE_CHECKING:
+    from repro.storage.ftl import FtlStats
 
 #: RunResult fields that are objects rather than plain JSON values;
 #: :meth:`RunResult.to_dict` / ``from_dict`` convert exactly these.
@@ -125,6 +127,9 @@ class RunResult:
         sampler = Sampler(None)
         sampler.samples = [Sample(**row) for row in data.pop("samples")]
         ftl = data.pop("ftl_stats")
+        if ftl is not None:
+            from repro.storage.ftl import FtlStats
+            ftl = FtlStats(**ftl)
         return cls(
             sampler=sampler,
             latencies=LatencyTracker.from_dict(data.pop("latencies")),
@@ -132,7 +137,7 @@ class RunResult:
                      for name, tenant in data.pop("tenants").items()},
             bp_stats=BufferPoolStats.from_dict(data.pop("bp_stats")),
             ssd_stats=SsdStats(**data.pop("ssd_stats")),
-            ftl_stats=FtlStats(**ftl) if ftl is not None else None,
+            ftl_stats=ftl,
             **data)
 
     def metrics(self) -> Dict[str, float]:

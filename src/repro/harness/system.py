@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.sim import KERNELS, Environment, make_environment
 from repro.storage import HddArray, Ssd
-from repro.storage.ftl import FtlConfig
-from repro.core import DESIGNS, SsdDesignConfig
+from repro.core import DESIGNS, SsdDesignConfig, design_class
 from repro.engine import (
     BufferPool,
     Checkpointer,
@@ -19,8 +18,10 @@ from repro.engine import (
 )
 from repro.engine.checkpoint import FuzzyCheckpointer
 from repro.engine.recovery import RecoveryError, RecoveryManager
-from repro.faults import FaultPlan
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 
 @dataclass
@@ -104,6 +105,7 @@ class System:
         if ssd.ftl_enabled and ssd.ssd_frames > 0:
             # Model the SSD's internals: the logical space the FTL maps
             # is exactly the design's S frames.
+            from repro.storage.ftl import FtlConfig
             self.ssd_device = Ssd(self.env, ftl=FtlConfig(),
                                   logical_pages=ssd.ssd_frames)
         else:
@@ -114,7 +116,7 @@ class System:
         self.disk = DiskManager(self.env, self.data_device, total_pages,
                                 telemetry=self.telemetry)
         self.wal = WriteAheadLog(self.env, telemetry=self.telemetry)
-        design_cls = DESIGNS[config.design]
+        design_cls = design_class(config.design)
         self.ssd_manager = design_cls(self.env, self.ssd_device, self.disk,
                                       self.wal, ssd, telemetry=self.telemetry)
         self.bp = BufferPool(
@@ -136,6 +138,7 @@ class System:
         #: The installed fault plan (None when running fault-free).
         self.faults: Optional[FaultPlan] = None
         if faults:
+            from repro.faults.plan import FaultPlan
             plan = (FaultPlan.parse(faults)
                     if isinstance(faults, str) else faults)
             plan.install(self)

@@ -17,12 +17,27 @@ Public API::
     assert env.now == 5 and proc.value == "done"
 """
 
-from repro.sim.environment import Environment
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Type
+
+from repro.sim.environment import KERNELS, Environment, make_environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Gather, Process
 from repro.sim.resources import Store
-from repro.sim.wheel import (KERNELS, TimerWheel, WheelEnvironment,
-                             make_environment)
+
+if TYPE_CHECKING:
+    from repro.sim.wheel import WheelEnvironment
+
+
+def __getattr__(name: str) -> Type[WheelEnvironment]:
+    """``repro.sim.WheelEnvironment``, importing the timer wheel only
+    when it is asked for (a heap-kernel run never loads it)."""
+    if name == "WheelEnvironment":
+        from repro.sim.wheel import WheelEnvironment
+        return WheelEnvironment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AllOf",
@@ -33,8 +48,6 @@ __all__ = [
     "KERNELS",
     "Process",
     "Store",
-    "TimerWheel",
     "Timeout",
-    "WheelEnvironment",
     "make_environment",
 ]

@@ -284,3 +284,19 @@ class Environment:
 
     def _crashed(self, exc: BaseException) -> None:
         self._crash = exc
+
+
+#: Registry of selectable kernels, shared by SystemConfig and the CLI.
+KERNELS = ("heap", "wheel")
+
+
+def make_environment(kernel: str = "heap",
+                     initial_time: float = 0.0) -> Environment:
+    """Build an environment running the named kernel (the timer wheel's
+    module is imported only for ``"wheel"``)."""
+    if kernel == "heap":
+        return Environment(initial_time)
+    if kernel == "wheel":
+        from repro.sim.wheel import WheelEnvironment
+        return WheelEnvironment(initial_time)
+    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")

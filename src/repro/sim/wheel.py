@@ -240,19 +240,4 @@ class WheelEnvironment(Environment):
         self._advance = wheel._advance
 
 
-#: Registry of selectable kernels, shared by SystemConfig and the CLI.
-KERNELS = ("heap", "wheel")
-
-
-def make_environment(kernel: str = "heap",
-                     initial_time: float = 0.0) -> Environment:
-    """Build an environment running the named kernel."""
-    if kernel == "heap":
-        return Environment(initial_time)
-    if kernel == "wheel":
-        return WheelEnvironment(initial_time)
-    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-
-
-__all__ = ["Entry", "KERNELS", "TimerWheel", "WheelEnvironment",
-           "make_environment"]
+__all__ = ["Entry", "TimerWheel", "WheelEnvironment"]

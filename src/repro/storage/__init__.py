@@ -20,7 +20,6 @@ from repro.storage.request import IoKind, IORequest
 from repro.storage.device import Device, DeviceStats, TrafficRecorder
 from repro.storage.hdd import HddArray
 from repro.storage.ssd import Ssd
-from repro.storage.iometer import measure_iops, run_table1
 
 __all__ = [
     "Device",
@@ -30,6 +29,4 @@ __all__ = [
     "IORequest",
     "Ssd",
     "TrafficRecorder",
-    "measure_iops",
-    "run_table1",
 ]

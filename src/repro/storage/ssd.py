@@ -25,12 +25,14 @@ Two service-time models are available:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim import Environment
 from repro.storage.device import Device
-from repro.storage.ftl import FlashTranslationLayer, FtlConfig
 from repro.storage.request import IORequest
+
+if TYPE_CHECKING:
+    from repro.storage.ftl import FlashTranslationLayer, FtlConfig
 
 #: Number of independent flash channels the card exposes.
 DEFAULT_CHANNELS = 8
@@ -79,6 +81,8 @@ class Ssd(Device):
             if logical_pages < 1:
                 raise ValueError(
                     "an FTL-backed Ssd needs logical_pages >= 1")
+            # The black-box timing never loads the FTL model.
+            from repro.storage.ftl import FlashTranslationLayer
             self.ftl = FlashTranslationLayer(logical_pages, ftl)
         super().__init__(env, name, channels=channels)
 

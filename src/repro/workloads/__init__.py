@@ -16,25 +16,9 @@ paper's evaluation depends on:
   LINEITEM index lookups, run as a Power test (queries serially) and a
   Throughput test (concurrent streams with refresh functions); the metric
   is QphH.
+* **Traffic** (:mod:`~repro.workloads.traffic`): open-loop arrival
+  processes for multi-tenant runs over one of the above.
+
+Import a generator from its own module: a run imports only its
+benchmark's (``repro.harness.experiments.make_workload``).
 """
-
-from repro.workloads.distributions import ZipfGenerator
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.tpce import TpceWorkload
-from repro.workloads.tpch import TpchWorkload
-from repro.workloads.traffic import (BurstyArrivals, DiurnalArrivals,
-                                     PoissonArrivals, TenantSpec,
-                                     parse_arrivals, parse_tenants)
-
-__all__ = [
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "PoissonArrivals",
-    "TenantSpec",
-    "TpccWorkload",
-    "TpceWorkload",
-    "TpchWorkload",
-    "ZipfGenerator",
-    "parse_arrivals",
-    "parse_tenants",
-]

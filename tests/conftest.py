@@ -9,7 +9,7 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.sim import Environment
 from repro.storage import HddArray, Ssd
-from repro.core import DESIGNS, SsdDesignConfig
+from repro.core import SsdDesignConfig, design_class
 from repro.engine import BufferPool, Checkpointer, Database, DiskManager, WriteAheadLog
 from repro.harness.system import System, SystemConfig
 
@@ -123,7 +123,7 @@ class MiniSystem:
         self.wal = WriteAheadLog(self.env)
         config = SsdDesignConfig(
             ssd_frames=0 if design == "noSSD" else ssd_frames, **ssd_kwargs)
-        self.ssd_manager = DESIGNS[design](
+        self.ssd_manager = design_class(design)(
             self.env, self.ssd_device, self.disk, self.wal, config)
         self.bp = BufferPool(self.env, bp_pages, self.disk, self.wal,
                              self.ssd_manager, partitions=bp_partitions,

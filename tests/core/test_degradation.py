@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import SsdDesignConfig
 from repro.engine.recovery import RecoveryError
-from repro.faults import FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.harness.crashpoints import _update_client
 from repro.harness.system import System, SystemConfig
 from tests.conftest import MiniSystem, drive, settle

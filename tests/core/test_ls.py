@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import DESIGNS
+from repro.core import design_class
 from repro.core.ls import LogStructuredManager
 from repro.storage import IoKind
 from repro.engine.page import Frame
@@ -36,7 +36,7 @@ def admit(system, page_id, version=1, dirty=False, rec_lsn=0):
 
 class TestRegistration:
     def test_ls_is_a_registered_design(self):
-        assert DESIGNS["LS"] is LogStructuredManager
+        assert design_class("LS") is LogStructuredManager
         assert LogStructuredManager.name == "LS"
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.core import SsdDesignConfig
 from repro.engine.recovery import simulate_crash_and_recover
-from repro.harness import (
+from repro.harness.crashpoints import (
     CrashPointOutcome,
     CrashSweepConfig,
     CrashSweepResult,

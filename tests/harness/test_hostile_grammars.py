@@ -10,7 +10,7 @@ both, raised before the first run starts.
 import pytest
 
 from repro.cli import main
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.experiments import RunSpec
 from repro.workloads.traffic import parse_tenants
 

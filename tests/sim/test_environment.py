@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import KERNELS, Environment, make_environment
 from repro.sim.environment import EmptySchedule
 from repro.sim.events import SimulationError
-from repro.sim.wheel import KERNELS, WheelEnvironment, make_environment
+from repro.sim.wheel import WheelEnvironment
 
 
 class TestClock:

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.sim import (KERNELS, Environment, TimerWheel, WheelEnvironment,
-                       make_environment)
+from repro.sim import KERNELS, Environment, make_environment
+from repro.sim.wheel import TimerWheel, WheelEnvironment
 from repro.sim.environment import EmptySchedule
 
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import repro.sim.process as process_module
-from repro.faults import DeviceDeadError, FaultInjector
+from repro.faults import DeviceDeadError
+from repro.faults.injector import FaultInjector
 from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder

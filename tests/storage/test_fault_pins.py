@@ -13,7 +13,8 @@ import pytest
 import repro.storage
 from repro.core import SsdDesignConfig
 from repro.core.ssd_manager import SsdManagerBase
-from repro.faults import DeviceDeadError, FaultInjector
+from repro.faults import DeviceDeadError
+from repro.faults.injector import FaultInjector
 from repro.harness.system import System, SystemConfig
 from repro.sim import Environment
 from repro.storage import HddArray, Ssd

@@ -4,12 +4,9 @@ import random
 
 import pytest
 
-from repro.faults import (
-    DeviceDeadError,
-    FaultInjector,
-    FaultPlan,
-    TransientIoError,
-)
+from repro.faults import DeviceDeadError, TransientIoError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.storage import IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
 from tests.conftest import drive

@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.storage.hdd as hdd_module
-from repro.faults import FaultInjector, IoFault
+from repro.faults import IoFault
+from repro.faults.injector import FaultInjector
 from repro.sim import KERNELS, Timeout, make_environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from tests.storage.reference_hdd import GeneratorHddArray
