@@ -16,8 +16,9 @@ Commands:
 * ``serve``   — HTML dashboard + JSON API over the run database.
 
 ``oltp``/``traffic``/``tpch``/``sweep``/``chaos`` record into the run
-store by default (``--db`` to point elsewhere, ``--no-db`` to skip);
-recording is best-effort and never fails the run.
+store by default (``--db`` to point elsewhere, ``--no-db`` to skip),
+each through one :class:`repro.runstore.store.Recorder`; recording is
+best-effort and never fails the run.
 """
 
 from __future__ import annotations
@@ -132,13 +133,11 @@ def _add_db_flags(parser: argparse.ArgumentParser) -> None:
                         help="do not record runs into the run database")
 
 
-def _open_recording_store(args):
-    """The run store for a recording command, or None (``--no-db``, or
-    the database is unusable — recording is best-effort)."""
-    if getattr(args, "no_db", False):
-        return None
-    from repro.runstore.store import open_store
-    return open_store(getattr(args, "db", None))
+def _recorder(args):
+    """The recorder of a recording command: it records nothing with
+    ``--no-db`` or when the database is unusable (best-effort)."""
+    from repro.runstore.store import Recorder, open_store
+    return Recorder(None if args.no_db else open_store(args.db))
 
 
 def _emit_telemetry(args, design: str, telemetry: Optional[Telemetry],
@@ -189,7 +188,7 @@ def _runs(args, kind: str, **fixed: Any):
     entry, as an iterator of ``(spec, result)`` — or None (reason on
     stderr) when a flag is bad, checked before the first run so a typo
     fails in milliseconds, not after a whole simulation.  The iterator
-    owns the run store, and emits each run's telemetry when the caller
+    owns the recorder, and emits each run's telemetry when the caller
     comes back for the next one."""
     designs = _designs(args)
     if designs is None:
@@ -214,22 +213,18 @@ def _runs(args, kind: str, **fixed: Any):
         return None
 
     def runs():
-        store = _open_recording_store(args)
-        try:
+        with _recorder(args) as recorder:
             for spec in specs:
                 telemetry = (Telemetry() if args.trace or args.metrics
                              else None)
                 # The grammar string, not a plan: each system parses its
                 # own, since injectors bind to one system's devices.
-                result = run(spec, telemetry=telemetry, store=store,
-                             faults=plan or None)
+                result = run(spec, telemetry=telemetry, faults=plan or None)
+                recorder.record(spec, result, plan or None)
                 print(f"ran {spec.design}", file=sys.stderr)
                 yield spec, result
                 _emit_telemetry(args, spec.design, telemetry,
                                 len(designs) > 1)
-        finally:
-            if store is not None:
-                store.close()
     return runs()
 
 
@@ -353,18 +348,11 @@ def cmd_chaos(args) -> int:
     total = len(result.outcomes)
     failed = len(result.failures)
     print(f"{total} crash points, {failed} failed", file=sys.stderr)
-    store = _open_recording_store(args)
-    if store is not None:
-        from repro.runstore.store import StoreError
-        try:
-            run_ids = store.record_chaos(result.outcomes, seed=args.seed)
-            print(f"recorded {len(run_ids)} chaos run(s) into {store.path}",
-                  file=sys.stderr)
-        except StoreError as exc:
-            print(f"runstore: {exc}; chaos sweep not recorded",
-                  file=sys.stderr)
-        finally:
-            store.close()
+    with _recorder(args) as recorder:
+        run_ids = recorder.record_chaos(result.outcomes, args.seed)
+        if run_ids is not None:
+            print(f"recorded {len(run_ids)} chaos run(s) into "
+                  f"{recorder.store.path}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -397,14 +385,13 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     directory = Path(args.cache_dir) if args.cache_dir else None
-    store = _open_recording_store(args)
-    report = run_sweep(specs, workers=args.workers, directory=directory,
-                       use_cache=not args.no_cache,
-                       progress=progress_printer(), store=store)
-    if store is not None:
-        print(f"recorded {report.recorded}/{len(specs)} runs "
-              f"into {store.path}", file=sys.stderr)
-        store.close()
+    with _recorder(args) as recorder:
+        report = run_sweep(specs, workers=args.workers, directory=directory,
+                           use_cache=not args.no_cache,
+                           progress=progress_printer(), recorder=recorder)
+        if recorder.store is not None:
+            print(f"recorded {recorder.recorded}/{len(specs)} runs "
+                  f"into {recorder.store.path}", file=sys.stderr)
     rows = summarize(report)
     has_waf = any("waf" in row for row in rows)
     table = [[row["spec"]["benchmark"], str(row["spec"]["scale"]),
@@ -441,14 +428,7 @@ def cmd_tpch(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Attribute tail latency from one or more trace files."""
-    from repro.telemetry.analysis import (
-        analyze_traces,
-        format_attribution_table,
-        format_faults_table,
-        format_ftl_table,
-        format_interference_table,
-        format_tenant_table,
-    )
+    from repro.telemetry.analysis import analyze_traces, report_tables
 
     missing = [path for path in args.traces if not os.path.exists(path)]
     if missing:
@@ -491,25 +471,12 @@ def cmd_analyze(args) -> int:
                   f"belong to transactions cut off before commit",
                   file=sys.stderr)
 
-    print(format_attribution_table(analyses, quantiles=quantiles,
-                                   txn_type=args.txn_type))
-    if any(a.tenants() for a in analyses):
-        print()
-        print(format_tenant_table(analyses))
-    if any(a.background_io for a in analyses):
-        print()
-        print(format_interference_table(analyses))
-    if any(a.faults for a in analyses):
-        print()
-        print(format_faults_table(analyses))
-    if any(a.ftl for a in analyses):
-        print()
-        print(format_ftl_table(analyses))
-
+    print("\n\n".join(format_table(*table) for table in report_tables(
+        analyses, quantiles, args.txn_type)))
     if args.html:
         from repro.telemetry.htmlreport import write_report
-        write_report(args.html, analyses, args.workload,
-                     quantiles=quantiles)
+        write_report(args.html, analyses, args.workload, quantiles,
+                     args.txn_type)
         print(f"wrote HTML report to {args.html}", file=sys.stderr)
     return 0
 

@@ -20,7 +20,6 @@ Paper                  Scaled (default)  Ratio preserved
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional, Type, Union
 
@@ -283,14 +282,14 @@ _INTEGER_KNOBS = tuple(f.name for f in fields(RunSpec)
                        if f.type in ("int", "Optional[int]"))
 
 
-def run(spec: RunSpec, telemetry=None, faults=None,
-        store=None) -> Union[RunResult, TpchResult]:
-    """Build, drive and record the run ``spec`` describes.
+def run(spec: RunSpec, telemetry=None,
+        faults=None) -> Union[RunResult, TpchResult]:
+    """Build and drive the run ``spec`` describes.
 
-    ``telemetry`` (a sink), ``faults`` (a :class:`FaultPlan` or its
-    grammar string) and ``store`` (a :class:`repro.runstore.RunStore`)
-    are the run's live collaborators, not part of its description.
-    Recording failures warn and never fail the run.
+    ``telemetry`` (a sink) and ``faults`` (a :class:`FaultPlan` or its
+    grammar string) are the run's live collaborators, not part of its
+    description.  Recording is the caller's
+    (:class:`repro.runstore.store.Recorder`).
     """
     profile = SCALE_PROFILES[spec.profile]
     tenants = None
@@ -325,22 +324,13 @@ def run(spec: RunSpec, telemetry=None, faults=None,
     if spec.kind == "tpch":
         workload.setup(system)
         system.start_services()
-        result = system.env.run(system.env.process(workload.full_run(system)))
-    else:
-        sizing = dict(nworkers=spec.nworkers,
-                      bucket_seconds=spec.bucket_seconds, seed=spec.seed)
-        runner = (OpenLoopRunner(system, workload, tenants,
-                                 queue_limit=spec.queue_limit, **sizing)
-                  if tenants else WorkloadRunner(system, workload, **sizing))
-        result = runner.run(spec.duration)
-    if store is not None:
-        from repro.runstore.store import StoreError
-
-        try:
-            store.record_result(spec, result, faulted=faults is not None)
-        except StoreError as exc:
-            print(f"runstore: {exc}; run not recorded", file=sys.stderr)
-    return result
+        return system.env.run(system.env.process(workload.full_run(system)))
+    sizing = dict(nworkers=spec.nworkers,
+                  bucket_seconds=spec.bucket_seconds, seed=spec.seed)
+    runner = (OpenLoopRunner(system, workload, tenants,
+                             queue_limit=spec.queue_limit, **sizing)
+              if tenants else WorkloadRunner(system, workload, **sizing))
+    return runner.run(spec.duration)
 
 
 def run_oltp_experiment(benchmark: str, scale: int, design: str,
@@ -356,8 +346,7 @@ def run_oltp_experiment(benchmark: str, scale: int, design: str,
                         latch_us: float = 0.0,
                         kernel: str = "heap",
                         seed: int = 20110612,
-                        telemetry=None, faults=None,
-                        store=None) -> RunResult:
+                        telemetry=None, faults=None) -> RunResult:
     """One closed-loop OLTP run: the building block of Figures 5–9.
 
     The paper runs TPC-C with checkpointing effectively off and λ=50%,
@@ -367,8 +356,7 @@ def run_oltp_experiment(benchmark: str, scale: int, design: str,
     :class:`RunSpec`, the live collaborators are passed through.
     """
     params = dict(locals())
-    live = {name: params.pop(name)
-            for name in ("telemetry", "faults", "store")}
+    live = {name: params.pop(name) for name in ("telemetry", "faults")}
     params["profile"] = profile_name(profile or SCALE_PROFILES["default"])
     return run(RunSpec(kind="oltp", **params), **live)
 

@@ -40,8 +40,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Set, TextIO, Tuple)
 
 if TYPE_CHECKING:  # recording is optional; avoid a module-load cycle
-    from repro.runstore.provenance import Provenance
-    from repro.runstore.store import RunStore
+    from repro.runstore.store import Recorder
 
 from repro.harness.experiments import RunSpec, run
 
@@ -184,49 +183,13 @@ class SweepReport:
     results: Dict[RunSpec, Any] = field(default_factory=dict)
     cached: int = 0
     computed: int = 0
-    recorded: int = 0
     elapsed: float = 0.0
-
-
-class _Recorder:
-    """Best-effort run-store recording for a sweep.
-
-    All recording happens in the parent process (workers ship plain
-    records back), so one sweep is one writer; the store's own
-    ``BEGIN IMMEDIATE`` guard covers *concurrent sweeps* sharing a
-    database.  The first failed write disables recording for the rest
-    of the sweep — a broken database never costs completed runs.
-    """
-
-    def __init__(self, store: Optional["RunStore"],
-                 say: Callable[[str], None]) -> None:
-        self.store = store
-        self.recorded = 0
-        self._say = say
-        self._provenance: Optional["Provenance"] = None
-
-    def record(self, spec: RunSpec, result: Any) -> None:
-        if self.store is None:
-            return
-        if self._provenance is None:
-            from repro.runstore.provenance import capture
-            self._provenance = capture()
-        from repro.runstore.store import StoreError
-        try:
-            self.store.record_result(spec, result,
-                                     provenance=self._provenance)
-            self.recorded += 1
-        except StoreError as exc:
-            self._say(f"runstore: {exc}; remaining runs will not be "
-                      f"recorded (JSON output is unaffected)")
-            self.store = None
 
 
 def run_sweep(specs: List[RunSpec], workers: int = 1,
               directory: Optional[Path] = None, use_cache: bool = True,
               progress: Optional[Callable[[str], None]] = None,
-              store: Optional["RunStore"] = None,
-              ) -> SweepReport:
+              recorder: Optional["Recorder"] = None) -> SweepReport:
     """Run a grid of independent specs, in parallel, through the cache.
 
     ``workers=1`` runs in-process (no pool overhead, easiest to debug);
@@ -234,15 +197,14 @@ def run_sweep(specs: List[RunSpec], workers: int = 1,
     deterministic in isolation, so the schedule does not affect results.
     Duplicate specs are collapsed before dispatch.
 
-    ``store`` (a :class:`repro.runstore.RunStore`) records every run —
-    cache hits included, so replayed sweeps still build history — with
-    provenance captured once per sweep.
+    ``recorder`` (a :class:`repro.runstore.store.Recorder`) records
+    every run — cache hits included, so replayed sweeps still build
+    history.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     say = progress if progress is not None else (lambda message: None)
     directory = (directory or cache_dir()) if use_cache else None
-    recorder = _Recorder(store, say)
 
     unique: List[RunSpec] = []
     seen: Set[RunSpec] = set()
@@ -259,7 +221,8 @@ def run_sweep(specs: List[RunSpec], workers: int = 1,
     def finish(spec: RunSpec, result: Any, was_cached: bool) -> None:
         nonlocal done
         report.results[spec] = result
-        recorder.record(spec, result)
+        if recorder is not None:
+            recorder.record(spec, result)
         done += 1
         if was_cached:
             report.cached += 1
@@ -293,30 +256,19 @@ def run_sweep(specs: List[RunSpec], workers: int = 1,
                 spec = RunSpec.from_dict(spec_dict)
                 finish(spec, spec.result_type.from_dict(record), False)
 
-    report.recorded = recorder.recorded
     report.elapsed = time.monotonic() - started
     return report
 
 
 def summarize(report: SweepReport) -> List[Dict[str, Any]]:
-    """One plain-dict row per run: the sweep's merged metric table."""
-    rows: List[Dict[str, Any]] = []
-    for spec, result in sorted(report.results.items(),
-                               key=lambda item: (item[0].benchmark,
-                                                 item[0].scale,
-                                                 item[0].design)):
-        row: Dict[str, Any] = {"spec": spec.to_dict(),
-                               "metric": result.metric_name}
-        if spec.kind == "tpch":
-            row.update(value=result.qphh, power=result.power,
-                       throughput=result.throughput)
-        else:
-            row.update(value=result.steady_state_throughput(),
-                       total_txns=result.total_metric_txns)
-            if result.waf is not None:
-                row["waf"] = result.waf
-        rows.append(row)
-    return rows
+    """One plain-dict row per run: its spec, its metric's name and the
+    ``result.metrics()`` the run store records."""
+    return [{"spec": spec.to_dict(), "metric": result.metric_name,
+             **result.metrics()}
+            for spec, result in sorted(
+                report.results.items(),
+                key=lambda item: (item[0].benchmark, item[0].scale,
+                                  item[0].design))]
 
 
 def progress_printer(stream: Optional[TextIO] = None

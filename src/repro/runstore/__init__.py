@@ -13,8 +13,10 @@ This package turns every harness run into a durable, queryable row:
 * :mod:`repro.runstore.cli`        — ``repro runs`` subcommands.
 
 Recording is wired into ``repro sweep`` / ``oltp`` / ``traffic`` /
-``tpch`` / ``chaos`` by default and is always best-effort: a corrupted
-or locked database degrades to JSON-only output, never a failed run.
+``tpch`` / ``chaos`` by default, every one through a
+:class:`~repro.runstore.store.Recorder`, and is always best-effort: a
+corrupted or locked database degrades to JSON-only output, never a
+failed run.
 """
 
 from repro.runstore.provenance import Provenance, capture, provenance_args

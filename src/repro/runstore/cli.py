@@ -19,8 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.cli import _count
 from repro.harness.report import format_table
 from repro.runstore.store import (DEFAULT_DB, RunStore, StoreError,
                                   db_path)
@@ -73,26 +74,32 @@ def _short(commit: Optional[str], dirty: Optional[int] = 0) -> str:
     return commit[:10] + ("*" if dirty else "")
 
 
+def runs_table(store: RunStore, runs: Sequence[Dict[str, Any]],
+               title: str) -> Tuple[str, List[str], List[List[str]]]:
+    """The table of recent runs, one row each: ``runs list`` prints it
+    and the dashboard renders it."""
+    rows = []
+    for run in runs:
+        metrics = store.metrics_for(run["id"])
+        rows.append([
+            f"#{run['id']}", run["kind"],
+            f"{run['benchmark']}/{run['scale']}/{run['design']}",
+            run["profile"],
+            _short(run["git_commit"], run["git_dirty"]),
+            run["status"],
+            _fmt(metrics.get("value"), "{:,.1f}"),
+            _fmt(metrics.get("latency_p99"), "{:.3f}"),
+            _fmt(metrics.get("waf"), "{:.3f}"),
+        ])
+    return title, ["run", "kind", "grid cell", "profile", "commit",
+                   "status", "value", "p99 (s)", "waf"], rows
+
+
 def cmd_runs_list(args: argparse.Namespace) -> int:
     with open_for_query(args) as store:
         runs = store.list_runs(limit=args.limit, **_common_filters(args))
-        rows = []
-        for run in runs:
-            metrics = store.metrics_for(run["id"])
-            rows.append([
-                f"#{run['id']}", run["kind"],
-                f"{run['benchmark']}/{run['scale']}/{run['design']}",
-                run["profile"],
-                _short(run["git_commit"], run["git_dirty"]),
-                run["status"],
-                _fmt(metrics.get("value"), "{:,.1f}"),
-                _fmt(metrics.get("latency_p99"), "{:.3f}"),
-                _fmt(metrics.get("waf"), "{:.3f}"),
-            ])
-    print(format_table(
-        f"runs — {len(rows)} shown (newest first)",
-        ["run", "kind", "grid cell", "profile", "commit", "status",
-         "value", "p99 (s)", "waf"], rows))
+        print(format_table(*runs_table(
+            store, runs, f"runs — {len(runs)} shown (newest first)")))
     return 0
 
 
@@ -231,7 +238,7 @@ def add_runs_arguments(parser: argparse.ArgumentParser) -> None:
 
     p_list = sub.add_parser("list", help="recent runs, newest first")
     _filters(p_list)
-    p_list.add_argument("--limit", type=int, default=30)
+    p_list.add_argument("--limit", type=_count, default=30)
     p_list.set_defaults(runs_func=cmd_runs_list)
 
     p_show = sub.add_parser("show", help="one run in full")
@@ -285,10 +292,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _port(text: str) -> int:
+    """An argparse ``type``: a TCP port, 0 (any free one) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 65535], got {value}")
+    return value
+
+
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``repro serve`` flags."""
     add_db_argument(parser)
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8642)
+    parser.add_argument("--port", type=_port, default=8642)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-request log lines")

@@ -11,7 +11,8 @@ Endpoints:
     p50/p95/p99 latency decomposition, WAF, wear) with one polyline per
     design, x = run id across commits, plus the recent-runs table.
     Accepts ``benchmark`` / ``design`` / ``scale`` / ``limit`` query
-    filters.
+    filters; a malformed ``scale`` or ``limit`` (or a ``limit`` below
+    1) is a 400 naming the parameter.
 ``GET /api/runs``
     Recent run rows (with metrics) as JSON; same filters.
 ``GET /api/trajectory?metric=NAME``
@@ -32,6 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.runstore.cli import runs_table
 from repro.runstore.schema import SCHEMA_VERSION
 from repro.runstore.store import RunStore, StoreError
 from repro.telemetry.htmlreport import (REPORT_CSS, html_table, legend,
@@ -46,18 +48,6 @@ TRAJECTORIES = (
     ("waf", "Write amplification (device WAF)", "{:.2f}"),
     ("wear_spread", "Wear spread (max-min erase counts)", "{:,.0f}"),
 )
-
-#: Columns of the recent-runs table (run column, metric, format).
-RUN_METRIC_COLUMNS = (
-    ("value", "{:,.1f}"),
-    ("latency_p99", "{:.3f}"),
-    ("waf", "{:.3f}"),
-)
-
-
-def _short(commit: Optional[str]) -> str:
-    return commit[:10] if commit else "-"
-
 
 def render_dashboard(store: RunStore,
                      benchmark: Optional[str] = None,
@@ -115,26 +105,8 @@ def render_dashboard(store: RunStore,
 
     body.append("<h2>Recent runs</h2>")
     if runs:
-        rows = []
-        for run in runs[:50]:
-            metrics = store.metrics_for(run["id"])
-            row = [
-                f"#{run['id']}",
-                run["kind"],
-                f"{run['benchmark']}/{run['scale']}/{run['design']}",
-                run["profile"],
-                _short(run["git_commit"])
-                + ("*" if run["git_dirty"] else ""),
-                run["status"],
-            ]
-            for name, fmt in RUN_METRIC_COLUMNS:
-                value = metrics.get(name)
-                row.append(fmt.format(value) if value is not None else "-")
-            rows.append(row)
-        body.append(html_table(
-            ["run", "kind", "grid cell", "profile", "commit", "status",
-             "value", "p99 (s)", "waf"],
-            rows, caption="newest first; * marks a dirty working tree"))
+        body.append(html_table(*runs_table(
+            store, runs[:50], "newest first; * marks a dirty working tree")))
     else:
         body.append("<p class='note'>(no runs recorded)</p>")
 
@@ -183,43 +155,51 @@ class DashboardHandler(BaseHTTPRequestHandler):
         return parsed.path, params
 
     @staticmethod
-    def _int(params: Dict[str, str], key: str,
-             default: Optional[int] = None) -> Optional[int]:
+    def _int(params: Dict[str, str], key: str, default: Optional[int],
+             least: Optional[int] = None) -> Optional[int]:
+        """The integer query value ``key``, or ``default`` when absent;
+        ``ValueError`` naming ``key`` when malformed or below ``least``."""
         raw = params.get(key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
-            return default
+            value = None
+        if value is None or (least is not None and value < least):
+            bound = f" >= {least}" if least is not None else ""
+            raise ValueError(f"{key} must be an integer{bound}, got {raw!r}")
+        return value
 
     # -- routes --------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path, params = self._query()
+        if path == "/healthz":
+            self._send_json({"status": "ok",
+                             "schema_version": SCHEMA_VERSION,
+                             "database": self.database})
+            return
         try:
-            if path == "/healthz":
-                self._send_json({"status": "ok",
-                                 "schema_version": SCHEMA_VERSION,
-                                 "database": self.database})
-                return
+            filters: Dict[str, Any] = dict(
+                benchmark=params.get("benchmark"),
+                design=params.get("design"),
+                scale=self._int(params, "scale", None))
+            limit = self._int(params, "limit", 200 if path == "/" else 50,
+                              least=1)
+        except ValueError as exc:
+            self._send_json({"error": str(exc)}, status=400)
+            return
+        try:
             # Each request opens its own connection: handler threads
             # must not share one sqlite3 connection, and a fresh open
             # always sees the latest recorded runs.
             with RunStore(self.database) as store:
                 if path == "/":
-                    self._send_html(render_dashboard(
-                        store,
-                        benchmark=params.get("benchmark"),
-                        design=params.get("design"),
-                        scale=self._int(params, "scale"),
-                        limit=self._int(params, "limit", 200) or 200))
+                    self._send_html(render_dashboard(store, limit=limit,
+                                                     **filters))
                 elif path == "/api/runs":
-                    runs = store.list_runs(
-                        limit=self._int(params, "limit", 50) or 50,
-                        benchmark=params.get("benchmark"),
-                        design=params.get("design"),
-                        scale=self._int(params, "scale"))
+                    runs = store.list_runs(limit=limit, **filters)
                     for run in runs:
                         run["metrics"] = store.metrics_for(run["id"])
                     self._send_json({"runs": runs})
@@ -227,11 +207,7 @@ class DashboardHandler(BaseHTTPRequestHandler):
                     metric = params.get("metric", "value")
                     self._send_json({
                         "metric": metric,
-                        "series": store.trajectory(
-                            metric,
-                            benchmark=params.get("benchmark"),
-                            design=params.get("design"),
-                            scale=self._int(params, "scale")),
+                        "series": store.trajectory(metric, **filters),
                     })
                 else:
                     self._send_json({"error": f"no such path: {path}"},

@@ -13,9 +13,10 @@ workers recording into one database queue instead of failing.  Readers
 (the dashboard, ``repro runs``) never block writers in WAL mode.
 
 Failure policy: any corrupted, locked, or version-skewed database
-raises :class:`StoreError`; callers in the harness catch it and fall
-back to JSON-only output — a broken run database must never cost a
-completed simulation its results.
+raises :class:`StoreError`.  Commands record through one
+:class:`Recorder`, which catches it, says so once and records nothing
+more — a broken run database must never cost a completed simulation its
+results.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 import sqlite3
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,7 +67,6 @@ def open_store(path: Optional[Union[str, Path]] = None,
     unusable database degrades to JSON-only output instead of failing
     the run that produced the data.
     """
-    import sys
     try:
         return RunStore(db_path(str(path) if path is not None else None),
                         timeout=timeout)
@@ -73,6 +74,63 @@ def open_store(path: Optional[Union[str, Path]] = None,
         print(f"runstore: {exc}; continuing without run recording",
               file=sys.stderr)
         return None
+
+
+class Recorder:
+    """The one way a command records its runs, best-effort.
+
+    Provenance is captured once, at the first write.  The first
+    :class:`StoreError` prints one message and ends recording; the runs
+    themselves carry on.  ``store`` None (``--no-db``, or a database
+    :func:`open_store` could not open) records nothing.  All recording
+    happens in the parent process (sweep workers ship plain records
+    back), so one command is one writer; the store's ``BEGIN
+    IMMEDIATE`` guard covers concurrent commands sharing a database.
+    """
+
+    def __init__(self, store: Optional["RunStore"],
+                 say: Callable[[str], None] = lambda message: print(
+                     message, file=sys.stderr)) -> None:
+        self.store = store
+        self.recorded = 0
+        self._say = say
+        self._provenance: Optional[Provenance] = None
+        self._failed = False
+
+    def _write(self, write: Callable[["RunStore", Provenance], Any]) -> Any:
+        """``write(store, provenance)``'s value, or None when nothing
+        was written."""
+        if self.store is None or self._failed:
+            return None
+        if self._provenance is None:
+            self._provenance = capture()
+        try:
+            return write(self.store, self._provenance)
+        except StoreError as exc:
+            self._say(f"runstore: {exc}; recording stops here (results "
+                      f"are unaffected)")
+            self._failed = True
+            return None
+
+    def record(self, spec: "RunSpec", result: Any,
+               faults: Optional[str] = None) -> None:
+        """Record one run (``faults``: the plan's grammar string)."""
+        if self._write(lambda store, prov: store.record_result(
+                spec, result, faults, prov)) is not None:
+            self.recorded += 1
+
+    def record_chaos(self, outcomes: Iterable[Any],
+                     seed: Optional[int]) -> Optional[List[int]]:
+        """Record a crash-point sweep; its run ids, or None."""
+        return self._write(lambda store, prov: store.record_chaos(
+            outcomes, seed, prov))
+
+    def __enter__(self) -> "Recorder":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self.store is not None:
+            self.store.close()
 
 
 @dataclass
@@ -222,14 +280,16 @@ class RunStore:
         return run_id
 
     def record_result(self, spec: "RunSpec", result: Any,
-                      faulted: bool = False,
+                      faults: Optional[str] = None,
                       provenance: Optional[Provenance] = None) -> int:
-        """Record one harness run: ``spec.to_dict()`` (plus the derived
-        ``faulted`` flag) is the ``spec_json``, ``result.metrics()`` the
-        metric rows — the same for a live ``RunResult``/``TpchResult``
-        and one restored from the sweep cache."""
+        """Record one harness run: ``spec.to_dict()`` plus the fault
+        plan's grammar string (``faults``, None for a clean run) is the
+        ``spec_json``, so runs under different plans never share a
+        ``regress`` group; ``result.metrics()`` is the metric rows — the
+        same for a live ``RunResult``/``TpchResult`` and one restored
+        from the sweep cache."""
         return self.record_run(
-            dict(spec.to_dict(), faulted=faulted), result.metrics(),
+            dict(spec.to_dict(), faults=faults), result.metrics(),
             provenance=provenance, metric_name=result.metric_name)
 
     def record_chaos(self, outcomes: Iterable[Any],

@@ -13,7 +13,10 @@ This module loads a trace back (JSONL or Chrome ``trace_event`` JSON,
 auto-detected), groups events by transaction, and answers the questions
 the paper's figures raise but cannot answer themselves: *where does the
 p99 go* under each SSD design, and *who else* (cleaner, evictions,
-checkpoints) was occupying the devices at the time.
+checkpoints) was occupying the devices at the time.  Each table the
+command shows is built here once, as ``(title, headers, rows)``: the
+terminal prints it with ``format_table`` and the ``--html`` report
+renders the same rows with ``html_table``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.registry import percentile_of
+from repro.telemetry.registry import percentile_of, summary
 from repro.telemetry.tracer import TRUNCATION_EVENT
 
 #: Wait-span names that map straight to a latency component.
@@ -226,21 +229,12 @@ class DesignAnalysis:
     # -- latency ------------------------------------------------------
 
     def _latencies(self, txn_type: Optional[str] = None) -> List[float]:
-        values = sorted(t.latency for t in self.txns
-                        if txn_type is None or t.txn_type == txn_type)
-        return values
+        return sorted(t.latency for t in self.txns
+                      if txn_type is None or t.txn_type == txn_type)
 
     def latency_summary(self, txn_type: Optional[str] = None) -> Dict[str, float]:
         """count / mean / p50 / p95 / p99 of transaction latency."""
-        values = self._latencies(txn_type)
-        mean = sum(values) / len(values) if values else float("nan")
-        return {
-            "count": float(len(values)),
-            "mean": mean,
-            "p50": percentile_of(values, 50),
-            "p95": percentile_of(values, 95),
-            "p99": percentile_of(values, 99),
-        }
+        return summary(self._latencies(txn_type))
 
     def txn_types(self) -> List[str]:
         """Distinct transaction types, most frequent first."""
@@ -258,15 +252,9 @@ class DesignAnalysis:
         return sorted(seen)
 
     def tenant_summary(self, tenant: str) -> Dict[str, float]:
-        """count / mean / p50 / p99 latency for one tenant's transactions."""
-        values = sorted(t.latency for t in self.txns if t.tenant == tenant)
-        mean = sum(values) / len(values) if values else float("nan")
-        return {
-            "count": float(len(values)),
-            "mean": mean,
-            "p50": percentile_of(values, 50),
-            "p99": percentile_of(values, 99),
-        }
+        """count / mean / p50 / p95 / p99 latency for one tenant."""
+        return summary(sorted(t.latency for t in self.txns
+                              if t.tenant == tenant))
 
     # -- attribution --------------------------------------------------
 
@@ -465,20 +453,40 @@ def analyze_traces(paths: Sequence[str]) -> List[DesignAnalysis]:
 
 
 # ----------------------------------------------------------------------
-# Terminal report
+# Report tables
 # ----------------------------------------------------------------------
+
+#: One report table, built once: ``format_table(*table)`` prints it and
+#: ``html_table(*table)`` renders it for ``--html``.
+Table = Tuple[str, List[str], List[List[Any]]]
+
 
 def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:.2f}"
 
 
-def format_attribution_table(analyses: Sequence[DesignAnalysis],
-                             quantiles: Sequence[float] = (50, 95, 99),
-                             txn_type: Optional[str] = None) -> str:
-    """The ``repro analyze`` terminal table: one row per design and
-    percentile, with the dominant component and the full breakdown."""
-    from repro.harness.report import format_table
+def _suffix(txn_type: Optional[str]) -> str:
+    return f" — {txn_type}" if txn_type else ""
 
+
+def latency_table(analyses: Sequence[DesignAnalysis],
+                  txn_type: Optional[str] = None) -> Table:
+    """Transaction latency per design (the HTML report's first table)."""
+    rows = []
+    for analysis in analyses:
+        stats = analysis.latency_summary(txn_type)
+        rows.append([analysis.design, f"{int(stats['count']):,}"]
+                    + [_ms(stats[key])
+                       for key in ("mean", "p50", "p95", "p99")])
+    return (f"Transaction latency (ms){_suffix(txn_type)}",
+            ["design", "txns", "mean", "p50", "p95", "p99"], rows)
+
+
+def attribution_table(analyses: Sequence[DesignAnalysis],
+                      quantiles: Sequence[float] = (50, 95, 99),
+                      txn_type: Optional[str] = None) -> Table:
+    """One row per design and percentile, with the dominant component
+    and the full breakdown."""
     rows = []
     for analysis in analyses:
         for q in quantiles:
@@ -494,57 +502,36 @@ def format_attribution_table(analyses: Sequence[DesignAnalysis],
                 att.dominant,
                 breakdown or "-",
             ])
-    suffix = f" — {txn_type}" if txn_type else ""
-    return format_table(
-        f"Tail-latency attribution (ms){suffix}",
-        ["design", "tail", "latency", "txns", "coverage", "dominant",
-         "breakdown"],
-        rows)
+    return (f"Tail-latency attribution (ms){_suffix(txn_type)}",
+            ["design", "tail", "latency", "txns", "coverage", "dominant",
+             "breakdown"], rows)
 
 
-def format_tenant_table(analyses: Sequence[DesignAnalysis]) -> str:
+def tenant_table(analyses: Sequence[DesignAnalysis]) -> Table:
     """Per-tenant latency breakdown for multi-tenant traffic traces."""
-    from repro.harness.report import format_table
-
     rows = []
     for analysis in analyses:
         for tenant in analysis.tenants():
-            summary = analysis.tenant_summary(tenant)
-            rows.append([
-                analysis.design,
-                tenant,
-                int(summary["count"]),
-                _ms(summary["mean"]),
-                _ms(summary["p50"]),
-                _ms(summary["p99"]),
-            ])
-    return format_table(
-        "Per-tenant latency (ms)",
-        ["design", "tenant", "txns", "mean", "p50", "p99"],
-        rows)
+            stats = analysis.tenant_summary(tenant)
+            rows.append([analysis.design, tenant, int(stats["count"])]
+                        + [_ms(stats[key]) for key in ("mean", "p50", "p99")])
+    return ("Per-tenant latency (ms)",
+            ["design", "tenant", "txns", "mean", "p50", "p99"], rows)
 
 
-def format_interference_table(analyses: Sequence[DesignAnalysis]) -> str:
+def interference_table(analyses: Sequence[DesignAnalysis]) -> Table:
     """Device time consumed by background machinery, per design."""
-    from repro.harness.report import format_table
-
     origins = sorted({origin for a in analyses for origin in a.background_io})
-    rows = []
-    for analysis in analyses:
-        row = [analysis.design]
-        for origin in origins:
-            stats = analysis.background_io.get(origin)
-            row.append(f"{analysis.interference_share(origin):.1%}"
-                       if stats else "-")
-        rows.append(row)
-    return format_table("Background device-time share",
-                        ["design"] + origins, rows)
+    rows = [[analysis.design]
+            + [f"{analysis.interference_share(origin):.1%}"
+               if origin in analysis.background_io else "-"
+               for origin in origins]
+            for analysis in analyses]
+    return "Background device-time share", ["design"] + origins, rows
 
 
-def format_ftl_table(analyses: Sequence[DesignAnalysis]) -> str:
+def ftl_table(analyses: Sequence[DesignAnalysis]) -> Table:
     """Device-level write amplification per design (FTL model runs)."""
-    from repro.harness.report import format_table
-
     rows = []
     for analysis in analyses:
         ftl = analysis.ftl
@@ -560,21 +547,30 @@ def format_ftl_table(analyses: Sequence[DesignAnalysis]) -> str:
             f"{waf:.3f}" if waf else "-",
             f"{int(ftl.get('gc_events', 0))}",
         ])
-    return format_table(
-        "Flash internals (write amplification)",
-        ["design", "host_writes", "nand_writes", "erases", "waf",
-         "gc_bursts"],
-        rows)
+    return ("Flash internals (write amplification)",
+            ["design", "host_writes", "nand_writes", "erases", "waf",
+             "gc_bursts"], rows)
 
 
-def format_faults_table(analyses: Sequence[DesignAnalysis]) -> str:
+def faults_table(analyses: Sequence[DesignAnalysis]) -> Table:
     """Injected faults and the engine's reactions, per design."""
-    from repro.harness.report import format_table
-
     names = sorted({name for a in analyses for name in a.faults})
-    rows = []
-    for analysis in analyses:
-        rows.append([analysis.design]
-                    + [str(analysis.faults.get(name, 0)) or "-"
-                       for name in names])
-    return format_table("Fault events", ["design"] + names, rows)
+    rows = [[analysis.design]
+            + [str(analysis.faults.get(name, 0)) for name in names]
+            for analysis in analyses]
+    return "Fault events", ["design"] + names, rows
+
+
+def report_tables(analyses: Sequence[DesignAnalysis],
+                  quantiles: Sequence[float] = (50, 95, 99),
+                  txn_type: Optional[str] = None) -> List[Table]:
+    """The tables ``repro analyze`` prints, in order: attribution, then
+    the tenant, background, fault and flash tables of the traces that
+    hold any."""
+    optional = ((tenant_table, DesignAnalysis.tenants),
+                (interference_table, lambda a: a.background_io),
+                (faults_table, lambda a: a.faults),
+                (ftl_table, lambda a: a.ftl))
+    return [attribution_table(analyses, quantiles, txn_type)] + [
+        build(analyses) for build, holds in optional
+        if any(holds(a) for a in analyses)]

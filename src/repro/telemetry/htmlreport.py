@@ -1,11 +1,13 @@
 """Self-contained HTML report for ``repro analyze``.
 
-One file, no external assets: inline SVG line charts (per-design time
-series — hit ratio, SSD dirty fraction, cleaner backlog, queue depths),
-the tail-latency attribution tables, and run metadata.  Styling uses CSS
-custom properties with a ``prefers-color-scheme`` dark variant; series
-colors come from a fixed categorical order (a design keeps its hue no
-matter which charts it appears in).
+One file, no external assets: run metadata, the transaction-latency
+table, the tables the terminal report prints (each built once, by
+:mod:`repro.telemetry.analysis`, and rendered here by
+:func:`html_table`), and inline SVG line charts (per-design time series
+— hit ratio, SSD dirty fraction, cleaner backlog, queue depths).
+Styling uses CSS custom properties with a ``prefers-color-scheme`` dark
+variant; series colors come from a fixed categorical order (a design
+keeps its hue no matter which charts it appears in).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import html
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.report import downsample_series
-from repro.telemetry.analysis import DesignAnalysis
+from repro.telemetry.analysis import (DesignAnalysis, latency_table,
+                                      report_tables)
 
 #: Fixed categorical hue order (light-mode steps); series are assigned
 #: in design order and never cycled — a fifth design folds into a note.
@@ -162,11 +165,11 @@ def _charts_section(analyses: Sequence[DesignAnalysis]) -> List[str]:
     return out
 
 
-def html_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
-               caption: Optional[str] = None) -> str:
-    parts = ["<table>"]
-    if caption:
-        parts.append(f"<caption>{html.escape(caption)}</caption>")
+def html_table(title: str, headers: Sequence[str],
+               rows: Sequence[Sequence[object]]) -> str:
+    """:func:`repro.harness.report.format_table`'s arguments as an HTML
+    table, the title its caption."""
+    parts = ["<table>", f"<caption>{html.escape(title)}</caption>"]
     parts.append("<tr>" + "".join(f"<th>{html.escape(h)}</th>"
                                   for h in headers) + "</tr>")
     for row in rows:
@@ -176,48 +179,9 @@ def html_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     return "".join(parts)
 
 
-def _latency_table(analyses: Sequence[DesignAnalysis]) -> str:
-    rows = []
-    for analysis in analyses:
-        summary = analysis.latency_summary()
-        rows.append([
-            analysis.design,
-            f"{int(summary['count']):,}",
-            f"{summary['mean'] * 1e3:.2f}",
-            f"{summary['p50'] * 1e3:.2f}",
-            f"{summary['p95'] * 1e3:.2f}",
-            f"{summary['p99'] * 1e3:.2f}",
-        ])
-    return html_table(["design", "txns", "mean", "p50", "p95", "p99"], rows,
-                  caption="Transaction latency (ms)")
-
-
-def _attribution_tables(analyses: Sequence[DesignAnalysis],
-                        quantiles: Sequence[float]) -> List[str]:
-    out = []
-    for analysis in analyses:
-        rows = []
-        for q in quantiles:
-            att = analysis.attribution(q)
-            breakdown = ", ".join(f"{name} {share:.0%}"
-                                  for name, share in att.shares()[:4])
-            rows.append([
-                f"p{q:g}",
-                f"{att.mean_latency * 1e3:.2f}" if att.count else "-",
-                f"{att.count:,}",
-                f"{att.coverage:.1%}" if att.count else "-",
-                att.dominant,
-                breakdown or "-",
-            ])
-        out.append(html_table(
-            ["tail", "latency (ms)", "txns", "coverage", "dominant",
-             "breakdown"],
-            rows, caption=f"{analysis.design} — tail-latency attribution"))
-    return out
-
-
 def render_report(analyses: Sequence[DesignAnalysis], workload: str,
                   quantiles: Sequence[float] = (50, 95, 99),
+                  txn_type: Optional[str] = None,
                   title: Optional[str] = None) -> str:
     """The full report as one self-contained HTML document."""
     title = title or f"repro analyze — {workload}"
@@ -248,23 +212,13 @@ def render_report(analyses: Sequence[DesignAnalysis], workload: str,
                     f"{len(PALETTE_LIGHT)} designs ({shown}); tables cover "
                     f"all {len(analyses)}.</p>")
 
-    body.append("<h2>Latency</h2>")
-    body.append(_latency_table(analyses))
-    body.extend(_attribution_tables(analyses, quantiles))
+    body.append("<h2>Tables</h2>")
+    tables = [latency_table(analyses, txn_type)]
+    tables += report_tables(analyses, quantiles, txn_type)
+    body.extend(html_table(*table) for table in tables)
 
     body.append("<h2>Time series</h2>")
     body.extend(_charts_section(analyses[:len(PALETTE_LIGHT)]))
-
-    origins = sorted({o for a in analyses for o in a.background_io})
-    if origins:
-        body.append("<h2>Background device time</h2>")
-        rows = [[a.design] + [
-            f"{a.interference_share(origin):.1%}"
-            if origin in a.background_io else "-"
-            for origin in origins
-        ] for a in analyses]
-        body.append(html_table(["design"] + origins, rows,
-                           caption="Share of total device-busy time"))
 
     return (
         "<!doctype html><html lang='en'><head><meta charset='utf-8'>"
@@ -276,8 +230,8 @@ def render_report(analyses: Sequence[DesignAnalysis], workload: str,
 
 
 def write_report(path: str, analyses: Sequence[DesignAnalysis],
-                 workload: str,
-                 quantiles: Sequence[float] = (50, 95, 99)) -> None:
+                 workload: str, quantiles: Sequence[float] = (50, 95, 99),
+                 txn_type: Optional[str] = None) -> None:
     """Render and write the HTML report to ``path``."""
     with open(path, "w") as fh:
-        fh.write(render_report(analyses, workload, quantiles=quantiles))
+        fh.write(render_report(analyses, workload, quantiles, txn_type))

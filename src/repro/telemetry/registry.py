@@ -47,10 +47,11 @@ def percentile_of(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
 
 
-def _summary(samples: Sequence[float]) -> Dict[str, float]:
-    """A histogram's row value: count / mean / p50 / p95 / p99.  The mean
-    is summed in observation order, what a running sum over the owner's
-    appends would hold to the last digit (the sorted samples differ)."""
+def summary(samples: Sequence[float]) -> Dict[str, float]:
+    """count / mean / p50 / p95 / p99: a histogram's row value and
+    ``repro analyze``'s latency figures.  The mean is summed in the
+    order given, what a running sum over the owner's appends would hold
+    to the last digit (the sorted samples differ)."""
     ordered = sorted(samples)
     return {
         "count": float(len(ordered)),
@@ -106,7 +107,7 @@ class MetricRegistry:
         within a labeled name, by label values.
 
         Each row is ``{"name", "kind", "labels", "value"}``: a counter's
-        or gauge's value as a float, a histogram's :func:`_summary`.  A
+        or gauge's value as a float, a histogram's :func:`summary`.  A
         labeled name's rows are the tuples its readers report now; where
         two report one tuple, the later-registered reader's value wins.
         """
@@ -122,7 +123,7 @@ class MetricRegistry:
                     "name": name,
                     "kind": kind,
                     "labels": dict(zip(labelnames, key)),
-                    "value": (_summary(value) if kind == "histogram"
+                    "value": (summary(value) if kind == "histogram"
                               else float(value)),
                 })
         return rows

@@ -332,6 +332,17 @@ class TestAnalyzeCommand:
         assert text.startswith("<!doctype html>")
         assert text.count("<svg") >= 3
 
+    def test_txn_type_reaches_the_html_report(self, traced_pair, tmp_path):
+        """``--txn-type`` used to leave the HTML report as it was."""
+        texts = []
+        for extra in ([], ["--txn-type", "new_order"]):
+            report = tmp_path / "report.html"
+            assert main(["analyze", *traced_pair, *extra,
+                         "--html", str(report)]) == 0
+            texts.append(report.read_text())
+        assert texts[0] != texts[1]
+        assert "Tail-latency attribution (ms) — new_order" in texts[1]
+
     def test_txn_type_filter(self, traced_pair, capsys):
         assert main(["analyze", traced_pair[0],
                      "--txn-type", "new_order"]) == 0

@@ -228,15 +228,16 @@ class TestSweepRecording:
         ]
 
     def test_live_and_cached_runs_record_alike(self, tmp_path):
-        from repro.runstore.store import RunStore
+        from repro.runstore.store import Recorder, RunStore
 
         with RunStore(tmp_path / "runs.db") as store:
+            recorder = Recorder(store)
             first = run_sweep(self.specs(), workers=1, directory=tmp_path,
-                              store=store)
-            assert first.recorded == 2 and first.computed == 2
+                              recorder=recorder)
+            assert recorder.recorded == 2 and first.computed == 2
             second = run_sweep(self.specs(), workers=1,
-                               directory=tmp_path, store=store)
-            assert second.recorded == 2 and second.cached == 2
+                               directory=tmp_path, recorder=recorder)
+            assert recorder.recorded == 4 and second.cached == 2
 
             runs = store.list_runs()
             assert len(runs) == 4
@@ -250,16 +251,18 @@ class TestSweepRecording:
                 assert metric_rows[0] == metric_rows[1], design
 
     def test_recording_failure_does_not_fail_the_sweep(self, tmp_path):
+        from repro.runstore.store import Recorder, StoreError
+
         class ExplodingStore:
             path = "exploding.db"
 
-            def record_result(self, spec, result, provenance=None):
-                from repro.runstore.store import StoreError
+            def record_result(self, spec, result, faults, provenance):
                 raise StoreError("disk on fire")
 
         lines = []
+        recorder = Recorder(ExplodingStore(), say=lines.append)
         report = run_sweep(self.specs(), workers=1, directory=tmp_path,
-                           store=ExplodingStore(), progress=lines.append)
-        assert report.recorded == 0
+                           recorder=recorder)
+        assert recorder.recorded == 0
         assert report.computed == 2  # every run still completed
         assert any("disk on fire" in line for line in lines)

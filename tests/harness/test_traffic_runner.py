@@ -14,7 +14,7 @@ from repro.harness import (OpenLoopRunner, RunResult, WorkloadRunner,
                            run_oltp_experiment)
 from repro.harness.experiments import (SCALE_PROFILES, RunSpec, make_system,
                                        make_workload, run)
-from repro.runstore.store import RunStore
+from repro.runstore.store import Recorder, RunStore
 from repro.telemetry import Telemetry
 from repro.workloads.traffic import parse_tenants
 
@@ -25,12 +25,16 @@ TWO_TENANTS = ("gold=poisson:rate=40:theta=0.6;"
 
 
 def _traffic(design="LC", kernel="heap", duration=8.0, queue_limit=200,
-             nworkers=8, tenants=TWO_TENANTS, store=None, **kwargs):
-    return run(RunSpec(
+             nworkers=8, tenants=TWO_TENANTS, recorder=None, **kwargs):
+    spec = RunSpec(
         kind="traffic", benchmark="tpcc", scale=20, design=design,
         tenants=tenants, duration=duration, profile="tiny",
         nworkers=nworkers, queue_limit=queue_limit, bucket_seconds=2.0,
-        kernel=kernel, **kwargs), store=store)
+        kernel=kernel, **kwargs)
+    result = run(spec)
+    if recorder is not None:
+        recorder.record(spec, result)
+    return result
 
 
 def test_open_loop_run_reports_per_tenant_stats():
@@ -92,7 +96,8 @@ def test_million_logical_users_bounded_run_records_per_tenant(tmp_path):
     with RunStore(tmp_path / "runs.db") as store:
         for design in ("DW", "LC"):
             result = _traffic(design=design, tenants=spec, duration=1.0,
-                              nworkers=48, queue_limit=5000, store=store)
+                              nworkers=48, queue_limit=5000,
+                              recorder=Recorder(store))
             assert result.logical_users == pytest.approx(1_200_000.0)
             # 12k arrivals/s offered through only 48 workers.
             assert result.offered > 5_000

@@ -1,5 +1,7 @@
 """The ``repro runs`` / ``repro serve`` CLI surface, end to end."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -32,6 +34,22 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.port == 8642
         assert args.host == "127.0.0.1"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["runs", "list", "--limit", "-1"], "--limit"),
+        (["runs", "list", "--limit", "0"], "--limit"),
+        (["serve", "--port", "70000"], "--port"),
+        (["serve", "--port", "-1"], "--port"),
+    ])
+    def test_out_of_range_values_exit_2_naming_the_flag(self, capsys, argv,
+                                                        flag):
+        """``--limit -1`` listed every row; ``--port 70000`` ended in an
+        ``OverflowError`` traceback."""
+        populate()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_recording_flags_everywhere(self):
         for command in ("oltp", "tpch", "sweep", "chaos"):
@@ -147,6 +165,21 @@ class TestRecordingCommands:
             runs = store.list_runs(kind="chaos")
             assert len(runs) == 1
             assert store.chaos_for(runs[0]["id"])
+
+    def test_fault_plans_form_their_own_regress_groups(self, capsys):
+        """One spec under two fault plans is two groups: a transient-error
+        run is never compared with an SSD-death baseline (the recorded
+        spec said only ``"faulted": true``, so they were one group)."""
+        plans = ("transient:p=0.01:device=disk", "ssd_die@t=1")
+        for plan in plans:
+            assert main(["oltp", "--scale", "50", "--profile", "tiny",
+                         "--duration", "2", "--workers", "4",
+                         "--designs", "LC", "--faults", plan]) == 0
+        with RunStore(db_path()) as store:
+            assert store.regress()[1] == 2
+            recorded = [json.loads(run["spec_json"])["faults"]
+                        for run in store.list_runs()]
+        assert recorded == list(reversed(plans))
 
     def test_serve_missing_db_exits_2(self, capsys):
         assert main(["serve"]) == 2

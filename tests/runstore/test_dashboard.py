@@ -109,6 +109,24 @@ class TestHttpApi:
         assert status == 200
         assert json.loads(body)["schema_version"] == SCHEMA_VERSION
 
+    @pytest.mark.parametrize("query, name", [
+        ("scale=abc", "scale"),
+        ("limit=-1", "limit"),
+        ("limit=0", "limit"),
+        ("limit=ten", "limit"),
+    ])
+    @pytest.mark.parametrize("path", ["/", "/api/runs"])
+    def test_malformed_query_value_is_a_400_naming_it(self, server, path,
+                                                      query, name):
+        """``scale=abc`` dropped the filter (every run, where
+        ``scale=999`` gave none), ``limit=-1`` was SQLite's no-limit and
+        ``limit=0`` became the default."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(f"{server}{path}?{query}")
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error.startswith(f"{name} must be an integer")
+
     def test_unknown_path_404s(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(f"{server}/nope")

@@ -259,4 +259,4 @@ class TestMetricsFromResult:
             ("oltp", "LC", "tiny")
         assert metrics == result.metrics()
         assert json.loads(run["spec_json"]) == {**SPEC.to_dict(),
-                                                "faulted": False}
+                                                "faults": None}

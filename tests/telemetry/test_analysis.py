@@ -2,16 +2,17 @@
 
 import pytest
 
+from repro.harness.report import format_table
 from repro.telemetry import CLEANER_CTX, EVICTION_CTX, TraceContext, Tracer
 from repro.telemetry.analysis import (
     Attribution,
     analyze_trace,
     analyze_traces,
-    format_attribution_table,
-    format_ftl_table,
-    format_interference_table,
-    format_tenant_table,
+    attribution_table,
+    ftl_table,
+    interference_table,
     load_events,
+    tenant_table,
 )
 
 
@@ -205,14 +206,14 @@ class TestAttribution:
 
 class TestTables:
     def test_attribution_table_renders(self, analysis):
-        text = format_attribution_table([analysis])
+        text = format_table(*attribution_table([analysis]))
         assert "LC" in text
         assert "p99" in text
         assert "wal_flush" in text
         assert "coverage" in text
 
     def test_interference_table_renders(self, analysis):
-        text = format_interference_table([analysis])
+        text = format_table(*interference_table([analysis]))
         assert "cleaner" in text and "eviction" in text
 
     def test_tenant_table_has_a_row_per_tenant(self, tmp_path):
@@ -225,7 +226,8 @@ class TestTables:
                 ctx=TraceContext.for_txn(txn_id, "payment", tenant=tenant))
         path = tmp_path / "tenants.jsonl"
         tracer.write_jsonl(str(path))
-        lines = format_tenant_table([analyze_trace(str(path))]).splitlines()
+        lines = format_table(
+            *tenant_table([analyze_trace(str(path))])).splitlines()
         assert lines[0] == "Per-tenant latency (ms)"     # CI greps this
         rows = [line.split() for line in lines[4:]]
         assert [row[:3] for row in rows] == [["DW", "gold", "2"],
@@ -245,8 +247,8 @@ class TestTables:
         path = tmp_path / "ftl.jsonl"
         tracer.write_jsonl(str(path))
         # ``analysis`` (the LC fixture) ran the black-box SSD: dashes.
-        lines = format_ftl_table(
-            [analyze_trace(str(path)), analysis]).splitlines()
+        lines = format_table(
+            *ftl_table([analyze_trace(str(path)), analysis])).splitlines()
         assert lines[0] == "Flash internals (write amplification)"
         rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
         assert rows["LS"] == ["400", "424", "6", "1.060", "3"]

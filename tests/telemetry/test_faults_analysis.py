@@ -1,9 +1,10 @@
 """Fault events in trace analysis: counting and the analyze table."""
 
+from repro.harness.report import format_table
 from repro.telemetry import Tracer
 from repro.telemetry.analysis import (
     analyze_trace,
-    format_faults_table,
+    faults_table,
 )
 
 
@@ -58,7 +59,7 @@ class TestFaultEventCounting:
 class TestFaultsTable:
     def test_formats_per_design_counts(self, tmp_path):
         analysis = analyze_trace(faulted_trace(tmp_path))
-        table = format_faults_table([analysis])
+        table = format_table(*faults_table([analysis]))
         assert "Fault events" in table
         assert "fault_transient" in table
         assert "LC" in table

@@ -53,9 +53,29 @@ class TestRenderReport:
 
     def test_attribution_and_latency_tables(self, analyses):
         html_text = render_report(analyses, "oltp")
-        assert "tail-latency attribution" in html_text
+        assert "Tail-latency attribution (ms)" in html_text
         assert "Transaction latency (ms)" in html_text
         assert "disk_read" in html_text
+
+    def test_txn_type_filters_the_tables(self, analyses):
+        everything = render_report(analyses, "oltp")
+        html_text = render_report(analyses, "oltp", txn_type="payment")
+        assert html_text != everything
+        assert "Tail-latency attribution (ms) — payment" in html_text
+        assert "disk_read" not in html_text    # new_order's component only
+
+    def test_tables_of_the_terminal_report(self, analyses):
+        """The tenant, fault and flash tables, which only the terminal
+        had, are in the report when a trace holds them."""
+        assert "Fault events" not in render_report(analyses, "oltp")
+        analyses[1].faults = {"ssd_detached": 1}
+        analyses[1].ftl = {"host_writes": 10.0, "nand_writes": 12.0,
+                           "erases": 1.0, "waf": 1.2}
+        analyses[1].txns[0].tenant = "gold"
+        html_text = render_report(analyses, "oltp")
+        for title in ("Per-tenant latency (ms)", "Background device-time "
+                      "share", "Fault events", "Flash internals"):
+            assert f"<caption>{title}" in html_text
 
     def test_dark_mode_palette_present(self, analyses):
         html_text = render_report(analyses, "oltp")

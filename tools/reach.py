@@ -140,6 +140,9 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.harness.sweep:_worker": (J, "the sweep's spawn-pool child"),
     "repro.harness.sweep:run_cached": (J, "benchmarks/common.py"),
     # runstore
+    "repro.runstore.cli:_port": (
+        J, "repro serve --port (blocks; the inputs serve through "
+           "make_server)"),
     "repro.runstore.cli:cmd_serve": (
         J, "repro serve (blocks; the inputs serve through make_server)"),
     "repro.runstore.store:RegressionFinding.group_label": (
@@ -343,7 +346,7 @@ CI_LINES = (
     "oltp --scale 100 --profile tiny --duration 6 --designs LC --no-db "
     "--metrics --faults transient:p=0.02:device=disk,"
     "transient:p=0.02:device=log",
-    "analyze faultdemo-DW.jsonl faultdemo-LC.jsonl",
+    "analyze faultdemo-DW.jsonl faultdemo-LC.jsonl --html faults.html",
     # ls-smoke
     "oltp --benchmark tpcc --scale 300 --profile tiny --duration 8 "
     "--workers 8 --designs LC,LS --ftl --trace ls-smoke.jsonl",
