@@ -47,4 +47,4 @@ def test_terminal_tables_and_html_report(masked_pair, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Tail-latency attribution" in out
     assert _md5(out) == "60992ff7ea50eb4607f8b2fbc144e1bd"
-    assert _md5(report.read_text()) == "14b87e0cdfc758740089d125371f94d9"
+    assert _md5(report.read_text()) == "c382d6f5eab3c245d3cb118b276a10c4"
