@@ -198,7 +198,7 @@ def _runs(args, kind: str, **fixed: Any):
         print(f"--trace: directory does not exist: {directory}",
               file=sys.stderr)
         return None
-    plan = getattr(args, "faults", None)
+    plan = getattr(args, "faults", None) or None
     if plan:
         from repro.faults.plan import FaultPlan
         try:
@@ -219,8 +219,8 @@ def _runs(args, kind: str, **fixed: Any):
                              else None)
                 # The grammar string, not a plan: each system parses its
                 # own, since injectors bind to one system's devices.
-                result = run(spec, telemetry=telemetry, faults=plan or None)
-                recorder.record(spec, result, plan or None)
+                result = run(spec, telemetry=telemetry, faults=plan)
+                recorder.record(spec, result, plan)
                 print(f"ran {spec.design}", file=sys.stderr)
                 yield spec, result
                 _emit_telemetry(args, spec.design, telemetry,
