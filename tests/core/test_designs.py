@@ -313,3 +313,21 @@ class TestTac:
         assert not stale.occupied and fresh is not stale
         manager.check_invariants()
 
+
+
+def test_a_tac_tpcc_run_files_nothing_in_the_lru2_heaps():
+    """TAC orders victims by temperature, so its reads must not file
+    records into the LRU-2 heaps that nothing on its path ever pops
+    (``TacManager._reheap`` is a no-op the base read path dispatches to).
+    """
+    from repro.harness.experiments import (SCALE_PROFILES, make_system,
+                                           make_workload)
+    from repro.harness.runner import WorkloadRunner
+
+    profile = SCALE_PROFILES["tiny"]
+    workload = make_workload("tpcc", 100, profile)
+    system = make_system("tpcc", workload, "TAC", profile)
+    WorkloadRunner(system, workload, nworkers=4).run(3.0)
+    manager = system.ssd_manager
+    assert manager.stats.reads > 0
+    assert (len(manager.clean_heap), len(manager.dirty_heap)) == (0, 0)

@@ -193,6 +193,23 @@ class TestCallbackCompletion:
             ssd.read(0)
         assert ssd.pending == 0 and ssd.channels.busy == 0
 
+    def test_raising_traffic_record_frees_channel_and_count(self, env):
+        """The ``Ssd`` twin of the drive test below: an I/O whose
+        accounting raises still gives its channel and its count back,
+        and the request queued behind it is served."""
+        ssd = Ssd(env, channels=1)
+        ssd.traffic = _Completions(poison=13)
+        first, bad, queued = ssd.read(0), ssd.read(13), ssd.read(64)
+        with pytest.raises(RuntimeError, match="bad record"):
+            env.run()
+        assert first.ok and not bad.triggered
+        assert ssd.pending == 1 and ssd.channels.busy == 1
+        assert not ssd.channels.waiting
+        env.run()
+        assert queued.ok and not bad.triggered
+        assert ssd.pending == 0 and ssd.channels.busy == 0
+        assert [address for _, address in ssd.traffic.log] == [0, 64]
+
     def test_reset_after_wipe_forgets_inflight_work(self, env):
         ssd = Ssd(env, channels=2)
         for index in range(5):
