@@ -46,10 +46,6 @@ class SsdRecord:
         return (self.valid and self.page_id == page_id
                 and self.version == version)
 
-    def lru2_key(self) -> float:
-        """Replacement priority: penultimate access time (LRU-2)."""
-        return self.prev_access
-
     def record_access(self, now: float) -> None:
         """Push the LRU-2 access history."""
         self.prev_access = self.last_access

@@ -44,6 +44,7 @@ whose event the caller waits on, or subscribes a completion to.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
                     Optional, Sequence)
 
@@ -209,11 +210,12 @@ class SsdManagerBase:
         self.stats = SsdStats()
         #: Set by the system wiring; lets designs see checkpoint state.
         self.bp = None
+        # LRU-2: a record's priority is its penultimate access time.
         self.clean_heap = LazyMinHeap(
-            key=SsdRecord.lru2_key,
+            key=attrgetter("prev_access"),
             member=lambda r: r.valid and not r.dirty)
         self.dirty_heap = LazyMinHeap(
-            key=SsdRecord.lru2_key,
+            key=attrgetter("prev_access"),
             member=lambda r: r.valid and r.dirty)
         #: True once the SSD has been dropped from service (device death,
         #: §2.4 degradation): the design continues as noSSD.
@@ -465,8 +467,8 @@ class SsdManagerBase:
         record.prev_access = record.last_access  # record_access, inlined
         record.last_access = self.env._now
         self._reheap(record)
-        return SsdRead(self.device.read(record.frame_no, 1, random=True,
-                                        ctx=ctx),
+        # Positional: a keyword call costs more than the frame it enters.
+        return SsdRead(self.device.read(record.frame_no, 1, True, ctx),
                        record, page_id, version, must, ctx)
 
     def read_landed(self, read: SsdRead) -> Optional[int]:

@@ -14,7 +14,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import Environment, Event, Timeout
-from repro.storage.request import IoKind, IORequest, PAGE_SIZE_BYTES
+from repro.storage.request import (_KIND_OF, IoKind, IORequest,
+                                   PAGE_SIZE_BYTES)
 from repro.telemetry import NULL_TELEMETRY
 
 #: A submitted request and its completion event.
@@ -35,10 +36,10 @@ class DeviceStats:
         self.pages_by_kind: Dict[IoKind, int] = {kind: 0 for kind in IoKind}
 
     def record(self, request: IORequest, service: float) -> None:
-        """Account one completed transfer: a request on a plain
-        :class:`Device`, one per-drive *fragment* of a request on a
-        striped array (which counts whole requests itself, in
-        :attr:`Device.requests_by_kind`)."""
+        """Account one completed transfer: one per-drive *fragment* of a
+        request on a striped array (which counts whole requests itself,
+        in :attr:`DeviceBase.requests_by_kind`).  :meth:`Device._finish`
+        books a plain device's requests the same way, inline."""
         kind = request.kind
         self.by_kind[kind] += 1
         self.pages_by_kind[kind] += request.npages
@@ -111,8 +112,8 @@ class ChannelPool:
     __slots__ = ("capacity", "busy", "waiting")
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if type(capacity) is not int or capacity < 1:
+            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
         self.capacity = capacity
         self.busy = 0
         self.waiting: Deque[Any] = deque()
@@ -208,24 +209,15 @@ class DeviceBase:
         raise NotImplementedError
 
     def _stall(self, request: IORequest, service: float) -> float:
-        """As service starts: the virtual seconds the injector holds
-        ``request`` back (stall windows, latency spikes)."""
-        if self.faults is None:
-            return 0.0
+        """As service starts, with an injector attached: the virtual
+        seconds it holds ``request`` back (stall windows, latency
+        spikes)."""
         return self.faults.pre_service_delay(request, service)
 
     def _outcome(self, request: IORequest) -> Optional[Exception]:
-        """As the transfer ends: the fault to report instead of success,
-        else None — and the request is stamped, its I/O span emitted."""
-        failure = (self.faults.on_complete(request)
-                   if self.faults is not None else None)
-        if failure is None:
-            request.completed_at = now = self.env._now
-            if self._tracer.enabled:
-                self._tracer.complete(KIND_LABELS[request.kind],
-                                      request.submitted_at, now, "io",
-                                      self._trace_track, ctx=request.ctx)
-        return failure
+        """As the transfer ends, with an injector attached: the fault to
+        report instead of success, else None."""
+        return self.faults.on_complete(request)
 
     def _hop(self, step: Callable[[Any], None], job: Any) -> None:
         """Run ``step(job)``: at once, or — with a fault injector
@@ -241,14 +233,15 @@ class DeviceBase:
     def read(self, address: int, npages: int = 1, random: bool = True,
              ctx=None) -> Event:
         """Convenience wrapper building and submitting a read request."""
-        kind = IoKind.of("read", random)
-        return self.submit(IORequest(kind, address, npages, ctx=ctx))
+        # The table, not ``IoKind.of``'s frame; that raises on a bad flag.
+        kind = _KIND_OF.get(("read", random)) or IoKind.of("read", random)
+        return self.submit(IORequest(kind, address, npages, ctx))
 
     def write(self, address: int, npages: int = 1, random: bool = True,
               ctx=None) -> Event:
         """Convenience wrapper building and submitting a write request."""
-        kind = IoKind.of("write", random)
-        return self.submit(IORequest(kind, address, npages, ctx=ctx))
+        kind = _KIND_OF.get(("write", random)) or IoKind.of("write", random)
+        return self.submit(IORequest(kind, address, npages, ctx))
 
 
 class Device(DeviceBase):
@@ -258,14 +251,18 @@ class Device(DeviceBase):
 
     An I/O costs two scheduled events and no process (DESIGN.md §13):
     the service timer, whose callback does the completion bookkeeping,
-    and the ``done`` event that callback then triggers.
+    and the ``done`` event that callback then triggers.  With no fault
+    injector attached that is one call in and one callback out:
+    ``submit`` claims a channel, prices the request and starts its
+    timer; :meth:`_finish` stamps, accounts, passes the channel on and
+    triggers ``done``.  An injector keeps the arrival and grant hops.
     """
 
-    __slots__ = ("channels", "_outstanding")
+    __slots__ = ("channels", "pending")
 
     def __init__(self, env: Environment, name: str, channels: int):
+        self.channels = ChannelPool(channels)  # a bad count builds nothing
         super().__init__(env, name)
-        self.channels = ChannelPool(channels)
         self.reset()  # nothing is in flight
 
     def reset(self) -> None:
@@ -277,7 +274,9 @@ class Device(DeviceBase):
         the device-side bookkeeping their callbacks would have unwound.
         """
         self.channels = ChannelPool(self.channels.capacity)
-        self._outstanding = 0
+        #: I/Os submitted but not yet completed (the queue length the
+        #: SSD throttle-control optimization monitors, §3.3.2).
+        self.pending = 0
 
     def check_invariants(self) -> None:
         """Assert that :attr:`pending` is what the channels hold (plus,
@@ -287,18 +286,23 @@ class Device(DeviceBase):
             self.faults is not None or held == self.pending), (
             f"{self.name}: pending {self.pending}, channels hold {held}")
 
-    @property
-    def pending(self) -> int:
-        return self._outstanding
-
     def _enter(self, request: IORequest) -> Event:
         done = Event(self.env)
-        self._outstanding += 1
-        self._hop(self._arrive, (request, done))
+        self.pending += 1
+        job = (request, done)
+        channels = self.channels
+        if self.faults is not None:
+            self._hop(self._arrive, job)
+        elif channels.busy < channels.capacity:
+            channels.busy += 1
+            self._start(job)
+        else:
+            channels.waiting.append(job)
         return done
 
     def _arrive(self, job: _Job) -> None:
-        """Claim a free channel for ``job``, or queue it (FIFO)."""
+        """With an injector, one hop after ``submit``: claim a free
+        channel for ``job`` and hop again to start it, or queue it."""
         channels = self.channels
         if channels.busy < channels.capacity:
             channels.busy += 1
@@ -311,16 +315,16 @@ class Device(DeviceBase):
         try:
             request, done = job
             service = self.service_time(request)
-            extra = self._stall(request, service)
             timed = (request, done, service)
-            if extra > 0:
-                # Its own timer: ``(now + extra) + service`` and
-                # ``now + (extra + service)`` round differently.
-                Timeout(self.env, extra, timed).callbacks.append(
-                    self._delayed)
-            else:
-                Timeout(self.env, service, timed).callbacks.append(
-                    self._finish)
+            if self.faults is not None:
+                extra = self._stall(request, service)
+                if extra > 0:
+                    # Its own timer: ``(now + extra) + service`` and
+                    # ``now + (extra + service)`` round differently.
+                    Timeout(self.env, extra, timed).callbacks.append(
+                        self._delayed)
+                    return
+            Timeout(self.env, service, timed).callbacks.append(self._finish)
         except BaseException:
             self._release()
             raise
@@ -331,22 +335,41 @@ class Device(DeviceBase):
         Timeout(self.env, timed[2], timed).callbacks.append(self._finish)
 
     def _finish(self, timer: Event) -> None:
-        """Service-timer callback: account the I/O, pass the channel on,
-        then trigger ``done`` — not earlier: I/Os finishing in one
-        instant must all be accounted before the first waiter resumes
-        and reads :attr:`pending`."""
+        """Service-timer callback: the injector's verdict, if one is
+        attached; then stamp, emit the I/O span, account, pass the
+        channel on, and trigger ``done`` — not earlier: I/Os finishing
+        in one instant must all be accounted before the first waiter
+        resumes and reads :attr:`pending`."""
         request, done, service = timer._value
         try:
-            failure = self._outcome(request)
+            failure = (self._outcome(request)
+                       if self.faults is not None else None)
             if failure is None:
-                self.stats.record(request, service)
+                request.completed_at = now = self.env._now
+                if self._tracer.enabled:
+                    self._tracer.complete(KIND_LABELS[request.kind],
+                                          request.submitted_at, now, "io",
+                                          self._trace_track, ctx=request.ctx)
+                stats = self.stats  # DeviceStats.record, inlined
+                kind = request.kind
+                stats.by_kind[kind] += 1
+                stats.pages_by_kind[kind] += request.npages
+                stats.busy_time += service
                 if self.traffic is not None:
-                    self.traffic.record(self.env._now, request)
+                    self.traffic.record(now, request)
         except BaseException:
             self._release()
             raise
+        # _release and _hop, inlined: every I/O passes here.
+        self.pending -= 1
+        channels = self.channels
         try:
-            self._release()
+            if not channels.waiting:
+                channels.busy -= 1
+            elif self.faults is None:
+                self._start(channels.waiting.popleft())
+            else:
+                self._hop(self._start, channels.waiting.popleft())
         finally:
             # Even if starting the *next* request raised.
             if failure is None:
@@ -355,10 +378,10 @@ class Device(DeviceBase):
                 done.fail(failure)
 
     def _release(self) -> None:
-        """One I/O left the device, on whatever path: a leaked channel
+        """An I/O left the device on an error path: a leaked channel
         would starve the queue, a leaked count wedge the §3.3.2 throttle
         shut.  The channel goes to the next queued request, if any."""
-        self._outstanding -= 1
+        self.pending -= 1
         channels = self.channels
         if channels.waiting:
             self._hop(self._start, channels.waiting.popleft())

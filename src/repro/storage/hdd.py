@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.sim import Environment, Event, Timeout
-from repro.storage.device import ChannelPool, DeviceBase
+from repro.storage.device import KIND_LABELS, ChannelPool, DeviceBase
 from repro.storage.request import IoKind, IORequest
 
 #: Pages per stripe unit.  The paper stripes file groups across the disks;
@@ -81,6 +81,9 @@ class HddArray(DeviceBase):
                  name: str = "hdd-array"):
         if ndisks < 1:
             raise ValueError(f"ndisks must be >= 1, got {ndisks}")
+        if type(stripe_pages) is not int or stripe_pages < 1:
+            raise ValueError(
+                f"stripe_pages must be an int >= 1, got {stripe_pages!r}")
         self.ndisks = ndisks
         self.stripe_pages = stripe_pages
         super().__init__(env, name)
@@ -155,6 +158,9 @@ class HddArray(DeviceBase):
     def _admit(self, hop: Event) -> None:
         """One hop after ``submit``: past the injector's stall, if any."""
         job = hop._value
+        if self.faults is None:
+            self._arrive(job)
+            return
         # Faults act on the whole request, not per fragment: one
         # straggling drive delays the stripe anyway.
         extra = self._stall(job.request, self.service_time(job.request))
@@ -224,15 +230,23 @@ class HddArray(DeviceBase):
         Timeout(self.env, 0.0, hop._value).callbacks.append(self._complete)
 
     def _complete(self, hop: Event) -> None:
-        """Second hop: the request leaves the array and triggers."""
+        """Second hop: the request leaves the array — with the injector's
+        verdict, if one is attached, or stamped, its I/O span emitted
+        and counted — and triggers."""
         job = hop._value
         request = job.request
         try:
-            failure = self._outcome(request)
+            failure = (self._outcome(request)
+                       if self.faults is not None else None)
             if failure is None:
+                request.completed_at = now = self.env._now
+                if self._tracer.enabled:
+                    self._tracer.complete(KIND_LABELS[request.kind],
+                                          request.submitted_at, now, "io",
+                                          self._trace_track, ctx=request.ctx)
                 self.requests_by_kind[request.kind] += 1
         finally:
-            # Same rule as Device._release: never leak the count, or
+            # Same rule as Device._finish: never leak the count, or
             # ``pending`` inflates and wedges whoever throttles on it.
             self._inflight.discard(job)
         if failure is None:

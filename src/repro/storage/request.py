@@ -34,7 +34,8 @@ class IoKind(enum.Enum):
         try:
             return _KIND_OF[(direction, random)]
         except KeyError:
-            raise ValueError(f"unknown I/O direction {direction!r}") from None
+            raise ValueError(f"no I/O kind is direction {direction!r}, "
+                             f"random {random!r}") from None
 
 
 _KIND_OF = {kind.value: kind for kind in IoKind}
@@ -60,10 +61,12 @@ class IORequest:
     def __init__(self, kind: IoKind, address: int, npages: int = 1,
                  ctx: Any = None, submitted_at: Optional[float] = None,
                  completed_at: Optional[float] = None):
-        if npages < 1:
-            raise ValueError(f"npages must be >= 1, got {npages}")
-        if address < 0:
-            raise ValueError(f"address must be >= 0, got {address}")
+        # ``type(...) is int``, not ``isinstance``: no call on the hot
+        # path, and a bool is not a page count.  nan fails both.
+        if type(npages) is not int or npages < 1:
+            raise ValueError(f"npages must be an int >= 1, got {npages!r}")
+        if type(address) is not int or address < 0:
+            raise ValueError(f"address must be an int >= 0, got {address!r}")
         self.kind = kind
         self.address = address
         self.npages = npages

@@ -22,6 +22,8 @@ values, so equal keys — where only the stamp a push was given decides —
 are the rule, not the exception.
 """
 
+from operator import attrgetter
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -45,9 +47,9 @@ class HeapsAgainstTheirReference(RuleBasedStateMachine):
         self.records = [SsdRecord(i) for i in range(NRECORDS)]
         self.temperatures = {}
         keyed = {
-            "clean": (lambda r: r.lru2_key(),
+            "clean": (attrgetter("prev_access"),
                       lambda r: r.valid and not r.dirty),
-            "dirty": (lambda r: r.lru2_key(),
+            "dirty": (attrgetter("prev_access"),
                       lambda r: r.valid and r.dirty),
             "temp": (self._temperature, lambda r: r.occupied),
         }

@@ -1,5 +1,7 @@
 """Unit and property tests for the lazy victim-selection heaps."""
 
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ def make_records(n):
 
 
 def clean_heap():
-    return LazyMinHeap(key=lambda r: r.lru2_key(),
+    return LazyMinHeap(key=attrgetter("prev_access"),
                        member=lambda r: r.valid and not r.dirty)
 
 

@@ -202,5 +202,5 @@ class TestClearAndLru:
         record = SsdRecord(0)
         record.record_access(1.0)
         record.record_access(2.0)
-        assert record.lru2_key() == 1.0
+        assert record.prev_access == 1.0
         assert record.last_access == 2.0

@@ -2,7 +2,9 @@
 
 ``repro.storage.hdd.HddArray`` serves a request with callbacks on timers;
 this is the model it replaced, verbatim but for its name (and for two
-registry increments, gone since instruments have no ``inc``): a process per
+registry increments, gone since instruments have no ``inc``, and for
+deriving from the old ``Device``, which lives on as
+``tests/storage/reference_device.py``'s ``HopDevice``): a process per
 request (``_serve_fragments``), a process per fragment (``_serve_one``)
 joined by ``env.gather``, and a :class:`Resource` per drive — seven
 queue entries per single-stripe I/O where the port spends five.
@@ -22,11 +24,12 @@ from types import TracebackType
 from typing import Deque, List, Optional, Type
 
 from repro.sim import Environment, Event
-from repro.storage.device import Device, KIND_LABELS
+from repro.storage.device import KIND_LABELS
 from repro.storage.hdd import (DEFAULT_STRIPE_PAGES, _READ_SEEK,
                                _SEQ_READ_PER_PAGE, _SEQ_WRITE_PER_PAGE,
                                _WRITE_SEEK)
 from repro.storage.request import IORequest
+from tests.storage.reference_device import HopDevice
 
 
 class Request(Event):
@@ -121,7 +124,7 @@ class Resource:
             nxt.succeed()
 
 
-class GeneratorHddArray(Device):
+class GeneratorHddArray(HopDevice):
     """A stripe set of identical hard drives.
 
     Page addresses are striped across the drives in ``stripe_pages`` units;

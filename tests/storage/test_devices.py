@@ -19,6 +19,31 @@ def latency(request):
     return request.completed_at - request.submitted_at
 
 
+class TestRefusedInputs:
+    """A bad device input raises where it is made, naming itself."""
+
+    def test_a_fractional_channel_count(self, env):
+        # ``busy < 2.5`` would let three requests share two channels.
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            Ssd(env, channels=2.5)
+
+    def test_a_fractional_page_count_on_the_array(self, env):
+        with pytest.raises(ValueError, match="npages must be an int"):
+            HddArray(env).read(0, npages=1.5)
+
+    def test_a_zero_stripe(self, env):
+        # Would build, then divide by zero on its first I/O.
+        with pytest.raises(ValueError, match="stripe_pages must be"):
+            HddArray(env, stripe_pages=0)
+
+    @pytest.mark.parametrize("submit", ["read", "write"])
+    def test_a_randomness_flag_that_is_not_a_bool(self, env, submit):
+        ssd = Ssd(env)
+        with pytest.raises(ValueError, match="random None"):
+            getattr(ssd, submit)(0, random=None)
+        assert ssd.pending == 0
+
+
 class TestHddStriping:
     def test_disk_of_rotates_by_stripe(self, env):
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
@@ -395,10 +420,10 @@ class TestHddCallbackLifeCycle:
         with pytest.raises(AssertionError, match="drives hold 1"):
             hdd.check_invariants()
         hdd._drives[3].busy = 0
-        ssd._outstanding = 1
+        ssd.pending = 1
         with pytest.raises(AssertionError, match="pending 1"):
             ssd.check_invariants()
-        ssd._outstanding = 0
+        ssd.pending = 0
 
 
 class TestStats:

@@ -35,8 +35,8 @@ class TestTransientFaults:
         assert isinstance(exc, TransientIoError)
         assert injector.stats["transient"] == 1
 
-    def test_failed_io_does_not_leak_outstanding_count(self, env):
-        """Regression: the ``_outstanding`` decrement must survive the
+    def test_failed_io_does_not_leak_the_pending_count(self, env):
+        """Regression: the ``pending`` decrement must survive the
         failure path, or every failed I/O would permanently inflate
         ``pending`` and wedge the §3.3.2 throttle shut."""
         ssd = Ssd(env)

@@ -1,4 +1,4 @@
-"""``HddArray`` against the generator-per-I/O model it replaced.
+"""``HddArray`` and ``Ssd`` against the models they replaced.
 
 The callback ``HddArray`` must wake every waiter in the instant, and at
 the place among that instant's events, where the parent's process-based
@@ -7,7 +7,11 @@ simulated number of every benchmark cell (DESIGN.md §13, "HddArray: five
 events, and why not two").  The property test runs random scripts of a
 few processes mixing disk I/O, SSD I/O and sleeps against both, on both
 kernels, without and with a fault injector, and compares the full
-``(now, waiter, outcome, hdd.pending, ssd.pending)`` wake log.
+``(now, waiter, outcome, hdd.pending, ssd.pending)`` wake log.  The SSD
+on the reference side is ``tests/storage/reference_device.py``'s
+``ReferenceSsd``, the hop chain the real ``Ssd``'s calls replaced: the
+two devices' hooks share one RNG, so this is where the ``Ssd``'s hops
+meet another device's in one instant.
 
 Delays come from a handful of device constants, as they do in a real
 run, so that different chains of waits land on the *same float* — the
@@ -28,6 +32,7 @@ from repro.faults import IoFault
 from repro.faults.injector import FaultInjector
 from repro.sim import KERNELS, Timeout, make_environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
+from tests.storage.reference_device import ReferenceSsd
 from tests.storage.reference_hdd import GeneratorHddArray
 
 _PROBE = HddArray(make_environment("heap"))
@@ -67,12 +72,12 @@ SCRIPTS = st.fixed_dictionaries({
 })
 
 
-def run_script(script, make_hdd, kernel, faulted):
+def run_script(script, make_hdd, kernel, faulted, make_ssd=Ssd):
     """Run ``script``; return every wake-up, in order, with what the
     woken process could read off the devices."""
     env = make_environment(kernel)
     hdd = make_hdd(env, ndisks=script["ndisks"])
-    ssd = Ssd(env, channels=2)
+    ssd = make_ssd(env, channels=2)
     log = []
     if faulted:
         # One RNG behind both injectors: the order in which the two
@@ -120,7 +125,8 @@ def test_callback_hdd_wakes_waiters_where_the_generator_hdd_did(script):
     for kernel in KERNELS:
         for faulted in (False, True):
             assert (run_script(script, HddArray, kernel, faulted)
-                    == run_script(script, GeneratorHddArray, kernel, faulted))
+                    == run_script(script, GeneratorHddArray, kernel, faulted,
+                                  ReferenceSsd))
 
 
 def _collapsing(*steps):
@@ -167,7 +173,8 @@ TEETH = {
 @pytest.mark.parametrize("name", sorted(TEETH))
 def test_differential_catches_a_collapsed_hop(name, monkeypatch):
     steps, script = TEETH[name]
-    reference = run_script(script, GeneratorHddArray, "heap", False)
+    reference = run_script(script, GeneratorHddArray, "heap", False,
+                           ReferenceSsd)
     assert run_script(script, HddArray, "heap", False) == reference
     monkeypatch.setattr(hdd_module, "Timeout", _collapsing(*steps))
     assert run_script(script, HddArray, "heap", False) != reference

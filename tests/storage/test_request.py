@@ -38,6 +38,10 @@ class TestIoKind:
         with pytest.raises(ValueError):
             IoKind.of("erase", True)
 
+    def test_of_names_a_bad_randomness_flag(self):
+        with pytest.raises(ValueError, match="random None"):
+            IoKind.of("read", None)
+
 
 class TestIORequest:
     def test_rejects_zero_pages(self):
@@ -47,3 +51,14 @@ class TestIORequest:
     def test_rejects_negative_address(self):
         with pytest.raises(ValueError):
             IORequest(IoKind.RANDOM_READ, -1)
+
+    @pytest.mark.parametrize("npages", [float("nan"), 1.5, 2.0, True])
+    def test_rejects_a_page_count_that_is_not_an_int(self, npages):
+        # nan passes both ``< 1`` and ``< 0``.
+        with pytest.raises(ValueError, match="npages must be an int"):
+            IORequest(IoKind.RANDOM_READ, 0, npages=npages)
+
+    @pytest.mark.parametrize("address", [float("nan"), 0.5, 3.0])
+    def test_rejects_an_address_that_is_not_an_int(self, address):
+        with pytest.raises(ValueError, match="address must be an int"):
+            IORequest(IoKind.RANDOM_READ, address)

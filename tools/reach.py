@@ -180,6 +180,9 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         S, _WHEEL + "tests/sim/test_wheel.py x6 (Environment.step pops "
            "_current)"),
     # storage
+    "repro.storage.device:Device._release": (
+        J, "error path: a service computation that raises (a completing "
+           "I/O passes its channel on inline)"),
     "repro.storage.device:DeviceBase._enter": (J, _STUB),
     "repro.storage.device:DeviceBase.attach_traffic_recorder": (J, _FIG8),
     "repro.storage.device:DeviceBase.pending": (J, _STUB),
@@ -194,6 +197,9 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.storage.ftl.model:FlashTranslationLayer.free_block_count": (
         J, "the ftl_free_blocks gauge: repro oltp --ftl --metrics"),
     "repro.storage.request:IORequest.__repr__": (J, _REPR),
+    "repro.storage.request:IoKind.of": (
+        J, "error path: a read or write whose random flag is neither True "
+           "nor False (the devices look the kind up in _KIND_OF)"),
     # telemetry
     "repro.telemetry.context:TraceContext.__repr__": (J, _REPR),
     # workloads
