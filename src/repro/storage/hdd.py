@@ -230,9 +230,9 @@ class HddArray(DeviceBase):
         Timeout(self.env, 0.0, hop._value).callbacks.append(self._complete)
 
     def _complete(self, hop: Event) -> None:
-        """Second hop: the request leaves the array — with the injector's
-        verdict, if one is attached, or stamped, its I/O span emitted
-        and counted — and triggers."""
+        """Second hop: the request leaves the array and triggers, failed
+        if an attached injector says so, else stamped, its I/O span
+        emitted and counted."""
         job = hop._value
         request = job.request
         try:

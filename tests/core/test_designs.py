@@ -3,6 +3,9 @@
 import pytest
 
 from repro.engine.page import Frame
+from repro.harness.experiments import (SCALE_PROFILES, make_system,
+                                       make_workload)
+from repro.harness.runner import WorkloadRunner
 from tests.conftest import MiniSystem, drive, settle
 
 
@@ -320,10 +323,6 @@ def test_a_tac_tpcc_run_files_nothing_in_the_lru2_heaps():
     records into the LRU-2 heaps that nothing on its path ever pops
     (``TacManager._reheap`` is a no-op the base read path dispatches to).
     """
-    from repro.harness.experiments import (SCALE_PROFILES, make_system,
-                                           make_workload)
-    from repro.harness.runner import WorkloadRunner
-
     profile = SCALE_PROFILES["tiny"]
     workload = make_workload("tpcc", 100, profile)
     system = make_system("tpcc", workload, "TAC", profile)

@@ -13,8 +13,9 @@ is the same two events per I/O (four with an injector attached).
 against both and demands the same wake-ups in the same order
 (DESIGN.md §13).
 
-:class:`ReferenceSsd` is the ``Ssd`` priced as the real one is (its
-``service_time``, FTL and channel failures) but served by this path;
+:class:`ReferenceSsd` is the black-box ``Ssd`` priced as the real one
+is (its ``service_time``, channel failures included) but served by this
+path;
 ``tests/storage/reference_hdd.py``'s generator array derives from
 :class:`HopDevice` as it derived from the old ``Device``.
 """
@@ -183,8 +184,8 @@ class ReferenceSsd(HopDevice, Ssd):
     """``Ssd``'s pricing on :class:`HopDevice`'s serving path."""
 
     def __init__(self, env: Environment, channels: int = DEFAULT_CHANNELS,
-                 name: str = "ssd", **ssd_kwargs) -> None:
+                 name: str = "ssd") -> None:
         # Ssd's constructor, whose base call lands on ``Device.__init__``
         # (after HopDevice's in this class's order) and ends in
         # HopDevice's ``reset``.
-        Ssd.__init__(self, env, channels=channels, name=name, **ssd_kwargs)
+        Ssd.__init__(self, env, channels=channels, name=name)
