@@ -373,8 +373,7 @@ class SsdManagerBase:
                 return True
             except IoFault as failure:
                 fault = failure
-        fault = yield from retry_io(self.env, fault, submit, must,
-                                    self._note_retry)
+        fault = yield from retry_io(fault, submit, must, self._note_retry)
         if fault is None:
             return True
         if isinstance(fault, DeviceDeadError):
@@ -788,7 +787,7 @@ class SsdManagerBase:
                 continue
             empty_rounds += 1
             (stalled or self._give_up)(empty_rounds)
-            yield self.env.timeout(0.001)
+            yield 0.001
 
     def _give_up(self, empty_rounds: int, what: str = "checkpoint drain",
                  state: str = "") -> None:

@@ -149,7 +149,7 @@ class BPlusTree:
         # inner-node pins are pure hits after warm-up, so the pin-hit
         # fast path (the body of ``BufferPool.pin_hit``) is inlined per
         # level and the ``fetch`` generator taken only on a miss or a
-        # busy frame.  A modeled partition latch is one timer per level,
+        # busy frame.  A modeled partition latch is one delay per level,
         # yielded here.  The inline unpin releases a pin this loop
         # itself took a few lines up (validation would be tautological).
         pid = self.root_page

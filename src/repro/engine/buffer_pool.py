@@ -48,7 +48,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.errors import IoFault
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment, Event
 from repro.sim.events import _PENDING
 from repro.sim.process import GatherMember
 from repro.engine.disk_manager import DiskManager
@@ -385,18 +385,18 @@ class BufferPool:
             self._touch(frame)
             return frame
 
-    def latch(self, page_id: PageId, ctx=None) -> Timeout:
+    def latch(self, page_id: PageId, ctx=None) -> float:
         """One page-table access under ``page_id``'s partition latch.
 
         FIFO single-server queue in virtual time: the request starts
         when the previous one completes and holds the latch for the
-        modeled service time.  Returns the timer the caller yields, so
-        a latched hit costs one event and no generator.  Only called
-        when ``latch_seconds > 0``.
+        modeled service time.  Returns the delay, wait plus service,
+        that the caller yields: a latched hit is one sleep on the
+        process's own queue entry, no generator and no timer.  Only
+        called when ``latch_seconds > 0``.
         """
         part = self._parts[page_id % self._nparts]
-        env = self.env
-        now = env._now
+        now = self.env._now
         start = part.busy_until
         if start < now:
             start = now
@@ -413,7 +413,7 @@ class BufferPool:
                 self._tracer.complete("partition_latch", now, start, "bp",
                                       "buffer_pool",
                                       {"partition": part.index}, ctx=ctx)
-        return Timeout(env, wait + service)
+        return wait + service
 
     def _read_in(self, page_id: PageId, ctx=None):
         """Process step: bring a missing page in (SSD first, else disk).
@@ -776,7 +776,7 @@ class BufferPool:
                     stuck = self.free_frames + self._evicting <= 0
             if stuck:
                 # Everything pinned/busy — wait for the world to change.
-                yield self.env.timeout(0.0005)
+                yield 0.0005
                 continue
             self._lazywriter_wake = self.env.event()
             # Eviction pressure has drained: batching designs (LS) flush

@@ -70,7 +70,7 @@ class Checkpointer:
 
     def _periodic(self):
         while True:
-            yield self.env.timeout(self.interval)
+            yield self.interval
             yield from self.checkpoint()
 
     def checkpoint(self):

@@ -70,7 +70,7 @@ class DiskManager:
                      "address": request.address})
 
         fault = yield from retry_io(
-            self.env, fault, lambda: self.device.submit(request), False, note)
+            fault, lambda: self.device.submit(request), False, note)
         if fault is not None:
             raise fault
 

@@ -184,7 +184,7 @@ class WriteAheadLog:
                     {"device": self.device.name, "attempt": attempt})
 
         fault = yield from retry_io(
-            self.env, fault, lambda: self.device.submit(request), False, note)
+            fault, lambda: self.device.submit(request), False, note)
         if fault is not None:
             self._flushing.fail(fault)
             self._flushing_lsn = self.flushed_lsn

@@ -4,15 +4,15 @@ These live in their own leaf module so that every layer that needs to
 catch an injected fault (``storage``, ``engine``, ``core``) can import
 them without pulling in the plan/injector machinery — and without any
 import cycles, since this module depends on nothing else in the package
-(:func:`retry_io` needs only ``env.timeout``).
+(:func:`retry_io` sleeps by yielding its backoff as a delay).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
 if TYPE_CHECKING:
-    from repro.sim import Environment, Event
+    from repro.sim import Event
 
 
 class IoFault(Exception):
@@ -35,10 +35,9 @@ RETRY_BASE_DELAY = 0.002
 RETRY_MAX_DELAY = 0.05
 
 
-def retry_io(env: "Environment", fault: IoFault,
-             resubmit: Callable[[], "Event"], must: bool,
+def retry_io(fault: IoFault, resubmit: Callable[[], "Event"], must: bool,
              note: Callable[[int], None],
-             ) -> Generator["Event", Any, Optional[IoFault]]:
+             ) -> Generator[Union["Event", float], Any, Optional[IoFault]]:
     """Process step: retry an I/O whose first attempt failed with
     ``fault``; returns None once a retry lands, else the fault that
     ended it.
@@ -60,7 +59,7 @@ def retry_io(env: "Environment", fault: IoFault,
         note(attempt)
         if not must and attempt > RETRY_LIMIT:
             break
-        yield env.timeout(delay)
+        yield delay
         delay = min(delay * 2, RETRY_MAX_DELAY)
         try:
             yield resubmit()

@@ -188,7 +188,7 @@ class FaultPlan:
             act: Callable[[], None]) -> Generator[object, object, None]:
         """Process step: at ``at`` — now, if that is past — ``act()``."""
         if at > env.now:
-            yield env.timeout(at - env.now)
+            yield at - env.now
         act()
 
     @staticmethod

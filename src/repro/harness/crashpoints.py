@@ -118,7 +118,7 @@ def _update_client(env, system: System, rng: random.Random,
                 committed[page] = version
         else:
             bp.unpin(frame)
-        yield env.timeout(rng.uniform(0.0, 0.01))
+        yield rng.uniform(0.0, 0.01)
 
 
 def run_crash_point(design: str, policy: str, crash_at: float,

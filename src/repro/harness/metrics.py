@@ -142,7 +142,7 @@ class Sampler:
                                     "nand_writes": values["ftl_nand_writes"],
                                     "erases": values["ftl_erases"]},
                                    track="sampler")
-            yield system.env.timeout(self.interval)
+            yield self.interval
 
     def fill_time(self, threshold_frames: int) -> float:
         """First sample time at which the SSD held >= ``threshold_frames``

@@ -439,7 +439,7 @@ class OpenLoopRunner(_Runner):
         for when in spec.arrivals.times(rng, start=env.now):
             if when >= end:
                 break
-            yield env.timeout(when - env.now)
+            yield when - env._now
             stats.offered += 1
             if len(queue) >= limit:
                 stats.shed += 1

@@ -10,11 +10,12 @@ Public API::
 
     env = Environment()
     def worker(env):
-        yield env.timeout(5)
+        yield 5                        # sleep: a delay in virtual seconds
+        yield env.timeout(1)           # wait on an event
         return "done"
     proc = env.process(worker(env))
     env.run()
-    assert env.now == 5 and proc.value == "done"
+    assert env.now == 6 and proc.value == "done"
 """
 
 from __future__ import annotations

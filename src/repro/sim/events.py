@@ -3,10 +3,12 @@
 An :class:`Event` is a one-shot occurrence at a point in virtual time.
 Processes wait on events by ``yield``-ing them; when the event is triggered
 the kernel resumes every waiting process with the event's value (or raises
-the event's exception inside the process).
+the event's exception inside the process).  A process that only sleeps
+yields its delay instead and needs no :class:`Timeout`
+(:mod:`repro.sim.process`).
 
-The classes here are on the hottest path of the simulator (every I/O,
-latch wait, and client think-time is an event), so they are written for
+The classes here are on the hottest path of the simulator (every I/O
+and every join is an event), so they are written for
 throughput: ``__slots__`` everywhere, and :meth:`Event.succeed` /
 :meth:`Event.fail` push straight through the environment's pre-bound
 ``_push`` (the heap's ``heappush`` or the timer wheel's ``push``)

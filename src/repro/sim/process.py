@@ -1,9 +1,15 @@
 """Generator-based simulation processes.
 
 A process wraps a Python generator.  Each ``yield`` hands the kernel an
-:class:`~repro.sim.events.Event` to wait for; the process resumes when the
-event triggers, receiving ``event.value`` as the result of the ``yield``
+:class:`~repro.sim.events.Event` to wait for, or a delay: a float (or int)
+of virtual seconds, ``>= 0``.  On an event the process resumes when it
+triggers, receiving ``event.value`` as the result of the ``yield``
 expression (or having the event's exception raised at the yield point).
+On a delay it sleeps: it resumes, with None, at ``now + delay`` and
+with the sequence number ``env.timeout(delay)`` would have taken, but
+on a queue entry of its own, built at its first sleep and reused, so a
+sleep allocates no :class:`~repro.sim.events.Timeout` (DESIGN.md §13,
+"Waits").  Anything else raises ``SimulationError`` at the yield.
 
 A :class:`Process` is itself an event: it triggers when the generator
 returns, with the generator's return value.
@@ -26,8 +32,9 @@ SSD read is a call").
 
 :meth:`Process._resume` is the single hottest function in the simulator —
 every event a process waits on funnels through it once — so its common
-path (send a value in, get the next wait target out, subscribe) touches
-only slot attributes and locals.
+path (send a value in, get the next wait target out, sleep or
+subscribe the resume bound once per process) touches only slot
+attributes and locals.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from types import GeneratorType
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
                     Iterator, List, Tuple, Union)
 
-from repro.sim.events import _PENDING, Event, SimulationError
+from repro.sim.events import _PENDING, Event, SimulationError, Timeout
 
 if TYPE_CHECKING:
     from repro.sim.environment import Environment
@@ -89,24 +96,28 @@ _FIRST_STEP._ok = True
 _FIRST_STEP._value = None
 
 
-def _yielded_non_event(env: "Environment", target: Any) -> Event:
+def _refused(env: "Environment", target: Any) -> Event:
     """The failed pseudo-event that raises the diagnosis in the process."""
     event = Event(env)
     event._ok = False
     event._value = SimulationError(
-        f"process yielded a non-event: {target!r}")
+        f"process yielded {target!r}: neither an event nor a delay >= 0")
     return event
 
 
 class Process(Event):
     """A running simulation process (and the event of its completion)."""
 
-    __slots__ = ("_generator",)
+    #: ``_resumer`` is ``_resume`` bound once, what every wait
+    #: subscribes; ``_wake`` the entry a sleep queues, ``_wakers`` its
+    #: callback list.  Finishing drops the two that refer back to the
+    #: process: ``run()`` pauses the cyclic collector.
+    __slots__ = ("_generator", "_resumer", "_wake", "_wakers")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Any, Any, Any]) -> None:
         self._bind(env, generator)
-        _queue_start(env, self._resume)
+        _queue_start(env, self._resumer)
 
     def _bind(self, env: "Environment",
               generator: Generator[Any, Any, Any]) -> None:
@@ -117,6 +128,8 @@ class Process(Event):
         self._value = _PENDING
         self._ok = None
         self._generator = generator
+        self._resumer = self._resume
+        self._wake = None
 
     def _resume(self, event: Event) -> None:
         generator = self._generator
@@ -128,43 +141,63 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
+                self._resumer = self._wakers = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
+                self._resumer = self._wakers = None
                 self._fail_or_crash(exc)
                 return
 
-            # Everything the engine yields is an Event; fetching its
+            if type(target) is float and target >= 0.0:  # nan is not
+                # A sleep: requeue the wake entry, if there is one yet.
+                wake = self._wake
+                if wake is not None:
+                    env = self.env
+                    env._seq = seq = env._seq + 1
+                    wake.callbacks = self._wakers
+                    env._push((env._now + target, seq, wake))
+                    return
+            # Anything else the engine yields is an Event; fetching its
             # callback list doubles as the type check (AttributeError
-            # on a non-event is the cold error path).
+            # is the cold path: a first sleep, an int delay, the error).
             try:
                 target_callbacks = target.callbacks
             except AttributeError:
-                event = _yielded_non_event(self.env, target)
+                if type(target) in (float, int) and target >= 0:
+                    self._park(target)
+                    return
+                event = _refused(self.env, target)
                 continue
 
             if target_callbacks is None:
                 # Already processed: loop immediately with its value.
                 event = target
                 continue
-            target_callbacks.append(self._resume)
+            target_callbacks.append(self._resumer)
             return
 
     def _park(self, target: Any) -> None:
-        """Wait on ``target``, which the generator's first step yielded.
+        """Wait on ``target`` the cold way: what a batch entry's first
+        step yielded (:meth:`DetachedProcess._first_steps`), a process's
+        first sleep, or an int delay.
 
-        For a process whose batch entry ran that step itself
-        (:meth:`DetachedProcess._first_steps`); the same three cases as
-        the tail of :meth:`_resume`.
+        A delay builds the process's wake entry: a ``Timeout``, the very
+        schedule of ``env.timeout(delay)``, kept for the sleeps after it.
         """
         try:
             callbacks = target.callbacks
         except AttributeError:
-            target, callbacks = _yielded_non_event(self.env, target), None
+            if type(target) in (float, int) and target >= 0:
+                self._wake = wake = Timeout(self.env, target)
+                self._wakers = wake.callbacks
+                wake.callbacks.append(self._resumer)
+                return
+            target, callbacks = _refused(self.env, target), None
         if callbacks is None:
             self._resume(target)
         else:
-            callbacks.append(self._resume)
+            callbacks.append(self._resumer)
 
     def _fail_or_crash(self, exc: BaseException) -> None:
         """Propagate an uncaught process exception.
@@ -272,6 +305,8 @@ class GatherMember(Process):
         self._value = _PENDING
         self._ok = None
         self._generator = None if call else member
+        self._resumer = None if call else self._resume
+        self._wake = None
         self._join = join
         self._call = call
 
@@ -292,6 +327,7 @@ class GatherMember(Process):
         now, and wait on what it yields."""
         _require_generator(generator)
         self._generator = generator
+        self._resumer = self._resume
         self._resume(_FIRST_STEP)
 
     def succeed(self, value: Any = None) -> Event:

@@ -1,7 +1,9 @@
-"""What a wait costs the kernel: one timer per latched page access.
+"""What a wait costs the kernel: one scheduled entry per latched page
+access.
 
 The partition latch is an O(1) ``busy_until`` model, so a latched *hit*
-must cost exactly the one timer that advances virtual time and no
+must cost exactly the one sleep that advances virtual time: one entry
+on the queue, the process's own wake entry (no ``Timeout``), and no
 generator of its own (DESIGN.md §13, "Waits").  These budgets pin that,
 so the hit path cannot quietly re-inflate.
 """

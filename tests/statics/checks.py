@@ -12,6 +12,7 @@ so they also see the lines no test run reaches.
 * RPL006 telemetry labels  — statically known metric cardinality
 * RPL007 spawn discarded   — a dropped process handle means ``spawn``
 * RPL008 start together    — a fan-out starts through ``gather``/``spawn_all``
+* RPL009 one way to sleep  — a process sleeps by yielding its delay
 
 RPL002 (``__slots__`` on the hot path) is checked on the imported
 classes by ``test_rules.py::TestSlotsHotpath``.  Codes are never reused.
@@ -407,6 +408,27 @@ def _bound_fresh(name, scope):
     return False
 
 
+def one_way_to_sleep(tree):
+    """RPL009: a process sleeps by yielding its delay.
+
+    ``yield env.timeout(d)`` builds a ``Timeout``, its callback list and
+    a bound method that the kernel drops when the sleep ends; ``yield d``
+    wakes at the same instant with the same sequence number on the
+    process's own entry (DESIGN.md §13, "Waits").  Only the one
+    expression is flagged: a timer built earlier and yielded later took
+    its sequence number when it was built, and one raced in ``any_of``
+    is not a sleep.
+    """
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Yield)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "timeout"):
+            yield node, ("yield <env>.timeout(d) builds a Timeout to "
+                         "sleep; yield the delay d itself (same wake time "
+                         "and sequence number, nothing allocated)")
+
+
 #: code → (check, the paths inside ``src/repro`` it covers, the ones it
 #: skips); ``""`` is the whole package.  RPL003's two skips read the
 #: clock on purpose: the sweep's progress ETA and the run store's row
@@ -419,6 +441,7 @@ CHECKS = {
     "RPL006": (telemetry_labels, ("",), ()),
     "RPL007": (spawn_discarded, ("",), ()),
     "RPL008": (start_together, ("",), ()),
+    "RPL009": (one_way_to_sleep, ("",), ()),
 }
 
 

@@ -45,6 +45,11 @@ SEEDED = {
             yield env.all_of(
                 [env.process(g()) for g in gens])
         """),
+    "RPL009": ("harness/x.py", 4, """
+        def tick(env, interval):
+            while True:
+                yield env.timeout(interval)
+        """),
 }
 
 #: ``path:line: CODE message``, as :func:`report` writes.

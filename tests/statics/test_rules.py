@@ -558,6 +558,52 @@ class TestStartTogether(CheckCase):
             """, "tests/conftest.py") == 0
 
 
+class TestOneWayToSleep(CheckCase):
+    CODE = "RPL009"
+    PATH = "src/repro/engine/thing.py"
+    SUPPRESSED = """
+        def loop(self):
+            yield self.env.timeout(0.5)  # repro: noqa[RPL009]
+        """
+
+    def test_yielded_fresh_timeout_flagged(self):
+        assert self.flagged("""
+            def loop(self, env, rng):
+                yield self.env.timeout(self.interval)
+                value = yield env.timeout(rng.uniform(0.0, 0.01))
+            """) == 2
+
+    def test_yielded_delay_clean(self):
+        assert self.flagged("""
+            def loop(self, when):
+                yield self.interval
+                yield when - self.env.now
+            """) == 0
+
+    def test_timer_built_before_its_yield_clean(self):
+        # It took its sequence number where it was built: yielding the
+        # delay at the yield would move it.
+        assert self.flagged("""
+            def loop(self, env):
+                timer = env.timeout(1.0)
+                yield from self.step()
+                yield timer
+            """) == 0
+
+    def test_raced_timeout_clean(self):
+        assert self.flagged("""
+            def wait(self, batch):
+                yield self.env.any_of([batch.trigger,
+                                       self.env.timeout(0.01)])
+            """) == 0
+
+    def test_out_of_scope_path_clean(self):
+        assert self.flagged("""
+            def loop(env):
+                yield env.timeout(1)
+            """, "tests/sim/test_process.py") == 0
+
+
 class TestSuppressionForms:
     def test_mismatched_code_does_not_suppress(self):
         assert len(findings("RPL001", """

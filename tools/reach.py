@@ -161,8 +161,9 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.sim.events:Event.__repr__": (J, _REPR),
     "repro.sim.events:_Condition._satisfied": (J, _STUB),
     "repro.sim.process:GatherMember.run": (J, _READ_AHEAD_REST),
-    "repro.sim.process:_yielded_non_event": (
-        J, "error path: a process that yields a non-event"),
+    "repro.sim.process:_refused": (
+        J, "error path: a process that yields neither an event nor a "
+           "delay >= 0"),
     "repro.sim.wheel:TimerWheel.__bool__": (
         S, _WHEEL + "tests/sim/test_wheel.py x2, test_gather.py x1"),
     "repro.sim.wheel:TimerWheel.__len__": (
