@@ -14,7 +14,7 @@ Subpackages:
 * :mod:`repro.workloads` — TPC-C-, TPC-E- and TPC-H-like generators and
   open-loop multi-tenant traffic.
 * :mod:`repro.faults` — seeded fault injection over the devices.
-* :mod:`repro.telemetry` — metrics registry and event tracer.
+* :mod:`repro.telemetry` — the event tracer.
 * :mod:`repro.harness` — system assembly, workload runner, and the
   per-table/figure experiment registry.
 * :mod:`repro.runstore` — the run database and its dashboard.

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, get_args, get_type_hints
 
 from repro.core import DESIGNS
 from repro.harness.experiments import RunSpec, run, speedup_over_nossd
+from repro.harness.metrics import snapshot
 from repro.harness.report import format_metrics, format_table
 from repro.telemetry import Telemetry
 
@@ -122,7 +123,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "several designs, one file per design; feed "
                              "the files to `repro analyze`")
     parser.add_argument("--metrics", action="store_true",
-                        help="print the full metrics registry after each run")
+                        help="print every metric row after each run (needs "
+                             "no --trace)")
 
 
 def _add_db_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,26 +142,20 @@ def _recorder(args):
     return Recorder(None if args.no_db else open_store(args.db))
 
 
-def _emit_telemetry(args, design: str, telemetry: Optional[Telemetry],
-                    multiple: bool) -> None:
-    """Write the trace file and/or print the metrics table for one run."""
-    if telemetry is None:
-        return
-    if args.trace:
-        path = args.trace
-        if multiple:  # one file per design: suffix its name
-            stem, ext = os.path.splitext(path)
-            path = f"{stem}-{design}{ext or '.json'}"
-        if path.endswith(".jsonl"):
-            telemetry.tracer.write_jsonl(path)
-        else:
-            telemetry.tracer.write_chrome(path)
-        dropped = telemetry.tracer.dropped
-        note = f" ({dropped} events dropped past cap)" if dropped else ""
-        print(f"wrote {len(telemetry.tracer.events)} trace events "
-              f"to {path}{note}", file=sys.stderr)
-    if args.metrics:
-        print(format_metrics(telemetry.registry, title=f"Metrics — {design}"))
+def _write_trace(path: str, design: str, telemetry: Telemetry,
+                 multiple: bool) -> None:
+    """Write one run's trace file (``--trace``)."""
+    if multiple:  # one file per design: suffix its name
+        stem, ext = os.path.splitext(path)
+        path = f"{stem}-{design}{ext or '.json'}"
+    if path.endswith(".jsonl"):
+        telemetry.tracer.write_jsonl(path)
+    else:
+        telemetry.tracer.write_chrome(path)
+    dropped = telemetry.tracer.dropped
+    note = f" ({dropped} events dropped past cap)" if dropped else ""
+    print(f"wrote {len(telemetry.tracer.events)} trace events "
+          f"to {path}{note}", file=sys.stderr)
 
 
 def cmd_iometer(args) -> int:
@@ -188,8 +184,8 @@ def _runs(args, kind: str, **fixed: Any):
     entry, as an iterator of ``(spec, result)`` — or None (reason on
     stderr) when a flag is bad, checked before the first run so a typo
     fails in milliseconds, not after a whole simulation.  The iterator
-    owns the recorder, and emits each run's telemetry when the caller
-    comes back for the next one."""
+    owns the recorder, and writes each run's trace and prints its
+    metrics when the caller comes back for the next one."""
     designs = _designs(args)
     if designs is None:
         return None
@@ -215,16 +211,21 @@ def _runs(args, kind: str, **fixed: Any):
     def runs():
         with _recorder(args) as recorder:
             for spec in specs:
-                telemetry = (Telemetry() if args.trace or args.metrics
-                             else None)
+                telemetry = Telemetry() if args.trace else None
                 # The grammar string, not a plan: each system parses its
                 # own, since injectors bind to one system's devices.
                 result = run(spec, telemetry=telemetry, faults=plan)
                 recorder.record(spec, result, plan)
                 print(f"ran {spec.design}", file=sys.stderr)
                 yield spec, result
-                _emit_telemetry(args, spec.design, telemetry,
-                                len(designs) > 1)
+                if telemetry is not None:
+                    _write_trace(args.trace, spec.design, telemetry,
+                                 len(designs) > 1)
+                if args.metrics:
+                    latencies = None if kind == "tpch" else result.latencies
+                    print(format_metrics(
+                        snapshot(result.system, latencies),
+                        title=f"Metrics — {spec.design}"))
     return runs()
 
 

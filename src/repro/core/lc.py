@@ -34,20 +34,6 @@ class LazyCleaningManager(SsdManagerBase):
     #: Empty drain rounds between dirty-heap reseed attempts.
     _RESEED_AFTER = 3
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        registry = self.telemetry.registry
-        registry.counter(
-            "lc_cleaner_rounds_total", "Group-clean batches the LC cleaner ran",
-            lambda: self.stats.cleaner_ios)
-        registry.counter(
-            "lc_cleaner_pages_total", "Dirty SSD pages the LC cleaner wrote back",
-            lambda: self.stats.cleaner_pages)
-        registry.counter(
-            "lc_lambda_crossings_total",
-            "Upward crossings of the dirty-fraction threshold (lambda)",
-            lambda: self.stats.lambda_crossings)
-
     def _reset_transients(self) -> None:
         super()._reset_transients()
         self._above_lambda = False

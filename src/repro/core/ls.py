@@ -101,34 +101,13 @@ class LogStructuredManager(SsdManagerBase):
         self._seg_pages = self.table.segment_pages
         self._nseg = (nframes + self._seg_pages - 1) // self._seg_pages
         self._reset_layout()
-        #: Always-on tallies; the help texts below say what each counts.
+        #: Always-on tallies: group-commit batches flushed and the pages
+        #: they admitted, live entries re-appended by segment cleaning,
+        #: log entries replayed into the mapping after a crash.
         self.batches = 0
         self.batch_pages = 0
         self.relocations = 0
         self.replays = 0
-        registry = self.telemetry.registry
-        registry.counter(
-            "ls_batches_total", "Group-commit admission batches flushed",
-            lambda: self.batches)
-        registry.counter(
-            "ls_batch_pages_total", "Pages admitted through LS batches",
-            lambda: self.batch_pages)
-        registry.counter(
-            "ls_reclaimed_segments_total",
-            "Log segments reclaimed (greedy victim selection)",
-            lambda: self.stats.cleaner_ios)
-        registry.counter(
-            "ls_reclaim_dirty_flushes_total",
-            "Newest-copy pages flushed to disk during segment cleaning",
-            lambda: self.stats.cleaner_pages)
-        registry.counter(
-            "ls_relocated_entries_total",
-            "Live entries re-appended to the log during segment cleaning",
-            lambda: self.relocations)
-        registry.counter(
-            "ls_replayed_entries_total",
-            "Log entries replayed into the mapping after a crash",
-            lambda: self.replays)
 
     @property
     def admission_fill_level(self) -> int:

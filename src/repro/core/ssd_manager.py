@@ -197,14 +197,13 @@ class SsdManagerBase:
 
     def __init__(self, env: Environment, device: Ssd, disk: DiskManager,
                  wal: WriteAheadLog, config: Optional[SsdDesignConfig] = None,
-                 admission: Optional[AdmissionPolicy] = None,
                  telemetry=None):
         self.env = env
         self.device = device
         self.disk = disk
         self.wal = wal
         self.config = config or SsdDesignConfig()
-        self.admission = admission or AdmissionPolicy(self.config)
+        self.admission = AdmissionPolicy(self.config)
         self.table = SsdBufferTable(self.config.ssd_frames,
                                     self.config.ls_segment_pages)
         self.stats = SsdStats()
@@ -222,65 +221,13 @@ class SsdManagerBase:
         self.detached = False
         self._reset_transients()
         self.telemetry = telemetry or NULL_TELEMETRY
-        registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        registry.counter(
-            "ssd_mgr_reads_total", "Pages served from the SSD buffer pool",
-            lambda: self.stats.reads)
-        registry.counter(
-            "ssd_mgr_writes_total", "Pages admitted (written) to the SSD",
-            lambda: self.stats.writes)
-        registry.counter(
-            "ssd_mgr_invalidations_total", "SSD copies invalidated on dirty",
-            lambda: self.stats.invalidations)
-        registry.counter(
-            "ssd_mgr_declined_throttle_total",
-            "Optional SSD I/Os skipped by throttle control (mu)",
-            lambda: self.stats.declined_throttle)
-        registry.counter(
-            "ssd_mgr_evictions_total", "SSD frames reclaimed by replacement",
-            lambda: self.stats.evictions)
-        registry.counter(
-            "ssd_mgr_fallback_disk_writes_total",
-            "Dirty evictions sent to disk instead of the SSD",
-            lambda: self.stats.fallback_disk_writes)
-        registry.counter(
-            "ssd_mgr_retries_total",
-            "SSD I/Os retried after transient failures",
-            lambda: self.stats.io_retries)
-        registry.counter(
-            "ssd_mgr_throttle_preserved_total",
-            "Existing SSD copies preserved through a declined admission",
-            lambda: self.stats.throttle_preserved)
-
-        def per_heap(vital):
-            return lambda: {(name,): vital(heap)
-                            for name, heap in self._heaps().items()}
-        registry.gauge(
-            "ssd_mgr_heap_entries", "Binary-heap entries, garbage included",
-            per_heap(len), labelnames=("heap",))
-        registry.gauge(
-            "ssd_mgr_heap_live", "Records filed in the heap",
-            per_heap(lambda heap: heap.live_count), labelnames=("heap",))
-        registry.counter(
-            "ssd_mgr_heap_rekeys_total", "Entries re-keyed as they surfaced",
-            per_heap(lambda heap: heap.rekeys), labelnames=("heap",))
-        registry.counter(
-            "ssd_mgr_heap_compactions_total", "Rebuilds that shed garbage",
-            per_heap(lambda heap: heap.compactions), labelnames=("heap",))
-        registry.gauge("ssd_used_frames", "Occupied SSD frames",
-                       lambda: self.used_frames)
-        registry.gauge("ssd_dirty_frames", "Dirty (newer-than-disk) SSD frames",
-                       lambda: self.dirty_frames)
-        registry.gauge("ssd_dirty_fraction",
-                       "Dirty frames / SSD capacity (LC's lambda gauge)",
-                       lambda: self.dirty_fraction)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
-    def _heaps(self) -> Dict[str, LazyMinHeap]:
+    def heaps(self) -> Dict[str, LazyMinHeap]:
         """The design's victim heaps, by their ``heap`` metric label."""
         return {"clean": self.clean_heap, "dirty": self.dirty_heap}
 
@@ -1008,7 +955,7 @@ class SsdManagerBase:
     def _clear_ssd_state(self) -> None:
         """Forget the mapping (detach / cold restart)."""
         self.table.clear()
-        for heap in self._heaps().values():
+        for heap in self.heaps().values():
             heap.clear()
 
     # ------------------------------------------------------------------
@@ -1073,7 +1020,7 @@ class SsdManagerBase:
         """Assert the Figure 3 page-copy relationships hold right now,
         and that the table's tallies and the heaps' filing are exact."""
         self.table.check_invariants()
-        for heap in self._heaps().values():
+        for heap in self.heaps().values():
             heap.check_invariants()
         for record in self.table.occupied_records():
             if not record.valid:

@@ -59,16 +59,8 @@ class TemperatureAwareManager(SsdManagerBase):
         saving_seq = (self.disk.device.service_time(probe_seq)
                       - self.device.service_time(probe_seq))
         self._saving_seq_ms = max(0.0, saving_seq * 1000.0)
+        #: Pages written to the SSD right after a disk read.
         self.admission_writes = 0
-        registry = self.telemetry.registry
-        registry.counter(
-            "tac_admission_writes_total",
-            "Pages written to the SSD right after a disk read",
-            lambda: self.admission_writes)
-        registry.counter(
-            "tac_missed_dirty_writes_total",
-            "Admission writes abandoned because the page was dirtied first",
-            lambda: self.stats.missed_dirty_writes)
 
     # ------------------------------------------------------------------
     # Temperature bookkeeping
@@ -215,12 +207,12 @@ class TemperatureAwareManager(SsdManagerBase):
         self.temp_heap.remove(record)
         self.table.release(record)
 
-    def _heaps(self):
+    def heaps(self):
         """Plus the temperature heap: detach and cold restart empty it
         with the others (extent temperatures themselves are statistics,
         not mapping state, and survive — as they would in a server that
         logs them)."""
-        return dict(super()._heaps(), temp=self.temp_heap)
+        return dict(super().heaps(), temp=self.temp_heap)
 
     #: Checkpoint flush: the eviction flow (disk write, plus the SSD if an
     #: invalidated copy can be refreshed).

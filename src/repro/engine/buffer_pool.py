@@ -185,34 +185,7 @@ class BufferPool:
             raise ValueError(f"negative latch_seconds {latch_seconds}")
         self.env = env
         self.telemetry = telemetry or NULL_TELEMETRY
-        registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        registry.counter(
-            "bp_requests_total", "Page requests by how they were served",
-            lambda: {("hit",): self.stats.hits,
-                     ("ssd_hit",): self.stats.ssd_hits,
-                     ("disk_read",): self.stats.disk_reads},
-            labelnames=("result",))
-        registry.counter(
-            "bp_evictions_total", "Frames evicted by the lazy writer",
-            lambda: {("clean",): self.stats.evictions_clean,
-                     ("dirty",): self.stats.evictions_dirty},
-            labelnames=("kind",))
-        registry.counter(
-            "bp_latch_waits_total", "Fetches that waited on a frame latch",
-            lambda: {(reason,): count for reason, count
-                     in self.latch_wait_counts.items()},
-            labelnames=("reason",))
-        registry.histogram(
-            "bp_latch_wait_seconds", "Time spent waiting on frame latches",
-            lambda: self.latch_wait_lengths)
-        registry.counter(
-            "bp_prefetched_pages_total", "Pages brought in by read-ahead",
-            lambda: self.stats.prefetched_pages)
-        registry.gauge("bp_dirty_frames", "Dirty frames in the buffer pool",
-                       lambda: self.dirty_count)
-        registry.gauge("bp_used_frames", "Occupied + reserved frame slots",
-                       lambda: self.used)
         self.capacity = capacity
         self.disk = disk
         self.wal = wal
@@ -234,13 +207,6 @@ class BufferPool:
         self._nparts = partitions
         self._parts = [PoolPartition(i) for i in range(partitions)]
         self._latch_s = latch_seconds
-        if latch_seconds > 0.0:
-            registry.counter(
-                "bp_partition_latch_waits_total",
-                "Fetches that queued on a partition latch",
-                lambda: {(str(part.index),): part.latch_waits
-                         for part in self._parts},
-                labelnames=("partition",))
         # Lazy-writer machinery: evictions run in a background process
         # (as SQL Server's lazywriter does) that keeps a cushion of free
         # frames, so a fetching client almost never waits for a dirty

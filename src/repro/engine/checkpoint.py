@@ -47,13 +47,7 @@ class Checkpointer:
         self.durations: List[float] = []
         self.crash_reset()  # no periodic process yet
         self.telemetry = telemetry or NULL_TELEMETRY
-        registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        registry.counter("checkpoints_total", "Checkpoints completed",
-                         lambda: self.checkpoints_taken)
-        registry.histogram(
-            "checkpoint_duration_seconds", "Wall (virtual) checkpoint time",
-            lambda: self.durations)
 
     def start(self) -> None:
         """Start the periodic checkpoint process (if an interval is set)."""

@@ -30,10 +30,6 @@ class DiskManager:
         self.retries = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         self._tracer = self.telemetry.tracer
-        self.telemetry.registry.counter(
-            "disk_retries_total",
-            "Disk I/Os retried after transient failures",
-            lambda: self.retries)
 
     # ------------------------------------------------------------------
     # Persistent image (versions)

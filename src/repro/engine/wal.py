@@ -63,21 +63,7 @@ class WriteAheadLog:
         self.telemetry = telemetry or NULL_TELEMETRY
         if self.telemetry.enabled:
             self.device.attach_telemetry(self.telemetry)
-        registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        registry.counter(
-            "wal_records_total", "Redo records appended to the log tail",
-            lambda: self._next_lsn + self.records_lost)
-        registry.counter(
-            "wal_flushes_total", "Group-commit flushes of the log tail",
-            lambda: self.flushes)
-        registry.counter(
-            "wal_pages_flushed_total", "Log pages written to the log device",
-            lambda: self.pages_flushed)
-        registry.counter(
-            "wal_retries_total",
-            "Log flushes retried after transient failures",
-            lambda: self.flush_retries)
 
     @property
     def tail_lsn(self) -> int:

@@ -52,11 +52,6 @@ class FaultInjector:
         self.stats: Dict[str, int] = {}
         telemetry = telemetry or NULL_TELEMETRY
         self._tracer = telemetry.tracer
-        telemetry.registry.counter(
-            "faults_injected_total", "Faults injected, by device and kind",
-            lambda: {(self.device.name, kind): count
-                     for kind, count in self.stats.items()},
-            labelnames=("device", "kind"))
         device.attach_faults(self)
 
     def _record(self, kind: str, **args: Any) -> None:

@@ -1,23 +1,55 @@
-"""Run-time metric sampling (time series for Figures 6–9) and
-transaction-latency tracking.
+"""What a run is measured by: the ``--metrics`` table, run-time
+sampling (time series for Figures 6–9) and transaction latencies.
 
-Both are built over :mod:`repro.telemetry`: the sampled fields are
-declared once in :data:`SAMPLE_FIELDS` and published through the
-system's telemetry (registry gauges are registered by the components
-themselves; each sampler tick additionally emits Chrome counter events
-so the occupancy/queue-depth series show up in a trace viewer), and
-:class:`LatencyTracker` shares the percentile math
-(:func:`repro.telemetry.percentile_of`) with the registry's histogram
-rows.
+A fact is tallied once, in a plain always-on field of the component
+that makes it (``SsdStats.writes``, ``WriteAheadLog.flushes``, ...;
+DESIGN.md §5.2).  :data:`SAMPLE_FIELDS` and :data:`METRICS` are the two
+ways of reading those fields off a :class:`~repro.harness.system.System`:
+the sampler every tick (each tick also emits Chrome counter events, so
+the occupancy and queue-depth series show up in a trace viewer), and
+:func:`snapshot` once, for ``--metrics``.  :class:`LatencyTracker` and a
+histogram row share :func:`percentile_of`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry import NULL_TELEMETRY, percentile_of
+from repro.storage.device import KIND_LABELS
+from repro.telemetry import NULL_TELEMETRY
+
+
+def percentile_of(sorted_values: Sequence[float], q: float) -> float:
+    """Linear-interpolated q-th percentile of a pre-sorted sequence."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"q must be in [0, 100], got {q}")
+    if not sorted_values:
+        return float("nan")
+    rank = (len(sorted_values) - 1) * q / 100.0
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return sorted_values[low]
+    weight = rank - low
+    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
+
+
+def summary(samples: Sequence[float]) -> Dict[str, float]:
+    """count / mean / p50 / p95 / p99: a histogram's row value and
+    ``repro analyze``'s latency figures.  The mean is summed in the
+    order given, what a running sum over the owner's appends would hold
+    to the last digit (the sorted samples differ)."""
+    ordered = sorted(samples)
+    return {
+        "count": float(len(ordered)),
+        "mean": sum(samples) / len(samples) if samples else float("nan"),
+        "p50": percentile_of(ordered, 50),
+        "p95": percentile_of(ordered, 95),
+        "p99": percentile_of(ordered, 99),
+    }
 
 
 @dataclass
@@ -66,6 +98,209 @@ SAMPLE_FIELDS = (
     ("ftl_nand_writes", lambda s: _ftl_stat(s, "nand_writes")),
     ("ftl_erases", lambda s: _ftl_stat(s, "erases")),
 )
+
+
+#: One ``--metrics`` name: ``(name, kind, labelnames, read)``.  ``read``
+#: takes what its table is read off (a system, or a latency tracker)
+#: and returns a number for a counter or gauge, the samples for a
+#: histogram, or with ``labelnames`` a mapping from label-value tuples
+#: to those: ``("ssd", "random_read")`` is
+#: ``io_pages_total{device="ssd",kind="random_read"}``.
+Metric = Tuple[str, str, Tuple[str, ...], Callable[[Any], Any]]
+
+
+def _devices(read: Callable[[Any], Dict[Tuple[str, ...], Any]]):
+    """``read(device)`` over the data, SSD and log devices, merged."""
+    def read_all(system) -> Dict[Tuple[str, ...], Any]:
+        values: Dict[Tuple[str, ...], Any] = {}
+        for device in (system.data_device, system.ssd_device,
+                       system.wal.device):
+            values.update(read(device))
+        return values
+    return read_all
+
+
+def _by_kind(device, counts) -> Dict[Tuple[str, str], int]:
+    """``counts`` (by :class:`~repro.storage.request.IoKind`) keyed the
+    way the ``io_*_total`` rows are."""
+    return {(device.name, KIND_LABELS[kind]): count
+            for kind, count in counts.items()}
+
+
+def _ssd(field_name: str) -> Callable[[Any], int]:
+    """The SSD manager's ``SsdStats`` field ``field_name``."""
+    return lambda s: getattr(s.ssd_manager.stats, field_name)
+
+
+def _per_heap(vital: Callable[[Any], int]):
+    """``vital(heap)`` for each of the design's victim heaps."""
+    return lambda s: {(name,): vital(heap)
+                      for name, heap in s.ssd_manager.heaps().items()}
+
+
+def _partition_latch_waits(system) -> Dict[Tuple[str], int]:
+    """Per partition, when the pool models its latch (else no rows)."""
+    bp = system.bp
+    if not bp._latch_s:
+        return {}
+    return {(str(part.index),): part.latch_waits for part in bp._parts}
+
+
+def _injected(system) -> Dict[Tuple[str, str], int]:
+    """Faults injected by each of the installed plan's injectors."""
+    injectors = system.faults.injectors.values() if system.faults else ()
+    return {(injector.device.name, kind): count
+            for injector in injectors
+            for kind, count in injector.stats.items()}
+
+
+#: Every system's rows, read off its components' own fields.
+METRICS: Tuple[Metric, ...] = (
+    # devices
+    ("io_pages_total", "counter", ("device", "kind"),
+     _devices(lambda d: _by_kind(d, d.stats.pages_by_kind))),
+    ("io_requests_total", "counter", ("device", "kind"),
+     _devices(lambda d: _by_kind(d, d.requests_by_kind))),
+    ("device_pending_ios", "gauge", ("device",),
+     _devices(lambda d: {(d.name,): d.pending})),
+    ("ssd_channels_alive", "gauge", (), lambda s: s.ssd_device.channels_alive),
+    ("faults_injected_total", "counter", ("device", "kind"), _injected),
+    # disk manager, log, checkpoints
+    ("disk_retries_total", "counter", (), lambda s: s.disk.retries),
+    ("wal_records_total", "counter", (),
+     lambda s: s.wal.tail_lsn + 1 + s.wal.records_lost),
+    ("wal_flushes_total", "counter", (), lambda s: s.wal.flushes),
+    ("wal_pages_flushed_total", "counter", (), lambda s: s.wal.pages_flushed),
+    ("wal_retries_total", "counter", (), lambda s: s.wal.flush_retries),
+    ("checkpoints_total", "counter", (),
+     lambda s: s.checkpointer.checkpoints_taken),
+    ("checkpoint_duration_seconds", "histogram", (),
+     lambda s: s.checkpointer.durations),
+    # buffer pool
+    ("bp_requests_total", "counter", ("result",),
+     lambda s: {("hit",): s.bp.stats.hits,
+                ("ssd_hit",): s.bp.stats.ssd_hits,
+                ("disk_read",): s.bp.stats.disk_reads}),
+    ("bp_evictions_total", "counter", ("kind",),
+     lambda s: {("clean",): s.bp.stats.evictions_clean,
+                ("dirty",): s.bp.stats.evictions_dirty}),
+    ("bp_latch_waits_total", "counter", ("reason",),
+     lambda s: {(reason,): count
+                for reason, count in s.bp.latch_wait_counts.items()}),
+    ("bp_latch_wait_seconds", "histogram", (),
+     lambda s: s.bp.latch_wait_lengths),
+    ("bp_partition_latch_waits_total", "counter", ("partition",),
+     _partition_latch_waits),
+    ("bp_prefetched_pages_total", "counter", (),
+     lambda s: s.bp.stats.prefetched_pages),
+    ("bp_dirty_frames", "gauge", (), lambda s: s.bp.dirty_count),
+    ("bp_used_frames", "gauge", (), lambda s: s.bp.used),
+    # SSD manager (every design)
+    ("ssd_mgr_reads_total", "counter", (), _ssd("reads")),
+    ("ssd_mgr_writes_total", "counter", (), _ssd("writes")),
+    ("ssd_mgr_invalidations_total", "counter", (), _ssd("invalidations")),
+    ("ssd_mgr_declined_throttle_total", "counter", (),
+     _ssd("declined_throttle")),
+    ("ssd_mgr_evictions_total", "counter", (), _ssd("evictions")),
+    ("ssd_mgr_fallback_disk_writes_total", "counter", (),
+     _ssd("fallback_disk_writes")),
+    ("ssd_mgr_retries_total", "counter", (), _ssd("io_retries")),
+    ("ssd_mgr_throttle_preserved_total", "counter", (),
+     _ssd("throttle_preserved")),
+    ("ssd_mgr_heap_entries", "gauge", ("heap",), _per_heap(len)),
+    ("ssd_mgr_heap_live", "gauge", ("heap",),
+     _per_heap(lambda heap: heap.live_count)),
+    ("ssd_mgr_heap_rekeys_total", "counter", ("heap",),
+     _per_heap(lambda heap: heap.rekeys)),
+    ("ssd_mgr_heap_compactions_total", "counter", ("heap",),
+     _per_heap(lambda heap: heap.compactions)),
+    ("ssd_used_frames", "gauge", (), lambda s: s.ssd_manager.used_frames),
+    ("ssd_dirty_frames", "gauge", (), lambda s: s.ssd_manager.dirty_frames),
+    ("ssd_dirty_fraction", "gauge", (),
+     lambda s: s.ssd_manager.dirty_fraction),
+)
+
+#: A system whose SSD runs the FTL model (``Ssd.ftl``) adds these.
+FTL_METRICS: Tuple[Metric, ...] = (
+    ("ftl_waf", "gauge", (), lambda s: s.ssd_device.ftl.waf),
+    ("ftl_erases_total", "gauge", (), lambda s: s.ssd_device.ftl.stats.erases),
+    ("ftl_free_blocks", "gauge", (),
+     lambda s: s.ssd_device.ftl.free_block_count),
+    ("ftl_wear_spread", "gauge", (), lambda s: s.ssd_device.ftl.wear_spread),
+)
+
+#: The rows only one design has, by design name (naming it here
+#: imports none of the design modules).
+DESIGN_METRICS: Dict[str, Tuple[Metric, ...]] = {
+    "LC": (
+        ("lc_cleaner_rounds_total", "counter", (), _ssd("cleaner_ios")),
+        ("lc_cleaner_pages_total", "counter", (), _ssd("cleaner_pages")),
+        ("lc_lambda_crossings_total", "counter", (),
+         _ssd("lambda_crossings")),
+    ),
+    "LS": (
+        ("ls_batches_total", "counter", (), lambda s: s.ssd_manager.batches),
+        ("ls_batch_pages_total", "counter", (),
+         lambda s: s.ssd_manager.batch_pages),
+        ("ls_reclaimed_segments_total", "counter", (), _ssd("cleaner_ios")),
+        ("ls_reclaim_dirty_flushes_total", "counter", (),
+         _ssd("cleaner_pages")),
+        ("ls_relocated_entries_total", "counter", (),
+         lambda s: s.ssd_manager.relocations),
+        ("ls_replayed_entries_total", "counter", (),
+         lambda s: s.ssd_manager.replays),
+    ),
+    "TAC": (
+        ("tac_admission_writes_total", "counter", (),
+         lambda s: s.ssd_manager.admission_writes),
+        ("tac_missed_dirty_writes_total", "counter", (),
+         _ssd("missed_dirty_writes")),
+    ),
+}
+
+#: Read off a run's :class:`LatencyTracker`.
+LATENCY_METRICS: Tuple[Metric, ...] = (
+    ("txn_latency_seconds", "histogram", ("type",),
+     lambda latencies: {(txn,): samples for txn, samples
+                        in latencies._samples.items()}),
+)
+
+
+def read_rows(table: Sequence[Metric], source: Any) -> List[Dict[str, Any]]:
+    """Each metric of ``table`` read off ``source``: the report rows,
+    sorted by name and, within a labeled name, by label values.
+
+    Each row is ``{"name", "kind", "labels", "value"}``: a counter's or
+    gauge's value as a float, a histogram's :func:`summary`.  A labeled
+    name has one row per label-value tuple its reader reports now.
+    """
+    rows: List[Dict[str, Any]] = []
+    for name, kind, labelnames, read in sorted(table, key=itemgetter(0)):
+        values = read(source) if labelnames else {(): read(source)}
+        for key in sorted(values):
+            value = values[key]
+            rows.append({
+                "name": name,
+                "kind": kind,
+                "labels": dict(zip(labelnames, key)),
+                "value": (summary(value) if kind == "histogram"
+                          else float(value)),
+            })
+    return rows
+
+
+def snapshot(system, latencies: Optional[LatencyTracker] = None
+             ) -> List[Dict[str, Any]]:
+    """What ``--metrics`` prints for ``system``, and for ``latencies``
+    (a run's tracker) when given: :func:`read_rows` over every table
+    that applies, in one name order."""
+    table = METRICS + DESIGN_METRICS.get(system.design, ())
+    if system.ssd_device.ftl is not None:
+        table += FTL_METRICS
+    rows = read_rows(table, system)
+    if latencies is not None:
+        rows += read_rows(LATENCY_METRICS, latencies)
+    return sorted(rows, key=itemgetter("name"))
 
 
 class Sampler:

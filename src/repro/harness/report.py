@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -75,14 +75,15 @@ def format_series(title: str, series: List[Tuple[float, float]],
     return "\n".join(lines)
 
 
-def format_metrics(registry, title: str = "Metrics") -> str:
-    """Render a :class:`~repro.telemetry.MetricRegistry` snapshot.
+def format_metrics(rows: Sequence[Dict[str, Any]],
+                   title: str = "Metrics") -> str:
+    """Render metric rows (:func:`repro.harness.metrics.snapshot`).
 
-    Counters and gauges become ``name{label="v"} value`` rows; histograms
-    render their count/mean/percentile summary inline.
+    Counters and gauges become ``name{label="v"} value`` lines;
+    histograms render their count/mean/percentile summary inline.
     """
-    rows = []
-    for row in registry.snapshot():
+    cells = []
+    for row in rows:
         labels = ",".join(f'{k}="{v}"'
                           for k, v in sorted(row["labels"].items()))
         name = row["name"] + (f"{{{labels}}}" if labels else "")
@@ -93,10 +94,8 @@ def format_metrics(registry, title: str = "Metrics") -> str:
                      f"p99={summary['p99']:.6g}")
         else:
             value = f"{row['value']:,.6g}"
-        rows.append([name, value])
-    if not rows:
-        return f"{title}\n(no metrics registered)"
-    return format_table(title, ["metric", "value"], rows)
+        cells.append([name, value])
+    return format_table(title, ["metric", "value"], cells)
 
 
 def format_speedups(title: str, speedups: Dict[str, Dict[str, float]],

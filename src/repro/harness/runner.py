@@ -18,10 +18,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.ssd_manager import SsdStats
 from repro.engine.buffer_pool import BufferPoolStats
 from repro.harness.metrics import (LatencyTracker, Sample, Sampler,
-                                   TenantStats)
+                                   TenantStats, percentile_of)
 from repro.harness.system import System
 from repro.sim import Store
-from repro.telemetry import NULL_TELEMETRY, percentile_of
 
 if TYPE_CHECKING:
     from repro.storage.ftl import FtlStats
@@ -266,18 +265,6 @@ class RunResult:
         return sum(tail) / sum(widths) * self.metric_window
 
 
-def _publish_latencies(runner) -> None:
-    """``txn_latency_seconds{type}`` reads the tracker of ``runner``'s
-    newest run — registered once per runner, so running it again swaps
-    the samples read and adds no second row per type."""
-    registry = getattr(runner.system, "telemetry", NULL_TELEMETRY).registry
-    registry.histogram(
-        "txn_latency_seconds", "Transaction latency by type",
-        lambda: {(txn,): samples for txn, samples
-                 in runner.latencies._samples.items()},
-        labelnames=("type",))
-
-
 def check_loop(nworkers: int = 1, bucket_seconds: float = 1.0,
                queue_limit: int = 1) -> None:
     """The sizes a closed or an open loop can run with, else a
@@ -304,8 +291,6 @@ class _Runner:
         self.nworkers = nworkers
         self.bucket_seconds = bucket_seconds
         self.seed = seed
-        self.latencies = LatencyTracker()
-        _publish_latencies(self)
 
     def _begin(self, duration: float, setup: bool, **tenancy: Any) -> RunResult:
         """Start services and the sampler; returns the run's record."""
@@ -313,7 +298,6 @@ class _Runner:
         if setup:
             workload.setup(system)
             system.start_services()
-        self.latencies = LatencyTracker()
         result = RunResult(
             design=system.design,
             metric_name=workload.metric_name,
@@ -325,7 +309,7 @@ class _Runner:
             # (normalized by its true width in bucket_widths()).
             buckets=[0] * max(1, ceil(duration / self.bucket_seconds - 1e-9)),
             sampler=Sampler(system),
-            latencies=self.latencies,
+            latencies=LatencyTracker(),
             system=system,
             **tenancy,
         )

@@ -159,8 +159,7 @@ class Environment:
         for callback in callbacks:
             callback(event)
             if self._crash is not None:
-                crash, self._crash = self._crash, None
-                raise crash
+                raise self._take_crash()
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -219,8 +218,7 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                         if self._crash is not None:
-                            crash, self._crash = self._crash, None
-                            raise crash
+                            raise self._take_crash()
             else:
                 while current or advance():
                     if stop_event.callbacks is None:
@@ -234,8 +232,7 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                         if self._crash is not None:
-                            crash, self._crash = self._crash, None
-                            raise crash
+                            raise self._take_crash()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -284,6 +281,13 @@ class Environment:
 
     def _crashed(self, exc: BaseException) -> None:
         self._crash = exc
+
+    def _take_crash(self) -> BaseException:
+        """The crash to re-raise, cleared.  The raising frame must not
+        hold it in a local: the frame goes on its traceback, a cycle."""
+        crash, self._crash = self._crash, None
+        assert crash is not None
+        return crash
 
 
 #: Registry of selectable kernels, shared by SystemConfig and the CLI.

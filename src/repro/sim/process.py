@@ -96,6 +96,18 @@ _FIRST_STEP._ok = True
 _FIRST_STEP._value = None
 
 
+def _drop_own_frame(exc: BaseException) -> None:
+    """Take the kernel frame that caught ``exc`` off its traceback.
+
+    That frame holds the process that now holds ``exc``: a reference
+    cycle, and ``run()`` pauses the cyclic collector.  The frames below
+    it, the failing generator's lines, stay.
+    """
+    caught = exc.__traceback__
+    assert caught is not None  # a caught exception was raised
+    exc.__traceback__ = caught.tb_next
+
+
 def _refused(env: "Environment", target: Any) -> Event:
     """The failed pseudo-event that raises the diagnosis in the process."""
     event = Event(env)
@@ -139,13 +151,23 @@ class Process(Event):
                 if event._ok:
                     target = send(event._value)
                 else:
-                    target = generator.throw(event._value)
+                    failure = event._value
+                    tb = failure.__traceback__
+                    try:
+                        target = generator.throw(failure)
+                    finally:
+                        # A failure's traceback stays where it was
+                        # raised: the waiter's frame, which throwing
+                        # adds, may hold the event that holds it.
+                        failure.__traceback__ = tb
             except StopIteration as stop:
                 self._resumer = self._wakers = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 self._resumer = self._wakers = None
+                if exc is not event._value:  # not a failure passed on
+                    _drop_own_frame(exc)
                 self._fail_or_crash(exc)
                 return
 
@@ -236,6 +258,14 @@ class DetachedProcess(Process):
     def succeed(self, value: Any = None) -> Event:
         return self.settle(value)
 
+    def _fail_or_crash(self, exc: BaseException) -> None:
+        """Crash the run (nothing can wait on it), keeping no reference
+        to ``exc``: its traceback gets ``run()``'s frame, which holds
+        this process's resume."""
+        self._ok = False
+        self._value = None
+        self.env._crashed(exc)
+
     @staticmethod
     def start_all(env: "Environment", steps: Iterable[Step]) -> None:
         """Queue one entry that starts ``steps`` in order.
@@ -320,6 +350,7 @@ class GatherMember(Process):
         try:
             call[0](call[1], self)
         except BaseException as exc:
+            _drop_own_frame(exc)
             self._fail_or_crash(exc)
 
     def run(self, generator: Generator[Any, Any, Any]) -> None:

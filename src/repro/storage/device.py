@@ -155,28 +155,10 @@ class DeviceBase:
         self.faults = injector
 
     def attach_telemetry(self, telemetry) -> None:
-        """Bind a telemetry sink and publish this device's counts."""
+        """Bind a telemetry sink: the device traces on its own track."""
         self.telemetry = telemetry
         self._tracer = telemetry.tracer
         self._trace_track = f"device:{self.name}"
-        registry = telemetry.registry
-        registry.counter(
-            "io_pages_total", "Pages transferred per device and I/O kind",
-            lambda: self._by_label(self.stats.pages_by_kind),
-            labelnames=("device", "kind"))
-        registry.counter(
-            "io_requests_total", "Completed I/Os per device and I/O kind",
-            lambda: self._by_label(self.requests_by_kind),
-            labelnames=("device", "kind"))
-        registry.gauge(
-            "device_pending_ios", "I/Os submitted but not yet completed",
-            lambda: {(self.name,): self.pending}, labelnames=("device",))
-
-    def _by_label(
-            self, counts: Dict[IoKind, int]) -> Dict[Tuple[str, str], int]:
-        """``counts`` keyed the way this device's labeled metrics are."""
-        return {(self.name, KIND_LABELS[kind]): count
-                for kind, count in counts.items()}
 
     @property
     def pending(self) -> int:

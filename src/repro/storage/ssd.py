@@ -74,8 +74,6 @@ class Ssd(Device):
         self._channels_dead = 0
         self._degrade = 1.0
         #: Modelled internals, or None for the flat black-box timing.
-        #: Set before ``Device.__init__`` — it resolves telemetry, and
-        #: :meth:`attach_telemetry` registers FTL gauges when present.
         self.ftl: Optional[FlashTranslationLayer] = None
         if ftl is not None:
             if logical_pages < 1:
@@ -85,28 +83,6 @@ class Ssd(Device):
             from repro.storage.ftl import FlashTranslationLayer
             self.ftl = FlashTranslationLayer(logical_pages, ftl)
         super().__init__(env, name, channels=channels)
-
-    def attach_telemetry(self, telemetry) -> None:
-        super().attach_telemetry(telemetry)
-        registry = telemetry.registry
-        registry.gauge(
-            "ssd_channels_alive", "Flash channels still in service",
-            lambda: self.channels_alive)
-        ftl = self.ftl
-        if ftl is None:
-            return
-        registry.gauge(
-            "ftl_waf", "Device write amplification (NAND/host writes)",
-            lambda: ftl.waf)
-        registry.gauge(
-            "ftl_erases_total", "Erase-block erasures performed by GC",
-            lambda: ftl.stats.erases)
-        registry.gauge(
-            "ftl_free_blocks", "Erase blocks in the FTL free pool",
-            lambda: ftl.free_block_count)
-        registry.gauge(
-            "ftl_wear_spread", "Max minus min per-block erase count",
-            lambda: ftl.wear_spread)
 
     # ------------------------------------------------------------------
     # Channel failures (fault plan ``ssd_chan_die``)

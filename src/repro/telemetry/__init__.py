@@ -1,10 +1,11 @@
-"""Unified telemetry: a metrics registry plus a structured event tracer.
+"""Telemetry: a structured event tracer on the virtual clock.
 
 Every instrumented component takes an optional :class:`Telemetry` and
-defaults to :data:`NULL_TELEMETRY`.  Off costs nothing: a component
-counts in its own plain fields either way and the registry only *reads*
-them when scraped, so the null registry is never called once a run is
-built; trace call sites are skipped behind ``tracer.enabled``.
+defaults to :data:`NULL_TELEMETRY`.  Off costs nothing: trace call sites
+are skipped behind ``tracer.enabled``.  Counts are not telemetry's: a
+component keeps them in its own plain fields either way, and
+``--metrics`` reads them off the run
+(:func:`repro.harness.metrics.snapshot`), traced or not.
 
 Typical wiring (the harness does this for you)::
 
@@ -12,22 +13,15 @@ Typical wiring (the harness does this for you)::
     system = System(config, telemetry=telemetry)
     ... run ...
     telemetry.tracer.write_chrome("out.json")   # chrome://tracing
-    print(format_metrics(telemetry.registry))
 
-Metric and event names are stable API: DESIGN.md maps each paper figure
-to the names that reproduce it.
+Event names are stable API: DESIGN.md maps each paper figure to the
+names that reproduce it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.telemetry.registry import (
-    MetricRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    percentile_of,
-)
 from repro.telemetry.context import (
     ADMISSION_CTX,
     CHECKPOINT_CTX,
@@ -47,13 +41,12 @@ from repro.telemetry.tracer import (
 
 
 class Telemetry:
-    """An enabled registry + tracer pair, sharing one virtual clock."""
+    """An enabled tracer on the system's virtual clock."""
 
     enabled = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
                  max_events: int = 500_000):
-        self.registry = MetricRegistry()
         self.tracer = Tracer(clock, max_events=max_events)
 
     def set_clock(self, clock: Callable[[], float]) -> None:
@@ -62,11 +55,10 @@ class Telemetry:
 
 
 class NullTelemetry:
-    """The disabled mode: no-op registry and tracer singletons."""
+    """The disabled mode: the no-op tracer singleton."""
 
     enabled = False
     __slots__ = ()
-    registry = NULL_REGISTRY
     tracer = NULL_TRACER
 
     def set_clock(self, clock) -> None:
@@ -81,11 +73,8 @@ __all__ = [
     "CLEANER_CTX",
     "EVICTION_CTX",
     "RECOVERY_CTX",
-    "MetricRegistry",
-    "NULL_REGISTRY",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "NullRegistry",
     "NullTelemetry",
     "NullTracer",
     "TRACE_PID",
@@ -94,5 +83,4 @@ __all__ = [
     "TraceContext",
     "TraceEvent",
     "Tracer",
-    "percentile_of",
 ]

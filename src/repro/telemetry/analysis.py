@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.registry import percentile_of, summary
+from repro.harness.metrics import percentile_of, summary
 from repro.telemetry.tracer import TRUNCATION_EVENT
 
 #: Wait-span names that map straight to a latency component.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.workloads.base import Transaction
@@ -91,14 +91,19 @@ class TpchResult:
     power_elapsed: float = 0.0
     throughput_elapsed: float = 0.0
     streams: int = 0
+    #: The live system, for same-process inspection only (as
+    #: ``RunResult.system``): it is not part of the record.
+    system: Any = field(default=None, repr=False, compare=False)
 
     metric_name = "QphH"
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready plain data (query numbers become string keys)."""
-        data = asdict(self)
+        data = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "system"}
         data["query_times"] = {str(number): elapsed for number, elapsed
                                in self.query_times.items()}
+        data["rf_times"] = list(self.rf_times)
         return data
 
     @classmethod
@@ -268,7 +273,7 @@ class TpchWorkload:
     def full_run(self, system):
         """Process step: power test then throughput test, as the spec
         (and the paper) order them.  Returns a :class:`TpchResult`."""
-        result = TpchResult(sf=self.sf)
+        result = TpchResult(sf=self.sf, system=system)
         yield from self.power_test(system, result)
         yield from self.throughput_test(system, result)
         return result

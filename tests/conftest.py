@@ -11,6 +11,7 @@ from repro.sim import Environment
 from repro.storage import HddArray, Ssd
 from repro.core import SsdDesignConfig, design_class
 from repro.engine import BufferPool, Checkpointer, Database, DiskManager, WriteAheadLog
+from repro.harness.metrics import snapshot
 from repro.harness.system import System, SystemConfig
 
 # ``--hypothesis-profile=thorough`` for the long CI pass over a property
@@ -90,11 +91,11 @@ def meta_free_trace_md5(telemetry):
     return hashlib.md5(payload.encode()).hexdigest()
 
 
-def scrape(registry):
-    """``registry.snapshot()`` keyed ``(name, *label values)``: what
-    ``--metrics`` prints, for a test to look one row up."""
+def scrape(system, latencies=None):
+    """``snapshot(system, latencies)`` keyed ``(name, *label values)``:
+    what ``--metrics`` prints, for a test to look one row up."""
     return {(row["name"], *row["labels"].values()): row["value"]
-            for row in registry.snapshot()}
+            for row in snapshot(system, latencies)}
 
 
 def disk_ios(disk, direction):

@@ -5,7 +5,6 @@ import pytest
 from repro.core import SsdDesignConfig
 from repro.core.admission import AdmissionPolicy
 from repro.engine.page import Frame
-from repro.engine.readahead import WindowClassifier
 
 
 class TestConfig:
@@ -82,14 +81,3 @@ class TestAdmission:
     def test_zero_frames_rejects_everything(self):
         policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=0))
         assert not policy.qualifies(random_frame(), ssd_used=0)
-
-    def test_window_classifier_override(self):
-        """Admission can use the 64-page-window heuristic instead of the
-        read-ahead flag (the ablation's 'window' mode)."""
-        classifier = WindowClassifier(window=64)
-        policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100),
-                                 classifier=classifier)
-        # Two adjacent "random" lookups: the window method misclassifies
-        # the second as sequential and wrongly rejects it.
-        assert policy.qualifies(random_frame(page_id=10), ssd_used=100)
-        assert not policy.qualifies(random_frame(page_id=11), ssd_used=100)

@@ -17,7 +17,6 @@ from repro.engine.page import Frame
 from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness.crashpoints import _update_client
 from repro.harness.system import System, SystemConfig
-from repro.telemetry import Telemetry
 from tests.conftest import drive, scrape, settle
 
 DB_PAGES = 1_200
@@ -176,7 +175,7 @@ def test_committed_versions_survive_ssd_death(design):
     assert not lost
 
 
-#: registry counter -> the ``SsdStats`` field it must equal.
+#: ``--metrics`` counter -> the ``SsdStats`` field it must equal.
 COUNTERS = {
     "ssd_mgr_reads_total": "reads",
     "ssd_mgr_writes_total": "writes",
@@ -190,14 +189,13 @@ COUNTERS = {
 
 
 def test_registry_counters_equal_ssd_stats(design):
-    """``--metrics`` and the dashboard read the registry; reports read
-    ``SsdStats``.  They are two views of the same events."""
-    telemetry = Telemetry()
-    system = build(design, checkpoint_interval=0.5, telemetry=telemetry,
+    """``--metrics`` reads its table; reports read ``SsdStats``.  They
+    are two views of the same events."""
+    system = build(design, checkpoint_interval=0.5,
                    faults="transient:p=0.01", throttle_limit=2)
     churn(system, {}, ops=150)
     stats = system.ssd_manager.stats
-    rows = scrape(telemetry.registry)
+    rows = scrape(system)
     scraped = {name: rows[name,] for name in COUNTERS}
     assert scraped == {name: getattr(stats, field)
                        for name, field in COUNTERS.items()}

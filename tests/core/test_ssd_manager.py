@@ -342,7 +342,7 @@ class TestEndToEndInvariants:
                           ssd_frames=200)
         sys_.churn(accesses=3_000, write_fraction=0.3, seed=13)
         manager = sys_.ssd_manager
-        heaps = manager._heaps()
+        heaps = manager.heaps()
         assert sorted(heaps) == (["clean", "dirty", "temp"]
                                  if design == "TAC" else ["clean", "dirty"])
         for name, heap in heaps.items():

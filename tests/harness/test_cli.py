@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.telemetry as telemetry_module
 from repro.cli import build_parser, main
 from repro.core import DESIGNS, design_class
 from repro.harness.experiments import RunSpec
@@ -279,6 +280,38 @@ class TestTelemetryFlags:
         assert "Metrics — LC" in out
         assert "bp_requests_total" in out
         assert "txn_latency_seconds" in out
+
+    def test_metrics_needs_no_trace(self, capsys, tmp_path, monkeypatch):
+        """``--metrics`` alone builds no tracer, and prints what the same
+        run with ``--trace`` prints."""
+        built = []
+
+        class CountingTracer(telemetry_module.Tracer):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(telemetry_module, "Tracer", CountingTracer)
+        argv = ["oltp", "--benchmark", "tpcc", "--scale", "100",
+                "--profile", "tiny", "--duration", "3", "--designs", "LC",
+                "--no-db", "--metrics"]
+        assert main(argv) == 0
+        untraced = capsys.readouterr().out
+        assert built == []
+        assert main(argv + ["--trace", str(tmp_path / "t.json")]) == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out == untraced
+        assert "Metrics — LC" in untraced
+
+    def test_tpch_metrics_read_the_live_system(self, capsys):
+        code = main(["tpch", "--sf", "30", "--profile", "tiny",
+                     "--designs", "DW", "--no-db", "--metrics"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Metrics — DW" in out
+        assert 'io_pages_total{device="hdd-array",kind="sequential_read"}' \
+            in out
+        assert "txn_latency_seconds" not in out
 
     def test_trace_bad_directory_fails_fast(self, capsys):
         code = main(["oltp", "--designs", "LC",

@@ -193,4 +193,4 @@ def test_a_reused_runner_adds_its_clients_to_the_first_runs():
     assert second.start_time == 4.0
     assert second.total_metric_txns > 0
     assert sum(first.txn_counts.values()) > counted
-    assert second.latencies is runner.latencies is not first.latencies
+    assert second.latencies is not first.latencies

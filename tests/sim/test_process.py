@@ -1,8 +1,12 @@
 """Unit tests for generator-based processes."""
 
+import gc
+import traceback
+
 import pytest
 
 from repro.sim.events import SimulationError
+from repro.sim.process import Process
 
 
 class TestLifecycle:
@@ -84,6 +88,71 @@ class TestExceptions:
                 return "rejected"
 
         assert env.run(env.process(proc())) == "rejected"
+
+
+class TestFailureTracebacks:
+    """A failure's traceback is where it was raised: the kernel frame
+    that caught it and the frames of the waiters it passed through stay
+    off it, so it holds no process (``run()`` pauses the cyclic
+    collector), and the failing generator's line stays on it."""
+
+    @staticmethod
+    def lines(exc):
+        return [(frame.name, frame.line)
+                for frame in traceback.extract_tb(exc.__traceback__)]
+
+    def test_a_crash_run_reraises_shows_the_failing_line(self, env):
+        def worker():
+            yield 1.0
+            raise RuntimeError("boom")
+
+        env.spawn(worker())
+        with pytest.raises(RuntimeError) as info:
+            env.run()
+        assert ("worker", 'raise RuntimeError("boom")') in self.lines(
+            info.value)
+
+    def test_a_failure_passed_on_keeps_its_origin(self, env):
+        def bad():
+            yield 1.0
+            raise KeyError("gone")
+
+        def waiter():
+            yield env.process(bad())
+
+        with pytest.raises(KeyError) as info:
+            env.run(env.process(waiter()))
+        names = [name for name, _ in self.lines(info.value)]
+        assert names[-1] == "bad"
+        assert "waiter" not in names and "_resume" not in names
+
+    def test_a_caught_failure_leaves_nothing_in_a_cycle(self, env):
+        """One waiter that catches a child's failure, and keeps the
+        child: no ``Process`` is found by the cyclic collector."""
+        def child():
+            yield 1.0
+            raise KeyError("gone")
+
+        def waiter():
+            proc = env.process(child())
+            try:
+                yield proc
+            except KeyError:
+                return proc.ok
+
+        gc.collect()
+        gc.disable()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert env.run(env.process(waiter())) is False
+            gc.collect()
+            assert not [found for found in gc.garbage
+                        if isinstance(found, Process)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.enable()
 
 
 class TestSpawn:

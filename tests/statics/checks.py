@@ -9,7 +9,6 @@ so they also see the lines no test run reaches.
 * RPL003 determinism       — seeded, replayable simulation
 * RPL004 fault safety      — device I/O reaches retry/degradation
 * RPL005 no swallow        — no silently swallowed exceptions
-* RPL006 telemetry labels  — statically known metric cardinality
 * RPL007 spawn discarded   — a dropped process handle means ``spawn``
 * RPL008 start together    — a fan-out starts through ``gather``/``spawn_all``
 * RPL009 one way to sleep  — a process sleeps by yielding its delay
@@ -259,49 +258,6 @@ def _does_nothing(stmt):
              or isinstance(stmt.value.value, str)))
 
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
-
-
-def telemetry_labels(tree):
-    """RPL006: metric names and label sets are string literals.
-
-    The registry keys a series by (name, labelnames); a computed name or
-    label tuple makes the metric cardinality impossible to audit.  Label
-    *values* may be dynamic.
-    """
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)):
-            continue
-        factory = node.func.attr
-        if factory == "labels":
-            if any(keyword.arg is None for keyword in node.keywords):
-                yield node, (".labels(**...) hides the label schema; pass "
-                             "each label as an explicit keyword")
-            continue
-        receiver = (dotted_name(node.func.value) or "").rsplit(".", 1)[-1]
-        if (factory not in _METRIC_FACTORIES
-                or receiver not in ("registry", "_registry")):
-            continue
-        names = node.args[:1] or [k.value for k in node.keywords
-                                  if k.arg == "name"]
-        for name in names:
-            if not (isinstance(name, ast.Constant)
-                    and isinstance(name.value, str)):
-                yield name, (f"registry.{factory}(...) metric name must be "
-                             f"a string literal so cardinality stays "
-                             f"statically known")
-        for keyword in node.keywords:
-            if keyword.arg == "labelnames" and not (
-                    isinstance(keyword.value, (ast.Tuple, ast.List))
-                    and all(isinstance(el, ast.Constant)
-                            and isinstance(el.value, str)
-                            for el in keyword.value.elts)):
-                yield keyword.value, (f"registry.{factory}(...) labelnames "
-                                      f"must be a tuple/list of string "
-                                      f"literals")
-
-
 def _starts_process(expr):
     """Whether ``expr`` is ``<env>.process(<call>)``."""
     return (isinstance(expr, ast.Call)
@@ -438,7 +394,6 @@ CHECKS = {
     "RPL003": (determinism, ("",), ("harness/sweep.py", "runstore/")),
     "RPL004": (fault_safety, ("engine/", "core/"), ()),
     "RPL005": (no_swallow, ("",), ()),
-    "RPL006": (telemetry_labels, ("",), ()),
     "RPL007": (spawn_discarded, ("",), ()),
     "RPL008": (start_together, ("",), ()),
     "RPL009": (one_way_to_sleep, ("",), ()),

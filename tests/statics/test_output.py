@@ -32,10 +32,6 @@ SEEDED = {
             except Exception:
                 pass
         """),
-    "RPL006": ("telemetry/x.py", 3, """
-        def f(registry, name):
-            return registry.counter("p_" + name, "h")
-        """),
     "RPL007": ("sim/x.py", 3, """
         def start(env, worker):
             env.process(worker(env))

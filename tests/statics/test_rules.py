@@ -360,35 +360,6 @@ class TestNoSwallow(CheckCase):
             """) == 0
 
 
-class TestTelemetryLabels(CheckCase):
-    CODE = "RPL006"
-    PATH = "src/repro/telemetry/thing.py"
-    SUPPRESSED = """
-        def f(registry, name):
-            return registry.counter("p_" + name, "h")  # repro: noqa[RPL006]
-        """
-
-    def test_dynamic_metric_name_flagged(self):
-        assert self.flagged("""
-            def f(registry, name):
-                return registry.counter("prefix_" + name, "help")
-            """) == 1
-
-    def test_literal_metric_name_clean(self):
-        assert self.flagged("""
-            def f(registry):
-                return registry.counter("faults_total", "help",
-                                        labelnames=("device", "kind"))
-            """) == 0
-
-    def test_dynamic_labelnames_flagged(self):
-        assert self.flagged("""
-            def f(registry, names):
-                return registry.counter("faults_total", "help",
-                                        labelnames=names)
-            """) == 1
-
-
 class TestSpawnDiscarded(CheckCase):
     CODE = "RPL007"
     PATH = "src/repro/engine/thing.py"

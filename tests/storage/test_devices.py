@@ -1,17 +1,18 @@
 """Unit tests for the HDD array and SSD device models."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import repro.sim.process as process_module
 from repro.faults import DeviceDeadError
 from repro.faults.injector import FaultInjector
+from repro.harness.metrics import METRICS, read_rows
 from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
-from repro.telemetry import Telemetry
-from tests.conftest import drive, scrape
+from tests.conftest import drive
 
 
 def latency(request):
@@ -457,22 +458,27 @@ class TestStats:
         """``stats`` record what each drive served, so on a striped
         array they count *fragments*; ``io_requests_total`` reads the
         array's own whole-request count, ``io_pages_total`` the stats."""
-        telemetry = Telemetry()
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
-        hdd.attach_telemetry(telemetry)
         env.run(hdd.read(0, 20, random=False))  # three drives: 8 + 8 + 4
         env.run(hdd.read(40, 1))
         assert hdd.stats.completed == 4
         assert hdd.stats.by_kind[IoKind.SEQUENTIAL_READ] == 3
         assert hdd.requests_by_kind[IoKind.SEQUENTIAL_READ] == 1
         assert hdd.stats.pages_read == 21
-        rows = scrape(telemetry.registry)
-        assert rows["io_requests_total", "hdd-array", "sequential_read"] == 1
-        assert rows["io_pages_total", "hdd-array", "sequential_read"] == 20
-        assert sum(value for (name, *_), value in rows.items()
-                   if name == "io_requests_total") == 2
         # A plain device has no fragments: one count serves both.
         ssd = Ssd(env)
+        io_rows = [metric for metric in METRICS
+                   if metric[0].startswith("io_")]
+        log = Ssd(env, name="log")
+        system = SimpleNamespace(data_device=hdd, ssd_device=ssd,
+                                 wal=SimpleNamespace(device=log))
+        rows = {(row["name"], *row["labels"].values()): row["value"]
+                for row in read_rows(io_rows, system)}
+        assert rows["io_requests_total", "hdd-array", "sequential_read"] == 1
+        assert rows["io_pages_total", "hdd-array", "sequential_read"] == 20
+        assert sum(value for (name, device, _), value in rows.items()
+                   if name == "io_requests_total"
+                   and device == "hdd-array") == 2
         env.run(ssd.read(0, 20, random=False))
         assert ssd.requests_by_kind is ssd.stats.by_kind
         assert ssd.stats.completed == 1

@@ -1,9 +1,9 @@
 """End-to-end telemetry over a real (tiny) LC run.
 
 One short run is shared by the whole module; the assertions check that
-the instrumented hot paths actually fire, that registry counters agree
-with the engine's own statistics, and that a telemetry-free run stays
-dark.
+the instrumented hot paths actually fire, that the ``--metrics`` rows
+agree with the engine's own statistics, and that a telemetry-free run
+stays dark.
 """
 
 import json
@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
-from repro.telemetry import NULL_REGISTRY, Telemetry
+from repro.harness.metrics import snapshot
+from repro.telemetry import Telemetry
 from tests.conftest import scrape
 
 
@@ -54,8 +55,8 @@ class TestEventCoverage:
 
 class TestMetricsAgreeWithStats:
     def test_buffer_pool_counters(self, traced_run):
-        telemetry, result = traced_run
-        rows = scrape(telemetry.registry)
+        _, result = traced_run
+        rows = scrape(result.system)
         stats = result.system.bp.stats
         assert rows["bp_requests_total", "hit"] == stats.hits
         assert rows["bp_requests_total", "ssd_hit"] == stats.ssd_hits
@@ -63,36 +64,36 @@ class TestMetricsAgreeWithStats:
         assert rows["bp_evictions_total", "dirty"] == stats.evictions_dirty
 
     def test_wal_record_counter_reads_the_lsn_counter(self, traced_run):
-        telemetry, result = traced_run
+        _, result = traced_run
         wal = result.system.wal
         assert wal.tail_lsn >= 0
-        assert (scrape(telemetry.registry)["wal_records_total",]
+        assert (scrape(result.system)["wal_records_total",]
                 == wal.tail_lsn + 1)
 
     def test_ssd_manager_counters(self, traced_run):
-        telemetry, result = traced_run
-        rows = scrape(telemetry.registry)
+        _, result = traced_run
+        rows = scrape(result.system)
         stats = result.system.ssd_manager.stats
         assert rows["ssd_mgr_writes_total",] == stats.writes
         assert rows["ssd_mgr_reads_total",] == stats.reads
         assert rows["ssd_mgr_invalidations_total",] == stats.invalidations
 
     def test_cleaner_actually_ran(self, traced_run):
-        telemetry, _ = traced_run
-        rows = scrape(telemetry.registry)
+        _, result = traced_run
+        rows = scrape(result.system)
         assert rows["lc_cleaner_rounds_total",] > 0
         assert rows["lc_cleaner_pages_total",] > 0
 
     def test_txn_latencies_match_tracker(self, traced_run):
-        telemetry, result = traced_run
+        _, result = traced_run
         total = sum(row["value"]["count"]
-                    for row in telemetry.registry.snapshot()
+                    for row in snapshot(result.system, result.latencies)
                     if row["name"] == "txn_latency_seconds")
         assert total == result.latencies.count()
 
     def test_gauges_read_live_state(self, traced_run):
-        telemetry, result = traced_run
-        rows = scrape(telemetry.registry)
+        _, result = traced_run
+        rows = scrape(result.system)
         assert rows["ssd_used_frames",] == result.system.ssd_manager.used_frames
         assert rows["bp_used_frames",] == result.system.bp.used
 
@@ -153,10 +154,14 @@ class TestAttributionCoverage:
 
 class TestDisabledRunStaysDark:
     def test_no_registry_rows_without_telemetry(self):
+        """Nothing registers anything: a dark run records no event, and
+        its ``--metrics`` rows are read off the run all the same."""
         result = run_oltp_experiment(
             "tpcc", 100, "LC", duration=2.0,
             profile=SCALE_PROFILES["tiny"], nworkers=2)
         telemetry = result.system.telemetry
         assert telemetry.enabled is False
-        assert telemetry.registry is NULL_REGISTRY
+        assert not hasattr(telemetry, "registry")
         assert telemetry.tracer.events == ()
+        rows = scrape(result.system, result.latencies)
+        assert rows["bp_requests_total", "hit"] == result.bp_stats.hits

@@ -1,7 +1,7 @@
 """Every ``--metrics`` row of ten telemetry-on runs, pinned.
 
-``registry.snapshot()`` is what ``--metrics`` prints and nothing else
-asserted on it: CI printed the table and moved on.  The nine runs below
+``snapshot(system, latencies)`` is what ``--metrics`` prints and nothing
+else asserted on it: CI printed the table and moved on.  The nine runs below
 reach every instrument in ``src/repro`` — all eight designs' counters,
 the FTL gauges, fault and retry counters through an SSD death, frame-
 and partition-latch waits, checkpoints, both runners' latency
@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.experiments import RunSpec, run
+from repro.harness.metrics import snapshot
 from repro.telemetry import Telemetry
 from tests.harness.test_golden_traces import _throttled
 
@@ -73,11 +74,12 @@ def snapshot_lines(name):
     spec, faults, _ = RUNS[name]
     telemetry = Telemetry()
     if callable(spec):
-        spec(telemetry)
+        rows = snapshot(spec(telemetry))
     else:
-        run(spec, telemetry=telemetry, faults=faults)
+        result = run(spec, telemetry=telemetry, faults=faults)
+        rows = snapshot(result.system, getattr(result, "latencies", None))
     lines = []
-    for row in telemetry.registry.snapshot():
+    for row in rows:
         labels = ",".join(f'{key}="{value}"'
                           for key, value in sorted(row["labels"].items()))
         value = row["value"]

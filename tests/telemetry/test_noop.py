@@ -4,7 +4,6 @@ near-zero overhead smoke test."""
 import time
 
 from repro.telemetry import (
-    NULL_REGISTRY,
     NULL_TELEMETRY,
     NULL_TRACER,
     NullTelemetry,
@@ -15,19 +14,16 @@ from repro.telemetry import (
 class TestNullTelemetryWiring:
     def test_facade_is_disabled(self):
         assert NULL_TELEMETRY.enabled is False
-        assert NULL_TELEMETRY.registry is NULL_REGISTRY
         assert NULL_TELEMETRY.tracer is NULL_TRACER
         NULL_TELEMETRY.set_clock(lambda: 1.0)  # no-op, no error
 
     def test_null_telemetry_instances_share_parts(self):
         other = NullTelemetry()
-        assert other.registry is NULL_REGISTRY
         assert other.tracer is NULL_TRACER
 
     def test_enabled_facade_is_live(self):
         telemetry = Telemetry()
         assert telemetry.enabled is True
-        assert telemetry.registry is not NULL_REGISTRY
         assert telemetry.tracer is not NULL_TRACER
 
 
@@ -44,8 +40,6 @@ class TestOverheadSmoke:
         loop costs.  The bound is deliberately generous (5x): this guards
         against accidental per-call allocation (building args dicts),
         not micro-variance."""
-        # The registry needs no line in this loop: a dark run never
-        # calls it after construction (test_zero_cost.py).
         tracer = NULL_TRACER
         n = 50_000
 

@@ -153,6 +153,17 @@ class TestTpch:
         assert result.throughput == pytest.approx(3600 * 30)
         assert result.qphh == pytest.approx(3600 * 30)
 
+    def test_a_result_carries_its_live_system_off_the_record(self):
+        """As ``RunResult.system``: there for same-process reads (what
+        ``--metrics`` prints), left out of the record and its equality."""
+        workload, system = build("tpch", 30)
+        result = drive(system.env, workload.full_run(system))
+        assert result.system is system
+        record = result.to_dict()
+        assert "system" not in record
+        assert TpchResult.from_dict(record) == result
+        assert TpchResult.from_dict(record).system is None
+
 
 class TestTransactionHelper:
     def test_commit_forces_log(self):

@@ -160,6 +160,8 @@ LEDGER: Dict[str, Tuple[str, str]] = {
            "tests/storage/test_devices.py x1"),
     "repro.sim.events:Event.__repr__": (J, _REPR),
     "repro.sim.events:_Condition._satisfied": (J, _STUB),
+    "repro.sim.process:DetachedProcess._fail_or_crash": (
+        J, "error path: a spawned process that raises crashes the run"),
     "repro.sim.process:GatherMember.run": (J, _READ_AHEAD_REST),
     "repro.sim.process:_refused": (
         J, "error path: a process that yields neither an event nor a "
@@ -337,9 +339,10 @@ CI_SWEEP = ("sweep --benchmark tpcc --scales 20,40 --designs noSSD,LC "
 
 #: ``.github/workflows/ci.yml``'s ``repro`` lines, job by job.
 CI_LINES = (
-    # tests: the trace smoke run
+    # tests: the trace smoke run, traced and not
     "oltp --profile small --designs LC --duration 10 --trace trace.json "
     "--metrics",
+    "oltp --profile small --designs LC --duration 10 --metrics",
     # analyze-smoke
     "oltp --benchmark tpcc --scale 100 --profile tiny --duration 8 "
     "--workers 8 --designs CW,LC --dirty-threshold 0.01 --trace run.jsonl",
