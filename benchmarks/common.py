@@ -1,11 +1,14 @@
 """Shared infrastructure for the benchmark harness.
 
 Every module in ``benchmarks/`` regenerates one table or figure of the
-paper (see DESIGN.md's experiment index).  Runs go through the on-disk
-run cache of :mod:`repro.harness.sweep`, so benches sharing an
-underlying experiment (e.g. Figure 5(g–h) and Table 3) execute it once,
-and a later session reuses it: the cache key covers the full config
-*and* the simulator sources, so a code change is an automatic miss.
+paper (see DESIGN.md's experiment index).  Runs go through
+:func:`repro.harness.sweep.run_sweep` and one :data:`RECORDER` over the
+run store (``.repro-runs.db``, or ``$REPRO_RUNSTORE``), so benches
+sharing an underlying experiment (e.g. Figure 5(g–h) and Table 3)
+execute it once, a later session reuses it, and ``repro runs show``
+prints every run a bench computed or reused.  The reuse key covers the
+full config *and* the simulator sources, so a code change is an
+automatic miss.
 
 Scaling: the default profile preserves the paper's sizing ratios at
 100 pages/GB and compresses the 10-hour timeline into 60 virtual seconds
@@ -18,7 +21,8 @@ from __future__ import annotations
 import os
 
 from repro.harness.experiments import SCALE_PROFILES
-from repro.harness.sweep import RunSpec, run_cached
+from repro.harness.sweep import RunSpec, run_sweep
+from repro.runstore.store import Recorder, open_store
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 PROFILE_NAME = "small" if FAST else "default"
@@ -40,14 +44,24 @@ CHECKPOINT_5H = OLTP_DURATION / 2.0
 #: multi-user runs did.
 TPCC_WORKERS = 16 if FAST else 96
 
+#: Where every bench run is reused from and recorded to (it reuses and
+#: records nothing when the database cannot be opened).
+RECORDER = Recorder(open_store())
+
+
+def _run(spec: RunSpec):
+    """``spec``'s recorded result, or its live run, recorded."""
+    return run_sweep([spec], recorder=RECORDER).results[spec]
+
+
 def oltp_run(benchmark: str, scale: int, design: str, **knobs):
-    """Cached OLTP run with the bench-wide defaults; ``knobs`` are
+    """Reused OLTP run with the bench-wide defaults; ``knobs`` are
     :class:`RunSpec` fields that override them."""
     defaults = dict(profile=PROFILE_NAME, bucket_seconds=BUCKET,
                     duration=OLTP_DURATION,
                     nworkers=TPCC_WORKERS if benchmark == "tpcc" else 32)
-    return run_cached(RunSpec(kind="oltp", benchmark=benchmark, scale=scale,
-                              design=design, **{**defaults, **knobs}))
+    return _run(RunSpec(kind="oltp", benchmark=benchmark, scale=scale,
+                        design=design, **{**defaults, **knobs}))
 
 
 def ramp_fraction(result, level: float = 0.8) -> float:
@@ -67,10 +81,10 @@ def ramp_fraction(result, level: float = 0.8) -> float:
 
 
 def tpch_run(sf: int, design: str):
-    """Cached full TPC-H run (power + throughput)."""
-    return run_cached(RunSpec(kind="tpch", benchmark="tpch", scale=sf,
-                              design=design, profile=PROFILE_NAME,
-                              checkpoint_interval=CHECKPOINT_40MIN))
+    """Reused full TPC-H run (power + throughput)."""
+    return _run(RunSpec(kind="tpch", benchmark="tpch", scale=sf,
+                        design=design, profile=PROFILE_NAME,
+                        checkpoint_interval=CHECKPOINT_40MIN))
 
 
 def once(benchmark, fn):

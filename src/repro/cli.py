@@ -8,7 +8,7 @@ Commands:
 * ``tpch``    — run the TPC-H power + throughput tests.
 * ``designs`` — list the available SSD designs with one-line summaries.
 * ``sweep``   — fan a grid of runs (designs x scales) across worker
-  processes through the on-disk run cache.
+  processes, reusing the runs the run store already holds.
 * ``analyze`` — reconstruct per-transaction latency attribution from
   ``--trace`` output and emit terminal and HTML reports.
 * ``runs``    — query the run database every experiment records into
@@ -18,7 +18,8 @@ Commands:
 ``oltp``/``traffic``/``tpch``/``sweep``/``chaos`` record into the run
 store by default (``--db`` to point elsewhere, ``--no-db`` to skip),
 each through one :class:`repro.runstore.store.Recorder`; recording is
-best-effort and never fails the run.
+best-effort and never fails the run.  ``sweep`` also reuses what the
+store holds (``--no-cache`` to run everything live).
 """
 
 from __future__ import annotations
@@ -358,9 +359,8 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run a design x scale grid in parallel through the run cache."""
+    """Run a design x scale grid in parallel, reusing recorded runs."""
     import json
-    from pathlib import Path
 
     from repro.harness.sweep import progress_printer, run_sweep, summarize
 
@@ -385,9 +385,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
-    directory = Path(args.cache_dir) if args.cache_dir else None
     with _recorder(args) as recorder:
-        report = run_sweep(specs, workers=args.workers, directory=directory,
+        report = run_sweep(specs, workers=args.workers,
                            use_cache=not args.no_cache,
                            progress=progress_printer(), recorder=recorder)
         if recorder.store is not None:
@@ -550,12 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_designs(p_sweep)
     p_sweep.add_argument("--workers", type=_count, default=1,
                          help="worker processes (runs in-process when 1)")
-    p_sweep.add_argument("--cache-dir", default=None,
-                         help="run-cache directory (default .repro-cache, "
-                              "or $REPRO_CACHE_DIR)")
     p_sweep.add_argument("--no-cache", action="store_true",
-                         help="always recompute; do not read or write the "
-                              "cache")
+                         help="always recompute; do not reuse the runs the "
+                              "run database holds")
     p_sweep.add_argument("--output", metavar="FILE", default=None,
                          help="write the merged metric table as JSON")
     _add_db_flags(p_sweep)

@@ -132,8 +132,8 @@ class SsdStats:
     """Cumulative SSD-manager counters.
 
     Hand-slotted for the same reason as :class:`TrimPlan`; the counter
-    set round-trips through :meth:`as_dict` (the sweep cache snapshots
-    and restores it with ``SsdStats(**...)``).
+    set round-trips through :meth:`as_dict` (a run's record keeps it
+    and a reused run restores it with ``SsdStats(**...)``).
     """
 
     __slots__ = (

@@ -155,7 +155,7 @@ class RunSpec:
 
     The single description of a run: :func:`run` executes it, the CLI
     flags are generated from its fields, and its :meth:`to_dict` is the
-    sweep cache key and the run store's ``spec_json``.  ``kind`` is
+    run store's ``spec_json``, the key a recorded run is reused by.  ``kind`` is
     ``"oltp"`` (closed loop, the Figures 5–9 building block),
     ``"traffic"`` (open loop, needs ``tenants``) or ``"tpch"`` (power +
     throughput tests; only ``scale``/``design``/``profile``/

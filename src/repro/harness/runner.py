@@ -36,8 +36,8 @@ class RunResult:
     """Everything measured during one workload run, as plain data.
 
     The runners fill the end-of-run fields through :meth:`capture`, so
-    every consumer (CLI tables, ``benchmarks/``, the sweep cache, the
-    run store) reads the same fields whether the run was live or came
+    every consumer (CLI tables, ``benchmarks/``, the run store and the
+    runs it reuses) reads the same fields whether the run was live or came
     back through :meth:`to_dict` / :meth:`from_dict`.
     """
 

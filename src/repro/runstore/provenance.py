@@ -2,10 +2,12 @@
 
 Every recorded run (and every ``run_meta`` trace instant) is stamped
 with the git commit/branch and dirty flag of the working tree, the
-sweep source hash (:func:`repro.harness.sweep.code_version` — the same
-value that keys the on-disk run cache), and host identity.  Provenance
-is what turns a pile of runs into *trajectories*: "all LC runs at scale
-1000 across the last 50 commits" is a provenance query.
+source hash (:func:`code_version`, a hash of every simulator source
+file), and host identity.  Provenance is what turns a pile of runs into
+*trajectories*: "all LC runs at scale 1000 across the last 50 commits"
+is a provenance query.  The source hash is also half of a run's reuse
+key: the run store serves a recorded run again only to the code that
+produced it.
 
 Capture is best-effort: outside a git checkout (or with git missing)
 the git fields are ``None`` and everything else still records.
@@ -13,11 +15,16 @@ the git fields are ``None`` and everything else still records.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import platform
 import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, Optional
+
+#: ``src/repro``: the tree :func:`code_version` hashes.
+PACKAGE = Path(__file__).resolve().parent.parent
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,26 @@ class Provenance:
     source_hash: Optional[str] = None
     host: Optional[str] = None
     python: Optional[str] = None
+
+
+_code_version: Optional[str] = None
+
+
+def code_version() -> str:
+    """Hash of every simulator source file (computed once per process).
+
+    A recorded run is reused only for the code that produced it: any
+    source change, ``to_dict`` included, moves this hash, so a checkout
+    change becomes a miss instead of a stale result.
+    """
+    global _code_version
+    if _code_version is None:
+        digest = hashlib.sha256()
+        for path in sorted(PACKAGE.rglob("*.py")):
+            digest.update(str(path.relative_to(PACKAGE)).encode())
+            digest.update(path.read_bytes())
+        _code_version = digest.hexdigest()[:16]
+    return _code_version
 
 
 def _git(args: list, cwd: Optional[str] = None) -> Optional[str]:
@@ -63,10 +90,6 @@ def capture(cwd: Optional[str] = None, cached: bool = True) -> Provenance:
     branch = _git(["rev-parse", "--abbrev-ref", "HEAD"], cwd)
     status = _git(["status", "--porcelain"], cwd)
     dirty: Optional[bool] = bool(status) if status is not None else None
-
-    # Imported lazily: harness.sweep is a heavier import and the
-    # harness itself imports this module.
-    from repro.harness.sweep import code_version
 
     prov = Provenance(
         git_commit=commit,

@@ -25,6 +25,13 @@ Version history:
 ``v3``
     Drops ``bench_snapshots``: a run's numbers are its ``runs`` and
     ``metrics`` rows, and nothing writes or reads a second document.
+
+``v4``
+    Adds ``records`` (a harness run's ``result.to_dict()``, zlib-packed
+    JSON, in a side table the scalar queries never read) and an index
+    on ``runs(spec_json, source_hash)``: the reuse key of a sweep or
+    bench, so the store is the only on-disk copy of a run.  Rows from
+    v3 have no record and are never reused.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import sqlite3
 from typing import Dict, List
 
 #: The schema version this checkout reads and writes.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: target version -> statements upgrading from (target - 1).
 MIGRATIONS: Dict[int, List[str]] = {
@@ -102,6 +109,15 @@ MIGRATIONS: Dict[int, List[str]] = {
     ],
     3: [
         "DROP TABLE bench_snapshots",
+    ],
+    4: [
+        """
+        CREATE TABLE records (
+            run_id INTEGER PRIMARY KEY REFERENCES runs(id) ON DELETE CASCADE,
+            body   BLOB NOT NULL
+        )
+        """,
+        "CREATE INDEX idx_runs_reuse ON runs(spec_json, source_hash)",
     ],
 }
 

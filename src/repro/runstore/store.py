@@ -4,7 +4,11 @@ One ``runs`` row per experiment (spec + provenance + status), one
 ``metrics`` row per scalar the harness measured (throughput, latency
 percentiles, WAF, wear, fault outcomes), plus crash-sweep verdicts
 (``chaos_outcomes``): the history ``repro runs compare`` / ``regress``
-and the dashboard read.
+and the dashboard read.  A run a sweep or bench computed also keeps its
+``result.to_dict()`` in ``records`` (zlib-packed JSON); a later sweep
+of the same ``spec_json`` under the same ``source_hash`` restores that
+record instead of running again (:meth:`RunStore.find_result`).  The
+store is the only on-disk copy of a run.
 
 Concurrency: SQLite serializes writers, and the store leans into that —
 every write happens inside ``BEGIN IMMEDIATE`` (the single-writer
@@ -28,13 +32,14 @@ import sqlite3
 import statistics
 import sys
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple, Union)
 
-from repro.runstore.provenance import Provenance, capture
+from repro.runstore.provenance import Provenance, capture, code_version
 from repro.runstore.schema import SchemaError, apply_migrations
 
 if TYPE_CHECKING:  # the harness imports this module lazily
@@ -59,13 +64,19 @@ def db_path(override: Optional[str] = None) -> Path:
     return Path(override or os.environ.get("REPRO_RUNSTORE", DEFAULT_DB))
 
 
+def spec_json(spec: Dict[str, Any]) -> str:
+    """The canonical ``runs.spec_json`` of a spec document: the key of a
+    run's ``regress`` group and, with the source hash, of its reuse."""
+    return json.dumps(spec, sort_keys=True, separators=(",", ":"))
+
+
 def open_store(path: Optional[Union[str, Path]] = None,
                timeout: float = 30.0) -> Optional["RunStore"]:
     """Open the store, or ``None`` (with a reason on stderr) if broken.
 
     This is the harness entry point: recording is best-effort, so an
-    unusable database degrades to JSON-only output instead of failing
-    the run that produced the data.
+    unusable database degrades to live runs and JSON-only output
+    instead of failing the run that produced the data.
     """
     try:
         return RunStore(db_path(str(path) if path is not None else None),
@@ -77,15 +88,15 @@ def open_store(path: Optional[Union[str, Path]] = None,
 
 
 class Recorder:
-    """The one way a command records its runs, best-effort.
+    """The one way a command records and reuses its runs, best-effort.
 
-    Provenance is captured once, at the first write.  The first
-    :class:`StoreError` prints one message and ends recording; the runs
-    themselves carry on.  ``store`` None (``--no-db``, or a database
-    :func:`open_store` could not open) records nothing.  All recording
-    happens in the parent process (sweep workers ship plain records
-    back), so one command is one writer; the store's ``BEGIN
-    IMMEDIATE`` guard covers concurrent commands sharing a database.
+    The first :class:`StoreError` prints one message and ends recording
+    and reuse; the runs themselves carry on.  ``store`` None
+    (``--no-db``, or a database :func:`open_store` could not open)
+    records nothing and reuses nothing.  All recording happens in the
+    parent process (sweep workers ship plain records back), so one
+    command is one writer; the store's ``BEGIN IMMEDIATE`` guard covers
+    concurrent commands sharing a database.
     """
 
     def __init__(self, store: Optional["RunStore"],
@@ -94,36 +105,40 @@ class Recorder:
         self.store = store
         self.recorded = 0
         self._say = say
-        self._provenance: Optional[Provenance] = None
         self._failed = False
 
-    def _write(self, write: Callable[["RunStore", Provenance], Any]) -> Any:
-        """``write(store, provenance)``'s value, or None when nothing
-        was written."""
+    def _guarded(self, action: Callable[["RunStore"], Any]) -> Any:
+        """``action(store)``'s value, or None when there is no usable
+        store."""
         if self.store is None or self._failed:
             return None
-        if self._provenance is None:
-            self._provenance = capture()
         try:
-            return write(self.store, self._provenance)
+            return action(self.store)
         except StoreError as exc:
             self._say(f"runstore: {exc}; recording stops here (results "
                       f"are unaffected)")
             self._failed = True
             return None
 
+    def reuse(self, spec: "RunSpec") -> Any:
+        """The recorded result :meth:`RunStore.find_result` restores for
+        ``spec``, or None: run it live."""
+        return self._guarded(lambda store: store.find_result(spec))
+
     def record(self, spec: "RunSpec", result: Any,
-               faults: Optional[str] = None) -> None:
-        """Record one run (``faults``: the plan's grammar string)."""
-        if self._write(lambda store, prov: store.record_result(
-                spec, result, faults, prov)) is not None:
+               faults: Optional[str] = None,
+               record: Optional[Dict[str, Any]] = None) -> None:
+        """Record one run (``faults``: the plan's grammar string;
+        ``record``: the ``result.to_dict()`` a later sweep may reuse)."""
+        if self._guarded(lambda store: store.record_result(
+                spec, result, faults, record=record)) is not None:
             self.recorded += 1
 
     def record_chaos(self, outcomes: Iterable[Any],
                      seed: Optional[int]) -> Optional[List[int]]:
         """Record a crash-point sweep; its run ids, or None."""
-        return self._write(lambda store, prov: store.record_chaos(
-            outcomes, seed, prov))
+        return self._guarded(lambda store: store.record_chaos(
+            outcomes, seed))
 
     def __enter__(self) -> "Recorder":
         return self
@@ -245,8 +260,10 @@ class RunStore:
                    status: str = "ok",
                    kind: Optional[str] = None,
                    metric_name: Optional[str] = None,
-                   created_at: Optional[float] = None) -> int:
-        """Insert one run row plus its scalar metrics; returns run id."""
+                   created_at: Optional[float] = None,
+                   body: Optional[bytes] = None) -> int:
+        """Insert one run row plus its scalar metrics, and its packed
+        record (``body``) when given; returns run id."""
         prov = provenance if provenance is not None else capture()
         with self._write() as conn:
             cursor = conn.execute(
@@ -266,7 +283,7 @@ class RunStore:
                  str(spec.get("profile", "default")),
                  spec.get("seed"),
                  status,
-                 json.dumps(spec, sort_keys=True, separators=(",", ":")),
+                 spec_json(spec),
                  prov.git_commit, prov.git_branch,
                  None if prov.git_dirty is None else int(prov.git_dirty),
                  prov.source_hash, prov.host, prov.python,
@@ -277,20 +294,28 @@ class RunStore:
                 [(run_id, name, float(value))
                  for name, value in sorted(metrics.items())
                  if value is not None])
+            if body is not None:
+                conn.execute(
+                    "INSERT INTO records (run_id, body) VALUES (?, ?)",
+                    (run_id, body))
         return run_id
 
     def record_result(self, spec: "RunSpec", result: Any,
                       faults: Optional[str] = None,
-                      provenance: Optional[Provenance] = None) -> int:
+                      provenance: Optional[Provenance] = None,
+                      record: Optional[Dict[str, Any]] = None) -> int:
         """Record one harness run: ``spec.to_dict()`` plus the fault
         plan's grammar string (``faults``, None for a clean run) is the
         ``spec_json``, so runs under different plans never share a
         ``regress`` group; ``result.metrics()`` is the metric rows — the
         same for a live ``RunResult``/``TpchResult`` and one restored
-        from the sweep cache."""
+        from a record.  ``record`` (the run's ``to_dict()``) is kept,
+        zlib-packed, for :meth:`find_result`."""
         return self.record_run(
             dict(spec.to_dict(), faults=faults), result.metrics(),
-            provenance=provenance, metric_name=result.metric_name)
+            provenance=provenance, metric_name=result.metric_name,
+            body=None if record is None else zlib.compress(
+                json.dumps(record, separators=(",", ":")).encode()))
 
     def record_chaos(self, outcomes: Iterable[Any],
                      seed: Optional[int] = None,
@@ -332,6 +357,26 @@ class RunStore:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def find_result(self, spec: "RunSpec") -> Any:
+        """The newest recorded run of ``spec`` (clean, under the running
+        sources' :func:`code_version`) restored from its record, or
+        None: no such record, or one that does not unpack or restore.
+        A run that kept no record (a reuse, or a v3 row) is not one."""
+        rows = self._rows(
+            """
+            SELECT body FROM runs JOIN records ON records.run_id = runs.id
+            WHERE spec_json = ? AND source_hash = ?
+            ORDER BY runs.id DESC LIMIT 1
+            """, [spec_json(dict(spec.to_dict(), faults=None)),
+                  code_version()])
+        if not rows:
+            return None
+        try:
+            return spec.result_type.from_dict(
+                json.loads(zlib.decompress(rows[0]["body"])))
+        except (zlib.error, ValueError, KeyError, TypeError):
+            return None
 
     def _rows(self, sql: str, params: Sequence[Any]) -> List[Dict[str, Any]]:
         try:

@@ -218,6 +218,9 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                         if self._crash is not None:
+                            # The traceback takes this frame: it must
+                            # not hold the crashed process's resume.
+                            del callback, callbacks, event
                             raise self._take_crash()
             else:
                 while current or advance():
@@ -232,6 +235,7 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                         if self._crash is not None:
+                            del callback, callbacks, event
                             raise self._take_crash()
         finally:
             if gc_was_enabled:

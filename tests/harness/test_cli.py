@@ -73,7 +73,6 @@ OPTIONS = {'': {},
            '--port': 8642,
            '--quiet': False},
  'sweep': {'--benchmark': 'tpcc',
-           '--cache-dir': None,
            '--checkpoint-interval': None,
            '--db': None,
            '--designs': 'noSSD,DW,LC,TAC',
@@ -424,7 +423,6 @@ class TestSweepCommand:
         code = main(["sweep", "--benchmark", "tpcc", "--scales", "10,20",
                      "--designs", "noSSD,LC", "--profile", "tiny",
                      "--duration", "2", "--workers-per-run", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
                      "--output", str(out)])
         assert code == 0
         captured = capsys.readouterr()
@@ -434,11 +432,10 @@ class TestSweepCommand:
         doc = _json.loads(out.read_text())
         assert len(doc["runs"]) == 4
         assert all(row["value"] > 0 for row in doc["runs"])
-        # Second invocation: all four cells come from the cache.
+        # Second invocation: all four cells come from the run store.
         code = main(["sweep", "--benchmark", "tpcc", "--scales", "10,20",
                      "--designs", "noSSD,LC", "--profile", "tiny",
-                     "--duration", "2", "--workers-per-run", "2",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--duration", "2", "--workers-per-run", "2"])
         assert code == 0
         assert "4 cached, 0 computed" in capsys.readouterr().out
 
@@ -448,12 +445,13 @@ class TestSweepCommand:
     def test_sweep_rejects_bad_scales(self, capsys):
         assert main(["sweep", "--scales", "ten"]) == 2
 
-    def test_sweep_no_cache_always_computes(self, capsys, tmp_path):
+    def test_sweep_no_cache_always_computes(self, capsys):
         args = ["sweep", "--benchmark", "tpcc", "--scales", "10",
                 "--designs", "noSSD", "--profile", "tiny",
-                "--duration", "2", "--workers-per-run", "2", "--no-cache",
-                "--cache-dir", str(tmp_path / "cache")]
+                "--duration", "2", "--workers-per-run", "2", "--no-cache"]
         assert main(args) == 0
         assert main(args) == 0
         assert "0 cached, 1 computed" in capsys.readouterr().out
-        assert not (tmp_path / "cache").exists()
+        # It reuses nothing, but its live runs keep their records.
+        assert main(args[:-1]) == 0
+        assert "1 cached, 0 computed" in capsys.readouterr().out

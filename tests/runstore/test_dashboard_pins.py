@@ -38,6 +38,7 @@ def _md5_of(url, path):
 
 def test_dashboard_and_api_runs(served_v2):
     base, path = served_v2
-    assert _md5_of(f"{base}/", path) == "c057836e40523e177b30e021600dcbac"
+    # The page names the schema version ("schema v4").
+    assert _md5_of(f"{base}/", path) == "ccb22cbd83a48e808553da9a7720764c"
     assert _md5_of(f"{base}/api/runs", path) == \
         "be65fb6665970c47c47175a92b85c9d4"

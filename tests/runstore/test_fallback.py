@@ -80,7 +80,6 @@ class TestHarnessFallback:
         code = main(["sweep", "--benchmark", "tpcc", "--scales", "50",
                      "--designs", "noSSD", "--profile", "tiny",
                      "--duration", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
                      "--output", str(out_file)])
         captured = capsys.readouterr()
         assert code == 0

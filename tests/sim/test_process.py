@@ -128,7 +128,9 @@ class TestFailureTracebacks:
 
     def test_a_caught_failure_leaves_nothing_in_a_cycle(self, env):
         """One waiter that catches a child's failure, and keeps the
-        child: no ``Process`` is found by the cyclic collector."""
+        child; then a failure with a handle and no waiter, which
+        ``run()`` re-raises: no ``Process`` is found by the cyclic
+        collector after either."""
         def child():
             yield 1.0
             raise KeyError("gone")
@@ -146,6 +148,16 @@ class TestFailureTracebacks:
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             assert env.run(env.process(waiter())) is False
+            gc.collect()
+            assert not [found for found in gc.garbage
+                        if isinstance(found, Process)]
+            proc = env.process(child())
+            try:
+                env.run()
+            except KeyError:
+                pass
+            assert proc.ok is False
+            del proc  # this frame is on the traceback: it must not hold it
             gc.collect()
             assert not [found for found in gc.garbage
                         if isinstance(found, Process)]

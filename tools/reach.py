@@ -10,13 +10,13 @@ The product paths run in this one process, under ``sys.setprofile`` and
 * every ``repro`` command line CI runs (``CI_LINES``), then a few it
   does not (``MORE_LINES``);
 * a 1 s open-loop spec through ``run_sweep``, computed and then served
-  from a cache of its own;
+  from a run store of its own;
 * the dashboard's four routes, served by ``make_server(port=0)`` on a
   thread;
 * ``examples/*.py``, each run as ``__main__``.
 
-They run in a temporary directory that also holds the run store, the
-sweep cache and the trace files.  ``benchmarks/`` is too slow to run.
+They run in a temporary directory that also holds the run store and
+the trace files.  ``benchmarks/`` is too slow to run.
 
 Every ``def`` under ``src/repro`` (nested ones included) that none of
 the inputs entered is printed, grouped by module, with its line count
@@ -65,8 +65,8 @@ J, S = VERDICTS = ("justified", "scheduled")
 _REPR = "a __repr__"
 _STUB = "a base-class stub each subclass overrides"
 _RECORD = ("the run record a sweep's spawn-pool child ships back "
-           "(harness/sweep.py _worker) and benchmarks/common.py's "
-           "run_cached stores")
+           "(harness/sweep.py _worker) and a benchmarks/common.py run "
+           "records")
 _TAC_FULL = ("TAC with a full SSD: repro oltp --designs TAC --scale 1000 "
              "--profile tiny --duration 20; "
              "benchmarks/test_cw_gap_tac_waste.py")
@@ -138,7 +138,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         J, "benchmarks/test_fig5_tpcc.py, test_fig5_tpce.py, "
            "test_extended_designs.py"),
     "repro.harness.sweep:_worker": (J, "the sweep's spawn-pool child"),
-    "repro.harness.sweep:run_cached": (J, "benchmarks/common.py"),
     # runstore
     "repro.runstore.cli:_port": (
         J, "repro serve --port (blocks; the inputs serve through "
@@ -207,7 +206,7 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.telemetry.context:TraceContext.__repr__": (J, _REPR),
     # workloads
     "repro.workloads.tpch:TpchResult.from_dict": (
-        J, "repro sweep --benchmark tpch's cache; benchmarks/common.py"),
+        J, "repro sweep --benchmark tpch, reused; benchmarks/common.py"),
     "repro.workloads.tpch:TpchResult.to_dict": (J, _RECORD),
     "repro.workloads.traffic:BurstyArrivals.__repr__": (J, _REPR),
     "repro.workloads.traffic:DiurnalArrivals.__repr__": (J, _REPR),
@@ -361,7 +360,7 @@ CI_LINES = (
     "oltp --benchmark tpcc --scale 300 --profile tiny --duration 8 "
     "--workers 8 --designs LC,LS --ftl --trace ls-smoke.jsonl",
     "analyze ls-smoke-LC.jsonl ls-smoke-LS.jsonl",
-    # perf-smoke: the second sweep is served from the cache
+    # perf-smoke: the second sweep is served from the run store
     CI_SWEEP + " --output sweep.json",
     CI_SWEEP,
     # traffic-smoke
@@ -438,16 +437,18 @@ def _iso_rows() -> None:
 
 def _traffic_sweep() -> None:
     """An open-loop run's record, stored and then restored: no CI line
-    caches one in this process (its sweeps compute in the pool)."""
+    records one in this process (its sweeps compute in the pool)."""
     from repro.harness.experiments import RunSpec
     from repro.harness.sweep import run_sweep
+    from repro.runstore.store import Recorder, RunStore
 
     spec = RunSpec(kind="traffic", benchmark="tpcc", scale=20, design="LC",
                    profile="tiny", duration=1.0, nworkers=8,
                    tenants="web=poisson:rate=200")
-    with tempfile.TemporaryDirectory(prefix="cache-") as directory:
+    with tempfile.TemporaryDirectory(prefix="store-") as directory, \
+            Recorder(RunStore(Path(directory) / "runs.db")) as recorder:
         for cached in (0, 1):
-            report = run_sweep([spec], directory=Path(directory))
+            report = run_sweep([spec], recorder=recorder)
             if report.cached != cached:
                 raise RuntimeError(f"{report.cached} cached, not {cached}")
 
@@ -511,7 +512,6 @@ def main() -> int:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         os.environ["REPRO_RUNSTORE"] = os.path.join(scratch, "runs.db")
-        os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "cache")
         os.chdir(scratch)
         try:
             status = check(PACKAGE, product_inputs(), LEDGER, sys.stdout)
