@@ -55,7 +55,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser,
         name = spec_field.name
         if name not in defaults:
             continue
-        meta = dict(spec_field.metadata)
+        meta = {k: v for k, v in spec_field.metadata.items() if k != "system"}
         option = (options or {}).get(
             name, meta.pop("flag", "--" + name.replace("_", "-")))
         if hints[name] is bool:

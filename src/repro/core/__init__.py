@@ -29,7 +29,7 @@ disk manager — as eight designs, one row each of :data:`DESIGNS`:
 All designs share the Figure 4 data structures
 (:mod:`~repro.core.ssd_buffer_table`), LRU-2 replacement over clean/dirty
 heaps (:mod:`~repro.core.heaps`), the random-only admission policy with
-aggressive filling (:mod:`~repro.core.admission`), throttle control, and
+aggressive filling (``SsdManagerBase._qualifies``), throttle control, and
 multi-page trimming (§3.3).
 """
 

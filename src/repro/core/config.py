@@ -46,11 +46,6 @@ class SsdDesignConfig:
     #: SSD contents (the paper's §6 future-work extension; off = paper
     #: behaviour, where the SSD restarts cold).
     warm_restart: bool = False
-    #: Model the SSD's internals (FTL, erase blocks, GC, write-amp
-    #: accounting; DESIGN.md §10) with the geometry that is
-    #: :class:`repro.storage.ftl.FtlConfig`'s default.  Off = the
-    #: paper-era black-box timing.
-    ftl_enabled: bool = False
     #: LS design: pages per group-commit admission batch.
     ls_batch_pages: int = 16
     #: LS design: pages reclaimed from the log tail per GC segment.

@@ -28,8 +28,7 @@ class DualWriteManager(SsdManagerBase):
     def on_evict_dirty(self, frame: Frame):
         """The decision (§2.3): to disk, and in parallel to the SSD if
         the page qualifies for admission."""
-        yield self._dual_write(frame, EVICTION_CTX, self.admission.qualifies(
-            frame, self.admission_fill_level))
+        yield self._dual_write(frame, EVICTION_CTX, self._qualifies(frame))
 
     def checkpoint_write(self, frame: Frame):
         """§3.2: checkpointed dirty random pages also prime the SSD."""

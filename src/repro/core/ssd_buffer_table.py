@@ -12,7 +12,7 @@ Partitioning (§3.3.4) assigns each frame to one of N partitions; the hash
 table is shared while the buffer table segments and heaps are per
 partition in the paper.  The contention the partitions remove is not
 modelled here (a documented simplification); N also shards the
-main-memory buffer pool, where it is (``SystemConfig.bp_latch_us``).
+main-memory buffer pool, where it is (``SystemConfig.latch_us``).
 """
 
 from __future__ import annotations

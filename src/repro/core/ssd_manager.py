@@ -50,7 +50,6 @@ from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
 
 from repro.faults.errors import DeviceDeadError, IoFault, retry_io
 from repro.sim import Environment
-from repro.core.admission import AdmissionPolicy
 from repro.core.config import SsdDesignConfig
 from repro.core.heaps import LazyMinHeap
 from repro.core.ssd_buffer_table import SsdBufferTable, SsdRecord
@@ -184,7 +183,7 @@ class SsdManagerBase:
     # its instances __dict__-free.  ``bp`` is assigned by the system
     # wiring after construction and must stay a slot.
     __slots__ = (
-        "env", "device", "disk", "wal", "config", "admission", "table",
+        "env", "device", "disk", "wal", "config", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
         "_detach_complete", "telemetry", "_tracer", "_cleaner",
     )
@@ -203,7 +202,6 @@ class SsdManagerBase:
         self.disk = disk
         self.wal = wal
         self.config = config or SsdDesignConfig()
-        self.admission = AdmissionPolicy(self.config)
         self.table = SsdBufferTable(self.config.ssd_frames,
                                     self.config.ls_segment_pages)
         self.stats = SsdStats()
@@ -247,6 +245,22 @@ class SsdManagerBase:
         the aggressive-fill phase while the cache is still half empty.
         """
         return self.used_frames
+
+    def _qualifies(self, frame: Frame) -> bool:
+        """Should the evicted page ``frame`` be cached in the SSD?
+
+        The SSD only pays off for pages the disks would serve with
+        *random* I/O, so a page qualifies iff it entered the pool by a
+        random read, not by read-ahead (§2.2) — except that from a cold
+        start every page does until the SSD is τ full (aggressive
+        filling, §3.3.1).  The paper's alternative signal, the 64-page
+        window heuristic, is scored by the admission ablation
+        (:class:`~repro.engine.readahead.WindowClassifier`).
+        """
+        config = self.config
+        return config.ssd_frames > 0 and (
+            self.admission_fill_level < config.fill_target_frames
+            or not frame.sequential)
 
     @property
     def dirty_frames(self) -> int:
@@ -598,7 +612,7 @@ class SsdManagerBase:
             existing.last_access = self.env._now
             self._reheap(existing)
             return ()
-        if self.admission.qualifies(frame, self.admission_fill_level):
+        if self._qualifies(frame):
             return self._cache_evicted(frame)
         if frame.version > self.disk.disk_version(frame.page_id):
             return self._disk_write(frame.page_id, frame.version,
@@ -640,8 +654,7 @@ class SsdManagerBase:
         the SSD would chase a moving target), when the SSD is throttled
         or detached, or when no frame can be reclaimed.
         """
-        if not self._checkpointing() and self.admission.qualifies(
-                frame, self.admission_fill_level):
+        if not self._checkpointing() and self._qualifies(frame):
             cached = yield from self._cache_page(
                 frame.page_id, frame.version, dirty=True,
                 rec_lsn=max(0, frame.rec_lsn), ctx=EVICTION_CTX)

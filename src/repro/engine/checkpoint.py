@@ -17,6 +17,7 @@ requirement and not an optimization (see the recovery tests).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.sim import Environment
@@ -29,17 +30,26 @@ from repro.telemetry import CHECKPOINT_CTX, NULL_TELEMETRY
 FLUSH_BATCH = 32
 
 
+def check_interval(interval: Optional[float]) -> None:
+    """Refuse a checkpoint interval that is neither None nor finite and
+    > 0: a periodic checkpointer on a zero one loops at one virtual
+    instant forever."""
+    if interval is not None and not 0 < interval < math.inf:
+        raise ValueError(f"checkpoint_interval must be None or finite "
+                         f"and > 0, got {interval!r}")
+
+
 class Checkpointer:
     """Periodic sharp checkpoints over a buffer pool and SSD manager."""
 
     def __init__(self, env: Environment, bp: BufferPool, wal: WriteAheadLog,
                  interval: Optional[float] = None, telemetry=None):
+        check_interval(interval)
         self.env = env
         self.bp = bp
         self.wal = wal
         #: Virtual seconds between checkpoints (None = never automatic,
-        #: the paper's "effectively turned off" TPC-C setting); the
-        #: range is :class:`~repro.harness.system.SystemConfig`'s.
+        #: the paper's "effectively turned off" TPC-C setting).
         self.interval = interval
         self.last_checkpoint_lsn = -1
         self.checkpoints_started = 0

@@ -102,50 +102,39 @@ def make_workload(benchmark: str, scale: int, profile: ScaleProfile,
     raise ValueError(f"unknown benchmark {benchmark!r}")
 
 
-def make_system(benchmark: str, workload, design: str,
-                profile: ScaleProfile,
-                dirty_threshold: Optional[float] = None,
-                checkpoint_interval: Optional[float] = None,
-                warm_restart: bool = False,
-                expand_reads: bool = False,
-                ftl: bool = False,
-                partitions: Optional[int] = None,
-                latch_us: float = 0.0,
-                kernel: str = "heap",
-                telemetry=None, faults=None) -> System:
-    """Assemble a system sized for ``workload`` running ``design``.
+def system_config(benchmark: str, design: str, profile: ScaleProfile,
+                  db_pages: int, dirty_threshold: Optional[float] = None,
+                  partitions: Optional[int] = None,
+                  warm_restart: bool = False, **knobs: Any) -> SystemConfig:
+    """The one mapping of a run's system knobs onto the configs that read
+    them, sized for ``db_pages`` of data on ``profile``.
 
-    ``ftl=True`` models the SSD's internals (erase blocks, GC, WAF
-    accounting; DESIGN.md §10) instead of the flat Table 1 timing.
-    ``partitions`` overrides the partition count N (§3.3.4) shared by
-    the SSD buffer table and the main-memory buffer pool — the
-    isolation knob the multi-tenant experiments sweep.  ``latch_us``
-    models the buffer-pool partition-latch service time (0 keeps the
-    latch free and traces partition-count-independent).
-    ``kernel`` picks the event-queue implementation ("heap"/"wheel").
+    The knobs are :class:`RunSpec`'s system fields under its names, plus
+    ``warm_restart``.  The SSD designs' Table 2 row, :class:`SsdDesignConfig`,
+    takes λ (``dirty_threshold``, the paper's per-benchmark value when
+    None), N (``partitions``, which also shards the main-memory pool) and
+    ``warm_restart``; the rest (``checkpoint_interval``,
+    ``expand_reads``, ``ftl``, ``latch_us``, ``kernel``) are
+    :class:`SystemConfig`'s own fields.
     """
-    ssd_kwargs: Dict[str, Any] = {}
-    if partitions is not None:
-        ssd_kwargs["partitions"] = partitions
     ssd = SsdDesignConfig(
         ssd_frames=profile.ssd_frames,
-        dirty_threshold=(dirty_threshold if dirty_threshold is not None
-                         else PAPER_LAMBDA.get(benchmark, 0.5)),
+        dirty_threshold=(PAPER_LAMBDA.get(benchmark, 0.5)
+                         if dirty_threshold is None else dirty_threshold),
         warm_restart=warm_restart,
-        ftl_enabled=ftl,
-        **ssd_kwargs,
-    )
-    config = SystemConfig(
-        design=design,
-        db_pages=workload.db_pages(),
-        bp_pages=profile.bp_pages,
-        ssd=ssd,
-        checkpoint_interval=checkpoint_interval,
-        expand_reads=expand_reads,
-        slack_pages=max(256, workload.db_pages() // 20),
-        kernel=kernel,
-        bp_latch_us=latch_us,
-    )
+        **({} if partitions is None else {"partitions": partitions}))
+    return SystemConfig(design=design, db_pages=db_pages,
+                        bp_pages=profile.bp_pages, ssd=ssd,
+                        slack_pages=max(256, db_pages // 20), **knobs)
+
+
+def make_system(benchmark: str, workload, design: str,
+                profile: ScaleProfile, telemetry=None, faults=None,
+                **knobs: Any) -> System:
+    """Assemble a system sized for ``workload`` running ``design``
+    (``knobs``: :func:`system_config`'s)."""
+    config = system_config(benchmark, design, profile, workload.db_pages(),
+                           **knobs)
     return System(config, telemetry=telemetry, faults=faults)
 
 
@@ -166,6 +155,8 @@ class RunSpec:
     ``choices``; the option is ``--<field-name>`` unless ``flag`` says
     otherwise and its type is the field's); each subcommand picks only
     its flag set and defaults (``repro.cli._add_spec_flags``).
+    ``system=True`` marks the knobs :func:`system_config` maps onto the
+    system (:attr:`system_knobs`); the rest size and drive the run.
     """
 
     kind: str
@@ -186,22 +177,26 @@ class RunSpec:
     seed: int = field(default=20110612, metadata=dict(
         help="seed of the run's random streams"))
     dirty_threshold: Optional[float] = field(default=None, metadata=dict(
+        system=True,
         help="LC lambda (default: the paper's per-benchmark value)"))
     checkpoint_interval: Optional[float] = field(default=None, metadata=dict(
-        help="virtual seconds between checkpoints"))
-    expand_reads: bool = False
+        system=True, help="virtual seconds between checkpoints"))
+    expand_reads: bool = field(default=False, metadata=dict(system=True))
     ftl: bool = field(default=False, metadata=dict(
+        system=True,
         help="model the SSD's internals (erase blocks, GC, write "
              "amplification; DESIGN.md §10)"))
     partitions: Optional[int] = field(default=None, metadata=dict(
+        system=True,
         help="partition count N (§3.3.4) for the SSD buffer table and the "
              "main-memory buffer pool — the tenant-isolation knob"))
     latch_us: float = field(default=0.0, metadata=dict(
+        system=True,
         help="modeled buffer-pool partition-latch service time in "
              "microseconds (0: free latches, partition-count-independent "
              "runs; nonzero makes --partitions move per-tenant p99)"))
     kernel: str = field(default="heap", metadata=dict(
-        choices=KERNELS,
+        system=True, choices=KERNELS,
         help="event-queue implementation (wheel is built for open-loop "
              "timer volume)"))
     tenants: Optional[str] = field(default=None, metadata=dict(
@@ -232,19 +227,15 @@ class RunSpec:
                              f"got {self.duration}")
         # Every other range is its owner's.  The workload, the configs
         # and the loop sizes are cheap to check, so a bad value fails
-        # here, before any system is built or pool worker spawned.
+        # here, before any system is built or pool worker spawned; the
+        # configs are the ones the run builds.
+        profile = SCALE_PROFILES[self.profile]
         try:
-            make_workload(self.benchmark, self.scale,
-                          SCALE_PROFILES[self.profile])
+            workload = make_workload(self.benchmark, self.scale, profile)
         except ValueError as exc:
             raise ValueError(f"scale: {exc}") from exc
-        ssd = {knob: getattr(self, knob)
-               for knob in ("dirty_threshold", "partitions")
-               if getattr(self, knob) is not None}
-        SystemConfig(design=self.design, kernel=self.kernel,
-                     bp_latch_us=self.latch_us,
-                     checkpoint_interval=self.checkpoint_interval,
-                     ssd=SsdDesignConfig(**ssd))
+        system_config(self.benchmark, self.design, profile,
+                      workload.db_pages(), **self.system_knobs)
         check_loop(self.nworkers, self.bucket_seconds, self.queue_limit)
         if self.kind == "traffic":
             from repro.workloads.traffic import parse_tenants
@@ -261,6 +252,12 @@ class RunSpec:
     def from_dict(data: Dict[str, Any]) -> "RunSpec":
         """Inverse of :meth:`to_dict` (used to ship specs to workers)."""
         return RunSpec(**data)
+
+    @property
+    def system_knobs(self) -> Dict[str, Any]:
+        """The knobs :func:`system_config` maps, by field name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata.get("system")}
 
     @property
     def label(self) -> str:
@@ -297,13 +294,9 @@ def run(spec: RunSpec, telemetry=None,
         from repro.workloads.traffic import parse_tenants
         tenants = parse_tenants(spec.tenants)
     workload = make_workload(spec.benchmark, spec.scale, profile)
-    system = make_system(
-        spec.benchmark, workload, spec.design, profile,
-        dirty_threshold=spec.dirty_threshold,
-        checkpoint_interval=spec.checkpoint_interval,
-        expand_reads=spec.expand_reads, ftl=spec.ftl,
-        partitions=spec.partitions, latch_us=spec.latch_us,
-        kernel=spec.kernel, telemetry=telemetry, faults=faults)
+    system = make_system(spec.benchmark, workload, spec.design, profile,
+                         telemetry=telemetry, faults=faults,
+                         **spec.system_knobs)
     tracer = system.telemetry.tracer
     if tracer.enabled:
         # Run identity + provenance ride on the trace, so a JSONL file
@@ -334,31 +327,22 @@ def run(spec: RunSpec, telemetry=None,
 
 
 def run_oltp_experiment(benchmark: str, scale: int, design: str,
-                        duration: float = 60.0,
                         profile: Optional[ScaleProfile] = None,
-                        dirty_threshold: Optional[float] = None,
-                        checkpoint_interval: Optional[float] = None,
-                        nworkers: int = 32,
-                        bucket_seconds: float = 2.0,
-                        expand_reads: bool = False,
-                        ftl: bool = False,
-                        partitions: Optional[int] = None,
-                        latch_us: float = 0.0,
-                        kernel: str = "heap",
-                        seed: int = 20110612,
-                        telemetry=None, faults=None) -> RunResult:
+                        telemetry=None, faults=None,
+                        **knobs: Any) -> RunResult:
     """One closed-loop OLTP run: the building block of Figures 5–9.
 
     The paper runs TPC-C with checkpointing effectively off and λ=50%,
     TPC-E with 40-minute checkpoints and λ=1% — callers pass the analog
     (a ``checkpoint_interval`` scaled to the run duration).  A
-    keyword-argument adapter over :func:`run`: the knobs become the
-    :class:`RunSpec`, the live collaborators are passed through.
+    keyword-argument adapter over :func:`run`: ``knobs`` are
+    :class:`RunSpec` fields, the live collaborators are passed through.
     """
-    params = dict(locals())
-    live = {name: params.pop(name) for name in ("telemetry", "faults")}
-    params["profile"] = profile_name(profile or SCALE_PROFILES["default"])
-    return run(RunSpec(kind="oltp", **params), **live)
+    spec = RunSpec(kind="oltp", benchmark=benchmark, scale=scale,
+                   design=design,
+                   profile=profile_name(profile or SCALE_PROFILES["default"]),
+                   **knobs)
+    return run(spec, telemetry=telemetry, faults=faults)
 
 
 def speedup_over_nossd(results: Dict[str, float]) -> Dict[str, float]:

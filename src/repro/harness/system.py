@@ -16,7 +16,7 @@ from repro.engine import (
     DiskManager,
     WriteAheadLog,
 )
-from repro.engine.checkpoint import FuzzyCheckpointer
+from repro.engine.checkpoint import FuzzyCheckpointer, check_interval
 from repro.engine.recovery import RecoveryError, RecoveryManager
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -53,21 +53,23 @@ class SystemConfig:
     #: produces byte-identical traces.  Nonzero values queue every fetch
     #: through its partition's latch in virtual time, which is what makes
     #: ``--partitions`` timing-relevant for per-tenant tail latency.
-    #: The buffer pool's partition *count* rides on ``ssd.partitions``
-    #: (the §3.3.4 N), so one knob shards both pools together.
-    bp_latch_us: float = 0.0
+    #: The pool's partition *count* is Table 2's N, ``ssd.partitions``.
+    latch_us: float = 0.0
+    #: Model the SSD's internals (FTL, erase blocks, GC, write-amp
+    #: accounting; DESIGN.md §10) with the geometry that is
+    #: :class:`repro.storage.ftl.FtlConfig`'s default.  Off = the
+    #: paper-era black-box timing.  No design reads it: it picks the
+    #: device the design runs on.
+    ftl: bool = False
 
     def __post_init__(self) -> None:
         # A nan or infinite latch time ran and reported tpmC 0.0.
-        if not 0 <= self.bp_latch_us < math.inf:
-            raise ValueError(f"bp_latch_us must be finite and >= 0, "
-                             f"got {self.bp_latch_us}")
-        interval = self.checkpoint_interval
-        if interval is not None and not interval > 0:
-            # The periodic checkpointer would loop on timeout(0) at one
-            # virtual instant forever.
-            raise ValueError(f"checkpoint_interval must be None or > 0, "
-                             f"got {interval!r}")
+        if not 0 <= self.latch_us < math.inf:
+            raise ValueError(f"latch_us must be finite and >= 0, "
+                             f"got {self.latch_us}")
+        # The checkpointer's own check, made here as well so a RunSpec
+        # fails before any system is built.
+        check_interval(self.checkpoint_interval)
         if self.design not in DESIGNS:
             raise ValueError(
                 f"unknown design {self.design!r}; choose from {sorted(DESIGNS)}")
@@ -102,7 +104,7 @@ class System:
             # frames: it finds nothing, admits nothing, and has no flash
             # for an FTL to model.
             ssd = replace(ssd, ssd_frames=0)
-        if ssd.ftl_enabled and ssd.ssd_frames > 0:
+        if config.ftl and ssd.ssd_frames > 0:
             # Model the SSD's internals: the logical space the FTL maps
             # is exactly the design's S frames.
             from repro.storage.ftl import FtlConfig
@@ -124,7 +126,7 @@ class System:
             expand_reads=config.expand_reads,
             telemetry=self.telemetry,
             partitions=ssd.partitions,
-            latch_seconds=config.bp_latch_us * 1e-6)
+            latch_seconds=config.latch_us * 1e-6)
         self.ssd_manager.bp = self.bp
         self.ssd_manager.start_cleaner()
         checkpointer_cls = (FuzzyCheckpointer

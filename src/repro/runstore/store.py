@@ -361,8 +361,9 @@ class RunStore:
     def find_result(self, spec: "RunSpec") -> Any:
         """The newest recorded run of ``spec`` (clean, under the running
         sources' :func:`code_version`) restored from its record, or
-        None: no such record, or one that does not unpack or restore.
-        A run that kept no record (a reuse, or a v3 row) is not one."""
+        None: no such record, or one that does not unpack or restore
+        (bad zlib or JSON, or JSON of another shape).  A run that kept
+        no record (a reuse, or a v3 row) is not one."""
         rows = self._rows(
             """
             SELECT body FROM runs JOIN records ON records.run_id = runs.id
@@ -375,7 +376,7 @@ class RunStore:
         try:
             return spec.result_type.from_dict(
                 json.loads(zlib.decompress(rows[0]["body"])))
-        except (zlib.error, ValueError, KeyError, TypeError):
+        except (zlib.error, ValueError, KeyError, TypeError, AttributeError):
             return None
 
     def _rows(self, sql: str, params: Sequence[Any]) -> List[Dict[str, Any]]:

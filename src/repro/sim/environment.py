@@ -159,6 +159,8 @@ class Environment:
         for callback in callbacks:
             callback(event)
             if self._crash is not None:
+                # As in run(): the traceback takes this frame.
+                del callback, callbacks, event
                 raise self._take_crash()
 
     def run(self, until: Union[None, float, Event] = None) -> Any:

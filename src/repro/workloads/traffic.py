@@ -24,9 +24,12 @@ arrival times, which the determinism tests assert.
 
 A :class:`TenantSpec` pairs an arrival process with a per-tenant Zipf
 skew, giving the noisy-neighbor scenario space: tenants share one buffer
-pool and one SSD, and the SSD partition knob N
-(:attr:`repro.core.SsdDesignConfig.partitions`, §3.3.4) is the isolation
-mechanism under test.
+pool and one SSD, and the partition knob N (§3.3.4) is the isolation
+mechanism under test.  A run sets it as ``RunSpec.partitions``, which
+:func:`repro.harness.experiments.system_config` puts on
+:attr:`repro.core.SsdDesignConfig.partitions`, the count that shards
+both pools; the latch time that makes it matter is ``RunSpec.latch_us``,
+put on :attr:`repro.harness.system.SystemConfig.latch_us`.
 
 Spec grammar (CLI ``repro traffic``)::
 

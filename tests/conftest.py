@@ -8,9 +8,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.sim import Environment
-from repro.storage import HddArray, Ssd
-from repro.core import SsdDesignConfig, design_class
-from repro.engine import BufferPool, Checkpointer, Database, DiskManager, WriteAheadLog
+from repro.core import SsdDesignConfig
 from repro.harness.metrics import snapshot
 from repro.harness.system import System, SystemConfig
 
@@ -111,34 +109,21 @@ def settle(env, seconds=5.0):
     env.run(until=env.now + seconds)
 
 
-class MiniSystem:
-    """A hand-wired small system for engine/core tests (no catalog)."""
+class MiniSystem(System):
+    """A small system for engine/core tests: no catalog, no slack pages,
+    the heap kernel unless ``env`` says otherwise."""
 
     def __init__(self, design="noSSD", db_pages=2_000, bp_pages=100,
                  ssd_frames=500, env=None, bp_partitions=1, latch_seconds=0.0,
                  **ssd_kwargs):
-        self.env = env or Environment()
-        self.data_device = HddArray(self.env)
-        self.ssd_device = Ssd(self.env)
-        self.disk = DiskManager(self.env, self.data_device, db_pages)
-        self.wal = WriteAheadLog(self.env)
-        config = SsdDesignConfig(
-            ssd_frames=0 if design == "noSSD" else ssd_frames, **ssd_kwargs)
-        self.ssd_manager = design_class(design)(
-            self.env, self.ssd_device, self.disk, self.wal, config)
-        self.bp = BufferPool(self.env, bp_pages, self.disk, self.wal,
-                             self.ssd_manager, partitions=bp_partitions,
-                             latch_seconds=latch_seconds)
-        self.ssd_manager.bp = self.bp
-        self.ssd_manager.start_cleaner()
-        self.checkpointer = Checkpointer(self.env, self.bp, self.wal)
-        self.db = Database(db_pages)
-
-    # The one crash and the one recovery: it has every attribute they
-    # touch (no services to start again).
-    _services_started = False
-    crash = System.crash
-    recover = System.recover
+        # The pool's latch is ``latch_us * 1e-6`` seconds; dividing by
+        # 1e-6 gives ``latch_seconds`` back for the latches used here.
+        super().__init__(SystemConfig(
+            design=design, db_pages=db_pages, bp_pages=bp_pages,
+            slack_pages=0, latch_us=latch_seconds / 1e-6,
+            ssd=SsdDesignConfig(ssd_frames=ssd_frames,
+                                partitions=bp_partitions, **ssd_kwargs)),
+            env=env)
 
     def churn(self, accesses=2_000, write_fraction=0.33, span=None, seed=7,
               workers=8):

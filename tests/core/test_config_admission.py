@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import SsdDesignConfig
-from repro.core.admission import AdmissionPolicy
 from repro.engine.page import Frame
+from tests.conftest import MiniSystem
 
 
 class TestConfig:
@@ -58,26 +58,31 @@ def sequential_frame(page_id=1):
     return Frame(page_id, sequential=True)
 
 
+def manager(ssd_used, **config):
+    """A CW manager whose SSD holds ``ssd_used`` pages."""
+    ssd_manager = MiniSystem(design="CW", **config).ssd_manager
+    for page_id in range(ssd_used):
+        ssd_manager.table.install(ssd_manager.table.take_free(), page_id,
+                                  version=1, dirty=False, now=0.0)
+    return ssd_manager
+
+
 class TestAdmission:
     def test_random_pages_admitted_after_fill(self):
-        policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100))
-        assert policy.qualifies(random_frame(), ssd_used=100) is True
+        assert manager(100, ssd_frames=100)._qualifies(random_frame()) is True
 
     def test_sequential_pages_rejected_after_fill(self):
-        policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100))
-        assert policy.qualifies(sequential_frame(), ssd_used=100) is False
+        assert manager(100, ssd_frames=100)._qualifies(
+            sequential_frame()) is False
 
     def test_aggressive_fill_admits_everything(self):
         """§3.3.1: until the SSD reaches τ, all evicted pages qualify."""
-        policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100,
-                                                 fill_threshold=0.95))
-        assert policy.qualifies(sequential_frame(), ssd_used=50) is True
+        ssd_manager = manager(50, ssd_frames=100, fill_threshold=0.95)
+        assert ssd_manager._qualifies(sequential_frame()) is True
 
     def test_fill_phase_ends_at_tau(self):
-        policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=100,
-                                                 fill_threshold=0.95))
-        assert not policy.qualifies(sequential_frame(), ssd_used=95)
+        ssd_manager = manager(95, ssd_frames=100, fill_threshold=0.95)
+        assert not ssd_manager._qualifies(sequential_frame())
 
     def test_zero_frames_rejects_everything(self):
-        policy = AdmissionPolicy(SsdDesignConfig(ssd_frames=0))
-        assert not policy.qualifies(random_frame(), ssd_used=0)
+        assert not manager(0, ssd_frames=0)._qualifies(random_frame())

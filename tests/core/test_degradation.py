@@ -237,11 +237,11 @@ class TestTimedSsdFaultKinds:
     device-level effects have their own tests; these are the timers)."""
 
     @staticmethod
-    def system(faults, **ssd):
+    def system(faults, ftl=False):
         return System(
             SystemConfig(design="LS", db_pages=1_200, bp_pages=64,
-                         slack_pages=64,
-                         ssd=SsdDesignConfig(ssd_frames=150, **ssd)),
+                         slack_pages=64, ftl=ftl,
+                         ssd=SsdDesignConfig(ssd_frames=150)),
             faults=faults)
 
     @staticmethod
@@ -254,7 +254,7 @@ class TestTimedSsdFaultKinds:
         env.run(until=until)
 
     def test_gc_stall_forces_gc_and_freezes_the_ssd(self):
-        system = self.system("gc_stall@t=1:dur=0.25", ftl_enabled=True)
+        system = self.system("gc_stall@t=1:dur=0.25", ftl=True)
         ftl = system.ssd_device.ftl
         self.churn(system, until=0.999)
         gc_runs, erases = ftl.stats.gc_runs, ftl.stats.erases

@@ -1,9 +1,12 @@
 """Tests for periodic checkpointing and the metric sampler."""
 
+import math
 import random
 
 import pytest
 
+from repro.engine import Checkpointer
+from repro.engine.checkpoint import FuzzyCheckpointer
 from repro.harness.metrics import Sampler
 from repro.harness.system import System, SystemConfig
 from repro.core import SsdDesignConfig
@@ -54,6 +57,16 @@ class TestPeriodicCheckpoints:
         at one virtual instant forever."""
         with pytest.raises(ValueError, match="interval"):
             make_system(interval=interval)
+
+    @pytest.mark.parametrize("cls", [Checkpointer, FuzzyCheckpointer])
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+    def test_the_checkpointer_refuses_a_bad_interval_itself(self, cls,
+                                                            interval):
+        """Built by hand, past ``SystemConfig``: an interval of 0 spun
+        at one instant (``env.run(until=0.001)`` never returned)."""
+        system = make_system(interval=None)
+        with pytest.raises(ValueError, match=rf"interval .*got {interval}$"):
+            cls(system.env, system.bp, system.wal, interval=interval)
 
     def test_start_is_idempotent(self):
         system = make_system(interval=2.0)

@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -247,59 +249,72 @@ class TestCommands:
         assert "QphH" in capsys.readouterr().out
 
 
+#: One short ``oltp`` run of two designs printing ``--metrics``.
+METRICS_ARGV = ["oltp", "--benchmark", "tpcc", "--scale", "100",
+                "--profile", "tiny", "--duration", "3",
+                "--designs", "noSSD,LC", "--no-db", "--metrics"]
+
+
+class CountingTracer(telemetry_module.Tracer):
+    """A tracer that records each construction in ``built``."""
+
+    built = []
+
+    def __init__(self, *args, **kwargs):
+        self.built.append(self)
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def traced_metrics(tmp_path_factory):
+    """``METRICS_ARGV`` with ``--trace out.json``, run once for the
+    Chrome, per-design and ``--metrics`` assertions: its trace path,
+    stdout, stderr and the tracers it built."""
+    trace = tmp_path_factory.mktemp("chrome") / "out.json"
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(telemetry_module, "Tracer", CountingTracer)
+        patcher.setattr(CountingTracer, "built", [])
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(METRICS_ARGV + ["--trace", str(trace)])
+        built = CountingTracer.built
+    assert code == 0
+    return trace, out.getvalue(), err.getvalue(), built
+
+
 class TestTelemetryFlags:
-    def test_trace_writes_chrome_file(self, capsys, tmp_path):
-        trace = tmp_path / "out.json"
-        code = main(["oltp", "--benchmark", "tpcc", "--scale", "100",
-                     "--profile", "tiny", "--duration", "4",
-                     "--designs", "LC", "--trace", str(trace)])
-        assert code == 0
-        doc = json.loads(trace.read_text())
+    def test_trace_writes_chrome_file(self, traced_metrics):
+        trace, _, err, _ = traced_metrics
+        doc = json.loads(trace.with_name("out-LC.json").read_text())
         assert doc["traceEvents"]
         cats = {event.get("cat") for event in doc["traceEvents"]}
         assert "io" in cats
-        assert "wrote" in capsys.readouterr().err
+        assert "wrote" in err
 
-    def test_trace_multiple_designs_one_file_each(self, capsys, tmp_path):
-        trace = tmp_path / "out.json"
-        code = main(["oltp", "--benchmark", "tpcc", "--scale", "100",
-                     "--profile", "tiny", "--duration", "3",
-                     "--designs", "noSSD,LC", "--trace", str(trace)])
-        assert code == 0
+    def test_trace_multiple_designs_one_file_each(self, traced_metrics):
+        trace = traced_metrics[0]
         for design in ("noSSD", "LC"):
-            per_design = tmp_path / f"out-{design}.json"
+            per_design = trace.with_name(f"out-{design}.json")
             assert json.loads(per_design.read_text())["traceEvents"]
 
-    def test_metrics_prints_registry(self, capsys):
-        code = main(["oltp", "--benchmark", "tpcc", "--scale", "100",
-                     "--profile", "tiny", "--duration", "3",
-                     "--designs", "LC", "--metrics"])
-        assert code == 0
-        out = capsys.readouterr().out
+    def test_metrics_prints_registry(self, traced_metrics):
+        out = traced_metrics[1]
         assert "Metrics — LC" in out
         assert "bp_requests_total" in out
         assert "txn_latency_seconds" in out
 
-    def test_metrics_needs_no_trace(self, capsys, tmp_path, monkeypatch):
+    def test_metrics_needs_no_trace(self, traced_metrics, capsys,
+                                    monkeypatch):
         """``--metrics`` alone builds no tracer, and prints what the same
         run with ``--trace`` prints."""
-        built = []
-
-        class CountingTracer(telemetry_module.Tracer):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
+        _, traced, _, traced_built = traced_metrics
         monkeypatch.setattr(telemetry_module, "Tracer", CountingTracer)
-        argv = ["oltp", "--benchmark", "tpcc", "--scale", "100",
-                "--profile", "tiny", "--duration", "3", "--designs", "LC",
-                "--no-db", "--metrics"]
-        assert main(argv) == 0
+        monkeypatch.setattr(CountingTracer, "built", [])
+        assert main(METRICS_ARGV) == 0
         untraced = capsys.readouterr().out
-        assert built == []
-        assert main(argv + ["--trace", str(tmp_path / "t.json")]) == 0
-        assert len(built) == 1
-        assert capsys.readouterr().out == untraced
+        assert CountingTracer.built == []
+        assert len(traced_built) == 2  # one per design
+        assert traced == untraced
         assert "Metrics — LC" in untraced
 
     def test_tpch_metrics_read_the_live_system(self, capsys):
@@ -327,15 +342,11 @@ class TestTelemetryFlags:
         assert "Metrics" not in captured.out
         assert "trace events" not in captured.err
 
-    def test_trace_jsonl_extension_selects_jsonl(self, capsys, tmp_path):
-        trace = tmp_path / "out.jsonl"
-        code = main(["oltp", "--benchmark", "tpcc", "--scale", "100",
-                     "--profile", "tiny", "--duration", "3",
-                     "--designs", "LC", "--trace", str(trace)])
-        assert code == 0
-        first = trace.read_text().splitlines()[0]
-        event = json.loads(first)
-        assert "track" in event  # JSONL line shape, not Chrome JSON
+    def test_trace_jsonl_extension_selects_jsonl(self, traced_pair):
+        for path in traced_pair:
+            with open(path) as trace:
+                event = json.loads(trace.readline())
+            assert "track" in event  # JSONL line shape, not Chrome JSON
 
 
 @pytest.fixture(scope="module")

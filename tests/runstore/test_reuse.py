@@ -2,18 +2,20 @@
 
 A database an older checkout wrote (schema v3, no ``records``) upgrades
 in place, reads back unchanged and serves none of its runs, since they
-kept no record.  A run a bench reused is a history row like any other:
+kept no record.  A record that unpacks but has the wrong shape is a
+miss too.  A run a bench reused is a history row like any other:
 ``repro runs show`` prints it.
 """
 
 import sqlite3
 
 from repro.cli import main
-from repro.harness.experiments import RunSpec
+from repro.harness.experiments import RunSpec, run
 from repro.harness.sweep import run_sweep
 from repro.runstore.provenance import code_version
 from repro.runstore.schema import SCHEMA_VERSION, apply_migrations
 from repro.runstore.store import Recorder, RunStore, spec_json
+from repro.workloads.tpch import TpchResult
 
 SPEC = RunSpec(kind="oltp", benchmark="tpcc", scale=10, design="noSSD",
                profile="tiny", duration=2.0, nworkers=2)
@@ -75,6 +77,24 @@ def test_a_v3_database_upgrades_and_reuses_none_of_its_runs(tmp_path):
         assert report.computed == 1 and report.cached == 0
         assert store.find_result(SPEC) is not None
         assert dump(path)[0][:2] == before[0]
+
+
+def test_a_record_of_the_wrong_shape_is_a_miss(tmp_path):
+    """A body that unpacks to JSON but not to a result is a miss, not
+    an error that would end the sweep or bench looking it up."""
+    tpch_spec = RunSpec(kind="tpch", benchmark="tpch", scale=30,
+                        design="LC", profile="tiny")
+    tpch = TpchResult(sf=30, query_times={1: 1.0}, rf_times=[0.5, 0.5],
+                      power_elapsed=2.0, throughput_elapsed=3.0, streams=2)
+    with RunStore(tmp_path / "runs.db") as store:
+        for spec, result, name, wrong in (
+                (tpch_spec, tpch, "query_times", [1.0]),
+                (SPEC, run(SPEC), "tenants", [])):
+            store.record_result(spec, result, record=result.to_dict())
+            assert store.find_result(spec).metrics() == result.metrics()
+            store.record_result(spec, result,
+                                record=dict(result.to_dict(), **{name: wrong}))
+            assert store.find_result(spec) is None, name
 
 
 def test_runs_show_prints_a_run_a_bench_reused(tmp_path, monkeypatch,

@@ -71,9 +71,8 @@ class TestTimedTriggers:
     def system(clause, ftl, start):
         return System(
             SystemConfig(design="LC", db_pages=1_200, bp_pages=64,
-                         slack_pages=64,
-                         ssd=SsdDesignConfig(ssd_frames=150,
-                                             ftl_enabled=ftl)),
+                         slack_pages=64, ftl=ftl,
+                         ssd=SsdDesignConfig(ssd_frames=150)),
             env=Environment(initial_time=start), faults=clause)
 
     # Installed at 0.25 for t = 1.0 (fires at t), and at 5.0 for t = 1.0
