@@ -53,6 +53,7 @@ from repro.sim import Environment
 from repro.core.config import SsdDesignConfig
 from repro.core.heaps import LazyMinHeap
 from repro.core.ssd_buffer_table import SsdBufferTable, SsdRecord
+from repro.engine.checkpoint import FLUSH_BATCH
 from repro.engine.disk_manager import DiskManager
 from repro.engine.page import Frame
 from repro.engine.recovery import RecoveryError
@@ -65,10 +66,6 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     RECOVERY_CTX,
 )
-
-#: Concurrent disk writes per wave during degradation redo (matches the
-#: checkpointer's FLUSH_BATCH).
-DEGRADE_BATCH = 32
 
 
 class TrimPlan:
@@ -954,8 +951,8 @@ class SsdManagerBase:
                 f"e.g. {lost[:5]}: cannot degrade without losing "
                 f"committed data")
         started = self.env.now
-        for wave_start in range(0, len(targets), DEGRADE_BATCH):
-            wave = targets[wave_start:wave_start + DEGRADE_BATCH]
+        for wave_start in range(0, len(targets), FLUSH_BATCH):
+            wave = targets[wave_start:wave_start + FLUSH_BATCH]
             yield self.env.gather(
                 self._disk_write(pid, version, RECOVERY_CTX)
                 for pid, version in wave)

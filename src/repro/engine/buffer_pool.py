@@ -174,7 +174,6 @@ class BufferPool:
 
     def __init__(self, env: Environment, capacity: int, disk: DiskManager,
                  wal: WriteAheadLog, ssd_manager,
-                 readahead: Optional[ReadAhead] = None,
                  expand_reads: bool = False, telemetry=None,
                  partitions: int = 1, latch_seconds: float = 0.0):
         if capacity < 2:
@@ -190,7 +189,7 @@ class BufferPool:
         self.disk = disk
         self.wal = wal
         self.ssd = ssd_manager
-        self.readahead = readahead or ReadAhead()
+        self.readahead = ReadAhead()
         #: SQL Server 2008 R2 expands every single-page read to an 8-page
         #: read until the pool is filled (§4.3.2, Figure 8's initial burst).
         self.expand_reads = expand_reads

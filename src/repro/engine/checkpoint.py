@@ -26,7 +26,10 @@ from repro.engine.page import Frame
 from repro.engine.wal import WriteAheadLog
 from repro.telemetry import CHECKPOINT_CTX, NULL_TELEMETRY
 
-#: Concurrent page writes per flush wave.
+#: Concurrent page writes per wave: a checkpoint's flushes, restart
+#: redo's read+write pairs (:mod:`repro.engine.recovery`; one at a time
+#: made a crash-point sweep quadratically slow in the redo-set size)
+#: and the SSD manager's degradation redo.
 FLUSH_BATCH = 32
 
 

@@ -21,14 +21,10 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.sim import Environment
+from repro.engine.checkpoint import FLUSH_BATCH
 from repro.engine.disk_manager import DiskManager
 from repro.engine.wal import WriteAheadLog
 from repro.telemetry import RECOVERY_CTX
-
-#: Concurrent page redos per wave (mirrors the checkpointer's
-#: FLUSH_BATCH): serial read+write per page made a crash-point sweep
-#: quadratically slow in the redo-set size.
-REDO_BATCH = 32
 
 
 class RecoveryError(Exception):
@@ -54,7 +50,7 @@ class RecoveryManager:
 
         For each page needing redo: read it from disk (random), apply the
         newest logged version, write it back.  The per-page read+write
-        pairs run in concurrent waves of ``REDO_BATCH`` (the disk array
+        pairs run in concurrent waves of ``FLUSH_BATCH`` (the disk array
         has eight spindles to keep busy).  Returns the number of pages
         redone.
         """
@@ -63,8 +59,8 @@ class RecoveryManager:
         needed = [(page_id, version)
                   for page_id, version in sorted(redo_set.items())
                   if self.disk.disk_version(page_id) < version]
-        for wave_start in range(0, len(needed), REDO_BATCH):
-            wave = needed[wave_start:wave_start + REDO_BATCH]
+        for wave_start in range(0, len(needed), FLUSH_BATCH):
+            wave = needed[wave_start:wave_start + FLUSH_BATCH]
             yield self.env.gather(
                 self._redo_one(page_id, version)
                 for page_id, version in wave)

@@ -38,10 +38,9 @@ RECORDS_PER_LOG_PAGE = 90
 class WriteAheadLog:
     """An append-only redo log on a dedicated log device."""
 
-    def __init__(self, env: Environment, log_device: Optional[HddArray] = None,
-                 telemetry=None):
+    def __init__(self, env: Environment, telemetry=None):
         self.env = env
-        self.device = log_device or HddArray(env, ndisks=1, name="log-disk")
+        self.device = HddArray(env, ndisks=1, name="log-disk")
         #: The redo records, one column per field: the record with LSN
         #: ``first_lsn + i`` is ``(_pages[i], _versions[i])``.
         self._pages = array("q")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
                     Set, Tuple)
 
+from repro.faults.clauses import number, read_fields
 from repro.faults.injector import FaultInjector
 
 if TYPE_CHECKING:
@@ -88,46 +89,25 @@ class FaultPlan:
 
     @staticmethod
     def _parse_clause(clause: str) -> FaultSpec:
-        parts = clause.replace("@", ":").split(":")
-        kind = parts[0].strip()
+        kind, *parts = clause.replace("@", ":").split(":")
+        kind = kind.strip()
         if kind not in _KINDS:
             raise ValueError(
                 f"unknown fault kind {kind!r} in {clause!r}; "
                 f"choose from {sorted(_KINDS)}")
-        params: Dict[str, str] = {}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise ValueError(
-                    f"malformed parameter {part!r} in {clause!r} "
-                    f"(expected key=value)")
-            key, value = part.split("=", 1)
-            key, value = key.strip(), value.strip()
+        params = {key: raw.strip()
+                  for key, raw in read_fields(parts, clause).items()}
+        for key in params:
             if key not in _KINDS[kind]:
                 raise ValueError(
                     f"fault {kind!r} does not take {key!r} "
                     f"(accepts {sorted(_KINDS[kind])})")
-            if key in params:
-                raise ValueError(f"{key} is given twice in {clause!r}")
-            params[key] = value
 
-        def number(key: str, default: float, low: float,
-                   high: Optional[float] = None, whole: bool = False) -> float:
-            """``key``'s value: finite, >= ``low`` (and <= ``high``)."""
-            if key not in params:
-                return default
-            try:
-                value = float(params[key])
-            except ValueError:
-                value = math.nan
-            if not (math.isfinite(value) and value >= low
-                    and (high is None or value <= high)
-                    and not (whole and value % 1)):
-                span = (f">= {low:g}" if high is None
-                        else f"in [{low:g}, {high:g}]")
-                raise ValueError(
-                    f"{key}={params[key]} in {clause!r} must be a "
-                    f"{'whole' if whole else 'finite'} number {span}")
-            return value
+        def value(key: str, default: float, low: float,
+                  high: float = math.inf, whole: bool = False) -> float:
+            """``key``'s number, or ``default`` when not given."""
+            return (number(key, params[key], clause, low, high, whole)
+                    if key in params else default)
 
         device = params.get("device", "all")
         if device not in _DEVICES + ("all",):
@@ -141,13 +121,13 @@ class FaultPlan:
         if "t" in _KINDS[kind] and "t" not in params:
             raise ValueError(f"fault {kind!r} requires @t=<seconds>")
         return FaultSpec(
-            kind=kind, device=device, p=number("p", 0.0, 0.0, 1.0),
+            kind=kind, device=device, p=value("p", 0.0, 0.0, 1.0),
             # Below 1 a straggler factor would make the injected delay
             # negative, and shorten a stall it is added to.
-            factor=number("x", 10.0, 1.0),
-            at=number("t", 0.0, 0.0) if "t" in params else None,
-            duration=number("dur", 1.0, 0.0),
-            count=int(number("n", 1, 1, whole=True)))
+            factor=value("x", 10.0, 1.0),
+            at=value("t", 0.0, 0.0) if "t" in params else None,
+            duration=value("dur", 1.0, 0.0),
+            count=int(value("n", 1, 1, whole=True)))
 
     # ------------------------------------------------------------------
     # Installation

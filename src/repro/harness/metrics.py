@@ -54,7 +54,8 @@ def summary(samples: Sequence[float]) -> Dict[str, float]:
 
 @dataclass
 class Sample:
-    """One periodic snapshot of system state.
+    """One periodic snapshot of system state: a field per
+    :data:`SAMPLE_FIELDS` row, in its order.
 
     The ``bp_*`` request counters are cumulative; consumers (the
     ``repro analyze`` time series) difference adjacent samples to get
@@ -65,9 +66,9 @@ class Sample:
     ssd_used: int
     ssd_dirty: int
     ssd_dirty_fraction: float
-    bp_dirty: int
     disk_pending: int
     ssd_pending: int
+    bp_dirty: int
     bp_hits: int = 0
     bp_misses: int = 0
     bp_ssd_hits: int = 0
@@ -77,27 +78,49 @@ class Sample:
     ftl_erases: int = 0
 
 
-def _ftl_stat(system, field: str) -> int:
-    ftl = getattr(system.ssd_device, "ftl", None)
-    return getattr(ftl.stats, field) if ftl is not None else 0
+def _ftl_stat(field: str) -> Callable[[Any], int]:
+    """The FTL's cumulative ``field`` (0 on the black-box SSD)."""
+    def read(system) -> int:
+        ftl = getattr(system.ssd_device, "ftl", None)
+        return getattr(ftl.stats, field) if ftl is not None else 0
+    return read
 
 
-#: The sampled fields, declared once: (name, getter) pairs shared by the
-#: :class:`Sample` rows and the trace counter events.
-SAMPLE_FIELDS = (
-    ("ssd_used", lambda s: s.ssd_manager.used_frames),
-    ("ssd_dirty", lambda s: s.ssd_manager.dirty_frames),
-    ("ssd_dirty_fraction", lambda s: s.ssd_manager.dirty_fraction),
-    ("bp_dirty", lambda s: s.bp.dirty_count),
-    ("disk_pending", lambda s: s.data_device.pending),
-    ("ssd_pending", lambda s: s.ssd_device.pending),
-    ("bp_hits", lambda s: s.bp.stats.hits),
-    ("bp_misses", lambda s: s.bp.stats.misses),
-    ("bp_ssd_hits", lambda s: s.bp.stats.ssd_hits),
-    ("ftl_host_writes", lambda s: _ftl_stat(s, "host_writes")),
-    ("ftl_nand_writes", lambda s: _ftl_stat(s, "nand_writes")),
-    ("ftl_erases", lambda s: _ftl_stat(s, "erases")),
+#: The trace counter the sampler emits only when the SSD runs the FTL
+#: model, so that black-box traces keep their bytes.
+FTL_COUNTER = "ftl"
+
+#: The sampled fields, declared once: ``(name, read, counter, arg)``.
+#: Each tick reads every row into a :class:`Sample`; a traced tick also
+#: emits one Chrome counter event per ``counter`` on the ``sampler``
+#: track, its rows' values under their ``arg`` names, in table order,
+#: and ``repro analyze`` reads those events back into series by the
+#: same rows (DESIGN.md §5.2).
+SAMPLE_FIELDS: Tuple[Tuple[str, Callable[[Any], Any], str, str], ...] = (
+    ("ssd_used", lambda s: s.ssd_manager.used_frames, "ssd_frames", "used"),
+    ("ssd_dirty", lambda s: s.ssd_manager.dirty_frames,
+     "ssd_frames", "dirty"),
+    ("ssd_dirty_fraction", lambda s: s.ssd_manager.dirty_fraction,
+     "ssd_dirty_fraction", "fraction"),
+    ("disk_pending", lambda s: s.data_device.pending, "pending_ios", "disk"),
+    ("ssd_pending", lambda s: s.ssd_device.pending, "pending_ios", "ssd"),
+    ("bp_dirty", lambda s: s.bp.dirty_count, "bp_dirty", "frames"),
+    ("bp_hits", lambda s: s.bp.stats.hits, "bp_requests", "hits"),
+    ("bp_misses", lambda s: s.bp.stats.misses, "bp_requests", "misses"),
+    ("bp_ssd_hits", lambda s: s.bp.stats.ssd_hits, "bp_requests", "ssd_hits"),
+    ("ftl_host_writes", _ftl_stat("host_writes"), FTL_COUNTER, "host_writes"),
+    ("ftl_nand_writes", _ftl_stat("nand_writes"), FTL_COUNTER, "nand_writes"),
+    ("ftl_erases", _ftl_stat("erases"), FTL_COUNTER, "erases"),
 )
+
+
+def sample_counters() -> Dict[str, List[Tuple[str, str]]]:
+    """Each trace counter of :data:`SAMPLE_FIELDS` with its ``(arg,
+    name)`` pairs, both in table order."""
+    counters: Dict[str, List[Tuple[str, str]]] = {}
+    for name, _, counter, arg in SAMPLE_FIELDS:
+        counters.setdefault(counter, []).append((arg, name))
+    return counters
 
 
 #: One ``--metrics`` name: ``(name, kind, labelnames, read)``.  ``read``
@@ -344,38 +367,19 @@ class Sampler:
     def _loop(self):
         system = self.system
         tracer = getattr(system, "telemetry", NULL_TELEMETRY).tracer
+        counters = sample_counters()
+        if getattr(system.ssd_device, "ftl", None) is None:
+            del counters[FTL_COUNTER]
         while not self._stopped:
             if (self.max_samples is not None
                     and len(self.samples) >= self.max_samples):
                 break
-            values = {name: getter(system) for name, getter in SAMPLE_FIELDS}
+            values = {name: read(system) for name, read, _, _ in SAMPLE_FIELDS}
             self.samples.append(Sample(time=system.env.now, **values))
             if tracer.enabled:
-                tracer.counter("ssd_frames",
-                               {"used": values["ssd_used"],
-                                "dirty": values["ssd_dirty"]},
-                               track="sampler")
-                tracer.counter("ssd_dirty_fraction",
-                               {"fraction": values["ssd_dirty_fraction"]},
-                               track="sampler")
-                tracer.counter("pending_ios",
-                               {"disk": values["disk_pending"],
-                                "ssd": values["ssd_pending"]},
-                               track="sampler")
-                tracer.counter("bp_dirty", {"frames": values["bp_dirty"]},
-                               track="sampler")
-                tracer.counter("bp_requests",
-                               {"hits": values["bp_hits"],
-                                "misses": values["bp_misses"],
-                                "ssd_hits": values["bp_ssd_hits"]},
-                               track="sampler")
-                # Emitted only when the FTL model is active so that
-                # black-box traces stay byte-identical to before.
-                if getattr(system.ssd_device, "ftl", None) is not None:
-                    tracer.counter("ftl",
-                                   {"host_writes": values["ftl_host_writes"],
-                                    "nand_writes": values["ftl_nand_writes"],
-                                    "erases": values["ftl_erases"]},
+                for counter, args in counters.items():
+                    tracer.counter(counter, {arg: values[name]
+                                             for arg, name in args},
                                    track="sampler")
             yield self.interval
 

@@ -361,9 +361,10 @@ class RunStore:
     def find_result(self, spec: "RunSpec") -> Any:
         """The newest recorded run of ``spec`` (clean, under the running
         sources' :func:`code_version`) restored from its record, or
-        None: no such record, or one that does not unpack or restore
-        (bad zlib or JSON, or JSON of another shape).  A run that kept
-        no record (a reuse, or a v3 row) is not one."""
+        None: no such record, or one that does not unpack, restore or
+        yield its ``metrics()`` (bad zlib or JSON, JSON of another
+        shape, or values of the wrong type).  A run that kept no record
+        (a reuse, or a v3 row) is not one."""
         rows = self._rows(
             """
             SELECT body FROM runs JOIN records ON records.run_id = runs.id
@@ -374,10 +375,12 @@ class RunStore:
         if not rows:
             return None
         try:
-            return spec.result_type.from_dict(
+            result = spec.result_type.from_dict(
                 json.loads(zlib.decompress(rows[0]["body"])))
+            result.metrics()
         except (zlib.error, ValueError, KeyError, TypeError, AttributeError):
             return None
+        return result
 
     def _rows(self, sql: str, params: Sequence[Any]) -> List[Dict[str, Any]]:
         try:

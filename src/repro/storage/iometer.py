@@ -20,6 +20,9 @@ from repro.storage.hdd import HddArray
 from repro.storage.request import IoKind, IORequest
 from repro.storage.ssd import Ssd
 
+#: Pages the measured addresses wrap within.
+SPAN_PAGES = 1 << 20
+
 
 def _worker(env: Environment, device: DeviceBase, kind: IoKind, addresses,
             counter: Dict[str, int]):
@@ -29,8 +32,8 @@ def _worker(env: Environment, device: DeviceBase, kind: IoKind, addresses,
         counter["completed"] += 1
 
 
-def _address_stream(device: DeviceBase, kind: IoKind, span_pages: int,
-                    worker: int, nworkers: int):
+def _address_stream(device: DeviceBase, kind: IoKind, worker: int,
+                    nworkers: int):
     """Page addresses matching the access pattern being measured.
 
     Random I/Os stride so consecutive ops land on different stripe units;
@@ -43,10 +46,10 @@ def _address_stream(device: DeviceBase, kind: IoKind, span_pages: int,
     if kind.random:
         # Large co-prime stride scatters accesses across all disks.
         stride = stripe * 7 + 1
-        return ((worker + i * nworkers) * stride % span_pages
+        return ((worker + i * nworkers) * stride % SPAN_PAGES
                 for i in itertools.count())
     if ndisks is None:
-        region = span_pages // max(nworkers, 1)
+        region = SPAN_PAGES // max(nworkers, 1)
         base = worker * region
         return (base + (i % region) for i in itertools.count())
     # Striped array: the paper measured one sequential stream per drive
@@ -57,13 +60,12 @@ def _address_stream(device: DeviceBase, kind: IoKind, span_pages: int,
     def per_drive():
         for i in itertools.count():
             block, offset = divmod(i, stripe)
-            yield (block * stripe * ndisks + drive * stripe + offset) % span_pages
+            yield (block * stripe * ndisks + drive * stripe + offset) % SPAN_PAGES
 
     return per_drive()
 
 
-def measure_iops(make_device, kind: IoKind, duration: float = 20.0,
-                 span_pages: int = 1 << 20) -> float:
+def measure_iops(make_device, kind: IoKind, duration: float = 20.0) -> float:
     """Measure sustained IOPS of one I/O class on a fresh device.
 
     ``make_device`` is a callable ``Environment -> DeviceBase`` so each
@@ -78,7 +80,7 @@ def measure_iops(make_device, kind: IoKind, duration: float = 20.0,
     counter = {"completed": 0}
     env.spawn_all(
         _worker(env, device, kind,
-                _address_stream(device, kind, span_pages, worker, nworkers),
+                _address_stream(device, kind, worker, nworkers),
                 counter)
         for worker in range(nworkers))
     env.run(until=duration)

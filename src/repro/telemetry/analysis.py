@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.metrics import percentile_of, summary
+from repro.harness.metrics import (FTL_COUNTER, percentile_of,
+                                   sample_counters, summary)
 from repro.telemetry.tracer import TRUNCATION_EVENT
 
 #: Wait-span names that map straight to a latency component.
@@ -306,9 +307,10 @@ class DesignAnalysis:
 # Trace → analysis
 # ----------------------------------------------------------------------
 
-def _series_point(series: Dict[str, List[Tuple[float, float]]],
-                  name: str, ts: float, value: float) -> None:
-    series.setdefault(name, []).append((ts, value))
+#: Sampler counter → its ``(arg, series)`` pairs (DESIGN.md §5.2).
+_SAMPLED = sample_counters()
+#: The cumulative request series the hit ratios are windowed from.
+_REQUESTS = ("bp_hits", "bp_misses", "bp_ssd_hits")
 
 
 def analyze_trace(path: str) -> DesignAnalysis:
@@ -317,7 +319,7 @@ def analyze_trace(path: str) -> DesignAnalysis:
     analysis = DesignAnalysis(path=path)
     by_txn: Dict[int, TxnRecord] = {}
     pending: Dict[int, List[dict]] = {}
-    requests: List[Tuple[float, float, float, float]] = []
+    sampled: Dict[str, List[Tuple[float, float]]] = {}
 
     for event in events:
         name = event.get("name", "")
@@ -340,40 +342,9 @@ def analyze_trace(path: str) -> DesignAnalysis:
             analysis.dropped = int(args.get("dropped", 0))
             continue
         if ph == "C" and track == "sampler":
-            ts = event.get("ts", 0.0)
-            if name == "bp_requests":
-                requests.append((ts, args.get("hits", 0),
-                                 args.get("misses", 0),
-                                 args.get("ssd_hits", 0)))
-            elif name == "ssd_dirty_fraction":
-                _series_point(analysis.series, "ssd_dirty_fraction",
-                              ts, args.get("fraction", 0.0))
-            elif name == "ssd_frames":
-                _series_point(analysis.series, "ssd_used",
-                              ts, args.get("used", 0))
-                _series_point(analysis.series, "ssd_dirty",
-                              ts, args.get("dirty", 0))
-            elif name == "pending_ios":
-                _series_point(analysis.series, "disk_pending",
-                              ts, args.get("disk", 0))
-                _series_point(analysis.series, "ssd_pending",
-                              ts, args.get("ssd", 0))
-            elif name == "bp_dirty":
-                _series_point(analysis.series, "bp_dirty",
-                              ts, args.get("frames", 0))
-            elif name == "ftl":
-                host = args.get("host_writes", 0)
-                nand = args.get("nand_writes", 0)
-                erases = args.get("erases", 0)
-                _series_point(analysis.series, "ftl_host_writes", ts, host)
-                _series_point(analysis.series, "ftl_nand_writes", ts, nand)
-                _series_point(analysis.series, "ftl_erases", ts, erases)
-                # Counters are cumulative, so the last sample is the
-                # run's final total.
-                analysis.ftl.update(
-                    host_writes=float(host), nand_writes=float(nand),
-                    erases=float(erases),
-                    waf=(nand / host if host else 0.0))
+            for arg, key in _SAMPLED.get(name, ()):
+                sampled.setdefault(key, []).append(
+                    (event.get("ts", 0.0), args.get(arg, 0)))
             continue
 
         if name == "ftl_gc":
@@ -416,7 +387,16 @@ def analyze_trace(path: str) -> DesignAnalysis:
 
     analysis.orphan_events = sum(len(v) for v in pending.values())
     analysis.txns = sorted(by_txn.values(), key=lambda t: t.start)
-    _hit_ratio_series(analysis, requests)
+    hits, misses, ssd_hits = (sampled.pop(key, []) for key in _REQUESTS)
+    analysis.series = sampled
+    _hit_ratio_series(analysis, [(t, h, m, s) for (t, h), (_, m), (_, s)
+                                 in zip(hits, misses, ssd_hits)])
+    ftl = {arg: float(sampled[key][-1][1])
+           for arg, key in _SAMPLED[FTL_COUNTER] if key in sampled}
+    if ftl:
+        from repro.storage.ftl.model import FtlStats
+        # Cumulative counters: the last point is the run's total.
+        analysis.ftl = dict(ftl, waf=FtlStats(**ftl).waf, **analysis.ftl)
     return analysis
 
 
@@ -431,7 +411,7 @@ def _attribute(record: TxnRecord, event: dict) -> None:
 def _hit_ratio_series(analysis: DesignAnalysis,
                       requests: Sequence[Tuple[float, float, float, float]]
                       ) -> None:
-    """Windowed hit ratios from the cumulative ``bp_requests`` counters."""
+    """Windowed hit ratios from the cumulative ``bp_*`` series."""
     hit_ratio = []
     ssd_ratio = []
     for (t0, h0, m0, s0), (t1, h1, m1, s1) in zip(requests, requests[1:]):

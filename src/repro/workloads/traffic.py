@@ -47,7 +47,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
+
+from repro.faults.clauses import number, read_fields
 
 #: Default think time (seconds) used to translate a logical-user count
 #: into an arrival rate: ``rate = users / think``.  100 s between
@@ -58,8 +60,6 @@ DEFAULT_THINK_SECONDS = 100.0
 
 class PoissonArrivals:
     """Memoryless arrivals at a constant ``rate`` per second."""
-
-    kind = "poisson"
 
     def __init__(self, rate: float, users: Optional[float] = None):
         if rate <= 0:
@@ -94,8 +94,6 @@ class BurstyArrivals:
     so comparisons against :class:`PoissonArrivals` at the same ``rate``
     differ only in burstiness, not in offered volume.
     """
-
-    kind = "bursty"
 
     def __init__(self, rate: float, burst: float = 8.0,
                  on_fraction: float = 0.2, cycle: float = 10.0,
@@ -153,8 +151,6 @@ class DiurnalArrivals:
     any modulation.
     """
 
-    kind = "diurnal"
-
     def __init__(self, rate: float, period: float = 86_400.0,
                  peak: float = 3.0, users: Optional[float] = None):
         if rate <= 0:
@@ -201,24 +197,8 @@ _KEY_ALIASES = {"on": "on_fraction"}
 
 
 def _parse_fields(parts: List[str], spec: str) -> Dict[str, float]:
-    fields: Dict[str, float] = {}
-    for part in parts:
-        if "=" not in part:
-            raise ValueError(
-                f"bad arrival field {part!r} in {spec!r} (want key=value)")
-        key, _, value = part.partition("=")
-        key = _KEY_ALIASES.get(key.strip(), key.strip())
-        if key in fields:
-            raise ValueError(f"{key!r} is given twice in {spec!r}")
-        try:
-            fields[key] = float(value)
-        except ValueError:
-            fields[key] = math.nan
-        if not math.isfinite(fields[key]):
-            raise ValueError(
-                f"{key!r} in {spec!r} must be a finite number, "
-                f"got {value!r}")
-    return fields
+    fields = read_fields(parts, spec, _KEY_ALIASES)
+    return {key: number(key, raw, spec) for key, raw in fields.items()}
 
 
 def parse_arrivals(spec: str):

@@ -1,7 +1,8 @@
 """Recovery redo runs in concurrent waves; batching must change only
 the clock, never which pages are redone."""
 
-from repro.engine.recovery import REDO_BATCH, RecoveryManager
+from repro.engine.checkpoint import FLUSH_BATCH
+from repro.engine.recovery import RecoveryManager
 from tests.conftest import MiniSystem, drive
 
 
@@ -15,7 +16,7 @@ def seed_log(sys_, npages):
 class TestRedoBatching:
     def test_redo_count_equals_the_redo_set(self):
         sys_ = MiniSystem(db_pages=500)
-        npages = 3 * REDO_BATCH + 5  # several full waves plus a ragged one
+        npages = 3 * FLUSH_BATCH + 5  # several full waves plus a ragged one
         seed_log(sys_, npages)
         recovery = RecoveryManager(sys_.env, sys_.disk, sys_.wal)
         redo_set = recovery.analyze(-1)
@@ -34,11 +35,11 @@ class TestRedoBatching:
         assert drive(sys_.env, recovery.redo(-1)) == 20
 
     def test_waves_overlap_page_ios(self):
-        """A wave of REDO_BATCH read+write pairs must take far less than
+        """A wave of FLUSH_BATCH read+write pairs must take far less than
         their serial sum — that slowdown is what made the crash-point
         sweep quadratic in the redo-set size."""
         sys_ = MiniSystem(db_pages=500)
-        seed_log(sys_, REDO_BATCH)
+        seed_log(sys_, FLUSH_BATCH)
         recovery = RecoveryManager(sys_.env, sys_.disk, sys_.wal)
         started = sys_.env.now
         drive(sys_.env, recovery.redo(-1))
@@ -46,10 +47,10 @@ class TestRedoBatching:
 
         # Serial baseline: one page redone at a time.
         serial_sys = MiniSystem(db_pages=500)
-        seed_log(serial_sys, REDO_BATCH)
+        seed_log(serial_sys, FLUSH_BATCH)
 
         def serial():
-            for page_id in range(REDO_BATCH):
+            for page_id in range(FLUSH_BATCH):
                 yield from serial_sys.disk.read(page_id, 1, sequential=False)
                 yield from serial_sys.disk.write(page_id, 1,
                                                  sequential=False)

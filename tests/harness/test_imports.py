@@ -43,7 +43,7 @@ OPTIONAL = {f"repro.core.{name}" for name in (
     f"repro.workloads.{name}" for name in (
         "tpcc", "tpce", "tpch", "traffic")} | {
     "repro.sim.wheel", "repro.storage.ftl.model", "repro.storage.iometer",
-    "repro.faults.plan", "repro.faults.injector",
+    "repro.faults.plan", "repro.faults.injector", "repro.faults.clauses",
     "repro.harness.crashpoints", "repro.harness.report",
     "repro.harness.sweep", "repro.telemetry.analysis",
     "repro.telemetry.htmlreport", "repro.runstore", "repro.cli"}
@@ -55,7 +55,8 @@ OWN = {
     "tpcc_ls_ftl": {"repro.core.ls", "repro.workloads.tpcc",
                     "repro.storage.ftl.model"},
     "traffic_wheel": {"repro.core.lc", "repro.workloads.tpcc",
-                      "repro.workloads.traffic", "repro.sim.wheel"},
+                      "repro.workloads.traffic", "repro.faults.clauses",
+                      "repro.sim.wheel"},
 }
 
 CHILD = """

@@ -14,21 +14,37 @@ from repro.harness.experiments import (
 PROFILE = SCALE_PROFILES["tiny"]
 
 
-def tpcc_throughputs(duration=12.0, designs=("noSSD", "DW", "LC", "TAC")):
-    return {
-        design: run_oltp_experiment(
-            "tpcc", 400, design, duration=duration, profile=PROFILE,
-            nworkers=8).steady_state_throughput()
-        for design in designs
-    }
+def oltp_runs(benchmark, scale, designs):
+    """One 12 s tiny run per design, by design."""
+    return {design: run_oltp_experiment(benchmark, scale, design,
+                                        duration=12.0, profile=PROFILE,
+                                        nworkers=8)
+            for design in designs}
+
+
+@pytest.fixture(scope="module")
+def tpcc():
+    """The tpcc/400 runs the classes below share."""
+    return oltp_runs("tpcc", 400, ("noSSD", "DW", "LC", "TAC"))
+
+
+@pytest.fixture(scope="module")
+def tpce():
+    """The tpce/4 runs the classes below share."""
+    return oltp_runs("tpce", 4, ("noSSD", "DW", "LC"))
+
+
+def speedups_of(results):
+    return speedup_over_nossd({design: result.steady_state_throughput()
+                               for design, result in results.items()})
 
 
 class TestTpccOrdering:
     """Figure 5(a–c)'s qualitative claims at miniature scale."""
 
     @pytest.fixture(scope="class")
-    def speedups(self):
-        return speedup_over_nossd(tpcc_throughputs())
+    def speedups(self, tpcc):
+        return speedups_of(tpcc)
 
     def test_every_ssd_design_beats_nossd(self, speedups):
         for design in ("DW", "LC", "TAC"):
@@ -44,14 +60,8 @@ class TestTpccOrdering:
 
 
 class TestTpceShape:
-    def test_designs_are_similar_on_read_intensive(self):
-        results = {
-            design: run_oltp_experiment(
-                "tpce", 4, design, duration=12.0, profile=PROFILE,
-                nworkers=8).steady_state_throughput()
-            for design in ("noSSD", "DW", "LC")
-        }
-        speedups = speedup_over_nossd(results)
+    def test_designs_are_similar_on_read_intensive(self, tpce):
+        speedups = speedups_of(tpce)
         assert speedups["DW"] > 1.2
         assert speedups["LC"] > 1.2
         # §4.3: "the advantage of LC over DW is gone".
@@ -72,20 +82,15 @@ class TestTpchShape:
 
 
 class TestTacWaste:
-    def test_tac_wastes_frames_our_designs_do_not(self):
-        tac = run_oltp_experiment("tpcc", 400, "TAC", duration=10.0,
-                                  profile=PROFILE, nworkers=8)
-        dw = run_oltp_experiment("tpcc", 400, "DW", duration=10.0,
-                                 profile=PROFILE, nworkers=8)
+    def test_tac_wastes_frames_our_designs_do_not(self, tpcc):
+        tac, dw = tpcc["TAC"], tpcc["DW"]
         assert tac.system.ssd_manager.table.invalid_count > 0
         assert dw.system.ssd_manager.table.invalid_count == 0
 
 
 class TestRampUp:
-    def test_ssd_fills_over_time(self):
-        result = run_oltp_experiment("tpce", 4, "DW", duration=15.0,
-                                     profile=PROFILE, nworkers=8)
-        samples = result.sampler.samples
+    def test_ssd_fills_over_time(self, tpce):
+        samples = tpce["DW"].sampler.samples
         assert samples[0].ssd_used < samples[-1].ssd_used
 
     def test_lc_dirty_fraction_grows_with_lambda_room(self):
