@@ -1,8 +1,10 @@
 """Shared fixtures and helpers for the test suite."""
 
+import gc
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -78,6 +80,28 @@ def scheduled(env, body):
     before = env._seq
     env.run(env.process(body))
     return env._seq - before - 2
+
+
+class profiled:
+    """Run the body under ``sys.setprofile(profile)`` with the cyclic
+    collector off.  A collection inside would close generators that an
+    earlier test left suspended in garbage cycles, and each close is a
+    profiled ``call`` of that generator's code.  A class, not a
+    ``contextmanager``, so that no generator of its own is profiled."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.was_enabled = gc.isenabled()
+
+    def __enter__(self):
+        gc.collect()
+        gc.disable()
+        sys.setprofile(self.profile)
+
+    def __exit__(self, *exc_info):
+        sys.setprofile(None)
+        if self.was_enabled:
+            gc.enable()
 
 
 def meta_free_trace_md5(telemetry):

@@ -1,6 +1,5 @@
 """Tests for the buffer pool's background lazy writer."""
 
-import sys
 from inspect import CO_GENERATOR
 
 import pytest
@@ -8,7 +7,7 @@ import pytest
 import repro.sim.process as process_module
 from repro.engine.buffer_pool import RESERVED
 from repro.sim import Event
-from tests.conftest import MiniSystem, drive, settle
+from tests.conftest import MiniSystem, drive, profiled, settle
 
 
 class TestCushion:
@@ -103,11 +102,8 @@ class TestCushion:
         victim = bp._pick_victims(1)[0]
         victim.io_busy, victim.busy_reason = RESERVED, "eviction"
         bp._evicting += 1
-        sys.setprofile(profile)
-        try:
+        with profiled(profile):
             step = bp._evict(victim)
-        finally:
-            sys.setprofile(None)
         assert step == ()
         assert (built, events, generators) == ([], [], [])
         assert victim.page_id not in bp.frames

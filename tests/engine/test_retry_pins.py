@@ -8,7 +8,6 @@ and which exception ends it.
 """
 
 import inspect
-import sys
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.faults.errors import (RETRY_BASE_DELAY, RETRY_LIMIT,
                                  DeviceDeadError, TransientIoError)
 from repro.storage import HddArray, IoKind
 from repro.storage.hdd import _RATES
-from tests.conftest import drive
+from tests.conftest import drive, profiled
 from tests.core.test_ssd_manager import InstantLog
 
 
@@ -266,11 +265,8 @@ class TestCleanPath:
                     and "repro" in code.co_filename):
                 frames.setdefault(id(frame), code.co_name)
 
-        sys.setprofile(profile)
-        try:
+        with profiled(profile):
             drive(env, step)
-        finally:
-            sys.setprofile(None)
         return sorted(frames.values())
 
     @pytest.mark.parametrize("op", sorted(DISK_OPS))

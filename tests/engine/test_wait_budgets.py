@@ -9,7 +9,6 @@ so the hit path cannot quietly re-inflate.
 """
 
 import inspect
-import sys
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.engine import BufferPool
 from repro.engine.btree import BPlusTree
 from repro.engine.heap_file import HeapFile
 from repro.workloads.base import Transaction
-from tests.conftest import MiniSystem, drive, scheduled
+from tests.conftest import MiniSystem, drive, profiled, scheduled
 
 LATCH_S = 20e-6
 
@@ -37,11 +36,8 @@ def generators_run(env, body):
                 and "/repro/" in code.co_filename):
             seen.add(code.co_name)
 
-    sys.setprofile(profiler)
-    try:
+    with profiled(profiler):
         drive(env, body)
-    finally:
-        sys.setprofile(None)
     return seen
 
 
