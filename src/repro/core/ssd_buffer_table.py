@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
+from repro.engine.page import NEVER_ACCESSED
+
 
 class SsdRecord:
     """One SSD buffer-table record, corresponding to one SSD frame."""
@@ -63,7 +65,7 @@ class SsdRecord:
         self.version = -1
         # LRU-2 history of accesses to the cached page *on the SSD*.
         self.last_access = 0.0
-        self.prev_access = float("-inf")
+        self.prev_access = NEVER_ACCESSED
 
     def __repr__(self) -> str:
         state = ("free" if not self.occupied else
@@ -177,7 +179,7 @@ class SsdBufferTable:
         record.dirty = dirty
         record.rec_lsn = rec_lsn if dirty else -1
         record.last_access = now
-        record.prev_access = float("-inf")
+        record.prev_access = NEVER_ACCESSED
         self._hash[page_id] = record
         self._valid += 1
         self.segment_valid[record.frame_no // self.segment_pages] += 1

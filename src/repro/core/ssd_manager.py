@@ -58,6 +58,7 @@ from repro.engine.disk_manager import DiskManager
 from repro.engine.page import Frame
 from repro.engine.recovery import RecoveryError
 from repro.engine.wal import WriteAheadLog
+from repro.storage.request import IoKind, IORequest
 from repro.storage.ssd import Ssd
 from repro.telemetry import (
     CHECKPOINT_CTX,
@@ -66,6 +67,11 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     RECOVERY_CTX,
 )
+
+
+#: The kind of every SSD page read, bound once: an enum member lookup
+#: per read costs more than the global.
+RANDOM_READ = IoKind.RANDOM_READ
 
 
 class TrimPlan:
@@ -424,9 +430,9 @@ class SsdManagerBase:
         record.prev_access = record.last_access  # record_access, inlined
         record.last_access = self.env._now
         self._reheap(record)
-        # Positional: a keyword call costs more than the frame it enters.
-        return SsdRead(self.device.read(record.frame_no, 1, True, ctx),
-                       record, page_id, version, must, ctx)
+        return SsdRead(self.device.submit(IORequest(
+            RANDOM_READ, record.frame_no, 1, ctx)),
+            record, page_id, version, must, ctx)
 
     def read_landed(self, read: SsdRead) -> Optional[int]:
         """``read``'s event succeeded: the version it brought in, or None

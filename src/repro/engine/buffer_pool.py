@@ -488,8 +488,8 @@ class BufferPool:
                 ios.append(self._disk_run(
                     plan.disk_start, plan.disk_count, plan.skip_in_run,
                     done))
-            for pid in plan.ssd_pages:
-                ios.append((self._read_ahead_ssd, pid))
+            if plan.ssd_pages:
+                ios.append((self._read_ahead_ssd, plan.ssd_pages))
             if ios:
                 # One outer span covers the parallel I/O fan-out; the
                 # inner reads run ctx-less so overlapping device time is
@@ -536,31 +536,52 @@ class BufferPool:
             self.stats.prefetched_pages += 1
             self.ssd.on_read_from_disk(frame)
 
-    def _read_ahead_ssd(self, page_id: PageId,
+    def _read_ahead_ssd(self, pages: List[PageId],
                         member: GatherMember) -> None:
-        """A read-ahead's call member for a page planned from the SSD:
-        start the read, and install the page from its completion
-        (:meth:`_read_ahead_landed`).  What must wait instead goes on as
-        a generator member (:meth:`_read_ahead_rest`)."""
-        read = self.ssd.start_read(page_id)
-        if read is None:
-            member.run(self._read_ahead_rest(page_id))
-        else:
-            read.event.callbacks.append(
-                partial(self._read_ahead_landed, read, member))
+        """A read-ahead's one call member for its pages planned from the
+        SSD: start each page's read, and install the page from its
+        completion (:meth:`_read_ahead_landed`); the member finishes
+        with the last of them.  A page that must wait instead becomes a
+        member of its own (``member.fork``): its copy vanished since
+        planning (:meth:`_read_ahead_rest`), or a detach is in progress
+        (:meth:`_read_ahead_detached`)."""
+        reads: Dict[Event, SsdRead] = {}
+        landed = partial(self._read_ahead_landed, reads, member)
+        start_read = self.ssd.start_read
+        for page_id in pages:
+            read = start_read(page_id)
+            if read is None:
+                member.fork(self._read_ahead_rest(page_id))
+            elif read.record is None:
+                member.fork(self._read_ahead_detached(read))
+            else:
+                reads[read.event] = read
+                read.event.callbacks.append(landed)
+        if not reads:
+            member.succeed()
 
-    def _read_ahead_landed(self, read: SsdRead, member: GatherMember,
-                           event: Event) -> None:
+    def _read_ahead_landed(self, reads: Dict[Event, SsdRead],
+                           member: GatherMember, event: Event) -> None:
+        read = reads.pop(event)
         if not event._ok:
-            member.run(self._read_ahead_rest(read.page_id, read,
-                                             event._value))
-            return
-        version = self.ssd.read_landed(read)
-        if version is None:  # a detach, waited out
-            member.run(self._read_ahead_rest(read.page_id))
-            return
-        self._install_read_ahead(read.page_id, version, True)
-        member.succeed()
+            member.fork(self._read_ahead_rest(read.page_id, read,
+                                              event._value))
+        else:
+            version = self.ssd.read_landed(read)
+            if version is None:
+                member.fork(self._read_ahead_rest(read.page_id))
+            else:
+                self._install_read_ahead(read.page_id, version, True)
+        # ``_ok`` is set already if the call raised in the gather's entry
+        # after it had started some reads: that failed the member.
+        if not reads and member._ok is None:
+            member.succeed()
+
+    def _read_ahead_detached(self, read: SsdRead):
+        """Process step: a planned SSD page whose read found a detach in
+        progress waits it out; then the disk holds the newest copy."""
+        yield read.event
+        yield from self._read_ahead_rest(read.page_id)
 
     def _read_ahead_rest(self, page_id: PageId, read: Optional[SsdRead] = None,
                          fault: Optional[IoFault] = None):

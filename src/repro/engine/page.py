@@ -10,6 +10,9 @@ PageId = int
 #: LSN value meaning "no log record describes this page state yet".
 INVALID_LSN = -1
 
+#: ``prev_access`` of a page touched once or never: older than any time.
+NEVER_ACCESSED = float("-inf")
+
 
 class Frame:
     """A main-memory buffer frame holding one database page.
@@ -44,7 +47,7 @@ class Frame:
         self.rec_lsn = INVALID_LSN
         #: LRU-2 history: most recent and second-most-recent access times.
         self.last_access = 0.0
-        self.prev_access = float("-inf")
+        self.prev_access = NEVER_ACCESSED
         #: Global LRU-2 ordering stamp of the latest access (ties on
         #: ``prev_access`` break by recency of touch, as the eager heap
         #: did via one entry per touch).

@@ -315,8 +315,9 @@ class GatherMember(Process):
 
     The gather's entry starts it: a generator's first step, or the call.
     A call's member runs no generator unless the call, or a completion
-    it subscribed, hands one over (:meth:`run`); either way it finishes
-    as a generator member does — ``succeed`` keeps the last-finisher
+    it subscribed, hands one over (:meth:`run`) or starts one as a
+    member of its own (:meth:`fork`); either way it finishes as a
+    generator member does — ``succeed`` keeps the last-finisher
     rule, ``fail`` fails the join.  A call that raises in the entry fails
     the join too; a completion callback that raises crashes the run, as
     any callback does.
@@ -360,6 +361,19 @@ class GatherMember(Process):
         self._generator = generator
         self._resumer = self._resume
         self._resume(_FIRST_STEP)
+
+    def fork(self, generator: Generator[Any, Any, Any]) -> None:
+        """Start ``generator`` now as one more member of this member's
+        join: it runs its first step at once, and the join waits for it
+        as for any member (the last-finisher rule counts it; a failure
+        fails the join).  Its return value is not among the join's
+        values.  A call member that starts several pieces of work hands
+        one that must wait over to its own member this way (DESIGN.md
+        §13, "An SSD read is a call")."""
+        join = self._join
+        member = GatherMember(self.env, generator, join)
+        join._pending += 1
+        member._resume(_FIRST_STEP)
 
     def succeed(self, value: Any = None) -> Event:
         join = self._join

@@ -18,9 +18,6 @@ from repro.storage.request import (_KIND_OF, IoKind, IORequest,
                                    PAGE_SIZE_BYTES)
 from repro.telemetry import NULL_TELEMETRY
 
-#: A submitted request and its completion event.
-_Job = Tuple[IORequest, Event]
-
 #: Label values used for ``io_*_total{kind=...}`` metrics and trace names.
 KIND_LABELS = {kind: kind.name.lower() for kind in IoKind}
 
@@ -212,6 +209,18 @@ class DeviceBase:
         else:
             Timeout(self.env, 0.0).callbacks.append(lambda _hop: step(job))
 
+    def _queue(self, request: IORequest, delay: float,
+               callbacks: List[Callable[[IORequest], None]]) -> None:
+        """Queue ``request`` itself as a timer: at ``now + delay`` the
+        kernel calls ``callbacks`` with it, in the place a ``Timeout``
+        built here would have taken (DESIGN.md §13, "A timer is a queue
+        entry").  ``callbacks`` is one of the device's own lists, shared
+        by every request: the loop never mutates it."""
+        env = self.env
+        env._seq = seq = env._seq + 1
+        request.callbacks = callbacks
+        env._push((env._now + delay, seq, request))
+
     def read(self, address: int, npages: int = 1, random: bool = True,
              ctx=None) -> Event:
         """Convenience wrapper building and submitting a read request."""
@@ -235,16 +244,20 @@ class Device(DeviceBase):
     the service timer, whose callback does the completion bookkeeping,
     and the ``done`` event that callback then triggers.  With no fault
     injector attached that is one call in and one callback out:
-    ``submit`` claims a channel, prices the request and starts its
-    timer; :meth:`_finish` stamps, accounts, passes the channel on and
-    triggers ``done``.  An injector keeps the arrival and grant hops.
+    ``submit`` claims a channel, prices the request and queues the
+    request itself as its timer; :meth:`_finish` stamps, accounts,
+    passes the channel on and triggers ``done``.  An injector keeps the
+    arrival and grant hops.
     """
 
-    __slots__ = ("channels", "pending")
+    __slots__ = ("channels", "pending", "_finishing", "_delaying")
 
     def __init__(self, env: Environment, name: str, channels: int):
         self.channels = ChannelPool(channels)  # a bad count builds nothing
         super().__init__(env, name)
+        # The callback lists of the request-as-timer entries (``_queue``).
+        self._finishing = [self._finish]
+        self._delaying = [self._delayed]
         self.reset()  # nothing is in flight
 
     def reset(self) -> None:
@@ -269,60 +282,63 @@ class Device(DeviceBase):
             f"{self.name}: pending {self.pending}, channels hold {held}")
 
     def _enter(self, request: IORequest) -> Event:
-        done = Event(self.env)
+        request.done = done = Event(self.env)
         self.pending += 1
-        job = (request, done)
         channels = self.channels
         if self.faults is not None:
-            self._hop(self._arrive, job)
+            self._hop(self._arrive, request)
         elif channels.busy < channels.capacity:
             channels.busy += 1
-            self._start(job)
+            self._start(request)
         else:
-            channels.waiting.append(job)
+            channels.waiting.append(request)
         return done
 
-    def _arrive(self, job: _Job) -> None:
+    def _arrive(self, request: IORequest) -> None:
         """With an injector, one hop after ``submit``: claim a free
-        channel for ``job`` and hop again to start it, or queue it."""
+        channel for ``request`` and hop again to start it, or queue it."""
         channels = self.channels
         if channels.busy < channels.capacity:
             channels.busy += 1
-            self._hop(self._start, job)
+            self._hop(self._start, request)
         else:
-            channels.waiting.append(job)
+            channels.waiting.append(request)
 
-    def _start(self, job: _Job) -> None:
-        """Begin serving ``job`` on the channel claimed for it."""
+    def _start(self, request: IORequest) -> None:
+        """Begin serving ``request`` on the channel claimed for it: queue
+        it as its own service timer, the entry a ``Timeout(service)``
+        would have been."""
         try:
-            request, done = job
-            service = self.service_time(request)
-            timed = (request, done, service)
+            request.service = service = self.service_time(request)
+            if not service >= 0:  # one comparison refuses nan too
+                raise ValueError(f"service time must be >= 0, got {service}")
+            callbacks = self._finishing
             if self.faults is not None:
                 extra = self._stall(request, service)
                 if extra > 0:
                     # Its own timer: ``(now + extra) + service`` and
                     # ``now + (extra + service)`` round differently.
-                    Timeout(self.env, extra, timed).callbacks.append(
-                        self._delayed)
-                    return
-            Timeout(self.env, service, timed).callbacks.append(self._finish)
+                    service, callbacks = extra, self._delaying
+            env = self.env  # _queue, inlined: every I/O passes here
+            env._seq = seq = env._seq + 1
+            request.callbacks = callbacks
+            env._push((env._now + service, seq, request))
         except BaseException:
             self._release()
             raise
 
-    def _delayed(self, stall: Event) -> None:
+    def _delayed(self, request: IORequest) -> None:
         """The injected delay has passed; start the service timer."""
-        timed = stall._value
-        Timeout(self.env, timed[2], timed).callbacks.append(self._finish)
+        self._queue(request, request.service, self._finishing)
 
-    def _finish(self, timer: Event) -> None:
+    def _finish(self, request: IORequest) -> None:
         """Service-timer callback: the injector's verdict, if one is
         attached; then stamp, emit the I/O span, account, pass the
         channel on, and trigger ``done`` — not earlier: I/Os finishing
         in one instant must all be accounted before the first waiter
         resumes and reads :attr:`pending`."""
-        request, done, service = timer._value
+        done = request.done
+        request.done = None  # ``done`` holds the request as its value
         try:
             failure = (self._outcome(request)
                        if self.faults is not None else None)
@@ -336,7 +352,7 @@ class Device(DeviceBase):
                 kind = request.kind
                 stats.by_kind[kind] += 1
                 stats.pages_by_kind[kind] += request.npages
-                stats.busy_time += service
+                stats.busy_time += request.service
                 if self.traffic is not None:
                     self.traffic.record(now, request)
         except BaseException:

@@ -13,7 +13,7 @@ aggregate matches the paper's Table 1 within a couple of percent:
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from repro.sim import Environment, Event, Timeout
 from repro.storage.device import KIND_LABELS, ChannelPool, DeviceBase
@@ -59,7 +59,10 @@ class HddArray(DeviceBase):
     effect the paper's admission policy is built around).
 
     A request of *f* fragments costs ``f + 4`` scheduled events and no
-    process; why not :class:`Device`'s two is DESIGN.md §13.
+    process; why not :class:`Device`'s two is DESIGN.md §13.  Without an
+    injector none of them is a ``Timeout``: the hop after ``submit`` and
+    the two after the last fragment queue the request itself, and each
+    fragment's timer queues the fragment, as :class:`Device` does.
 
     ``stats`` accounts each *fragment* as a drive finishes it (busy time
     and pages are per drive), so ``stats.completed`` and ``stats.by_kind``
@@ -74,7 +77,8 @@ class HddArray(DeviceBase):
     #: exactly contiguous.
     NEAR_PAGES = 16
 
-    __slots__ = ("ndisks", "stripe_pages", "_drives", "_head", "_inflight")
+    __slots__ = ("ndisks", "stripe_pages", "_drives", "_head", "_inflight",
+                 "_admitting", "_serving", "_joining", "_completing")
 
     def __init__(self, env: Environment, ndisks: int = 8,
                  stripe_pages: int = DEFAULT_STRIPE_PAGES,
@@ -88,6 +92,12 @@ class HddArray(DeviceBase):
         self.stripe_pages = stripe_pages
         super().__init__(env, name)
         self.requests_by_kind = {kind: 0 for kind in IoKind}
+        # One callback list per hop, shared by every entry queued for it
+        # (``DeviceBase._queue``).
+        self._admitting = [self._admit]
+        self._serving = [self._served]
+        self._joining = [self._joined]
+        self._completing = [self._complete]
         self.reset()
 
     @property
@@ -114,11 +124,11 @@ class HddArray(DeviceBase):
 
     def _enter(self, request: IORequest) -> Event:
         """The request will split into per-drive fragments."""
-        done = _Striped(self.env, request)
+        request.done = done = _Striped(self.env, request)
         self._inflight.add(done)
         # The hop every request keeps: its fragments start one queue entry
         # later, behind those that drives freed in this instant go on to.
-        Timeout(self.env, 0.0, done).callbacks.append(self._admit)
+        self._queue(request, 0.0, self._admitting)
         return done
 
     def reset(self) -> None:
@@ -155,67 +165,68 @@ class HddArray(DeviceBase):
             remaining -= take
         return fragments
 
-    def _admit(self, hop: Event) -> None:
+    def _admit(self, request: IORequest) -> None:
         """One hop after ``submit``: past the injector's stall, if any."""
-        job = hop._value
         if self.faults is None:
-            self._arrive(job)
+            self._arrive(request)
             return
         # Faults act on the whole request, not per fragment: one
         # straggling drive delays the stripe anyway.
-        extra = self._stall(job.request, self.service_time(job.request))
+        extra = self._stall(request, self.service_time(request))
         if extra > 0:
             Timeout(self.env, extra).callbacks.append(
-                lambda stall: self._hop(self._arrive, job))
+                lambda stall: self._hop(self._arrive, request))
         else:
-            self._hop(self._arrive, job)
+            self._hop(self._arrive, request)
 
-    def _arrive(self, job: _Striped) -> None:
+    def _arrive(self, request: IORequest) -> None:
         """Hand each fragment to its drive, or to the drive's queue."""
-        fragments = self._split(job.request)
+        job = request.done
+        fragments = self._split(request)
         job.left = len(fragments)
         for fragment in fragments:
-            index = self.disk_of(fragment.address)
-            drive = self._drives[index]
+            fragment.done = job
+            drive = self._drives[self.disk_of(fragment.address)]
             if drive.busy:
-                drive.waiting.append((fragment, job, index))
+                drive.waiting.append(fragment)
             else:
                 drive.busy = 1
-                self._hop(self._start, (fragment, job, index))
+                self._hop(self._start, fragment)
 
-    def _start(self, work: Tuple[IORequest, _Striped, int]) -> None:
-        """Seek the drive to ``work``'s fragment and start its timer."""
-        fragment, job, index = work
+    def _start(self, fragment: IORequest) -> None:
+        """Seek the drive to ``fragment`` and queue the fragment as its
+        own service timer."""
+        index = self.disk_of(fragment.address)
         try:
             per_page, seek = _RATES[fragment.kind]
             lba = self.lba_of(fragment.address)
             seeking = abs(lba - self._head[index]) > self.NEAR_PAGES
-            service = (seek if seeking else 0.0) + per_page * fragment.npages
+            fragment.service = service = (
+                (seek if seeking else 0.0) + per_page * fragment.npages)
             self._head[index] = lba + fragment.npages
-            Timeout(self.env, service, work + (service,)).callbacks.append(
-                self._served)
+            self._queue(fragment, service, self._serving)
         except BaseException:
-            self._inflight.discard(job)
+            self._inflight.discard(fragment.done)
             self._release(index)
             raise
 
-    def _served(self, timer: Event) -> None:
+    def _served(self, fragment: IORequest) -> None:
         """Service-timer callback: account the fragment, pass the drive
         on, and if it was the request's last, head for completion."""
-        fragment, job, index, service = timer._value
+        job = fragment.done
         try:
-            self.stats.record(fragment, service)
+            self.stats.record(fragment, fragment.service)
             if self.traffic is not None:
                 self.traffic.record(self.env._now, fragment)
         finally:
             # The fragment is served even if its accounting raised, and
             # the request moves on even if starting the drive's next does.
             try:
-                self._release(index)
+                self._release(self.disk_of(fragment.address))
             finally:
                 job.left -= 1
                 if not job.left:
-                    Timeout(self.env, 0.0, job).callbacks.append(self._joined)
+                    self._queue(job.request, 0.0, self._joining)
 
     def _release(self, index: int) -> None:
         """Pass the drive on to its next queued fragment, or idle it."""
@@ -225,16 +236,16 @@ class HddArray(DeviceBase):
         else:
             drive.busy = 0
 
-    def _joined(self, hop: Event) -> None:
+    def _joined(self, request: IORequest) -> None:
         """First hop after the last fragment's timer."""
-        Timeout(self.env, 0.0, hop._value).callbacks.append(self._complete)
+        self._queue(request, 0.0, self._completing)
 
-    def _complete(self, hop: Event) -> None:
+    def _complete(self, request: IORequest) -> None:
         """Second hop: the request leaves the array and triggers, failed
         if an attached injector says so, else stamped, its I/O span
         emitted and counted."""
-        job = hop._value
-        request = job.request
+        job = request.done
+        request.done = None  # ``job`` holds the request
         try:
             failure = (self._outcome(request)
                        if self.faults is not None else None)

@@ -53,10 +53,19 @@ class IORequest:
 
     A slotted plain class, not a dataclass: one is allocated per device
     I/O, which makes construction part of the simulator's hot path.
+
+    While a device serves it, the request is also its own timer: the
+    device queues it as the payload of an event-queue entry (DESIGN.md
+    §13, "I/O life cycle").  The device sets the three slots that takes
+    — ``done``, its completion event; ``service``, the seconds a channel
+    spends on it; ``callbacks``, what the kernel calls when the entry
+    comes up — and drops ``done`` at completion (``done``'s value is the
+    request).
     """
 
     __slots__ = ("kind", "address", "npages", "ctx",
-                 "submitted_at", "completed_at")
+                 "submitted_at", "completed_at", "done", "service",
+                 "callbacks")
 
     def __init__(self, kind: IoKind, address: int, npages: int = 1,
                  ctx: Any = None, submitted_at: Optional[float] = None,

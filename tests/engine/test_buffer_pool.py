@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.sim.process as process_module
+from repro.storage import Ssd
 from tests.conftest import MiniSystem, disk_ios, drive, settle
 
 
@@ -210,6 +212,60 @@ class TestPrefetch:
         assert sys_.ssd_manager.stats.reads == trimmed
         # drive() adds the prefetch process's own bootstrap and completion.
         assert sys_.env._seq - before - 2 == 2 * trimmed + 3
+
+    @pytest.mark.parametrize("pages", [(10,), (10, 11, 16, 17),
+                                       tuple(range(10, 18))])
+    def test_trimmed_prefetch_builds_at_most_two_gather_members(
+            self, pages, monkeypatch):
+        """One call member reads every page a read-ahead of 10..17
+        planned from the SSD (and one generator member reads its disk
+        run, if any): k pages build no member of their own, where each
+        once built a ``GatherMember`` and a ``partial``."""
+        sys_ = MiniSystem(design="DW", db_pages=500, bp_pages=64,
+                          ssd_frames=32)
+        for page in pages:
+            drive(sys_.env, sys_.ssd_manager._cache_page(page, 0, False))
+        settle(sys_.env)
+        built = []
+        init = process_module.GatherMember.__init__
+
+        def counting_init(self, env, member, join):
+            built.append(member)
+            init(self, env, member, join)
+
+        monkeypatch.setattr(process_module.GatherMember, "__init__",
+                            counting_init)
+        drive(sys_.env, sys_.bp.prefetch(10, 8))
+        assert sys_.ssd_manager.stats.reads == len(pages)
+        assert sys_.bp.stats.prefetched_pages == 8
+        assert len(built) <= 2
+
+    def test_a_read_that_raises_at_submit_fails_the_read_ahead_once(self):
+        """The read-ahead's call member started page 10's read before
+        page 11's submit raised: the join fails with that error, and page
+        10's completion still installs it without finishing the failed
+        member a second time."""
+        sys_ = MiniSystem(design="DW", db_pages=500, bp_pages=64,
+                          ssd_frames=32)
+        manager = sys_.ssd_manager
+        for page in (10, 11):
+            drive(sys_.env, manager._cache_page(page, 0, False))
+        settle(sys_.env)
+        bad = manager.table.lookup(11).frame_no
+
+        class Flaky(Ssd):
+            __slots__ = ()
+
+            def service_time(self, request):
+                if request.address == bad:
+                    raise RuntimeError("bad frame")
+                return super().service_time(request)
+
+        sys_.ssd_device.__class__ = Flaky
+        with pytest.raises(RuntimeError, match="bad frame"):
+            drive(sys_.env, sys_.bp.prefetch(10, 2))
+        settle(sys_.env)
+        assert 10 in sys_.bp.frames and 11 not in sys_.bp.frames
 
     def test_read_ahead_leaves_a_page_another_reader_has_in_flight(self):
         """A fetch of page 12 is in flight on a slow SSD when a read-ahead

@@ -141,15 +141,15 @@ class EarlySsd(Ssd):
 
     __slots__ = ()
 
-    def _finish(self, timer):
-        request, done, service = timer._value
+    def _finish(self, request):
+        done = request.done
         waiters, done.callbacks = done.callbacks, None
         done._ok, done._value = True, request
         for resume in waiters:
             resume(done)
         # The books, the channel and a stand-in ``done`` nobody waits on.
-        timer._value = (request, Event(self.env), service)
-        Device._finish(self, timer)
+        request.done = Event(self.env)
+        Device._finish(self, request)
 
 
 #: Two reads start together on two channels and finish in one instant;

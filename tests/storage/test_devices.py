@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.sim.events as events_module
 import repro.sim.process as process_module
 from repro.faults import DeviceDeadError
 from repro.faults.injector import FaultInjector
@@ -251,6 +252,48 @@ class TestCallbackCompletion:
         done = ssd.read(9)
         env.run(done)
         assert done.ok and ssd.pending == 0
+
+
+class TestNoTimeoutPerIo:
+    """A fault-free I/O is queued as its own request: the service timer
+    of an ``Ssd`` and the four queue entries of an ``HddArray`` build no
+    ``Timeout`` (DESIGN.md §13, "I/O life cycle")."""
+
+    @pytest.fixture
+    def timeouts(self, monkeypatch):
+        """Every ``Timeout`` built during the test."""
+        built = []
+        init = events_module.Timeout.__init__
+
+        def counting_init(self, env, delay, value=None):
+            built.append(delay)
+            init(self, env, delay, value)
+
+        monkeypatch.setattr(events_module.Timeout, "__init__", counting_init)
+        return built
+
+    def test_ssd_ios_queued_and_served_build_none(self, env, timeouts):
+        ssd = Ssd(env, channels=2)
+        events = [ssd.read(index) for index in range(5)]
+        events.append(ssd.write(7, 4, random=False))
+        env.run()
+        assert all(event.ok for event in events)
+        assert ssd.stats.completed == 6 and timeouts == []
+
+    @pytest.mark.parametrize("npages", [1, 20])
+    def test_hdd_ios_queued_and_served_build_none(self, env, timeouts,
+                                                  npages):
+        hdd = HddArray(env, ndisks=2, stripe_pages=8)
+        events = [hdd.read(address, npages) for address in (0, 64, 8)]
+        env.run()
+        assert all(event.ok for event in events)
+        assert timeouts == []
+
+    def test_an_injector_keeps_its_hops_as_timeouts(self, env, timeouts):
+        ssd = Ssd(env)
+        FaultInjector(env, ssd, random.Random("quiet"))
+        env.run(ssd.read(0))
+        assert timeouts == [0.0, 0.0]  # the arrival and grant hops
 
 
 class _Completions(TrafficRecorder):

@@ -27,10 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.storage.hdd as hdd_module
 from repro.faults import IoFault
 from repro.faults.injector import FaultInjector
-from repro.sim import KERNELS, Timeout, make_environment
+from repro.sim import KERNELS, make_environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from tests.storage.reference_device import ReferenceSsd
 from tests.storage.reference_hdd import GeneratorHddArray
@@ -130,20 +129,25 @@ def test_callback_hdd_wakes_waiters_where_the_generator_hdd_did(script):
 
 
 def _collapsing(*steps):
-    """A stand-in for ``hdd.Timeout`` under which the zero-delay hops
-    into the named ``HddArray`` steps run at once instead."""
-    class Hop:
-        def __init__(self, env, delay, value=None):
-            self.env, self.delay, self._value = env, delay, value
-            self.callbacks = self
+    """An ``HddArray`` builder under which the zero-delay hops into the
+    named ``HddArray`` steps run at once instead of being queued."""
+    def make(env, **kwargs):
+        hdd = HddArray(env, **kwargs)
+        push = env._push
 
-        def append(self, callback):
-            if self.delay == 0.0 and callback.__name__ in steps:
-                callback(self)
+        def collapsed(entry):
+            when, _, payload = entry
+            callbacks = payload.callbacks
+            if (type(payload) is IORequest and when == env.now
+                    and callbacks[0].__name__ in steps):
+                payload.callbacks = None
+                callbacks[0](payload)
             else:
-                Timeout(self.env, self.delay,
-                        self._value).callbacks.append(callback)
-    return Hop
+                push(entry)
+
+        env._push = collapsed
+        return hdd
+    return make
 
 
 #: A disk read and an SSD read that finish in one instant (R + S = S + R).
@@ -171,10 +175,9 @@ TEETH = {
 
 
 @pytest.mark.parametrize("name", sorted(TEETH))
-def test_differential_catches_a_collapsed_hop(name, monkeypatch):
+def test_differential_catches_a_collapsed_hop(name):
     steps, script = TEETH[name]
     reference = run_script(script, GeneratorHddArray, "heap", False,
                            ReferenceSsd)
     assert run_script(script, HddArray, "heap", False) == reference
-    monkeypatch.setattr(hdd_module, "Timeout", _collapsing(*steps))
-    assert run_script(script, HddArray, "heap", False) != reference
+    assert run_script(script, _collapsing(*steps), "heap", False) != reference

@@ -114,6 +114,10 @@ LEDGER: Dict[str, Tuple[str, str]] = {
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
     "repro.engine.buffer_pool:BufferPool._warmed": (
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
+    "repro.engine.buffer_pool:BufferPool._read_ahead_detached": (
+        J, "fault path: a read-ahead that finds an SSD detach in progress "
+           "(an LC SSD that dies holding pages newer than disk; "
+           "tests/engine/test_readahead_pins.py)"),
     "repro.engine.buffer_pool:BufferPool._read_ahead_rest": (
         J, _READ_AHEAD_REST),
     "repro.engine.page:Frame.__repr__": (J, _REPR),
@@ -161,7 +165,11 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.sim.events:_Condition._satisfied": (J, _STUB),
     "repro.sim.process:DetachedProcess._fail_or_crash": (
         J, "error path: a spawned process that raises crashes the run"),
-    "repro.sim.process:GatherMember.run": (J, _READ_AHEAD_REST),
+    "repro.sim.process:GatherMember.fork": (J, _READ_AHEAD_REST),
+    "repro.sim.process:GatherMember.run": (
+        S, "no product caller since a read-ahead's SSD pages are one call "
+           "member: tests/sim/test_gather.py x3, "
+           "tests/engine/reference_readahead.py"),
     "repro.sim.process:_refused": (
         J, "error path: a process that yields neither an event nor a "
            "delay >= 0"),
