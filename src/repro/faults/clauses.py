@@ -15,9 +15,9 @@ from typing import Dict, Iterable, Mapping, Optional
 def read_fields(parts: Iterable[str], clause: str,
                 aliases: Optional[Mapping[str, str]] = None
                 ) -> Dict[str, str]:
-    """``key=value`` parts → ``{key: raw value}``, the key stripped and
-    read as its ``aliases`` entry; refuses a part with no ``=`` and a
-    key given twice."""
+    """``key=value`` parts → ``{key: raw value}``, key and value
+    stripped and the key read as its ``aliases`` entry; refuses a part
+    with no ``=`` and a key given twice."""
     fields: Dict[str, str] = {}
     for part in parts:
         key, eq, raw = part.partition("=")
@@ -28,7 +28,7 @@ def read_fields(parts: Iterable[str], clause: str,
                              f"(expected key=value)")
         if key in fields:
             raise ValueError(f"{key} is given twice in {clause!r}")
-        fields[key] = raw
+        fields[key] = raw.strip()
     return fields
 
 

@@ -95,8 +95,7 @@ class FaultPlan:
             raise ValueError(
                 f"unknown fault kind {kind!r} in {clause!r}; "
                 f"choose from {sorted(_KINDS)}")
-        params = {key: raw.strip()
-                  for key, raw in read_fields(parts, clause).items()}
+        params = read_fields(parts, clause)
         for key in params:
             if key not in _KINDS[kind]:
                 raise ValueError(

@@ -275,14 +275,18 @@ def parse_tenants(spec: str) -> List[TenantSpec]:
         if name in seen:
             raise ValueError(f"duplicate tenant name {name!r}")
         seen.add(name)
-        parts = rest.split(":")
-        skew = [part for part in parts if part.startswith("theta=")]
+        # The parts parse_arrivals reads; a ``theta=`` part may stand
+        # anywhere after the arrival kind, and is the tenant's.
+        kind, *fields = [part for part in rest.strip().split(":")
+                         if part] or [""]
+        skew = [part for part in fields
+                if part.partition("=")[0].strip() == "theta"]
         try:
             theta = _parse_fields(skew, rest).get("theta")
             if theta is not None and theta <= 0:
                 raise ValueError(f"'theta' in {rest!r} must be > 0")
-            arrivals = parse_arrivals(
-                ":".join(part for part in parts if part not in skew))
+            arrivals = parse_arrivals(":".join(
+                [kind] + [part for part in fields if part not in skew]))
         except ValueError as error:
             raise ValueError(f"tenant {name!r}: {error}") from None
         tenants.append(TenantSpec(name=name, arrivals=arrivals, theta=theta))

@@ -2,11 +2,9 @@
 
 ``repro.faults.clauses`` reads a clause's ``key=value`` parts and
 checks a number; each grammar keeps its own keys, ranges and quirks.
-One quirk lives in the reader's split of work: the fault grammar strips
-a value before ``float()`` sees it, the arrivals grammar hands
-``float()`` the value as written, so a blank that ``str.strip`` drops
-but ``float`` does not (``\\x1c``) is taken by one and refused by the
-other.
+The reader strips a value as it strips a key, so a blank that
+``str.strip`` drops but ``float`` does not (``\\x1c``) is taken by both
+grammars alike.
 """
 
 import math
@@ -20,9 +18,9 @@ from repro.faults.plan import FaultPlan
 from repro.workloads.traffic import parse_tenants
 
 
-def test_read_fields_strips_keys_keeps_values_and_reads_aliases():
+def test_read_fields_strips_keys_and_values_and_reads_aliases():
     assert read_fields([" p = 0.5 ", "on=1"], "c", {"on": "on_fraction"}) \
-        == {"p": " 0.5 ", "on_fraction": "1"}
+        == {"p": "0.5", "on_fraction": "1"}
     assert read_fields([], "c") == {}
 
 
@@ -59,10 +57,9 @@ def test_number_refuses_naming_key_raw_and_clause(raw, bounds, message):
         number("p", raw, "c", **bounds)
 
 
-def test_the_fault_grammar_strips_a_value_and_the_arrivals_one_does_not():
+def test_both_grammars_strip_a_value():
     assert FaultPlan.parse("transient:p=0.5\x1c").specs[0].p == 0.5
-    with pytest.raises(ValueError, match="rate=5\x1c"):
-        parse_tenants("a=poisson:rate=5\x1c:")
+    assert parse_tenants("a=poisson:rate=5\x1c:")[0].arrivals.rate == 5.0
     assert parse_tenants("a=poisson:rate= 5 ")[0].arrivals.rate == 5.0
 
 

@@ -5,7 +5,7 @@ Each valid string is pinned to its parsed result: a plan's
 class, rate, users, the class's own fields and theta.  The corpus keeps
 each grammar's quirks: the arrivals grammar skips an empty part and
 lower-cases its kind, and a ``theta=`` part may stand anywhere after
-the tenant's ``=``; the fault grammar does neither.  Each refused
+the arrival kind; the fault grammar does neither.  Each refused
 string must stay refused.
 """
 
@@ -130,7 +130,7 @@ TENANTS = {
         ("a", "PoissonArrivals", 10.0, 1000.0, {}, None)],
     "a=:poisson:rate=10": [
         ("a", "PoissonArrivals", 10.0, 1000.0, {}, None)],
-    "a=theta=0.5:poisson:rate=10": [
+    "a=poisson:rate=10: theta=0.5": [
         ("a", "PoissonArrivals", 10.0, 1000.0, {}, 0.5)],
     "a=bursty:rate=10:on=0.3:cycle=5": [
         ("a", "BurstyArrivals", 10.0, 1000.0,
@@ -183,7 +183,7 @@ REFUSED_TENANTS = (
     "a=bursty:rate=10:burst=0.5",
     "a=bursty:rate=10:on=1",
     "a=diurnal:rate=1:peak=0.5",
-    "a=poisson:rate=10: theta=0.5",
+    "a=theta=0.5:poisson:rate=10",
     "a=poisson:rate=10:THETA=1",
     "a=poisson:rate=10:theta=",
     "a=poisson:rate=10:theta=0",
