@@ -25,9 +25,8 @@ from hypothesis import strategies as st
 from repro.core import SsdDesignConfig
 from repro.faults.injector import FaultInjector
 from repro.harness.system import System, SystemConfig
-from repro.sim import KERNELS
+from repro.sim import KERNELS, make_environment
 from repro.storage import IoKind, IORequest, Ssd
-from repro.sim import make_environment
 from repro.telemetry import Telemetry
 from tests.conftest import meta_free_trace_md5
 from tests.engine.reference_readahead import ReferenceReadAheadPool
