@@ -220,6 +220,7 @@ def test_per_drive_service_order_matches_generator_hdd(name, monkeypatch):
 
 
 DEATH = "transient:p=0.005,ssd_die@t=2.5"
+SSD_FAULTS = "transient:p=0.02:device=ssd"
 
 
 def _tpce(design, faults=None):
@@ -437,6 +438,21 @@ WRITE_BACK = {
         ("ca395f387a154ba6bb07e3ec85ef58bc",
          "0db5961a9e3456d8642eec6adca02118"),
         ("declined_throttle", "fallback_disk_writes")),
+    # Transient SSD faults and no death: LS retrying a striped multi-page
+    # run (batch writes, cleaner reads and relocations) and ROT retrying
+    # a sequential write, which the die-* rows reach only beside a
+    # detach.  Captured at commit 0c50c28, while each SSD retry still
+    # built a fresh request.
+    "faults-LS": (
+        _tpce("LS", SSD_FAULTS),
+        ("42619b2cf63e2c773d6bf0e7987d761e",
+         "1f31d9c5fef0813257dee360b6191c3f"),
+        ("io_retries", "evictions", "cleaner_ios")),
+    "faults-ROT": (
+        _tpce("ROT", SSD_FAULTS),
+        ("80203561ab65a404158bad40c20ebe8d",
+         "4e1fdcfd48a57b1a021c2daa4b6d082b"),
+        ("io_retries", "evictions", "checkpoint_ssd_flushes")),
 }
 
 
