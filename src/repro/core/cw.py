@@ -28,8 +28,8 @@ class CleanWriteManager(SsdManagerBase):
 
         (The dirtying itself already invalidated any SSD copy.)
         """
-        yield from self._disk_write(frame.page_id, frame.version,
-                                    EVICTION_CTX)
+        yield from self.disk.write(frame.page_id, frame.version,
+                                   EVICTION_CTX)
 
 
 class NoSsdManager(CleanWriteManager):

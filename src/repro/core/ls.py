@@ -49,6 +49,7 @@ from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
 from repro.core.ssd_manager import SsdManagerBase
 from repro.core.ssd_buffer_table import SsdRecord
 from repro.sim import Event
+from repro.storage.request import IoKind, IORequest
 from repro.telemetry import CLEANER_CTX, EVICTION_CTX
 
 #: Seconds a partial admission batch waits before flushing anyway.  A
@@ -207,7 +208,7 @@ class LogStructuredManager(SsdManagerBase):
             if self.detached or self._free_slots < npages:
                 return
             frames = self._install_entries(batch)
-            ok = yield from self._run_io(frames, self.device.write,
+            ok = yield from self._run_io(frames, IoKind.SEQUENTIAL_WRITE,
                                          EVICTION_CTX)
             if ok:
                 batch.ok = True
@@ -303,16 +304,14 @@ class LogStructuredManager(SsdManagerBase):
                        for offset in range(0, count, chunk)]
         return pieces
 
-    def _run_io(self, frames: Iterable[int], submit: Callable[..., Any],
-                ctx: Any, must: bool = False) -> Generator[object, Any, bool]:
-        """Process step: one sequential device I/O (``submit`` is the
-        device's ``read`` or ``write``) per striped run of ascending
-        ``frames``, issued concurrently; True if every one landed.
-        Claims are contiguous within a segment, so a batch that crossed
-        into a fresh segment is (at most) two runs."""
-        results = yield self.env.gather(self._ssd_io(
-            lambda address=address, count=count: submit(
-                address, count, random=False, ctx=ctx), must)
+    def _run_io(self, frames: Iterable[int], kind: IoKind, ctx: Any,
+                must: bool = False) -> Generator[object, Any, bool]:
+        """Process step: one sequential ``kind`` I/O per striped run of
+        ascending ``frames``, issued concurrently; True if every one
+        landed.  Claims are contiguous within a segment, so a batch that
+        crossed into a fresh segment is (at most) two runs."""
+        results = yield self.env.gather(
+            self._ssd_io(IORequest(kind, address, count, ctx), must)
             for address, count in self._striped_runs(frames))
         return all(results)
 
@@ -501,7 +500,7 @@ class LogStructuredManager(SsdManagerBase):
             # *Must* reads: a survivor may hold the only newest copy of
             # its page, and giving up would strand it.  Only device death
             # fails the read, and then the detach redo takes over.
-            ok = yield from self._run_io(sorted(keep), self.device.read,
+            ok = yield from self._run_io(sorted(keep), IoKind.SEQUENTIAL_READ,
                                          CLEANER_CTX, must=True)
             if not ok or self.detached:
                 return
@@ -533,7 +532,7 @@ class LogStructuredManager(SsdManagerBase):
                 # recency so the next cleaning pass ranks it honestly.
                 record.last_access = last_access
                 new_frames.append(record.frame_no)
-            ok = yield from self._run_io(new_frames, self.device.write,
+            ok = yield from self._run_io(new_frames, IoKind.SEQUENTIAL_WRITE,
                                          EVICTION_CTX)
             if ok:
                 relocated = len(survivors)

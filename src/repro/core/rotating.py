@@ -20,6 +20,7 @@ buying meaningful write speed.
 from __future__ import annotations
 
 from repro.core.ssd_manager import SsdManagerBase
+from repro.storage.request import IoKind
 
 
 class RotatingSsdManager(SsdManagerBase):
@@ -70,4 +71,4 @@ class RotatingSsdManager(SsdManagerBase):
         self.table.take_frame(record.frame_no)
         # The whole point of the design: the SSD write is sequential.
         return (yield from self._place(record, page_id, version, dirty,
-                                       rec_lsn, ctx, random=False))
+                                       rec_lsn, ctx, IoKind.SEQUENTIAL_WRITE))

@@ -111,23 +111,24 @@ class SsdRead:
     :meth:`~SsdManagerBase.read_failed` needs when it is processed.
 
     ``record`` is None when ``event`` is a detach in progress: after it
-    the disk holds the newest copy.  Otherwise the read is of
-    ``record``'s frame, which held ``version`` of ``page_id`` at the
-    start; ``must`` says that version was newer than disk (its retries
-    never give up).  Hand-slotted for the same reason as
-    :class:`TrimPlan`.
+    the disk holds the newest copy.  Otherwise ``event`` is the device's
+    for ``request``, the read of ``record``'s frame, which held
+    ``version`` of ``page_id`` at the start; ``must`` says that version
+    was newer than disk (its retries never give up).  Hand-slotted for
+    the same reason as :class:`TrimPlan`.
     """
 
-    __slots__ = ("event", "record", "page_id", "version", "must", "ctx")
+    __slots__ = ("event", "record", "page_id", "version", "must", "request")
 
     def __init__(self, event, record: Optional[SsdRecord], page_id: int,
-                 version: int = -1, must: bool = False, ctx=None):
+                 version: int = -1, must: bool = False,
+                 request: Optional[IORequest] = None):
         self.event = event
         self.record = record
         self.page_id = page_id
         self.version = version
         self.must = must
-        self.ctx = ctx
+        self.request = request
 
 
 class SsdStats:
@@ -305,39 +306,33 @@ class SsdManagerBase:
         """True while a sharp checkpoint is flushing (§3.2)."""
         return self.bp is not None and self.bp.checkpoint_active
 
-    def _disk_write(self, page_id: int, version: int, ctx):
-        """Process step: one random page write to the database.
-
-        Returns the disk manager's own generator, so a ``yield from``
-        here costs no frame of its own."""
-        return self.disk.write(page_id, version, sequential=False, ctx=ctx)
-
     # ------------------------------------------------------------------
     # Fault-hardened device access
     # ------------------------------------------------------------------
 
-    def _ssd_io(self, submit, must: bool = False,
+    def _ssd_io(self, request: IORequest, must: bool = False,
                 fault: Optional[IoFault] = None):
         """Process step: one SSD I/O, retried as :func:`~repro.faults
         .errors.retry_io` says.
 
-        ``submit`` is a zero-argument callable returning a fresh device
-        event; ``fault`` is what a first attempt the caller already made
-        failed with.  Returns True on success, and says why it gave up:
-        None when the device died, False when an optional I/O
-        (``must=False``) ran out of retries.  A *must* I/O guards the
-        only newest copy of a page: it never gives up on transients,
-        because falling back to disk would surface stale data; only
-        device death stops it, and then degradation redo restores the
-        page from the log.
+        Every attempt submits ``request`` itself; ``fault`` is what a
+        first attempt the caller already made failed with.  Returns True
+        on success, and says why it gave up: None when the device died,
+        False when an optional I/O (``must=False``) ran out of retries.
+        A *must* I/O guards the only newest copy of a page: it never
+        gives up on transients, because falling back to disk would
+        surface stale data; only device death stops it, and then
+        degradation redo restores the page from the log.
         """
         if fault is None:
             try:
-                yield submit()
+                yield self.device.submit(request)
                 return True
             except IoFault as failure:
                 fault = failure
-        fault = yield from retry_io(fault, submit, must, self._note_retry)
+        fault = yield from retry_io(
+            fault, lambda: self.device.submit(request), must,
+            self._note_retry)
         if fault is None:
             return True
         if isinstance(fault, DeviceDeadError):
@@ -359,31 +354,30 @@ class SsdManagerBase:
 
         The device event is yielded as it is: a read that does not fail
         — all of them, without an injector — builds no retry loop."""
+        request = IORequest(RANDOM_READ, frame_no, 1, ctx)
         try:
-            yield self.device.read(frame_no, 1, random=True, ctx=ctx)
+            yield self.device.submit(request)
             return True
         except IoFault as fault:
-            return (yield from self._ssd_io(
-                lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
-                must, fault))
+            return (yield from self._ssd_io(request, must, fault))
 
     def _ssd_write_frame(self, record: SsdRecord, page_id: int, version: int,
-                         ctx=None, random=True, unclaim=None):
-        """Process step: write ``record``'s frame; True if it landed.
+                         ctx=None, kind: IoKind = IoKind.RANDOM_WRITE,
+                         unclaim=None):
+        """Process step: write ``record``'s frame as a ``kind`` I/O; True
+        if it landed.
 
         SSD writes are always optional — the caller keeps (or falls back
         to) the disk copy when the write is abandoned — but then the
         record must not claim an image that never reached the SSD: it is
         dropped (or ``unclaim``ed), unless it was invalidated or reused
         while the failed write and its retries ran."""
-        frame_no = record.frame_no
+        request = IORequest(kind, record.frame_no, 1, ctx)
         try:
-            yield self.device.write(frame_no, 1, random=random, ctx=ctx)
+            yield self.device.submit(request)
             return True
         except IoFault as fault:
-            if (yield from self._ssd_io(
-                    lambda: self.device.write(frame_no, 1, random=random,
-                                              ctx=ctx), fault=fault)):
+            if (yield from self._ssd_io(request, fault=fault)):
                 return True
         if record.holds(page_id, version):
             (unclaim or self._drop_record)(record)
@@ -430,9 +424,9 @@ class SsdManagerBase:
         record.prev_access = record.last_access  # record_access, inlined
         record.last_access = self.env._now
         self._reheap(record)
-        return SsdRead(self.device.submit(IORequest(
-            RANDOM_READ, record.frame_no, 1, ctx)),
-            record, page_id, version, must, ctx)
+        request = IORequest(RANDOM_READ, record.frame_no, 1, ctx)
+        return SsdRead(self.device.submit(request), record, page_id, version,
+                       must, request)
 
     def read_landed(self, read: SsdRead) -> Optional[int]:
         """``read``'s event succeeded: the version it brought in, or None
@@ -444,10 +438,7 @@ class SsdManagerBase:
         """Process step: ``read``'s event failed with ``fault``.  Retried
         as :meth:`_ssd_io` says; the version read, or None to fall back
         to disk."""
-        frame_no, ctx = read.record.frame_no, read.ctx
-        ok = yield from self._ssd_io(
-            lambda: self.device.read(frame_no, 1, random=True, ctx=ctx),
-            read.must, fault)
+        ok = yield from self._ssd_io(read.request, read.must, fault)
         if ok:
             return self.read_landed(read)
         if ok is None:
@@ -550,7 +541,8 @@ class SsdManagerBase:
         return self.table.take_free()
 
     def _place(self, record: SsdRecord, page_id: int, version: int,
-               dirty: bool, rec_lsn: int = 0, ctx=None, random: bool = True):
+               dirty: bool, rec_lsn: int = 0, ctx=None,
+               kind: IoKind = IoKind.RANDOM_WRITE):
         """Bind the free frame ``record`` to a page image — the tail
         every layout's placement ends in.  Returns the process step that
         writes it (no frame of its own): True if the image landed."""
@@ -561,7 +553,7 @@ class SsdManagerBase:
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": dirty})
-        return self._ssd_write_frame(record, page_id, version, ctx, random)
+        return self._ssd_write_frame(record, page_id, version, ctx, kind)
 
     def _file(self, record: SsdRecord) -> None:
         """File a freshly bound record with the replacement policy."""
@@ -601,8 +593,8 @@ class SsdManagerBase:
             # flushing, or already flushed); a redundant disk write is
             # monotone-safe and keeps this path self-contained.
             if frame.version > self.disk.disk_version(frame.page_id):
-                return self._disk_write(frame.page_id, frame.version,
-                                        EVICTION_CTX)
+                return self.disk.write(frame.page_id, frame.version,
+                                       EVICTION_CTX)
             return ()
         existing = self.table.lookup_valid(frame.page_id)
         if existing is not None:
@@ -618,8 +610,8 @@ class SsdManagerBase:
         if self._qualifies(frame):
             return self._cache_evicted(frame)
         if frame.version > self.disk.disk_version(frame.page_id):
-            return self._disk_write(frame.page_id, frame.version,
-                                    EVICTION_CTX)
+            return self.disk.write(frame.page_id, frame.version,
+                                   EVICTION_CTX)
         return ()
 
     def _cache_evicted(self, frame: Frame):
@@ -637,8 +629,8 @@ class SsdManagerBase:
         if dirty and not cached:
             # Couldn't re-cache (throttle/full): the newest copy must
             # not be dropped — write it to disk instead.
-            yield from self._disk_write(frame.page_id, frame.version,
-                                        EVICTION_CTX)
+            yield from self.disk.write(frame.page_id, frame.version,
+                                       EVICTION_CTX)
         if dirty and cached:
             self._after_dirty_cached()
 
@@ -664,8 +656,8 @@ class SsdManagerBase:
             if cached:
                 return True
         self.stats.fallback_disk_writes += 1
-        yield from self._disk_write(frame.page_id, frame.version,
-                                    EVICTION_CTX)
+        yield from self.disk.write(frame.page_id, frame.version,
+                                   EVICTION_CTX)
         return False
 
     def _write_through(self, frame: Frame, ctx, ssd_write=None):
@@ -673,7 +665,7 @@ class SsdManagerBase:
         it, through ``ssd_write`` (the design's SSD half, a process
         step) if there is one.  Returns the event to wait for: both
         complete (the paper's "synchronize dirty page writes")."""
-        disk_write = self._disk_write(frame.page_id, frame.version, ctx)
+        disk_write = self.disk.write(frame.page_id, frame.version, ctx)
         if not ssd_write:
             return self.env.process(disk_write)
         return self.env.gather([disk_write, ssd_write])
@@ -693,7 +685,7 @@ class SsdManagerBase:
         if not ok:
             return False
         try:
-            yield from self._disk_write(page_id, version, ctx)
+            yield from self.disk.write(page_id, version, ctx)
         except IoFault:
             return False
         # Mark clean only if the record still describes what we wrote —
@@ -855,8 +847,8 @@ class SsdManagerBase:
         Default (noSSD/CW/LC/TAC): write to disk only.  DW overrides to
         also prime the SSD (§3.2).
         """
-        yield from self._disk_write(frame.page_id, frame.version,
-                                    CHECKPOINT_CTX)
+        yield from self.disk.write(frame.page_id, frame.version,
+                                   CHECKPOINT_CTX)
 
     def on_checkpoint(self):
         """Process step: flush every dirty SSD page to disk (§3.2).
@@ -960,7 +952,7 @@ class SsdManagerBase:
         for wave_start in range(0, len(targets), FLUSH_BATCH):
             wave = targets[wave_start:wave_start + FLUSH_BATCH]
             yield self.env.gather(
-                self._disk_write(pid, version, RECOVERY_CTX)
+                self.disk.write(pid, version, RECOVERY_CTX)
                 for pid, version in wave)
             self.stats.detach_redo_pages += len(wave)
         if self._tracer.enabled:

@@ -85,12 +85,11 @@ class DiskManager:
             yield from self._retry(request, fault)
         return [self.disk_version(page_id + i) for i in range(npages)]
 
-    def write(self, page_id: int, version: int, sequential: bool = False,
-              ctx=None):
-        """Process step: write one page; the image updates at completion."""
+    def write(self, page_id: int, version: int, ctx=None):
+        """Process step: write one page, a random write; the image
+        updates at completion."""
         self._check_range(page_id, 1)
-        kind = IoKind.SEQUENTIAL_WRITE if sequential else IoKind.RANDOM_WRITE
-        request = IORequest(kind, page_id, 1, ctx=ctx)
+        request = IORequest(IoKind.RANDOM_WRITE, page_id, 1, ctx=ctx)
         try:
             yield self.device.submit(request)
         except IoFault as fault:

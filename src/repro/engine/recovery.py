@@ -68,10 +68,8 @@ class RecoveryManager:
 
     def _redo_one(self, page_id: int, version: int):
         """Process step: restore one page to its newest logged version."""
-        yield from self.disk.read(page_id, 1, sequential=False,
-                                  ctx=RECOVERY_CTX)
-        yield from self.disk.write(page_id, version, sequential=False,
-                                   ctx=RECOVERY_CTX)
+        yield from self.disk.read(page_id, 1, ctx=RECOVERY_CTX)
+        yield from self.disk.write(page_id, version, RECOVERY_CTX)
         self.pages_redone += 1
 
 

@@ -14,8 +14,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import Environment, Event, Timeout
-from repro.storage.request import (_KIND_OF, IoKind, IORequest,
-                                   PAGE_SIZE_BYTES)
+from repro.storage.request import IoKind, IORequest, PAGE_SIZE_BYTES
 from repro.telemetry import NULL_TELEMETRY
 
 #: Label values used for ``io_*_total{kind=...}`` metrics and trace names.
@@ -220,19 +219,6 @@ class DeviceBase:
         env._seq = seq = env._seq + 1
         request.callbacks = callbacks
         env._push((env._now + delay, seq, request))
-
-    def read(self, address: int, npages: int = 1, random: bool = True,
-             ctx=None) -> Event:
-        """Convenience wrapper building and submitting a read request."""
-        # The table, not ``IoKind.of``'s frame; that raises on a bad flag.
-        kind = _KIND_OF.get(("read", random)) or IoKind.of("read", random)
-        return self.submit(IORequest(kind, address, npages, ctx))
-
-    def write(self, address: int, npages: int = 1, random: bool = True,
-              ctx=None) -> Event:
-        """Convenience wrapper building and submitting a write request."""
-        kind = _KIND_OF.get(("write", random)) or IoKind.of("write", random)
-        return self.submit(IORequest(kind, address, npages, ctx))
 
 
 class Device(DeviceBase):

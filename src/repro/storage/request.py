@@ -28,18 +28,6 @@ class IoKind(enum.Enum):
     # ``hash(self._name_)``, paid by four keyed lookups per device I/O.
     __hash__ = object.__hash__
 
-    @staticmethod
-    def of(direction: str, random: bool) -> "IoKind":
-        """Build the kind from a direction string and a randomness flag."""
-        try:
-            return _KIND_OF[(direction, random)]
-        except KeyError:
-            raise ValueError(f"no I/O kind is direction {direction!r}, "
-                             f"random {random!r}") from None
-
-
-_KIND_OF = {kind.value: kind for kind in IoKind}
-
 
 class IORequest:
     """A single I/O against a device.

@@ -2,6 +2,7 @@
 
 from repro.core import SsdDesignConfig
 from repro.engine.wal import RECORDS_PER_LOG_PAGE, WriteAheadLog
+from repro.storage import IoKind, IORequest
 from tests.conftest import MiniSystem, drive
 
 
@@ -36,7 +37,7 @@ class TestThrottleAccounting:
                           ssd_frames=64, throttle_limit=1)
         # Saturate the SSD, then attempt optional caching.
         for i in range(32):
-            sys_.ssd_device.read(i)
+            sys_.ssd_device.submit(IORequest(IoKind.RANDOM_READ, i))
         result = drive(sys_.env,
                        sys_.ssd_manager._cache_page(400, 0, False))
         assert result is False

@@ -30,7 +30,7 @@ class TestRedoBatching:
         sys_ = MiniSystem(db_pages=500)
         seed_log(sys_, 40)
         for page_id in range(0, 40, 2):
-            drive(sys_.env, sys_.disk.write(page_id, 1, sequential=False))
+            drive(sys_.env, sys_.disk.write(page_id, 1))
         recovery = RecoveryManager(sys_.env, sys_.disk, sys_.wal)
         assert drive(sys_.env, recovery.redo(-1)) == 20
 
@@ -52,8 +52,7 @@ class TestRedoBatching:
         def serial():
             for page_id in range(FLUSH_BATCH):
                 yield from serial_sys.disk.read(page_id, 1, sequential=False)
-                yield from serial_sys.disk.write(page_id, 1,
-                                                 sequential=False)
+                yield from serial_sys.disk.write(page_id, 1)
 
         started = serial_sys.env.now
         drive(serial_sys.env, serial())

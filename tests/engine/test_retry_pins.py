@@ -4,7 +4,9 @@ The SSD manager's half is ``TestRetryPath`` in
 ``tests/core/test_ssd_manager.py``; this is the same contract for the two
 callers that have no fallback: how often a failed request is submitted
 again, at which virtual instants, what each ``io_retry`` instant says,
-and which exception ends it.
+and which exception ends it.  ``TestSsdResubmits`` holds every SSD
+retry to what the disk manager and the log do: the request the first
+attempt submitted is the one submitted again.
 """
 
 import inspect
@@ -17,7 +19,8 @@ from repro.faults.errors import (RETRY_BASE_DELAY, RETRY_LIMIT,
                                  DeviceDeadError, TransientIoError)
 from repro.storage import HddArray, IoKind
 from repro.storage.hdd import _RATES
-from tests.conftest import drive, profiled
+from repro.telemetry import EVICTION_CTX
+from tests.conftest import MiniSystem, drive, profiled
 from tests.core.test_ssd_manager import InstantLog
 
 
@@ -246,6 +249,102 @@ class TestLogRetry:
         assert wal.flushed_lsn == second
         assert wal.flushes == 1
         drive(env, wal.force(first))    # covered: returns at once
+
+
+class Submissions(Outcomes):
+    """``Outcomes`` that also keeps each submission: the request object
+    and its ``(kind, address, npages, ctx)`` as it was submitted."""
+
+    def __init__(self, device, script):
+        super().__init__(device, script)
+        self.submitted = []
+
+    def on_submit(self, request):
+        self.submitted.append((request, (request.kind, request.address,
+                                         request.npages, request.ctx)))
+        return super().on_submit(request)
+
+    def attempts(self):
+        """Request object -> the fields of each of its submissions, in
+        the order the objects were first submitted."""
+        attempts = {}
+        for request, fields in self.submitted:
+            attempts.setdefault(request, []).append(fields)
+        return attempts
+
+
+#: The trace context every test below passes down to the device.
+CTX = object()
+
+
+class TestSsdResubmits:
+    """Each SSD retry submits the first attempt's request object again,
+    kind, address, page count and context unchanged, as
+    ``DiskManager._retry`` and ``WriteAheadLog._retry_flush`` do."""
+
+    @staticmethod
+    def cached(sys_, page_id, **kwargs):
+        return drive(sys_.env, sys_.ssd_manager._cache_page(
+            page_id, 0, False, **kwargs))
+
+    def test_a_frame_read(self):
+        sys_ = MiniSystem(design="LC", db_pages=500, bp_pages=32,
+                          ssd_frames=16)
+        manager = sys_.ssd_manager
+        assert self.cached(sys_, 1)
+        frame_no = manager.table.lookup_valid(1).frame_no
+        faults = Submissions(sys_.ssd_device, ["transient"] * 3)
+        assert drive(sys_.env, manager._ssd_read_frame(
+            frame_no, must=True, ctx=CTX)) is True
+        assert list(faults.attempts().values()) == [
+            [(IoKind.RANDOM_READ, frame_no, 1, CTX)] * 4]
+        assert manager.stats.io_retries == 3
+
+    def test_rots_sequential_frame_write(self):
+        sys_ = MiniSystem(design="ROT", db_pages=500, bp_pages=32,
+                          ssd_frames=16)
+        faults = Submissions(sys_.ssd_device, ["transient"] * 2)
+        assert self.cached(sys_, 1, ctx=CTX)
+        frame_no = sys_.ssd_manager.table.lookup_valid(1).frame_no
+        assert list(faults.attempts().values()) == [
+            [(IoKind.SEQUENTIAL_WRITE, frame_no, 1, CTX)] * 3]
+
+    def test_a_failed_pool_read(self):
+        sys_ = MiniSystem(design="LC", db_pages=500, bp_pages=32,
+                          ssd_frames=16)
+        manager = sys_.ssd_manager
+        assert self.cached(sys_, 1)
+        frame_no = manager.table.lookup_valid(1).frame_no
+        faults = Submissions(sys_.ssd_device, ["transient"] * 2)
+        # ``start_read`` submits the first attempt, ``read_failed`` the
+        # retries.
+        assert drive(sys_.env, manager.try_read(1, ctx=CTX)) == 0
+        assert list(faults.attempts().values()) == [
+            [(IoKind.RANDOM_READ, frame_no, 1, CTX)] * 3]
+
+    def test_an_ls_batch_striped_into_multi_page_runs(self):
+        sys_ = MiniSystem(design="LS", db_pages=2_000, bp_pages=100,
+                          ssd_frames=500)
+        manager = sys_.ssd_manager
+        faults = Submissions(sys_.ssd_device,
+                             ["transient", "ok", "transient", "transient"])
+        batch_pages = manager.config.ls_batch_pages
+        assert drive(sys_.env, *(manager._cache_page(page_id, 0, False)
+                                 for page_id in range(batch_pages))) == [
+            True] * batch_pages
+        attempts = faults.attempts()
+        channels = sys_.ssd_device.channels.capacity
+        chunk = -(-batch_pages // channels)
+        assert chunk > 1        # each run is a multi-page request
+        assert [fields[0] for fields in attempts.values()] == [
+            (IoKind.SEQUENTIAL_WRITE, address, chunk, EVICTION_CTX)
+            for address in range(0, batch_pages, chunk)]
+        # Three failures, three resubmissions of the failed runs' own
+        # requests: no attempt built a request of its own.
+        assert len(faults.submitted) == len(attempts) + 3
+        assert all(fields == [fields[0]] * len(fields)
+                   for fields in attempts.values())
+        assert manager.stats.io_retries == 3
 
 
 class TestCleanPath:

@@ -31,19 +31,12 @@ class TestRefusedInputs:
 
     def test_a_fractional_page_count_on_the_array(self, env):
         with pytest.raises(ValueError, match="npages must be an int"):
-            HddArray(env).read(0, npages=1.5)
+            HddArray(env).submit(IORequest(IoKind.RANDOM_READ, 0, npages=1.5))
 
     def test_a_zero_stripe(self, env):
         # Would build, then divide by zero on its first I/O.
         with pytest.raises(ValueError, match="stripe_pages must be"):
             HddArray(env, stripe_pages=0)
-
-    @pytest.mark.parametrize("submit", ["read", "write"])
-    def test_a_randomness_flag_that_is_not_a_bool(self, env, submit):
-        ssd = Ssd(env)
-        with pytest.raises(ValueError, match="random None"):
-            getattr(ssd, submit)(0, random=None)
-        assert ssd.pending == 0
 
 
 class TestHddStriping:
@@ -161,7 +154,7 @@ class TestCallbackCompletion:
     def test_uncontended_io_schedules_exactly_two_events(self, env):
         ssd = Ssd(env)
         before = env._seq
-        done = ssd.read(0)
+        done = ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
         env.run(done)
         assert done.value.completed_at == env.now
         assert env._seq - before == 2
@@ -197,9 +190,10 @@ class TestCallbackCompletion:
                 return super().service_time(request)
 
         ssd = Flaky(env, channels=1)
-        first = ssd.read(0)
-        ssd.read(13)            # queued; blows up when it gets the channel
-        last = ssd.read(2)      # queued behind it
+        first = ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
+        # Queued; blows up when it gets the channel.
+        ssd.submit(IORequest(IoKind.RANDOM_READ, 13))
+        last = ssd.submit(IORequest(IoKind.RANDOM_READ, 2))  # queued behind it
         with pytest.raises(RuntimeError, match="bad request"):
             env.run()
         # The failed start passed the channel on instead of leaking it.
@@ -217,7 +211,7 @@ class TestCallbackCompletion:
 
         ssd = Broken(env)
         with pytest.raises(RuntimeError, match="bad request"):
-            ssd.read(0)
+            ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
         assert ssd.pending == 0 and ssd.channels.busy == 0
 
     def test_raising_traffic_record_frees_channel_and_count(self, env):
@@ -226,7 +220,9 @@ class TestCallbackCompletion:
         and the request queued behind it is served."""
         ssd = Ssd(env, channels=1)
         ssd.traffic = _Completions(poison=13)
-        first, bad, queued = ssd.read(0), ssd.read(13), ssd.read(64)
+        first, bad, queued = (
+            ssd.submit(IORequest(IoKind.RANDOM_READ, address))
+            for address in (0, 13, 64))
         with pytest.raises(RuntimeError, match="bad record"):
             env.run()
         assert first.ok and not bad.triggered
@@ -240,7 +236,7 @@ class TestCallbackCompletion:
     def test_reset_after_wipe_forgets_inflight_work(self, env):
         ssd = Ssd(env, channels=2)
         for index in range(5):
-            ssd.read(index)
+            ssd.submit(IORequest(IoKind.RANDOM_READ, index))
         env.run(until=ssd.service_time(IORequest(IoKind.RANDOM_READ, 0)) / 2)
         env.wipe()
         ssd.reset()
@@ -249,7 +245,7 @@ class TestCallbackCompletion:
         assert ssd.channels.capacity == 2
         env.run()  # nothing left to fire
         assert ssd.stats.completed == 0
-        done = ssd.read(9)
+        done = ssd.submit(IORequest(IoKind.RANDOM_READ, 9))
         env.run(done)
         assert done.ok and ssd.pending == 0
 
@@ -274,8 +270,9 @@ class TestNoTimeoutPerIo:
 
     def test_ssd_ios_queued_and_served_build_none(self, env, timeouts):
         ssd = Ssd(env, channels=2)
-        events = [ssd.read(index) for index in range(5)]
-        events.append(ssd.write(7, 4, random=False))
+        events = [ssd.submit(IORequest(IoKind.RANDOM_READ, index))
+                  for index in range(5)]
+        events.append(ssd.submit(IORequest(IoKind.SEQUENTIAL_WRITE, 7, 4)))
         env.run()
         assert all(event.ok for event in events)
         assert ssd.stats.completed == 6 and timeouts == []
@@ -284,7 +281,8 @@ class TestNoTimeoutPerIo:
     def test_hdd_ios_queued_and_served_build_none(self, env, timeouts,
                                                   npages):
         hdd = HddArray(env, ndisks=2, stripe_pages=8)
-        events = [hdd.read(address, npages) for address in (0, 64, 8)]
+        events = [hdd.submit(IORequest(IoKind.RANDOM_READ, address, npages))
+                  for address in (0, 64, 8)]
         env.run()
         assert all(event.ok for event in events)
         assert timeouts == []
@@ -292,7 +290,7 @@ class TestNoTimeoutPerIo:
     def test_an_injector_keeps_its_hops_as_timeouts(self, env, timeouts):
         ssd = Ssd(env)
         FaultInjector(env, ssd, random.Random("quiet"))
-        env.run(ssd.read(0))
+        env.run(ssd.submit(IORequest(IoKind.RANDOM_READ, 0)))
         assert timeouts == [0.0, 0.0]  # the arrival and grant hops
 
 
@@ -334,7 +332,7 @@ class TestHddCallbackLifeCycle:
             self, env, processes, npages, fragments):
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
         before = env._seq
-        done = hdd.read(0, npages, random=False)
+        done = hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, npages))
         env.run(done)
         assert done.value.completed_at == env.now
         assert hdd.stats.completed == fragments
@@ -347,7 +345,7 @@ class TestHddCallbackLifeCycle:
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
         FaultInjector(env, hdd, random.Random("quiet"))
         before = env._seq
-        env.run(hdd.read(0, npages, random=False))
+        env.run(hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, npages)))
         assert env._seq - before == 2 * fragments + 5
         assert not processes
 
@@ -358,7 +356,8 @@ class TestHddCallbackLifeCycle:
         if faulted:
             FaultInjector(env, hdd, random.Random("quiet"))
         before = env._seq
-        last = [hdd.read(address) for address in (0, 64, 128)][-1]
+        last = [hdd.submit(IORequest(IoKind.RANDOM_READ, address))
+                for address in (0, 64, 128)][-1]
         drives = hdd._drives
         env.run(until=0.0)   # the submit-side hops only
         assert drives[0].busy == 1 and len(drives[0].waiting) == 2
@@ -373,7 +372,7 @@ class TestHddCallbackLifeCycle:
         # Drive 0: page 0, then 64 (LBA 32: a seek away), then 1 — which
         # sat next to the head until 64 moved it.  Drive 1: page 8, 9.
         for address in (0, 64, 8, 1, 9):
-            hdd.read(address)
+            hdd.submit(IORequest(IoKind.RANDOM_READ, address))
         env.run()
         assert seen.log == [(seek, 0), (seek, 8), (seek + near, 9),
                             (2 * seek, 64), (3 * seek, 1)]
@@ -382,7 +381,8 @@ class TestHddCallbackLifeCycle:
     def test_pending_falls_two_hops_after_the_last_timer_before_done(
             self, env):
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
-        done = hdd.read(0, 20, random=False)     # fragments of 8, 8, 4
+        # Fragments of 8, 8, 4.
+        done = hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, 20))
         env.step()                               # the hop after submit
         assert [d.busy for d in hdd._drives] == [1, 1, 1, 0]
         env.step(), env.step()                   # the 4-page, one 8-page
@@ -399,7 +399,8 @@ class TestHddCallbackLifeCycle:
     def test_raising_traffic_record_frees_drive_and_count(self, env):
         hdd = HddArray(env, ndisks=1)
         hdd.traffic = _Completions(poison=13)
-        bad, queued = hdd.read(13), hdd.read(64)
+        bad, queued = (hdd.submit(IORequest(IoKind.RANDOM_READ, address))
+                       for address in (13, 64))
         with pytest.raises(RuntimeError, match="bad record"):
             env.run()
         # The queued fragment got the drive, and the fragment whose
@@ -419,7 +420,8 @@ class TestHddCallbackLifeCycle:
                 return super().lba_of(address)
 
         hdd = Flaky(env, ndisks=1)
-        first, bad, last = hdd.read(0), hdd.read(13), hdd.read(64)
+        first, bad, last = (hdd.submit(IORequest(IoKind.RANDOM_READ, address))
+                            for address in (0, 13, 64))
         with pytest.raises(RuntimeError, match="bad address"):
             env.run()
         # Raised as ``first`` handed the drive over: ``first`` still
@@ -433,7 +435,7 @@ class TestHddCallbackLifeCycle:
         hdd = HddArray(env)
         FaultInjector(env, hdd, random.Random("dead")).kill()
         before = env._seq
-        done = hdd.read(0)
+        done = hdd.submit(IORequest(IoKind.RANDOM_READ, 0))
         assert env._seq - before == 1 and hdd.pending == 0
         with pytest.raises(DeviceDeadError):
             env.run(done)
@@ -441,7 +443,8 @@ class TestHddCallbackLifeCycle:
     def test_reset_after_wipe_forgets_inflight_work(self, env):
         hdd = HddArray(env, ndisks=2, stripe_pages=8)
         for address in (0, 64, 8, 0):
-            hdd.read(address, 12, random=False)  # two fragments each
+            # Two fragments each.
+            hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, address, 12))
         env.run(until=hdd.service_time(self.READ) / 2)
         assert hdd.pending == 4
         env.wipe()
@@ -475,8 +478,8 @@ class TestStats:
         ssd = Ssd(env)
 
         def proc():
-            yield ssd.read(0, npages=2)
-            yield ssd.write(5, npages=3)
+            yield ssd.submit(IORequest(IoKind.RANDOM_READ, 0, npages=2))
+            yield ssd.submit(IORequest(IoKind.RANDOM_WRITE, 5, npages=3))
 
         drive(env, proc())
         assert ssd.stats.pages_read == 2
@@ -487,9 +490,9 @@ class TestStats:
         ssd = Ssd(env)
 
         def proc():
-            yield ssd.read(0, random=True)
-            yield ssd.read(1, random=False)
-            yield ssd.write(2, random=True)
+            yield ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
+            yield ssd.submit(IORequest(IoKind.SEQUENTIAL_READ, 1))
+            yield ssd.submit(IORequest(IoKind.RANDOM_WRITE, 2))
 
         drive(env, proc())
         assert ssd.stats.by_kind[IoKind.RANDOM_READ] == 1
@@ -502,8 +505,9 @@ class TestStats:
         array they count *fragments*; ``io_requests_total`` reads the
         array's own whole-request count, ``io_pages_total`` the stats."""
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
-        env.run(hdd.read(0, 20, random=False))  # three drives: 8 + 8 + 4
-        env.run(hdd.read(40, 1))
+        # Three drives: 8 + 8 + 4.
+        env.run(hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, 20)))
+        env.run(hdd.submit(IORequest(IoKind.RANDOM_READ, 40, 1)))
         assert hdd.stats.completed == 4
         assert hdd.stats.by_kind[IoKind.SEQUENTIAL_READ] == 3
         assert hdd.requests_by_kind[IoKind.SEQUENTIAL_READ] == 1
@@ -522,7 +526,7 @@ class TestStats:
         assert sum(value for (name, device, _), value in rows.items()
                    if name == "io_requests_total"
                    and device == "hdd-array") == 2
-        env.run(ssd.read(0, 20, random=False))
+        env.run(ssd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, 20)))
         assert ssd.requests_by_kind is ssd.stats.by_kind
         assert ssd.stats.completed == 1
 
@@ -549,7 +553,7 @@ class TestTrafficRecorder:
         recorder = ssd.attach_traffic_recorder(1.0)
 
         def proc():
-            yield ssd.read(0, npages=8)
+            yield ssd.submit(IORequest(IoKind.RANDOM_READ, 0, npages=8))
 
         drive(env, proc())
         assert recorder.series()

@@ -17,7 +17,7 @@ from repro.faults import DeviceDeadError
 from repro.faults.injector import FaultInjector
 from repro.harness.system import System, SystemConfig
 from repro.sim import Environment
-from repro.storage import HddArray, Ssd
+from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.ftl import FlashTranslationLayer
 from tests.core.test_ssd_manager import ScriptedFaults
 
@@ -121,12 +121,13 @@ class TestRejectedAtSubmit:
 
     def test_ssd(self, env):
         ssd = Ssd(env, channels=2)
-        queued = [ssd.read(address) for address in range(5)]
+        queued = [ssd.submit(IORequest(IoKind.RANDOM_READ, address))
+                  for address in range(5)]
         assert (ssd.pending, ssd.channels.busy,
                 len(ssd.channels.waiting)) == (5, 2, 3)
         ScriptedFaults(ssd, dead=True)
         waiting = list(ssd.channels.waiting)
-        done = ssd.write(9)
+        done = ssd.submit(IORequest(IoKind.RANDOM_WRITE, 9))
         assert done.triggered and not done.ok
         assert isinstance(done.value, DeviceDeadError)
         assert (ssd.pending, ssd.channels.busy) == (5, 2)
@@ -143,14 +144,15 @@ class TestRejectedAtSubmit:
     def test_hdd_array(self, env):
         hdd = HddArray(env, ndisks=2)
         # 24 pages from 0: three stripe units, two on drive 0.
-        queued = [hdd.read(0, npages=24, random=False), hdd.read(100)]
+        queued = [hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, npages=24)),
+                  hdd.submit(IORequest(IoKind.RANDOM_READ, 100))]
         env.run(until=1e-4)             # past the admit hop: on the drives
         inflight = set(hdd._inflight)
         drives = [(drive.busy, list(drive.waiting)) for drive in hdd._drives]
         assert hdd.pending == 2 and len(inflight) == 2
         assert [busy for busy, _ in drives] == [1, 1]
         ScriptedFaults(hdd, dead=True)
-        done = hdd.write(7)
+        done = hdd.submit(IORequest(IoKind.RANDOM_WRITE, 7))
         assert done.triggered and not done.ok
         assert isinstance(done.value, DeviceDeadError)
         assert hdd.pending == 2 and hdd._inflight == inflight

@@ -17,7 +17,7 @@ def submit_one(env, device):
 
     def proc():
         try:
-            yield device.read(0)
+            yield device.submit(IORequest(IoKind.RANDOM_READ, 0))
         except Exception as exc:  # noqa: BLE001 - tests inspect the type
             return False, exc
         return True, None
@@ -69,7 +69,8 @@ class TestTransientFaults:
                 outcomes.append("ok")
 
         for address in range(3):  # one in service, two queued
-            env.spawn(waiter(ssd.read(address)))
+            env.spawn(waiter(ssd.submit(
+                IORequest(IoKind.RANDOM_READ, address))))
         env.run()
         assert outcomes == ["failed", "ok", "ok"]
         assert ssd.pending == 0
@@ -87,8 +88,8 @@ class TestTransientFaults:
             return None
 
         injector.on_complete = on_complete
-        ssd.read(0)
-        second = ssd.read(1)
+        ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
+        second = ssd.submit(IORequest(IoKind.RANDOM_READ, 1))
         with pytest.raises(RuntimeError, match="injector bug"):
             env.run()
         assert ssd.pending == 1  # only the queued request remains
@@ -103,11 +104,11 @@ class TestTransientFaults:
         ssd = Ssd(env)
         injector = FaultInjector(env, ssd, random.Random("t"))
         before = env._seq
-        env.run(ssd.read(0))
+        env.run(ssd.submit(IORequest(IoKind.RANDOM_READ, 0)))
         assert env._seq - before == 4
         injector.latency_p = 1.0
         before = env._seq
-        env.run(ssd.read(1))
+        env.run(ssd.submit(IORequest(IoKind.RANDOM_READ, 1)))
         assert env._seq - before == 5
 
     def test_transient_does_not_count_as_completed(self, env):
@@ -136,7 +137,7 @@ class TestDeadDevice:
         injector = FaultInjector(env, ssd, random.Random("d"))
 
         def proc():
-            done = ssd.read(0)
+            done = ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
             injector.kill()  # dies while the I/O is in service
             try:
                 yield done
@@ -164,7 +165,7 @@ class TestLatencyAndStalls:
             start = env.now
 
             def proc():
-                yield device.read(0)
+                yield device.submit(IORequest(IoKind.RANDOM_READ, 0))
                 return env.now - start
 
             return drive(env, proc())
@@ -184,7 +185,7 @@ class TestLatencyAndStalls:
 
         def proc():
             start = env.now
-            yield ssd.read(0)
+            yield ssd.submit(IORequest(IoKind.RANDOM_READ, 0))
             return env.now - start
 
         elapsed = drive(env, proc())

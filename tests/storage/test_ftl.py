@@ -199,8 +199,8 @@ class TestSsdIntegration:
         ssd = Ssd(env, ftl=FtlConfig(pages_per_block=8), logical_pages=64)
 
         def proc():
-            yield ssd.write(0, npages=4)
-            yield ssd.read(0, npages=4)
+            yield ssd.submit(IORequest(IoKind.RANDOM_WRITE, 0, npages=4))
+            yield ssd.submit(IORequest(IoKind.RANDOM_READ, 0, npages=4))
 
         drive(env, proc())
         assert ssd.ftl.stats.host_writes == 4
@@ -226,7 +226,7 @@ class TestSsdIntegration:
         ssd = Ssd(env, ftl=FtlConfig(pages_per_block=8), logical_pages=64)
 
         def proc():
-            yield ssd.write(0, npages=8)
+            yield ssd.submit(IORequest(IoKind.RANDOM_WRITE, 0, npages=8))
 
         drive(env, proc())
         ssd.trim(0, npages=8)

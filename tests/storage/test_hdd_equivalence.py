@@ -103,7 +103,7 @@ def run_script(script, make_hdd, kernel, faulted, make_ssd=Ssd):
                 events = [hdd.submit(IORequest(kind, address + 8 * i, npages))
                           for i in range(burst)]
             elif step[0] == "ssd":
-                events = [ssd.read(step[1])]
+                events = [ssd.submit(IORequest(IoKind.RANDOM_READ, step[1]))]
             else:
                 events = [env.timeout(step[1])]
             for event in events:

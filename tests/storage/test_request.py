@@ -20,12 +20,6 @@ class TestIoKind:
         assert IoKind.RANDOM_READ.random
         assert not IoKind.SEQUENTIAL_READ.random
 
-    def test_of_builds_all_combinations(self):
-        assert IoKind.of("read", True) is IoKind.RANDOM_READ
-        assert IoKind.of("read", False) is IoKind.SEQUENTIAL_READ
-        assert IoKind.of("write", True) is IoKind.RANDOM_WRITE
-        assert IoKind.of("write", False) is IoKind.SEQUENTIAL_WRITE
-
     def test_keys_dicts_by_identity_and_survives_pickling(self):
         """The hash is the C-level identity one (hot per-kind lookups);
         members are singletons, so a round trip finds the same key."""
@@ -33,14 +27,6 @@ class TestIoKind:
         table = {kind: kind.name for kind in IoKind}
         for kind in IoKind:
             assert table[pickle.loads(pickle.dumps(kind))] == kind.name
-
-    def test_of_rejects_unknown_direction(self):
-        with pytest.raises(ValueError):
-            IoKind.of("erase", True)
-
-    def test_of_names_a_bad_randomness_flag(self):
-        with pytest.raises(ValueError, match="random None"):
-            IoKind.of("read", None)
 
 
 class TestIORequest:

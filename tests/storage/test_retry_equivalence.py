@@ -82,14 +82,14 @@ def ssd_run(entry, script, must, old):
     faults = Outcomes(device, script)
 
     def read():
-        return device.read(3, 1, random=True, ctx=None)
+        return device.submit(IORequest(IoKind.RANDOM_READ, 3, 1))
 
     if old:
         step = reference_retry.ssd_io(manager, read, must)
     elif entry == "frame":
         step = manager._ssd_read_frame(3, must=must)
     else:
-        step = manager._ssd_io(read, must)
+        step = manager._ssd_io(IORequest(IoKind.RANDOM_READ, 3, 1), must)
     outcome = outcome_of(lambda: drive(env, step))
     finished = env.now
     settle(env)                         # a detach the death started

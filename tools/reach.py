@@ -207,9 +207,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.storage.ftl.model:FlashTranslationLayer.free_block_count": (
         J, "the ftl_free_blocks gauge: repro oltp --ftl --metrics"),
     "repro.storage.request:IORequest.__repr__": (J, _REPR),
-    "repro.storage.request:IoKind.of": (
-        J, "error path: a read or write whose random flag is neither True "
-           "nor False (the devices look the kind up in _KIND_OF)"),
     # telemetry
     "repro.telemetry.context:TraceContext.__repr__": (J, _REPR),
     # workloads
@@ -363,6 +360,8 @@ CI_LINES = (
     "oltp --scale 100 --profile tiny --duration 6 --designs LC --no-db "
     "--metrics --faults transient:p=0.02:device=disk,"
     "transient:p=0.02:device=log",
+    "oltp --scale 100 --profile tiny --duration 6 --designs LC,LS,ROT "
+    "--no-db --metrics --faults transient:p=0.02:device=ssd",
     "analyze faultdemo-DW.jsonl faultdemo-LC.jsonl --html faults.html",
     # ls-smoke
     "oltp --benchmark tpcc --scale 300 --profile tiny --duration 8 "
