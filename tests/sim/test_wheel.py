@@ -5,12 +5,20 @@ The wheel's contract is strict: it must yield entries in exactly the
 time" — because the repo's determinism guarantee (byte-identical traces
 per seed) rides on event order.  These tests fuzz the raw structure
 against ``heapq`` and run whole seeded simulations on both kernels.
+The property at the end plays scripts of schedules that land at zero
+delay, past the mid horizon, on a slot's first instant or one ulp
+either side of it, with ``peek()`` and ``wipe()`` between them, on
+both kernels, and compares every clock value, wake and ``_seq``.
 """
 
+import gc
 import heapq
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import KERNELS, Environment, make_environment
 from repro.sim.wheel import TimerWheel, WheelEnvironment
@@ -195,3 +203,140 @@ def test_wheel_environment_wipe_discards_pending_work():
     env.process(q())
     env.run()
     assert fired == [0.5]
+
+
+# ----------------------------------------------------------------------
+# Schedules at the slot edges, against the heap kernel
+# ----------------------------------------------------------------------
+
+#: ``(tick, near_slots, mid_buckets)``: the default wheel, and small
+#: ones whose mid horizon (``near_slots * mid_buckets`` ticks) a few
+#: delays cross.  1e-3 and 0.1 are no binary fractions, so ``k * tick``
+#: can truncate into slot ``k - 1``; 0.25 is exact.
+GEOMETRIES = st.sampled_from(
+    ((1e-3, 256, 64), (1e-3, 4, 2), (0.1, 2, 3), (0.25, 4, 2)))
+
+#: Where a delay lands, from the sleeper's own ``now``: at ``now``;
+#: ``k`` mid horizons and a half slot further; the first instant of the
+#: slot ``k + 1`` past ``now``'s, or one ulp either side of it; the
+#: middle of that slot.
+WHERES = st.one_of(
+    st.just(("zero", 0, 0)),
+    st.tuples(st.just("far"), st.integers(1, 3), st.just(0)),
+    st.tuples(st.just("edge"), st.integers(0, 2), st.sampled_from((-1, 0, 1))),
+    st.tuples(st.just("inside"), st.integers(0, 2), st.just(0)))
+
+#: Mostly chains of sleeps: a wake that lands two slots ahead and
+#: schedules into the next slot is where a wheel that filed by the
+#: wrong slot would run an entry ahead of one already bucketed there.
+CHAINS = st.lists(WHERES, min_size=1, max_size=6)
+EDGE_OPS = st.one_of(
+    st.tuples(st.just("sleeper"), CHAINS),
+    st.tuples(st.just("spawn"), CHAINS),
+    st.tuples(st.just("timeout"), WHERES),
+    st.tuples(st.sampled_from(("succeed", "fail", "peek", "wipe")),
+              st.none()),
+    st.tuples(st.just("step"), st.integers(1, 6)))
+
+EDGE_SCRIPTS = st.fixed_dictionaries({
+    "geometry": GEOMETRIES,
+    "start": st.sampled_from((0.0, 98765.4321)),
+    "ops": st.lists(EDGE_OPS, min_size=1, max_size=24),
+})
+
+
+def _first_of_slot(slot, tick):
+    """The least float ``t`` with ``int(t / tick) >= slot``."""
+    t = slot * tick
+    while int(t / tick) >= slot:
+        t = math.nextafter(t, -math.inf)
+    while int(t / tick) < slot:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _delay(now, geometry, where):
+    """The delay from ``now`` that lands where ``where`` says, exactly
+    when ``now + delay`` can reach that float."""
+    tick, near_slots, mid_buckets = geometry
+    kind, k, ulps = where
+    if kind == "zero":
+        return 0.0
+    if kind == "far":
+        return (k * near_slots * mid_buckets + 0.5) * tick
+    slot = int(now / tick) + 1 + k
+    target = _first_of_slot(slot, tick)
+    if kind == "inside":
+        target += tick / 2
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    delay = target - now
+    for _ in range(4):
+        if now + delay < target:
+            delay = math.nextafter(delay, math.inf)
+        elif now + delay > target:
+            delay = math.nextafter(delay, -math.inf)
+    return max(delay, 0.0)
+
+
+def run_edges(env, script):
+    """Play ``script`` on ``env``; return everything it observed: each
+    callback and wake with the clock, each ``peek()``, and the clock and
+    ``_seq`` after every operation."""
+    geometry = script["geometry"]
+    log = []
+
+    def logged(tag):
+        return lambda _event: log.append((tag, env.now))
+
+    def sleeper(tag, wheres):
+        for n, where in enumerate(wheres):
+            yield _delay(env.now, geometry, where)
+            log.append((tag, n, env.now))
+        return tag
+
+    for index, (op, arg) in enumerate(script["ops"]):
+        if op == "timeout":
+            env.timeout(_delay(env.now, geometry, arg)).callbacks.append(
+                logged(index))
+        elif op == "sleeper":
+            env.process(sleeper(index, arg)).callbacks.append(logged(index))
+        elif op == "spawn":
+            env.spawn(sleeper(index, arg))
+        elif op == "succeed":
+            event = env.event()
+            event.callbacks.append(logged(index))
+            event.succeed()
+        elif op == "fail":
+            event = env.event()
+            event.callbacks.append(logged(index))
+            event.fail(ValueError(index))
+        elif op == "step":
+            for _ in range(arg):
+                if env.peek() == math.inf:
+                    break
+                env.step()
+        elif op == "peek":
+            log.append(("peek", env.peek()))
+        else:
+            env.wipe()
+        log.append(("op", index, env.now, env._seq))
+    env.run()
+    log.append(("end", env.now, env._seq))
+    return log
+
+
+@settings(deadline=None)
+@given(script=EDGE_SCRIPTS)
+def test_slot_edge_schedules_match_the_heap(script):
+    tick, near_slots, mid_buckets = script["geometry"]
+    gc.freeze()  # each wipe() collects; older objects are not ours
+    try:
+        heap = run_edges(Environment(script["start"]), script)
+        wheel = run_edges(
+            WheelEnvironment(script["start"], tick=tick,
+                             near_slots=near_slots, mid_buckets=mid_buckets),
+            script)
+    finally:
+        gc.unfreeze()
+    assert wheel == heap
