@@ -144,7 +144,15 @@ class BPlusTree:
             yield from self._split(bp, leaf, ctx=ctx)
         return True
 
-    def _fetch_leaf_frame(self, bp: BufferPool, key: int, ctx=None):
+    def _fetch_leaf_frame(self, bp: BufferPool, key: int, ctx=None,
+                          then=None):
+        """Process step: descend to ``key``'s leaf and pin its frame.
+
+        Returns ``(frame, leaf)``, or ``then(frame, leaf, key)`` when
+        ``then`` is given: a caller that would only finish the access
+        returns this generator itself instead of wrapping it in one of
+        its own.
+        """
         # The descent is the single hottest loop in an OLTP run: the
         # inner-node pins are pure hits after warm-up, so the pin-hit
         # fast path (the body of ``BufferPool.pin_hit``) is inlined per
@@ -175,7 +183,9 @@ class BPlusTree:
             node = nodes[pid]
             children = node.children
             if children is None:
-                return frame, node
+                if then is None:
+                    return frame, node
+                return then(frame, node, key)
             frame.pin_count -= 1
             pid = children[bisect_right(node.keys, key)]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 from functools import partial
 from heapq import heappop, heappush
 from typing import (Any, Callable, Generator, Iterable, List, Optional,
@@ -37,7 +38,7 @@ class Environment:
     the :meth:`step` loop with the queue and heap functions hoisted into
     locals.
 
-    The queue is seen through three slots, which is how the timer wheel
+    The queue is seen through four slots, which is how the timer wheel
     (:class:`~repro.sim.wheel.WheelEnvironment`) slots in behind the one
     loop without a branch on the hot path:
 
@@ -45,6 +46,10 @@ class Environment:
       ``partial(heappush, queue)`` here, the wheel's bound ``push``;
     * ``_current`` — the heap :meth:`run`, :meth:`step` and :meth:`peek`
       pop from: ``_queue`` itself here, the wheel's slot being drained;
+    * ``_near`` — the rule every schedule follows: an entry whose time
+      is earlier goes ``heappush(_current, entry)``, any other
+      ``_push(entry)``.  ``-inf`` here, so every entry takes ``_push``;
+      on the wheel, the first instant past the slot being drained;
     * ``_advance`` — refills ``_current`` when it runs dry, False when
       nothing is left: :func:`_exhausted` here, the wheel's cascade.
 
@@ -55,7 +60,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_crash", "_push", "_current",
-                 "_advance")
+                 "_near", "_advance")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -67,6 +72,7 @@ class Environment:
         self._push: Callable[[Tuple[float, int, Event]], None] = (
             partial(heappush, self._queue))
         self._current = self._queue
+        self._near = -math.inf
         self._advance: Callable[[], bool] = _exhausted
         self._crash: Optional[BaseException] = None
 

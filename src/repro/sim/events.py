@@ -10,13 +10,15 @@ yields its delay instead and needs no :class:`Timeout`
 The classes here are on the hottest path of the simulator (every I/O
 and every join is an event), so they are written for
 throughput: ``__slots__`` everywhere, and :meth:`Event.succeed` /
-:meth:`Event.fail` push straight through the environment's pre-bound
-``_push`` (the heap's ``heappush`` or the timer wheel's ``push``)
-instead of going through a scheduling call.
+:meth:`Event.fail` schedule inline by the environment's ``_near`` rule
+— a C-level ``heappush`` onto ``_current``, or the pre-bound ``_push``
+(the heap's ``heappush`` or the timer wheel's ``push``) — instead of
+going through a scheduling call.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional)
 
@@ -76,7 +78,11 @@ class Event:
         self._value = value
         env = self.env
         env._seq = seq = env._seq + 1
-        env._push((env._now, seq, self))
+        entry = (env._now, seq, self)
+        if entry[0] < env._near:
+            heappush(env._current, entry)
+        else:
+            env._push(entry)
         return self
 
     def settle(self, value: Any = None) -> "Event":
@@ -114,7 +120,11 @@ class Event:
         self._value = exception
         env = self.env
         env._seq = seq = env._seq + 1
-        env._push((env._now, seq, self))
+        entry = (env._now, seq, self)
+        if entry[0] < env._near:
+            heappush(env._current, entry)
+        else:
+            env._push(entry)
         return self
 
     def __repr__(self) -> str:
@@ -140,7 +150,11 @@ class Timeout(Event):
         self._value = value
         self.delay = delay
         env._seq = seq = env._seq + 1
-        env._push((env._now + delay, seq, self))
+        entry = (env._now + delay, seq, self)
+        if entry[0] < env._near:
+            heappush(env._current, entry)
+        else:
+            env._push(entry)
 
 
 class _Condition(Event):

@@ -40,6 +40,7 @@ attributes and locals.
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from types import GeneratorType
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
                     Iterator, List, Tuple, Union)
@@ -86,7 +87,11 @@ def _queue_start(env: "Environment",
     bootstrap._ok = True
     bootstrap._value = None
     env._seq = seq = env._seq + 1
-    env._push((env._now, seq, bootstrap))
+    entry = (env._now, seq, bootstrap)
+    if entry[0] < env._near:
+        heappush(env._current, entry)
+    else:
+        env._push(entry)
 
 
 #: What :meth:`Process._resume` is handed to run a generator's first
@@ -178,7 +183,11 @@ class Process(Event):
                     env = self.env
                     env._seq = seq = env._seq + 1
                     wake.callbacks = self._wakers
-                    env._push((env._now + target, seq, wake))
+                    entry = (env._now + target, seq, wake)
+                    if entry[0] < env._near:
+                        heappush(env._current, entry)
+                    else:
+                        env._push(entry)
                     return
             # Anything else the engine yields is an Event; fetching its
             # callback list doubles as the type check (AttributeError

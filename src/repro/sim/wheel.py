@@ -9,12 +9,15 @@ think times — where a timer wheel's ``O(1)`` bucket insert wins.
 :class:`TimerWheel` is a queue, not a second kernel: it takes
 ``(when, seq, event)`` entries and hands them back in exactly
 ``(when, seq)`` order, and :class:`WheelEnvironment` only points the
-environment's ``_push``, ``_current`` and ``_advance`` at it, so the one
-loop of :class:`~repro.sim.environment.Environment` drains it.  It is a
+environment's ``_push``, ``_current`` and ``_advance`` at it and lets it
+keep ``_near``, so the one loop of
+:class:`~repro.sim.environment.Environment` drains it.  It is a
 three-tier hierarchy:
 
 * **current** — a real heap holding entries of the slot being drained
-  (and any entry scheduled at or before it, e.g. zero-delay wake-ups);
+  (and any entry scheduled at or before it, e.g. zero-delay wake-ups),
+  which the environment pushes onto directly (the environment's
+  ``_near``);
 * **near** — per-slot buckets (``tick`` seconds wide) for the next
   ``near_slots`` slots: one dict append per push, one ``heapify`` per
   slot drained;
@@ -36,13 +39,26 @@ zero); the environment enforces this at construction.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Tuple
+from math import inf, nextafter
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 
 #: One scheduled entry, exactly as the heap scheduler stores it.
 Entry = Tuple[float, int, Event]
+
+
+def _slot_end(slot: int, tick: float) -> float:
+    """The least float ``t`` with ``int(t / tick) > slot``: exactly
+    where ``push`` stops filing an entry into ``slot``.  ``(slot + 1) *
+    tick`` is within a few ulps of it either way, at any magnitude."""
+    t = (slot + 1) * tick
+    while int(t / tick) > slot:
+        t = nextafter(t, -inf)
+    while int(t / tick) <= slot:
+        t = nextafter(t, inf)
+    return t
 
 
 class TimerWheel:
@@ -53,13 +69,20 @@ class TimerWheel:
     :meth:`clear`; :meth:`pop`, :meth:`peek_when` and ``len()`` read the
     queue on its own.  Entries come out in the heap's ``(when, seq)``
     order.
+
+    Given an ``env``, the wheel keeps that environment's ``_near`` at
+    the first instant past the slot being drained, so the environment
+    files an entry of that slot onto ``_current`` itself, exactly where
+    :meth:`push` would.
     """
 
     __slots__ = ("tick", "_near_width", "_span", "_cursor", "_current",
-                 "_near", "_near_slots", "_mid", "_mid_buckets", "_far")
+                 "_near", "_near_slots", "_mid", "_mid_buckets", "_far",
+                 "_env")
 
     def __init__(self, tick: float = 1e-3, near_slots: int = 256,
-                 mid_buckets: int = 64, origin: float = 0.0) -> None:
+                 mid_buckets: int = 64, origin: float = 0.0,
+                 env: Optional[Environment] = None) -> None:
         if tick <= 0.0:
             raise ValueError(f"tick must be > 0, got {tick}")
         if near_slots < 2 or mid_buckets < 2:
@@ -81,6 +104,9 @@ class TimerWheel:
         self._mid: Dict[int, List[Entry]] = {}
         self._mid_buckets: List[int] = []
         self._far: List[Entry] = []
+        self._env = env
+        if env is not None:
+            env._near = _slot_end(self._cursor, tick)
 
     def __len__(self) -> int:
         # Derived, not counted: maintaining a size counter costs an
@@ -187,6 +213,8 @@ class TimerWheel:
             heapify(entries)
             self._current[:] = entries  # in place: never rebind
             self._cursor = slot
+            if self._env is not None:
+                self._env._near = _slot_end(slot, tick)
             return True
 
     def _place_near(self, entry: Entry) -> None:
@@ -233,7 +261,8 @@ class WheelEnvironment(Environment):
                 f"wheel kernel needs initial_time >= 0, got {initial_time}")
         super().__init__(initial_time)
         wheel = TimerWheel(tick=tick, near_slots=near_slots,
-                           mid_buckets=mid_buckets, origin=initial_time)
+                           mid_buckets=mid_buckets, origin=initial_time,
+                           env=self)
         self._queue = wheel  # type: ignore[assignment]
         self._push = wheel.push
         self._current = wheel._current

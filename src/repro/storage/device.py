@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import Environment, Event, Timeout
@@ -218,7 +219,11 @@ class DeviceBase:
         env = self.env
         env._seq = seq = env._seq + 1
         request.callbacks = callbacks
-        env._push((env._now + delay, seq, request))
+        entry = (env._now + delay, seq, request)
+        if entry[0] < env._near:
+            heappush(env._current, entry)
+        else:
+            env._push(entry)
 
 
 class Device(DeviceBase):
@@ -308,7 +313,11 @@ class Device(DeviceBase):
             env = self.env  # _queue, inlined: every I/O passes here
             env._seq = seq = env._seq + 1
             request.callbacks = callbacks
-            env._push((env._now + service, seq, request))
+            entry = (env._now + service, seq, request)
+            if entry[0] < env._near:
+                heappush(env._current, entry)
+            else:
+                env._push(entry)
         except BaseException:
             self._release()
             raise

@@ -86,17 +86,20 @@ class Transaction:
         return frame
 
     def index_lookup(self, tree, key: int):
-        """Process step: B+-tree point lookup."""
-        frame, leaf = yield from tree._fetch_leaf_frame(
-            self.system.bp, key, ctx=self.ctx)
-        frame.pin_count -= 1
-        return leaf.value_of(key)
+        """Process step: B+-tree point lookup; the value or None.  The
+        step is the tree's descent itself, which finishes in
+        :func:`_looked_up`."""
+        return tree._fetch_leaf_frame(self.system.bp, key, self.ctx,
+                                      _looked_up)
 
     def index_update(self, tree, key: int):
-        """Process step: B+-tree in-place update (dirties the leaf)."""
-        bp = self.system.bp
-        frame, leaf = yield from tree._fetch_leaf_frame(bp, key, ctx=self.ctx)
-        self.last_lsn = bp.mark_dirty(frame)
+        """Process step: B+-tree in-place update (dirties the leaf); the
+        descent itself, finishing in :meth:`_updated`."""
+        return tree._fetch_leaf_frame(self.system.bp, key, self.ctx,
+                                      self._updated)
+
+    def _updated(self, frame, leaf, key: int) -> None:
+        self.last_lsn = self.system.bp.mark_dirty(frame)
         self.writes.append((frame.page_id, frame.version))
         frame.pin_count -= 1
 
@@ -122,6 +125,12 @@ class Transaction:
                                   self._tracer.now, "txn", "txn",
                                   {"writes": len(self.writes)},
                                   ctx=self.ctx)
+
+
+def _looked_up(frame, leaf, key: int) -> Optional[int]:
+    """An index lookup's end: unpin the leaf, read ``key``'s value."""
+    frame.pin_count -= 1
+    return leaf.value_of(key)
 
 
 class AppendRegion:

@@ -5,7 +5,9 @@ The partition latch is an O(1) ``busy_until`` model, so a latched *hit*
 must cost exactly the one sleep that advances virtual time: one entry
 on the queue, the process's own wake entry (no ``Timeout``), and no
 generator of its own (DESIGN.md §13, "Waits").  These budgets pin that,
-so the hit path cannot quietly re-inflate.
+so the hit path cannot quietly re-inflate.  On the wheel kernel such a
+sleep stays inside the slot being drained, so it is pushed onto that
+slot's heap without a call of ``TimerWheel.push``.
 """
 
 import inspect
@@ -15,6 +17,7 @@ import pytest
 from repro.engine import BufferPool
 from repro.engine.btree import BPlusTree
 from repro.engine.heap_file import HeapFile
+from repro.sim.wheel import TimerWheel, WheelEnvironment
 from repro.workloads.base import Transaction
 from tests.conftest import MiniSystem, drive, profiled, scheduled
 
@@ -39,6 +42,20 @@ def generators_run(env, body):
     with profiled(profiler):
         drive(env, body)
     return seen
+
+
+def wheel_pushes(env, body):
+    """Calls of ``TimerWheel.push`` while ``body`` runs as a process."""
+    push = TimerWheel.push.__code__
+    calls = [0]
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is push:
+            calls[0] += 1
+
+    with profiled(profiler):
+        drive(env, body)
+    return calls[0]
 
 
 def warm_tree(sys_, n=100, fanout=8):
@@ -72,9 +89,33 @@ class TestLatchedDescent:
         tree = warm_tree(sys_)
         txn = Transaction(sys_)
         assert generators_run(sys_.env, txn.index_lookup(tree, 50)) == {
-            "index_lookup", "_fetch_leaf_frame"}
+            "_fetch_leaf_frame"}
         assert drive(sys_.env, txn.index_lookup(tree, 50)) == 50
         assert drive(sys_.env, txn.index_lookup(tree, 999)) is None
+
+    def test_index_update_drives_the_descent_directly(self):
+        sys_ = latched_system()
+        tree = warm_tree(sys_)
+        frame, leaf = drive(sys_.env, tree._fetch_leaf_frame(sys_.bp, 50))
+        frame.pin_count -= 1
+        txn = Transaction(sys_)
+        assert generators_run(sys_.env, txn.index_update(tree, 50)) == {
+            "_fetch_leaf_frame"}
+        assert leaf.keys == [50] and frame.dirty and frame.pin_count == 0
+        assert txn.writes == [(frame.page_id, frame.version)]
+        assert txn.last_lsn == frame.page_lsn
+
+    def test_all_hit_descent_on_the_wheel_pushes_nothing_onto_it(self):
+        env = WheelEnvironment()
+        sys_ = latched_system(env=env)
+        tree = warm_tree(sys_)
+        # To a quarter into the next slot: the descent's bootstrap, four
+        # 20 µs latch sleeps and completion then fall inside that slot.
+        tick = env._queue.tick
+        env.run(env.timeout((int(env.now / tick) + 1.25) * tick - env.now))
+        started = env.now
+        assert wheel_pushes(env, tree._fetch_leaf_frame(sys_.bp, 50)) == 0
+        assert env.now - started == pytest.approx(4 * LATCH_S)
 
     def test_unlatched_all_hit_descent_schedules_nothing(self):
         sys_ = MiniSystem(db_pages=2_000, bp_pages=512)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import KERNELS, Environment, make_environment
+from repro.sim import wheel as wheel_module
 from repro.sim.wheel import TimerWheel, WheelEnvironment
 from repro.sim.environment import EmptySchedule
 
@@ -340,3 +341,41 @@ def test_slot_edge_schedules_match_the_heap(script):
     finally:
         gc.unfreeze()
     assert wheel == heap
+
+
+@pytest.mark.parametrize("tick", [1e-3, 0.1, 0.25, 1e-5])
+@pytest.mark.parametrize("base", [0, 98_765_432, 2**40])
+def test_slot_end_is_the_first_instant_of_the_next_slot(tick, base):
+    for slot in range(base, base + 2_000):
+        end = wheel_module._slot_end(slot, tick)
+        assert int(end / tick) > slot
+        assert int(math.nextafter(end, -math.inf) / tick) <= slot
+
+
+def test_the_wheel_keeps_near_at_the_end_of_the_slot_being_drained():
+    env = WheelEnvironment(initial_time=5.0, tick=0.1)
+    assert env._near == wheel_module._slot_end(50, 0.1)
+    env.timeout(1.0)
+    assert env.peek() == 6.0  # peek() drains slot 60 ahead of the clock
+    assert env._near == wheel_module._slot_end(60, 0.1)
+    assert Environment()._near == -math.inf
+
+
+#: A sleep filed one slot too far ahead runs ahead of a timer already
+#: bucketed in that slot: p sleeps to slot 2's first instant, a timer
+#: waits for slot 3's, and p's second sleep lands in the middle of slot 3.
+ONE_SLOT_TOO_FAR = {"geometry": (1e-3, 256, 64), "start": 0.0, "ops": [
+    ("sleeper", [("edge", 1, 0), ("inside", 0, 0)]),
+    ("timeout", ("edge", 2, 0))]}
+
+
+def test_the_edge_property_catches_near_one_slot_too_far(monkeypatch):
+    script = ONE_SLOT_TOO_FAR
+    geometry = dict(zip(("tick", "near_slots", "mid_buckets"),
+                        script["geometry"]))
+    heap = run_edges(Environment(), script)
+    assert run_edges(WheelEnvironment(**geometry), script) == heap
+    slot_end = wheel_module._slot_end
+    monkeypatch.setattr(wheel_module, "_slot_end",
+                        lambda slot, tick: slot_end(slot + 1, tick))
+    assert run_edges(WheelEnvironment(**geometry), script) != heap

@@ -169,17 +169,17 @@ FAULT_EXCEPTIONS = frozenset(
     {"IoFault", "TransientIoError", "DeviceDeadError",
      "Exception", "BaseException"})
 #: Functions whose body *is* the fault handling: they may await raw
-#: device events, and callers may pass lambdas into them.
+#: device events.
 RETRY_HELPERS = ("_ssd_io", "_ssd_read_frame", "_ssd_write_frame")
 
 
 def fault_safety(tree):
     """RPL004: an awaited raw device I/O reaches the fault machinery.
 
-    Every device submission is fallible.  An awaited
-    ``device.submit/read/write`` outside a ``try`` that catches I/O
-    faults and outside the retry helpers turns an injected fault into an
-    unhandled crash instead of a retry or a graceful detach.
+    Every device submission is fallible.  An awaited ``….submit(...)``
+    outside a ``try`` that catches I/O faults and outside the retry
+    helpers turns an injected fault into an unhandled crash instead of a
+    retry or a graceful detach.
     """
     parents = parent_map(tree)
     for node in ast.walk(tree):
@@ -194,23 +194,13 @@ def fault_safety(tree):
 
 
 def _is_device_io(node):
-    if not isinstance(node.func, ast.Attribute):
-        return False
-    receiver = dotted_name(node.func.value)
-    if receiver is None:
-        return False
-    last = receiver.rsplit(".", 1)[-1]
-    return node.func.attr == "submit" or (
-        node.func.attr in ("read", "write")
-        and (last == "device" or last.endswith("_device")))
+    return (isinstance(node.func, ast.Attribute)
+            and node.func.attr == "submit"
+            and dotted_name(node.func.value) is not None)
 
 
 def _fault_protected(parents, node):
     for ancestor in ancestors(parents, node):
-        if isinstance(ancestor, ast.Lambda):
-            # A thunk handed to a retry helper, which awaits it under its
-            # own try/except.
-            return True
         if isinstance(ancestor, ast.Try) and any(
                 _catches_faults(h) for h in ancestor.handlers):
             return True

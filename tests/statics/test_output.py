@@ -22,8 +22,8 @@ SEEDED = {
             return random.random()
         """),
     "RPL004": ("core/x.py", 3, """
-        def f(self):
-            yield self.device.read(0, 1)
+        def f(self, request):
+            yield self.device.submit(request)
         """),
     "RPL005": ("faults/x.py", 5, """
         def f():

@@ -270,14 +270,14 @@ class TestFaultSafety(CheckCase):
     CODE = "RPL004"
     PATH = "src/repro/core/mymanager.py"
     SUPPRESSED = """
-        def f(self):
-            yield self.device.read(0, 1)  # repro: noqa[RPL004]
+        def f(self, request):
+            yield self.device.submit(request)  # repro: noqa[RPL004]
         """
 
     def test_naked_device_await_flagged(self):
         assert self.flagged("""
-            def f(self):
-                yield self.device.read(0, 1)
+            def f(self, request):
+                yield self.device.submit(request)
             """) == 1
 
     def test_submit_flagged(self):
@@ -289,26 +289,26 @@ class TestFaultSafety(CheckCase):
     def test_try_reaching_fault_error_clean(self):
         assert self.flagged("""
             from repro.faults import IoFault
-            def f(self):
+            def f(self, request):
                 try:
-                    yield self.device.read(0, 1)
+                    yield self.device.submit(request)
                 except IoFault:
                     pass
             """) == 0
 
     def test_retry_helper_clean(self):
         assert self.flagged("""
-            def _ssd_io(self, submit):
-                yield self.device.read(0, 1)
+            def _ssd_io(self, request, must, fault):
+                yield self.device.submit(request)
             """) == 0
 
     def test_lambda_thunk_clean(self):
-        # The canonical call shape: the raw submit is wrapped in a
-        # thunk handed to the retry helper.
+        # A submit inside a thunk is no yield's operand: the helper the
+        # thunk is handed to awaits what it returns.
         assert self.flagged("""
-            def f(self):
+            def f(self, request):
                 ok = yield from self._ssd_io(
-                    lambda: self.device.write(0, 1))
+                    lambda: self.device.submit(request))
             """) == 0
 
 
