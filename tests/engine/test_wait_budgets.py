@@ -93,6 +93,16 @@ class TestLatchedDescent:
         assert drive(sys_.env, txn.index_lookup(tree, 50)) == 50
         assert drive(sys_.env, txn.index_lookup(tree, 999)) is None
 
+    @pytest.mark.xfail(strict=True, reason="lookup wraps the descent in a "
+                       "generator of its own")
+    def test_btree_lookup_drives_the_descent_directly(self):
+        sys_ = latched_system()
+        tree = warm_tree(sys_)
+        assert generators_run(sys_.env, tree.lookup(sys_.bp, 50)) == {
+            "_fetch_leaf_frame"}
+        assert drive(sys_.env, tree.lookup(sys_.bp, 50)) == 50
+        assert drive(sys_.env, tree.lookup(sys_.bp, 999)) is None
+
     def test_index_update_drives_the_descent_directly(self):
         sys_ = latched_system()
         tree = warm_tree(sys_)
