@@ -124,10 +124,9 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def lookup(self, bp: BufferPool, key: int, ctx=None):
-        """Process step: point lookup; returns the value or None."""
-        frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
-        frame.pin_count -= 1
-        return leaf.value_of(key)
+        """Process step: point lookup; returns the value or None.  The
+        step is the descent itself, which finishes in :func:`_looked_up`."""
+        return self._fetch_leaf_frame(bp, key, ctx, _looked_up)
 
     def insert(self, bp: BufferPool, key: int, ctx=None):
         """Process step: insert ``key`` (idempotent), splitting if needed."""
@@ -243,3 +242,9 @@ class BPlusTree:
         bp.unpin(frame)
         if len(parent.keys) > self.fanout - 1:
             yield from self._split(bp, parent, ctx=ctx)
+
+
+def _looked_up(frame, leaf: _Node, key: int) -> Optional[int]:
+    """A point lookup's end: unpin the leaf, read ``key``'s value."""
+    frame.pin_count -= 1
+    return leaf.value_of(key)

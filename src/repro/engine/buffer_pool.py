@@ -280,41 +280,34 @@ class BufferPool:
         if self._latch_s and not latched:
             yield self.latch(page_id, ctx)
         env = self.env
-        frames = self.frames
         stats = self.stats
         while True:
-            frame = frames.get(page_id)
+            frame = self.pin_hit(page_id)
             if frame is not None:
-                busy = frame.io_busy
-                if busy is not None:
-                    # Latch conflict: an I/O owns the frame (e.g. TAC's
-                    # write-to-SSD-after-read, §2.5) — wait and retry.
-                    if busy is RESERVED:
-                        frame.io_busy = busy = env.event()
-                    started = env._now
-                    reason = frame.busy_reason or "unknown"
-                    stats.latch_waits += 1
-                    begun = self.latch_wait_counts
-                    begun[reason] = begun.get(reason, 0) + 1
-                    yield busy
-                    waited = env._now - started
-                    stats.latch_wait_time += waited
-                    by_reason = stats.latch_wait_by_reason
-                    by_reason[reason] = by_reason.get(reason, 0.0) + waited
-                    self.latch_wait_lengths.append(waited)
-                    if self._tracer.enabled:
-                        self._tracer.complete("latch_wait", started,
-                                              env._now, "bp",
-                                              "buffer_pool",
-                                              {"reason": reason}, ctx=ctx)
-                    continue
-                frame.pin_count += 1
-                frame.prev_access = frame.last_access
-                frame.last_access = env._now
-                self._stamp = stamp = self._stamp + 1
-                frame.lru_stamp = stamp
-                stats.hits += 1
                 return frame
+            frame = self.frames.get(page_id)
+            if frame is not None:
+                # Latch conflict: an I/O owns the frame (e.g. TAC's
+                # write-to-SSD-after-read, §2.5) — wait and retry.
+                busy = frame.io_busy
+                if busy is RESERVED:
+                    frame.io_busy = busy = env.event()
+                started = env._now
+                reason = frame.busy_reason or "unknown"
+                stats.latch_waits += 1
+                begun = self.latch_wait_counts
+                begun[reason] = begun.get(reason, 0) + 1
+                yield busy
+                waited = env._now - started
+                stats.latch_wait_time += waited
+                by_reason = stats.latch_wait_by_reason
+                by_reason[reason] = by_reason.get(reason, 0.0) + waited
+                self.latch_wait_lengths.append(waited)
+                if self._tracer.enabled:
+                    self._tracer.complete("latch_wait", started, env._now,
+                                          "bp", "buffer_pool",
+                                          {"reason": reason}, ctx=ctx)
+                continue
 
             pending = self._inflight.get(page_id)
             if pending is not None:
@@ -381,7 +374,9 @@ class BufferPool:
         return wait + service
 
     def _read_in(self, page_id: PageId, ctx=None):
-        """Process step: bring a missing page in (SSD first, else disk).
+        """Process step: bring a missing page in (SSD first, else disk;
+        with ``expand_reads``, the aligned 8-page run around it until the
+        pool has filled).
 
         Records an outer ``bp_miss`` span (for waterfall display; the
         analyzer sums only the leaf waits nested inside it).
@@ -400,61 +395,67 @@ class BufferPool:
                 version = yield from ssd.read_failed(read, fault)
             else:
                 version = ssd.read_landed(read)
-        if version is not None:
-            self.stats.ssd_hits += 1
-            if self._tracer.enabled:
-                self._tracer.complete("bp_miss", miss_started, self.env.now,
-                                      "bp", "buffer_pool",
-                                      {"page": page_id, "src": "ssd"},
-                                      ctx=ctx)
-            frame = Frame(page_id, version, sequential=False)
-            if (version > self.disk.disk_version(page_id)
-                    and not ssd.contains_valid(page_id)):
-                # An *exclusive* SSD design just handed us its only copy
-                # of a version newer than disk: the memory frame is now
-                # the authoritative copy and must be treated as dirty so
-                # checkpoints and evictions keep it durable.  (The redo
-                # records for this version were forced before the page
-                # ever reached the SSD, so no new WAL force is needed.)
-                frame.dirty = True
-                self._dirty += 1
-            self.frames[page_id] = frame
-            return frame
-
-        self.stats.disk_reads += 1
-        if self.expand_reads and not self._warmed:
-            frame = yield from self._expanded_read(page_id, ctx=ctx)
+        from_ssd = version is not None
+        if from_ssd:
+            frame = self._install(page_id, version, False, True)
         else:
-            versions = yield from self.disk.read(page_id, 1, sequential=False,
-                                                 ctx=ctx)
-            frame = Frame(page_id, versions[0], sequential=False)
-            self.frames[page_id] = frame
-        self.ssd.on_read_from_disk(frame)
+            self.stats.disk_reads += 1
+            start, npages = page_id, 1
+            if self.expand_reads and not self._warmed:
+                start = page_id // 8 * 8
+                npages = min(8, self.disk.npages - start)
+            versions = yield from self.disk.read(start, npages,
+                                                 sequential=False, ctx=ctx)
+            for pid, version in enumerate(versions, start):
+                if pid == page_id:
+                    frame = self._install(pid, version, False, False)
+                elif pid not in self._inflight and self.used < self.capacity:
+                    self._install(pid, version, True, False)
+            ssd.on_read_from_disk(frame)
         if self._tracer.enabled:
             self._tracer.complete("bp_miss", miss_started, self.env.now,
                                   "bp", "buffer_pool",
-                                  {"page": page_id, "src": "disk"},
+                                  {"page": page_id,
+                                   "src": "ssd" if from_ssd else "disk"},
                                   ctx=ctx)
         return frame
 
-    def _expanded_read(self, page_id: PageId, ctx=None):
-        """Read an aligned 8-page run to fill the pool faster (cold start)."""
-        span = 8
-        start = (page_id // span) * span
-        npages = min(span, self.disk.npages - start)
-        versions = yield from self.disk.read(start, npages, sequential=False,
-                                             ctx=ctx)
-        frame = None
-        for offset, version in enumerate(versions):
-            pid = start + offset
-            if pid == page_id:
-                frame = Frame(pid, version, sequential=False)
-                self.frames[pid] = frame
-            elif (pid not in self.frames and pid not in self._inflight
-                  and self.used < self.capacity):
-                extra = Frame(pid, version, sequential=True)
-                self.frames[pid] = extra
-                self._touch(extra)
+    def _install(self, page_id: PageId, version: int, sequential: bool,
+                 from_ssd: bool) -> Optional[Frame]:
+        """Enter a page read in as a resident frame; None when it does not
+        enter.  Every read into the pool builds its frame here, so the
+        Figure 3 copy rules are stated once:
+
+        * a version the SSD served that is newer than disk, with no valid
+          SSD copy left, enters dirty: an exclusive design handed over its
+          only copy, so checkpoints and evictions must keep the frame
+          durable (its redo records were forced before the page reached
+          the SSD, so no new WAL force is needed);
+        * a disk copy older than a valid SSD copy is never installed: the
+          page was dirtied and evicted into the SSD while the disk read
+          ran, and a later fetch is served from the SSD.
+
+        A page resident already keeps its frame.  A page read ahead
+        (``sequential``) is filed for replacement now; a fetched one when
+        the fetch pins it.
+        """
+        frames = self.frames
+        if page_id in frames:
+            return None
+        dirty = False
+        if from_ssd:
+            self.stats.ssd_hits += 1
+            dirty = (version > self.disk.disk_version(page_id)
+                     and not self.ssd.contains_valid(page_id))
+        elif self.ssd.contains_newer(page_id):
+            return None
+        frame = Frame(page_id, version, sequential)
+        frames[page_id] = frame
+        if dirty:
+            frame.dirty = True
+            self._dirty += 1
+        if sequential:
+            self._touch(frame)
         return frame
 
     # ------------------------------------------------------------------
@@ -517,24 +518,15 @@ class BufferPool:
         own pages in flight)."""
         versions = yield from self.disk.read(start, npages, sequential=True)
         inflight = self._inflight
-        for offset, version in enumerate(versions):
-            pid = start + offset
-            if (pid in self.frames or pid in skip
-                    or inflight.get(pid, done) is not done):
-                # Resident already, a newer SSD copy is being read in
-                # parallel (§3.3.3), or another reader's fetch installs
-                # the page when it lands: the disk copy is discarded.
+        for pid, version in enumerate(versions, start):
+            if pid in skip or inflight.get(pid, done) is not done:
+                # A newer SSD copy is being read in parallel (§3.3.3), or
+                # another reader's fetch installs the page when it
+                # lands: the disk copy is discarded.
                 continue
-            if self.ssd.contains_newer(pid):
-                # The page was dirtied and evicted into the SSD *while*
-                # this disk I/O was in flight: the disk copy is stale.
-                # Drop it; a later fetch will be served from the SSD.
-                continue
-            frame = Frame(pid, version, sequential=True)
-            self.frames[pid] = frame
-            self._touch(frame)
-            self.stats.prefetched_pages += 1
-            self.ssd.on_read_from_disk(frame)
+            frame = self._install_read_ahead(pid, version, False)
+            if frame is not None:
+                self.ssd.on_read_from_disk(frame)
 
     def _read_ahead_ssd(self, pages: List[PageId],
                         member: GatherMember) -> None:
@@ -602,15 +594,13 @@ class BufferPool:
         self._install_read_ahead(page_id, version, from_ssd)
 
     def _install_read_ahead(self, page_id: PageId, version: int,
-                            from_ssd: bool) -> None:
-        if page_id in self.frames:
-            return
-        frame = Frame(page_id, version, sequential=True)
-        self.frames[page_id] = frame
-        self._touch(frame)
-        self.stats.prefetched_pages += 1
-        if from_ssd:
-            self.stats.ssd_hits += 1
+                            from_ssd: bool) -> Optional[Frame]:
+        """A page read ahead enters through :meth:`_install`; one that
+        does is counted as prefetched."""
+        frame = self._install(page_id, version, True, from_ssd)
+        if frame is not None:
+            self.stats.prefetched_pages += 1
+        return frame
 
     # ------------------------------------------------------------------
     # Update path
@@ -901,7 +891,10 @@ class BufferPool:
         matches the frames, each resident frame not being evicted has
         exactly one live replacement entry (a victim's left the heap when
         it was picked), the claim counters are not negative, and only a
-        frame being evicted is reserved."""
+        frame being evicted is reserved.  And the Figure 3 rule
+        :meth:`_install` keeps: a clean frame newer than disk has a
+        valid SSD copy of its version (else nothing would write it
+        back), unless a detach is in progress."""
         frames = self.frames
         dirty = sum(frame.dirty for frame in frames.values())
         assert self._dirty == dirty, (self._dirty, dirty)
@@ -919,6 +912,20 @@ class BufferPool:
                  if frame.io_busy is RESERVED
                  and frame.busy_reason != "eviction"]
         assert not stray, f"reserved outside an eviction: {stray[:5]}"
+        ssd = self.ssd
+        if ssd.detached and not ssd._detach_complete.triggered:
+            return
+        disk_version = self.disk.disk_version
+        lookup_valid = ssd.table.lookup_valid
+        orphans = [frame for page_id, frame in frames.items()
+                   if not frame.dirty
+                   and frame.version > disk_version(page_id)
+                   and getattr(lookup_valid(page_id), "version",
+                               None) != frame.version]
+        assert not orphans, (
+            "clean and newer than disk with no SSD copy of its version: "
+            + ", ".join(f"page {frame.page_id} v{frame.version}"
+                        for frame in orphans[:5]))
 
     def crash_reset(self) -> None:
         """Build the pool's volatile state: no frame, no miss or eviction

@@ -87,10 +87,8 @@ class Transaction:
 
     def index_lookup(self, tree, key: int):
         """Process step: B+-tree point lookup; the value or None.  The
-        step is the tree's descent itself, which finishes in
-        :func:`_looked_up`."""
-        return tree._fetch_leaf_frame(self.system.bp, key, self.ctx,
-                                      _looked_up)
+        step is the tree's descent itself (:meth:`BPlusTree.lookup`)."""
+        return tree.lookup(self.system.bp, key, self.ctx)
 
     def index_update(self, tree, key: int):
         """Process step: B+-tree in-place update (dirties the leaf); the
@@ -125,12 +123,6 @@ class Transaction:
                                   self._tracer.now, "txn", "txn",
                                   {"writes": len(self.writes)},
                                   ctx=self.ctx)
-
-
-def _looked_up(frame, leaf, key: int) -> Optional[int]:
-    """An index lookup's end: unpin the leaf, read ``key``'s value."""
-    frame.pin_count -= 1
-    return leaf.value_of(key)
 
 
 class AppendRegion:

@@ -14,7 +14,6 @@ resident frame.
 import pytest
 
 from repro.core import SsdDesignConfig
-from repro.engine.recovery import RecoveryError
 from repro.harness.system import System, SystemConfig
 from tests.conftest import drive
 
@@ -56,8 +55,6 @@ class TestExclusiveHandOver:
         assert (frame.version, frame.dirty) == (1, True)
         _checkpoint_crash_recover(system, {NEWER: 1})
 
-    @pytest.mark.xfail(strict=True, raises=RecoveryError,
-                       reason="read-ahead installs the hand-over clean")
     def test_a_read_ahead_hand_over_enters_dirty_and_survives(self):
         system = _system("EXCL")
         _cache_newer(system)
@@ -74,8 +71,6 @@ class TestExpandedRead:
     """The cold-start expanded read (§4.3.2) brings in an aligned 8-page
     run from disk; a page of the run whose SSD copy is newer keeps it."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the expanded read installs the stale disk copy")
     def test_a_disk_copy_older_than_the_ssd_copy_is_not_installed(self):
         system = _system("LC", expand_reads=True)
         _cache_newer(system, 13)
@@ -104,14 +99,12 @@ class TestNewerThanDiskInvariant:
         system.bp.check_invariants()
         return system
 
-    @pytest.mark.xfail(strict=True, reason="the pool does not state the rule")
     def test_a_clean_frame_newer_than_disk_without_its_ssd_copy_fails(self):
         system = self._clean_newer_frame()
         system.ssd_manager.invalidate(NEWER)
         with pytest.raises(AssertionError, match=f"page {NEWER}"):
             system.bp.check_invariants()
 
-    @pytest.mark.xfail(strict=True, reason="the pool does not state the rule")
     def test_a_detach_in_progress_is_exempt(self):
         system = self._clean_newer_frame()
         manager = system.ssd_manager

@@ -93,8 +93,6 @@ class TestLatchedDescent:
         assert drive(sys_.env, txn.index_lookup(tree, 50)) == 50
         assert drive(sys_.env, txn.index_lookup(tree, 999)) is None
 
-    @pytest.mark.xfail(strict=True, reason="lookup wraps the descent in a "
-                       "generator of its own")
     def test_btree_lookup_drives_the_descent_directly(self):
         sys_ = latched_system()
         tree = warm_tree(sys_)

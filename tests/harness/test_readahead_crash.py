@@ -12,7 +12,6 @@ About 0.5 s for the whole matrix.
 import pytest
 
 from repro.core import DESIGNS
-from repro.engine.recovery import RecoveryError
 from repro.harness.experiments import (SCALE_PROFILES, make_system,
                                        make_workload)
 
@@ -21,12 +20,7 @@ CRASH_AT = (0.3, 0.5)
 
 
 @pytest.mark.parametrize("crash_at", CRASH_AT)
-@pytest.mark.parametrize("design", [
-    pytest.param(design, marks=pytest.mark.xfail(
-        strict=True, raises=RecoveryError,
-        reason="read-ahead installs EXCL's hand-over clean"))
-    if design == "EXCL" else design
-    for design in DESIGNS])
+@pytest.mark.parametrize("design", list(DESIGNS))
 def test_a_crash_after_a_checkpoint_loses_no_commit(design, crash_at):
     committed = {}
     workload = make_workload("tpch", 30, TINY, oracle=committed)

@@ -110,8 +110,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.core.tac:TemperatureAwareManager._evict_for_space": (
         J, _TAC_FULL),
     # engine
-    "repro.engine.buffer_pool:BufferPool._expanded_read": (
-        J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
     "repro.engine.buffer_pool:BufferPool._warmed": (
         J, "expand_reads=True: benchmarks/test_fig8_io_traffic.py"),
     "repro.engine.buffer_pool:BufferPool._read_ahead_detached": (
