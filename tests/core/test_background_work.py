@@ -12,6 +12,7 @@ import pytest
 
 from repro.engine.page import Frame
 from repro.faults.errors import RETRY_LIMIT
+from repro.storage.request import IoKind
 from tests.conftest import MiniSystem, disk_ios, drive, settle
 from tests.core.test_ssd_manager import ScriptedFaults
 
@@ -75,16 +76,20 @@ class TestLambdaCleaner:
 
 
 class TestLsDirtyCleaner:
+    @pytest.mark.xfail(strict=True, reason="per-page copy-backs")
     def test_a_wave_whose_copy_backs_all_fail_backs_off_then_drains(self):
-        """Every disk write of the first waves is abandoned (its retry
-        budget runs out): the entries stay dirty and findable, the
-        cleaner keeps trying, and once the faults stop it drains."""
+        """Every disk write of the first four rounds is abandoned (its
+        retry budget runs out): the entries stay dirty and in the dirty
+        heap, the cleaner keeps trying, and once the faults stop it
+        drains; a checkpoint then finds the rest in the heap.
+
+        α = 4 and one batch a round: a round is one 4-page run."""
         sys_ = MiniSystem(design="LS", db_pages=600, bp_pages=48,
                           ssd_frames=100, dirty_threshold=0.2,
                           clean_slack=0.05, ls_segment_pages=16,
-                          cleaner_concurrency=2)
+                          cleaner_concurrency=1, group_clean_pages=4)
         manager = sys_.ssd_manager
-        # Two full waves of two copy-backs each, every attempt failing.
+        # Four rounds of one run each, every attempt failing.
         injector = ScriptedFaults(sys_.data_device,
                                   failures=4 * (RETRY_LIMIT + 1))
         sys_.env.run(sys_.env.gather(
@@ -93,15 +98,21 @@ class TestLsDirtyCleaner:
         settle(sys_.env, 5.0)
         assert injector.failures == 0
         assert sys_.disk.retries == 4 * (RETRY_LIMIT + 1)
-        assert manager.dirty_frames <= 15
-        assert manager.stats.cleaner_pages == 0     # the reclaimer's tally
+        # Two more rounds land a run each: 21 -> 17 -> 13 <= 15.
+        assert manager.dirty_frames == 13
+        assert (manager.stats.cleaner_pages, manager.stats.cleaner_ios) == (
+            8, 2)
+        kinds = sys_.disk.device.requests_by_kind
+        assert kinds[IoKind.SEQUENTIAL_WRITE] == 2
         for page in range(21):
             record = manager.table.lookup_valid(page)
             assert record.dirty == (sys_.disk.disk_version(page) == 0)
+        # What stayed dirty is filed in the dirty heap, exactly.
+        assert manager.dirty_heap.live_count == 13
         manager.check_invariants()
-        # What stayed dirty is still in the heap: a checkpoint finds it.
         drive(sys_.env, manager.on_checkpoint())
         assert manager.dirty_frames == 0
+        assert manager.stats.checkpoint_ssd_flushes == 13
 
 
 class TestLsLogSpace:
