@@ -37,8 +37,9 @@ pool out as a pool of append-only *segments* (LFS style):
   benefit "Flash-Based Extended Cache", PVLDB 2012, measures).
 
 The decision is write-back, and what that obliges is the base
-manager's (DESIGN.md §5.1), as are the λ policy of the dirty cleaner and
-the loop under both background threads; LS supplies their rounds.
+manager's (DESIGN.md §5.1), as are the λ policy of the dirty cleaner,
+its round (group cleaning, §3.3.5) and the loop under both background
+threads; LS supplies the reclaimer's round.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class LogStructuredManager(SsdManagerBase):
     __slots__ = ("_seg_pages", "_nseg", "_open", "_cold", "_free_segs",
                  "_seg_seq", "_next_seq", "_next_epoch", "_free_slots",
                  "_journal", "_batch", "_pending_batches", "_reclaim_busy",
-                 "_reclaimer", "batches", "batch_pages", "relocations",
-                 "replays")
+                 "_reclaimer", "batches", "batch_pages", "reclaims",
+                 "reclaim_flushes", "relocations", "replays")
 
     name = "LS"
 
@@ -103,10 +104,14 @@ class LogStructuredManager(SsdManagerBase):
         self._nseg = (nframes + self._seg_pages - 1) // self._seg_pages
         self._reset_layout()
         #: Always-on tallies: group-commit batches flushed and the pages
-        #: they admitted, live entries re-appended by segment cleaning,
-        #: log entries replayed into the mapping after a crash.
+        #: they admitted, segments reclaimed and the dirty entries flushed
+        #: to disk before a reclaim dropped them, live entries re-appended
+        #: by segment cleaning, log entries replayed into the mapping
+        #: after a crash.
         self.batches = 0
         self.batch_pages = 0
+        self.reclaims = 0
+        self.reclaim_flushes = 0
         self.relocations = 0
         self.replays = 0
 
@@ -353,10 +358,12 @@ class LogStructuredManager(SsdManagerBase):
         batches then never wait in :meth:`_ensure_log_space` (the
         backstop for bursts that outrun it) and the cold stream gets
         real segments instead of falling back to the hot one.  The dirty
-        cleaner drains the dirty heap *in place* (SSD read + disk write,
-        no log movement, so no WAF impact), which keeps dirty entries
-        from piling up in cold segments where flushing them would put
-        8 ms random disk writes inside the space-reclaim pipeline.
+        cleaner is the base's λ cleaner: it drains the dirty heap *in
+        place* by group cleaning (SSD reads + one disk write per α
+        consecutive pages, no log movement, so no WAF impact), which
+        keeps dirty entries from piling up in cold segments where
+        flushing them would put 8 ms random disk writes inside the
+        space-reclaim pipeline.
         """
         if self._cleaner is None:
             high = self._reclaim_low_water + 3 * self.config.ls_segment_pages
@@ -365,36 +372,7 @@ class LogStructuredManager(SsdManagerBase):
                 lambda: (self._free_slots < high
                          and self.table.used_count > 0),
                 self._reclaim_round)
-            self._start_lambda_cleaner(self._dirty_round)
-
-    def _dirty_round(self) -> Generator[object, Any, bool]:
-        """Process step: the dirty cleaner's round — a wave of up to
-        ``cleaner_concurrency`` in-place copy-backs off the dirty heap.
-        Returns whether any landed."""
-        wave = []
-        while len(wave) < self.config.cleaner_concurrency:
-            record = self.dirty_heap.pop()
-            if record is None:
-                break
-            if not (record.occupied and record.valid and record.dirty):
-                continue
-            if record.version <= self.disk.disk_version(record.page_id):
-                # Disk already has this version: clean by fiat.
-                self._mark_clean(record)
-                continue
-            wave.append((record, record.page_id, record.version))
-        if not wave:
-            return False
-        results = yield self.env.gather(
-            self._copy_back(r, pid, ver) for r, pid, ver in wave)
-        # Entries that stayed dirty (fault, or superseded and re-dirtied
-        # mid-flight) go back in the heap so the cleaners and
-        # checkpoints can still find them.
-        for record, pid, ver in wave:
-            if (record.occupied and record.valid and record.dirty
-                    and record.page_id == pid):
-                self.dirty_heap.push(record)
-        return any(results)
+            self._start_lambda_cleaner()
 
     def _reclaim_round(self) -> Generator[object, Any, bool]:
         """Process step: clean one segment, single-flight; did it free a
@@ -532,15 +510,17 @@ class LogStructuredManager(SsdManagerBase):
                 # recency so the next cleaning pass ranks it honestly.
                 record.last_access = last_access
                 new_frames.append(record.frame_no)
+            # A *must* write: a survivor may hold the only newest copy
+            # of its page, and its old entry is gone already.
             ok = yield from self._run_io(new_frames, IoKind.SEQUENTIAL_WRITE,
-                                         EVICTION_CTX)
+                                         EVICTION_CTX, must=True)
             if ok:
                 relocated = len(survivors)
                 self.relocations += relocated
             else:
                 self._roll_back(new_frames)
-        self.stats.cleaner_pages += flushed
-        self.stats.cleaner_ios += 1
+        self.reclaim_flushes += flushed
+        self.reclaims += 1
         if self._tracer.enabled:
             self._tracer.complete(
                 "log_reclaim", started, self.env.now, "cleaner", "cleaner",
@@ -549,7 +529,7 @@ class LogStructuredManager(SsdManagerBase):
                  "relocated": relocated})
 
     # ------------------------------------------------------------------
-    # Checkpoint integration (§3.2, same rule as LC)
+    # Checkpoint integration (§3.2)
     # ------------------------------------------------------------------
 
     def oldest_dirty_rec_lsn(self) -> Optional[int]:
@@ -561,16 +541,15 @@ class LogStructuredManager(SsdManagerBase):
                         if dirty)
         return min(lsns) if lsns else None
 
-    def on_checkpoint(self) -> Generator[object, Any, None]:
-        """Land staged batches — their dirty entries are in no table
-        yet — then drain the table as every write-back design does."""
+    def _land_staged(self) -> Generator[object, Any, None]:
+        """Land staged batches before a checkpoint drains the table:
+        their dirty entries are in no table yet."""
         batch = self._batch
         if batch is not None and batch.entries:
             self._close_batch(batch)
         for pending in list(self._pending_batches):
             if not pending.done.triggered:
                 yield pending.done
-        yield from super().on_checkpoint()
 
     # ------------------------------------------------------------------
     # Detach / crash / restart
@@ -638,7 +617,9 @@ class LogStructuredManager(SsdManagerBase):
             if not record.dirty:
                 # A dirty entry waits for restart to settle it: filed
                 # now, the restarted cleaner would copy it back to a
-                # disk redo is still writing.
+                # disk redo is still writing.  (After three empty rounds
+                # its reseed files it all the same; disk versions only
+                # grow, so that costs writes, not data.)
                 self.clean_heap.push(record)
         if self._journal:
             self.replays += len(self._journal)

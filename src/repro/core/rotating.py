@@ -60,6 +60,12 @@ class RotatingSsdManager(SsdManagerBase):
                                                 record.version, ctx=ctx)
             if not copied or self.detached:
                 return False
+            # Meanwhile another placement may have wrapped the pointer and
+            # put a newer dirty page here: it is not displaced, this page
+            # goes to disk instead.
+            if (record.valid and record.dirty and record.version
+                    > self.disk.disk_version(record.page_id)):
+                return False
         # Only now displace, regardless of heat.  Both records are looked
         # at afresh: either may have been invalidated during the yield.
         if record.occupied:

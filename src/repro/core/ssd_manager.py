@@ -24,11 +24,13 @@ is cut) and :meth:`_pre_detach` (SSD death is survived by redo, §2.4).
 So is each mechanism of placement and background work: :meth:`_place`
 (bind a frame, file, count, trace, write, un-claim on failure),
 :meth:`_drain` (rounds while work is pending, back-off after an empty
-one), :meth:`_start_background` (a loop asleep until there is work) and
+one), :meth:`_start_background` (a loop asleep until there is work),
 :meth:`_start_lambda_cleaner` (§3.3.5: wake above λ, drain to just
-below).  A design says its *decision* (:meth:`on_evict_dirty`, §2.3),
-the *frame* a new page takes (:meth:`_evict_for_space`, or a layout's
-:meth:`_cache_page`) and the *round* its cleaner or checkpoint runs.
+below) and the one round every λ cleaner and every checkpoint runs,
+group cleaning (:meth:`_clean_batches`, §3.3.5: α dirty pages with
+consecutive disk addresses to one disk write).  A design says its
+*decision* (:meth:`on_evict_dirty`, §2.3) and the *frame* a new page
+takes (:meth:`_evict_for_space`, or a layout's :meth:`_cache_page`).
 
 Methods documented as *process steps* are generators to be driven with
 ``yield from``.  The hooks the buffer pool calls return a *step*
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
-                    Optional, Sequence)
+                    Optional, Sequence, Set)
 
 from repro.faults.errors import DeviceDeadError, IoFault, retry_io
 from repro.sim import Environment
@@ -146,16 +148,16 @@ class SsdStats:
         "invalidations",      # SSD copies invalidated on page dirty
         "evictions",          # SSD frames reclaimed by replacement
         "fallback_disk_writes",   # dirty evictions LC sent to disk
-        "cleaner_pages",      # pages the LC cleaner wrote back
-        "cleaner_ios",        # disk I/Os the cleaner issued
+        "cleaner_pages",      # pages the cleaners wrote back
+        "cleaner_ios",        # disk I/Os the cleaners issued
         "checkpoint_ssd_flushes",  # dirty SSD pages flushed at checkpoints
         "missed_dirty_writes",    # TAC: page dirtied before its SSD write
-        "lambda_crossings",   # LC: upward crossings of the λ threshold
+        "lambda_crossings",   # upward crossings of the λ threshold
         "io_retries",         # SSD I/Os retried after transient faults
         "io_failures",        # SSD I/Os abandoned (budget/device death)
         "throttle_preserved",  # copies kept through a declined admit
         "detach_redo_pages",  # dirty pages redone to disk at SSD death
-        "heap_reseeds",       # LC dirty-heap reseeds (desync recovery)
+        "heap_reseeds",       # dirty-heap reseeds (desync recovery)
     )
 
     def __init__(self, **counters: int):
@@ -190,6 +192,7 @@ class SsdManagerBase:
         "env", "device", "disk", "wal", "config", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
         "_detach_complete", "telemetry", "_tracer", "_cleaner",
+        "_above_lambda", "_cleaning_frames",
     )
 
     #: Name used in figures and reports; subclasses override.
@@ -197,6 +200,9 @@ class SsdManagerBase:
 
     #: Consecutive no-progress drain rounds before failing loudly.
     _STALL_LIMIT = 64
+
+    #: Empty drain rounds between dirty-heap reseed attempts.
+    _RESEED_AFTER = 3
 
     def __init__(self, env: Environment, device: Ssd, disk: DiskManager,
                  wal: WriteAheadLog, config: Optional[SsdDesignConfig] = None,
@@ -702,6 +708,7 @@ class SsdManagerBase:
 
     def _after_dirty_cached(self) -> None:
         """A dirty page entered the SSD: it may have crossed λ."""
+        self._note_lambda()
         if self._cleaner is not None:
             self._cleaner()
 
@@ -782,16 +789,181 @@ class SsdManagerBase:
         self.env.spawn(loop())
         return wake
 
-    def _start_lambda_cleaner(self, round_: Round,
-                              stalled: Stalled = None) -> None:
-        """§3.3.5's policy with the design's own ``round_``: wake when
-        the dirty frames exceed λ·S, drain until slightly below it
-        (``clean_slack``)."""
+    def _start_lambda_cleaner(self) -> None:
+        """§3.3.5's policy: wake when the dirty frames exceed λ·S, drain
+        by group cleaning until slightly below it (``clean_slack``)."""
         table, config = self.table, self.config
         self._cleaner = self._start_background(
             lambda: table.dirty_count > config.dirty_limit_frames,
             lambda: table.dirty_count > config.clean_target_frames,
-            round_, stalled)
+            self._clean_round, self._note_drain_stall)
+
+    def _note_lambda(self) -> None:
+        """Record crossings of λ (in either direction) as trace instants;
+        only a design with a λ cleaner has a λ to cross."""
+        above = (self._cleaner is not None
+                 and self.table.dirty_count > self.config.dirty_limit_frames)
+        if above == self._above_lambda:
+            return
+        self._above_lambda = above
+        if above:
+            self.stats.lambda_crossings += 1
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "lambda_crossed" if above else "lambda_recovered",
+                "cleaner", "cleaner",
+                {"dirty_fraction": self.dirty_fraction})
+
+    # ------------------------------------------------------------------
+    # Group cleaning (§3.3.5): the round of every cleaner and checkpoint
+    # ------------------------------------------------------------------
+
+    def _clean_round(self):
+        """Process step: the λ cleaner's round.  Several group batches in
+        flight — a serial cleaner is capped at one page per disk-write
+        latency and silently turns λ into "never" under load — but none
+        that would take the count below the target."""
+        spare = self.table.dirty_count - self.config.clean_target_frames
+        return self._clean_batches(
+            min(self.config.cleaner_concurrency, spare))
+
+    def _clean_batches(self, count: int):
+        """Process step: ``count`` group batches together; returns the
+        pages they cleaned."""
+        return sum((yield self.env.gather(
+            self._clean_batch() for _ in range(count))))
+
+    def _clean_batch(self):
+        """Process step: clean one group of dirty SSD pages (§3.3.5).
+
+        Starting from the oldest dirty page (dirty-heap root), gathers up
+        to α dirty pages with consecutive disk addresses, reads each from
+        the SSD into memory, writes them to disk as one I/O, and marks
+        them clean.  Returns the number of pages cleaned.
+        """
+        group = self._gather_group()
+        if not group:
+            return 0
+        round_started = self.env.now
+        # Capture addresses/versions now: a page may be invalidated (and
+        # its record even reused for a different page) while the cleaning
+        # I/O is in flight.
+        first = group[0].page_id
+        versions = [record.version for record in group]
+        captured = [(record, record.page_id, record.version)
+                    for record in group]
+        frames = [record.frame_no for record in group]
+        self._cleaning_frames.update(frames)
+        try:
+            # SSD -> memory: one read per page (they are scattered on the
+            # SSD).  These are transfer reads, not page accesses: the
+            # LRU-2 history of the records must not be touched.
+            landed = all((yield self.env.gather(
+                self._ssd_read_frame(record.frame_no, ctx=CLEANER_CTX)
+                for record in group)))
+            if landed:
+                try:
+                    yield from self.disk.write_run(first, versions,
+                                                   ctx=CLEANER_CTX)
+                except IoFault:
+                    landed = False
+        finally:
+            self._cleaning_frames.difference_update(frames)
+        for record, page_id, version in captured:
+            # Only if the record still describes the exact page/version
+            # captured — it may have been invalidated (re-dirtied in the
+            # pool) or reused for another page while the I/O was in
+            # flight.
+            if record.dirty and record.holds(page_id, version):
+                if landed:
+                    self._mark_clean(record)
+                else:
+                    # A read failed past the retry budget, the device
+                    # died or the disk write was abandoned: nothing was
+                    # transferred.  Requeue for a later attempt (or for
+                    # the detach redo) and report no progress.
+                    self.dirty_heap.push(record)
+        if not landed:
+            return 0
+        self.stats.cleaner_pages += len(group)
+        self.stats.cleaner_ios += 1
+        if self._tracer.enabled:
+            self._tracer.complete("clean_batch", round_started, self.env.now,
+                                  "cleaner", "cleaner",
+                                  {"pages": len(group), "first_page": first})
+        self._note_lambda()
+        return len(group)
+
+    def _gather_group(self) -> List[SsdRecord]:
+        """Oldest dirty page plus dirty neighbours at consecutive disk
+        addresses, up to α pages, sorted by disk address."""
+        seed = self.dirty_heap.pop()
+        if seed is None:
+            return []
+        group = [seed]
+        limit = self.config.group_clean_pages
+        # Extend left, then right, while neighbours are dirty in the SSD.
+        for step in (-1, 1):
+            page_id = seed.page_id + step
+            while len(group) < limit:
+                record = self._dirty_record(page_id)
+                if record is None:
+                    break
+                self.dirty_heap.remove(record)
+                group.insert(0 if step < 0 else len(group), record)
+                page_id += step
+        return group
+
+    def _dirty_record(self, page_id: int) -> Optional[SsdRecord]:
+        record = self.table.lookup_valid(page_id)
+        return record if record is not None and record.dirty else None
+
+    def _note_drain_stall(self, empty_rounds: int) -> None:
+        """The ``stalled`` of every group-cleaning drain: react to
+        consecutive empty rounds.
+
+        Empty rounds are legitimate while other batches hold records in
+        flight (``_cleaning_frames``), but ``dirty_count > 0`` with an
+        empty dirty heap and *nothing* in flight means the heap and the
+        table have desynced — without intervention the drain loop would
+        busy-spin forever.  Every ``_RESEED_AFTER`` rounds the heap is
+        re-seeded from the table (the authoritative source); if that
+        finds nothing and nothing is in flight, the counters themselves
+        are inconsistent and we fail loudly rather than hang.
+        """
+        if empty_rounds % self._RESEED_AFTER != 0:
+            return
+        reseeded = self._reseed_dirty_heap()
+        if reseeded:
+            return
+        if not self._cleaning_frames and self.table.dirty_count > 0:
+            raise RuntimeError(
+                f"{self.name} drain stalled: "
+                f"dirty_count={self.table.dirty_count} "
+                f"but no dirty records exist in the table and none are in "
+                f"flight — table/counter desync")
+        self._give_up(empty_rounds, f"{self.name} drain",
+                      f"{len(self._cleaning_frames)} transfers in flight")
+
+    def _reseed_dirty_heap(self) -> int:
+        """Re-push every table-dirty record absent from in-flight batches.
+
+        Duplicate pushes are harmless (the lazy heap re-validates on
+        pop).  Returns the number of records pushed; healthy runs never
+        get here, so the count doubles as a desync detector.
+        """
+        reseeded = 0
+        for record in self.table.occupied_records():
+            if (record.valid and record.dirty
+                    and record.frame_no not in self._cleaning_frames):
+                self.dirty_heap.push(record)
+                reseeded += 1
+        if reseeded:
+            self.stats.heap_reseeds += 1
+            if self._tracer.enabled:
+                self._tracer.instant("dirty_heap_reseed", "cleaner",
+                                     "cleaner", {"records": reseeded})
+        return reseeded
 
     def admission_flush_hint(self) -> None:
         """Hook: the buffer pool's eviction pressure has drained.
@@ -851,39 +1023,32 @@ class SsdManagerBase:
                                    CHECKPOINT_CTX)
 
     def on_checkpoint(self):
-        """Process step: flush every dirty SSD page to disk (§3.2).
+        """Process step: flush every dirty SSD page to disk (§3.2), by
+        the cleaner's group batches (§3.3.5), α pages to a disk write.
 
-        The log is truncated when this returns, so it drains until the
+        The log is truncated when this returns, so it first lands what
+        the design staged outside the table, then drains until the
         table holds no dirty record — pages that turned dirty while it
         ran included.  Designs that never cache a dirty page fall
         straight through.
         """
-        return self._drain(lambda: self.table.dirty_count > 0,
-                           self._checkpoint_round, wait_detach=True)
+        yield from self._land_staged()
+        yield from self._drain(lambda: self.table.dirty_count > 0,
+                               self._checkpoint_round,
+                               self._note_drain_stall, wait_detach=True)
+
+    def _land_staged(self):
+        """Step: land admissions staged outside the table (LS's
+        group-commit batches); ``()`` for a design that stages none."""
+        return ()
 
     def _checkpoint_round(self):
-        """Process step: one wave of up to ``cleaner_concurrency``
-        copy-backs off a table scan; returns the pages made clean."""
-        progressed = 0
-        wave = []
-        for record in self.table.occupied_records():
-            if not (record.valid and record.dirty):
-                continue
-            if record.version > self.disk.disk_version(record.page_id):
-                wave.append(self._copy_back(record, record.page_id,
-                                            record.version,
-                                            ctx=CHECKPOINT_CTX))
-            else:
-                # Disk already has this version: clean by fiat.
-                self._mark_clean(record)
-                progressed += 1
-            if progressed + len(wave) >= self.config.cleaner_concurrency:
-                break
-        if wave:
-            landed = sum((yield self.env.gather(wave)))
-            progressed += landed
-            self.stats.checkpoint_ssd_flushes += landed
-        return progressed
+        """Process step: the checkpoint's round, ``cleaner_concurrency``
+        group batches whose pages count as checkpoint flushes."""
+        cleaned = yield from self._clean_batches(
+            self.config.cleaner_concurrency)
+        self.stats.checkpoint_ssd_flushes += cleaned
+        return cleaned
 
     # ------------------------------------------------------------------
     # Graceful degradation on SSD death (§2.4)
@@ -1000,10 +1165,16 @@ class SsdManagerBase:
     def _reset_transients(self) -> None:
         """What only running processes give meaning to, built for the
         constructor and rebuilt by :meth:`crash_reset`: the event an
-        in-flight detach's waiters sit on, and the λ cleaner's wake-up
-        call, set once :meth:`start_cleaner` ran (LC, LS)."""
+        in-flight detach's waiters sit on, the λ cleaner's wake-up call,
+        set once :meth:`start_cleaner` ran (LC, LS), which side of λ it
+        last saw, and the frames group batches have in flight."""
         self._detach_complete = self.env.event()
         self._cleaner: Optional[Callable[[], None]] = None
+        self._above_lambda = False
+        #: SSD frame slots with a clean-back transfer in flight; their
+        #: records are legitimately absent from the dirty heap and must
+        #: not be re-seeded into it.
+        self._cleaning_frames: Set[int] = set()
 
     def on_restart(self) -> None:
         """After redo, the one restart rule: a surviving entry whose

@@ -99,7 +99,7 @@ class DiskManager:
     def write_run(self, page_id: int, versions: List[int], ctx=None):
         """Process step: write a contiguous run of pages as a single I/O.
 
-        Used by LC's group cleaning (§3.3.5): up to α dirty SSD pages with
+        Used by group cleaning (§3.3.5): up to α dirty SSD pages with
         consecutive disk addresses go to disk in one sequential write.
         """
         self._check_range(page_id, len(versions))

@@ -265,9 +265,10 @@ DESIGN_METRICS: Dict[str, Tuple[Metric, ...]] = {
         ("ls_batches_total", "counter", (), lambda s: s.ssd_manager.batches),
         ("ls_batch_pages_total", "counter", (),
          lambda s: s.ssd_manager.batch_pages),
-        ("ls_reclaimed_segments_total", "counter", (), _ssd("cleaner_ios")),
+        ("ls_reclaimed_segments_total", "counter", (),
+         lambda s: s.ssd_manager.reclaims),
         ("ls_reclaim_dirty_flushes_total", "counter", (),
-         _ssd("cleaner_pages")),
+         lambda s: s.ssd_manager.reclaim_flushes),
         ("ls_relocated_entries_total", "counter", (),
          lambda s: s.ssd_manager.relocations),
         ("ls_replayed_entries_total", "counter", (),

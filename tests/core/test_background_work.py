@@ -76,7 +76,6 @@ class TestLambdaCleaner:
 
 
 class TestLsDirtyCleaner:
-    @pytest.mark.xfail(strict=True, reason="per-page copy-backs")
     def test_a_wave_whose_copy_backs_all_fail_backs_off_then_drains(self):
         """Every disk write of the first four rounds is abandoned (its
         retry budget runs out): the entries stay dirty and in the dirty

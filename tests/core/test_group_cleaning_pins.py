@@ -13,12 +13,8 @@ from repro.storage.request import IoKind
 from tests.conftest import MiniSystem, disk_ios, drive, settle
 from tests.core.test_background_work import evict_dirty
 
-#: Copy-backs one page a disk write, off a table scan or the dirty heap.
-PER_PAGE = pytest.mark.xfail(strict=True, reason="per-page copy-backs")
-
 #: The write-back designs: the SSD may hold a page's only newest copy.
-WRITE_BACK = ["LC"] + [pytest.param(design, marks=PER_PAGE)
-                       for design in ("EXCL", "ROT", "LS")]
+WRITE_BACK = ["LC", "EXCL", "ROT", "LS"]
 
 
 @pytest.mark.parametrize("design", WRITE_BACK)
@@ -44,8 +40,7 @@ def test_a_sharp_checkpoint_writes_alpha_consecutive_pages_as_one_run(design):
     manager.check_invariants()
 
 
-@pytest.mark.parametrize("design", [
-    "LC", pytest.param("LS", marks=PER_PAGE)])
+@pytest.mark.parametrize("design", ["LC", "LS"])
 def test_the_lambda_cleaner_counts_its_pages_ios_and_crossings(design):
     """S = 100, λ = 0.2, slack 5 %, α = 32: the 21st dirty page crosses
     λ, and one batch writes all 21 consecutive pages back."""

@@ -38,7 +38,9 @@ def build(design, policy):
 REDO_SETS = {
     ("LC", "sharp"): (2138, 2138, 1514, 314, "73bf47bc7514"),
     ("LC", "fuzzy"): (2381, 2380, 60, 399, "d5325cf4a7a0"),
-    ("LS", "sharp"): (1995, 1993, 1481, 295, "3661ea18aa3b"),
+    # Re-pinned (was 1995, 1993, 1481, 295, 3661ea18aa3b) when LS's
+    # checkpoints took up group cleaning: the log differs, not its reader.
+    ("LS", "sharp"): (2051, 2051, 1438, 318, "5ed996b7917d"),
     ("LS", "fuzzy"): (2232, 2232, 60, 399, "058f1c654359"),
     ("DW", "sharp"): (2286, 2285, 2149, 114, "5183413a80b1"),
     ("DW", "fuzzy"): (2305, 2304, 29, 399, "b2ac0e8f440f"),

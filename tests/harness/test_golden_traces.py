@@ -292,6 +292,21 @@ def _table_md5(system):
 #: left the pool's dirty count twice, so the sampled ``bp_dirty`` counter
 #: drifted low.  Less the ``bp_dirty`` counter events each trace is the
 #: old one, and no table digest moved.
+#:
+#: Every checkpoint-, crash-, die-, faults- and throttled- row of EXCL, LS
+#: and ROT, and crash-LS-staged, was re-pinned once more when §3.3.5
+#: group cleaning became the round of every checkpoint and λ cleaner:
+#: their checkpoints (and LS's cleaner) now write up to α consecutive
+#: dirty SSD pages with one disk write, and count them in
+#: ``cleaner_pages``/``cleaner_ios``; LS counts ``lambda_crossings``.
+#: ckpt-EXCL, for one, flushes 257 pages with 221 disk writes (29
+#: sequential runs) where it wrote 244 pages one at a time.  The old
+#: digests: ckpt-EXCL e5af7790…/59ae072a…, ckpt-LS 3e3319bc…/e804d924…,
+#: ckpt-ROT 6f404312…/f61306d0…, crash-EXCL c69e623b…, crash-LS
+#: 82ee90be…/3fe93f04…, crash-LS-staged 1cb55913…/c0721eb8…, crash-ROT
+#: e56cdf73…, die-EXCL 79bb3a96…, die-LS 2fd0c1ff…, die-ROT 51e2b3ae…,
+#: faults-LS 42619b2c…/1f31d9c5…, faults-ROT 80203561…/4e1fdcfd…,
+#: throttled-LS 7c3cca0e…/07d0c303…, throttled-ROT ca395f38…/0db5961a….
 WRITE_BACK = {
     "ckpt-noSSD": (
         _tpce("noSSD"),
@@ -316,8 +331,8 @@ WRITE_BACK = {
          "fallback_disk_writes", "lambda_crossings")),
     "ckpt-LS": (
         _tpce("LS"),
-        ("3e3319bcfc51c96bc0d07b742f24cd55",
-         "e804d924e43d9fb63c89fd04e31277f4"),
+        ("b9d6ddd9284df0e85ab9ea21a9d0d437",
+         "fba3cb287ed810a9b49363b0bf5847a3"),
         ("evictions", "cleaner_ios", "checkpoint_ssd_flushes",
          "fallback_disk_writes")),
     "ckpt-TAC": (
@@ -333,15 +348,15 @@ WRITE_BACK = {
     # layout emits; less those 1,881 instants the trace is the old one.
     "ckpt-ROT": (
         _tpce("ROT"),
-        ("6f4043129d2733b25e55791cfb8b40c1",
-         "f61306d067e6e2f6dcf73db4434e43da"),
+        ("6bfa539f5c82a6a4722a0354997ff620",
+         "aadea56b88de84797d1e26266ffb216c"),
         ("evictions", "checkpoint_ssd_flushes", "fallback_disk_writes")),
     # Re-pinned (was 5b3d60cf… / 193 flushes): the same two defects,
     # plus a newest copy read mid-checkpoint that nobody flushed.
     "ckpt-EXCL": (
         _tpce("EXCL"),
-        ("e5af7790d6e7ef3b50409115132be324",
-         "59ae072a2b81c14f57431c3a0df98b1b"),
+        ("d9e1280ca3aa36e8c39317687430befe",
+         "553a76b58e61f1cde4e7b3229dc50c39"),
         ("evictions", "checkpoint_ssd_flushes", "fallback_disk_writes")),
     "die-LC": (
         _tpce("LC", DEATH),
@@ -350,21 +365,21 @@ WRITE_BACK = {
         ("io_retries", "detach_redo_pages")),
     "die-LS": (
         _tpce("LS", DEATH),
-        ("2fd0c1ff1398af45075d8eb335b9ba86",
+        ("a2e63b07c7c77a0b1bac65b872410dff",
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "detach_redo_pages")),
     # Re-pinned (was b9f87776…, 115 pages redone where 18 are owed).
     # Trace again (was 86a9bae4…): the missing ``admit`` instants.
     "die-ROT": (
         _tpce("ROT", DEATH),
-        ("51e2b3ae3530ad1d70cd93349e8f6061",
+        ("11d0a4cddb513a4aa8dccb6ac152a96b",
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "detach_redo_pages")),
     # Was pinned as ``RecoveryError: SSD died holding the only copy of 2
     # dirty pages whose log records were truncated``; now degrades.
     "die-EXCL": (
         _tpce("EXCL", DEATH),
-        ("79bb3a96cecb69c009a86e3037c67165",
+        ("85858505f1cad6628cbe1bca88a95194",
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "detach_redo_pages")),
     "crash-LC": (
@@ -383,19 +398,19 @@ WRITE_BACK = {
     # each, ``replays`` 934); less the second one the trace is the old.
     "crash-LS": (
         _tpce_crash("LS"),
-        ("82ee90be05bbecd7346b54c3e5cb1077",
-         "3fe93f045e53625fcd1c277251baa982"),
+        ("3c85f8ee768e01ad2bd667ddcba07d4d",
+         "72164ccb736f77fb52c78d2322762bd2"),
         ("evictions",)),
     # Re-pinned with their checkpointed rows (eeeb7b6d…, f63c5b8c…).
     # ROT's trace again (was 2e21432c…): the missing ``admit`` instants.
     "crash-ROT": (
         _tpce_crash("ROT"),
-        ("e56cdf73f8056dbfb9e996e1b0845761",
+        ("13ef26a216c6b641260598bc1630f8d9",
          "84febe644765ac19f4432a58a66aa241"),
         ("evictions",)),
     "crash-EXCL": (
         _tpce_crash("EXCL"),
-        ("c69e623ba3dd85f201a457e0b60e56c1",
+        ("1462f972f560768793fe21d608e64134",
          "84febe644765ac19f4432a58a66aa241"),
         ("evictions",)),
     "crash-TAC-warm": (
@@ -410,7 +425,7 @@ WRITE_BACK = {
     # ``ls_log_replay`` instant (473 entries), and nothing else.
     "crash-LS-staged": (
         _tpce_crash("LS", staged=True),
-        ("1cb5591362adfda5209f3f3be1f15814", "c0721eb8d93e83549aa5dacbef47bc55"),
+        ("8cc327ecd5aeb1d1b7e3ac779a86ce2b", "f69394cd6734a029e92461ff463aa30f"),
         ("evictions", "cleaner_ios")),
     "throttled-LC": (
         _throttled("LC"),
@@ -419,8 +434,8 @@ WRITE_BACK = {
         ("declined_throttle", "fallback_disk_writes", "cleaner_pages")),
     "throttled-LS": (
         _throttled("LS"),
-        ("7c3cca0ea9911d96d4e70b7e7d3fcc96",
-         "07d0c3036b4ce0c20aa4621da163bfe9"),
+        ("84a3f8e29ab9da24decf09079415c4e2",
+         "8883f62e0c2276a9696a188c040f7010"),
         ("declined_throttle", "fallback_disk_writes")),
     # TAC under replacement *and* faults, and the two layouts with their
     # own admit tails under the throttle: captured at commit 001cc3f,
@@ -438,8 +453,8 @@ WRITE_BACK = {
     # Trace re-pinned (was e4cb8de9…): the missing ``admit`` instants.
     "throttled-ROT": (
         _throttled("ROT"),
-        ("ca395f387a154ba6bb07e3ec85ef58bc",
-         "0db5961a9e3456d8642eec6adca02118"),
+        ("0b6f278c584c56cdf4d68f5f8b4b1a5b",
+         "3ec70fb8b18b59b6edfe934c6a7ac6bb"),
         ("declined_throttle", "fallback_disk_writes")),
     # Transient SSD faults and no death: LS retrying a striped multi-page
     # run (batch writes, cleaner reads and relocations) and ROT retrying
@@ -448,13 +463,13 @@ WRITE_BACK = {
     # built a fresh request.
     "faults-LS": (
         _tpce("LS", SSD_FAULTS),
-        ("42619b2cf63e2c773d6bf0e7987d761e",
-         "1f31d9c5fef0813257dee360b6191c3f"),
+        ("7f44687f6bf0e102e5e134e29b7baa89",
+         "2437c89f5182fbaf9f9f78c389d18d91"),
         ("io_retries", "evictions", "cleaner_ios")),
     "faults-ROT": (
         _tpce("ROT", SSD_FAULTS),
-        ("80203561ab65a404158bad40c20ebe8d",
-         "4e1fdcfd48a57b1a021c2daa4b6d082b"),
+        ("b72e5bf48b694e30f73514d251be4710",
+         "c552d4044eac7a30fa0c0a9149c78f65"),
         ("io_retries", "evictions", "checkpoint_ssd_flushes")),
 }
 
@@ -501,12 +516,15 @@ def _update_phase(system, committed, phase):
 #: design -> (pages redone, md5 of the SSD buffer table after restart),
 #: ``warm_restart=True`` throughout.  With nothing in flight a crash has
 #: only the pool and the mapping to lose, so however it is spelled the
-#: same pages are redone and the same frames survive.
+#: same pages are redone and the same frames survive.  LS and ROT were
+#: re-pinned (were 61, e2b1be70… and 130, 196a8a0c…) when their
+#: checkpoints and LS's λ cleaner took up group cleaning: other pages
+#: are on disk at the cut.
 RESTART = {
     "LC": (70, "6566c68a43c74c3053b9ddc40bd2fa81"),
-    "LS": (61, "e2b1be709899dd79c38533cb2b87353f"),
+    "LS": (72, "1ab9bf75ee61a096a3aba650de787325"),
     "TAC": (41, "ba9df6d3cb2e178f0a2840a177e4df06"),
-    "ROT": (130, "196a8a0c5dc014ba447d564a17f6f820"),
+    "ROT": (137, "8813e126de251e0bcce1c467e3f760d9"),
     "DW": (41, "ba1adcc9536e8dee5c818b0b61f9786d"),
 }
 
@@ -525,12 +543,14 @@ def test_quiesced_restart_redoes_and_keeps_the_same(design):
 #: power cut on the quiesced system, restart recovery and a third update
 #: phase on the restarted system: which frames the survivors lose next.
 #: Equal LRU-2 keys leave a heap in push order, so this moves if restart
-#: re-files a surviving record it could have left alone.
+#: re-files a surviving record it could have left alone.  LS and ROT
+#: were re-pinned with ``RESTART`` (were 2b1eb857…, 5024 and eac1ef2a…,
+#: 4740).
 RESTARTED_RUN = {
     "LC": ("1bc7c74092447cc5aca40662cbcf7ddc", 4726),
-    "LS": ("2b1eb857866f0f0ba60d3be15e8bf2ec", 5024),
+    "LS": ("0fb031508d6dda835123c14f210db607", 5013),
     "TAC": ("e067448777bfd4911f97a6766175cb29", 531),
-    "ROT": ("eac1ef2a6b97e488a329c78aa1a26386", 4740),
+    "ROT": ("2016322a5b34b06b16f46936ccd80c26", 4726),
     "DW": ("417a53712d968f6244eef31d83e3e4ca", 4811),
 }
 

@@ -17,6 +17,14 @@ tpce-DW-latched-faults 52 → 53, tpce-LS-ftl-ssd-dies 25 → 26, tpce-TAC
 41 → 45) when a frame evicted under its checkpoint write stopped leaving
 the pool's dirty count twice; no other row moved.
 
+tpce-EXCL, tpce-ROT and tpce-LS-ftl-ssd-dies were re-pinned whole when
+§3.3.5 group cleaning became the round of every checkpoint and λ
+cleaner: their checkpoints write consecutive dirty SSD pages with one
+disk write (``io_requests_total{device="hdd-array",kind=
+"sequential_write"}`` 0 → 29, 19 and 4), their dirty heaps are popped
+instead of left to fill with cleaned records, and tpce-EXCL finishes a
+third checkpoint.
+
 Rows are compared as a *set* per run: the order of a family's children
 is not pinned.  A histogram is pinned by ``count / p50 / p95 / p99``,
 not by its mean — ``sum()`` is compensated from Python 3.12 on, so the

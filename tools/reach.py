@@ -83,24 +83,21 @@ _READ_AHEAD_REST = (
 LEDGER: Dict[str, Tuple[str, str]] = {
     # core
     "repro.core.heaps:LazyMinHeap.peek": (J, _TAC_FULL),
-    "repro.core.lc:LazyCleaningManager._note_drain_stall": (
-        J, "stall path: an LC drain's empty rounds (repro oltp --designs "
-           "LC --dirty-threshold 0.01 --checkpoint-interval 2)"),
-    "repro.core.lc:LazyCleaningManager._reseed_dirty_heap": (
-        J, "stall path: a dirty heap out of step with the table"),
     "repro.core.ls:LogStructuredManager._clear_ssd_state": (
         J, "fault path: an LS SSD that dies (repro oltp --designs LS "
            "--faults ssd_die@t=3)"),
-    "repro.core.ls:LogStructuredManager._dirty_round": (
-        J, "LS's lambda cleaner (repro oltp --designs LS "
-           "--dirty-threshold 0.01)"),
     "repro.core.ls:LogStructuredManager._roll_back": (
         J, "fault path: an LS batch whose SSD write fails (repro oltp "
            "--designs LS --faults ssd_die@t=3)"),
     "repro.core.ssd_buffer_table:SsdBufferTable.free_count": (J, _TAC_FULL),
     "repro.core.ssd_buffer_table:SsdRecord.__repr__": (J, _REPR),
     "repro.core.ssd_manager:SsdManagerBase._give_up": (
-        J, "stall path: a drain's empty rounds (the LC run above)"),
+        J, "stall path: a drain's empty rounds (the run below)"),
+    "repro.core.ssd_manager:SsdManagerBase._note_drain_stall": (
+        J, "stall path: a group-cleaning drain's empty rounds (repro oltp "
+           "--designs LC --dirty-threshold 0.01 --checkpoint-interval 2)"),
+    "repro.core.ssd_manager:SsdManagerBase._reseed_dirty_heap": (
+        J, "stall path: a dirty heap out of step with the table"),
     "repro.core.ssd_manager:SsdManagerBase.on_evict_dirty": (J, _STUB),
     "repro.core.ssd_manager:SsdStats.__repr__": (J, _REPR),
     "repro.core.ssd_manager:TrimPlan.__repr__": (J, _REPR),
