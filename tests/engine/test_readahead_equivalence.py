@@ -13,7 +13,8 @@ A script stocks 24 pages — absent, resident, held clean by the SSD, or
 held newer than disk — then runs a few actors, each after a delay drawn
 from the SSD's own service time so that they meet in one instant: a
 read-ahead, an invalidation (a planned copy vanishing, after the plan
-or while its read is in flight) and an update through the pool.  Some
+or while its read is in flight; of a resident page, an update, as the
+product invalidates) and an update through the pool.  Some
 scripts attach an injector that fails or delays SSD I/O.
 """
 
@@ -94,7 +95,14 @@ def run_script(script, kernel, reference):
             yield from bp.prefetch(step[2], step[3])
         elif kind == "invalidate":
             for page in step[2]:
-                manager.invalidate(page)
+                if page in bp.frames:
+                    # The product invalidates only from ``mark_dirty``,
+                    # which dirties the frame first.
+                    frame = yield from bp.fetch(page)
+                    bp.mark_dirty(frame)
+                    bp.unpin(frame)
+                else:
+                    manager.invalidate(page)
         else:
             frame = yield from bp.fetch(step[2])
             bp.mark_dirty(frame)
@@ -140,3 +148,20 @@ def test_the_cold_script_reaches_every_way_a_page_waits():
     assert [ident for _, ident in log] == [1, 0]
     assert frames[14][0] == 1 and frames[11][0] == 0
     assert pool["prefetched_pages"] == 8
+
+
+#: Page 22 is held newer than disk; the invalidation comes after the
+#: read-ahead installed it clean from that copy.
+LATE = {"design": "DW", "transient_p": 0.0, "latency_p": 0.0,
+        "states": ["newer" if page == 22 else "absent"
+                   for page in range(PAGES)],
+        "actors": [("prefetch", 0.0, 15, 8), ("invalidate", 2 * S, [22])]}
+
+
+def test_a_late_invalidation_dirties_the_page_read_ahead():
+    """Dropping the SSD copy under a clean frame newer than disk would
+    lose the update; the invalidation dirties the frame as
+    ``mark_dirty`` does, and the page stays durable."""
+    run = run_script(LATE, "heap", reference=False)
+    assert run == run_script(LATE, "heap", reference=True)
+    assert run[2][22] == (2, True, True)
