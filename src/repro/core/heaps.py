@@ -9,9 +9,13 @@ LC cleaner writes back).  Both are ordered by the SSD replacement policy
 The reproduction implements each heap as a lazy binary heap: a frame is
 filed once, a later push only records its new ``(key, stamp)``, and the
 filed entry is re-keyed when it surfaces at pop time (DESIGN.md §13).
-The observable behaviour — which record is selected — is identical to
-the paper's in-place structure (and to ``tests/core/reference_heap.py``,
-which re-files on every push); only the memory layout differs.
+An SSD access tells no heap at all: it stamps the record
+(``SsdRecord.record_access``), and an LRU-2 heap reads the stamp when
+the entry surfaces, as if the access had been pushed.  The observable
+behaviour — which record is selected — is identical to the paper's
+in-place structure (and to ``tests/core/reference_heap.py``, which
+re-files on every push and every access); only the memory layout
+differs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ class LazyMinHeap:
     access time for the clean/dirty heaps, extent temperature for TAC);
     equal keys come out in push order.  ``member`` decides at pop time
     whether a record still belongs to this heap; entries that fail it,
-    or that no frame owns any more, are dropped silently.
+    or that no frame owns any more, are dropped silently.  ``clock``
+    ticks the stamps of pushes and of accesses alike (the table's
+    ``next_stamp``).  ``touched``: a member's access after its last push
+    counts as a push (the LRU-2 heaps; TAC's key is no access time).
     """
 
     #: Compaction floor: below this many stale entries the heap is left
@@ -37,10 +44,12 @@ class LazyMinHeap:
     MIN_COMPACT = 64
 
     def __init__(self, key: Callable[[SsdRecord], float],
-                 member: Callable[[SsdRecord], bool]) -> None:
+                 member: Callable[[SsdRecord], bool],
+                 clock: Callable[[], int], touched: bool = False) -> None:
         self._key = key
         self._member = member
-        self._next_stamp = 0
+        self._clock = clock
+        self._touched = touched
         #: Always-on vitals: real ``heappush``es, entries re-keyed as
         #: they surfaced, whole-heap rebuilds.
         self.heappushes = self.rekeys = self.compactions = 0
@@ -57,15 +66,16 @@ class LazyMinHeap:
 
     def push(self, record: SsdRecord) -> None:
         """(Re)insert a record with its current key."""
-        self._next_stamp = stamp = self._next_stamp + 1
+        stamp = self._clock()
         frame_no = record.frame_no
         key = self._key(record)
         stamps = self._stamps
         if frame_no >= len(stamps):
             grow = frame_no + 1 - len(stamps)
             self._keys += [0.0] * grow
-            stamps += [0] * grow
-            self._filed += [0] * grow
+            for column in (stamps, self._filed, self._seen):
+                column += [0] * grow
+        self._seen[frame_no] = stamp
         if not stamps[frame_no]:
             self._live += 1
         elif key >= self._keys[frame_no]:
@@ -111,17 +121,31 @@ class LazyMinHeap:
         if frame_no < len(self._stamps) and self._stamps[frame_no]:
             self._forget(frame_no)
 
+    def take_in(self, record: SsdRecord) -> None:
+        """Count a filed record's latest access, if this heap has not
+        seen it: as a push if the record is a member, else not at all.
+        The manager calls it before a record stops being a member (a
+        dirty page cleaned), so an access counts where it was made."""
+        frame_no, stamp = record.frame_no, record.lru_stamp
+        if (self._touched and frame_no < len(self._seen)
+                and self._stamps[frame_no] and self._seen[frame_no] < stamp):
+            self._seen[frame_no] = stamp
+            if self._member(record):
+                self._keys[frame_no] = self._key(record)
+                self._stamps[frame_no] = stamp
+
     def pop(self) -> Optional[SsdRecord]:
         """Remove and return the minimum live record, or None if empty."""
         while self._heap:
             key, stamp, record = self._heap[0]
             frame_no = record.frame_no
+            self.take_in(record)
             pushed = self._stamps[frame_no]
             if self._filed[frame_no] != stamp:
                 heapq.heappop(self._heap)  # garbage
             elif pushed != stamp:
-                # Pushed since it was filed: the entry sinks to where a
-                # heap that re-files on every push holds the frame.
+                # Pushed or accessed since it was filed: the entry sinks
+                # to where a heap that re-files on every push holds it.
                 self._filed[frame_no] = pushed
                 heapq.heapreplace(self._heap,
                                   (self._keys[frame_no], pushed, record))
@@ -155,6 +179,9 @@ class LazyMinHeap:
         self._keys: List[float] = []
         self._stamps: List[int] = []
         self._filed: List[int] = []
+        #: By frame number: the latest stamp, pushed or accessed, this
+        #: heap has counted or passed over.
+        self._seen: List[int] = []
         self._live = 0
 
     def check_invariants(self) -> None:

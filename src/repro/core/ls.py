@@ -251,7 +251,7 @@ class LogStructuredManager(SsdManagerBase):
         place a log entry comes to be."""
         record = self._map(frame_no, page_id, version, dirty, rec_lsn,
                            self.env.now)
-        self._reheap(record)
+        self._file(record)
         self._journal[frame_no] = (page_id, version, dirty, rec_lsn,
                                    self._next_epoch)
         self._next_epoch += 1

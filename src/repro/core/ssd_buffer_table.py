@@ -18,6 +18,7 @@ main-memory buffer pool, where it is (``SystemConfig.latch_us``).
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.engine.page import NEVER_ACCESSED
@@ -27,7 +28,7 @@ class SsdRecord:
     """One SSD buffer-table record, corresponding to one SSD frame."""
 
     __slots__ = ("frame_no", "page_id", "valid", "dirty", "version",
-                 "rec_lsn", "last_access", "prev_access")
+                 "rec_lsn", "last_access", "prev_access", "lru_stamp")
 
     def __init__(self, frame_no: int):
         self.frame_no = frame_no
@@ -48,10 +49,14 @@ class SsdRecord:
         return (self.valid and self.page_id == page_id
                 and self.version == version)
 
-    def record_access(self, now: float) -> None:
-        """Push the LRU-2 access history."""
+    def record_access(self, now: float, stamp: int) -> None:
+        """An SSD access at ``now``, tick ``stamp`` of the table's clock:
+        push the LRU-2 history and stamp it.  No heap hears of it; the
+        one the record is filed in takes it in when the entry surfaces
+        (:class:`~repro.core.heaps.LazyMinHeap`)."""
         self.prev_access = self.last_access
         self.last_access = now
+        self.lru_stamp = stamp
 
     def reset(self) -> None:
         """The record's free state: as built, and as released."""
@@ -66,6 +71,8 @@ class SsdRecord:
         # LRU-2 history of accesses to the cached page *on the SSD*.
         self.last_access = 0.0
         self.prev_access = NEVER_ACCESSED
+        #: Tick of the latest access (0: none since the frame was bound).
+        self.lru_stamp = 0
 
     def __repr__(self) -> str:
         state = ("free" if not self.occupied else
@@ -79,7 +86,7 @@ class SsdBufferTable:
     """Buffer table + hash table + free list over S SSD frames."""
 
     __slots__ = ("nframes", "records", "_free", "_hash", "_valid", "_dirty",
-                 "segment_pages", "segment_valid")
+                 "segment_pages", "segment_valid", "next_stamp")
 
     def __init__(self, nframes: int, segment_pages: int = 0):
         if nframes < 0:
@@ -92,6 +99,10 @@ class SsdBufferTable:
                                         nframes or 1))
         self.segment_valid = [0] * -(-nframes // self.segment_pages)
         self.records: List[SsdRecord] = [SsdRecord(i) for i in range(nframes)]
+        #: The clock of LRU-2 stamps: an access stamps its record with the
+        #: next tick and a heap push takes one too, so ticks order
+        #: accesses and pushes alike.
+        self.next_stamp = count(1).__next__
         self._free: Deque[int] = deque(range(nframes))
         self._hash: Dict[int, SsdRecord] = {}
         # Incremental counters (kept exact by install/revalidate/release/
@@ -197,7 +208,7 @@ class SsdBufferTable:
         record.version = version
         record.valid = True
         record.dirty = False
-        record.record_access(now)
+        record.record_access(now, self.next_stamp())
         self._valid += 1
         self.segment_valid[record.frame_no // self.segment_pages] += 1
 

@@ -220,10 +220,11 @@ class SsdManagerBase:
         # LRU-2: a record's priority is its penultimate access time.
         self.clean_heap = LazyMinHeap(
             key=attrgetter("prev_access"),
-            member=lambda r: r.valid and not r.dirty)
+            member=lambda r: r.valid and not r.dirty,
+            clock=self.table.next_stamp, touched=True)
         self.dirty_heap = LazyMinHeap(
-            key=attrgetter("prev_access"),
-            member=lambda r: r.valid and r.dirty)
+            key=attrgetter("prev_access"), member=lambda r: r.valid and r.dirty,
+            clock=self.table.next_stamp, touched=True)
         #: True once the SSD has been dropped from service (device death,
         #: §2.4 degradation): the design continues as noSSD.
         self.detached = False
@@ -411,7 +412,7 @@ class SsdManagerBase:
         detached and the detach is over.  A detach in progress is handed
         back as the :class:`SsdRead` to wait out: the disk may not yet
         hold the newest version (LC redo in flight).  Otherwise the read
-        is counted, filed as an access and submitted, and its event is
+        is counted, stamped as an access and submitted, and its event is
         the device's.
         """
         if self.detached:
@@ -429,7 +430,9 @@ class SsdManagerBase:
         stats.reads += 1
         record.prev_access = record.last_access  # record_access, inlined
         record.last_access = self.env._now
-        self._reheap(record)
+        record.lru_stamp = self.table.next_stamp()
+        if record.dirty and record.frame_no in self._cleaning_frames:
+            self.dirty_heap.push(record)  # see _clean_batch
         request = IORequest(RANDOM_READ, record.frame_no, 1, ctx)
         return SsdRead(self.device.submit(request), record, page_id, version,
                        must, request)
@@ -475,11 +478,6 @@ class SsdManagerBase:
             return (yield from self.read_failed(read, fault))
         return self.read_landed(read)
 
-    def _reheap(self, record: SsdRecord) -> None:
-        if not record.valid:
-            return
-        (self.dirty_heap if record.dirty else self.clean_heap).push(record)
-
     # ------------------------------------------------------------------
     # Caching (shared by the eviction hooks)
     # ------------------------------------------------------------------
@@ -494,8 +492,7 @@ class SsdManagerBase:
         """
         if existing is not None and (existing.version == version
                                      and existing.dirty == dirty):
-            existing.record_access(self.env.now)
-            self._reheap(existing)
+            existing.record_access(self.env.now, self.table.next_stamp())
             return True
         if self.detached:
             return False
@@ -563,7 +560,7 @@ class SsdManagerBase:
 
     def _file(self, record: SsdRecord) -> None:
         """File a freshly bound record with the replacement policy."""
-        self._reheap(record)
+        (self.dirty_heap if record.dirty else self.clean_heap).push(record)
 
     def _drop_record(self, record: SsdRecord) -> None:
         """Physically free a record and its frame."""
@@ -611,7 +608,9 @@ class SsdManagerBase:
                 f"for clean page {frame.page_id}")
             existing.prev_access = existing.last_access  # record_access
             existing.last_access = self.env._now
-            self._reheap(existing)
+            existing.lru_stamp = self.table.next_stamp()
+            if existing.dirty and existing.frame_no in self._cleaning_frames:
+                self.dirty_heap.push(existing)  # see _clean_batch
             return ()
         if self._qualifies(frame):
             return self._cache_evicted(frame)
@@ -703,6 +702,7 @@ class SsdManagerBase:
     def _mark_clean(self, record: SsdRecord) -> None:
         """The record's version is on disk: it is a replacement victim
         like any clean page."""
+        self.dirty_heap.take_in(record)
         self.table.set_dirty(record, False)
         self.clean_heap.push(record)
 
@@ -853,6 +853,10 @@ class SsdManagerBase:
         captured = [(record, record.page_id, record.version)
                     for record in group]
         frames = [record.frame_no for record in group]
+        # The group left the dirty heap; an access while it is in flight
+        # files its page there again (the heap's one way to hear of an
+        # access to a record it does not hold), and another batch may
+        # take it.
         self._cleaning_frames.update(frames)
         try:
             # SSD -> memory: one read per page (they are scattered on the

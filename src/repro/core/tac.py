@@ -47,8 +47,8 @@ class TemperatureAwareManager(SsdManagerBase):
         super().__init__(*args, **kwargs)
         self.temperatures: Dict[int, float] = {}
         self.temp_heap = LazyMinHeap(
-            key=self._record_temperature,
-            member=lambda r: r.occupied)
+            key=self._record_temperature, member=lambda r: r.occupied,
+            clock=self.table.next_stamp)
         # Milliseconds saved by serving one random 8 KB read from the SSD
         # instead of the disk — the temperature increment unit.
         probe = IORequest(IoKind.RANDOM_READ, 0, 1)
@@ -93,10 +93,6 @@ class TemperatureAwareManager(SsdManagerBase):
         first: every attempt is a buffer-pool miss."""
         self._bump(page_id)
         return super().start_read(page_id, ctx)
-
-    def _reheap(self, record) -> None:
-        """TAC replacement is temperature-ordered, not LRU-2: reads do
-        not change a record's replacement priority."""
 
     # ------------------------------------------------------------------
     # TAC's page flow

@@ -17,18 +17,21 @@ The pool is *partitioned* (DESIGN.md §13): page ids hash into
 service time.  The backing page-table dict is shared storage (a single
 C-level hash map — per-shard dicts only add constant overhead in the
 host language), so ``frames`` keeps its plain-``dict`` interface.  So
-is the replacement heap: victims come off one heap by ``(prev_access,
-stamp, page_id)`` with a pool-global stamp, which makes the eviction
-order — and therefore the whole event trace when the latch service time
-is zero — independent of the partition count.
+is the replacement order: victims come off by ``(prev_access, stamp,
+page_id)`` with a pool-global stamp, which makes the eviction order —
+and therefore the whole event trace when the latch service time is zero
+— independent of the partition count.
 
-Replacement bookkeeping is O(1) per access: each resident frame keeps
-exactly one live heap entry (identified by ``Frame.heap_stamp``); a
-touch only bumps ``Frame.lru_stamp``, and the entry is re-keyed lazily
-when it surfaces during victim selection.  Per-frame keys
-(``prev_access``) only ever grow, so a surfaced stale entry re-sinks
-below any current minimum and selection order matches the eager
-entry-per-touch heap exactly.
+Replacement bookkeeping is O(1) per access (DESIGN.md §13): each
+resident frame keeps exactly one live entry (identified by
+``Frame.heap_stamp``); a touch only bumps ``Frame.lru_stamp``, and the
+entry is re-keyed lazily when it surfaces during victim selection.  A
+frame's first entry goes to a FIFO run, not the heap: its key is the
+never-touched 0.0 and stamps only grow, so the run is sorted.  A
+re-keyed entry goes to a second run when it sorts after that run's
+tail, else into the heap; victims come off the least of the three
+heads, so the order is the one heap's (``tests/engine/
+reference_pool_heap.py``).
 
 All methods named as process steps (``fetch``, ``prefetch``, …) are
 generators meant to be driven with ``yield from`` inside a simulation
@@ -42,9 +45,9 @@ caller must wait, ``()`` when the work finished at the call.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import partial
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.errors import IoFault
@@ -71,9 +74,9 @@ class BufferPoolStats:
 
     __slots__ = (
         "hits", "misses", "ssd_hits", "disk_reads", "prefetched_pages",
-        "evictions_clean", "evictions_dirty", "latch_wait_time",
-        "latch_waits", "latch_wait_by_reason", "partition_latch_waits",
-        "partition_latch_wait_time",
+        "prefetched_unused", "evictions_clean", "evictions_dirty",
+        "latch_wait_time", "latch_waits", "latch_wait_by_reason",
+        "partition_latch_waits", "partition_latch_wait_time",
     )
 
     def __init__(self):
@@ -82,6 +85,8 @@ class BufferPoolStats:
         self.ssd_hits = 0          # pages read in from the SSD
         self.disk_reads = 0        # misses served from the disk
         self.prefetched_pages = 0  # pages brought in by read-ahead
+        #: Pages read ahead that left the pool before any fetch pinned them.
+        self.prefetched_unused = 0
         self.evictions_clean = 0
         self.evictions_dirty = 0
         self.latch_wait_time = 0.0
@@ -165,8 +170,8 @@ class BufferPool:
         "env", "telemetry", "_tracer", "capacity", "disk",
         "wal", "ssd", "readahead", "expand_reads", "stats",
         "latch_wait_counts", "latch_wait_lengths", "frames",
-        "_inflight", "_reserved", "_stamp", "_heap", "_dirty",
-        "partitions",
+        "_inflight", "_reserved", "_stamp", "_heap", "_fresh", "_rekeyed",
+        "_dirty", "partitions",
         "_nparts", "_parts", "_latch_s", "checkpoint_active",
         "_high_water", "_low_water", "_lazywriter_wake", "_frame_freed",
         "_evicting",
@@ -666,7 +671,7 @@ class BufferPool:
         return frame
 
     # ------------------------------------------------------------------
-    # Replacement (LRU-2, one lazy heap: one entry per frame)
+    # Replacement (LRU-2: one lazy entry per frame, in two runs or a heap)
     # ------------------------------------------------------------------
 
     def _touch(self, frame: Frame) -> None:
@@ -675,41 +680,48 @@ class BufferPool:
         self._stamp = stamp = self._stamp + 1
         frame.lru_stamp = stamp
         if frame.heap_stamp == 0:
-            # First touch after install: enheap its single live entry.
+            # First touch after install: its single live entry, keyed
+            # 0.0 like every first entry, joins the sorted run's tail.
             frame.heap_stamp = stamp
-            heappush(self._heap, (frame.prev_access, stamp, frame.page_id))
+            self._fresh.append((frame.prev_access, stamp, frame.page_id))
 
     def _pick_victims(self, want: int) -> List[Frame]:
-        """Pop up to ``want`` LRU-2 victims off the replacement heap.
+        """Take up to ``want`` LRU-2 victims off the replacement order.
 
-        The top is made current first: garbage entries (evicted or
-        superseded frames) are dropped and entries of since-touched
-        frames re-keyed in place — the new key and stamp are strictly
-        larger, so the entry sinks or stays a current top, and the loop
-        makes progress.  Pinned or latched minima are set aside and
-        re-enheaped after the batch, exactly as the eager heap deferred
+        The least of the two runs' heads and the heap's top is taken
+        each step: garbage entries (evicted or superseded frames) are
+        dropped and entries of since-touched frames filed again under
+        their new key and stamp — strictly larger, so the loop makes
+        progress.  Pinned or latched minima are set aside and go into
+        the heap after the batch, exactly as the eager heap deferred
         them.
         """
         frames = self.frames
-        heap = self._heap
+        heap, fresh, rekeyed = self._heap, self._fresh, self._rekeyed
         victims: List[Frame] = []
         deferred: List[Tuple[float, int, PageId]] = []
-        while heap and want:
-            entry = heap[0]
+        while want and (heap or fresh or rekeyed):
+            source = heap
+            if fresh and (not source or fresh[0] < source[0]):
+                source = fresh
+            if rekeyed and (not source or rekeyed[0] < source[0]):
+                source = rekeyed
+            entry = heappop(heap) if source is heap else source.popleft()
             frame = frames.get(entry[2])
             if frame is None or frame.heap_stamp != entry[1]:
-                heappop(heap)  # garbage: frame gone or superseded
-            elif frame.lru_stamp != entry[1]:
-                stamp = frame.lru_stamp
-                frame.heap_stamp = stamp
-                heapreplace(heap, (frame.prev_access, stamp, entry[2]))
-            else:
-                heappop(heap)
-                if frame.pin_count > 0 or frame.io_busy is not None:
-                    deferred.append(entry)
+                continue  # garbage: frame gone or superseded
+            if frame.lru_stamp != entry[1]:
+                frame.heap_stamp = frame.lru_stamp
+                entry = (frame.prev_access, frame.lru_stamp, entry[2])
+                if rekeyed and entry < rekeyed[-1]:
+                    heappush(heap, entry)
                 else:
-                    victims.append(frame)
-                    want -= 1
+                    rekeyed.append(entry)
+            elif frame.pin_count > 0 or frame.io_busy is not None:
+                deferred.append(entry)
+            else:
+                victims.append(frame)
+                want -= 1
         for entry in deferred:
             heappush(heap, entry)
         return victims
@@ -807,6 +819,9 @@ class BufferPool:
         Otherwise the generator that waits for the write-out, and drops
         the frame after it.
         """
+        if victim.sequential and victim.prev_access == 0.0:
+            # Touched once, when it was read ahead: no fetch pinned it.
+            self.stats.prefetched_unused += 1
         if victim.dirty:
             return self._write_out(victim, None)
         self.stats.evictions_clean += 1
@@ -898,7 +913,8 @@ class BufferPool:
         frames = self.frames
         dirty = sum(frame.dirty for frame in frames.values())
         assert self._dirty == dirty, (self._dirty, dirty)
-        filed = Counter(page_id for _, stamp, page_id in self._heap
+        filed = Counter(page_id for _, stamp, page_id
+                        in [*self._heap, *self._fresh, *self._rekeyed]
                         if page_id in frames
                         and frames[page_id].heap_stamp == stamp)
         evicting = [page_id for page_id, frame in frames.items()
@@ -939,9 +955,12 @@ class BufferPool:
         self._inflight: Dict[PageId, Event] = {}
         self._reserved = 0  # frame slots claimed by in-flight misses
         self._dirty = 0  # dirty frames, maintained incrementally
-        #: The replacement heap: ``(prev_access, stamp, page_id)``
-        #: entries, one live entry per resident frame.
+        #: The replacement order: ``(prev_access, stamp, page_id)``
+        #: entries, one live entry per resident frame, in a heap or in
+        #: one of two sorted runs (first entries; re-keyed ones).
         self._heap: List[Tuple[float, int, PageId]] = []
+        self._fresh: deque[Tuple[float, int, PageId]] = deque()
+        self._rekeyed: deque[Tuple[float, int, PageId]] = deque()
         for part in self._parts:
             part.reset()
         #: Set by the checkpointer while a sharp checkpoint is running.

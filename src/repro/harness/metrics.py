@@ -216,6 +216,8 @@ METRICS: Tuple[Metric, ...] = (
      _partition_latch_waits),
     ("bp_prefetched_pages_total", "counter", (),
      lambda s: s.bp.stats.prefetched_pages),
+    ("bp_prefetched_unused_total", "counter", (),
+     lambda s: s.bp.stats.prefetched_unused),
     ("bp_dirty_frames", "gauge", (), lambda s: s.bp.dirty_count),
     ("bp_used_frames", "gauge", (), lambda s: s.bp.used),
     # SSD manager (every design)

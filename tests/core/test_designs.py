@@ -321,7 +321,7 @@ class TestTac:
 def test_a_tac_tpcc_run_files_nothing_in_the_lru2_heaps():
     """TAC orders victims by temperature, so its reads must not file
     records into the LRU-2 heaps that nothing on its path ever pops
-    (``TacManager._reheap`` is a no-op the base read path dispatches to).
+    (the base read path only stamps the record it reads).
     """
     profile = SCALE_PROFILES["tiny"]
     workload = make_workload("tpcc", 100, profile)

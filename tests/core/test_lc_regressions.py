@@ -16,10 +16,15 @@ def make_lc(**kwargs):
     return MiniSystem(**defaults)
 
 
-def evict_dirty(sys_, page_id, version):
+def dirty_frame(page_id, version):
     frame = Frame(page_id, version=version)
     frame.dirty = True
-    drive(sys_.env, sys_.ssd_manager.on_evict_dirty(frame))
+    return frame
+
+
+def evict_dirty(sys_, page_id, version):
+    drive(sys_.env, sys_.ssd_manager.on_evict_dirty(
+        dirty_frame(page_id, version)))
 
 
 class TestCleanButNewerReCache:
@@ -66,22 +71,37 @@ class TestCleanerIdentityGuard:
     record was invalidated and reused for a different page/version."""
 
     def test_reused_record_is_not_marked_clean(self):
-        sys_ = make_lc(dirty_threshold=0.9)
-        manager = sys_.ssd_manager
+        """One SSD frame: the page a clean batch reads is invalidated
+        while the read is in flight, and its record bound to another
+        dirty page at once.  The batch lands and must leave the new page
+        dirty, and the record must carry nothing of the old page's
+        history into either heap."""
+        sys_ = make_lc(ssd_frames=1, dirty_threshold=1.0)
+        env, manager = sys_.env, sys_.ssd_manager
         evict_dirty(sys_, 10, version=1)
         record = manager.table.lookup_valid(10)
-        # Simulate what can happen while a clean batch is in flight:
-        captured = [(record, record.page_id, record.version)]
-        manager.invalidate(10)          # released ...
-        evict_dirty(sys_, 99, version=5)  # ... and the frame reused
-        reused = manager.table.lookup_valid(99)
-        if reused is not record:
-            pytest.skip("free list did not reuse the same frame")
-        # The cleaner's completion logic must skip it.
-        for rec, page_id, version in captured:
-            assert not (rec.valid and rec.dirty
-                        and rec.page_id == page_id
-                        and rec.version == version)
+        env.run(until=env.now + 0.5)
+        drive(env, manager.try_read(10))    # stamps the old page's access
+        assert record.lru_stamp > 0
+        batch = env.process(manager._clean_batch())
+        env.run(until=env.now + 1e-6)       # the batch's SSD read is out
+        assert record.frame_no in manager._cleaning_frames
+        manager.invalidate(10)              # released ...
+        reuse = env.process(manager.on_evict_dirty(dirty_frame(99, 5)))
+        env.run(until=env.now + 1e-6)
+        assert manager.table.lookup_valid(99) is record  # ... and reused
+        assert record.lru_stamp == 0
+        env.run(batch)
+        env.run(reuse)
+        assert batch.value == 1             # the batch did land
+        assert record.holds(99, 5) and record.dirty
+        assert sys_.disk.disk_version(99) == 0
+        manager.check_invariants()
+        assert (manager.clean_heap.live_count,
+                manager.dirty_heap.live_count) == (0, 1)
+        assert manager.clean_heap.pop() is None
+        assert manager.dirty_heap.pop() is record
+        assert record.prev_access == float("-inf")
 
     def test_heavy_churn_preserves_invariants(self):
         sys_ = make_lc(db_pages=400, bp_pages=32, ssd_frames=50,

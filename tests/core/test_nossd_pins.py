@@ -60,7 +60,7 @@ def test_a_directly_built_nossd_system_caches_nothing():
         system.data_device, system.ssd_device, system.wal.device)]) \
         == "a22b308dddb5f55641e85c8d917470c8"
     assert meta_free_trace_md5(telemetry) == "d8607c6ea4776fb40c252eb0c22ebf32"
-    assert _md5(record) == "17afc14760d8adebd80bb2acedb7a4ad"
+    assert _md5(record) == "9d170033ff0f03c00999711c42891ff2"
 
 
 def test_nossd_with_ftl_builds_no_flash_model():

@@ -200,7 +200,8 @@ class TestClearAndLru:
 
     def test_record_access_history(self):
         record = SsdRecord(0)
-        record.record_access(1.0)
-        record.record_access(2.0)
+        record.record_access(1.0, 7)
+        record.record_access(2.0, 9)
         assert record.prev_access == 1.0
         assert record.last_access == 2.0
+        assert record.lru_stamp == 9

@@ -84,7 +84,7 @@ def test_every_row_is_a_literal():
 def test_one_kind_and_one_label_tuple_per_name():
     rows = every_row()
     assert list(row_problems(rows)) == []
-    assert len(rows) == 51
+    assert len(rows) == 52
 
 
 def test_a_computed_name_fails():
