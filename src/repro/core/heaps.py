@@ -59,6 +59,11 @@ class LazyMinHeap:
         """Entries in the binary heap: the live ones plus garbage."""
         return len(self._heap)
 
+    def __contains__(self, record: SsdRecord) -> bool:
+        """Whether ``record``'s frame is filed here: a pop comes to it."""
+        frame_no = record.frame_no
+        return frame_no < len(self._stamps) and self._stamps[frame_no] != 0
+
     @property
     def live_count(self) -> int:
         """Records currently considered members of this heap."""
@@ -117,9 +122,8 @@ class LazyMinHeap:
 
     def remove(self, record: SsdRecord) -> None:
         """Lazily remove a record (its entry becomes garbage)."""
-        frame_no = record.frame_no
-        if frame_no < len(self._stamps) and self._stamps[frame_no]:
-            self._forget(frame_no)
+        if record in self:
+            self._forget(record.frame_no)
 
     def take_in(self, record: SsdRecord) -> None:
         """Count a filed record's latest access, if this heap has not

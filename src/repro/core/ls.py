@@ -447,7 +447,8 @@ class LogStructuredManager(SsdManagerBase):
                       key=lambda r: r.last_access, reverse=True)
         keep: Set[int] = {r.frame_no for r in live[:size // 2]}
         # Relocating entries move with their dirty flag intact — the
-        # background dirty cleaner flushes them on its own λ schedule.
+        # background dirty cleaner flushes them on its own λ schedule,
+        # and one a clean batch has in flight stays that batch's (_file).
         # Only entries about to be *dropped* while holding the sole
         # newest copy of their page must reach disk first (the backstop
         # that makes capacity eviction safe).  With greedy victims these
@@ -615,11 +616,8 @@ class LogStructuredManager(SsdManagerBase):
                                       key=lambda item: item[1][4]):
             record = self._map(frame_no, *entry[:4], now=0.0)
             if not record.dirty:
-                # A dirty entry waits for restart to settle it: filed
-                # now, the restarted cleaner would copy it back to a
-                # disk redo is still writing.  (After three empty rounds
-                # its reseed files it all the same; disk versions only
-                # grow, so that costs writes, not data.)
+                # A dirty entry is left for the restart rule, which
+                # cleans or drops every one before the cleaner starts.
                 self.clean_heap.push(record)
         if self._journal:
             self.replays += len(self._journal)

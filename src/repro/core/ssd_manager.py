@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
-                    Optional, Sequence, Set)
+                    Optional, Sequence)
 
 from repro.faults.errors import DeviceDeadError, IoFault, retry_io
 from repro.sim import Environment
@@ -157,7 +157,6 @@ class SsdStats:
         "io_failures",        # SSD I/Os abandoned (budget/device death)
         "throttle_preserved",  # copies kept through a declined admit
         "detach_redo_pages",  # dirty pages redone to disk at SSD death
-        "heap_reseeds",       # dirty-heap reseeds (desync recovery)
     )
 
     def __init__(self, **counters: int):
@@ -192,7 +191,7 @@ class SsdManagerBase:
         "env", "device", "disk", "wal", "config", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
         "_detach_complete", "telemetry", "_tracer", "_cleaner",
-        "_above_lambda", "_cleaning_frames",
+        "_above_lambda", "_cleaning_pages",
     )
 
     #: Name used in figures and reports; subclasses override.
@@ -200,9 +199,6 @@ class SsdManagerBase:
 
     #: Consecutive no-progress drain rounds before failing loudly.
     _STALL_LIMIT = 64
-
-    #: Empty drain rounds between dirty-heap reseed attempts.
-    _RESEED_AFTER = 3
 
     def __init__(self, env: Environment, device: Ssd, disk: DiskManager,
                  wal: WriteAheadLog, config: Optional[SsdDesignConfig] = None,
@@ -431,8 +427,6 @@ class SsdManagerBase:
         record.prev_access = record.last_access  # record_access, inlined
         record.last_access = self.env._now
         record.lru_stamp = self.table.next_stamp()
-        if record.dirty and record.frame_no in self._cleaning_frames:
-            self.dirty_heap.push(record)  # see _clean_batch
         request = IORequest(RANDOM_READ, record.frame_no, 1, ctx)
         return SsdRead(self.device.submit(request), record, page_id, version,
                        must, request)
@@ -559,8 +553,13 @@ class SsdManagerBase:
         return self._ssd_write_frame(record, page_id, version, ctx, kind)
 
     def _file(self, record: SsdRecord) -> None:
-        """File a freshly bound record with the replacement policy."""
-        (self.dirty_heap if record.dirty else self.clean_heap).push(record)
+        """File a freshly bound record with the replacement policy; a
+        dirty one whose page version a clean batch has in flight is the
+        batch's (:meth:`_clean_batch`)."""
+        if not record.dirty:
+            self.clean_heap.push(record)
+        elif self._cleaning_pages.get(record.page_id) != record.version:
+            self.dirty_heap.push(record)
 
     def _drop_record(self, record: SsdRecord) -> None:
         """Physically free a record and its frame."""
@@ -609,8 +608,6 @@ class SsdManagerBase:
             existing.prev_access = existing.last_access  # record_access
             existing.last_access = self.env._now
             existing.lru_stamp = self.table.next_stamp()
-            if existing.dirty and existing.frame_no in self._cleaning_frames:
-                self.dirty_heap.push(existing)  # see _clean_batch
             return ()
         if self._qualifies(frame):
             return self._cache_evicted(frame)
@@ -845,19 +842,13 @@ class SsdManagerBase:
         if not group:
             return 0
         round_started = self.env.now
-        # Capture addresses/versions now: a page may be invalidated (and
-        # its record even reused for a different page) while the cleaning
-        # I/O is in flight.
         first = group[0].page_id
-        versions = [record.version for record in group]
-        captured = [(record, record.page_id, record.version)
-                    for record in group]
-        frames = [record.frame_no for record in group]
-        # The group left the dirty heap; an access while it is in flight
-        # files its page there again (the heap's one way to hear of an
-        # access to a record it does not hold), and another batch may
-        # take it.
-        self._cleaning_frames.update(frames)
+        # The batch owns these page versions until it lands: they left
+        # the dirty heap, no other batch takes them (_dirty_record), an
+        # access only stamps them (_mark_clean counts it), and a record
+        # that comes to hold one mid-flight is not filed (_file).
+        claims = {record.page_id: record.version for record in group}
+        self._cleaning_pages.update(claims)
         try:
             # SSD -> memory: one read per page (they are scattered on the
             # SSD).  These are transfer reads, not page accesses: the
@@ -867,25 +858,30 @@ class SsdManagerBase:
                 for record in group)))
             if landed:
                 try:
-                    yield from self.disk.write_run(first, versions,
-                                                   ctx=CLEANER_CTX)
+                    yield from self.disk.write_run(
+                        first, list(claims.values()), ctx=CLEANER_CTX)
                 except IoFault:
                     landed = False
         finally:
-            self._cleaning_frames.difference_update(frames)
-        for record, page_id, version in captured:
-            # Only if the record still describes the exact page/version
-            # captured — it may have been invalidated (re-dirtied in the
-            # pool) or reused for another page while the I/O was in
-            # flight.
-            if record.dirty and record.holds(page_id, version):
+            for page_id, version in claims.items():
+                # A newer version may be another batch's now.
+                if self._cleaning_pages.get(page_id) == version:
+                    del self._cleaning_pages[page_id]
+        for page_id, version in claims.items():
+            # The page's record now, if it still holds the version
+            # claimed: the page may have been invalidated (re-dirtied in
+            # the pool), or its entry moved (LS relocation), while the
+            # I/O was in flight.
+            record = self._dirty_record(page_id)
+            if record is not None and record.version == version:
                 if landed:
                     self._mark_clean(record)
                 else:
                     # A read failed past the retry budget, the device
                     # died or the disk write was abandoned: nothing was
-                    # transferred.  Requeue for a later attempt (or for
-                    # the detach redo) and report no progress.
+                    # transferred.  The record goes back to the heap for
+                    # a later attempt (or for the detach redo), and the
+                    # round reports no progress.
                     self.dirty_heap.push(record)
         if not landed:
             return 0
@@ -919,55 +915,28 @@ class SsdManagerBase:
         return group
 
     def _dirty_record(self, page_id: int) -> Optional[SsdRecord]:
+        """``page_id``'s valid dirty record, unless a batch holds it."""
         record = self.table.lookup_valid(page_id)
-        return record if record is not None and record.dirty else None
+        return (record if record is not None and record.dirty
+                and page_id not in self._cleaning_pages else None)
 
     def _note_drain_stall(self, empty_rounds: int) -> None:
-        """The ``stalled`` of every group-cleaning drain: react to
-        consecutive empty rounds.
+        """The ``stalled`` of every group-cleaning drain.
 
-        Empty rounds are legitimate while other batches hold records in
-        flight (``_cleaning_frames``), but ``dirty_count > 0`` with an
-        empty dirty heap and *nothing* in flight means the heap and the
-        table have desynced — without intervention the drain loop would
-        busy-spin forever.  Every ``_RESEED_AFTER`` rounds the heap is
-        re-seeded from the table (the authoritative source); if that
-        finds nothing and nothing is in flight, the counters themselves
-        are inconsistent and we fail loudly rather than hang.
+        Empty rounds are legitimate while batches hold records in flight
+        (``_cleaning_pages``) or fail and re-file them.  Dirty records
+        with an empty dirty heap and *nothing* in flight break the rule
+        :meth:`check_invariants` asserts: no round can take them, so the
+        drain fails loudly rather than spin.
         """
-        if empty_rounds % self._RESEED_AFTER != 0:
-            return
-        reseeded = self._reseed_dirty_heap()
-        if reseeded:
-            return
-        if not self._cleaning_frames and self.table.dirty_count > 0:
+        if (self.table.dirty_count and not self._cleaning_pages
+                and not self.dirty_heap.live_count):
             raise RuntimeError(
                 f"{self.name} drain stalled: "
-                f"dirty_count={self.table.dirty_count} "
-                f"but no dirty records exist in the table and none are in "
-                f"flight — table/counter desync")
+                f"dirty_count={self.table.dirty_count} but the dirty heap "
+                f"is empty and no batch is in flight — heap/table desync")
         self._give_up(empty_rounds, f"{self.name} drain",
-                      f"{len(self._cleaning_frames)} transfers in flight")
-
-    def _reseed_dirty_heap(self) -> int:
-        """Re-push every table-dirty record absent from in-flight batches.
-
-        Duplicate pushes are harmless (the lazy heap re-validates on
-        pop).  Returns the number of records pushed; healthy runs never
-        get here, so the count doubles as a desync detector.
-        """
-        reseeded = 0
-        for record in self.table.occupied_records():
-            if (record.valid and record.dirty
-                    and record.frame_no not in self._cleaning_frames):
-                self.dirty_heap.push(record)
-                reseeded += 1
-        if reseeded:
-            self.stats.heap_reseeds += 1
-            if self._tracer.enabled:
-                self._tracer.instant("dirty_heap_reseed", "cleaner",
-                                     "cleaner", {"records": reseeded})
-        return reseeded
+                      f"{len(self._cleaning_pages)} transfers in flight")
 
     def admission_flush_hint(self) -> None:
         """Hook: the buffer pool's eviction pressure has drained.
@@ -1143,16 +1112,13 @@ class SsdManagerBase:
         """A power failure.  The SSD's *content* survives; what of the
         mapping does is the design's :meth:`_survive_crash`.  The event
         wipe killed any in-flight detach and the background loops with
-        the rest of the world, so what they owned is rebuilt and the
-        loops start again — unless the SSD is gone: a detached SSD stays
-        detached across the crash (the device is still dead) and there
-        is nothing to clean."""
+        the rest of the world, so what they owned is rebuilt; the loops
+        start again from :meth:`on_restart`.  A detached SSD stays
+        detached across the crash (the device is still dead)."""
         self._survive_crash()
         self._reset_transients()
         if self.detached:
             self._detach_complete.succeed()
-        else:
-            self.start_cleaner()
 
     def _survive_crash(self) -> None:
         """What of the mapping a crash leaves.  The paper's designs keep
@@ -1175,10 +1141,9 @@ class SsdManagerBase:
         self._detach_complete = self.env.event()
         self._cleaner: Optional[Callable[[], None]] = None
         self._above_lambda = False
-        #: SSD frame slots with a clean-back transfer in flight; their
-        #: records are legitimately absent from the dirty heap and must
-        #: not be re-seeded into it.
-        self._cleaning_frames: Set[int] = set()
+        #: Page → the version a group batch has in flight: the valid
+        #: dirty record holding it is the batch's, not the dirty heap's.
+        self._cleaning_pages: Dict[int, int] = {}
 
     def on_restart(self) -> None:
         """After redo, the one restart rule: a surviving entry whose
@@ -1186,7 +1151,8 @@ class SsdManagerBase:
         replayed log entry may — it is cleaned); any other goes the way
         the design invalidates.  Torn writes and uncommitted versions
         differ from the redone disk and die here, which is what makes
-        keeping them across the crash safe."""
+        keeping them across the crash safe.  Only then do the
+        background loops start: no dirty entry is left for them."""
         for record in list(self.table.occupied_records()):
             if not record.valid:
                 continue
@@ -1194,6 +1160,8 @@ class SsdManagerBase:
                 self._invalidate_record(record)
             elif record.dirty:
                 self._mark_clean(record)
+        if not self.detached:
+            self.start_cleaner()
 
     # ------------------------------------------------------------------
     # Invariant checking (Figure 3), used by the property tests
@@ -1201,7 +1169,9 @@ class SsdManagerBase:
 
     def check_invariants(self) -> None:
         """Assert the Figure 3 page-copy relationships hold right now,
-        and that the table's tallies and the heaps' filing are exact."""
+        that the table's tallies and the heaps' filing are exact, and
+        that every valid dirty record has one owner: the dirty heap, or
+        the group batch that has its page version in flight."""
         self.table.check_invariants()
         for heap in self.heaps().values():
             heap.check_invariants()
@@ -1213,6 +1183,9 @@ class SsdManagerBase:
                 assert record.version >= disk_version, (
                     f"dirty SSD copy older than disk: {record!r} "
                     f"vs disk v{disk_version}")
+                assert record in self.dirty_heap or self._cleaning_pages.get(
+                    record.page_id) == record.version, (
+                    f"dirty record neither filed nor in flight: {record!r}")
             else:
                 assert record.version == disk_version, (
                     f"clean SSD copy differs from disk: {record!r} "

@@ -28,6 +28,8 @@ class DiskManager:
         #: Allocated pages start at version 0 (the loaded database).
         self._image: Dict[int, int] = {}
         self.retries = 0
+        #: Writes that landed older than, or equal to, the disk image.
+        self.stale_landings = self.same_version_writes = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         self._tracer = self.telemetry.tracer
 
@@ -40,11 +42,18 @@ class DiskManager:
         return self._image.get(page_id, 0)
 
     def _persist(self, page_id: int, version: int) -> None:
-        # Monotone: concurrent writers (evictions, the LC cleaner,
+        # Monotone: concurrent writers (evictions, the cleaners,
         # checkpoints) may complete out of order; a real implementation
         # orders them with frame latches, which this guard stands in for.
-        if version > self._image.get(page_id, -1):
+        # What it drops is counted: a stale landing is a write a real
+        # disk would have taken backwards.
+        current = self._image.get(page_id, -1)
+        if version > current:
             self._image[page_id] = version
+        elif version == current:
+            self.same_version_writes += 1
+        else:
+            self.stale_landings += 1
 
     # ------------------------------------------------------------------
     # I/O

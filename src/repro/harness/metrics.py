@@ -190,6 +190,10 @@ METRICS: Tuple[Metric, ...] = (
     ("faults_injected_total", "counter", ("device", "kind"), _injected),
     # disk manager, log, checkpoints
     ("disk_retries_total", "counter", (), lambda s: s.disk.retries),
+    ("disk_stale_landings_total", "counter", (),
+     lambda s: s.disk.stale_landings),
+    ("disk_same_version_writes_total", "counter", (),
+     lambda s: s.disk.same_version_writes),
     ("wal_records_total", "counter", (),
      lambda s: s.wal.tail_lsn + 1 + s.wal.records_lost),
     ("wal_flushes_total", "counter", (), lambda s: s.wal.flushes),

@@ -171,40 +171,44 @@ class TestThrottlePreserve:
 
 
 class TestLcDrainLiveness:
+    """Every valid dirty SSD record has one owner, the dirty heap or the
+    group batch that has it in flight; a record with neither is caught,
+    not repaired."""
+
     def desynced_lc(self):
         """An LC manager whose dirty heap lost a record the table still
-        holds dirty (the desync the reseed machinery exists for)."""
+        holds dirty."""
         sys_ = make("LC", dirty_threshold=0.95)
         mgr = sys_.ssd_manager
         drive(sys_.env, mgr._cache_page(5, 3, dirty=True))
         assert mgr.dirty_frames == 1
+        mgr.check_invariants()
         mgr.dirty_heap.clear()
         return sys_
 
-    def test_reseed_recovers_a_lost_dirty_record(self):
-        sys_ = self.desynced_lc()
-        mgr = sys_.ssd_manager
-        drive(sys_.env, mgr.on_checkpoint())  # drains all dirty pages
-        assert mgr.dirty_frames == 0
-        assert mgr.stats.heap_reseeds >= 1
-        assert sys_.disk.disk_version(5) == 3
+    def test_a_lost_dirty_record_fails_the_invariant_check(self):
+        mgr = self.desynced_lc().ssd_manager
+        with pytest.raises(AssertionError, match="neither filed nor in "
+                           "flight"):
+            mgr.check_invariants()
 
-    def test_counter_desync_fails_loudly(self, monkeypatch):
+    def test_a_lost_dirty_record_stalls_the_drain_loudly(self):
         sys_ = self.desynced_lc()
         mgr = sys_.ssd_manager
-        # Table claims dirty pages exist but exposes none: the counters
-        # themselves are inconsistent — refuse to spin forever.  The
-        # table is slotted, so the sabotage goes on the class.
-        monkeypatch.setattr(type(mgr.table), "occupied_records",
-                            lambda self: [])
         with pytest.raises(RuntimeError, match="desync"):
             drive(sys_.env, mgr.on_checkpoint())
+        assert mgr.dirty_frames == 1
+        assert sys_.disk.disk_version(5) == 0
 
-    def test_healthy_runs_never_reseed(self):
+    def test_churn_and_a_checkpoint_keep_every_dirty_record_owned(self):
         sys_ = make("LC", dirty_threshold=0.3)
+        mgr = sys_.ssd_manager
         sys_.churn(accesses=2_000, write_fraction=0.5, seed=61)
-        drive(sys_.env, sys_.ssd_manager.on_checkpoint())
-        assert sys_.ssd_manager.stats.heap_reseeds == 0
+        assert mgr.dirty_frames > 0
+        mgr.check_invariants()
+        drive(sys_.env, mgr.on_checkpoint())
+        assert mgr.dirty_frames == 0
+        mgr.check_invariants()
 
 
 class TestAbandonedOptionalIo:

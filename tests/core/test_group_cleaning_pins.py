@@ -86,8 +86,6 @@ def lc_with_dirty_pages(pages, **ssd):
     return sys_
 
 
-@pytest.mark.xfail(strict=True, reason="a batch extends into pages another "
-                   "batch has in flight")
 def test_concurrent_checkpoint_batches_write_each_page_once():
     """Five consecutive dirty pages, α = 4, two batches at a time: the
     second batch must not extend into the first one's pages."""
@@ -101,8 +99,6 @@ def test_concurrent_checkpoint_batches_write_each_page_once():
     sys_.ssd_manager.check_invariants()
 
 
-@pytest.mark.xfail(strict=True, reason="an access files an in-flight page "
-                   "in the dirty heap again")
 def test_an_access_to_an_in_flight_page_leaves_it_with_its_batch():
     """A batch holds pages 10 and 11.  An SSD read of 10 and a clean
     eviction of 11 only stamp them: the dirty heap stays empty, a second
@@ -124,8 +120,6 @@ def test_an_access_to_an_in_flight_page_leaves_it_with_its_batch():
     manager.check_invariants()
 
 
-@pytest.mark.xfail(strict=True, reason="the λ cleaner restarts at the crash "
-                   "and copies replayed entries back while redo runs")
 def test_no_ls_copy_back_runs_before_the_restart_rule(monkeypatch):
     """An LS crash above λ: the replayed dirty entries are settled by
     ``on_restart`` (here all clean hits), not copied back by a cleaner

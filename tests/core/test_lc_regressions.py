@@ -85,7 +85,7 @@ class TestCleanerIdentityGuard:
         assert record.lru_stamp > 0
         batch = env.process(manager._clean_batch())
         env.run(until=env.now + 1e-6)       # the batch's SSD read is out
-        assert record.frame_no in manager._cleaning_frames
+        assert 10 in manager._cleaning_pages
         manager.invalidate(10)              # released ...
         reuse = env.process(manager.on_evict_dirty(dirty_frame(99, 5)))
         env.run(until=env.now + 1e-6)

@@ -36,6 +36,13 @@ class TestReadWrite:
         drive(env, disk.write(5, version=3))
         assert disk.disk_version(5) == 9
 
+    def test_stale_and_same_version_landings_are_counted(self, env, disk):
+        drive(env, disk.write(5, version=9), disk.write_run(4, [2, 9]))
+        assert (disk.stale_landings, disk.same_version_writes) == (0, 1)
+        drive(env, disk.write(5, version=3))
+        assert (disk.stale_landings, disk.same_version_writes) == (1, 1)
+        assert disk.disk_version(5) == 9
+
 
 class TestValidation:
     def test_read_beyond_volume_rejected(self, env, disk):

@@ -396,9 +396,14 @@ WRITE_BACK = {
     # crash — once from ``crash_reset``, once more from the recovery
     # step — and emitted two ``ls_log_replay`` instants (467 entries
     # each, ``replays`` 934); less the second one the trace is the old.
+    # Trace re-pinned again (was 3c85f8ee…) when the λ cleaner stopped
+    # starting at the crash: it reseeded the replayed dirty entries
+    # (one ``dirty_heap_reseed``) and copied 18 of them back in 17
+    # ``clean_batch``es while redo ran, which the restart rule now
+    # settles in place; the table digest did not move.
     "crash-LS": (
         _tpce_crash("LS"),
-        ("3c85f8ee768e01ad2bd667ddcba07d4d",
+        ("bd9a8e08c21bc819937127df57dd443b",
          "72164ccb736f77fb52c78d2322762bd2"),
         ("evictions",)),
     # Re-pinned with their checkpointed rows (eeeb7b6d…, f63c5b8c…).
@@ -422,20 +427,25 @@ WRITE_BACK = {
         ("12c14d4eebb0a85ceed6249e867989d8", "d04e28f76cc6eae42cfc8f7d522d412a"),
         ("evictions", "invalidations")),
     # Trace re-pinned with crash-LS (was 85e34d74…): the same second
-    # ``ls_log_replay`` instant (473 entries), and nothing else.
+    # ``ls_log_replay`` instant (473 entries), and nothing else.  And
+    # with it again (was 8cc327ec…): the same reseed and 17 batches.
     "crash-LS-staged": (
         _tpce_crash("LS", staged=True),
-        ("8cc327ecd5aeb1d1b7e3ac779a86ce2b", "f69394cd6734a029e92461ff463aa30f"),
+        ("27e6c7a47002b6ea27940a5f9208d312", "f69394cd6734a029e92461ff463aa30f"),
         ("evictions", "cleaner_ios")),
     "throttled-LC": (
         _throttled("LC"),
         ("bf1ec3afe0394d29adf9cb8df0fd7a81",
          "8cf8a9b0eedbfeb75e1f33bf5f8998b3"),
         ("declined_throttle", "fallback_disk_writes", "cleaner_pages")),
+    # Re-pinned (was 84a3f8e2…/8883f62e…) when a clean batch came to own
+    # its page versions: an entry the reclaimer relocates while a batch
+    # has it in flight stays the batch's instead of being filed for a
+    # second batch (``cleaner_pages`` 794 → 732).
     "throttled-LS": (
         _throttled("LS"),
-        ("84a3f8e29ab9da24decf09079415c4e2",
-         "8883f62e0c2276a9696a188c040f7010"),
+        ("2373c758aa2441e3fa586cb0d038fdd2",
+         "559401e0dbd7acd4abeb2930108fa833"),
         ("declined_throttle", "fallback_disk_writes")),
     # TAC under replacement *and* faults, and the two layouts with their
     # own admit tails under the throttle: captured at commit 001cc3f,
@@ -519,10 +529,12 @@ def _update_phase(system, committed, phase):
 #: same pages are redone and the same frames survive.  LS and ROT were
 #: re-pinned (were 61, e2b1be70… and 130, 196a8a0c…) when their
 #: checkpoints and LS's λ cleaner took up group cleaning: other pages
-#: are on disk at the cut.
+#: are on disk at the cut.  LS again (was 72, 1ab9bf75…) when an entry
+#: relocated mid-clean stayed its batch's: 1,840 cleaned pages before
+#: the cut, not 2,023.
 RESTART = {
     "LC": (70, "6566c68a43c74c3053b9ddc40bd2fa81"),
-    "LS": (72, "1ab9bf75ee61a096a3aba650de787325"),
+    "LS": (67, "9c6c5395c2beddebfdea298a6d5514a3"),
     "TAC": (41, "ba9df6d3cb2e178f0a2840a177e4df06"),
     "ROT": (137, "8813e126de251e0bcce1c467e3f760d9"),
     "DW": (41, "ba1adcc9536e8dee5c818b0b61f9786d"),
@@ -545,10 +557,13 @@ def test_quiesced_restart_redoes_and_keeps_the_same(design):
 #: Equal LRU-2 keys leave a heap in push order, so this moves if restart
 #: re-files a surviving record it could have left alone.  LS and ROT
 #: were re-pinned with ``RESTART`` (were 2b1eb857…, 5024 and eac1ef2a…,
-#: 4740).
+#: 4740).  LS was re-pinned again (was 0fb03150…, 5013) when its λ
+#: cleaner stopped starting at the crash, where it reseeded the replayed
+#: dirty entries and copied 31 back during recovery, and with
+#: ``RESTART`` when a relocated entry stayed its batch's.
 RESTARTED_RUN = {
     "LC": ("1bc7c74092447cc5aca40662cbcf7ddc", 4726),
-    "LS": ("0fb031508d6dda835123c14f210db607", 5013),
+    "LS": ("cc858bcc8b10daf0d4484759ec73bc51", 4978),
     "TAC": ("e067448777bfd4911f97a6766175cb29", 531),
     "ROT": ("2016322a5b34b06b16f46936ccd80c26", 4726),
     "DW": ("417a53712d968f6244eef31d83e3e4ca", 4811),

@@ -12,6 +12,9 @@ placement displaced a newer dirty page another placement had put in the
 frame while it copied the old one back.  Without those two mends every
 point but the first loses commits (the first lost them before the
 designs cleaned by group batches).  Each point takes under 0.2 s.
+The first two LS points' failure counts were re-pinned (were 3 and 3)
+when an entry the reclaimer relocates while a clean batch has it in
+flight came to stay that batch's: LS cleans fewer pages twice.
 """
 
 import random
@@ -26,8 +29,8 @@ from repro.harness.system import System, SystemConfig
 
 #: (design, fault plan, client seed index, crash instant, I/O failures).
 POINTS = [
-    ("LS", "transient:p=0.3:device=ssd", 2, 2.4, 3),
-    ("LS", "transient:p=0.3:device=ssd", 4, 3.8, 3),
+    ("LS", "transient:p=0.3:device=ssd", 2, 2.4, 1),
+    ("LS", "transient:p=0.3:device=ssd", 4, 3.8, 4),
     ("LS", "transient:p=0.3:device=ssd", 5, 2.4, 4),
     ("ROT", "transient:p=0.6:device=ssd", 1, 1.7, 65),
     ("ROT", "transient:p=0.6:device=ssd", 3, 3.1, 93),

@@ -28,6 +28,14 @@ disk write (``io_requests_total{device="hdd-array",kind=
 instead of left to fill with cleaned records, and tpce-EXCL finishes a
 third checkpoint.
 
+``disk_stale_landings_total`` and ``disk_same_version_writes_total``
+were added to every run (stale 0 in all ten, same-version 0 to 42), and
+the dirty heap's vitals moved in tpcc-LC, tpce-EXCL, tpce-LC-ssd-dies
+and tpce-ROT when a clean batch came to own its pages until they land:
+an access to an in-flight page no longer files it there again
+(tpcc-LC's ``ssd_mgr_heap_entries{heap="dirty"}`` 66 → 12).  No other
+row moved.
+
 Rows are compared as a *set* per run: the order of a family's children
 is not pinned.  A histogram is pinned by ``count / p50 / p95 / p99``,
 not by its mean — ``sum()`` is compensated from Python 3.12 on, so the
@@ -59,24 +67,24 @@ TENANTS = ("gold=poisson:rate=400:theta=0.6;"
 RUNS = {
     "tpcc-LC": (RunSpec(kind="oltp", benchmark="tpcc", scale=100,
                         design="LC", profile="tiny", duration=5.0,
-                        nworkers=4, dirty_threshold=0.01), None, 73),
-    "tpce-LC-ssd-dies": (RunSpec(design="LC", **TPCE), SSD_DIES, 79),
+                        nworkers=4, dirty_threshold=0.01), None, 75),
+    "tpce-LC-ssd-dies": (RunSpec(design="LC", **TPCE), SSD_DIES, 81),
     "tpce-LS-ftl-ssd-dies": (RunSpec(design="LS", ftl=True, **TPCE),
-                             SSD_DIES, 83),
-    "tpce-TAC": (RunSpec(design="TAC", **TPCE), None, 78),
-    "tpce-ROT": (RunSpec(design="ROT", **TPCE), None, 71),
-    "tpce-EXCL": (RunSpec(design="EXCL", **TPCE), None, 71),
+                             SSD_DIES, 85),
+    "tpce-TAC": (RunSpec(design="TAC", **TPCE), None, 80),
+    "tpce-ROT": (RunSpec(design="ROT", **TPCE), None, 73),
+    "tpce-EXCL": (RunSpec(design="EXCL", **TPCE), None, 73),
     "tpce-DW-latched-faults": (
         RunSpec(design="DW", partitions=4, latch_us=20.0, **TPCE),
-        "transient:p=0.01", 78),
+        "transient:p=0.01", 80),
     "open-loop-latched": (
         RunSpec(kind="traffic", benchmark="tpcc", scale=20, design="LC",
                 profile="tiny", duration=4.0, nworkers=8, queue_limit=200,
                 partitions=4, latch_us=20.0, kernel="wheel",
-                tenants=TENANTS), None, 76),
+                tenants=TENANTS), None, 78),
     "tpch-DW": (RunSpec(kind="tpch", benchmark="tpch", scale=30,
-                        design="DW", profile="tiny"), None, 65),
-    "throttled-TAC": (_throttled("TAC"), None, 72),
+                        design="DW", profile="tiny"), None, 67),
+    "throttled-TAC": (_throttled("TAC"), None, 74),
 }
 
 
@@ -121,11 +129,11 @@ def test_metrics_rows_are_what_they_were(name):
 
 
 def test_the_pin_covers_every_registered_name():
-    """The ten runs together reach all 52 metric names."""
+    """The ten runs together reach all 54 metric names."""
     names = {line.split("{")[0]
              for lines in pinned_lines().values() for line in lines}
-    assert len(names) == 52
-    assert sum(len(lines) for lines in pinned_lines().values()) == 746
+    assert len(names) == 54
+    assert sum(len(lines) for lines in pinned_lines().values()) == 766
 
 
 if __name__ == "__main__":

@@ -94,10 +94,10 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.core.ssd_manager:SsdManagerBase._give_up": (
         J, "stall path: a drain's empty rounds (the run below)"),
     "repro.core.ssd_manager:SsdManagerBase._note_drain_stall": (
-        J, "stall path: a group-cleaning drain's empty rounds (repro oltp "
-           "--designs LC --dirty-threshold 0.01 --checkpoint-interval 2)"),
-    "repro.core.ssd_manager:SsdManagerBase._reseed_dirty_heap": (
-        J, "stall path: a dirty heap out of step with the table"),
+        J, "stall path: a group-cleaning round whose batches all came "
+           "back empty, the dirty pages in flight in others or re-filed "
+           "by failed ones (repro oltp --designs LC --dirty-threshold "
+           "0.01 --checkpoint-interval 2)"),
     "repro.core.ssd_manager:SsdManagerBase.on_evict_dirty": (J, _STUB),
     "repro.core.ssd_manager:SsdStats.__repr__": (J, _REPR),
     "repro.core.ssd_manager:TrimPlan.__repr__": (J, _REPR),
