@@ -73,6 +73,20 @@ class TestGroupCommit:
             IoKind.SEQUENTIAL_WRITE, 0) > 0
         system.ssd_manager.check_invariants()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a partial batch waits for the lazy writer's hint or the batch "
+        "timer before its flush writes"))
+    def test_a_staged_admission_writes_in_its_own_instant(self):
+        """The flush takes its first step in the instant its batch
+        opened: one admission staged with no time advanced already has
+        its sequential SSD write out."""
+        system = ls_system()
+        system.env.process(system.ssd_manager._cache_page(3, 1, False))
+        system.env.run(until=0)
+        assert system.ssd_device.pending == 1
+        assert system.ssd_device.stats.by_kind.get(
+            IoKind.SEQUENTIAL_WRITE, 0) == 0    # issued, not landed
+
     def test_admission_flush_hint_closes_partial_batch(self):
         system = ls_system()
         manager = system.ssd_manager
