@@ -37,16 +37,18 @@ POINTS = [
 ]
 
 
-def crash_and_recover(design, faults, index, crash_at):
-    """Run the clients to ``crash_at``, crash and recover; recovery
-    raises ``RecoveryError`` on a lost commit.  Returns the system's
-    SSD I/O failures before the crash."""
-    system = System(SystemConfig(
+def point_system(design, faults):
+    return System(SystemConfig(
         design=design, db_pages=400, bp_pages=80,
         ssd=SsdDesignConfig(ssd_frames=64, ls_segment_pages=16,
                             ls_batch_pages=8),
         checkpoint_interval=1.0, checkpoint_policy="sharp",
         slack_pages=64), faults=faults)
+
+
+def run_clients(system, index, until):
+    """Start the services and the eight clients, and run to ``until``;
+    returns the versions they committed."""
     env = system.env
     system.start_services()
     committed = {}
@@ -54,7 +56,17 @@ def crash_and_recover(design, faults, index, crash_at):
         _update_client(env, system, random.Random(f"s{index}:{worker}"),
                        committed, 400)
         for worker in range(8))
-    env.run(until=crash_at)
+    env.run(until=until)
+    return committed
+
+
+def crash_and_recover(design, faults, index, crash_at):
+    """Run the clients to ``crash_at``, crash and recover; recovery
+    raises ``RecoveryError`` on a lost commit.  Returns the system's
+    SSD I/O failures before the crash."""
+    system = point_system(design, faults)
+    env = system.env
+    committed = run_clients(system, index, crash_at)
     failures = system.ssd_manager.stats.io_failures
     system.crash()
     env.run(env.process(system.recover(committed)))
@@ -77,3 +89,32 @@ def test_transient_ssd_faults_lose_no_commit(design, faults, index,
 def test_no_write_back_design_loses_a_commit_to_transient_ssd_faults(
         design, p, index, crash_at):
     crash_and_recover(design, f"transient:p={p}:device=ssd", index, crash_at)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a copy-back or a clean batch writes the version it captured before "
+    "its SSD read retried, while a newer one already reached the disk"))
+def test_no_disk_write_is_issued_older_than_the_disk_image():
+    """At the first ROT point, ``_copy_back`` (a placement's) captured
+    page 136 v2, retried its must-read of the SSD copy, and meanwhile v3
+    reached the disk: the write it then issues would take the disk
+    backwards, and only ``DiskManager._persist``'s guard drops it.
+    ``_clean_batch`` can do the same after its SSD reads.  The writes
+    are checked as they are issued, not as they land."""
+    system = point_system("ROT", "transient:p=0.6:device=ssd")
+    disk = system.disk
+    stale = []
+
+    def checked(write):
+        def issue(page_id, versions, ctx=None):
+            pages = versions if isinstance(versions, list) else [versions]
+            stale.extend(
+                (system.env.now, page_id + offset, version)
+                for offset, version in enumerate(pages)
+                if version < disk.disk_version(page_id + offset))
+            return write(page_id, versions, ctx)
+        return issue
+
+    disk.write, disk.write_run = checked(disk.write), checked(disk.write_run)
+    run_clients(system, 1, 1.7)
+    assert stale == []
