@@ -138,8 +138,8 @@ class LazyMinHeap:
                 self._keys[frame_no] = self._key(record)
                 self._stamps[frame_no] = stamp
 
-    def pop(self) -> Optional[SsdRecord]:
-        """Remove and return the minimum live record, or None if empty."""
+    def peek(self) -> Optional[SsdRecord]:
+        """The minimum live record without removing it, or None."""
         while self._heap:
             key, stamp, record = self._heap[0]
             frame_no = record.frame_no
@@ -154,23 +154,25 @@ class LazyMinHeap:
                 heapq.heapreplace(self._heap,
                                   (self._keys[frame_no], pushed, record))
                 self.rekeys += 1
-            else:
+            elif not self._member(record):
                 heapq.heappop(self._heap)
                 self._forget(frame_no)
-                if not self._member(record):
-                    continue
-                if self._key(record) == key:
-                    return record
+            elif self._key(record) != key:
                 # Key changed since push (e.g. re-accessed): reinsert with
                 # the fresh key and keep looking.
+                heapq.heappop(self._heap)
+                self._forget(frame_no)
                 self.push(record)
+            else:
+                return record
         return None
 
-    def peek(self) -> Optional[SsdRecord]:
-        """The minimum live record without removing it, or None."""
-        record = self.pop()
+    def pop(self) -> Optional[SsdRecord]:
+        """Remove and return the minimum live record, or None if empty."""
+        record = self.peek()
         if record is not None:
-            self.push(record)
+            heapq.heappop(self._heap)
+            self._forget(record.frame_no)
         return record
 
     def clear(self) -> None:

@@ -78,29 +78,30 @@ class EagerMinHeap:
         """Lazily remove a record (its entries become stale)."""
         self._stamps.pop(record.frame_no, None)
 
-    def pop(self) -> Optional[SsdRecord]:
-        """Remove and return the minimum live record, or None if empty."""
-        while self._heap:
-            key, stamp, record = heapq.heappop(self._heap)
-            if self._stamps.get(record.frame_no) != stamp:
-                continue
-            if not self._member(record):
-                del self._stamps[record.frame_no]
-                continue
-            if self._key(record) != key:
-                # Key changed since push (e.g. re-accessed): reinsert with
-                # the fresh key and keep looking.
-                self.push(record)
-                continue
-            del self._stamps[record.frame_no]
-            return record
-        return None
-
     def peek(self) -> Optional[SsdRecord]:
         """The minimum live record without removing it, or None."""
-        record = self.pop()
+        while self._heap:
+            key, stamp, record = self._heap[0]
+            if self._stamps.get(record.frame_no) != stamp:
+                heapq.heappop(self._heap)
+            elif not self._member(record):
+                heapq.heappop(self._heap)
+                del self._stamps[record.frame_no]
+            elif self._key(record) != key:
+                # Key changed since push (e.g. re-accessed): reinsert with
+                # the fresh key and keep looking.
+                heapq.heappop(self._heap)
+                self.push(record)
+            else:
+                return record
+        return None
+
+    def pop(self) -> Optional[SsdRecord]:
+        """Remove and return the minimum live record, or None if empty."""
+        record = self.peek()
         if record is not None:
-            self.push(record)
+            heapq.heappop(self._heap)
+            del self._stamps[record.frame_no]
         return record
 
     def clear(self) -> None:

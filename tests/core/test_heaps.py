@@ -376,9 +376,6 @@ class TestInvariants:
             heap.check_invariants()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "peek is pop + push: the coldest record is stamped anew and moves "
-    "behind the records of equal key (TAC's admission check)"))
 def test_peek_leaves_the_next_pop_unchanged_among_equal_keys():
     heap = LazyMinHeap(key=attrgetter("prev_access"),
                        member=lambda r: r.occupied, clock=count(1).__next__)

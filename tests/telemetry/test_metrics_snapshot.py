@@ -36,6 +36,11 @@ an access to an in-flight page no longer files it there again
 (tpcc-LC's ``ssd_mgr_heap_entries{heap="dirty"}`` 66 → 12).  No other
 row moved.
 
+tpce-TAC and throttled-TAC were re-pinned whole when TAC's admission
+check stopped re-stamping the coldest record it peeks at: other
+records are replaced (tpce-TAC's ``ssd_mgr_evictions_total`` 450 ->
+428).  No other run moved.
+
 Rows are compared as a *set* per run: the order of a family's children
 is not pinned.  A histogram is pinned by ``count / p50 / p95 / p99``,
 not by its mean — ``sum()`` is compensated from Python 3.12 on, so the
