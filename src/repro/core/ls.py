@@ -6,12 +6,12 @@ that traffic leaves GC victims full of valid pages and amplifies every
 host write into several NAND writes.  LS instead lays the SSD buffer
 pool out as a pool of append-only *segments* (LFS style):
 
-* **Group-commit admission** — evicted pages stage into a batch; the
-  batch flushes as a single *sequential* multi-page device write when it
-  fills, when its timeout expires, or when the buffer pool's eviction
-  pressure drains (:meth:`admission_flush_hint`).  Fresh admissions
-  append to the *hot* open segment; when it fills, the next free
-  segment opens.
+* **Group-commit admission** — the first evicted page opens a batch and
+  spawns its flush; the pages evicted in the same instant join it, and
+  the flush's first step closes it and writes it as a single
+  *sequential* multi-page device write.  A page evicted later opens the
+  next batch, which flushes concurrently.  Fresh admissions append to
+  the *hot* open segment; when it fills, the next free segment opens.
 * **Supersede-in-place mapping** — re-admitting a page appends a new log
   entry and marks the old record logically invalid; the in-DRAM hash
   always points at the newest entry, so the mapping tolerates the log's
@@ -53,14 +53,6 @@ from repro.sim import Event
 from repro.storage.request import IoKind, IORequest
 from repro.telemetry import CLEANER_CTX, EVICTION_CTX
 
-#: Seconds a partial admission batch waits before flushing anyway.  A
-#: backstop, not a tunable: the buffer pool's lazy writer flushes partial
-#: batches as eviction pressure drains (:meth:`LogStructuredManager
-#: .admission_flush_hint`), so it almost never binds.  2 ms is about three
-#: SSD page writes: long enough to gather a burst of evictions, far short
-#: of the disk write an eviction would otherwise cost.
-_BATCH_TIMEOUT = 0.002
-
 #: One staged admission: (page_id, version, dirty, rec_lsn).
 _Entry = Tuple[int, int, bool, int]
 
@@ -73,16 +65,12 @@ _JournalEntry = Tuple[int, int, bool, int, int]
 class _LogBatch:
     """One group-commit admission batch."""
 
-    __slots__ = ("entries", "trigger", "done", "ok", "closed")
+    __slots__ = ("entries", "done")
 
     def __init__(self, env: Any) -> None:
         self.entries: List[_Entry] = []
-        #: Succeeds when the batch should flush early (full / hint).
-        self.trigger: Event = env.event()
-        #: Succeeds when the flush finished (``ok`` says how it went).
+        #: Succeeds when the flush finished, with whether it landed.
         self.done: Event = env.event()
-        self.ok = False
-        self.closed = False
 
 
 class LogStructuredManager(SsdManagerBase):
@@ -173,40 +161,27 @@ class LogStructuredManager(SsdManagerBase):
         if self.config.ssd_frames == 0:
             return False
         batch = self._batch
-        if batch is None or batch.closed:
-            batch = _LogBatch(self.env)
-            self._batch = batch
+        if batch is None:
+            batch = self._batch = _LogBatch(self.env)
             self._pending_batches[batch] = None
             self.env.spawn(self._flush_batch(batch))
         batch.entries.append((page_id, version, dirty, rec_lsn))
         if len(batch.entries) >= min(self.config.ls_batch_pages,
                                      self.config.ssd_frames):
-            self._close_batch(batch)
-        yield batch.done
-        return batch.ok
-
-    def _close_batch(self, batch: _LogBatch) -> None:
-        """Stop accepting entries and release the flush to proceed."""
-        batch.closed = True
-        if self._batch is batch:
-            self._batch = None
-        if not batch.trigger.triggered:
-            batch.trigger.succeed()
-
-    def admission_flush_hint(self) -> None:
-        """Eviction pressure drained: flush the partial batch now."""
-        batch = self._batch
-        if batch is not None and batch.entries:
-            self._close_batch(batch)
+            self._batch = None      # full: the next admission opens one
+        return (yield batch.done)
 
     def _flush_batch(self, batch: _LogBatch) -> Generator[object, Any, None]:
-        """Process step: group-commit one batch into the open segment."""
+        """Process step: group-commit one batch into the open segment.
+
+        Spawned by the batch's first admission, its first step comes in
+        the same instant, after the admissions already queued there, and
+        closes the batch."""
+        ok = False
         try:
-            if not batch.trigger.triggered:
-                yield self.env.any_of([
-                    batch.trigger, self.env.timeout(_BATCH_TIMEOUT)])
-            self._close_batch(batch)
-            if self.detached or not batch.entries:
+            if self._batch is batch:
+                self._batch = None
+            if self.detached:
                 return
             npages = len(batch.entries)
             yield from self._ensure_log_space(npages)
@@ -216,7 +191,6 @@ class LogStructuredManager(SsdManagerBase):
             ok = yield from self._run_io(frames, IoKind.SEQUENTIAL_WRITE,
                                          EVICTION_CTX)
             if ok:
-                batch.ok = True
                 self.batches += 1
                 self.batch_pages += npages
                 if any(entry[2] for entry in batch.entries):
@@ -227,7 +201,7 @@ class LogStructuredManager(SsdManagerBase):
             # Waiters must never hang, whatever path got us here.
             self._pending_batches.pop(batch, None)
             if not batch.done.triggered:
-                batch.done.succeed()
+                batch.done.succeed(ok)
 
     def _install_entries(self, batch: _LogBatch) -> List[int]:
         """Claim append slots and bind the batch's entries, without
@@ -545,9 +519,6 @@ class LogStructuredManager(SsdManagerBase):
     def _land_staged(self) -> Generator[object, Any, None]:
         """Land staged batches before a checkpoint drains the table:
         their dirty entries are in no table yet."""
-        batch = self._batch
-        if batch is not None and batch.entries:
-            self._close_batch(batch)
         for pending in list(self._pending_batches):
             if not pending.done.triggered:
                 yield pending.done

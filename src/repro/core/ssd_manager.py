@@ -938,14 +938,6 @@ class SsdManagerBase:
         self._give_up(empty_rounds, f"{self.name} drain",
                       f"{len(self._cleaning_pages)} transfers in flight")
 
-    def admission_flush_hint(self) -> None:
-        """Hook: the buffer pool's eviction pressure has drained.
-
-        Batching designs (LS) close and flush any partially filled
-        admission batch here instead of waiting out the batch timeout;
-        everyone else ignores it.
-        """
-
     def invalidate(self, page_id: int) -> None:
         """A buffered page was dirtied: its SSD copy is stale (§2.2)."""
         record = self.table.lookup(page_id)

@@ -767,10 +767,6 @@ class BufferPool:
                 yield 0.0005
                 continue
             self._lazywriter_wake = self.env.event()
-            # Eviction pressure has drained: batching designs (LS) flush
-            # any partial admission batch now rather than holding the
-            # just-spawned evictions hostage to the batch timeout.
-            self.ssd.admission_flush_hint()
             yield self._lazywriter_wake
 
     def _ensure_free_frames(self, ctx=None):

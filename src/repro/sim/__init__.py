@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Type
 
 from repro.sim.environment import KERNELS, Environment, make_environment
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Gather, Process
 from repro.sim.resources import Store
 
@@ -42,7 +42,6 @@ def __getattr__(name: str) -> Type[WheelEnvironment]:
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Gather",

@@ -9,7 +9,7 @@ from heapq import heappop, heappush
 from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
-from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.events import AllOf, Event, SimulationError, Timeout
 from repro.sim.process import (Call, DetachedProcess, Gather, Process,
                                Step, _require_generator)
 
@@ -138,10 +138,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling / execution

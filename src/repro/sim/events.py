@@ -19,7 +19,7 @@ going through a scheduling call.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, List,
                     Optional)
 
 if TYPE_CHECKING:
@@ -157,8 +157,9 @@ class Timeout(Event):
             env._push(entry)
 
 
-class _Condition(Event):
-    """Base for events composed of several child events."""
+class AllOf(Event):
+    """Triggers once every child event has triggered successfully, with
+    ``{child: value}``; fails with the first child that fails."""
 
     __slots__ = ("events", "_done")
 
@@ -182,35 +183,5 @@ class _Condition(Event):
             self.fail(event._value)
             return
         self._done += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _collect(self) -> Dict[Event, Any]:
-        # Processed, not merely triggered: a Timeout is born triggered,
-        # so an unfired one would report its value as if it had happened.
-        return {
-            event: event._value
-            for event in self.events
-            if event.callbacks is None and event._ok
-        }
-
-
-class AllOf(_Condition):
-    """Triggers once every child event has triggered successfully."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._done == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any child event triggers successfully."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._done >= 1
+        if self._done == len(self.events):
+            self.succeed({event: event._value for event in self.events})

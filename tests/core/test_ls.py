@@ -41,7 +41,7 @@ class TestRegistration:
 
 
 class TestGroupCommit:
-    def test_single_admission_flushes_on_timeout(self):
+    def test_single_admission_lands(self):
         system = ls_system()
         assert admit(system, 7) is True
         manager = system.ssd_manager
@@ -73,9 +73,6 @@ class TestGroupCommit:
             IoKind.SEQUENTIAL_WRITE, 0) > 0
         system.ssd_manager.check_invariants()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a partial batch waits for the lazy writer's hint or the batch "
-        "timer before its flush writes"))
     def test_a_staged_admission_writes_in_its_own_instant(self):
         """The flush takes its first step in the instant its batch
         opened: one admission staged with no time advanced already has
@@ -87,21 +84,39 @@ class TestGroupCommit:
         assert system.ssd_device.stats.by_kind.get(
             IoKind.SEQUENTIAL_WRITE, 0) == 0    # issued, not landed
 
-    def test_admission_flush_hint_closes_partial_batch(self):
+    def test_admissions_staged_in_one_entry_form_one_batch(self):
         system = ls_system()
         manager = system.ssd_manager
-        proc = system.env.process(manager._cache_page(3, 1, False))
-        system.env.run(until=1e-6)  # staged, batch still open
-        assert manager._batch is not None and manager._batch.entries
-        manager.admission_flush_hint()
-        assert manager._batch is None
-        system.env.run(proc)
-        assert proc.value is True
-        assert manager.contains_valid(3)
+        landed = system.env.run(system.env.gather(
+            manager._cache_page(pid, 1, False) for pid in range(5)))
+        assert landed == [True] * 5
+        assert (manager.batches, manager.batch_pages) == (1, 5)
 
-    def test_hint_without_batch_is_noop(self):
+    def test_an_admission_during_a_flush_opens_a_concurrent_batch(self):
         system = ls_system()
-        system.ssd_manager.admission_flush_hint()  # must not raise
+        env, manager = system.env, system.ssd_manager
+        first = env.process(manager._cache_page(1, 1, False))
+        env.run(until=1e-5)
+        assert system.ssd_device.pending == 1 and manager._batch is None
+        second = env.process(manager._cache_page(2, 1, False))
+        env.run(until=2e-5)
+        assert system.ssd_device.pending == 2   # both writes in flight
+        assert env.run(env.all_of([first, second])) == {first: True,
+                                                        second: True}
+        assert (manager.batches, manager.batch_pages) == (2, 2)
+
+    def test_a_batch_at_the_cap_closes(self):
+        system = ls_system()
+        manager = system.ssd_manager
+        cap = manager.config.ls_batch_pages
+        procs = [system.env.process(manager._cache_page(pid, 1, False))
+                 for pid in range(cap + 3)]
+        system.env.run(until=0)
+        assert len(manager._pending_batches) == 2
+        assert [len(batch.entries)
+                for batch in manager._pending_batches] == [cap, 3]
+        system.env.run(system.env.all_of(procs))
+        assert (manager.batches, manager.batch_pages) == (2, cap + 3)
 
 
 class TestSupersede:

@@ -122,8 +122,11 @@ GOLDEN = {
     "tpch-EXCL-faults": (_tpch("EXCL", FAULTS), "735abdc7fac8e38583804d269295ef72",
                          ALL_HOOKS - {"fault_stall"}),
     "tpch-TAC": (_tpch("TAC"), "e1365bdf7b64ee561eb302da42de9ea6", set()),
+    # Re-pinned (was 439bcd36…) when an LS batch came to close at its
+    # flush's first step, in the instant it opened, instead of on the
+    # lazy writer's hint or a 2 ms timer.
     "tpcc-LS-ftl": (_tpcc("LS", ftl=True),
-                    "439bcd36f1318a2c5ddc6e06e82589e2", set()),
+                    "4375e5456437a4ee5774ae7b4de0b733", set()),
     "tpcc-CW": (_tpcc("CW"), "51be8c5e563c5e025d2b5752b8fe1437", set()),
     "tpcc-LC-faults": (_tpcc("LC", faults=FAULTS),
                        "038501acb09cfad6e5569b9e95b5254e", ALL_HOOKS),
@@ -329,10 +332,15 @@ WRITE_BACK = {
          "162c351998ac75acec4fc7f5f413e5b8"),
         ("evictions", "cleaner_pages", "checkpoint_ssd_flushes",
          "fallback_disk_writes", "lambda_crossings")),
+    # The six LS rows were re-pinned (ckpt-LS was b9d6ddd9…/fba3cb28…)
+    # when a batch came to close at its flush's first step, in the
+    # instant it opened, instead of on the lazy writer's hint or a 2 ms
+    # timer: ckpt-LS lands 552 batches, not 569, throttled-LS 278, not
+    # 396.
     "ckpt-LS": (
         _tpce("LS"),
-        ("b9d6ddd9284df0e85ab9ea21a9d0d437",
-         "fba3cb287ed810a9b49363b0bf5847a3"),
+        ("37e9d897e2eed7f5bc156938057c2df4",
+         "37ccbc13643d6d4c75fa6b645d42ffb1"),
         ("evictions", "cleaner_ios", "checkpoint_ssd_flushes",
          "fallback_disk_writes")),
     # The four TAC rows were re-pinned (ckpt-TAC was 28059335…/90afb0b3…)
@@ -370,7 +378,7 @@ WRITE_BACK = {
         ("io_retries", "detach_redo_pages")),
     "die-LS": (
         _tpce("LS", DEATH),
-        ("a2e63b07c7c77a0b1bac65b872410dff",
+        ("d02a614344f492be70e9fd9274a86bf4",
          "84febe644765ac19f4432a58a66aa241"),
         ("io_retries", "detach_redo_pages")),
     # Re-pinned (was b9f87776…, 115 pages redone where 18 are owed).
@@ -408,8 +416,8 @@ WRITE_BACK = {
     # settles in place; the table digest did not move.
     "crash-LS": (
         _tpce_crash("LS"),
-        ("bd9a8e08c21bc819937127df57dd443b",
-         "72164ccb736f77fb52c78d2322762bd2"),
+        ("1a3766cb22cec35c2bc099bf8573fac2",
+         "678fc7020ee2928170eb8b5215c37024"),
         ("evictions",)),
     # Re-pinned with their checkpointed rows (eeeb7b6d…, f63c5b8c…).
     # ROT's trace again (was 2e21432c…): the missing ``admit`` instants.
@@ -436,7 +444,7 @@ WRITE_BACK = {
     # with it again (was 8cc327ec…): the same reseed and 17 batches.
     "crash-LS-staged": (
         _tpce_crash("LS", staged=True),
-        ("27e6c7a47002b6ea27940a5f9208d312", "f69394cd6734a029e92461ff463aa30f"),
+        ("92fe47ffb53bd93606728bef79d4a93f", "37bfc16e8ea4a425603ece55cd5be793"),
         ("evictions", "cleaner_ios")),
     "throttled-LC": (
         _throttled("LC"),
@@ -449,8 +457,8 @@ WRITE_BACK = {
     # second batch (``cleaner_pages`` 794 → 732).
     "throttled-LS": (
         _throttled("LS"),
-        ("2373c758aa2441e3fa586cb0d038fdd2",
-         "559401e0dbd7acd4abeb2930108fa833"),
+        ("b6daa91fa4af2cb6a32b4424eee143c5",
+         "26cfdd5535ef4ab25ca085c732d63105"),
         ("declined_throttle", "fallback_disk_writes")),
     # TAC under replacement *and* faults, and the two layouts with their
     # own admit tails under the throttle: captured at commit 001cc3f,
@@ -478,8 +486,8 @@ WRITE_BACK = {
     # built a fresh request.
     "faults-LS": (
         _tpce("LS", SSD_FAULTS),
-        ("7f44687f6bf0e102e5e134e29b7baa89",
-         "2437c89f5182fbaf9f9f78c389d18d91"),
+        ("793fbcdaf26b0c2da5356592072251d4",
+         "ac010ab2356ca9f5fd440d0e3161819c"),
         ("io_retries", "evictions", "cleaner_ios")),
     "faults-ROT": (
         _tpce("ROT", SSD_FAULTS),
@@ -538,10 +546,11 @@ def _update_phase(system, committed, phase):
 #: relocated mid-clean stayed its batch's: 1,840 cleaned pages before
 #: #: the cut, not 2,023.  TAC (was 41, ba9df6d3…) when ``peek`` stopped
 #: re-stamping the coldest record: other frames are replaced before the
-#: cut.
+#: cut.  LS (was 67, 9c6c5395…) when a batch came to close at its
+#: flush's first step.
 RESTART = {
     "LC": (70, "6566c68a43c74c3053b9ddc40bd2fa81"),
-    "LS": (67, "9c6c5395c2beddebfdea298a6d5514a3"),
+    "LS": (71, "5c37e4a4474eff3b4b20d5816019e096"),
     "TAC": (43, "33b2d664c68ebf6410d258e1d1b8cd38"),
     "ROT": (137, "8813e126de251e0bcce1c467e3f760d9"),
     "DW": (41, "ba1adcc9536e8dee5c818b0b61f9786d"),
@@ -568,10 +577,10 @@ def test_quiesced_restart_redoes_and_keeps_the_same(design):
 #: cleaner stopped starting at the crash, where it reseeded the replayed
 #: dirty entries and copied 31 back during recovery, and with
 #: #: ``RESTART`` when a relocated entry stayed its batch's.  TAC (was
-#: e0674487…, 531) with ``RESTART``.
+#: e0674487…, 531) with ``RESTART``, and LS (was cc858bcc…, 4978).
 RESTARTED_RUN = {
     "LC": ("1bc7c74092447cc5aca40662cbcf7ddc", 4726),
-    "LS": ("cc858bcc8b10daf0d4484759ec73bc51", 4978),
+    "LS": ("f995f9840a84c277b6101d5766087561", 4995),
     "TAC": ("2bcd439c43fc6d7fe8311c35ed4a10fc", 522),
     "ROT": ("2016322a5b34b06b16f46936ccd80c26", 4726),
     "DW": ("417a53712d968f6244eef31d83e3e4ca", 4811),

@@ -14,7 +14,10 @@ point but the first loses commits (the first lost them before the
 designs cleaned by group batches).  Each point takes under 0.2 s.
 The first two LS points' failure counts were re-pinned (were 3 and 3)
 when an entry the reclaimer relocates while a clean batch has it in
-flight came to stay that batch's: LS cleans fewer pages twice.
+flight came to stay that batch's: LS cleans fewer pages twice.  All
+three LS counts were re-pinned again (were 1, 4 and 4) when an LS
+admission batch came to close at its flush's first step: the batches,
+and so the I/Os that fail, are others.
 """
 
 import random
@@ -29,9 +32,9 @@ from repro.harness.system import System, SystemConfig
 
 #: (design, fault plan, client seed index, crash instant, I/O failures).
 POINTS = [
-    ("LS", "transient:p=0.3:device=ssd", 2, 2.4, 1),
-    ("LS", "transient:p=0.3:device=ssd", 4, 3.8, 4),
-    ("LS", "transient:p=0.3:device=ssd", 5, 2.4, 4),
+    ("LS", "transient:p=0.3:device=ssd", 2, 2.4, 2),
+    ("LS", "transient:p=0.3:device=ssd", 4, 3.8, 2),
+    ("LS", "transient:p=0.3:device=ssd", 5, 2.4, 2),
     ("ROT", "transient:p=0.6:device=ssd", 1, 1.7, 65),
     ("ROT", "transient:p=0.6:device=ssd", 3, 3.1, 93),
 ]

@@ -113,31 +113,3 @@ class TestAllOf:
         combined = env.all_of([done])
         env.run(combined)
         assert combined.ok
-
-
-class TestAnyOf:
-    def test_fires_on_first(self, env):
-        combined = env.any_of([env.timeout(5), env.timeout(1)])
-        env.run(combined)
-        assert env.now == 1
-
-    def test_collects_first_value(self, env):
-        fast = env.timeout(1, value="fast")
-        combined = env.any_of([fast, env.timeout(9, value="slow")])
-        values = env.run(combined)
-        assert values[fast] == "fast"
-
-    def test_empty_is_immediate(self, env):
-        assert env.any_of([]).triggered
-
-    def test_unfired_timeout_is_not_collected(self, env):
-        """Regression: a Timeout is born *triggered*, so collecting
-        triggered children reported the guard timer of
-        ``any_of([event, timeout])`` as if it had already fired."""
-        trigger = env.event()
-        guard = env.timeout(9, value="too late")
-        combined = env.any_of([trigger, guard])
-        trigger.succeed("now")
-        values = env.run(combined)
-        assert env.now == 0
-        assert values == {trigger: "now"}

@@ -38,7 +38,9 @@ def digest(analysis):
 
 
 @pytest.mark.parametrize("design, expected", [
-    ("LS", "acd8005dbffa2a1785c8d1216d1309e9"),
+    # Re-pinned (was acd8005d…) when an LS batch came to close at its
+    # flush's first step, in the instant it opened.
+    ("LS", "9f9eac35957572f0f63cfde625a4d1c4"),
     ("LC", "8d240607f4acbd6997976acbd9e6cf81"),
 ])
 def test_series_and_ftl_totals(analyses, design, expected):

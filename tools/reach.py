@@ -157,7 +157,6 @@ LEDGER: Dict[str, Tuple[str, str]] = {
            "test_step_on_empty_schedule_raises, test_wheel.py x1, "
            "tests/storage/test_devices.py x1"),
     "repro.sim.events:Event.__repr__": (J, _REPR),
-    "repro.sim.events:_Condition._satisfied": (J, _STUB),
     "repro.sim.process:DetachedProcess._fail_or_crash": (
         J, "error path: a spawned process that raises crashes the run"),
     "repro.sim.process:GatherMember.fork": (J, _READ_AHEAD_REST),
