@@ -7,8 +7,9 @@ and dirty admissions across instants, supersedes (a dirty page admitted
 again at a newer version), sharp checkpoints and SSD writes that fail
 past their retries.  A page is admitted again only once its last
 admission resumed: the buffer pool holds an evicted frame until its
-write-out lands, so no page has two admissions in flight.  Every admission is watched from its call to its
-resumption, every flush from its first step to its end.  At quiescence:
+write-out lands, so no page has two admissions in flight.  Every
+admission is watched from its call to its resumption, every flush from
+its first step to its end.  At quiescence:
 
 * every admission that staged waited on one event, its batch's, and
   resumed with that batch's outcome, which the ``batches`` and

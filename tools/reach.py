@@ -82,7 +82,6 @@ _READ_AHEAD_REST = (
 #: the tests that enter the def; the next removals start here.
 LEDGER: Dict[str, Tuple[str, str]] = {
     # core
-    "repro.core.heaps:LazyMinHeap.peek": (J, _TAC_FULL),
     "repro.core.ls:LogStructuredManager._clear_ssd_state": (
         J, "fault path: an LS SSD that dies (repro oltp --designs LS "
            "--faults ssd_die@t=3)"),
