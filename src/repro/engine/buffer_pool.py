@@ -460,7 +460,13 @@ class BufferPool:
             frame.dirty = True
             self._dirty += 1
         if sequential:
-            self._touch(frame)
+            # _touch, inlined for a new frame: every read-ahead page
+            # passes here, and its first entry joins the sorted run.
+            frame.prev_access = 0.0
+            frame.last_access = self.env._now
+            self._stamp = stamp = self._stamp + 1
+            frame.lru_stamp = frame.heap_stamp = stamp
+            self._fresh.append((0.0, stamp, page_id))
         return frame
 
     # ------------------------------------------------------------------
@@ -783,9 +789,10 @@ class BufferPool:
         complete — that blocked time is recorded as a ``free_wait`` span
         under ``ctx``.
         """
-        if self.free_frames < self._low_water:
+        used = len(self.frames) + self._reserved  # self.used, read once
+        if self.capacity - used < self._low_water:
             self._kick_lazywriter()
-        if self.used <= self.capacity:
+        if used <= self.capacity:
             return ()
         return self._wait_free_frames(ctx)
 
@@ -887,7 +894,10 @@ class BufferPool:
         if freed.callbacks:
             self._frame_freed = self.env.event()
             freed.succeed()
-        self._kick_lazywriter()
+        # _kick_lazywriter, inlined: every eviction passes here.
+        wake = self._lazywriter_wake
+        if wake is not None and wake._value is _PENDING:
+            wake.succeed()
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import gc
 import math
+from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from typing import (Any, Callable, Generator, Iterable, List, Optional,
-                    Tuple, Union)
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional, Tuple, Union)
 
 from repro.sim.events import AllOf, Event, SimulationError, Timeout
 from repro.sim.process import (Call, DetachedProcess, Gather, Process,
@@ -38,7 +39,19 @@ class Environment:
     the :meth:`step` loop with the queue and heap functions hoisted into
     locals.
 
-    The queue is seen through four slots, which is how the timer wheel
+    Most schedules are due at the current instant (an event triggered,
+    a process or batch started, a device hop): those go to ``_lane``, a
+    FIFO of ``(now, seq, event)`` entries, and skip the heap.  Timers
+    (``Timeout``, sleeps, device service times) go to the heap, even
+    when their delay is zero.  Both hold entries in ``(time, seq)``
+    order (the lane's are all at ``_now`` and appended as their ``seq``
+    is taken), and :meth:`run`, :meth:`step` and :meth:`peek` merge
+    them: the lesser of the heap's top and the lane's head comes next.
+    While the lane holds anything the heap's top is at ``_now`` or
+    later, so a heap entry taken then never moves the clock, and the
+    clock moves only once the lane is empty.
+
+    The heap is seen through four slots, which is how the timer wheel
     (:class:`~repro.sim.wheel.WheelEnvironment`) slots in behind the one
     loop without a branch on the hot path:
 
@@ -53,14 +66,14 @@ class Environment:
     * ``_advance`` — refills ``_current`` when it runs dry, False when
       nothing is left: :func:`_exhausted` here, the wheel's cascade.
 
-    ``_current`` is mutated in place and never rebound (the wheel
-    refills it with ``current[:] = ...``, :meth:`wipe` clears it), so
-    the aliases :meth:`run` hoists stay valid across callbacks that
-    advance, crash or wipe the environment.
+    ``_current`` and ``_lane`` are mutated in place and never rebound
+    (the wheel refills ``_current`` with ``current[:] = ...``,
+    :meth:`wipe` clears both), so the aliases :meth:`run` hoists stay
+    valid across callbacks that advance, crash or wipe the environment.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_crash", "_push", "_current",
-                 "_near", "_advance")
+                 "_near", "_advance", "_lane")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -74,6 +87,7 @@ class Environment:
         self._current = self._queue
         self._near = -math.inf
         self._advance: Callable[[], bool] = _exhausted
+        self._lane: Deque[Tuple[float, int, Event]] = deque()
         self._crash: Optional[BaseException] = None
 
     @property
@@ -145,6 +159,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._lane:
+            return self._now
         current = self._current
         if current or self._advance():
             return current[0][0]
@@ -153,10 +169,17 @@ class Environment:
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
         current = self._current
-        if not current and not self._advance():
+        lane = self._lane
+        if lane:
+            if (current or self._advance()) and current[0] < lane[0]:
+                event = heappop(current)[2]
+            else:
+                event = lane.popleft()[2]
+        elif current or self._advance():
+            when, _, event = heappop(current)
+            self._now = when
+        else:
             raise EmptySchedule("no scheduled events remain")
-        when, _, event = heappop(current)
-        self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -188,9 +211,12 @@ class Environment:
                     f"until must not be before now ({self._now}), got "
                     f"{until}")
 
-        # The inlined step loop over the hoisted ``_current`` and
-        # ``_advance`` (see the class docstring for why the aliases stay
-        # valid); ``advance`` is entered only when ``current`` runs dry.
+        # The inlined step loop over the hoisted ``_current``, ``_lane``
+        # and ``_advance`` (see the class docstring for the merge and
+        # for why the aliases stay valid); ``advance`` is entered only
+        # when ``current`` runs dry.  A lane entry is due at ``now``,
+        # which ``until`` never precedes, so only a heap entry can stop
+        # the run.
         #
         # The cyclic collector is paused for the duration of the loop: a
         # run churns through millions of short-lived generators, events,
@@ -206,18 +232,28 @@ class Environment:
             gc.disable()
         try:
             current = self._current
+            lane = self._lane
             advance = self._advance
             pop = heappop
+            popleft = lane.popleft
             if stop_event is None:
                 # Run-until-time is the workload-driver case and covers
                 # the overwhelming majority of events, so it gets its
                 # own loop without the per-event stop-event probe.
-                while current or advance():
-                    if current[0][0] > stop_at:
-                        self._now = stop_at
-                        return None
-                    when, _, event = pop(current)
-                    self._now = when
+                while True:
+                    if lane:
+                        if (current or advance()) and current[0] < lane[0]:
+                            event = pop(current)[2]
+                        else:
+                            event = popleft()[2]
+                    elif current or advance():
+                        if current[0][0] > stop_at:
+                            self._now = stop_at
+                            return None
+                        when, _, event = pop(current)
+                        self._now = when
+                    else:
+                        break
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:
                         callback(event)
@@ -227,14 +263,17 @@ class Environment:
                             del callback, callbacks, event
                             raise self._take_crash()
             else:
-                while current or advance():
-                    if stop_event.callbacks is None:
+                while stop_event.callbacks is not None:
+                    if lane:
+                        if (current or advance()) and current[0] < lane[0]:
+                            event = pop(current)[2]
+                        else:
+                            event = popleft()[2]
+                    elif current or advance():
+                        when, _, event = pop(current)
+                        self._now = when
+                    else:
                         break
-                    if current[0][0] > stop_at:
-                        self._now = stop_at
-                        return None
-                    when, _, event = pop(current)
-                    self._now = when
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:
                         callback(event)
@@ -271,16 +310,20 @@ class Environment:
         ``finally`` blocks, which may ``succeed()`` events — scheduling
         wake-ups into the *post-crash* queue that would resurrect dead
         processes mid-recovery with their pre-crash local state.  The
-        clear-and-collect loop discards those until no dying finalizer
-        schedules anything more (``gc.collect`` also frees the
-        waiter/event reference cycles non-queue-held processes sit in).
+        clear-and-collect loop discards those, from the heap and the
+        lane alike, until no dying finalizer schedules anything more
+        (``gc.collect`` also frees the waiter/event reference cycles
+        non-queue-held processes sit in).
         """
-        self._queue.clear()
+        queue, lane = self._queue, self._lane
+        queue.clear()
+        lane.clear()
         for _ in range(16):
             gc.collect()
-            if not self._queue:
+            if not queue and not lane:
                 break
-            self._queue.clear()
+            queue.clear()
+            lane.clear()
         self._crash = None
 
     # ------------------------------------------------------------------

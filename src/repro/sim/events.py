@@ -9,11 +9,12 @@ yields its delay instead and needs no :class:`Timeout`
 
 The classes here are on the hottest path of the simulator (every I/O
 and every join is an event), so they are written for
-throughput: ``__slots__`` everywhere, and :meth:`Event.succeed` /
-:meth:`Event.fail` schedule inline by the environment's ``_near`` rule
-— a C-level ``heappush`` onto ``_current``, or the pre-bound ``_push``
-(the heap's ``heappush`` or the timer wheel's ``push``) — instead of
-going through a scheduling call.
+throughput: ``__slots__`` everywhere, :meth:`Event.succeed` /
+:meth:`Event.fail` append their entry to the environment's same-instant
+lane inline, and :class:`Timeout` schedules inline by the environment's
+``_near`` rule — a C-level ``heappush`` onto ``_current``, or the
+pre-bound ``_push`` (the heap's ``heappush`` or the timer wheel's
+``push``) — instead of going through a scheduling call.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq = seq = env._seq + 1
-        entry = (env._now, seq, self)
-        if entry[0] < env._near:
-            heappush(env._current, entry)
-        else:
-            env._push(entry)
+        env._lane.append((env._now, seq, self))
         return self
 
     def settle(self, value: Any = None) -> "Event":
@@ -120,11 +117,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq = seq = env._seq + 1
-        entry = (env._now, seq, self)
-        if entry[0] < env._near:
-            heappush(env._current, entry)
-        else:
-            env._push(entry)
+        env._lane.append((env._now, seq, self))
         return self
 
     def __repr__(self) -> str:

@@ -79,7 +79,7 @@ def _queue_start(env: "Environment",
     generic pending-state check and the separate append are dead weight
     here.  ``callback`` receives it as an ok event of value ``None``,
     which :meth:`Process._resume` turns into the generator's first
-    ``send(None)``.
+    ``send(None)``.  Like any trigger it rides the environment's lane.
     """
     bootstrap = Event.__new__(Event)
     bootstrap.env = env
@@ -87,11 +87,7 @@ def _queue_start(env: "Environment",
     bootstrap._ok = True
     bootstrap._value = None
     env._seq = seq = env._seq + 1
-    entry = (env._now, seq, bootstrap)
-    if entry[0] < env._near:
-        heappush(env._current, entry)
-    else:
-        env._push(entry)
+    env._lane.append((env._now, seq, bootstrap))
 
 
 #: What :meth:`Process._resume` is handed to run a generator's first

@@ -215,10 +215,14 @@ class DeviceBase:
         kernel calls ``callbacks`` with it, in the place a ``Timeout``
         built here would have taken (DESIGN.md §13, "A timer is a queue
         entry").  ``callbacks`` is one of the device's own lists, shared
-        by every request: the loop never mutates it."""
+        by every request: the loop never mutates it.  A zero delay is a
+        hop within the instant, and rides the environment's lane."""
         env = self.env
         env._seq = seq = env._seq + 1
         request.callbacks = callbacks
+        if not delay:
+            env._lane.append((env._now, seq, request))
+            return
         entry = (env._now + delay, seq, request)
         if entry[0] < env._near:
             heappush(env._current, entry)
@@ -366,7 +370,13 @@ class Device(DeviceBase):
         finally:
             # Even if starting the *next* request raised.
             if failure is None:
-                done.succeed(request)
+                # Event.succeed, inlined: ``done`` is pending and rides
+                # the lane like any trigger.
+                done._ok = True
+                done._value = request
+                env = self.env
+                env._seq = seq = env._seq + 1
+                env._lane.append((env._now, seq, done))
             else:
                 done.fail(failure)
 

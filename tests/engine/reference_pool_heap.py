@@ -14,7 +14,7 @@ scripts against both and demands the same victims.
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engine.buffer_pool import BufferPool
 from repro.engine.page import Frame, PageId
@@ -25,6 +25,17 @@ class ReferencePoolHeap(BufferPool):
     it in with ``pool.__class__ = ...``."""
 
     __slots__ = ()
+
+    def _install(self, page_id: PageId, version: int, sequential: bool,
+                 from_ssd: bool) -> Optional[Frame]:
+        """The pool's own install, whose first touch of a page read
+        ahead files into the sorted run inline, with that touch made
+        here instead."""
+        frame = BufferPool._install(self, page_id, version, False, from_ssd)
+        if frame is not None and sequential:
+            frame.sequential = True
+            self._touch(frame)
+        return frame
 
     def _touch(self, frame: Frame) -> None:
         frame.prev_access = frame.last_access

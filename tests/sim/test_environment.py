@@ -1,5 +1,7 @@
 """Unit tests for the simulation environment."""
 
+import gc
+
 import pytest
 
 from repro.sim import KERNELS, Environment, make_environment
@@ -164,3 +166,47 @@ class TestCrashPropagation:
         env.process(bad())
         with pytest.raises(RuntimeError, match="unhandled"):
             env.run()
+
+
+class TestWipe:
+    """Nothing survives ``wipe()``: what a dying process's ``finally``
+    schedules while the wipe collects it goes with the rest, from the
+    lane (a trigger) and from the heap (a timer) alike."""
+
+    @pytest.fixture(params=KERNELS)
+    def env(self, request):
+        return make_environment(request.param)
+
+    def test_a_finally_that_succeeds_during_the_wipe_leaves_nothing(
+            self, env):
+        released, ran, woken = env.event(), [], []
+
+        def dying():
+            never = env.event()  # the frame holds it: a cycle only gc frees
+            try:
+                yield never
+            finally:
+                ran.append(env.now)
+                released.succeed("resurrected")
+                env.timeout(0.0)
+
+        def waiter():
+            woken.append((yield released))
+
+        was_enabled = gc.isenabled()
+        gc.disable()  # the cycle must outlive everything but the wipe
+        try:
+            env.process(dying())
+            env.process(waiter())
+            env.run(until=1.0)
+            env.timeout(0.5)  # in flight when the power fails
+            assert not ran
+            env.wipe()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert ran == [1.0]
+        assert not env._lane and not env._queue
+        assert env.peek() == float("inf")
+        env.run()
+        assert woken == [] and env.now == 1.0

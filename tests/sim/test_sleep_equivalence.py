@@ -145,15 +145,24 @@ PINNED = {"start": "spawn_all", "wipe_at": None, "after": [], "processes": [
      ("sleep", 0.5)],
     [("sleep", 0.5)]]}
 
-#: name -> (the kernel source, its edit), in the requeue of a wake entry
-#: in ``Process._resume``.  (A first sleep builds the entry as a
-#: ``Timeout``, the reference's own schedule.)  ``seq - 1`` is the
-#: number taken before the bump, what taking it after the push gives.
+#: Two nonzero timers tie on one float: ``p2``'s first sleep (a
+#: ``Timeout``) and ``p0``'s repeat sleep, queued back to back as one
+#: ``fire`` wakes both, end at 0.75.
+TIED = {"start": "process", "wipe_at": None, "after": [], "processes": [
+    [("sleep", 0.25), ("wait", 0), ("sleep", 0.25)],
+    [("sleep", 0.5), ("fire", 0)],
+    [("wait", 0), ("sleep", 0.25)]]}
+
+#: name -> (the kernel source, its edit, a script it fails), in the
+#: requeue of a wake entry in ``Process._resume``.  (A first sleep builds
+#: the entry as a ``Timeout``, the reference's own schedule.)  ``seq -
+#: 1`` is the number taken before the bump, what taking it after the
+#: push gives: the number of the timer queued just before.
 MUTANTS = {
     "takes-seq-after-push": ("(env._now + target, seq, wake)",
-                             "(env._now + target, seq - 1, wake)"),
+                             "(env._now + target, seq - 1, wake)", TIED),
     "wakes-at-now": ("(env._now + target, seq, wake)",
-                     "(env._now, seq, wake)"),
+                     "(env._now, seq, wake)", PINNED),
 }
 
 
@@ -171,19 +180,25 @@ def test_the_pinned_script_agrees_without_a_mutant():
             (0.0, "p0", 0), (0.0, "p0", 1), (0.0, "p0", 2), (0.0, "p0", 3),
             (0.5, "p1", 0), (0.5, "p0", 4), ("end", 0.5, 7)]
         assert run_script(PINNED, kernel, delay) == reference
+        tied = run_script(TIED, kernel, timer)
+        assert [wake[:3] for wake in tied] == [
+            (0.25, "p0", 0), (0.5, "p1", 0), (0.5, "p1", 1), (0.5, "p2", 0),
+            (0.5, "p0", 1), (0.75, "p2", 1), (0.75, "p0", 2),
+            ("end", 0.75, 11)]
+        assert run_script(TIED, kernel, delay) == tied
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_differential_catches_a_mutant_sleep(name, monkeypatch):
-    old, new = MUTANTS[name]
+    old, new, script = MUTANTS[name]
     source = inspect.getsource(process_module)
     assert source.count(old) == 1
     mutant = types.ModuleType("mutant_process")
     exec(compile(source.replace(old, new), "<mutant>", "exec"),
          mutant.__dict__)
     for kernel in KERNELS:
-        reference = run_script(PINNED, kernel, timer)
+        reference = run_script(script, kernel, timer)
         with monkeypatch.context() as patch:
             for cls in ("Process", "DetachedProcess", "Gather"):
                 patch.setattr(environment_module, cls, getattr(mutant, cls))
-            assert _outcome(PINNED, kernel, delay) != reference
+            assert _outcome(script, kernel, delay) != reference

@@ -364,8 +364,12 @@ def test_the_wheel_keeps_near_at_the_end_of_the_slot_being_drained():
 #: A sleep filed one slot too far ahead runs ahead of a timer already
 #: bucketed in that slot: p sleeps to slot 2's first instant, a timer
 #: waits for slot 3's, and p's second sleep lands in the middle of slot 3.
+#: A zero-delay timer keeps the slot heap busy while p starts: with
+#: nothing on it the loop refills it at once, skipping slot 2 for slot
+#: 3, and p's second sleep lands on the slot heap either way.
 ONE_SLOT_TOO_FAR = {"geometry": (1e-3, 256, 64), "start": 0.0, "ops": [
     ("sleeper", [("edge", 1, 0), ("inside", 0, 0)]),
+    ("timeout", ("zero", 0, 0)),
     ("timeout", ("edge", 2, 0))]}
 
 

@@ -22,6 +22,7 @@ makes a pinned script wake in a different order.
 """
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -130,22 +131,23 @@ def test_callback_hdd_wakes_waiters_where_the_generator_hdd_did(script):
 
 def _collapsing(*steps):
     """An ``HddArray`` builder under which the zero-delay hops into the
-    named ``HddArray`` steps run at once instead of being queued."""
+    named ``HddArray`` steps run at once instead of being queued: such a
+    hop rides the environment's same-instant lane, so the lane is where
+    it is caught."""
     def make(env, **kwargs):
         hdd = HddArray(env, **kwargs)
-        push = env._push
 
-        def collapsed(entry):
-            when, _, payload = entry
-            callbacks = payload.callbacks
-            if (type(payload) is IORequest and when == env.now
-                    and callbacks[0].__name__ in steps):
-                payload.callbacks = None
-                callbacks[0](payload)
-            else:
-                push(entry)
+        class CollapsingLane(deque):
+            def append(self, entry):
+                payload = entry[2]
+                if (type(payload) is IORequest
+                        and payload.callbacks[0].__name__ in steps):
+                    callbacks, payload.callbacks = payload.callbacks, None
+                    callbacks[0](payload)
+                else:
+                    super().append(entry)
 
-        env._push = collapsed
+        env._lane = CollapsingLane()
         return hdd
     return make
 
