@@ -132,6 +132,35 @@ class TestSupersede:
         assert manager.table.invalid_count == 1
         manager.check_invariants()
 
+    @pytest.mark.xfail(strict=True, reason="two in-flight admissions of "
+                       "one page install in flush order")
+    def test_two_admissions_in_flight_install_in_staging_order(self):
+        """v1 of page 7 is staged in a batch too large for the free
+        slots, whose flush waits for a segment reclaim; v2 is staged
+        later, alone, fits and lands first.  The entry v1's batch then
+        writes is older than the page's valid one: it binds dead, live
+        and when a crash replays the log."""
+        system = ls_system(db_pages=400, bp_pages=16, ssd_frames=32,
+                           ls_segment_pages=8, ls_batch_pages=8)
+        env, manager = system.env, system.ssd_manager
+        env.run(env.gather(manager._cache_page(100 + n, 0, False)
+                           for n in range(28)))
+        assert manager._free_slots == 4
+        first = env.process(manager._cache_page(7, 1, True, rec_lsn=1))
+        for n in range(7):
+            env.process(manager._cache_page(200 + n, 0, False))
+        env.run(until=env.now + 1e-5)
+        assert manager._reclaim_busy is not None  # v1's batch waits on it
+        second = env.process(manager._cache_page(7, 2, True, rec_lsn=2))
+        assert env.run(second) is True
+        assert first.callbacks is not None  # v2 landed first
+        assert env.run(first) is True
+        settle(env)
+        assert manager.table.lookup_valid(7).version == 2
+        manager.check_invariants()
+        system.crash()
+        assert manager.table.lookup_valid(7).version == 2
+
     def test_invalidate_is_logical(self):
         system = ls_system()
         manager = system.ssd_manager
