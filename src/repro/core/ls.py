@@ -225,7 +225,8 @@ class LogStructuredManager(SsdManagerBase):
         place a log entry comes to be."""
         record = self._map(frame_no, page_id, version, dirty, rec_lsn,
                            self.env.now)
-        self._file(record)
+        if record.valid:
+            self._file(record)
         self._journal[frame_no] = (page_id, version, dirty, rec_lsn,
                                    self._next_epoch)
         self._next_epoch += 1
@@ -234,15 +235,25 @@ class LogStructuredManager(SsdManagerBase):
     def _map(self, frame_no: int, page_id: int, version: int, dirty: bool,
              rec_lsn: int, now: float) -> SsdRecord:
         """Point the mapping at the log entry in ``frame_no``, as it is
-        written and again as a crash replays it."""
-        old = self.table.lookup(page_id)
+        written and again as a crash replays it.
+
+        An entry older than the one the mapping holds binds dead: two
+        admissions of a page in flight at once land in the order their
+        flushes got log space, not the order they were staged, and the
+        older image must not supersede the newer.  Replay meets the two
+        in the same order and binds the same one dead."""
+        table = self.table
+        old = table.lookup(page_id)
+        record = table.take_frame(frame_no)
         if old is not None and old.occupied:
+            if old.version > version:
+                # Occupied and invalid; the hash keeps the newer entry.
+                record.page_id, record.version = page_id, version
+                return record
             # Supersede in place: the old entry dies where it lies and
             # frees only when its segment gets cleaned.
             self._invalidate_record(old)
-        record = self.table.take_frame(frame_no)
-        self.table.install(record, page_id, version, dirty, now,
-                           rec_lsn=rec_lsn)
+        table.install(record, page_id, version, dirty, now, rec_lsn=rec_lsn)
         return record
 
     def _roll_back(self, frames: List[int]) -> None:
@@ -586,7 +597,7 @@ class LogStructuredManager(SsdManagerBase):
         for frame_no, entry in sorted(self._journal.items(),
                                       key=lambda item: item[1][4]):
             record = self._map(frame_no, *entry[:4], now=0.0)
-            if not record.dirty:
+            if record.valid and not record.dirty:
                 # A dirty entry is left for the restart rule, which
                 # cleans or drops every one before the cleaner starts.
                 self.clean_heap.push(record)

@@ -132,8 +132,6 @@ class TestSupersede:
         assert manager.table.invalid_count == 1
         manager.check_invariants()
 
-    @pytest.mark.xfail(strict=True, reason="two in-flight admissions of "
-                       "one page install in flush order")
     def test_two_admissions_in_flight_install_in_staging_order(self):
         """v1 of page 7 is staged in a batch too large for the free
         slots, whose flush waits for a segment reclaim; v2 is staged
