@@ -35,7 +35,7 @@ class Environment:
     The scheduler is the hottest code in the repository (every benchmark
     figure is millions of events), so the hot paths are hand-flattened:
     the tie-break sequence is a plain int (not an ``itertools.count``),
-    event factories push onto the heap directly, and :meth:`run` inlines
+    schedules go onto the lane or the heap inline, and :meth:`run` inlines
     the :meth:`step` loop with the queue and heap functions hoisted into
     locals.
 
@@ -49,17 +49,20 @@ class Environment:
     them: the lesser of the heap's top and the lane's head comes next.
     While the lane holds anything the heap's top is at ``_now`` or
     later, so a heap entry taken then never moves the clock, and the
-    clock moves only once the lane is empty.
+    clock moves only once the lane is empty.  With the lane holding
+    anything and the heap empty, ``_advance`` refills the heap before
+    the two are compared: a wheel whose clock jumped while it was empty
+    files a timer due now in a bucket, not in its slot heap.
 
     The heap is seen through four slots, which is how the timer wheel
     (:class:`~repro.sim.wheel.WheelEnvironment`) slots in behind the one
     loop without a branch on the hot path:
 
-    * ``_push`` — where the event factories schedule: a C-level
+    * ``_push`` — where timers schedule: a C-level
       ``partial(heappush, queue)`` here, the wheel's bound ``push``;
     * ``_current`` — the heap :meth:`run`, :meth:`step` and :meth:`peek`
       pop from: ``_queue`` itself here, the wheel's slot being drained;
-    * ``_near`` — the rule every schedule follows: an entry whose time
+    * ``_near`` — the rule every timer follows: an entry whose time
       is earlier goes ``heappush(_current, entry)``, any other
       ``_push(entry)``.  ``-inf`` here, so every entry takes ``_push``;
       on the wheel, the first instant past the slot being drained;
