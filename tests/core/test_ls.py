@@ -250,6 +250,25 @@ class TestTailReclaim:
         # The log pattern keeps device-level WAF at exactly 1.0.
         assert ftl.waf == pytest.approx(1.0)
 
+    @pytest.mark.xfail(strict=True, reason="the reclaimer's high-water "
+                       "mark exceeds what a log under ~220 frames can free")
+    @pytest.mark.parametrize("frames", [64, 200])
+    def test_an_idle_full_small_log_stops_reclaiming(self, frames):
+        """The reclaimer drains toward a high-water mark of free slots;
+        on a log too small to reach it, it cleaned and relocated the
+        same entries without end (64 frames: ~194 reclaims and ~6,200
+        relocated pages per virtual second, with nothing admitted)."""
+        system = ls_system(bp_pages=16, ssd_frames=frames)
+        env, manager = system.env, system.ssd_manager
+        env.run(env.gather(manager._cache_page(n, 0, False)
+                           for n in range(frames)))
+        settle(env)
+        reclaims, relocations = manager.reclaims, manager.relocations
+        settle(env, 1.0)
+        assert (manager.reclaims, manager.relocations) == (reclaims,
+                                                          relocations)
+        manager.check_invariants()
+
 
 class TestCheckpoint:
     def test_oldest_dirty_lsn_includes_staged_batches(self):
