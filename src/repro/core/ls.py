@@ -351,7 +351,11 @@ class LogStructuredManager(SsdManagerBase):
         space-reclaim pipeline.
         """
         if self._cleaner is None:
-            high = self._reclaim_low_water + 3 * self.config.ls_segment_pages
+            # A round keeps up to half a segment of live entries, so a
+            # log under ~220 frames frees no more than the rest of it.
+            high = min(self._reclaim_low_water
+                       + 3 * self.config.ls_segment_pages,
+                       self.config.ssd_frames - self._seg_size(0) // 2)
             self._reclaimer = self._start_background(
                 lambda: self._free_slots < self._reclaim_low_water,
                 lambda: (self._free_slots < high

@@ -250,8 +250,6 @@ class TestTailReclaim:
         # The log pattern keeps device-level WAF at exactly 1.0.
         assert ftl.waf == pytest.approx(1.0)
 
-    @pytest.mark.xfail(strict=True, reason="the reclaimer's high-water "
-                       "mark exceeds what a log under ~220 frames can free")
     @pytest.mark.parametrize("frames", [64, 200])
     def test_an_idle_full_small_log_stops_reclaiming(self, frames):
         """The reclaimer drains toward a high-water mark of free slots;
