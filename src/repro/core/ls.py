@@ -256,6 +256,16 @@ class LogStructuredManager(SsdManagerBase):
         table.install(record, page_id, version, dirty, now, rec_lsn=rec_lsn)
         return record
 
+    def check_invariants(self) -> None:
+        """Plus: no log entry of a page is newer than the page's valid
+        entry, which holds the newest version admitted."""
+        super().check_invariants()
+        table = self.table
+        for record in table.occupied_records():
+            valid = table.lookup_valid(record.page_id)
+            assert valid is None or record.version <= valid.version, (
+                f"log entry {record!r} is newer than the valid {valid!r}")
+
     def _roll_back(self, frames: List[int]) -> None:
         """The device write failed: the frames hold nothing after all.
 

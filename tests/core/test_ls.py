@@ -153,6 +153,7 @@ class TestSupersede:
         assert env.run(second) is True
         assert first.callbacks is not None  # v2 landed first
         assert env.run(first) is True
+        manager.check_invariants()  # v1's entry, landed, is not the newest
         settle(env)
         assert manager.table.lookup_valid(7).version == 2
         manager.check_invariants()
