@@ -11,11 +11,7 @@ Run:  python examples/compare_designs_oltp.py  [--benchmark tpce]
 
 import argparse
 
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    run_oltp_experiment,
-    speedup_over_nossd,
-)
+from repro.harness.experiments import RunSpec, run, speedup_over_nossd
 from repro.harness.report import format_table
 
 DESIGNS = ("noSSD", "CW", "DW", "LC", "TAC")
@@ -31,15 +27,15 @@ def main():
                         help="virtual seconds per run")
     args = parser.parse_args()
     scale = args.scale or (400 if args.benchmark == "tpcc" else 8)
-    profile = SCALE_PROFILES["small"]
 
     results = {}
     for design in DESIGNS:
-        result = run_oltp_experiment(
-            args.benchmark, scale, design, duration=args.duration,
-            profile=profile, nworkers=16,
+        result = run(RunSpec(
+            kind="oltp", benchmark=args.benchmark, scale=scale,
+            design=design, duration=args.duration, profile="small",
+            nworkers=16,
             checkpoint_interval=(args.duration / 3
-                                 if args.benchmark == "tpce" else None))
+                                 if args.benchmark == "tpce" else None)))
         results[design] = result
         print(f"ran {design:6s} -> {result.metric_name} "
               f"{result.steady_state_throughput():,.1f}")

@@ -9,18 +9,18 @@ trajectory so the λ-crossing (the Figure 6 throughput drop) is visible.
 Run:  python examples/lazy_cleaning_tuning.py
 """
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.experiments import RunSpec, run
 from repro.harness.report import format_series, format_table
 
 
 def main():
-    profile = SCALE_PROFILES["small"]
     duration = 24.0
     results = {}
     for lam in (0.10, 0.50, 0.90):
-        results[lam] = run_oltp_experiment(
-            "tpcc", 800, "LC", duration=duration, profile=profile,
-            nworkers=16, dirty_threshold=lam)
+        results[lam] = run(RunSpec(
+            kind="oltp", benchmark="tpcc", scale=800, design="LC",
+            duration=duration, profile="small", nworkers=16,
+            dirty_threshold=lam))
         print(f"ran lambda={lam:.0%}")
 
     rows = []

@@ -8,13 +8,15 @@ from repro.harness.runner import (OpenLoopRunner, RunResult,
 from repro.harness.metrics import Sampler, TenantStats
 from repro.harness.experiments import (
     SCALE_PROFILES,
+    RunSpec,
     ScaleProfile,
-    run_oltp_experiment,
+    run,
 )
 
 __all__ = [
     "OpenLoopRunner",
     "RunResult",
+    "RunSpec",
     "SCALE_PROFILES",
     "Sampler",
     "ScaleProfile",
@@ -22,5 +24,5 @@ __all__ = [
     "TenantStats",
     "SystemConfig",
     "WorkloadRunner",
-    "run_oltp_experiment",
+    "run",
 ]

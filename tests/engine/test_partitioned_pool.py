@@ -21,12 +21,10 @@ from hypothesis import strategies as st
 
 from repro.engine import BufferPool
 from repro.engine.page import Frame
-from repro.harness.experiments import (SCALE_PROFILES, RunSpec, run,
-                                       run_oltp_experiment)
+from repro.harness.experiments import RunSpec, run
 from repro.telemetry import Telemetry
 from tests.conftest import MiniSystem, meta_free_trace_md5
 
-TINY = SCALE_PROFILES["tiny"]
 
 #: Meta-free trace digests of the pre-refactor (single-heap, unlatched)
 #: buffer pool, profile=tiny scale=20 duration=4 nworkers=4 seed=20110612.
@@ -40,9 +38,10 @@ PINNED_TRACES = {
 
 def _oltp_trace_md5(benchmark, design, checkpoint_interval=None, **kwargs):
     telemetry = Telemetry()
-    run_oltp_experiment(benchmark, 20, design, duration=4.0, profile=TINY,
-                        nworkers=4, checkpoint_interval=checkpoint_interval,
-                        telemetry=telemetry, **kwargs)
+    run(RunSpec(kind="oltp", benchmark=benchmark, scale=20, design=design,
+                duration=4.0, profile="tiny", nworkers=4,
+                checkpoint_interval=checkpoint_interval, **kwargs),
+        telemetry=telemetry)
     return meta_free_trace_md5(telemetry)
 
 
@@ -127,9 +126,9 @@ def test_victim_merge_matches_brute_force_sort(nparts, seed):
 
 
 def test_latched_run_records_partition_latch_waits():
-    result = run_oltp_experiment("tpcc", 20, "LC", duration=4.0,
-                                 profile=TINY, nworkers=4,
-                                 partitions=4, latch_us=200.0)
+    result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                         design="LC", duration=4.0, profile="tiny",
+                         nworkers=4, partitions=4, latch_us=200.0))
     stats = result.system.bp.stats
     assert stats.partition_latch_waits > 0
     assert stats.partition_latch_wait_time > 0.0
@@ -141,10 +140,11 @@ def test_latched_run_records_partition_latch_waits():
 def test_latched_throughput_unchanged_by_free_latch():
     """latch_us=0 (the default) must leave results identical to a run
     that never heard of partitioning."""
-    base = run_oltp_experiment("tpcc", 20, "LC", duration=4.0,
-                               profile=TINY, nworkers=4)
-    sharded = run_oltp_experiment("tpcc", 20, "LC", duration=4.0,
-                                  profile=TINY, nworkers=4, partitions=16)
+    base = run(RunSpec(kind="oltp", benchmark="tpcc", scale=20, design="LC",
+                       duration=4.0, profile="tiny", nworkers=4))
+    sharded = run(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                          design="LC", duration=4.0, profile="tiny",
+                          nworkers=4, partitions=16))
     assert sharded.total_metric_txns == base.total_metric_txns
     assert sharded.system.bp.stats.partition_latch_waits == 0
 

@@ -12,7 +12,7 @@ from repro.harness.experiments import (
     RunSpec,
     make_system,
     make_workload,
-    run_oltp_experiment,
+    run,
     speedup_over_nossd,
 )
 from repro.harness.metrics import Sampler
@@ -81,17 +81,17 @@ class TestScaleProfiles:
 
 class TestRunner:
     def test_run_produces_buckets_and_counts(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=5.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4, bucket_seconds=1.0)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="noSSD", duration=5.0, profile="tiny",
+                             nworkers=4, bucket_seconds=1.0))
         assert len(result.buckets) == 5
         assert result.total_metric_txns > 0
         assert result.txn_counts.get("new_order", 0) == result.total_metric_txns
 
     def test_metric_is_tpm_for_tpcc(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=4.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="noSSD", duration=4.0, profile="tiny",
+                             nworkers=4))
         series = result.throughput_series()
         # tpmC = per-minute rate: 60x the per-second bucket counts.
         per_second = result.buckets[0] / result.bucket_seconds
@@ -111,9 +111,9 @@ class TestRunner:
         assert smoothed[1][1] == pytest.approx(10.0)
 
     def test_sampler_collects_series(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "LC", duration=5.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="LC", duration=5.0, profile="tiny",
+                             nworkers=4))
         assert len(result.sampler.samples) >= 4
         assert result.sampler.samples[-1].ssd_used >= 0
 
@@ -178,9 +178,9 @@ class TestSampler:
             Sampler(small_system, interval=interval)
 
     def test_runner_stops_sampler_after_run(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=4.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=2)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="noSSD", duration=4.0, profile="tiny",
+                             nworkers=2))
         collected = len(result.sampler.samples)
         # Advancing virtual time further must not grow the series.
         result.system.env.run(until=result.system.env.now + 10.0)

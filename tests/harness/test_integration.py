@@ -3,22 +3,14 @@ qualitative results at test-friendly scale."""
 
 import pytest
 
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    RunSpec,
-    run,
-    run_oltp_experiment,
-    speedup_over_nossd,
-)
-
-PROFILE = SCALE_PROFILES["tiny"]
+from repro.harness.experiments import RunSpec, run, speedup_over_nossd
 
 
 def oltp_runs(benchmark, scale, designs):
     """One 12 s tiny run per design, by design."""
-    return {design: run_oltp_experiment(benchmark, scale, design,
-                                        duration=12.0, profile=PROFILE,
-                                        nworkers=8)
+    return {design: run(RunSpec(kind="oltp", benchmark=benchmark,
+                                scale=scale, design=design, duration=12.0,
+                                profile="tiny", nworkers=8))
             for design in designs}
 
 
@@ -94,7 +86,7 @@ class TestRampUp:
         assert samples[0].ssd_used < samples[-1].ssd_used
 
     def test_lc_dirty_fraction_grows_with_lambda_room(self):
-        result = run_oltp_experiment("tpcc", 400, "LC", duration=12.0,
-                                     profile=PROFILE, nworkers=8,
-                                     dirty_threshold=0.9)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=400,
+                             design="LC", duration=12.0, profile="tiny",
+                             nworkers=8, dirty_threshold=0.9))
         assert result.system.ssd_manager.dirty_frames > 0

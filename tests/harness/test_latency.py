@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.experiments import RunSpec, run
 from repro.harness.metrics import LatencyTracker
 
 
@@ -84,9 +84,9 @@ class TestSortedCache:
 
 class TestRunnerIntegration:
     def test_runner_records_latencies(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=4.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="noSSD", duration=4.0, profile="tiny",
+                             nworkers=4))
         assert result.latencies.count() == sum(result.txn_counts.values())
         assert result.latencies.percentile(50) > 0
 
@@ -95,9 +95,9 @@ class TestRunnerIntegration:
         LC's p50 transaction latency must undercut noSSD's."""
         latencies = {}
         for design in ("noSSD", "LC"):
-            result = run_oltp_experiment(
-                "tpcc", 400, design, duration=10.0,
-                profile=SCALE_PROFILES["tiny"], nworkers=8)
+            result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=400,
+                                 design=design, duration=10.0,
+                                 profile="tiny", nworkers=8))
             latencies[design] = result.latencies.percentile(
                 50, "new_order")
         assert latencies["LC"] < latencies["noSSD"]

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.experiments import RunSpec, run
 from repro.harness.metrics import snapshot
 from repro.telemetry import Telemetry
 from tests.conftest import scrape
@@ -19,10 +19,10 @@ from tests.conftest import scrape
 @pytest.fixture(scope="module")
 def traced_run():
     telemetry = Telemetry()
-    result = run_oltp_experiment(
-        "tpcc", 100, "LC", duration=5.0,
-        profile=SCALE_PROFILES["tiny"], nworkers=4,
-        dirty_threshold=0.01, telemetry=telemetry)
+    result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                         design="LC", duration=5.0, profile="tiny",
+                         nworkers=4, dirty_threshold=0.01),
+                 telemetry=telemetry)
     return telemetry, result
 
 
@@ -156,9 +156,9 @@ class TestDisabledRunStaysDark:
     def test_no_registry_rows_without_telemetry(self):
         """Nothing registers anything: a dark run records no event, and
         its ``--metrics`` rows are read off the run all the same."""
-        result = run_oltp_experiment(
-            "tpcc", 100, "LC", duration=2.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=2)
+        result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="LC", duration=2.0, profile="tiny",
+                             nworkers=2))
         telemetry = result.system.telemetry
         assert telemetry.enabled is False
         assert not hasattr(telemetry, "registry")

@@ -12,7 +12,7 @@ once it is over (``repro.harness.metrics.snapshot``).  Commit 2a98990
 made 30,165 and 149,002 no-op ``inc()`` calls in the two runs below.
 """
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.experiments import RunSpec, run
 
 
 class CountingNullTracer:
@@ -54,9 +54,10 @@ class CountingNullTelemetry:
 
 def test_untraced_run_never_calls_the_tracer():
     telemetry = CountingNullTelemetry()
-    result = run_oltp_experiment(
-        "tpcc", 20, "LC", duration=4.0, profile=SCALE_PROFILES["tiny"],
-        nworkers=8, checkpoint_interval=1.0, telemetry=telemetry)
+    result = run(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                         design="LC", duration=4.0, profile="tiny",
+                         nworkers=8, checkpoint_interval=1.0),
+                 telemetry=telemetry)
     # The run did real work (transactions committed, pages cleaned)...
     assert result.total_metric_txns > 0
     assert result.system.bp.stats.misses > 0
@@ -67,7 +68,7 @@ def test_untraced_run_never_calls_the_tracer():
 
 def test_untraced_tac_and_faultless_paths_silent():
     telemetry = CountingNullTelemetry()
-    run_oltp_experiment(
-        "tpce", 2, "TAC", duration=4.0, profile=SCALE_PROFILES["tiny"],
-        nworkers=8, telemetry=telemetry)
+    run(RunSpec(kind="oltp", benchmark="tpce", scale=2, design="TAC",
+                duration=4.0, profile="tiny", nworkers=8),
+        telemetry=telemetry)
     assert telemetry.tracer.calls == []
