@@ -301,7 +301,7 @@ def cmd_traffic(args) -> int:
     print(format_table(
         f"open-loop {args.benchmark.upper()} scale={args.scale} "
         f"({users:,.0f} logical users, {args.duration:.0f} virtual s, "
-        f"workers={args.nworkers}, kernel={args.kernel})",
+        f"workers={args.nworkers})",
         ["design", first.metric_name, "offered", "shed",
          "qwait p99 (ms)", "p99 (ms)"], rows))
     tenant_rows = []
@@ -498,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oltp = sub.add_parser("oltp", help="run a TPC-C/E-like experiment")
     _add_spec_flags(p_oltp, benchmark="tpcc", scale=1_000, duration=30.0,
                     nworkers=16, dirty_threshold=None,
-                    checkpoint_interval=None, ftl=False, kernel="heap",
-                    partitions=None, latch_us=0.0)
+                    checkpoint_interval=None, ftl=False, partitions=None,
+                    latch_us=0.0)
     p_oltp.add_argument("--faults", default=None, metavar="PLAN",
                         help="fault plan, e.g. "
                              "'ssd_die@t=30,transient:p=0.001' "
@@ -516,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                     tenants="all=poisson:users=1000000:think=100",
                     nworkers=64, queue_limit=10_000, partitions=None,
                     latch_us=20.0, dirty_threshold=None,
-                    checkpoint_interval=None, ftl=False, kernel="wheel",
-                    seed=20110612)
+                    checkpoint_interval=None, ftl=False, seed=20110612)
     _add_common(p_traffic)
     _add_db_flags(p_traffic)
     p_traffic.set_defaults(func=cmd_traffic)

@@ -2,9 +2,8 @@
 
 Every figure of the paper's evaluation is a grid over one small run
 description — :class:`RunSpec` — and :func:`run` executes any of them;
-:func:`run_oltp_experiment` is a keyword-argument adapter over it for
-the closed-loop rows of the experiment index in DESIGN.md.  The scaled
-sizing preserves the paper's ratios:
+everything outside ``perf/`` runs that way.  The scaled sizing
+preserves the paper's ratios:
 
 =====================  ===============  ====================
 Paper                  Scaled (default)  Ratio preserved
@@ -27,7 +26,6 @@ from repro.core import SsdDesignConfig
 from repro.harness.runner import (OpenLoopRunner, RunResult, WorkloadRunner,
                                   check_loop)
 from repro.harness.system import System, SystemConfig
-from repro.sim import KERNELS
 
 if TYPE_CHECKING:
     from repro.workloads.tpch import TpchResult
@@ -114,8 +112,9 @@ def system_config(benchmark: str, design: str, profile: ScaleProfile,
     takes λ (``dirty_threshold``, the paper's per-benchmark value when
     None), N (``partitions``, which also shards the main-memory pool) and
     ``warm_restart``; the rest (``checkpoint_interval``,
-    ``expand_reads``, ``ftl``, ``latch_us``, ``kernel``) are
-    :class:`SystemConfig`'s own fields.
+    ``expand_reads``, ``ftl``, ``latch_us``) are :class:`SystemConfig`'s
+    own fields, as is ``kernel``, which only ``perf/``'s open-loop cell
+    passes here.
     """
     ssd = SsdDesignConfig(
         ssd_frames=profile.ssd_frames,
@@ -195,10 +194,6 @@ class RunSpec:
         help="modeled buffer-pool partition-latch service time in "
              "microseconds (0: free latches, partition-count-independent "
              "runs; nonzero makes --partitions move per-tenant p99)"))
-    kernel: str = field(default="heap", metadata=dict(
-        system=True, choices=KERNELS,
-        help="event-queue implementation (wheel is built for open-loop "
-             "timer volume)"))
     tenants: Optional[str] = field(default=None, metadata=dict(
         help="';'-separated tenant specs: name=kind:rate=R|users=U:think=T"
              "[:theta=Z] with kind in poisson|bursty|diurnal"))
@@ -330,13 +325,13 @@ def run_oltp_experiment(benchmark: str, scale: int, design: str,
                         profile: Optional[ScaleProfile] = None,
                         telemetry=None, faults=None,
                         **knobs: Any) -> RunResult:
-    """One closed-loop OLTP run: the building block of Figures 5–9.
+    """One closed-loop OLTP run: a keyword-argument adapter over
+    :func:`run` (``knobs`` are :class:`RunSpec` fields, the live
+    collaborators are passed through).
 
-    The paper runs TPC-C with checkpointing effectively off and λ=50%,
-    TPC-E with 40-minute checkpoints and λ=1% — callers pass the analog
-    (a ``checkpoint_interval`` scaled to the run duration).  A
-    keyword-argument adapter over :func:`run`: ``knobs`` are
-    :class:`RunSpec` fields, the live collaborators are passed through.
+    Everything else runs ``run(RunSpec(...))``; the adapter's only
+    remaining caller is ``perf/layers.py`` (imported at ``:31``, called
+    at ``:277``).
     """
     spec = RunSpec(kind="oltp", benchmark=benchmark, scale=scale,
                    design=design,

@@ -47,6 +47,7 @@ class SystemConfig:
     slack_pages: int = 512
     #: Event-queue implementation: "heap" (default) or "wheel" (the
     #: hierarchical timer wheel — same event order, O(1) timer inserts).
+    #: No run option sets it; ``perf/``'s open-loop cell times the wheel.
     kernel: str = "heap"
     #: Modeled buffer-pool partition-latch service time in microseconds.
     #: 0 (the default) keeps latches free — any partition count then

@@ -15,10 +15,6 @@ from repro.sim.process import (Call, DetachedProcess, Gather, Process,
                                Step, _require_generator)
 
 
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 def _exhausted() -> bool:
     """The heap kernel's ``_advance``: its ``_current`` is the whole
     queue, so once that is empty nothing is left to refill it."""
@@ -35,8 +31,8 @@ class Environment:
     The scheduler is the hottest code in the repository (every benchmark
     figure is millions of events), so the hot paths are hand-flattened:
     the tie-break sequence is a plain int (not an ``itertools.count``),
-    schedules go onto the lane or the heap inline, and :meth:`run` inlines
-    the :meth:`step` loop with the queue and heap functions hoisted into
+    schedules go onto the lane or the heap inline, and :meth:`run` is the
+    one event loop, with the queue and heap functions hoisted into
     locals.
 
     Most schedules are due at the current instant (an event triggered,
@@ -45,8 +41,8 @@ class Environment:
     (``Timeout``, sleeps, device service times) go to the heap, even
     when their delay is zero.  Both hold entries in ``(time, seq)``
     order (the lane's are all at ``_now`` and appended as their ``seq``
-    is taken), and :meth:`run`, :meth:`step` and :meth:`peek` merge
-    them: the lesser of the heap's top and the lane's head comes next.
+    is taken), and :meth:`run` merges them: the lesser of the heap's top
+    and the lane's head comes next.
     While the lane holds anything the heap's top is at ``_now`` or
     later, so a heap entry taken then never moves the clock, and the
     clock moves only once the lane is empty.  With the lane holding
@@ -60,8 +56,8 @@ class Environment:
 
     * ``_push`` — where timers schedule: a C-level
       ``partial(heappush, queue)`` here, the wheel's bound ``push``;
-    * ``_current`` — the heap :meth:`run`, :meth:`step` and :meth:`peek`
-      pop from: ``_queue`` itself here, the wheel's slot being drained;
+    * ``_current`` — the heap :meth:`run` pops from: ``_queue`` itself
+      here, the wheel's slot being drained;
     * ``_near`` — the rule every timer follows: an entry whose time
       is earlier goes ``heappush(_current, entry)``, any other
       ``_push(entry)``.  ``-inf`` here, so every entry takes ``_push``;
@@ -160,37 +156,6 @@ class Environment:
     # Scheduling / execution
     # ------------------------------------------------------------------
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._lane:
-            return self._now
-        current = self._current
-        if current or self._advance():
-            return current[0][0]
-        return float("inf")
-
-    def step(self) -> None:
-        """Process the single next event, advancing the clock to it."""
-        current = self._current
-        lane = self._lane
-        if lane:
-            if (current or self._advance()) and current[0] < lane[0]:
-                event = heappop(current)[2]
-            else:
-                event = lane.popleft()[2]
-        elif current or self._advance():
-            when, _, event = heappop(current)
-            self._now = when
-        else:
-            raise EmptySchedule("no scheduled events remain")
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-            if self._crash is not None:
-                # As in run(): the traceback takes this frame.
-                del callback, callbacks, event
-                raise self._take_crash()
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 
@@ -214,8 +179,8 @@ class Environment:
                     f"until must not be before now ({self._now}), got "
                     f"{until}")
 
-        # The inlined step loop over the hoisted ``_current``, ``_lane``
-        # and ``_advance`` (see the class docstring for the merge and
+        # The event loop over the hoisted ``_current``, ``_lane`` and
+        # ``_advance`` (see the class docstring for the merge and
         # for why the aliases stay valid); ``advance`` is entered only
         # when ``current`` runs dry.  A lane entry is due at ``now``,
         # which ``until`` never precedes, so only a heap entry can stop

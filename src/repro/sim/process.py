@@ -58,8 +58,9 @@ Step = Union[Generator[Any, Any, Any], Tuple[()]]
 #: A call member of a :class:`Gather`: ``(function, argument)``.  The
 #: gather's entry calls ``function(argument, member)`` with the member's
 #: :class:`GatherMember`, which the call (at once, or from a callback it
-#: subscribed) finishes with ``succeed``/``fail`` or hands a generator
-#: to go on with (:meth:`GatherMember.run`).
+#: subscribed) finishes with ``succeed``/``fail``, after starting any
+#: generator that must wait as a member of its own
+#: (:meth:`GatherMember.fork`).
 Call = Tuple[Callable[[Any, "GatherMember"], None], Any]
 
 
@@ -319,13 +320,12 @@ class GatherMember(Process):
     No handle to it exists either.
 
     The gather's entry starts it: a generator's first step, or the call.
-    A call's member runs no generator unless the call, or a completion
-    it subscribed, hands one over (:meth:`run`) or starts one as a
-    member of its own (:meth:`fork`); either way it finishes as a
-    generator member does — ``succeed`` keeps the last-finisher
-    rule, ``fail`` fails the join.  A call that raises in the entry fails
-    the join too; a completion callback that raises crashes the run, as
-    any callback does.
+    A call's member runs no generator: the call, or a completion it
+    subscribed, starts one as a member of its own (:meth:`fork`), and
+    finishes as a generator member does — ``succeed`` keeps the
+    last-finisher rule, ``fail`` fails the join.  A call that raises in
+    the entry fails the join too; a completion callback that raises
+    crashes the run, as any callback does.
     """
 
     __slots__ = ("_join", "_call")
@@ -358,14 +358,6 @@ class GatherMember(Process):
         except BaseException as exc:
             _drop_own_frame(exc)
             self._fail_or_crash(exc)
-
-    def run(self, generator: Generator[Any, Any, Any]) -> None:
-        """Go on as a generator member: run ``generator``'s first step
-        now, and wait on what it yields."""
-        _require_generator(generator)
-        self._generator = generator
-        self._resumer = self._resume
-        self._resume(_FIRST_STEP)
 
     def fork(self, generator: Generator[Any, Any, Any]) -> None:
         """Start ``generator`` now as one more member of this member's

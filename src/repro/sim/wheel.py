@@ -14,10 +14,9 @@ keep ``_near``, so the one loop of
 :class:`~repro.sim.environment.Environment` drains it.  It is a
 three-tier hierarchy:
 
-* **current** — a real heap holding entries of the slot being drained
-  (and any entry scheduled at or before it, e.g. zero-delay wake-ups),
-  which the environment pushes onto directly (the environment's
-  ``_near``);
+* **current** — a real heap holding entries of the slot being drained,
+  zero-delay timers included, which the environment pushes onto
+  directly (the environment's ``_near``);
 * **near** — per-slot buckets (``tick`` seconds wide) for the next
   ``near_slots`` slots: one dict append per push, one ``heapify`` per
   slot drained;
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import inf, nextafter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.environment import Environment
 from repro.sim.events import Event
@@ -66,29 +65,26 @@ class TimerWheel:
 
     The environment schedules through :meth:`push`, pops ``_current``
     and calls ``_advance`` when that runs dry, and wipes with
-    :meth:`clear`; :meth:`pop`, :meth:`peek_when` and ``len()`` read the
-    queue on its own.  Entries come out in the heap's ``(when, seq)``
+    :meth:`clear`.  Entries come out in the heap's ``(when, seq)``
     order.
 
-    Given an ``env``, the wheel keeps that environment's ``_near`` at
-    the first instant past the slot being drained, so the environment
-    files an entry of that slot onto ``_current`` itself, exactly where
-    :meth:`push` would.
+    The wheel keeps its environment's ``_near`` at the first instant
+    past the slot being drained, so the environment files an entry of
+    that slot (or of an earlier one) onto ``_current`` itself:
+    :meth:`push` only ever sees an entry of a later slot.
     """
 
     __slots__ = ("tick", "_near_width", "_span", "_cursor", "_current",
                  "_near", "_near_slots", "_mid", "_mid_buckets", "_far",
                  "_env")
 
-    def __init__(self, tick: float = 1e-3, near_slots: int = 256,
-                 mid_buckets: int = 64, origin: float = 0.0,
-                 env: Optional[Environment] = None) -> None:
+    def __init__(self, env: Environment, tick: float = 1e-3,
+                 near_slots: int = 256, mid_buckets: int = 64,
+                 origin: float = 0.0) -> None:
         if tick <= 0.0:
             raise ValueError(f"tick must be > 0, got {tick}")
         if near_slots < 2 or mid_buckets < 2:
             raise ValueError("near_slots and mid_buckets must be >= 2")
-        if origin < 0.0:
-            raise ValueError(f"origin must be >= 0, got {origin}")
         self.tick = tick
         self._near_width = near_slots
         self._span = near_slots * mid_buckets
@@ -105,16 +101,7 @@ class TimerWheel:
         self._mid_buckets: List[int] = []
         self._far: List[Entry] = []
         self._env = env
-        if env is not None:
-            env._near = _slot_end(self._cursor, tick)
-
-    def __len__(self) -> int:
-        # Derived, not counted: maintaining a size counter costs an
-        # in-place attribute update on every push *and* pop, and the
-        # hot paths never ask for the length.
-        return (len(self._current) + len(self._far)
-                + sum(len(b) for b in self._near.values())
-                + sum(len(b) for b in self._mid.values()))
+        env._near = _slot_end(self._cursor, tick)
 
     def __bool__(self) -> bool:
         # _near_slots/_mid_buckets are non-empty iff their dicts are.
@@ -122,16 +109,10 @@ class TimerWheel:
                     or self._mid_buckets or self._far)
 
     def push(self, entry: Entry) -> None:
-        """Insert one ``(when, seq, event)`` entry."""
+        """Insert one ``(when, seq, event)`` entry of a slot past the
+        cursor."""
         slot = int(entry[0] / self.tick)
-        cursor = self._cursor
-        if slot <= cursor:
-            # The slot being drained (zero-delay schedules), or earlier —
-            # possible when peek() advanced the cursor ahead of the
-            # clock; the heap keeps these correctly ordered.
-            heappush(self._current, entry)
-            return
-        distance = slot - cursor
+        distance = slot - self._cursor
         if distance < self._near_width:
             bucket = self._near.get(slot)
             if bucket is None:
@@ -147,22 +128,6 @@ class TimerWheel:
             bucket.append(entry)
         else:
             heappush(self._far, entry)
-
-    def pop(self) -> Entry:
-        """Remove and return the globally minimal entry.
-
-        Raises :class:`IndexError` when empty (like ``heappop``).
-        """
-        current = self._current
-        if not current and not self._advance():
-            raise IndexError("pop from an empty timer wheel")
-        return heappop(current)
-
-    def peek_when(self) -> float:
-        """Time of the next entry, or ``inf`` when empty."""
-        if not self._current and not self._advance():
-            return float("inf")
-        return self._current[0][0]
 
     def clear(self) -> None:
         """Drop every entry (the environment's crash wipe).
@@ -213,8 +178,7 @@ class TimerWheel:
             heapify(entries)
             self._current[:] = entries  # in place: never rebind
             self._cursor = slot
-            if self._env is not None:
-                self._env._near = _slot_end(slot, tick)
+            self._env._near = _slot_end(slot, tick)
             return True
 
     def _place_near(self, entry: Entry) -> None:
@@ -243,12 +207,11 @@ class WheelEnvironment(Environment):
     """An :class:`~repro.sim.environment.Environment` scheduled by a
     :class:`TimerWheel` instead of a binary heap.
 
-    Only the queue differs: ``run``, ``step`` and ``peek`` are the base
-    class's, so seeded runs are event-for-event identical to the heap
-    kernel and only the scheduling cost model differs.  Select it per
-    run with
-    ``SystemConfig(kernel="wheel")`` or ``repro oltp/traffic --kernel
-    wheel``.
+    Only the queue differs: ``run`` is the base class's, so seeded
+    runs are event-for-event identical to the heap kernel and only the
+    scheduling cost model differs.  Only ``SystemConfig(kernel="wheel")``
+    selects it, which no run option sets: ``perf/``'s ``traffic_open``
+    cell does, to time it.
     """
 
     __slots__ = ()
@@ -260,9 +223,8 @@ class WheelEnvironment(Environment):
             raise ValueError(
                 f"wheel kernel needs initial_time >= 0, got {initial_time}")
         super().__init__(initial_time)
-        wheel = TimerWheel(tick=tick, near_slots=near_slots,
-                           mid_buckets=mid_buckets, origin=initial_time,
-                           env=self)
+        wheel = TimerWheel(self, tick=tick, near_slots=near_slots,
+                           mid_buckets=mid_buckets, origin=initial_time)
         self._queue = wheel  # type: ignore[assignment]
         self._push = wheel.push
         self._current = wheel._current

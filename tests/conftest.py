@@ -5,12 +5,14 @@ import hashlib
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.sim import Environment
 from repro.core import SsdDesignConfig
+from repro.harness import experiments
 from repro.harness.metrics import snapshot
 from repro.harness.system import System, SystemConfig
 
@@ -50,6 +52,24 @@ def _isolated_runstore(tmp_path, monkeypatch):
 @pytest.fixture
 def env():
     return Environment()
+
+
+def run_on_kernel(kernel, spec, **live):
+    """``run(spec, **live)`` with its system on the event kernel
+    ``kernel``.  No run knob picks the kernel: ``SystemConfig.kernel``
+    does, which ``perf/cells.py`` sets through ``make_system`` for its
+    open-loop cell; here it joins the config the run builds."""
+    build = experiments.system_config
+
+    def on_kernel(*args, **knobs):
+        return build(*args, kernel=kernel, **knobs)
+
+    with mock.patch.object(experiments, "system_config", on_kernel):
+        result = experiments.run(spec, **live)
+    built = type(result.system.env).__name__
+    assert built == {"heap": "Environment", "wheel": "WheelEnvironment"}[
+        kernel], built
+    return result
 
 
 def drive(env, *steps):

@@ -3,10 +3,12 @@
 ``BufferPool.prefetch`` reads a read-ahead's SSD pages through one call
 member, which starts every read and installs each page from its
 completion; a page that must wait is forked off as a member of its own.
-This is the form it replaced, verbatim but for the class and the
-docstrings: one call member per planned SSD page — a ``GatherMember``
-and a ``partial`` for each — that goes on as a generator
-(``member.run``) when its page must wait.  Which events a read-ahead schedules, in which order, and which
+This is the form it replaced, verbatim but for the class, the
+docstrings and how a waiting page goes on: one call member per planned
+SSD page — a ``GatherMember`` and a ``partial`` for each — whose page,
+when it must wait, is forked off as a member of its own and the call
+member finished, which schedules what going on as a generator did.
+Which events a read-ahead schedules, in which order, and which
 version each page is installed with are defined by this class;
 ``tests/engine/test_readahead_equivalence.py`` runs random prefetch
 scripts against both and demands the same run.
@@ -70,7 +72,7 @@ class ReferenceReadAheadPool(BufferPool):
                         member: GatherMember) -> None:
         read = self.ssd.start_read(page_id)
         if read is None:
-            member.run(self._read_ahead_rest(page_id))
+            self._go_on(member, self._read_ahead_rest(page_id))
         else:
             read.event.callbacks.append(
                 partial(self._read_ahead_landed, read, member))
@@ -78,12 +80,20 @@ class ReferenceReadAheadPool(BufferPool):
     def _read_ahead_landed(self, read, member: GatherMember,
                            event: Event) -> None:
         if not event._ok:
-            member.run(self._read_ahead_rest(read.page_id, read,
-                                             event._value))
+            self._go_on(member, self._read_ahead_rest(read.page_id, read,
+                                                      event._value))
             return
         version = self.ssd.read_landed(read)
         if version is None:  # a detach, waited out
-            member.run(self._read_ahead_rest(read.page_id))
+            self._go_on(member, self._read_ahead_rest(read.page_id))
             return
         self._install_read_ahead(read.page_id, version, True)
+        member.succeed()
+
+    @staticmethod
+    def _go_on(member: GatherMember, rest) -> None:
+        """The page must wait: ``rest`` becomes a member of its own, and
+        the call member, which is then never the last to finish, retires
+        without an event of its own."""
+        member.fork(rest)
         member.succeed()

@@ -40,7 +40,6 @@ OPTIONS = {'': {},
           '--duration': 30.0,
           '--faults': None,
           '--ftl': False,
-          '--kernel': 'heap',
           '--latch-us': 0.0,
           '--metrics': False,
           '--no-db': False,
@@ -103,7 +102,6 @@ OPTIONS = {'': {},
              '--dirty-threshold': None,
              '--duration': 30.0,
              '--ftl': False,
-             '--kernel': 'wheel',
              '--latch-us': 20.0,
              '--metrics': False,
              '--no-db': False,
@@ -134,6 +132,17 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", ["oltp", "traffic", "sweep"])
+    def test_kernel_is_no_option(self, command):
+        """Every run builds the heap kernel: ``--kernel`` is gone, and
+        no spec field takes its place."""
+        with redirect_stderr(io.StringIO()) as err, \
+                pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--kernel", "wheel"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kernel" in err.getvalue()
+        assert "kernel" not in {f.name for f in dataclasses.fields(RunSpec)}
 
     def test_oltp_defaults(self):
         args = build_parser().parse_args(["oltp"])

@@ -54,23 +54,21 @@ from repro.core import SsdDesignConfig
 from repro.engine.recovery import simulate_crash_and_recover
 from repro.harness import experiments
 from repro.harness.crashpoints import _update_client
-from repro.harness.experiments import (SCALE_PROFILES, RunSpec, run,
-                                       run_oltp_experiment)
+from repro.harness.experiments import RunSpec, run
 from repro.harness.system import System, SystemConfig
 from repro.storage.device import TrafficRecorder
 from repro.telemetry import Telemetry
-from tests.conftest import meta_free_trace_md5
-
-TINY = SCALE_PROFILES["tiny"]
+from tests.conftest import meta_free_trace_md5, run_on_kernel
 
 FAULTS = "transient:p=0.01,latency:p=0.01:x=5,ssd_stall@t=2:dur=0.2"
 
 
-def _tpcc(design, **kwargs):
-    def run(telemetry):
-        run_oltp_experiment("tpcc", 20, design, duration=4.0, profile=TINY,
-                            nworkers=4, telemetry=telemetry, **kwargs)
-    return run
+def _tpcc(design, faults=None, **knobs):
+    def runner(telemetry):
+        run(RunSpec(kind="oltp", benchmark="tpcc", scale=20, design=design,
+                    duration=4.0, profile="tiny", nworkers=4, **knobs),
+            telemetry=telemetry, faults=faults)
+    return runner
 
 
 def _tpch(design, faults=None):
@@ -92,10 +90,10 @@ TENANTS = ("gold=poisson:rate=400:theta=0.6;"
 
 
 def _latched_open(telemetry):
-    run(RunSpec(kind="traffic", benchmark="tpcc", scale=20, design="LC",
-                tenants=TENANTS, duration=4.0, profile="tiny", nworkers=8,
-                queue_limit=200, partitions=16, latch_us=20.0,
-                kernel="wheel"), telemetry=telemetry)
+    run_on_kernel("wheel", RunSpec(
+        kind="traffic", benchmark="tpcc", scale=20, design="LC",
+        tenants=TENANTS, duration=4.0, profile="tiny", nworkers=8,
+        queue_limit=200, partitions=16, latch_us=20.0), telemetry=telemetry)
 
 
 ALL_HOOKS = {"fault_transient", "fault_latency", "fault_stall"}
@@ -169,13 +167,14 @@ class _ServiceLog(TrafficRecorder):
                          request.address, request.npages))
 
 
-def _busy_tpcc(design, **kwargs):
+def _busy_tpcc(design, faults=None):
     # Scale 100: the data array queues (6k reads under noSSD), which the
     # scale-20 rows above, written for the SSD path, never make it do.
-    def run(telemetry):
-        run_oltp_experiment("tpcc", 100, design, duration=4.0, profile=TINY,
-                            nworkers=8, telemetry=telemetry, **kwargs)
-    return run
+    def runner(telemetry):
+        run(RunSpec(kind="oltp", benchmark="tpcc", scale=100, design=design,
+                    duration=4.0, profile="tiny", nworkers=8),
+            telemetry=telemetry, faults=faults)
+    return runner
 
 
 def _busy_tpch_dw(faults=None):

@@ -33,13 +33,16 @@ def _innermost(generator):
     return generator.gi_code.co_name
 
 
-def _client(env, system, workload, rng, resumes, epoch, running, ident):
+def _client(env, system, workload, rng, resumes, epoch, running, ident,
+            cut):
     """Run TPC-C transactions until the power goes.
 
     Each transaction is driven by hand: whatever it yields is handed to
     the kernel unchanged, and every resumption after it is counted under
     ``epoch`` before the answer goes back in.  ``running`` maps the
-    client to the transaction it is in, for the cut to look at.
+    client to the transaction it is in, for the cut to look at.  The
+    first client to fall asleep mid-descent at or after the epoch's cut
+    instant triggers ``cut``.
     """
     while True:
         _, txn = workload.transaction(rng, system)
@@ -51,6 +54,9 @@ def _client(env, system, workload, rng, resumes, epoch, running, ident):
                           else txn.throw(failure))
             except StopIteration:
                 break
+            if (not cut.triggered and env.now >= CUTS[epoch]
+                    and _innermost(txn) == "_fetch_leaf_frame"):
+                cut.succeed()
             try:
                 value, failure = (yield target), None
             except Exception as exc:  # noqa: BLE001 - handed back in
@@ -72,22 +78,19 @@ def test_a_cut_mid_descent_loses_no_commit_and_wakes_no_dead_client(kernel):
     env = system.env
     resumes = {}
     frozen = {}
-    for epoch, cut in enumerate(CUTS):
+    for epoch, at in enumerate(CUTS):
         resumes[epoch] = 0
         running = {}
+        cut = env.event()
         env.spawn_all(
             _client(env, system, workload,
                     random.Random(f"latched-crash:{epoch}:{ident}"),
-                    resumes, epoch, running, ident)
+                    resumes, epoch, running, ident, cut)
             for ident in range(CLIENTS))
         env.run(until=cut)
-        for steps in range(20_000):
-            asleep = [ident for ident, txn in running.items()
-                      if _innermost(txn) == "_fetch_leaf_frame"]
-            if asleep:
-                break
-            env.step()
-        assert asleep, f"no client asleep mid-descent after cut {cut}"
+        asleep = [ident for ident, txn in running.items()
+                  if _innermost(txn) == "_fetch_leaf_frame"]
+        assert asleep, f"no client asleep mid-descent after cut {at}"
         assert system.bp.stats.partition_latch_waits > 0
         assert resumes[epoch] > 0
         frozen[epoch] = resumes[epoch]

@@ -11,8 +11,9 @@ sheds, leaves a queue and keeps every worker busy at the end.
 import pytest
 
 from repro.harness import runner as runner_module
-from repro.harness.experiments import RunSpec, run
+from repro.harness.experiments import RunSpec
 from repro.sim.resources import Store
+from tests.conftest import run_on_kernel
 
 #: Past what eight workers serve: the queue fills and sheds.
 TENANTS = ("gold=poisson:rate=4000:theta=0.6;"
@@ -34,10 +35,10 @@ def test_offered_arrivals_are_shed_completed_queued_or_in_service(
             queues.append(self)
 
     monkeypatch.setattr(runner_module, "Store", SeenStore)
-    result = run(RunSpec(
+    result = run_on_kernel(kernel, RunSpec(
         kind="traffic", benchmark="tpcc", scale=20, design="LC",
         tenants=TENANTS, duration=1.3, profile="tiny", nworkers=WORKERS,
-        queue_limit=40, partitions=16, latch_us=latch_us, kernel=kernel))
+        queue_limit=40, partitions=16, latch_us=latch_us))
     queue, = queues
     in_service = 0
     for index, (name, tenant) in enumerate(result.tenants.items()):

@@ -119,7 +119,7 @@ def test_golden_cell_metrics_and_summary_row():
     ({"benchmark": "tpch"}, "cannot drive"),
     ({"kind": "tpch"}, "cannot drive"),
     ({"profile": "gigantic"}, "profile"),
-    ({"kernel": "calendar"}, "kernel"),
+    ({"duration": -1.0}, "duration"),
     ({"kind": "traffic"}, "tenants"),
     ({"kind": "traffic", "tenants": "gold=teleport:rate=1"}, "tenants"),
     ({"latch_us": float("nan")}, "latch_us"),

@@ -58,8 +58,8 @@ OTHER_VALUE = {
     "profile": "small", "duration": 4.5, "nworkers": 5,
     "bucket_seconds": 1.0, "seed": 1, "dirty_threshold": 0.25,
     "checkpoint_interval": 2.0, "expand_reads": True, "ftl": True,
-    "partitions": 4, "latch_us": 20.0, "kernel": "wheel",
-    "tenants": "all=poisson:rate=50", "queue_limit": 99,
+    "partitions": 4, "latch_us": 20.0, "tenants": "all=poisson:rate=50",
+    "queue_limit": 99,
 }
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.harness.experiments import (SCALE_PROFILES, RunSpec, make_system,
                                        make_workload, run)
 from repro.harness.system import System
+from repro.sim import Environment
 from tests.conftest import MiniSystem
 
 #: The Table 2 parameters a design reads (N is read by the pool, whose
@@ -104,9 +105,8 @@ SPECS = {
          "ssd": _ssd(2800, 0.5)}),
     "traffic_open": (
         RunSpec(kind="traffic", benchmark="tpcc", scale=100, design="LC",
-                profile="tiny", latch_us=20.0, kernel="wheel",
-                tenants=CELL_TENANTS),
-        {"env": "WheelEnvironment", "ftl": False,
+                profile="tiny", latch_us=20.0, tenants=CELL_TENANTS),
+        {"env": "Environment", "ftl": False,
          "pool": (100, 16, 1.9999999999999998e-05, False), "disk_pages": 371,
          "checkpointer": ("Checkpointer", None),
          "manager": "LazyCleaningManager",
@@ -136,6 +136,25 @@ SPECS = {
 def test_run_builds_the_pinned_system(name, monkeypatch):
     spec, expected = SPECS[name]
     assert effective(built_by_run(spec, monkeypatch)) == expected
+
+
+def test_the_open_loop_cell_builds_the_wheel():
+    """``perf/cells.py`` builds ``traffic_open`` with ``make_system`` and
+    ``kernel="wheel"``: the only way a system gets the timer wheel."""
+    profile = SCALE_PROFILES["tiny"]
+    workload = make_workload("tpcc", 100, profile)
+    system = make_system("tpcc", workload, "LC", profile, latch_us=20.0,
+                         kernel="wheel")
+    assert effective(system) == dict(SPECS["traffic_open"][1],
+                                     env="WheelEnvironment")
+
+
+@pytest.mark.parametrize("kind", ["oltp", "traffic", "tpch"])
+def test_every_run_kind_builds_the_heap_kernel(kind, monkeypatch):
+    spec = {"oltp": SPECS["tpcc_lc"][0], "traffic": SPECS["traffic_open"][0],
+            "tpch": SPECS["tpch_dw"][0]}[kind]
+    assert spec.kind == kind
+    assert type(built_by_run(spec, monkeypatch).env) is Environment
 
 
 def test_warm_restart_system():

@@ -10,13 +10,13 @@ import json
 
 import pytest
 
-from repro.harness import (OpenLoopRunner, RunResult, WorkloadRunner,
-                           run_oltp_experiment)
+from repro.harness import OpenLoopRunner, RunResult, WorkloadRunner
 from repro.harness.experiments import (SCALE_PROFILES, RunSpec, make_system,
-                                       make_workload, run)
+                                       make_workload)
 from repro.runstore.store import Recorder, RunStore
 from repro.telemetry import Telemetry
 from repro.workloads.traffic import parse_tenants
+from tests.conftest import run_on_kernel
 
 TINY = SCALE_PROFILES["tiny"]
 
@@ -30,8 +30,8 @@ def _traffic(design="LC", kernel="heap", duration=8.0, queue_limit=200,
         kind="traffic", benchmark="tpcc", scale=20, design=design,
         tenants=tenants, duration=duration, profile="tiny",
         nworkers=nworkers, queue_limit=queue_limit, bucket_seconds=2.0,
-        kernel=kernel, **kwargs)
-    result = run(spec)
+        **kwargs)
+    result = run_on_kernel(kernel, spec)
     if recorder is not None:
         recorder.record(spec, result)
     return result
@@ -136,8 +136,9 @@ def test_open_loop_runner_validation():
 
 def _traced_oltp_md5(kernel="heap"):
     telemetry = Telemetry()
-    run_oltp_experiment("tpcc", 20, "LC", duration=4.0, profile=TINY,
-                        nworkers=4, kernel=kernel, telemetry=telemetry)
+    run_on_kernel(kernel, RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                                  design="LC", duration=4.0, profile="tiny",
+                                  nworkers=4), telemetry=telemetry)
     payload = "\n".join(
         json.dumps(event.to_dict(), sort_keys=True)
         for event in telemetry.tracer.events)
@@ -152,7 +153,8 @@ def test_second_run_in_one_process_traces_byte_identical():
 
 
 def test_wheel_and_heap_kernels_trace_byte_identical():
-    """Acceptance: same seed, byte-identical trace under both kernels."""
+    """Same seed, byte-identical trace under both kernels (the wheel
+    reached through ``SystemConfig.kernel``, as ``perf/`` reaches it)."""
     assert _traced_oltp_md5("heap") == _traced_oltp_md5("wheel")
 
 

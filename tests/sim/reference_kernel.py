@@ -3,12 +3,11 @@
 Before the lane every schedule went onto the heap: a trigger
 (``Event.succeed`` / ``fail``), a process or batch start and a device's
 zero-delay hop queued ``(now, seq, event)`` by the ``_near`` rule, as a
-timer does, and ``run``, ``step`` and ``peek`` popped the heap alone.
+timer does, and the loop popped the heap alone.
 :class:`ReferenceEnvironment` is that kernel: the schedule sites are the
 product's (they append to ``env._lane``), but its ``_lane`` is a
 :class:`HeapLane`, which files each entry on the queue by the old rule
-and is never non-empty, and its loop, ``peek`` and ``wipe`` are the old
-ones.  :class:`ReferenceWheelEnvironment` wires the same kernel to a
+and is never non-empty, and its ``run`` and ``wipe`` are the old ones.  :class:`ReferenceWheelEnvironment` wires the same kernel to a
 timer wheel, as ``WheelEnvironment`` does.  ``test_lane_equivalence.py``
 holds the product kernels to them.
 """
@@ -16,7 +15,7 @@ holds the product kernels to them.
 import gc
 from heapq import heappop, heappush
 
-from repro.sim.environment import EmptySchedule, Environment
+from repro.sim.environment import Environment
 from repro.sim.events import Event, SimulationError
 from repro.sim.wheel import TimerWheel
 
@@ -55,25 +54,6 @@ class ReferenceEnvironment(Environment):
     def __init__(self, initial_time=0.0):
         super().__init__(initial_time)
         self._lane = HeapLane(self)
-
-    def peek(self):
-        current = self._current
-        if current or self._advance():
-            return current[0][0]
-        return float("inf")
-
-    def step(self):
-        current = self._current
-        if not current and not self._advance():
-            raise EmptySchedule("no scheduled events remain")
-        when, _, event = heappop(current)
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-            if self._crash is not None:
-                del callback, callbacks, event
-                raise self._take_crash()
 
     def run(self, until=None):
         if until is None:
@@ -142,7 +122,7 @@ class ReferenceWheelEnvironment(ReferenceEnvironment):
 
     def __init__(self, initial_time=0.0):
         super().__init__(initial_time)
-        wheel = TimerWheel(origin=initial_time, env=self)
+        wheel = TimerWheel(self, origin=initial_time)
         self._queue = wheel
         self._push = wheel.push
         self._current = wheel._current

@@ -5,7 +5,6 @@ import gc
 import pytest
 
 from repro.sim import KERNELS, Environment, make_environment
-from repro.sim.environment import EmptySchedule
 from repro.sim.events import SimulationError
 from repro.sim.wheel import WheelEnvironment
 
@@ -69,7 +68,8 @@ class TestNanTime:
         with pytest.raises(ValueError, match="nan"):
             env.run(until=float("nan"))
         assert env.now == 0.0
-        assert env.peek() == 1
+        env.run()
+        assert env.now == 1
 
     def test_nan_initial_time_is_refused(self, kernel):
         with pytest.raises(ValueError, match="nan"):
@@ -97,20 +97,22 @@ class TestRunModes:
             env.run(env.event())
 
     def test_run_drains_all_events(self, env):
-        env.timeout(1)
-        env.timeout(2)
+        first, second = env.timeout(1), env.timeout(2)
         env.run()
-        assert env.peek() == float("inf")
+        assert first.processed and second.processed and env.now == 2
 
 
-class TestStep:
-    def test_step_on_empty_schedule_raises(self, env):
-        with pytest.raises(EmptySchedule):
-            env.step()
+class TestNextEvent:
+    def test_run_on_an_empty_schedule_returns_at_once(self, env):
+        assert env.run() is None
+        assert env.now == 0.0
 
-    def test_peek_returns_next_time(self, env):
-        env.timeout(7)
-        assert env.peek() == 7
+    def test_run_until_stops_short_of_the_next_event(self, env):
+        event = env.timeout(7)
+        env.run(until=6.5)
+        assert not event.processed and env.now == 6.5
+        env.run()
+        assert event.processed and env.now == 7
 
     def test_same_time_events_fifo(self, env):
         order = []
@@ -129,9 +131,8 @@ class TestRunModesOnTheWheel(TestRunModes):
         return WheelEnvironment()
 
 
-class TestStepOnTheWheel(TestStep):
-    """The same steps on the wheel kernel: its ``EmptySchedule`` and
-    ``inf`` come from the base ``step`` and ``peek``."""
+class TestNextEventOnTheWheel(TestNextEvent):
+    """The same on the wheel kernel, through the base ``run``."""
 
     @pytest.fixture
     def env(self):
@@ -207,6 +208,5 @@ class TestWipe:
                 gc.enable()
         assert ran == [1.0]
         assert not env._lane and not env._queue
-        assert env.peek() == float("inf")
         env.run()
         assert woken == [] and env.now == 1.0

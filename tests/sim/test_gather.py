@@ -8,8 +8,8 @@ its own first step, minus queue entries that carried no order (DESIGN.md
 its first step is a call that returns ``()`` (DESIGN.md §13, "Steps").
 A gather's child may also be a *call member* ``(function, argument)``: the
 call starts its work in the gather's entry and finishes the member from
-a completion it subscribed, or hands the member a generator to go on
-with (DESIGN.md §13, "An SSD read is a call").  Its reference is the
+a completion it subscribed, forking the rest off as a member of its own
+where it must wait (DESIGN.md §13, "An SSD read is a call").  Its reference is the
 generator that waits on the same event and goes on the same way.  The
 property test runs random process trees under both formulations on both
 kernels and compares the full ``(now, process, step)`` log; the unit
@@ -135,11 +135,12 @@ def run_tree(tree, kernel, batched):
         finish(spec, ident, member, at_call=False)
 
     def finish(spec, ident, member, at_call):
-        """Go on as a generator (``after`` delays), or fail or succeed
-        right here: a call that fails at the call raises, a completion
-        fails the member."""
+        """Go on in a generator forked off as a member of its own
+        (``after`` delays), or fail or succeed right here: a call that
+        fails at the call raises, a completion fails the member."""
         if spec["after"]:
-            member.run(rest(spec, ident))
+            member.fork(rest(spec, ident))
+            member.succeed(ident)
         elif not spec["fails"]:
             member.succeed(ident)
         elif at_call:
@@ -294,7 +295,10 @@ class TestGather:
 class TestCallMembers:
     def test_values_come_in_input_order_however_a_call_finishes(self, env):
         """A call finishes its member at the call, from a completion it
-        subscribed, or by handing over a generator to go on with."""
+        subscribed, or after forking off a generator that goes on, which
+        the join waits for."""
+        ran = []
+
         def at_call(value, member):
             member.succeed(value)
 
@@ -304,11 +308,15 @@ class TestCallMembers:
 
         def then_generator(delay, member):
             def rest():
-                yield env.timeout(delay)
-                return "ran", env.now
+                yield env.timeout(4)
+                ran.append(env.now)
+                return "not a value of the join"
 
-            env.timeout(delay).callbacks.append(
-                lambda _timer: member.run(rest()))
+            def go_on(_timer):
+                member.fork(rest())
+                member.succeed("forked")
+
+            env.timeout(delay).callbacks.append(go_on)
 
         def child():
             yield env.timeout(2)
@@ -316,9 +324,10 @@ class TestCallMembers:
 
         assert env.run(env.gather([
             (on_timer, 3), child(), (at_call, "now"), (then_generator, 1),
-        ])) == [3, "generator", "now", ("ran", 2)]
+        ])) == [3, "generator", "now", "forked"]
+        assert ran == [5] and env.now == 5
 
-    @pytest.mark.parametrize("how", ["raises", "fails", "run raises"])
+    @pytest.mark.parametrize("how", ["raises", "fails", "fork raises"])
     def test_a_failing_call_member_fails_the_join(self, env, how):
         def member(_argument, member):
             if how == "raises":
@@ -332,7 +341,8 @@ class TestCallMembers:
                 yield env.timeout(1)
                 raise RuntimeError("boom")
 
-            member.run(rest())
+            member.fork(rest())
+            member.succeed()
 
         def sibling():
             yield env.timeout(3)
@@ -425,7 +435,7 @@ class TestSpawnAll:
         env.run()
         assert ran == []
         assert not join.triggered
-        assert env.peek() == float("inf")
+        assert not env._lane and not env._queue
 
     def test_takes_each_member_inside_the_entry_after_the_one_before(
             self, env):

@@ -11,8 +11,8 @@ The scripts mix zero, sub-ulp and coinciding sleeps, SSD and disk reads
 whose timers end on one float, ``succeed`` chains (a process firing an
 event, a callback relaying one event to another), ``gather`` and
 ``spawn_all`` groups, and, between runs, ``run(until=event)`` (which
-can stop with the lane non-empty), ``run(until=time)``, single steps,
-``peek()`` and a ``wipe()`` in the middle of an instant.
+can stop with the lane non-empty), ``run(until=time)`` and a ``wipe()``
+in the middle of an instant.
 """
 
 import gc
@@ -52,13 +52,10 @@ STEPS = st.one_of(LEAVES, LEAVES, GROUPS)
 BODIES = st.lists(st.lists(STEPS, min_size=1, max_size=6),
                   min_size=1, max_size=5)
 #: What the driver does between runs: ``run(until=event k)``, ``run``
-#: until a time, ``step`` n times, ``peek``, ``wipe`` (and start more
-#: processes).
+#: until a time, ``wipe`` (and start more processes).
 CONTROLS = st.one_of(
     st.tuples(st.just("until_event"), st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("until"), st.sampled_from((0.0, S, R, 3 * S))),
-    st.tuples(st.just("step"), st.integers(min_value=1, max_value=8)),
-    st.tuples(st.just("peek"), st.just(None)),
     st.tuples(st.just("wipe"), BODIES))
 SCRIPTS = st.fixed_dictionaries({
     "start": st.sampled_from(("process", "spawn_all")),
@@ -132,13 +129,6 @@ def run_script(script, make_env, after_control=None):
                 env.run(until=shared(arg))
             elif control == "until":
                 env.run(until=env.now + arg)
-            elif control == "step":
-                for _ in range(arg):
-                    if env.peek() == float("inf"):
-                        break
-                    env.step()
-            elif control == "peek":
-                log.append(("peek", env.peek()))
             else:
                 # A crash: the devices forget their work, then the queue
                 # goes, with whatever the instant still held.
@@ -180,7 +170,7 @@ MID_INSTANT = {"start": "process", "processes": [
     [("ssd", 0), ("fire", 0), ("sleep", 0.0), ("fire", 2)],
     [("ssd", 1), ("relay", (0, 1)), ("wait", 1)],
     [("wait", 0), ("sleep", 5e-324)]],
-    "controls": [("until_event", 0), ("peek", None),
+    "controls": [("until_event", 0),
                  ("wipe", [[("sleep", S), ("fire", 3), ("wait", 3)]])]}
 
 
@@ -190,14 +180,14 @@ def test_a_run_that_stops_mid_instant_leaves_the_lane_to_the_wipe(kernel):
     log = run_script(MID_INSTANT, lambda: make_environment(kernel),
                      lambda env: lanes.append(len(env._lane)))
     assert log == run_script(MID_INSTANT, REFERENCES[kernel])
-    assert lanes == [1, 1, 1]  # after the wipe: the new process's start
+    assert lanes == [1, 1]  # after the wipe: the new process's start
     assert [entry[:5] for entry in log] == [
         (S, "p0", 0, 0, 7), (S, "p0", 1, None, 8), (S, "p1", 0, 1, 9),
         (S, "p1", 1, None, 9), (S, "p2", 0, "p0", 9),
-        (S, "control", 0, "until_event", 11), ("peek", S),
-        (S, "control", 1, "peek", 11), (S, "control", 2, "wipe", 12),
-        (2 * S, "q2.0", 0, None, 13), (2 * S, "q2.0", 1, None, 14),
-        (2 * S, "q2.0", 2, "q2.0", 14), (2 * S, "end", None, None, 15)]
+        (S, "control", 0, "until_event", 11),
+        (S, "control", 1, "wipe", 12),
+        (2 * S, "q1.0", 0, None, 13), (2 * S, "q1.0", 1, None, 14),
+        (2 * S, "q1.0", 2, "q1.0", 14), (2 * S, "end", None, None, 15)]
 
 
 #: The wheel files a timer by slot, and a run that ran dry and then

@@ -129,8 +129,8 @@ class TestFailureTracebacks:
     def test_a_caught_failure_leaves_nothing_in_a_cycle(self, env):
         """One waiter that catches a child's failure, and keeps the
         child; then a failure with a handle and no waiter, which
-        ``run()`` or ``step()`` re-raises: no ``Process`` is found by
-        the cyclic collector after any of them."""
+        ``run()`` re-raises: no ``Process`` is found by the cyclic
+        collector after either."""
         def child():
             yield 1.0
             raise KeyError("gone")
@@ -151,22 +151,15 @@ class TestFailureTracebacks:
             gc.collect()
             assert not [found for found in gc.garbage
                         if isinstance(found, Process)]
-            def stepping():
-                while True:
-                    env.step()
-
-            for drive in (env.run, stepping):
-                proc = env.process(child())
-                try:
-                    drive()
-                except KeyError:
-                    pass
-                assert proc.ok is False
-                # This frame is on the traceback: it must not hold it.
-                del proc
-                gc.collect()
-                assert not [found for found in gc.garbage
-                            if isinstance(found, Process)], drive
+            proc = env.process(child())
+            with pytest.raises(KeyError):
+                env.run()
+            assert proc.ok is False
+            # This frame is on the traceback: it must not hold it.
+            del proc
+            gc.collect()
+            assert not [found for found in gc.garbage
+                        if isinstance(found, Process)]
         finally:
             gc.set_debug(flags)
             gc.garbage.clear()

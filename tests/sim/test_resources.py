@@ -127,7 +127,7 @@ class TestStore:
         before = env._seq
         assert store.put("a") is None
         assert env._seq == before
-        assert env.peek() == float("inf")
+        assert not env._lane and not env._queue
 
     def test_put_to_a_blocked_getter_schedules_its_wakeup_only(self, env):
         store = Store(env)

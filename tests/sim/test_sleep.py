@@ -81,7 +81,7 @@ def test_an_int_delay_sleeps_as_its_float_does(kernel, how):
 
 def test_finished_sleepers_leave_nothing_to_the_cyclic_collector(env):
     """A ``Process`` that returns or fails, a ``DetachedProcess``, a
-    generator ``GatherMember``, a call member that hands one over and
+    generator ``GatherMember``, a call member that forks one off and
     one that fails the join, and a spawned process that crashes the
     run, each after sleeping: none is found in a cycle.
 
@@ -105,7 +105,8 @@ def test_finished_sleepers_leave_nothing_to_the_cyclic_collector(env):
             caught.append(exc.args)
 
     def handed_over(fails, member):
-        member.run(sleeper(fails))
+        member.fork(sleeper(fails))
+        member.succeed()
 
     def parent():
         for _ in range(5):

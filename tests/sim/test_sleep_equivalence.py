@@ -9,8 +9,8 @@ on the other, on both kernels, and compares the wake logs ``(now,
 process, step, value)`` and the final sequence number.  The scripts mix
 sleeps (zero, int and coinciding delays), waits on events other
 processes trigger, ``spawn_all`` members whose first step sleeps,
-``gather`` members that are generators or calls handing over a
-generator (:meth:`GatherMember.run`), and a ``wipe()`` part way through
+``gather`` members that are generators or calls forking one off
+(:meth:`GatherMember.fork`), and a ``wipe()`` part way through
 with fresh processes after it.
 
 The last tests prove the property has teeth: the real kernel source
@@ -78,7 +78,8 @@ def run_script(script, kernel, sleep):
         return events[key]
 
     def handed_over(argument, member):
-        member.run(body(*argument))
+        member.fork(body(*argument))
+        member.succeed(argument[1])
 
     def body(steps, ident):
         for index, step in enumerate(steps):

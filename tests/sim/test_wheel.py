@@ -3,18 +3,18 @@
 The wheel's contract is strict: it must yield entries in exactly the
 ``(when, seq)`` order the heap scheduler does — not merely "sorted by
 time" — because the repo's determinism guarantee (byte-identical traces
-per seed) rides on event order.  These tests fuzz the raw structure
-against ``heapq`` and run whole seeded simulations on both kernels.
-The property at the end plays scripts of schedules that land at zero
-delay, past the mid horizon, on a slot's first instant or one ulp
-either side of it, with ``peek()`` and ``wipe()`` between them, on
-both kernels, and compares every clock value, wake and ``_seq``.
+per seed) rides on event order.  These tests fuzz random timers on
+every tier and run whole seeded simulations on both kernels.  The
+property at the end plays scripts of schedules that land at zero delay,
+past the mid horizon, on a slot's first instant or one ulp either side
+of it, with ``wipe()`` between them, on both kernels, and compares
+every clock value, wake and ``_seq``.
 """
 
 import gc
-import heapq
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,100 +22,93 @@ from hypothesis import strategies as st
 
 from repro.sim import KERNELS, Environment, make_environment
 from repro.sim import wheel as wheel_module
-from repro.sim.wheel import TimerWheel, WheelEnvironment
-from repro.sim.environment import EmptySchedule
+from repro.sim.wheel import WheelEnvironment
 
 
-class _Payload:
-    """Stands in for an Event; must never be compared by the wheel."""
+def _timers(make_env, seed):
+    """Random timers on every tier, some set from the callbacks of
+    others; the ``(now, tag)`` of each callback, in the order run."""
+    env = make_env()
+    rng = random.Random(seed)
+    log = []
+    tags = iter(range(600))
 
-    __lt__ = None
+    def fire(event):
+        log.append((env.now, event.value))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            arm()
+
+    def arm():
+        tag = next(tags, None)
+        if tag is not None:
+            delay = rng.choice(
+                [0.0, 0.001, 0.004, 0.05, 0.3, 2.0, 50.0]) * rng.random()
+            env.timeout(delay, tag).callbacks.append(fire)
+
+    for _ in range(40):
+        arm()
+    env.run()
+    assert not env._queue  # every tier of a wheel drained
+    return log
 
 
-def test_fuzz_wheel_matches_heap_order():
-    rng = random.Random(20110612)
-    for trial in range(50):
-        wheel = TimerWheel(tick=0.01, near_slots=8, mid_buckets=4)
-        heap = []
-        seq = 0
-        pending = 0
-        now = 0.0
-        for _ in range(600):
-            if pending and rng.random() < 0.45:
-                got = wheel.pop()
-                want = heapq.heappop(heap)
-                assert got == want
-                now = got[0]
-                pending -= 1
-            else:
-                seq += 1
-                delay = rng.choice(
-                    [0.0, 0.001, 0.004, 0.05, 0.3, 2.0, 50.0]) * rng.random()
-                entry = (now + delay, seq, _Payload())
-                wheel.push(entry)
-                heapq.heappush(heap, entry)
-                pending += 1
-        while pending:
-            assert wheel.pop() == heapq.heappop(heap)
-            pending -= 1
-        assert len(wheel) == 0 and not wheel
+@pytest.mark.parametrize("seed", range(6))
+def test_fuzz_wheel_matches_heap_order(seed):
+    small = partial(WheelEnvironment, tick=0.01, near_slots=8, mid_buckets=4)
+    assert _timers(small, seed) == _timers(Environment, seed)
+
+
+def _fired(env, delays):
+    """Run one timeout per delay; their values in the order they fired."""
+    fired = []
+    for tag, delay in enumerate(delays):
+        env.timeout(delay, tag).callbacks.append(
+            lambda event: fired.append((env.now, event.value)))
+    env.run()
+    return fired
 
 
 def test_far_future_entries_cascade_back_exactly():
-    wheel = TimerWheel(tick=0.001, near_slots=4, mid_buckets=4)
+    env = WheelEnvironment(tick=0.001, near_slots=4, mid_buckets=4)
     # span = 16 ticks = 0.016 s; everything beyond lands in the far heap.
-    entries = [(t, i, _Payload())
-               for i, t in enumerate([5.0, 0.0005, 1.0, 0.02, 0.001, 100.0])]
-    for entry in entries:
-        wheel.push(entry)
-    assert [wheel.pop()[0] for _ in range(len(entries))] == sorted(
-        e[0] for e in entries)
+    delays = [5.0, 0.0005, 1.0, 0.02, 0.001, 100.0]
+    assert [when for when, _ in _fired(env, delays)] == sorted(delays)
 
 
 def test_same_instant_entries_pop_in_seq_order():
-    wheel = TimerWheel(tick=0.01)
-    entries = [(1.0, seq, _Payload()) for seq in (5, 1, 9, 2)]
-    for entry in entries:
-        wheel.push(entry)
-    assert [wheel.pop()[1] for _ in range(4)] == [1, 2, 5, 9]
+    env = WheelEnvironment(tick=0.01)
+    assert _fired(env, [1.0] * 4) == [(1.0, tag) for tag in range(4)]
 
 
-def test_peek_then_earlier_push_goes_to_current_heap():
-    wheel = TimerWheel(tick=0.01)
-    wheel.push((1.0, 1, _Payload()))
-    # peek advances the cursor to slot 100 before anything pops...
-    assert wheel.peek_when() == 1.0
-    # ...so a new same-slot (or earlier-slot) push must still pop first
-    # when its (when, seq) orders first.
-    wheel.push((0.9995, 2, _Payload()))
-    assert wheel.pop()[0] == 0.9995
-    assert wheel.pop()[0] == 1.0
-
-
-def test_pop_empty_raises_indexerror_like_heappop():
-    wheel = TimerWheel()
-    with pytest.raises(IndexError):
-        wheel.pop()
-    assert wheel.peek_when() == float("inf")
+def test_a_timer_in_the_slot_being_drained_runs_in_order():
+    """A timer set while slot 100 (1.00-1.01 s) drains is filed onto
+    the slot heap, ahead of a timer already there that is due later."""
+    env = WheelEnvironment(tick=0.01)
+    fired = []
+    first = env.timeout(1.0, "first")
+    env.timeout(1.008, "later").callbacks.append(
+        lambda event: fired.append((env.now, event.value)))
+    first.callbacks.append(
+        lambda _event: env.timeout(0.005, "set at 1.0").callbacks.append(
+            lambda event: fired.append((env.now, event.value))))
+    env.run()
+    assert fired == [(1.005, "set at 1.0"), (1.008, "later")]
 
 
 def test_clear_empties_and_wheel_remains_usable():
-    wheel = TimerWheel(tick=0.01)
-    for seq, when in enumerate([0.5, 3.0, 50.0]):
-        wheel.push((when, seq, _Payload()))
-    wheel.clear()
-    assert len(wheel) == 0
-    wheel.push((7.0, 10, _Payload()))
-    assert wheel.pop()[0] == 7.0
+    env = WheelEnvironment(tick=0.01)
+    for delay in (0.5, 3.0, 50.0):  # near, mid and far
+        env.timeout(delay)
+    env.wipe()
+    assert not env._queue
+    assert _fired(env, [7.0]) == [(7.0, 0)]
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        TimerWheel(tick=0.0)
+        WheelEnvironment(tick=0.0)
     with pytest.raises(ValueError):
-        TimerWheel(near_slots=1)
-    with pytest.raises(ValueError):
-        TimerWheel(origin=-1.0)
+        WheelEnvironment(near_slots=1)
     with pytest.raises(ValueError):
         WheelEnvironment(initial_time=-0.5)
 
@@ -156,11 +149,10 @@ def test_wheel_run_event_for_event_identical_to_heap(seed):
 
 def test_wheel_kernel_drains_through_the_one_loop():
     # The wheel is only a queue: no second copy of the loop to keep in step.
-    for name in ("run", "step", "peek"):
-        assert getattr(WheelEnvironment, name) is getattr(Environment, name)
+    assert WheelEnvironment.run is Environment.run
 
 
-def test_wheel_environment_step_until_and_until_event():
+def test_wheel_environment_until_time_and_until_event():
     env = WheelEnvironment()
     hits = []
 
@@ -172,13 +164,12 @@ def test_wheel_environment_step_until_and_until_event():
         return "done"
 
     proc = env.process(p())
-    env.step()  # the Process initialization event
-    env.step()  # the 2.0 timeout
+    env.run(until=2.0)
     assert env.now == 2.0 and hits == [2.0]
     assert env.run(until=proc) == "done"
     assert hits == [2.0, 5.0]
-    with pytest.raises(EmptySchedule):
-        env.step()
+    env.run()
+    assert env.now == 5.0
     # run(until=t) past the last event parks the clock at t.
     env.run(until=9.0)
     assert env.now == 9.0
@@ -235,9 +226,7 @@ EDGE_OPS = st.one_of(
     st.tuples(st.just("sleeper"), CHAINS),
     st.tuples(st.just("spawn"), CHAINS),
     st.tuples(st.just("timeout"), WHERES),
-    st.tuples(st.sampled_from(("succeed", "fail", "peek", "wipe")),
-              st.none()),
-    st.tuples(st.just("step"), st.integers(1, 6)))
+    st.tuples(st.sampled_from(("succeed", "fail", "wipe")), st.none()))
 
 EDGE_SCRIPTS = st.fixed_dictionaries({
     "geometry": GEOMETRIES,
@@ -282,8 +271,8 @@ def _delay(now, geometry, where):
 
 def run_edges(env, script):
     """Play ``script`` on ``env``; return everything it observed: each
-    callback and wake with the clock, each ``peek()``, and the clock and
-    ``_seq`` after every operation."""
+    callback and wake with the clock, and the clock and ``_seq`` after
+    every operation."""
     geometry = script["geometry"]
     log = []
 
@@ -312,13 +301,6 @@ def run_edges(env, script):
             event = env.event()
             event.callbacks.append(logged(index))
             event.fail(ValueError(index))
-        elif op == "step":
-            for _ in range(arg):
-                if env.peek() == math.inf:
-                    break
-                env.step()
-        elif op == "peek":
-            log.append(("peek", env.peek()))
         else:
             env.wipe()
         log.append(("op", index, env.now, env._seq))
@@ -356,7 +338,8 @@ def test_the_wheel_keeps_near_at_the_end_of_the_slot_being_drained():
     env = WheelEnvironment(initial_time=5.0, tick=0.1)
     assert env._near == wheel_module._slot_end(50, 0.1)
     env.timeout(1.0)
-    assert env.peek() == 6.0  # peek() drains slot 60 ahead of the clock
+    env.run()
+    assert env.now == 6.0
     assert env._near == wheel_module._slot_end(60, 0.1)
     assert Environment()._near == -math.inf
 

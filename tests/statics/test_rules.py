@@ -163,11 +163,10 @@ class TestSlotsHotpath:
         assert unslotted([Base, Widget]) == []
 
     def test_exception_class_exempt(self):
-        from repro.sim.environment import EmptySchedule
         from repro.sim.events import SimulationError
         from repro.storage.request import IoKind
         classes = hot_path_classes()
-        assert not classes & {EmptySchedule, SimulationError, IoKind}
+        assert not classes & {SimulationError, IoKind}
 
     def test_hdd_helper_classes_are_on_the_hot_path(self):
         # HddArray's per-request record is defined in a root, not found

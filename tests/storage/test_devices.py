@@ -381,20 +381,26 @@ class TestHddCallbackLifeCycle:
     def test_pending_falls_two_hops_after_the_last_timer_before_done(
             self, env):
         hdd = HddArray(env, ndisks=4, stripe_pages=8)
+        seen = []
+
+        class Snapshots(TrafficRecorder):
+            def record(self, when, request):
+                seen.append((request.npages, hdd.stats.completed,
+                             hdd.pending, env._seq))
+
+        hdd.traffic = Snapshots(1.0)
         # Fragments of 8, 8, 4.
         done = hdd.submit(IORequest(IoKind.SEQUENTIAL_READ, 0, 20))
-        env.step()                               # the hop after submit
+        env.run(until=0.0)                       # the hop after submit
         assert [d.busy for d in hdd._drives] == [1, 1, 1, 0]
-        env.step(), env.step()                   # the 4-page, one 8-page
-        assert hdd.stats.completed == 2 and hdd.pending == 1
-        env.step()                               # the last timer
-        assert hdd.stats.completed == 3 and hdd.pending == 1
-        env.step()
-        assert hdd.pending == 1 and not done.triggered
-        env.step()
-        assert hdd.pending == 0 and done.triggered and not done.processed
-        env.step()
-        assert done.processed and env.peek() == float("inf")
+        done.callbacks.append(lambda _done: seen.append(
+            ("done", hdd.stats.completed, hdd.pending, env._seq)))
+        env.run()
+        # The 4-page, one 8-page, the last timer; then the join and the
+        # leaving hop, which triggers ``done``: three entries later.
+        last = seen[2][3]
+        assert seen == [(4, 1, 1, seen[0][3]), (8, 2, 1, seen[1][3]),
+                        (8, 3, 1, last), ("done", 3, 0, last + 3)]
 
     def test_raising_traffic_record_frees_drive_and_count(self, env):
         hdd = HddArray(env, ndisks=1)

@@ -94,8 +94,7 @@ RUNS = {
     "open-loop-latched": (
         RunSpec(kind="traffic", benchmark="tpcc", scale=20, design="LC",
                 profile="tiny", duration=4.0, nworkers=8, queue_limit=200,
-                partitions=4, latch_us=20.0, kernel="wheel",
-                tenants=TENANTS), None, 78),
+                partitions=4, latch_us=20.0, tenants=TENANTS), None, 78),
     "tpch-DW": (RunSpec(kind="tpch", benchmark="tpch", scale=30,
                         design="DW", profile="tiny"), None, 67),
     "throttled-TAC": (_throttled("TAC"), None, 74),

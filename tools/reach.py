@@ -71,8 +71,8 @@ _TAC_FULL = ("TAC with a full SSD: repro oltp --designs TAC --scale 1000 "
              "--profile tiny --duration 20; "
              "benchmarks/test_cw_gap_tac_waste.py")
 _FIG8 = "benchmarks/test_fig8_io_traffic.py (traffic recorders)"
-_WHEEL = "goes with sim/wheel.py (ROADMAP item 2): "
-_ITEM2 = "goes or stays with the one kernel (ROADMAP item 2): "
+_WHEEL = ("goes with sim/wheel.py, which only perf/cells.py:67 "
+          "(traffic_open) runs (ROADMAP item 2): ")
 _READ_AHEAD_REST = (
     "fault path: a read-ahead's SSD read that fails, or a planned SSD page "
     "gone by its read (run(RunSpec(kind='tpch', ...), faults=...); the "
@@ -147,41 +147,23 @@ LEDGER: Dict[str, Tuple[str, str]] = {
     "repro.runstore.store:RunStore.chaos_for": (
         J, "repro runs show of a chaos run"),
     # sim
-    "repro.sim.environment:Environment.peek": (
-        S, _ITEM2 + "tests/sim/test_environment.py x4 (both kernels), "
-           "test_gather.py, test_resources.py, "
-           "tests/storage/test_devices.py"),
-    "repro.sim.environment:Environment.step": (
-        S, _ITEM2 + "tests/sim/test_environment.py::TestStep[OnTheWheel]::"
-           "test_step_on_empty_schedule_raises, test_wheel.py x1, "
-           "tests/storage/test_devices.py x1"),
     "repro.sim.events:Event.__repr__": (J, _REPR),
     "repro.sim.process:DetachedProcess._fail_or_crash": (
         J, "error path: a spawned process that raises crashes the run"),
     "repro.sim.process:GatherMember.fork": (J, _READ_AHEAD_REST),
-    "repro.sim.process:GatherMember.run": (
-        S, "no product caller since a read-ahead's SSD pages are one call "
-           "member: tests/sim/test_gather.py x3, "
-           "tests/engine/reference_readahead.py"),
     "repro.sim.process:_refused": (
         J, "error path: a process that yields neither an event nor a "
            "delay >= 0"),
     "repro.sim.wheel:TimerWheel.__bool__": (
-        S, _WHEEL + "tests/sim/test_wheel.py x2, test_gather.py x1"),
-    "repro.sim.wheel:TimerWheel.__len__": (
-        S, _WHEEL + "tests/sim/test_wheel.py x2"),
+        S, _WHEEL + "a crash's wipe() on the wheel; traffic_open never "
+           "crashes (tests/sim/test_wheel.py, test_environment.py::TestWipe)"),
     "repro.sim.wheel:TimerWheel._refill_from_far": (
-        J, "a wheel-kernel timer past the 16.4 s mid horizon (repro "
-           "traffic --duration 20 --checkpoint-interval 17)"),
+        S, _WHEEL + "a wheel timer past the 16.4 s mid horizon, which "
+           "traffic_open's 40 s at --scale 1 sets none of "
+           "(tests/sim/test_wheel.py)"),
     "repro.sim.wheel:TimerWheel.clear": (
-        S, _WHEEL + "tests/sim/test_wheel.py x2, test_gather.py x1 (a "
-           "crash on the wheel kernel)"),
-    "repro.sim.wheel:TimerWheel.peek_when": (
-        S, _WHEEL + "tests/sim/test_wheel.py x2 (Environment.peek reads "
-           "_current)"),
-    "repro.sim.wheel:TimerWheel.pop": (
-        S, _WHEEL + "tests/sim/test_wheel.py x6 (Environment.step pops "
-           "_current)"),
+        S, _WHEEL + "a crash's wipe() on the wheel; traffic_open never "
+           "crashes (tests/sim/test_wheel.py, test_environment.py::TestWipe)"),
     # storage
     "repro.storage.device:Device._release": (
         J, "error path: a service computation that raises (a completing "
@@ -365,7 +347,7 @@ CI_LINES = (
     CI_SWEEP,
     # traffic-smoke
     "traffic --benchmark tpcc --scale 100 --profile tiny --duration 4 "
-    "--designs DW,LC --kernel wheel --workers 32 --queue-limit 5000 "
+    "--designs DW,LC --workers 32 --queue-limit 5000 "
     f"--tenants '{CI_TENANTS}' --trace traffic.jsonl",
     "runs list",
     "analyze traffic-DW.jsonl traffic-LC.jsonl",
